@@ -3,6 +3,7 @@ package fed
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"time"
 
@@ -75,6 +76,11 @@ type Server struct {
 	// uploads don't bump it because the store's SetBatch ignores them, so the
 	// generation and the stored view always move together.
 	upGen []uint32
+
+	// train's flattened sample set and its per-upload offsets, reused across
+	// rounds (every entry is overwritten before it is read).
+	trainSamples []models.Sample
+	trainOff     []int
 
 	// Fused edge-selection state: when the incremental graph engine will run,
 	// absorb selects the round's edges directly from the upload slices it is
@@ -591,11 +597,14 @@ func (s *edgeSorter) Swap(a, b int) { s.order[a], s.order[b] = s.order[b], s.ord
 // TrainWorkers with a chunk-ordered merge, which is what keeps seeded runs
 // exactly reproducible at any worker count.
 func (sv *Server) train(uploads [][]comm.Prediction, workers int) float64 {
-	offsets := make([]int, len(uploads)+1)
-	for i, up := range uploads {
-		offsets[i+1] = offsets[i] + len(up)
+	offsets := append(sv.trainOff[:0], 0)
+	for _, up := range uploads {
+		offsets = append(offsets, offsets[len(offsets)-1]+len(up))
 	}
-	samples := make([]models.Sample, offsets[len(uploads)])
+	sv.trainOff = offsets
+	total := offsets[len(uploads)]
+	samples := slices.Grow(sv.trainSamples[:0], total)[:total]
+	sv.trainSamples = samples
 	par.For(len(uploads), par.Workers(workers), func(i int) {
 		out := samples[offsets[i]:offsets[i+1]]
 		for j, p := range uploads[i] {

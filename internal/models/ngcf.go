@@ -295,7 +295,7 @@ func (m *NGCF) accumulateGrad(batch []Sample) float64 {
 	for _, ws := range chunks {
 		lossSum += ws.lossSum
 		for l, acc := range ws.dOuts {
-			acc.mergeIntoRows(dOuts[l].Row)
+			acc.mergeIntoRows(dOuts[l])
 		}
 	}
 

@@ -181,11 +181,20 @@ func (m *LightGCN) Restore(r io.Reader) error {
 	if err := persist.ReadFloat64sInto(r, m.e0.W.Data); err != nil {
 		return err
 	}
-	m.dirty = true
+	m.dirty, m.deadStale = true, true
 	if version < 2 {
 		return nil
 	}
-	return m.opt.RestoreState(r, []*nn.Param{m.e0})
+	if err := m.opt.RestoreState(r, []*nn.Param{m.e0}); err != nil {
+		return err
+	}
+	// A row that trained before the checkpoint keeps moving under its
+	// decaying moments whether or not it still has an edge: it is live here
+	// as it was in the process that wrote the snapshot.
+	for _, i := range m.opt.MomentRows(nil, m.e0) {
+		m.markLive(i)
+	}
+	return nil
 }
 
 // paramList returns NGCF's parameters in the canonical serialization order:

@@ -1,6 +1,11 @@
 package models
 
-import "ptffedrec/internal/par"
+import (
+	"slices"
+
+	"ptffedrec/internal/par"
+	"ptffedrec/internal/tensor"
+)
 
 // trainChunkSize is the fixed shard width of the gradient-workspace engine:
 // TrainBatch splits every batch into ceil(n/trainChunkSize) contiguous
@@ -50,25 +55,44 @@ func forChunks(n, workers int, fn func(c, lo, hi int)) {
 // rowAccum collects sparse per-row gradient vectors for one chunk. Rows are
 // replayed in first-touch order by merge — numerically immaterial (row sums
 // are independent) but kept deterministic so merges never depend on map
-// iteration order.
+// iteration order. The vectors live back to back in one slab, so a reset
+// accumulator refills without allocating once the slab and the index have
+// reached the chunk's working size.
 type rowAccum struct {
 	dim   int
-	order []int
-	rows  map[int][]float64
+	order []int       // touched rows, first-touch order
+	slot  map[int]int // row → position in order (and in slab, ×dim)
+	slab  []float64
 }
 
 func newRowAccum(dim int) *rowAccum {
-	return &rowAccum{dim: dim, rows: make(map[int][]float64)}
+	return &rowAccum{dim: dim, slot: make(map[int]int)}
+}
+
+// reset forgets every row, keeping the storage.
+func (a *rowAccum) reset() {
+	a.order = a.order[:0]
+	a.slab = a.slab[:0]
+	clear(a.slot)
+}
+
+// at returns row i's pending vector, zeroed on first touch. The slice is
+// valid until the next first touch.
+func (a *rowAccum) at(i int) []float64 {
+	k, ok := a.slot[i]
+	if !ok {
+		k = len(a.order)
+		a.slot[i] = k
+		a.order = append(a.order, i)
+		a.slab = slices.Grow(a.slab, a.dim)[:(k+1)*a.dim]
+		clear(a.slab[k*a.dim:])
+	}
+	return a.slab[k*a.dim : (k+1)*a.dim]
 }
 
 // add accumulates g into row i's pending vector.
 func (a *rowAccum) add(i int, g []float64) {
-	buf, ok := a.rows[i]
-	if !ok {
-		buf = make([]float64, a.dim)
-		a.rows[i] = buf
-		a.order = append(a.order, i)
-	}
+	buf := a.at(i)
 	for k, v := range g {
 		buf[k] += v
 	}
@@ -76,12 +100,7 @@ func (a *rowAccum) add(i int, g []float64) {
 
 // axpy accumulates s*x into row i's pending vector.
 func (a *rowAccum) axpy(i int, s float64, x []float64) {
-	buf, ok := a.rows[i]
-	if !ok {
-		buf = make([]float64, a.dim)
-		a.rows[i] = buf
-		a.order = append(a.order, i)
-	}
+	buf := a.at(i)
 	for k, v := range x {
 		buf[k] += s * v
 	}
@@ -89,17 +108,17 @@ func (a *rowAccum) axpy(i int, s float64, x []float64) {
 
 // mergeInto replays the accumulated rows into an embedding table.
 func (a *rowAccum) mergeInto(t embTable) {
-	for _, i := range a.order {
-		t.Accumulate(i, a.rows[i])
+	for k, i := range a.order {
+		t.Accumulate(i, a.slab[k*a.dim:(k+1)*a.dim])
 	}
 }
 
-// mergeIntoRows adds the accumulated rows into a dense row-major view.
-func (a *rowAccum) mergeIntoRows(row func(i int) []float64) {
-	for _, i := range a.order {
-		dst := row(i)
-		for k, v := range a.rows[i] {
-			dst[k] += v
+// mergeIntoRows adds the accumulated rows into the matching rows of m.
+func (a *rowAccum) mergeIntoRows(m *tensor.Matrix) {
+	for k, i := range a.order {
+		dst := m.Row(i)
+		for j, v := range a.slab[k*a.dim : (k+1)*a.dim] {
+			dst[j] += v
 		}
 	}
 }

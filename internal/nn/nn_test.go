@@ -1,10 +1,12 @@
 package nn
 
 import (
+	"bytes"
 	"math"
 	"testing"
 	"testing/quick"
 
+	"ptffedrec/internal/persist"
 	"ptffedrec/internal/rng"
 	"ptffedrec/internal/tensor"
 )
@@ -213,6 +215,67 @@ func TestAdamFirstStepMagnitude(t *testing.T) {
 	NewAdam(0.01).Step([]*Param{p})
 	if math.Abs(math.Abs(p.W.Data[0])-0.01) > 1e-4 {
 		t.Fatalf("first Adam step = %v, want ≈0.01", p.W.Data[0])
+	}
+}
+
+// adamBytes is the optimizer's serialised state for p followed by p's
+// weights and gradient — everything a step may change.
+func adamBytes(t *testing.T, o *Adam, p *Param) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := o.SnapshotState(&buf, []*Param{p}); err != nil {
+		t.Fatal(err)
+	}
+	for _, data := range [][]float64{p.W.Data, p.Grad.Data} {
+		if err := persist.WriteFloat64s(&buf, data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return buf.Bytes()
+}
+
+// TestAdamStepRowsMatchesStep pins StepRows' contract: over every row it is
+// Step bitwise (weights, both moments, step counter, zeroed gradient), and
+// over the rows that have ever had a gradient it still is, because the rows
+// it skips have nothing to update. MomentRows names exactly those rows.
+func TestAdamStepRowsMatchesStep(t *testing.T) {
+	const rows, cols = 9, 4
+	active := []int{7, 1, 4}
+	all := make([]int, rows)
+	for i := range all {
+		all[i] = i
+	}
+	newParam := func() *Param {
+		p := NewParam("p", rows, cols)
+		Normal(rng.New(3), p.W, 0.1)
+		return p
+	}
+	dense, full, sparse := newParam(), newParam(), newParam()
+	od, of, os := NewAdam(0.01), NewAdam(0.01), NewAdam(0.01)
+	g := rng.New(5)
+	for step := 0; step < 6; step++ {
+		for _, r := range active[:1+step%len(active)] {
+			for c := 0; c < cols; c++ {
+				v := g.Normal(0, 1)
+				dense.Grad.Row(r)[c], full.Grad.Row(r)[c], sparse.Grad.Row(r)[c] = v, v, v
+			}
+		}
+		od.Step([]*Param{dense})
+		of.StepRows(full, all)
+		os.StepRows(sparse, active)
+		want := adamBytes(t, od, dense)
+		if !bytes.Equal(adamBytes(t, of, full), want) {
+			t.Fatalf("step %d: StepRows over all rows differs from Step", step)
+		}
+		if !bytes.Equal(adamBytes(t, os, sparse), want) {
+			t.Fatalf("step %d: StepRows over the active rows differs from Step", step)
+		}
+	}
+	if got := os.MomentRows(nil, sparse); len(got) != 3 || got[0] != 1 || got[1] != 4 || got[2] != 7 {
+		t.Fatalf("MomentRows = %v, want [1 4 7]", got)
+	}
+	if got := NewAdam(0.01).MomentRows(nil, sparse); len(got) != 0 {
+		t.Fatalf("MomentRows of an unstepped optimizer = %v", got)
 	}
 }
 

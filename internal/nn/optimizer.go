@@ -54,24 +54,79 @@ func NewAdam(lr float64) *Adam {
 // Step applies one Adam update to every parameter and zeroes gradients.
 func (o *Adam) Step(params []*Param) {
 	for _, p := range params {
-		st, ok := o.state[p]
-		if !ok {
-			st = &adamState{m: tensor.New(p.W.Rows, p.W.Cols), v: tensor.New(p.W.Rows, p.W.Cols)}
-			o.state[p] = st
-		}
-		st.t++
-		bc1 := 1 - math.Pow(o.Beta1, float64(st.t))
-		bc2 := 1 - math.Pow(o.Beta2, float64(st.t))
-		for i, g := range p.Grad.Data {
-			g += o.WeightDecay * p.W.Data[i]
-			st.m.Data[i] = o.Beta1*st.m.Data[i] + (1-o.Beta1)*g
-			st.v.Data[i] = o.Beta2*st.v.Data[i] + (1-o.Beta2)*g*g
-			mHat := st.m.Data[i] / bc1
-			vHat := st.v.Data[i] / bc2
-			p.W.Data[i] -= o.LR * mHat / (math.Sqrt(vHat) + o.Eps)
-		}
-		p.ZeroGrad()
+		st := o.stateFor(p)
+		bc1, bc2 := o.advance(st)
+		o.stepRange(p, st, bc1, bc2, 0, len(p.W.Data))
 	}
+}
+
+// StepRows is Step for one parameter restricted to the listed rows: the same
+// step counter and bias correction, the same per-element update, gradients
+// zeroed — but only the listed rows are read or written, so the cost is
+// O(len(rows)·cols). Moments stay in the dense state Step uses, so the two
+// may be mixed and SnapshotState is unaffected. It equals Step bitwise
+// provided every unlisted row has an all-zero gradient and all-zero moments
+// (and WeightDecay is 0): such a row's update is exactly zero. Rows must not
+// repeat.
+func (o *Adam) StepRows(p *Param, rows []int) {
+	st := o.stateFor(p)
+	bc1, bc2 := o.advance(st)
+	cols := p.W.Cols
+	for _, r := range rows {
+		o.stepRange(p, st, bc1, bc2, r*cols, (r+1)*cols)
+	}
+}
+
+// MomentRows appends to dst, ascending, every row of p that holds a moment
+// value with any bit set (a negative zero counts: a step would turn it into
+// +0) — the rows StepRows must keep visiting for the moments to decay as
+// under Step. A parameter that was never stepped or restored has none.
+func (o *Adam) MomentRows(dst []int, p *Param) []int {
+	st, ok := o.state[p]
+	if !ok {
+		return dst
+	}
+	cols := p.W.Cols
+	for r := 0; r < p.W.Rows; r++ {
+		for i := r * cols; i < (r+1)*cols; i++ {
+			if math.Float64bits(st.m.Data[i])|math.Float64bits(st.v.Data[i]) != 0 {
+				dst = append(dst, r)
+				break
+			}
+		}
+	}
+	return dst
+}
+
+// stateFor returns p's moment state, creating the zero state on first use.
+func (o *Adam) stateFor(p *Param) *adamState {
+	st, ok := o.state[p]
+	if !ok {
+		st = &adamState{m: tensor.New(p.W.Rows, p.W.Cols), v: tensor.New(p.W.Rows, p.W.Cols)}
+		o.state[p] = st
+	}
+	return st
+}
+
+// advance counts one step and returns its bias corrections.
+func (o *Adam) advance(st *adamState) (bc1, bc2 float64) {
+	st.t++
+	return 1 - math.Pow(o.Beta1, float64(st.t)), 1 - math.Pow(o.Beta2, float64(st.t))
+}
+
+// stepRange applies the Adam update to elements [lo, hi) of p and zeroes
+// their gradient.
+func (o *Adam) stepRange(p *Param, st *adamState, bc1, bc2 float64, lo, hi int) {
+	grad, w, m, v := p.Grad.Data[lo:hi], p.W.Data[lo:hi], st.m.Data[lo:hi], st.v.Data[lo:hi]
+	for i, g := range grad {
+		g += o.WeightDecay * w[i]
+		m[i] = o.Beta1*m[i] + (1-o.Beta1)*g
+		v[i] = o.Beta2*v[i] + (1-o.Beta2)*g*g
+		mHat := m[i] / bc1
+		vHat := v[i] / bc2
+		w[i] -= o.LR * mHat / (math.Sqrt(vHat) + o.Eps)
+	}
+	clear(grad)
 }
 
 // SnapshotState writes the optimizer's moment estimates for params, in the
@@ -102,11 +157,7 @@ func (o *Adam) SnapshotState(w io.Writer, params []*Param) error {
 // the bias-corrected moment sequence exactly.
 func (o *Adam) RestoreState(r io.Reader, params []*Param) error {
 	for _, p := range params {
-		st, ok := o.state[p]
-		if !ok {
-			st = &adamState{m: tensor.New(p.W.Rows, p.W.Cols), v: tensor.New(p.W.Rows, p.W.Cols)}
-			o.state[p] = st
-		}
+		st := o.stateFor(p)
 		t, err := persist.ReadUint64(r)
 		if err != nil {
 			return err

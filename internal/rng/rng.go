@@ -22,10 +22,35 @@ type Stream struct {
 	seed uint64
 }
 
-// New returns a stream seeded with seed.
+// New returns a stream seeded with seed. The math/rand source behind it is
+// built on the first draw: most streams are only ever parents in a Derive
+// chain, and seeding a source's 607-word state is far dearer than deriving.
 func New(seed uint64) *Stream {
-	return &Stream{r: rand.New(rand.NewSource(int64(seed))), seed: seed}
+	s := &Stream{seed: seed}
+	s.r = rand.New(&unseeded{s: s})
+	return s
 }
+
+// unseeded is the source of a stream nobody has drawn from yet. Its first
+// draw seeds the real source and hands the stream a generator directly over
+// it, so every later draw runs exactly as if New had seeded eagerly; the
+// draw in flight finishes through this wrapper on the same source.
+type unseeded struct {
+	s   *Stream
+	src rand.Source64
+}
+
+func (u *unseeded) seeded() rand.Source64 {
+	if u.src == nil {
+		u.src = rand.NewSource(int64(u.s.seed)).(rand.Source64)
+		u.s.r = rand.New(u.src)
+	}
+	return u.src
+}
+
+func (u *unseeded) Int63() int64   { return u.seeded().Int63() }
+func (u *unseeded) Uint64() uint64 { return u.seeded().Uint64() }
+func (u *unseeded) Seed(int64)     { panic("rng: a Stream is seeded once, by New") }
 
 // Derive returns an independent stream keyed by name. Deriving the same name
 // from the same parent seed always yields the same stream, regardless of how

@@ -2,6 +2,9 @@ package rng
 
 import (
 	"math"
+	"math/rand"
+	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -202,5 +205,82 @@ func TestExponentialMean(t *testing.T) {
 	}
 	if math.Abs(sum/n-0.5) > 0.02 {
 		t.Fatalf("Exp(2) mean = %v, want 0.5", sum/n)
+	}
+}
+
+// TestLazySeedingMatchesEager pins the lazy generator: whichever helper makes
+// a stream's first draw, it and every later draw equal those of a stream whose
+// math/rand source was seeded at construction.
+func TestLazySeedingMatchesEager(t *testing.T) {
+	type draw func(s *Stream) any
+	helpers := map[string]draw{
+		"Float64":      func(s *Stream) any { return s.Float64() },
+		"Float64Range": func(s *Stream) any { return s.Float64Range(-2, 3) },
+		"Intn":         func(s *Stream) any { return s.Intn(1000) },
+		"IntRange":     func(s *Stream) any { return s.IntRange(-5, 5) },
+		"Bernoulli":    func(s *Stream) any { return s.Bernoulli(0.5) },
+		"Normal":       func(s *Stream) any { return s.Normal(1, 2) },
+		"Laplace":      func(s *Stream) any { return s.Laplace(0.7) },
+		"Exponential":  func(s *Stream) any { return s.Exponential(1.5) },
+		"Perm":         func(s *Stream) any { return s.Perm(9) },
+		"Shuffle": func(s *Stream) any {
+			xs := []int{0, 1, 2, 3, 4, 5, 6}
+			s.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
+			return xs
+		},
+		"SampleIntsDense":  func(s *Stream) any { return s.SampleInts(10, 4) },
+		"SampleIntsSparse": func(s *Stream) any { return s.SampleInts(1000, 4) },
+		"SampleSlice":      func(s *Stream) any { return SampleSlice(s, []string{"a", "b", "c", "d"}, 2) },
+		"Zipf":             func(s *Stream) any { return NewZipf(s, 50, 1.1).Draw() },
+	}
+	for first, firstDraw := range helpers {
+		const seed = 0xfeedface
+		lazy := New(seed).DeriveN("stream", 3)
+		eager := &Stream{r: rand.New(rand.NewSource(int64(lazy.seed))), seed: lazy.seed}
+		if got, want := firstDraw(lazy), firstDraw(eager); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s as first draw: lazy %v, eager %v", first, got, want)
+		}
+		for name, next := range helpers {
+			if got, want := next(lazy), next(eager); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s after %s: lazy %v, eager %v", name, first, got, want)
+			}
+		}
+		if got, want := lazy.Derive("child").Float64(), eager.Derive("child").Float64(); got != want {
+			t.Fatalf("Derive after draws: lazy %v, eager %v", got, want)
+		}
+	}
+}
+
+// TestDeriveSeedsNothing pins what the laziness is for: a Derive chain seeds
+// no math/rand source — not the parent's, not the intermediate's, not the
+// leaf's — until somebody draws, and a draw seeds only the stream drawn from.
+func TestDeriveSeedsNothing(t *testing.T) {
+	root := New(11)
+	mid := root.Derive("model:mf")
+	leaf := mid.DeriveN("client", 4)
+	rootR, midR, leafR := root.r, mid.r, leaf.r
+	leaf.Float64()
+	if leaf.r == leafR {
+		t.Fatal("the first draw did not swap in a generator over the seeded source")
+	}
+	if root.r != rootR || mid.r != midR {
+		t.Fatal("drawing from a derived stream seeded its ancestors")
+	}
+	seeded := leaf.r
+	leaf.Intn(10)
+	if leaf.r != seeded {
+		t.Fatal("a later draw replaced the generator again")
+	}
+	// math/rand's source alone is 607 words; an undrawn chain stays far
+	// below one of them.
+	var sink *Stream
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < 100; i++ {
+		sink = New(uint64(i)).Derive("a").DeriveN("b", i)
+	}
+	runtime.ReadMemStats(&after)
+	if perChain := (after.TotalAlloc - before.TotalAlloc) / 100; sink == nil || perChain > 512 {
+		t.Fatalf("an undrawn New→Derive→DeriveN chain allocated %d B", perChain)
 	}
 }

@@ -34,7 +34,7 @@ func checkGatherMat(dst *Matrix, a *Matrix, arows []int, b *Matrix, brows []int)
 // len(arows) × len(brows).
 func GatherMulMatInto(dst *Matrix, a *Matrix, arows []int, aoff int, b *Matrix, brows []int, boff int) {
 	checkGatherMat(dst, a, arows, b, brows)
-	gatherMulMatRange(dst, a, arows, aoff, b, brows, boff, 0, len(brows), false)
+	gatherMulMat(dst, a, arows, aoff, b, brows, boff, false)
 }
 
 // GatherMulMatAddInto is GatherMulMatInto accumulating into dst:
@@ -43,15 +43,14 @@ func GatherMulMatInto(dst *Matrix, a *Matrix, arows []int, aoff int, b *Matrix, 
 // layer concatenation).
 func GatherMulMatAddInto(dst *Matrix, a *Matrix, arows []int, aoff int, b *Matrix, brows []int, boff int) {
 	checkGatherMat(dst, a, arows, b, brows)
-	gatherMulMatRange(dst, a, arows, aoff, b, brows, boff, 0, len(brows), true)
+	gatherMulMat(dst, a, arows, aoff, b, brows, boff, true)
 }
 
-// gatherMulMatRange computes the kernel restricted to candidate columns
-// [jlo, jhi). Each output element is written (or accumulated into) by exactly
-// this call, with the dot running k-ascending — the partitioning is a
-// scheduling choice that cannot change any value.
-func gatherMulMatRange(dst *Matrix, a *Matrix, arows []int, aoff int, b *Matrix, brows []int, boff int, jlo, jhi int, add bool) {
+// gatherMulMat computes the kernel, writing (or accumulating into) every
+// output element with the dot running k-ascending.
+func gatherMulMat(dst *Matrix, a *Matrix, arows []int, aoff int, b *Matrix, brows []int, boff int, add bool) {
 	d := a.Cols
+	jhi := len(brows)
 	i := 0
 	for ; i+4 <= len(arows); i += 4 {
 		// Reslicing every row to the shared inner length d lets the compiler
@@ -65,7 +64,7 @@ func gatherMulMatRange(dst *Matrix, a *Matrix, arows []int, aoff int, b *Matrix,
 		r2 := a.Row(arows[i+2] + aoff)[:d]
 		r3 := a.Row(arows[i+3] + aoff)[:d]
 		d0, d1, d2, d3 := dst.Row(i), dst.Row(i+1), dst.Row(i+2), dst.Row(i+3)
-		j := jlo
+		j := 0
 		for ; j+2 <= jhi; j += 2 {
 			qa := b.Row(brows[j] + boff)[:d]
 			qb := b.Row(brows[j+1] + boff)[:d]
@@ -117,7 +116,7 @@ func gatherMulMatRange(dst *Matrix, a *Matrix, arows []int, aoff int, b *Matrix,
 	for ; i < len(arows); i++ {
 		r := a.Row(arows[i] + aoff)
 		d := dst.Row(i)
-		for j := jlo; j < jhi; j++ {
+		for j := 0; j < jhi; j++ {
 			s := Dot(r, b.Row(brows[j]+boff))
 			if add {
 				d[j] += s
@@ -200,7 +199,7 @@ func gatherPairDotRange(dst []float64, a *Matrix, arows []int, aoff int, b *Matr
 	}
 }
 
-// gemvParMinRows is the output length below which the parallel GEMV/GEMM
+// gemvParMinRows is the output length below which the parallel GEMV
 // variants stay serial: shorter candidate lists finish faster than the pool
 // handoff costs, and the dispersal/eval hot loops already run on an outer
 // worker pool. Purely a scheduling threshold — the Par kernels are

@@ -73,7 +73,7 @@ func TestGatherMulMatAddAccumulates(t *testing.T) {
 	}
 }
 
-// TestGemvParMatchesSerial pins the row-range parallel GEMV/GEMM variants:
+// TestGemvParMatchesSerial pins the row-range parallel GEMV variants:
 // forcing the parallel path on small inputs (shrunken threshold) must
 // reproduce the serial kernels bitwise for several worker counts.
 func TestGemvParMatchesSerial(t *testing.T) {
@@ -83,24 +83,13 @@ func TestGemvParMatchesSerial(t *testing.T) {
 	a, b, arows, brows := randGatherFixture(9, 5, 300, 80, 7, 2)
 	x := a.Row(arows[0])
 
-	wantVec := make([]float64, b.Rows)
-	MulVecInto(wantVec, b, x)
 	wantGather := make([]float64, len(brows))
 	GatherMulVecInto(wantGather, b, brows, 2, x)
 	wantAdd := make([]float64, len(brows))
 	copy(wantAdd, wantGather)
 	GatherMulVecAddInto(wantAdd, b, brows, 2, x)
-	wantMat := New(len(arows), len(brows))
-	GatherMulMatInto(wantMat, a, arows, 0, b, brows, 2)
 
 	for _, workers := range []int{1, 2, 3, 8} {
-		got := make([]float64, b.Rows)
-		MulVecIntoPar(got, b, x, workers)
-		for i := range got {
-			if got[i] != wantVec[i] {
-				t.Fatalf("MulVecIntoPar workers=%d row %d: %v != %v", workers, i, got[i], wantVec[i])
-			}
-		}
 		gotG := make([]float64, len(brows))
 		GatherMulVecIntoPar(gotG, b, brows, 2, x, workers)
 		gotA := make([]float64, len(brows))
@@ -109,13 +98,6 @@ func TestGemvParMatchesSerial(t *testing.T) {
 		for i := range gotG {
 			if gotG[i] != wantGather[i] || gotA[i] != wantAdd[i] {
 				t.Fatalf("Gather[Add]Par workers=%d row %d mismatch", workers, i)
-			}
-		}
-		gotM := New(len(arows), len(brows))
-		GatherMulMatIntoPar(gotM, a, arows, 0, b, brows, 2, workers)
-		for i := range gotM.Data {
-			if gotM.Data[i] != wantMat.Data[i] {
-				t.Fatalf("GatherMulMatIntoPar workers=%d elem %d mismatch", workers, i)
 			}
 		}
 	}

@@ -55,24 +55,33 @@ func (m *CSR) MulDensePar(x *Matrix, workers int) *Matrix {
 	return out
 }
 
-// MatMulIntoPar computes dst = a·b like MatMulInto, sharding dst's rows over
-// workers. Bitwise-identical to MatMulInto for every worker count.
-func MatMulIntoPar(dst, a, b *Matrix, workers int) {
+// MulDenseRowsIntoPar computes the listed rows of m·x like MulDenseRowsInto,
+// sharding the row list over workers. Bitwise-identical to MulDenseRowsInto
+// for every worker count; rows must not repeat.
+func (m *CSR) MulDenseRowsIntoPar(dst, x *Matrix, rows []int, workers int) {
 	if workers <= 1 {
-		MatMulInto(dst, a, b)
+		m.MulDenseRowsInto(dst, x, rows)
 		return
 	}
-	if a.Cols != b.Rows || dst.Rows != a.Rows || dst.Cols != b.Cols {
-		panic(fmt.Sprintf("tensor: MatMulIntoPar %dx%d = %dx%d · %dx%d",
-			dst.Rows, dst.Cols, a.Rows, a.Cols, b.Rows, b.Cols))
+	par.ForChunks(len(rows), parRowChunk, workers, func(lo, hi int) {
+		m.MulDenseRowsInto(dst, x, rows[lo:hi])
+	})
+}
+
+// MatMulPar returns a·b like MatMul, sharding the output rows over workers.
+// Bitwise-identical to MatMul for every worker count.
+func MatMulPar(a, b *Matrix, workers int) *Matrix {
+	if workers <= 1 {
+		return MatMul(a, b)
 	}
+	if a.Cols != b.Rows {
+		panic(fmt.Sprintf("tensor: MatMulPar %dx%d · %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
+	}
+	dst := New(a.Rows, b.Cols)
 	par.ForChunks(a.Rows, parRowChunk, workers, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			arow := a.Row(i)
 			drow := dst.Row(i)
-			for k := range drow {
-				drow[k] = 0
-			}
 			for k := 0; k < a.Cols; k++ {
 				av := arow[k]
 				if av == 0 {
@@ -85,13 +94,7 @@ func MatMulIntoPar(dst, a, b *Matrix, workers int) {
 			}
 		}
 	})
-}
-
-// MatMulPar returns a·b as a new matrix, computed with MatMulIntoPar.
-func MatMulPar(a, b *Matrix, workers int) *Matrix {
-	out := New(a.Rows, b.Cols)
-	MatMulIntoPar(out, a, b, workers)
-	return out
+	return dst
 }
 
 // MatMulABTPar returns a·bᵀ like MatMulABT, sharding output rows over
@@ -146,24 +149,6 @@ func MatMulATBPar(a, b *Matrix, workers int) *Matrix {
 	return out
 }
 
-// MulVecIntoPar computes dst = m·x like MulVecInto, sharding dst's rows over
-// workers once the output is long enough (gemvParMinRows) for the pool
-// handoff to pay. Bitwise-identical to MulVecInto for every worker count.
-func MulVecIntoPar(dst []float64, m *Matrix, x []float64, workers int) {
-	if workers <= 1 || len(dst) < gemvParMinRows {
-		MulVecInto(dst, m, x)
-		return
-	}
-	if len(dst) != m.Rows || len(x) != m.Cols {
-		panic(fmt.Sprintf("tensor: MulVecIntoPar dst[%d], m %dx%d, x[%d]", len(dst), m.Rows, m.Cols, len(x)))
-	}
-	par.ForChunks(len(dst), gemvParChunk, workers, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			dst[i] = Dot(m.Row(i), x)
-		}
-	})
-}
-
 // GatherMulVecIntoPar computes dst[i] = m.Row(rows[i]+rowOffset)·x like
 // GatherMulVecInto, sharding the gathered rows over workers once the
 // candidate list is long enough (gemvParMinRows) for the pool handoff to
@@ -205,22 +190,6 @@ func GatherMulVecAddIntoPar(dst []float64, m *Matrix, rows []int, rowOffset int,
 		for i := lo; i < hi; i++ {
 			dst[i] += Dot(m.Row(rows[i]+rowOffset), x)
 		}
-	})
-}
-
-// GatherMulMatIntoPar computes the double-gathered GEMM like GatherMulMatInto,
-// sharding the candidate columns over workers once the candidate list is long
-// enough. The query dimension is typically a small batch, so the candidate
-// axis is the one worth splitting. Bitwise-identical to GatherMulMatInto for
-// every worker count.
-func GatherMulMatIntoPar(dst *Matrix, a *Matrix, arows []int, aoff int, b *Matrix, brows []int, boff int, workers int) {
-	if workers <= 1 || len(brows) < gemvParMinRows {
-		GatherMulMatInto(dst, a, arows, aoff, b, brows, boff)
-		return
-	}
-	checkGatherMat(dst, a, arows, b, brows)
-	par.ForChunks(len(brows), gemvParChunk, workers, func(jlo, jhi int) {
-		gatherMulMatRange(dst, a, arows, aoff, b, brows, boff, jlo, jhi, false)
 	})
 }
 

@@ -254,6 +254,27 @@ func (m *CSR) MulDenseInto(dst, x *Matrix) {
 	}
 }
 
+// MulDenseRowsInto computes the listed rows of m·x into dst and writes no
+// other row: dst.Row(i) = Σ_p m.Val[p]·x.Row(m.ColIdx[p]) for every i in rows,
+// accumulated in the row's stored-entry order, so each listed row is
+// bitwise-identical to what MulDenseInto produces for it. It is the SpMM of
+// callers that know which rows of the product they will read (the graph
+// models' live-row propagation): cost is O(len(rows) + their entries), not
+// O(m.Rows).
+func (m *CSR) MulDenseRowsInto(dst, x *Matrix, rows []int) {
+	if m.Cols != x.Rows || dst.Rows != m.Rows || dst.Cols != x.Cols {
+		panic(fmt.Sprintf("tensor: CSR MulDenseRowsInto %dx%d = %dx%d · %dx%d",
+			dst.Rows, dst.Cols, m.Rows, m.Cols, x.Rows, x.Cols))
+	}
+	for _, i := range rows {
+		drow := dst.Row(i)
+		clear(drow)
+		for p := m.RowPtr[i]; p < m.RowPtr[i+1]; p++ {
+			Axpy(m.Val[p], x.Row(m.ColIdx[p]), drow)
+		}
+	}
+}
+
 // MulDenseTInto computes dst = mᵀ·x (m is r×c, x is r×n, dst c×n). Used for
 // backpropagation through asymmetric propagation operators.
 func (m *CSR) MulDenseTInto(dst, x *Matrix) {

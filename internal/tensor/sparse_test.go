@@ -104,3 +104,45 @@ func TestCSRNoEntries(t *testing.T) {
 		t.Fatal("empty CSR should produce zero product")
 	}
 }
+
+// TestMulDenseRowsIntoMatchesFull pins the row-subset SpMM: every listed row
+// is bitwise what MulDenseInto computes for it, for the serial kernel and
+// every worker count, and no unlisted row of dst is written.
+func TestMulDenseRowsIntoMatchesFull(t *testing.T) {
+	r := rand.New(rand.NewSource(41))
+	const n, k = 700, 5
+	var trips []Triplet
+	for i := 0; i < 4000; i++ {
+		trips = append(trips, Triplet{r.Intn(n), r.Intn(n), r.NormFloat64()})
+	}
+	sp := NewCSR(n, n, trips)
+	x := New(n, k)
+	for i := range x.Data {
+		x.Data[i] = r.NormFloat64()
+	}
+	want := New(n, k)
+	sp.MulDenseInto(want, x)
+
+	listed := make([]bool, n)
+	var rows []int
+	for _, i := range r.Perm(n)[:n/3] {
+		rows = append(rows, i)
+		listed[i] = true
+	}
+	const sentinel = 12345.5
+	for _, workers := range []int{1, 2, 8} {
+		got := New(n, k)
+		got.Fill(sentinel)
+		sp.MulDenseRowsIntoPar(got, x, rows, workers)
+		for i := 0; i < n; i++ {
+			for j, v := range got.Row(i) {
+				if listed[i] && math.Float64bits(v) != math.Float64bits(want.At(i, j)) {
+					t.Fatalf("workers=%d: listed row %d col %d = %v, full SpMM %v", workers, i, j, v, want.At(i, j))
+				}
+				if !listed[i] && v != sentinel {
+					t.Fatalf("workers=%d: unlisted row %d was written", workers, i)
+				}
+			}
+		}
+	}
+}
