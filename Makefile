@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race bench benchmark fmt fmt-check vet ci
+.PHONY: build test race bench benchmark loc fmt fmt-check vet ci
 
 build:
 	$(GO) build ./...
@@ -19,12 +19,13 @@ race:
 # -benchmem makes allocation regressions visible next to the timings — the
 # fed store/graph benchmarks must report 0 allocs/op in steady state (the
 # pin itself is TestAbsorbSteadyStateAllocs/TestCollectEdgesSteadyStateAllocs).
-# The second ptfbench run appends the huge-1m memory-profile record, whose
-# graph-incr/graph-full gap is the incremental graph engine's
-# partial-participation headline — 10 rounds (~10 min single-core) so the
-# stored population dwarfs the ~5k participants a round actually changes;
-# CI runs only the quick sweep. The JSON lands in a temp file first so a
-# failed run never truncates the committed record.
+# The second ptfbench run appends the huge-1m memory-profile record — 10
+# rounds, so the stored population dwarfs the ~5k participants a round
+# actually changes; CI runs only the quick sweep. Run it at GOMAXPROCS >= 2:
+# TestCommittedBenchRecordParses rejects a single-core record, whose
+# worker-scaling columns describe the host rather than the code. The JSON
+# lands in a temp file first so a failed run never truncates the committed
+# record.
 # -timeout 30m: the root-package table benchmarks take ~10 min on one core,
 # right at go test's default 10m kill threshold.
 bench:
@@ -38,6 +39,13 @@ bench:
 # nothing above reaches it.
 benchmark:
 	bash bench/run.sh -seed 1
+
+# loc prints the two sizes simplification work is judged by: lines of non-test
+# Go and of all Go, outside bench/ (a module of its own, frozen by
+# BENCHMARK.json).
+loc:
+	@printf 'non-test Go: %s lines\n' "$$(find . -name '*.go' -not -path './bench/*' -not -path './.bench_build/*' -not -name '*_test.go' -print0 | xargs -0 cat | wc -l)"
+	@printf 'all Go:      %s lines\n' "$$(find . -name '*.go' -not -path './bench/*' -not -path './.bench_build/*' -print0 | xargs -0 cat | wc -l)"
 
 fmt:
 	gofmt -w .

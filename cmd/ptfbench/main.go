@@ -12,17 +12,12 @@
 //	ptfbench -connect http://host:8470 -users 0:500   # join a ptfserve run
 //
 // The scalability sweep reports, per worker count, round and eval timings
-// plus a batched-vs-scalar comparison (the same evaluation forced through
-// per-item scoring, against the BlockScorer matrix-kernel engine), a
-// select-vs-sort comparison (ranking forced through the legacy full-sort
-// top-K, against the fused streaming bounded-heap selection engine), an
-// eval+dispersal overlap measurement (sequential vs concurrent tail), and a
-// cross-round pipeline comparison (seq_round_secs vs pipe_round_secs: the
-// serialized round loop against the dependency-gated double-buffered
-// pipeline, plus net_round_secs vs net_pipe_round_secs for the networked
-// loopback run under both schedules). BENCH_scalability.json at the repo
-// root records the sweep per commit (`make bench` regenerates it; CI
-// uploads a fresh one as an artifact).
+// with speedups vs workers=1, the per-phase breakdown of the round (client
+// training, absorb, graph build, server SGD, dispersal), the server's memory
+// accounting, and one networked loopback run (net_round_secs,
+// net_wire_bytes); every record is stamped with GOMAXPROCS, CPU model and git
+// SHA. BENCH_scalability.json at the repo root records the sweep per commit
+// (`make bench` regenerates it; CI uploads a fresh one as an artifact).
 package main
 
 import (

@@ -15,14 +15,11 @@
 //
 // In -selftest mode the binary spins up a coordinator on a loopback
 // listener, joins -participants in-process participants over real HTTP, and
-// requires the resulting history to be bitwise-identical to fed.Trainer on
-// the same split — fault-free and under a FaultPlan whose dropouts and
-// truncations travel through the transport, each driven once through the
-// pipelined round engine (next cohort announced early, dispersals pushed)
-// and once through the serialized SequentialRounds baseline. All four
-// networked histories must match the sequential in-process reference. It
-// exits non-zero on any divergence, making it a one-command end-to-end
-// smoke test.
+// requires the resulting history to be bitwise-identical to Algorithm 1 run
+// in process on the same split — one fed.Trainer round after another —
+// fault-free and under a FaultPlan whose dropouts and truncations travel
+// through the transport. It exits non-zero on any divergence, making it a
+// one-command end-to-end smoke test.
 package main
 
 import (
@@ -52,7 +49,6 @@ func main() {
 		workers      = flag.Int("workers", 0, "server worker pool (0 = GOMAXPROCS)")
 		wait         = flag.Int("wait", 1, "participants to wait for before starting rounds")
 		deadline     = flag.Duration("deadline", 0, "per-round straggler deadline (0 = wait forever)")
-		sequential   = flag.Bool("sequential", false, "serialized round schedule (disable cross-round pipelining)")
 		selftest     = flag.Bool("selftest", false, "run the loopback bitwise verification and exit")
 		participants = flag.Int("participants", 2, "participant processes in -selftest mode")
 	)
@@ -83,7 +79,6 @@ func main() {
 	}
 	cfg.Workers = *workers
 	cfg.EvalWorkers = *workers
-	cfg.SequentialRounds = *sequential
 
 	sp := data.StreamSplit(p, *seed, *frac)
 	c, err := coord.New(sp, cfg, coord.Options{
@@ -159,10 +154,10 @@ func selftestConfig() fed.Config {
 
 // runSelftest verifies the loopback bitwise contract over real HTTP: a clean
 // run and a faulted run whose dropouts and truncations cross the transport
-// as empty bodies and cut streams, each through the pipelined round engine
-// and the serialized SequentialRounds baseline. Every networked history must
-// match the sequential in-process reference bit for bit — pinning schedule
-// invariance and transport fidelity in one sweep.
+// as empty bodies and cut streams. Each networked history must match the
+// serial in-process round loop bit for bit — pinning schedule invariance
+// (the coordinator pipelines rounds; the reference does not) and transport
+// fidelity in one sweep.
 func runSelftest(participants int) error {
 	const seed, frac = 42, 0.2
 	if participants < 1 {
@@ -177,39 +172,44 @@ func runSelftest(participants int) error {
 	} {
 		cfg := selftestConfig()
 		cfg.Faults = tc.faults
-
-		sp := data.StreamSplit(data.Tiny, seed, frac)
-		rcfg := cfg
-		rcfg.SequentialRounds = true
-		ref, err := fed.NewTrainer(sp, rcfg)
+		want, err := serialHistory(data.StreamSplit(data.Tiny, seed, frac), cfg)
 		if err != nil {
 			return err
 		}
-		want, err := ref.Run()
+		got, err := runSelftestNetworked(cfg, seed, frac, participants)
 		if err != nil {
-			return err
+			return fmt.Errorf("%s: %w", tc.name, err)
 		}
-
-		for _, sequential := range []bool{false, true} {
-			mode := "pipelined"
-			if sequential {
-				mode = "sequential"
-			}
-			label := tc.name + "/" + mode
-			ncfg := cfg
-			ncfg.SequentialRounds = sequential
-			got, err := runSelftestNetworked(ncfg, seed, frac, participants)
-			if err != nil {
-				return fmt.Errorf("%s: %w", label, err)
-			}
-			if err := equalHistories(want, got); err != nil {
-				return fmt.Errorf("%s: networked history diverged: %w", label, err)
-			}
-			fmt.Printf("ptfserve: selftest %s: %d rounds over %d participants match bitwise\n",
-				label, len(got.Rounds), participants)
+		if err := equalHistories(want, got); err != nil {
+			return fmt.Errorf("%s: networked history diverged: %w", tc.name, err)
 		}
+		fmt.Printf("ptfserve: selftest %s: %d rounds over %d participants match bitwise\n",
+			tc.name, len(got.Rounds), participants)
 	}
 	return nil
+}
+
+// serialHistory is Algorithm 1 as written: one in-process round after
+// another, evaluated when due, then the final evaluation.
+func serialHistory(sp *data.Split, cfg fed.Config) (*fed.History, error) {
+	tr, err := fed.NewTrainer(sp, cfg)
+	if err != nil {
+		return nil, err
+	}
+	h := &fed.History{}
+	for round := 0; round < cfg.Rounds; round++ {
+		var rs fed.RoundStats
+		if cfg.EvalEvery > 0 && (round+1)%cfg.EvalEvery == 0 {
+			rs, _ = tr.RunRoundEval(round)
+		} else {
+			rs = tr.RunRound(round)
+		}
+		h.Rounds = append(h.Rounds, rs)
+		h.MeanAttackF1 += rs.AttackF1
+	}
+	h.MeanAttackF1 /= float64(cfg.Rounds)
+	h.Final = tr.EvaluateServer()
+	return h, nil
 }
 
 // runSelftestNetworked drives one training run through the coordinator on a

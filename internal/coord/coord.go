@@ -3,8 +3,9 @@
 // fed.ClientHost against it speaking only the comm wire protocol.
 //
 // The transport carries nothing the protocol does not: registration
-// (join/leave), round announcements over a long-poll channel, streamed
-// upload bodies, and streamed dispersal results. Both halves derive their
+// (join/leave), streamed upload bodies, and a long-poll channel over which
+// round announcements, dispersals and round-end markers are pushed. Both
+// halves derive their
 // randomness purely from the shared seed, so a coordinator plus any
 // partition of users across participants reproduces the in-process
 // fed.Trainer history bitwise — the loopback suite pins exactly that.
@@ -53,9 +54,9 @@ type Options struct {
 	Deadline time.Duration
 
 	// PendingDispersals bounds the retention store for undelivered
-	// dispersals (users nobody currently hosts, or hosts that fell rounds
-	// behind): at most this many users keep their latest undelivered D̃ᵢ,
-	// evicted oldest-stash-first. Retained dispersals are flushed into a
+	// dispersals (users nobody hosted when their round was published): at
+	// most this many users keep their latest undelivered D̃ᵢ, evicted
+	// oldest-stash-first. Retained dispersals are flushed into a
 	// session's event log when the user's host joins or at the next
 	// round-start announcement. 0 means DefaultPendingDispersals.
 	PendingDispersals int
@@ -69,16 +70,15 @@ type session struct {
 	token  uint64
 	lo, hi int
 
-	// events is the session's announcement log (framed RoundStart/Shutdown
-	// messages); /v1/poll serves the suffix past the caller's cursor. wake is
-	// closed and replaced whenever an event lands.
+	// events is the session's log of framed RoundStart/Disperse/RoundEnd/
+	// Shutdown messages; /v1/poll serves the suffix past the caller's cursor.
+	// wake is closed and replaced whenever an event lands.
 	events [][]byte
 	wake   chan struct{}
 }
 
-// roundState tracks one announced round until its result is published.
+// roundState tracks one announced round until it is published.
 type roundState struct {
-	round      int
 	slots      map[int]int // user -> outcome slot (Select order)
 	unresolved map[int]bool
 	outcomes   []fed.ClientOutcome
@@ -86,15 +86,10 @@ type roundState struct {
 
 	closed bool          // no further uploads accepted
 	done   chan struct{} // closed when every pending upload resolved (or deadline)
-
-	stats       fed.RoundStats
-	dispersals  []fed.Dispersal
-	delivered   []bool // per-dispersal: reached a session log or the retention store
-	resultReady chan struct{}
 }
 
-// pendingDisp is one user's latest undelivered dispersal, retained after its
-// round left the live window.
+// pendingDisp is one user's latest undelivered dispersal, retained because no
+// session hosted the user when its round was published.
 type pendingDisp struct {
 	round   int
 	payload []byte
@@ -180,7 +175,6 @@ func (c *Coordinator) Handler() http.Handler {
 	mux.HandleFunc("/v1/leave", c.handleLeave)
 	mux.HandleFunc("/v1/poll", c.handlePoll)
 	mux.HandleFunc("/v1/upload", c.handleUpload)
-	mux.HandleFunc("/v1/result", c.handleResult)
 	return mux
 }
 
@@ -189,25 +183,15 @@ func (c *Coordinator) Handler() http.Handler {
 // The history is bitwise-identical to fed.Trainer.Run on the same (split,
 // config) when every user is hosted and no transport faults strike.
 //
-// By default the schedule is pipelined: round r+1's cohort is announced while
-// round r is still collecting uploads (Select is a pure function of the
-// seed), and round r's dispersals plus its round-end marker are pushed into
-// the sessions' poll logs at close instead of waiting for /v1/result — so a
-// participant's dependency-free clients train during round r's straggler
-// window, and one long-poll round trip plus the server phase leave the
-// networked critical path. Config.SequentialRounds retains the serialized
-// schedule (announce, wait, close, publish, repeat) as the timing baseline;
-// histories are bitwise-identical either way because uploads are absorbed in
-// cohort slot order regardless of arrival order.
+// The schedule is pipelined: round r+1's cohort is announced while round r is
+// still collecting uploads (Select is a pure function of the seed), and round
+// r's dispersals plus its round-end marker are pushed into the sessions' poll
+// logs at close — so a participant's dependency-free clients train during
+// round r's straggler window, and the server phase leaves the networked
+// critical path. The history does not depend on arrival order because uploads
+// are absorbed in cohort slot order.
 func (c *Coordinator) Run(ctx context.Context) (*fed.History, error) {
-	pipelined := !c.cfg.SequentialRounds
 	h := &fed.History{}
-	evaluator := func() *eval.Evaluator {
-		if c.evaluator == nil {
-			c.evaluator = c.engine.NewEvaluator(c.split)
-		}
-		return c.evaluator
-	}
 	// ahead queues announced-but-unclosed rounds in order: the pipeline keeps
 	// one round announced beyond the one being collected.
 	var ahead []*roundState
@@ -217,9 +201,7 @@ func (c *Coordinator) Run(ctx context.Context) (*fed.History, error) {
 		}
 	}
 	announce(0)
-	if pipelined {
-		announce(1)
-	}
+	announce(1)
 	for round := 0; round < c.cfg.Rounds; round++ {
 		rs := ahead[0]
 		ahead = ahead[1:]
@@ -228,22 +210,18 @@ func (c *Coordinator) Run(ctx context.Context) (*fed.History, error) {
 		}
 		stats, dispersals := c.engine.CloseRound(round, rs.outcomes, nil)
 		if c.cfg.EvalEvery > 0 && (round+1)%c.cfg.EvalEvery == 0 {
-			res := c.engine.Evaluate(evaluator())
+			res := c.engine.Evaluate(eval.LazyEvaluator(&c.evaluator, c.split))
 			stats.Recall, stats.NDCG, stats.Evaluated = res.Recall, res.NDCG, true
 		}
-		c.publishRound(rs, stats, dispersals, pipelined)
+		c.publishRound(round, dispersals)
 		h.Rounds = append(h.Rounds, stats)
 		h.MeanAttackF1 += stats.AttackF1
-		if pipelined {
-			announce(round + 2)
-		} else {
-			announce(round + 1)
-		}
+		announce(round + 2)
 	}
 	if len(h.Rounds) > 0 {
 		h.MeanAttackF1 /= float64(len(h.Rounds))
 	}
-	h.Final = c.engine.Evaluate(evaluator())
+	h.Final = c.engine.Evaluate(eval.LazyEvaluator(&c.evaluator, c.split))
 	c.mu.Lock()
 	c.down = true
 	shutdown := comm.AppendFrame(nil, comm.MsgShutdown, nil)
@@ -254,37 +232,36 @@ func (c *Coordinator) Run(ctx context.Context) (*fed.History, error) {
 	return h, nil
 }
 
-// publishRound stores the round's result and wakes /v1/result waiters. Under
-// the pipelined schedule (push) it also delivers: each dispersal is appended
-// to its host session's event log (or retained for an absent host), and every
-// session gets the round-end marker that releases its dispersal-gated
-// clients — participants never call /v1/result.
-func (c *Coordinator) publishRound(rs *roundState, stats fed.RoundStats, dispersals []fed.Dispersal, push bool) {
+// disperseFrame frames one user's dispersal payload for a session log.
+func (c *Coordinator) disperseFrame(user int, payload []byte) []byte {
+	return comm.AppendFrame(nil, comm.MsgDisperse, comm.EncodeDisperse(comm.Disperse{
+		User:    user,
+		Codec:   c.codec,
+		Payload: payload,
+	}))
+}
+
+// publishRound delivers a closed round: each dispersal is appended to its
+// host session's event log (or retained for an absent host), every session
+// gets the round-end marker that releases its dispersal-gated clients, and
+// the round's state is dropped — every dispersal has by now reached a log or
+// the retention store, and a late upload gets the same "round closed" reply
+// an unknown round does.
+func (c *Coordinator) publishRound(round int, dispersals []fed.Dispersal) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	rs.stats = stats
-	rs.dispersals = dispersals
-	rs.delivered = make([]bool, len(dispersals))
-	if push {
-		for i, d := range dispersals {
-			rs.delivered[i] = true // reaches a log or the retention store now
-			s := c.sessionForLocked(d.ID)
-			if s == nil {
-				c.stashPendingLocked(rs.round, d)
-				continue
-			}
-			c.announceLocked(s, comm.AppendFrame(nil, comm.MsgDisperse, comm.EncodeDisperse(comm.Disperse{
-				User:    d.ID,
-				Codec:   c.codec,
-				Payload: d.Payload,
-			})))
-		}
-		end := comm.AppendFrame(nil, comm.MsgRoundEnd, comm.EncodeRound(rs.round))
-		for _, s := range c.sessions {
-			c.announceLocked(s, end)
+	for _, d := range dispersals {
+		if s := c.sessionForLocked(d.ID); s != nil {
+			c.announceLocked(s, c.disperseFrame(d.ID, d.Payload))
+		} else {
+			c.stashPendingLocked(round, d)
 		}
 	}
-	close(rs.resultReady)
+	end := comm.AppendFrame(nil, comm.MsgRoundEnd, comm.EncodeRound(round))
+	for _, s := range c.sessions {
+		c.announceLocked(s, end)
+	}
+	delete(c.rounds, round)
 }
 
 // stashPendingLocked retains a user's undelivered dispersal, newest
@@ -325,30 +302,9 @@ func (c *Coordinator) flushPendingLocked(s *session) {
 		if u < s.lo || u >= s.hi {
 			continue
 		}
-		c.announceLocked(s, comm.AppendFrame(nil, comm.MsgDisperse, comm.EncodeDisperse(comm.Disperse{
-			User:    u,
-			Codec:   c.codec,
-			Payload: pd.payload,
-		})))
+		c.announceLocked(s, c.disperseFrame(u, pd.payload))
 		delete(c.pending, u)
 	}
-}
-
-// pruneRoundLocked drops a round from the live tail, moving any dispersal
-// that never reached a session log into the retention store — a host that
-// fell this far behind still gets its users' latest D̃ᵢ on its next
-// announcement instead of silently losing it. c.mu held.
-func (c *Coordinator) pruneRoundLocked(round int) {
-	rs := c.rounds[round]
-	if rs == nil {
-		return
-	}
-	for i, d := range rs.dispersals {
-		if !rs.delivered[i] {
-			c.stashPendingLocked(round, d)
-		}
-	}
-	delete(c.rounds, round)
 }
 
 // openRound binds the selected cohort to outcome slots, announces the round
@@ -357,12 +313,10 @@ func (c *Coordinator) pruneRoundLocked(round int) {
 // nobody runs.
 func (c *Coordinator) openRound(round int, users []int) *roundState {
 	rs := &roundState{
-		round:       round,
-		slots:       make(map[int]int, len(users)),
-		unresolved:  make(map[int]bool),
-		outcomes:    make([]fed.ClientOutcome, len(users)),
-		done:        make(chan struct{}),
-		resultReady: make(chan struct{}),
+		slots:      make(map[int]int, len(users)),
+		unresolved: make(map[int]bool),
+		outcomes:   make([]fed.ClientOutcome, len(users)),
+		done:       make(chan struct{}),
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -379,10 +333,6 @@ func (c *Coordinator) openRound(round int, users []int) *roundState {
 		close(rs.done)
 	}
 	c.rounds[round] = rs
-	// Keep a short tail of closed rounds so a participant one round behind
-	// can still fetch its dispersals; anything undelivered moves to the
-	// bounded retention store instead of vanishing.
-	c.pruneRoundLocked(round - 3)
 	for _, s := range c.sessions {
 		c.flushPendingLocked(s)
 		hosted := make([]int, 0, 8)
@@ -685,7 +635,9 @@ func (c *Coordinator) handleUpload(w http.ResponseWriter, r *http.Request) {
 
 // readUpload parses an upload body into the outcome the engine absorbs.
 // Transport cuts (clean EOF without MsgUploadEnd, or a frame severed
-// mid-payload) classify as drop/truncation; anything else is an error.
+// mid-payload) classify as drop/truncation; anything else is an error —
+// including a stream that outgrows the count its opening frame declared, which
+// is rejected at the first chunk that crosses it rather than buffered.
 func (c *Coordinator) readUpload(body io.Reader, round, user int) (fed.ClientOutcome, error) {
 	mt, payload, err := comm.ReadFrame(body)
 	if err == io.EOF {
@@ -708,8 +660,14 @@ func (c *Coordinator) readUpload(body io.Reader, round, user int) (fed.ClientOut
 		return fed.ClientOutcome{}, fmt.Errorf("coord: upload-begin names round %d user %d, request says round %d user %d",
 			begin.Round, begin.User, round, user)
 	}
+	// A client uploads at most one prediction per item. A negative count sent
+	// as its uint32 two's complement lands far above that too.
+	if begin.Count < 0 || begin.Count > c.split.NumItems {
+		return fed.ClientOutcome{}, fmt.Errorf("coord: upload-begin declares %d predictions for a %d-item catalogue",
+			begin.Count, c.split.NumItems)
+	}
 
-	var preds []comm.Prediction
+	preds := make([]comm.Prediction, 0, begin.Count)
 	var predBytes int
 	complete := false
 	for !complete {
@@ -725,6 +683,9 @@ func (c *Coordinator) readUpload(body io.Reader, round, user int) (fed.ClientOut
 			chunk, err := begin.Codec.Decode(payload)
 			if err != nil {
 				return fed.ClientOutcome{}, err
+			}
+			if len(preds)+len(chunk) > begin.Count {
+				return fed.ClientOutcome{}, fmt.Errorf("coord: upload stream carries more than the %d predictions it declared", begin.Count)
 			}
 			preds = append(preds, chunk...)
 			predBytes += len(payload)
@@ -749,54 +710,4 @@ func (c *Coordinator) readUpload(body io.Reader, round, user int) (fed.ClientOut
 		Loss:        begin.Loss,
 		AttackF1:    begin.AttackF1,
 	}, nil
-}
-
-// handleResult streams the session's dispersals for a closed round: one
-// MsgDisperse per hosted responder, then MsgRoundEnd. Blocks until the
-// round's result is published.
-func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
-	s, err := c.sessionFromQuery(r)
-	if err != nil {
-		c.writeError(w, "%v", err)
-		return
-	}
-	round, err := queryInt(r, "round")
-	if err != nil {
-		c.writeError(w, "%v", err)
-		return
-	}
-	c.mu.Lock()
-	rs := c.rounds[int(round)]
-	c.mu.Unlock()
-	if rs == nil {
-		c.writeError(w, "coord: round %d is not available (never opened, or pruned)", round)
-		return
-	}
-	select {
-	case <-rs.resultReady:
-	case <-r.Context().Done():
-		return
-	}
-	// dispersals is immutable once resultReady closes; the delivered marks
-	// are set under the lock (pruneRoundLocked reads them) and the frames
-	// written outside it.
-	c.mu.Lock()
-	var frames [][]byte
-	for i, d := range rs.dispersals {
-		if d.ID < s.lo || d.ID >= s.hi {
-			continue
-		}
-		rs.delivered[i] = true
-		frames = append(frames, comm.AppendFrame(nil, comm.MsgDisperse, comm.EncodeDisperse(comm.Disperse{
-			User:    d.ID,
-			Codec:   c.codec,
-			Payload: d.Payload,
-		})))
-	}
-	c.mu.Unlock()
-	for _, f := range frames {
-		n, _ := w.Write(f)
-		c.wireOut.Add(int64(n))
-	}
-	c.writeFrame(w, comm.MsgRoundEnd, comm.EncodeRound(int(round)))
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"net/http/httptest"
 	"strings"
 	"sync"
@@ -303,11 +304,26 @@ func encodeUpload(round, user int, codec comm.Codec, preds []comm.Prediction, se
 	return b.Bytes()
 }
 
+// repeatReader yields its frame's bytes over and over: a peer that never
+// stops streaming.
+type repeatReader struct {
+	frame []byte
+	off   int
+}
+
+func (r *repeatReader) Read(p []byte) (int, error) {
+	for n := range p {
+		p[n] = r.frame[r.off]
+		r.off = (r.off + 1) % len(r.frame)
+	}
+	return len(p), nil
+}
+
 // TestReadUploadClassification pins the server-side body classification:
 // empty body → drop, missing end frame → truncated prefix, end frame →
 // complete, and protocol violations → errors.
 func TestReadUploadClassification(t *testing.T) {
-	c := &Coordinator{}
+	c := &Coordinator{split: testSplit()}
 	codec := comm.CodecFor(false)
 	preds := []comm.Prediction{
 		{User: 7, Item: 3, Score: 0.5},
@@ -359,10 +375,41 @@ func TestReadUploadClassification(t *testing.T) {
 	if _, err = c.readUpload(bytes.NewReader(comm.AppendFrame(nil, comm.MsgAck, nil)), 1, 7); err == nil {
 		t.Fatal("a non-begin opening frame must be a protocol error")
 	}
+
+	// The declared count bounds the stream. A body that declares two
+	// predictions and then never stops sending chunks is rejected at the
+	// chunk that crosses the count — with no end frame in sight, so before
+	// the bound this read buffered until memory ran out.
+	begin := func(count int) []byte {
+		return comm.AppendFrame(nil, comm.MsgUploadBegin, comm.EncodeUploadBegin(comm.UploadBegin{
+			Round: 1, User: 7, Codec: codec, Count: count,
+		}))
+	}
+	chunk := comm.AppendFrame(nil, comm.MsgUploadChunk, codec.Encode(preds[:3]))
+	endless := io.MultiReader(bytes.NewReader(begin(2)), &repeatReader{frame: chunk})
+	if _, err = c.readUpload(endless, 1, 7); err == nil || !strings.Contains(err.Error(), "more than the 2 predictions") {
+		t.Fatalf("overrunning stream: err = %v, want the declared-count rejection", err)
+	}
+	// Exactly the declared count and then a cut is still a truncated-at-the-
+	// boundary responder, not an error.
+	o, err = c.readUpload(bytes.NewReader(append(begin(3), chunk...)), 1, 7)
+	if err != nil || o.Dropped || len(o.Upload) != 3 {
+		t.Fatalf("stream cut at the declared count: outcome %+v, err %v; want 3 predictions", o, err)
+	}
+	// A count no upload can have is refused before any chunk is read: more
+	// predictions than items, and -1 (4294967295 on the wire).
+	for _, count := range []int{c.split.NumItems + 1, -1} {
+		if _, err = c.readUpload(io.MultiReader(bytes.NewReader(begin(count)), &repeatReader{frame: chunk}), 1, 7); err == nil ||
+			!strings.Contains(err.Error(), "upload-begin declares") {
+			t.Fatalf("declared count %d: err = %v, want an up-front rejection", count, err)
+		}
+	}
 }
 
-// TestMalformedUploadOverHTTP drives a garbage upload through the HTTP layer:
-// the server answers MsgError, resolves the slot as dropped, and the run
+// TestMalformedUploadOverHTTP drives protocol violations through the HTTP
+// layer — garbage bytes, and a well-formed stream that carries more
+// predictions than it declared: the server answers MsgError, resolves the
+// slot as dropped (a second, valid upload for it is refused), and the run
 // still completes under the deadline.
 func TestMalformedUploadOverHTTP(t *testing.T) {
 	cfg := testConfig(models.KindMF, 1)
@@ -390,16 +437,37 @@ func TestMalformedUploadOverHTTP(t *testing.T) {
 		h, _ = c.Run(ctx)
 	}()
 
-	resp, err := srv.Client().Post(
-		fmt.Sprintf("%s/v1/upload?token=%d&round=0&user=3", srv.URL, p.Token()),
-		"application/octet-stream", strings.NewReader(strings.Repeat("garbage", 4)))
-	if err != nil {
-		t.Fatal(err)
+	post := func(user int, body []byte) (comm.MsgType, []byte) {
+		t.Helper()
+		resp, err := srv.Client().Post(
+			fmt.Sprintf("%s/v1/upload?token=%d&round=0&user=%d", srv.URL, p.Token(), user),
+			"application/octet-stream", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		mt, payload, err := comm.ReadFrame(resp.Body)
+		if err != nil {
+			t.Fatalf("user %d upload reply: %v", user, err)
+		}
+		return mt, payload
 	}
-	mt, payload, err := comm.ReadFrame(resp.Body)
-	resp.Body.Close()
-	if err != nil || mt != comm.MsgError {
-		t.Fatalf("garbage upload reply: %v %q err=%v, want MsgError", mt, payload, err)
+	codec := comm.CodecFor(cfg.QuantizeScores)
+	preds := []comm.Prediction{{User: 4, Item: 1, Score: 0.5}, {User: 4, Item: 2, Score: 0.25}}
+	overrun := comm.AppendFrame(nil, comm.MsgUploadBegin, comm.EncodeUploadBegin(comm.UploadBegin{
+		Round: 0, User: 4, Codec: codec, Count: 1,
+	}))
+	overrun = comm.AppendFrame(overrun, comm.MsgUploadChunk, codec.Encode(preds))
+	overrun = comm.AppendFrame(overrun, comm.MsgUploadEnd, nil)
+	for user, body := range map[int][]byte{3: []byte(strings.Repeat("garbage", 4)), 4: overrun} {
+		if mt, payload := post(user, body); mt != comm.MsgError {
+			t.Fatalf("user %d malformed upload reply: %v %q, want MsgError", user, mt, payload)
+		}
+	}
+	// The overrun resolved user 4's slot as dropped: a well-formed retry finds
+	// the slot gone.
+	if mt, payload := post(4, encodeUpload(0, 4, codec, preds, len(preds), true)); mt != comm.MsgError || !strings.Contains(string(payload), "closed") {
+		t.Fatalf("upload after a rejected one: %v %q, want the round-closed refusal", mt, payload)
 	}
 
 	<-done

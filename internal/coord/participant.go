@@ -24,7 +24,7 @@ var uploadChunkPreds = 512
 // coordinator, speaking only the wire protocol: it reconstructs the shared
 // world from the JoinAck (dataset profile + seed + config), runs each
 // announced round through fed.ClientHost, streams uploads, and delivers the
-// fetched dispersals. Under a FaultPlan the host's fault draws surface as
+// pushed dispersals. Under a FaultPlan the host's fault draws surface as
 // real transport behaviour: a dropped client posts an empty body, a
 // truncated one cuts its stream before the end frame.
 type Participant struct {
@@ -99,66 +99,6 @@ func Join(base string, lo, hi int, hc *http.Client) (*Participant, error) {
 // Token returns the session token the coordinator assigned.
 func (p *Participant) Token() uint64 { return p.token }
 
-// Run processes announcements until shutdown. Under the default pipelined
-// schedule the coordinator pushes dispersals and round-end markers into the
-// poll stream and announces round r+1 during round r's collection; the
-// participant starts each announced round's dependency-free clients
-// immediately and holds the dispersal-gated ones (those in the previous
-// cohort) until the previous round's end marker. Under Config.SequentialRounds
-// every RoundStart runs the full hosted slice and fetches the round's
-// dispersals over /v1/result.
-func (p *Participant) Run(ctx context.Context) error {
-	if p.cfg.SequentialRounds {
-		return p.runSequential(ctx)
-	}
-	return p.runPipelined(ctx)
-}
-
-// runSequential is the serialized schedule: train every hosted client of the
-// announced round, then fetch its dispersals. Stray MsgDisperse events in the
-// poll stream (the retention store flushing a previously-unhosted user's D̃ᵢ)
-// are delivered in place.
-func (p *Participant) runSequential(ctx context.Context) error {
-	after := 0
-	for {
-		frames, err := p.poll(ctx, after)
-		if err != nil {
-			return err
-		}
-		for _, f := range frames {
-			switch f.mt {
-			case comm.MsgRoundStart:
-				rs, err := comm.DecodeRoundStart(f.payload)
-				if err != nil {
-					return err
-				}
-				if err := p.runRound(ctx, rs); err != nil {
-					return err
-				}
-				after++
-			case comm.MsgDisperse:
-				if err := p.deliver(f.payload); err != nil {
-					return err
-				}
-				after++
-			case comm.MsgRoundEnd:
-				// Only the pipelined coordinator pushes these; tolerate and
-				// advance past one in the log.
-				after++
-			case comm.MsgShutdown:
-				p.leave(ctx)
-				return nil
-			case comm.MsgAck:
-				// Heartbeat: re-poll with the same cursor.
-			case comm.MsgError:
-				return fmt.Errorf("coord: poll: %s", f.payload)
-			default:
-				return fmt.Errorf("coord: unexpected %v frame from poll", f.mt)
-			}
-		}
-	}
-}
-
 // wave is one in-flight hosted training wave. Later waves order themselves
 // behind earlier-round waves that could still be training a shared user (a
 // straggler past a deadline-closed round).
@@ -167,14 +107,16 @@ type wave struct {
 	done  chan struct{}
 }
 
-// runPipelined is the event-driven schedule. Per announced round the hosted
-// cohort splits into a free wave (users not in the previous cohort — no
-// inbound dispersal, train immediately, overlapping the coordinator's close
-// of the previous round) and a gated wave (users in the previous cohort —
-// train once the previous round's pushed dispersals and end marker arrive).
+// Run processes announcements until shutdown. The coordinator pushes
+// dispersals and round-end markers into the poll stream and announces round
+// r+1 during round r's collection. Per announced round the hosted cohort
+// splits into a free wave (users not in the previous cohort — no inbound
+// dispersal, train immediately, overlapping the coordinator's close of the
+// previous round) and a gated wave (users in the previous cohort — train once
+// the previous round's pushed dispersals and end marker arrive).
 // The coordinator orders each session's log as RS(r), RS(r+1), D(r)…, RE(r),
 // RS(r+2), … so at most one gated wave is ever outstanding.
-func (p *Participant) runPipelined(ctx context.Context) error {
+func (p *Participant) Run(ctx context.Context) error {
 	after := 0
 	var wg sync.WaitGroup
 	errCh := make(chan error, 1)
@@ -369,19 +311,9 @@ func (p *Participant) poll(ctx context.Context, after int) ([]frame, error) {
 	}
 }
 
-// runRound executes the hosted slice of one announced round: parallel local
-// training + uploads on the configured worker pool, then the dispersal
-// fetch. Each worker touches only its own user's client, exactly like the
-// in-process trainer's round loop.
-func (p *Participant) runRound(ctx context.Context, rs comm.RoundStart) error {
-	if err := p.runUsers(ctx, rs.Round, rs.Users); err != nil {
-		return err
-	}
-	return p.fetchResult(ctx, rs.Round)
-}
-
 // runUsers trains and uploads the listed hosted users for one round on the
-// configured worker pool.
+// configured worker pool. Each worker touches only its own user's client,
+// exactly like the in-process trainer's round loop.
 func (p *Participant) runUsers(ctx context.Context, round int, users []int) error {
 	workers := par.Workers(p.cfg.Workers)
 	errs := make([]error, len(users))
@@ -459,55 +391,6 @@ func (p *Participant) upload(ctx context.Context, round int, res fed.ClientRound
 		return fmt.Errorf("coord: upload reply is %v, want %v", mt, comm.MsgAck)
 	}
 	return nil
-}
-
-// fetchResult streams the round's dispersals and delivers them to the hosted
-// clients.
-func (p *Participant) fetchResult(ctx context.Context, round int) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		fmt.Sprintf("%s/v1/result?token=%d&round=%d", p.base, p.token, round), nil)
-	if err != nil {
-		return err
-	}
-	resp, err := p.hc.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	for {
-		mt, payload, err := comm.ReadFrame(resp.Body)
-		if err != nil {
-			return fmt.Errorf("coord: result stream: %w", err)
-		}
-		switch mt {
-		case comm.MsgDisperse:
-			d, err := comm.DecodeDisperse(payload)
-			if err != nil {
-				return err
-			}
-			if d.User < p.lo || d.User >= p.hi {
-				return fmt.Errorf("coord: dispersal for user %d outside hosted range [%d, %d)", d.User, p.lo, p.hi)
-			}
-			preds, err := d.Codec.Decode(d.Payload)
-			if err != nil {
-				return err
-			}
-			p.host.Deliver(d.User, preds)
-		case comm.MsgRoundEnd:
-			got, err := comm.DecodeRound(payload)
-			if err != nil {
-				return err
-			}
-			if got != round {
-				return fmt.Errorf("coord: round-end names round %d, want %d", got, round)
-			}
-			return nil
-		case comm.MsgError:
-			return fmt.Errorf("coord: result refused: %s", payload)
-		default:
-			return fmt.Errorf("coord: unexpected %v frame in result stream", mt)
-		}
-	}
 }
 
 // leave deregisters the session; best-effort, errors are ignored (the

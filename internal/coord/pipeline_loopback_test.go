@@ -12,28 +12,12 @@ import (
 	"ptffedrec/internal/models"
 )
 
-// TestLoopbackBitwiseSequentialMode pins the retained baseline schedule over
-// the wire: with Config.SequentialRounds both halves fall back to the
-// serialized announce/wait/close/publish loop and the /v1/result fetch, and
-// the history still matches the (sequential) in-process trainer bitwise.
-// Together with TestLoopbackBitwise — which runs the pipelined default on
-// both sides — and the in-process pipelined-vs-sequential invariance suite,
-// this closes the loop: all four schedule/transport combinations produce one
-// history.
-func TestLoopbackBitwiseSequentialMode(t *testing.T) {
-	cfg := testConfig(models.KindLightGCN, 4)
-	cfg.SequentialRounds = true
-	ref := referenceHistory(t, cfg)
-	h, _ := runNetworked(t, cfg, testOptions(), [][2]int{{0, 20}, {20, 40}})
-	requireEqualHistories(t, "sequential-mode loopback", ref, h)
-}
-
 // TestLoopbackBitwisePartialFraction exercises the pipeline's free wave over
 // the wire: partial participation makes cohorts differ round to round, so
 // each announced round has dependency-free clients that train during the
 // previous round's window, plus dispersal-gated ones held for the pushed
-// round-end. The networked history must still match the pipelined in-process
-// run bitwise, clean and faulted.
+// round-end. The networked history must still match the in-process run
+// bitwise, clean and faulted.
 func TestLoopbackBitwisePartialFraction(t *testing.T) {
 	defer func(old int) { uploadChunkPreds = old }(uploadChunkPreds)
 	uploadChunkPreds = 3
@@ -79,8 +63,7 @@ func decodeSessionDisperses(t *testing.T, s *session) []int {
 
 // TestPendingDispersalStore unit-tests the bounded retention store: newest
 // payload supersedes per user, the oldest-stashed user is evicted past the
-// budget, pruning a round stashes exactly its undelivered dispersals, and a
-// flush moves a session's hosted range into its event log.
+// budget, and a flush moves a session's hosted range into its event log.
 func TestPendingDispersalStore(t *testing.T) {
 	cfg := testConfig(models.KindMF, 1)
 	opts := testOptions()
@@ -111,36 +94,9 @@ func TestPendingDispersalStore(t *testing.T) {
 		t.Fatalf("retention holds %d users, want 2 (budget)", len(c.pending))
 	}
 
-	// Pruning a round stashes only its undelivered dispersals, and the
-	// budget still holds: retaining user 5 evicts user 2 (oldest stash).
-	rs := &roundState{
-		round:      7,
-		dispersals: []fed.Dispersal{{ID: 5, Payload: pay(5)}, {ID: 6, Payload: pay(6)}},
-		delivered:  []bool{false, true},
-	}
-	c.mu.Lock()
-	c.rounds[7] = rs
-	c.pruneRoundLocked(7)
-	c.mu.Unlock()
-	if c.rounds[7] != nil {
-		t.Fatal("pruned round still live")
-	}
-	if _, ok := c.pending[5]; !ok {
-		t.Fatal("undelivered dispersal for user 5 was not retained on prune")
-	}
-	if _, ok := c.pending[6]; ok {
-		t.Fatal("delivered dispersal for user 6 must not be retained")
-	}
-	if _, ok := c.pending[2]; ok {
-		t.Fatal("user 2 should have been evicted to keep the prune stash within budget")
-	}
-	if len(c.pending) != 2 {
-		t.Fatalf("retention holds %d users after prune, want 2 (budget)", len(c.pending))
-	}
-
-	// Flushing a session delivers its hosted range — [0,5) covers user 3
-	// but not user 5 — and leaves the rest retained.
-	s := &session{lo: 0, hi: 5, wake: make(chan struct{})}
+	// Flushing a session delivers its hosted range — [3,5) covers user 3
+	// but not user 2 — and leaves the rest retained.
+	s := &session{lo: 3, hi: 5, wake: make(chan struct{})}
 	c.mu.Lock()
 	c.flushPendingLocked(s)
 	c.mu.Unlock()
@@ -150,8 +106,8 @@ func TestPendingDispersalStore(t *testing.T) {
 	if _, ok := c.pending[3]; ok {
 		t.Fatal("flushed dispersal still retained")
 	}
-	if _, ok := c.pending[5]; !ok {
-		t.Fatal("out-of-range retention for user 5 should have survived the flush")
+	if _, ok := c.pending[2]; !ok {
+		t.Fatal("out-of-range retention for user 2 should have survived the flush")
 	}
 }
 

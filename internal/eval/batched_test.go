@@ -8,12 +8,14 @@ import (
 	"ptffedrec/internal/rng"
 )
 
-// TestBatchedEngineInvariance is the tentpole pin: the multi-user batched
-// logit engine must produce bitwise-identical Results to the single-user
-// probability-domain engine and to the legacy sort path, for every model
-// kind and workers ∈ {1, 2, 8}. The batch and window knobs are shrunk so
-// even the tiny split exercises partial batches, multi-window selections,
-// and window boundaries that split candidate runs.
+// TestBatchedEngineInvariance is the batched engine's pin: the multi-user
+// logit engine must produce Results bitwise-identical to the naive
+// score-everything-then-sort reference (naiveRank over metrics.TopK) and to
+// the single-user probability-domain loop (the same model behind a wrapper
+// that hides MultiBlockScorer), for every model kind and workers ∈ {1, 2, 8}.
+// The batch and window knobs are shrunk so even the tiny split exercises
+// partial batches, multi-window selections, and window boundaries that split
+// candidate runs.
 func TestBatchedEngineInvariance(t *testing.T) {
 	defer func(b, c int) { evalUsersBatch, evalScoreChunk = b, c }(evalUsersBatch, evalScoreChunk)
 	evalUsersBatch = 3
@@ -26,29 +28,18 @@ func TestBatchedEngineInvariance(t *testing.T) {
 		if _, ok := m.(models.MultiBlockScorer); !ok {
 			t.Fatalf("%s does not implement MultiBlockScorer", kind)
 		}
-
-		e := NewEvaluator(sp)
-		e.SingleUser = true
-		ref := e.Rank(m, 20, 1)
-		e.SingleUser = false
+		ref := naiveRank(m, sp, 20)
 		if ref.Users == 0 {
 			t.Fatalf("%s: no users evaluated", kind)
 		}
-
+		e := NewEvaluator(sp)
 		for _, workers := range []int{1, 2, 8} {
 			if got := e.Rank(m, 20, workers); got != ref {
-				t.Fatalf("%s workers=%d: batched %+v != single-user %+v", kind, workers, got, ref)
+				t.Fatalf("%s workers=%d: batched %+v != naive sort %+v", kind, workers, got, ref)
 			}
-			e.SingleUser = true
-			if got := e.Rank(m, 20, workers); got != ref {
-				t.Fatalf("%s workers=%d: single-user %+v != workers=1 single-user %+v", kind, workers, got, ref)
+			if got := e.Rank(singleUserOnly{scalarOnly{m}}, 20, workers); got != ref {
+				t.Fatalf("%s workers=%d: single-user %+v != naive sort %+v", kind, workers, got, ref)
 			}
-			e.SingleUser = false
-			e.SortSelect = true
-			if got := e.Rank(m, 20, workers); got != ref {
-				t.Fatalf("%s workers=%d: sort %+v != single-user %+v", kind, workers, got, ref)
-			}
-			e.SortSelect = false
 		}
 	}
 }

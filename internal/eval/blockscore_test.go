@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"ptffedrec/internal/data"
+	"ptffedrec/internal/metrics"
 	"ptffedrec/internal/models"
 	"ptffedrec/internal/rng"
 )
@@ -26,6 +27,51 @@ func (s scalarOnly) WarmScoring() {
 	if w, ok := s.m.(models.Warmer); ok {
 		w.WarmScoring()
 	}
+}
+
+// singleUserOnly hides a model's MultiBlockScorer, keeping BlockScorer and
+// the warm/buffer-reuse extensions, so a cached Evaluator ranks it through the
+// single-user fused selection loop — the path streaming evaluators and
+// non-multi scorers take — instead of the multi-user batched engine.
+type singleUserOnly struct {
+	scalarOnly
+}
+
+func (s singleUserOnly) ScoreBlockInto(dst []float64, u int, items []int) {
+	s.m.(models.BlockScorer).ScoreBlockInto(dst, u, items)
+}
+
+func (s singleUserOnly) ScoreBlockLogitsInto(dst []float64, u int, items []int) {
+	s.m.(models.BlockScorer).ScoreBlockLogitsInto(dst, u, items)
+}
+
+// naiveRank is the reference semantics every engine must reproduce bitwise:
+// per evaluated user, score every non-train item, stable-sort the full score
+// vector (metrics.TopK), and average Recall@k / NDCG@k in user order.
+func naiveRank(s models.Scorer, sp *data.Split, k int) Result {
+	var agg metrics.RankEval
+	for u := 0; u < sp.NumUsers; u++ {
+		if len(sp.Test[u]) == 0 {
+			continue
+		}
+		var cand []int
+		for v := 0; v < sp.NumItems; v++ {
+			if !sp.InTrain(u, v) {
+				cand = append(cand, v)
+			}
+		}
+		var ranked []int
+		for _, idx := range metrics.TopK(s.ScoreItems(u, cand), k) {
+			ranked = append(ranked, cand[idx])
+		}
+		relevant := map[int]bool{}
+		for _, v := range sp.Test[u] {
+			relevant[v] = true
+		}
+		agg.AddUser(metrics.RecallAtK(ranked, relevant, k), metrics.NDCGAtK(ranked, relevant, k))
+	}
+	r, n := agg.Mean()
+	return Result{Recall: r, NDCG: n, Users: agg.Users}
 }
 
 // TestRankingBatchedMatchesScalar pins the engine-level guarantee: Results

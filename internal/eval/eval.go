@@ -22,9 +22,10 @@
 // metrics.LogitTopKSelector under its tie-safe contract — so the
 // item-embedding rows are loaded once per batch instead of once per user and
 // the sigmoid is paid only for candidates that reach a heap, not once per
-// (user, candidate). All paths are bitwise-identical to the naive
-// score-everything-then-sort evaluation, so Results never depend on the path
-// taken.
+// (user, candidate). The scorer's capabilities and the evaluator's cache pick
+// the path; all paths are bitwise-identical to the naive
+// score-everything-then-sort evaluation (metrics.TopK), so Results never
+// depend on the path taken.
 //
 // The package consumes the models scoring interface family directly
 // (models.Scorer and its InplaceScorer / BlockScorer / MultiBlockScorer
@@ -125,23 +126,6 @@ type Evaluator struct {
 	users []int           // users with held-out items, ascending
 	cache *candset.Packed // per-user candidate lists, ascending; nil when streaming
 	ident []int           // identity item list 0..NumItems-1 for the batched windows
-
-	// SortSelect forces ranking through the legacy sort path — the full
-	// score vector materialised, then metrics.TopK's stable sort over an
-	// O(NumItems) index permutation — instead of the streaming bounded-heap
-	// selection. Results are bitwise-identical either way; the scalability
-	// experiment flips this to time select vs sort. Set before Rank, never
-	// concurrently with it.
-	SortSelect bool
-
-	// SingleUser forces ranking through the retained single-user engine —
-	// one probability-domain ScoreBlockTopK selection per user — instead of
-	// the multi-user batched logit engine. Results are bitwise-identical
-	// either way; the knob exists as the timing baseline for the scalability
-	// experiment's eval-users-scalar / eval-users-spdup columns and for
-	// invariance tests (the same pattern as fed.Config.DisperseScalar for
-	// dispersal). Set before Rank, never concurrently with it.
-	SingleUser bool
 }
 
 // NewEvaluator builds the candidate cache for a split with GOMAXPROCS
@@ -284,10 +268,10 @@ func (e *Evaluator) Rank(s models.Scorer, k, workers int) Result {
 	workers = par.Workers(workers)
 	c := detectCaps(s)
 	// The batched multi-user engine needs the multi-user logit contract and
-	// the candidate cache (streaming evaluators rebuild lists per user, which
-	// only the single-user loop does); SortSelect and SingleUser force the
-	// respective baselines.
-	batched := c.multi != nil && e.cache != nil && !e.SortSelect && !e.SingleUser
+	// the candidate cache; streaming evaluators (which rebuild lists per
+	// user) and scorers without the contract — per-client adapters, the
+	// parameter-transmission baselines — rank through the single-user loop.
+	batched := c.multi != nil && e.cache != nil
 	if workers > 1 {
 		if w, ok := s.(models.Warmer); ok {
 			w.WarmScoring()
@@ -342,17 +326,11 @@ func (e *Evaluator) evalUser(c *caps, sc *scratch, i, k int) (recall, ndcg float
 		cand = candset.AppendComplementSorted(sc.cand[:0], e.sp.NumItems, e.sp.Train[u])
 	}
 	var top []int
-	switch {
-	case e.SortSelect:
-		// Legacy path: full score vector, stable sort of an O(n) index
-		// permutation. Kept as the timing baseline and reference semantics.
-		scores := c.scoreItems(&sc.scores, u, cand)
-		top = metrics.TopK(scores, k)
-	case c.block != nil:
+	if c.block != nil {
 		// Fused path: scores stream chunk-wise into a bounded-heap selection;
 		// no full score vector exists.
 		top = models.ScoreBlockTopK(c.block, &sc.topk, u, cand, k)
-	default:
+	} else {
 		// Partial selection over a materialised score vector (scorers without
 		// block scoring, e.g. per-client adapters).
 		scores := c.scoreItems(&sc.scores, u, cand)

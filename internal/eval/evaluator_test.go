@@ -10,31 +10,23 @@ import (
 )
 
 // TestEvaluatorSelectionInvariance pins the selection engine's contract:
-// Results are bitwise-identical across the fused chunk-streaming path, the
-// bounded-heap-over-full-vector path, and the legacy sort path, for every
+// Results are bitwise-identical across the fused chunk-streaming path (a
+// streaming evaluator), the bounded-heap-over-full-vector path (BlockScorer
+// hidden), and the naive full sort (naiveRank over metrics.TopK), for every
 // model kind and workers ∈ {1, 2, 8}.
 func TestEvaluatorSelectionInvariance(t *testing.T) {
 	d := data.Generate(data.Tiny, 11)
 	sp := d.Split(rng.New(2), 0.2)
 	for _, kind := range []models.Kind{models.KindMF, models.KindNeuMF, models.KindLightGCN, models.KindNGCF} {
 		m := trainedModel(t, kind, sp)
-
-		sortEval := NewEvaluator(sp)
-		sortEval.SortSelect = true
-		ref := sortEval.Rank(m, 20, 1)
+		ref := naiveRank(m, sp, 20)
 		if ref.Users == 0 {
 			t.Fatalf("%s: no users evaluated", kind)
 		}
-
 		for _, workers := range []int{1, 2, 8} {
-			fused := NewEvaluator(sp)
-			if got := fused.Rank(m, 20, workers); got != ref {
+			if got := RankingWorkers(m, sp, 20, workers); got != ref {
 				t.Fatalf("%s workers=%d: fused select %+v != sort %+v", kind, workers, got, ref)
 			}
-			if got := sortEval.Rank(m, 20, workers); got != ref {
-				t.Fatalf("%s workers=%d: sort select %+v != workers=1 sort %+v", kind, workers, got, ref)
-			}
-			// Hiding BlockScorer forces the heap-over-full-vector path.
 			if got := NewEvaluator(sp).Rank(scalarOnly{m}, 20, workers); got != ref {
 				t.Fatalf("%s workers=%d: heap select %+v != sort %+v", kind, workers, got, ref)
 			}

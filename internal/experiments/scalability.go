@@ -1,13 +1,18 @@
 package experiments
 
 import (
+	"bufio"
+	"bytes"
 	"context"
 	"fmt"
 	"io"
 	"math"
 	"net"
 	"net/http"
+	"os"
+	"os/exec"
 	"runtime"
+	"strings"
 	"time"
 
 	"ptffedrec/internal/comm"
@@ -22,155 +27,79 @@ import (
 // profile. Speedups are relative to the workers=1 row. The per-phase columns
 // break the round down so speedup is attributable: client training rides
 // Workers, server SGD rides TrainWorkers, the graph/CSR build rides both.
+// Columns a mode does not measure (evaluation and speedups in the memory
+// profile) are omitted from the JSON rather than written as 0.
 type ScalabilityRow struct {
 	Workers      int     `json:"workers"`
 	RoundSecs    float64 `json:"round_secs"`     // mean wall-clock per global round
 	RoundsPerSec float64 `json:"rounds_per_sec"` // 1/RoundSecs
-	RoundSpeedup float64 `json:"round_speedup"`  // vs workers=1
-	EvalSecs     float64 `json:"eval_secs"`      // one full eval pass (batched engine; == eval_users_batched_secs)
-	EvalSpeedup  float64 `json:"eval_speedup"`   // vs workers=1
-	Recall       float64 `json:"recall"`         // must match across rows
-	NDCG         float64 `json:"ndcg"`           // must match across rows
+	RoundSpeedup float64 `json:"round_speedup,omitempty"`
+	EvalSecs     float64 `json:"eval_secs,omitempty"` // one full eval pass: min of three, a forced GC before each
+	EvalSpeedup  float64 `json:"eval_speedup,omitempty"`
+	Recall       float64 `json:"recall,omitempty"` // must match across rows
+	NDCG         float64 `json:"ndcg,omitempty"`   // must match across rows
 
-	// Batched-vs-scalar comparison at this worker count: the same evaluation
-	// forced through the per-item scoring path (the pre-BlockScorer hot
-	// loop), and the speedup the matrix-kernel engine buys over it. The two
-	// runs must produce bitwise-identical metrics.
-	EvalScalarSecs     float64 `json:"eval_scalar_secs"`
-	BatchedEvalSpeedup float64 `json:"batched_eval_speedup"`
-
-	// Select-vs-sort comparison at this worker count: the same evaluation
-	// with ranking forced through the legacy sort path (full score vector,
-	// stable sort of an O(NumItems) index permutation per user) against the
-	// fused streaming bounded-heap selection engine, and the speedup the
-	// engine buys. Metrics must again be bitwise-identical.
-	EvalSortSecs  float64 `json:"eval_sort_secs"`
-	SelectSpeedup float64 `json:"select_speedup"`
-
-	// Multi-user-vs-single-user eval engine comparison at this worker count,
-	// measured as paired alternating passes on the trained model (min of
-	// three per engine, GC before each, so one collection can't bias either
-	// side): the batched engine scores 16-user groups through multi-user
-	// logit GEMM calls with logit-domain selection; the single-user engine
-	// runs one fused probability-domain selection per user. The two runs
-	// must produce bitwise-identical metrics; the speedup is what
-	// user-batching buys.
-	EvalUsersBatchedSecs float64 `json:"eval_users_batched_secs"`
-	EvalUsersScalarSecs  float64 `json:"eval_users_scalar_secs"`
-	EvalUsersSpeedup     float64 `json:"eval_users_speedup"`
-
-	// Per-phase mean seconds per round.
-	ClientSecs      float64 `json:"client_secs"`
-	AbsorbSecs      float64 `json:"absorb_secs"`
-	GraphSecs       float64 `json:"graph_secs"`
-	ServerTrainSecs float64 `json:"server_train_secs"`
-	DisperseSecs    float64 `json:"disperse_secs"`
-
-	// Batched-vs-scalar dispersal comparison at this worker count, measured
-	// by fed.Trainer.BenchDispersal: repeated dispersal-only sweeps over
-	// every client on the frozen trained model, once through the round-scoped
-	// multi-user batched engine (shared eligibility cache + multi-user GEMM
-	// scoring) and once through the per-client scalar engine. The engines'
-	// outputs must be identical; the speedup is what the batched engine buys.
-	// Complementarily, the same training re-run end-to-end under
-	// Config.DisperseScalar must reproduce the history bit for bit.
-	DisperseBatchedSecs float64 `json:"disperse_batched_secs"`
-	DisperseScalarSecs  float64 `json:"disperse_scalar_secs"`
-	DisperseSpeedup     float64 `json:"disperse_speedup"`
-
-	// Speedups vs workers=1 for the two server-side hot paths the gradient
-	// workspace engine and the parallel CSR build attack.
-	ServerTrainSpeedup float64 `json:"server_train_speedup"`
-	GraphSpeedup       float64 `json:"graph_speedup"`
-
-	// Incremental-vs-full graph engine comparison at this worker count: the
-	// same training re-run under Config.FullGraphRebuild (every round
-	// re-selects all stored users' edges and rebuilds the adjacency from
-	// triplets) against the default incremental engine (dirty users only,
-	// maintained rows/degrees/postings), as mean graph-phase seconds per
-	// round. The re-run's history must match the incremental run bit for bit
-	// (folded into Deterministic); the speedup is what dirty-delta
-	// maintenance buys. GraphEngineBytes is the incremental engine's retained
-	// footprint (rows, postings, degree vectors, staging scratch).
-	GraphIncrSecs       float64 `json:"graph_incr_secs"`
-	GraphFullSecs       float64 `json:"graph_full_secs"`
-	GraphRebuildSpeedup float64 `json:"graph_rebuild_speedup"`
-	GraphEngineBytes    int64   `json:"graph_engine_bytes"`
+	// Per-phase mean seconds per round, and speedups vs workers=1 for the two
+	// server-side hot paths the gradient workspace engine and the parallel
+	// CSR build attack.
+	ClientSecs         float64 `json:"client_secs"`
+	AbsorbSecs         float64 `json:"absorb_secs"`
+	GraphSecs          float64 `json:"graph_secs"`
+	ServerTrainSecs    float64 `json:"server_train_secs"`
+	DisperseSecs       float64 `json:"disperse_secs"`
+	ServerTrainSpeedup float64 `json:"server_train_speedup,omitempty"`
+	GraphSpeedup       float64 `json:"graph_speedup,omitempty"`
 
 	// Memory accounting for this row's trainer. PeakHeapBytes is the largest
 	// live heap observed at phase boundaries (post-GC samples, so it tracks
-	// retained state, not allocator slack). The store/cache columns are exact
+	// retained state, not allocator slack). The other columns are exact
 	// footprints from the components' own accounting: the server's flat
-	// upload store (slab + index), its bounded eligibility LRU, and the
-	// evaluator's packed candidate cache. BytesPerUser is the per-user
-	// server-side state — (upload store + eligibility cache) / users — the
-	// figure the flat-memory design holds flat as users grow.
+	// upload store (slab + index), its bounded eligibility LRU, the
+	// incremental graph engine (rows, postings, degree vectors, staging
+	// scratch), and the evaluator's packed candidate cache. BytesPerUser is
+	// the per-user server-side state — (upload store + eligibility cache) /
+	// users — the figure the flat-memory design holds flat as users grow.
 	PeakHeapBytes    uint64  `json:"peak_heap_bytes"`
 	UploadStoreBytes int64   `json:"upload_store_bytes"`
 	EligCacheBytes   int64   `json:"elig_cache_bytes"`
-	CandCacheBytes   int64   `json:"cand_cache_bytes"`
+	GraphEngineBytes int64   `json:"graph_engine_bytes"`
+	CandCacheBytes   int64   `json:"cand_cache_bytes,omitempty"`
 	BytesPerUser     float64 `json:"bytes_per_user"`
 }
 
 // ScalabilityResult is the scalability experiment's report: the parallel
 // round engine and evaluator timed at increasing worker counts on the
-// large-scale profile, with a determinism cross-check.
+// large-scale profile, with a determinism cross-check — or, for huge
+// profiles, one memory-profile run.
 type ScalabilityResult struct {
-	Profile       string           `json:"profile"`
-	Users         int              `json:"users"`
-	Items         int              `json:"items"`
-	Rounds        int              `json:"rounds"`
-	GOMAXPROCS    int              `json:"gomaxprocs"`
+	Profile    string `json:"profile"`
+	Users      int    `json:"users"`
+	Items      int    `json:"items"`
+	Rounds     int    `json:"rounds"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	CPUModel   string `json:"cpu_model,omitempty"`
+	GitSHA     string `json:"git_sha,omitempty"`
+
 	Rows          []ScalabilityRow `json:"rows"`
-	Deterministic bool             `json:"deterministic"` // identical history+metrics across worker counts and scoring paths
-
-	// Overlap compares the round's dispersal+eval tail executed sequentially
-	// (RunRound then EvaluateServer) against the concurrent RunRoundEval
-	// path, at the sweep's max worker count, summed over the run's rounds.
-	OverlapSequentialSecs float64 `json:"overlap_sequential_secs"`
-	OverlapConcurrentSecs float64 `json:"overlap_concurrent_secs"`
-	OverlapSpeedup        float64 `json:"overlap_speedup"`
-
-	// Cross-round pipelining: the same training at the sweep's max worker
-	// count under partial participation (fraction 0.3, so round r+1 has
-	// dependency-free clients to overlap), once through the serialized
-	// RunRound loop and once through the dependency-gated double-buffered
-	// pipeline, as paired alternating full runs (min of three per schedule,
-	// a forced GC before each) so allocator drift lands on neither side.
-	// The two histories must match bit for bit (folded into Deterministic);
-	// the speedup is what overlapping round r+1's free client wave with
-	// round r's server phases buys. On a single-core host the pipeline's
-	// overlap gate trains the free wave inline, so parity (~1x) is the
-	// honest expected result there.
-	SeqRoundSecs    float64 `json:"seq_round_secs"`
-	PipeRoundSecs   float64 `json:"pipe_round_secs"`
-	PipelineSpeedup float64 `json:"pipeline_speedup"`
+	Deterministic bool             `json:"deterministic"` // identical history+metrics across worker counts and over the wire
 
 	// Networked round engine over a loopback transport: the same training
 	// driven through coord.Coordinator plus two coord.Participants speaking
 	// the wire protocol over real HTTP on a loopback listener, at the sweep's
 	// max worker count. The round history must match the in-process rows bit
 	// for bit (folded into Deterministic). NetRoundSecs is mean wall-clock
-	// per networked round on the serialized schedule (SequentialRounds: the
-	// announce/wait/close/fetch baseline; the run's final evaluation pass,
-	// ~eval_secs, is amortised into it); NetPipeRoundSecs is the same run
-	// under the pipelined coordinator — next round's cohort announced during
-	// the straggler window, dispersals and round-ends pushed into the poll
-	// log. NetWireBytes is total frame bytes crossing the transport both
-	// ways on the sequential run. Gated to small profiles — the loopback
-	// run issues one HTTP request per upload.
-	NetRoundSecs     float64 `json:"net_round_secs,omitempty"`
-	NetPipeRoundSecs float64 `json:"net_pipe_round_secs,omitempty"`
-	NetWireBytes     int64   `json:"net_wire_bytes,omitempty"`
+	// per networked round (the run's final evaluation pass, ~eval_secs, is
+	// amortised into it); NetWireBytes is total frame bytes crossing the
+	// transport both ways. Gated to small profiles — the loopback run issues
+	// one HTTP request per upload.
+	NetRoundSecs float64 `json:"net_round_secs,omitempty"`
+	NetWireBytes int64   `json:"net_wire_bytes,omitempty"`
 
 	// MemoryProfile marks the huge-profile mode (NumUsers ≥
 	// memoryProfileUsers): a streamed split, lazy clients, sampled
 	// participation and no evaluation — a memory-scalability measurement
-	// with a single row, rather than a worker sweep. MapUploadStoreBytes is
-	// the retained map baseline's store footprint after the same training;
-	// the flat-vs-map round histories are cross-checked into Deterministic.
-	MemoryProfile       bool  `json:"memory_profile,omitempty"`
-	MapUploadStoreBytes int64 `json:"map_upload_store_bytes,omitempty"`
+	// with a single row, rather than a worker sweep.
+	MemoryProfile bool `json:"memory_profile,omitempty"`
 }
 
 // memoryProfileUsers is the user count at which RunScalability switches to
@@ -212,6 +141,101 @@ func scalabilityWorkerCounts() []int {
 	return counts
 }
 
+// scalabilityConfig is the workload both modes train. MF clients keep
+// per-client state tiny (lazy embedding rows only), which is what makes tens
+// of thousands of in-process clients feasible. The server runs LightGCN so
+// the run exercises every parallel server path: the per-round graph/CSR
+// rebuild, the sharded SpMM propagation, and the gradient workspace engine. A
+// large server batch keeps the propagation count per round bounded (one
+// forward cache per optimizer step).
+func scalabilityConfig(seed uint64) fed.Config {
+	cfg := fed.DefaultConfig(models.KindLightGCN)
+	cfg.ClientModel = models.KindMF
+	cfg.Seed = seed
+	cfg.Dim = 16
+	cfg.ClientEpochs = 1
+	cfg.ServerEpochs = 1
+	cfg.ClientBatch = 32
+	cfg.ServerBatch = 8192
+	return cfg
+}
+
+// newScalabilityResult stamps a report with the host and commit it ran on.
+// Call it before the run builds its state: asking git forks the process, and
+// forking a multi-gigabyte heap slows the rounds timed right after it.
+func newScalabilityResult(p data.Profile, rounds int) *ScalabilityResult {
+	return &ScalabilityResult{
+		Profile:       p.Name,
+		Users:         p.NumUsers,
+		Items:         p.NumItems,
+		Rounds:        rounds,
+		GOMAXPROCS:    runtime.GOMAXPROCS(0),
+		CPUModel:      cpuModel(),
+		GitSHA:        gitSHA(),
+		Deterministic: true,
+	}
+}
+
+// cpuModel reads the host CPU's model name ("" where /proc/cpuinfo has none).
+func cpuModel() string {
+	f, err := os.Open("/proc/cpuinfo")
+	if err != nil {
+		return ""
+	}
+	defer f.Close()
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		if name, val, ok := strings.Cut(sc.Text(), ":"); ok && strings.TrimSpace(name) == "model name" {
+			return strings.TrimSpace(val)
+		}
+	}
+	return ""
+}
+
+// gitSHA names the checkout's commit, with "-dirty" appended when the working
+// tree differs from it ("" outside a git checkout).
+func gitSHA() string {
+	out, err := exec.Command("git", "rev-parse", "HEAD").Output()
+	if err != nil {
+		return ""
+	}
+	sha := strings.TrimSpace(string(out))
+	if st, err := exec.Command("git", "status", "--porcelain").Output(); err == nil && len(bytes.TrimSpace(st)) > 0 {
+		sha += "-dirty"
+	}
+	return sha
+}
+
+// measuredRow runs every round of one trainer serially, sampling the heap
+// between rounds, and folds the timings and footprints both modes report into
+// a row; the caller adds what only it measures.
+func measuredRow(tr *fed.Trainer, cfg fed.Config, numUsers int, hs *heapSampler) (ScalabilityRow, []fed.RoundStats) {
+	rounds := make([]fed.RoundStats, 0, cfg.Rounds)
+	start := time.Now()
+	for round := 0; round < cfg.Rounds; round++ {
+		rounds = append(rounds, tr.RunRound(round))
+		hs.sample()
+	}
+	perRound := 1 / float64(cfg.Rounds)
+	phases := tr.PhaseSeconds()
+	row := ScalabilityRow{
+		Workers:          cfg.Workers,
+		RoundSecs:        time.Since(start).Seconds() * perRound,
+		ClientSecs:       phases.ClientTrain * perRound,
+		AbsorbSecs:       phases.Absorb * perRound,
+		GraphSecs:        phases.GraphBuild * perRound,
+		ServerTrainSecs:  phases.ServerTrain * perRound,
+		DisperseSecs:     phases.Disperse * perRound,
+		UploadStoreBytes: tr.Server().UploadStoreBytes(),
+		EligCacheBytes:   tr.Server().EligCacheBytes(),
+		GraphEngineBytes: tr.Server().GraphEngineBytes(),
+	}
+	row.RoundsPerSec = speedup(1, row.RoundSecs)
+	row.BytesPerUser = float64(row.UploadStoreBytes+row.EligCacheBytes) / float64(numUsers)
+	row.PeakHeapBytes = hs.peak
+	return row, rounds
+}
+
 // RunScalability times the parallel round engine and the parallel evaluator
 // at increasing worker counts on the large-scale profile (50k users at full
 // scale). Every sweep point re-runs the same seeded training, so the rows
@@ -228,23 +252,8 @@ func RunScalability(o Options) (*ScalabilityResult, error) {
 	if p.NumUsers >= memoryProfileUsers {
 		return runScalabilityMemory(o, p)
 	}
-	sp := o.split(p)
-
-	// MF clients keep per-client state tiny (lazy embedding rows only), which
-	// is what makes tens of thousands of in-process clients feasible. The
-	// server runs LightGCN so the sweep exercises every parallel server path:
-	// the per-round graph/CSR rebuild, the sharded SpMM propagation, and the
-	// gradient workspace engine. A large server batch keeps the propagation
-	// count per round bounded (one forward cache per optimizer step).
-	cfg := fed.DefaultConfig(models.KindLightGCN)
-	cfg.ClientModel = models.KindMF
-	cfg.Seed = o.Seed
-	cfg.Dim = 16
+	cfg := scalabilityConfig(o.Seed)
 	cfg.Rounds = 3
-	cfg.ClientEpochs = 1
-	cfg.ServerEpochs = 1
-	cfg.ClientBatch = 32
-	cfg.ServerBatch = 8192
 	if o.Quick {
 		cfg.Rounds = 2
 	}
@@ -254,15 +263,8 @@ func RunScalability(o Options) (*ScalabilityResult, error) {
 		// exists (the evaluator always covers all 50k users).
 		cfg.ClientFraction = 0.1
 	}
-
-	res := &ScalabilityResult{
-		Profile:       p.Name,
-		Users:         sp.NumUsers,
-		Items:         sp.NumItems,
-		Rounds:        cfg.Rounds,
-		GOMAXPROCS:    runtime.GOMAXPROCS(0),
-		Deterministic: true,
-	}
+	res := newScalabilityResult(p, cfg.Rounds)
+	sp := o.split(p)
 
 	// One candidate cache serves every trainer and every timed pass: it
 	// depends only on the split, constant across the sweep, so no timed
@@ -286,8 +288,8 @@ func RunScalability(o Options) (*ScalabilityResult, error) {
 	}
 
 	var refRounds []fed.RoundStats
-	var refEval eval.Result
-	for _, workers := range scalabilityWorkerCounts() {
+	counts := scalabilityWorkerCounts()
+	for _, workers := range counts {
 		o.logf("scalability: workers=%d\n", workers)
 		wcfg := cfg
 		wcfg.Workers = workers
@@ -300,325 +302,58 @@ func RunScalability(o Options) (*ScalabilityResult, error) {
 		// Time the round engine and the evaluator separately so the report
 		// attributes speedup to the right path. A forced GC before each timed
 		// segment keeps one segment's garbage from being collected on a later
-		// segment's clock — the paired engine comparisons below depend on it.
+		// segment's clock.
 		runtime.GC()
 		var hs heapSampler
-		rounds := make([]fed.RoundStats, 0, wcfg.Rounds)
-		start := time.Now()
-		for round := 0; round < wcfg.Rounds; round++ {
-			rounds = append(rounds, tr.RunRound(round))
-		}
-		trainSecs := time.Since(start).Seconds()
-		hs.sample()
-		phases := tr.PhaseSeconds()
+		row, rounds := measuredRow(tr, wcfg, sp.NumUsers, &hs)
 
-		// The eval engines head to head on the trained state: the multi-user
-		// batched logit engine against the retained single-user engine, as
-		// paired alternating passes — min of three per engine, a forced GC
-		// before each pass — so allocator noise lands on neither side
-		// systematically. Outputs must be bitwise-identical. The batched min
-		// doubles as the row's primary eval timing: a single unpaired pass
-		// drifts with the process's allocator state enough to fake a
-		// worker-scaling regression on single-core hosts.
+		// Evaluation on the trained state: min of three passes, a forced GC
+		// before each. A single pass drifts with the process's allocator
+		// state enough to fake a worker-scaling regression on small hosts.
 		var ev eval.Result
-		evalUsersBatchedSecs, evalUsersScalarSecs := math.Inf(1), math.Inf(1)
+		row.EvalSecs = math.Inf(1)
 		for g := 0; g < 3; g++ {
 			runtime.GC()
-			start = time.Now()
-			evBatched := evaluator.Rank(tr.Server().Model(), wcfg.EvalK, workers)
-			if t := time.Since(start).Seconds(); t < evalUsersBatchedSecs {
-				evalUsersBatchedSecs = t
-			}
-			runtime.GC()
-			evaluator.SingleUser = true
-			start = time.Now()
-			evSingle := evaluator.Rank(tr.Server().Model(), wcfg.EvalK, workers)
-			evaluator.SingleUser = false
-			if t := time.Since(start).Seconds(); t < evalUsersScalarSecs {
-				evalUsersScalarSecs = t
-			}
+			start := time.Now()
+			pass := evaluator.Rank(tr.Server().Model(), wcfg.EvalK, workers)
+			row.EvalSecs = math.Min(row.EvalSecs, time.Since(start).Seconds())
 			if g == 0 {
-				ev = evBatched
-			}
-			if evBatched != ev || evSingle != ev {
+				ev = pass
+			} else if pass != ev {
 				res.Deterministic = false
 			}
 		}
-		evalSecs := evalUsersBatchedSecs
-
-		// The same evaluation through the per-item scoring path: the gap to
-		// evalSecs is what the batched BlockScorer engine buys.
-		start = time.Now()
-		evScalar := evaluator.Rank(scalarScorer{tr.Server().Model()}, wcfg.EvalK, workers)
-		evalScalarSecs := time.Since(start).Seconds()
-		if evScalar != ev {
-			res.Deterministic = false
-		}
-
-		// And with ranking forced through the legacy full-sort selection: the
-		// gap to evalSecs is what the fused top-K selection engine buys.
-		evaluator.SortSelect = true
-		start = time.Now()
-		evSort := evaluator.Rank(tr.Server().Model(), wcfg.EvalK, workers)
-		evalSortSecs := time.Since(start).Seconds()
-		evaluator.SortSelect = false
-		if evSort != ev {
-			res.Deterministic = false
-		}
-
-		// The dispersal engines head to head on the trained state: repeated
-		// dispersal-only sweeps keep the paired comparison off the round
-		// timers' noise floor, and the engines' outputs must be identical.
-		disperseBatchedSecs, disperseScalarSecs, disperseIdentical := tr.BenchDispersal(5)
-		if !disperseIdentical {
-			res.Deterministic = false
-		}
-
-		// The graph engines head to head, end to end: the same training re-run
-		// under Config.FullGraphRebuild must reproduce the round history bit
-		// for bit, and its graph phase is the full-rebuild baseline the
-		// graph-spdup column measures the incremental engine against. At this
-		// sweep's dense per-round participation the incremental engine
-		// restages most of the store, so near-parity is the expected sweep
-		// result; the partial-participation memory profile is where the
-		// dirty-delta path pays off.
-		fcfg := wcfg
-		fcfg.FullGraphRebuild = true
-		ftr, err := fed.NewTrainer(sp, fcfg)
-		if err != nil {
-			return nil, fmt.Errorf("scalability: %w", err)
-		}
-		fullRounds := make([]fed.RoundStats, 0, fcfg.Rounds)
-		for round := 0; round < fcfg.Rounds; round++ {
-			fullRounds = append(fullRounds, ftr.RunRound(round))
-		}
-		if !roundsEqual(rounds, fullRounds) {
-			res.Deterministic = false
-		}
-		graphFullSecs := ftr.PhaseSeconds().GraphBuild
-
-		// And end-to-end, once per sweep (worker-count invariance is already
-		// pinned by the refRounds comparison below, so re-training per row
-		// would only double the sweep's wall-clock): the same training forced
-		// through the per-client scalar dispersal engine must reproduce the
-		// history bit for bit.
-		if len(res.Rows) == 0 {
-			scfg := wcfg
-			scfg.DisperseScalar = true
-			scfg.EvalSingleUser = true
-			// The baseline trainer also runs the retained map upload store and
-			// the full graph rebuild, so the committed bench doubles as an
-			// end-to-end pin of every baseline knob at once.
-			scfg.MapUploadStore = true
-			scfg.FullGraphRebuild = true
-			str, err := fed.NewTrainer(sp, scfg)
-			if err != nil {
-				return nil, fmt.Errorf("scalability: %w", err)
-			}
-			scalarRounds := make([]fed.RoundStats, 0, scfg.Rounds)
-			for round := 0; round < scfg.Rounds; round++ {
-				scalarRounds = append(scalarRounds, str.RunRound(round))
-			}
-			if !roundsEqual(rounds, scalarRounds) {
-				res.Deterministic = false
-			}
-			// The trained models are bit-identical, so the scalar trainer's
-			// own evaluation — running single-user via the Config.EvalSingleUser
-			// knob — must reproduce the batched metrics exactly.
-			if se := str.EvaluateServer(); se != ev {
-				res.Deterministic = false
-			}
-		}
-
-		perRound := 1 / float64(cfg.Rounds)
-		row := ScalabilityRow{
-			Workers:              workers,
-			RoundSecs:            trainSecs * perRound,
-			EvalSecs:             evalSecs,
-			EvalScalarSecs:       evalScalarSecs,
-			EvalSortSecs:         evalSortSecs,
-			Recall:               ev.Recall,
-			NDCG:                 ev.NDCG,
-			ClientSecs:           phases.ClientTrain * perRound,
-			AbsorbSecs:           phases.Absorb * perRound,
-			GraphSecs:            phases.GraphBuild * perRound,
-			ServerTrainSecs:      phases.ServerTrain * perRound,
-			DisperseSecs:         phases.Disperse * perRound,
-			DisperseBatchedSecs:  disperseBatchedSecs,
-			DisperseScalarSecs:   disperseScalarSecs,
-			EvalUsersBatchedSecs: evalUsersBatchedSecs,
-			EvalUsersScalarSecs:  evalUsersScalarSecs,
-			GraphIncrSecs:        phases.GraphBuild * perRound,
-			GraphFullSecs:        graphFullSecs * perRound,
-			GraphEngineBytes:     tr.Server().GraphEngineBytes(),
-		}
-		if row.GraphIncrSecs > 0 {
-			row.GraphRebuildSpeedup = row.GraphFullSecs / row.GraphIncrSecs
-		}
-		if row.RoundSecs > 0 {
-			row.RoundsPerSec = 1 / row.RoundSecs
-		}
-		if row.EvalSecs > 0 {
-			row.BatchedEvalSpeedup = row.EvalScalarSecs / row.EvalSecs
-			row.SelectSpeedup = row.EvalSortSecs / row.EvalSecs
-		}
-		if row.DisperseBatchedSecs > 0 {
-			row.DisperseSpeedup = row.DisperseScalarSecs / row.DisperseBatchedSecs
-		}
-		if row.EvalUsersBatchedSecs > 0 {
-			row.EvalUsersSpeedup = row.EvalUsersScalarSecs / row.EvalUsersBatchedSecs
-		}
-		hs.sample()
-		row.PeakHeapBytes = hs.peak
-		row.UploadStoreBytes = tr.Server().UploadStoreBytes()
-		row.EligCacheBytes = tr.Server().EligCacheBytes()
+		row.Recall, row.NDCG = ev.Recall, ev.NDCG
 		row.CandCacheBytes = evaluator.CacheBytes()
-		if sp.NumUsers > 0 {
-			row.BytesPerUser = float64(row.UploadStoreBytes+row.EligCacheBytes) / float64(sp.NumUsers)
-		}
+
 		if len(res.Rows) == 0 {
-			refRounds, refEval = rounds, ev
+			refRounds = rounds
 			row.RoundSpeedup, row.EvalSpeedup = 1, 1
 			row.ServerTrainSpeedup, row.GraphSpeedup = 1, 1
 		} else {
 			base := res.Rows[0]
-			if row.RoundSecs > 0 {
-				row.RoundSpeedup = base.RoundSecs / row.RoundSecs
-			}
-			if row.EvalSecs > 0 {
-				row.EvalSpeedup = base.EvalSecs / row.EvalSecs
-			}
-			if row.ServerTrainSecs > 0 {
-				row.ServerTrainSpeedup = base.ServerTrainSecs / row.ServerTrainSecs
-			}
-			if row.GraphSecs > 0 {
-				row.GraphSpeedup = base.GraphSecs / row.GraphSecs
-			}
-			if ev != refEval || !roundsEqual(refRounds, rounds) {
+			row.RoundSpeedup = speedup(base.RoundSecs, row.RoundSecs)
+			row.EvalSpeedup = speedup(base.EvalSecs, row.EvalSecs)
+			row.ServerTrainSpeedup = speedup(base.ServerTrainSecs, row.ServerTrainSecs)
+			row.GraphSpeedup = speedup(base.GraphSecs, row.GraphSecs)
+			if ev.Recall != base.Recall || ev.NDCG != base.NDCG || !roundsEqual(refRounds, rounds) {
 				res.Deterministic = false
 			}
 		}
 		res.Rows = append(res.Rows, row)
 	}
 
-	// Eval+dispersal overlap: run the same training twice at the sweep's max
-	// worker count — once dispersing then evaluating sequentially, once with
-	// RunRoundEval overlapping the two — and compare the tails. The traces
-	// must stay identical; only wall-clock may differ.
-	{
-		counts := scalabilityWorkerCounts()
-		ocfg := cfg
-		ocfg.Workers = counts[len(counts)-1]
-		ocfg.EvalWorkers = ocfg.Workers
-		ocfg.TrainWorkers = ocfg.Workers
-		seqTr, err := fed.NewTrainer(sp, ocfg)
-		if err != nil {
-			return nil, fmt.Errorf("scalability: %w", err)
-		}
-		conTr, err := fed.NewTrainer(sp, ocfg)
-		if err != nil {
-			return nil, fmt.Errorf("scalability: %w", err)
-		}
-		// Both trainers reuse the sweep's candidate cache, so neither timed
-		// tail pays a lazy cache build and no duplicate copy is held.
-		seqTr.ShareEvaluator(evaluator)
-		conTr.ShareEvaluator(evaluator)
-		var seqEvalSecs float64
-		for round := 0; round < ocfg.Rounds; round++ {
-			seqStats := seqTr.RunRound(round)
-			start := time.Now()
-			seqEval := seqTr.EvaluateServer()
-			seqEvalSecs += time.Since(start).Seconds()
-			conStats, conEval := conTr.RunRoundEval(round)
-			if seqEval != conEval {
-				res.Deterministic = false
-			}
-			seqStats.Recall, seqStats.NDCG, seqStats.Evaluated = seqEval.Recall, seqEval.NDCG, true
-			if seqStats != conStats {
-				res.Deterministic = false
-			}
-		}
-		res.OverlapSequentialSecs = seqTr.PhaseSeconds().Disperse + seqEvalSecs
-		res.OverlapConcurrentSecs = conTr.PhaseSeconds().DisperseEvalWall
-		if res.OverlapConcurrentSecs > 0 {
-			res.OverlapSpeedup = res.OverlapSequentialSecs / res.OverlapConcurrentSecs
-		}
-	}
-
-	// Cross-round pipelining head to head: the serialized RunRound loop
-	// against the dependency-gated double-buffered pipeline, at the sweep's
-	// max worker count under partial participation (a full-participation
-	// round gates every client of round r+1 on round r's dispersals, leaving
-	// the pipeline nothing to overlap). Paired alternating full runs, min of
-	// three per schedule, a forced GC before each timed run; the histories
-	// must match bit for bit.
-	{
-		counts := scalabilityWorkerCounts()
-		pcfg := cfg
-		pcfg.Workers = counts[len(counts)-1]
-		pcfg.EvalWorkers = pcfg.Workers
-		pcfg.TrainWorkers = pcfg.Workers
-		pcfg.ClientFraction = 0.3
-		pcfg.EvalEvery = 0
-		o.logf("scalability: pipeline comparison (workers=%d, fraction=%.2f)\n", pcfg.Workers, pcfg.ClientFraction)
-		seqSecs, pipeSecs := math.Inf(1), math.Inf(1)
-		var seqRounds []fed.RoundStats
-		for g := 0; g < 3; g++ {
-			str, err := fed.NewTrainer(sp, pcfg)
-			if err != nil {
-				return nil, fmt.Errorf("scalability: %w", err)
-			}
-			runtime.GC()
-			start := time.Now()
-			rounds := make([]fed.RoundStats, 0, pcfg.Rounds)
-			for round := 0; round < pcfg.Rounds; round++ {
-				rounds = append(rounds, str.RunRound(round))
-			}
-			if t := time.Since(start).Seconds(); t < seqSecs {
-				seqSecs = t
-			}
-			ptr, err := fed.NewTrainer(sp, pcfg)
-			if err != nil {
-				return nil, fmt.Errorf("scalability: %w", err)
-			}
-			runtime.GC()
-			start = time.Now()
-			pipeRounds := ptr.RunPipelined()
-			if t := time.Since(start).Seconds(); t < pipeSecs {
-				pipeSecs = t
-			}
-			if g == 0 {
-				seqRounds = rounds
-			}
-			if !roundsEqual(seqRounds, rounds) || !roundsEqual(seqRounds, pipeRounds) {
-				res.Deterministic = false
-			}
-		}
-		res.SeqRoundSecs = seqSecs / float64(pcfg.Rounds)
-		res.PipeRoundSecs = pipeSecs / float64(pcfg.Rounds)
-		if res.PipeRoundSecs > 0 {
-			res.PipelineSpeedup = res.SeqRoundSecs / res.PipeRoundSecs
-		}
-	}
-
 	// Networked round engine: the same training once more through the
 	// coordinator service and two participants over a loopback HTTP listener,
-	// at the sweep's max worker count — first on the serialized schedule
-	// (SequentialRounds, the retained baseline), then under the pipelined
-	// coordinator. One HTTP request per upload makes this O(users) requests
-	// per round, so it is gated to small profiles; both histories must still
-	// match the in-process rows bit for bit.
+	// at the sweep's max worker count. One HTTP request per upload makes this
+	// O(users) requests per round, so it is gated to small profiles; the
+	// history must still match the in-process rows bit for bit.
 	if sp.NumUsers <= netLoopbackMaxUsers {
-		counts := scalabilityWorkerCounts()
 		ncfg := cfg
 		ncfg.Workers = counts[len(counts)-1]
 		ncfg.EvalWorkers = ncfg.Workers
 		ncfg.TrainWorkers = ncfg.Workers
-		// The sweep rows time bare rounds; keep per-round evaluation out of
-		// the networked run too so the histories stay comparable.
-		ncfg.EvalEvery = 0
-		ncfg.SequentialRounds = true
-		o.logf("scalability: networked loopback run (workers=%d, sequential)\n", ncfg.Workers)
+		o.logf("scalability: networked loopback run (workers=%d)\n", ncfg.Workers)
 		netSecs, netBytes, netRounds, err := runLoopback(sp, ncfg, p, o.Seed, evaluator)
 		if err != nil {
 			return nil, fmt.Errorf("scalability: loopback: %w", err)
@@ -628,19 +363,16 @@ func RunScalability(o Options) (*ScalabilityResult, error) {
 		}
 		res.NetRoundSecs = netSecs / float64(ncfg.Rounds)
 		res.NetWireBytes = netBytes
-
-		ncfg.SequentialRounds = false
-		o.logf("scalability: networked loopback run (workers=%d, pipelined)\n", ncfg.Workers)
-		pipeSecs, _, pipeRounds, err := runLoopback(sp, ncfg, p, o.Seed, evaluator)
-		if err != nil {
-			return nil, fmt.Errorf("scalability: loopback: %w", err)
-		}
-		if !roundsEqual(refRounds, pipeRounds) {
-			res.Deterministic = false
-		}
-		res.NetPipeRoundSecs = pipeSecs / float64(ncfg.Rounds)
 	}
 	return res, nil
+}
+
+// speedup is base/secs, or 0 (an omitted column) when the clock saw nothing.
+func speedup(base, secs float64) float64 {
+	if secs <= 0 {
+		return 0
+	}
+	return base / secs
 }
 
 // netLoopbackMaxUsers bounds the profiles the networked loopback measurement
@@ -701,148 +433,36 @@ func runLoopback(sp *data.Split, cfg fed.Config, p data.Profile, seed uint64, ev
 // a few thousand participants, and no evaluator exists — so the retained
 // state under measurement is exactly the server's per-user structures: the
 // flat upload store, the bounded eligibility cache, and the incremental
-// graph engine's maintained rows. The same training then re-runs on the
-// retained map-based store and again under the full per-round graph rebuild;
-// all three round histories must match bit for bit, the two stores'
-// footprints are reported side by side, and the graph-incr/graph-full gap is
-// the partial-participation payoff of the dirty-delta engine (a few thousand
-// participants against a million-user store).
+// graph engine's maintained rows.
 func runScalabilityMemory(o Options, p data.Profile) (*ScalabilityResult, error) {
+	// Same model pairing as the sweep, with the per-round participant count
+	// pinned near the full-scale sweep's (~5k clients) so round cost stays
+	// bounded while the store still accumulates fresh users every round.
+	cfg := scalabilityConfig(o.Seed)
+	cfg.Rounds = 2
+	if o.Rounds > 0 {
+		cfg.Rounds = o.Rounds
+	}
+	cfg.LazyClients = true
+	cfg.Workers = runtime.GOMAXPROCS(0)
+	cfg.EvalWorkers = cfg.Workers
+	cfg.TrainWorkers = cfg.Workers
+	cfg.ClientFraction = math.Min(1, 5000/float64(p.NumUsers))
+	res := newScalabilityResult(p, cfg.Rounds)
+	res.MemoryProfile = true
+
 	var hs heapSampler
 	o.logf("scalability: memory profile %s (%d users, streamed split)\n", p.Name, p.NumUsers)
 	sp := data.StreamSplit(p, o.Seed, 0.2)
 	runtime.GC()
 	hs.sample()
-
-	// Same model pairing as the sweep (MF clients under a LightGCN server),
-	// with the per-round participant count pinned near the full-scale sweep's
-	// (~5k clients) so round cost stays bounded while the store still
-	// accumulates fresh users every round.
-	cfg := fed.DefaultConfig(models.KindLightGCN)
-	cfg.ClientModel = models.KindMF
-	cfg.Seed = o.Seed
-	cfg.Dim = 16
-	cfg.Rounds = 2
-	cfg.ClientEpochs = 1
-	cfg.ServerEpochs = 1
-	cfg.ClientBatch = 32
-	cfg.ServerBatch = 8192
-	cfg.LazyClients = true
-	cfg.Workers = runtime.GOMAXPROCS(0)
-	cfg.EvalWorkers = cfg.Workers
-	cfg.TrainWorkers = cfg.Workers
-	cfg.ClientFraction = 5000 / float64(p.NumUsers)
-	if cfg.ClientFraction > 1 {
-		cfg.ClientFraction = 1
-	}
-	if o.Rounds > 0 {
-		cfg.Rounds = o.Rounds
-	}
-
-	res := &ScalabilityResult{
-		Profile:       p.Name,
-		Users:         sp.NumUsers,
-		Items:         sp.NumItems,
-		Rounds:        cfg.Rounds,
-		GOMAXPROCS:    runtime.GOMAXPROCS(0),
-		Deterministic: true,
-		MemoryProfile: true,
-	}
-
-	run := func(mapStore, fullRebuild bool) (*fed.Trainer, []fed.RoundStats, error) {
-		rcfg := cfg
-		rcfg.MapUploadStore = mapStore
-		rcfg.FullGraphRebuild = fullRebuild
-		tr, err := fed.NewTrainer(sp, rcfg)
-		if err != nil {
-			return nil, nil, fmt.Errorf("scalability: %w", err)
-		}
-		rounds := make([]fed.RoundStats, 0, rcfg.Rounds)
-		for round := 0; round < rcfg.Rounds; round++ {
-			o.logf("scalability: memory profile round %d (map=%v full-graph=%v)\n", round, mapStore, fullRebuild)
-			rounds = append(rounds, tr.RunRound(round))
-			hs.sample()
-		}
-		return tr, rounds, nil
-	}
-
-	start := time.Now()
-	flatTr, flatRounds, err := run(false, false)
+	tr, err := fed.NewTrainer(sp, cfg)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("scalability: %w", err)
 	}
-	trainSecs := time.Since(start).Seconds()
-	phases := flatTr.PhaseSeconds()
-	perRound := 1 / float64(cfg.Rounds)
-	row := ScalabilityRow{
-		Workers:          cfg.Workers,
-		RoundSecs:        trainSecs * perRound,
-		ClientSecs:       phases.ClientTrain * perRound,
-		AbsorbSecs:       phases.Absorb * perRound,
-		GraphSecs:        phases.GraphBuild * perRound,
-		ServerTrainSecs:  phases.ServerTrain * perRound,
-		DisperseSecs:     phases.Disperse * perRound,
-		UploadStoreBytes: flatTr.Server().UploadStoreBytes(),
-		EligCacheBytes:   flatTr.Server().EligCacheBytes(),
-		GraphIncrSecs:    phases.GraphBuild * perRound,
-		GraphEngineBytes: flatTr.Server().GraphEngineBytes(),
-	}
-	if row.RoundSecs > 0 {
-		row.RoundsPerSec = 1 / row.RoundSecs
-	}
-	row.BytesPerUser = float64(row.UploadStoreBytes+row.EligCacheBytes) / float64(sp.NumUsers)
-
-	// Map-store baseline: identical training, retained store implementation.
-	mapTr, mapRounds, err := run(true, false)
-	if err != nil {
-		return nil, err
-	}
-	if !roundsEqual(flatRounds, mapRounds) {
-		res.Deterministic = false
-	}
-	res.MapUploadStoreBytes = mapTr.Server().UploadStoreBytes()
-
-	// Full-rebuild baseline: identical training, per-round from-scratch graph
-	// reconstruction. At a few thousand participants per round against the
-	// million-user store, this gap is the incremental engine's headline number.
-	fullTr, fullRounds, err := run(false, true)
-	if err != nil {
-		return nil, err
-	}
-	if !roundsEqual(flatRounds, fullRounds) {
-		res.Deterministic = false
-	}
-	row.GraphFullSecs = fullTr.PhaseSeconds().GraphBuild * perRound
-	if row.GraphIncrSecs > 0 {
-		row.GraphRebuildSpeedup = row.GraphFullSecs / row.GraphIncrSecs
-	}
-
-	hs.sample()
-	row.PeakHeapBytes = hs.peak
+	row, _ := measuredRow(tr, cfg, sp.NumUsers, &hs)
 	res.Rows = append(res.Rows, row)
 	return res, nil
-}
-
-// scalarScorer hides a model's BlockScorer so evaluation is forced through
-// the per-item scoring path, keeping the warm-up and buffer-reuse extensions
-// — the baseline the batched-vs-scalar comparison rows measure against.
-type scalarScorer struct {
-	m models.Recommender
-}
-
-func (s scalarScorer) ScoreItems(u int, items []int) []float64 { return s.m.ScoreItems(u, items) }
-
-func (s scalarScorer) ScoreItemsInto(dst []float64, u int, items []int) []float64 {
-	if is, ok := s.m.(models.InplaceScorer); ok {
-		return is.ScoreItemsInto(dst, u, items)
-	}
-	return s.m.ScoreItems(u, items)
-}
-
-func (s scalarScorer) WarmScoring() {
-	if w, ok := s.m.(models.Warmer); ok {
-		w.WarmScoring()
-	}
 }
 
 // roundsEqual compares two training traces field by field. Bitwise float
@@ -862,81 +482,45 @@ func roundsEqual(a, b []fed.RoundStats) bool {
 
 // Print renders the sweep (or, for huge profiles, the memory profile).
 func (r *ScalabilityResult) Print(w io.Writer) {
+	size := func(b int64) string { return comm.FormatBytes(float64(b)) }
 	if r.MemoryProfile {
 		row := r.Rows[0]
 		fmt.Fprintf(w, "Scalability (memory profile): %s (%d users × %d items), %d rounds, GOMAXPROCS=%d\n",
 			r.Profile, r.Users, r.Items, r.Rounds, r.GOMAXPROCS)
 		fmt.Fprintf(w, "  round-secs=%.3f  client=%.3f absorb=%.3f graph=%.3f server-sgd=%.3f disperse=%.3f\n",
 			row.RoundSecs, row.ClientSecs, row.AbsorbSecs, row.GraphSecs, row.ServerTrainSecs, row.DisperseSecs)
-		fmt.Fprintf(w, "  graph engines: graph-incr=%.3f graph-full=%.3f graph-spdup=%.2fx  engine=%s\n",
-			row.GraphIncrSecs, row.GraphFullSecs, row.GraphRebuildSpeedup,
-			comm.FormatBytes(float64(row.GraphEngineBytes)))
-		fmt.Fprintf(w, "  peak-heap=%s  upload-store=%s  elig-cache=%s  server-state=%.1f bytes/user\n",
-			comm.FormatBytes(float64(row.PeakHeapBytes)), comm.FormatBytes(float64(row.UploadStoreBytes)),
-			comm.FormatBytes(float64(row.EligCacheBytes)), row.BytesPerUser)
-		// At sparse per-round participation the flat store's fixed-stride
-		// index (12 B/user) dominates and the map can be smaller; the flat
-		// store wins as the uploaded population densifies. Print both sizes
-		// without editorialising.
-		fmt.Fprintf(w, "  map-baseline store=%s  flat store=%s (index is 12 B/user fixed)\n",
-			comm.FormatBytes(float64(r.MapUploadStoreBytes)), comm.FormatBytes(float64(row.UploadStoreBytes)))
-		fmt.Fprintf(w, "  flat-vs-map round histories identical: %v\n", r.Deterministic)
+		fmt.Fprintf(w, "  peak-heap=%s  upload-store=%s  elig-cache=%s  graph-engine=%s  server-state=%.1f bytes/user\n",
+			size(int64(row.PeakHeapBytes)), size(row.UploadStoreBytes),
+			size(row.EligCacheBytes), size(row.GraphEngineBytes), row.BytesPerUser)
 		return
 	}
 	fmt.Fprintf(w, "Scalability: %s (%d users × %d items), %d rounds, GOMAXPROCS=%d\n",
 		r.Profile, r.Users, r.Items, r.Rounds, r.GOMAXPROCS)
-	fmt.Fprintf(w, "  %-8s %12s %12s %10s %10s %10s %12s %12s %12s %12s\n",
-		"workers", "round-secs", "rounds/sec", "round-spdup", "eval-secs", "eval-spdup",
-		"eval-scalar", "batch-spdup", "eval-sort", "select-spdup")
+	fmt.Fprintf(w, "  %-8s %12s %12s %12s %10s %11s\n",
+		"workers", "round-secs", "rounds/sec", "round-spdup", "eval-secs", "eval-spdup")
 	for _, row := range r.Rows {
-		fmt.Fprintf(w, "  %-8d %12.3f %12.3f %10.2fx %10.3f %10.2fx %12.3f %11.2fx %12.3f %11.2fx\n",
-			row.Workers, row.RoundSecs, row.RoundsPerSec, row.RoundSpeedup, row.EvalSecs, row.EvalSpeedup,
-			row.EvalScalarSecs, row.BatchedEvalSpeedup, row.EvalSortSecs, row.SelectSpeedup)
+		fmt.Fprintf(w, "  %-8d %12.3f %12.3f %11.2fx %10.3f %10.2fx\n",
+			row.Workers, row.RoundSecs, row.RoundsPerSec, row.RoundSpeedup, row.EvalSecs, row.EvalSpeedup)
 	}
-	fmt.Fprintln(w, "  eval engines (secs/pass, min of 3 paired passes):")
-	fmt.Fprintf(w, "  %-8s %18s %17s %16s\n",
-		"workers", "eval-users-batched", "eval-users-scalar", "eval-users-spdup")
+	fmt.Fprintln(w, "  per-phase (secs/round):")
+	fmt.Fprintf(w, "  %-8s %10s %10s %10s %12s %10s %12s %12s\n",
+		"workers", "client", "absorb", "graph", "server-sgd", "disperse", "sgd-spdup", "graph-spdup")
 	for _, row := range r.Rows {
-		fmt.Fprintf(w, "  %-8d %18.3f %17.3f %15.2fx\n",
-			row.Workers, row.EvalUsersBatchedSecs, row.EvalUsersScalarSecs, row.EvalUsersSpeedup)
-	}
-	fmt.Fprintln(w, "  per-phase (secs/round) + dispersal engine sweeps (secs/sweep):")
-	fmt.Fprintf(w, "  %-8s %10s %10s %10s %12s %10s %15s %15s %15s %12s %12s\n",
-		"workers", "client", "absorb", "graph", "server-sgd", "disperse",
-		"disperse-batch", "disperse-scalar", "disperse-spdup", "sgd-spdup", "graph-spdup")
-	for _, row := range r.Rows {
-		fmt.Fprintf(w, "  %-8d %10.3f %10.3f %10.3f %12.3f %10.3f %15.3f %15.3f %14.2fx %11.2fx %11.2fx\n",
+		fmt.Fprintf(w, "  %-8d %10.3f %10.3f %10.3f %12.3f %10.3f %11.2fx %11.2fx\n",
 			row.Workers, row.ClientSecs, row.AbsorbSecs, row.GraphSecs,
-			row.ServerTrainSecs, row.DisperseSecs, row.DisperseBatchedSecs, row.DisperseScalarSecs,
-			row.DisperseSpeedup, row.ServerTrainSpeedup, row.GraphSpeedup)
-	}
-	fmt.Fprintln(w, "  graph engines (secs/round, incremental vs full rebuild):")
-	fmt.Fprintf(w, "  %-8s %12s %12s %12s %12s\n",
-		"workers", "graph-incr", "graph-full", "graph-spdup", "graph-bytes")
-	for _, row := range r.Rows {
-		fmt.Fprintf(w, "  %-8d %12.3f %12.3f %11.2fx %12s\n",
-			row.Workers, row.GraphIncrSecs, row.GraphFullSecs, row.GraphRebuildSpeedup,
-			comm.FormatBytes(float64(row.GraphEngineBytes)))
+			row.ServerTrainSecs, row.DisperseSecs, row.ServerTrainSpeedup, row.GraphSpeedup)
 	}
 	fmt.Fprintln(w, "  memory (post-run retained state; peak = max live heap at phase boundaries):")
-	fmt.Fprintf(w, "  %-8s %12s %13s %12s %12s %16s\n",
-		"workers", "peak-heap", "upload-store", "elig-cache", "cand-cache", "server-B/user")
+	fmt.Fprintf(w, "  %-8s %12s %13s %12s %13s %12s %16s\n",
+		"workers", "peak-heap", "upload-store", "elig-cache", "graph-engine", "cand-cache", "server-B/user")
 	for _, row := range r.Rows {
-		fmt.Fprintf(w, "  %-8d %12s %13s %12s %12s %16.1f\n",
-			row.Workers, comm.FormatBytes(float64(row.PeakHeapBytes)),
-			comm.FormatBytes(float64(row.UploadStoreBytes)), comm.FormatBytes(float64(row.EligCacheBytes)),
-			comm.FormatBytes(float64(row.CandCacheBytes)), row.BytesPerUser)
-	}
-	fmt.Fprintf(w, "  eval+dispersal tail: sequential %.3fs, overlapped %.3fs (%.2fx)\n",
-		r.OverlapSequentialSecs, r.OverlapConcurrentSecs, r.OverlapSpeedup)
-	if r.PipeRoundSecs > 0 {
-		fmt.Fprintf(w, "  cross-round pipeline (fraction 0.3): sequential %.3f s/round, pipelined %.3f s/round (%.2fx)\n",
-			r.SeqRoundSecs, r.PipeRoundSecs, r.PipelineSpeedup)
+		fmt.Fprintf(w, "  %-8d %12s %13s %12s %13s %12s %16.1f\n",
+			row.Workers, size(int64(row.PeakHeapBytes)), size(row.UploadStoreBytes),
+			size(row.EligCacheBytes), size(row.GraphEngineBytes), size(row.CandCacheBytes), row.BytesPerUser)
 	}
 	if r.NetRoundSecs > 0 {
-		fmt.Fprintf(w, "  networked loopback: sequential %.3f s/round, pipelined %.3f s/round, %s on the wire\n",
-			r.NetRoundSecs, r.NetPipeRoundSecs, comm.FormatBytes(float64(r.NetWireBytes)))
+		fmt.Fprintf(w, "  networked loopback: %.3f s/round, %s on the wire\n", r.NetRoundSecs, size(r.NetWireBytes))
 	}
-	fmt.Fprintf(w, "  metrics identical across worker counts and scoring paths: %v (recall@20=%.4f ndcg@20=%.4f)\n",
+	fmt.Fprintf(w, "  history and metrics identical across worker counts and over the wire: %v (recall@20=%.4f ndcg@20=%.4f)\n",
 		r.Deterministic, r.Rows[0].Recall, r.Rows[0].NDCG)
 }

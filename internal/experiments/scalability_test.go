@@ -1,8 +1,10 @@
 package experiments
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
+	"os"
 	"strings"
 	"testing"
 
@@ -23,44 +25,29 @@ func TestRunScalability(t *testing.T) {
 		t.Fatalf("first row workers = %d, want 1", res.Rows[0].Workers)
 	}
 	if !res.Deterministic {
-		t.Fatal("metrics differ across worker counts")
+		t.Fatal("history or metrics differ across worker counts or over the wire")
+	}
+	if res.GOMAXPROCS <= 0 {
+		t.Fatalf("record is not stamped with its GOMAXPROCS: %+v", res)
 	}
 	for _, row := range res.Rows {
 		if row.Recall != res.Rows[0].Recall || row.NDCG != res.Rows[0].NDCG {
 			t.Fatalf("row %+v metrics differ from baseline %+v", row, res.Rows[0])
 		}
+		if row.RoundSecs <= 0 || row.EvalSecs <= 0 || row.RoundSpeedup <= 0 || row.EvalSpeedup <= 0 {
+			t.Fatalf("row %+v missing round/eval timings", row)
+		}
 		// Per-phase timings must be populated and account for the round: the
 		// LightGCN server guarantees non-zero graph-build and SGD phases.
-		if row.ServerTrainSecs <= 0 || row.GraphSecs <= 0 || row.ClientSecs <= 0 {
+		if row.ServerTrainSecs <= 0 || row.GraphSecs <= 0 || row.ClientSecs <= 0 || row.DisperseSecs <= 0 {
 			t.Fatalf("row %+v missing per-phase timings", row)
 		}
 		if row.ServerTrainSpeedup <= 0 || row.GraphSpeedup <= 0 {
 			t.Fatalf("row %+v missing per-phase speedups", row)
 		}
-		// The batched-vs-scalar comparison must be populated (its speedup is
-		// timing-dependent, but both timings must exist).
-		if row.EvalScalarSecs <= 0 || row.BatchedEvalSpeedup <= 0 {
-			t.Fatalf("row %+v missing batched-vs-scalar eval comparison", row)
+		if row.PeakHeapBytes == 0 || row.UploadStoreBytes <= 0 || row.GraphEngineBytes <= 0 || row.CandCacheBytes <= 0 {
+			t.Fatalf("row %+v missing memory accounting", row)
 		}
-		// Likewise the selection engine's select-vs-sort comparison.
-		if row.EvalSortSecs <= 0 || row.SelectSpeedup <= 0 {
-			t.Fatalf("row %+v missing select-vs-sort eval comparison", row)
-		}
-		// And the dispersal engine's batched-vs-scalar comparison.
-		if row.DisperseBatchedSecs <= 0 || row.DisperseScalarSecs <= 0 || row.DisperseSpeedup <= 0 {
-			t.Fatalf("row %+v missing batched-vs-scalar dispersal comparison", row)
-		}
-		// And the graph engine's incremental-vs-full comparison: both phase
-		// timings, their ratio, and the maintained engine's footprint.
-		if row.GraphIncrSecs <= 0 || row.GraphFullSecs <= 0 || row.GraphRebuildSpeedup <= 0 {
-			t.Fatalf("row %+v missing incremental-vs-full graph comparison", row)
-		}
-		if row.GraphEngineBytes <= 0 {
-			t.Fatalf("row %+v missing graph engine footprint", row)
-		}
-	}
-	if res.OverlapSequentialSecs <= 0 || res.OverlapConcurrentSecs <= 0 || res.OverlapSpeedup <= 0 {
-		t.Fatalf("missing eval+dispersal overlap measurement: %+v", res)
 	}
 	// The networked loopback measurement runs on small profiles and must both
 	// land its columns and keep Deterministic true (the history it produces
@@ -71,7 +58,7 @@ func TestRunScalability(t *testing.T) {
 
 	var buf bytes.Buffer
 	res.Print(&buf)
-	if !strings.Contains(buf.String(), "metrics identical across worker counts and scoring paths: true") {
+	if !strings.Contains(buf.String(), "identical across worker counts and over the wire: true") {
 		t.Fatalf("unexpected report:\n%s", buf.String())
 	}
 
@@ -86,5 +73,53 @@ func TestRunScalability(t *testing.T) {
 	}
 	if back.Profile != res.Profile || len(back.Rows) != len(res.Rows) {
 		t.Fatalf("JSON round-trip mismatch: %+v vs %+v", back, res)
+	}
+}
+
+// TestCommittedBenchRecordParses keeps the committed perf record and the
+// result schema from drifting apart: every line of BENCH_scalability.json
+// must decode into the current ScalabilityResult with no field left over.
+func TestCommittedBenchRecordParses(t *testing.T) {
+	f, err := os.Open("../../BENCH_scalability.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	lines := 0
+	sc := bufio.NewScanner(f)
+	sc.Buffer(nil, 1<<20)
+	for sc.Scan() {
+		lines++
+		var rec struct {
+			Experiment string          `json:"experiment"`
+			Scale      string          `json:"scale"`
+			Quick      bool            `json:"quick"`
+			Seed       uint64          `json:"seed"`
+			Seconds    float64         `json:"seconds"`
+			Result     json.RawMessage `json:"result"`
+		}
+		dec := json.NewDecoder(bytes.NewReader(sc.Bytes()))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&rec); err != nil {
+			t.Fatalf("line %d: %v", lines, err)
+		}
+		if rec.Experiment != "scalability" {
+			t.Fatalf("line %d: experiment %q", lines, rec.Experiment)
+		}
+		var res ScalabilityResult
+		dec = json.NewDecoder(bytes.NewReader(rec.Result))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&res); err != nil {
+			t.Fatalf("line %d: result does not match the ScalabilityResult schema: %v", lines, err)
+		}
+		if len(res.Rows) == 0 || !res.Deterministic || res.GOMAXPROCS < 2 || res.CPUModel == "" || res.GitSHA == "" {
+			t.Fatalf("line %d: record is empty, non-deterministic, single-core or unstamped: %+v", lines, res)
+		}
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if lines == 0 {
+		t.Fatal("committed record is empty")
 	}
 }

@@ -109,33 +109,6 @@ type Config struct {
 	// pool.
 	TrainWorkers int
 
-	// DisperseScalar forces dispersal through the per-client scalar engine
-	// instead of the round-scoped multi-user batched engine (shared
-	// eligibility cache + multi-user GEMM scoring). Results are
-	// bitwise-identical either way — the knob exists as the timing baseline
-	// for the scalability experiment's disperse-scalar/disperse-spdup columns
-	// and for invariance tests.
-	DisperseScalar bool
-
-	// MapUploadStore forces the server's per-user latest-upload state through
-	// the original map-of-slices store instead of the flat sharded arena
-	// (contiguous prediction slabs with a fixed-stride offset/length index).
-	// Results are bitwise-identical either way — the knob is the
-	// memory/timing baseline (the DisperseScalar pattern) for the scalability
-	// experiment's store columns and the upload-store invariance suite.
-	MapUploadStore bool
-
-	// FullGraphRebuild forces the server's per-round graph reconstruction
-	// through the full O(all users, all edges) path — re-select every stored
-	// user's edges, rebuild the Bipartite, and reconstruct the normalized
-	// adjacencies from triplets — instead of the incremental engine that
-	// maintains rows, degree vectors, and postings in O(changed users +
-	// affected items). Results are bitwise-identical either way — the knob is
-	// the timing baseline (the MapUploadStore pattern) for the scalability
-	// experiment's graph-full/graph-spdup columns and the graph invariance
-	// suite.
-	FullGraphRebuild bool
-
 	// EligCacheEntries bounds the dispersal eligibility cache: at most this
 	// many per-client eligible lists stay resident, recycled LRU, so
 	// dispersal memory is budget × NumItems × 4 B instead of growing with
@@ -152,29 +125,6 @@ type Config struct {
 	// generator state. The knob exists for huge-user profiles, where the
 	// idle majority's models and generator states would dominate memory.
 	LazyClients bool
-
-	// EvalSingleUser forces server-side evaluation through the single-user
-	// probability-domain engine (one fused ScoreBlockTopK selection per user)
-	// instead of the multi-user batched logit engine. Results are
-	// bitwise-identical either way — the knob exists as the timing baseline
-	// for the scalability experiment's eval-users-scalar/eval-users-spdup
-	// columns and for invariance tests, mirroring DisperseScalar.
-	EvalSingleUser bool
-
-	// SequentialRounds forces Trainer.Run (and the networked coordinator's
-	// round loop) through the fully serialized schedule — round r's server
-	// phases and dispersal deliveries complete before any of round r+1's
-	// clients train — instead of the cross-round pipeline that overlaps
-	// round r+1's dependency-free client training with round r's
-	// absorb/train/disperse. Results are bitwise-identical either way: a
-	// client of round r+1 is gated on round r's dispersal delivery iff it
-	// was in round r's cohort, cohorts are pure functions of the seed
-	// (Select never consumes generator state), and every per-(round, client)
-	// stream derives from the immutable root — so training order across
-	// rounds cannot leak into results. The knob is the timing baseline (the
-	// DisperseScalar pattern) for the scalability experiment's
-	// pipe-round/pipe-spdup columns and the pipeline invariance suite.
-	SequentialRounds bool
 
 	// Faults optionally injects client dropouts and truncated uploads to
 	// exercise the protocol's robustness (zero value = no faults).

@@ -1,20 +1,19 @@
 package fed
 
 // This file is the round-scoped dispersal engine: the shared eligibility
-// cache that serves each client's eligible item set, the D̃ᵢ assembly helpers
-// shared by the scalar and batched paths, and the multi-user batched path
-// itself, which groups one worker's clients into score batches and drives
-// the hard-half top-K and the final re-scoring through multi-user GEMM
-// kernels (models.MultiBlockScorer).
+// cache that serves each client's eligible item set, the D̃ᵢ assembly
+// helpers, and the multi-user batched path, which groups one worker's clients
+// into score batches and drives the hard-half top-K and the final re-scoring
+// through multi-user GEMM kernels (models.MultiBlockScorer).
 //
-// Determinism contract: the batched engine is bitwise-identical to the
-// per-client scalar path (Server.disperse) for every batch grouping, worker
-// count, model kind, and ablation arm. Scores come from kernels whose
-// per-element accumulation order matches the scalar path; the hard-half
-// selection pushes exactly the eligible (item, score) pairs the scalar
-// selection saw, under the same (score desc, item asc) total order; and each
-// client's random draws come from its own per-(round, client) stream,
-// consumed in the same conf-then-hard order.
+// Determinism contract: D̃ᵢ is the same for every batch grouping, worker
+// count, model kind, and ablation arm, and bitwise-identical to the
+// per-client scalar reference kept in disperse_oracle_test.go. Scores come
+// from kernels whose per-element accumulation order matches per-item scoring;
+// the hard-half selection pushes exactly the eligible (item, score) pairs a
+// per-client selection sees, under the same (score desc, item asc) total
+// order; and each client's random draws come from its own per-(round, client)
+// stream, consumed in conf-then-hard order.
 
 import (
 	"math/bits"
@@ -24,7 +23,6 @@ import (
 	"ptffedrec/internal/candset"
 	"ptffedrec/internal/comm"
 	"ptffedrec/internal/metrics"
-	"ptffedrec/internal/models"
 	"ptffedrec/internal/rng"
 	"ptffedrec/internal/tensor"
 )
@@ -212,9 +210,9 @@ func (e *eligCache) memoryBytes() int64 {
 
 // disperseArms derives Eq. 9's per-arm split for a config: the confidence
 // and hard half sizes and whether each half draws random items. The one
-// definition shared by the trainer's stream gating, the scalar path, and the
-// batched path, so the "consumes randomness" predicate can never drift from
-// the consumers (a drifted gate would hand a nil stream to a drawing arm).
+// definition shared by the round engine's stream gating and the dispersal
+// engine, so the "consumes randomness" predicate can never drift from the
+// consumer (a drifted gate would hand a nil stream to a drawing arm).
 func disperseArms(cfg *Config) (nConf, nHard int, confRandom, hardRandom bool) {
 	nConf = int(cfg.Mu * float64(cfg.Alpha))
 	nHard = cfg.Alpha - nConf
@@ -332,8 +330,8 @@ type disperseSlot struct {
 // disperseBatchScratch is one worker's reusable state for the batched
 // dispersal path: the chunk score matrix backing, the per-slot selectors,
 // and the assembly buffers. Nothing here is allocated per batch once warm.
-// excls holds one reusable exclusion bitset per slot for callers that build
-// targets from the upload store (disperseTargetInto fills and returns them).
+// excls holds one reusable exclusion bitset per slot (disperseTargetInto
+// fills and returns them).
 type disperseBatchScratch struct {
 	slots     []disperseSlot
 	excls     [disperseBatchClients]*bitset.Set
@@ -381,9 +379,9 @@ func (sc *disperseBatchScratch) scoreMat(rows, cols int) *tensor.Matrix {
 //  4. the final re-scoring of every client's chosen items runs as one
 //     ragged pair-batched multi-user pass.
 //
-// Each slot's preds is left ready for the wire: bitwise-identical to what
-// Server.disperse produces for the same client and stream.
-func (sv *Server) disperseBatch(mbs models.MultiBlockScorer, slots []disperseSlot, plan *dispersalPlan, sc *disperseBatchScratch) {
+// Each slot's preds is left ready for the wire.
+func (sv *Server) disperseBatch(slots []disperseSlot, plan *dispersalPlan, sc *disperseBatchScratch) {
+	mbs := sv.scorer
 	nConf, nHard, confRandom, hardRandom := disperseArms(sv.cfg)
 
 	// The random arms draw from a materialised eligible list; the
@@ -456,12 +454,11 @@ func (sv *Server) disperseBatch(mbs models.MultiBlockScorer, slots []disperseSlo
 		// upload bitset's complement pushes exactly the eligible
 		// (item, logit) pairs into that client's logit-domain selector, in
 		// ascending item order, reading four bytes of bitset per 64
-		// memberships. Pushing item ids preserves the scalar path's
-		// (score desc, item asc) selection order, because the scalar path's
-		// eligible-list indices are themselves ascending in item id; the
-		// selector resolves σ-collapsed ties identically to the scalar path's
-		// probability-domain selection, so only the sigmoid count changes —
-		// paid per heap insertion instead of per eligible item.
+		// memberships. Pushing item ids in ascending order gives the
+		// (score desc, item asc) selection order, and the selector resolves
+		// σ-collapsed ties as a probability-domain selection would, so the
+		// logit domain only changes the sigmoid count — paid per heap
+		// insertion instead of per eligible item.
 		active := sc.users[:0]
 		rows := sc.rows[:0]
 		for si := range slots {
@@ -502,8 +499,7 @@ func (sv *Server) disperseBatch(mbs models.MultiBlockScorer, slots []disperseSlo
 	// pass — every client's (id, item) pairs concatenate into one pair list
 	// scored by a single ScorePairsInto call, exactly Σ|D̃ᵢ| pair scores for
 	// the batch. The pair kernels compute the same dot products / tower
-	// forwards the scalar path's per-client re-scoring does, so values are
-	// identical.
+	// forwards per-client re-scoring does, so values are identical.
 	pairUsers := sc.pairUsers[:0]
 	pairItems := sc.pairItems[:0]
 	for si := range slots {
@@ -536,5 +532,27 @@ func (sv *Server) disperseBatch(mbs models.MultiBlockScorer, slots []disperseSlo
 			s.preds[j] = comm.Prediction{User: s.tgt.id, Item: v, Score: scores[off+j]}
 		}
 		off += len(s.items)
+	}
+}
+
+// disperseUsers builds D̃ᵢ for every listed user on the calling goroutine,
+// disperseBatchClients at a time, and hands each result to emit with the
+// user's index in ids. Targets come from the upload store, so nothing here
+// touches (or materialises) a client; stream returns user id's
+// per-(round, client) stream, or nil for the arms that draw nothing.
+// The call only reads server state — workers run it concurrently on disjoint
+// id ranges once the model's scoring cache is warm.
+func (sv *Server) disperseUsers(ids []int, plan *dispersalPlan, stream func(id int) *rng.Stream, emit func(i int, preds []comm.Prediction)) {
+	sc := newDisperseBatchScratch()
+	for b := 0; b < len(ids); b += disperseBatchClients {
+		slots := sc.slots[:min(disperseBatchClients, len(ids)-b)]
+		for i := range slots {
+			slots[i].tgt, sc.excls[i] = sv.disperseTargetInto(ids[b+i], sc.excls[i])
+			slots[i].ds = stream(ids[b+i])
+		}
+		sv.disperseBatch(slots, plan, sc)
+		for i := range slots {
+			emit(b+i, slots[i].preds)
+		}
 	}
 }

@@ -3,6 +3,7 @@ package fed
 import (
 	"testing"
 
+	"ptffedrec/internal/comm"
 	"ptffedrec/internal/data"
 	"ptffedrec/internal/models"
 	"ptffedrec/internal/rng"
@@ -32,47 +33,18 @@ func benchDisperseTrainer(b *testing.B) *Trainer {
 	return tr
 }
 
-// BenchmarkDisperse measures the dispersal engines head to head on the same
-// warmed server state: the per-client scalar path against the round-scoped
-// multi-user batched path. Both iterate every client serially, so the ratio
-// is the single-worker engine gain the scalability experiment's
-// disperse-spdup column reports end-to-end.
+// BenchmarkDisperse measures one dispersal sweep over every client on a
+// warmed server, serially, through the same Server.disperseUsers loop a
+// CloseRound worker runs.
 func BenchmarkDisperse(b *testing.B) {
-	b.Run("scalar", func(b *testing.B) {
-		tr := benchDisperseTrainer(b)
-		plan := tr.server.buildDispersalPlan()
-		scratch := &disperseScratch{}
-		b.ResetTimer()
-		for n := 0; n < b.N; n++ {
-			// conf+hard consumes no randomness, so the trainer passes no
-			// stream; the benchmark mirrors that.
-			for u := 0; u < tr.split.NumUsers; u++ {
-				var tgt disperseTarget
-				tgt, scratch.excl = tr.server.disperseTargetInto(u, scratch.excl)
-				tr.server.disperse(tgt, nil, plan, scratch)
-			}
-		}
-	})
-	b.Run("batched", func(b *testing.B) {
-		tr := benchDisperseTrainer(b)
-		plan := tr.server.buildDispersalPlan()
-		mbs := tr.server.model.(models.MultiBlockScorer)
-		sc := newDisperseBatchScratch()
-		numUsers := tr.split.NumUsers
-		b.ResetTimer()
-		for n := 0; n < b.N; n++ {
-			for lo := 0; lo < numUsers; lo += disperseBatchClients {
-				hi := lo + disperseBatchClients
-				if hi > numUsers {
-					hi = numUsers
-				}
-				slots := sc.slots[:hi-lo]
-				for i := lo; i < hi; i++ {
-					slots[i-lo].tgt, sc.excls[i-lo] = tr.server.disperseTargetInto(i, sc.excls[i-lo])
-					slots[i-lo].ds = nil
-				}
-				tr.server.disperseBatch(mbs, slots, plan, sc)
-			}
-		}
-	})
+	tr := benchDisperseTrainer(b)
+	plan := tr.server.buildDispersalPlan()
+	ids := allSlots(tr.split.NumUsers)
+	// conf+hard consumes no randomness, so the round engine passes no stream;
+	// the benchmark mirrors that.
+	noStream := func(int) *rng.Stream { return nil }
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		tr.server.disperseUsers(ids, plan, noStream, func(int, []comm.Prediction) {})
+	}
 }

@@ -1,0 +1,156 @@
+package fed
+
+// The per-client scalar dispersal engine, moved here verbatim from server.go
+// when the batched engine became the only production path. It is the
+// reference oracle the live engine is compared against at the engine
+// boundary — per-user D̃ᵢ on a trained server (TestDisperseMatchesScalarOracle)
+// — and must not be edited to follow the production engine.
+
+import (
+	"ptffedrec/internal/bitset"
+	"ptffedrec/internal/comm"
+	"ptffedrec/internal/metrics"
+	"ptffedrec/internal/models"
+	"ptffedrec/internal/rng"
+)
+
+// disperseScratch is per-worker reusable storage for the dispersal loop, so
+// a worker's whole share of clients runs with a handful of allocations total.
+type disperseScratch struct {
+	eligible []int
+	scores   []float64
+	top      []int
+	topk     models.TopKScratch
+	excl     *bitset.Set
+}
+
+// disperse builds D̃ᵢ for one client (Eq. 9): µα items by update-frequency
+// confidence plus (1−µ)α hard items by server score, all outside the client's
+// current upload, scored by the hidden model. The Table VII ablations replace
+// either half with uniformly random eligible items.
+//
+// ds is a stream derived per (round, client) by the trainer. Giving every
+// client its own stream — instead of consuming a shared server stream in
+// visit order — is what lets the dispersal loop run on a worker pool while
+// seeded runs stay reproducible for any worker count. disperse itself only
+// reads server state (and the caller-owned scratch), so concurrent calls for
+// distinct clients are safe once the model's scoring cache is warm.
+func (sv *Server) disperse(tgt disperseTarget, ds *rng.Stream, plan *dispersalPlan, scratch *disperseScratch) []comm.Prediction {
+	alpha := sv.cfg.Alpha
+	if alpha <= 0 {
+		return nil
+	}
+	excluded := func(v int) bool { return tgt.excl != nil && tgt.excl.Contains(v) }
+
+	nConf, nHard, confRandom, hardRandom := disperseArms(sv.cfg)
+
+	// The random ablation arms and the hard half both need the eligible set
+	// as a slice; the pure-confidence path gets by on the bitset alone.
+	var eligible []int
+	if nHard > 0 || (nConf > 0 && confRandom) {
+		eligible = scratch.eligible[:0]
+		for v := 0; v < sv.numItems; v++ {
+			if !excluded(v) {
+				eligible = append(eligible, v)
+			}
+		}
+		scratch.eligible = eligible
+		if len(eligible) == 0 {
+			return nil
+		}
+	}
+
+	items := make([]int, 0, alpha)
+
+	// Confidence half: highest update frequency, via the round-scoped global
+	// ranking filtered by this client's eligibility.
+	if nConf > 0 {
+		if confRandom {
+			k := nConf * 2
+			if k > len(eligible) {
+				k = len(eligible)
+			}
+			var unfilled int
+			items, unfilled = pickItems(items, rng.SampleSlice(ds, eligible, k), nConf)
+			items = fillItems(items, eligible, unfilled)
+		} else {
+			items = confWalkItems(items, plan.confRank, excluded, nConf)
+		}
+	}
+
+	// Hard half: highest server-predicted score for this user. Partial
+	// selection with a bounded heap: the conf half can overlap the score
+	// ranking by at most len(items), so the top (nHard + len(items)) prefix
+	// is guaranteed to contain nHard non-chosen items when enough exist.
+	// Block-scoring models run the fused engine — eligible scores stream
+	// chunk-wise into the selection, never materialising an |eligible|-length
+	// vector — which the BlockScorer contract keeps bitwise-identical to
+	// score-everything-then-sort.
+	if nHard > 0 {
+		if hardRandom {
+			k := nHard * 3
+			if k > len(eligible) {
+				k = len(eligible)
+			}
+			var unfilled int
+			items, unfilled = pickItems(items, rng.SampleSlice(ds, eligible, k), nHard)
+			items = fillItems(items, eligible, unfilled)
+		} else {
+			kSel := nHard + len(items)
+			if bs, ok := sv.model.(models.BlockScorer); ok {
+				top := models.ScoreBlockTopK(bs, &scratch.topk, tgt.id, eligible, kSel)
+				buf := scratch.top[:0]
+				for _, idx := range top {
+					buf = append(buf, eligible[idx])
+				}
+				scratch.top = buf
+			} else {
+				scratch.scores = sv.scoreItems(scratch.scores, tgt.id, eligible)
+				scratch.top = topKByScore(scratch.top, eligible, scratch.scores, kSel)
+			}
+			items, _ = pickItems(items, scratch.top, nHard)
+		}
+	}
+
+	// scratch.scores is dead once topKByScore has consumed it, so the final
+	// scoring pass reuses it; the Prediction structs copy the values out.
+	scratch.scores = sv.scoreItems(scratch.scores, tgt.id, items)
+	preds := make([]comm.Prediction, len(items))
+	for i, v := range items {
+		preds[i] = comm.Prediction{User: tgt.id, Item: v, Score: scratch.scores[i]}
+	}
+	return preds
+}
+
+// scoreItems scores one user against items through the strongest path the
+// model supports: the batched block-scoring engine (bitwise-identical to the
+// per-item path), then buffer-reusing per-item scoring, then ScoreItems.
+func (sv *Server) scoreItems(dst []float64, user int, items []int) []float64 {
+	if bs, ok := sv.model.(models.BlockScorer); ok {
+		if cap(dst) < len(items) {
+			dst = make([]float64, len(items))
+		} else {
+			dst = dst[:len(items)]
+		}
+		bs.ScoreBlockInto(dst, user, items)
+		return dst
+	}
+	if is, ok := sv.model.(models.InplaceScorer); ok {
+		return is.ScoreItemsInto(dst, user, items)
+	}
+	return sv.model.ScoreItems(user, items)
+}
+
+// topKByScore returns the k highest-scoring items ordered by
+// (score desc, item asc) — the exact order a stable descending sort of an
+// ascending item list produces. items must be in ascending id order (the
+// eligible set always is), which makes (score desc, index asc) — the shared
+// selection kernel's order — coincide with (score desc, item asc). dst is
+// reused when it has capacity.
+func topKByScore(dst, items []int, scores []float64, k int) []int {
+	dst = metrics.TopKInto(dst, scores, k)
+	for i, idx := range dst {
+		dst[i] = items[idx]
+	}
+	return dst
+}

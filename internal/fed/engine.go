@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"ptffedrec/internal/comm"
-	"ptffedrec/internal/data"
 	"ptffedrec/internal/eval"
 	"ptffedrec/internal/models"
 	"ptffedrec/internal/par"
@@ -48,10 +47,6 @@ type RoundEngine struct {
 	meter    *comm.Meter
 	root     *rng.Stream
 	phases   *PhaseSeconds
-
-	// lastDisperseSecs is the dispersal-phase wall of the most recent
-	// CloseRound — what a sequential eval fallback adds to DisperseEvalWall.
-	lastDisperseSecs float64
 }
 
 // NewRoundEngine builds the server-side engine for a numUsers × numItems
@@ -108,16 +103,6 @@ func (e *RoundEngine) Select(round int) []int {
 	return sel.SampleInts(e.numUsers, n)
 }
 
-// NewEvaluator builds a ranking evaluator for the split with the engine's
-// knobs applied. The candidate cache is read-only after construction, so one
-// evaluator serves every subsequent Evaluate — including one overlapped with
-// dispersal.
-func (e *RoundEngine) NewEvaluator(sp *data.Split) *eval.Evaluator {
-	ev := eval.NewEvaluator(sp)
-	ev.SingleUser = e.cfg.EvalSingleUser
-	return ev
-}
-
 // Evaluate ranks the hidden server model through ev — the quantity Table III
 // reports for PTF-FedRec.
 func (e *RoundEngine) Evaluate(ev *eval.Evaluator) eval.Result {
@@ -135,23 +120,23 @@ func (e *RoundEngine) Evaluate(ev *eval.Evaluator) eval.Result {
 func (e *RoundEngine) CloseRound(round int, outcomes []ClientOutcome, overlap func()) (RoundStats, []Dispersal) {
 	workers := par.Workers(e.cfg.Workers)
 	stats := RoundStats{Round: round, Participants: len(outcomes)}
-	responders := make([]ClientOutcome, 0, len(outcomes))
+	ids := make([]int, 0, len(outcomes)) // responders, in slot order
 	uploads := make([][]comm.Prediction, 0, len(outcomes))
 	for _, o := range outcomes {
 		if o.Dropped {
 			stats.Dropped++
 			continue
 		}
-		responders = append(responders, o)
+		ids = append(ids, o.ID)
 		uploads = append(uploads, o.Upload)
 		stats.ClientLoss += o.Loss
 		stats.AttackF1 += o.AttackF1
 		stats.UploadBytes += int64(o.UploadBytes)
 		e.meter.AddUp(o.ID, o.UploadBytes)
 	}
-	if len(responders) > 0 {
-		stats.ClientLoss /= float64(len(responders))
-		stats.AttackF1 /= float64(len(responders))
+	if len(ids) > 0 {
+		stats.ClientLoss /= float64(len(ids))
+		stats.AttackF1 /= float64(len(ids))
 	}
 
 	// Server-side: absorb uploads, rebuild the graph, optimise Eq. 5. The
@@ -185,7 +170,7 @@ func (e *RoundEngine) CloseRound(round int, outcomes []ClientOutcome, overlap fu
 	// Warm before an overlapped eval unconditionally; otherwise only a
 	// parallel dispersal with work to do needs the shared caches hot.
 	// Warming is idempotent and bitwise-neutral either way.
-	if w, ok := e.server.model.(models.Warmer); ok && (overlap != nil || (workers > 1 && len(responders) > 0)) {
+	if w, ok := e.server.model.(models.Warmer); ok && (overlap != nil || (workers > 1 && len(ids) > 0)) {
 		w.WarmScoring()
 	}
 	if overlap != nil {
@@ -195,76 +180,40 @@ func (e *RoundEngine) CloseRound(round int, outcomes []ClientOutcome, overlap fu
 			overlap()
 		}()
 	}
-	dispersals := make([]Dispersal, len(responders))
-	if len(responders) > 0 {
+	dispersals := make([]Dispersal, len(ids))
+	if len(ids) > 0 {
 		plan := e.server.buildDispersalPlan()
-		// The batched engine needs the multi-user scoring contract; the
-		// scalar per-client path is the fallback (and, via DisperseScalar,
-		// the timing baseline). Both produce bitwise-identical dispersals.
-		mbs, batched := e.server.model.(models.MultiBlockScorer)
-		batched = batched && !e.cfg.DisperseScalar && e.cfg.Alpha > 0
 		// Per-client streams are only consumed by the random ablation arms,
 		// and deriving one costs a full generator seeding — so the
 		// deterministic conf+hard arm skips them entirely, and the random
 		// arms derive the round-level parent once. Both are bitwise-neutral:
 		// derivation is a pure function of the parent's immutable seed (safe
 		// to share across workers), and an unused stream influences nothing.
-		streams := disperseNeedsStreams(&e.cfg)
 		var roundStream *rng.Stream
-		if streams {
+		if disperseNeedsStreams(&e.cfg) {
 			roundStream = e.root.DeriveN("disperse", round)
 		}
 		clientStream := func(id int) *rng.Stream {
-			if !streams {
+			if roundStream == nil {
 				return nil
 			}
 			return roundStream.DeriveN("client", id)
 		}
-		cResponders, cDispersals := responders, dispersals
-		chunk := (len(responders) + workers - 1) / workers
-		par.ForChunks(len(responders), chunk, workers, func(lo, hi int) {
-			if batched {
-				sc := newDisperseBatchScratch()
-				for b := lo; b < hi; b += disperseBatchClients {
-					be := b + disperseBatchClients
-					if be > hi {
-						be = hi
-					}
-					slots := sc.slots[:be-b]
-					for i := b; i < be; i++ {
-						id := cResponders[i].ID
-						slots[i-b].tgt, sc.excls[i-b] = e.server.disperseTargetInto(id, sc.excls[i-b])
-						slots[i-b].ds = clientStream(id)
-					}
-					e.server.disperseBatch(mbs, slots, plan, sc)
-					for i := b; i < be; i++ {
-						payload, preds := wireRoundTrip(slots[i-b].preds, e.cfg.QuantizeScores)
-						cDispersals[i] = Dispersal{ID: cResponders[i].ID, Preds: preds, Payload: payload}
-					}
-				}
-				return
-			}
-			scratch := &disperseScratch{}
-			for i := lo; i < hi; i++ {
-				id := cResponders[i].ID
-				var tgt disperseTarget
-				tgt, scratch.excl = e.server.disperseTargetInto(id, scratch.excl)
-				out := e.server.disperse(tgt, clientStream(id), plan, scratch)
+		chunk := (len(ids) + workers - 1) / workers
+		par.ForChunks(len(ids), chunk, workers, func(lo, hi int) {
+			e.server.disperseUsers(ids[lo:hi], plan, clientStream, func(i int, out []comm.Prediction) {
 				payload, preds := wireRoundTrip(out, e.cfg.QuantizeScores)
-				cDispersals[i] = Dispersal{ID: id, Preds: preds, Payload: payload}
-			}
+				dispersals[lo+i] = Dispersal{ID: ids[lo+i], Preds: preds, Payload: payload}
+			})
 		})
 	}
 	for _, d := range dispersals {
 		stats.DispersBytes += int64(len(d.Payload))
 		e.meter.AddDown(d.ID, len(d.Payload))
 	}
-	disperseSecs := time.Since(phaseStart).Seconds()
-	e.phases.Disperse += disperseSecs
-	e.lastDisperseSecs = disperseSecs
+	e.phases.Disperse += time.Since(phaseStart).Seconds()
 	if overlapDone != nil {
 		<-overlapDone
-		e.phases.DisperseEvalWall += time.Since(phaseStart).Seconds()
 	}
 	e.meter.EndRound()
 	return stats, dispersals

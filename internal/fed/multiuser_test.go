@@ -1,16 +1,20 @@
 package fed
 
 import (
+	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"ptffedrec/internal/bitset"
+	"ptffedrec/internal/comm"
 	"ptffedrec/internal/models"
+	"ptffedrec/internal/rng"
 )
 
 // naiveEligible is the reference definition the eligibility cache must
 // reproduce: walk the item universe probing the exclusion bitset — exactly
-// the scalar dispersal path's construction.
+// the scalar dispersal oracle's construction.
 func naiveEligible(dst []int, numItems int, lastUpload *bitset.Set) []int {
 	dst = dst[:0]
 	for v := 0; v < numItems; v++ {
@@ -22,8 +26,8 @@ func naiveEligible(dst []int, numItems int, lastUpload *bitset.Set) []int {
 	return dst
 }
 
-// multiuserConfig is the invariance suite's base: small enough that the full
-// kind × arm × worker sweep stays fast (MF clients keep local training
+// multiuserConfig is the oracle suite's base: small enough that the full
+// kind × arm sweep stays fast (MF clients keep local training
 // cheap; dispersal coverage does not depend on the client model), adversarial
 // enough to exercise conf/hard collisions and the fill backstop.
 func multiuserConfig(server models.Kind, mode DisperseMode) Config {
@@ -36,11 +40,66 @@ func multiuserConfig(server models.Kind, mode DisperseMode) Config {
 	return cfg
 }
 
-// TestDisperseBatchedInvariance is the engine's protocol-level contract: for
-// every server model kind, every ablation arm, and workers {1, 2, 8}, the
-// multi-user batched dispersal engine produces a training history and final
-// metrics bitwise-identical to the per-client scalar path.
-func TestDisperseBatchedInvariance(t *testing.T) {
+// requireDispersalsMatchOracle compares the live dispersal engine with the
+// scalar reference oracle (disperse_oracle_test.go) at the engine boundary:
+// on the server's current state, every user's D̃ᵢ from disperseUsers — over
+// the whole population in one call and again split at an odd offset, so batch
+// grouping cannot leak — must equal, bitwise, what the per-client oracle
+// builds from the same plan and the same per-client stream, through both of
+// the oracle's scoring branches (block scoring, and per-item scoring behind a
+// wrapper that hides BlockScorer).
+func requireDispersalsMatchOracle(t *testing.T, label string, tr *Trainer) {
+	t.Helper()
+	sv := tr.server
+	if w, ok := sv.model.(models.Warmer); ok {
+		w.WarmScoring()
+	}
+	plan := sv.buildDispersalPlan()
+	root := rng.New(99).Derive("oracle")
+	stream := func(id int) *rng.Stream { return root.DeriveN("client", id) }
+	ids := allSlots(tr.split.NumUsers)
+
+	live := make([][]comm.Prediction, len(ids))
+	sv.disperseUsers(ids, plan, stream, func(i int, preds []comm.Prediction) { live[i] = preds })
+	const cut = 7
+	sv.disperseUsers(ids[:cut], plan, stream, func(i int, preds []comm.Prediction) {
+		if !slices.Equal(preds, live[i]) {
+			t.Fatalf("%s: user %d's dispersal depends on batch grouping", label, ids[i])
+		}
+	})
+	sv.disperseUsers(ids[cut:], plan, stream, func(i int, preds []comm.Prediction) {
+		if !slices.Equal(preds, live[cut+i]) {
+			t.Fatalf("%s: user %d's dispersal depends on batch grouping", label, ids[cut+i])
+		}
+	})
+
+	model := sv.model
+	defer func() { sv.model = model }()
+	for _, perItem := range []bool{false, true} {
+		if perItem {
+			sv.model = &scalarModel{model}
+		}
+		scratch := &disperseScratch{}
+		for _, id := range ids {
+			var tgt disperseTarget
+			tgt, scratch.excl = sv.disperseTargetInto(id, scratch.excl)
+			want := sv.disperse(tgt, stream(id), plan, scratch)
+			if !slices.Equal(live[id], want) {
+				t.Fatalf("%s: user %d (oracle per-item=%v): live engine dispersed\n  %v\noracle says\n  %v",
+					label, id, perItem, live[id], want)
+			}
+		}
+	}
+}
+
+// TestDisperseMatchesScalarOracle is the dispersal engine's reference pin:
+// for every server model kind and every ablation arm, on a server trained
+// through the live round path (partial participation, so some users have a
+// stored upload and some have none), per-user D̃ᵢ equals the scalar oracle's
+// — after every round, at the production score-chunk width and at one narrow
+// enough to force several ragged chunks on the tiny catalogue.
+func TestDisperseMatchesScalarOracle(t *testing.T) {
+	defer func(old int) { disperseScoreChunk = old }(disperseScoreChunk)
 	kinds := []models.Kind{models.KindMF, models.KindNeuMF, models.KindNGCF, models.KindLightGCN}
 	modes := []DisperseMode{DisperseConfHard, DisperseNoHard, DisperseNoConf, DisperseAllRandom}
 	if testing.Short() {
@@ -51,70 +110,25 @@ func TestDisperseBatchedInvariance(t *testing.T) {
 	for _, server := range kinds {
 		for _, mode := range modes {
 			cfg := multiuserConfig(server, mode)
-
-			scfg := cfg
-			scfg.DisperseScalar = true
-			scfg.Workers, scfg.EvalWorkers = 1, 1
-			ref, err := NewTrainer(sp, scfg)
+			cfg.ClientFraction = 0.6
+			tr, err := NewTrainer(sp, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			refHist, err := ref.Run()
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			for _, workers := range []int{1, 2, 8} {
-				wcfg := cfg
-				wcfg.Workers, wcfg.EvalWorkers = workers, workers
-				tr, err := NewTrainer(sp, wcfg)
-				if err != nil {
-					t.Fatal(err)
+			for round := 0; round < cfg.Rounds; round++ {
+				tr.RunRound(round)
+				for _, chunk := range []int{1024, 16} { // Tiny has 60 items -> 4 chunks, last one ragged
+					disperseScoreChunk = chunk
+					requireDispersalsMatchOracle(t, fmt.Sprintf("%s/%s round %d chunk %d", server, mode, round, chunk), tr)
 				}
-				h, err := tr.Run()
-				if err != nil {
-					t.Fatal(err)
-				}
-				requireEqualHistories(t, string(server)+"/"+string(mode)+" batched", refHist, h)
 			}
 		}
 	}
 }
 
-// TestDisperseBatchedMultiChunk forces the batched hard half through several
-// score chunks (and ragged batch tails) on the tiny catalogue, pinning that
-// chunk boundaries and batch grouping never leak into results.
-func TestDisperseBatchedMultiChunk(t *testing.T) {
-	defer func(old int) { disperseScoreChunk = old }(disperseScoreChunk)
-	disperseScoreChunk = 16 // Tiny has 60 items -> 4 chunks, last one ragged
-
-	sp := tinySplit(t)
-	cfg := multiuserConfig(models.KindLightGCN, DisperseConfHard)
-
-	scfg := cfg
-	scfg.DisperseScalar = true
-	ref, err := NewTrainer(sp, scfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	refHist, err := ref.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr, err := NewTrainer(sp, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h, err := tr.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireEqualHistories(t, "multi-chunk batched", refHist, h)
-}
-
 // TestEligCacheMatchesNaiveWalk pins the eligibility cache's contract on
 // live protocol state: after real rounds, every client's cache-served
-// eligible set equals the scalar path's item-universe walk, cache hits serve
+// eligible set equals the scalar oracle's item-universe walk, cache hits serve
 // the identical list without rebuilding, and a new upload invalidates.
 func TestEligCacheMatchesNaiveWalk(t *testing.T) {
 	sp := tinySplit(t)

@@ -1,16 +1,10 @@
 package fed
 
-import (
-	"runtime"
-	"time"
+import "runtime"
 
-	"ptffedrec/internal/eval"
-	"ptffedrec/internal/par"
-)
-
-// Cross-round pipelined execution. Rounds are serialized end to end in the
-// baseline schedule — select → client train → absorb/train/disperse →
-// deliver — even though the dependency structure is far sparser: Select is a
+// Cross-round pipelined execution. Algorithm 1 as written serializes rounds
+// end to end — select → client train → absorb/train/disperse → deliver —
+// even though the dependency structure is far sparser: Select is a
 // pure function of (seed, round), so round r+1's cohort is known before
 // round r closes, and a client u in cohort(r+1) depends on round r only
 // through the dispersal D̃ᵤ it receives there — which it receives iff
@@ -18,7 +12,7 @@ import (
 // client-local (its model, its split rows, its pure per-(round, client)
 // streams), and the server phases never touch client state.
 //
-// RunPipelined exploits that with a two-round double buffer:
+// runPipelined exploits that with a two-round double buffer:
 //
 //	round r   : [ uploads r ][ absorb/graph/train/disperse r ][ deliver r ]
 //	round r+1 :              [ free wave (∉ cohort(r)) trains ][ gated wave trains ]
@@ -26,25 +20,19 @@ import (
 // The free wave of r+1 trains on the worker pool while the server closes
 // round r; the gated wave (cohort(r+1) ∩ cohort(r)) trains only after round
 // r's deliveries land. Upload absorption still happens round by round in
-// cohort slot order, so the History is bitwise-identical to the sequential
-// schedule for every model kind, worker count, and fault plan (pinned by the
-// pipeline invariance suite; Config.SequentialRounds retains the baseline).
+// cohort slot order, so the History is bitwise-identical to the serial
+// RunRound loop for every model kind, worker count, and fault plan (pinned by
+// the pipeline invariance suite).
 //
 // On a single-core host the free wave runs inline before the server phases
 // instead of on a goroutine — same order-independence argument, none of the
 // time-slicing overhead (the GOMAXPROCS gate that PR 8 gave the eval
 // overlap).
 
-// RunPipelined executes the configured rounds through the cross-round
-// pipeline and returns the per-round stats. Periodic evaluations
-// (Config.EvalEvery) overlap dispersal exactly as in RunRoundEval. It is the
-// loop body behind Run's default schedule, exported so the scalability
-// experiment can time the pipeline without the final evaluation.
-func (t *Trainer) RunPipelined() []RoundStats {
+// runPipelined executes the configured rounds through the cross-round
+// pipeline and returns the per-round stats.
+func (t *Trainer) runPipelined() []RoundStats {
 	rounds := make([]RoundStats, 0, t.cfg.Rounds)
-	if t.cfg.Rounds <= 0 {
-		return rounds
-	}
 
 	// mark[u] == r+1 records u ∈ cohort(r); generation stamping avoids
 	// clearing between rounds. int32 keeps the 1M-user footprint at 4 MB.
@@ -55,9 +43,7 @@ func (t *Trainer) RunPipelined() []RoundStats {
 		mark[u] = 1
 	}
 	outcomes := make([]ClientOutcome, len(idx))
-	start := time.Now()
-	t.trainSlots(0, idx, outcomes, nil)
-	t.phases.ClientTrain += time.Since(start).Seconds()
+	t.phases.ClientTrain += t.trainSlots(0, idx, outcomes, allSlots(len(idx)))
 
 	concurrent := runtime.GOMAXPROCS(0) > 1
 	for r := 0; r < t.cfg.Rounds; r++ {
@@ -79,89 +65,32 @@ func (t *Trainer) RunPipelined() []RoundStats {
 				}
 				mark[u] = int32(r + 2)
 			}
-			// Empty waves (e.g. every wave at ClientFraction 1.0, where each
-			// next-round client sat in the current cohort) must not reach
-			// trainSlots: a nil slot list there means "every slot".
-			if len(freeSlots) > 0 {
-				if concurrent {
-					// The wave measures its own wall and the main goroutine
-					// folds it into the shared phase totals after the join —
-					// CloseRound writes t.phases concurrently.
-					freeDone = make(chan struct{})
-					go func() {
-						waveStart := time.Now()
-						t.trainSlots(r+1, nextIdx, nextOutcomes, freeSlots)
-						freeSecs = time.Since(waveStart).Seconds()
-						close(freeDone)
-					}()
-				} else {
-					waveStart := time.Now()
-					t.trainSlots(r+1, nextIdx, nextOutcomes, freeSlots)
-					t.phases.ClientTrain += time.Since(waveStart).Seconds()
-				}
+			if concurrent && len(freeSlots) > 0 {
+				// The main goroutine folds the wave's wall into the shared
+				// phase totals after the join — CloseRound writes t.phases
+				// concurrently.
+				freeDone = make(chan struct{})
+				go func() {
+					freeSecs = t.trainSlots(r+1, nextIdx, nextOutcomes, freeSlots)
+					close(freeDone)
+				}()
+			} else {
+				freeSecs = t.trainSlots(r+1, nextIdx, nextOutcomes, freeSlots)
 			}
 		}
 
-		// Close round r, with the periodic evaluation overlapped into the
-		// dispersal phase under the same GOMAXPROCS gate as RunRoundEval.
+		// Deliveries inside closeRound target round r's responders —
+		// disjoint from the free wave's users (∉ cohort(r)), so they can
+		// land mid-wave.
 		withEval := t.cfg.EvalEvery > 0 && (r+1)%t.cfg.EvalEvery == 0
-		var evalRes eval.Result
-		var evalSecs float64
-		var overlap func()
-		if withEval && concurrent {
-			overlap = func() {
-				evalStart := time.Now()
-				evalRes = t.EvaluateServer()
-				evalSecs = time.Since(evalStart).Seconds()
-			}
-		}
-		stats, dispersals := t.engine.CloseRound(r, outcomes, overlap)
-		// Deliveries target round r's responders — disjoint from the free
-		// wave's users (∉ cohort(r)), so they can land mid-wave.
-		for _, d := range dispersals {
-			t.host.Deliver(d.ID, d.Preds)
-		}
-		if withEval {
-			if overlap == nil {
-				evalStart := time.Now()
-				evalRes = t.EvaluateServer()
-				evalSecs = time.Since(evalStart).Seconds()
-				t.phases.DisperseEvalWall += t.engine.lastDisperseSecs + evalSecs
-			}
-			t.phases.Eval += evalSecs
-			stats.Recall, stats.NDCG, stats.Evaluated = evalRes.Recall, evalRes.NDCG, true
-		}
+		stats, _ := t.closeRound(r, outcomes, withEval)
 		rounds = append(rounds, stats)
 
-		if r+1 < t.cfg.Rounds {
-			if freeDone != nil {
-				<-freeDone
-				t.phases.ClientTrain += freeSecs
-			}
-			if len(gatedSlots) > 0 {
-				waveStart := time.Now()
-				t.trainSlots(r+1, nextIdx, nextOutcomes, gatedSlots)
-				t.phases.ClientTrain += time.Since(waveStart).Seconds()
-			}
-			idx, outcomes = nextIdx, nextOutcomes
+		if freeDone != nil {
+			<-freeDone
 		}
+		t.phases.ClientTrain += freeSecs + t.trainSlots(r+1, nextIdx, nextOutcomes, gatedSlots)
+		idx, outcomes = nextIdx, nextOutcomes
 	}
 	return rounds
-}
-
-// trainSlots runs the listed cohort slots' client rounds on the worker pool,
-// each goroutine writing only its own outcome slot. A nil slots list trains
-// every slot.
-func (t *Trainer) trainSlots(round int, idx []int, outcomes []ClientOutcome, slots []int) {
-	workers := par.Workers(t.cfg.Workers)
-	if slots == nil {
-		par.For(len(idx), workers, func(slot int) {
-			outcomes[slot] = t.host.RunClientRound(round, idx[slot]).Outcome()
-		})
-		return
-	}
-	par.For(len(slots), workers, func(i int) {
-		slot := slots[i]
-		outcomes[slot] = t.host.RunClientRound(round, idx[slot]).Outcome()
-	})
 }

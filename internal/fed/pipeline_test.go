@@ -26,12 +26,37 @@ func pipelineConfig(server models.Kind, workers int, faulted bool) Config {
 	return cfg
 }
 
-// TestPipelinedMatchesSequential pins the tentpole invariant: the cross-round
-// pipelined schedule produces a History bitwise-identical to the serialized
-// Config.SequentialRounds baseline, across every model kind, worker count,
-// and fault plan. The dependency rule (gate a round-(r+1) client on round r's
-// dispersal iff it was in round r's cohort) plus pure per-(round, client)
-// stream derivation make training order across rounds unobservable.
+// runSerialHistory is Algorithm 1 as written — one round after another, each
+// evaluated when due, then the final evaluation — the schedule oracle the
+// cross-round pipeline behind Trainer.Run is pinned against.
+func runSerialHistory(t *testing.T, cfg Config) *History {
+	t.Helper()
+	tr, err := NewTrainer(tinySplit(t), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := &History{}
+	for round := 0; round < cfg.Rounds; round++ {
+		var rs RoundStats
+		if cfg.EvalEvery > 0 && (round+1)%cfg.EvalEvery == 0 {
+			rs, _ = tr.RunRoundEval(round)
+		} else {
+			rs = tr.RunRound(round)
+		}
+		h.Rounds = append(h.Rounds, rs)
+		h.MeanAttackF1 += rs.AttackF1
+	}
+	h.MeanAttackF1 /= float64(cfg.Rounds)
+	h.Final = tr.EvaluateServer()
+	return h
+}
+
+// TestPipelinedMatchesSequential pins the schedule invariant: the cross-round
+// pipeline produces a History bitwise-identical to the serial round loop,
+// across every model kind, worker count, and fault plan. The dependency rule
+// (gate a round-(r+1) client on round r's dispersal iff it was in round r's
+// cohort) plus pure per-(round, client) stream derivation make training order
+// across rounds unobservable.
 func TestPipelinedMatchesSequential(t *testing.T) {
 	kinds := []models.Kind{models.KindMF, models.KindNeuMF, models.KindNGCF, models.KindLightGCN}
 	workerCounts := []int{1, 2, 8}
@@ -45,9 +70,7 @@ func TestPipelinedMatchesSequential(t *testing.T) {
 				name := fmt.Sprintf("%s/w%d/faulted=%v", kind, workers, faulted)
 				t.Run(name, func(t *testing.T) {
 					cfg := pipelineConfig(kind, workers, faulted)
-					seq := cfg
-					seq.SequentialRounds = true
-					requireEqualHistories(t, name, runHistory(t, cfg), runHistory(t, seq))
+					requireEqualHistories(t, name, runHistory(t, cfg), runSerialHistory(t, cfg))
 				})
 			}
 		}
@@ -56,14 +79,12 @@ func TestPipelinedMatchesSequential(t *testing.T) {
 
 // TestPipelinedFullParticipation pins the degenerate dependency graph: at
 // ClientFraction 1.0 every round-(r+1) client was in cohort(r), so the free
-// wave is empty and the pipeline must collapse to the sequential schedule —
-// still bitwise-identical, with nothing overlapped.
+// wave is empty and the pipeline must collapse to the serial loop — still
+// bitwise-identical, with nothing overlapped.
 func TestPipelinedFullParticipation(t *testing.T) {
 	cfg := pipelineConfig(models.KindNeuMF, 4, true)
 	cfg.ClientFraction = 1.0
-	seq := cfg
-	seq.SequentialRounds = true
-	requireEqualHistories(t, "full-participation", runHistory(t, cfg), runHistory(t, seq))
+	requireEqualHistories(t, "full-participation", runHistory(t, cfg), runSerialHistory(t, cfg))
 }
 
 // TestPipelinedWorkerInvariance pins that the pipelined schedule keeps the

@@ -10,7 +10,6 @@ import (
 	"ptffedrec/internal/bitset"
 	"ptffedrec/internal/comm"
 	"ptffedrec/internal/graph"
-	"ptffedrec/internal/metrics"
 	"ptffedrec/internal/models"
 	"ptffedrec/internal/par"
 	"ptffedrec/internal/rng"
@@ -21,8 +20,11 @@ import (
 // prediction scores.
 type Server struct {
 	model models.Recommender
-	cfg   *Config
-	s     *rng.Stream
+	// scorer is model's multi-user scoring contract, which the dispersal
+	// engine scores every batch through; asserted once at construction.
+	scorer models.MultiBlockScorer
+	cfg    *Config
+	s      *rng.Stream
 
 	numUsers, numItems int
 
@@ -32,14 +34,12 @@ type Server struct {
 
 	// store keeps each user's most recent D̂ᵗᵢ; the union is the server's
 	// entire view of the interaction structure, from which it rebuilds its
-	// graph every round. The flat sharded arena is the default engine;
-	// Config.MapUploadStore retains the map baseline.
-	store uploadStore
+	// graph every round.
+	store *flatUploadStore
 
 	// elig is the dispersal engine's shared eligibility cache: a bounded LRU
 	// of int32-packed eligible lists keyed by (client, upload generation),
-	// rebuilt with a word walk over the lastUpload bitset on a miss. Only the
-	// batched dispersal path reads it.
+	// rebuilt with a word walk over the stored upload's bitset on a miss.
 	elig *eligCache
 
 	// ident is the identity item list 0..numItems-1 — the shared candidate
@@ -118,18 +118,23 @@ func newServer(numUsers, numItems int, cfg *Config, parent *rng.Stream) (*Server
 	if err != nil {
 		return nil, fmt.Errorf("fed: server: %w", err)
 	}
+	scorer, ok := m.(models.MultiBlockScorer)
+	if !ok {
+		return nil, fmt.Errorf("fed: server model %q cannot score user batches (models.MultiBlockScorer)", cfg.ServerModel)
+	}
 	ident := make([]int, numItems)
 	for v := range ident {
 		ident[v] = v
 	}
 	return &Server{
 		model:    m,
+		scorer:   scorer,
 		cfg:      cfg,
 		s:        parent.Derive("server"),
 		numUsers: numUsers,
 		numItems: numItems,
 		itemFreq: make([]int, numItems),
-		store:    newUploadStore(numUsers, cfg),
+		store:    newFlatUploadStore(numUsers),
 		elig:     newEligCache(cfg.EligCacheEntries),
 		ident:    ident,
 		upGen:    make([]uint32, numUsers),
@@ -167,7 +172,7 @@ func (sv *Server) EligCacheBytes() int64 { return sv.elig.memoryBytes() }
 
 // GraphEngineBytes reports the resident bytes of the incremental graph
 // engine's maintained rows, postings, and scratch (0 when the server model
-// is not a graph model or runs with FullGraphRebuild).
+// is not a graph model).
 func (sv *Server) GraphEngineBytes() int64 {
 	if sv.inc == nil {
 		return 0
@@ -242,7 +247,7 @@ func (sv *Server) absorb(uploads [][]comm.Prediction, workers int) {
 		}
 	}
 	sv.fusedValid = false
-	if _, ok := sv.model.(models.GraphDeltaRecommender); ok && !sv.cfg.FullGraphRebuild && !sv.incBroken {
+	if _, ok := sv.model.(models.GraphDeltaRecommender); ok && !sv.incBroken {
 		start := time.Now()
 		sv.fuseEdgeSelection(uploads, workers)
 		sv.fusedSecs += time.Since(start).Seconds()
@@ -361,28 +366,26 @@ func (sv *Server) takeFusedSecs() float64 {
 // degree weights accumulate in, and therefore the propagated floats —
 // matches the serial construction exactly for any worker count.
 //
-// When the server model implements GraphDeltaRecommender, the default path
-// is incremental: only users whose stored upload changed since the last
-// rebuild (the store's dirty set) re-run edge selection, and the maintained
-// adjacency engine patches exactly the affected rows, degrees, and
-// normalization values — bitwise-identical to the full rebuild by the
-// engine's construction. Config.FullGraphRebuild retains the full path as
-// the timing baseline.
+// When the server model implements GraphDeltaRecommender the rebuild is
+// incremental: only users whose stored upload changed since the last rebuild
+// (the store's dirty set) re-run edge selection, and the maintained adjacency
+// engine patches exactly the affected rows, degrees, and normalization values
+// — bitwise-identical to the full rebuild by the engine's construction. The
+// full path below runs for graph models without the delta contract and, once
+// a non-positive edge weight has tripped incBroken, for the rest of the run.
 func (sv *Server) rebuildGraph(workers int) {
 	gm, ok := sv.model.(models.GraphRecommender)
 	if !ok {
 		return
 	}
-	if dm, ok := sv.model.(models.GraphDeltaRecommender); ok && !sv.cfg.FullGraphRebuild && !sv.incBroken {
+	if dm, ok := sv.model.(models.GraphDeltaRecommender); ok && !sv.incBroken {
 		if sv.rebuildGraphIncremental(dm, workers) {
 			return
 		}
 		sv.incBroken = true
 	}
 	users, off, slab := sv.collectEdges(workers)
-	// The full path consumes the round's dirty set too, so a later switch
-	// between the paths (or the incBroken fallback) never replays stale
-	// deltas.
+	// The full path consumes the round's dirty set too, so it never piles up.
 	sv.store.ResetDirty()
 	g := graph.NewBipartite(sv.numUsers, sv.numItems)
 	for i := range users {
@@ -698,145 +701,4 @@ func (sv *Server) disperseTargetInto(id int, bit *bitset.Set) (disperseTarget, *
 	}
 	tgt.excl = bit
 	return tgt, bit
-}
-
-// disperseScratch is per-worker reusable storage for the dispersal loop, so
-// a worker's whole share of clients runs with a handful of allocations total.
-type disperseScratch struct {
-	eligible []int
-	scores   []float64
-	top      []int
-	topk     models.TopKScratch
-	excl     *bitset.Set
-}
-
-// disperse builds D̃ᵢ for one client (Eq. 9): µα items by update-frequency
-// confidence plus (1−µ)α hard items by server score, all outside the client's
-// current upload, scored by the hidden model. The Table VII ablations replace
-// either half with uniformly random eligible items.
-//
-// ds is a stream derived per (round, client) by the trainer. Giving every
-// client its own stream — instead of consuming a shared server stream in
-// visit order — is what lets the dispersal loop run on a worker pool while
-// seeded runs stay reproducible for any worker count. disperse itself only
-// reads server state (and the caller-owned scratch), so concurrent calls for
-// distinct clients are safe once the model's scoring cache is warm.
-func (sv *Server) disperse(tgt disperseTarget, ds *rng.Stream, plan *dispersalPlan, scratch *disperseScratch) []comm.Prediction {
-	alpha := sv.cfg.Alpha
-	if alpha <= 0 {
-		return nil
-	}
-	excluded := func(v int) bool { return tgt.excl != nil && tgt.excl.Contains(v) }
-
-	nConf, nHard, confRandom, hardRandom := disperseArms(sv.cfg)
-
-	// The random ablation arms and the hard half both need the eligible set
-	// as a slice; the pure-confidence path gets by on the bitset alone.
-	var eligible []int
-	if nHard > 0 || (nConf > 0 && confRandom) {
-		eligible = scratch.eligible[:0]
-		for v := 0; v < sv.numItems; v++ {
-			if !excluded(v) {
-				eligible = append(eligible, v)
-			}
-		}
-		scratch.eligible = eligible
-		if len(eligible) == 0 {
-			return nil
-		}
-	}
-
-	items := make([]int, 0, alpha)
-
-	// Confidence half: highest update frequency, via the round-scoped global
-	// ranking filtered by this client's eligibility.
-	if nConf > 0 {
-		if confRandom {
-			k := nConf * 2
-			if k > len(eligible) {
-				k = len(eligible)
-			}
-			var unfilled int
-			items, unfilled = pickItems(items, rng.SampleSlice(ds, eligible, k), nConf)
-			items = fillItems(items, eligible, unfilled)
-		} else {
-			items = confWalkItems(items, plan.confRank, excluded, nConf)
-		}
-	}
-
-	// Hard half: highest server-predicted score for this user. Partial
-	// selection with a bounded heap: the conf half can overlap the score
-	// ranking by at most len(items), so the top (nHard + len(items)) prefix
-	// is guaranteed to contain nHard non-chosen items when enough exist.
-	// Block-scoring models run the fused engine — eligible scores stream
-	// chunk-wise into the selection, never materialising an |eligible|-length
-	// vector — which the BlockScorer contract keeps bitwise-identical to
-	// score-everything-then-sort.
-	if nHard > 0 {
-		if hardRandom {
-			k := nHard * 3
-			if k > len(eligible) {
-				k = len(eligible)
-			}
-			var unfilled int
-			items, unfilled = pickItems(items, rng.SampleSlice(ds, eligible, k), nHard)
-			items = fillItems(items, eligible, unfilled)
-		} else {
-			kSel := nHard + len(items)
-			if bs, ok := sv.model.(models.BlockScorer); ok {
-				top := models.ScoreBlockTopK(bs, &scratch.topk, tgt.id, eligible, kSel)
-				buf := scratch.top[:0]
-				for _, idx := range top {
-					buf = append(buf, eligible[idx])
-				}
-				scratch.top = buf
-			} else {
-				scratch.scores = sv.scoreItems(scratch.scores, tgt.id, eligible)
-				scratch.top = topKByScore(scratch.top, eligible, scratch.scores, kSel)
-			}
-			items, _ = pickItems(items, scratch.top, nHard)
-		}
-	}
-
-	// scratch.scores is dead once topKByScore has consumed it, so the final
-	// scoring pass reuses it; the Prediction structs copy the values out.
-	scratch.scores = sv.scoreItems(scratch.scores, tgt.id, items)
-	preds := make([]comm.Prediction, len(items))
-	for i, v := range items {
-		preds[i] = comm.Prediction{User: tgt.id, Item: v, Score: scratch.scores[i]}
-	}
-	return preds
-}
-
-// scoreItems scores one user against items through the strongest path the
-// model supports: the batched block-scoring engine (bitwise-identical to the
-// per-item path), then buffer-reusing per-item scoring, then ScoreItems.
-func (sv *Server) scoreItems(dst []float64, user int, items []int) []float64 {
-	if bs, ok := sv.model.(models.BlockScorer); ok {
-		if cap(dst) < len(items) {
-			dst = make([]float64, len(items))
-		} else {
-			dst = dst[:len(items)]
-		}
-		bs.ScoreBlockInto(dst, user, items)
-		return dst
-	}
-	if is, ok := sv.model.(models.InplaceScorer); ok {
-		return is.ScoreItemsInto(dst, user, items)
-	}
-	return sv.model.ScoreItems(user, items)
-}
-
-// topKByScore returns the k highest-scoring items ordered by
-// (score desc, item asc) — the exact order a stable descending sort of an
-// ascending item list produces. items must be in ascending id order (the
-// eligible set always is), which makes (score desc, index asc) — the shared
-// selection kernel's order — coincide with (score desc, item asc). dst is
-// reused when it has capacity.
-func topKByScore(dst, items []int, scores []float64, k int) []int {
-	dst = metrics.TopKInto(dst, scores, k)
-	for i, idx := range dst {
-		dst[i] = items[idx]
-	}
-	return dst
 }

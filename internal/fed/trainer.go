@@ -3,7 +3,6 @@ package fed
 import (
 	"fmt"
 	"runtime"
-	"sync/atomic"
 	"time"
 
 	"ptffedrec/internal/comm"
@@ -11,7 +10,6 @@ import (
 	"ptffedrec/internal/eval"
 	"ptffedrec/internal/models"
 	"ptffedrec/internal/par"
-	"ptffedrec/internal/rng"
 )
 
 // RoundStats records one global round.
@@ -36,32 +34,19 @@ type History struct {
 	MeanAttackF1 float64
 }
 
-// PhaseSeconds is cumulative wall-clock per round phase across RunRound
-// calls — the per-phase breakdown the scalability experiment reports. It is
-// deliberately kept out of RoundStats so timing jitter never enters the
-// determinism contract on training traces.
+// PhaseSeconds is cumulative wall-clock per round phase — the per-phase
+// breakdown the scalability experiment reports. It is deliberately kept out
+// of RoundStats so timing jitter never enters the determinism contract on
+// training traces.
 type PhaseSeconds struct {
 	ClientTrain float64 // parallel local training + upload construction
 	Absorb      float64 // confidence counters + latest-view ingestion
 	GraphBuild  float64 // adjacency/CSR rebuild (graph server models only)
 	ServerTrain float64 // server-side SGD (Eq. 5)
 	Disperse    float64 // per-client D̃ᵢ construction + encoding
-
-	// Eval is the wall-clock of server evaluations issued inside
-	// RunRoundEval. Both eval and dispersal only read the warmed, frozen
-	// model, so RunRoundEval runs them concurrently: Eval overlaps Disperse
-	// rather than extending the round.
-	Eval float64
-
-	// DisperseEvalWall is the wall-clock of the combined dispersal+eval tail
-	// of overlapped rounds — at most Disperse+Eval, approaching
-	// max(Disperse, Eval) when the overlap pays. Rounds without an overlapped
-	// eval do not contribute.
-	DisperseEvalWall float64
 }
 
-// Total sums the sequential round phases (Eval overlaps Disperse, so it is
-// excluded; DisperseEvalWall is a combined measurement, not a phase).
+// Total sums the round phases.
 func (p PhaseSeconds) Total() float64 {
 	return p.ClientTrain + p.Absorb + p.GraphBuild + p.ServerTrain + p.Disperse
 }
@@ -78,12 +63,11 @@ type Trainer struct {
 	engine *RoundEngine
 	phases PhaseSeconds
 
-	// server/clients/meter/root alias into the engine and host (tests and
-	// the in-package benchmarks reach through them).
+	// server/clients/meter alias into the engine and host (tests and the
+	// in-package benchmarks reach through them).
 	server  *Server
 	clients []*Client
 	meter   *comm.Meter
-	root    *rng.Stream
 
 	// evaluator caches the per-user candidate sets across rounds (the train
 	// mask never changes), built lazily on the first evaluation. It is
@@ -110,7 +94,6 @@ func NewTrainer(sp *data.Split, cfg Config) (*Trainer, error) {
 		server:  engine.server,
 		clients: host.clients,
 		meter:   engine.meter,
-		root:    host.root,
 	}
 	engine.sharePhases(&t.phases)
 	return t, nil
@@ -145,7 +128,11 @@ func (t *Trainer) PhaseSeconds() PhaseSeconds { return t.phases }
 // ResetPhaseSeconds zeroes the per-phase timers.
 func (t *Trainer) ResetPhaseSeconds() { t.phases = PhaseSeconds{} }
 
-// RunRound executes Algorithm 1's loop body once.
+// RunRound executes Algorithm 1's loop body once, serially: sample the
+// cohort, run every selected client's local round on the worker pool, close
+// the round on the engine, deliver the dispersals. Calling it for rounds
+// 0..Rounds-1 in order is Algorithm 1 as written, and produces the same
+// History as Run's cross-round pipeline.
 func (t *Trainer) RunRound(round int) RoundStats {
 	stats, _ := t.runRound(round, false)
 	return stats
@@ -157,45 +144,30 @@ func (t *Trainer) RunRound(round int) RoundStats {
 // Recall/NDCG/Evaluated filled in. The trace and the evaluation result are
 // bitwise-identical to RunRound followed by EvaluateServer.
 func (t *Trainer) RunRoundEval(round int) (RoundStats, eval.Result) {
-	stats, res := t.runRound(round, true)
-	stats.Recall, stats.NDCG, stats.Evaluated = res.Recall, res.NDCG, true
-	return stats, res
+	return t.runRound(round, true)
 }
 
-// runRound executes one round, optionally overlapping the server evaluation
-// with dispersal: sample the cohort, run every selected client's local round
-// in parallel (each goroutine writes only its own slot, so the round is
-// deterministic for any worker count), close the round on the engine, and
-// deliver the dispersals.
 func (t *Trainer) runRound(round int, withEval bool) (RoundStats, eval.Result) {
 	idx := t.engine.Select(round)
-
-	phaseStart := time.Now()
-	workers := par.Workers(t.cfg.Workers)
 	outcomes := make([]ClientOutcome, len(idx))
-	par.For(len(idx), workers, func(slot int) {
-		outcomes[slot] = t.host.RunClientRound(round, idx[slot]).Outcome()
-	})
-	t.phases.ClientTrain += time.Since(phaseStart).Seconds()
+	t.phases.ClientTrain += t.trainSlots(round, idx, outcomes, allSlots(len(idx)))
+	return t.closeRound(round, outcomes, withEval)
+}
 
-	// When an evaluation is due it runs concurrently with dispersal inside
-	// CloseRound: after the shared warm step both are pure reads of the
-	// frozen server model (dispersal additionally builds per-client D̃ᵢ,
-	// which eval never touches), so the overlap changes wall-clock only —
-	// never results. The overlap is gated on GOMAXPROCS > 1: on a
-	// single-core host the two phases just time-slice one thread and the
-	// goroutine handoffs make the pair slower than running them back to
-	// back, so eval falls back to a sequential run after the round (same
-	// results, same phase accounting).
-	var evalRes eval.Result
-	var evalSecs float64
+// closeRound finishes a round whose cohort has trained: the engine absorbs the
+// outcomes, trains and disperses, and every responder receives its D̃ᵢ. With
+// withEval the server evaluation runs concurrently with dispersal inside
+// CloseRound — after the shared warm step both are pure reads of the frozen
+// server model, so the overlap changes wall-clock only, never results — and
+// the returned stats carry Recall/NDCG. The overlap is gated on
+// GOMAXPROCS > 1: on a single-core host the two phases just time-slice one
+// thread and the goroutine handoffs make the pair slower than running them
+// back to back, so eval runs after the deliveries instead.
+func (t *Trainer) closeRound(round int, outcomes []ClientOutcome, withEval bool) (RoundStats, eval.Result) {
+	var res eval.Result
 	var overlap func()
 	if withEval && runtime.GOMAXPROCS(0) > 1 {
-		overlap = func() {
-			evalStart := time.Now()
-			evalRes = t.EvaluateServer()
-			evalSecs = time.Since(evalStart).Seconds()
-		}
+		overlap = func() { res = t.EvaluateServer() }
 	}
 	stats, dispersals := t.engine.CloseRound(round, outcomes, overlap)
 	for _, d := range dispersals {
@@ -203,149 +175,42 @@ func (t *Trainer) runRound(round int, withEval bool) (RoundStats, eval.Result) {
 	}
 	if withEval {
 		if overlap == nil {
-			evalStart := time.Now()
-			evalRes = t.EvaluateServer()
-			evalSecs = time.Since(evalStart).Seconds()
-			t.phases.DisperseEvalWall += t.engine.lastDisperseSecs + evalSecs
+			res = t.EvaluateServer()
 		}
-		t.phases.Eval += evalSecs
+		stats.Recall, stats.NDCG, stats.Evaluated = res.Recall, res.NDCG, true
 	}
-	return stats, evalRes
+	return stats, res
 }
 
-// BenchDispersal times the two dispersal engines head to head on the frozen
-// current server state: `passes` dispersal-only sweeps over every user
-// through the round-scoped multi-user batched engine, then the same sweeps
-// through the per-client scalar engine, on the configured Workers pool.
-// Neither sweep mutates protocol state — outputs are compared, not delivered
-// — so the call is safe between rounds. It returns each engine's fastest
-// sweep (interference only ever adds time, so the minimum is the robust
-// paired estimator) and whether every client's D̃ᵢ came out identical (it
-// must; the experiment feeds this into its determinism flag).
-// The server model must support the multi-user contract; models that don't
-// report zero timings and identical=true, since only the scalar path exists.
-func (t *Trainer) BenchDispersal(passes int) (batchedSecs, scalarSecs float64, identical bool) {
-	identical = true
-	mbs, ok := t.server.model.(models.MultiBlockScorer)
-	if !ok || t.cfg.Alpha <= 0 || passes <= 0 {
-		return 0, 0, true
-	}
-	if w, ok := t.server.model.(models.Warmer); ok {
-		w.WarmScoring()
-	}
-	plan := t.server.buildDispersalPlan()
-	workers := par.Workers(t.cfg.Workers)
-	numUsers := t.split.NumUsers
-	chunk := (numUsers + workers - 1) / workers
-	// Both engines must draw identical per-client streams; a fixed
-	// derivation (pure, never consumed elsewhere) keeps the sweep
-	// reproducible and stateless. Dispersal targets come from the server's
-	// upload store, so the sweep never touches (or materialises) clients.
-	needStreams := disperseNeedsStreams(&t.cfg)
-	benchRoot := t.root.Derive("disperse-bench")
-	clientStream := func(id int) *rng.Stream {
-		if !needStreams {
-			return nil
-		}
-		return benchRoot.DeriveN("client", id)
-	}
-
-	// Measurement shape: three alternating groups per engine, each group
-	// timing `passes` back-to-back sweeps, and each engine reporting its
-	// fastest group. Long groups average out sub-second scheduler and
-	// CPU-quota stalls that a single sweep's clock aliases with; alternating
-	// groups spread slower drift evenly; and the minimum discards whole
-	// disturbed groups — interference only ever adds time.
-	const benchGroups = 3
-	out := make([][]comm.Prediction, numUsers)
-	var mismatches atomic.Int64
-	for g := 0; g < benchGroups; g++ {
-		firstGroup := g == 0
-		runtime.GC()
-		start := time.Now()
-		for p := 0; p < passes; p++ {
-			collect := firstGroup && p == 0
-			par.ForChunks(numUsers, chunk, workers, func(lo, hi int) {
-				sc := newDisperseBatchScratch()
-				for b := lo; b < hi; b += disperseBatchClients {
-					be := b + disperseBatchClients
-					if be > hi {
-						be = hi
-					}
-					slots := sc.slots[:be-b]
-					for i := b; i < be; i++ {
-						slots[i-b].tgt, sc.excls[i-b] = t.server.disperseTargetInto(i, sc.excls[i-b])
-						slots[i-b].ds = clientStream(i)
-					}
-					t.server.disperseBatch(mbs, slots, plan, sc)
-					if collect {
-						for i := b; i < be; i++ {
-							out[i] = slots[i-b].preds
-						}
-					}
-				}
-			})
-		}
-		if secs := time.Since(start).Seconds() / float64(passes); batchedSecs == 0 || secs < batchedSecs {
-			batchedSecs = secs
-		}
-
-		runtime.GC()
-		start = time.Now()
-		for p := 0; p < passes; p++ {
-			compare := firstGroup && p == 0
-			par.ForChunks(numUsers, chunk, workers, func(lo, hi int) {
-				scratch := &disperseScratch{}
-				for i := lo; i < hi; i++ {
-					var tgt disperseTarget
-					tgt, scratch.excl = t.server.disperseTargetInto(i, scratch.excl)
-					preds := t.server.disperse(tgt, clientStream(i), plan, scratch)
-					if compare && !predictionsEqual(preds, out[i]) {
-						mismatches.Add(1)
-					}
-				}
-			})
-		}
-		if secs := time.Since(start).Seconds() / float64(passes); scalarSecs == 0 || secs < scalarSecs {
-			scalarSecs = secs
-		}
-	}
-	return batchedSecs, scalarSecs, mismatches.Load() == 0
+// trainSlots runs the listed cohort slots' client rounds on the worker pool,
+// each goroutine writing only its own outcome slot (so the round is
+// deterministic for any worker count), and returns the wall-clock for the
+// caller to add to the ClientTrain phase — returned rather than accrued
+// because runPipelined's overlapped wave runs while CloseRound writes
+// t.phases.
+func (t *Trainer) trainSlots(round int, idx []int, outcomes []ClientOutcome, slots []int) float64 {
+	start := time.Now()
+	par.For(len(slots), par.Workers(t.cfg.Workers), func(i int) {
+		slot := slots[i]
+		outcomes[slot] = t.host.RunClientRound(round, idx[slot]).Outcome()
+	})
+	return time.Since(start).Seconds()
 }
 
-// predictionsEqual compares two dispersal outputs bitwise.
-func predictionsEqual(a, b []comm.Prediction) bool {
-	if len(a) != len(b) {
-		return false
+// allSlots lists every slot of an n-client cohort.
+func allSlots(n int) []int {
+	slots := make([]int, n)
+	for i := range slots {
+		slots[i] = i
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+	return slots
 }
 
-// Run executes the configured number of rounds and a final evaluation.
-// The default schedule is the cross-round pipeline (RunPipelined);
-// Config.SequentialRounds retains the serialized baseline. Either way,
-// periodic evaluations (Config.EvalEvery) overlap each round's dispersal
-// phase, and the History is bitwise-identical between the two schedules.
+// Run executes the configured number of rounds through the cross-round
+// pipeline (pipeline.go) and a final evaluation. Periodic evaluations
+// (Config.EvalEvery) overlap each round's dispersal phase.
 func (t *Trainer) Run() (*History, error) {
-	h := &History{}
-	if t.cfg.SequentialRounds {
-		for round := 0; round < t.cfg.Rounds; round++ {
-			var rs RoundStats
-			if t.cfg.EvalEvery > 0 && (round+1)%t.cfg.EvalEvery == 0 {
-				rs, _ = t.RunRoundEval(round)
-			} else {
-				rs = t.RunRound(round)
-			}
-			h.Rounds = append(h.Rounds, rs)
-		}
-	} else {
-		h.Rounds = t.RunPipelined()
-	}
+	h := &History{Rounds: t.runPipelined()}
 	for _, rs := range h.Rounds {
 		h.MeanAttackF1 += rs.AttackF1
 	}
@@ -357,15 +222,9 @@ func (t *Trainer) Run() (*History, error) {
 }
 
 // splitEvaluator returns the trainer's round-cached evaluator, building the
-// candidate cache on first use. The engine knob is applied once at build time
-// — evaluation may run overlapped with dispersal, so the evaluator must not
-// be reconfigured mid-flight. Evaluators installed via ShareEvaluator keep
-// their own knob settings.
+// candidate cache on first use.
 func (t *Trainer) splitEvaluator() *eval.Evaluator {
-	if t.evaluator == nil {
-		t.evaluator = t.engine.NewEvaluator(t.split)
-	}
-	return t.evaluator
+	return eval.LazyEvaluator(&t.evaluator, t.split)
 }
 
 // ShareEvaluator hands the trainer a prebuilt candidate cache for its split.

@@ -1,62 +1,18 @@
 package fed
 
-// This file is the server's per-user upload state: the uploadStore contract
-// and its two implementations. flatUploadStore is the production engine — a
-// sharded arena of contiguous []comm.Prediction slabs with a fixed-stride
-// per-user offset/length index, so absorb writes in place, per-user views are
-// zero-alloc slices, and graph rebuilds iterate users in index order without
-// sorting map keys. mapUploadStore is the retained map-of-slices baseline
-// (the DisperseScalar pattern): Config.MapUploadStore forces it, the
-// invariance suite pins the two bitwise-identical, and the scalability
-// experiment reports both stores' resident bytes side by side.
+// This file is the server's per-user upload state — each user's most recent
+// D̂ᵗᵢ, whose union is the server's entire view of the interaction structure.
+// flatUploadStore is a sharded arena of contiguous []comm.Prediction slabs
+// with a fixed-stride per-user offset/length index, so absorb writes in place,
+// per-user views are zero-alloc slices, and graph rebuilds iterate users in
+// index order without sorting map keys.
 
 import (
 	"math/bits"
-	"sort"
 
 	"ptffedrec/internal/comm"
 	"ptffedrec/internal/par"
 )
-
-// uploadStore keeps each user's most recent D̂ᵗᵢ — the union of the stored
-// uploads is the server's entire view of the interaction structure.
-type uploadStore interface {
-	// SetBatch absorbs one round of uploads. Uploads come from distinct
-	// clients (the round engine samples without replacement) and empty
-	// uploads are ignored, matching the historical map semantics. The final
-	// state depends only on the batch contents, never on workers.
-	SetBatch(uploads [][]comm.Prediction, workers int)
-
-	// View returns user u's latest upload (nil if the user never uploaded).
-	// The slice aliases store memory and is valid until the next SetBatch.
-	View(u int) []comm.Prediction
-
-	// Users appends every user id with a stored upload to dst in ascending
-	// order and returns it — the graph rebuild's iteration order.
-	Users(dst []int) []int
-
-	// Count returns how many users have a stored upload.
-	Count() int
-
-	// DirtyUsers appends, in ascending order, every user whose stored upload
-	// changed since the last ResetDirty and returns dst. Non-consuming: the
-	// incremental graph path reads the set, rebuilds, then calls ResetDirty.
-	DirtyUsers(dst []int) []int
-
-	// ResetDirty clears the dirty-user set.
-	ResetDirty()
-
-	// MemoryBytes reports the store's resident footprint.
-	MemoryBytes() int64
-}
-
-// newUploadStore picks the engine for a config.
-func newUploadStore(numUsers int, cfg *Config) uploadStore {
-	if cfg.MapUploadStore {
-		return newMapUploadStore()
-	}
-	return newFlatUploadStore(numUsers)
-}
 
 // uploadStoreTargetShards sizes the flat store's user partitioning: the
 // power-of-two stride is the smallest that covers the user universe in about
@@ -178,6 +134,10 @@ func newFlatUploadStore(numUsers int) *flatUploadStore {
 	return st
 }
 
+// SetBatch absorbs one round of uploads. Uploads come from distinct clients
+// (the round engine samples without replacement) and empty uploads are
+// ignored. The final state depends only on the batch contents, never on
+// workers.
 func (st *flatUploadStore) SetBatch(uploads [][]comm.Prediction, workers int) {
 	// Route uploads to shards sequentially (cheap: one append per upload),
 	// then absorb shard-parallel — each worker touches only its shards'
@@ -214,6 +174,8 @@ func (st *flatUploadStore) SetBatch(uploads [][]comm.Prediction, workers int) {
 	})
 }
 
+// View returns user u's latest upload (nil if the user never uploaded). The
+// slice aliases store memory and is valid until the next SetBatch.
 func (st *flatUploadStore) View(u int) []comm.Prediction {
 	sh := &st.shards[u>>st.strideBits]
 	local := u - sh.lo
@@ -223,6 +185,8 @@ func (st *flatUploadStore) View(u int) []comm.Prediction {
 	return sh.slab[sh.off[local] : sh.off[local]+sh.n[local]]
 }
 
+// Users appends every user id with a stored upload to dst in ascending order
+// and returns it — the full graph rebuild's iteration order.
 func (st *flatUploadStore) Users(dst []int) []int {
 	for si := range st.shards {
 		sh := &st.shards[si]
@@ -235,8 +199,12 @@ func (st *flatUploadStore) Users(dst []int) []int {
 	return dst
 }
 
+// Count returns how many users have a stored upload.
 func (st *flatUploadStore) Count() int { return st.users }
 
+// DirtyUsers appends, in ascending order, every user whose stored upload
+// changed since the last ResetDirty and returns dst. Non-consuming: the
+// incremental graph path reads the set, rebuilds, then calls ResetDirty.
 func (st *flatUploadStore) DirtyUsers(dst []int) []int {
 	for si := range st.shards {
 		sh := &st.shards[si]
@@ -254,6 +222,7 @@ func (st *flatUploadStore) DirtyUsers(dst []int) []int {
 	return dst
 }
 
+// ResetDirty clears the dirty-user set.
 func (st *flatUploadStore) ResetDirty() {
 	for si := range st.shards {
 		sh := &st.shards[si]
@@ -267,6 +236,7 @@ func (st *flatUploadStore) ResetDirty() {
 	}
 }
 
+// MemoryBytes reports the store's resident footprint.
 func (st *flatUploadStore) MemoryBytes() int64 {
 	var b int64
 	for si := range st.shards {
@@ -277,65 +247,6 @@ func (st *flatUploadStore) MemoryBytes() int64 {
 	}
 	for _, r := range st.route {
 		b += int64(cap(r)) * 4
-	}
-	return b
-}
-
-// mapUploadStore is the historical map-of-slices state, kept as the
-// baseline: each entry aliases the round's upload slice directly.
-type mapUploadStore struct {
-	m     map[int][]comm.Prediction
-	dirty map[int]struct{}
-}
-
-func newMapUploadStore() *mapUploadStore {
-	return &mapUploadStore{m: map[int][]comm.Prediction{}, dirty: map[int]struct{}{}}
-}
-
-func (st *mapUploadStore) SetBatch(uploads [][]comm.Prediction, workers int) {
-	for _, up := range uploads {
-		if len(up) == 0 {
-			continue
-		}
-		st.m[up[0].User] = up
-		st.dirty[up[0].User] = struct{}{}
-	}
-}
-
-func (st *mapUploadStore) View(u int) []comm.Prediction { return st.m[u] }
-
-func (st *mapUploadStore) Users(dst []int) []int {
-	start := len(dst)
-	for u := range st.m {
-		dst = append(dst, u)
-	}
-	sort.Ints(dst[start:])
-	return dst
-}
-
-func (st *mapUploadStore) Count() int { return len(st.m) }
-
-func (st *mapUploadStore) DirtyUsers(dst []int) []int {
-	start := len(dst)
-	for u := range st.dirty {
-		dst = append(dst, u)
-	}
-	sort.Ints(dst[start:])
-	return dst
-}
-
-func (st *mapUploadStore) ResetDirty() {
-	clear(st.dirty)
-}
-
-// mapEntryOverheadBytes approximates one map entry's bookkeeping: the
-// int key, the slice header, and the runtime's per-entry bucket share.
-const mapEntryOverheadBytes = 8 + 24 + 16
-
-func (st *mapUploadStore) MemoryBytes() int64 {
-	b := int64(len(st.m)) * mapEntryOverheadBytes
-	for _, up := range st.m {
-		b += int64(cap(up)) * comm.PredictionMemBytes
 	}
 	return b
 }

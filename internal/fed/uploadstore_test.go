@@ -2,6 +2,7 @@ package fed
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"ptffedrec/internal/comm"
@@ -107,14 +108,15 @@ func requirePredsEqual(t *testing.T, label string, got, want []comm.Prediction) 
 	}
 }
 
-// TestFlatUploadStoreMatchesMap runs the flat store and the map baseline
-// through many rounds of randomized batches — lengths jittering, shrinking
-// and growing to force both in-place rewrites and abandon/compact cycles —
-// and requires identical observable state after every round.
+// TestFlatUploadStoreMatchesMap runs the flat store and the map oracle
+// (uploadstore_oracle_test.go) through many rounds of randomized batches —
+// lengths jittering, shrinking and growing to force both in-place rewrites
+// and abandon/compact cycles — and requires identical observable state
+// (count, user order, every view, the dirty set) after every round.
 func TestFlatUploadStoreMatchesMap(t *testing.T) {
 	const numUsers, numItems, rounds = 700, 90, 80
 	flat := newFlatUploadStore(numUsers)
-	mp := newMapUploadStore()
+	mp := newMapStoreOracle()
 	s := rng.New(11).Derive("equiv")
 
 	for round := 0; round < rounds; round++ {
@@ -153,28 +155,59 @@ func TestFlatUploadStoreMatchesMap(t *testing.T) {
 			requirePredsEqual(t, fmt.Sprintf("round %d user %d", round, fu[i]),
 				flat.View(fu[i]), mp.View(fu[i]))
 		}
+		// The dirty set accumulates across rounds until the graph rebuild
+		// consumes it; reset on an irregular cadence so both cases are seen.
+		if fd, md := flat.DirtyUsers(nil), mp.DirtyUsers(nil); !slices.Equal(fd, md) {
+			t.Fatalf("round %d: dirty users %v vs map %v", round, fd, md)
+		}
+		if round%3 == 1 {
+			flat.ResetDirty()
+			mp.ResetDirty()
+		}
 	}
 }
 
-// TestUploadStoreInvariance is the end-to-end pin: for every server model
-// kind and worker count, training on the flat store reproduces the map
-// baseline's History bit for bit.
+// TestUploadStoreInvariance pins the flat store on live protocol traffic: for
+// every server model kind and worker count, every batch a training run's
+// rounds absorb — faulted, so truncated uploads and dropped clients are in
+// it — is mirrored into the map oracle, and after every round the two stores
+// must agree on the user list and on every user's view.
 func TestUploadStoreInvariance(t *testing.T) {
 	kinds := []models.Kind{models.KindMF, models.KindNeuMF, models.KindNGCF, models.KindLightGCN}
 	if testing.Short() {
 		kinds = []models.Kind{models.KindNeuMF, models.KindLightGCN}
 	}
+	sp := tinySplit(t)
 	for _, server := range kinds {
-		cfg := fastConfig(server)
-		cfg.Rounds = 2
-		cfg.EvalEvery = 1
 		for _, workers := range []int{1, 2, 8} {
-			cfg.Workers, cfg.EvalWorkers = workers, workers
-			cfg.MapUploadStore = false
-			flat := runHistory(t, cfg)
-			cfg.MapUploadStore = true
-			requireEqualHistories(t, fmt.Sprintf("%s/workers=%d", server, workers),
-				flat, runHistory(t, cfg))
+			cfg := fastConfig(server)
+			cfg.Rounds = 3
+			cfg.ClientFraction = 0.6
+			cfg.Faults = FaultPlan{DropoutRate: 0.2, TruncateRate: 0.3}
+			cfg.Workers = workers
+			tr, err := NewTrainer(sp, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			oracle := newMapStoreOracle()
+			for round := 0; round < cfg.Rounds; round++ {
+				obs := observeRound(tr, round, nil, nil)
+				var uploads [][]comm.Prediction
+				for _, o := range obs.outcomes {
+					if !o.Dropped {
+						uploads = append(uploads, o.Upload)
+					}
+				}
+				oracle.SetBatch(uploads, 1)
+				label := fmt.Sprintf("%s/workers=%d round %d", server, workers, round)
+				users := tr.server.store.Users(nil)
+				if want := oracle.Users(nil); !slices.Equal(users, want) || tr.server.store.Count() != oracle.Count() {
+					t.Fatalf("%s: stored users %v, oracle %v", label, users, want)
+				}
+				for u := 0; u < sp.NumUsers; u++ {
+					requirePredsEqual(t, fmt.Sprintf("%s user %d", label, u), tr.server.store.View(u), oracle.View(u))
+				}
+			}
 		}
 	}
 }

@@ -141,8 +141,8 @@ func AUC(posScores, negScores []float64) float64 {
 // It stable-sorts a full O(n) index permutation, which makes it the reference
 // semantics of the selection engine: TopKInto and TopKSelector produce the
 // exact same index order in O(n log k) without materialising the permutation.
-// Hot paths should prefer those; TopK remains for small inputs and as the
-// baseline the select-vs-sort comparisons measure against.
+// Every caller outside tests uses those; TopK remains as the reference they
+// and the evaluator are tested against.
 func TopK(scores []float64, k int) []int {
 	idx := make([]int, len(scores))
 	for i := range idx {

@@ -54,7 +54,8 @@ type GraphRecommender interface {
 // engine instead of rebuilding them from triplets. The assembled operators
 // are bitwise-identical to SetGraph on the equivalent Bipartite (the engine's
 // contract), so a model may alternate freely between the two entry points;
-// the federated server prefers this one unless Config.FullGraphRebuild. The
+// the federated server uses this one until a non-positive edge weight sends
+// it back to SetGraph for the rest of the run. The
 // model's operator buffers are reused across calls — the engine copies into
 // them, it does not retain them.
 type GraphDeltaRecommender interface {

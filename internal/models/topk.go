@@ -32,8 +32,9 @@ type TopKScratch struct {
 // ScoreBlockInto (σ applied to every candidate) and selects with the
 // probability-domain TopKSelector. The multi-user evaluator batches users
 // through ScoreUsersBlockLogitsInto and selects raw logits with
-// metrics.LogitTopKSelector instead — same output, fewer sigmoids — and keeps
-// this engine as its bitwise reference and timing baseline.
+// metrics.LogitTopKSelector instead — same output, fewer sigmoids — and falls
+// back to this engine for streaming evaluators and scorers without the
+// multi-user contract.
 //
 // The returned slice is backed by sc and valid until the next call with the
 // same scratch.
