@@ -1,9 +1,10 @@
 // Benchmarks that regenerate every table and figure of the paper's
-// evaluation section. Each benchmark runs one full experiment (small-scale
-// profiles, shortened training — see internal/experiments) and prints the
-// paper-style rows once. Run with:
+// evaluation section: one sub-benchmark per registered experiment id, each
+// running the full experiment (small-scale profiles, shortened training — see
+// internal/experiments) and printing the paper-style rows once. Run with:
 //
 //	go test -bench=. -benchmem
+//	go test -bench=Experiments/table4 -benchtime=1x -run='^$'
 //
 // Full-scale runs go through `go run ./cmd/ptfbench -exp <id> -scale full`.
 package ptffedrec
@@ -12,83 +13,22 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sync"
 	"testing"
 )
 
-// benchOptions returns the standard benchmark configuration. Output is
-// printed only on the first iteration of each experiment so b.N reruns don't
-// spam the log.
-func benchOptions() ExperimentOptions { return DefaultExperimentOptions() }
-
-var benchPrintOnce sync.Map
-
-// runExperimentBench drives one experiment per iteration.
-func runExperimentBench(b *testing.B, id string) {
-	b.Helper()
-	o := benchOptions()
-	for i := 0; i < b.N; i++ {
-		var w io.Writer = io.Discard
-		if _, printed := benchPrintOnce.LoadOrStore(id, true); !printed {
-			fmt.Fprintf(os.Stdout, "\n=== %s (scale=%s quick=%v) ===\n", id, o.Scale, o.Quick)
-			w = os.Stdout
-		}
-		if err := RunExperiment(id, o, w); err != nil {
-			b.Fatal(err)
-		}
+func BenchmarkExperiments(b *testing.B) {
+	o := DefaultExperimentOptions()
+	for _, id := range ExperimentIDs {
+		b.Run(id, func(b *testing.B) {
+			// Print on the first iteration only, so b.N reruns don't spam the log.
+			var w io.Writer = os.Stdout
+			fmt.Fprintf(w, "\n=== %s (scale=%s quick=%v) ===\n", id, o.Scale, o.Quick)
+			for i := 0; i < b.N; i++ {
+				if err := RunExperiment(id, o, w); err != nil {
+					b.Fatal(err)
+				}
+				w = io.Discard
+			}
+		})
 	}
 }
-
-// BenchmarkTable2DatasetStats regenerates Table II (dataset statistics).
-func BenchmarkTable2DatasetStats(b *testing.B) { runExperimentBench(b, "table2") }
-
-// BenchmarkTable3Effectiveness regenerates Table III: Recall@20/NDCG@20 for
-// centralized NeuMF/NGCF/LightGCN, FCF, FedMF, MetaMF and PTF-FedRec with
-// all three server models on all three datasets.
-func BenchmarkTable3Effectiveness(b *testing.B) { runExperimentBench(b, "table3") }
-
-// BenchmarkTable4Communication regenerates Table IV: average per-client
-// per-round communication for the parameter-transmission baselines (measured
-// from real wire encodings, Paillier ciphertext sizes included) vs
-// PTF-FedRec's prediction triples.
-func BenchmarkTable4Communication(b *testing.B) { runExperimentBench(b, "table4") }
-
-// BenchmarkTable5PrivacyDefense regenerates Table V: Top Guess Attack F1 and
-// NDCG@20 under none / LDP / sampling / sampling+swapping.
-func BenchmarkTable5PrivacyDefense(b *testing.B) { runExperimentBench(b, "table5") }
-
-// BenchmarkTable6DefenseCostEffectiveness regenerates Table VI: the
-// ΔF1/ΔNDCG cost-effectiveness ratios derived from Table V.
-func BenchmarkTable6DefenseCostEffectiveness(b *testing.B) { runExperimentBench(b, "table6") }
-
-// BenchmarkTable7DisperseAblation regenerates Table VII: the D̃ᵢ construction
-// ablation (-hard / -confidence / both random).
-func BenchmarkTable7DisperseAblation(b *testing.B) { runExperimentBench(b, "table7") }
-
-// BenchmarkTable8ModelCombos regenerates Table VIII: NDCG@20 for all 3×3
-// client×server model combinations on the MovieLens profile.
-func BenchmarkTable8ModelCombos(b *testing.B) { runExperimentBench(b, "table8") }
-
-// BenchmarkFig3PrivacyHyperparams regenerates Figure 3: the β/γ/λ sweeps
-// with NDCG@20 and attack F1 on all three datasets.
-func BenchmarkFig3PrivacyHyperparams(b *testing.B) { runExperimentBench(b, "fig3") }
-
-// BenchmarkFig4AlphaSweep regenerates Figure 4: NDCG@20 for
-// α ∈ {10,30,50,70,90}.
-func BenchmarkFig4AlphaSweep(b *testing.B) { runExperimentBench(b, "fig4") }
-
-// BenchmarkAblationServerGraph sweeps the server's soft-positive graph
-// threshold — a design choice the paper leaves open (DESIGN.md §3).
-func BenchmarkAblationServerGraph(b *testing.B) { runExperimentBench(b, "ablation-servergraph") }
-
-// BenchmarkAblationNoiseFrontier traces the swap-vs-Laplace privacy/utility
-// frontier.
-func BenchmarkAblationNoiseFrontier(b *testing.B) { runExperimentBench(b, "ablation-noise") }
-
-// BenchmarkScalability sweeps the parallel round engine and evaluator over
-// worker counts on the large-scale profile (50k users at -scale full),
-// reporting rounds/sec and eval-time per worker count plus a determinism
-// cross-check. At GOMAXPROCS >= 4 the eval speedup row is expected to reach
-// 2x or better; on smaller hosts the sweep still verifies worker-count
-// invariance.
-func BenchmarkScalability(b *testing.B) { runExperimentBench(b, "scalability") }

@@ -13,11 +13,12 @@
 //
 // The scalability sweep reports, per worker count, round and eval timings
 // with speedups vs workers=1, the per-phase breakdown of the round (client
-// training, absorb, graph build, server SGD, dispersal), the server's memory
-// accounting, and one networked loopback run (net_round_secs,
-// net_wire_bytes); every record is stamped with GOMAXPROCS, CPU model and git
-// SHA. BENCH_scalability.json at the repo root records the sweep per commit
-// (`make bench` regenerates it; CI uploads a fresh one as an artifact).
+// training, absorb, graph build, server SGD, dispersal) and the server's
+// memory accounting; every record is stamped with GOMAXPROCS, CPU model and
+// git SHA. BENCH_scalability.json at the repo root records the sweep per
+// commit (`make bench` regenerates it; CI uploads a fresh one as an
+// artifact). The networked path is measured by the repository benchmark's
+// net-loopback workload (bench/), not here.
 package main
 
 import (
@@ -29,7 +30,6 @@ import (
 	"os/signal"
 	"time"
 
-	"ptffedrec"
 	"ptffedrec/internal/coord"
 	"ptffedrec/internal/data"
 	"ptffedrec/internal/experiments"
@@ -72,7 +72,7 @@ func main() {
 	}
 
 	if *list {
-		for _, id := range ptffedrec.ExperimentIDs {
+		for _, id := range experiments.ExperimentIDs {
 			fmt.Println(id)
 		}
 		return
@@ -106,7 +106,7 @@ func main() {
 
 	ids := []string{*exp}
 	if *exp == "all" {
-		ids = ptffedrec.ExperimentIDs
+		ids = experiments.ExperimentIDs
 	}
 	enc := json.NewEncoder(os.Stdout)
 	for _, id := range ids {

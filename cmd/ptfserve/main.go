@@ -78,7 +78,6 @@ func main() {
 		cfg.Rounds = *rounds
 	}
 	cfg.Workers = *workers
-	cfg.EvalWorkers = *workers
 
 	sp := data.StreamSplit(p, *seed, *frac)
 	c, err := coord.New(sp, cfg, coord.Options{
@@ -148,7 +147,6 @@ func selftestConfig() fed.Config {
 	cfg.Dim = 8
 	cfg.Alpha = 10
 	cfg.Workers = 4
-	cfg.EvalWorkers = 4
 	return cfg
 }
 

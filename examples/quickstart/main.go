@@ -11,8 +11,9 @@ import (
 )
 
 func main() {
-	// 1. Data: a scaled-down synthetic MovieLens-100K (see DESIGN.md for the
-	//    calibration; swap in ptffedrec.LoadMovieLens100K for the real file).
+	// 1. Data: a scaled-down synthetic MovieLens-100K (internal/data/synth.go
+	//    holds the calibration; swap in ptffedrec.LoadMovieLens100K for the
+	//    real file).
 	dataset := ptffedrec.Generate(ptffedrec.ML100KSmall, 1)
 	fmt.Println("dataset:", dataset.Stats())
 	split := dataset.Split(ptffedrec.NewRand(1), 0.2)

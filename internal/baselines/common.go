@@ -18,10 +18,14 @@ import (
 	"fmt"
 	"math"
 
+	"ptffedrec/internal/comm"
 	"ptffedrec/internal/data"
 	"ptffedrec/internal/eval"
 	"ptffedrec/internal/models"
+	"ptffedrec/internal/nn"
+	"ptffedrec/internal/par"
 	"ptffedrec/internal/rng"
+	"ptffedrec/internal/tensor"
 )
 
 // CipherMode selects how FedMF handles encryption.
@@ -29,8 +33,8 @@ type CipherMode string
 
 // FedMF cipher modes: Real runs actual Paillier operations (tests and small
 // universes); Accounted aggregates in plaintext but meters the exact
-// ciphertext byte counts — the behaviour-preserving substitution documented
-// in DESIGN.md.
+// ciphertext byte counts, a substitution TestFedMFRealMatchesAccounted pins as
+// behaviour-preserving.
 const (
 	CipherReal      CipherMode = "real"
 	CipherAccounted CipherMode = "accounted"
@@ -146,7 +150,6 @@ func localSamples(sp *data.Split, s *rng.Stream, u, negRatio int) []models.Sampl
 
 // FederatedBaseline is the contract the experiment harness drives.
 type FederatedBaseline interface {
-	Name() string
 	RunRound(round int)
 	Rounds() int
 	Evaluate() eval.Result
@@ -158,4 +161,126 @@ func Run(b FederatedBaseline) {
 	for r := 0; r < b.Rounds(); r++ {
 		b.RunRound(r)
 	}
+}
+
+// federation is what the three baselines share: the per-round cohort, every
+// client's private Adam-trained user vector, the local step a client takes
+// against whatever item matrix the server ships it, and the byte meter. What
+// differs per baseline — the matrix a client receives, the payload sizes, and
+// how the server folds the uploaded gradients in — is passed to round.
+type federation struct {
+	cfg   Config
+	split *data.Split
+	users []*adamVec // private per-client vectors (live on devices)
+	meter *comm.Meter
+	root  *rng.Stream
+
+	// evaluator caches the per-user candidate sets across Evaluate calls.
+	evaluator *eval.Evaluator
+}
+
+// newFederation validates cfg and builds the client side; stream names the
+// baseline's root rng stream.
+func newFederation(sp *data.Split, cfg Config, stream string) (*federation, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	f := &federation{cfg: cfg, split: sp, meter: comm.NewMeter(), root: rng.New(cfg.Seed).Derive(stream)}
+	for u := 0; u < sp.NumUsers; u++ {
+		f.users = append(f.users, newAdamVec(f.root.DeriveN("user", u), cfg.Dim, cfg.LR))
+	}
+	return f, nil
+}
+
+// Rounds implements FederatedBaseline.
+func (f *federation) Rounds() int { return f.cfg.Rounds }
+
+// AvgBytesPerClientPerRound implements FederatedBaseline.
+func (f *federation) AvgBytesPerClientPerRound() float64 { return f.meter.AvgPerClientPerRound() }
+
+// round runs one global round: the selected cohort fans out over the worker
+// pool, each client downloading itemsFor(u) (downBytes on the meter),
+// training its private vector against it and uploading a dense V×d
+// item-gradient block (upBytes); aggregate then folds the blocks, which
+// arrive in cohort order whatever the worker count, into the server's state.
+func (f *federation) round(round, downBytes, upBytes int, itemsFor func(u int) *tensor.Matrix, aggregate func(cohort []int, grads [][]float64)) {
+	n := max(1, int(f.cfg.ClientFraction*float64(f.split.NumUsers)))
+	cohort := f.root.DeriveN("select", round).SampleInts(f.split.NumUsers, n)
+	grads := make([][]float64, len(cohort))
+	par.For(len(cohort), par.Workers(f.cfg.Workers), func(slot int) {
+		u := cohort[slot]
+		q := itemsFor(u)
+		f.meter.AddDown(u, downBytes)
+		grads[slot] = f.clientUpdate(u, round, q)
+		f.meter.AddUp(u, upBytes)
+	})
+	aggregate(cohort, grads)
+	f.meter.EndRound()
+}
+
+// clientUpdate trains user u's private vector locally against the item
+// matrix q and returns the dense item-gradient block it uploads.
+func (f *federation) clientUpdate(u, round int, q *tensor.Matrix) []float64 {
+	s := f.root.DeriveN("clientrng", u).DeriveN("round", round)
+	dim := f.cfg.Dim
+	grad := make([]float64, f.split.NumItems*dim)
+	p := f.users[u]
+	du := make([]float64, dim)
+	for e := 0; e < f.cfg.LocalEpochs; e++ {
+		samples := localSamples(f.split, s, u, f.cfg.NegRatio)
+		s.Shuffle(len(samples), func(i, j int) { samples[i], samples[j] = samples[j], samples[i] })
+		for _, smp := range samples {
+			qv := q.Row(smp.Item)
+			pred := nn.Sigmoid(tensor.Dot(p.w, qv))
+			g := pred - smp.Label
+			for k := 0; k < dim; k++ {
+				du[k] = g * qv[k]
+				grad[smp.Item*dim+k] += g * p.w[k]
+			}
+			p.step(du)
+		}
+	}
+	return grad
+}
+
+// rank evaluates a scorer on the split's held-out items.
+func (f *federation) rank(scorer models.ScorerFunc) eval.Result {
+	return eval.LazyEvaluator(&f.evaluator, f.split).Rank(scorer, f.cfg.EvalK, 0)
+}
+
+// sharedItems is the federation FCF and FedMF both are: the server owns one
+// public V×d item matrix, broadcasts it every round and updates it from the
+// clients' dense item gradients. The two differ only in transport — how large
+// the payload is on the wire and how the server aggregates it.
+type sharedItems struct {
+	*federation
+	items        *tensor.Matrix
+	payloadBytes int // per direction, per client-round
+	aggregate    func(cohort []int, grads [][]float64)
+}
+
+func newSharedItems(sp *data.Split, cfg Config, stream string) (*sharedItems, error) {
+	f, err := newFederation(sp, cfg, stream)
+	if err != nil {
+		return nil, err
+	}
+	items := tensor.New(sp.NumItems, cfg.Dim)
+	nn.Normal(f.root.Derive("items"), items, 0.1)
+	return &sharedItems{federation: f, items: items}, nil
+}
+
+// RunRound implements FederatedBaseline.
+func (s *sharedItems) RunRound(round int) {
+	s.round(round, s.payloadBytes, s.payloadBytes, func(int) *tensor.Matrix { return s.items }, s.aggregate)
+}
+
+// Evaluate implements FederatedBaseline.
+func (s *sharedItems) Evaluate() eval.Result {
+	return s.rank(func(u int, items []int) []float64 {
+		out := make([]float64, len(items))
+		for i, v := range items {
+			out[i] = nn.Sigmoid(tensor.Dot(s.users[u].w, s.items.Row(v)))
+		}
+		return out
+	})
 }

@@ -1,15 +1,10 @@
 package baselines
 
 import (
-	"runtime"
-	"sync"
-
 	"ptffedrec/internal/comm"
 	"ptffedrec/internal/data"
-	"ptffedrec/internal/eval"
-	"ptffedrec/internal/models"
 	"ptffedrec/internal/nn"
-	"ptffedrec/internal/rng"
+	"ptffedrec/internal/tensor"
 )
 
 // FCF is federated collaborative filtering: the server owns the public item
@@ -17,140 +12,37 @@ import (
 // the server broadcasts Q, clients train locally and upload dense item
 // gradients, and the server applies the averaged gradient with Adam.
 type FCF struct {
-	cfg   Config
-	split *data.Split
-
-	items *nn.Param // V×d public item embeddings
-	opt   *nn.Adam
-	users []*adamVec // private per-client vectors (live on devices)
-
-	meter *comm.Meter
-	root  *rng.Stream
-
-	// evaluator caches the per-user candidate sets across Evaluate calls.
-	evaluator *eval.Evaluator
+	*sharedItems
+	q   *nn.Param // the item matrix as an optimizer parameter
+	opt *nn.Adam
 }
 
 // NewFCF builds the baseline for a split.
 func NewFCF(sp *data.Split, cfg Config) (*FCF, error) {
-	if err := cfg.Validate(); err != nil {
+	s, err := newSharedItems(sp, cfg, "fcf")
+	if err != nil {
 		return nil, err
 	}
-	root := rng.New(cfg.Seed).Derive("fcf")
 	f := &FCF{
-		cfg:   cfg,
-		split: sp,
-		items: nn.NewParam("fcf.Q", sp.NumItems, cfg.Dim),
-		opt:   nn.NewAdam(cfg.LR),
-		meter: comm.NewMeter(),
-		root:  root,
+		sharedItems: s,
+		q:           &nn.Param{Name: "fcf.Q", W: s.items, Grad: tensor.New(sp.NumItems, cfg.Dim)},
+		opt:         nn.NewAdam(cfg.LR),
 	}
-	nn.Normal(root.Derive("items"), f.items.W, 0.1)
-	for u := 0; u < sp.NumUsers; u++ {
-		f.users = append(f.users, newAdamVec(root.DeriveN("user", u), cfg.Dim, cfg.LR))
-	}
+	// The payload is the full float32 item matrix, exactly what the original
+	// FCF ships in each direction.
+	s.payloadBytes = comm.Float32BlockSize(sp.NumItems * cfg.Dim)
+	s.aggregate = f.fedAvg
 	return f, nil
 }
 
-// Name implements FederatedBaseline.
-func (f *FCF) Name() string { return "FCF" }
-
-// Rounds implements FederatedBaseline.
-func (f *FCF) Rounds() int { return f.cfg.Rounds }
-
-// Meter exposes the communication meter.
-func (f *FCF) Meter() *comm.Meter { return f.meter }
-
-// payloadBytes is the per-direction parameter payload: the full float32 item
-// matrix, exactly what the original FCF ships.
-func (f *FCF) payloadBytes() int {
-	return comm.Float32BlockSize(f.split.NumItems * f.cfg.Dim)
-}
-
-// RunRound implements FederatedBaseline.
-func (f *FCF) RunRound(round int) {
-	sel := f.root.DeriveN("select", round)
-	n := int(f.cfg.ClientFraction * float64(f.split.NumUsers))
-	if n < 1 {
-		n = 1
-	}
-	idx := sel.SampleInts(f.split.NumUsers, n)
-
-	workers := f.cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	grads := make([][]float64, len(idx)) // dense V×d per client
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, workers)
-	for i, u := range idx {
-		wg.Add(1)
-		go func(slot, u int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			f.meter.AddDown(u, f.payloadBytes())
-			grads[slot] = f.clientUpdate(u, round)
-			f.meter.AddUp(u, f.payloadBytes())
-		}(i, u)
-	}
-	wg.Wait()
-
-	// FedAvg: mean gradient over participants, then a server Adam step.
-	inv := 1.0 / float64(len(idx))
+// fedAvg is FCF's aggregation: the mean gradient over participants, then a
+// server Adam step.
+func (f *FCF) fedAvg(_ []int, grads [][]float64) {
+	inv := 1.0 / float64(len(grads))
 	for _, g := range grads {
 		for j, v := range g {
-			f.items.Grad.Data[j] += v * inv
+			f.q.Grad.Data[j] += v * inv
 		}
 	}
-	f.opt.Step([]*nn.Param{f.items})
-	f.meter.EndRound()
-}
-
-// clientUpdate trains user u's private vector locally against the current Q
-// and returns the dense item-gradient block it uploads.
-func (f *FCF) clientUpdate(u, round int) []float64 {
-	s := f.root.DeriveN("clientrng", u).DeriveN("round", round)
-	dim := f.cfg.Dim
-	grad := make([]float64, f.split.NumItems*dim)
-	p := f.users[u]
-	du := make([]float64, dim)
-	for e := 0; e < f.cfg.LocalEpochs; e++ {
-		samples := localSamples(f.split, s, u, f.cfg.NegRatio)
-		s.Shuffle(len(samples), func(i, j int) { samples[i], samples[j] = samples[j], samples[i] })
-		for _, smp := range samples {
-			q := f.items.W.Row(smp.Item)
-			pred := nn.Sigmoid(dotVec(p.w, q))
-			g := pred - smp.Label
-			for k := 0; k < dim; k++ {
-				du[k] = g * q[k]
-				grad[smp.Item*dim+k] += g * p.w[k]
-			}
-			p.step(du)
-		}
-	}
-	return grad
-}
-
-// Evaluate implements FederatedBaseline.
-func (f *FCF) Evaluate() eval.Result {
-	scorer := models.ScorerFunc(func(u int, items []int) []float64 {
-		out := make([]float64, len(items))
-		for i, v := range items {
-			out[i] = nn.Sigmoid(dotVec(f.users[u].w, f.items.W.Row(v)))
-		}
-		return out
-	})
-	return eval.LazyEvaluator(&f.evaluator, f.split).Rank(scorer, f.cfg.EvalK, 0)
-}
-
-// AvgBytesPerClientPerRound implements FederatedBaseline.
-func (f *FCF) AvgBytesPerClientPerRound() float64 { return f.meter.AvgPerClientPerRound() }
-
-func dotVec(a, b []float64) float64 {
-	var s float64
-	for i, v := range a {
-		s += v * b[i]
-	}
-	return s
+	f.opt.Step([]*nn.Param{f.q})
 }

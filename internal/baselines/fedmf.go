@@ -3,16 +3,9 @@ package baselines
 import (
 	"fmt"
 	"math/big"
-	"runtime"
-	"sync"
 
-	"ptffedrec/internal/comm"
 	"ptffedrec/internal/data"
-	"ptffedrec/internal/eval"
 	"ptffedrec/internal/hesim"
-	"ptffedrec/internal/models"
-	"ptffedrec/internal/nn"
-	"ptffedrec/internal/rng"
 	"ptffedrec/internal/tensor"
 )
 
@@ -27,52 +20,36 @@ import (
 // meter charges the exact ciphertext byte counts; Table IV's costs come from
 // the ciphertext math either way.
 type FedMF struct {
-	cfg   Config
-	split *data.Split
+	*sharedItems // items is the plaintext view of the item matrix
 
-	items *tensor.Matrix // V×d plaintext view of the item matrix
-	users []*adamVec
-
-	key    *hesim.PrivateKey
-	fp     *hesim.FixedPoint
-	packer *hesim.Packer
-	ctQ    []*hesim.Ciphertext // Real mode: one ciphertext per value
-
-	meter *comm.Meter
-	root  *rng.Stream
-
-	// evaluator caches the per-user candidate sets across Evaluate calls.
-	evaluator *eval.Evaluator
+	key *hesim.PrivateKey
+	fp  *hesim.FixedPoint
+	ctQ []*hesim.Ciphertext // Real mode: one ciphertext per value
 }
 
 // NewFedMF builds the baseline. Real mode generates an actual key pair and
 // an encrypted copy of the item matrix.
 func NewFedMF(sp *data.Split, cfg Config) (*FedMF, error) {
-	if err := cfg.Validate(); err != nil {
+	s, err := newSharedItems(sp, cfg, "fedmf")
+	if err != nil {
 		return nil, err
 	}
-	root := rng.New(cfg.Seed).Derive("fedmf")
-	f := &FedMF{
-		cfg:   cfg,
-		split: sp,
-		items: tensor.New(sp.NumItems, cfg.Dim),
-		meter: comm.NewMeter(),
-		root:  root,
-	}
-	init := root.Derive("items")
-	for i := range f.items.Data {
-		f.items.Data[i] = init.Normal(0, 0.1)
-	}
-	for u := 0; u < sp.NumUsers; u++ {
-		f.users = append(f.users, newAdamVec(root.DeriveN("user", u), cfg.Dim, cfg.LR))
-	}
+	f := &FedMF{sharedItems: s}
+	s.aggregate = f.homomorphicSum
 	key, err := hesim.GenerateKey(nil, cfg.KeyBits)
 	if err != nil {
 		return nil, fmt.Errorf("baselines: fedmf keygen: %w", err)
 	}
 	f.key = key
 	f.fp = hesim.NewFixedPoint(&key.PublicKey, cfg.FracBits)
-	f.packer = hesim.NewPacker(&key.PublicKey, cfg.SlotBits, cfg.FracBits)
+	// The payload is the whole item matrix as packed Paillier ciphertexts, in
+	// each direction. Uploading gradients for every item (zeros included) is
+	// what hides which items a client interacted with — and what makes FedMF
+	// the most expensive row of Table IV.
+	values := sp.NumItems * cfg.Dim
+	slots := hesim.NewPacker(&key.PublicKey, cfg.SlotBits, cfg.FracBits).Slots
+	cts := (values + slots - 1) / slots
+	s.payloadBytes = cts * hesim.CiphertextBytes(cfg.KeyBits)
 	if cfg.Cipher == CipherReal {
 		f.ctQ = make([]*hesim.Ciphertext, len(f.items.Data))
 		for i, v := range f.items.Data {
@@ -90,113 +67,41 @@ func NewFedMF(sp *data.Split, cfg Config) (*FedMF, error) {
 	return f, nil
 }
 
-// Name implements FederatedBaseline.
-func (f *FedMF) Name() string { return "FedMF" }
-
-// Rounds implements FederatedBaseline.
-func (f *FedMF) Rounds() int { return f.cfg.Rounds }
-
-// Meter exposes the communication meter.
-func (f *FedMF) Meter() *comm.Meter { return f.meter }
-
-// payloadBytes is the per-direction encrypted payload: the whole item matrix
-// as packed Paillier ciphertexts. Uploading gradients for every item (zeros
-// included) is what hides which items a client interacted with — and what
-// makes FedMF the most expensive row of Table IV.
-func (f *FedMF) payloadBytes() int {
-	values := f.split.NumItems * f.cfg.Dim
-	slots := f.packer.Slots
-	cts := (values + slots - 1) / slots
-	return cts * hesim.CiphertextBytes(f.cfg.KeyBits)
-}
-
-// RunRound implements FederatedBaseline.
-func (f *FedMF) RunRound(round int) {
-	sel := f.root.DeriveN("select", round)
-	n := int(f.cfg.ClientFraction * float64(f.split.NumUsers))
-	if n < 1 {
-		n = 1
-	}
-	idx := sel.SampleInts(f.split.NumUsers, n)
-
-	workers := f.cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	grads := make([][]float64, len(idx))
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, workers)
-	for i, u := range idx {
-		wg.Add(1)
-		go func(slot, u int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			f.meter.AddDown(u, f.payloadBytes())
-			grads[slot] = f.clientUpdate(u, round)
-			f.meter.AddUp(u, f.payloadBytes())
-		}(i, u)
-	}
-	wg.Wait()
-
-	scale := -f.cfg.LR / float64(len(idx))
-	if f.cfg.Cipher == CipherReal {
-		// Each client encrypts −lr·g/n; the server homomorphically adds all
-		// contributions into the encrypted item matrix.
-		for _, g := range grads {
-			for j, v := range g {
-				if v == 0 {
-					continue
-				}
-				z, err := f.fp.Encode(scale * v)
-				if err != nil {
-					continue // gradient overflowed fixed-point; drop it
-				}
-				ct, err := f.key.Encrypt(nil, z)
-				if err != nil {
-					continue
-				}
-				f.ctQ[j] = f.key.Add(f.ctQ[j], ct)
-			}
-		}
-		// Refresh the plaintext view from the ciphertexts (clients would do
-		// this with the shared key at the next download).
-		for j := range f.items.Data {
-			f.items.Data[j] = f.fp.Decode(f.key.Decrypt(f.ctQ[j]))
-		}
-	} else {
+// homomorphicSum is FedMF's aggregation: every client contributes −lr·g/n,
+// summed under encryption (Real) or in plaintext (Accounted).
+func (f *FedMF) homomorphicSum(_ []int, grads [][]float64) {
+	scale := -f.cfg.LR / float64(len(grads))
+	if f.cfg.Cipher != CipherReal {
 		for _, g := range grads {
 			for j, v := range g {
 				f.items.Data[j] += scale * v
 			}
 		}
+		return
 	}
-	f.meter.EndRound()
-}
-
-// clientUpdate mirrors FCF's local step (private user vector + dense item
-// gradient); only the transport differs.
-func (f *FedMF) clientUpdate(u, round int) []float64 {
-	s := f.root.DeriveN("clientrng", u).DeriveN("round", round)
-	dim := f.cfg.Dim
-	grad := make([]float64, f.split.NumItems*dim)
-	p := f.users[u]
-	du := make([]float64, dim)
-	for e := 0; e < f.cfg.LocalEpochs; e++ {
-		samples := localSamples(f.split, s, u, f.cfg.NegRatio)
-		s.Shuffle(len(samples), func(i, j int) { samples[i], samples[j] = samples[j], samples[i] })
-		for _, smp := range samples {
-			q := f.items.Row(smp.Item)
-			pred := nn.Sigmoid(dotVec(p.w, q))
-			g := pred - smp.Label
-			for k := 0; k < dim; k++ {
-				du[k] = g * q[k]
-				grad[smp.Item*dim+k] += g * p.w[k]
+	// Each client encrypts −lr·g/n; the server homomorphically adds all
+	// contributions into the encrypted item matrix.
+	for _, g := range grads {
+		for j, v := range g {
+			if v == 0 {
+				continue
 			}
-			p.step(du)
+			z, err := f.fp.Encode(scale * v)
+			if err != nil {
+				continue // gradient overflowed fixed-point; drop it
+			}
+			ct, err := f.key.Encrypt(nil, z)
+			if err != nil {
+				continue
+			}
+			f.ctQ[j] = f.key.Add(f.ctQ[j], ct)
 		}
 	}
-	return grad
+	// Refresh the plaintext view from the ciphertexts (clients would do this
+	// with the shared key at the next download).
+	for j := range f.items.Data {
+		f.items.Data[j] = f.fp.Decode(f.key.Decrypt(f.ctQ[j]))
+	}
 }
 
 // DecryptedItems returns the item matrix recovered from ciphertext (Real
@@ -228,18 +133,3 @@ func (f *FedMF) HomomorphicSmokeTest() error {
 	}
 	return nil
 }
-
-// Evaluate implements FederatedBaseline.
-func (f *FedMF) Evaluate() eval.Result {
-	scorer := models.ScorerFunc(func(u int, items []int) []float64 {
-		out := make([]float64, len(items))
-		for i, v := range items {
-			out[i] = nn.Sigmoid(dotVec(f.users[u].w, f.items.Row(v)))
-		}
-		return out
-	})
-	return eval.LazyEvaluator(&f.evaluator, f.split).Rank(scorer, f.cfg.EvalK, 0)
-}
-
-// AvgBytesPerClientPerRound implements FederatedBaseline.
-func (f *FedMF) AvgBytesPerClientPerRound() float64 { return f.meter.AvgPerClientPerRound() }

@@ -1,16 +1,11 @@
 package baselines
 
 import (
-	"runtime"
-	"sync"
-
 	"ptffedrec/internal/comm"
 	"ptffedrec/internal/data"
 	"ptffedrec/internal/emb"
 	"ptffedrec/internal/eval"
-	"ptffedrec/internal/models"
 	"ptffedrec/internal/nn"
-	"ptffedrec/internal/rng"
 	"ptffedrec/internal/tensor"
 )
 
@@ -23,61 +18,37 @@ import (
 //
 // The server sends each client its generated Qᵤ; the client trains a private
 // pᵤ locally and uploads dQᵤ, which the server backpropagates through the
-// generator into Base, the MLP, and cvᵤ. This is the FiLM-style
-// simplification of Lin et al.'s meta recommender documented in DESIGN.md —
-// it keeps the property Table IV measures (per-user generated embeddings,
-// parameter-sized traffic slightly above FCF's).
+// generator into Base, the MLP, and cvᵤ. This is a FiLM-style simplification
+// of Lin et al.'s meta recommender — it keeps the property Table IV measures
+// (per-user generated embeddings, parameter-sized traffic slightly above
+// FCF's).
 type MetaMF struct {
-	cfg   Config
-	split *data.Split
+	*federation
 
 	base *nn.Param  // V×d shared base item embeddings
 	cv   *emb.Table // U×cvDim collaborative vectors
 	l1   *nn.Dense  // cvDim -> hidden
 	l2   *nn.Dense  // hidden -> 2d (scale ‖ shift)
 	opt  *nn.Adam
-
-	users []*adamVec
-
-	meter *comm.Meter
-	root  *rng.Stream
-
-	// evaluator caches the per-user candidate sets across Evaluate calls.
-	evaluator *eval.Evaluator
 }
 
 // NewMetaMF builds the baseline for a split.
 func NewMetaMF(sp *data.Split, cfg Config) (*MetaMF, error) {
-	if err := cfg.Validate(); err != nil {
+	f, err := newFederation(sp, cfg, "metamf")
+	if err != nil {
 		return nil, err
 	}
-	root := rng.New(cfg.Seed).Derive("metamf")
 	m := &MetaMF{
-		cfg:   cfg,
-		split: sp,
-		base:  nn.NewParam("metamf.base", sp.NumItems, cfg.Dim),
-		cv:    emb.NewTable(root.Derive("cv"), sp.NumUsers, cfg.CVDim, emb.DefaultAdam(cfg.LR)),
-		l1:    nn.NewDense("metamf.l1", cfg.CVDim, cfg.MetaHidden, root.Derive("l1")),
-		l2:    nn.NewDense("metamf.l2", cfg.MetaHidden, 2*cfg.Dim, root.Derive("l2")),
-		opt:   nn.NewAdam(cfg.LR),
-		meter: comm.NewMeter(),
-		root:  root,
+		federation: f,
+		base:       nn.NewParam("metamf.base", sp.NumItems, cfg.Dim),
+		cv:         emb.NewTable(f.root.Derive("cv"), sp.NumUsers, cfg.CVDim, emb.DefaultAdam(cfg.LR)),
+		l1:         nn.NewDense("metamf.l1", cfg.CVDim, cfg.MetaHidden, f.root.Derive("l1")),
+		l2:         nn.NewDense("metamf.l2", cfg.MetaHidden, 2*cfg.Dim, f.root.Derive("l2")),
+		opt:        nn.NewAdam(cfg.LR),
 	}
-	nn.Normal(root.Derive("base"), m.base.W, 0.1)
-	for u := 0; u < sp.NumUsers; u++ {
-		m.users = append(m.users, newAdamVec(root.DeriveN("user", u), cfg.Dim, cfg.LR))
-	}
+	nn.Normal(f.root.Derive("base"), m.base.W, 0.1)
 	return m, nil
 }
-
-// Name implements FederatedBaseline.
-func (m *MetaMF) Name() string { return "MetaMF" }
-
-// Rounds implements FederatedBaseline.
-func (m *MetaMF) Rounds() int { return m.cfg.Rounds }
-
-// Meter exposes the communication meter.
-func (m *MetaMF) Meter() *comm.Meter { return m.meter }
 
 // generate runs the meta-network for user u, returning the modulation and
 // the intermediates needed for backprop.
@@ -104,48 +75,20 @@ func (m *MetaMF) generatedItems(scale, shift []float64) *tensor.Matrix {
 	return q
 }
 
-// downBytes counts the generated embeddings plus the modulation vector.
-func (m *MetaMF) downBytes() int {
-	return comm.Float32BlockSize(m.split.NumItems*m.cfg.Dim + 2*m.cfg.Dim)
-}
-
-// upBytes counts the uploaded dQᵤ block.
-func (m *MetaMF) upBytes() int {
-	return comm.Float32BlockSize(m.split.NumItems * m.cfg.Dim)
-}
-
-// RunRound implements FederatedBaseline.
+// RunRound implements FederatedBaseline. Each client downloads its generated
+// embeddings plus the modulation vector and uploads the dQᵤ block.
 func (m *MetaMF) RunRound(round int) {
-	sel := m.root.DeriveN("select", round)
-	n := int(m.cfg.ClientFraction * float64(m.split.NumUsers))
-	if n < 1 {
-		n = 1
-	}
-	idx := sel.SampleInts(m.split.NumUsers, n)
-
-	workers := m.cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	grads := make([][]float64, len(idx))
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, workers)
-	for i, u := range idx {
-		wg.Add(1)
-		go func(slot, u int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
+	values := m.split.NumItems * m.cfg.Dim
+	m.round(round, comm.Float32BlockSize(values+2*m.cfg.Dim), comm.Float32BlockSize(values),
+		func(u int) *tensor.Matrix {
 			_, _, _, _, scale, shift := m.generate(u)
-			q := m.generatedItems(scale, shift)
-			m.meter.AddDown(u, m.downBytes())
-			grads[slot] = m.clientUpdate(u, round, q)
-			m.meter.AddUp(u, m.upBytes())
-		}(i, u)
-	}
-	wg.Wait()
+			return m.generatedItems(scale, shift)
+		}, m.backprop)
+}
 
-	// Server: backprop every client's dQᵤ through the generator.
+// backprop is MetaMF's aggregation: every client's dQᵤ flows back through the
+// generator into Base, the MLP and cvᵤ, then one optimizer step.
+func (m *MetaMF) backprop(idx []int, grads [][]float64) {
 	inv := 1.0 / float64(len(idx))
 	dim := m.cfg.Dim
 	for slot, u := range idx {
@@ -179,36 +122,11 @@ func (m *MetaMF) RunRound(round int) {
 	params = append(params, m.l2.Params()...)
 	m.opt.Step(params)
 	m.cv.Step()
-	m.meter.EndRound()
-}
-
-// clientUpdate trains pᵤ against the generated Qᵤ and returns dQᵤ.
-func (m *MetaMF) clientUpdate(u, round int, q *tensor.Matrix) []float64 {
-	s := m.root.DeriveN("clientrng", u).DeriveN("round", round)
-	dim := m.cfg.Dim
-	grad := make([]float64, m.split.NumItems*dim)
-	p := m.users[u]
-	du := make([]float64, dim)
-	for e := 0; e < m.cfg.LocalEpochs; e++ {
-		samples := localSamples(m.split, s, u, m.cfg.NegRatio)
-		s.Shuffle(len(samples), func(i, j int) { samples[i], samples[j] = samples[j], samples[i] })
-		for _, smp := range samples {
-			qv := q.Row(smp.Item)
-			pred := nn.Sigmoid(dotVec(p.w, qv))
-			g := pred - smp.Label
-			for k := 0; k < dim; k++ {
-				du[k] = g * qv[k]
-				grad[smp.Item*dim+k] += g * p.w[k]
-			}
-			p.step(du)
-		}
-	}
-	return grad
 }
 
 // Evaluate implements FederatedBaseline.
 func (m *MetaMF) Evaluate() eval.Result {
-	scorer := models.ScorerFunc(func(u int, items []int) []float64 {
+	return m.rank(func(u int, items []int) []float64 {
 		_, _, _, _, scale, shift := m.generate(u)
 		out := make([]float64, len(items))
 		p := m.users[u].w
@@ -222,8 +140,4 @@ func (m *MetaMF) Evaluate() eval.Result {
 		}
 		return out
 	})
-	return eval.LazyEvaluator(&m.evaluator, m.split).Rank(scorer, m.cfg.EvalK, 0)
 }
-
-// AvgBytesPerClientPerRound implements FederatedBaseline.
-func (m *MetaMF) AvgBytesPerClientPerRound() float64 { return m.meter.AvgPerClientPerRound() }

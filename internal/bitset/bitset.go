@@ -7,7 +7,8 @@ package bitset
 
 import "math/bits"
 
-// Set is a bit set over [0, Cap()). The zero value is unusable; call New.
+// Set is a bit set over [0, n) for the n given to New. The zero value is
+// unusable; call New.
 type Set struct {
 	words []uint64
 	n     int
@@ -18,10 +19,7 @@ func New(n int) *Set {
 	return &Set{words: make([]uint64, (n+63)/64), n: n}
 }
 
-// Cap returns the universe size the set was allocated for.
-func (s *Set) Cap() int { return s.n }
-
-// Add inserts i into the set. i must be in [0, Cap()).
+// Add inserts i into the set. i must be in [0, n).
 func (s *Set) Add(i int) { s.words[i>>6] |= 1 << (uint(i) & 63) }
 
 // Contains reports whether i is in the set.

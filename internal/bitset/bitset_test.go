@@ -7,8 +7,8 @@ import (
 
 func TestSetBasics(t *testing.T) {
 	s := New(130) // spans three words
-	if s.Cap() != 130 || s.Count() != 0 {
-		t.Fatalf("fresh set: cap=%d count=%d", s.Cap(), s.Count())
+	if len(s.Words()) != 3 || s.Count() != 0 {
+		t.Fatalf("fresh set: words=%d count=%d", len(s.Words()), s.Count())
 	}
 	for _, i := range []int{0, 63, 64, 129} {
 		s.Add(i)

@@ -28,15 +28,8 @@ type Packed struct {
 	ids []int32
 }
 
-// Lists returns how many lists the cache holds.
-func (p *Packed) Lists() int { return len(p.off) - 1 }
-
 // List returns list i, aliasing the backing array.
 func (p *Packed) List(i int) []int32 { return p.ids[p.off[i]:p.off[i+1]] }
-
-// TotalLen returns the total number of packed entries — ×4 bytes is the
-// cache's memory footprint.
-func (p *Packed) TotalLen() int { return len(p.ids) }
 
 // MemoryBytes reports the cache's resident footprint: the packed int32
 // entries plus the offset index.

@@ -114,17 +114,17 @@ const meterShards = 64
 // meterShard is one client partition's counters under its own lock, padded
 // to a cache line so neighbouring shards never false-share.
 type meterShard struct {
-	mu   sync.Mutex
-	up   map[int]int64
-	down map[int]int64
-	_    [24]byte
+	mu    sync.Mutex
+	bytes map[int]int64 // per client, both directions
+	_     [48]byte
 }
 
-// Meter accumulates per-client upload/download bytes across rounds. It is
-// safe for concurrent use from any number of goroutines: per-client byte
-// counters shard over client id (the round engine's parallel dispersal and
-// the coordinator's concurrent upload handlers both hammer it), and the
-// round counter is atomic.
+// Meter accumulates per-client traffic across rounds, uploads and downloads
+// together: Table IV reports their sum, and a round's own up/down split lives
+// in fed.RoundStats. It is safe for concurrent use from any number of
+// goroutines: per-client byte counters shard over client id (the round
+// engine's parallel dispersal and the coordinator's concurrent upload
+// handlers both hammer it), and the round counter is atomic.
 type Meter struct {
 	shards [meterShards]meterShard
 	rounds atomic.Int64
@@ -134,8 +134,7 @@ type Meter struct {
 func NewMeter() *Meter {
 	m := &Meter{}
 	for i := range m.shards {
-		m.shards[i].up = map[int]int64{}
-		m.shards[i].down = map[int]int64{}
+		m.shards[i].bytes = map[int]int64{}
 	}
 	return m
 }
@@ -147,51 +146,20 @@ func (m *Meter) shard(client int) *meterShard {
 }
 
 // AddUp records bytes sent from a client to the server.
-func (m *Meter) AddUp(client, bytes int) {
-	sh := m.shard(client)
-	sh.mu.Lock()
-	sh.up[client] += int64(bytes)
-	sh.mu.Unlock()
-}
+func (m *Meter) AddUp(client, bytes int) { m.add(client, bytes) }
 
 // AddDown records bytes sent from the server to a client.
-func (m *Meter) AddDown(client, bytes int) {
+func (m *Meter) AddDown(client, bytes int) { m.add(client, bytes) }
+
+func (m *Meter) add(client, bytes int) {
 	sh := m.shard(client)
 	sh.mu.Lock()
-	sh.down[client] += int64(bytes)
+	sh.bytes[client] += int64(bytes)
 	sh.mu.Unlock()
 }
 
 // EndRound marks the completion of one global round.
 func (m *Meter) EndRound() { m.rounds.Add(1) }
-
-// TotalUp returns total client→server bytes.
-func (m *Meter) TotalUp() int64 {
-	var t int64
-	for i := range m.shards {
-		sh := &m.shards[i]
-		sh.mu.Lock()
-		for _, v := range sh.up {
-			t += v
-		}
-		sh.mu.Unlock()
-	}
-	return t
-}
-
-// TotalDown returns total server→client bytes.
-func (m *Meter) TotalDown() int64 {
-	var t int64
-	for i := range m.shards {
-		sh := &m.shards[i]
-		sh.mu.Lock()
-		for _, v := range sh.down {
-			t += v
-		}
-		sh.mu.Unlock()
-	}
-	return t
-}
 
 // Rounds returns the number of completed rounds.
 func (m *Meter) Rounds() int { return int(m.rounds.Load()) }
@@ -203,15 +171,8 @@ func (m *Meter) AvgPerClientPerRound() float64 {
 	for i := range m.shards {
 		sh := &m.shards[i]
 		sh.mu.Lock()
-		for c, v := range sh.up {
-			clients++
-			total += v
-			if _, alsoDown := sh.down[c]; alsoDown {
-				clients-- // counted once below
-			}
-		}
-		for _, v := range sh.down {
-			clients++
+		clients += int64(len(sh.bytes))
+		for _, v := range sh.bytes {
 			total += v
 		}
 		sh.mu.Unlock()

@@ -62,9 +62,6 @@ func TestMeterAccounting(t *testing.T) {
 	m.AddUp(1, 200)
 	m.AddDown(1, 50)
 	m.EndRound()
-	if m.TotalUp() != 600 || m.TotalDown() != 200 {
-		t.Fatalf("totals = %d up %d down", m.TotalUp(), m.TotalDown())
-	}
 	if m.Rounds() != 2 {
 		t.Fatalf("rounds = %d", m.Rounds())
 	}
@@ -95,8 +92,9 @@ func TestMeterConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 	m.EndRound()
-	if m.TotalUp() != 8000 || m.TotalDown() != 16000 {
-		t.Fatalf("concurrent totals %d/%d", m.TotalUp(), m.TotalDown())
+	// (8000 up + 16000 down) / 8 clients / 1 round.
+	if got := m.AvgPerClientPerRound(); got != 3000 {
+		t.Fatalf("concurrent avg = %v, want 3000", got)
 	}
 }
 

@@ -197,7 +197,6 @@ func TestMeterConcurrentSharded(t *testing.T) {
 				m.AddUp(c, 3)
 				m.AddDown(c, 5)
 				if i%100 == 0 {
-					_ = m.TotalUp()
 					_ = m.AvgPerClientPerRound()
 				}
 			}
@@ -208,17 +207,10 @@ func TestMeterConcurrentSharded(t *testing.T) {
 		defer wg.Done()
 		for i := 0; i < 50; i++ {
 			m.EndRound()
-			_ = m.TotalDown()
 			_ = m.Rounds()
 		}
 	}()
 	wg.Wait()
-	if got, want := m.TotalUp(), int64(goroutines*perG*3); got != want {
-		t.Fatalf("TotalUp = %d, want %d", got, want)
-	}
-	if got, want := m.TotalDown(), int64(goroutines*perG*5); got != want {
-		t.Fatalf("TotalDown = %d, want %d", got, want)
-	}
 	if m.Rounds() != 50 {
 		t.Fatalf("Rounds = %d", m.Rounds())
 	}

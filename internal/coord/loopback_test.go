@@ -38,7 +38,6 @@ func testConfig(server models.Kind, workers int) fed.Config {
 	cfg.Alpha = 10
 	cfg.LR = 5e-3
 	cfg.Workers = workers
-	cfg.EvalWorkers = workers
 	return cfg
 }
 

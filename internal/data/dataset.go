@@ -175,15 +175,6 @@ func (sp *Split) InTest(u, v int) bool {
 	return i < len(items) && items[i] == v
 }
 
-// TrainInteractions returns the total number of training interactions.
-func (sp *Split) TrainInteractions() int {
-	n := 0
-	for _, items := range sp.Train {
-		n += len(items)
-	}
-	return n
-}
-
 // SampleNegatives draws ratio×len(positives) items the user has not
 // interacted with (neither train nor test), without replacement when
 // possible. This implements the paper's 1:4 negative sampling.

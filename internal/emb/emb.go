@@ -94,9 +94,6 @@ func (t *Table) Step() {
 	}
 }
 
-// PendingRows returns how many rows have uncommitted gradients.
-func (t *Table) PendingRows() int { return len(t.grad) }
-
 // Snapshot writes the table's weights (not optimizer state) to w.
 func (t *Table) Snapshot(w io.Writer) error {
 	return persist.WriteFloat64s(w, t.W.Data)
@@ -203,12 +200,6 @@ func NewLazyTable(s *rng.Stream, dim int, hy AdamHyper) *LazyTable {
 
 // Row returns row i, materialising it on first use.
 func (t *LazyTable) Row(i int) []float64 { return t.row(i).w }
-
-// Materialized reports whether row i has been allocated.
-func (t *LazyTable) Materialized(i int) bool {
-	_, ok := t.rows[i]
-	return ok
-}
 
 // Len returns the number of materialised rows.
 func (t *LazyTable) Len() int { return len(t.rows) }
@@ -325,18 +316,6 @@ func (t *LazyTable) RestoreMoments(r io.Reader) error {
 		}
 	}
 	return nil
-}
-
-// PendingGrad returns a copy of row i's uncommitted gradient, or nil if the
-// row has no pending update. Intended for tests and debugging.
-func (t *LazyTable) PendingGrad(i int) []float64 {
-	r, ok := t.rows[i]
-	if !ok || !r.dirty {
-		return nil
-	}
-	out := make([]float64, len(r.grad))
-	copy(out, r.grad)
-	return out
 }
 
 // Step applies sparse Adam to all dirty rows.

@@ -26,11 +26,11 @@ func TestTableSparseStep(t *testing.T) {
 	before0 := append([]float64(nil), tab.Row(0)...)
 	before1 := append([]float64(nil), tab.Row(1)...)
 	tab.Accumulate(1, []float64{1, -1})
-	if tab.PendingRows() != 1 {
-		t.Fatalf("PendingRows = %d", tab.PendingRows())
+	if tab.PendingGrad(1) == nil || tab.PendingGrad(0) != nil {
+		t.Fatal("Accumulate did not leave exactly row 1 pending")
 	}
 	tab.Step()
-	if tab.PendingRows() != 0 {
+	if tab.PendingGrad(1) != nil {
 		t.Fatal("Step did not clear pending gradients")
 	}
 	for k := range before0 {
@@ -87,14 +87,11 @@ func TestLazyTableMaterialisesOnDemand(t *testing.T) {
 	if tab.Len() != 0 {
 		t.Fatal("new lazy table not empty")
 	}
-	if tab.Materialized(7) {
-		t.Fatal("row 7 should not exist yet")
-	}
 	r := tab.Row(7)
 	if len(r) != 4 {
 		t.Fatalf("row len = %d", len(r))
 	}
-	if !tab.Materialized(7) || tab.Len() != 1 {
+	if tab.Len() != 1 {
 		t.Fatal("row 7 not materialised")
 	}
 	var norm float64

@@ -10,17 +10,13 @@ import (
 )
 
 // scalarOnly hides a model's BlockScorer so Ranking is forced through the
-// per-item scoring path, while keeping the warm and buffer-reuse extensions.
+// per-item scoring path, while keeping the warm extension.
 type scalarOnly struct {
 	m models.Recommender
 }
 
 func (s scalarOnly) ScoreItems(u int, items []int) []float64 {
 	return s.m.ScoreItems(u, items)
-}
-
-func (s scalarOnly) ScoreItemsInto(dst []float64, u int, items []int) []float64 {
-	return s.m.(models.InplaceScorer).ScoreItemsInto(dst, u, items)
 }
 
 func (s scalarOnly) WarmScoring() {
@@ -30,7 +26,7 @@ func (s scalarOnly) WarmScoring() {
 }
 
 // singleUserOnly hides a model's MultiBlockScorer, keeping BlockScorer and
-// the warm/buffer-reuse extensions, so a cached Evaluator ranks it through the
+// the warm extension, so a cached Evaluator ranks it through the
 // single-user fused selection loop — the path streaming evaluators and
 // non-multi scorers take — instead of the multi-user batched engine.
 type singleUserOnly struct {

@@ -28,8 +28,7 @@
 // depend on the path taken.
 //
 // The package consumes the models scoring interface family directly
-// (models.Scorer and its InplaceScorer / BlockScorer / MultiBlockScorer
-// refinements, models.Warmer for lazily built shared state); capability
+// (models.Scorer and its BlockScorer / MultiBlockScorer refinements, models.Warmer for lazily built shared state); capability
 // detection happens once per Rank call, not per user.
 package eval
 
@@ -62,22 +61,20 @@ var evalScoreChunk = 1024
 // re-sniffing interfaces per user.
 type caps struct {
 	scorer models.Scorer
-	into   models.InplaceScorer    // nil when unsupported
 	block  models.BlockScorer      // nil when unsupported
 	multi  models.MultiBlockScorer // nil when unsupported
 }
 
 func detectCaps(s models.Scorer) caps {
 	c := caps{scorer: s}
-	c.into, _ = s.(models.InplaceScorer)
 	c.block, _ = s.(models.BlockScorer)
 	c.multi, _ = s.(models.MultiBlockScorer)
 	return c
 }
 
 // scoreItems scores through the strongest non-fused path the scorer supports
-// — batched block scoring, then buffer-reusing per-item, then plain
-// ScoreItems. buf is owned by the calling goroutine and carried across users.
+// — batched block scoring into buf, else plain ScoreItems. buf is owned by the
+// calling goroutine and carried across users.
 func (c *caps) scoreItems(buf *[]float64, u int, items []int) []float64 {
 	if c.block != nil {
 		out := *buf
@@ -87,11 +84,6 @@ func (c *caps) scoreItems(buf *[]float64, u int, items []int) []float64 {
 			out = out[:len(items)]
 		}
 		c.block.ScoreBlockInto(out, u, items)
-		*buf = out
-		return out
-	}
-	if c.into != nil {
-		out := c.into.ScoreItemsInto(*buf, u, items)
 		*buf = out
 		return out
 	}

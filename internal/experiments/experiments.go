@@ -1,14 +1,14 @@
 // Package experiments regenerates every table and figure of the paper's
-// evaluation (§IV). Each runner builds the workloads, drives the trainers in
-// internal/fed, internal/baselines and internal/central, and returns typed
-// results that print in the shape of the corresponding paper table.
+// evaluation (§IV). The experiments are data: registry.go declares each one
+// as a list of arms (a method trained by internal/fed, internal/baselines or
+// internal/central) and a column axis, one runner fills one Grid per
+// experiment, and one Print renders it with a row per arm. Table II and the
+// scalability sweep keep result types of their own behind the same Renderer.
 //
 // Two scales are supported: ScaleSmall runs the calibrated scaled-down
 // dataset profiles (minutes on a laptop; the default for benchmarks), and
 // ScaleFull runs the paper-sized profiles. The Quick flag additionally
-// shortens training for smoke-level runs. Relative orderings — the paper's
-// claims — are stable across scales; absolute values are recorded in
-// EXPERIMENTS.md.
+// shortens training for smoke-level runs.
 package experiments
 
 import (
@@ -18,7 +18,6 @@ import (
 	"ptffedrec/internal/baselines"
 	"ptffedrec/internal/central"
 	"ptffedrec/internal/data"
-	"ptffedrec/internal/eval"
 	"ptffedrec/internal/fed"
 	"ptffedrec/internal/models"
 )
@@ -66,6 +65,9 @@ func (o Options) Profiles() []data.Profile {
 	}
 	return []data.Profile{data.ML100KSmall, data.SteamSmall, data.GowallaSmall}
 }
+
+// evalK is the ranking cutoff of every reported Recall/NDCG.
+const evalK = 20
 
 // logf writes progress output if a writer is configured.
 func (o Options) logf(format string, args ...any) {
@@ -129,67 +131,4 @@ func (o Options) centralConfig(kind models.Kind) central.Config {
 		cfg.Dim = 16
 	}
 	return cfg
-}
-
-// runPTF trains PTF-FedRec with the given server model and returns the
-// history and trainer.
-func (o Options) runPTF(sp *data.Split, server models.Kind, mutate func(*fed.Config)) (*fed.History, *fed.Trainer, error) {
-	cfg := o.fedConfig(server)
-	if mutate != nil {
-		mutate(&cfg)
-	}
-	tr, err := fed.NewTrainer(sp, cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	h, err := tr.Run()
-	if err != nil {
-		return nil, nil, err
-	}
-	return h, tr, nil
-}
-
-// runCentral trains a centralized model and evaluates it.
-func (o Options) runCentral(sp *data.Split, kind models.Kind) (eval.Result, error) {
-	tr, err := central.NewTrainer(sp, o.centralConfig(kind))
-	if err != nil {
-		return eval.Result{}, err
-	}
-	tr.Run()
-	return tr.Evaluate(o.evalK()), nil
-}
-
-func (o Options) evalK() int { return 20 }
-
-// runBaseline constructs, trains and evaluates one federated baseline.
-func (o Options) runBaseline(sp *data.Split, name string) (eval.Result, float64, error) {
-	cfg := o.baselineConfig()
-	var b baselines.FederatedBaseline
-	var err error
-	switch name {
-	case "FCF":
-		b, err = baselines.NewFCF(sp, cfg)
-	case "FedMF":
-		b, err = baselines.NewFedMF(sp, cfg)
-	case "MetaMF":
-		b, err = baselines.NewMetaMF(sp, cfg)
-	default:
-		return eval.Result{}, 0, fmt.Errorf("experiments: unknown baseline %q", name)
-	}
-	if err != nil {
-		return eval.Result{}, 0, err
-	}
-	baselines.Run(b)
-	return b.Evaluate(), b.AvgBytesPerClientPerRound(), nil
-}
-
-// Cell is one (Recall, NDCG) measurement.
-type Cell struct {
-	Recall, NDCG float64
-}
-
-// ExperimentIDs lists every runnable experiment for the CLI.
-var ExperimentIDs = []string{
-	"table2", "table3", "table4", "table5", "table6", "table7", "table8",
-	"fig3", "fig4", "ablation-servergraph", "ablation-noise", "scalability",
 }

@@ -2,6 +2,9 @@ package experiments
 
 import (
 	"bytes"
+	"encoding/json"
+	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -13,6 +16,56 @@ func testOptions() Options {
 	o := DefaultOptions()
 	o.ProfilesOverride = []data.Profile{data.Tiny}
 	return o
+}
+
+// results holds one run per experiment id on testOptions, shared by the
+// registry sweep and the tests that pin a paper claim on a named row.
+var results = map[string]Renderer{}
+
+// lightIDs are the experiments cheap enough for -short (and so for -race).
+var lightIDs = map[string]bool{"table2": true, "table4": true, "scalability": true}
+
+func resultOn(t *testing.T, id string) Renderer {
+	t.Helper()
+	if testing.Short() && !lightIDs[id] {
+		t.Skip("full experiment grid; skipped in -short")
+	}
+	if res, ok := results[id]; ok {
+		return res
+	}
+	res, err := ResultFor(id, testOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	results[id] = res
+	return res
+}
+
+func gridOn(t *testing.T, id string) *Grid {
+	t.Helper()
+	g, ok := resultOn(t, id).(*Grid)
+	if !ok {
+		t.Fatalf("%s is not a grid experiment", id)
+	}
+	return g
+}
+
+func printed(r Renderer) string {
+	var buf bytes.Buffer
+	r.Print(&buf)
+	return buf.String()
+}
+
+// cellOf returns the named row's cell in the first column.
+func cellOf(t *testing.T, g *Grid, label string) Cell {
+	t.Helper()
+	for _, row := range g.Rows {
+		if row.Label == label {
+			return row.Cells[0]
+		}
+	}
+	t.Fatalf("%s has no row %q", g.ID, label)
+	return Cell{}
 }
 
 func TestProfilesByScale(t *testing.T) {
@@ -29,154 +82,152 @@ func TestProfilesByScale(t *testing.T) {
 	}
 }
 
+// TestExperimentIDsAllDispatchable is the registry-driven sweep: every
+// advertised id runs on tiny + Quick, its result prints under the registered
+// title with every row labelled, and its JSON record round-trips. A grid
+// additionally has the rows and columns its registry entry declares, and
+// every Cell field it reports is finite and in range.
+func TestExperimentIDsAllDispatchable(t *testing.T) {
+	if len(ExperimentIDs) != len(registry) {
+		t.Fatalf("ExperimentIDs = %v for %d registered experiments", ExperimentIDs, len(registry))
+	}
+	for _, id := range ExperimentIDs {
+		t.Run(id, func(t *testing.T) {
+			e := lookup(id)
+			res := resultOn(t, id)
+			out := printed(res)
+			if !strings.Contains(out, e.title) {
+				t.Fatalf("output lacks the title %q:\n%s", e.title, out)
+			}
+
+			blob, err := json.Marshal(res)
+			if err != nil {
+				t.Fatal(err)
+			}
+			back := reflect.New(reflect.TypeOf(res))
+			if err := json.Unmarshal(blob, back.Interface()); err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(back.Elem().Interface(), res) {
+				t.Fatalf("JSON round-trip mismatch:\n  %+v\n  %+v", back.Elem().Interface(), res)
+			}
+
+			g, ok := res.(*Grid)
+			if !ok {
+				return
+			}
+			wantRows, wantCols := len(e.arms), len(e.columns(testOptions()))
+			if id == "table6" {
+				wantRows-- // the no-defense row is the baseline the ratios are taken against
+			}
+			if len(g.Rows) != wantRows || len(g.Columns) != wantCols {
+				t.Fatalf("grid is %d×%d, registry declares %d×%d", len(g.Rows), len(g.Columns), wantRows, wantCols)
+			}
+			var record struct {
+				Rows []struct {
+					Cells []map[string]float64
+				}
+			}
+			if err := json.Unmarshal(blob, &record); err != nil {
+				t.Fatal(err)
+			}
+			for i, row := range g.Rows {
+				if !strings.Contains(out, row.Label) {
+					t.Fatalf("output lacks row %q:\n%s", row.Label, out)
+				}
+				if len(row.Cells) != len(g.Columns) {
+					t.Fatalf("row %q has %d cells for %d columns", row.Label, len(row.Cells), len(g.Columns))
+				}
+				for _, cell := range record.Rows[i].Cells {
+					for _, f := range g.Fields {
+						v, reported := cell[f]
+						inRange := v >= 0 && v <= 1 // recall, ndcg, f1
+						switch f {
+						case "bytes":
+							inRange = v > 0
+						case "ratio":
+							inRange = true
+						}
+						if !reported || math.IsNaN(v) || math.IsInf(v, 0) || !inRange {
+							t.Fatalf("row %q: %s = %v (reported: %v)", row.Label, f, v, reported)
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
+// requireShape pins a grid to the paper's layout — independent of what the
+// registry declares — and one label its output must carry.
+func requireShape(t *testing.T, id string, rows, cols int, label string) {
+	t.Helper()
+	g := gridOn(t, id)
+	if len(g.Rows) != rows || len(g.Columns) != cols {
+		t.Fatalf("%s is %d×%d, want %d×%d", id, len(g.Rows), len(g.Columns), rows, cols)
+	}
+	if out := printed(g); !strings.Contains(out, label) {
+		t.Fatalf("%s output lacks %q:\n%s", id, label, out)
+	}
+}
+
+// 3 centralized + 3 baselines + 3 PTF-FedRec rows.
+func TestRunTable3Shape(t *testing.T) { requireShape(t, "table3", 9, 1, "PTF-FedRec(ngcf)") }
+func TestRunTable7Shape(t *testing.T) { requireShape(t, "table7", 4, 1, "conf+hard") }
+
+// Table VIII stays a client × server matrix on one dataset.
+func TestRunTable8Shape(t *testing.T) { requireShape(t, "table8", 3, 3, `client\server`) }
+func TestRunFig4Shape(t *testing.T)   { requireShape(t, "fig4", 5, 1, "α=10") }
+
+// Three panels (β, γ, λ) of four settings each.
+func TestRunFig3Shape(t *testing.T) { requireShape(t, "fig3", 12, 1, "γ=[2 4]") }
+func TestRunAblationShapes(t *testing.T) {
+	requireShape(t, "ablation-servergraph", 3, 1, "threshold")
+	requireShape(t, "ablation-noise", 8, 1, "laplace b=0.25")
+}
+
 func TestRunTable2(t *testing.T) {
 	res := RunTable2(testOptions())
 	if len(res.Stats) != 1 {
 		t.Fatalf("stats rows = %d", len(res.Stats))
 	}
-	var buf bytes.Buffer
-	res.Print(&buf)
-	if !strings.Contains(buf.String(), "Table II") {
+	if !strings.Contains(printed(res), "Table II") {
 		t.Fatal("missing header")
-	}
-}
-
-func TestRunTable3Shape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full experiment grid; skipped in -short")
-	}
-	res, err := RunTable3(testOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 3 centralized + 3 baselines + 3 PTF = 9 rows.
-	if len(res.Rows) != 9 {
-		t.Fatalf("rows = %d, want 9", len(res.Rows))
-	}
-	for _, row := range res.Rows {
-		if len(row.Cells) != 1 {
-			t.Fatalf("row %s has %d cells", row.Method, len(row.Cells))
-		}
-		c := row.Cells[0]
-		if c.Recall < 0 || c.Recall > 1 || c.NDCG < 0 || c.NDCG > 1 {
-			t.Fatalf("row %s metrics out of range: %+v", row.Method, c)
-		}
-	}
-	var buf bytes.Buffer
-	res.Print(&buf)
-	if !strings.Contains(buf.String(), "PTF-FedRec(ngcf)") {
-		t.Fatalf("missing PTF row in output:\n%s", buf.String())
 	}
 }
 
 func TestRunTable4CommunicationOrdering(t *testing.T) {
-	res, err := RunTable4(testOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	byMethod := map[string]float64{}
-	for _, row := range res.Rows {
-		byMethod[row.Method] = row.Bytes[0]
-	}
+	g := gridOn(t, "table4")
+	fcf, fedmf := cellOf(t, g, "FCF").Bytes, cellOf(t, g, "FedMF").Bytes
+	metamf, ptf := cellOf(t, g, "MetaMF").Bytes, cellOf(t, g, "PTF-FedRec").Bytes
 	// The paper's headline ordering: FedMF >> FCF/MetaMF >> PTF-FedRec.
-	if !(byMethod["FedMF"] > byMethod["FCF"]) {
-		t.Fatalf("FedMF (%v) should exceed FCF (%v)", byMethod["FedMF"], byMethod["FCF"])
+	if !(fedmf > fcf) {
+		t.Fatalf("FedMF (%v) should exceed FCF (%v)", fedmf, fcf)
 	}
-	if !(byMethod["MetaMF"] > byMethod["FCF"]) {
-		t.Fatalf("MetaMF (%v) should slightly exceed FCF (%v)", byMethod["MetaMF"], byMethod["FCF"])
+	if !(metamf > fcf) {
+		t.Fatalf("MetaMF (%v) should slightly exceed FCF (%v)", metamf, fcf)
 	}
-	if !(byMethod["PTF-FedRec"] < byMethod["FCF"]/10) {
-		t.Fatalf("PTF (%v) should be at least 10x below FCF (%v)", byMethod["PTF-FedRec"], byMethod["FCF"])
-	}
-	var buf bytes.Buffer
-	res.Print(&buf)
-	if !strings.Contains(buf.String(), "Table IV") {
-		t.Fatal("missing header")
+	if !(ptf < fcf/10) {
+		t.Fatalf("PTF (%v) should be at least 10x below FCF (%v)", ptf, fcf)
 	}
 }
 
 func TestRunTable5AndTable6(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full experiment grid; skipped in -short")
+	t5 := gridOn(t, "table5")
+	none, swap := cellOf(t, t5, "none"), cellOf(t, t5, "sampling+swap")
+	if none.F1 < swap.F1 {
+		t.Fatalf("no-defense F1 (%v) should exceed sampling+swap (%v)", none.F1, swap.F1)
 	}
-	res, err := RunTable5(testOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 4 {
-		t.Fatalf("defense rows = %d", len(res.Rows))
-	}
-	byDefense := map[string]float64{}
-	for _, row := range res.Rows {
-		byDefense[row.Defense] = row.F1[0]
-	}
-	if byDefense["none"] < byDefense["sampling+swap"] {
-		t.Fatalf("no-defense F1 (%v) should exceed sampling+swap (%v)",
-			byDefense["none"], byDefense["sampling+swap"])
-	}
-	t6 := DeriveTable6(res)
-	if len(t6.Rows) != 3 {
-		t.Fatalf("table6 rows = %d", len(t6.Rows))
-	}
-	var buf bytes.Buffer
-	res.Print(&buf)
-	t6.Print(&buf)
-	if !strings.Contains(buf.String(), "Table VI") {
-		t.Fatal("missing table6 header")
-	}
-}
+	requireShape(t, "table5", 4, 1, "Table V:")
+	requireShape(t, "table6", 3, 1, "Table VI:")
 
-func TestRunTable7Shape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full experiment grid; skipped in -short")
+	// Table VI is Table V's grid, derived: ΔF1/ΔNDCG against the no-defense row.
+	dN := none.NDCG - swap.NDCG
+	if dN <= 1e-9 {
+		dN = 1e-9
 	}
-	res, err := RunTable7(testOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 4 {
-		t.Fatalf("rows = %d", len(res.Rows))
-	}
-	var buf bytes.Buffer
-	res.Print(&buf)
-	if !strings.Contains(buf.String(), "conf+hard") {
-		t.Fatal("missing strategy row")
-	}
-}
-
-func TestRunTable8Shape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full experiment grid; skipped in -short")
-	}
-	res, err := RunTable8(testOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.NDCG) != 3 || len(res.NDCG[0]) != 3 {
-		t.Fatalf("matrix shape %dx%d", len(res.NDCG), len(res.NDCG[0]))
-	}
-	var buf bytes.Buffer
-	res.Print(&buf)
-	if !strings.Contains(buf.String(), "client\\server") {
-		t.Fatal("missing matrix header")
-	}
-}
-
-func TestRunFig4Shape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full experiment grid; skipped in -short")
-	}
-	res, err := RunFig4(testOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.NDCG) != 1 || len(res.NDCG[0]) != len(res.Alphas) {
-		t.Fatal("fig4 series shape wrong")
-	}
-	var buf bytes.Buffer
-	res.Print(&buf)
-	if !strings.Contains(buf.String(), "α=10") {
-		t.Fatal("missing alpha labels")
+	if got, want := cellOf(t, gridOn(t, "table6"), "sampling+swap").Ratio, (none.F1-swap.F1)/dN; got != want {
+		t.Fatalf("table6 sampling+swap ratio = %v, want %v from table5", got, want)
 	}
 }
 
@@ -190,22 +241,5 @@ func TestRunDispatcher(t *testing.T) {
 	}
 	if err := Run("bogus", testOptions(), &buf); err == nil {
 		t.Fatal("bogus experiment accepted")
-	}
-}
-
-func TestExperimentIDsAllDispatchable(t *testing.T) {
-	// Every advertised id must at least be recognised by the dispatcher.
-	// (Run on tiny data for the cheap ones only; here we just check the
-	// error path distinguishes known from unknown.)
-	for _, id := range ExperimentIDs {
-		found := false
-		for _, known := range ExperimentIDs {
-			if id == known {
-				found = true
-			}
-		}
-		if !found {
-			t.Fatalf("id %s missing", id)
-		}
 	}
 }

@@ -3,20 +3,17 @@ package experiments
 import (
 	"bufio"
 	"bytes"
-	"context"
 	"fmt"
 	"io"
 	"math"
-	"net"
-	"net/http"
 	"os"
 	"os/exec"
 	"runtime"
+	"slices"
 	"strings"
 	"time"
 
 	"ptffedrec/internal/comm"
-	"ptffedrec/internal/coord"
 	"ptffedrec/internal/data"
 	"ptffedrec/internal/eval"
 	"ptffedrec/internal/fed"
@@ -25,8 +22,8 @@ import (
 
 // ScalabilityRow records one worker count's timings on the large-scale
 // profile. Speedups are relative to the workers=1 row. The per-phase columns
-// break the round down so speedup is attributable: client training rides
-// Workers, server SGD rides TrainWorkers, the graph/CSR build rides both.
+// break the round down so speedup is attributable to client training, the
+// graph/CSR build or server SGD, which all ride Config.Workers.
 // Columns a mode does not measure (evaluation and speedups in the memory
 // profile) are omitted from the JSON rather than written as 0.
 type ScalabilityRow struct {
@@ -81,19 +78,7 @@ type ScalabilityResult struct {
 	GitSHA     string `json:"git_sha,omitempty"`
 
 	Rows          []ScalabilityRow `json:"rows"`
-	Deterministic bool             `json:"deterministic"` // identical history+metrics across worker counts and over the wire
-
-	// Networked round engine over a loopback transport: the same training
-	// driven through coord.Coordinator plus two coord.Participants speaking
-	// the wire protocol over real HTTP on a loopback listener, at the sweep's
-	// max worker count. The round history must match the in-process rows bit
-	// for bit (folded into Deterministic). NetRoundSecs is mean wall-clock
-	// per networked round (the run's final evaluation pass, ~eval_secs, is
-	// amortised into it); NetWireBytes is total frame bytes crossing the
-	// transport both ways. Gated to small profiles — the loopback run issues
-	// one HTTP request per upload.
-	NetRoundSecs float64 `json:"net_round_secs,omitempty"`
-	NetWireBytes int64   `json:"net_wire_bytes,omitempty"`
+	Deterministic bool             `json:"deterministic"` // identical history+metrics across worker counts
 
 	// MemoryProfile marks the huge-profile mode (NumUsers ≥
 	// memoryProfileUsers): a streamed split, lazy clients, sampled
@@ -288,13 +273,10 @@ func RunScalability(o Options) (*ScalabilityResult, error) {
 	}
 
 	var refRounds []fed.RoundStats
-	counts := scalabilityWorkerCounts()
-	for _, workers := range counts {
+	for _, workers := range scalabilityWorkerCounts() {
 		o.logf("scalability: workers=%d\n", workers)
 		wcfg := cfg
 		wcfg.Workers = workers
-		wcfg.EvalWorkers = workers
-		wcfg.TrainWorkers = workers
 		tr, err := fed.NewTrainer(sp, wcfg)
 		if err != nil {
 			return nil, fmt.Errorf("scalability: %w", err)
@@ -336,33 +318,13 @@ func RunScalability(o Options) (*ScalabilityResult, error) {
 			row.EvalSpeedup = speedup(base.EvalSecs, row.EvalSecs)
 			row.ServerTrainSpeedup = speedup(base.ServerTrainSecs, row.ServerTrainSecs)
 			row.GraphSpeedup = speedup(base.GraphSecs, row.GraphSecs)
-			if ev.Recall != base.Recall || ev.NDCG != base.NDCG || !roundsEqual(refRounds, rounds) {
+			// Bitwise float equality is intentional: the round engine promises
+			// identical results for every worker count.
+			if ev.Recall != base.Recall || ev.NDCG != base.NDCG || !slices.Equal(refRounds, rounds) {
 				res.Deterministic = false
 			}
 		}
 		res.Rows = append(res.Rows, row)
-	}
-
-	// Networked round engine: the same training once more through the
-	// coordinator service and two participants over a loopback HTTP listener,
-	// at the sweep's max worker count. One HTTP request per upload makes this
-	// O(users) requests per round, so it is gated to small profiles; the
-	// history must still match the in-process rows bit for bit.
-	if sp.NumUsers <= netLoopbackMaxUsers {
-		ncfg := cfg
-		ncfg.Workers = counts[len(counts)-1]
-		ncfg.EvalWorkers = ncfg.Workers
-		ncfg.TrainWorkers = ncfg.Workers
-		o.logf("scalability: networked loopback run (workers=%d)\n", ncfg.Workers)
-		netSecs, netBytes, netRounds, err := runLoopback(sp, ncfg, p, o.Seed, evaluator)
-		if err != nil {
-			return nil, fmt.Errorf("scalability: loopback: %w", err)
-		}
-		if !roundsEqual(refRounds, netRounds) {
-			res.Deterministic = false
-		}
-		res.NetRoundSecs = netSecs / float64(ncfg.Rounds)
-		res.NetWireBytes = netBytes
 	}
 	return res, nil
 }
@@ -373,56 +335,6 @@ func speedup(base, secs float64) float64 {
 		return 0
 	}
 	return base / secs
-}
-
-// netLoopbackMaxUsers bounds the profiles the networked loopback measurement
-// runs on: past it the O(users) HTTP requests per round would dominate the
-// sweep's wall-clock.
-const netLoopbackMaxUsers = 10_000
-
-// runLoopback drives one full training run through the networked coordinator
-// on a loopback listener with two participants splitting the user universe,
-// returning the run's wall-clock seconds, total wire bytes (both directions),
-// and the round history for the bitwise cross-check.
-func runLoopback(sp *data.Split, cfg fed.Config, p data.Profile, seed uint64, evaluator *eval.Evaluator) (float64, int64, []fed.RoundStats, error) {
-	c, err := coord.New(sp, cfg, coord.Options{Profile: p.Name, DataSeed: seed, TestFrac: 0.2})
-	if err != nil {
-		return 0, 0, nil, err
-	}
-	c.ShareEvaluator(evaluator)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return 0, 0, nil, err
-	}
-	srv := &http.Server{Handler: c.Handler()}
-	go srv.Serve(ln)
-	defer srv.Close()
-
-	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Minute)
-	defer cancel()
-	base := "http://" + ln.Addr().String()
-	half := sp.NumUsers / 2
-	errCh := make(chan error, 2)
-	for _, r := range [][2]int{{0, half}, {half, sp.NumUsers}} {
-		pt, err := coord.Join(base, r[0], r[1], nil)
-		if err != nil {
-			return 0, 0, nil, err
-		}
-		go func() { errCh <- pt.Run(ctx) }()
-	}
-	start := time.Now()
-	h, err := c.Run(ctx)
-	secs := time.Since(start).Seconds()
-	if err != nil {
-		return 0, 0, nil, err
-	}
-	for i := 0; i < 2; i++ {
-		if perr := <-errCh; perr != nil {
-			return 0, 0, nil, perr
-		}
-	}
-	in, out := c.WireBytes()
-	return secs, in + out, h.Rounds, nil
 }
 
 // runScalabilityMemory is the huge-profile arm of the scalability experiment:
@@ -445,8 +357,6 @@ func runScalabilityMemory(o Options, p data.Profile) (*ScalabilityResult, error)
 	}
 	cfg.LazyClients = true
 	cfg.Workers = runtime.GOMAXPROCS(0)
-	cfg.EvalWorkers = cfg.Workers
-	cfg.TrainWorkers = cfg.Workers
 	cfg.ClientFraction = math.Min(1, 5000/float64(p.NumUsers))
 	res := newScalabilityResult(p, cfg.Rounds)
 	res.MemoryProfile = true
@@ -463,21 +373,6 @@ func runScalabilityMemory(o Options, p data.Profile) (*ScalabilityResult, error)
 	row, _ := measuredRow(tr, cfg, sp.NumUsers, &hs)
 	res.Rows = append(res.Rows, row)
 	return res, nil
-}
-
-// roundsEqual compares two training traces field by field. Bitwise float
-// equality is intentional: the round engine promises identical results for
-// every worker count.
-func roundsEqual(a, b []fed.RoundStats) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // Print renders the sweep (or, for huge profiles, the memory profile).
@@ -518,9 +413,6 @@ func (r *ScalabilityResult) Print(w io.Writer) {
 			row.Workers, size(int64(row.PeakHeapBytes)), size(row.UploadStoreBytes),
 			size(row.EligCacheBytes), size(row.GraphEngineBytes), size(row.CandCacheBytes), row.BytesPerUser)
 	}
-	if r.NetRoundSecs > 0 {
-		fmt.Fprintf(w, "  networked loopback: %.3f s/round, %s on the wire\n", r.NetRoundSecs, size(r.NetWireBytes))
-	}
-	fmt.Fprintf(w, "  history and metrics identical across worker counts and over the wire: %v (recall@20=%.4f ndcg@20=%.4f)\n",
+	fmt.Fprintf(w, "  history and metrics identical across worker counts: %v (recall@20=%.4f ndcg@20=%.4f)\n",
 		r.Deterministic, r.Rows[0].Recall, r.Rows[0].NDCG)
 }

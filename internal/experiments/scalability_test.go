@@ -7,17 +7,10 @@ import (
 	"os"
 	"strings"
 	"testing"
-
-	"ptffedrec/internal/data"
 )
 
 func TestRunScalability(t *testing.T) {
-	o := testOptions()
-	o.ProfilesOverride = []data.Profile{data.Tiny}
-	res, err := RunScalability(o)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := resultOn(t, "scalability").(*ScalabilityResult)
 	if len(res.Rows) < 2 {
 		t.Fatalf("want at least the workers=1 row plus one parallel row, got %d", len(res.Rows))
 	}
@@ -25,7 +18,7 @@ func TestRunScalability(t *testing.T) {
 		t.Fatalf("first row workers = %d, want 1", res.Rows[0].Workers)
 	}
 	if !res.Deterministic {
-		t.Fatal("history or metrics differ across worker counts or over the wire")
+		t.Fatal("history or metrics differ across worker counts")
 	}
 	if res.GOMAXPROCS <= 0 {
 		t.Fatalf("record is not stamped with its GOMAXPROCS: %+v", res)
@@ -49,30 +42,8 @@ func TestRunScalability(t *testing.T) {
 			t.Fatalf("row %+v missing memory accounting", row)
 		}
 	}
-	// The networked loopback measurement runs on small profiles and must both
-	// land its columns and keep Deterministic true (the history it produces
-	// over the wire is cross-checked against the in-process rows above).
-	if res.NetRoundSecs <= 0 || res.NetWireBytes <= 0 {
-		t.Fatalf("missing networked loopback measurement: %+v", res)
-	}
-
-	var buf bytes.Buffer
-	res.Print(&buf)
-	if !strings.Contains(buf.String(), "identical across worker counts and over the wire: true") {
-		t.Fatalf("unexpected report:\n%s", buf.String())
-	}
-
-	// The -json path serialises the result verbatim; it must round-trip.
-	blob, err := json.Marshal(res)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back ScalabilityResult
-	if err := json.Unmarshal(blob, &back); err != nil {
-		t.Fatal(err)
-	}
-	if back.Profile != res.Profile || len(back.Rows) != len(res.Rows) {
-		t.Fatalf("JSON round-trip mismatch: %+v vs %+v", back, res)
+	if out := printed(res); !strings.Contains(out, "identical across worker counts: true") {
+		t.Fatalf("unexpected report:\n%s", out)
 	}
 }
 

@@ -7,22 +7,18 @@ import (
 )
 
 // scalarModel hides a server model's BlockScorer so every score goes through
-// the per-item path, while forwarding the extensions scoring relies on
-// (warm-up, in-place scoring). The dispersal oracle and the evaluator are
-// driven through it to pin block scoring against per-item scoring.
+// the per-item path, while forwarding the warm-up scoring relies on. The
+// dispersal oracle and the evaluator are driven through it to pin block
+// scoring against per-item scoring.
 type scalarModel struct {
 	m models.Recommender
 }
 
 func (s *scalarModel) Name() string                         { return s.m.Name() }
-func (s *scalarModel) NumParams() int                       { return s.m.NumParams() }
 func (s *scalarModel) TrainBatch(b []models.Sample) float64 { return s.m.TrainBatch(b) }
 func (s *scalarModel) Score(u, v int) float64               { return s.m.Score(u, v) }
 func (s *scalarModel) ScoreItems(u int, items []int) []float64 {
 	return s.m.ScoreItems(u, items)
-}
-func (s *scalarModel) ScoreItemsInto(dst []float64, u int, items []int) []float64 {
-	return s.m.(models.InplaceScorer).ScoreItemsInto(dst, u, items)
 }
 func (s *scalarModel) WarmScoring() {
 	if w, ok := s.m.(models.Warmer); ok {

@@ -64,9 +64,6 @@ func newClient(id int, positives []int, numItems int, cfg *Config, parent *rng.S
 	}, nil
 }
 
-// Positives returns the client's private positive items.
-func (c *Client) Positives() []int { return c.positives }
-
 // ServerData returns the current D̃ᵢ.
 func (c *Client) ServerData() []comm.Prediction { return c.serverData }
 

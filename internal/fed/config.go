@@ -70,14 +70,16 @@ type Config struct {
 
 	// GraphThreshold is the uploaded-score cutoff above which the server
 	// treats a triple as a soft-positive edge when rebuilding its graph.
-	// The paper leaves this construction open; see DESIGN.md §3.
+	// The paper leaves this construction open (swept by the
+	// ablation-servergraph experiment).
 	GraphThreshold float64
 
 	// GraphTopFrac, when positive, switches the server's edge selection to
 	// an adaptive per-user rule: the top fraction of each upload by score
 	// becomes soft-positive edges. This is robust to badly calibrated
 	// client scores (early rounds, very sparse users); 0 keeps the absolute
-	// threshold rule. Benchmarked by BenchmarkAblationServerGraph.
+	// threshold rule. No experiment sets it (ablation-servergraph sweeps
+	// GraphThreshold); the graph engine's invariance tests run both rules.
 	GraphTopFrac float64
 
 	// AttackPosFraction is the γ the curious server assumes in the Top
@@ -90,32 +92,14 @@ type Config struct {
 	// EvalEvery computes server metrics every n rounds (0 = only at end).
 	EvalEvery int
 
-	// Workers bounds the round engine's parallelism (0 = GOMAXPROCS): client
-	// local training, the server's absorb/training-set sharding, and the
-	// dispersal loop all fan out over this many workers. Seeded runs produce
-	// identical Histories for every worker count.
+	// Workers bounds every pool of the run (0 = GOMAXPROCS): client local
+	// training, the server's absorb/training-set sharding, the server model's
+	// intra-batch SGD (fixed-size gradient chunks merged in chunk order), the
+	// dispersal loop and evaluation all fan out over this many workers.
+	// Seeded runs produce bitwise-identical Histories, metrics and server
+	// snapshots for every worker count. Client models always train serially
+	// — they already run on this pool.
 	Workers int
-
-	// EvalWorkers bounds eval.Ranking's parallelism during EvaluateServer /
-	// EvaluateClients (0 = GOMAXPROCS). Metrics are bitwise-identical for any
-	// worker count.
-	EvalWorkers int
-
-	// TrainWorkers bounds the server model's intra-batch parallelism
-	// (0 = GOMAXPROCS): every TrainBatch shards its forward/backward over
-	// fixed-size gradient chunks computed on this many workers and merged in
-	// chunk order, so seeded runs are bitwise-identical for every value.
-	// Client models always train serially — they already run on the Workers
-	// pool.
-	TrainWorkers int
-
-	// EligCacheEntries bounds the dispersal eligibility cache: at most this
-	// many per-client eligible lists stay resident, recycled LRU, so
-	// dispersal memory is budget × NumItems × 4 B instead of growing with
-	// every client ever dispersed to. A miss rebuilds via the word walk —
-	// any budget ≥ 1 is correct, smaller budgets just rebuild more.
-	// 0 means the default budget (4096 entries).
-	EligCacheEntries int
 
 	// LazyClients constructs each client's state (model, rng streams) on its
 	// first participation instead of all NumUsers clients up front. Lazily
@@ -192,8 +176,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("fed: GraphTopFrac = %v", c.GraphTopFrac)
 	case c.EvalK <= 0:
 		return fmt.Errorf("fed: EvalK = %d", c.EvalK)
-	case c.EligCacheEntries < 0:
-		return fmt.Errorf("fed: EligCacheEntries = %d", c.EligCacheEntries)
 	case c.Faults.DropoutRate < 0 || c.Faults.DropoutRate > 1:
 		return fmt.Errorf("fed: Faults.DropoutRate = %v", c.Faults.DropoutRate)
 	case c.Faults.TruncateRate < 0 || c.Faults.TruncateRate > 1:

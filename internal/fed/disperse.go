@@ -80,16 +80,17 @@ type eligSlot struct {
 	next int32
 }
 
-// defaultEligCacheEntries is the entry budget when Config.EligCacheEntries
-// is zero: large enough that every profile up to large-50k's working set of
-// concurrently dispersed clients hits, small enough that a million-user run
-// is bounded at tens of MB of lists.
-const defaultEligCacheEntries = 4096
+// defaultEligCacheBudget bounds the dispersal eligibility cache: at most
+// this many per-client eligible lists stay resident, recycled LRU, so
+// dispersal memory is budget × NumItems × 4 B instead of growing with every
+// client ever dispersed to. A miss rebuilds via the word walk — any budget ≥ 1
+// is correct, smaller budgets just rebuild more. 4096 is large enough that
+// every profile up to large-50k's working set of concurrently dispersed
+// clients hits, small enough that a million-user run is bounded at tens of MB
+// of lists.
+const defaultEligCacheBudget = 4096
 
 func newEligCache(budget int) *eligCache {
-	if budget <= 0 {
-		budget = defaultEligCacheEntries
-	}
 	return &eligCache{
 		budget: budget,
 		byUser: make(map[int]int32),

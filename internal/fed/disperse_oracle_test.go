@@ -135,9 +135,6 @@ func (sv *Server) scoreItems(dst []float64, user int, items []int) []float64 {
 		bs.ScoreBlockInto(dst, user, items)
 		return dst
 	}
-	if is, ok := sv.model.(models.InplaceScorer); ok {
-		return is.ScoreItemsInto(dst, user, items)
-	}
 	return sv.model.ScoreItems(user, items)
 }
 

@@ -81,12 +81,6 @@ func (e *RoundEngine) Meter() *comm.Meter { return e.meter }
 // Config returns the active configuration.
 func (e *RoundEngine) Config() Config { return e.cfg }
 
-// Phases returns the cumulative per-phase wall-clock.
-func (e *RoundEngine) Phases() PhaseSeconds { return *e.phases }
-
-// ResetPhases zeroes the per-phase timers.
-func (e *RoundEngine) ResetPhases() { *e.phases = PhaseSeconds{} }
-
 // sharePhases points the engine's phase accounting at an external sink (the
 // Trainer aggregates engine phases with its own client-train timer).
 func (e *RoundEngine) sharePhases(p *PhaseSeconds) { e.phases = p }
@@ -106,7 +100,7 @@ func (e *RoundEngine) Select(round int) []int {
 // Evaluate ranks the hidden server model through ev — the quantity Table III
 // reports for PTF-FedRec.
 func (e *RoundEngine) Evaluate(ev *eval.Evaluator) eval.Result {
-	return ev.Rank(e.server.model, e.cfg.EvalK, e.cfg.EvalWorkers)
+	return ev.Rank(e.server.model, e.cfg.EvalK, e.cfg.Workers)
 }
 
 // CloseRound finishes round `round` from the transport-gathered outcomes
@@ -142,7 +136,7 @@ func (e *RoundEngine) CloseRound(round int, outcomes []ClientOutcome, overlap fu
 	// Server-side: absorb uploads, rebuild the graph, optimise Eq. 5. The
 	// absorb counters and the training-set construction shard over the round
 	// pool; inside every server TrainBatch the gradient workspace engine
-	// shards over TrainWorkers with a chunk-ordered merge. Absorb may fuse the
+	// shards over the same pool size with a chunk-ordered merge. Absorb may fuse the
 	// incremental edge selection into its pass over the uploads; that slice of
 	// wall-clock belongs to GraphBuild, so it is re-attributed there.
 	phaseStart := time.Now()

@@ -120,7 +120,7 @@ func TestGraphRebuildInvariance(t *testing.T) {
 			cfg.EvalEvery = 1
 			cfg.Disperse = arm
 			for _, workers := range workerCounts {
-				cfg.Workers, cfg.EvalWorkers = workers, workers
+				cfg.Workers = workers
 				full, err := NewTrainer(tinySplit(t), cfg)
 				if err != nil {
 					t.Fatal(err)

@@ -31,8 +31,8 @@ func TestUploadInvariants(t *testing.T) {
 			var totalUpload, totalPool int
 			for _, c := range tr.Clients() {
 				pool := len(c.positives) * (1 + cfg.NegRatio)
-				if c.lastUpload.Cap() != sp.NumItems {
-					t.Fatalf("defense %s: upload set sized %d, universe %d", defense, c.lastUpload.Cap(), sp.NumItems)
+				if words := len(c.lastUpload.Words()); words != (sp.NumItems+63)/64 {
+					t.Fatalf("defense %s: upload set holds %d words, universe %d items", defense, words, sp.NumItems)
 				}
 				c.lastUpload.ForEach(func(item int) {
 					if item < 0 || item >= sp.NumItems {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"ptffedrec/internal/models"
+	"ptffedrec/internal/par"
 )
 
 // runHistory executes a full training run and returns its trace.
@@ -54,10 +55,10 @@ func TestHistoryInvariantAcrossWorkerCounts(t *testing.T) {
 		cfg.Rounds = 2
 		cfg.EvalEvery = 1
 
-		cfg.Workers, cfg.EvalWorkers = 1, 1
+		cfg.Workers = 1
 		serial := runHistory(t, cfg)
 		for _, workers := range []int{2, 8} {
-			cfg.Workers, cfg.EvalWorkers = workers, workers
+			cfg.Workers = workers
 			requireEqualHistories(t, string(server), serial, runHistory(t, cfg))
 		}
 	}
@@ -76,9 +77,9 @@ func TestHistoryInvariantRandomDispersal(t *testing.T) {
 		cfg.Rounds = 2
 		cfg.Disperse = mode
 
-		cfg.Workers, cfg.EvalWorkers = 1, 1
+		cfg.Workers = 1
 		serial := runHistory(t, cfg)
-		cfg.Workers, cfg.EvalWorkers = 8, 8
+		cfg.Workers = 8
 		requireEqualHistories(t, string(mode), serial, runHistory(t, cfg))
 	}
 }
@@ -91,9 +92,9 @@ func TestHistoryInvariantWithFaults(t *testing.T) {
 	cfg.Rounds = 2
 	cfg.Faults = FaultPlan{DropoutRate: 0.3, TruncateRate: 0.3}
 
-	cfg.Workers, cfg.EvalWorkers = 1, 1
+	cfg.Workers = 1
 	serial := runHistory(t, cfg)
-	cfg.Workers, cfg.EvalWorkers = 8, 8
+	cfg.Workers = 8
 	requireEqualHistories(t, "faults", serial, runHistory(t, cfg))
 }
 
@@ -118,8 +119,9 @@ func runHistoryWithSnapshot(t *testing.T, cfg Config) (*History, []byte) {
 
 // TestHistoryInvariantAcrossTrainWorkers pins the gradient workspace engine's
 // guarantee end to end, for every server model kind: the entire History AND
-// the hidden model's final parameters are bitwise-identical for
-// TrainWorkers ∈ {1, 2, 8}.
+// the hidden model's final parameters are bitwise-identical whether the
+// server model trains on 1, 2 or 8 workers (models.Config.TrainWorkers, which
+// the server sets from Config.Workers).
 func TestHistoryInvariantAcrossTrainWorkers(t *testing.T) {
 	kinds := []models.Kind{models.KindMF, models.KindNeuMF, models.KindNGCF, models.KindLightGCN}
 	if testing.Short() {
@@ -133,21 +135,35 @@ func TestHistoryInvariantAcrossTrainWorkers(t *testing.T) {
 		// the engine, but shrink it to guarantee multiple chunks per batch.
 		cfg.ServerBatch = 512
 
-		cfg.TrainWorkers = 1
+		cfg.Workers = 1
 		serial, serialSnap := runHistoryWithSnapshot(t, cfg)
 		for _, workers := range []int{2, 8} {
-			cfg.TrainWorkers = workers
+			cfg.Workers = workers
 			h, snap := runHistoryWithSnapshot(t, cfg)
 			requireEqualHistories(t, string(server), serial, h)
 			if !bytes.Equal(serialSnap, snap) {
-				t.Fatalf("%s: TrainWorkers=%d server snapshot differs from TrainWorkers=1", server, workers)
+				t.Fatalf("%s: Workers=%d server snapshot differs from Workers=1", server, workers)
 			}
 		}
 	}
 }
 
-// TestPhaseSecondsAccumulate checks the per-phase timers cover the round and
-// reset cleanly, without ever entering the deterministic RoundStats.
+// TestServerTrainsOnTheRunsWorkers pins the one-knob wiring: the hidden
+// model's intra-batch pool is Config.Workers resolved the way every other
+// pool resolves it, so `-workers 1` is serial end to end (a separate
+// TrainWorkers knob once left server SGD sharded over every core).
+func TestServerTrainsOnTheRunsWorkers(t *testing.T) {
+	for _, workers := range []int{0, 1, 3} {
+		cfg := fastConfig(models.KindLightGCN)
+		cfg.Workers = workers
+		if got, want := serverModelConfig(8, 8, &cfg).TrainWorkers, par.Workers(workers); got != want {
+			t.Fatalf("Workers=%d: server model TrainWorkers = %d, want %d", workers, got, want)
+		}
+	}
+}
+
+// TestPhaseSecondsAccumulate checks the per-phase timers cover the round,
+// without ever entering the deterministic RoundStats.
 func TestPhaseSecondsAccumulate(t *testing.T) {
 	cfg := fastConfig(models.KindLightGCN)
 	cfg.Rounds = 1
@@ -157,18 +173,11 @@ func TestPhaseSecondsAccumulate(t *testing.T) {
 	}
 	tr.RunRound(0)
 	ph := tr.PhaseSeconds()
-	if ph.Total() <= 0 {
-		t.Fatalf("phase total = %v, want > 0", ph.Total())
-	}
 	if ph.ClientTrain <= 0 || ph.ServerTrain <= 0 || ph.Disperse <= 0 {
 		t.Fatalf("missing phase timings: %+v", ph)
 	}
 	if ph.GraphBuild <= 0 {
 		t.Fatalf("graph server model recorded no graph-build time: %+v", ph)
-	}
-	tr.ResetPhaseSeconds()
-	if tr.PhaseSeconds().Total() != 0 {
-		t.Fatal("ResetPhaseSeconds did not zero the timers")
 	}
 }
 

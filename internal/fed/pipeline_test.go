@@ -18,8 +18,6 @@ func pipelineConfig(server models.Kind, workers int, faulted bool) Config {
 	cfg.ClientFraction = 0.3
 	cfg.EvalEvery = 2
 	cfg.Workers = workers
-	cfg.EvalWorkers = workers
-	cfg.TrainWorkers = workers
 	if faulted {
 		cfg.Faults = FaultPlan{DropoutRate: 0.2, TruncateRate: 0.25}
 	}

@@ -203,8 +203,9 @@ func requireDispersalProperties(t *testing.T, label string, tr *Trainer, stored 
 }
 
 // propertyConfig draws one randomized protocol configuration around the
-// pinned (server kind, dispersal arm, µ) cell.
-func propertyConfig(s *rng.Stream, server models.Kind, arm DisperseMode, mu float64) Config {
+// pinned (server kind, dispersal arm, µ) cell, and the eligibility-cache
+// budget propertyTrainer gives its server (0 = keep the default).
+func propertyConfig(s *rng.Stream, server models.Kind, arm DisperseMode, mu float64) (Config, int) {
 	cfg := fastConfig(server)
 	cfg.ClientModel = models.KindMF
 	cfg.ClientEpochs = 1
@@ -217,7 +218,7 @@ func propertyConfig(s *rng.Stream, server models.Kind, arm DisperseMode, mu floa
 	cfg.ClientFraction = []float64{0.3, 0.6, 1}[s.Intn(3)]
 	cfg.NegRatio = []int{4, 4, 30}[s.Intn(3)] // at 30 an undefended upload leaves only held-out items eligible
 	cfg.Workers = []int{1, 2, 8}[s.Intn(3)]
-	cfg.EligCacheEntries = []int{0, 1, 3}[s.Intn(3)]
+	eligBudget := []int{0, 1, 3}[s.Intn(3)]
 	cfg.Privacy.Defense = []privacy.Defense{
 		privacy.DefenseNone, privacy.DefenseLDP, privacy.DefenseSampling, privacy.DefenseSamplingSwap,
 	}[s.Intn(4)]
@@ -227,7 +228,22 @@ func propertyConfig(s *rng.Stream, server models.Kind, arm DisperseMode, mu floa
 		{TruncateRate: 0.6},
 		{DropoutRate: 0.25, TruncateRate: 0.5},
 	}[s.Intn(4)]
-	return cfg
+	return cfg, eligBudget
+}
+
+// propertyTrainer builds a trainer whose server runs on a tiny eligibility
+// cache, so the sweep covers evictions and rebuilds the default budget never
+// reaches on the tiny split.
+func propertyTrainer(t *testing.T, sp *data.Split, cfg Config, eligBudget int) *Trainer {
+	t.Helper()
+	tr, err := NewTrainer(sp, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if eligBudget > 0 {
+		tr.server.elig = newEligCache(eligBudget)
+	}
+	return tr
 }
 
 // TestProtocolProperties runs the randomized sweep: four server kinds × four
@@ -248,21 +264,15 @@ func TestProtocolProperties(t *testing.T) {
 	for _, server := range []models.Kind{models.KindMF, models.KindNeuMF, models.KindNGCF, models.KindLightGCN} {
 		for _, arm := range []DisperseMode{DisperseConfHard, DisperseNoHard, DisperseNoConf, DisperseAllRandom} {
 			for _, mu := range []float64{0, 0.5, 0.9, 1} {
-				cfg := propertyConfig(s, server, arm, mu)
+				cfg, eligBudget := propertyConfig(s, server, arm, mu)
 				cell++
 				if testing.Short() && cell%4 != 0 {
 					continue
 				}
 				name := fmt.Sprintf("%s/%s/mu=%v/alpha=%d/q=%v/frac=%v/%s/faults=%+v",
 					server, arm, mu, cfg.Alpha, cfg.QuantizeScores, cfg.ClientFraction, cfg.Privacy.Defense, cfg.Faults)
-				tr, err := NewTrainer(sp, cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				twin, err := NewTrainer(sp, cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
+				tr := propertyTrainer(t, sp, cfg, eligBudget)
+				twin := propertyTrainer(t, sp, cfg, eligBudget)
 				replay := newServerReplay(sp.NumItems)
 				for round := 0; round < cfg.Rounds; round++ {
 					label := fmt.Sprintf("%s round %d", name, round)
@@ -334,14 +344,11 @@ func TestDroppedClientChangesNoServerState(t *testing.T) {
 	sp := tinySplit(t)
 	s := rng.New(7).Derive("dropped-client")
 	for _, server := range []models.Kind{models.KindMF, models.KindNeuMF, models.KindNGCF, models.KindLightGCN} {
-		cfg := propertyConfig(s, server, DisperseConfHard, 0.5)
+		cfg, eligBudget := propertyConfig(s, server, DisperseConfHard, 0.5)
 		cfg.Rounds = 4
 		cfg.ClientFraction = 1
 		cfg.Faults = FaultPlan{DropoutRate: 0.3, TruncateRate: 0.3}
-		tr, err := NewTrainer(sp, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		tr := propertyTrainer(t, sp, cfg, eligBudget)
 		replay := newServerReplay(sp.NumItems)
 		lost := s.Derive(string(server))
 		type userState struct {

@@ -101,20 +101,24 @@ type Server struct {
 	fusedSecs  float64
 }
 
-// newServer builds the hidden server model.
-func newServer(numUsers, numItems int, cfg *Config, parent *rng.Stream) (*Server, error) {
-	mcfg := models.Config{
-		NumUsers: numUsers,
-		NumItems: numItems,
-		Dim:      cfg.Dim,
-		LR:       cfg.LR,
-		Layers:   cfg.Layers,
-		// The hidden model's SGD shards every batch over the gradient
-		// workspace engine; 0 resolves to GOMAXPROCS like the other knobs.
-		TrainWorkers: par.Workers(cfg.TrainWorkers),
+// serverModelConfig is the hidden model's configuration. Its SGD shards every
+// batch over the gradient workspace engine on the run's one pool size, so
+// `ptfserve -workers 1` trains the server model serially too.
+func serverModelConfig(numUsers, numItems int, cfg *Config) models.Config {
+	return models.Config{
+		NumUsers:     numUsers,
+		NumItems:     numItems,
+		Dim:          cfg.Dim,
+		LR:           cfg.LR,
+		Layers:       cfg.Layers,
+		TrainWorkers: par.Workers(cfg.Workers),
 		Seed:         cfg.Seed ^ 0xabcdef12345678,
 	}
-	m, err := models.New(cfg.ServerModel, mcfg)
+}
+
+// newServer builds the hidden server model.
+func newServer(numUsers, numItems int, cfg *Config, parent *rng.Stream) (*Server, error) {
+	m, err := models.New(cfg.ServerModel, serverModelConfig(numUsers, numItems, cfg))
 	if err != nil {
 		return nil, fmt.Errorf("fed: server: %w", err)
 	}
@@ -135,7 +139,7 @@ func newServer(numUsers, numItems int, cfg *Config, parent *rng.Stream) (*Server
 		numItems: numItems,
 		itemFreq: make([]int, numItems),
 		store:    newFlatUploadStore(numUsers),
-		elig:     newEligCache(cfg.EligCacheEntries),
+		elig:     newEligCache(defaultEligCacheBudget),
 		ident:    ident,
 		upGen:    make([]uint32, numUsers),
 	}, nil
@@ -596,7 +600,7 @@ func (s *edgeSorter) Swap(a, b int) { s.order[a], s.order[b] = s.order[b], s.ord
 // precomputed offset ranges, so the sample order — and with it the shuffle
 // and every optimizer step — is identical to the serial construction. The
 // SGD loop itself visits batches sequentially; inside each TrainBatch the
-// model's gradient workspace engine shards the forward/backward over
+// model's gradient workspace engine shards the forward/backward over its
 // TrainWorkers with a chunk-ordered merge, which is what keeps seeded runs
 // exactly reproducible at any worker count.
 func (sv *Server) train(uploads [][]comm.Prediction, workers int) float64 {

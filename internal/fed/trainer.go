@@ -46,11 +46,6 @@ type PhaseSeconds struct {
 	Disperse    float64 // per-client D̃ᵢ construction + encoding
 }
 
-// Total sums the round phases.
-func (p PhaseSeconds) Total() float64 {
-	return p.ClientTrain + p.Absorb + p.GraphBuild + p.ServerTrain + p.Disperse
-}
-
 // Trainer orchestrates PTF-FedRec end to end (Algorithm 1), composing the
 // two transport-agnostic halves in one process: a ClientHost running every
 // user's client side and a RoundEngine running the server side. It is the
@@ -121,12 +116,8 @@ func (t *Trainer) Meter() *comm.Meter { return t.meter }
 // Config returns the active configuration.
 func (t *Trainer) Config() Config { return t.cfg }
 
-// PhaseSeconds returns the cumulative per-phase wall-clock since construction
-// (or the last ResetPhaseSeconds).
+// PhaseSeconds returns the cumulative per-phase wall-clock since construction.
 func (t *Trainer) PhaseSeconds() PhaseSeconds { return t.phases }
-
-// ResetPhaseSeconds zeroes the per-phase timers.
-func (t *Trainer) ResetPhaseSeconds() { t.phases = PhaseSeconds{} }
 
 // RunRound executes Algorithm 1's loop body once, serially: sample the
 // cohort, run every selected client's local round on the worker pool, close
@@ -236,7 +227,7 @@ func (t *Trainer) ShareEvaluator(e *eval.Evaluator) { t.evaluator = e }
 
 // EvaluateServer measures the hidden model's ranking quality — the quantity
 // Table III reports for PTF-FedRec. Evaluation fans out over
-// Config.EvalWorkers workers (0 = GOMAXPROCS) with metrics identical for any
+// Config.Workers workers (0 = GOMAXPROCS) with metrics identical for any
 // worker count, reusing the trainer's cached candidate sets every round.
 func (t *Trainer) EvaluateServer() eval.Result {
 	return t.engine.Evaluate(t.splitEvaluator())
@@ -250,7 +241,7 @@ func (t *Trainer) EvaluateClients() eval.Result {
 	scorer := models.ScorerFunc(func(u int, items []int) []float64 {
 		return t.client(u).model.ScoreItems(0, items)
 	})
-	return t.splitEvaluator().Rank(scorer, t.cfg.EvalK, t.cfg.EvalWorkers)
+	return t.splitEvaluator().Rank(scorer, t.cfg.EvalK, t.cfg.Workers)
 }
 
 // String summarises a round for logs.

@@ -75,6 +75,12 @@ func raggedLists(numItems int) [][]int {
 	return lists
 }
 
+// perItemScorer is the per-item loop every model keeps behind ScoreItems —
+// the reference the batched engines are compared with.
+type perItemScorer interface {
+	ScoreItemsInto(dst []float64, u int, items []int) []float64
+}
+
 // TestScoreBlockMatchesScalar pins the batched scoring engine's contract for
 // every model kind: ScoreBlockInto must be bitwise-identical to the per-item
 // ScoreItemsInto path for any candidate list.
@@ -85,7 +91,7 @@ func TestScoreBlockMatchesScalar(t *testing.T) {
 		if !ok {
 			t.Fatalf("%s does not implement BlockScorer", kind)
 		}
-		is := m.(InplaceScorer)
+		is := m.(perItemScorer)
 		for _, items := range raggedLists(blockConfig().NumItems) {
 			for u := 0; u < blockConfig().NumUsers; u++ {
 				want := is.ScoreItemsInto(nil, u, items)
@@ -108,7 +114,7 @@ func TestScoreBlockLazyFallback(t *testing.T) {
 	for _, kind := range []Kind{KindMF, KindNeuMF} {
 		m := blockModel(t, kind, true)
 		bs := m.(BlockScorer)
-		is := m.(InplaceScorer)
+		is := m.(perItemScorer)
 		items := raggedLists(blockConfig().NumItems)[6]
 		want := is.ScoreItemsInto(nil, 0, items)
 		got := make([]float64, len(items))
@@ -147,7 +153,7 @@ func BenchmarkScoring(b *testing.B) {
 		dst := make([]float64, len(items))
 		b.Run(string(kind)+"/scalar", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				dst = m.(InplaceScorer).ScoreItemsInto(dst[:0], i%blockConfig().NumUsers, items)
+				dst = m.(perItemScorer).ScoreItemsInto(dst[:0], i%blockConfig().NumUsers, items)
 			}
 		})
 		b.Run(string(kind)+"/block", func(b *testing.B) {
@@ -181,7 +187,7 @@ func FuzzScoreBlockRagged(f *testing.F) {
 		}
 		user := int(u % uint(numUsers))
 		for _, m := range []Recommender{mf, neumf} {
-			want := m.(InplaceScorer).ScoreItemsInto(nil, user, items)
+			want := m.(perItemScorer).ScoreItemsInto(nil, user, items)
 			got := make([]float64, len(items))
 			m.(BlockScorer).ScoreBlockInto(got, user, items)
 			for i := range want {

@@ -76,9 +76,6 @@ func NewLightGCN(cfg Config, s *rng.Stream) *LightGCN {
 // Name implements Recommender.
 func (m *LightGCN) Name() string { return string(KindLightGCN) }
 
-// NumParams implements Recommender.
-func (m *LightGCN) NumParams() int { return m.e0.NumValues() }
-
 // SetGraph implements GraphRecommender.
 func (m *LightGCN) SetGraph(g *graph.Bipartite) {
 	if g.NumUsers != m.cfg.NumUsers || g.NumItems != m.cfg.NumItems {
@@ -189,7 +186,7 @@ func (m *LightGCN) ScoreItems(u int, items []int) []float64 {
 	return m.ScoreItemsInto(nil, u, items)
 }
 
-// ScoreItemsInto implements InplaceScorer.
+// ScoreItemsInto is the per-item loop behind ScoreItems; it reuses dst's capacity.
 func (m *LightGCN) ScoreItemsInto(dst []float64, u int, items []int) []float64 {
 	f := m.propagate()
 	urow := f.Row(u)
@@ -224,13 +221,6 @@ func (m *LightGCN) ScoreUsersBlockLogitsInto(dst *tensor.Matrix, users []int, it
 	checkUsersBlock(dst, users, items)
 	f := m.propagate()
 	tensor.GatherMulMatInto(dst, f, users, 0, f, items, m.cfg.NumUsers)
-}
-
-// ScoreUsersBlockInto implements MultiBlockScorer: the logit kernel with the
-// sigmoid applied at this call boundary, per the contract.
-func (m *LightGCN) ScoreUsersBlockInto(dst *tensor.Matrix, users []int, items []int) {
-	m.ScoreUsersBlockLogitsInto(dst, users, items)
-	sigmoidData(dst)
 }
 
 // ScorePairsInto implements MultiBlockScorer's ragged half: one gathered

@@ -33,9 +33,6 @@ func NewMF(cfg Config, s *rng.Stream) *MF {
 // Name implements Recommender.
 func (m *MF) Name() string { return string(KindMF) }
 
-// NumParams implements Recommender.
-func (m *MF) NumParams() int { return (m.cfg.NumUsers + m.cfg.NumItems) * m.cfg.Dim }
-
 // Score implements Recommender.
 func (m *MF) Score(u, v int) float64 {
 	return nn.Sigmoid(dot(m.users.Row(u), m.items.Row(v)))
@@ -46,7 +43,7 @@ func (m *MF) ScoreItems(u int, items []int) []float64 {
 	return m.ScoreItemsInto(nil, u, items)
 }
 
-// ScoreItemsInto implements InplaceScorer.
+// ScoreItemsInto is the per-item loop behind ScoreItems; it reuses dst's capacity.
 func (m *MF) ScoreItemsInto(dst []float64, u int, items []int) []float64 {
 	out := scoreBuf(dst, len(items))
 	p := m.users.Row(u)
@@ -96,13 +93,6 @@ func (m *MF) ScoreUsersBlockLogitsInto(dst *tensor.Matrix, users []int, items []
 	for i, u := range users {
 		m.ScoreBlockLogitsInto(dst.Row(i), u, items)
 	}
-}
-
-// ScoreUsersBlockInto implements MultiBlockScorer: the logit kernel with the
-// sigmoid applied at this call boundary, per the contract.
-func (m *MF) ScoreUsersBlockInto(dst *tensor.Matrix, users []int, items []int) {
-	m.ScoreUsersBlockLogitsInto(dst, users, items)
-	sigmoidData(dst)
 }
 
 // ScorePairsInto implements MultiBlockScorer's ragged half: one gathered
@@ -166,13 +156,6 @@ func (m *MF) accumulateGrad(batch []Sample) float64 {
 	}
 	return lossSum / float64(n)
 }
-
-// UserRow exposes user u's embedding (read-only) for the federated baselines
-// that transmit embeddings directly.
-func (m *MF) UserRow(u int) []float64 { return m.users.Row(u) }
-
-// ItemRow exposes item v's embedding (read-only).
-func (m *MF) ItemRow(v int) []float64 { return m.items.Row(v) }
 
 func dot(a, b []float64) float64 {
 	var s float64

@@ -36,9 +36,6 @@ type Recommender interface {
 	Score(u, v int) float64
 	// ScoreItems scores one user against a list of items.
 	ScoreItems(u int, items []int) []float64
-	// NumParams returns the number of scalar parameters (for the
-	// communication-cost comparisons of Table IV).
-	NumParams() int
 }
 
 // GraphRecommender is implemented by the models that propagate over the
@@ -65,8 +62,8 @@ type GraphDeltaRecommender interface {
 
 // Scorer is the minimal scoring capability — one user against a list of
 // candidate items — and the root of the scoring interface family consumed by
-// the evaluator and the dispersal engine (InplaceScorer, BlockScorer, and
-// MultiBlockScorer refine it). Recommender satisfies it; federated clients
+// the evaluator and the dispersal engine (BlockScorer and MultiBlockScorer
+// refine it). Recommender satisfies it; federated clients
 // adapt it to their local user index via ScorerFunc.
 //
 // A Scorer handed to a parallel consumer must tolerate concurrent ScoreItems
@@ -91,14 +88,6 @@ type Warmer interface {
 	WarmScoring()
 }
 
-// InplaceScorer is implemented by models whose batch scoring can reuse a
-// caller-provided buffer. ScoreItemsInto returns a slice of len(items) backed
-// by dst when dst has the capacity, avoiding a per-call allocation on the
-// evaluation and dispersal hot paths. All models in this package implement it.
-type InplaceScorer interface {
-	ScoreItemsInto(dst []float64, u int, items []int) []float64
-}
-
 // BlockScorer is the batched scoring engine's contract, implemented by every
 // model in this package. Both methods fill dst — which must have length
 // len(items) — with user u's value for each candidate item, scoring the whole
@@ -118,7 +107,7 @@ type InplaceScorer interface {
 // candidates that reach the heap instead of once per item scored.
 //
 // The contract is strict: for any dst/items, ScoreBlockInto produces scores
-// bitwise-identical to the per-item ScoreItemsInto path, so evaluation
+// bitwise-identical to the per-item ScoreItems path, so evaluation
 // metrics, dispersal plans, and training histories do not depend on which
 // path a caller takes. Like ScoreItems, concurrent calls for distinct users
 // are safe once lazily built shared state is warm (Warmer) and the model's

@@ -70,9 +70,6 @@ func TestFactoryAllKinds(t *testing.T) {
 		if m.Name() != string(kind) {
 			t.Fatalf("Name = %s", m.Name())
 		}
-		if m.NumParams() <= 0 {
-			t.Fatalf("%s NumParams = %d", kind, m.NumParams())
-		}
 		sc := m.Score(0, 0)
 		if sc <= 0 || sc >= 1 || math.IsNaN(sc) {
 			t.Fatalf("%s Score = %v", kind, sc)

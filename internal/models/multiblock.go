@@ -7,31 +7,26 @@ import (
 )
 
 // MultiBlockScorer is the multi-user batched scoring engine's contract,
-// implemented by every model in this package. ScoreUsersBlockInto fills dst —
-// which must be len(users) × len(items) — with σ(logit) for every
-// (users[i], items[j]) pair, scoring the whole user batch against the shared
-// candidate block through matrix kernels: MF and the graph models run one
-// double-gathered GEMM (tensor.GatherMulMatInto) against the (propagated)
+// implemented by every model in this package. ScoreUsersBlockLogitsInto fills
+// dst — which must be len(users) × len(items) — with the raw pre-sigmoid logit
+// of every (users[i], items[j]) pair, scoring the whole user batch against the
+// shared candidate block through matrix kernels: MF and the graph models run
+// one double-gathered GEMM (tensor.GatherMulMatInto) against the (propagated)
 // embedding matrices, and NeuMF streams each user's row through its pooled
-// chunked MLP forwards.
-//
-// Sigmoid placement follows BlockScorer's contract: ScoreUsersBlockLogitsInto
-// is the logit-domain entry point — the same kernels stopping before the
-// sigmoid — and ScoreUsersBlockInto is exactly those logits passed
-// element-wise through σ at the call boundary. The batched evaluation and
-// dispersal engines score logits and select under
+// chunked MLP forwards. There is no σ-domain block entry point: the batched
+// evaluation and dispersal engines score logits and select under
 // metrics.LogitTopKSelector's tie-safe contract, applying σ only to the
 // winners they keep.
 //
 // The contract is strict: dst.Row(i) is bitwise-identical to
-// ScoreBlockInto(row, users[i], items) — logit rows to
-// ScoreBlockLogitsInto(row, users[i], items) — and therefore to the per-item
-// scoring path, for any batch composition, so evaluation metrics, dispersal
-// plans, and training histories do not depend on how users are grouped into
-// score batches. Concurrency follows BlockScorer's rules: calls for disjoint
-// user batches are safe once lazily built shared state is warm (Warmer) and
-// the model's tables are dense; Lazy models materialise rows on read and must
-// be scored from one goroutine.
+// ScoreBlockLogitsInto(row, users[i], items), and σ of it to
+// ScoreItems(users[i], items), for any batch composition, so evaluation
+// metrics, dispersal plans, and training histories do not depend on how users
+// are grouped into score batches.
+// Concurrency follows BlockScorer's rules: calls for disjoint user batches
+// are safe once lazily built shared state is warm (Warmer) and the model's
+// tables are dense; Lazy models materialise rows on read and must be scored
+// from one goroutine.
 //
 // ScorePairsInto is the contract's ragged half: dst[p] = σ(logit) for the
 // pair (users[p], items[p]). It batches scoring passes whose per-user item
@@ -39,11 +34,10 @@ import (
 // chosen items into one pair list — through the gathered pair-dot kernels
 // (tensor.GatherPairDotInto) or, for NeuMF, the same pooled chunked forwards
 // with per-row users. Values are bitwise-identical to scoring each pair
-// through the per-user paths. It stays σ-domain only: its consumers ship the
+// through the per-user paths. It is σ-domain only: its consumers ship the
 // probabilities over the wire, so every pair's sigmoid is paid regardless and
 // a logit variant would have no caller.
 type MultiBlockScorer interface {
-	ScoreUsersBlockInto(dst *tensor.Matrix, users []int, items []int)
 	ScoreUsersBlockLogitsInto(dst *tensor.Matrix, users []int, items []int)
 	ScorePairsInto(dst []float64, users []int, items []int)
 }
@@ -56,13 +50,10 @@ func checkPairs(dst []float64, users, items []int) {
 	}
 }
 
-// checkUsersBlock validates a ScoreUsersBlockInto destination.
+// checkUsersBlock validates a ScoreUsersBlockLogitsInto destination.
 func checkUsersBlock(dst *tensor.Matrix, users, items []int) {
 	if dst.Rows != len(users) || dst.Cols != len(items) {
-		panic(fmt.Sprintf("models: ScoreUsersBlockInto dst %dx%d for %d users × %d items",
+		panic(fmt.Sprintf("models: ScoreUsersBlockLogitsInto dst %dx%d for %d users × %d items",
 			dst.Rows, dst.Cols, len(users), len(items)))
 	}
 }
-
-// sigmoidData replaces each logit in m with σ(logit).
-func sigmoidData(m *tensor.Matrix) { sigmoidVec(m.Data) }

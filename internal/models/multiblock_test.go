@@ -39,6 +39,14 @@ func multiBlockFixture(t *testing.T, kind Kind, lazy bool) Recommender {
 	return m
 }
 
+// scoreUsersBlock is the σ-domain view of the multi-user kernel these tests
+// compare with the per-user paths: the logit block with σ applied here, the
+// way the kernel's consumers apply it to the winners they keep.
+func scoreUsersBlock(mbs MultiBlockScorer, dst *tensor.Matrix, users, items []int) {
+	mbs.ScoreUsersBlockLogitsInto(dst, users, items)
+	sigmoidVec(dst.Data)
+}
+
 // TestScoreUsersBlockMatchesScalar pins the MultiBlockScorer contract for
 // every model kind: each row of the batched user-block score matrix is
 // bitwise-identical to the single-user ScoreBlockInto path, for batch sizes
@@ -57,7 +65,7 @@ func TestScoreUsersBlockMatchesScalar(t *testing.T) {
 			users := s.SampleInts(23, nUsers)
 			items := s.SampleInts(57, 1+s.Intn(57))
 			dst := tensor.New(len(users), len(items))
-			mbs.ScoreUsersBlockInto(dst, users, items)
+			scoreUsersBlock(mbs, dst, users, items)
 			want := make([]float64, len(items))
 			for i, u := range users {
 				bs.ScoreBlockInto(want, u, items)
@@ -112,7 +120,7 @@ func TestScoreUsersBlockLazyFallback(t *testing.T) {
 	users := []int{0, 3, 7, 7, 12, 22}
 	items := []int{0, 5, 9, 31, 56}
 	dst := tensor.New(len(users), len(items))
-	mbs.ScoreUsersBlockInto(dst, users, items)
+	scoreUsersBlock(mbs, dst, users, items)
 	want := make([]float64, len(items))
 	for i, u := range users {
 		m.(BlockScorer).ScoreBlockInto(want, u, items)
@@ -156,7 +164,7 @@ func BenchmarkMultiUserScoring(b *testing.B) {
 		b.Run(string(kind)+"/multi-user", func(b *testing.B) {
 			mbs := m.(MultiBlockScorer)
 			for i := 0; i < b.N; i++ {
-				mbs.ScoreUsersBlockInto(dst, users, items)
+				mbs.ScoreUsersBlockLogitsInto(dst, users, items)
 			}
 		})
 	}
@@ -167,6 +175,6 @@ func TestScoreUsersBlockEmptyItems(t *testing.T) {
 	for _, kind := range []Kind{KindMF, KindNeuMF, KindNGCF, KindLightGCN} {
 		m := multiBlockFixture(t, kind, false)
 		dst := tensor.New(2, 0)
-		m.(MultiBlockScorer).ScoreUsersBlockInto(dst, []int{0, 1}, nil) // must not panic
+		m.(MultiBlockScorer).ScoreUsersBlockLogitsInto(dst, []int{0, 1}, nil) // must not panic
 	}
 }

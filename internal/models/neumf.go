@@ -55,15 +55,6 @@ func NewNeuMF(cfg Config, s *rng.Stream) *NeuMF {
 // Name implements Recommender.
 func (m *NeuMF) Name() string { return string(KindNeuMF) }
 
-// NumParams implements Recommender.
-func (m *NeuMF) NumParams() int {
-	n := (m.cfg.NumUsers + m.cfg.NumItems) * m.cfg.Dim
-	for _, p := range m.params {
-		n += p.NumValues()
-	}
-	return n
-}
-
 // denseLayers returns the tower plus the output head, in forward order — the
 // layer order the chunk workspaces are laid out in.
 func (m *NeuMF) denseLayers() []*nn.Dense {
@@ -197,7 +188,7 @@ func (m *NeuMF) ScoreItems(u int, items []int) []float64 {
 	return m.ScoreItemsInto(nil, u, items)
 }
 
-// ScoreItemsInto implements InplaceScorer.
+// ScoreItemsInto is the per-item loop behind ScoreItems; it reuses dst's capacity.
 func (m *NeuMF) ScoreItemsInto(dst []float64, u int, items []int) []float64 {
 	if len(items) == 0 {
 		return scoreBuf(dst, 0)
@@ -274,13 +265,6 @@ func (m *NeuMF) ScoreUsersBlockLogitsInto(dst *tensor.Matrix, users []int, items
 	for i, u := range users {
 		m.scoreBlockLogitsWS(ws, dst.Row(i), u, items)
 	}
-}
-
-// ScoreUsersBlockInto implements MultiBlockScorer: the logit forwards with
-// the sigmoid applied at this call boundary, per the contract.
-func (m *NeuMF) ScoreUsersBlockInto(dst *tensor.Matrix, users []int, items []int) {
-	m.ScoreUsersBlockLogitsInto(dst, users, items)
-	sigmoidData(dst)
 }
 
 // scoreBlockLogitsWS is the chunked-forward core shared by the single- and

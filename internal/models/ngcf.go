@@ -16,7 +16,7 @@ const ngcfAlpha = 0.2
 //
 // where ⊙ is the row-wise Hadamard interaction term, and the readout
 // concatenates all layers: r̂ᵤᵥ = σ( Σ_l eᵤ^l · eᵥ^l ). Message dropout is
-// omitted (the paper trains small models for few epochs; see DESIGN.md).
+// omitted (the paper trains small models for few epochs).
 type NGCF struct {
 	cfg     Config
 	workers int
@@ -61,18 +61,6 @@ func NewNGCF(cfg Config, s *rng.Stream) *NGCF {
 
 // Name implements Recommender.
 func (m *NGCF) Name() string { return string(KindNGCF) }
-
-// NumParams implements Recommender.
-func (m *NGCF) NumParams() int {
-	n := m.e0.NumValues()
-	for _, p := range m.w1 {
-		n += p.NumValues()
-	}
-	for _, p := range m.w2 {
-		n += p.NumValues()
-	}
-	return n
-}
 
 // SetGraph implements GraphRecommender.
 func (m *NGCF) SetGraph(g *graph.Bipartite) {
@@ -153,7 +141,7 @@ func (m *NGCF) ScoreItems(u int, items []int) []float64 {
 	return m.ScoreItemsInto(nil, u, items)
 }
 
-// ScoreItemsInto implements InplaceScorer.
+// ScoreItemsInto is the per-item loop behind ScoreItems; it reuses dst's capacity.
 func (m *NGCF) ScoreItemsInto(dst []float64, u int, items []int) []float64 {
 	m.propagate()
 	out := scoreBuf(dst, len(items))
@@ -208,13 +196,6 @@ func (m *NGCF) ScoreUsersBlockLogitsInto(dst *tensor.Matrix, users []int, items 
 	for i, s := range dst.Data {
 		dst.Data[i] = s * scale
 	}
-}
-
-// ScoreUsersBlockInto implements MultiBlockScorer: the logit kernel with the
-// sigmoid applied at this call boundary, per the contract.
-func (m *NGCF) ScoreUsersBlockInto(dst *tensor.Matrix, users []int, items []int) {
-	m.ScoreUsersBlockLogitsInto(dst, users, items)
-	sigmoidData(dst)
 }
 
 // ScorePairsInto implements MultiBlockScorer's ragged half: one gathered

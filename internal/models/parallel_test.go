@@ -98,9 +98,9 @@ func TestScoreItemsIntoMatchesScoreItems(t *testing.T) {
 		if gm, ok := m.(GraphRecommender); ok {
 			gm.SetGraph(smallGraph(cfg))
 		}
-		is, ok := m.(InplaceScorer)
+		is, ok := m.(perItemScorer)
 		if !ok {
-			t.Fatalf("%s does not implement InplaceScorer", kind)
+			t.Fatalf("%s has no ScoreItemsInto", kind)
 		}
 		buf := make([]float64, 0, len(items))
 		got := is.ScoreItemsInto(buf, 1, items)

@@ -16,13 +16,6 @@ func Sigmoid(x float64) float64 {
 	return e / (1 + e)
 }
 
-// SigmoidMat applies σ element-wise, returning a new matrix.
-func SigmoidMat(x *tensor.Matrix) *tensor.Matrix {
-	out := x.Clone()
-	out.Apply(Sigmoid)
-	return out
-}
-
 // ReLU applies max(0, x) element-wise, returning a new matrix.
 func ReLU(x *tensor.Matrix) *tensor.Matrix {
 	out := tensor.New(x.Rows, x.Cols)

@@ -8,13 +8,6 @@ import (
 	"ptffedrec/internal/tensor"
 )
 
-// Optimizer applies accumulated gradients to parameters and clears them.
-type Optimizer interface {
-	// Step updates every parameter from its gradient and zeroes the
-	// gradients.
-	Step(params []*Param)
-}
-
 // SGD is plain stochastic gradient descent with optional L2 weight decay.
 type SGD struct {
 	LR          float64

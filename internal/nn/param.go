@@ -31,9 +31,6 @@ func NewParam(name string, rows, cols int) *Param {
 // ZeroGrad clears the accumulated gradient.
 func (p *Param) ZeroGrad() { p.Grad.Zero() }
 
-// NumValues returns the number of scalar values in the parameter.
-func (p *Param) NumValues() int { return len(p.W.Data) }
-
 // Xavier fills m with the Glorot/Xavier uniform distribution
 // U(±sqrt(6/(fanIn+fanOut))), the initialization used by the reference
 // implementations of NeuMF/NGCF/LightGCN.

@@ -60,13 +60,6 @@ func (m *Matrix) Zero() {
 	}
 }
 
-// Fill sets every element to v in place.
-func (m *Matrix) Fill(v float64) {
-	for i := range m.Data {
-		m.Data[i] = v
-	}
-}
-
 // Scale multiplies every element by a in place and returns m.
 func (m *Matrix) Scale(a float64) *Matrix {
 	for i := range m.Data {
@@ -89,15 +82,6 @@ func (m *Matrix) AddScaled(a float64, b *Matrix) *Matrix {
 	m.sameShape(b, "AddScaled")
 	for i, v := range b.Data {
 		m.Data[i] += a * v
-	}
-	return m
-}
-
-// SubInPlace subtracts b element-wise from m and returns m.
-func (m *Matrix) SubInPlace(b *Matrix) *Matrix {
-	m.sameShape(b, "SubInPlace")
-	for i, v := range b.Data {
-		m.Data[i] -= v
 	}
 	return m
 }

@@ -86,8 +86,7 @@ func TestCSRMulDenseTMatchesTranspose(t *testing.T) {
 
 func TestCSREmptyRows(t *testing.T) {
 	m := NewCSR(4, 4, []Triplet{{1, 1, 5}})
-	x := New(4, 2)
-	x.Fill(1)
+	x := FromSlice(4, 2, []float64{1, 1, 1, 1, 1, 1, 1, 1})
 	out := m.MulDense(x)
 	if out.At(0, 0) != 0 || out.At(1, 0) != 5 || out.At(3, 1) != 0 {
 		t.Fatalf("empty-row MulDense -> %v", out.Data)
@@ -132,7 +131,9 @@ func TestMulDenseRowsIntoMatchesFull(t *testing.T) {
 	const sentinel = 12345.5
 	for _, workers := range []int{1, 2, 8} {
 		got := New(n, k)
-		got.Fill(sentinel)
+		for i := range got.Data {
+			got.Data[i] = sentinel
+		}
 		sp.MulDenseRowsIntoPar(got, x, rows, workers)
 		for i := 0; i < n; i++ {
 			for j, v := range got.Row(i) {

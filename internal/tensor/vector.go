@@ -1,7 +1,5 @@
 package tensor
 
-import "math"
-
 // Dot returns the inner product of a and b. The slices must have equal length.
 func Dot(a, b []float64) float64 {
 	if len(a) != len(b) {
@@ -24,13 +22,6 @@ func Axpy(a float64, x, y []float64) {
 	}
 }
 
-// ScaleVec multiplies x by a in place.
-func ScaleVec(a float64, x []float64) {
-	for i := range x {
-		x[i] *= a
-	}
-}
-
 // AddVec computes y += x in place.
 func AddVec(x, y []float64) {
 	if len(x) != len(y) {
@@ -38,41 +29,6 @@ func AddVec(x, y []float64) {
 	}
 	for i, v := range x {
 		y[i] += v
-	}
-}
-
-// MulVec computes y[i] *= x[i] in place.
-func MulVec(x, y []float64) {
-	if len(x) != len(y) {
-		panic("tensor: MulVec length mismatch")
-	}
-	for i, v := range x {
-		y[i] *= v
-	}
-}
-
-// NormVec returns the Euclidean norm of x.
-func NormVec(x []float64) float64 {
-	var s float64
-	for _, v := range x {
-		s += v * v
-	}
-	return math.Sqrt(s)
-}
-
-// SumVec returns the sum of the elements of x.
-func SumVec(x []float64) float64 {
-	var s float64
-	for _, v := range x {
-		s += v
-	}
-	return s
-}
-
-// ZeroVec sets every element of x to 0.
-func ZeroVec(x []float64) {
-	for i := range x {
-		x[i] = 0
 	}
 }
 

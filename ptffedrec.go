@@ -76,8 +76,6 @@ type (
 type (
 	// ModelKind selects a recommender family.
 	ModelKind = models.Kind
-	// PrivacyConfig is the §III-B2 upload mechanism configuration.
-	PrivacyConfig = privacy.Config
 	// Defense selects the upload perturbation mechanism.
 	Defense = privacy.Defense
 	// Result is a (Recall@K, NDCG@K) evaluation outcome.
@@ -95,9 +93,6 @@ const (
 	ServerNeuMF    = models.KindNeuMF
 	ServerNGCF     = models.KindNGCF
 	ServerLightGCN = models.KindLightGCN
-	ClientNeuMF    = models.KindNeuMF
-	ClientNGCF     = models.KindNGCF
-	ClientLightGCN = models.KindLightGCN
 )
 
 // Defenses (Table V).
@@ -197,7 +192,7 @@ type (
 	ExperimentOptions = experiments.Options
 )
 
-// ExperimentIDs lists every runnable experiment.
+// ExperimentIDs lists every runnable experiment, in registry order.
 var ExperimentIDs = experiments.ExperimentIDs
 
 // DefaultExperimentOptions returns the benchmark-friendly configuration
