@@ -194,7 +194,7 @@ func serialHistory(sp *data.Split, cfg fed.Config) (*fed.History, error) {
 	if err != nil {
 		return nil, err
 	}
-	h := &fed.History{}
+	var rounds []fed.RoundStats
 	for round := 0; round < cfg.Rounds; round++ {
 		var rs fed.RoundStats
 		if cfg.EvalEvery > 0 && (round+1)%cfg.EvalEvery == 0 {
@@ -202,12 +202,9 @@ func serialHistory(sp *data.Split, cfg fed.Config) (*fed.History, error) {
 		} else {
 			rs = tr.RunRound(round)
 		}
-		h.Rounds = append(h.Rounds, rs)
-		h.MeanAttackF1 += rs.AttackF1
+		rounds = append(rounds, rs)
 	}
-	h.MeanAttackF1 /= float64(cfg.Rounds)
-	h.Final = tr.EvaluateServer()
-	return h, nil
+	return fed.NewHistory(rounds, tr.EvaluateServer()), nil
 }
 
 // runSelftestNetworked drives one training run through the coordinator on a

@@ -191,7 +191,7 @@ func (c *Coordinator) Handler() http.Handler {
 // critical path. The history does not depend on arrival order because uploads
 // are absorbed in cohort slot order.
 func (c *Coordinator) Run(ctx context.Context) (*fed.History, error) {
-	h := &fed.History{}
+	var rounds []fed.RoundStats
 	// ahead queues announced-but-unclosed rounds in order: the pipeline keeps
 	// one round announced beyond the one being collected.
 	var ahead []*roundState
@@ -214,14 +214,10 @@ func (c *Coordinator) Run(ctx context.Context) (*fed.History, error) {
 			stats.Recall, stats.NDCG, stats.Evaluated = res.Recall, res.NDCG, true
 		}
 		c.publishRound(round, dispersals)
-		h.Rounds = append(h.Rounds, stats)
-		h.MeanAttackF1 += stats.AttackF1
+		rounds = append(rounds, stats)
 		announce(round + 2)
 	}
-	if len(h.Rounds) > 0 {
-		h.MeanAttackF1 /= float64(len(h.Rounds))
-	}
-	h.Final = c.engine.Evaluate(eval.LazyEvaluator(&c.evaluator, c.split))
+	h := fed.NewHistory(rounds, c.engine.Evaluate(eval.LazyEvaluator(&c.evaluator, c.split)))
 	c.mu.Lock()
 	c.down = true
 	shutdown := comm.AppendFrame(nil, comm.MsgShutdown, nil)
@@ -546,6 +542,22 @@ func (c *Coordinator) handleLeave(w http.ResponseWriter, r *http.Request) {
 	c.writeFrame(w, comm.MsgAck, nil)
 }
 
+// eventsAfter returns a copy of the session's events past the cursor, or —
+// when the log ends at the cursor — the channel the next event closes. A
+// cursor outside [0, len(events)] is an error. The poll handler reads the log
+// only here; the deferred unlock releases c.mu on every path, a panic included.
+func (c *Coordinator) eventsAfter(s *session, after int64) (events [][]byte, wake <-chan struct{}, err error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if after < 0 || after > int64(len(s.events)) {
+		return nil, nil, fmt.Errorf("coord: poll cursor %d outside event log (%d events)", after, len(s.events))
+	}
+	if tail := s.events[after:]; len(tail) > 0 {
+		return append([][]byte(nil), tail...), nil, nil
+	}
+	return nil, s.wake, nil
+}
+
 func (c *Coordinator) handlePoll(w http.ResponseWriter, r *http.Request) {
 	s, err := c.sessionFromQuery(r)
 	if err != nil {
@@ -560,24 +572,18 @@ func (c *Coordinator) handlePoll(w http.ResponseWriter, r *http.Request) {
 	deadline := time.NewTimer(pollWait)
 	defer deadline.Stop()
 	for {
-		c.mu.Lock()
-		if int(after) > len(s.events) {
-			c.mu.Unlock()
-			c.writeError(w, "coord: poll cursor %d past event log (%d events)", after, len(s.events))
+		events, wake, err := c.eventsAfter(s, after)
+		if err != nil {
+			c.writeError(w, "%v", err)
 			return
 		}
-		if int(after) < len(s.events) {
-			pendingEvents := make([][]byte, len(s.events)-int(after))
-			copy(pendingEvents, s.events[after:])
-			c.mu.Unlock()
-			for _, frame := range pendingEvents {
+		if len(events) > 0 {
+			for _, frame := range events {
 				n, _ := w.Write(frame)
 				c.wireOut.Add(int64(n))
 			}
 			return
 		}
-		wake := s.wake
-		c.mu.Unlock()
 		select {
 		case <-wake:
 		case <-deadline.C:

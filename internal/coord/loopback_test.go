@@ -477,3 +477,77 @@ func TestMalformedUploadOverHTTP(t *testing.T) {
 		t.Fatal("malformed upload should have left its user dropped")
 	}
 }
+
+// TestPollCursorBounds pins the poll cursor's validation: a cursor outside the
+// session's event log — negative, one past the end, absurdly large — gets a
+// MsgError frame, and the coordinator keeps answering afterwards. A negative
+// cursor used to slice the log out of range while holding the coordinator's
+// mutex, which net/http's panic recovery then left locked forever; so after
+// every rejected poll Sessions() must return promptly, and the same
+// coordinator must still complete a run bitwise-equal to the in-process one.
+func TestPollCursorBounds(t *testing.T) {
+	cfg := testConfig(models.KindNeuMF, 1)
+	c, err := New(testSplit(), cfg, testOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(c.Handler())
+	defer srv.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+
+	var parts []*Participant
+	for _, r := range [][2]int{{0, 20}, {20, 40}} {
+		p, err := Join(srv.URL, r[0], r[1], srv.Client())
+		if err != nil {
+			t.Fatalf("join [%d, %d): %v", r[0], r[1], err)
+		}
+		parts = append(parts, p)
+	}
+	token := parts[0].Token()
+	c.mu.Lock()
+	logged := len(c.sessions[token].events)
+	c.mu.Unlock()
+
+	// A bounded client: against the leaked lock a retried poll would park in
+	// the handler forever, and the test should fail, not hang.
+	client := *srv.Client()
+	client.Timeout = 5 * time.Second
+	for _, after := range []int64{-1, int64(logged) + 1, 1 << 62} {
+		resp, err := client.Get(fmt.Sprintf("%s/v1/poll?token=%d&after=%d", srv.URL, token, after))
+		if err != nil {
+			t.Errorf("poll after=%d: %v", after, err)
+		} else {
+			mt, payload, err := comm.ReadFrame(resp.Body)
+			resp.Body.Close()
+			if err != nil || mt != comm.MsgError {
+				t.Errorf("poll after=%d: reply %v %q (%v), want MsgError", after, mt, payload, err)
+			}
+		}
+		answered := make(chan int, 1)
+		go func() { answered <- c.Sessions() }()
+		select {
+		case n := <-answered:
+			if n != len(parts) {
+				t.Fatalf("after poll after=%d: %d sessions, want %d", after, n, len(parts))
+			}
+		case <-time.After(time.Second):
+			t.Fatalf("Sessions() blocked after poll after=%d: the handler leaked the coordinator's lock", after)
+		}
+	}
+
+	errs := make(chan error, len(parts))
+	for _, p := range parts {
+		go func(p *Participant) { errs <- p.Run(ctx) }(p)
+	}
+	h, err := c.Run(ctx)
+	if err != nil {
+		t.Fatalf("coordinator run after rejected polls: %v", err)
+	}
+	for range parts {
+		if err := <-errs; err != nil {
+			t.Fatalf("participant: %v", err)
+		}
+	}
+	requireEqualHistories(t, "after rejected polls", referenceHistory(t, cfg), h)
+}

@@ -11,8 +11,8 @@ import (
 // TestBatchedEngineInvariance is the batched engine's pin: the multi-user
 // logit engine must produce Results bitwise-identical to the naive
 // score-everything-then-sort reference (naiveRank over metrics.TopK) and to
-// the single-user probability-domain loop (the same model behind a wrapper
-// that hides MultiBlockScorer), for every model kind and workers ∈ {1, 2, 8}.
+// the per-user probability-domain loop (the same model behind a wrapper that
+// hides MultiBlockScorer), for every model kind and workers ∈ {1, 2, 8}.
 // The batch and window knobs are shrunk so even the tiny split exercises
 // partial batches, multi-window selections, and window boundaries that split
 // candidate runs.
@@ -37,8 +37,8 @@ func TestBatchedEngineInvariance(t *testing.T) {
 			if got := e.Rank(m, 20, workers); got != ref {
 				t.Fatalf("%s workers=%d: batched %+v != naive sort %+v", kind, workers, got, ref)
 			}
-			if got := e.Rank(singleUserOnly{scalarOnly{m}}, 20, workers); got != ref {
-				t.Fatalf("%s workers=%d: single-user %+v != naive sort %+v", kind, workers, got, ref)
+			if got := e.Rank(scalarOnly{m}, 20, workers); got != ref {
+				t.Fatalf("%s workers=%d: per-user %+v != naive sort %+v", kind, workers, got, ref)
 			}
 		}
 	}
@@ -66,15 +66,20 @@ func TestBatchedEngineBatchSizeInvariance(t *testing.T) {
 	}
 }
 
-// TestBatchedEngineStreamingFallback checks the engine gate: a streaming
-// evaluator (no candidate cache) must fall back to the single-user path and
-// still match the cached batched result exactly.
+// TestBatchedEngineStreamingFallback checks the engine gate: the one-shot
+// RankingWorkers (its own throwaway cache) and a scorer without the
+// multi-user contract (the per-user fallback) must both match a held
+// Evaluator's batched result exactly.
 func TestBatchedEngineStreamingFallback(t *testing.T) {
 	d := data.Generate(data.Tiny, 9)
 	sp := d.Split(rng.New(3), 0.2)
 	m := trainedModel(t, models.KindLightGCN, sp)
-	cached := NewEvaluator(sp).Rank(m, 20, 2)
-	if streamed := RankingWorkers(m, sp, 20, 2); streamed != cached {
-		t.Fatalf("streaming %+v != cached batched %+v", streamed, cached)
+	e := NewEvaluator(sp)
+	cached := e.Rank(m, 20, 2)
+	if oneShot := RankingWorkers(m, sp, 20, 2); oneShot != cached {
+		t.Fatalf("one-shot %+v != cached batched %+v", oneShot, cached)
+	}
+	if perUser := e.Rank(scalarOnly{m}, 20, 2); perUser != cached {
+		t.Fatalf("per-user fallback %+v != cached batched %+v", perUser, cached)
 	}
 }

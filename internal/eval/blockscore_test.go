@@ -9,7 +9,7 @@ import (
 	"ptffedrec/internal/rng"
 )
 
-// scalarOnly hides a model's BlockScorer so Ranking is forced through the
+// scalarOnly hides a model's MultiBlockScorer so Ranking is forced through the
 // per-item scoring path, while keeping the warm extension.
 type scalarOnly struct {
 	m models.Recommender
@@ -23,22 +23,6 @@ func (s scalarOnly) WarmScoring() {
 	if w, ok := s.m.(models.Warmer); ok {
 		w.WarmScoring()
 	}
-}
-
-// singleUserOnly hides a model's MultiBlockScorer, keeping BlockScorer and
-// the warm extension, so a cached Evaluator ranks it through the
-// single-user fused selection loop — the path streaming evaluators and
-// non-multi scorers take — instead of the multi-user batched engine.
-type singleUserOnly struct {
-	scalarOnly
-}
-
-func (s singleUserOnly) ScoreBlockInto(dst []float64, u int, items []int) {
-	s.m.(models.BlockScorer).ScoreBlockInto(dst, u, items)
-}
-
-func (s singleUserOnly) ScoreBlockLogitsInto(dst []float64, u int, items []int) {
-	s.m.(models.BlockScorer).ScoreBlockLogitsInto(dst, u, items)
 }
 
 // naiveRank is the reference semantics every engine must reproduce bitwise:
@@ -71,15 +55,15 @@ func naiveRank(s models.Scorer, sp *data.Split, k int) Result {
 }
 
 // TestRankingBatchedMatchesScalar pins the engine-level guarantee: Results
-// are bitwise-identical whether Ranking scores through ScoreBlockInto or the
-// per-item path, for every model kind and worker count.
+// are bitwise-identical whether Ranking scores through the batched logit
+// engine or the per-item path, for every model kind and worker count.
 func TestRankingBatchedMatchesScalar(t *testing.T) {
 	d := data.Generate(data.Tiny, 11)
 	sp := d.Split(rng.New(2), 0.2)
 	for _, kind := range []models.Kind{models.KindMF, models.KindNeuMF, models.KindLightGCN, models.KindNGCF} {
 		m := trainedModel(t, kind, sp)
-		if _, ok := m.(models.BlockScorer); !ok {
-			t.Fatalf("%s does not implement BlockScorer", kind)
+		if _, ok := m.(models.MultiBlockScorer); !ok {
+			t.Fatalf("%s does not implement MultiBlockScorer", kind)
 		}
 		ref := RankingWorkers(scalarOnly{m}, sp, 20, 1)
 		if ref.Users == 0 {

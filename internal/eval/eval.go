@@ -8,28 +8,26 @@
 // index-addressed slots and reduced sequentially in user order, so the result
 // is bitwise-identical for every worker count.
 //
-// Three engines remove the remaining per-round costs. The candidate cache: an
+// Two things remove the remaining per-round costs. The candidate cache: an
 // Evaluator builds each user's candidate list from the immutable train mask
 // once and reuses it every round, so the per-round loop never touches
-// Split.InTrain. The single-user selection engine: scorers that implement
-// models.BlockScorer are driven chunk-wise through models.ScoreBlockTopK, so
-// a user's scores stream through a bounded-heap top-k selection instead of
-// materialising a NumItems-length vector and stable-sorting an index
-// permutation. The multi-user batched engine: scorers that implement
+// Split.InTrain. The batched engine: scorers that implement
 // models.MultiBlockScorer score evalUsersBatch users per kernel call in
 // logit domain — one gather-GEMM per (user batch, item window), each user's
 // cached candidate list walked against the window, raw logits streamed into
 // metrics.LogitTopKSelector under its tie-safe contract — so the
-// item-embedding rows are loaded once per batch instead of once per user and
-// the sigmoid is paid only for candidates that reach a heap, not once per
-// (user, candidate). The scorer's capabilities and the evaluator's cache pick
-// the path; all paths are bitwise-identical to the naive
-// score-everything-then-sort evaluation (metrics.TopK), so Results never
-// depend on the path taken.
+// item-embedding rows are loaded once per batch instead of once per user, no
+// NumItems-length score vector exists, and the sigmoid is paid only for
+// candidates that reach a heap, not once per (user, candidate). Any other
+// scorer (a models.ScorerFunc: per-client adapters, the parameter-transmission
+// baselines) is ranked per user through ScoreItems and metrics.TopKInto over
+// the same cached lists. That one type test is the only engine choice; both
+// paths are bitwise-identical to the naive score-everything-then-sort
+// evaluation (metrics.TopK), so Results never depend on the path taken.
 //
 // The package consumes the models scoring interface family directly
-// (models.Scorer and its BlockScorer / MultiBlockScorer refinements, models.Warmer for lazily built shared state); capability
-// detection happens once per Rank call, not per user.
+// (models.Scorer, its MultiBlockScorer refinement, models.Warmer for lazily
+// built shared state); the type test happens once per Rank call, not per user.
 package eval
 
 import (
@@ -55,41 +53,6 @@ var evalUsersBatch = 16
 // small catalogues.
 var evalScoreChunk = 1024
 
-// caps is the one capability-detecting adapter between the evaluator and the
-// models scoring interface family: every optional refinement is resolved once
-// per Rank call, and scoreItems dispatches on the resolved fields instead of
-// re-sniffing interfaces per user.
-type caps struct {
-	scorer models.Scorer
-	block  models.BlockScorer      // nil when unsupported
-	multi  models.MultiBlockScorer // nil when unsupported
-}
-
-func detectCaps(s models.Scorer) caps {
-	c := caps{scorer: s}
-	c.block, _ = s.(models.BlockScorer)
-	c.multi, _ = s.(models.MultiBlockScorer)
-	return c
-}
-
-// scoreItems scores through the strongest non-fused path the scorer supports
-// — batched block scoring into buf, else plain ScoreItems. buf is owned by the
-// calling goroutine and carried across users.
-func (c *caps) scoreItems(buf *[]float64, u int, items []int) []float64 {
-	if c.block != nil {
-		out := *buf
-		if cap(out) < len(items) {
-			out = make([]float64, len(items))
-		} else {
-			out = out[:len(items)]
-		}
-		c.block.ScoreBlockInto(out, u, items)
-		*buf = out
-		return out
-	}
-	return c.scorer.ScoreItems(u, items)
-}
-
 // Result holds user-averaged ranking metrics.
 type Result struct {
 	Recall, NDCG float64
@@ -108,15 +71,12 @@ type Result struct {
 // backing array, four bytes per (user, candidate) pair, ≈760 MB at the full
 // 50k-user × 4000-item profile and ≈20 MB at the default small profile — the
 // memory the cache trades for never rebuilding candidate lists or probing
-// the train mask again. One-shot callers (Ranking, RankingWorkers) use a
-// streaming evaluator instead, which rebuilds each user's list in per-worker
-// scratch and allocates no cache at all (and therefore always ranks through
-// the single-user engine).
+// the train mask again.
 type Evaluator struct {
 	sp *data.Split
 
 	users []int           // users with held-out items, ascending
-	cache *candset.Packed // per-user candidate lists, ascending; nil when streaming
+	cache *candset.Packed // per-user candidate lists, ascending
 	ident []int           // identity item list 0..NumItems-1 for the batched windows
 }
 
@@ -134,7 +94,12 @@ func NewEvaluator(sp *data.Split) *Evaluator {
 // is written by exactly one goroutine into its own range, so the cache is
 // identical for every worker count.
 func NewEvaluatorWorkers(sp *data.Split, workers int) *Evaluator {
-	e := newStreamingEvaluator(sp)
+	e := &Evaluator{sp: sp}
+	for u := 0; u < sp.NumUsers; u++ {
+		if len(sp.Test[u]) > 0 {
+			e.users = append(e.users, u)
+		}
+	}
 	e.cache = candset.BuildPacked(len(e.users), par.Workers(workers),
 		func(i int) int { return sp.NumItems - len(sp.Train[e.users[i]]) },
 		func(i int, dst []int32) {
@@ -157,44 +122,22 @@ func LazyEvaluator(ep **Evaluator, sp *data.Split) *Evaluator {
 	return *ep
 }
 
-// newStreamingEvaluator builds an Evaluator without the candidate cache:
-// Rank rebuilds each user's candidate list in per-worker scratch with the
-// same merge walk. Right for one-shot evaluations, where a cache would be
-// built and thrown away.
-func newStreamingEvaluator(sp *data.Split) *Evaluator {
-	e := &Evaluator{sp: sp}
-	for u := 0; u < sp.NumUsers; u++ {
-		if len(sp.Test[u]) > 0 {
-			e.users = append(e.users, u)
-		}
-	}
-	return e
-}
-
 // Users returns how many users the evaluator covers.
 func (e *Evaluator) Users() int { return len(e.users) }
 
-// CacheBytes reports the candidate cache's resident bytes (0 for streaming
-// evaluators) — the scalability experiment's memory-accounting hook.
-func (e *Evaluator) CacheBytes() int64 {
-	if e.cache == nil {
-		return 0
-	}
-	return e.cache.MemoryBytes()
-}
+// CacheBytes reports the candidate cache's resident bytes — the scalability
+// experiment's memory-accounting hook.
+func (e *Evaluator) CacheBytes() int64 { return e.cache.MemoryBytes() }
 
 // scratch is one worker's reusable state for its whole share of users on the
-// single-user paths: the widened candidate list, the score buffer (non-fused
-// paths only), the selection output, the ranked item list, the relevance set,
-// and the fused selection engine's scratch. Nothing here is allocated per
-// user.
+// per-user path: the widened candidate list, the selection output, the ranked
+// item list and the relevance set. Only the score vector ScoreItems returns
+// is allocated per user.
 type scratch struct {
 	cand     []int
-	scores   []float64
 	top      []int
 	ranked   []int
 	relevant map[int]bool
-	topk     models.TopKScratch
 }
 
 // batchScratch is one worker's reusable state for the batched multi-user
@@ -248,22 +191,20 @@ func (sc *batchScratch) scoreMat(rows, cols int) *tensor.Matrix {
 	return &sc.mat
 }
 
-// Rank evaluates the scorer at cutoff k over the cached (or streamed)
-// candidate sets with the given worker count (<= 0 means GOMAXPROCS).
-// Metrics are bitwise-identical for every worker count and every
-// selection/scoring path: per-user values depend only on the scorer, and the
-// reduction runs sequentially in user order.
+// Rank evaluates the scorer at cutoff k over the cached candidate sets with
+// the given worker count (<= 0 means GOMAXPROCS). Metrics are
+// bitwise-identical for every worker count and for both scoring paths:
+// per-user values depend only on the scorer, and the reduction runs
+// sequentially in user order.
 func (e *Evaluator) Rank(s models.Scorer, k, workers int) Result {
 	if len(e.users) == 0 {
 		return Result{}
 	}
 	workers = par.Workers(workers)
-	c := detectCaps(s)
-	// The batched multi-user engine needs the multi-user logit contract and
-	// the candidate cache; streaming evaluators (which rebuild lists per
-	// user) and scorers without the contract — per-client adapters, the
-	// parameter-transmission baselines — rank through the single-user loop.
-	batched := c.multi != nil && e.cache != nil
+	// The one engine choice: a scorer with the multi-user logit contract ranks
+	// through the batched engine; anything else — per-client adapters, the
+	// parameter-transmission baselines — through the per-user ScoreItems loop.
+	multi, batched := s.(models.MultiBlockScorer)
 	if workers > 1 {
 		if w, ok := s.(models.Warmer); ok {
 			w.WarmScoring()
@@ -282,7 +223,7 @@ func (e *Evaluator) Rank(s models.Scorer, k, workers int) Result {
 				if be > hi {
 					be = hi
 				}
-				e.evalUserBatch(c.multi, sc, b, be, k, recalls, ndcgs)
+				e.evalUserBatch(multi, sc, b, be, k, recalls, ndcgs)
 			}
 		})
 	} else {
@@ -293,7 +234,7 @@ func (e *Evaluator) Rank(s models.Scorer, k, workers int) Result {
 				relevant: make(map[int]bool, 16),
 			}
 			for i := lo; i < hi; i++ {
-				recalls[i], ndcgs[i] = e.evalUser(&c, sc, i, k)
+				recalls[i], ndcgs[i] = e.evalUser(s, sc, i, k)
 			}
 		})
 	}
@@ -305,32 +246,14 @@ func (e *Evaluator) Rank(s models.Scorer, k, workers int) Result {
 	return Result{Recall: r, NDCG: n, Users: agg.Users}
 }
 
-// evalUser ranks one user through the single-user engine and returns their
-// Recall@k and NDCG@k. All storage comes from the worker's scratch.
-func (e *Evaluator) evalUser(c *caps, sc *scratch, i, k int) (recall, ndcg float64) {
+// evalUser ranks one user through ScoreItems and a partial selection over the
+// materialised score vector, and returns their Recall@k and NDCG@k.
+func (e *Evaluator) evalUser(s models.Scorer, sc *scratch, i, k int) (recall, ndcg float64) {
 	u := e.users[i]
-	var cand []int
-	if e.cache != nil {
-		cand = candset.Widen(sc.cand, e.cache.List(i))
-	} else {
-		// Streaming evaluator: rebuild the candidate list in scratch with the
-		// same merge walk the cache build uses.
-		cand = candset.AppendComplementSorted(sc.cand[:0], e.sp.NumItems, e.sp.Train[u])
-	}
-	var top []int
-	if c.block != nil {
-		// Fused path: scores stream chunk-wise into a bounded-heap selection;
-		// no full score vector exists.
-		top = models.ScoreBlockTopK(c.block, &sc.topk, u, cand, k)
-	} else {
-		// Partial selection over a materialised score vector (scorers without
-		// block scoring, e.g. per-client adapters).
-		scores := c.scoreItems(&sc.scores, u, cand)
-		sc.top = metrics.TopKInto(sc.top, scores, k)
-		top = sc.top
-	}
+	cand := candset.Widen(sc.cand, e.cache.List(i))
+	sc.top = metrics.TopKInto(sc.top, s.ScoreItems(u, cand), k)
 	ranked := sc.ranked[:0]
-	for _, idx := range top {
+	for _, idx := range sc.top {
 		ranked = append(ranked, cand[idx])
 	}
 	sc.ranked = ranked
@@ -344,15 +267,15 @@ func (e *Evaluator) evalUser(c *caps, sc *scratch, i, k int) (recall, ndcg float
 // user's logit-domain selector, and each selector's winners are the user's
 // ranked items.
 //
-// Bitwise equivalence with the single-user engine, piece by piece: the logit
-// windows match ScoreBlockLogitsInto's values for any window boundary
-// (per-element independence, the MultiBlockScorer contract), so scoring the
-// whole universe and reading only candidate positions yields exactly the
-// logits of scoring the candidate list directly; candidate lists are
-// ascending in item id, so pushing item ids preserves the single-user path's
-// (score desc, position asc) selection order; and LogitTopKSelector resolves
-// σ-collapsed ties exactly as the probability-domain selector does. Only the
-// sigmoid count differs — paid per heap insertion here, per candidate there.
+// Bitwise equivalence with the per-user path, piece by piece: σ of a window's
+// logits equals ScoreItems' values for any window boundary (per-element
+// independence, the MultiBlockScorer contract), so scoring the whole universe
+// and reading only candidate positions yields exactly the logits of scoring
+// the candidate list directly; candidate lists are ascending in item id, so
+// pushing item ids preserves the per-user path's (score desc, position asc)
+// selection order; and LogitTopKSelector resolves σ-collapsed ties exactly as
+// a probability-domain selection does. Only the sigmoid count differs — paid
+// per heap insertion here, per candidate there.
 func (e *Evaluator) evalUserBatch(mbs models.MultiBlockScorer, sc *batchScratch, b, be, k int, recalls, ndcgs []float64) {
 	n := be - b
 	users := e.users[b:be]
@@ -407,10 +330,10 @@ func Ranking(s models.Scorer, sp *data.Split, k int) Result {
 }
 
 // RankingWorkers is Ranking with an explicit worker count (<= 0 means
-// GOMAXPROCS). It streams candidates from the train mask in per-worker
-// scratch — no cache is allocated; callers that evaluate the same split every
-// round should hold a persistent Evaluator instead, which additionally caches
-// the candidate lists and unlocks the batched multi-user engine.
+// GOMAXPROCS). It builds the split's U×V×4 B candidate cache for this one
+// evaluation and drops it; callers that evaluate the same split every round
+// hold a persistent Evaluator instead. Nothing outside tests and the root
+// facade calls the one-shot form.
 func RankingWorkers(s models.Scorer, sp *data.Split, k, workers int) Result {
-	return newStreamingEvaluator(sp).Rank(s, k, workers)
+	return NewEvaluatorWorkers(sp, workers).Rank(s, k, workers)
 }

@@ -10,10 +10,10 @@ import (
 )
 
 // TestEvaluatorSelectionInvariance pins the selection engine's contract:
-// Results are bitwise-identical across the fused chunk-streaming path (a
-// streaming evaluator), the bounded-heap-over-full-vector path (BlockScorer
-// hidden), and the naive full sort (naiveRank over metrics.TopK), for every
-// model kind and workers ∈ {1, 2, 8}.
+// Results are bitwise-identical across the window-streaming logit selection
+// (the batched engine), the bounded-heap-over-full-vector path
+// (MultiBlockScorer hidden), and the naive full sort (naiveRank over
+// metrics.TopK), for every model kind and workers ∈ {1, 2, 8}.
 func TestEvaluatorSelectionInvariance(t *testing.T) {
 	d := data.Generate(data.Tiny, 11)
 	sp := d.Split(rng.New(2), 0.2)
@@ -25,7 +25,7 @@ func TestEvaluatorSelectionInvariance(t *testing.T) {
 		}
 		for _, workers := range []int{1, 2, 8} {
 			if got := RankingWorkers(m, sp, 20, workers); got != ref {
-				t.Fatalf("%s workers=%d: fused select %+v != sort %+v", kind, workers, got, ref)
+				t.Fatalf("%s workers=%d: logit select %+v != sort %+v", kind, workers, got, ref)
 			}
 			if got := NewEvaluator(sp).Rank(scalarOnly{m}, 20, workers); got != ref {
 				t.Fatalf("%s workers=%d: heap select %+v != sort %+v", kind, workers, got, ref)

@@ -6,17 +6,14 @@ import (
 	"ptffedrec/internal/models"
 )
 
-// scalarModel hides a server model's BlockScorer so every score goes through
-// the per-item path, while forwarding the warm-up scoring relies on. The
-// dispersal oracle and the evaluator are driven through it to pin block
-// scoring against per-item scoring.
+// scalarModel hides a server model's MultiBlockScorer so every score goes
+// through the per-item path, while forwarding the warm-up scoring relies on.
+// The evaluator is driven through it to pin block scoring against per-item
+// scoring.
 type scalarModel struct {
 	m models.Recommender
 }
 
-func (s *scalarModel) Name() string                         { return s.m.Name() }
-func (s *scalarModel) TrainBatch(b []models.Sample) float64 { return s.m.TrainBatch(b) }
-func (s *scalarModel) Score(u, v int) float64               { return s.m.Score(u, v) }
 func (s *scalarModel) ScoreItems(u int, items []int) []float64 {
 	return s.m.ScoreItems(u, items)
 }

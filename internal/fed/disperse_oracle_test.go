@@ -4,13 +4,13 @@ package fed
 // when the batched engine became the only production path. It is the
 // reference oracle the live engine is compared against at the engine
 // boundary — per-user D̃ᵢ on a trained server (TestDisperseMatchesScalarOracle)
-// — and must not be edited to follow the production engine.
+// — and must not be edited to follow the production engine. Every score in
+// it is a per-item ScoreItems score.
 
 import (
 	"ptffedrec/internal/bitset"
 	"ptffedrec/internal/comm"
 	"ptffedrec/internal/metrics"
-	"ptffedrec/internal/models"
 	"ptffedrec/internal/rng"
 )
 
@@ -18,9 +18,7 @@ import (
 // a worker's whole share of clients runs with a handful of allocations total.
 type disperseScratch struct {
 	eligible []int
-	scores   []float64
 	top      []int
-	topk     models.TopKScratch
 	excl     *bitset.Set
 }
 
@@ -82,10 +80,6 @@ func (sv *Server) disperse(tgt disperseTarget, ds *rng.Stream, plan *dispersalPl
 	// selection with a bounded heap: the conf half can overlap the score
 	// ranking by at most len(items), so the top (nHard + len(items)) prefix
 	// is guaranteed to contain nHard non-chosen items when enough exist.
-	// Block-scoring models run the fused engine — eligible scores stream
-	// chunk-wise into the selection, never materialising an |eligible|-length
-	// vector — which the BlockScorer contract keeps bitwise-identical to
-	// score-everything-then-sort.
 	if nHard > 0 {
 		if hardRandom {
 			k := nHard * 3
@@ -96,46 +90,17 @@ func (sv *Server) disperse(tgt disperseTarget, ds *rng.Stream, plan *dispersalPl
 			items, unfilled = pickItems(items, rng.SampleSlice(ds, eligible, k), nHard)
 			items = fillItems(items, eligible, unfilled)
 		} else {
-			kSel := nHard + len(items)
-			if bs, ok := sv.model.(models.BlockScorer); ok {
-				top := models.ScoreBlockTopK(bs, &scratch.topk, tgt.id, eligible, kSel)
-				buf := scratch.top[:0]
-				for _, idx := range top {
-					buf = append(buf, eligible[idx])
-				}
-				scratch.top = buf
-			} else {
-				scratch.scores = sv.scoreItems(scratch.scores, tgt.id, eligible)
-				scratch.top = topKByScore(scratch.top, eligible, scratch.scores, kSel)
-			}
+			scratch.top = topKByScore(scratch.top, eligible, sv.model.ScoreItems(tgt.id, eligible), nHard+len(items))
 			items, _ = pickItems(items, scratch.top, nHard)
 		}
 	}
 
-	// scratch.scores is dead once topKByScore has consumed it, so the final
-	// scoring pass reuses it; the Prediction structs copy the values out.
-	scratch.scores = sv.scoreItems(scratch.scores, tgt.id, items)
+	scores := sv.model.ScoreItems(tgt.id, items)
 	preds := make([]comm.Prediction, len(items))
 	for i, v := range items {
-		preds[i] = comm.Prediction{User: tgt.id, Item: v, Score: scratch.scores[i]}
+		preds[i] = comm.Prediction{User: tgt.id, Item: v, Score: scores[i]}
 	}
 	return preds
-}
-
-// scoreItems scores one user against items through the strongest path the
-// model supports: the batched block-scoring engine (bitwise-identical to the
-// per-item path), then buffer-reusing per-item scoring, then ScoreItems.
-func (sv *Server) scoreItems(dst []float64, user int, items []int) []float64 {
-	if bs, ok := sv.model.(models.BlockScorer); ok {
-		if cap(dst) < len(items) {
-			dst = make([]float64, len(items))
-		} else {
-			dst = dst[:len(items)]
-		}
-		bs.ScoreBlockInto(dst, user, items)
-		return dst
-	}
-	return sv.model.ScoreItems(user, items)
 }
 
 // topKByScore returns the k highest-scoring items ordered by

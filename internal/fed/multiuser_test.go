@@ -45,9 +45,8 @@ func multiuserConfig(server models.Kind, mode DisperseMode) Config {
 // on the server's current state, every user's D̃ᵢ from disperseUsers — over
 // the whole population in one call and again split at an odd offset, so batch
 // grouping cannot leak — must equal, bitwise, what the per-client oracle
-// builds from the same plan and the same per-client stream, through both of
-// the oracle's scoring branches (block scoring, and per-item scoring behind a
-// wrapper that hides BlockScorer).
+// builds from the same plan and the same per-client stream through per-item
+// scoring.
 func requireDispersalsMatchOracle(t *testing.T, label string, tr *Trainer) {
 	t.Helper()
 	sv := tr.server
@@ -73,21 +72,13 @@ func requireDispersalsMatchOracle(t *testing.T, label string, tr *Trainer) {
 		}
 	})
 
-	model := sv.model
-	defer func() { sv.model = model }()
-	for _, perItem := range []bool{false, true} {
-		if perItem {
-			sv.model = &scalarModel{model}
-		}
-		scratch := &disperseScratch{}
-		for _, id := range ids {
-			var tgt disperseTarget
-			tgt, scratch.excl = sv.disperseTargetInto(id, scratch.excl)
-			want := sv.disperse(tgt, stream(id), plan, scratch)
-			if !slices.Equal(live[id], want) {
-				t.Fatalf("%s: user %d (oracle per-item=%v): live engine dispersed\n  %v\noracle says\n  %v",
-					label, id, perItem, live[id], want)
-			}
+	scratch := &disperseScratch{}
+	for _, id := range ids {
+		var tgt disperseTarget
+		tgt, scratch.excl = sv.disperseTargetInto(id, scratch.excl)
+		want := sv.disperse(tgt, stream(id), plan, scratch)
+		if !slices.Equal(live[id], want) {
+			t.Fatalf("%s: user %d: live engine dispersed\n  %v\noracle says\n  %v", label, id, live[id], want)
 		}
 	}
 }

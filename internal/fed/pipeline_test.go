@@ -33,7 +33,7 @@ func runSerialHistory(t *testing.T, cfg Config) *History {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := &History{}
+	var rounds []RoundStats
 	for round := 0; round < cfg.Rounds; round++ {
 		var rs RoundStats
 		if cfg.EvalEvery > 0 && (round+1)%cfg.EvalEvery == 0 {
@@ -41,12 +41,31 @@ func runSerialHistory(t *testing.T, cfg Config) *History {
 		} else {
 			rs = tr.RunRound(round)
 		}
-		h.Rounds = append(h.Rounds, rs)
-		h.MeanAttackF1 += rs.AttackF1
+		rounds = append(rounds, rs)
 	}
-	h.MeanAttackF1 /= float64(cfg.Rounds)
-	h.Final = tr.EvaluateServer()
-	return h
+	return NewHistory(rounds, tr.EvaluateServer())
+}
+
+// TestNewHistoryMatchesRun pins the one History assembly: rebuilding a run's
+// History from its own rounds and final result reproduces it bitwise, and a
+// run of no rounds has a zero MeanAttackF1 (the hand-written copies NewHistory
+// replaced divided by the round count unguarded).
+func TestNewHistoryMatchesRun(t *testing.T) {
+	tr, err := NewTrainer(tinySplit(t), fastConfig(models.KindNeuMF))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := tr.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h.MeanAttackF1 == 0 {
+		t.Fatal("run reports no attack F1; the comparison would be vacuous")
+	}
+	requireEqualHistories(t, "NewHistory(h.Rounds, h.Final)", NewHistory(h.Rounds, h.Final), h)
+	if empty := NewHistory(nil, h.Final); empty.MeanAttackF1 != 0 || empty.Final != h.Final {
+		t.Fatalf("NewHistory of no rounds = %+v, want zero MeanAttackF1 and the final result", empty)
+	}
 }
 
 // TestPipelinedMatchesSequential pins the schedule invariant: the cross-round

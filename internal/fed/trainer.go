@@ -34,6 +34,20 @@ type History struct {
 	MeanAttackF1 float64
 }
 
+// NewHistory assembles a run's trace from its rounds and final evaluation:
+// the one place MeanAttackF1 is computed (summed in round order, divided once;
+// zero for a run of no rounds).
+func NewHistory(rounds []RoundStats, final eval.Result) *History {
+	h := &History{Rounds: rounds, Final: final}
+	for _, rs := range rounds {
+		h.MeanAttackF1 += rs.AttackF1
+	}
+	if len(rounds) > 0 {
+		h.MeanAttackF1 /= float64(len(rounds))
+	}
+	return h
+}
+
 // PhaseSeconds is cumulative wall-clock per round phase — the per-phase
 // breakdown the scalability experiment reports. It is deliberately kept out
 // of RoundStats so timing jitter never enters the determinism contract on
@@ -201,15 +215,8 @@ func allSlots(n int) []int {
 // pipeline (pipeline.go) and a final evaluation. Periodic evaluations
 // (Config.EvalEvery) overlap each round's dispersal phase.
 func (t *Trainer) Run() (*History, error) {
-	h := &History{Rounds: t.runPipelined()}
-	for _, rs := range h.Rounds {
-		h.MeanAttackF1 += rs.AttackF1
-	}
-	if len(h.Rounds) > 0 {
-		h.MeanAttackF1 /= float64(len(h.Rounds))
-	}
-	h.Final = t.EvaluateServer()
-	return h, nil
+	rounds := t.runPipelined()
+	return NewHistory(rounds, t.EvaluateServer()), nil
 }
 
 // splitEvaluator returns the trainer's round-cached evaluator, building the

@@ -9,17 +9,15 @@ import (
 	"ptffedrec/internal/rng"
 )
 
-// probPushAll is the probability-domain reference for the logit selector: σ
-// applied to every logit, then the ordinary TopKSelector — exactly the
-// computation the logit-domain engine replaces, pushed in the same ascending
-// index order.
-func probPushAll(logits []float64, k int) []int {
-	var sel TopKSelector
-	sel.Reset(k)
+// probTopK is the probability-domain reference for the logit selector: σ
+// applied to every logit, then the stable-sort TopK — exactly the computation
+// the logit-domain engine replaces.
+func probTopK(logits []float64, k int) []int {
+	probs := make([]float64, len(logits))
 	for i, l := range logits {
-		sel.Push(i, nn.Sigmoid(l))
+		probs[i] = nn.Sigmoid(l)
 	}
-	return sel.Into(nil)
+	return TopK(probs, k)
 }
 
 func logitPushAll(sel *LogitTopKSelector, logits []float64, k int) []int {
@@ -67,7 +65,7 @@ func TestLogitTopKSelectorMatchesProbability(t *testing.T) {
 		n := 1 + s.Intn(200)
 		k := s.Intn(n + 5)
 		logits := adversarialLogits(s, n)
-		want := probPushAll(logits, k)
+		want := probTopK(logits, k)
 		got := logitPushAll(&sel, logits, k)
 		if len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
 			t.Fatalf("trial %d (n=%d k=%d): logit selection %v != probability selection %v\nlogits: %v",
@@ -90,7 +88,7 @@ func TestLogitTopKSelectorCollapsedTies(t *testing.T) {
 		{1.5, 1.5, 1.5, 1.5, 1.5, 1.5, 1.5, 1.5}, // exact duplicates
 	} {
 		for k := 0; k <= len(logits)+2; k++ {
-			want := probPushAll(logits, k)
+			want := probTopK(logits, k)
 			got := logitPushAll(&sel, logits, k)
 			if len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
 				t.Fatalf("logits %v k=%d: logit selection %v != probability selection %v",
@@ -122,7 +120,7 @@ func TestLogitTopKSelectorChunkedPush(t *testing.T) {
 			}
 		}
 		got := sel.Into(nil)
-		if want := probPushAll(logits, k); !reflect.DeepEqual(got, want) {
+		if want := probTopK(logits, k); !reflect.DeepEqual(got, want) {
 			t.Fatalf("trial %d (n=%d k=%d chunk=%d): chunked logit selection %v, want %v",
 				trial, n, k, chunk, got, want)
 		}
@@ -155,7 +153,7 @@ func TestLogitTopKSelectorResetBacked(t *testing.T) {
 	run()
 	for i := range sels {
 		out = sels[i].Into(out)
-		if want := probPushAll(vectors[i], k); !reflect.DeepEqual(out, want) {
+		if want := probTopK(vectors[i], k); !reflect.DeepEqual(out, want) {
 			t.Fatalf("slot %d: slab-backed selection %v, want %v", i, out, want)
 		}
 	}
@@ -185,7 +183,7 @@ func FuzzLogitTopKSelectorMatchesProbability(f *testing.F) {
 			// distinct, and repeated bytes give exact duplicates.
 			logits[i] = (float64(b) - 127.5) * 0.4
 		}
-		want := probPushAll(logits, k)
+		want := probTopK(logits, k)
 		var sel LogitTopKSelector
 		if got := logitPushAll(&sel, logits, k); len(want) > 0 && !reflect.DeepEqual(got, want) {
 			t.Fatalf("logit selection %v, want %v (logits %v, k %d)", got, want, logits, k)

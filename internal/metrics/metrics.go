@@ -4,11 +4,10 @@
 // Guess Attack's inference quality.
 //
 // It also hosts the selection engine those measures run on: TopK (the
-// stable-sort reference), TopKInto (bounded-heap partial selection),
-// TopKSelector (the streaming probability-domain selector), and
-// LogitTopKSelector (the streaming logit-domain selector, which defers the
-// sigmoid to the candidates that matter). All four produce the same index
-// order — (score desc, index asc) — so callers pick by cost, never by result.
+// stable-sort reference), TopKInto (bounded-heap partial selection over a
+// materialised probability vector) and LogitTopKSelector (the streaming
+// logit-domain selector, which defers the sigmoid to the candidates that
+// matter). All three produce the same index order — (score desc, index asc).
 package metrics
 
 import (
@@ -139,10 +138,10 @@ func AUC(posScores, negScores []float64) float64 {
 // break toward the lower index for determinism.
 //
 // It stable-sorts a full O(n) index permutation, which makes it the reference
-// semantics of the selection engine: TopKInto and TopKSelector produce the
-// exact same index order in O(n log k) without materialising the permutation.
-// Every caller outside tests uses those; TopK remains as the reference they
-// and the evaluator are tested against.
+// semantics of the selection engine: TopKInto and LogitTopKSelector produce
+// the exact same index order in O(n log k) without materialising the
+// permutation. Every caller outside tests uses those; TopK remains as the
+// reference they and the evaluator are tested against.
 func TopK(scores []float64, k int) []int {
 	idx := make([]int, len(scores))
 	for i := range idx {
@@ -218,132 +217,15 @@ func TopKInto(dst []int, scores []float64, k int) []int {
 	return heap
 }
 
-// TopKSelector is the streaming half of the selection engine: scores are
-// pushed one (index, score) pair at a time — e.g. chunk-wise from a batched
-// scorer that never materialises the full score vector — and the selector
-// keeps the k best in a bounded min-heap. Into then yields the indices in
-// (score desc, index asc) order, bitwise-identical to TopK over the full
-// vector. Because (score, index) is a strict total order, the selected set
-// and its final order do not depend on push order.
-//
-// The zero value is unusable: call Reset(k) before each selection.
-type TopKSelector struct {
-	k     int
-	idx   []int
-	score []float64
-}
-
-// Reset prepares the selector for a fresh selection of up to k indices,
-// retaining the previous selection's storage.
-func (s *TopKSelector) Reset(k int) {
-	s.k = k
-	s.idx = s.idx[:0]
-	s.score = s.score[:0]
-}
-
-// worse reports whether heap slot a holds a worse candidate than slot b:
-// lower score, or equal score and larger index.
-func (s *TopKSelector) worse(a, b int) bool {
-	if s.score[a] != s.score[b] {
-		return s.score[a] < s.score[b]
-	}
-	return s.idx[a] > s.idx[b]
-}
-
-func (s *TopKSelector) swap(a, b int) {
-	s.idx[a], s.idx[b] = s.idx[b], s.idx[a]
-	s.score[a], s.score[b] = s.score[b], s.score[a]
-}
-
-func (s *TopKSelector) siftDown(i, size int) {
-	for {
-		l, r := 2*i+1, 2*i+2
-		m := i
-		if l < size && s.worse(l, m) {
-			m = l
-		}
-		if r < size && s.worse(r, m) {
-			m = r
-		}
-		if m == i {
-			return
-		}
-		s.swap(i, m)
-		i = m
-	}
-}
-
-// Push offers one (index, score) pair. Indices must be distinct within a
-// selection; scores may repeat freely. The overwhelmingly common case on a
-// full selection — the newcomer loses to the worst kept candidate (lower
-// score, or equal score and larger index) — returns from this small,
-// inlinable wrapper without a call; heap maintenance lives in pushHeap.
-func (s *TopKSelector) Push(i int, score float64) {
-	if s.k <= 0 {
-		return
-	}
-	if len(s.idx) == s.k {
-		if score < s.score[0] || (score == s.score[0] && i > s.idx[0]) {
-			return
-		}
-	}
-	s.pushHeap(i, score)
-}
-
-// pushHeap inserts a pair that survived Push's reject test: growing the heap
-// while it is below k, replacing the root otherwise.
-func (s *TopKSelector) pushHeap(i int, score float64) {
-	if len(s.idx) < s.k {
-		s.idx = append(s.idx, i)
-		s.score = append(s.score, score)
-		for c := len(s.idx) - 1; c > 0; {
-			p := (c - 1) / 2
-			if !s.worse(c, p) {
-				break
-			}
-			s.swap(c, p)
-			c = p
-		}
-		return
-	}
-	s.idx[0], s.score[0] = i, score
-	s.siftDown(0, s.k)
-}
-
-// PushRow offers a contiguous run of scores whose indices are base, base+1,
-// … — one batched score row from the scoring engines — equivalent to calling
-// Push(base+j, scores[j]) for every j. Because (score, index) is a strict
-// total order, feeding rows is interchangeable with element pushes.
-func (s *TopKSelector) PushRow(base int, scores []float64) {
-	for j, sc := range scores {
-		s.Push(base+j, sc)
-	}
-}
-
-// Into writes the selected indices into dst (reusing its storage when it has
-// capacity) ordered (score desc, index asc). It consumes the selection: call
-// Reset before pushing again.
-func (s *TopKSelector) Into(dst []int) []int {
-	n := len(s.idx)
-	for end := n - 1; end > 0; end-- {
-		s.swap(0, end)
-		s.siftDown(0, end)
-	}
-	if cap(dst) < n {
-		dst = make([]int, n)
-	}
-	dst = dst[:n]
-	copy(dst, s.idx)
-	return dst
-}
-
-// LogitTopKSelector is the logit-domain half of the selection engine: callers
-// push raw logits and the selector keeps the k candidates whose probabilities
-// σ(logit) are highest, computing σ (nn.Sigmoid) lazily — only for pushes that
+// LogitTopKSelector is the streaming half of the selection engine: callers
+// push raw logits one (index, logit) pair at a time — chunk-wise from a
+// batched scorer that never materialises a probability vector — and the
+// selector keeps the k candidates whose probabilities σ(logit) are highest in
+// a bounded min-heap, computing σ (nn.Sigmoid) lazily — only for pushes that
 // survive the logit-domain reject test, roughly k·ln(n/k) of n pushes —
 // instead of once per candidate. Into yields the selected indices in
-// (σ(logit) desc, index asc) order, bitwise-identical to a TopKSelector fed
-// σ(logit) for every push.
+// (σ(logit) desc, index asc) order, bitwise-identical to TopK over σ(logit)
+// of every push.
 //
 // Tie safety is the subtle part of that equivalence. σ is monotone
 // non-decreasing but not injective in floats: distinct logits collapse to the
@@ -357,8 +239,8 @@ func (s *TopKSelector) Into(dst []int) []int {
 // probability tie, so "logit ≤ worst kept logit" is a sound reject — monotone
 // σ makes the newcomer's probability ≤ the worst kept probability, and
 // equality is a tie the newcomer's larger index loses — and every surviving
-// push compares and stores exact probabilities, keeping the heap's order
-// identical to the probability-domain selector's.
+// push compares and stores exact probabilities, keeping the heap's order the
+// probability domain's.
 //
 // The zero value is unusable: call Reset(k) before each selection.
 type LogitTopKSelector struct {

@@ -16,21 +16,10 @@ func refTopK(scores []float64, k int) []int {
 	return out
 }
 
-// pushAll streams every score through a TopKSelector and returns the
-// selection.
-func pushAll(scores []float64, k int) []int {
-	var sel TopKSelector
-	sel.Reset(k)
-	for i, s := range scores {
-		sel.Push(i, s)
-	}
-	return sel.Into(nil)
-}
-
-// TestTopKIntoMatchesSortTrials fuzzes the bounded-heap selection and the
-// streaming selector against the stable-sort reference on tie-heavy vectors
-// (scores drawn from a small grid, so duplicates are the norm) including
-// k = 0, k ≥ n, and single-element edge cases.
+// TestTopKIntoMatchesSortTrials fuzzes the bounded-heap selection against
+// the stable-sort reference on tie-heavy vectors (scores drawn from a small
+// grid, so duplicates are the norm) including k = 0, k ≥ n, and
+// single-element edge cases.
 func TestTopKIntoMatchesSortTrials(t *testing.T) {
 	s := rng.New(99)
 	var buf []int
@@ -55,42 +44,6 @@ func TestTopKIntoMatchesSortTrials(t *testing.T) {
 			}
 		} else if !reflect.DeepEqual(buf, want) {
 			t.Fatalf("trial %d (n=%d k=%d): TopKInto = %v, want %v", trial, n, k, buf, want)
-		}
-		got := pushAll(scores, k)
-		if len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
-			t.Fatalf("trial %d (n=%d k=%d): TopKSelector = %v, want %v", trial, n, k, got, want)
-		}
-	}
-}
-
-// TestTopKSelectorChunkedPushMatches pins the streaming contract ScoreBlockTopK
-// relies on: pushing the same scores in chunks (with Reset between selections)
-// yields the same order as a single pass and as the sort path.
-func TestTopKSelectorChunkedPushMatches(t *testing.T) {
-	s := rng.New(3)
-	var sel TopKSelector
-	for trial := 0; trial < 200; trial++ {
-		n := 1 + s.Intn(300)
-		k := 1 + s.Intn(25)
-		chunk := 1 + s.Intn(40)
-		scores := make([]float64, n)
-		for i := range scores {
-			scores[i] = float64(s.Intn(6)) / 5
-		}
-		sel.Reset(k)
-		for off := 0; off < n; off += chunk {
-			end := off + chunk
-			if end > n {
-				end = n
-			}
-			for i := off; i < end; i++ {
-				sel.Push(i, scores[i])
-			}
-		}
-		got := sel.Into(nil)
-		if want := refTopK(scores, k); !reflect.DeepEqual(got, want) {
-			t.Fatalf("trial %d (n=%d k=%d chunk=%d): chunked selector = %v, want %v",
-				trial, n, k, chunk, got, want)
 		}
 	}
 }
@@ -118,8 +71,7 @@ func TestTopKIntoReusesDst(t *testing.T) {
 // FuzzTopKIntoMatchesSort is the equality fuzz the selection engine's
 // bitwise-identity contract rests on: for arbitrary byte-derived score
 // vectors — quantized to a coarse grid so duplicate scores and long tie runs
-// dominate — TopKInto and the streaming TopKSelector must reproduce the
-// stable-sort TopK order exactly.
+// dominate — TopKInto must reproduce the stable-sort TopK order exactly.
 func FuzzTopKIntoMatchesSort(f *testing.F) {
 	f.Add([]byte{}, 5)
 	f.Add([]byte{0, 0, 0, 0}, 2)
@@ -138,9 +90,6 @@ func FuzzTopKIntoMatchesSort(f *testing.F) {
 		want := refTopK(scores, k)
 		if got := TopKInto(nil, scores, k); !reflect.DeepEqual(got, append([]int{}, want...)) && len(want) > 0 {
 			t.Fatalf("TopKInto = %v, want %v (scores %v, k %d)", got, want, scores, k)
-		}
-		if got := pushAll(scores, k); !reflect.DeepEqual(got, append([]int{}, want...)) && len(want) > 0 {
-			t.Fatalf("TopKSelector = %v, want %v (scores %v, k %d)", got, want, scores, k)
 		}
 	})
 }

@@ -5,6 +5,7 @@ import (
 
 	"ptffedrec/internal/graph"
 	"ptffedrec/internal/rng"
+	"ptffedrec/internal/tensor"
 )
 
 // blockConfig is large enough that NeuMF's batched scoring crosses several
@@ -82,21 +83,21 @@ type perItemScorer interface {
 }
 
 // TestScoreBlockMatchesScalar pins the batched scoring engine's contract for
-// every model kind: ScoreBlockInto must be bitwise-identical to the per-item
-// ScoreItemsInto path for any candidate list.
+// every model kind: σ of a one-user logit block must be bitwise-identical to
+// the per-item ScoreItemsInto path for any candidate list.
 func TestScoreBlockMatchesScalar(t *testing.T) {
 	for _, kind := range []Kind{KindMF, KindNeuMF, KindNGCF, KindLightGCN} {
 		m := blockModel(t, kind, false)
-		bs, ok := m.(BlockScorer)
+		mbs, ok := m.(MultiBlockScorer)
 		if !ok {
-			t.Fatalf("%s does not implement BlockScorer", kind)
+			t.Fatalf("%s does not implement MultiBlockScorer", kind)
 		}
 		is := m.(perItemScorer)
 		for _, items := range raggedLists(blockConfig().NumItems) {
 			for u := 0; u < blockConfig().NumUsers; u++ {
 				want := is.ScoreItemsInto(nil, u, items)
 				got := make([]float64, len(items))
-				bs.ScoreBlockInto(got, u, items)
+				scoreOneUser(mbs, got, u, items)
 				for i := range want {
 					if got[i] != want[i] {
 						t.Fatalf("%s: u=%d |items|=%d: block score[%d]=%v, scalar=%v",
@@ -109,16 +110,15 @@ func TestScoreBlockMatchesScalar(t *testing.T) {
 }
 
 // TestScoreBlockLazyFallback pins the lazy-table path: client-style models
-// (lazy embedding rows) must produce identical scores through ScoreBlockInto.
+// (lazy embedding rows) must produce identical scores through the logit block.
 func TestScoreBlockLazyFallback(t *testing.T) {
 	for _, kind := range []Kind{KindMF, KindNeuMF} {
 		m := blockModel(t, kind, true)
-		bs := m.(BlockScorer)
 		is := m.(perItemScorer)
 		items := raggedLists(blockConfig().NumItems)[6]
 		want := is.ScoreItemsInto(nil, 0, items)
 		got := make([]float64, len(items))
-		bs.ScoreBlockInto(got, 0, items)
+		scoreOneUser(m.(MultiBlockScorer), got, 0, items)
 		for i := range want {
 			if got[i] != want[i] {
 				t.Fatalf("%s lazy: block score[%d]=%v, scalar=%v", kind, i, got[i], want[i])
@@ -127,7 +127,7 @@ func TestScoreBlockLazyFallback(t *testing.T) {
 	}
 }
 
-// TestScoreBlockRejectsBadDst pins the dst-length contract.
+// TestScoreBlockRejectsBadDst pins the dst-shape contract.
 func TestScoreBlockRejectsBadDst(t *testing.T) {
 	m := blockModel(t, KindMF, false)
 	defer func() {
@@ -135,11 +135,11 @@ func TestScoreBlockRejectsBadDst(t *testing.T) {
 			t.Fatal("short dst accepted")
 		}
 	}()
-	m.(BlockScorer).ScoreBlockInto(make([]float64, 2), 0, []int{0, 1, 2})
+	m.(MultiBlockScorer).ScoreUsersBlockLogitsInto(tensor.New(1, 2), []int{0}, []int{0, 1, 2})
 }
 
-// BenchmarkScoring compares the scalar per-item path with the batched
-// BlockScorer engine on a full-catalogue candidate list, per model kind.
+// BenchmarkScoring compares the scalar per-item path with a one-user block of
+// the batched engine on a full-catalogue candidate list, per model kind.
 func BenchmarkScoring(b *testing.B) {
 	for _, kind := range []Kind{KindMF, KindNeuMF, KindNGCF, KindLightGCN} {
 		m := blockModel(b, kind, false)
@@ -158,7 +158,7 @@ func BenchmarkScoring(b *testing.B) {
 		})
 		b.Run(string(kind)+"/block", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				m.(BlockScorer).ScoreBlockInto(dst[:len(items)], i%blockConfig().NumUsers, items)
+				scoreOneUser(m.(MultiBlockScorer), dst[:len(items)], i%blockConfig().NumUsers, items)
 			}
 		})
 	}
@@ -166,7 +166,7 @@ func BenchmarkScoring(b *testing.B) {
 
 // FuzzScoreBlockRagged fuzzes ragged candidate-list shapes (length, item
 // skew, user) against the scalar path for the two model families with
-// distinct batched implementations: MF's fused GEMV and NeuMF's chunked MLP
+// distinct batched implementations: MF's gather-GEMM and NeuMF's chunked MLP
 // forward.
 func FuzzScoreBlockRagged(f *testing.F) {
 	f.Add(uint64(1), uint(3), uint(0))
@@ -189,7 +189,7 @@ func FuzzScoreBlockRagged(f *testing.F) {
 		for _, m := range []Recommender{mf, neumf} {
 			want := m.(perItemScorer).ScoreItemsInto(nil, user, items)
 			got := make([]float64, len(items))
-			m.(BlockScorer).ScoreBlockInto(got, user, items)
+			scoreOneUser(m.(MultiBlockScorer), got, user, items)
 			for i := range want {
 				if got[i] != want[i] {
 					t.Fatalf("%s: score[%d]=%v, scalar=%v", m.Name(), i, got[i], want[i])

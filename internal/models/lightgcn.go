@@ -197,23 +197,6 @@ func (m *LightGCN) ScoreItemsInto(dst []float64, u int, items []int) []float64 {
 	return out
 }
 
-// ScoreBlockLogitsInto implements BlockScorer's logit-domain half: one fused
-// row-gather GEMV against the propagated embedding matrix produces the whole
-// candidate list's raw dot products (sharded over the TrainWorkers pool for
-// very long lists).
-func (m *LightGCN) ScoreBlockLogitsInto(dst []float64, u int, items []int) {
-	checkBlock(dst, items)
-	f := m.propagate()
-	tensor.GatherMulVecIntoPar(dst, f, items, m.cfg.NumUsers, f.Row(u), m.workers)
-}
-
-// ScoreBlockInto implements BlockScorer: the logit kernel with the sigmoid
-// applied at this call boundary, per the contract.
-func (m *LightGCN) ScoreBlockInto(dst []float64, u int, items []int) {
-	m.ScoreBlockLogitsInto(dst, u, items)
-	sigmoidVec(dst)
-}
-
 // ScoreUsersBlockLogitsInto implements MultiBlockScorer's logit-domain half:
 // one double-gathered GEMM against the propagated embedding matrix produces
 // the whole user batch's raw dot products.

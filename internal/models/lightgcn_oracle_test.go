@@ -259,17 +259,12 @@ func (w *liveRowWorld) score(s *rng.Stream) {
 	items := s.SampleInts(w.cfg.NumItems, 1+s.Intn(w.cfg.NumItems))
 	block := tensor.New(len(users), len(items))
 	w.live.ScoreUsersBlockLogitsInto(block, users, items)
-	row := make([]float64, len(items))
 	for i, u := range users {
-		w.live.ScoreBlockLogitsInto(row, u, items)
 		probs := w.live.ScoreItems(u, items)
 		for j, v := range items {
 			want := w.dense.logit(u, v)
 			if got := block.At(i, j); math.Float64bits(got) != math.Float64bits(want) {
 				w.fail("ScoreUsersBlockLogitsInto(%d,%d) = %v, dense %v", u, v, got, want)
-			}
-			if math.Float64bits(row[j]) != math.Float64bits(want) {
-				w.fail("ScoreBlockLogitsInto(%d,%d) = %v, dense %v", u, v, row[j], want)
 			}
 			if p := nn.Sigmoid(want); probs[j] != p || w.live.Score(u, v) != p {
 				w.fail("ScoreItems/Score(%d,%d) = %v/%v, dense %v", u, v, probs[j], w.live.Score(u, v), p)

@@ -53,35 +53,11 @@ func (m *MF) ScoreItemsInto(dst []float64, u int, items []int) []float64 {
 	return out
 }
 
-// ScoreBlockLogitsInto implements BlockScorer's logit-domain half: one fused
-// row-gather GEMV against the dense item-embedding matrix produces the whole
-// candidate list's raw dot products (sharded over the TrainWorkers pool for
-// very long lists). Lazy item tables have no dense matrix to multiply
-// against, so they keep the per-item loop (which materialises rows and is
-// therefore single-goroutine anyway).
-func (m *MF) ScoreBlockLogitsInto(dst []float64, u int, items []int) {
-	checkBlock(dst, items)
-	p := m.users.Row(u)
-	if t, ok := m.items.(*emb.Table); ok {
-		tensor.GatherMulVecIntoPar(dst, t.W, items, 0, p, m.workers)
-		return
-	}
-	for i, v := range items {
-		dst[i] = dot(p, m.items.Row(v))
-	}
-}
-
-// ScoreBlockInto implements BlockScorer: the logit kernel with the sigmoid
-// applied at this call boundary, per the contract.
-func (m *MF) ScoreBlockInto(dst []float64, u int, items []int) {
-	m.ScoreBlockLogitsInto(dst, u, items)
-	sigmoidVec(dst)
-}
-
 // ScoreUsersBlockLogitsInto implements MultiBlockScorer's logit-domain half:
 // one double-gathered GEMM against the dense embedding tables produces the
-// whole user batch's raw dot products. Lazy tables fall back to per-user
-// logit scoring row by row.
+// whole user batch's raw dot products. Lazy tables have no dense matrix to
+// multiply against, so they keep the per-pair dot loop (which materialises
+// rows and is therefore single-goroutine anyway).
 func (m *MF) ScoreUsersBlockLogitsInto(dst *tensor.Matrix, users []int, items []int) {
 	checkUsersBlock(dst, users, items)
 	ut, uok := m.users.(*emb.Table)
@@ -91,7 +67,10 @@ func (m *MF) ScoreUsersBlockLogitsInto(dst *tensor.Matrix, users []int, items []
 		return
 	}
 	for i, u := range users {
-		m.ScoreBlockLogitsInto(dst.Row(i), u, items)
+		p, row := m.users.Row(u), dst.Row(i)
+		for j, v := range items {
+			row[j] = dot(p, m.items.Row(v))
+		}
 	}
 }
 

@@ -62,9 +62,10 @@ type GraphDeltaRecommender interface {
 
 // Scorer is the minimal scoring capability — one user against a list of
 // candidate items — and the root of the scoring interface family consumed by
-// the evaluator and the dispersal engine (BlockScorer and MultiBlockScorer
-// refine it). Recommender satisfies it; federated clients
-// adapt it to their local user index via ScorerFunc.
+// the evaluator and the dispersal engine (MultiBlockScorer refines it: a
+// scorer that implements it is ranked through multi-user logit batches,
+// anything else through ScoreItems). Recommender satisfies it; federated
+// clients adapt it to their local user index via ScorerFunc.
 //
 // A Scorer handed to a parallel consumer must tolerate concurrent ScoreItems
 // calls for distinct users (no consumer scores the same user from two
@@ -88,36 +89,6 @@ type Warmer interface {
 	WarmScoring()
 }
 
-// BlockScorer is the batched scoring engine's contract, implemented by every
-// model in this package. Both methods fill dst — which must have length
-// len(items) — with user u's value for each candidate item, scoring the whole
-// block through matrix kernels: MF and the graph models run one fused
-// row-gather GEMV against the (propagated) item-embedding matrix, and NeuMF
-// batches its MLP forward over fixed-size candidate chunks through a pooled
-// workspace.
-//
-// Sigmoid placement is an explicit part of the contract, not an
-// implementation detail of each model: ScoreBlockLogitsInto produces the raw
-// pre-sigmoid logits, and ScoreBlockInto is exactly those logits passed
-// element-wise through σ (nn.Sigmoid) at the call boundary. Selection
-// consumers use the logit entry point and rank under
-// metrics.LogitTopKSelector's tie-safe contract — σ is monotone, so order is
-// preserved, but float rounding can collapse distinct logits to equal
-// probabilities, which the selector resolves exactly — paying σ only for the
-// candidates that reach the heap instead of once per item scored.
-//
-// The contract is strict: for any dst/items, ScoreBlockInto produces scores
-// bitwise-identical to the per-item ScoreItems path, so evaluation
-// metrics, dispersal plans, and training histories do not depend on which
-// path a caller takes. Like ScoreItems, concurrent calls for distinct users
-// are safe once lazily built shared state is warm (Warmer) and the model's
-// tables are dense; Lazy models materialise rows on read and must be scored
-// from one goroutine.
-type BlockScorer interface {
-	ScoreBlockInto(dst []float64, u int, items []int)
-	ScoreBlockLogitsInto(dst []float64, u int, items []int)
-}
-
 // scoreBuf returns a zero-length slice with capacity for n scores, reusing
 // dst's storage when possible.
 func scoreBuf(dst []float64, n int) []float64 {
@@ -125,13 +96,6 @@ func scoreBuf(dst []float64, n int) []float64 {
 		return make([]float64, 0, n)
 	}
 	return dst[:0]
-}
-
-// checkBlock validates a ScoreBlockInto destination.
-func checkBlock(dst []float64, items []int) {
-	if len(dst) != len(items) {
-		panic(fmt.Sprintf("models: ScoreBlockInto dst[%d] for %d items", len(dst), len(items)))
-	}
 }
 
 // sigmoidVec replaces each logit in dst with σ(logit).

@@ -18,12 +18,13 @@ import (
 // metrics.LogitTopKSelector's tie-safe contract, applying σ only to the
 // winners they keep.
 //
-// The contract is strict: dst.Row(i) is bitwise-identical to
-// ScoreBlockLogitsInto(row, users[i], items), and σ of it to
-// ScoreItems(users[i], items), for any batch composition, so evaluation
-// metrics, dispersal plans, and training histories do not depend on how users
-// are grouped into score batches.
-// Concurrency follows BlockScorer's rules: calls for disjoint user batches
+// The contract is strict: σ (nn.Sigmoid) of dst.Row(i) is bitwise-identical
+// to ScoreItems(users[i], items) for any batch composition — so each row
+// equals the same user scored as a batch of one — and evaluation metrics,
+// dispersal plans, and training histories do not depend on how users are
+// grouped into score batches. σ is monotone, so order is preserved, but float
+// rounding can collapse distinct logits to equal probabilities, which the
+// selector resolves exactly. Like ScoreItems, calls for disjoint user batches
 // are safe once lazily built shared state is warm (Warmer) and the model's
 // tables are dense; Lazy models materialise rows on read and must be scored
 // from one goroutine.

@@ -47,9 +47,14 @@ func scoreUsersBlock(mbs MultiBlockScorer, dst *tensor.Matrix, users, items []in
 	sigmoidVec(dst.Data)
 }
 
+// scoreOneUser is scoreUsersBlock for a batch of one: user u's σ-domain row.
+func scoreOneUser(mbs MultiBlockScorer, dst []float64, u int, items []int) {
+	scoreUsersBlock(mbs, &tensor.Matrix{Rows: 1, Cols: len(items), Data: dst}, []int{u}, items)
+}
+
 // TestScoreUsersBlockMatchesScalar pins the MultiBlockScorer contract for
 // every model kind: each row of the batched user-block score matrix is
-// bitwise-identical to the single-user ScoreBlockInto path, for batch sizes
+// bitwise-identical to the per-item ScoreItemsInto path, for batch sizes
 // covering the GEMM kernel's interleaved quad path and its remainder tail.
 func TestScoreUsersBlockMatchesScalar(t *testing.T) {
 	kinds := []Kind{KindMF, KindNeuMF, KindNGCF, KindLightGCN}
@@ -60,15 +65,15 @@ func TestScoreUsersBlockMatchesScalar(t *testing.T) {
 		if !ok {
 			t.Fatalf("%s does not implement MultiBlockScorer", kind)
 		}
-		bs := m.(BlockScorer)
+		is := m.(perItemScorer)
 		for _, nUsers := range []int{1, 3, 4, 7} {
 			users := s.SampleInts(23, nUsers)
 			items := s.SampleInts(57, 1+s.Intn(57))
 			dst := tensor.New(len(users), len(items))
 			scoreUsersBlock(mbs, dst, users, items)
-			want := make([]float64, len(items))
+			var want []float64
 			for i, u := range users {
-				bs.ScoreBlockInto(want, u, items)
+				want = is.ScoreItemsInto(want, u, items)
 				for j := range want {
 					if dst.At(i, j) != want[j] {
 						t.Fatalf("%s users=%d: dst[%d][%d] = %v, want %v (user %d item %d)",
@@ -82,14 +87,14 @@ func TestScoreUsersBlockMatchesScalar(t *testing.T) {
 
 // TestScorePairsMatchesScalar pins the ragged half of the contract for every
 // model kind: pair scores are bitwise-identical to scoring each pair through
-// the single-user block path, across pair counts covering the interleaved
-// quad path, its tail, and NeuMF's chunk boundaries.
+// the per-item path, across pair counts covering the interleaved quad path,
+// its tail, and NeuMF's chunk boundaries.
 func TestScorePairsMatchesScalar(t *testing.T) {
 	s := rng.New(17).Derive("pairs")
 	for _, kind := range []Kind{KindMF, KindNeuMF, KindNGCF, KindLightGCN} {
 		m := multiBlockFixture(t, kind, false)
 		mbs := m.(MultiBlockScorer)
-		bs := m.(BlockScorer)
+		is := m.(perItemScorer)
 		for _, n := range []int{1, 3, 4, 9, 300} {
 			users := make([]int, n)
 			items := make([]int, n)
@@ -99,9 +104,9 @@ func TestScorePairsMatchesScalar(t *testing.T) {
 			}
 			dst := make([]float64, n)
 			mbs.ScorePairsInto(dst, users, items)
-			one := make([]float64, 1)
+			var one []float64
 			for p := range users {
-				bs.ScoreBlockInto(one, users[p], items[p:p+1])
+				one = is.ScoreItemsInto(one, users[p], items[p:p+1])
 				if dst[p] != one[0] {
 					t.Fatalf("%s n=%d: pair %d = %v, scalar %v (user %d item %d)",
 						kind, n, p, dst[p], one[0], users[p], items[p])
@@ -113,7 +118,7 @@ func TestScorePairsMatchesScalar(t *testing.T) {
 
 // TestScoreUsersBlockLazyFallback pins the lazy-table fallback: models whose
 // embedding tables materialise rows on read still satisfy the contract
-// through the per-user path.
+// through the per-pair dot loop.
 func TestScoreUsersBlockLazyFallback(t *testing.T) {
 	m := multiBlockFixture(t, KindMF, true)
 	mbs := m.(MultiBlockScorer)
@@ -121,9 +126,9 @@ func TestScoreUsersBlockLazyFallback(t *testing.T) {
 	items := []int{0, 5, 9, 31, 56}
 	dst := tensor.New(len(users), len(items))
 	scoreUsersBlock(mbs, dst, users, items)
-	want := make([]float64, len(items))
+	var want []float64
 	for i, u := range users {
-		m.(BlockScorer).ScoreBlockInto(want, u, items)
+		want = m.(perItemScorer).ScoreItemsInto(want, u, items)
 		for j := range want {
 			if dst.At(i, j) != want[j] {
 				t.Fatalf("lazy MF: dst[%d][%d] = %v, want %v", i, j, dst.At(i, j), want[j])
@@ -132,11 +137,11 @@ func TestScoreUsersBlockLazyFallback(t *testing.T) {
 	}
 }
 
-// BenchmarkMultiUserScoring compares per-user block scoring with the
-// multi-user gather-GEMM engine on a 16-user batch over a full-catalogue
-// candidate block — the dispersal engine's hard-half shape. The gap is pure
-// kernel: the GEMM's interleaved accumulators and shared candidate-row loads
-// against one GEMV per user.
+// BenchmarkMultiUserScoring compares sixteen batches of one with one 16-user
+// batch of the gather-GEMM engine over a full-catalogue candidate block — the
+// dispersal engine's hard-half shape. The gap is pure kernel: the GEMM's
+// interleaved accumulators and shared candidate-row loads against one dot
+// loop per user.
 func BenchmarkMultiUserScoring(b *testing.B) {
 	for _, kind := range []Kind{KindMF, KindLightGCN, KindNGCF} {
 		m := blockModel(b, kind, false)
@@ -153,16 +158,16 @@ func BenchmarkMultiUserScoring(b *testing.B) {
 			users[i] = i % numUsers
 		}
 		dst := tensor.New(len(users), len(items))
+		mbs := m.(MultiBlockScorer)
 		b.Run(string(kind)+"/per-user", func(b *testing.B) {
-			bs := m.(BlockScorer)
+			row := tensor.New(1, len(items))
 			for i := 0; i < b.N; i++ {
-				for r, u := range users {
-					bs.ScoreBlockInto(dst.Row(r), u, items)
+				for r := range users {
+					mbs.ScoreUsersBlockLogitsInto(row, users[r:r+1], items)
 				}
 			}
 		})
 		b.Run(string(kind)+"/multi-user", func(b *testing.B) {
-			mbs := m.(MultiBlockScorer)
 			for i := 0; i < b.N; i++ {
 				mbs.ScoreUsersBlockLogitsInto(dst, users, items)
 			}

@@ -22,7 +22,7 @@ type NeuMF struct {
 	opt     *nn.Adam
 	params  []*nn.Param
 
-	// scoreWS pools batched-scoring workspaces so concurrent ScoreBlockInto
+	// scoreWS pools batched-scoring workspaces so concurrent block-scoring
 	// callers (eval workers, the dispersal pool) each borrow a private one
 	// instead of allocating per-chunk forward matrices.
 	scoreWS sync.Pool
@@ -229,32 +229,13 @@ func (m *NeuMF) newScoreWS() *neumfScoreWS {
 	return ws
 }
 
-// ScoreBlockLogitsInto implements BlockScorer's logit-domain half: candidates
-// run through the tower in scoreChunkSize batches over a pooled workspace,
-// replacing len(items) single-row forwards (and their per-call allocations)
-// with ceil(len(items)/chunk) matrix products, stopping at the output head's
-// raw logit.
-func (m *NeuMF) ScoreBlockLogitsInto(dst []float64, u int, items []int) {
-	checkBlock(dst, items)
-	if len(items) == 0 {
-		return
-	}
-	ws := m.scoreWS.Get().(*neumfScoreWS)
-	defer m.scoreWS.Put(ws)
-	m.scoreBlockLogitsWS(ws, dst, u, items)
-}
-
-// ScoreBlockInto implements BlockScorer: the logit forwards with the sigmoid
-// applied at this call boundary, per the contract.
-func (m *NeuMF) ScoreBlockInto(dst []float64, u int, items []int) {
-	m.ScoreBlockLogitsInto(dst, u, items)
-	sigmoidVec(dst)
-}
-
 // ScoreUsersBlockLogitsInto implements MultiBlockScorer's logit-domain half:
-// each user's row runs the pooled chunked tower forwards, borrowing one
-// workspace for the whole batch. Every forward row depends only on its own
-// (user, item) input row, so the batch grouping never changes a logit.
+// each user's row runs the tower in scoreChunkSize batches, borrowing one
+// pooled workspace for the whole batch — ceil(len(items)/chunk) matrix
+// products per user instead of len(items) single-row forwards (and their
+// per-call allocations), stopping at the output head's raw logit. Every
+// forward row depends only on its own (user, item) input row, so the batch
+// grouping never changes a logit.
 func (m *NeuMF) ScoreUsersBlockLogitsInto(dst *tensor.Matrix, users []int, items []int) {
 	checkUsersBlock(dst, users, items)
 	if len(items) == 0 {
@@ -267,9 +248,9 @@ func (m *NeuMF) ScoreUsersBlockLogitsInto(dst *tensor.Matrix, users []int, items
 	}
 }
 
-// scoreBlockLogitsWS is the chunked-forward core shared by the single- and
-// multi-user block scorers: one user's candidate list streams through the
-// tower in scoreChunkSize chunks over the caller's workspace.
+// scoreBlockLogitsWS is the chunked-forward core of the multi-user block
+// scorer: one user's candidate list streams through the tower in
+// scoreChunkSize chunks over the caller's workspace.
 func (m *NeuMF) scoreBlockLogitsWS(ws *neumfScoreWS, dst []float64, u int, items []int) {
 	urow := m.users.Row(u)
 	d := m.cfg.Dim

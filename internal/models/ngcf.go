@@ -151,37 +151,11 @@ func (m *NGCF) ScoreItemsInto(dst []float64, u int, items []int) []float64 {
 	return out
 }
 
-// ScoreBlockLogitsInto implements BlockScorer's logit-domain half: one fused
-// row-gather GEMV per layer matrix, accumulated in layer order — the same
-// left-to-right sum over layers as scoreNodes — then the readout scaling,
-// which is part of the logit (the sigmoid's argument), not of the sigmoid.
-// Very long candidate lists shard over the TrainWorkers pool.
-func (m *NGCF) ScoreBlockLogitsInto(dst []float64, u int, items []int) {
-	checkBlock(dst, items)
-	m.propagate()
-	for l, e := range m.outs {
-		if l == 0 {
-			tensor.GatherMulVecIntoPar(dst, e, items, m.cfg.NumUsers, e.Row(u), m.workers)
-			continue
-		}
-		tensor.GatherMulVecAddIntoPar(dst, e, items, m.cfg.NumUsers, e.Row(u), m.workers)
-	}
-	scale := m.readoutScale()
-	for i, s := range dst {
-		dst[i] = s * scale
-	}
-}
-
-// ScoreBlockInto implements BlockScorer: the logit kernel with the sigmoid
-// applied at this call boundary, per the contract.
-func (m *NGCF) ScoreBlockInto(dst []float64, u int, items []int) {
-	m.ScoreBlockLogitsInto(dst, u, items)
-	sigmoidVec(dst)
-}
-
 // ScoreUsersBlockLogitsInto implements MultiBlockScorer's logit-domain half:
-// one double-gathered GEMM per layer matrix, accumulated in layer order like
-// scoreNodes, then the readout scaling over the whole batch.
+// one double-gathered GEMM per layer matrix, accumulated in layer order — the
+// same left-to-right sum over layers as scoreNodes — then the readout scaling
+// over the whole batch, which is part of the logit (the sigmoid's argument),
+// not of the sigmoid.
 func (m *NGCF) ScoreUsersBlockLogitsInto(dst *tensor.Matrix, users []int, items []int) {
 	checkUsersBlock(dst, users, items)
 	m.propagate()

@@ -6,112 +6,66 @@ import (
 
 	"ptffedrec/internal/metrics"
 	"ptffedrec/internal/rng"
+	"ptffedrec/internal/tensor"
 )
 
-// refSelect materialises the full score vector through ScoreBlockInto and
-// selects with the stable-sort reference — the exact semantics ScoreBlockTopK
-// must reproduce without ever holding all the scores.
-func refSelect(bs BlockScorer, u int, items []int, k int) []int {
-	scores := make([]float64, len(items))
-	if len(items) > 0 {
-		bs.ScoreBlockInto(scores, u, items)
+// logitSelect ranks items for user u the way the evaluator and the dispersal
+// engine do: the user's logit row streamed, index-ascending, into a
+// LogitTopKSelector.
+func logitSelect(mbs MultiBlockScorer, sel *metrics.LogitTopKSelector, u int, items []int, k int) []int {
+	row := tensor.New(1, len(items))
+	mbs.ScoreUsersBlockLogitsInto(row, []int{u}, items)
+	sel.Reset(k)
+	for j, l := range row.Data {
+		sel.Push(j, l)
 	}
-	got := metrics.TopK(scores, k)
-	out := make([]int, len(got))
-	copy(out, got)
-	return out
+	return sel.Into(nil)
 }
 
-// TestScoreBlockTopKMatchesSort pins the fused selection against the
-// score-everything-then-sort reference for every model kind, across candidate
-// lists that straddle chunk boundaries and k values from 0 to beyond the list
-// length. The chunk size is shrunk so even small lists exercise multi-chunk
-// streaming.
-func TestScoreBlockTopKMatchesSort(t *testing.T) {
-	defer func(c int) { scoreBlockTopKChunk = c }(scoreBlockTopKChunk)
-	scoreBlockTopKChunk = 64
+// requireLogitSelectMatchesSort compares logitSelect with the
+// score-everything-then-sort reference: metrics.TopK over ScoreItems.
+func requireLogitSelectMatchesSort(t *testing.T, m Recommender, sel *metrics.LogitTopKSelector, u int, items []int, k int) {
+	t.Helper()
+	got := logitSelect(m.(MultiBlockScorer), sel, u, items, k)
+	want := metrics.TopK(m.ScoreItems(u, items), k)
+	if len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
+		t.Fatalf("%s u=%d n=%d k=%d: logit selection %v != sort %v", m.Name(), u, len(items), k, got, want)
+	}
+}
 
+// TestScoreBlockTopKMatchesSort pins logit-domain selection over a batched
+// logit row against the score-everything-then-sort reference for every model
+// kind, across candidate lists that straddle NeuMF's chunk boundaries and k
+// values from 0 to beyond the list length.
+func TestScoreBlockTopKMatchesSort(t *testing.T) {
+	var sel metrics.LogitTopKSelector
 	for _, kind := range []Kind{KindMF, KindNeuMF, KindNGCF, KindLightGCN} {
 		m := blockModel(t, kind, false)
-		bs, ok := m.(BlockScorer)
-		if !ok {
-			t.Fatalf("%s does not implement BlockScorer", kind)
-		}
-		var sc TopKScratch
 		for _, items := range raggedLists(blockConfig().NumItems) {
 			for _, k := range []int{0, 1, 5, 20, len(items), len(items) + 7} {
 				for u := 0; u < 3; u++ {
-					got := ScoreBlockTopK(bs, &sc, u, items, k)
-					want := refSelect(bs, u, items, k)
-					if len(got) != len(want) {
-						t.Fatalf("%s u=%d n=%d k=%d: got %d indices, want %d",
-							kind, u, len(items), k, len(got), len(want))
-					}
-					if len(want) > 0 && !reflect.DeepEqual(got, want) {
-						t.Fatalf("%s u=%d n=%d k=%d: fused selection %v != sort %v",
-							kind, u, len(items), k, got, want)
-					}
+					requireLogitSelectMatchesSort(t, m, &sel, u, items, k)
 				}
 			}
 		}
 	}
 }
 
-// TestScoreBlockTopKTieHeavy drives the fused selection through a scorer that
-// returns quantized scores, so tie-breaking (index asc within equal scores)
-// decides most of the selection.
+// TestScoreBlockTopKTieHeavy drives the same comparison through candidate
+// lists drawn from four distinct items, so every score repeats many times and
+// tie-breaking (index asc within equal scores) decides most of the selection.
 func TestScoreBlockTopKTieHeavy(t *testing.T) {
-	defer func(c int) { scoreBlockTopKChunk = c }(scoreBlockTopKChunk)
-	scoreBlockTopKChunk = 32
-
-	quant := blockScorerFunc(func(dst []float64, u int, items []int) {
-		for i, v := range items {
-			dst[i] = float64((v*7+u)%4) / 3
-		}
-	})
 	s := rng.New(5)
-	var sc TopKScratch
-	for trial := 0; trial < 100; trial++ {
-		n := 1 + s.Intn(200)
-		items := make([]int, n)
-		for i := range items {
-			items[i] = s.Intn(500)
-		}
-		k := 1 + s.Intn(30)
-		got := ScoreBlockTopK(quant, &sc, trial%3, items, k)
-		want := refSelect(quant, trial%3, items, k)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("trial %d (n=%d k=%d): fused %v != sort %v", trial, n, k, got, want)
+	var sel metrics.LogitTopKSelector
+	for _, kind := range []Kind{KindMF, KindNeuMF, KindNGCF, KindLightGCN} {
+		m := blockModel(t, kind, false)
+		for trial := 0; trial < 100; trial++ {
+			pool := s.SampleInts(blockConfig().NumItems, 4)
+			items := make([]int, 1+s.Intn(200))
+			for i := range items {
+				items[i] = pool[s.Intn(len(pool))]
+			}
+			requireLogitSelectMatchesSort(t, m, &sel, trial%3, items, 1+s.Intn(30))
 		}
 	}
-}
-
-// TestScoreBlockTopKAllocFree checks the scratch contract: once warm, a
-// selection allocates nothing.
-func TestScoreBlockTopKAllocFree(t *testing.T) {
-	m := blockModel(t, KindMF, false).(BlockScorer)
-	items := make([]int, blockConfig().NumItems)
-	for i := range items {
-		items[i] = i
-	}
-	var sc TopKScratch
-	ScoreBlockTopK(m, &sc, 0, items, 20)
-	allocs := testing.AllocsPerRun(50, func() {
-		ScoreBlockTopK(m, &sc, 1, items, 20)
-	})
-	if allocs != 0 {
-		t.Fatalf("warm ScoreBlockTopK allocates %v times per run", allocs)
-	}
-}
-
-// blockScorerFunc adapts a logit-producing function to BlockScorer for tests,
-// honoring the contract: ScoreBlockInto is the logit function plus the
-// boundary sigmoid.
-type blockScorerFunc func(dst []float64, u int, items []int)
-
-func (f blockScorerFunc) ScoreBlockLogitsInto(dst []float64, u int, items []int) { f(dst, u, items) }
-
-func (f blockScorerFunc) ScoreBlockInto(dst []float64, u int, items []int) {
-	f(dst, u, items)
-	sigmoidVec(dst)
 }

@@ -7,7 +7,7 @@ package tensor
 //
 // Determinism contract: every output element is a single dot product
 // accumulated in Dot's k-ascending order, so a multi-user GEMM score is
-// bitwise-identical to the per-user GEMV (and per-item dot loop) it replaces.
+// bitwise-identical to the per-item dot loop it replaces.
 // The kernels interleave four independent query accumulators per candidate
 // row — four separate dependency chains hide floating-point add latency and
 // each candidate row is loaded once per four queries — which changes neither
@@ -198,14 +198,3 @@ func gatherPairDotRange(dst []float64, a *Matrix, arows []int, aoff int, b *Matr
 		}
 	}
 }
-
-// gemvParMinRows is the output length below which the parallel GEMV
-// variants stay serial: shorter candidate lists finish faster than the pool
-// handoff costs, and the dispersal/eval hot loops already run on an outer
-// worker pool. Purely a scheduling threshold — the Par kernels are
-// bitwise-identical to their serial forms at any length and worker count. A
-// var so tests can shrink it to force the parallel path on small inputs.
-var gemvParMinRows = 16384
-
-// gemvParChunk is the row-range granularity of the parallel GEMV variants.
-const gemvParChunk = 4096

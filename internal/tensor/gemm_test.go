@@ -31,19 +31,17 @@ func randGatherFixture(seed uint64, nq, nc, rows, cols, off int) (a, b *Matrix, 
 }
 
 // TestGatherMulMatMatchesVec pins the multi-user GEMM's contract: every row
-// equals the single-query GatherMulVecInto result bitwise, for query counts
-// that exercise both the interleaved quad path and the remainder tail.
+// equals the per-candidate Dot loop bitwise, for query counts that exercise
+// both the interleaved quad path and the remainder tail.
 func TestGatherMulMatMatchesVec(t *testing.T) {
 	for _, nq := range []int{1, 2, 3, 4, 5, 7, 8, 11} {
 		a, b, arows, brows := randGatherFixture(uint64(nq), nq, 57, 40, 9, 3)
 		dst := New(nq, len(brows))
 		GatherMulMatInto(dst, a, arows, 0, b, brows, 3)
-		want := make([]float64, len(brows))
 		for i, ar := range arows {
-			GatherMulVecInto(want, b, brows, 3, a.Row(ar))
-			for j := range want {
-				if dst.At(i, j) != want[j] {
-					t.Fatalf("nq=%d: dst[%d][%d] = %v, want %v", nq, i, j, dst.At(i, j), want[j])
+			for j, br := range brows {
+				if want := Dot(b.Row(br+3), a.Row(ar)); dst.At(i, j) != want {
+					t.Fatalf("nq=%d: dst[%d][%d] = %v, want %v", nq, i, j, dst.At(i, j), want)
 				}
 			}
 		}
@@ -69,36 +67,6 @@ func TestGatherMulMatAddAccumulates(t *testing.T) {
 	for i := range dst.Data {
 		if dst.Data[i] != one.Data[i]+two.Data[i] {
 			t.Fatalf("elem %d: add variant %v != %v", i, dst.Data[i], one.Data[i]+two.Data[i])
-		}
-	}
-}
-
-// TestGemvParMatchesSerial pins the row-range parallel GEMV variants:
-// forcing the parallel path on small inputs (shrunken threshold) must
-// reproduce the serial kernels bitwise for several worker counts.
-func TestGemvParMatchesSerial(t *testing.T) {
-	defer func(old int) { gemvParMinRows = old }(gemvParMinRows)
-	gemvParMinRows = 8
-
-	a, b, arows, brows := randGatherFixture(9, 5, 300, 80, 7, 2)
-	x := a.Row(arows[0])
-
-	wantGather := make([]float64, len(brows))
-	GatherMulVecInto(wantGather, b, brows, 2, x)
-	wantAdd := make([]float64, len(brows))
-	copy(wantAdd, wantGather)
-	GatherMulVecAddInto(wantAdd, b, brows, 2, x)
-
-	for _, workers := range []int{1, 2, 3, 8} {
-		gotG := make([]float64, len(brows))
-		GatherMulVecIntoPar(gotG, b, brows, 2, x, workers)
-		gotA := make([]float64, len(brows))
-		copy(gotA, gotG)
-		GatherMulVecAddIntoPar(gotA, b, brows, 2, x, workers)
-		for i := range gotG {
-			if gotG[i] != wantGather[i] || gotA[i] != wantAdd[i] {
-				t.Fatalf("Gather[Add]Par workers=%d row %d mismatch", workers, i)
-			}
 		}
 	}
 }

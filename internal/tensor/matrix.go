@@ -46,6 +46,15 @@ func (m *Matrix) Set(i, j int, v float64) { m.Data[i*m.Cols+j] = v }
 // Row returns row i as a slice aliasing the matrix storage.
 func (m *Matrix) Row(i int) []float64 { return m.Data[i*m.Cols : (i+1)*m.Cols] }
 
+// FirstRows returns a view of m's first n rows sharing m's storage — the
+// chunk-sized window batched scoring slides over a preallocated workspace.
+func (m *Matrix) FirstRows(n int) *Matrix {
+	if n < 0 || n > m.Rows {
+		panic(fmt.Sprintf("tensor: FirstRows(%d) of %dx%d", n, m.Rows, m.Cols))
+	}
+	return &Matrix{Rows: n, Cols: m.Cols, Data: m.Data[:n*m.Cols]}
+}
+
 // Clone returns a deep copy.
 func (m *Matrix) Clone() *Matrix {
 	c := New(m.Rows, m.Cols)

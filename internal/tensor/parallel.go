@@ -149,50 +149,6 @@ func MatMulATBPar(a, b *Matrix, workers int) *Matrix {
 	return out
 }
 
-// GatherMulVecIntoPar computes dst[i] = m.Row(rows[i]+rowOffset)·x like
-// GatherMulVecInto, sharding the gathered rows over workers once the
-// candidate list is long enough (gemvParMinRows) for the pool handoff to
-// pay. Bitwise-identical to GatherMulVecInto for every worker count: each
-// output element is one Dot produced by exactly one goroutine.
-func GatherMulVecIntoPar(dst []float64, m *Matrix, rows []int, rowOffset int, x []float64, workers int) {
-	if workers <= 1 || len(rows) < gemvParMinRows {
-		GatherMulVecInto(dst, m, rows, rowOffset, x)
-		return
-	}
-	if len(dst) != len(rows) {
-		panic(fmt.Sprintf("tensor: GatherMulVecIntoPar dst[%d] for %d rows", len(dst), len(rows)))
-	}
-	if len(x) != m.Cols {
-		panic(fmt.Sprintf("tensor: GatherMulVecIntoPar x[%d], m %dx%d", len(x), m.Rows, m.Cols))
-	}
-	par.ForChunks(len(rows), gemvParChunk, workers, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			dst[i] = Dot(m.Row(rows[i]+rowOffset), x)
-		}
-	})
-}
-
-// GatherMulVecAddIntoPar is GatherMulVecIntoPar accumulating into dst, the
-// parallel form of GatherMulVecAddInto with the same threshold and
-// determinism contract.
-func GatherMulVecAddIntoPar(dst []float64, m *Matrix, rows []int, rowOffset int, x []float64, workers int) {
-	if workers <= 1 || len(rows) < gemvParMinRows {
-		GatherMulVecAddInto(dst, m, rows, rowOffset, x)
-		return
-	}
-	if len(dst) != len(rows) {
-		panic(fmt.Sprintf("tensor: GatherMulVecAddIntoPar dst[%d] for %d rows", len(dst), len(rows)))
-	}
-	if len(x) != m.Cols {
-		panic(fmt.Sprintf("tensor: GatherMulVecAddIntoPar x[%d], m %dx%d", len(x), m.Rows, m.Cols))
-	}
-	par.ForChunks(len(rows), gemvParChunk, workers, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			dst[i] += Dot(m.Row(rows[i]+rowOffset), x)
-		}
-	})
-}
-
 // matMulATBRange computes aᵀ·b restricted to rows [lo, hi) of the shared
 // leading dimension, with MatMulATB's inner-loop order.
 func matMulATBRange(a, b *Matrix, lo, hi int) *Matrix {

@@ -206,7 +206,10 @@ func RunExperiment(id string, o ExperimentOptions, w io.Writer) error {
 
 // Ranking evaluates a scorer on a split at cutoff k, fanning the user loop
 // out over GOMAXPROCS workers. Metrics are bitwise-identical for any worker
-// count.
+// count. A model from this package is ranked through its multi-user logit
+// batches, a ScorerFunc through ScoreItems; each call builds and drops the
+// split's candidate cache (4 bytes per user × item), so a caller that
+// evaluates every round should let the Trainer evaluate instead.
 func Ranking(s Scorer, sp *Split, k int) Result { return eval.Ranking(s, sp, k) }
 
 // RankingWorkers is Ranking with an explicit worker count (<= 0 means
