@@ -8,7 +8,7 @@ GO ?= go
 # CI, fails above it. A change that shrinks the code lowers it to the size it
 # reaches; one that has to grow the code raises it in the same diff, where a
 # reviewer sees the price.
-LOC_BUDGET = 13988
+LOC_BUDGET = 14111
 
 # The packages whose concurrent paths CI runs in full (not -short) under the
 # race detector; ci.yml says why each is there.
@@ -17,10 +17,17 @@ RACE_FULL = ./internal/eval/... ./internal/fed/... ./internal/graph/... \
 	./internal/comm/... ./internal/coord/... ./internal/rng/... \
 	./internal/tensor/... ./internal/nn/...
 
-.PHONY: build test race race-full selftest bench-module bench benchmark loc traffic fmt fmt-check vet ci
+.PHONY: build cross test race race-full selftest bench-module bench benchmark loc traffic fmt fmt-check vet ci
 
 build:
 	$(GO) build ./...
+
+# cross builds the side of the dense-GEMM dispatch this host does not run:
+# without gemm_amd64.{go,s} every tile is the pure Go one. Both commands use
+# the installed toolchain; nothing is downloaded.
+cross:
+	GOARCH=arm64 $(GO) build ./...
+	GOARCH=arm64 $(GO) vet ./internal/tensor/
 
 test:
 	$(GO) test ./...
@@ -57,8 +64,11 @@ bench-module:
 # record.
 # -timeout 30m: the root-package table benchmarks take ~10 min on one core,
 # right at go test's default 10m kill threshold.
+# internal/tensor and internal/models carry the client wave's two kernels:
+# BenchmarkDenseGEMM and BenchmarkNeuMFClientTrainBatch (0 allocs/op; the pin
+# is TestNeuMFClientTrainBatchSteadyStateAllocs).
 bench:
-	$(GO) test -bench=. -benchmem -benchtime=1x -run='^$$' -timeout 30m . ./internal/fed/
+	$(GO) test -bench=. -benchmem -benchtime=1x -run='^$$' -timeout 30m . ./internal/fed/ ./internal/tensor/ ./internal/models/
 	$(GO) run ./cmd/ptfbench -exp scalability -quick -json > BENCH_scalability.json.tmp
 	$(GO) run ./cmd/ptfbench -exp scalability -profile huge-1m -rounds 10 -json >> BENCH_scalability.json.tmp
 	mv BENCH_scalability.json.tmp BENCH_scalability.json
@@ -116,4 +126,4 @@ fmt-check:
 vet:
 	$(GO) vet ./...
 
-ci: fmt-check vet build loc race race-full selftest bench-module bench
+ci: fmt-check vet build cross loc race race-full selftest bench-module bench

@@ -145,13 +145,11 @@ func (c *Client) buildUpload(negatives []int) []comm.Prediction {
 		preds[i] = comm.Prediction{User: c.ID, Item: v, Score: scores[i]}
 	}
 
-	posSet := make(map[int]bool, len(selPos))
-	for _, v := range selPos {
-		posSet[v] = true
-	}
 	switch c.cfg.Privacy.Defense {
 	case privacy.DefenseSamplingSwap:
-		privacy.Swap(c.s, preds, func(v int) bool { return posSet[v] }, c.cfg.Privacy.Lambda)
+		// Every uploaded item is a selected positive or a sampled
+		// non-positive, so "is a positive" is "was selected as one".
+		privacy.Swap(c.s, preds, c.isPositive, c.cfg.Privacy.Lambda)
 	case privacy.DefenseLDP:
 		privacy.AddLaplace(c.s, preds, c.cfg.Privacy.LaplaceScale)
 	}
@@ -172,7 +170,8 @@ func (c *Client) buildUpload(negatives []int) []comm.Prediction {
 }
 
 // isPositive reports whether item v is one of the client's true positives
-// (used only to score the attack; the real server never sees this).
+// (it steers the swap defense and scores the attack; the real server never
+// sees it).
 func (c *Client) isPositive(v int) bool {
 	i := sort.SearchInts(c.positives, v)
 	return i < len(c.positives) && c.positives[i] == v

@@ -171,18 +171,21 @@ func TestNeuMFGradCheck(t *testing.T) {
 		_, _, _, preds := m.forward(batch)
 		return nn.BCE(preds, targets)
 	}
-	x, zs, as, preds := m.forward(batch)
-	m.backward(batch, x, zs, as, nn.BCELogitGrad(preds, targets))
-
 	// Tower and output parameters.
-	for _, p := range m.params {
-		for i := range p.W.Data {
-			want := fd(loss, p.W.Data, i)
-			if math.Abs(p.Grad.Data[i]-want) > 1e-5 {
-				t.Fatalf("param %s[%d] grad = %v, want %v", p.Name, i, p.Grad.Data[i], want)
+	checkParams := func(engine string) {
+		t.Helper()
+		for _, p := range m.params {
+			for i := range p.W.Data {
+				want := fd(loss, p.W.Data, i)
+				if math.Abs(p.Grad.Data[i]-want) > 1e-5 {
+					t.Fatalf("%s: param %s[%d] grad = %v, want %v", engine, p.Name, i, p.Grad.Data[i], want)
+				}
 			}
 		}
 	}
+	x, zs, as, preds := m.forward(batch)
+	m.backward(batch, x, zs, as, nn.BCELogitGrad(preds, targets))
+	checkParams("oracle")
 	// Embedding rows.
 	users := m.users.(*emb.Table)
 	for _, smp := range batch {
@@ -192,6 +195,27 @@ func TestNeuMFGradCheck(t *testing.T) {
 			want := fd(loss, row, k)
 			if math.Abs(g[k]-want) > 1e-5 {
 				t.Fatalf("neumf user %d grad[%d] = %v, want %v", smp.User, k, g[k], want)
+			}
+		}
+	}
+
+	// The same check through the live engine: one shard over a borrowed
+	// workspace, parameter gradients overwritten in place (no ZeroGrad
+	// needed), dL/d(input row) left in the workspace.
+	ws := m.ws.Get().(*neumfWS)
+	defer m.ws.Put(ws)
+	m.shardGrad(ws, batch, len(batch), m.wGrads, m.bGrads)
+	checkParams("live")
+	// smallBatch's items are distinct, so each input row's item half is that
+	// item's whole gradient; user 0 appears twice and is covered above.
+	d := m.cfg.Dim
+	for i, smp := range batch {
+		g := ws.dxs[0].Row(i)
+		irow := m.items.Row(smp.Item)
+		for k := range irow {
+			want := fd(loss, irow, k)
+			if math.Abs(g[d+k]-want) > 1e-5 {
+				t.Fatalf("live: item %d grad[%d] = %v, want %v", smp.Item, k, g[d+k], want)
 			}
 		}
 	}

@@ -17,21 +17,29 @@ type NeuMF struct {
 	workers int
 	users   embTable
 	items   embTable
-	tower   []*nn.Dense // hidden layers
-	out     *nn.Dense   // hᵀ + bias
+	layers  []*nn.Dense // the hidden tower, then the output head hᵀ + bias
 	opt     *nn.Adam
 	params  []*nn.Param
 
-	// scoreWS pools batched-scoring workspaces so concurrent block-scoring
-	// callers (eval workers, the dispersal pool) each borrow a private one
-	// instead of allocating per-chunk forward matrices.
-	scoreWS sync.Pool
+	// wGrads and bGrads are the layers' own gradient matrices, in layer
+	// order — where a single-shard batch writes its gradients.
+	wGrads, bGrads []*tensor.Matrix
+
+	// ws lends chunk workspaces to training shards and to concurrent scoring
+	// callers (eval workers, the dispersal pool). It is shared by every NeuMF
+	// of the same embedding width: a federation holds one model per client,
+	// but only as many workspaces as there are goroutines in a model at once.
+	ws *sync.Pool
 }
+
+// neumfSizes returns the layer widths for embedding width dim: the tower's
+// input, its three hidden layers and the single logit.
+func neumfSizes(dim int) []int { return []int{2 * dim, 64, 32, 16, 1} }
 
 // NewNeuMF builds the MLP recommender with the paper's layer sizes.
 func NewNeuMF(cfg Config, s *rng.Stream) *NeuMF {
 	hy := emb.DefaultAdam(cfg.LR)
-	m := &NeuMF{cfg: cfg, workers: resolveTrainWorkers(cfg), opt: nn.NewAdam(cfg.LR)}
+	m := &NeuMF{cfg: cfg, workers: resolveTrainWorkers(cfg), opt: nn.NewAdam(cfg.LR), ws: neumfPool(cfg.Dim)}
 	if cfg.Lazy {
 		m.users = emb.NewLazyTable(s.Derive("u"), cfg.Dim, hy)
 		m.items = emb.NewLazyTable(s.Derive("v"), cfg.Dim, hy)
@@ -39,138 +47,181 @@ func NewNeuMF(cfg Config, s *rng.Stream) *NeuMF {
 		m.users = emb.NewTable(s.Derive("u"), cfg.NumUsers, cfg.Dim, hy)
 		m.items = emb.NewTable(s.Derive("v"), cfg.NumItems, cfg.Dim, hy)
 	}
-	sizes := []int{2 * cfg.Dim, 64, 32, 16}
-	for i := 0; i+1 < len(sizes); i++ {
-		m.tower = append(m.tower, nn.NewDense("neumf.l", sizes[i], sizes[i+1], s.DeriveN("dense", i)))
+	sizes := neumfSizes(cfg.Dim)
+	last := len(sizes) - 2
+	for i := 0; i < last; i++ {
+		m.layers = append(m.layers, nn.NewDense("neumf.l", sizes[i], sizes[i+1], s.DeriveN("dense", i)))
 	}
-	m.out = nn.NewDense("neumf.out", sizes[len(sizes)-1], 1, s.Derive("out"))
-	for _, d := range m.tower {
-		m.params = append(m.params, d.Params()...)
+	m.layers = append(m.layers, nn.NewDense("neumf.out", sizes[last], 1, s.Derive("out")))
+	for _, l := range m.layers {
+		m.params = append(m.params, l.Params()...)
+		m.wGrads = append(m.wGrads, l.W.Grad)
+		m.bGrads = append(m.bGrads, l.B.Grad)
 	}
-	m.params = append(m.params, m.out.Params()...)
-	m.scoreWS.New = func() any { return m.newScoreWS() }
 	return m
 }
 
 // Name implements Recommender.
 func (m *NeuMF) Name() string { return string(KindNeuMF) }
 
-// denseLayers returns the tower plus the output head, in forward order — the
-// layer order the chunk workspaces are laid out in.
-func (m *NeuMF) denseLayers() []*nn.Dense {
-	return append(append([]*nn.Dense(nil), m.tower...), m.out)
+// neumfWS is one chunk's workspace: the forward intermediates scoring and
+// training share, and what the backward pass adds to them. Borrowed from the
+// model's pool for the duration of one chunk (scoring) or one TrainBatch
+// (training) and overwritten by each use, so it carries nothing between them.
+type neumfWS struct {
+	x      *tensor.Matrix   // the chunk's inputs [pᵤ, qᵥ]
+	zs, as []*tensor.Matrix // per hidden layer: pre-activation, activation
+	logits *tensor.Matrix   // the head's output; training turns it into dL/dlogit in place
+
+	// Per layer, head included: dL/d(the layer's input) — masked in place
+	// into dL/d(the previous layer's pre-activation) — and scratch for Wᵀ.
+	dxs, wts []*tensor.Matrix
+	// A shard's private gradients, used when a batch has several shards:
+	// per-layer parameter gradients and the embedding rows it touched.
+	lossSum        float64
+	wGrads, bGrads []*tensor.Matrix
+	users, items   *rowAccum
+
+	perRow []*tensor.Matrix // x, zs, as, logits, dxs: what setRows resizes
 }
 
-// forward runs the tower on a batch, returning every intermediate needed by
-// backward: the input, each layer's pre-activation and activation, and the
-// final probability per row.
-func (m *NeuMF) forward(batch []Sample) (x *tensor.Matrix, zs, as []*tensor.Matrix, preds []float64) {
-	x = tensor.New(len(batch), 2*m.cfg.Dim)
-	for i, smp := range batch {
-		row := x.Row(i)
-		copy(row[:m.cfg.Dim], m.users.Row(smp.User))
-		copy(row[m.cfg.Dim:], m.items.Row(smp.Item))
+// setRows makes every per-row matrix of the workspace an n-row window on its
+// trainChunkSize-row storage, so a chunk of any size runs over the same
+// buffers without building views.
+func (ws *neumfWS) setRows(n int) {
+	for _, m := range ws.perRow {
+		m.Rows, m.Data = n, m.Data[:n*m.Cols]
 	}
-	cur := x
-	for _, d := range m.tower {
-		z := d.Forward(cur)
-		a := nn.ReLU(z)
-		zs = append(zs, z)
-		as = append(as, a)
-		cur = a
-	}
-	logits := m.out.Forward(cur)
-	preds = make([]float64, len(batch))
-	for i := range preds {
-		preds[i] = nn.Sigmoid(logits.At(i, 0))
-	}
-	return x, zs, as, preds
 }
 
-// backward pushes dL/dlogit through the tower, accumulating parameter
-// gradients and embedding-row gradients. It does not step the optimizer.
-func (m *NeuMF) backward(batch []Sample, x *tensor.Matrix, zs, as []*tensor.Matrix, dlogits []float64) {
-	dy := tensor.FromSlice(len(batch), 1, dlogits)
-	grad := m.out.Backward(as[len(as)-1], dy)
-	for i := len(m.tower) - 1; i >= 0; i-- {
-		grad = nn.ReLUBackward(zs[i], grad)
-		input := x
-		if i > 0 {
-			input = as[i-1]
+// neumfPools maps an embedding width to the workspace pool of every NeuMF
+// that wide.
+var neumfPools sync.Map // int → *sync.Pool
+
+func neumfPool(dim int) *sync.Pool {
+	if p, ok := neumfPools.Load(dim); ok {
+		return p.(*sync.Pool)
+	}
+	p, _ := neumfPools.LoadOrStore(dim, &sync.Pool{New: func() any { return newNeuMFWS(dim) }})
+	return p.(*sync.Pool)
+}
+
+func newNeuMFWS(dim int) *neumfWS {
+	sizes := neumfSizes(dim)
+	ws := &neumfWS{
+		x:      tensor.New(trainChunkSize, sizes[0]),
+		logits: tensor.New(trainChunkSize, 1),
+		users:  newRowAccum(dim),
+		items:  newRowAccum(dim),
+	}
+	for i := 0; i+1 < len(sizes); i++ {
+		in, out := sizes[i], sizes[i+1]
+		if i+2 < len(sizes) { // a hidden layer
+			ws.zs = append(ws.zs, tensor.New(trainChunkSize, out))
+			ws.as = append(ws.as, tensor.New(trainChunkSize, out))
 		}
-		grad = m.tower[i].Backward(input, grad)
+		ws.dxs = append(ws.dxs, tensor.New(trainChunkSize, in))
+		ws.wts = append(ws.wts, tensor.New(out, in))
+		ws.wGrads = append(ws.wGrads, tensor.New(in, out))
+		ws.bGrads = append(ws.bGrads, tensor.New(1, out))
 	}
-	for i, smp := range batch {
-		row := grad.Row(i)
-		m.users.Accumulate(smp.User, row[:m.cfg.Dim])
-		m.items.Accumulate(smp.Item, row[m.cfg.Dim:])
-	}
+	ws.perRow = append(append(append([]*tensor.Matrix{ws.x, ws.logits}, ws.zs...), ws.as...), ws.dxs...)
+	return ws
 }
 
-// neumfChunk is one gradient shard's workspace: per-layer parameter
-// gradients (aligned with denseLayers) plus embedding-row gradients.
-type neumfChunk struct {
-	lossSum      float64
-	wGrads       []*tensor.Matrix
-	bGrads       []*tensor.Matrix
-	users, items *rowAccum
+// forwardWS runs the input chunk assembled in ws.x through the tower over the
+// workspace and returns the head's raw logit per row (ws.logits). The
+// sigmoid, when a caller wants probabilities, is applied at its call
+// boundary — σ is element-wise, so deferring it past the chunk loop cannot
+// change a value.
+func (m *NeuMF) forwardWS(ws *neumfWS) *tensor.Matrix {
+	last := len(m.layers) - 1
+	cur := ws.x
+	for li, l := range m.layers[:last] {
+		cur = nn.ReLUInto(ws.as[li], l.ForwardInto(ws.zs[li], cur))
+	}
+	return m.layers[last].ForwardInto(ws.logits, cur)
+}
+
+// shardGrad runs one gradient shard — sub, out of a batch of n samples —
+// forward and backward over ws and returns its loss sum. Its parameter
+// gradients are written to wGrads and bGrads (in layer order) and
+// dL/d(input row) is left in ws.dxs[0]. The shared weights are only read.
+func (m *NeuMF) shardGrad(ws *neumfWS, sub []Sample, n int, wGrads, bGrads []*tensor.Matrix) float64 {
+	d := m.cfg.Dim
+	ws.setRows(len(sub))
+	for i, smp := range sub {
+		row := ws.x.Row(i)
+		copy(row[:d], m.users.Row(smp.User))
+		copy(row[d:], m.items.Row(smp.Item))
+	}
+	dy := m.forwardWS(ws)
+	var lossSum float64
+	for i, smp := range sub {
+		pred := nn.Sigmoid(dy.Data[i])
+		lossSum += nn.BCEOne(pred, smp.Label)
+		dy.Data[i] = (pred - smp.Label) / float64(n)
+	}
+	for li := len(m.layers) - 1; li >= 0; li-- {
+		input := ws.x
+		if li > 0 {
+			input = ws.as[li-1]
+		}
+		m.layers[li].BackwardInto(ws.dxs[li], input, dy, wGrads[li], bGrads[li], ws.wts[li])
+		dy = ws.dxs[li]
+		if li > 0 {
+			nn.ReLUBackwardInPlace(ws.zs[li-1], dy)
+		}
+	}
+	return lossSum
 }
 
 // TrainBatch implements Recommender. The batch is sharded into fixed chunks:
-// each chunk runs its own tower forward/backward into a private workspace
-// (the shared weights are read-only until the optimizer step), then the
-// workspaces merge in chunk order and a single Adam step applies.
+// each runs its own tower forward/backward over a borrowed workspace (the
+// shared weights are read-only until the optimizer step), the shards' private
+// gradients merge in chunk order, and a single Adam step applies. A batch of
+// one shard — every client batch — has nothing to merge: its gradients go
+// straight into the layers' Grad matrices, which every step leaves zero, and
+// into the embedding tables, the same sums the merge would produce.
 func (m *NeuMF) TrainBatch(batch []Sample) float64 {
-	if len(batch) == 0 {
+	n, d := len(batch), m.cfg.Dim
+	if n == 0 {
 		return 0
 	}
-	n := len(batch)
-	layers := m.denseLayers()
-	chunks := make([]neumfChunk, trainChunks(n))
-	forChunks(n, m.workers, func(c, lo, hi int) {
-		sub := batch[lo:hi]
-		x, zs, as, preds := m.forward(sub)
-		ws := neumfChunk{
-			users: newRowAccum(m.cfg.Dim),
-			items: newRowAccum(m.cfg.Dim),
-		}
-		for _, d := range layers {
-			ws.wGrads = append(ws.wGrads, tensor.New(d.In, d.Out))
-			ws.bGrads = append(ws.bGrads, tensor.New(1, d.Out))
-		}
-		dlogits := make([]float64, len(sub))
-		for i, smp := range sub {
-			ws.lossSum += nn.BCEOne(preds[i], smp.Label)
-			dlogits[i] = (preds[i] - smp.Label) / float64(n)
-		}
-		last := len(layers) - 1
-		dy := tensor.FromSlice(len(sub), 1, dlogits)
-		grad := m.out.BackwardInto(as[len(as)-1], dy, ws.wGrads[last], ws.bGrads[last])
-		for i := len(m.tower) - 1; i >= 0; i-- {
-			grad = nn.ReLUBackward(zs[i], grad)
-			input := x
-			if i > 0 {
-				input = as[i-1]
-			}
-			grad = m.tower[i].BackwardInto(input, grad, ws.wGrads[i], ws.bGrads[i])
-		}
-		for i, smp := range sub {
-			row := grad.Row(i)
-			ws.users.add(smp.User, row[:m.cfg.Dim])
-			ws.items.add(smp.Item, row[m.cfg.Dim:])
-		}
-		chunks[c] = ws
-	})
-
 	var lossSum float64
-	for _, ws := range chunks {
-		lossSum += ws.lossSum
-		for i, d := range layers {
-			d.W.Grad.AddInPlace(ws.wGrads[i])
-			d.B.Grad.AddInPlace(ws.bGrads[i])
+	if n <= trainChunkSize {
+		ws := m.ws.Get().(*neumfWS)
+		lossSum += m.shardGrad(ws, batch, n, m.wGrads, m.bGrads)
+		for i, smp := range batch {
+			row := ws.dxs[0].Row(i)
+			m.users.Accumulate(smp.User, row[:d])
+			m.items.Accumulate(smp.Item, row[d:])
 		}
-		ws.users.mergeInto(m.users)
-		ws.items.mergeInto(m.items)
+		m.ws.Put(ws)
+	} else {
+		shards := make([]*neumfWS, trainChunks(n))
+		forChunks(n, m.workers, func(c, lo, hi int) {
+			ws := m.ws.Get().(*neumfWS)
+			ws.lossSum = m.shardGrad(ws, batch[lo:hi], n, ws.wGrads, ws.bGrads)
+			ws.users.reset()
+			ws.items.reset()
+			for i, smp := range batch[lo:hi] {
+				row := ws.dxs[0].Row(i)
+				ws.users.add(smp.User, row[:d])
+				ws.items.add(smp.Item, row[d:])
+			}
+			shards[c] = ws
+		})
+		for _, ws := range shards {
+			lossSum += ws.lossSum
+			for i, l := range m.layers {
+				l.W.Grad.AddInPlace(ws.wGrads[i])
+				l.B.Grad.AddInPlace(ws.bGrads[i])
+			}
+			ws.users.mergeInto(m.users)
+			ws.items.mergeInto(m.items)
+			m.ws.Put(ws)
+		}
 	}
 	m.opt.Step(m.params)
 	m.users.Step()
@@ -188,46 +239,27 @@ func (m *NeuMF) ScoreItems(u int, items []int) []float64 {
 	return m.ScoreItemsInto(nil, u, items)
 }
 
-// ScoreItemsInto is the per-item loop behind ScoreItems; it reuses dst's capacity.
+// ScoreItemsInto is ScoreItems reusing dst's capacity: σ of the chunked
+// logit forwards the block scorer runs, over a borrowed workspace.
 func (m *NeuMF) ScoreItemsInto(dst []float64, u int, items []int) []float64 {
+	out := scoreBuf(dst, len(items))[:len(items)]
 	if len(items) == 0 {
-		return scoreBuf(dst, 0)
+		return out
 	}
-	batch := make([]Sample, len(items))
-	for i, v := range items {
-		batch[i] = Sample{User: u, Item: v}
-	}
-	_, _, _, preds := m.forward(batch)
-	out := scoreBuf(dst, len(items))
-	return append(out, preds...)
+	ws := m.ws.Get().(*neumfWS)
+	m.scoreBlockLogitsWS(ws, out, u, items)
+	m.ws.Put(ws)
+	sigmoidVec(out)
+	return out
 }
 
 // scoreChunkSize is the candidate-chunk width of NeuMF's batched scoring: the
 // workspace holds one chunk's forward intermediates, so peak memory is
 // O(chunk·width) instead of O(|candidates|·width). Each output row of a dense
 // forward depends only on its own input row, so chunking never changes the
-// scores — the boundaries are a scheduling knob, not a semantic constant.
-const scoreChunkSize = 256
-
-// neumfScoreWS holds one candidate chunk's forward intermediates.
-type neumfScoreWS struct {
-	x      *tensor.Matrix   // scoreChunkSize × 2d inputs
-	zs, as []*tensor.Matrix // per tower layer pre-/post-activation
-	logits *tensor.Matrix   // scoreChunkSize × 1
-}
-
-// newScoreWS allocates a workspace shaped for the model's tower.
-func (m *NeuMF) newScoreWS() *neumfScoreWS {
-	ws := &neumfScoreWS{
-		x:      tensor.New(scoreChunkSize, 2*m.cfg.Dim),
-		logits: tensor.New(scoreChunkSize, 1),
-	}
-	for _, d := range m.tower {
-		ws.zs = append(ws.zs, tensor.New(scoreChunkSize, d.Out))
-		ws.as = append(ws.as, tensor.New(scoreChunkSize, d.Out))
-	}
-	return ws
-}
+// scores — the boundaries are a scheduling knob, not a semantic constant; they
+// sit at a training shard's width so one workspace serves both.
+const scoreChunkSize = trainChunkSize
 
 // ScoreUsersBlockLogitsInto implements MultiBlockScorer's logit-domain half:
 // each user's row runs the tower in scoreChunkSize batches, borrowing one
@@ -241,8 +273,8 @@ func (m *NeuMF) ScoreUsersBlockLogitsInto(dst *tensor.Matrix, users []int, items
 	if len(items) == 0 {
 		return
 	}
-	ws := m.scoreWS.Get().(*neumfScoreWS)
-	defer m.scoreWS.Put(ws)
+	ws := m.ws.Get().(*neumfWS)
+	defer m.ws.Put(ws)
 	for i, u := range users {
 		m.scoreBlockLogitsWS(ws, dst.Row(i), u, items)
 	}
@@ -251,7 +283,7 @@ func (m *NeuMF) ScoreUsersBlockLogitsInto(dst *tensor.Matrix, users []int, items
 // scoreBlockLogitsWS is the chunked-forward core of the multi-user block
 // scorer: one user's candidate list streams through the tower in
 // scoreChunkSize chunks over the caller's workspace.
-func (m *NeuMF) scoreBlockLogitsWS(ws *neumfScoreWS, dst []float64, u int, items []int) {
+func (m *NeuMF) scoreBlockLogitsWS(ws *neumfWS, dst []float64, u int, items []int) {
 	urow := m.users.Row(u)
 	d := m.cfg.Dim
 	for off := 0; off < len(items); off += scoreChunkSize {
@@ -259,32 +291,13 @@ func (m *NeuMF) scoreBlockLogitsWS(ws *neumfScoreWS, dst []float64, u int, items
 		if end > len(items) {
 			end = len(items)
 		}
-		n := end - off
-		x := ws.x.FirstRows(n)
+		ws.setRows(end - off)
 		for i, v := range items[off:end] {
-			row := x.Row(i)
+			row := ws.x.Row(i)
 			copy(row[:d], urow)
 			copy(row[d:], m.items.Row(v))
 		}
-		m.forwardChunkLogitsWS(ws, dst[off:end], x)
-	}
-}
-
-// forwardChunkLogitsWS runs one assembled input chunk through the tower over
-// the workspace, writing the output head's raw logit per row into dst. The
-// sigmoid, when a caller wants probabilities, is applied at the block-scorer
-// call boundary — σ is element-wise, so deferring it past the chunk loop
-// cannot change a value.
-func (m *NeuMF) forwardChunkLogitsWS(ws *neumfScoreWS, dst []float64, x *tensor.Matrix) {
-	n := x.Rows
-	cur := x
-	for li, dl := range m.tower {
-		z := dl.ForwardInto(ws.zs[li].FirstRows(n), cur)
-		cur = nn.ReLUInto(ws.as[li].FirstRows(n), z)
-	}
-	logits := m.out.ForwardInto(ws.logits.FirstRows(n), cur)
-	for i := 0; i < n; i++ {
-		dst[i] = logits.At(i, 0)
+		copy(dst[off:end], m.forwardWS(ws).Data)
 	}
 }
 
@@ -297,22 +310,21 @@ func (m *NeuMF) ScorePairsInto(dst []float64, users []int, items []int) {
 	if len(items) == 0 {
 		return
 	}
-	ws := m.scoreWS.Get().(*neumfScoreWS)
-	defer m.scoreWS.Put(ws)
+	ws := m.ws.Get().(*neumfWS)
+	defer m.ws.Put(ws)
 	d := m.cfg.Dim
 	for off := 0; off < len(items); off += scoreChunkSize {
 		end := off + scoreChunkSize
 		if end > len(items) {
 			end = len(items)
 		}
-		n := end - off
-		x := ws.x.FirstRows(n)
-		for i := 0; i < n; i++ {
-			row := x.Row(i)
+		ws.setRows(end - off)
+		for i := range ws.x.Rows {
+			row := ws.x.Row(i)
 			copy(row[:d], m.users.Row(users[off+i]))
 			copy(row[d:], m.items.Row(items[off+i]))
 		}
-		m.forwardChunkLogitsWS(ws, dst[off:end], x)
+		copy(dst[off:end], m.forwardWS(ws).Data)
 	}
 	sigmoidVec(dst)
 }

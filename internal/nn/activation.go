@@ -42,12 +42,20 @@ func ReLUInto(dst, x *tensor.Matrix) *tensor.Matrix {
 // the pre-activation input x: dx = dy ⊙ 1[x > 0].
 func ReLUBackward(x, dy *tensor.Matrix) *tensor.Matrix {
 	out := dy.Clone()
+	ReLUBackwardInPlace(x, out)
+	return out
+}
+
+// ReLUBackwardInPlace is ReLUBackward overwriting dy with dx.
+func ReLUBackwardInPlace(x, dy *tensor.Matrix) {
+	if dy.Rows != x.Rows || dy.Cols != x.Cols {
+		panic(fmt.Sprintf("nn: ReLUBackwardInPlace dy %dx%d for %dx%d", dy.Rows, dy.Cols, x.Rows, x.Cols))
+	}
 	for i, v := range x.Data {
 		if v <= 0 {
-			out.Data[i] = 0
+			dy.Data[i] = 0
 		}
 	}
-	return out
 }
 
 // LeakyReLU applies max(αx, x) element-wise (NGCF uses α = 0.2).

@@ -53,24 +53,38 @@ func (d *Dense) ForwardInto(dst, x *tensor.Matrix) *tensor.Matrix {
 // Backward accumulates dW = xᵀ·dy and db = Σ dy into the layer's gradients
 // and returns dx = dy·Wᵀ. x must be the same batch passed to Forward.
 func (d *Dense) Backward(x, dy *tensor.Matrix) *tensor.Matrix {
-	return d.BackwardInto(x, dy, d.W.Grad, d.B.Grad)
-}
-
-// BackwardInto is Backward with caller-provided gradient accumulators, so a
-// batch shard can collect its parameter gradients into a private workspace
-// instead of the layer's shared Grad matrices. wGrad must be In×Out and
-// bGrad 1×Out.
-func (d *Dense) BackwardInto(x, dy, wGrad, bGrad *tensor.Matrix) *tensor.Matrix {
-	if dy.Cols != d.Out || x.Rows != dy.Rows {
-		panic(fmt.Sprintf("nn: Dense %s backward shapes x=%dx%d dy=%dx%d",
-			d.W.Name, x.Rows, x.Cols, dy.Rows, dy.Cols))
-	}
-	wGrad.AddInPlace(tensor.MatMulATB(x, dy))
-	brow := bGrad.Row(0)
+	d.checkBackward(x, dy)
+	d.W.Grad.AddInPlace(tensor.MatMulATB(x, dy))
+	brow := d.B.Grad.Row(0)
 	for i := 0; i < dy.Rows; i++ {
 		tensor.AddVec(dy.Row(i), brow)
 	}
 	return tensor.MatMulABT(dy, d.W.W)
+}
+
+// BackwardInto is the allocation-free backward a training workspace drives:
+// it writes — not accumulates — dW = xᵀ·dy into wGrad (In×Out), db = Σ dy
+// into bGrad (1×Out) and dx = dy·Wᵀ into dx (batch×In). wGrad and bGrad may be
+// a batch shard's private matrices or, when the shard is the whole batch and
+// the layer's gradients are zero (as every optimizer step leaves them), the
+// layer's own Grad: a sum that starts at +0 is never −0, so adding it to zero
+// would reproduce it bit for bit. wt is Out×In scratch for Wᵀ.
+func (d *Dense) BackwardInto(dx, x, dy, wGrad, bGrad, wt *tensor.Matrix) {
+	d.checkBackward(x, dy)
+	tensor.MatMulATBInto(wGrad, x, dy)
+	brow := bGrad.Row(0)
+	clear(brow)
+	for i := 0; i < dy.Rows; i++ {
+		tensor.AddVec(dy.Row(i), brow)
+	}
+	tensor.MatMulABTInto(dx, dy, d.W.W, wt)
+}
+
+func (d *Dense) checkBackward(x, dy *tensor.Matrix) {
+	if dy.Cols != d.Out || x.Rows != dy.Rows {
+		panic(fmt.Sprintf("nn: Dense %s backward shapes x=%dx%d dy=%dx%d",
+			d.W.Name, x.Rows, x.Cols, dy.Rows, dy.Cols))
+	}
 }
 
 // Params returns the layer's trainable parameters.

@@ -173,6 +173,35 @@ func TestDenseGradCheck(t *testing.T) {
 	}
 }
 
+// TestDenseBackwardIntoMatchesBackward pins the workspace form to the
+// allocating one: written into garbage-filled destinations, BackwardInto
+// yields the bits Backward accumulates into zero gradients and returns.
+func TestDenseBackwardIntoMatchesBackward(t *testing.T) {
+	s := rng.New(8)
+	d := NewDense("t", 7, 5, s)
+	x, dy := tensor.New(9, 7), tensor.New(9, 5)
+	Normal(s, x, 1)
+	Normal(s, dy, 1)
+	dirty := func(rows, cols int) *tensor.Matrix {
+		m := tensor.New(rows, cols)
+		Normal(s, m, 1)
+		return m
+	}
+	dx, wGrad, bGrad := dirty(9, 7), dirty(7, 5), dirty(1, 5)
+	d.BackwardInto(dx, x, dy, wGrad, bGrad, dirty(5, 7))
+	want := d.Backward(x, dy)
+	for _, c := range []struct {
+		name      string
+		got, want *tensor.Matrix
+	}{{"dx", dx, want}, {"dW", wGrad, d.W.Grad}, {"db", bGrad, d.B.Grad}} {
+		for i, w := range c.want.Data {
+			if math.Float64bits(c.got.Data[i]) != math.Float64bits(w) {
+				t.Fatalf("%s[%d] = %v, Backward gives %v", c.name, i, c.got.Data[i], w)
+			}
+		}
+	}
+}
+
 func TestSGDStep(t *testing.T) {
 	p := NewParam("p", 1, 2)
 	p.W.Data[0], p.W.Data[1] = 1, 2

@@ -62,12 +62,20 @@ func WriteFloat64s(w io.Writer, xs []float64) error {
 	if err := WriteUint64(w, uint64(len(xs))); err != nil {
 		return err
 	}
-	buf := make([]byte, 8*len(xs))
-	for i, v := range xs {
-		binary.LittleEndian.PutUint64(buf[i*8:], math.Float64bits(v))
+	// Encode through a fixed buffer: a model snapshot writes matrices of
+	// millions of values, and a full-size copy of each would double its peak.
+	var buf [4096]byte
+	for len(xs) > 0 {
+		n := min(len(xs), len(buf)/8)
+		for i, v := range xs[:n] {
+			binary.LittleEndian.PutUint64(buf[i*8:], math.Float64bits(v))
+		}
+		if _, err := w.Write(buf[:n*8]); err != nil {
+			return err
+		}
+		xs = xs[n:]
 	}
-	_, err := w.Write(buf)
-	return err
+	return nil
 }
 
 // ReadFloat64s reads a length-prefixed float64 slice.

@@ -2,6 +2,8 @@ package persist
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"math"
 	"testing"
 	"testing/quick"
@@ -114,5 +116,39 @@ func TestHugeLengthRejected(t *testing.T) {
 	}
 	if _, err := ReadString(&buf); err == nil {
 		t.Fatal("giant string length accepted")
+	}
+}
+
+type failingWriter struct{ budget int }
+
+func (w *failingWriter) Write(p []byte) (int, error) {
+	if w.budget -= len(p); w.budget < 0 {
+		return 0, errors.New("disk full")
+	}
+	return len(p), nil
+}
+
+// TestWriteFloat64sBytes pins the wire form across the encoder's internal
+// chunking — a length prefix, then every value's bits little-endian — at
+// lengths on both sides of a chunk boundary, and that a write error partway
+// through a long slice is returned.
+func TestWriteFloat64sBytes(t *testing.T) {
+	for _, n := range []int{0, 1, 511, 512, 513, 5000} {
+		xs := make([]float64, n)
+		want := binary.LittleEndian.AppendUint64(nil, uint64(n))
+		for i := range xs {
+			xs[i] = math.Sqrt(float64(i)) - 7
+			want = binary.LittleEndian.AppendUint64(want, math.Float64bits(xs[i]))
+		}
+		var buf bytes.Buffer
+		if err := WriteFloat64s(&buf, xs); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf.Bytes(), want) {
+			t.Fatalf("WriteFloat64s of %d values wrote different bytes", n)
+		}
+	}
+	if err := WriteFloat64s(&failingWriter{budget: 8 + 4096}, make([]float64, 5000)); err == nil {
+		t.Fatal("a failed chunk write was not reported")
 	}
 }

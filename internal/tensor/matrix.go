@@ -7,6 +7,13 @@
 // hand-derived backpropagation in internal/models needs, with shape checks
 // that panic on programmer error (mismatched dimensions are bugs, not runtime
 // conditions).
+//
+// One kernel has an assembly form: the full 4×8 tile of the dense GEMM core
+// (densegemm.go) is an AVX2 micro-kernel on amd64 (gemm_amd64.s), installed
+// at init when CPUID and XGETBV report AVX2 with OS-saved YMM state. Every
+// other platform and CPU, and every edge tile, runs the pure Go tile, which
+// computes the same bits. All other kernels — the gather GEMMs (gemm.go),
+// the sparse products (sparse.go), the vector helpers — are Go only.
 package tensor
 
 import (
@@ -45,15 +52,6 @@ func (m *Matrix) Set(i, j int, v float64) { m.Data[i*m.Cols+j] = v }
 
 // Row returns row i as a slice aliasing the matrix storage.
 func (m *Matrix) Row(i int) []float64 { return m.Data[i*m.Cols : (i+1)*m.Cols] }
-
-// FirstRows returns a view of m's first n rows sharing m's storage — the
-// chunk-sized window batched scoring slides over a preallocated workspace.
-func (m *Matrix) FirstRows(n int) *Matrix {
-	if n < 0 || n > m.Rows {
-		panic(fmt.Sprintf("tensor: FirstRows(%d) of %dx%d", n, m.Rows, m.Cols))
-	}
-	return &Matrix{Rows: n, Cols: m.Cols, Data: m.Data[:n*m.Cols]}
-}
 
 // Clone returns a deep copy.
 func (m *Matrix) Clone() *Matrix {
@@ -114,87 +112,24 @@ func HadamardInto(dst, a, b *Matrix) {
 	}
 }
 
-// MatMul returns a·b as a new matrix.
-func MatMul(a, b *Matrix) *Matrix {
-	if a.Cols != b.Rows {
-		panic(fmt.Sprintf("tensor: MatMul %dx%d · %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-	out := New(a.Rows, b.Cols)
-	MatMulInto(out, a, b)
-	return out
-}
-
-// MatMulInto computes dst = a·b, reusing dst's storage.
-func MatMulInto(dst, a, b *Matrix) {
-	if a.Cols != b.Rows || dst.Rows != a.Rows || dst.Cols != b.Cols {
-		panic(fmt.Sprintf("tensor: MatMulInto %dx%d = %dx%d · %dx%d",
-			dst.Rows, dst.Cols, a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-	dst.Zero()
-	// ikj loop order: stream through b's rows for cache friendliness.
-	for i := 0; i < a.Rows; i++ {
-		arow := a.Row(i)
-		drow := dst.Row(i)
-		for k := 0; k < a.Cols; k++ {
-			av := arow[k]
-			if av == 0 {
-				continue
-			}
-			brow := b.Row(k)
-			for j, bv := range brow {
-				drow[j] += av * bv
-			}
-		}
-	}
-}
-
-// MatMulATB returns aᵀ·b as a new matrix (a is rows×m, b is rows×n, result m×n).
-func MatMulATB(a, b *Matrix) *Matrix {
-	if a.Rows != b.Rows {
-		panic(fmt.Sprintf("tensor: MatMulATB %dx%d ᵀ· %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-	out := New(a.Cols, b.Cols)
-	for k := 0; k < a.Rows; k++ {
-		arow := a.Row(k)
-		brow := b.Row(k)
-		for i, av := range arow {
-			if av == 0 {
-				continue
-			}
-			orow := out.Row(i)
-			for j, bv := range brow {
-				orow[j] += av * bv
-			}
-		}
-	}
-	return out
-}
-
-// MatMulABT returns a·bᵀ as a new matrix (a is m×k, b is n×k, result m×n).
-func MatMulABT(a, b *Matrix) *Matrix {
-	if a.Cols != b.Cols {
-		panic(fmt.Sprintf("tensor: MatMulABT %dx%d · %dx%d ᵀ", a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-	out := New(a.Rows, b.Rows)
-	for i := 0; i < a.Rows; i++ {
-		arow := a.Row(i)
-		orow := out.Row(i)
-		for j := 0; j < b.Rows; j++ {
-			orow[j] = Dot(arow, b.Row(j))
-		}
-	}
-	return out
-}
-
 // Transpose returns mᵀ as a new matrix.
 func (m *Matrix) Transpose() *Matrix {
 	out := New(m.Cols, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		for j := 0; j < m.Cols; j++ {
-			out.Set(j, i, m.At(i, j))
+	m.TransposeInto(out)
+	return out
+}
+
+// TransposeInto writes mᵀ into dst, reusing dst's storage.
+func (m *Matrix) TransposeInto(dst *Matrix) {
+	if dst.Rows != m.Cols || dst.Cols != m.Rows {
+		panic(fmt.Sprintf("tensor: TransposeInto %dx%d = %dx%d ᵀ", dst.Rows, dst.Cols, m.Rows, m.Cols))
+	}
+	for j := 0; j < m.Cols; j++ {
+		drow := dst.Row(j)
+		for i := range drow {
+			drow[i] = m.Data[i*m.Cols+j]
 		}
 	}
-	return out
 }
 
 // Norm returns the Frobenius norm of m.

@@ -78,23 +78,16 @@ func MatMulPar(a, b *Matrix, workers int) *Matrix {
 		panic(fmt.Sprintf("tensor: MatMulPar %dx%d · %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
 	dst := New(a.Rows, b.Cols)
-	par.ForChunks(a.Rows, parRowChunk, workers, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			arow := a.Row(i)
-			drow := dst.Row(i)
-			for k := 0; k < a.Cols; k++ {
-				av := arow[k]
-				if av == 0 {
-					continue
-				}
-				brow := b.Row(k)
-				for j, bv := range brow {
-					drow[j] += av * bv
-				}
-			}
-		}
-	})
+	gemmRowsPar(dst, a, b, workers)
 	return dst
+}
+
+// gemmRowsPar computes dst = a·b through the dense core, one call per
+// parRowChunk-row range of dst.
+func gemmRowsPar(dst, a, b *Matrix, workers int) {
+	par.ForChunks(a.Rows, parRowChunk, workers, func(lo, hi int) {
+		gemm(dst.Data[lo*dst.Cols:hi*dst.Cols], a.Data[lo*a.Cols:hi*a.Cols], a.Cols, 1, b.Data, hi-lo, b.Cols, a.Cols)
+	})
 }
 
 // MatMulABTPar returns a·bᵀ like MatMulABT, sharding output rows over
@@ -107,15 +100,7 @@ func MatMulABTPar(a, b *Matrix, workers int) *Matrix {
 		panic(fmt.Sprintf("tensor: MatMulABTPar %dx%d · %dx%d ᵀ", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
 	out := New(a.Rows, b.Rows)
-	par.ForChunks(a.Rows, parRowChunk, workers, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			arow := a.Row(i)
-			orow := out.Row(i)
-			for j := 0; j < b.Rows; j++ {
-				orow[j] = Dot(arow, b.Row(j))
-			}
-		}
-	})
+	gemmRowsPar(out, a, b.Transpose(), workers)
 	return out
 }
 
@@ -150,21 +135,9 @@ func MatMulATBPar(a, b *Matrix, workers int) *Matrix {
 }
 
 // matMulATBRange computes aᵀ·b restricted to rows [lo, hi) of the shared
-// leading dimension, with MatMulATB's inner-loop order.
+// leading dimension, each element summed k-ascending over that range.
 func matMulATBRange(a, b *Matrix, lo, hi int) *Matrix {
 	out := New(a.Cols, b.Cols)
-	for k := lo; k < hi; k++ {
-		arow := a.Row(k)
-		brow := b.Row(k)
-		for i, av := range arow {
-			if av == 0 {
-				continue
-			}
-			orow := out.Row(i)
-			for j, bv := range brow {
-				orow[j] += av * bv
-			}
-		}
-	}
+	gemm(out.Data, a.Data[lo*a.Cols:hi*a.Cols], 1, a.Cols, b.Data[lo*b.Cols:hi*b.Cols], a.Cols, b.Cols, hi-lo)
 	return out
 }
