@@ -8,7 +8,7 @@ GO ?= go
 # CI, fails above it. A change that shrinks the code lowers it to the size it
 # reaches; one that has to grow the code raises it in the same diff, where a
 # reviewer sees the price.
-LOC_BUDGET = 14111
+LOC_BUDGET = 13903
 
 # The packages whose concurrent paths CI runs in full (not -short) under the
 # race detector; ci.yml says why each is there.
@@ -17,7 +17,7 @@ RACE_FULL = ./internal/eval/... ./internal/fed/... ./internal/graph/... \
 	./internal/comm/... ./internal/coord/... ./internal/rng/... \
 	./internal/tensor/... ./internal/nn/...
 
-.PHONY: build cross test race race-full selftest bench-module bench benchmark loc traffic fmt fmt-check vet ci
+.PHONY: build cross test race race-full selftest examples bench-module bench benchmark loc traffic fmt fmt-check vet ci
 
 build:
 	$(GO) build ./...
@@ -42,6 +42,15 @@ race-full:
 # HTTP must reproduce the serial in-process round loop bitwise.
 selftest:
 	$(GO) run ./cmd/ptfserve -selftest
+
+# examples runs the public surface: the facade (ptffedrec.go) through each of
+# examples/*/ once, output discarded, any non-zero exit failing the target
+# (~25 s on two cores). Build and vet see these programs; nothing else runs them.
+examples:
+	@for d in examples/*/; do \
+		echo "$(GO) run ./$$d"; \
+		$(GO) run ./$$d > /dev/null || exit 1; \
+	done
 
 # bench-module builds and tests bench/ — a module of its own that root
 # `go build/vet/test ./...` never see, so a product export only bench/ uses is
@@ -126,4 +135,4 @@ fmt-check:
 vet:
 	$(GO) vet ./...
 
-ci: fmt-check vet build cross loc race race-full selftest bench-module bench
+ci: fmt-check vet build cross loc race race-full selftest examples bench-module bench

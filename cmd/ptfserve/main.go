@@ -38,6 +38,23 @@ import (
 	"ptffedrec/internal/models"
 )
 
+// Server-side connection limits. A peer gets readHeaderTimeout to finish its
+// request header and an idle keep-alive connection is reaped after
+// idleTimeout, so a peer that connects and stalls cannot hold a goroutine and
+// a descriptor for the life of the run. ReadTimeout and WriteTimeout stay
+// unset on purpose: they bound a whole request, and a parked /v1/poll
+// legitimately lives 25 s (coord's pollWait) while an upload body streams for
+// as long as its client trains.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer is the one place ptfserve builds an http.Server.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
+}
+
 func main() {
 	var (
 		addr         = flag.String("addr", ":8470", "listen address (serve mode)")
@@ -96,7 +113,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "ptfserve: %v\n", err)
 		os.Exit(1)
 	}
-	srv := &http.Server{Handler: c.Handler()}
+	srv := newHTTPServer(c.Handler())
 	go srv.Serve(ln)
 	defer srv.Close()
 
@@ -223,7 +240,7 @@ func runSelftestNetworked(cfg fed.Config, seed uint64, frac float64, participant
 	if err != nil {
 		return nil, err
 	}
-	srv := &http.Server{Handler: c.Handler()}
+	srv := newHTTPServer(c.Handler())
 	go srv.Serve(ln)
 	defer srv.Close()
 

@@ -1,9 +1,10 @@
 // Package candset is the shared candidate/eligibility machinery behind the
-// evaluator's candidate cache and the dispersal engine's eligibility cache:
+// evaluator's candidate cache and the dispersal engine's random arms:
 // ascending item-id lists packed as int32 (four bytes per entry) with one
-// contiguous backing array per cache, plus the complement walks that build
-// them — a merge walk over a sorted exclusion list and a word walk over an
-// exclusion bitset.
+// contiguous backing array for the cache, plus the complement walks that
+// build a list — a merge walk over a sorted exclusion list (the evaluator)
+// and a word walk over an exclusion bitset (dispersal, which keeps no list
+// between calls: eligibility is the upload bitset).
 //
 // Everything here carries the repository's determinism contract: list
 // contents depend only on the inputs, never on worker counts or build order.
@@ -75,12 +76,19 @@ func AppendComplementSorted[T int | int32](dst []T, n int, sorted []int) []T {
 }
 
 // AppendComplement appends the ascending complement of the bitset s over
-// [0, n) to dst. It walks the set's backing words — 64 memberships per load —
-// instead of probing every element, which is what makes per-round eligibility
-// rebuilds cheap when the excluded set is a small fraction of the universe.
-// The result is element-for-element identical to the naive probe walk
-// (fuzz-verified by FuzzAppendComplementMatchesWalk).
-func AppendComplement(dst []int32, s *bitset.Set, n int) []int32 {
+// [0, n) to dst; a nil set excludes nothing, so its complement is all of
+// [0, n). It walks the set's backing words — 64 memberships per load —
+// instead of probing every element, which is what makes per-client
+// eligibility builds cheap when the excluded set is a small fraction of the
+// universe. The result is element-for-element identical to the naive probe
+// walk (fuzz-verified by FuzzAppendComplementMatchesWalk).
+func AppendComplement[T int | int32](dst []T, s *bitset.Set, n int) []T {
+	if s == nil {
+		for v := 0; v < n; v++ {
+			dst = append(dst, T(v))
+		}
+		return dst
+	}
 	for wi, w := range s.Words() {
 		w = ^w
 		base := wi << 6
@@ -89,18 +97,9 @@ func AppendComplement(dst []int32, s *bitset.Set, n int) []int32 {
 			if v >= n {
 				return dst
 			}
-			dst = append(dst, int32(v))
+			dst = append(dst, T(v))
 			w &= w - 1
 		}
-	}
-	return dst
-}
-
-// AppendRange appends 0..n-1 to dst — the complement of an empty exclusion
-// set, used when a client has no upload to exclude yet.
-func AppendRange(dst []int32, n int) []int32 {
-	for v := 0; v < n; v++ {
-		dst = append(dst, int32(v))
 	}
 	return dst
 }

@@ -29,7 +29,7 @@ func TestAppendComplementMatchesWalk(t *testing.T) {
 			for _, v := range s.SampleInts(n, k) {
 				set.Add(v)
 			}
-			got := AppendComplement(nil, set, n)
+			got := AppendComplement[int32](nil, set, n)
 			want := naiveComplement(set, n)
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("n=%d trial=%d: word walk %v != probe walk %v", n, trial, got, want)
@@ -39,8 +39,8 @@ func TestAppendComplementMatchesWalk(t *testing.T) {
 }
 
 // FuzzAppendComplementMatchesWalk pins the dispersal engine's eligibility
-// contract: the cache-served eligible set (the bitset's word-walk complement)
-// must equal the naive item-universe walk for any upload pattern.
+// contract: the eligible list its random arms build (the bitset's word-walk
+// complement) must equal the naive item-universe walk for any upload pattern.
 func FuzzAppendComplementMatchesWalk(f *testing.F) {
 	f.Add(uint64(1), 100, 10)
 	f.Add(uint64(2), 64, 64)
@@ -61,7 +61,7 @@ func FuzzAppendComplementMatchesWalk(f *testing.F) {
 		for _, v := range s.SampleInts(n, k) {
 			set.Add(v)
 		}
-		got := AppendComplement(nil, set, n)
+		got := AppendComplement[int32](nil, set, n)
 		want := naiveComplement(set, n)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("seed=%d n=%d k=%d: word walk != probe walk", seed, n, k)
@@ -84,10 +84,20 @@ func TestAppendComplementSorted(t *testing.T) {
 	}
 }
 
+// TestAppendRangeAndWiden: the full range is what AppendComplement gives for
+// a nil set (no upload stored) and for an empty one, in both element types.
 func TestAppendRangeAndWiden(t *testing.T) {
-	r := AppendRange(nil, 4)
+	r := AppendComplement[int32](nil, nil, 4)
 	if !reflect.DeepEqual(r, []int32{0, 1, 2, 3}) {
-		t.Fatalf("AppendRange = %v", r)
+		t.Fatalf("complement of a nil set = %v", r)
+	}
+	if e := AppendComplement[int32](nil, bitset.New(4), 4); !reflect.DeepEqual(e, r) {
+		t.Fatalf("complement of an empty set = %v", e)
+	}
+	for _, s := range []*bitset.Set{nil, bitset.New(4)} {
+		if ri := AppendComplement([]int{9}, s, 4); !reflect.DeepEqual(ri, []int{9, 0, 1, 2, 3}) {
+			t.Fatalf("[]int complement appended to {9} = %v", ri)
+		}
 	}
 	w := Widen(make([]int, 0, 1), r)
 	if !reflect.DeepEqual(w, []int{0, 1, 2, 3}) {

@@ -218,14 +218,20 @@ func (c *Coordinator) Run(ctx context.Context) (*fed.History, error) {
 		announce(round + 2)
 	}
 	h := fed.NewHistory(rounds, c.engine.Evaluate(eval.LazyEvaluator(&c.evaluator, c.split)))
+	c.broadcastShutdown()
+	return h, nil
+}
+
+// broadcastShutdown marks the run finished and tells every session; a later
+// join gets the shutdown in its first poll.
+func (c *Coordinator) broadcastShutdown() {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	c.down = true
 	shutdown := comm.AppendFrame(nil, comm.MsgShutdown, nil)
 	for _, s := range c.sessions {
 		c.announceLocked(s, shutdown)
 	}
-	c.mu.Unlock()
-	return h, nil
 }
 
 // disperseFrame frames one user's dispersal payload for a session log.
@@ -358,20 +364,25 @@ func (c *Coordinator) waitRound(ctx context.Context, rs *roundState) error {
 	case <-ctx.Done():
 		return ctx.Err()
 	case <-deadline:
-		c.mu.Lock()
-		if !rs.closed {
-			// Slots were pre-initialised as dropped, so stragglers need only
-			// be forgotten.
-			rs.closed = true
-			for u := range rs.unresolved {
-				delete(rs.unresolved, u)
-			}
-			rs.pending = 0
-			close(rs.done)
-		}
-		c.mu.Unlock()
+		c.expireRound(rs)
 		return nil
 	}
+}
+
+// expireRound closes a round at its straggler deadline. Slots were
+// pre-initialised as dropped, so stragglers need only be forgotten.
+func (c *Coordinator) expireRound(rs *roundState) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if rs.closed {
+		return
+	}
+	rs.closed = true
+	for u := range rs.unresolved {
+		delete(rs.unresolved, u)
+	}
+	rs.pending = 0
+	close(rs.done)
 }
 
 // sessionForLocked finds the session hosting user u, if any. c.mu held.
@@ -457,12 +468,58 @@ func (c *Coordinator) sessionFromQuery(r *http.Request) (*session, error) {
 		return nil, err
 	}
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	s := c.sessions[uint64(tok)]
-	c.mu.Unlock()
 	if s == nil {
 		return nil, fmt.Errorf("coord: unknown session token %d", tok)
 	}
 	return s, nil
+}
+
+// register admits a participant hosting users [lo, hi), refusing a range that
+// overlaps a live session's.
+func (c *Coordinator) register(lo, hi int) (*session, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, s := range c.sessions {
+		if lo < s.hi && s.lo < hi {
+			return nil, fmt.Errorf("coord: join range [%d, %d) overlaps session %d hosting [%d, %d)",
+				lo, hi, s.token, s.lo, s.hi)
+		}
+	}
+	c.nextToken++
+	s := &session{token: c.nextToken, lo: lo, hi: hi, wake: make(chan struct{})}
+	c.sessions[s.token] = s
+	// A joining host immediately receives any retained dispersals for its
+	// range — users whose D̃ᵢ outlived their round while nobody hosted them.
+	c.flushPendingLocked(s)
+	if c.down {
+		s.events = append(s.events, comm.AppendFrame(nil, comm.MsgShutdown, nil))
+	}
+	return s, nil
+}
+
+// unregister removes a session. A departed host's pending users resolve as
+// dropped so open rounds can close; their slots were pre-initialised that way.
+func (c *Coordinator) unregister(s *session) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	delete(c.sessions, s.token)
+	for _, rs := range c.rounds {
+		if rs.closed {
+			continue
+		}
+		for u := range rs.unresolved {
+			if s.lo <= u && u < s.hi {
+				delete(rs.unresolved, u)
+				rs.pending--
+			}
+		}
+		if rs.pending == 0 {
+			rs.closed = true
+			close(rs.done)
+		}
+	}
 }
 
 func (c *Coordinator) handleJoin(w http.ResponseWriter, r *http.Request) {
@@ -483,25 +540,11 @@ func (c *Coordinator) handleJoin(w http.ResponseWriter, r *http.Request) {
 			j.UserLo, j.UserHi, c.split.NumUsers)
 		return
 	}
-	c.mu.Lock()
-	for _, s := range c.sessions {
-		if j.UserLo < s.hi && s.lo < j.UserHi {
-			c.mu.Unlock()
-			c.writeError(w, "coord: join range [%d, %d) overlaps session %d hosting [%d, %d)",
-				j.UserLo, j.UserHi, s.token, s.lo, s.hi)
-			return
-		}
+	s, err := c.register(j.UserLo, j.UserHi)
+	if err != nil {
+		c.writeError(w, "%v", err)
+		return
 	}
-	c.nextToken++
-	s := &session{token: c.nextToken, lo: j.UserLo, hi: j.UserHi, wake: make(chan struct{})}
-	c.sessions[s.token] = s
-	// A joining host immediately receives any retained dispersals for its
-	// range — users whose D̃ᵢ outlived their round while nobody hosted them.
-	c.flushPendingLocked(s)
-	if c.down {
-		s.events = append(s.events, comm.AppendFrame(nil, comm.MsgShutdown, nil))
-	}
-	c.mu.Unlock()
 	c.writeFrame(w, comm.MsgJoinAck, comm.EncodeJoinAck(comm.JoinAck{
 		Token:      s.token,
 		NumUsers:   c.split.NumUsers,
@@ -519,26 +562,7 @@ func (c *Coordinator) handleLeave(w http.ResponseWriter, r *http.Request) {
 		c.writeError(w, "%v", err)
 		return
 	}
-	c.mu.Lock()
-	delete(c.sessions, s.token)
-	// A departed host's pending users resolve as dropped so open rounds can
-	// close; their slots were pre-initialised that way.
-	for _, rs := range c.rounds {
-		if rs.closed {
-			continue
-		}
-		for u := range rs.unresolved {
-			if s.lo <= u && u < s.hi {
-				delete(rs.unresolved, u)
-				rs.pending--
-			}
-		}
-		if rs.pending == 0 {
-			rs.closed = true
-			close(rs.done)
-		}
-	}
-	c.mu.Unlock()
+	c.unregister(s)
 	c.writeFrame(w, comm.MsgAck, nil)
 }
 

@@ -51,14 +51,13 @@ type ScalabilityRow struct {
 	// live heap observed at phase boundaries (post-GC samples, so it tracks
 	// retained state, not allocator slack). The other columns are exact
 	// footprints from the components' own accounting: the server's flat
-	// upload store (slab + index), its bounded eligibility LRU, the
-	// incremental graph engine (rows, postings, degree vectors, staging
-	// scratch), and the evaluator's packed candidate cache. BytesPerUser is
-	// the per-user server-side state — (upload store + eligibility cache) /
-	// users — the figure the flat-memory design holds flat as users grow.
+	// upload store (slab + index), the incremental graph engine (rows,
+	// postings, degree vectors, staging scratch), and the evaluator's packed
+	// candidate cache. BytesPerUser is the per-user server-side state —
+	// upload store / users — the figure the flat-memory design holds flat as
+	// users grow.
 	PeakHeapBytes    uint64  `json:"peak_heap_bytes"`
 	UploadStoreBytes int64   `json:"upload_store_bytes"`
-	EligCacheBytes   int64   `json:"elig_cache_bytes"`
 	GraphEngineBytes int64   `json:"graph_engine_bytes"`
 	CandCacheBytes   int64   `json:"cand_cache_bytes,omitempty"`
 	BytesPerUser     float64 `json:"bytes_per_user"`
@@ -212,11 +211,10 @@ func measuredRow(tr *fed.Trainer, cfg fed.Config, numUsers int, hs *heapSampler)
 		ServerTrainSecs:  phases.ServerTrain * perRound,
 		DisperseSecs:     phases.Disperse * perRound,
 		UploadStoreBytes: tr.Server().UploadStoreBytes(),
-		EligCacheBytes:   tr.Server().EligCacheBytes(),
 		GraphEngineBytes: tr.Server().GraphEngineBytes(),
 	}
 	row.RoundsPerSec = speedup(1, row.RoundSecs)
-	row.BytesPerUser = float64(row.UploadStoreBytes+row.EligCacheBytes) / float64(numUsers)
+	row.BytesPerUser = float64(row.UploadStoreBytes) / float64(numUsers)
 	row.PeakHeapBytes = hs.peak
 	return row, rounds
 }
@@ -344,8 +342,7 @@ func speedup(base, secs float64) float64 {
 // generator, clients build lazily on first participation, each round samples
 // a few thousand participants, and no evaluator exists — so the retained
 // state under measurement is exactly the server's per-user structures: the
-// flat upload store, the bounded eligibility cache, and the incremental
-// graph engine's maintained rows.
+// flat upload store and the incremental graph engine's maintained rows.
 func runScalabilityMemory(o Options, p data.Profile) (*ScalabilityResult, error) {
 	// Same model pairing as the sweep, with the per-round participant count
 	// pinned near the full-scale sweep's (~5k clients) so round cost stays
@@ -384,9 +381,9 @@ func (r *ScalabilityResult) Print(w io.Writer) {
 			r.Profile, r.Users, r.Items, r.Rounds, r.GOMAXPROCS)
 		fmt.Fprintf(w, "  round-secs=%.3f  client=%.3f absorb=%.3f graph=%.3f server-sgd=%.3f disperse=%.3f\n",
 			row.RoundSecs, row.ClientSecs, row.AbsorbSecs, row.GraphSecs, row.ServerTrainSecs, row.DisperseSecs)
-		fmt.Fprintf(w, "  peak-heap=%s  upload-store=%s  elig-cache=%s  graph-engine=%s  server-state=%.1f bytes/user\n",
+		fmt.Fprintf(w, "  peak-heap=%s  upload-store=%s  graph-engine=%s  server-state=%.1f bytes/user\n",
 			size(int64(row.PeakHeapBytes)), size(row.UploadStoreBytes),
-			size(row.EligCacheBytes), size(row.GraphEngineBytes), row.BytesPerUser)
+			size(row.GraphEngineBytes), row.BytesPerUser)
 		return
 	}
 	fmt.Fprintf(w, "Scalability: %s (%d users × %d items), %d rounds, GOMAXPROCS=%d\n",
@@ -406,12 +403,12 @@ func (r *ScalabilityResult) Print(w io.Writer) {
 			row.ServerTrainSecs, row.DisperseSecs, row.ServerTrainSpeedup, row.GraphSpeedup)
 	}
 	fmt.Fprintln(w, "  memory (post-run retained state; peak = max live heap at phase boundaries):")
-	fmt.Fprintf(w, "  %-8s %12s %13s %12s %13s %12s %16s\n",
-		"workers", "peak-heap", "upload-store", "elig-cache", "graph-engine", "cand-cache", "server-B/user")
+	fmt.Fprintf(w, "  %-8s %12s %13s %13s %12s %16s\n",
+		"workers", "peak-heap", "upload-store", "graph-engine", "cand-cache", "server-B/user")
 	for _, row := range r.Rows {
-		fmt.Fprintf(w, "  %-8d %12s %13s %12s %13s %12s %16.1f\n",
+		fmt.Fprintf(w, "  %-8d %12s %13s %13s %12s %16.1f\n",
 			row.Workers, size(int64(row.PeakHeapBytes)), size(row.UploadStoreBytes),
-			size(row.EligCacheBytes), size(row.GraphEngineBytes), size(row.CandCacheBytes), row.BytesPerUser)
+			size(row.GraphEngineBytes), size(row.CandCacheBytes), row.BytesPerUser)
 	}
 	fmt.Fprintf(w, "  history and metrics identical across worker counts: %v (recall@20=%.4f ndcg@20=%.4f)\n",
 		r.Deterministic, r.Rows[0].Recall, r.Rows[0].NDCG)

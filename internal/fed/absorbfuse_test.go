@@ -2,19 +2,20 @@ package fed
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"ptffedrec/internal/comm"
-	"ptffedrec/internal/graph"
 	"ptffedrec/internal/models"
 	"ptffedrec/internal/rng"
 )
 
-// TestAbsorbFusedMatchesTwoPass cross-checks the absorb-fused edge selection
-// against the reference two-pass path it replaces on the hot loop: after
-// every absorb the fused (users, offsets, slab) triple must equal
-// collectEdgesFor over the store's dirty set exactly, the subsequent
-// incremental rebuild must consume it, and the resulting CSR must match a
+// TestAbsorbFusedMatchesTwoPass cross-checks the fused edge selection — over
+// the upload slices absorb just ingested — against the reference two-pass
+// path it replaces on the hot loop: after every absorb the fused
+// (users, offsets, slab) triple must equal collectEdgesFor over the store's
+// dirty set exactly, the subsequent incremental rebuild must select from the
+// slices rather than the store, and the resulting CSR must match a
 // from-scratch build. Both edge rules (score threshold and top-fraction) and
 // both the serial and parallel fused paths are exercised.
 func TestAbsorbFusedMatchesTwoPass(t *testing.T) {
@@ -40,27 +41,15 @@ func TestAbsorbFusedMatchesTwoPass(t *testing.T) {
 						uploads = append(uploads, makeUpload(u, 1+s.Intn(14), numItems, s))
 					}
 					sv.absorb(uploads, workers)
-					if !sv.fusedValid {
-						t.Fatalf("round %d: absorb did not fuse the edge selection", r)
-					}
+					users, fusedOff, fusedSlab := sv.fuseEdgeSelection(uploads, workers)
 
 					dirty := sv.store.DirtyUsers(nil)
-					if !intsEqual(dirty, sv.fusedUsers) {
-						t.Fatalf("round %d: fused users %v != dirty set %v", r, sv.fusedUsers, dirty)
+					if !slices.Equal(dirty, users) {
+						t.Fatalf("round %d: fused users %v != dirty set %v", r, users, dirty)
 					}
-					// Snapshot before the reference pass: collectEdgesFor uses
-					// its own scratch, but the comparison must not depend on
-					// that staying true.
-					fusedOff := append([]int(nil), sv.fusedOff...)
-					fusedSlab := append([]graph.Edge(nil), sv.fusedSlab...)
 					off, slab := sv.collectEdgesFor(dirty, workers)
-					if len(fusedOff) != len(off) {
-						t.Fatalf("round %d: fused offsets len %d != two-pass %d", r, len(fusedOff), len(off))
-					}
-					for i := range off {
-						if fusedOff[i] != off[i] {
-							t.Fatalf("round %d: offset[%d] fused %d != two-pass %d", r, i, fusedOff[i], off[i])
-						}
+					if !slices.Equal(fusedOff, off) {
+						t.Fatalf("round %d: fused offsets %v != two-pass %v", r, fusedOff, off)
 					}
 					if len(fusedSlab) != len(slab) {
 						t.Fatalf("round %d: fused slab len %d != two-pass %d", r, len(fusedSlab), len(slab))
@@ -71,9 +60,12 @@ func TestAbsorbFusedMatchesTwoPass(t *testing.T) {
 						}
 					}
 
-					sv.rebuildGraph(workers)
-					if sv.fusedValid {
-						t.Fatalf("round %d: rebuild did not consume the fused selection", r)
+					// The store-reading fallback fills edgeSlab; a rebuild that
+					// selects from the slices leaves it alone.
+					sv.edgeSlab = nil
+					sv.rebuildGraph(uploads, workers)
+					if sv.edgeSlab != nil {
+						t.Fatalf("round %d: rebuild re-read the store instead of the upload slices", r)
 					}
 					checkIncMatchesFull(t, fmt.Sprintf("round %d", r), sv, workers)
 				}

@@ -1,10 +1,12 @@
 package fed
 
-// This file is the round-scoped dispersal engine: the shared eligibility
-// cache that serves each client's eligible item set, the D̃ᵢ assembly
-// helpers, and the multi-user batched path, which groups one worker's clients
-// into score batches and drives the hard-half top-K and the final re-scoring
-// through multi-user GEMM kernels (models.MultiBlockScorer).
+// This file is the round-scoped dispersal engine: the D̃ᵢ assembly helpers
+// and the multi-user batched path, which groups one worker's clients into
+// score batches and drives the hard-half top-K and the final re-scoring
+// through multi-user GEMM kernels (models.MultiBlockScorer). Eligibility
+// (Eq. 9's "vⱼ ∉ V̂ᵗᵢ") is the target's upload bitset everywhere; only the
+// random ablation arms want it as a list, which they build per client into
+// worker scratch with one word walk. Nothing is kept between calls.
 //
 // Determinism contract: D̃ᵢ is the same for every batch grouping, worker
 // count, model kind, and ablation arm, and bitwise-identical to the
@@ -17,7 +19,6 @@ package fed
 
 import (
 	"math/bits"
-	"sync"
 
 	"ptffedrec/internal/bitset"
 	"ptffedrec/internal/candset"
@@ -40,175 +41,6 @@ const disperseBatchClients = 16
 // shrink it to force multi-chunk selections on small catalogues.
 var disperseScoreChunk = 1024
 
-// eligCache is the dispersal engine's shared eligibility cache: int32-packed
-// ascending eligible lists — the complement of each user's stored-upload
-// exclusion bitset — served while the user's upload generation (the server's
-// absorb counter) is unchanged and rebuilt with a word walk (64 memberships
-// per load, no per-item probes) on a miss. Same-user stale rebuilds reuse the
-// entry's backing array, so steady-state rounds allocate nothing here.
-//
-// The cache is a bounded LRU: at most budget entries are resident, so
-// dispersal memory stops scaling with users × items — a huge-user run holds
-// budget × numItems × 4 B no matter how many clients cycle through. An
-// eviction costs its victim nothing but the word-walk rebuild on their next
-// dispersal, and any budget ≥ 1 is correct.
-//
-// Concurrency: dispersal workers share the cache, and the recency list and
-// eviction state are global, so every access runs under one mutex (the
-// rebuild too — it is a word walk over a few KB, far cheaper than a second
-// lock round-trip per miss would be worth). The returned slices are safe to
-// read outside the lock: a hit or same-client rebuild is only reachable from
-// the one worker that owns that client this round, and an eviction leaves
-// the victim's backing array untouched — the replacement entry always gets a
-// fresh list, so a slice another worker still holds this round is never
-// overwritten.
-type eligCache struct {
-	mu     sync.Mutex
-	budget int
-	byUser map[int]int32 // user id -> slot index
-	slots  []eligSlot    // grows up to budget, then recycles via LRU
-	head   int32         // most recently used slot, -1 when empty
-	tail   int32         // least recently used slot, -1 when empty
-}
-
-// eligSlot is one cache entry, threaded on an intrusive recency list.
-type eligSlot struct {
-	user int
-	gen  uint64
-	list []int32
-	prev int32
-	next int32
-}
-
-// defaultEligCacheBudget bounds the dispersal eligibility cache: at most
-// this many per-client eligible lists stay resident, recycled LRU, so
-// dispersal memory is budget × NumItems × 4 B instead of growing with every
-// client ever dispersed to. A miss rebuilds via the word walk — any budget ≥ 1
-// is correct, smaller budgets just rebuild more. 4096 is large enough that
-// every profile up to large-50k's working set of concurrently dispersed
-// clients hits, small enough that a million-user run is bounded at tens of MB
-// of lists.
-const defaultEligCacheBudget = 4096
-
-func newEligCache(budget int) *eligCache {
-	return &eligCache{
-		budget: budget,
-		byUser: make(map[int]int32),
-		head:   -1,
-		tail:   -1,
-	}
-}
-
-// eligible returns the target's current eligible set. The returned slice
-// aliases the cache; callers must not retain it across the user's next
-// absorbed upload (nor across the round — an evicted-then-readmitted user
-// gets a fresh backing array, but a same-user generation bump reuses the old
-// one). The target's exclusion bitset is only read during the call, so
-// callers may reuse its backing for the next target.
-func (e *eligCache) eligible(tgt disperseTarget, numItems int) []int32 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if si, ok := e.byUser[tgt.id]; ok {
-		s := &e.slots[si]
-		if s.gen != tgt.gen {
-			// Stale: the user uploaded since this list was built, so any
-			// alias from before that upload is already dead by contract and
-			// the backing array is free to reuse.
-			s.list = e.buildList(s.list[:0], tgt.excl, numItems)
-			s.gen = tgt.gen
-		}
-		e.moveToFront(si)
-		return s.list
-	}
-	var si int32
-	if len(e.slots) < e.budget {
-		si = int32(len(e.slots))
-		e.slots = append(e.slots, eligSlot{})
-	} else {
-		si = e.tail
-		victim := &e.slots[si]
-		delete(e.byUser, victim.user)
-		e.unlink(si)
-		// The victim's list may still be read by another worker this round;
-		// drop it so the new entry builds into fresh backing instead.
-		victim.list = nil
-	}
-	s := &e.slots[si]
-	s.user, s.gen = tgt.id, tgt.gen
-	s.list = e.buildList(s.list[:0], tgt.excl, numItems)
-	e.byUser[tgt.id] = si
-	e.pushFront(si)
-	return s.list
-}
-
-// buildList writes the eligible set into dst: the full item range for a user
-// with no stored upload, the bitset-complement word walk otherwise.
-func (e *eligCache) buildList(dst []int32, excl *bitset.Set, numItems int) []int32 {
-	if excl == nil {
-		return candset.AppendRange(dst, numItems)
-	}
-	return candset.AppendComplement(dst, excl, numItems)
-}
-
-// unlink removes slot si from the recency list.
-func (e *eligCache) unlink(si int32) {
-	s := &e.slots[si]
-	if s.prev >= 0 {
-		e.slots[s.prev].next = s.next
-	} else {
-		e.head = s.next
-	}
-	if s.next >= 0 {
-		e.slots[s.next].prev = s.prev
-	} else {
-		e.tail = s.prev
-	}
-}
-
-// pushFront makes slot si the most recently used.
-func (e *eligCache) pushFront(si int32) {
-	s := &e.slots[si]
-	s.prev, s.next = -1, e.head
-	if e.head >= 0 {
-		e.slots[e.head].prev = si
-	}
-	e.head = si
-	if e.tail < 0 {
-		e.tail = si
-	}
-}
-
-// moveToFront refreshes slot si's recency.
-func (e *eligCache) moveToFront(si int32) {
-	if e.head == si {
-		return
-	}
-	e.unlink(si)
-	e.pushFront(si)
-}
-
-// entries returns how many lists are resident (tests).
-func (e *eligCache) entries() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return len(e.byUser)
-}
-
-// eligSlotOverheadBytes is one slot's bookkeeping: the eligSlot struct (user
-// + gen + slice header + two int32 links, padded) plus the map entry.
-const eligSlotOverheadBytes = 48 + 32
-
-// memoryBytes reports the cache's resident footprint.
-func (e *eligCache) memoryBytes() int64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	b := int64(len(e.slots)) * eligSlotOverheadBytes
-	for i := range e.slots {
-		b += int64(cap(e.slots[i].list)) * 4
-	}
-	return b
-}
-
 // disperseArms derives Eq. 9's per-arm split for a config: the confidence
 // and hard half sizes and whether each half draws random items. The one
 // definition shared by the round engine's stream gating and the dispersal
@@ -220,6 +52,15 @@ func disperseArms(cfg *Config) (nConf, nHard int, confRandom, hardRandom bool) {
 	confRandom = cfg.Disperse == DisperseNoConf || cfg.Disperse == DisperseAllRandom
 	hardRandom = cfg.Disperse == DisperseNoHard || cfg.Disperse == DisperseAllRandom
 	return nConf, nHard, confRandom, hardRandom
+}
+
+// disperseNeedsStreams reports whether the configured dispersal arm consumes
+// per-client randomness: only the ablation arms that replace the confidence
+// or hard half with uniform draws do — and they are the only ones that want
+// the eligible set as a list.
+func disperseNeedsStreams(cfg *Config) bool {
+	nConf, nHard, confRandom, hardRandom := disperseArms(cfg)
+	return (nConf > 0 && confRandom) || (nHard > 0 && hardRandom)
 }
 
 // pushEligibleWindow streams one chunk's eligible logits into a selector:
@@ -300,6 +141,14 @@ func fillItems(items []int, eligible []int, n int) []int {
 	return items
 }
 
+// drawItems is one random half of D̃ᵢ: up to n items from an oversample×n
+// uniform draw over the client's eligible list, topped up by fillItems.
+func drawItems(items []int, ds *rng.Stream, eligible []int, n, oversample int) []int {
+	k := min(n*oversample, len(eligible))
+	items, unfilled := pickItems(items, rng.SampleSlice(ds, eligible, k), n)
+	return fillItems(items, eligible, unfilled)
+}
+
 // confWalkItems appends up to n items from the round's confidence ranking,
 // skipping the client's excluded items — the order-preserving filter that
 // makes the shared global ranking reproduce a per-client stable sort.
@@ -321,9 +170,8 @@ func confWalkItems(items []int, confRank []int, excluded func(int) bool, n int) 
 type disperseSlot struct {
 	tgt       disperseTarget
 	ds        *rng.Stream
-	elig      []int32 // cache-served eligible set (random arms only)
-	eligCount int     // |eligible| = numItems − |exclusion set|
-	items     []int   // chosen D̃ᵢ items, conf half then hard half
+	eligCount int   // |eligible| = numItems − |exclusion set|
+	items     []int // chosen D̃ᵢ items, conf half then hard half
 	preds     []comm.Prediction
 	skip      bool // eligible set empty: D̃ᵢ is nil
 }
@@ -341,7 +189,7 @@ type disperseBatchScratch struct {
 	rows      []int     // active slot index per score-matrix row
 	sels      []metrics.LogitTopKSelector
 	top       []int
-	widened   []int // one client's eligible set widened for the random arms
+	eligible  []int // one client's ascending eligible set (random arms only)
 	pairUsers []int // flattened (user, item) pairs for the final re-scoring
 	pairItems []int
 }
@@ -365,12 +213,11 @@ func (sc *disperseBatchScratch) scoreMat(rows, cols int) *tensor.Matrix {
 // disperseBatch builds D̃ᵢ for one worker's batch of clients (Eq. 9), with
 // the scoring passes batched across the whole group:
 //
-//  1. eligibility: the random arms fetch each client's materialised eligible
-//     list from the shared eligibility cache; the deterministic arms need
-//     only the eligible count (from the upload bitset) plus the bitset
-//     itself, touching four bytes per excluded — not per eligible — item;
-//  2. the confidence half walks the round's shared ranking per client (or
-//     draws from the client's own stream in the random arms);
+//  1. eligibility is the target's upload bitset: every arm that selects
+//     takes |eligible| from its popcount, and only the random arms turn it
+//     into a list — one word walk per client into the worker's scratch;
+//  2. the confidence half walks the round's shared ranking per client; a
+//     random half draws from the client's own stream, conf before hard;
 //  3. the hard half scores the batch against the item universe in
 //     disperseScoreChunk-wide multi-user logit GEMM calls, streaming each
 //     chunk's eligible logits into per-client bounded-heap logit-domain
@@ -384,72 +231,48 @@ func (sc *disperseBatchScratch) scoreMat(rows, cols int) *tensor.Matrix {
 func (sv *Server) disperseBatch(slots []disperseSlot, plan *dispersalPlan, sc *disperseBatchScratch) {
 	mbs := sv.scorer
 	nConf, nHard, confRandom, hardRandom := disperseArms(sv.cfg)
+	draws := disperseNeedsStreams(sv.cfg)
 
-	// The random arms draw from a materialised eligible list; the
-	// deterministic hard half streams eligibility from the bitset and needs
-	// only the count; the pure-confidence path gets by on the bitset alone.
-	needEligList := (nConf > 0 && confRandom) || (nHard > 0 && hardRandom)
-	needEligCount := nHard > 0 && !hardRandom
-
-	// Phase 1: eligibility + confidence half, per client.
+	// Phase 1: eligibility, the confidence half and a random hard half, per
+	// client. The pure-confidence path gets by on the bitset alone.
 	for si := range slots {
 		s := &slots[si]
 		s.items = s.items[:0]
 		s.preds = nil
 		s.skip = false
-		if needEligList {
-			s.elig = sv.elig.eligible(s.tgt, sv.numItems)
-			s.eligCount = len(s.elig)
-			if s.eligCount == 0 {
-				s.skip = true
-				continue
-			}
-		} else if needEligCount {
+		excl := s.tgt.excl
+		if draws || nHard > 0 {
 			s.eligCount = sv.numItems
-			if s.tgt.excl != nil {
-				s.eligCount -= s.tgt.excl.Count()
+			if excl != nil {
+				s.eligCount -= excl.Count()
 			}
 			if s.eligCount == 0 {
 				s.skip = true
 				continue
 			}
 		}
+		if draws {
+			if sc.eligible == nil {
+				sc.eligible = make([]int, 0, sv.numItems)
+			}
+			sc.eligible = candset.AppendComplement(sc.eligible[:0], excl, sv.numItems)
+		}
 		if nConf > 0 {
 			if confRandom {
-				sc.widened = candset.Widen(sc.widened, s.elig)
-				k := nConf * 2
-				if k > len(sc.widened) {
-					k = len(sc.widened)
-				}
-				var unfilled int
-				s.items, unfilled = pickItems(s.items, rng.SampleSlice(s.ds, sc.widened, k), nConf)
-				s.items = fillItems(s.items, sc.widened, unfilled)
+				s.items = drawItems(s.items, s.ds, sc.eligible, nConf, 2)
 			} else {
-				excl := s.tgt.excl
 				s.items = confWalkItems(s.items, plan.confRank, func(v int) bool {
 					return excl != nil && excl.Contains(v)
 				}, nConf)
 			}
 		}
+		if nHard > 0 && hardRandom {
+			s.items = drawItems(s.items, s.ds, sc.eligible, nHard, 3)
+		}
 	}
 
-	// Phase 2: hard half.
-	if nHard > 0 && hardRandom {
-		for si := range slots {
-			s := &slots[si]
-			if s.skip {
-				continue
-			}
-			sc.widened = candset.Widen(sc.widened, s.elig)
-			k := nHard * 3
-			if k > len(sc.widened) {
-				k = len(sc.widened)
-			}
-			var unfilled int
-			s.items, unfilled = pickItems(s.items, rng.SampleSlice(s.ds, sc.widened, k), nHard)
-			s.items = fillItems(s.items, sc.widened, unfilled)
-		}
-	} else if nHard > 0 {
+	// Phase 2: the deterministic hard half.
+	if nHard > 0 && !hardRandom {
 		// Batched top-K: score the whole batch chunk-by-chunk over the item
 		// universe in logit domain; per client, a windowed word walk over the
 		// upload bitset's complement pushes exactly the eligible

@@ -35,16 +35,27 @@ func benchDisperseTrainer(b *testing.B) *Trainer {
 
 // BenchmarkDisperse measures one dispersal sweep over every client on a
 // warmed server, serially, through the same Server.disperseUsers loop a
-// CloseRound worker runs.
+// CloseRound worker runs — once per Table VII arm, on one trained server
+// (the arm only decides how D̃ᵢ is picked from it). Streams are derived as
+// CloseRound derives them: per client for the arms that draw, none for
+// conf+hard.
 func BenchmarkDisperse(b *testing.B) {
 	tr := benchDisperseTrainer(b)
-	plan := tr.server.buildDispersalPlan()
 	ids := allSlots(tr.split.NumUsers)
-	// conf+hard consumes no randomness, so the round engine passes no stream;
-	// the benchmark mirrors that.
-	noStream := func(int) *rng.Stream { return nil }
-	b.ResetTimer()
-	for n := 0; n < b.N; n++ {
-		tr.server.disperseUsers(ids, plan, noStream, func(int, []comm.Prediction) {})
+	root := rng.New(1).Derive("bench-disperse")
+	for _, arm := range []DisperseMode{DisperseConfHard, DisperseNoHard, DisperseNoConf, DisperseAllRandom} {
+		b.Run(string(arm), func(b *testing.B) {
+			tr.server.cfg.Disperse = arm
+			plan := tr.server.buildDispersalPlan()
+			stream := func(int) *rng.Stream { return nil }
+			if disperseNeedsStreams(tr.server.cfg) {
+				stream = func(id int) *rng.Stream { return root.DeriveN("client", id) }
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for n := 0; n < b.N; n++ {
+				tr.server.disperseUsers(ids, plan, stream, func(int, []comm.Prediction) {})
+			}
+		})
 	}
 }

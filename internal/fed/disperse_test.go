@@ -11,8 +11,7 @@ import (
 
 // disperseForEligible crafts a dispersal target whose exclusion set rules
 // out all but wantEligible items and returns the live engine's dispersal for
-// it. The generation is made unique per (wantEligible, seed) so the
-// eligibility cache never serves a list built for a different exclusion set.
+// it.
 func disperseForEligible(t *testing.T, tr *Trainer, wantEligible int, seed uint64) ([]comm.Prediction, []int) {
 	t.Helper()
 	sp := tr.split
@@ -26,7 +25,7 @@ func disperseForEligible(t *testing.T, tr *Trainer, wantEligible int, seed uint6
 	}
 	sc := newDisperseBatchScratch()
 	slots := sc.slots[:1]
-	slots[0].tgt = disperseTarget{id: 0, excl: excl, gen: uint64(wantEligible)<<32 | seed}
+	slots[0].tgt = disperseTarget{id: 0, excl: excl}
 	slots[0].ds = rng.New(seed).Derive("disperse-test")
 	tr.Server().disperseBatch(slots, tr.Server().buildDispersalPlan(), sc)
 	return slots[0].preds, eligible

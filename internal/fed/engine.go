@@ -136,18 +136,16 @@ func (e *RoundEngine) CloseRound(round int, outcomes []ClientOutcome, overlap fu
 	// Server-side: absorb uploads, rebuild the graph, optimise Eq. 5. The
 	// absorb counters and the training-set construction shard over the round
 	// pool; inside every server TrainBatch the gradient workspace engine
-	// shards over the same pool size with a chunk-ordered merge. Absorb may fuse the
-	// incremental edge selection into its pass over the uploads; that slice of
-	// wall-clock belongs to GraphBuild, so it is re-attributed there.
+	// shards over the same pool size with a chunk-ordered merge. The graph
+	// rebuild takes the uploads too: its incremental path selects edges from
+	// these slices instead of re-reading the views absorb just stored.
 	phaseStart := time.Now()
 	e.server.absorb(uploads, workers)
-	absorbWall := time.Since(phaseStart).Seconds()
-	fusedSecs := e.server.takeFusedSecs()
-	e.phases.Absorb += absorbWall - fusedSecs
+	e.phases.Absorb += time.Since(phaseStart).Seconds()
 
 	phaseStart = time.Now()
-	e.server.rebuildGraph(workers)
-	e.phases.GraphBuild += time.Since(phaseStart).Seconds() + fusedSecs
+	e.server.rebuildGraph(uploads, workers)
+	e.phases.GraphBuild += time.Since(phaseStart).Seconds()
 
 	phaseStart = time.Now()
 	stats.ServerLoss = e.server.train(uploads, workers)
@@ -211,12 +209,4 @@ func (e *RoundEngine) CloseRound(round int, outcomes []ClientOutcome, overlap fu
 	}
 	e.meter.EndRound()
 	return stats, dispersals
-}
-
-// disperseNeedsStreams reports whether the configured dispersal arm consumes
-// per-client randomness: only the ablation arms that replace the confidence
-// or hard half with uniform draws do.
-func disperseNeedsStreams(cfg *Config) bool {
-	nConf, nHard, confRandom, hardRandom := disperseArms(cfg)
-	return (nConf > 0 && confRandom) || (nHard > 0 && hardRandom)
 }

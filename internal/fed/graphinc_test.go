@@ -92,7 +92,7 @@ func TestIncrementalAdjacencyMatchesFull(t *testing.T) {
 						uploads = append(uploads, makeUpload(u, 1+s.Intn(14), numItems, s))
 					}
 					sv.absorb(uploads, workers)
-					sv.rebuildGraph(workers)
+					sv.rebuildGraph(uploads, workers)
 					checkIncMatchesFull(t, fmt.Sprintf("round %d", r), sv, workers)
 				}
 			})
@@ -149,22 +149,23 @@ func TestGraphRebuildFallbackOnZeroWeight(t *testing.T) {
 		c.ServerModel = models.KindLightGCN
 		c.GraphThreshold = 0
 	})
+	round := func(uploads ...[]comm.Prediction) {
+		sv.absorb(uploads, 1)
+		sv.rebuildGraph(uploads, 1)
+	}
 	// Round 1: positive weights, incremental path engages.
 	s := rng.New(5).Derive("fallback")
-	sv.absorb([][]comm.Prediction{makeUpload(3, 6, 20, s)}, 1)
-	sv.rebuildGraph(1)
+	round(makeUpload(3, 6, 20, s))
 	if sv.inc == nil || sv.incBroken {
 		t.Fatal("incremental path did not engage on positive weights")
 	}
 	// Round 2: a zero-score upload selected by the zero threshold.
-	sv.absorb([][]comm.Prediction{{{User: 7, Item: 2, Score: 0}}}, 1)
-	sv.rebuildGraph(1)
+	round([]comm.Prediction{{User: 7, Item: 2, Score: 0}})
 	if !sv.incBroken {
 		t.Fatal("zero-weight edge did not trip the fallback")
 	}
 	// Later rounds stay on the full path and keep absorbing fine.
-	sv.absorb([][]comm.Prediction{makeUpload(9, 4, 20, s)}, 1)
-	sv.rebuildGraph(1)
+	round(makeUpload(9, 4, 20, s))
 	if gm, ok := sv.model.(models.GraphRecommender); !ok || gm == nil {
 		t.Fatal("server model lost its graph capability")
 	}
@@ -224,7 +225,7 @@ func FuzzGraphRebuild(f *testing.F) {
 				uploads = append(uploads, makeUpload(u, 1+s.Intn(10), numItems, s))
 			}
 			sv.absorb(uploads, workers)
-			sv.rebuildGraph(workers)
+			sv.rebuildGraph(uploads, workers)
 			checkIncMatchesFull(t, fmt.Sprintf("round %d", r), sv, workers)
 		}
 	})
@@ -247,7 +248,7 @@ func rebuildBenchServer(b *testing.B, full bool) (*Server, [][][]comm.Prediction
 		seedUploads = append(seedUploads, makeUpload(u, 4+s.Intn(12), numItems, s))
 	}
 	sv.absorb(seedUploads, 1)
-	sv.rebuildGraph(1)
+	sv.rebuildGraph(seedUploads, 1)
 	batches := make([][][]comm.Prediction, 8)
 	for i := range batches {
 		batch := make([][]comm.Prediction, 0, 6)
@@ -274,7 +275,7 @@ func BenchmarkRebuildGraph(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				sv.absorb(batches[i%len(batches)], 1)
-				sv.rebuildGraph(1)
+				sv.rebuildGraph(batches[i%len(batches)], 1)
 			}
 		})
 	}

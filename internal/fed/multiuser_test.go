@@ -2,7 +2,6 @@ package fed
 
 import (
 	"fmt"
-	"reflect"
 	"slices"
 	"testing"
 
@@ -12,9 +11,9 @@ import (
 	"ptffedrec/internal/rng"
 )
 
-// naiveEligible is the reference definition the eligibility cache must
-// reproduce: walk the item universe probing the exclusion bitset — exactly
-// the scalar dispersal oracle's construction.
+// naiveEligible is the reference definition the random arms' eligible list
+// must reproduce: walk the item universe probing the exclusion bitset —
+// exactly the scalar dispersal oracle's construction.
 func naiveEligible(dst []int, numItems int, lastUpload *bitset.Set) []int {
 	dst = dst[:0]
 	for v := 0; v < numItems; v++ {
@@ -117,13 +116,37 @@ func TestDisperseMatchesScalarOracle(t *testing.T) {
 	}
 }
 
-// TestEligCacheMatchesNaiveWalk pins the eligibility cache's contract on
-// live protocol state: after real rounds, every client's cache-served
-// eligible set equals the scalar oracle's item-universe walk, cache hits serve
-// the identical list without rebuilding, and a new upload invalidates.
+// liveEligible runs one target through the live engine on a random-arm
+// server and returns the eligible list the engine built for it in the
+// worker's scratch, nil when it skipped the target as having nothing
+// eligible. It also holds the dispersal itself to the exclusion set, so a
+// stale entry in the list would surface as an ineligible item in D̃ᵢ.
+func liveEligible(t *testing.T, sv *Server, sc *disperseBatchScratch, tgt disperseTarget, ds *rng.Stream) []int {
+	t.Helper()
+	if !disperseNeedsStreams(sv.cfg) {
+		t.Fatalf("arm %s builds no eligible list", sv.cfg.Disperse)
+	}
+	slots := sc.slots[:1]
+	slots[0].tgt, slots[0].ds = tgt, ds
+	sv.disperseBatch(slots, sv.buildDispersalPlan(), sc)
+	if slots[0].skip {
+		return nil
+	}
+	for _, p := range slots[0].preds {
+		if tgt.excl != nil && tgt.excl.Contains(p.Item) {
+			t.Fatalf("user %d: dispersed excluded item %d", tgt.id, p.Item)
+		}
+	}
+	return sc.eligible
+}
+
+// TestEligCacheMatchesNaiveWalk pins the eligible list's contract on live
+// protocol state: after real rounds, the list the engine builds for every
+// client equals the scalar oracle's item-universe walk, and when a new upload
+// changes the stored view the list follows it.
 func TestEligCacheMatchesNaiveWalk(t *testing.T) {
 	sp := tinySplit(t)
-	cfg := multiuserConfig(models.KindNeuMF, DisperseConfHard)
+	cfg := multiuserConfig(models.KindNeuMF, DisperseAllRandom)
 	tr, err := NewTrainer(sp, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -131,6 +154,8 @@ func TestEligCacheMatchesNaiveWalk(t *testing.T) {
 	tr.RunRound(0)
 
 	sv := tr.Server()
+	sc := newDisperseBatchScratch()
+	ds := rng.New(3).Derive("elig-walk")
 	var walk []int
 	var bit *bitset.Set
 	for _, c := range tr.Clients() {
@@ -140,44 +165,66 @@ func TestEligCacheMatchesNaiveWalk(t *testing.T) {
 		// comparison doubles as a store-vs-client consistency check.
 		var tgt disperseTarget
 		tgt, bit = sv.disperseTargetInto(c.ID, bit)
-		got := sv.elig.eligible(tgt, sp.NumItems)
+		got := liveEligible(t, sv, sc, tgt, ds)
 		walk = naiveEligible(walk, sp.NumItems, c.lastUpload)
-		if len(got) != len(walk) {
-			t.Fatalf("client %d: cache served %d eligible, walk found %d", c.ID, len(got), len(walk))
-		}
-		for i, v := range got {
-			if int(v) != walk[i] {
-				t.Fatalf("client %d: eligible[%d] = %d, walk says %d", c.ID, i, v, walk[i])
-			}
-		}
-		// Cache hit: same generation must serve the same backing array.
-		again := sv.elig.eligible(tgt, sp.NumItems)
-		if len(again) > 0 && &again[0] != &got[0] {
-			t.Fatalf("client %d: cache rebuilt on unchanged generation", c.ID)
+		if !slices.Equal(got, walk) {
+			t.Fatalf("client %d: engine built %v, walk says %v", c.ID, got, walk)
 		}
 	}
 
-	// Another round re-uploads: generations move, entries rebuild, and the
-	// walk equivalence still holds.
-	gen0 := sv.upGen[0]
+	// Another round re-uploads: the stored view changes and the list follows.
+	view0 := slices.Clone(sv.store.View(0))
 	tr.RunRound(1)
 	c := tr.Clients()[0]
-	if sv.upGen[0] == gen0 {
-		t.Fatal("upload generation did not advance with a new upload")
+	if slices.Equal(sv.store.View(0), view0) {
+		t.Fatal("round 1 left client 0's stored view unchanged; nothing to follow")
 	}
 	tgt, _ := sv.disperseTargetInto(0, nil)
-	got := sv.elig.eligible(tgt, sp.NumItems)
+	got := liveEligible(t, sv, sc, tgt, ds)
 	walk = naiveEligible(walk, sp.NumItems, c.lastUpload)
-	if !reflect.DeepEqual(candsetWiden(got), walk) {
-		t.Fatalf("client %d after round 1: cache %v != walk %v", c.ID, got, walk)
+	if !slices.Equal(got, walk) {
+		t.Fatalf("client %d after round 1: engine built %v, walk says %v", c.ID, got, walk)
 	}
 }
 
-// candsetWiden converts an int32 list to []int for DeepEqual comparisons.
-func candsetWiden(xs []int32) []int {
-	out := make([]int, len(xs))
-	for i, v := range xs {
-		out[i] = int(v)
-	}
-	return out
+// FuzzEligCache drives one worker's reused scratch list through interleaved
+// targets whose exclusion sets grow, shrink to nil and straddle the 64-bit
+// word boundary. Every build must equal the naive walk over that target's
+// set alone: nothing of the previous target's list — longer or shorter — may
+// survive into it.
+func FuzzEligCache(f *testing.F) {
+	f.Add([]byte{0, 1, 2, 3, 0x81, 0, 4, 5, 0x82, 2, 6, 7, 0})
+	f.Add([]byte{0x80, 0x80, 0x80, 1, 1, 1})
+	f.Add([]byte{7, 6, 5, 4, 3, 2, 1, 0, 0x87, 7})
+	const numItems, nClients = 70, 8
+	sv := storeTestServer(f, nClients, numItems, func(c *Config) { c.Disperse = DisperseAllRandom })
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		sc := newDisperseBatchScratch()
+		ds := rng.New(uint64(len(ops))).Derive("fuzz-elig")
+		excls := make([]*bitset.Set, nClients)
+		for i := range excls {
+			excls[i] = bitset.New(numItems)
+			excls[i].Add(i)
+			excls[i].Add(64 + i%6)
+		}
+		for step, op := range ops {
+			id := int(op&0x7f) % nClients
+			if op&0x80 != 0 {
+				// A new upload lands: usually one more excluded item, now and
+				// then a user the server holds nothing for any more.
+				if (step+int(op))%5 == 0 {
+					excls[id] = nil
+				} else {
+					if excls[id] == nil {
+						excls[id] = bitset.New(numItems)
+					}
+					excls[id].Add((step*13 + int(op)) % numItems)
+				}
+			}
+			got := liveEligible(t, sv, sc, disperseTarget{id: id, excl: excls[id]}, ds)
+			if want := naiveEligible(nil, numItems, excls[id]); !slices.Equal(got, want) {
+				t.Fatalf("step %d user %d: engine built %v, walk says %v", step, id, got, want)
+			}
+		}
+	})
 }

@@ -85,7 +85,7 @@ func (sr *serverReplay) absorb(outcomes []ClientOutcome) {
 
 // requireServerMatchesReplay checks properties (c) and the store half of
 // (d): the confidence counters equal a recount of every absorbed upload, and
-// per user the stored view and upload generation equal the replay's.
+// per user the stored view equals the replay's.
 func requireServerMatchesReplay(t *testing.T, label string, tr *Trainer, sr *serverReplay) {
 	t.Helper()
 	sv := tr.server
@@ -100,9 +100,6 @@ func requireServerMatchesReplay(t *testing.T, label string, tr *Trainer, sr *ser
 	for u := 0; u < tr.split.NumUsers; u++ {
 		if got, want := sv.store.View(u), sr.uploads[u]; !slices.Equal(got, want) {
 			t.Fatalf("%s: stored upload of user %d differs from the last one received:\n  %v\n  %v", label, u, got, want)
-		}
-		if got, want := int(sv.upGen[u]), sr.absorbed[u]; got != want {
-			t.Fatalf("%s: upload generation of user %d = %d, server absorbed %d uploads from them", label, u, got, want)
 		}
 	}
 }
@@ -203,9 +200,8 @@ func requireDispersalProperties(t *testing.T, label string, tr *Trainer, stored 
 }
 
 // propertyConfig draws one randomized protocol configuration around the
-// pinned (server kind, dispersal arm, µ) cell, and the eligibility-cache
-// budget propertyTrainer gives its server (0 = keep the default).
-func propertyConfig(s *rng.Stream, server models.Kind, arm DisperseMode, mu float64) (Config, int) {
+// pinned (server kind, dispersal arm, µ) cell.
+func propertyConfig(s *rng.Stream, server models.Kind, arm DisperseMode, mu float64) Config {
 	cfg := fastConfig(server)
 	cfg.ClientModel = models.KindMF
 	cfg.ClientEpochs = 1
@@ -218,7 +214,6 @@ func propertyConfig(s *rng.Stream, server models.Kind, arm DisperseMode, mu floa
 	cfg.ClientFraction = []float64{0.3, 0.6, 1}[s.Intn(3)]
 	cfg.NegRatio = []int{4, 4, 30}[s.Intn(3)] // at 30 an undefended upload leaves only held-out items eligible
 	cfg.Workers = []int{1, 2, 8}[s.Intn(3)]
-	eligBudget := []int{0, 1, 3}[s.Intn(3)]
 	cfg.Privacy.Defense = []privacy.Defense{
 		privacy.DefenseNone, privacy.DefenseLDP, privacy.DefenseSampling, privacy.DefenseSamplingSwap,
 	}[s.Intn(4)]
@@ -228,33 +223,26 @@ func propertyConfig(s *rng.Stream, server models.Kind, arm DisperseMode, mu floa
 		{TruncateRate: 0.6},
 		{DropoutRate: 0.25, TruncateRate: 0.5},
 	}[s.Intn(4)]
-	return cfg, eligBudget
+	return cfg
 }
 
-// propertyTrainer builds a trainer whose server runs on a tiny eligibility
-// cache, so the sweep covers evictions and rebuilds the default budget never
-// reaches on the tiny split.
-func propertyTrainer(t *testing.T, sp *data.Split, cfg Config, eligBudget int) *Trainer {
+func propertyTrainer(t *testing.T, sp *data.Split, cfg Config) *Trainer {
 	t.Helper()
 	tr, err := NewTrainer(sp, cfg)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if eligBudget > 0 {
-		tr.server.elig = newEligCache(eligBudget)
 	}
 	return tr
 }
 
 // TestProtocolProperties runs the randomized sweep: four server kinds × four
 // dispersal arms × µ ∈ {0, 0.5, 0.9, 1}, with the codec, α, participation,
-// defense, worker count, eligibility-cache budget and fault plan drawn per
-// cell. Every round it checks, on the live path, that a twin trainer's
+// defense, worker count and fault plan drawn per cell. Every round it checks, on the live path, that a twin trainer's
 // RunRound reports the same RoundStats (so what is observed is the product's
 // round), |D̃ᵢ| = min(α, |eligible|) with distinct items and the µ split (a),
 // the Eq. 9 exclusion against the stored — possibly truncated — upload (b),
-// and the confidence counters, stored views and upload generations against a
-// naive replay of the absorbed uploads (c).
+// and the confidence counters and stored views against a naive replay of the
+// absorbed uploads (c).
 func TestProtocolProperties(t *testing.T) {
 	sp := tinySplit(t)
 	s := rng.New(20240913).Derive("protocol-properties")
@@ -264,15 +252,15 @@ func TestProtocolProperties(t *testing.T) {
 	for _, server := range []models.Kind{models.KindMF, models.KindNeuMF, models.KindNGCF, models.KindLightGCN} {
 		for _, arm := range []DisperseMode{DisperseConfHard, DisperseNoHard, DisperseNoConf, DisperseAllRandom} {
 			for _, mu := range []float64{0, 0.5, 0.9, 1} {
-				cfg, eligBudget := propertyConfig(s, server, arm, mu)
+				cfg := propertyConfig(s, server, arm, mu)
 				cell++
 				if testing.Short() && cell%4 != 0 {
 					continue
 				}
 				name := fmt.Sprintf("%s/%s/mu=%v/alpha=%d/q=%v/frac=%v/%s/faults=%+v",
 					server, arm, mu, cfg.Alpha, cfg.QuantizeScores, cfg.ClientFraction, cfg.Privacy.Defense, cfg.Faults)
-				tr := propertyTrainer(t, sp, cfg, eligBudget)
-				twin := propertyTrainer(t, sp, cfg, eligBudget)
+				tr := propertyTrainer(t, sp, cfg)
+				twin := propertyTrainer(t, sp, cfg)
 				replay := newServerReplay(sp.NumItems)
 				for round := 0; round < cfg.Rounds; round++ {
 					label := fmt.Sprintf("%s round %d", name, round)
@@ -337,23 +325,22 @@ func userGraphRow(sv *Server, u int) []int {
 
 // TestDroppedClientChangesNoServerState is property (d): whether a client
 // drops before training (FaultPlan) or its finished upload is lost in
-// transit, the server's state for that user — stored view, upload
-// generation, graph row — is what it was, the confidence counters count only
+// transit, the server's state for that user — stored view, graph row — is
+// what it was, the confidence counters count only
 // what arrived, and the user gets no dispersal.
 func TestDroppedClientChangesNoServerState(t *testing.T) {
 	sp := tinySplit(t)
 	s := rng.New(7).Derive("dropped-client")
 	for _, server := range []models.Kind{models.KindMF, models.KindNeuMF, models.KindNGCF, models.KindLightGCN} {
-		cfg, eligBudget := propertyConfig(s, server, DisperseConfHard, 0.5)
+		cfg := propertyConfig(s, server, DisperseConfHard, 0.5)
 		cfg.Rounds = 4
 		cfg.ClientFraction = 1
 		cfg.Faults = FaultPlan{DropoutRate: 0.3, TruncateRate: 0.3}
-		tr := propertyTrainer(t, sp, cfg, eligBudget)
+		tr := propertyTrainer(t, sp, cfg)
 		replay := newServerReplay(sp.NumItems)
 		lost := s.Derive(string(server))
 		type userState struct {
 			view []comm.Prediction
-			gen  uint32
 			row  []int
 		}
 		for round := 0; round < cfg.Rounds; round++ {
@@ -366,7 +353,6 @@ func TestDroppedClientChangesNoServerState(t *testing.T) {
 						if o.Dropped {
 							before[o.ID] = userState{
 								view: slices.Clone(tr.server.store.View(o.ID)),
-								gen:  tr.server.upGen[o.ID],
 								row:  userGraphRow(tr.server, o.ID),
 							}
 						}
@@ -378,9 +364,6 @@ func TestDroppedClientChangesNoServerState(t *testing.T) {
 			for u, was := range before {
 				if got := tr.server.store.View(u); !slices.Equal(got, was.view) {
 					t.Fatalf("%s: dropped user %d's stored upload changed", label, u)
-				}
-				if got := tr.server.upGen[u]; got != was.gen {
-					t.Fatalf("%s: dropped user %d's upload generation moved %d -> %d", label, u, was.gen, got)
 				}
 				if got := userGraphRow(tr.server, u); !slices.Equal(got, was.row) {
 					t.Fatalf("%s: dropped user %d's graph row changed: %v -> %v", label, u, was.row, got)

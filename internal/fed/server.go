@@ -5,7 +5,6 @@ import (
 	"io"
 	"slices"
 	"sort"
-	"time"
 
 	"ptffedrec/internal/bitset"
 	"ptffedrec/internal/comm"
@@ -37,11 +36,6 @@ type Server struct {
 	// graph every round.
 	store *flatUploadStore
 
-	// elig is the dispersal engine's shared eligibility cache: a bounded LRU
-	// of int32-packed eligible lists keyed by (client, upload generation),
-	// rebuilt with a word walk over the stored upload's bitset on a miss.
-	elig *eligCache
-
 	// ident is the identity item list 0..numItems-1 — the shared candidate
 	// block the batched dispersal engine slices score chunks from.
 	ident []int
@@ -70,35 +64,21 @@ type Server struct {
 	incDirty  []int
 	incBroken bool
 
-	// upGen counts absorbed (non-empty) uploads per user — the server-side
-	// upload generation the dispersal eligibility cache keys invalidation on.
-	// uint32 keeps the per-user cost at 4 B for million-user stores; empty
-	// uploads don't bump it because the store's SetBatch ignores them, so the
-	// generation and the stored view always move together.
-	upGen []uint32
-
 	// train's flattened sample set and its per-upload offsets, reused across
 	// rounds (every entry is overwritten before it is read).
 	trainSamples []models.Sample
 	trainOff     []int
 
-	// Fused edge-selection state: when the incremental graph engine will run,
-	// absorb selects the round's edges directly from the upload slices it is
-	// already holding — instead of writing the store and immediately re-reading
-	// every dirty user's view in rebuildGraph. fusedUsers/fusedOff/fusedSlab
-	// mirror collectEdgesFor's (users, off, slab) shape; fusedValid marks one
-	// unconsumed selection, and rebuildGraphIncremental uses it only when the
-	// store's dirty set matches exactly (the two-pass path stays as the
-	// fallback and the tests' cross-check). fusedSecs accrues the selection
-	// time spent inside absorb so the round engine can attribute it to the
-	// graph-build phase.
+	// Fused edge-selection scratch: the incremental graph path selects the
+	// round's edges directly from the upload slices CloseRound still holds —
+	// instead of re-reading every dirty user's view from the store absorb just
+	// wrote. fusedUsers/fusedOff/fusedSlab mirror collectEdgesFor's
+	// (users, off, slab) shape.
 	fusedUsers []int
 	fusedOff   []int
 	fusedSlab  []graph.Edge
 	fusedIdx   []int32
 	fusedSort  uploadOrderSorter
-	fusedValid bool
-	fusedSecs  float64
 }
 
 // serverModelConfig is the hidden model's configuration. Its SGD shards every
@@ -139,9 +119,7 @@ func newServer(numUsers, numItems int, cfg *Config, parent *rng.Stream) (*Server
 		numItems: numItems,
 		itemFreq: make([]int, numItems),
 		store:    newFlatUploadStore(numUsers),
-		elig:     newEligCache(defaultEligCacheBudget),
 		ident:    ident,
-		upGen:    make([]uint32, numUsers),
 	}, nil
 }
 
@@ -170,9 +148,11 @@ func (sv *Server) ItemFrequency(v int) int { return sv.itemFreq[v] }
 // the scalability experiment's memory-accounting hook.
 func (sv *Server) UploadStoreBytes() int64 { return sv.store.MemoryBytes() }
 
-// EligCacheBytes reports the resident bytes of the dispersal eligibility
-// cache.
-func (sv *Server) EligCacheBytes() int64 { return sv.elig.memoryBytes() }
+// EligCacheBytes reports the eligibility state the server retains between
+// dispersal calls: none — eligibility is the upload bitset, rebuilt per
+// target into worker scratch. Its one reader is the frozen benchmark's
+// fed.elig_cache_mb probe (bench/traced.go); the two leave together.
+func (sv *Server) EligCacheBytes() int64 { return 0 }
 
 // GraphEngineBytes reports the resident bytes of the incremental graph
 // engine's maintained rows, postings, and scratch (0 when the server model
@@ -242,29 +222,17 @@ func (sv *Server) absorb(uploads [][]comm.Prediction, workers int) {
 		}
 	}
 	sv.store.SetBatch(uploads, workers)
-	for _, up := range uploads {
-		if len(up) == 0 {
-			continue
-		}
-		if u := up[0].User; u >= 0 && u < len(sv.upGen) {
-			sv.upGen[u]++
-		}
-	}
-	sv.fusedValid = false
-	if _, ok := sv.model.(models.GraphDeltaRecommender); ok && !sv.incBroken {
-		start := time.Now()
-		sv.fuseEdgeSelection(uploads, workers)
-		sv.fusedSecs += time.Since(start).Seconds()
-	}
 }
 
 // fuseEdgeSelection runs the incremental graph path's edge selection on the
-// round's upload slices while absorb still holds them, saving rebuildGraph a
-// full re-read of every dirty user's stored view. The selection is the same
-// two-pass count/fill over the same soft-positive rules (countEdgesIn /
-// fillEdgesIn are shared with the store-reading path), over the non-empty
-// uploads in ascending user order — exactly the store's dirty order.
-func (sv *Server) fuseEdgeSelection(uploads [][]comm.Prediction, workers int) {
+// round's upload slices, saving rebuildGraph a full re-read of every dirty
+// user's stored view. The selection is the same two-pass count/fill over the
+// same soft-positive rules (countEdgesIn / fillEdgesIn are shared with the
+// store-reading path), over the non-empty uploads in ascending user order —
+// exactly the store's dirty order when absorb ingested these uploads and
+// nothing else since the last rebuild. Steady-state calls at workers<=1
+// allocate nothing.
+func (sv *Server) fuseEdgeSelection(uploads [][]comm.Prediction, workers int) ([]int, []int, []graph.Edge) {
 	idx := sv.fusedIdx[:0]
 	for i, up := range uploads {
 		if len(up) > 0 {
@@ -330,7 +298,7 @@ func (sv *Server) fuseEdgeSelection(uploads [][]comm.Prediction, workers int) {
 			}
 		})
 	}
-	sv.fusedValid = true
+	return users, off, slab
 }
 
 // uploadOrderSorter orders upload indices by user id ascending — the
@@ -346,14 +314,6 @@ func (s *uploadOrderSorter) Less(a, b int) bool {
 	return s.uploads[s.idx[a]][0].User < s.uploads[s.idx[b]][0].User
 }
 func (s *uploadOrderSorter) Swap(a, b int) { s.idx[a], s.idx[b] = s.idx[b], s.idx[a] }
-
-// takeFusedSecs drains the time absorb spent on fused edge selection, so the
-// round engine can move it from the absorb phase to the graph-build phase.
-func (sv *Server) takeFusedSecs() float64 {
-	s := sv.fusedSecs
-	sv.fusedSecs = 0
-	return s
-}
 
 // rebuildGraph reconstructs the server's bipartite graph from every user's
 // latest upload. Soft-positive edges come either from an absolute score
@@ -372,18 +332,20 @@ func (sv *Server) takeFusedSecs() float64 {
 //
 // When the server model implements GraphDeltaRecommender the rebuild is
 // incremental: only users whose stored upload changed since the last rebuild
-// (the store's dirty set) re-run edge selection, and the maintained adjacency
-// engine patches exactly the affected rows, degrees, and normalization values
-// — bitwise-identical to the full rebuild by the engine's construction. The
-// full path below runs for graph models without the delta contract and, once
-// a non-positive edge weight has tripped incBroken, for the rest of the run.
-func (sv *Server) rebuildGraph(workers int) {
+// (the store's dirty set) re-run edge selection — over uploads, the slices
+// absorb just ingested, when they are exactly that set — and the maintained
+// adjacency engine patches exactly the affected rows, degrees, and
+// normalization values — bitwise-identical to the full rebuild by the engine's
+// construction. The full path below runs for graph models without the delta
+// contract and, once a non-positive edge weight has tripped incBroken, for the
+// rest of the run.
+func (sv *Server) rebuildGraph(uploads [][]comm.Prediction, workers int) {
 	gm, ok := sv.model.(models.GraphRecommender)
 	if !ok {
 		return
 	}
 	if dm, ok := sv.model.(models.GraphDeltaRecommender); ok && !sv.incBroken {
-		if sv.rebuildGraphIncremental(dm, workers) {
+		if sv.rebuildGraphIncremental(dm, uploads, workers) {
 			return
 		}
 		sv.incBroken = true
@@ -404,19 +366,15 @@ func (sv *Server) rebuildGraph(workers int) {
 // commits the delta to the maintained adjacency engine. It returns false —
 // without touching the engine — if any selected weight is non-positive; the
 // caller then falls back to the full rebuild permanently.
-func (sv *Server) rebuildGraphIncremental(dm models.GraphDeltaRecommender, workers int) bool {
+func (sv *Server) rebuildGraphIncremental(dm models.GraphDeltaRecommender, uploads [][]comm.Prediction, workers int) bool {
 	dirty := sv.store.DirtyUsers(sv.incDirty[:0])
 	sv.incDirty = dirty
-	var off []int
-	var slab []graph.Edge
-	if sv.fusedValid && intsEqual(dirty, sv.fusedUsers) {
-		// absorb already selected this round's edges from the upload slices;
-		// consume them instead of re-reading every dirty view from the store.
-		off, slab = sv.fusedOff, sv.fusedSlab
-	} else {
+	// Select from the upload slices; the store-reading two-pass path is the
+	// fallback for a dirty set they do not describe (and the tests' reference).
+	users, off, slab := sv.fuseEdgeSelection(uploads, workers)
+	if !slices.Equal(dirty, users) {
 		off, slab = sv.collectEdgesFor(dirty, workers)
 	}
-	sv.fusedValid = false
 	for i := range slab {
 		if !(slab[i].Weight > 0) {
 			return false
@@ -497,19 +455,6 @@ func (sv *Server) collectEdgesFor(users []int, workers int) (off []int, slab []g
 		})
 	}
 	return off, slab
-}
-
-// intsEqual reports whether two int slices are element-for-element equal.
-func intsEqual(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // countEdges returns how many edges the configured soft-positive rule
@@ -669,16 +614,14 @@ func (sv *Server) buildDispersalPlan() *dispersalPlan {
 }
 
 // disperseTarget identifies one dispersal recipient from the server's own
-// state: the user id, the exclusion set Eq. 9's "vⱼ ∉ V̂ᵗᵢ" constraint walks
-// (nil when the server holds no upload for the user), and the upload
-// generation the eligibility cache keys on. It deliberately carries no
-// *Client — the networked coordinator disperses to users it only knows
-// through the wire, so everything here must derive from what the server
+// state: the user id and the exclusion set Eq. 9's "vⱼ ∉ V̂ᵗᵢ" constraint
+// walks (nil when the server holds no upload for the user). It deliberately
+// carries no *Client — the networked coordinator disperses to users it only
+// knows through the wire, so everything here must derive from what the server
 // received.
 type disperseTarget struct {
 	id   int
 	excl *bitset.Set
-	gen  uint64
 }
 
 // disperseTargetInto builds user id's dispersal target from the upload store,
@@ -688,7 +631,7 @@ type disperseTarget struct {
 // item set — which is the only exclusion a transport-separated server can
 // honour.
 func (sv *Server) disperseTargetInto(id int, bit *bitset.Set) (disperseTarget, *bitset.Set) {
-	tgt := disperseTarget{id: id, gen: uint64(sv.upGen[id])}
+	tgt := disperseTarget{id: id}
 	up := sv.store.View(id)
 	if len(up) == 0 {
 		return tgt, bit

@@ -262,7 +262,8 @@ func TestAbsorbSteadyStateAllocs(t *testing.T) {
 
 // TestCollectEdgesSteadyStateAllocs pins the serial graph edge collection at
 // zero steady-state allocations for both soft-positive rules (threshold scan
-// and top-fraction stable sort).
+// and top-fraction stable sort), reading the store (collectEdges) and reading
+// the round's upload slices (fuseEdgeSelection, the pass rebuildGraph runs).
 func TestCollectEdgesSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation perturbs allocation counts")
@@ -272,9 +273,13 @@ func TestCollectEdgesSteadyStateAllocs(t *testing.T) {
 		topFrac float64
 	}{{"threshold", 0}, {"topfrac", 0.5}} {
 		t.Run(tc.name, func(t *testing.T) {
-			sv, _ := storeAllocFixture(t, tc.topFrac)
+			sv, uploads := storeAllocFixture(t, tc.topFrac)
 			if allocs := testing.AllocsPerRun(50, func() { sv.collectEdges(1) }); allocs != 0 {
 				t.Fatalf("steady-state collectEdges allocates %.1f times per call, want 0", allocs)
+			}
+			sv.fuseEdgeSelection(uploads, 1)
+			if allocs := testing.AllocsPerRun(50, func() { sv.fuseEdgeSelection(uploads, 1) }); allocs != 0 {
+				t.Fatalf("steady-state fuseEdgeSelection allocates %.1f times per call, want 0", allocs)
 			}
 		})
 	}
