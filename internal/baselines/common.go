@@ -175,7 +175,7 @@ type federation struct {
 	meter *comm.Meter
 	root  *rng.Stream
 
-	// evaluator caches the per-user candidate sets across Evaluate calls.
+	// evaluator holds the split's evaluated-user list across Evaluate calls.
 	evaluator *eval.Evaluator
 }
 

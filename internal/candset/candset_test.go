@@ -99,46 +99,4 @@ func TestAppendRangeAndWiden(t *testing.T) {
 			t.Fatalf("[]int complement appended to {9} = %v", ri)
 		}
 	}
-	w := Widen(make([]int, 0, 1), r)
-	if !reflect.DeepEqual(w, []int{0, 1, 2, 3}) {
-		t.Fatalf("Widen = %v", w)
-	}
-	// Capacity reuse: a big-enough dst must be reused, not reallocated.
-	buf := make([]int, 8)
-	w2 := Widen(buf, r)
-	if &w2[0] != &buf[0] || len(w2) != 4 {
-		t.Fatal("Widen did not reuse dst storage")
-	}
-}
-
-// TestBuildPackedWorkerInvariance pins the cold build's determinism: the
-// packed layout and every list are identical for any worker count.
-func TestBuildPackedWorkerInvariance(t *testing.T) {
-	const n = 137
-	sizes := make([]int, n)
-	s := rng.New(3).Derive("sizes")
-	for i := range sizes {
-		sizes[i] = s.Intn(50)
-	}
-	build := func(workers int) *Packed {
-		return BuildPacked(n, workers,
-			func(i int) int { return sizes[i] },
-			func(i int, dst []int32) {
-				for j := range dst {
-					dst[j] = int32(i*1000 + j)
-				}
-			})
-	}
-	ref := build(1)
-	for _, workers := range []int{2, 3, 8} {
-		got := build(workers)
-		if !reflect.DeepEqual(got, ref) {
-			t.Fatalf("workers=%d: packed cache differs from serial build", workers)
-		}
-	}
-	for i := 0; i < n; i++ {
-		if len(ref.List(i)) != sizes[i] {
-			t.Fatalf("list %d has %d entries, want %d", i, len(ref.List(i)), sizes[i])
-		}
-	}
 }

@@ -46,8 +46,8 @@ type Trainer struct {
 	model models.Recommender
 	s     *rng.Stream
 
-	// evaluator caches the per-user candidate sets across Evaluate calls
-	// (the split is immutable; the cache is cutoff-independent).
+	// evaluator holds the split's evaluated-user list across Evaluate calls
+	// (the split is immutable; the list is cutoff-independent).
 	evaluator *eval.Evaluator
 }
 

@@ -164,8 +164,8 @@ func (c *Coordinator) Sessions() int {
 	return len(c.sessions)
 }
 
-// ShareEvaluator hands the coordinator a prebuilt candidate cache for its
-// split (see fed.Trainer.ShareEvaluator). Call before Run.
+// ShareEvaluator hands the coordinator a prebuilt evaluator for its split
+// (see fed.Trainer.ShareEvaluator for what that saves). Call before Run.
 func (c *Coordinator) ShareEvaluator(e *eval.Evaluator) { c.evaluator = e }
 
 // Handler returns the coordinator's HTTP API.
@@ -657,6 +657,8 @@ func (c *Coordinator) handleUpload(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if !c.resolveUpload(int(round), int(user), outcome) {
+		// The 409 is what a straggler's participant reads; the text is for people.
+		w.WriteHeader(http.StatusConflict)
 		c.writeError(w, "coord: round %d closed for user %d", round, user)
 		return
 	}

@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
@@ -550,4 +551,32 @@ func TestPollCursorBounds(t *testing.T) {
 		}
 	}
 	requireEqualHistories(t, "after rejected polls", referenceHistory(t, cfg), h)
+}
+
+// TestUploadToleratesOnlyConflict pins the straggler contract on the status
+// code, not the refusal's wording: 409 with any text means "the round closed
+// without you, carry on"; a MsgError under any other status is fatal even
+// when its text says "closed".
+func TestUploadToleratesOnlyConflict(t *testing.T) {
+	for _, tc := range []struct {
+		status int
+		text   string
+		fatal  bool
+	}{
+		{http.StatusOK, "coord: round 0 closed for user 3", true},
+		{http.StatusServiceUnavailable, "coord: closed for maintenance", true},
+		{http.StatusConflict, "coord: round 0 closed for user 3", false},
+		{http.StatusConflict, "reworded: too late", false},
+	} {
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			w.WriteHeader(tc.status)
+			comm.WriteFrame(w, comm.MsgError, []byte(tc.text))
+		}))
+		p := &Participant{base: srv.URL, hc: srv.Client()}
+		err := p.upload(context.Background(), 0, fed.ClientRoundResult{ID: 3, Dropped: true})
+		srv.Close()
+		if (err != nil) != tc.fatal {
+			t.Fatalf("status %d, text %q: upload returned %v, want fatal=%v", tc.status, tc.text, err, tc.fatal)
+		}
+	}
 }

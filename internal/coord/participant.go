@@ -378,13 +378,13 @@ func (p *Participant) upload(ctx context.Context, round int, res fed.ClientRound
 	if err != nil {
 		return fmt.Errorf("coord: upload reply: %w", err)
 	}
+	if resp.StatusCode == http.StatusConflict {
+		// Straggler: the round's deadline passed while this upload was in
+		// flight. The coordinator counted the client as dropped; the run
+		// continues. Any refusal without this status is fatal, whatever it says.
+		return nil
+	}
 	if mt == comm.MsgError {
-		if strings.Contains(string(payload), "closed") {
-			// Straggler: the round's deadline passed while this upload was in
-			// flight. The coordinator counted the client as dropped; the run
-			// continues.
-			return nil
-		}
 		return fmt.Errorf("coord: upload refused: %s", payload)
 	}
 	if mt != comm.MsgAck {

@@ -8,20 +8,20 @@
 // index-addressed slots and reduced sequentially in user order, so the result
 // is bitwise-identical for every worker count.
 //
-// Two things remove the remaining per-round costs. The candidate cache: an
-// Evaluator builds each user's candidate list from the immutable train mask
-// once and reuses it every round, so the per-round loop never touches
-// Split.InTrain. The batched engine: scorers that implement
-// models.MultiBlockScorer score evalUsersBatch users per kernel call in
-// logit domain — one gather-GEMM per (user batch, item window), each user's
-// cached candidate list walked against the window, raw logits streamed into
-// metrics.LogitTopKSelector under its tie-safe contract — so the
-// item-embedding rows are loaded once per batch instead of once per user, no
-// NumItems-length score vector exists, and the sigmoid is paid only for
-// candidates that reach a heap, not once per (user, candidate). Any other
+// Candidates are the complement of the sorted train list, walked per score
+// window: Split.Train[u] is ascending and stays in memory, so nothing per
+// (user, item) is stored and Split.InTrain is never probed. The batched
+// engine: scorers that implement models.MultiBlockScorer score evalUsersBatch
+// users per kernel call in logit domain — one gather-GEMM per (user batch,
+// item window), the runs between each user's consecutive train items streamed
+// as raw logits into metrics.LogitTopKSelector under its tie-safe contract —
+// so the item-embedding rows are loaded once per batch instead of once per
+// user, no NumItems-length score vector exists, and the sigmoid is paid only
+// for candidates that reach a heap, not once per (user, candidate). Any other
 // scorer (a models.ScorerFunc: per-client adapters, the parameter-transmission
 // baselines) is ranked per user through ScoreItems and metrics.TopKInto over
-// the same cached lists. That one type test is the only engine choice; both
+// the complement list rebuilt into worker scratch (one merge walk, next to a
+// score per item). That one type test is the only engine choice; both
 // paths are bitwise-identical to the naive score-everything-then-sort
 // evaluation (metrics.TopK), so Results never depend on the path taken.
 //
@@ -60,61 +60,36 @@ type Result struct {
 }
 
 // Evaluator is the selection engine's round-persistent state for one split:
-// the evaluated-user list and every user's candidate set, built exactly once
-// — the train mask never changes across rounds — and reused by every Rank
-// call. The candidate lists do not depend on the cutoff, so one Evaluator
-// serves any k. It is scorer-agnostic and read-only after construction, so
-// one Evaluator can serve concurrent Rank calls (the federated trainer holds
-// one across rounds and shares it between the server and client evaluations).
-//
-// Candidates are stored in a candset.Packed — int32 in one contiguous
-// backing array, four bytes per (user, candidate) pair, ≈760 MB at the full
-// 50k-user × 4000-item profile and ≈20 MB at the default small profile — the
-// memory the cache trades for never rebuilding candidate lists or probing
-// the train mask again.
+// the evaluated-user list and the identity item list, and nothing per user —
+// each user's candidates are the complement of Split.Train[u], walked while
+// the scores stream past. It is scorer- and cutoff-agnostic and read-only
+// after construction, so one Evaluator can serve concurrent Rank calls (the
+// federated trainer holds one across rounds and shares it between the server
+// and client evaluations).
 type Evaluator struct {
 	sp *data.Split
 
-	users []int           // users with held-out items, ascending
-	cache *candset.Packed // per-user candidate lists, ascending
-	ident []int           // identity item list 0..NumItems-1 for the batched windows
+	users []int // users with held-out items, ascending
+	ident []int // identity item list 0..NumItems-1 for the batched windows
 }
 
-// NewEvaluator builds the candidate cache for a split with GOMAXPROCS
-// workers. Each user's candidate list is the ascending complement of their
-// training positives, computed with one merge walk over the sorted train
-// list.
+// NewEvaluator lists the split's evaluated users: one pass over Split.Test.
 func NewEvaluator(sp *data.Split) *Evaluator {
-	return NewEvaluatorWorkers(sp, 0)
-}
-
-// NewEvaluatorWorkers is NewEvaluator with an explicit worker count
-// (<= 0 means GOMAXPROCS) for the cold cache build: the packed layout is
-// fixed by a size prefix-sum before any list is filled and each user's list
-// is written by exactly one goroutine into its own range, so the cache is
-// identical for every worker count.
-func NewEvaluatorWorkers(sp *data.Split, workers int) *Evaluator {
-	e := &Evaluator{sp: sp}
+	e := &Evaluator{sp: sp, ident: make([]int, sp.NumItems)}
 	for u := 0; u < sp.NumUsers; u++ {
 		if len(sp.Test[u]) > 0 {
 			e.users = append(e.users, u)
 		}
 	}
-	e.cache = candset.BuildPacked(len(e.users), par.Workers(workers),
-		func(i int) int { return sp.NumItems - len(sp.Train[e.users[i]]) },
-		func(i int, dst []int32) {
-			candset.AppendComplementSorted(dst[:0], sp.NumItems, sp.Train[e.users[i]])
-		})
-	e.ident = make([]int, sp.NumItems)
 	for v := range e.ident {
 		e.ident[v] = v
 	}
 	return e
 }
 
-// LazyEvaluator returns *ep, building the split's candidate cache into it on
-// first use — the one lazy-init used by every trainer that holds a cached
-// Evaluator across rounds.
+// LazyEvaluator returns *ep, building the split's Evaluator into it on first
+// use — the one lazy-init used by every trainer that holds one across rounds,
+// which saves the evaluated-user scan and the identity list per evaluation.
 func LazyEvaluator(ep **Evaluator, sp *data.Split) *Evaluator {
 	if *ep == nil {
 		*ep = NewEvaluator(sp)
@@ -125,12 +100,13 @@ func LazyEvaluator(ep **Evaluator, sp *data.Split) *Evaluator {
 // Users returns how many users the evaluator covers.
 func (e *Evaluator) Users() int { return len(e.users) }
 
-// CacheBytes reports the candidate cache's resident bytes — the scalability
-// experiment's memory-accounting hook.
-func (e *Evaluator) CacheBytes() int64 { return e.cache.MemoryBytes() }
+// CacheBytes reports what the evaluator retains between Rank calls — the user
+// and identity lists; there is no per-user state. Kept for the frozen
+// bench/traced.go, which reads it as eval.cache_mb.
+func (e *Evaluator) CacheBytes() int64 { return 8 * int64(cap(e.users)+cap(e.ident)) }
 
 // scratch is one worker's reusable state for its whole share of users on the
-// per-user path: the widened candidate list, the selection output, the ranked
+// per-user path: the candidate list, the selection output, the ranked
 // item list and the relevance set. Only the score vector ScoreItems returns
 // is allocated per user.
 type scratch struct {
@@ -142,7 +118,7 @@ type scratch struct {
 
 // batchScratch is one worker's reusable state for the batched multi-user
 // engine: the window logit matrix backing (plus its reusable header), one
-// logit-domain selector and candidate cursor per batch slot, the selectors'
+// logit-domain selector and train-list cursor per batch slot, the selectors'
 // three shared heap slabs, the ranked item list, and the relevance set.
 // Nothing here is allocated per batch — and because the selectors borrow
 // evalK-wide slab segments instead of growing their own arrays, building the
@@ -191,7 +167,7 @@ func (sc *batchScratch) scoreMat(rows, cols int) *tensor.Matrix {
 	return &sc.mat
 }
 
-// Rank evaluates the scorer at cutoff k over the cached candidate sets with
+// Rank evaluates the scorer at cutoff k over every user's non-train items with
 // the given worker count (<= 0 means GOMAXPROCS). Metrics are
 // bitwise-identical for every worker count and for both scoring paths:
 // per-user values depend only on the scorer, and the reduction runs
@@ -229,7 +205,7 @@ func (e *Evaluator) Rank(s models.Scorer, k, workers int) Result {
 	} else {
 		par.ForChunks(len(e.users), chunk, workers, func(lo, hi int) {
 			sc := &scratch{
-				cand:     make([]int, e.sp.NumItems),
+				cand:     make([]int, 0, e.sp.NumItems),
 				ranked:   make([]int, 0, k),
 				relevant: make(map[int]bool, 16),
 			}
@@ -250,11 +226,11 @@ func (e *Evaluator) Rank(s models.Scorer, k, workers int) Result {
 // materialised score vector, and returns their Recall@k and NDCG@k.
 func (e *Evaluator) evalUser(s models.Scorer, sc *scratch, i, k int) (recall, ndcg float64) {
 	u := e.users[i]
-	cand := candset.Widen(sc.cand, e.cache.List(i))
-	sc.top = metrics.TopKInto(sc.top, s.ScoreItems(u, cand), k)
+	sc.cand = candset.AppendComplementSorted(sc.cand[:0], e.sp.NumItems, e.sp.Train[u])
+	sc.top = metrics.TopKInto(sc.top, s.ScoreItems(u, sc.cand), k)
 	ranked := sc.ranked[:0]
 	for _, idx := range sc.top {
-		ranked = append(ranked, cand[idx])
+		ranked = append(ranked, sc.cand[idx])
 	}
 	sc.ranked = ranked
 	return e.userMetrics(ranked, sc.relevant, u, k)
@@ -262,16 +238,19 @@ func (e *Evaluator) evalUser(s models.Scorer, sc *scratch, i, k int) (recall, nd
 
 // evalUserBatch ranks users [b, be) of e.users through the batched multi-user
 // logit engine: the batch's logits for each evalScoreChunk-wide item window
-// come from one ScoreUsersBlockLogitsInto call, each user's ascending cached
-// candidate list is walked across the window pushing (item, logit) into that
-// user's logit-domain selector, and each selector's winners are the user's
-// ranked items.
+// come from one ScoreUsersBlockLogitsInto call, each user's ascending train
+// list is walked across the window pushing the runs between consecutive train
+// items as (item, logit) into that user's logit-domain selector, and each
+// selector's winners are the user's ranked items. The slot's cursor indexes
+// Train[u] across windows. Train lists are strictly ascending and in range
+// (InTrain's binary search relies on it too); v never steps backwards, so a
+// stray value cannot index below the window.
 //
 // Bitwise equivalence with the per-user path, piece by piece: σ of a window's
 // logits equals ScoreItems' values for any window boundary (per-element
 // independence, the MultiBlockScorer contract), so scoring the whole universe
 // and reading only candidate positions yields exactly the logits of scoring
-// the candidate list directly; candidate lists are ascending in item id, so
+// the candidate list directly; the runs are pushed ascending in item id, so
 // pushing item ids preserves the per-user path's (score desc, position asc)
 // selection order; and LogitTopKSelector resolves σ-collapsed ties exactly as
 // a probability-domain selection does. Only the sigmoid count differs — paid
@@ -281,7 +260,7 @@ func (e *Evaluator) evalUserBatch(mbs models.MultiBlockScorer, sc *batchScratch,
 	users := e.users[b:be]
 	for i := 0; i < n; i++ {
 		kSel := k
-		if cl := len(e.cache.List(b + i)); kSel > cl {
+		if cl := e.sp.NumItems - len(e.sp.Train[users[i]]); kSel > cl {
 			kSel = cl
 		}
 		sc.resetSel(i, kSel)
@@ -295,13 +274,19 @@ func (e *Evaluator) evalUserBatch(mbs models.MultiBlockScorer, sc *batchScratch,
 		m := sc.scoreMat(n, hi-lo)
 		mbs.ScoreUsersBlockLogitsInto(m, users, e.ident[lo:hi])
 		for i := 0; i < n; i++ {
-			cand := e.cache.List(b + i)
-			row := m.Row(i)
-			cur := sc.cursors[i]
-			for cur < len(cand) && int(cand[cur]) < hi {
-				v := int(cand[cur])
-				sc.sels[i].Push(v, row[v-lo])
-				cur++
+			train, sel, row := e.sp.Train[users[i]], &sc.sels[i], m.Row(i)
+			cur, v := sc.cursors[i], lo
+			for ; cur < len(train) && train[cur] < hi; cur++ {
+				t := train[cur]
+				for ; v < t; v++ {
+					sel.Push(v, row[v-lo])
+				}
+				if v == t {
+					v++
+				}
+			}
+			for ; v < hi; v++ {
+				sel.Push(v, row[v-lo])
 			}
 			sc.cursors[i] = cur
 		}
@@ -330,10 +315,8 @@ func Ranking(s models.Scorer, sp *data.Split, k int) Result {
 }
 
 // RankingWorkers is Ranking with an explicit worker count (<= 0 means
-// GOMAXPROCS). It builds the split's U×V×4 B candidate cache for this one
-// evaluation and drops it; callers that evaluate the same split every round
-// hold a persistent Evaluator instead. Nothing outside tests and the root
-// facade calls the one-shot form.
+// GOMAXPROCS): a throwaway Evaluator ranked once. Nothing outside tests and
+// the root facade calls the one-shot form; per-round callers hold one.
 func RankingWorkers(s models.Scorer, sp *data.Split, k, workers int) Result {
-	return NewEvaluatorWorkers(sp, workers).Rank(s, k, workers)
+	return NewEvaluator(sp).Rank(s, k, workers)
 }

@@ -1,12 +1,16 @@
 package eval
 
 import (
-	"reflect"
+	"math"
+	"runtime"
+	"slices"
 	"testing"
 
+	"ptffedrec/internal/candset"
 	"ptffedrec/internal/data"
 	"ptffedrec/internal/models"
 	"ptffedrec/internal/rng"
+	"ptffedrec/internal/tensor"
 )
 
 // TestEvaluatorSelectionInvariance pins the selection engine's contract:
@@ -34,8 +38,8 @@ func TestEvaluatorSelectionInvariance(t *testing.T) {
 	}
 }
 
-// TestEvaluatorReuseAcrossRounds checks the candidate cache stays correct as
-// the model behind it changes: one Evaluator reused across training steps
+// TestEvaluatorReuseAcrossRounds checks a held Evaluator stays correct as the
+// model behind it changes: one Evaluator reused across training steps
 // must match a fresh per-call evaluation every time.
 func TestEvaluatorReuseAcrossRounds(t *testing.T) {
 	d := data.Generate(data.Tiny, 13)
@@ -62,52 +66,114 @@ func TestEvaluatorReuseAcrossRounds(t *testing.T) {
 	}
 }
 
-// TestEvaluatorBuildWorkerInvariance pins the sharded cold build: the packed
-// candidate cache — layout and every list — is identical for any worker
-// count, and so are the metrics ranked from it.
-func TestEvaluatorBuildWorkerInvariance(t *testing.T) {
-	d := data.Generate(data.Tiny, 13)
-	sp := d.Split(rng.New(4), 0.2)
-	m := trainedModel(t, models.KindMF, sp)
-	ref := NewEvaluatorWorkers(sp, 1)
-	refRank := ref.Rank(m, 20, 1)
-	for _, workers := range []int{2, 3, 8} {
-		e := NewEvaluatorWorkers(sp, workers)
-		if !reflect.DeepEqual(e.cache, ref.cache) {
-			t.Fatalf("workers=%d: candidate cache differs from serial build", workers)
-		}
-		if got := e.Rank(m, 20, workers); got != refRank {
-			t.Fatalf("workers=%d: metrics %+v != serial %+v", workers, got, refRank)
-		}
-	}
-}
-
-// TestEvaluatorCandidatesExcludeTrain checks the cache against the mask it
-// replaced: every cached candidate list is exactly the ascending complement
-// of the user's training positives.
+// TestEvaluatorCandidatesExcludeTrain checks both walks against the mask they
+// replaced. Per-user path: a recording ScorerFunc sees, for every evaluated
+// user, exactly the ascending complement of their training positives. Batched
+// path: a scorer that gives every train item the top logit never has one
+// ranked.
 func TestEvaluatorCandidatesExcludeTrain(t *testing.T) {
 	d := data.Generate(data.Tiny, 7)
 	sp := d.Split(rng.New(9), 0.2)
 	e := NewEvaluator(sp)
 	if e.Users() == 0 {
-		t.Fatal("no users cached")
+		t.Fatal("no users evaluated")
 	}
-	for i, u := range e.users {
-		cand := e.cache.List(i)
-		if want := sp.NumItems - len(sp.Train[u]); len(cand) != want {
-			t.Fatalf("user %d: %d candidates, want %d", u, len(cand), want)
+	seen := make([]bool, sp.NumUsers)
+	e.Rank(models.ScorerFunc(func(u int, items []int) []float64 {
+		seen[u] = true
+		if want := sp.NumItems - len(sp.Train[u]); len(items) != want {
+			t.Errorf("user %d: %d candidates, want %d", u, len(items), want)
 		}
 		prev := -1
-		for _, v32 := range cand {
-			v := int(v32)
-			if v <= prev {
-				t.Fatalf("user %d: candidates not strictly ascending at %d", u, v)
+		for _, v := range items {
+			if v <= prev || v >= sp.NumItems {
+				t.Errorf("user %d: candidates not strictly ascending in range at %d", u, v)
 			}
 			prev = v
 			if sp.InTrain(u, v) {
-				t.Fatalf("user %d: cached candidate %d is a training positive", u, v)
+				t.Errorf("user %d: candidate %d is a training positive", u, v)
 			}
 		}
+		return make([]float64, len(items))
+	}), 20, 1)
+	for _, u := range e.users {
+		if !seen[u] {
+			t.Fatalf("user %d never scored", u)
+		}
+	}
+
+	defer func(c int) { evalScoreChunk = c }(evalScoreChunk)
+	evalScoreChunk = 48
+	trainOnTop := logitFunc(func(u, v int) float64 {
+		if sp.InTrain(u, v) {
+			return 1
+		}
+		return 0
+	})
+	for i, u := range e.users {
+		ranked := rankedBatched(e, trainOnTop, i, sp.NumItems)
+		if want := sp.NumItems - len(sp.Train[u]); len(ranked) != want {
+			t.Fatalf("user %d: %d items ranked, want %d", u, len(ranked), want)
+		}
+		for _, v := range ranked {
+			if sp.InTrain(u, v) {
+				t.Fatalf("user %d: training positive %d was ranked", u, v)
+			}
+		}
+	}
+}
+
+// logitFunc is a multi-user scorer whose logit for (user, item) is f(u, v);
+// only the batched engine's entry point is implemented.
+type logitFunc func(u, v int) float64
+
+func (f logitFunc) ScoreItems(u int, items []int) []float64 { panic("batched path only") }
+func (f logitFunc) ScorePairsInto(dst []float64, users, items []int) {
+	panic("batched path only")
+}
+func (f logitFunc) ScoreUsersBlockLogitsInto(dst *tensor.Matrix, users, items []int) {
+	for i, u := range users {
+		for j, v := range items {
+			dst.Row(i)[j] = f(u, v)
+		}
+	}
+}
+
+// rankedBatched ranks e.users[i] alone through the batched engine at cutoff k
+// and returns the ranked items, which Rank folds into metrics and drops.
+func rankedBatched(e *Evaluator, s models.MultiBlockScorer, i, k int) []int {
+	sc := newBatchScratch(k)
+	slots := make([]float64, len(e.users))
+	e.evalUserBatch(s, sc, i, i+1, k, slots, slots)
+	return sc.ranked
+}
+
+// TestEvaluatorRetainsNoPerUserState is the memory pin: what an Evaluator
+// reports keeping is the two lists — 8 bytes per item and per evaluated user,
+// the latter at most doubled by append's growth headroom — and building one
+// allocates no more than that plus the user list's outgrown arrays, so a U×V
+// candidate cache (166 KB here, against ≈6 KB) can come back neither in
+// CacheBytes nor beside it.
+func TestEvaluatorRetainsNoPerUserState(t *testing.T) {
+	d := data.Generate(data.ML100KSmall, 11)
+	sp := d.Split(rng.New(2), 0.2)
+	e := NewEvaluator(sp)
+	users, items := int64(e.Users()), int64(sp.NumItems)
+	if got, max := e.CacheBytes(), 8*(2*users+items)+1024; got > max {
+		t.Fatalf("CacheBytes = %d for %d users × %d items, want ≤ %d", got, users, items, max)
+	}
+	// TotalAlloc is process-wide, so take the quietest of a few builds: a
+	// stray allocation elsewhere inflates one reading, a cache inflates all.
+	built := int64(math.MaxInt64)
+	for try := 0; try < 5; try++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		NewEvaluator(sp)
+		runtime.ReadMemStats(&after)
+		built = min(built, int64(after.TotalAlloc-before.TotalAlloc))
+	}
+	if max := 8*(4*users+items) + 4096; built > max {
+		t.Fatalf("NewEvaluator allocated %d bytes for %d users × %d items, want ≤ %d", built, users, items, max)
 	}
 }
 
@@ -140,4 +206,60 @@ func TestEvaluatorAllocsPerUser(t *testing.T) {
 	if perUser := allocs / float64(users); perUser > 0.25 {
 		t.Fatalf("Rank allocates %.2f per user, want < 0.25", perUser)
 	}
+}
+
+// FuzzEvalWindowWalkMatchesComplement pins the batched engine's candidate
+// walk against the one definition of "candidate set": for any strictly
+// ascending train list (bit v of mask, cycled, says whether v is a training
+// positive) and window widths 1, 7 and 64, the (item, logit) pairs the walk
+// pushes are AppendComplementSorted's list, in order. The selector is the
+// only observer, so the pairs are read through it three ways: logits falling
+// with v rank the pushed items ascending, logits rising with v rank them
+// descending (an item pushed with a neighbour's logit breaks either), and
+// equal logits with a short cutoff keep the first pushed (the tie-safe
+// contract's loser is the newcomer), which an out-of-order walk would change.
+func FuzzEvalWindowWalkMatchesComplement(f *testing.F) {
+	f.Add(100, []byte{0})    // empty train list
+	f.Add(100, []byte{0xff}) // everything is a positive: nothing to push
+	f.Add(1, []byte{1})
+	// Every multiple of 8 and the item before it: 63 and 64 sit at hi−1 and
+	// lo of the 64-wide windows, 7 and 56 at lo and 55 at hi−1 of 7-wide ones.
+	f.Add(130, []byte{0x81})
+	f.Add(200, []byte{0, 0, 0, 0, 0, 0, 0, 0xe0, 0x07})                  // the run 61..66 straddles 64
+	f.Add(64, []byte{0xe0, 0x01})                                        // runs 5..8, 21..24, … straddle 7-wide edges
+	f.Add(65, []byte{0xfe, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0}) // only 0 and 64 are free
+	f.Fuzz(func(t *testing.T, n int, mask []byte) {
+		if n <= 0 || n > 1024 || len(mask) == 0 {
+			t.Skip()
+		}
+		var train []int
+		for v := 0; v < n; v++ {
+			if mask[v/8%len(mask)]>>(v%8)&1 == 1 {
+				train = append(train, v)
+			}
+		}
+		want := candset.AppendComplementSorted[int](nil, n, train)
+		sp := &data.Split{NumUsers: 1, NumItems: n, Train: [][]int{train}, Test: [][]int{{0}}}
+		e := NewEvaluator(sp)
+
+		defer func(c int) { evalScoreChunk = c }(evalScoreChunk)
+		for _, chunk := range []int{1, 7, 64} {
+			evalScoreChunk = chunk
+			// Logits slope·v/n: distinct, and small enough that σ keeps them so.
+			ranked := func(slope float64, k int) []int {
+				return rankedBatched(e, logitFunc(func(_, v int) float64 { return slope * float64(v) / float64(n) }), 0, k)
+			}
+			if got := ranked(-1, n); !slices.Equal(got, want) {
+				t.Fatalf("chunk=%d train=%v: falling logits ranked %v, want %v", chunk, train, got, want)
+			}
+			got := ranked(1, n)
+			slices.Reverse(got)
+			if !slices.Equal(got, want) {
+				t.Fatalf("chunk=%d train=%v: rising logits ranked (reversed) %v, want %v", chunk, train, got, want)
+			}
+			if got := ranked(0, 3); !slices.Equal(got, want[:min(3, len(want))]) {
+				t.Fatalf("chunk=%d train=%v: equal logits kept %v, want the first of %v", chunk, train, got, want)
+			}
+		}
+	})
 }

@@ -52,14 +52,12 @@ type ScalabilityRow struct {
 	// retained state, not allocator slack). The other columns are exact
 	// footprints from the components' own accounting: the server's flat
 	// upload store (slab + index), the incremental graph engine (rows,
-	// postings, degree vectors, staging scratch), and the evaluator's packed
-	// candidate cache. BytesPerUser is the per-user server-side state —
-	// upload store / users — the figure the flat-memory design holds flat as
-	// users grow.
+	// postings, degree vectors, staging scratch). BytesPerUser is the per-user
+	// server-side state — upload store / users — the figure the flat-memory
+	// design holds flat as users grow.
 	PeakHeapBytes    uint64  `json:"peak_heap_bytes"`
 	UploadStoreBytes int64   `json:"upload_store_bytes"`
 	GraphEngineBytes int64   `json:"graph_engine_bytes"`
-	CandCacheBytes   int64   `json:"cand_cache_bytes,omitempty"`
 	BytesPerUser     float64 `json:"bytes_per_user"`
 }
 
@@ -87,9 +85,8 @@ type ScalabilityResult struct {
 }
 
 // memoryProfileUsers is the user count at which RunScalability switches to
-// the memory-profile mode: past it, materialising the dataset, eager
-// clients, or a full candidate cache (users × items) would dominate — or
-// exceed — the very footprint being measured.
+// the memory-profile mode: past it, materialising the dataset or eager
+// clients would dominate — or exceed — the very footprint being measured.
 const memoryProfileUsers = 200_000
 
 // heapSampler tracks the largest live heap seen at sampling points. Samples
@@ -249,11 +246,7 @@ func RunScalability(o Options) (*ScalabilityResult, error) {
 	res := newScalabilityResult(p, cfg.Rounds)
 	sp := o.split(p)
 
-	// One candidate cache serves every trainer and every timed pass: it
-	// depends only on the split, constant across the sweep, so no timed
-	// region ever pays the one-off cache construction and no trainer holds a
-	// duplicate copy.
-	evaluator := eval.NewEvaluator(sp)
+	evaluator := eval.NewEvaluator(sp) // ranks every row's trained model
 
 	// Untimed warmup: one round + eval on a throwaway trainer, so the timed
 	// sweep doesn't charge the first row for heap growth and page-cache
@@ -265,7 +258,6 @@ func RunScalability(o Options) (*ScalabilityResult, error) {
 		if err != nil {
 			return nil, fmt.Errorf("scalability: %w", err)
 		}
-		warm.ShareEvaluator(evaluator)
 		warm.RunRound(0)
 		warm.EvaluateServer()
 	}
@@ -304,7 +296,6 @@ func RunScalability(o Options) (*ScalabilityResult, error) {
 			}
 		}
 		row.Recall, row.NDCG = ev.Recall, ev.NDCG
-		row.CandCacheBytes = evaluator.CacheBytes()
 
 		if len(res.Rows) == 0 {
 			refRounds = rounds
@@ -337,12 +328,12 @@ func speedup(base, secs float64) float64 {
 
 // runScalabilityMemory is the huge-profile arm of the scalability experiment:
 // a memory-scalability measurement at a user count (Huge1M's million users)
-// where the ordinary sweep's materialised dataset, eager clients and full
-// candidate cache are off the table. The split streams straight from the
-// generator, clients build lazily on first participation, each round samples
-// a few thousand participants, and no evaluator exists — so the retained
-// state under measurement is exactly the server's per-user structures: the
-// flat upload store and the incremental graph engine's maintained rows.
+// where the ordinary sweep's materialised dataset and eager clients are off
+// the table. The split streams straight from the generator, clients build
+// lazily on first participation, each round samples a few thousand
+// participants, and nothing is evaluated — so the retained state under
+// measurement is exactly the server's per-user structures: the flat upload
+// store and the incremental graph engine's maintained rows.
 func runScalabilityMemory(o Options, p data.Profile) (*ScalabilityResult, error) {
 	// Same model pairing as the sweep, with the per-round participant count
 	// pinned near the full-scale sweep's (~5k clients) so round cost stays
@@ -403,12 +394,12 @@ func (r *ScalabilityResult) Print(w io.Writer) {
 			row.ServerTrainSecs, row.DisperseSecs, row.ServerTrainSpeedup, row.GraphSpeedup)
 	}
 	fmt.Fprintln(w, "  memory (post-run retained state; peak = max live heap at phase boundaries):")
-	fmt.Fprintf(w, "  %-8s %12s %13s %13s %12s %16s\n",
-		"workers", "peak-heap", "upload-store", "graph-engine", "cand-cache", "server-B/user")
+	fmt.Fprintf(w, "  %-8s %12s %13s %13s %16s\n",
+		"workers", "peak-heap", "upload-store", "graph-engine", "server-B/user")
 	for _, row := range r.Rows {
-		fmt.Fprintf(w, "  %-8d %12s %13s %13s %12s %16.1f\n",
+		fmt.Fprintf(w, "  %-8d %12s %13s %13s %16.1f\n",
 			row.Workers, size(int64(row.PeakHeapBytes)), size(row.UploadStoreBytes),
-			size(row.GraphEngineBytes), size(row.CandCacheBytes), row.BytesPerUser)
+			size(row.GraphEngineBytes), row.BytesPerUser)
 	}
 	fmt.Fprintf(w, "  history and metrics identical across worker counts: %v (recall@20=%.4f ndcg@20=%.4f)\n",
 		r.Deterministic, r.Rows[0].Recall, r.Rows[0].NDCG)

@@ -38,7 +38,7 @@ func TestRunScalability(t *testing.T) {
 		if row.ServerTrainSpeedup <= 0 || row.GraphSpeedup <= 0 {
 			t.Fatalf("row %+v missing per-phase speedups", row)
 		}
-		if row.PeakHeapBytes == 0 || row.UploadStoreBytes <= 0 || row.GraphEngineBytes <= 0 || row.CandCacheBytes <= 0 {
+		if row.PeakHeapBytes == 0 || row.UploadStoreBytes <= 0 || row.GraphEngineBytes <= 0 {
 			t.Fatalf("row %+v missing memory accounting", row)
 		}
 	}

@@ -311,6 +311,113 @@ func TestProtocolProperties(t *testing.T) {
 	}
 }
 
+// TestUploadComposition states §III-B2's D̂ᵗᵢ on the live path, per defense,
+// from the uploads that crossed the boundary and the split alone. A client
+// trains on its positives Dᵢ and a pool of min(NegRatio·|Dᵢ|, free)
+// non-interacted items; `none` and `ldp` upload that whole pool, while
+// `sampling` and `sampling+swap` upload nPos = ⌈β·|Dᵢ|⌉ positives for
+// β ~ U[β_min, β_max] and γ·nPos negatives for an integer γ ~ U{γ_min..γ_max},
+// unless the pool is smaller (Eq. 7).
+//
+// The β distribution is checked through its mean. β_max ≤ 1 and β_min > 0 keep
+// ⌈β·n⌉ inside [1, n] without clamping, so each upload has nPos/n ∈ [β, β+1/n)
+// and the mean over N uploads lies in [β̄, β̄ + mean(1/nᵢ)), where β̄ averages N
+// independent uniform draws: expectation (β_min+β_max)/2, standard deviation
+// (β_max−β_min)/√(12·N). The test allows four of those either side, plus the
+// ceil's one-sided mean(1/nᵢ), and nothing else.
+func TestUploadComposition(t *testing.T) {
+	sp := tinySplit(t)
+	type window struct {
+		betaMin, betaMax   float64
+		gammaMin, gammaMax int
+	}
+	windows := []window{{0.1, 1, 1, 4}, {0.3, 0.7, 2, 3}} // §IV-D's, and one with every end interior
+	for _, defense := range []privacy.Defense{
+		privacy.DefenseNone, privacy.DefenseLDP, privacy.DefenseSampling, privacy.DefenseSamplingSwap,
+	} {
+		sampled := defense == privacy.DefenseSampling || defense == privacy.DefenseSamplingSwap
+		for wi, w := range windows {
+			var uploads, capped int
+			var sumFrac, sumInv float64
+			gammaSeen := map[int]int{}
+			for _, negRatio := range []int{2, 4, 30} { // 2 caps γ·nPos, 30 outruns the free items
+				cfg := fastConfig(models.KindMF)
+				cfg.ClientModel, cfg.ClientEpochs, cfg.Rounds = models.KindMF, 1, 4
+				cfg.Seed = uint64(100*wi + negRatio)
+				cfg.NegRatio = negRatio
+				cfg.Privacy.Defense = defense
+				cfg.Privacy.BetaMin, cfg.Privacy.BetaMax = w.betaMin, w.betaMax
+				cfg.Privacy.GammaMin, cfg.Privacy.GammaMax = w.gammaMin, w.gammaMax
+				tr := propertyTrainer(t, sp, cfg)
+				for round := 0; round < cfg.Rounds; round++ {
+					for _, o := range observeRound(tr, round, nil, nil).outcomes {
+						label := fmt.Sprintf("%s window %d NegRatio %d round %d user %d", defense, wi, negRatio, round, o.ID)
+						n := len(sp.Train[o.ID])
+						pool := min(negRatio*n, sp.NumItems-n-len(sp.Test[o.ID]))
+						seen := map[int]bool{}
+						nPos, nNeg := 0, 0
+						for _, p := range o.Upload {
+							switch {
+							case seen[p.Item]:
+								t.Fatalf("%s: item %d uploaded twice", label, p.Item)
+							case sp.InTrain(o.ID, p.Item):
+								nPos++
+							case sp.InTest(o.ID, p.Item):
+								t.Fatalf("%s: held-out item %d uploaded as a negative", label, p.Item)
+							default:
+								nNeg++
+							}
+							seen[p.Item] = true
+						}
+						if !sampled {
+							if nPos != n || nNeg != pool {
+								t.Fatalf("%s: uploaded %d positives + %d negatives, the trained pool is %d + %d", label, nPos, nNeg, n, pool)
+							}
+							continue
+						}
+						if lo, hi := int(math.Ceil(w.betaMin*float64(n))), int(math.Ceil(w.betaMax*float64(n))); nPos < lo || nPos > hi {
+							t.Fatalf("%s: %d of %d positives uploaded, β ∈ [%v, %v] allows [%d, %d]", label, nPos, n, w.betaMin, w.betaMax, lo, hi)
+						}
+						switch gamma := nNeg / nPos; {
+						case nNeg == gamma*nPos && gamma >= w.gammaMin && gamma <= w.gammaMax:
+							gammaSeen[gamma]++
+						case nNeg == pool && pool < w.gammaMax*nPos:
+							capped++
+						default:
+							t.Fatalf("%s: %d negatives for %d positives is no integer γ ∈ [%d, %d], and the pool holds %d",
+								label, nNeg, nPos, w.gammaMin, w.gammaMax, pool)
+						}
+						uploads++
+						sumFrac += float64(nPos) / float64(n)
+						sumInv += 1 / float64(n)
+					}
+				}
+			}
+			if !sampled {
+				continue
+			}
+			for gamma := w.gammaMin; gamma <= w.gammaMax; gamma++ {
+				if gammaSeen[gamma] == 0 {
+					t.Fatalf("%s window %d: γ = %d never drawn in %d uploads (%v)", defense, wi, gamma, uploads, gammaSeen)
+				}
+			}
+			if capped == 0 {
+				t.Fatalf("%s window %d: no upload was capped by its negative pool; NegRatio 2 exists to do that", defense, wi)
+			}
+			count := float64(uploads)
+			mean, want := sumFrac/count, (w.betaMin+w.betaMax)/2
+			slack := 4 * (w.betaMax - w.betaMin) / math.Sqrt(12*count)
+			lo, hi := want-slack, want+slack+sumInv/count
+			if mean < lo || mean > hi {
+				t.Fatalf("%s window %d: mean nPos/|Dᵢ| over %d uploads is %.4f, E[β] = %.3f allows [%.4f, %.4f]",
+					defense, wi, uploads, mean, want, lo, hi)
+			}
+			t.Logf("%s window %d: %d uploads, mean nPos/|Dᵢ| %.4f in [%.4f, %.4f], γ counts %v, %d capped",
+				defense, wi, uploads, mean, lo, hi, gammaSeen, capped)
+		}
+	}
+}
+
 // userGraphRow returns the items user u is connected to in the server's
 // maintained graph (nil for non-graph servers). Edge values are normalised
 // by item degrees, which other users' uploads move; membership is the

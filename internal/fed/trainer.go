@@ -78,10 +78,10 @@ type Trainer struct {
 	clients []*Client
 	meter   *comm.Meter
 
-	// evaluator caches the per-user candidate sets across rounds (the train
-	// mask never changes), built lazily on the first evaluation. It is
-	// read-only after construction, so the server and client evaluations —
-	// and an eval overlapped with dispersal — can all share it.
+	// evaluator holds the split's evaluated-user list across rounds (nothing
+	// per user: candidates are the complement of Split.Train[u]), built lazily
+	// on the first evaluation. It is read-only after construction, so the server
+	// and client evaluations — and an eval overlapped with dispersal — share it.
 	evaluator *eval.Evaluator
 }
 
@@ -219,17 +219,16 @@ func (t *Trainer) Run() (*History, error) {
 	return NewHistory(rounds, t.EvaluateServer()), nil
 }
 
-// splitEvaluator returns the trainer's round-cached evaluator, building the
-// candidate cache on first use.
+// splitEvaluator returns the trainer's evaluator, building it on first use.
 func (t *Trainer) splitEvaluator() *eval.Evaluator {
 	return eval.LazyEvaluator(&t.evaluator, t.split)
 }
 
-// ShareEvaluator hands the trainer a prebuilt candidate cache for its split.
-// The evaluator is read-only after construction, so several trainers over the
-// same split (e.g. a benchmark sweep) can share one instead of each building
-// the O(Users × NumItems) cache. Call before the first evaluation; do not
-// call mid-round.
+// ShareEvaluator hands the trainer a prebuilt evaluator for its split. The
+// evaluator is read-only after construction, so several trainers over the
+// same split (e.g. a benchmark sweep) can share one; what each saves is one
+// scan of Split.Test and an identity list, O(Users + NumItems). Call before
+// the first evaluation; do not call mid-round.
 func (t *Trainer) ShareEvaluator(e *eval.Evaluator) { t.evaluator = e }
 
 // EvaluateServer measures the hidden model's ranking quality — the quantity

@@ -98,17 +98,28 @@ func ReadFloat64s(r io.Reader) ([]float64, error) {
 	return out, nil
 }
 
-// ReadFloat64sInto reads a length-prefixed slice that must have exactly
-// len(dst) values, filling dst in place.
+// ReadFloat64sInto fills dst from a length-prefixed slice of exactly len(dst)
+// values. A prefix that disagrees is refused before anything is allocated; the
+// values decode straight into dst through a fixed buffer, as WriteFloat64s writes.
 func ReadFloat64sInto(r io.Reader, dst []float64) error {
-	xs, err := ReadFloat64s(r)
+	n, err := ReadUint64(r)
 	if err != nil {
 		return err
 	}
-	if len(xs) != len(dst) {
-		return fmt.Errorf("persist: got %d values, want %d", len(xs), len(dst))
+	if n != uint64(len(dst)) {
+		return fmt.Errorf("persist: got %d values, want %d", n, len(dst))
 	}
-	copy(dst, xs)
+	var buf [4096]byte
+	for len(dst) > 0 {
+		c := min(len(dst), len(buf)/8)
+		if _, err := io.ReadFull(r, buf[:c*8]); err != nil {
+			return err
+		}
+		for i := range dst[:c] {
+			dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[i*8:]))
+		}
+		dst = dst[c:]
+	}
 	return nil
 }
 

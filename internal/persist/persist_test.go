@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"math"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -68,6 +69,34 @@ func TestReadFloat64sIntoLengthCheck(t *testing.T) {
 	dst := make([]float64, 3)
 	if err := ReadFloat64sInto(&buf, dst); err == nil {
 		t.Fatal("length mismatch accepted")
+	}
+
+	// A corrupt prefix claiming 2²⁷ values (1 GiB) against a 32-value
+	// destination is refused on the prefix alone: nothing sized by it is
+	// allocated, and nothing past it is read.
+	var huge bytes.Buffer
+	if err := WriteUint64(&huge, 1<<27); err != nil {
+		t.Fatal(err)
+	}
+	huge.Write(make([]byte, 64))
+	dst = make([]float64, 32)
+	r := bytes.NewReader(huge.Bytes())
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	allocs := testing.AllocsPerRun(5, func() {
+		r.Reset(huge.Bytes())
+		if err := ReadFloat64sInto(r, dst); err == nil {
+			t.Fatal("huge length prefix accepted")
+		}
+	})
+	runtime.ReadMemStats(&after)
+	// What is left is the error: its value, its message, its boxed operands.
+	// AllocsPerRun makes six calls (one warm-up).
+	if perCall := (after.TotalAlloc - before.TotalAlloc) / 6; allocs > 5 || perCall > 1024 {
+		t.Fatalf("refusing a huge prefix allocates %.0f times, %d bytes per call; want ≤ 5 and ≤ 1 KiB", allocs, perCall)
+	}
+	if r.Len() != 64 {
+		t.Fatalf("refusal read %d bytes past the prefix", 64-r.Len())
 	}
 }
 

@@ -207,9 +207,9 @@ func RunExperiment(id string, o ExperimentOptions, w io.Writer) error {
 // Ranking evaluates a scorer on a split at cutoff k, fanning the user loop
 // out over GOMAXPROCS workers. Metrics are bitwise-identical for any worker
 // count. A model from this package is ranked through its multi-user logit
-// batches, a ScorerFunc through ScoreItems; each call builds and drops the
-// split's candidate cache (4 bytes per user × item), so a caller that
-// evaluates every round should let the Trainer evaluate instead.
+// batches, a ScorerFunc through ScoreItems. Candidates are the complement of
+// the user's sorted train list, walked as the scores stream past, so a call
+// retains nothing and costs one scan of the split's test lists beyond ranking.
 func Ranking(s Scorer, sp *Split, k int) Result { return eval.Ranking(s, sp, k) }
 
 // RankingWorkers is Ranking with an explicit worker count (<= 0 means
