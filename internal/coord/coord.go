@@ -13,7 +13,12 @@
 // Fault semantics follow real transports: an empty upload body is a
 // connection drop (the client is counted as dropped), an upload stream that
 // ends after at least one prediction without its MsgUploadEnd frame is a
-// short write (the server keeps the received prefix). A round with a
+// short write (the server keeps the received prefix). Anything else a stream
+// gets wrong is a protocol error, answered 400 with a MsgError frame and the
+// slot resolved as dropped: bad framing, a count it does not keep, and any
+// prediction that names another user, an item outside the catalogue, or a
+// score outside [0, 1] (NaN included) — so nothing the round engine absorbs
+// breaks fed.RoundEngine.CloseRound's contract. A round with a
 // configured straggler deadline closes with partial participation — pending
 // clients become dropped — instead of waiting forever.
 package coord
@@ -649,10 +654,12 @@ func (c *Coordinator) handleUpload(w http.ResponseWriter, r *http.Request) {
 	outcome, perr := c.readUpload(cr, int(round), int(user))
 	c.wireIn.Add(cr.n)
 	if perr != nil {
-		// Malformed streams (bad magic, wrong frame order, codec garbage)
-		// are protocol errors, not transport faults: reject, and resolve the
-		// slot as dropped so the round never hangs on a broken peer.
+		// Malformed streams (bad magic, wrong frame order, codec garbage,
+		// foreign or out-of-range predictions) are protocol errors, not
+		// transport faults: reject, and resolve the slot as dropped so the
+		// round never hangs on a broken peer.
 		c.resolveUpload(int(round), int(user), fed.ClientOutcome{ID: int(user), Dropped: true})
+		w.WriteHeader(http.StatusBadRequest)
 		c.writeError(w, "%v", perr)
 		return
 	}
@@ -668,8 +675,10 @@ func (c *Coordinator) handleUpload(w http.ResponseWriter, r *http.Request) {
 // readUpload parses an upload body into the outcome the engine absorbs.
 // Transport cuts (clean EOF without MsgUploadEnd, or a frame severed
 // mid-payload) classify as drop/truncation; anything else is an error —
-// including a stream that outgrows the count its opening frame declared, which
-// is rejected at the first chunk that crosses it rather than buffered.
+// including a stream that outgrows the count its opening frame declared, and a
+// prediction that names another user, an item outside [0, NumItems) or a
+// score outside [0, 1]; each is rejected at the chunk that carries it rather
+// than buffered.
 func (c *Coordinator) readUpload(body io.Reader, round, user int) (fed.ClientOutcome, error) {
 	mt, payload, err := comm.ReadFrame(body)
 	if err == io.EOF {
@@ -718,6 +727,12 @@ func (c *Coordinator) readUpload(body io.Reader, round, user int) (fed.ClientOut
 			}
 			if len(preds)+len(chunk) > begin.Count {
 				return fed.ClientOutcome{}, fmt.Errorf("coord: upload stream carries more than the %d predictions it declared", begin.Count)
+			}
+			for _, p := range chunk {
+				if p.User != user || p.Item < 0 || p.Item >= c.split.NumItems || !(p.Score >= 0 && p.Score <= 1) {
+					return fed.ClientOutcome{}, fmt.Errorf("coord: user %d uploads prediction %+v: want its own user, an item in [0, %d) and a score in [0, 1]",
+						user, p, c.split.NumItems)
+				}
 			}
 			preds = append(preds, chunk...)
 			predBytes += len(payload)

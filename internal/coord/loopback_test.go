@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -327,8 +328,8 @@ func TestReadUploadClassification(t *testing.T) {
 	codec := comm.CodecFor(false)
 	preds := []comm.Prediction{
 		{User: 7, Item: 3, Score: 0.5},
-		{User: 7, Item: 9, Score: -1.25},
-		{User: 7, Item: 12, Score: 2},
+		{User: 7, Item: 9, Score: 0},
+		{User: 7, Item: 12, Score: 1},
 		{User: 7, Item: 44, Score: 0.125},
 	}
 
@@ -476,6 +477,101 @@ func TestMalformedUploadOverHTTP(t *testing.T) {
 	}
 	if h.Rounds[0].Dropped == 0 {
 		t.Fatal("malformed upload should have left its user dropped")
+	}
+}
+
+// TestUploadRejectsForeignPredictions posts well-framed round-0 uploads whose
+// predictions break the round engine's contract — one naming a user outside
+// the universe, one an item outside the catalogue, one a NaN score — beside
+// one honest upload, to a LightGCN server. Unchecked, the first panics
+// Coordinator.Run in the upload store, the second in the graph engine, and
+// the third turns the round's ServerLoss into NaN. Each must be refused 400
+// with a MsgError frame and its user dropped, and the round must train on the
+// honest upload alone.
+func TestUploadRejectsForeignPredictions(t *testing.T) {
+	cfg := testConfig(models.KindLightGCN, 1)
+	cfg.Rounds = 1
+	opts := testOptions()
+	opts.Deadline = time.Second
+
+	sp := testSplit()
+	c, err := New(sp, cfg, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(c.Handler())
+	defer srv.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+
+	p, err := Join(srv.URL, 0, sp.NumUsers, srv.Client())
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	var h *fed.History
+	var runErr error
+	go func() {
+		defer close(done)
+		h, runErr = c.Run(ctx)
+	}()
+	// Post only once round 0 is announced, so the honest upload is not a
+	// straggler.
+	c.mu.Lock()
+	sess := c.sessions[p.Token()]
+	c.mu.Unlock()
+	if events, wake, _ := c.eventsAfter(sess, 0); len(events) == 0 {
+		<-wake
+	}
+
+	post := func(user int, body []byte) (int, comm.MsgType, []byte) {
+		t.Helper()
+		resp, err := srv.Client().Post(
+			fmt.Sprintf("%s/v1/upload?token=%d&round=0&user=%d", srv.URL, p.Token(), user),
+			"application/octet-stream", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		mt, payload, err := comm.ReadFrame(resp.Body)
+		if err != nil {
+			t.Fatalf("user %d upload reply: %v", user, err)
+		}
+		return resp.StatusCode, mt, payload
+	}
+	codec := comm.CodecFor(cfg.QuantizeScores)
+	honest := func(u int) []comm.Prediction {
+		return []comm.Prediction{{User: u, Item: 1, Score: 0.9}, {User: u, Item: 2, Score: 0.75}}
+	}
+	hostile := map[int][]comm.Prediction{
+		3: {{User: sp.NumUsers + 1000, Item: 1, Score: 0.9}, {User: 3, Item: 2, Score: 0.75}},
+		4: {{User: 4, Item: 1, Score: 0.9}, {User: 4, Item: sp.NumItems + 7, Score: 0.9}},
+		5: {{User: 5, Item: 1, Score: 0.9}, {User: 5, Item: 2, Score: math.NaN()}},
+	}
+	for user, preds := range hostile {
+		status, mt, payload := post(user, encodeUpload(0, user, codec, preds, len(preds), true))
+		if status != http.StatusBadRequest || mt != comm.MsgError {
+			t.Fatalf("user %d hostile upload: reply %d %v %q, want 400 and MsgError", user, status, mt, payload)
+		}
+	}
+	if status, mt, payload := post(6, encodeUpload(0, 6, codec, honest(6), 2, true)); status != http.StatusOK || mt != comm.MsgAck {
+		t.Fatalf("honest upload: reply %d %v %q, want 200 and MsgAck", status, mt, payload)
+	}
+	// A refusal resolved its slot: an honest retry finds it gone.
+	if status, _, _ := post(3, encodeUpload(0, 3, codec, honest(3), 2, true)); status != http.StatusConflict {
+		t.Fatalf("honest retry after a refusal: status %d, want 409", status)
+	}
+
+	<-done
+	if runErr != nil || h == nil || len(h.Rounds) != 1 {
+		t.Fatalf("run did not complete: %v %+v", runErr, h)
+	}
+	r := h.Rounds[0]
+	if r.Dropped != sp.NumUsers-1 {
+		t.Fatalf("%d of %d users dropped, want all but the honest uploader", r.Dropped, sp.NumUsers)
+	}
+	if math.IsNaN(r.ServerLoss) || math.IsInf(r.ServerLoss, 0) || r.ServerLoss <= 0 {
+		t.Fatalf("ServerLoss = %v, want the finite loss of the honest upload", r.ServerLoss)
 	}
 }
 

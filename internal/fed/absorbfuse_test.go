@@ -3,6 +3,7 @@ package fed
 import (
 	"fmt"
 	"slices"
+	"sort"
 	"testing"
 
 	"ptffedrec/internal/comm"
@@ -10,14 +11,14 @@ import (
 	"ptffedrec/internal/rng"
 )
 
-// TestAbsorbFusedMatchesTwoPass cross-checks the fused edge selection — over
-// the upload slices absorb just ingested — against the reference two-pass
-// path it replaces on the hot loop: after every absorb the fused
-// (users, offsets, slab) triple must equal collectEdgesFor over the store's
-// dirty set exactly, the subsequent incremental rebuild must select from the
-// slices rather than the store, and the resulting CSR must match a
-// from-scratch build. Both edge rules (score threshold and top-fraction) and
-// both the serial and parallel fused paths are exercised.
+// TestAbsorbFusedMatchesTwoPass checks the edge selection the graph rebuild
+// runs over the round's upload slices against the stored views: after every
+// absorb the selection's users must be the round's uploaders in ascending
+// order, each user's edge row must equal the oracle rule
+// (graph_oracle_test.go) over what the store now holds for them, and the
+// rebuilt adjacency must match the oracle's from-scratch build. Both edge
+// rules (score threshold and top-fraction) and both the serial and parallel
+// selection are exercised.
 func TestAbsorbFusedMatchesTwoPass(t *testing.T) {
 	const numUsers, numItems = 80, 60
 	for _, tc := range []struct {
@@ -37,36 +38,24 @@ func TestAbsorbFusedMatchesTwoPass(t *testing.T) {
 				for r := 0; r < 6; r++ {
 					n := 1 + s.Intn(numUsers)
 					uploads := make([][]comm.Prediction, 0, n)
-					for _, u := range s.SampleInts(numUsers, n) {
+					uploaders := s.SampleInts(numUsers, n)
+					for _, u := range uploaders {
 						uploads = append(uploads, makeUpload(u, 1+s.Intn(14), numItems, s))
 					}
 					sv.absorb(uploads, workers)
-					users, fusedOff, fusedSlab := sv.fuseEdgeSelection(uploads, workers)
+					users, off, slab := sv.selectEdges(uploads, workers)
 
-					dirty := sv.store.DirtyUsers(nil)
-					if !slices.Equal(dirty, users) {
-						t.Fatalf("round %d: fused users %v != dirty set %v", r, users, dirty)
+					sort.Ints(uploaders)
+					if !slices.Equal(users, uploaders) {
+						t.Fatalf("round %d: selected users %v != sorted uploaders %v", r, users, uploaders)
 					}
-					off, slab := sv.collectEdgesFor(dirty, workers)
-					if !slices.Equal(fusedOff, off) {
-						t.Fatalf("round %d: fused offsets %v != two-pass %v", r, fusedOff, off)
-					}
-					if len(fusedSlab) != len(slab) {
-						t.Fatalf("round %d: fused slab len %d != two-pass %d", r, len(fusedSlab), len(slab))
-					}
-					for i := range slab {
-						if fusedSlab[i] != slab[i] {
-							t.Fatalf("round %d: edge[%d] fused %+v != two-pass %+v", r, i, fusedSlab[i], slab[i])
+					for i, u := range users {
+						want := oracleEdges(sv.cfg, u, sv.store.View(u))
+						if got := slab[off[i]:off[i+1]]; !slices.Equal(got, want) {
+							t.Fatalf("round %d user %d: selected edges %+v, the oracle rule over the stored view says %+v", r, u, got, want)
 						}
 					}
-
-					// The store-reading fallback fills edgeSlab; a rebuild that
-					// selects from the slices leaves it alone.
-					sv.edgeSlab = nil
 					sv.rebuildGraph(uploads, workers)
-					if sv.edgeSlab != nil {
-						t.Fatalf("round %d: rebuild re-read the store instead of the upload slices", r)
-					}
 					checkIncMatchesFull(t, fmt.Sprintf("round %d", r), sv, workers)
 				}
 			})

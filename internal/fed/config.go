@@ -68,10 +68,11 @@ type Config struct {
 
 	Privacy privacy.Config // §III-B2 upload mechanism
 
-	// GraphThreshold is the uploaded-score cutoff above which the server
-	// treats a triple as a soft-positive edge when rebuilding its graph.
-	// The paper leaves this construction open (swept by the
-	// ablation-servergraph experiment).
+	// GraphThreshold is the uploaded-score cutoff: the server treats a triple
+	// scored >= GraphThreshold as a soft-positive edge when rebuilding its
+	// graph. Its range is (0, 1]: an edge's weight is its score, and the graph
+	// engine takes strictly positive weights only. The paper leaves this
+	// construction open (swept by the ablation-servergraph experiment).
 	GraphThreshold float64
 
 	// GraphTopFrac, when positive, switches the server's edge selection to
@@ -170,7 +171,7 @@ func (c Config) Validate() error {
 		return fmt.Errorf("fed: Alpha = %d", c.Alpha)
 	case c.Mu < 0 || c.Mu > 1:
 		return fmt.Errorf("fed: Mu = %v", c.Mu)
-	case c.GraphThreshold < 0 || c.GraphThreshold > 1:
+	case !(c.GraphThreshold > 0 && c.GraphThreshold <= 1):
 		return fmt.Errorf("fed: GraphThreshold = %v", c.GraphThreshold)
 	case c.GraphTopFrac < 0 || c.GraphTopFrac > 1:
 		return fmt.Errorf("fed: GraphTopFrac = %v", c.GraphTopFrac)

@@ -108,6 +108,13 @@ func (e *RoundEngine) Evaluate(ev *eval.Evaluator) eval.Result {
 // absorb the uploads, rebuild the graph, optimise Eq. 5, and build every
 // responder's dispersal. The returned dispersals are in responder slot order.
 //
+// The outcomes must name distinct users, and every prediction in an upload
+// must name its outcome's user and an item in [0, NumItems): the graph
+// rebuild stages each uploader once, in user order, from the upload alone.
+// In-process, Select's cohort and the client round guarantee both; the
+// networked coordinator refuses an upload that breaks the second before it
+// becomes an outcome.
+//
 // A non-nil overlap runs concurrently with the dispersal phase — the Trainer
 // passes its server evaluation, which after the shared warm step is a pure
 // read of the frozen model. CloseRound returns only after overlap finishes.
@@ -137,8 +144,7 @@ func (e *RoundEngine) CloseRound(round int, outcomes []ClientOutcome, overlap fu
 	// absorb counters and the training-set construction shard over the round
 	// pool; inside every server TrainBatch the gradient workspace engine
 	// shards over the same pool size with a chunk-ordered merge. The graph
-	// rebuild takes the uploads too: its incremental path selects edges from
-	// these slices instead of re-reading the views absorb just stored.
+	// rebuild takes the uploads too: they are exactly the graph's delta.
 	phaseStart := time.Now()
 	e.server.absorb(uploads, workers)
 	e.phases.Absorb += time.Since(phaseStart).Seconds()

@@ -46,6 +46,11 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.Alpha = -1 },
 		func(c *Config) { c.Mu = 2 },
 		func(c *Config) { c.GraphThreshold = -0.1 },
+		// A zero threshold selects zero-score edges, which the graph engine
+		// cannot take (it stages strictly positive weights only).
+		func(c *Config) { c.GraphThreshold = 0 },
+		func(c *Config) { c.GraphThreshold = math.NaN() },
+		func(c *Config) { c.GraphThreshold = 1.5 },
 		func(c *Config) { c.EvalK = 0 },
 		func(c *Config) { c.Disperse = "bogus" },
 		func(c *Config) { c.Privacy.Defense = "bogus" },

@@ -418,6 +418,41 @@ func TestUploadComposition(t *testing.T) {
 	}
 }
 
+// TestUploadPredictionsAreWellFormed states on the live path what the
+// networked coordinator refuses an upload for, so that it can never refuse an
+// honest client: every prediction a client uploads names that client, an
+// item in [0, NumItems) and a score in [0, 1] — under every defense (Laplace
+// noise and the swap included) and through both codecs, as decoded on the
+// server's side of the wire.
+func TestUploadPredictionsAreWellFormed(t *testing.T) {
+	sp := tinySplit(t)
+	for _, defense := range []privacy.Defense{
+		privacy.DefenseNone, privacy.DefenseLDP, privacy.DefenseSampling, privacy.DefenseSamplingSwap,
+	} {
+		for _, quantize := range []bool{false, true} {
+			cfg := fastConfig(models.KindMF)
+			cfg.ClientModel, cfg.ClientEpochs, cfg.Rounds = models.KindMF, 1, 3
+			cfg.Privacy.Defense = defense
+			cfg.QuantizeScores = quantize
+			tr := propertyTrainer(t, sp, cfg)
+			checked := 0
+			for round := 0; round < cfg.Rounds; round++ {
+				for _, o := range observeRound(tr, round, nil, nil).outcomes {
+					for _, p := range o.Upload {
+						if p.User != o.ID || p.Item < 0 || p.Item >= sp.NumItems || !(p.Score >= 0 && p.Score <= 1) {
+							t.Fatalf("%s quantize=%v round %d: user %d uploads %+v", defense, quantize, round, o.ID, p)
+						}
+						checked++
+					}
+				}
+			}
+			if checked == 0 {
+				t.Fatalf("%s quantize=%v: no prediction was uploaded", defense, quantize)
+			}
+		}
+	}
+}
+
 // userGraphRow returns the items user u is connected to in the server's
 // maintained graph (nil for non-graph servers). Edge values are normalised
 // by item degrees, which other users' uploads move; membership is the

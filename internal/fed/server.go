@@ -1,6 +1,7 @@
 package fed
 
 import (
+	"cmp"
 	"fmt"
 	"io"
 	"slices"
@@ -44,41 +45,24 @@ type Server struct {
 	// pass, so steady-state rounds allocate nothing there.
 	hist [][]int
 
-	// Graph-build scratch, reused across rounds so the steady-state edge
-	// collection does no per-user allocation: the stored-user list, the
-	// per-user edge offsets, the edge slab the selection pass fills, and the
-	// serial path's rank-order sorter.
-	graphUsers []int
-	edgeOff    []int
-	edgeSlab   []graph.Edge
-	edgeSort   edgeSorter
+	// Edge-selection scratch, reused across rounds so a steady-state graph
+	// rebuild does no per-user allocation: the non-empty uploads' indexes in
+	// user order, the uploaders, the per-uploader edge offsets, the edge slab
+	// the selection fills, and the serial path's rank-order sorter.
+	edgeIdx   []int32
+	edgeUsers []int
+	edgeOff   []int
+	edgeSlab  []graph.Edge
+	edgeSort  edgeSorter
 
-	// Incremental graph engine state (graph server models only): the
-	// maintained adjacency, the reused dirty-user buffer, and the permanent
-	// fallback flag. The engine requires strictly positive edge weights (the
-	// full build skips zero-degree endpoints, which would make row membership
-	// data-dependent); a non-positive selected weight — only reachable with
-	// GraphThreshold <= 0 — trips incBroken and every later round takes the
-	// full rebuild, which is bitwise-identical anyway.
-	inc       *graph.Incremental
-	incDirty  []int
-	incBroken bool
+	// inc is the maintained adjacency of a graph server model (nil
+	// otherwise); every rebuild stages the round's uploaders into it.
+	inc *graph.Incremental
 
 	// train's flattened sample set and its per-upload offsets, reused across
 	// rounds (every entry is overwritten before it is read).
 	trainSamples []models.Sample
 	trainOff     []int
-
-	// Fused edge-selection scratch: the incremental graph path selects the
-	// round's edges directly from the upload slices CloseRound still holds —
-	// instead of re-reading every dirty user's view from the store absorb just
-	// wrote. fusedUsers/fusedOff/fusedSlab mirror collectEdgesFor's
-	// (users, off, slab) shape.
-	fusedUsers []int
-	fusedOff   []int
-	fusedSlab  []graph.Edge
-	fusedIdx   []int32
-	fusedSort  uploadOrderSorter
 }
 
 // serverModelConfig is the hidden model's configuration. Its SGD shards every
@@ -224,39 +208,32 @@ func (sv *Server) absorb(uploads [][]comm.Prediction, workers int) {
 	sv.store.SetBatch(uploads, workers)
 }
 
-// fuseEdgeSelection runs the incremental graph path's edge selection on the
-// round's upload slices, saving rebuildGraph a full re-read of every dirty
-// user's stored view. The selection is the same two-pass count/fill over the
-// same soft-positive rules (countEdgesIn / fillEdgesIn are shared with the
-// store-reading path), over the non-empty uploads in ascending user order —
-// exactly the store's dirty order when absorb ingested these uploads and
-// nothing else since the last rebuild. Steady-state calls at workers<=1
-// allocate nothing.
-func (sv *Server) fuseEdgeSelection(uploads [][]comm.Prediction, workers int) ([]int, []int, []graph.Edge) {
-	idx := sv.fusedIdx[:0]
+// selectEdges runs the soft-positive edge selection over the round's
+// non-empty uploads in ascending user order: users lists the uploaders, and
+// user users[i]'s edges are slab[off[i]:off[i+1]]. A parallel count pass
+// fixes each uploader's edge range by prefix sum and a parallel fill pass
+// writes each range, so the slab — and with it the order edge weights
+// accumulate in — is the serial construction's for any worker count.
+// Steady-state calls at workers<=1 allocate nothing.
+func (sv *Server) selectEdges(uploads [][]comm.Prediction, workers int) (users, off []int, slab []graph.Edge) {
+	idx := sv.edgeIdx[:0]
 	for i, up := range uploads {
 		if len(up) > 0 {
 			idx = append(idx, int32(i))
 		}
 	}
-	sv.fusedIdx = idx
-	sv.fusedSort.idx, sv.fusedSort.uploads = idx, uploads
-	sort.Sort(&sv.fusedSort)
-	sv.fusedSort.uploads = nil
+	sv.edgeIdx = idx
+	// Uploads carry one user each and users are distinct, so the first
+	// prediction's id is a total order.
+	slices.SortFunc(idx, func(a, b int32) int { return cmp.Compare(uploads[a][0].User, uploads[b][0].User) })
+	users = slices.Grow(sv.edgeUsers[:0], len(idx))[:len(idx)]
+	sv.edgeUsers = users
+	off = slices.Grow(sv.edgeOff[:0], len(idx)+1)[:len(idx)+1]
+	sv.edgeOff = off
 
-	users := sv.fusedUsers
-	if cap(users) < len(idx) {
-		users = make([]int, len(idx))
-	}
-	users = users[:len(idx):cap(users)]
-	sv.fusedUsers = users
-	off := sv.fusedOff
-	if cap(off) < len(idx)+1 {
-		off = make([]int, len(idx)+1)
-	}
-	off = off[: len(idx)+1 : cap(off)]
-	sv.fusedOff = off
-
+	// The parallel branches capture shadow copies: closing over the named
+	// results directly would box them on the heap every call, breaking the
+	// serial path's zero-allocation pin.
 	workers = par.Workers(workers)
 	off[0] = 0
 	if workers <= 1 {
@@ -277,12 +254,8 @@ func (sv *Server) fuseEdgeSelection(uploads [][]comm.Prediction, workers int) ([
 		off[i] += off[i-1]
 	}
 
-	slab := sv.fusedSlab
-	if cap(slab) < off[len(idx)] {
-		slab = make([]graph.Edge, off[len(idx)])
-	}
-	slab = slab[:off[len(idx)]]
-	sv.fusedSlab = slab
+	slab = slices.Grow(sv.edgeSlab[:0], off[len(idx)])[:off[len(idx)]]
+	sv.edgeSlab = slab
 
 	if workers <= 1 {
 		for i, ui := range idx {
@@ -301,180 +274,45 @@ func (sv *Server) fuseEdgeSelection(uploads [][]comm.Prediction, workers int) ([
 	return users, off, slab
 }
 
-// uploadOrderSorter orders upload indices by user id ascending — the
-// allocation-free sorter the fused selection uses to match the store's dirty
-// order. Uploads carry one user each, so the first prediction's id is the key.
-type uploadOrderSorter struct {
-	idx     []int32
-	uploads [][]comm.Prediction
-}
-
-func (s *uploadOrderSorter) Len() int { return len(s.idx) }
-func (s *uploadOrderSorter) Less(a, b int) bool {
-	return s.uploads[s.idx[a]][0].User < s.uploads[s.idx[b]][0].User
-}
-func (s *uploadOrderSorter) Swap(a, b int) { s.idx[a], s.idx[b] = s.idx[b], s.idx[a] }
-
-// rebuildGraph reconstructs the server's bipartite graph from every user's
-// latest upload. Soft-positive edges come either from an absolute score
+// rebuildGraph brings the server's soft-positive graph up to date with the
+// round's uploads. Soft-positive edges come either from an absolute score
 // threshold or, when GraphTopFrac is set, from each user's top-scored
 // fraction (robust to per-client calibration drift). Only graph server
-// models pay this cost; SetGraph itself shards the adjacency/CSR build over
-// the model's TrainWorkers.
+// models pay this cost.
 //
-// The edge collection runs over the upload store's ascending user order —
-// there are no map keys to sort — in two passes over a reused slab: a
-// parallel count pass fixes each user's edge range by prefix sum, a parallel
-// fill pass writes each user's edges into its own range, and the slab is
-// replayed in user order. Edge insertion order — which decides the order
-// degree weights accumulate in, and therefore the propagated floats —
-// matches the serial construction exactly for any worker count.
-//
-// When the server model implements GraphDeltaRecommender the rebuild is
-// incremental: only users whose stored upload changed since the last rebuild
-// (the store's dirty set) re-run edge selection — over uploads, the slices
-// absorb just ingested, when they are exactly that set — and the maintained
-// adjacency engine patches exactly the affected rows, degrees, and
-// normalization values — bitwise-identical to the full rebuild by the engine's
-// construction. The full path below runs for graph models without the delta
-// contract and, once a non-positive edge weight has tripped incBroken, for the
-// rest of the run.
+// The graph's delta is exactly the round's uploaders: a user's edges derive
+// from their latest upload alone, and absorb has just replaced the stored
+// upload of every one of them. So selectEdges runs over the uploads, each
+// uploader's row is staged — an uploader whose new upload selects no edges
+// clears their row — and the maintained adjacency engine patches exactly the
+// affected rows, degrees and normalization values, bitwise-identical to a
+// from-scratch NormalizedAdjPar of every stored upload by the engine's
+// construction. CloseRound's contract (distinct users, each prediction naming
+// its outcome's user and an in-range item) is what makes the staging order
+// strictly ascending, and Validate's GraphThreshold > 0 with the top-fraction
+// floor is what keeps every weight positive.
 func (sv *Server) rebuildGraph(uploads [][]comm.Prediction, workers int) {
-	gm, ok := sv.model.(models.GraphRecommender)
+	dm, ok := sv.model.(models.GraphDeltaRecommender)
 	if !ok {
 		return
 	}
-	if dm, ok := sv.model.(models.GraphDeltaRecommender); ok && !sv.incBroken {
-		if sv.rebuildGraphIncremental(dm, uploads, workers) {
-			return
-		}
-		sv.incBroken = true
-	}
-	users, off, slab := sv.collectEdges(workers)
-	// The full path consumes the round's dirty set too, so it never piles up.
-	sv.store.ResetDirty()
-	g := graph.NewBipartite(sv.numUsers, sv.numItems)
-	for i := range users {
-		for _, e := range slab[off[i]:off[i+1]] {
-			g.AddEdge(e.User, e.Item, e.Weight)
-		}
-	}
-	gm.SetGraph(g)
-}
-
-// rebuildGraphIncremental runs edge selection for the dirty users only and
-// commits the delta to the maintained adjacency engine. It returns false —
-// without touching the engine — if any selected weight is non-positive; the
-// caller then falls back to the full rebuild permanently.
-func (sv *Server) rebuildGraphIncremental(dm models.GraphDeltaRecommender, uploads [][]comm.Prediction, workers int) bool {
-	dirty := sv.store.DirtyUsers(sv.incDirty[:0])
-	sv.incDirty = dirty
-	// Select from the upload slices; the store-reading two-pass path is the
-	// fallback for a dirty set they do not describe (and the tests' reference).
-	users, off, slab := sv.fuseEdgeSelection(uploads, workers)
-	if !slices.Equal(dirty, users) {
-		off, slab = sv.collectEdgesFor(dirty, workers)
-	}
-	for i := range slab {
-		if !(slab[i].Weight > 0) {
-			return false
-		}
-	}
+	users, off, slab := sv.selectEdges(uploads, workers)
 	if sv.inc == nil {
 		sv.inc = graph.NewIncremental(sv.numUsers, sv.numItems)
 	}
 	sv.inc.Begin()
-	for i, u := range dirty {
+	for i, u := range users {
 		sv.inc.StageUser(u, slab[off[i]:off[i+1]])
 	}
 	sv.inc.Commit(workers)
-	sv.store.ResetDirty()
 	dm.SetGraphIncremental(sv.inc)
-	return true
 }
 
-// collectEdges gathers every stored user's selected edges into the server's
-// reused edge slab: users (ascending), per-user offsets into the slab, and
-// the slab itself. Steady-state calls at workers<=1 allocate nothing; the
-// parallel fill pass gives each chunk its own sorter scratch.
-func (sv *Server) collectEdges(workers int) (users, off []int, slab []graph.Edge) {
-	users = sv.store.Users(sv.graphUsers[:0])
-	sv.graphUsers = users
-	off, slab = sv.collectEdgesFor(users, workers)
-	return users, off, slab
-}
-
-// collectEdgesFor runs the two-pass count/fill edge selection over the given
-// users (ascending), reusing the server's offset and slab scratch.
-func (sv *Server) collectEdgesFor(users []int, workers int) (off []int, slab []graph.Edge) {
-	off = sv.edgeOff
-	if cap(off) < len(users)+1 {
-		off = make([]int, len(users)+1)
-	}
-	off = off[: len(users)+1 : cap(off)]
-	sv.edgeOff = off
-	workers = par.Workers(workers)
-
-	// The parallel branches capture shadow copies: closing over the named
-	// results directly would box them on the heap every call, breaking the
-	// serial path's zero-allocation pin.
-	off[0] = 0
-	if workers <= 1 {
-		for i := range users {
-			off[i+1] = sv.countEdges(users[i])
-		}
-	} else {
-		cUsers, cOff := users, off
-		par.For(len(cUsers), workers, func(i int) {
-			cOff[i+1] = sv.countEdges(cUsers[i])
-		})
-	}
-	for i := 1; i <= len(users); i++ {
-		off[i] += off[i-1]
-	}
-
-	slab = sv.edgeSlab
-	if cap(slab) < off[len(users)] {
-		slab = make([]graph.Edge, off[len(users)])
-	}
-	slab = slab[:off[len(users)]]
-	sv.edgeSlab = slab
-
-	if workers <= 1 {
-		for i := range users {
-			sv.fillEdges(users[i], slab[off[i]:off[i+1]], &sv.edgeSort)
-		}
-	} else {
-		cUsers, cOff, cSlab := users, off, slab
-		chunk := (len(cUsers) + workers - 1) / workers
-		par.ForChunks(len(cUsers), chunk, workers, func(lo, hi int) {
-			var sorter edgeSorter
-			for i := lo; i < hi; i++ {
-				sv.fillEdges(cUsers[i], cSlab[cOff[i]:cOff[i+1]], &sorter)
-			}
-		})
-	}
-	return off, slab
-}
-
-// countEdges returns how many edges the configured soft-positive rule
-// selects from user u's latest upload — the sizing pass of collectEdges.
-func (sv *Server) countEdges(u int) int {
-	return sv.countEdgesIn(sv.store.View(u))
-}
-
-// countEdgesIn is countEdges over an explicit prediction slice — shared by
-// the store-reading two-pass path and absorb's fused selection.
+// countEdgesIn returns how many edges the configured soft-positive rule
+// selects from one upload — the sizing pass of selectEdges.
 func (sv *Server) countEdgesIn(preds []comm.Prediction) int {
 	if sv.cfg.GraphTopFrac > 0 {
-		n := int(sv.cfg.GraphTopFrac*float64(len(preds)) + 0.5)
-		if n < 1 {
-			n = 1
-		}
-		if n > len(preds) {
-			n = len(preds)
-		}
-		return n
+		return min(max(int(sv.cfg.GraphTopFrac*float64(len(preds))+0.5), 1), len(preds))
 	}
 	n := 0
 	for _, p := range preds {
@@ -485,17 +323,11 @@ func (sv *Server) countEdgesIn(preds []comm.Prediction) int {
 	return n
 }
 
-// fillEdges writes user u's selected edges into dst (sized by countEdges).
-// The top-fraction rule ranks the upload by (score desc, upload order) via a
-// stable sort — identical order to the historical sort.SliceStable — with
-// scores floored at 0.05; the threshold rule keeps upload order. Calls for
-// distinct users only read server state, so they run concurrently.
-func (sv *Server) fillEdges(u int, dst []graph.Edge, sorter *edgeSorter) {
-	sv.fillEdgesIn(u, sv.store.View(u), dst, sorter)
-}
-
-// fillEdgesIn is fillEdges over an explicit prediction slice — shared by the
-// store-reading two-pass path and absorb's fused selection.
+// fillEdgesIn writes user u's selected edges from preds into dst (sized by
+// countEdgesIn). The top-fraction rule ranks the upload by (score desc,
+// upload order) via a stable sort — identical order to sort.SliceStable —
+// with scores floored at 0.05; the threshold rule keeps upload order. Calls
+// for distinct users only read server state, so they run concurrently.
 func (sv *Server) fillEdgesIn(u int, preds []comm.Prediction, dst []graph.Edge, sorter *edgeSorter) {
 	if sv.cfg.GraphTopFrac > 0 {
 		if cap(sorter.order) < len(preds) {
@@ -508,12 +340,8 @@ func (sv *Server) fillEdgesIn(u int, preds []comm.Prediction, dst []graph.Edge, 
 		sorter.preds = preds
 		sort.Stable(sorter)
 		for i := range dst {
-			idx := sorter.order[i]
-			w := preds[idx].Score
-			if w < 0.05 {
-				w = 0.05
-			}
-			dst[i] = graph.Edge{User: u, Item: preds[idx].Item, Weight: w}
+			p := preds[sorter.order[i]]
+			dst[i] = graph.Edge{User: u, Item: p.Item, Weight: max(p.Score, 0.05)}
 		}
 		return
 	}

@@ -3,9 +3,10 @@ package fed
 // This file is the server's per-user upload state — each user's most recent
 // D̂ᵗᵢ, whose union is the server's entire view of the interaction structure.
 // flatUploadStore is a sharded arena of contiguous []comm.Prediction slabs
-// with a fixed-stride per-user offset/length index, so absorb writes in place,
-// per-user views are zero-alloc slices, and graph rebuilds iterate users in
-// index order without sorting map keys.
+// with a fixed-stride per-user offset/length index, so absorb writes in place
+// and per-user views are zero-alloc slices. The store is what the server
+// holds, not what changed: dispersal reads a recipient's view for Eq. 9's
+// exclusion, and the graph rebuild takes its delta from the round's uploads.
 
 import (
 	"math/bits"
@@ -36,12 +37,6 @@ type uploadShard struct {
 	cap_ []int32 // per local user: reserved region capacity
 	dead int     // slab entries in abandoned regions
 	live int     // slab entries in reserved regions of users with an upload
-
-	// dirty is a bitset over the shard's local users, marking uploads written
-	// since the last ResetDirty (1 bit per user; ~0.125 B/user). dirtyAny
-	// lets the dirty scan and reset skip untouched shards entirely.
-	dirty    []uint64
-	dirtyAny bool
 }
 
 // set absorbs this shard's share of a round: idxs selects the batch uploads
@@ -124,18 +119,18 @@ func newFlatUploadStore(numUsers int) *flatUploadStore {
 			span = numUsers - lo
 		}
 		st.shards[si] = uploadShard{
-			lo:    lo,
-			off:   make([]int32, span),
-			n:     make([]int32, span),
-			cap_:  make([]int32, span),
-			dirty: make([]uint64, (span+63)/64),
+			lo:   lo,
+			off:  make([]int32, span),
+			n:    make([]int32, span),
+			cap_: make([]int32, span),
 		}
 	}
 	return st
 }
 
 // SetBatch absorbs one round of uploads. Uploads come from distinct clients
-// (the round engine samples without replacement) and empty uploads are
+// (the round engine samples without replacement), every prediction of an
+// upload names its uploader (CloseRound's contract), and empty uploads are
 // ignored. The final state depends only on the batch contents, never on
 // workers.
 func (st *flatUploadStore) SetBatch(uploads [][]comm.Prediction, workers int) {
@@ -152,12 +147,9 @@ func (st *flatUploadStore) SetBatch(uploads [][]comm.Prediction, workers int) {
 		}
 		si := up[0].User >> st.strideBits
 		sh := &st.shards[si]
-		local := up[0].User - sh.lo
-		if sh.n[local] == 0 {
+		if sh.n[up[0].User-sh.lo] == 0 {
 			st.users++
 		}
-		sh.dirty[local>>6] |= 1 << (uint(local) & 63)
-		sh.dirtyAny = true
 		st.route[si] = append(st.route[si], int32(i))
 	}
 	if par.Workers(workers) <= 1 {
@@ -186,7 +178,8 @@ func (st *flatUploadStore) View(u int) []comm.Prediction {
 }
 
 // Users appends every user id with a stored upload to dst in ascending order
-// and returns it — the full graph rebuild's iteration order.
+// and returns it — the order the tests' from-scratch graph oracle reads the
+// store in.
 func (st *flatUploadStore) Users(dst []int) []int {
 	for si := range st.shards {
 		sh := &st.shards[si]
@@ -202,40 +195,6 @@ func (st *flatUploadStore) Users(dst []int) []int {
 // Count returns how many users have a stored upload.
 func (st *flatUploadStore) Count() int { return st.users }
 
-// DirtyUsers appends, in ascending order, every user whose stored upload
-// changed since the last ResetDirty and returns dst. Non-consuming: the
-// incremental graph path reads the set, rebuilds, then calls ResetDirty.
-func (st *flatUploadStore) DirtyUsers(dst []int) []int {
-	for si := range st.shards {
-		sh := &st.shards[si]
-		if !sh.dirtyAny {
-			continue
-		}
-		for wi, w := range sh.dirty {
-			for w != 0 {
-				b := bits.TrailingZeros64(w)
-				dst = append(dst, sh.lo+wi*64+b)
-				w &^= 1 << uint(b)
-			}
-		}
-	}
-	return dst
-}
-
-// ResetDirty clears the dirty-user set.
-func (st *flatUploadStore) ResetDirty() {
-	for si := range st.shards {
-		sh := &st.shards[si]
-		if !sh.dirtyAny {
-			continue
-		}
-		for wi := range sh.dirty {
-			sh.dirty[wi] = 0
-		}
-		sh.dirtyAny = false
-	}
-}
-
 // MemoryBytes reports the store's resident footprint.
 func (st *flatUploadStore) MemoryBytes() int64 {
 	var b int64
@@ -243,7 +202,6 @@ func (st *flatUploadStore) MemoryBytes() int64 {
 		sh := &st.shards[si]
 		b += int64(cap(sh.slab)) * comm.PredictionMemBytes
 		b += int64(len(sh.off)+len(sh.n)+len(sh.cap_)) * 4
-		b += int64(len(sh.dirty)) * 8
 	}
 	for _, r := range st.route {
 		b += int64(cap(r)) * 4

@@ -5,7 +5,7 @@ package fed
 // reference oracle for the per-operation store comparison
 // (TestFlatUploadStoreMatchesMap, TestUploadStoreInvariance) and must not be
 // edited to follow the flat store. Only the constructor's name changed in the
-// move.
+// move; its dirty-set twins were deleted with the flat store's dirty set.
 
 import (
 	"sort"
@@ -16,12 +16,11 @@ import (
 // mapUploadStore is the historical map-of-slices state, kept as the
 // baseline: each entry aliases the round's upload slice directly.
 type mapUploadStore struct {
-	m     map[int][]comm.Prediction
-	dirty map[int]struct{}
+	m map[int][]comm.Prediction
 }
 
 func newMapStoreOracle() *mapUploadStore {
-	return &mapUploadStore{m: map[int][]comm.Prediction{}, dirty: map[int]struct{}{}}
+	return &mapUploadStore{m: map[int][]comm.Prediction{}}
 }
 
 func (st *mapUploadStore) SetBatch(uploads [][]comm.Prediction, workers int) {
@@ -30,7 +29,6 @@ func (st *mapUploadStore) SetBatch(uploads [][]comm.Prediction, workers int) {
 			continue
 		}
 		st.m[up[0].User] = up
-		st.dirty[up[0].User] = struct{}{}
 	}
 }
 
@@ -46,19 +44,6 @@ func (st *mapUploadStore) Users(dst []int) []int {
 }
 
 func (st *mapUploadStore) Count() int { return len(st.m) }
-
-func (st *mapUploadStore) DirtyUsers(dst []int) []int {
-	start := len(dst)
-	for u := range st.dirty {
-		dst = append(dst, u)
-	}
-	sort.Ints(dst[start:])
-	return dst
-}
-
-func (st *mapUploadStore) ResetDirty() {
-	clear(st.dirty)
-}
 
 // mapEntryOverheadBytes approximates one map entry's bookkeeping: the
 // int key, the slice header, and the runtime's per-entry bucket share.

@@ -27,11 +27,14 @@ func storeTestServer(tb testing.TB, numUsers, numItems int, mutate func(*Config)
 	return sv
 }
 
-// makeUpload builds one user's upload with deterministic items/scores.
+// makeUpload builds one user's upload with deterministic items/scores. Scores
+// sit on a grid of twentieths, so uploads hold ties and scores exactly at the
+// graph tests' thresholds (0.3, 0.4) — the cases where ">=" and a stable rank
+// order decide which edges exist.
 func makeUpload(u, m, numItems int, s *rng.Stream) []comm.Prediction {
 	up := make([]comm.Prediction, m)
 	for j := range up {
-		up[j] = comm.Prediction{User: u, Item: s.Intn(numItems), Score: s.Float64()}
+		up[j] = comm.Prediction{User: u, Item: s.Intn(numItems), Score: float64(s.Intn(21)) / 20}
 	}
 	return up
 }
@@ -112,7 +115,7 @@ func requirePredsEqual(t *testing.T, label string, got, want []comm.Prediction) 
 // (uploadstore_oracle_test.go) through many rounds of randomized batches —
 // lengths jittering, shrinking and growing to force both in-place rewrites
 // and abandon/compact cycles — and requires identical observable state
-// (count, user order, every view, the dirty set) after every round.
+// (count, user order, every view) after every round.
 func TestFlatUploadStoreMatchesMap(t *testing.T) {
 	const numUsers, numItems, rounds = 700, 90, 80
 	flat := newFlatUploadStore(numUsers)
@@ -154,15 +157,6 @@ func TestFlatUploadStoreMatchesMap(t *testing.T) {
 			}
 			requirePredsEqual(t, fmt.Sprintf("round %d user %d", round, fu[i]),
 				flat.View(fu[i]), mp.View(fu[i]))
-		}
-		// The dirty set accumulates across rounds until the graph rebuild
-		// consumes it; reset on an irregular cadence so both cases are seen.
-		if fd, md := flat.DirtyUsers(nil), mp.DirtyUsers(nil); !slices.Equal(fd, md) {
-			t.Fatalf("round %d: dirty users %v vs map %v", round, fd, md)
-		}
-		if round%3 == 1 {
-			flat.ResetDirty()
-			mp.ResetDirty()
 		}
 	}
 }
@@ -243,7 +237,7 @@ func storeAllocFixture(tb testing.TB, topFrac float64) (*Server, [][]comm.Predic
 	}
 	sv.absorb(uploads, 1)
 	sv.absorb(uploads, 1)
-	sv.collectEdges(1)
+	sv.selectEdges(uploads, 1)
 	return sv, uploads
 }
 
@@ -260,10 +254,10 @@ func TestAbsorbSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestCollectEdgesSteadyStateAllocs pins the serial graph edge collection at
-// zero steady-state allocations for both soft-positive rules (threshold scan
-// and top-fraction stable sort), reading the store (collectEdges) and reading
-// the round's upload slices (fuseEdgeSelection, the pass rebuildGraph runs).
+// TestCollectEdgesSteadyStateAllocs pins the serial graph edge selection
+// over a round's uploads (selectEdges, the pass rebuildGraph runs) at zero
+// steady-state allocations for both soft-positive rules (threshold scan and
+// top-fraction stable sort).
 func TestCollectEdgesSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation perturbs allocation counts")
@@ -274,12 +268,8 @@ func TestCollectEdgesSteadyStateAllocs(t *testing.T) {
 	}{{"threshold", 0}, {"topfrac", 0.5}} {
 		t.Run(tc.name, func(t *testing.T) {
 			sv, uploads := storeAllocFixture(t, tc.topFrac)
-			if allocs := testing.AllocsPerRun(50, func() { sv.collectEdges(1) }); allocs != 0 {
-				t.Fatalf("steady-state collectEdges allocates %.1f times per call, want 0", allocs)
-			}
-			sv.fuseEdgeSelection(uploads, 1)
-			if allocs := testing.AllocsPerRun(50, func() { sv.fuseEdgeSelection(uploads, 1) }); allocs != 0 {
-				t.Fatalf("steady-state fuseEdgeSelection allocates %.1f times per call, want 0", allocs)
+			if allocs := testing.AllocsPerRun(50, func() { sv.selectEdges(uploads, 1) }); allocs != 0 {
+				t.Fatalf("steady-state selectEdges allocates %.1f times per call, want 0", allocs)
 			}
 		})
 	}
@@ -296,13 +286,13 @@ func BenchmarkAbsorb(b *testing.B) {
 	}
 }
 
-// BenchmarkCollectEdges measures the steady-state serial edge collection.
-// -benchmem must report 0 B/op, 0 allocs/op.
+// BenchmarkCollectEdges measures the steady-state serial edge selection over
+// a 200-client round. -benchmem must report 0 B/op, 0 allocs/op.
 func BenchmarkCollectEdges(b *testing.B) {
-	sv, _ := storeAllocFixture(b, 0)
+	sv, uploads := storeAllocFixture(b, 0)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sv.collectEdges(1)
+		sv.selectEdges(uploads, 1)
 	}
 }

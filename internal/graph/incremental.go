@@ -37,8 +37,10 @@ import (
 // NormalizedAdjPar / NormalizedAdjSelfPar on the equivalent Bipartite — at
 // every worker count. The engine requires strictly positive edge weights
 // (the full build's zero-degree skip would otherwise make row membership
-// data-dependent); Commit panics if a staged weight violates that, and the
-// federated server checks first and falls back to the full rebuild instead.
+// data-dependent): StageUser panics on a non-positive or NaN weight, as it
+// does on an out-of-range item. The federated server never stages one —
+// fed.Config.Validate keeps GraphThreshold in (0, 1] and the top-fraction
+// rule floors weights at 0.05.
 type Incremental struct {
 	numUsers, numItems int
 
@@ -58,7 +60,6 @@ type Incremental struct {
 	stagedOff   []int32
 	stagedItems []int32
 	stagedW     []float64
-	badWeight   bool
 
 	// Commit scratch. itemDelta[v] holds the staged groups landing on item v
 	// (users ascending, truncated lazily via the itemGen stamp); affected is
@@ -92,8 +93,8 @@ type incDelta struct {
 }
 
 // NewIncremental returns an empty engine over the given universe. The empty
-// state is the full build of an empty store, so the first Commit (which sees
-// every stored user as dirty) bootstraps it without a special case.
+// state is the full build of an empty edge set, so the first Commit (which
+// stages every user with edges so far) bootstraps it without a special case.
 func NewIncremental(numUsers, numItems int) *Incremental {
 	return &Incremental{
 		numUsers:     numUsers,
@@ -124,13 +125,14 @@ func (inc *Incremental) Begin() {
 	inc.stagedOff = append(inc.stagedOff[:0], 0)
 	inc.stagedItems = inc.stagedItems[:0]
 	inc.stagedW = inc.stagedW[:0]
-	inc.badWeight = false
 }
 
 // StageUser records user u's complete replacement edge set in fill order
 // (items may repeat — duplicates accumulate like AddEdge). Users must be
 // staged in ascending order, each at most once; an empty edge set clears the
-// user's row. Edge.User is ignored; only Item and Weight are read.
+// user's row. Edge.User is ignored; only Item and Weight are read. A user or
+// item outside the universe panics, and so does a weight that is not strictly
+// positive (NaN included).
 func (inc *Incremental) StageUser(u int, edges []Edge) {
 	if u < 0 || u >= inc.numUsers {
 		panic(fmt.Sprintf("graph: staged user %d out of range [0,%d)", u, inc.numUsers))
@@ -144,18 +146,13 @@ func (inc *Incremental) StageUser(u int, edges []Edge) {
 			panic(fmt.Sprintf("graph: staged item %d out of range [0,%d)", e.Item, inc.numItems))
 		}
 		if !(e.Weight > 0) {
-			inc.badWeight = true
+			panic(fmt.Sprintf("graph: staged weight %v for item %d is not strictly positive", e.Weight, e.Item))
 		}
 		inc.stagedItems = append(inc.stagedItems, int32(e.Item))
 		inc.stagedW = append(inc.stagedW, e.Weight)
 	}
 	inc.stagedOff = append(inc.stagedOff, int32(len(inc.stagedItems)))
 }
-
-// BadWeight reports whether any staged edge carried a non-positive (or NaN)
-// weight. Callers that can fall back to the full rebuild should check this
-// before Commit, which panics on the same condition.
-func (inc *Incremental) BadWeight() bool { return inc.badWeight }
 
 // itemWSorter stable-sorts a staged (item, weight) span by item, preserving
 // fill order within equal items — the order NewCSRPar's stable column sort
@@ -195,9 +192,6 @@ const incItemChunk = 256
 // are written in pass 3, so the parallel pass is race-free and the result is
 // identical for every worker count.
 func (inc *Incremental) Commit(workers int) {
-	if inc.badWeight {
-		panic("graph: Incremental requires strictly positive edge weights; callers must check BadWeight and fall back to a full rebuild")
-	}
 	workers = par.Workers(workers)
 	nStaged := len(inc.stagedUsers)
 	inc.gen++

@@ -76,9 +76,6 @@ func (st *incState) round(t *testing.T, staged []int, edges [][]Edge) {
 		st.inc.StageUser(u, edges[i])
 		st.rows[u] = append(st.rows[u][:0], edges[i]...)
 	}
-	if st.inc.BadWeight() {
-		t.Fatal("unexpected BadWeight on positive-weight round")
-	}
 	st.inc.Commit(st.workers)
 	full := fullBuild(st.users, st.items, st.rows)
 	st.adj = st.inc.AdjInto(st.adj, st.workers)
@@ -174,22 +171,23 @@ func TestIncrementalRandomRounds(t *testing.T) {
 	}
 }
 
-// TestIncrementalBadWeight pins the refusal contract: a non-positive staged
-// weight flips BadWeight (the caller's cue to fall back to the full rebuild)
-// and Commit panics rather than maintaining data-dependent row membership.
+// TestIncrementalBadWeight pins the refusal contract: StageUser panics on a
+// weight that is not strictly positive — zero, negative or NaN — the moment
+// it is staged, as it does on an out-of-range item, rather than maintaining
+// data-dependent row membership.
 func TestIncrementalBadWeight(t *testing.T) {
-	inc := NewIncremental(2, 2)
-	inc.Begin()
-	inc.StageUser(0, []Edge{{Item: 0, Weight: 0}})
-	if !inc.BadWeight() {
-		t.Fatal("zero weight not flagged")
+	for _, w := range []float64{0, -1, math.NaN()} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("StageUser accepted weight %v", w)
+				}
+			}()
+			inc := NewIncremental(2, 2)
+			inc.Begin()
+			inc.StageUser(0, []Edge{{Item: 1, Weight: 0.5}, {Item: 0, Weight: w}})
+		}()
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Commit did not panic on bad weight")
-		}
-	}()
-	inc.Commit(1)
 }
 
 // FuzzIncremental feeds randomized delta sequences (derived from the fuzzed

@@ -50,11 +50,11 @@ type GraphRecommender interface {
 // propagation operators directly from an incrementally-maintained adjacency
 // engine instead of rebuilding them from triplets. The assembled operators
 // are bitwise-identical to SetGraph on the equivalent Bipartite (the engine's
-// contract), so a model may alternate freely between the two entry points;
-// the federated server uses this one until a non-positive edge weight sends
-// it back to SetGraph for the rest of the run. The
-// model's operator buffers are reused across calls — the engine copies into
-// them, it does not retain them.
+// contract), so a model may alternate freely between the two entry points.
+// The federated server uses only this one; clients and the centralized
+// trainer build a Bipartite and call SetGraph. The model's operator buffers
+// are reused across calls — the engine copies into them, it does not retain
+// them.
 type GraphDeltaRecommender interface {
 	GraphRecommender
 	SetGraphIncremental(inc *graph.Incremental)
