@@ -8,7 +8,7 @@ GO ?= go
 # CI, fails above it. A change that shrinks the code lowers it to the size it
 # reaches; one that has to grow the code raises it in the same diff, where a
 # reviewer sees the price.
-LOC_BUDGET = 13631
+LOC_BUDGET = 13792
 
 # The packages whose concurrent paths CI runs in full (not -short) under the
 # race detector; ci.yml says why each is there.
@@ -22,12 +22,13 @@ RACE_FULL = ./internal/eval/... ./internal/fed/... ./internal/graph/... \
 build:
 	$(GO) build ./...
 
-# cross builds the side of the dense-GEMM dispatch this host does not run:
-# without gemm_amd64.{go,s} every tile is the pure Go one. Both commands use
-# the installed toolchain; nothing is downloaded.
+# cross builds the side of the tensor kernels' dispatch this host does not
+# run: without avx2_amd64.go and the .s files every GEMM tile and elementwise
+# kernel is the pure Go body. It vets tensor and the dispatch's callers in nn
+# and emb. Both commands use the installed toolchain; nothing is downloaded.
 cross:
 	GOARCH=arm64 $(GO) build ./...
-	GOARCH=arm64 $(GO) vet ./internal/tensor/
+	GOARCH=arm64 $(GO) vet ./internal/tensor/ ./internal/nn/ ./internal/emb/
 
 test:
 	$(GO) test ./...
@@ -73,9 +74,10 @@ bench-module:
 # record.
 # -timeout 30m: the root-package table benchmarks take ~10 min on one core,
 # right at go test's default 10m kill threshold.
-# internal/tensor and internal/models carry the client wave's two kernels:
-# BenchmarkDenseGEMM and BenchmarkNeuMFClientTrainBatch (0 allocs/op; the pin
-# is TestNeuMFClientTrainBatchSteadyStateAllocs).
+# internal/tensor and internal/models carry the client wave's kernels:
+# BenchmarkDenseGEMM, BenchmarkElementwise (Adam, ReLU and the vector adds,
+# assembly and pure Go bodies side by side) and BenchmarkNeuMFClientTrainBatch
+# (0 allocs/op; the pin is TestNeuMFClientTrainBatchSteadyStateAllocs).
 bench:
 	$(GO) test -bench=. -benchmem -benchtime=1x -run='^$$' -timeout 30m . ./internal/fed/ ./internal/tensor/ ./internal/models/
 	$(GO) run ./cmd/ptfbench -exp scalability -quick -json > BENCH_scalability.json.tmp

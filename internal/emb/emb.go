@@ -10,7 +10,6 @@ package emb
 import (
 	"fmt"
 	"io"
-	"math"
 	"sort"
 
 	"ptffedrec/internal/persist"
@@ -25,7 +24,14 @@ type AdamHyper struct {
 
 // DefaultAdam returns the paper's optimizer settings (lr as given).
 func DefaultAdam(lr float64) AdamHyper {
-	return AdamHyper{LR: lr, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8}
+	return AdamHyper{LR: lr, Beta1: tensor.AdamBeta1, Beta2: tensor.AdamBeta2, Eps: 1e-8}
+}
+
+// update returns the sparse-Adam update of a row at its step-th step. It is
+// the undecayed form: a table row never adds a weight-decay term.
+func (hy AdamHyper) update(step int) tensor.AdamStep {
+	bc1, bc2 := tensor.AdamBiasCorrections(hy.Beta1, hy.Beta2, step)
+	return tensor.AdamStep{LR: hy.LR, Beta1: hy.Beta1, Beta2: hy.Beta2, Eps: hy.Eps, BC1: bc1, BC2: bc2}
 }
 
 // Table is a dense embedding table with per-row Adam state. Rows are updated
@@ -79,17 +85,8 @@ func (t *Table) Accumulate(i int, g []float64) {
 func (t *Table) Step() {
 	for i, g := range t.grad {
 		t.step[i]++
-		st := t.step[i]
-		bc1 := 1 - math.Pow(t.hy.Beta1, float64(st))
-		bc2 := 1 - math.Pow(t.hy.Beta2, float64(st))
-		w := t.W.Row(i)
-		m := t.m.Row(i)
-		v := t.v.Row(i)
-		for k, gk := range g {
-			m[k] = t.hy.Beta1*m[k] + (1-t.hy.Beta1)*gk
-			v[k] = t.hy.Beta2*v[k] + (1-t.hy.Beta2)*gk*gk
-			w[k] -= t.hy.LR * (m[k] / bc1) / (math.Sqrt(v[k]/bc2) + t.hy.Eps)
-		}
+		s := t.hy.update(t.step[i])
+		tensor.AdamUpdate(t.W.Row(i), t.m.Row(i), t.v.Row(i), g, &s)
 		delete(t.grad, i)
 	}
 }
@@ -171,8 +168,11 @@ func (t *Table) PendingGrad(i int) []float64 {
 type LazyTable struct {
 	Dim  int
 	rows map[int]*lazyRow
-	init func(out []float64)
-	hy   AdamHyper
+	// dirty lists the rows with a pending gradient, in the order they
+	// turned dirty: all Step visits.
+	dirty []*lazyRow
+	init  func(out []float64)
+	hy    AdamHyper
 }
 
 type lazyRow struct {
@@ -182,8 +182,8 @@ type lazyRow struct {
 }
 
 // NewLazyTable returns an empty table; each first-touched row is filled with
-// N(0, 0.01) values from a stream derived per row id, so the same row gets
-// the same init regardless of touch order.
+// N(0, 0.01) values drawn from the table's one "lazytable" stream, so a row's
+// init depends on the order rows are first touched.
 func NewLazyTable(s *rng.Stream, dim int, hy AdamHyper) *LazyTable {
 	base := s.Derive("lazytable")
 	return &LazyTable{
@@ -223,7 +223,10 @@ func (t *LazyTable) row(i int) *lazyRow {
 func (t *LazyTable) Accumulate(i int, g []float64) {
 	r := t.row(i)
 	tensor.AddVec(g, r.grad)
-	r.dirty = true
+	if !r.dirty {
+		r.dirty = true
+		t.dirty = append(t.dirty, r)
+	}
 }
 
 // Snapshot writes the materialised rows (ids + weights) to w.
@@ -318,21 +321,15 @@ func (t *LazyTable) RestoreMoments(r io.Reader) error {
 	return nil
 }
 
-// Step applies sparse Adam to all dirty rows.
+// Step applies sparse Adam to the dirty rows and zeroes their gradients.
+// Rows update independently, so visiting them in dirty-list order computes
+// what any order would.
 func (t *LazyTable) Step() {
-	for _, r := range t.rows {
-		if !r.dirty {
-			continue
-		}
+	for _, r := range t.dirty {
 		r.step++
-		bc1 := 1 - math.Pow(t.hy.Beta1, float64(r.step))
-		bc2 := 1 - math.Pow(t.hy.Beta2, float64(r.step))
-		for k, gk := range r.grad {
-			r.m[k] = t.hy.Beta1*r.m[k] + (1-t.hy.Beta1)*gk
-			r.v[k] = t.hy.Beta2*r.v[k] + (1-t.hy.Beta2)*gk*gk
-			r.w[k] -= t.hy.LR * (r.m[k] / bc1) / (math.Sqrt(r.v[k]/bc2) + t.hy.Eps)
-			r.grad[k] = 0
-		}
+		s := t.hy.update(r.step)
+		tensor.AdamUpdate(r.w, r.m, r.v, r.grad, &s)
 		r.dirty = false
 	}
+	t.dirty = t.dirty[:0]
 }

@@ -135,6 +135,35 @@ func TestLazyTableStepOnlyDirty(t *testing.T) {
 	}
 }
 
+// TestLazyTableStepVisitsEachDirtyRowOnce pins the dirty list: a row
+// accumulated twice in a batch is stepped once, a materialised row never
+// accumulated is not stepped, and Step leaves the list empty and every
+// gradient zero.
+func TestLazyTableStepVisitsEachDirtyRowOnce(t *testing.T) {
+	tab := NewLazyTable(rng.New(9), 2, DefaultAdam(0.1))
+	_ = tab.Row(1)
+	for batch := 1; batch <= 3; batch++ {
+		tab.Accumulate(3, []float64{1, 1})
+		tab.Accumulate(5, []float64{-1, 1})
+		tab.Accumulate(3, []float64{1, -1})
+		tab.Step()
+		if len(tab.dirty) != 0 {
+			t.Fatalf("batch %d: %d rows left dirty after Step", batch, len(tab.dirty))
+		}
+		for id, want := range map[int]int{1: 0, 3: batch, 5: batch} {
+			r := tab.rows[id]
+			if r.step != want || r.dirty {
+				t.Fatalf("batch %d: row %d at step %d (dirty %v), want %d", batch, id, r.step, r.dirty, want)
+			}
+			for _, g := range r.grad {
+				if g != 0 {
+					t.Fatalf("batch %d: row %d kept gradient %v", batch, id, r.grad)
+				}
+			}
+		}
+	}
+}
+
 func TestLazyTableConverges(t *testing.T) {
 	tab := NewLazyTable(rng.New(8), 2, DefaultAdam(0.05))
 	target := []float64{-0.3, 0.8}

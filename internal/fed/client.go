@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"ptffedrec/internal/bitset"
 	"ptffedrec/internal/comm"
 	"ptffedrec/internal/graph"
 	"ptffedrec/internal/models"
@@ -27,14 +26,6 @@ type Client struct {
 
 	// serverData is D̃ᵢ: (item, soft score) pairs from the last dispersal.
 	serverData []comm.Prediction
-
-	// lastUpload remembers the most recent D̂ᵗᵢ item set — the client's own
-	// record of what it sent (tests and the privacy invariants read it). The
-	// server-side dispersal honours Eq. 9's "vⱼ ∉ V̂ᵗᵢ" constraint from its
-	// upload store, i.e. from what it actually received. It is a bitset over
-	// the item universe, allocated on the client's first upload and
-	// reset-and-refilled every round.
-	lastUpload *bitset.Set
 }
 
 // newClient builds the client's local model. Graph client models (Table VIII)
@@ -157,15 +148,6 @@ func (c *Client) buildUpload(negatives []int) []comm.Prediction {
 	// Shuffle so upload order leaks nothing about the positive/negative
 	// partition.
 	c.s.Shuffle(len(preds), func(i, j int) { preds[i], preds[j] = preds[j], preds[i] })
-
-	if c.lastUpload == nil {
-		c.lastUpload = bitset.New(c.numItems)
-	} else {
-		c.lastUpload.Reset()
-	}
-	for _, p := range preds {
-		c.lastUpload.Add(p.Item)
-	}
 	return preds
 }
 

@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 
+	"ptffedrec/internal/bitset"
+	"ptffedrec/internal/comm"
 	"ptffedrec/internal/data"
 	"ptffedrec/internal/models"
 	"ptffedrec/internal/privacy"
@@ -28,6 +30,30 @@ func fastConfig(server models.Kind) Config {
 	cfg.LR = 5e-3
 	cfg.Workers = 4
 	return cfg
+}
+
+// runRoundUploads runs round as Trainer.RunRound does and returns, indexed by
+// user, the upload each responder's outcome carried to the server — nil for a
+// user outside the cohort or dropped.
+func runRoundUploads(tr *Trainer, round int) [][]comm.Prediction {
+	idx := tr.engine.Select(round)
+	outcomes := make([]ClientOutcome, len(idx))
+	tr.trainSlots(round, idx, outcomes, allSlots(len(idx)))
+	tr.closeRound(round, outcomes, false)
+	uploads := make([][]comm.Prediction, tr.split.NumUsers)
+	for _, o := range outcomes {
+		uploads[o.ID] = o.Upload
+	}
+	return uploads
+}
+
+// uploadItems returns the item set of an upload.
+func uploadItems(numItems int, upload []comm.Prediction) *bitset.Set {
+	set := bitset.New(numItems)
+	for _, p := range upload {
+		set.Add(p.Item)
+	}
+	return set
 }
 
 func TestConfigValidate(t *testing.T) {
@@ -156,10 +182,11 @@ func TestDispersalRespectsUploadExclusion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr.RunRound(0)
+	uploads := runRoundUploads(tr, 0)
 	for _, c := range tr.Clients() {
+		sent := uploadItems(sp.NumItems, uploads[c.ID])
 		for _, p := range c.ServerData() {
-			if c.lastUpload.Contains(p.Item) {
+			if sent.Contains(p.Item) {
 				t.Fatalf("client %d: dispersed item %d was in its upload", c.ID, p.Item)
 			}
 			if p.Score < 0 || p.Score > 1 {
@@ -202,15 +229,16 @@ func TestConfidenceSelectionPrefersFrequentItems(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr.RunRound(0)
+	uploads := runRoundUploads(tr, 0)
 	c := tr.Clients()[0]
 	if len(c.ServerData()) == 0 {
 		t.Fatal("no dispersal")
 	}
 	// Dispersed items should have frequency >= the median eligible item.
+	sent := uploadItems(sp.NumItems, uploads[c.ID])
 	freqs := make([]int, 0)
 	for v := 0; v < sp.NumItems; v++ {
-		if !c.lastUpload.Contains(v) {
+		if !sent.Contains(v) {
 			freqs = append(freqs, tr.Server().ItemFrequency(v))
 		}
 	}

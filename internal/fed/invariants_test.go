@@ -27,22 +27,28 @@ func TestUploadInvariants(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			tr.RunRound(0)
+			uploads := runRoundUploads(tr, 0)
 			var totalUpload, totalPool int
 			for _, c := range tr.Clients() {
 				pool := len(c.positives) * (1 + cfg.NegRatio)
-				if words := len(c.lastUpload.Words()); words != (sp.NumItems+63)/64 {
-					t.Fatalf("defense %s: upload set holds %d words, universe %d items", defense, words, sp.NumItems)
+				up := uploads[c.ID]
+				if len(up) == 0 {
+					t.Fatalf("defense %s: client %d uploaded nothing", defense, c.ID)
 				}
-				c.lastUpload.ForEach(func(item int) {
-					if item < 0 || item >= sp.NumItems {
-						t.Fatalf("defense %s: uploaded item %d outside universe", defense, item)
+				seen := make(map[int]bool, len(up))
+				for _, p := range up {
+					if p.Item < 0 || p.Item >= sp.NumItems {
+						t.Fatalf("defense %s: uploaded item %d outside universe", defense, p.Item)
 					}
-				})
-				if c.lastUpload.Count() > pool {
-					t.Fatalf("defense %s: upload %d exceeds trained pool %d", defense, c.lastUpload.Count(), pool)
+					if seen[p.Item] {
+						t.Fatalf("defense %s: client %d uploaded item %d twice", defense, c.ID, p.Item)
+					}
+					seen[p.Item] = true
 				}
-				totalUpload += c.lastUpload.Count()
+				if len(up) > pool {
+					t.Fatalf("defense %s: upload %d exceeds trained pool %d", defense, len(up), pool)
+				}
+				totalUpload += len(up)
 				totalPool += pool
 			}
 			if defense == privacy.DefenseSampling || defense == privacy.DefenseSamplingSwap {

@@ -14,10 +14,10 @@ import (
 // naiveEligible is the reference definition the random arms' eligible list
 // must reproduce: walk the item universe probing the exclusion bitset —
 // exactly the scalar dispersal oracle's construction.
-func naiveEligible(dst []int, numItems int, lastUpload *bitset.Set) []int {
+func naiveEligible(dst []int, numItems int, excl *bitset.Set) []int {
 	dst = dst[:0]
 	for v := 0; v < numItems; v++ {
-		if lastUpload != nil && lastUpload.Contains(v) {
+		if excl != nil && excl.Contains(v) {
 			continue
 		}
 		dst = append(dst, v)
@@ -151,7 +151,7 @@ func TestEligCacheMatchesNaiveWalk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr.RunRound(0)
+	uploads := runRoundUploads(tr, 0)
 
 	sv := tr.Server()
 	sc := newDisperseBatchScratch()
@@ -160,13 +160,13 @@ func TestEligCacheMatchesNaiveWalk(t *testing.T) {
 	var bit *bitset.Set
 	for _, c := range tr.Clients() {
 		// The target's exclusion set comes from the server's upload store; in
-		// a fault-free run it must carry the same item set the client
-		// remembers sending, so the naive walk probes c.lastUpload — the
-		// comparison doubles as a store-vs-client consistency check.
+		// a fault-free run it must carry the item set of the client's upload
+		// in the round's outcome, so the naive walk probes that — the
+		// comparison doubles as a store-vs-outcome consistency check.
 		var tgt disperseTarget
 		tgt, bit = sv.disperseTargetInto(c.ID, bit)
 		got := liveEligible(t, sv, sc, tgt, ds)
-		walk = naiveEligible(walk, sp.NumItems, c.lastUpload)
+		walk = naiveEligible(walk, sp.NumItems, uploadItems(sp.NumItems, uploads[c.ID]))
 		if !slices.Equal(got, walk) {
 			t.Fatalf("client %d: engine built %v, walk says %v", c.ID, got, walk)
 		}
@@ -174,16 +174,15 @@ func TestEligCacheMatchesNaiveWalk(t *testing.T) {
 
 	// Another round re-uploads: the stored view changes and the list follows.
 	view0 := slices.Clone(sv.store.View(0))
-	tr.RunRound(1)
-	c := tr.Clients()[0]
+	uploads = runRoundUploads(tr, 1)
 	if slices.Equal(sv.store.View(0), view0) {
 		t.Fatal("round 1 left client 0's stored view unchanged; nothing to follow")
 	}
 	tgt, _ := sv.disperseTargetInto(0, nil)
 	got := liveEligible(t, sv, sc, tgt, ds)
-	walk = naiveEligible(walk, sp.NumItems, c.lastUpload)
+	walk = naiveEligible(walk, sp.NumItems, uploadItems(sp.NumItems, uploads[0]))
 	if !slices.Equal(got, walk) {
-		t.Fatalf("client %d after round 1: engine built %v, walk says %v", c.ID, got, walk)
+		t.Fatalf("client 0 after round 1: engine built %v, walk says %v", got, walk)
 	}
 }
 

@@ -92,18 +92,12 @@ func (a *rowAccum) at(i int) []float64 {
 
 // add accumulates g into row i's pending vector.
 func (a *rowAccum) add(i int, g []float64) {
-	buf := a.at(i)
-	for k, v := range g {
-		buf[k] += v
-	}
+	tensor.AddVec(g, a.at(i))
 }
 
 // axpy accumulates s*x into row i's pending vector.
 func (a *rowAccum) axpy(i int, s float64, x []float64) {
-	buf := a.at(i)
-	for k, v := range x {
-		buf[k] += s * v
-	}
+	tensor.Axpy(s, x, a.at(i))
 }
 
 // mergeInto replays the accumulated rows into an embedding table.
@@ -116,9 +110,6 @@ func (a *rowAccum) mergeInto(t embTable) {
 // mergeIntoRows adds the accumulated rows into the matching rows of m.
 func (a *rowAccum) mergeIntoRows(m *tensor.Matrix) {
 	for k, i := range a.order {
-		dst := m.Row(i)
-		for j, v := range a.slab[k*a.dim : (k+1)*a.dim] {
-			dst[j] += v
-		}
+		tensor.AddVec(a.slab[k*a.dim:(k+1)*a.dim], m.Row(i))
 	}
 }

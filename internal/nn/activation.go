@@ -23,18 +23,13 @@ func ReLU(x *tensor.Matrix) *tensor.Matrix {
 	return out
 }
 
-// ReLUInto computes dst = max(0, x) element-wise, reusing dst's storage.
+// ReLUInto computes dst = max(0, x) element-wise, reusing dst's storage: x
+// where x > 0, else +0 (so −0 and NaN give +0).
 func ReLUInto(dst, x *tensor.Matrix) *tensor.Matrix {
 	if dst.Rows != x.Rows || dst.Cols != x.Cols {
 		panic(fmt.Sprintf("nn: ReLUInto dst %dx%d for %dx%d", dst.Rows, dst.Cols, x.Rows, x.Cols))
 	}
-	for i, v := range x.Data {
-		if v > 0 {
-			dst.Data[i] = v
-		} else {
-			dst.Data[i] = 0
-		}
-	}
+	tensor.ReLUVec(dst.Data, x.Data)
 	return dst
 }
 
@@ -46,16 +41,13 @@ func ReLUBackward(x, dy *tensor.Matrix) *tensor.Matrix {
 	return out
 }
 
-// ReLUBackwardInPlace is ReLUBackward overwriting dy with dx.
+// ReLUBackwardInPlace is ReLUBackward overwriting dy with dx. A NaN
+// pre-activation keeps its dy; every masked element becomes +0.
 func ReLUBackwardInPlace(x, dy *tensor.Matrix) {
 	if dy.Rows != x.Rows || dy.Cols != x.Cols {
 		panic(fmt.Sprintf("nn: ReLUBackwardInPlace dy %dx%d for %dx%d", dy.Rows, dy.Cols, x.Rows, x.Cols))
 	}
-	for i, v := range x.Data {
-		if v <= 0 {
-			dy.Data[i] = 0
-		}
-	}
+	tensor.ReLUBackwardVec(x.Data, dy.Data)
 }
 
 // LeakyReLU applies max(αx, x) element-wise (NGCF uses α = 0.2).

@@ -59,6 +59,46 @@ func TestReLUForwardBackward(t *testing.T) {
 	}
 }
 
+// TestReLUNaNAndNegativeZero pins ReLU's edge semantics bit for bit: forward
+// gives +0 for −0 and NaN, backward zeroes dy to +0 where x ≤ 0 (−0
+// included) and keeps it where x is NaN. Each case fills a 5×5 matrix, so
+// every element goes through the four-lane body and the scalar tail alike.
+func TestReLUNaNAndNegativeZero(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	for _, c := range []struct {
+		x, fwd float64
+		keep   bool
+	}{
+		{math.NaN(), 0, true},
+		{negZero, 0, false},
+		{0, 0, false},
+		{-2, 0, false},
+		{math.Inf(-1), 0, false},
+		{3, 3, true},
+		{math.Inf(1), math.Inf(1), true},
+	} {
+		x := tensor.New(5, 5)
+		dy := tensor.New(5, 5)
+		for i := range x.Data {
+			x.Data[i], dy.Data[i] = c.x, negZero
+		}
+		y := ReLU(x)
+		ReLUBackwardInPlace(x, dy)
+		wantDy := 0.0
+		if c.keep {
+			wantDy = negZero
+		}
+		for i := range x.Data {
+			if math.Float64bits(y.Data[i]) != math.Float64bits(c.fwd) {
+				t.Fatalf("ReLU(%v)[%d] = %v (%#x), want %v", c.x, i, y.Data[i], math.Float64bits(y.Data[i]), c.fwd)
+			}
+			if math.Float64bits(dy.Data[i]) != math.Float64bits(wantDy) {
+				t.Fatalf("ReLUBackward at x=%v [%d] = %v (%#x), want %v", c.x, i, dy.Data[i], math.Float64bits(dy.Data[i]), wantDy)
+			}
+		}
+	}
+}
+
 func TestLeakyReLU(t *testing.T) {
 	x := tensor.FromSlice(1, 2, []float64{-2, 3})
 	y := LeakyReLU(x, 0.2)
@@ -244,6 +284,27 @@ func TestAdamFirstStepMagnitude(t *testing.T) {
 	NewAdam(0.01).Step([]*Param{p})
 	if math.Abs(math.Abs(p.W.Data[0])-0.01) > 1e-4 {
 		t.Fatalf("first Adam step = %v, want ≈0.01", p.W.Data[0])
+	}
+}
+
+// TestAdamKeepsZeroWeightDecayTerm pins nn.Adam's decayed form at
+// WeightDecay 0: the term 0·w turns a −0 gradient into +0, so a −0 moment
+// steps to +0. The embedding tables' form, which never adds the term, would
+// keep it −0.
+func TestAdamKeepsZeroWeightDecayTerm(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	p := NewParam("w", 1, 6)
+	opt := NewAdam(0.01)
+	st := opt.stateFor(p)
+	for i := range p.W.Data {
+		p.W.Data[i], p.Grad.Data[i] = 1, negZero
+		st.m.Data[i], st.v.Data[i] = negZero, negZero
+	}
+	opt.Step([]*Param{p})
+	for i := range p.W.Data {
+		if math.Signbit(st.m.Data[i]) || math.Signbit(st.v.Data[i]) || st.m.Data[i] != 0 || st.v.Data[i] != 0 {
+			t.Fatalf("element %d: moments (%v, %v) after a −0 gradient, want (+0, +0)", i, st.m.Data[i], st.v.Data[i])
+		}
 	}
 }
 

@@ -41,15 +41,15 @@ type adamState struct {
 // NewAdam returns an Adam optimizer with the standard β₁=0.9, β₂=0.999,
 // ε=1e-8 defaults.
 func NewAdam(lr float64) *Adam {
-	return &Adam{LR: lr, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8, state: map[*Param]*adamState{}}
+	return &Adam{LR: lr, Beta1: tensor.AdamBeta1, Beta2: tensor.AdamBeta2, Eps: 1e-8, state: map[*Param]*adamState{}}
 }
 
 // Step applies one Adam update to every parameter and zeroes gradients.
 func (o *Adam) Step(params []*Param) {
 	for _, p := range params {
 		st := o.stateFor(p)
-		bc1, bc2 := o.advance(st)
-		o.stepRange(p, st, bc1, bc2, 0, len(p.W.Data))
+		s := o.advance(st)
+		stepRange(p, st, &s, 0, len(p.W.Data))
 	}
 }
 
@@ -63,10 +63,10 @@ func (o *Adam) Step(params []*Param) {
 // repeat.
 func (o *Adam) StepRows(p *Param, rows []int) {
 	st := o.stateFor(p)
-	bc1, bc2 := o.advance(st)
+	s := o.advance(st)
 	cols := p.W.Cols
 	for _, r := range rows {
-		o.stepRange(p, st, bc1, bc2, r*cols, (r+1)*cols)
+		stepRange(p, st, &s, r*cols, (r+1)*cols)
 	}
 }
 
@@ -101,25 +101,19 @@ func (o *Adam) stateFor(p *Param) *adamState {
 	return st
 }
 
-// advance counts one step and returns its bias corrections.
-func (o *Adam) advance(st *adamState) (bc1, bc2 float64) {
+// advance counts one step and returns its update. It is the decayed form
+// even at WeightDecay 0, where the term still turns a −0 gradient into +0.
+func (o *Adam) advance(st *adamState) tensor.AdamStep {
 	st.t++
-	return 1 - math.Pow(o.Beta1, float64(st.t)), 1 - math.Pow(o.Beta2, float64(st.t))
+	bc1, bc2 := tensor.AdamBiasCorrections(o.Beta1, o.Beta2, st.t)
+	return tensor.AdamStep{LR: o.LR, Beta1: o.Beta1, Beta2: o.Beta2, Eps: o.Eps, BC1: bc1, BC2: bc2,
+		Decayed: true, WeightDecay: o.WeightDecay}
 }
 
-// stepRange applies the Adam update to elements [lo, hi) of p and zeroes
-// their gradient.
-func (o *Adam) stepRange(p *Param, st *adamState, bc1, bc2 float64, lo, hi int) {
-	grad, w, m, v := p.Grad.Data[lo:hi], p.W.Data[lo:hi], st.m.Data[lo:hi], st.v.Data[lo:hi]
-	for i, g := range grad {
-		g += o.WeightDecay * w[i]
-		m[i] = o.Beta1*m[i] + (1-o.Beta1)*g
-		v[i] = o.Beta2*v[i] + (1-o.Beta2)*g*g
-		mHat := m[i] / bc1
-		vHat := v[i] / bc2
-		w[i] -= o.LR * mHat / (math.Sqrt(vHat) + o.Eps)
-	}
-	clear(grad)
+// stepRange applies the update s to elements [lo, hi) of p and zeroes their
+// gradient.
+func stepRange(p *Param, st *adamState, s *tensor.AdamStep, lo, hi int) {
+	tensor.AdamUpdate(p.W.Data[lo:hi], st.m.Data[lo:hi], st.v.Data[lo:hi], p.Grad.Data[lo:hi], s)
 }
 
 // SnapshotState writes the optimizer's moment estimates for params, in the

@@ -27,7 +27,7 @@ import "fmt"
 // fullTile, when non-nil, computes one full 4×8 tile of gemm's output in
 // place of gemmTileGo: c, a and b point at the tile's first output element,
 // at A's element (tile row, 0) and at B's element (0, tile column). It is
-// set once, by gemm_amd64.go's init.
+// set once, by avx2_amd64.go's init.
 var fullTile func(c, a *float64, sai, sak int, b *float64, n, kk int)
 
 // gemm computes the dense row-major m×n product

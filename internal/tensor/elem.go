@@ -1,0 +1,166 @@
+package tensor
+
+// This file holds the elementwise kernels the training step runs around the
+// GEMM core: the Adam update every optimizer in the repository applies
+// (nn.Adam and both embedding tables), ReLU forward and its backward mask,
+// and the vector adds (vector.go). Each has a pure Go body below and, on
+// amd64 CPUs with AVX2, an assembly body in elem_amd64.s chosen once at init
+// (avx2_amd64.go) that runs four lanes at a time over the longest prefix
+// whose length is a multiple of four; the Go body finishes the tail.
+//
+// Determinism contract: both bodies compute every element with the same
+// sequence of separately rounded IEEE operations — multiply and add never
+// fused, and division and square root correctly rounded on every target — so
+// results are bitwise-identical with and without the assembly. The references
+// are the scalar loops the kernels replaced (elem_oracle_test.go).
+
+import (
+	"fmt"
+	"math"
+)
+
+// Kernels installed by avx2_amd64.go's init; nil selects the pure Go bodies.
+// Each processes the first n elements, n a multiple of four, without bounds
+// checks.
+var (
+	adamKernel     func(w, m, v, g *float64, n int, c adamConsts, decayed bool)
+	reluKernel     func(dst, x *float64, n int)
+	reluMaskKernel func(x, dy *float64, n int)
+	addVecKernel   func(x, y *float64, n int)
+	axpyKernel     func(a float64, x, y *float64, n int)
+)
+
+// AdamBeta1 and AdamBeta2 are the standard moment decay rates (Kingma & Ba
+// 2014) every optimizer in the repository uses.
+const (
+	AdamBeta1 = 0.9
+	AdamBeta2 = 0.999
+)
+
+// adamBiasTable holds (1 − β₁ᵗ, 1 − β₂ᵗ) at the standard β pair for
+// t < len(adamBiasTable). It is built once, with the math.Pow calls
+// AdamBiasCorrections makes past its end, and only read after that.
+var adamBiasTable = func() [][2]float64 {
+	tab := make([][2]float64, 4096)
+	for t := range tab {
+		tab[t] = [2]float64{1 - math.Pow(AdamBeta1, float64(t)), 1 - math.Pow(AdamBeta2, float64(t))}
+	}
+	return tab
+}()
+
+// AdamBiasCorrections returns step t's bias corrections 1 − β₁ᵗ and 1 − β₂ᵗ:
+// from a shared table at the standard β pair, else from math.Pow — the same
+// values either way.
+func AdamBiasCorrections(beta1, beta2 float64, t int) (bc1, bc2 float64) {
+	if beta1 == AdamBeta1 && beta2 == AdamBeta2 && t >= 0 && t < len(adamBiasTable) {
+		bc := adamBiasTable[t]
+		return bc[0], bc[1]
+	}
+	return 1 - math.Pow(beta1, float64(t)), 1 - math.Pow(beta2, float64(t))
+}
+
+// AdamStep is the constant part of one Adam update: the hyper-parameters and
+// the step's bias corrections BC1 = 1 − β₁ᵗ, BC2 = 1 − β₂ᵗ.
+//
+// Decayed selects nn.Adam's L2 form, which adds WeightDecay·w to the gradient
+// before the moments update — even when WeightDecay is 0, where the term still
+// turns a −0 gradient into +0. The embedding tables' sparse Adam never adds
+// it, and the two forms are kept apart for that bit.
+type AdamStep struct {
+	LR, Beta1, Beta2, Eps float64
+	BC1, BC2              float64
+	Decayed               bool
+	WeightDecay           float64
+}
+
+// adamConsts is one AdamUpdate call's constants. The assembly body takes it
+// by value, so the constants never leave the caller's stack.
+type adamConsts struct {
+	beta1, oneMinusBeta1 float64
+	beta2, oneMinusBeta2 float64
+	bc1, bc2             float64
+	lr, eps, decay       float64
+}
+
+// AdamUpdate applies one Adam step to the weights w with moments m, v and
+// gradient g, all of one length, and zeroes g. Per element, in order:
+//
+//	g += decay·w                      (Decayed only)
+//	m  = β₁·m + (1−β₁)·g
+//	v  = β₂·v + ((1−β₂)·g)·g
+//	w -= (lr·(m/bc1)) / (√(v/bc2) + ε)
+func AdamUpdate(w, m, v, g []float64, s *AdamStep) {
+	n := len(g)
+	if len(w) != n || len(m) != n || len(v) != n {
+		panic(fmt.Sprintf("tensor: AdamUpdate lengths w=%d m=%d v=%d g=%d", len(w), len(m), len(v), n))
+	}
+	c := adamConsts{
+		beta1: s.Beta1, oneMinusBeta1: 1 - s.Beta1,
+		beta2: s.Beta2, oneMinusBeta2: 1 - s.Beta2,
+		bc1: s.BC1, bc2: s.BC2,
+		lr: s.LR, eps: s.Eps, decay: s.WeightDecay,
+	}
+	i := 0
+	if adamKernel != nil && n >= 4 {
+		i = n &^ 3
+		adamKernel(&w[0], &m[0], &v[0], &g[0], i, c, s.Decayed)
+	}
+	adamGo(w[i:], m[i:], v[i:], g[i:], &c, s.Decayed)
+}
+
+// adamGo is AdamUpdate's pure Go body. The float64 conversions forbid the
+// compiler from fusing a multiply into the add that follows it.
+func adamGo(w, m, v, g []float64, c *adamConsts, decayed bool) {
+	w, m, v = w[:len(g)], m[:len(g)], v[:len(g)]
+	for i, gi := range g {
+		if decayed {
+			gi += float64(c.decay * w[i])
+		}
+		m[i] = float64(c.beta1*m[i]) + float64(c.oneMinusBeta1*gi)
+		v[i] = float64(c.beta2*v[i]) + float64(float64(c.oneMinusBeta2*gi)*gi)
+		w[i] -= c.lr * (m[i] / c.bc1) / (math.Sqrt(v[i]/c.bc2) + c.eps)
+		g[i] = 0
+	}
+}
+
+// ReLUVec computes dst = max(0, x) element-wise: x where x > 0, else +0 — so
+// −0 and NaN give +0. The slices must have equal length.
+func ReLUVec(dst, x []float64) {
+	if len(dst) != len(x) {
+		panic(fmt.Sprintf("tensor: ReLUVec lengths dst=%d x=%d", len(dst), len(x)))
+	}
+	i := 0
+	if reluKernel != nil && len(x) >= 4 {
+		i = len(x) &^ 3
+		reluKernel(&dst[0], &x[0], i)
+	}
+	dst = dst[i:len(x)]
+	for j, v := range x[i:] {
+		if v > 0 {
+			dst[j] = v
+		} else {
+			dst[j] = 0
+		}
+	}
+}
+
+// ReLUBackwardVec masks the upstream gradient dy in place by the activation
+// pattern of the pre-activation x: dy becomes +0 where x ≤ 0 and is kept
+// elsewhere — a NaN pre-activation keeps it. The slices must have equal
+// length.
+func ReLUBackwardVec(x, dy []float64) {
+	if len(dy) != len(x) {
+		panic(fmt.Sprintf("tensor: ReLUBackwardVec lengths x=%d dy=%d", len(x), len(dy)))
+	}
+	i := 0
+	if reluMaskKernel != nil && len(x) >= 4 {
+		i = len(x) &^ 3
+		reluMaskKernel(&x[0], &dy[0], i)
+	}
+	dy = dy[i:len(x)]
+	for j, v := range x[i:] {
+		if v <= 0 {
+			dy[j] = 0
+		}
+	}
+}

@@ -8,12 +8,14 @@
 // that panic on programmer error (mismatched dimensions are bugs, not runtime
 // conditions).
 //
-// One kernel has an assembly form: the full 4×8 tile of the dense GEMM core
-// (densegemm.go) is an AVX2 micro-kernel on amd64 (gemm_amd64.s), installed
-// at init when CPUID and XGETBV report AVX2 with OS-saved YMM state. Every
-// other platform and CPU, and every edge tile, runs the pure Go tile, which
-// computes the same bits. All other kernels — the gather GEMMs (gemm.go),
-// the sparse products (sparse.go), the vector helpers — are Go only.
+// Two kernel families have an assembly form on amd64, installed at init
+// (avx2_amd64.go) when CPUID and XGETBV report AVX2 with OS-saved YMM state:
+// the full 4×8 tile of the dense GEMM core (densegemm.go, gemm_amd64.s) and
+// the elementwise kernels — the Adam update, ReLU and its backward mask,
+// AddVec and Axpy (elem.go, elem_amd64.s). Every other platform and CPU, every
+// edge tile and every tail shorter than four lanes runs the pure Go body,
+// which computes the same bits. All other kernels — the gather GEMMs
+// (gemm.go), the sparse products (sparse.go), Dot — are Go only.
 package tensor
 
 import (

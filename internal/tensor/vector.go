@@ -12,13 +12,20 @@ func Dot(a, b []float64) float64 {
 	return s
 }
 
-// Axpy computes y += a*x in place.
+// Axpy computes y += a*x in place: per element a multiply, then an add
+// (elem.go's contract).
 func Axpy(a float64, x, y []float64) {
 	if len(x) != len(y) {
 		panic("tensor: Axpy length mismatch")
 	}
-	for i, v := range x {
-		y[i] += a * v
+	i := 0
+	if axpyKernel != nil && len(x) >= 4 {
+		i = len(x) &^ 3
+		axpyKernel(a, &x[0], &y[0], i)
+	}
+	y = y[i:len(x)]
+	for j, v := range x[i:] {
+		y[j] += float64(a * v)
 	}
 }
 
@@ -27,8 +34,14 @@ func AddVec(x, y []float64) {
 	if len(x) != len(y) {
 		panic("tensor: AddVec length mismatch")
 	}
-	for i, v := range x {
-		y[i] += v
+	i := 0
+	if addVecKernel != nil && len(x) >= 4 {
+		i = len(x) &^ 3
+		addVecKernel(&x[0], &y[0], i)
+	}
+	y = y[i:len(x)]
+	for j, v := range x[i:] {
+		y[j] += v
 	}
 }
 
