@@ -25,10 +25,11 @@ import (
 type MetaMF struct {
 	*federation
 
-	base *nn.Param  // V×d shared base item embeddings
-	cv   *emb.Table // U×cvDim collaborative vectors
-	l1   *nn.Dense  // cvDim -> hidden
-	l2   *nn.Dense  // hidden -> 2d (scale ‖ shift)
+	base *nn.Param     // V×d shared base item embeddings
+	cv   *emb.Table    // U×cvDim collaborative vectors
+	cvG  *emb.RowGrads // the round's pending cv gradients
+	l1   *nn.Dense     // cvDim -> hidden
+	l2   *nn.Dense     // hidden -> 2d (scale ‖ shift)
 	opt  *nn.Adam
 }
 
@@ -42,6 +43,7 @@ func NewMetaMF(sp *data.Split, cfg Config) (*MetaMF, error) {
 		federation: f,
 		base:       nn.NewParam("metamf.base", sp.NumItems, cfg.Dim),
 		cv:         emb.NewTable(f.root.Derive("cv"), sp.NumUsers, cfg.CVDim, emb.DefaultAdam(cfg.LR)),
+		cvG:        emb.NewRowGrads(cfg.CVDim),
 		l1:         nn.NewDense("metamf.l1", cfg.CVDim, cfg.MetaHidden, f.root.Derive("l1")),
 		l2:         nn.NewDense("metamf.l2", cfg.MetaHidden, 2*cfg.Dim, f.root.Derive("l2")),
 		opt:        nn.NewAdam(cfg.LR),
@@ -115,13 +117,13 @@ func (m *MetaMF) backprop(idx []int, grads [][]float64) {
 		da1 := m.l2.Backward(a1, dout)
 		dh1 := nn.ReLUBackward(h1, da1)
 		dx := m.l1.Backward(x, dh1)
-		m.cv.Accumulate(u, dx.Row(0))
+		m.cvG.Add(u, dx.Row(0))
 	}
 	params := []*nn.Param{m.base}
 	params = append(params, m.l1.Params()...)
 	params = append(params, m.l2.Params()...)
 	m.opt.Step(params)
-	m.cv.Step()
+	m.cv.Step(m.cvG)
 }
 
 // Evaluate implements FederatedBaseline.

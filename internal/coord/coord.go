@@ -28,7 +28,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -84,13 +86,12 @@ type session struct {
 
 // roundState tracks one announced round until it is published.
 type roundState struct {
-	slots      map[int]int // user -> outcome slot (Select order)
-	unresolved map[int]bool
+	slots      map[int]int  // user -> outcome slot (Select order)
+	unresolved map[int]bool // the hosted users whose upload is still awaited
 	outcomes   []fed.ClientOutcome
-	pending    int
 
 	closed bool          // no further uploads accepted
-	done   chan struct{} // closed when every pending upload resolved (or deadline)
+	done   chan struct{} // closed when every awaited upload resolved (or deadline)
 }
 
 // pendingDisp is one user's latest undelivered dispersal, retained because no
@@ -118,7 +119,8 @@ type Coordinator struct {
 	down      bool // run finished; new joins get an immediate shutdown
 
 	// pending retains each user's latest undelivered dispersal (bounded by
-	// Options.PendingDispersals); pendingQ records stash order for eviction.
+	// Options.PendingDispersals); pendingQ holds the same users in stash
+	// order, oldest first, for eviction.
 	pending  map[int]pendingDisp
 	pendingQ []int
 	codec    comm.Codec
@@ -283,34 +285,31 @@ func (c *Coordinator) stashPendingLocked(round int, d fed.Dispersal) {
 		c.pending[d.ID] = pendingDisp{round: round, payload: d.Payload}
 		return
 	}
-	for len(c.pending) >= limit && len(c.pendingQ) > 0 {
-		u := c.pendingQ[0]
+	for len(c.pending) >= limit {
+		delete(c.pending, c.pendingQ[0])
 		c.pendingQ = c.pendingQ[1:]
-		if _, live := c.pending[u]; live {
-			delete(c.pending, u)
-			break
-		}
-		// Stale queue entry (that user's dispersal was since flushed): keep
-		// popping until a live one is evicted.
 	}
 	c.pending[d.ID] = pendingDisp{round: round, payload: d.Payload}
 	c.pendingQ = append(c.pendingQ, d.ID)
 }
 
 // flushPendingLocked moves every retained dispersal the session hosts into
-// its event log. Delivery order across users is irrelevant (distinct
-// clients); a client sees its newest available D̃ᵢ, exactly what late
-// delivery means. c.mu held.
+// its event log, and their users out of the eviction queue, so a host that
+// leaves and rejoins cannot grow it. Delivery order across users is
+// irrelevant (distinct clients); a client sees its newest available D̃ᵢ,
+// exactly what late delivery means. c.mu held.
 func (c *Coordinator) flushPendingLocked(s *session) {
-	if len(c.pending) == 0 {
-		return
-	}
+	flushed := false
 	for u, pd := range c.pending {
 		if u < s.lo || u >= s.hi {
 			continue
 		}
 		c.announceLocked(s, c.disperseFrame(u, pd.payload))
 		delete(c.pending, u)
+		flushed = true
+	}
+	if flushed {
+		c.pendingQ = slices.DeleteFunc(c.pendingQ, func(u int) bool { return u >= s.lo && u < s.hi })
 	}
 }
 
@@ -332,10 +331,9 @@ func (c *Coordinator) openRound(round int, users []int) *roundState {
 		rs.outcomes[slot] = fed.ClientOutcome{ID: u, Dropped: true}
 		if c.sessionForLocked(u) != nil {
 			rs.unresolved[u] = true
-			rs.pending++
 		}
 	}
-	if rs.pending == 0 {
+	if len(rs.unresolved) == 0 {
 		rs.closed = true
 		close(rs.done)
 	}
@@ -383,10 +381,7 @@ func (c *Coordinator) expireRound(rs *roundState) {
 		return
 	}
 	rs.closed = true
-	for u := range rs.unresolved {
-		delete(rs.unresolved, u)
-	}
-	rs.pending = 0
+	clear(rs.unresolved)
 	close(rs.done)
 }
 
@@ -420,8 +415,7 @@ func (c *Coordinator) resolveUpload(round int, user int, o fed.ClientOutcome) bo
 	}
 	rs.outcomes[rs.slots[user]] = o
 	delete(rs.unresolved, user)
-	rs.pending--
-	if rs.pending == 0 {
+	if len(rs.unresolved) == 0 {
 		rs.closed = true
 		close(rs.done)
 	}
@@ -517,10 +511,9 @@ func (c *Coordinator) unregister(s *session) {
 		for u := range rs.unresolved {
 			if s.lo <= u && u < s.hi {
 				delete(rs.unresolved, u)
-				rs.pending--
 			}
 		}
-		if rs.pending == 0 {
+		if len(rs.unresolved) == 0 {
 			rs.closed = true
 			close(rs.done)
 		}
@@ -675,10 +668,11 @@ func (c *Coordinator) handleUpload(w http.ResponseWriter, r *http.Request) {
 // readUpload parses an upload body into the outcome the engine absorbs.
 // Transport cuts (clean EOF without MsgUploadEnd, or a frame severed
 // mid-payload) classify as drop/truncation; anything else is an error —
-// including a stream that outgrows the count its opening frame declared, and a
-// prediction that names another user, an item outside [0, NumItems) or a
-// score outside [0, 1]; each is rejected at the chunk that carries it rather
-// than buffered.
+// including an opening frame whose loss is negative or not finite or whose
+// attack F1 lies outside [0, 1], a stream that outgrows the count its opening
+// frame declared, and a prediction that names another user, an item outside
+// [0, NumItems) or a score outside [0, 1]; each is rejected at the frame that
+// carries it rather than buffered.
 func (c *Coordinator) readUpload(body io.Reader, round, user int) (fed.ClientOutcome, error) {
 	mt, payload, err := comm.ReadFrame(body)
 	if err == io.EOF {
@@ -700,6 +694,12 @@ func (c *Coordinator) readUpload(body io.Reader, round, user int) (fed.ClientOut
 	if begin.Round != round || begin.User != user {
 		return fed.ClientOutcome{}, fmt.Errorf("coord: upload-begin names round %d user %d, request says round %d user %d",
 			begin.Round, begin.User, round, user)
+	}
+	// Both metrics reach RoundStats as sent. The negated comparisons reject
+	// NaN.
+	if !(begin.Loss >= 0) || math.IsInf(begin.Loss, 1) || !(begin.AttackF1 >= 0 && begin.AttackF1 <= 1) {
+		return fed.ClientOutcome{}, fmt.Errorf("coord: upload-begin reports loss %v and attack F1 %v: want a finite loss ≥ 0 and an F1 in [0, 1]",
+			begin.Loss, begin.AttackF1)
 	}
 	// A client uploads at most one prediction per item. A negative count sent
 	// as its uint32 two's complement lands far above that too.

@@ -286,10 +286,16 @@ func TestJoinLeaveLifecycle(t *testing.T) {
 
 // encodeUpload builds an upload body for readUpload tests.
 func encodeUpload(round, user int, codec comm.Codec, preds []comm.Prediction, sendPreds int, end bool) []byte {
+	return encodeUploadMetrics(round, user, codec, preds, sendPreds, end, 0.25, 0.5)
+}
+
+// encodeUploadMetrics is encodeUpload with the begin frame's loss and attack
+// F1 given.
+func encodeUploadMetrics(round, user int, codec comm.Codec, preds []comm.Prediction, sendPreds int, end bool, loss, attackF1 float64) []byte {
 	var b bytes.Buffer
 	comm.WriteFrame(&b, comm.MsgUploadBegin, comm.EncodeUploadBegin(comm.UploadBegin{
 		Round: round, User: user, Codec: codec, Count: len(preds),
-		Loss: 0.25, AttackF1: 0.5,
+		Loss: loss, AttackF1: attackF1,
 	}))
 	payload := codec.Encode(preds)[:sendPreds*codec.WireSize()]
 	for off := 0; off < len(payload); off += 2 * codec.WireSize() {
@@ -485,9 +491,11 @@ func TestMalformedUploadOverHTTP(t *testing.T) {
 // the universe, one an item outside the catalogue, one a NaN score — beside
 // one honest upload, to a LightGCN server. Unchecked, the first panics
 // Coordinator.Run in the upload store, the second in the graph engine, and
-// the third turns the round's ServerLoss into NaN. Each must be refused 400
-// with a MsgError frame and its user dropped, and the round must train on the
-// honest upload alone.
+// the third turns the round's ServerLoss into NaN. Honest predictions under
+// a begin frame whose loss is NaN, negative or infinite, or whose attack F1
+// is NaN or outside [0, 1], would reach RoundStats and the History as sent.
+// Each must be refused 400 with a MsgError frame and its user dropped, and
+// the round must train and report on the honest upload alone.
 func TestUploadRejectsForeignPredictions(t *testing.T) {
 	cfg := testConfig(models.KindLightGCN, 1)
 	cfg.Rounds = 1
@@ -543,13 +551,23 @@ func TestUploadRejectsForeignPredictions(t *testing.T) {
 	honest := func(u int) []comm.Prediction {
 		return []comm.Prediction{{User: u, Item: 1, Score: 0.9}, {User: u, Item: 2, Score: 0.75}}
 	}
-	hostile := map[int][]comm.Prediction{
-		3: {{User: sp.NumUsers + 1000, Item: 1, Score: 0.9}, {User: 3, Item: 2, Score: 0.75}},
-		4: {{User: 4, Item: 1, Score: 0.9}, {User: 4, Item: sp.NumItems + 7, Score: 0.9}},
-		5: {{User: 5, Item: 1, Score: 0.9}, {User: 5, Item: 2, Score: math.NaN()}},
+	type upload struct {
+		preds          []comm.Prediction
+		loss, attackF1 float64
 	}
-	for user, preds := range hostile {
-		status, mt, payload := post(user, encodeUpload(0, user, codec, preds, len(preds), true))
+	hostile := map[int]upload{
+		3:  {[]comm.Prediction{{User: sp.NumUsers + 1000, Item: 1, Score: 0.9}, {User: 3, Item: 2, Score: 0.75}}, 0.25, 0.5},
+		4:  {[]comm.Prediction{{User: 4, Item: 1, Score: 0.9}, {User: 4, Item: sp.NumItems + 7, Score: 0.9}}, 0.25, 0.5},
+		5:  {[]comm.Prediction{{User: 5, Item: 1, Score: 0.9}, {User: 5, Item: 2, Score: math.NaN()}}, 0.25, 0.5},
+		7:  {honest(7), math.NaN(), 0.5},
+		8:  {honest(8), -0.5, 0.5},
+		9:  {honest(9), math.Inf(1), 0.5},
+		10: {honest(10), 0.25, math.NaN()},
+		11: {honest(11), 0.25, -0.1},
+		12: {honest(12), 0.25, 1.5},
+	}
+	for user, up := range hostile {
+		status, mt, payload := post(user, encodeUploadMetrics(0, user, codec, up.preds, len(up.preds), true, up.loss, up.attackF1))
 		if status != http.StatusBadRequest || mt != comm.MsgError {
 			t.Fatalf("user %d hostile upload: reply %d %v %q, want 400 and MsgError", user, status, mt, payload)
 		}
@@ -572,6 +590,9 @@ func TestUploadRejectsForeignPredictions(t *testing.T) {
 	}
 	if math.IsNaN(r.ServerLoss) || math.IsInf(r.ServerLoss, 0) || r.ServerLoss <= 0 {
 		t.Fatalf("ServerLoss = %v, want the finite loss of the honest upload", r.ServerLoss)
+	}
+	if r.ClientLoss != 0.25 || r.AttackF1 != 0.5 {
+		t.Fatalf("ClientLoss %v, AttackF1 %v: want the honest upload's 0.25 and 0.5", r.ClientLoss, r.AttackF1)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"net/http/httptest"
+	"slices"
 	"testing"
 	"time"
 
@@ -108,6 +109,39 @@ func TestPendingDispersalStore(t *testing.T) {
 	}
 	if _, ok := c.pending[2]; !ok {
 		t.Fatal("out-of-range retention for user 2 should have survived the flush")
+	}
+}
+
+// TestPendingQueueBounded pins the eviction queue to the retention store: a
+// user whose host leaves and rejoins every round is stashed and flushed
+// 10 000 times beside one user that stays retained, and the queue must hold
+// exactly the retained users, oldest stash first, so the next stash past the
+// budget evicts the user that has waited longest.
+func TestPendingQueueBounded(t *testing.T) {
+	cfg := testConfig(models.KindMF, 1)
+	opts := testOptions()
+	opts.PendingDispersals = 2
+	c, err := New(testSplit(), cfg, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pay := bytes.Repeat([]byte{1}, comm.CodecFor(cfg.QuantizeScores).WireSize())
+	host := &session{lo: 3, hi: 4, wake: make(chan struct{})}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.stashPendingLocked(0, fed.Dispersal{ID: 2, Payload: pay})
+	for round := 1; round <= 10000; round++ {
+		c.stashPendingLocked(round, fed.Dispersal{ID: 3, Payload: pay})
+		c.flushPendingLocked(host)
+		host.events = host.events[:0]
+		if len(c.pendingQ) != len(c.pending) {
+			t.Fatalf("round %d: queue holds %d entries for %d retained users", round, len(c.pendingQ), len(c.pending))
+		}
+	}
+	c.stashPendingLocked(10001, fed.Dispersal{ID: 3, Payload: pay})
+	c.stashPendingLocked(10001, fed.Dispersal{ID: 4, Payload: pay}) // evicts user 2
+	if _, ok := c.pending[2]; ok || len(c.pending) != 2 || !slices.Equal(c.pendingQ, []int{3, 4}) {
+		t.Fatalf("after eviction: retained %v, queue %v; want users 3 and 4, in that order", c.pending, c.pendingQ)
 	}
 }
 

@@ -1,23 +1,33 @@
 // Package emb provides embedding tables with sparse Adam updates.
 //
-// Two variants exist: Table is a dense |rows|×dim matrix used by the server
-// models (which see the whole catalogue), and LazyTable allocates rows on
-// first touch — a PTF-FedRec client only ever scores its own trained items
-// plus the server-dispersed items, so per-client memory stays proportional to
-// the user's profile instead of the item catalogue.
+// One Table type serves both layouts. A dense table (NewTable) holds a row
+// for every id, drawn at construction: the server models see the whole
+// catalogue. A lazy table (NewLazyTable) starts empty and adds a row the
+// first time an id is touched: a PTF-FedRec client only ever scores its own
+// trained items plus the server-dispersed items, so per-client memory stays
+// proportional to the user's profile instead of the item catalogue.
+//
+// Either way the weights, both Adam moments and the step counters live in
+// slot-addressed slabs with no per-row pointers: one page for a dense table,
+// whose slot is the row id, and pages that double up to a fixed size for a
+// lazy table, whose slot is the order rows were first touched. Gradients are
+// collected outside the table, in a RowGrads the caller owns, which Step
+// consumes.
 package emb
 
 import (
 	"fmt"
 	"io"
-	"sort"
+	"maps"
+	"math/bits"
+	"slices"
 
 	"ptffedrec/internal/persist"
 	"ptffedrec/internal/rng"
 	"ptffedrec/internal/tensor"
 )
 
-// AdamHyper carries the Adam hyper-parameters shared by both table kinds.
+// AdamHyper carries the Adam hyper-parameters of a table.
 type AdamHyper struct {
 	LR, Beta1, Beta2, Eps float64
 }
@@ -34,28 +44,55 @@ func (hy AdamHyper) update(step int) tensor.AdamStep {
 	return tensor.AdamStep{LR: hy.LR, Beta1: hy.Beta1, Beta2: hy.Beta2, Eps: hy.Eps, BC1: bc1, BC2: bc2}
 }
 
-// Table is a dense embedding table with per-row Adam state. Rows are updated
-// sparsely: only rows touched by a batch pay optimizer cost.
+// Table is an embedding table with per-row Adam state. Rows are updated
+// sparsely: only rows with a gradient pay optimizer cost.
 type Table struct {
-	Dim  int
-	W    *tensor.Matrix
-	grad map[int][]float64
-	m, v *tensor.Matrix
-	step map[int]int
-	hy   AdamHyper
+	Dim int
+	// W is a dense table's weights, row i at W.Row(i); nil for a lazy table.
+	W *tensor.Matrix
+	// pages hold the rows by slot. A page of n rows holds their weights,
+	// then their first Adam moments, then their second, each n·Dim wide. A
+	// dense table is one page with W as its first block; a lazy table's
+	// pages double from one row up to lazyPageRows, so a row never moves.
+	pages [][]float64
+	// steps is each slot's Adam step count.
+	steps []int
+	// slots maps a lazy table's row ids to their slots; it is nil for a
+	// dense table. init is the stream a lazy table draws new rows from.
+	slots map[int]int
+	init  *rng.Stream
+	hy    AdamHyper
 }
 
-// NewTable allocates a rows×dim table initialized with N(0, 0.01) — the
+// lazyPageShift caps a lazy table's pages at lazyPageRows rows: past the
+// first 63 rows, which sit in pages of 1, 2, 4, …, 32, every page is full
+// size. A table of n rows then holds at most max(n, 63+64) − n spare.
+const (
+	lazyPageShift = 6
+	lazyPageRows  = 1 << lazyPageShift
+)
+
+// lazyPage returns the page and the row within it of lazy slot s, and the
+// page's row count.
+func lazyPage(s int) (k, off, rows int) {
+	if s < lazyPageRows-1 {
+		k = bits.Len(uint(s+1)) - 1
+		return k, s + 1 - 1<<k, 1 << k
+	}
+	s -= lazyPageRows - 1
+	return lazyPageShift + s>>lazyPageShift, s & (lazyPageRows - 1), lazyPageRows
+}
+
+// NewTable allocates a dense rows×dim table initialized with N(0, 0.01) — the
 // conventional embedding init for collaborative filtering models.
 func NewTable(s *rng.Stream, rows, dim int, hy AdamHyper) *Table {
+	page := make([]float64, 3*rows*dim)
 	t := &Table{
-		Dim:  dim,
-		W:    tensor.New(rows, dim),
-		grad: map[int][]float64{},
-		m:    tensor.New(rows, dim),
-		v:    tensor.New(rows, dim),
-		step: map[int]int{},
-		hy:   hy,
+		Dim:   dim,
+		W:     tensor.FromSlice(rows, dim, page[:rows*dim]),
+		pages: [][]float64{page},
+		steps: make([]int, rows),
+		hy:    hy,
 	}
 	for i := range t.W.Data {
 		t.W.Data[i] = s.Normal(0, 0.1)
@@ -63,219 +100,139 @@ func NewTable(s *rng.Stream, rows, dim int, hy AdamHyper) *Table {
 	return t
 }
 
-// Rows returns the number of rows in the table.
-func (t *Table) Rows() int { return t.W.Rows }
+// NewLazyTable returns an empty lazy table; each first-touched row is filled
+// with N(0, 0.01) values drawn from the table's one "lazytable" stream, so a
+// row's init depends on the order rows are first touched.
+func NewLazyTable(s *rng.Stream, dim int, hy AdamHyper) *Table {
+	return &Table{Dim: dim, slots: map[int]int{}, init: s.Derive("lazytable"), hy: hy}
+}
 
-// Row returns row i (aliases storage — do not mutate outside Accumulate/Step).
-func (t *Table) Row(i int) []float64 { return t.W.Row(i) }
+// Rows returns the number of rows the table holds: every id of a dense
+// table, the touched ones of a lazy table.
+func (t *Table) Rows() int { return len(t.steps) }
 
-// Accumulate adds g into the pending gradient for row i.
-func (t *Table) Accumulate(i int, g []float64) {
-	buf, ok := t.grad[i]
+// Row returns row i's weights, aliasing the table's storage; only Step and
+// Restore write them. A lazy table adds the row on first touch. Rows never
+// move, so the slice stays the row's for the table's life.
+func (t *Table) Row(i int) []float64 {
+	w, _, _ := t.row(t.slot(i))
+	return w
+}
+
+// row returns the weights and both Adam moments of the row in slot s.
+func (t *Table) row(s int) (w, m, v []float64) {
+	k, off, n := 0, s, len(t.steps)
+	if t.slots != nil {
+		k, off, n = lazyPage(s)
+	}
+	p, d := t.pages[k], t.Dim
+	w = p[off*d : (off+1)*d]
+	m = p[(n+off)*d : (n+off+1)*d]
+	v = p[(2*n+off)*d : (2*n+off+1)*d]
+	return w, m, v
+}
+
+// denseMoments returns a dense table's two moment blocks.
+func (t *Table) denseMoments() (m, v []float64) {
+	n := len(t.W.Data)
+	return t.pages[0][n : 2*n], t.pages[0][2*n:]
+}
+
+// slot returns row i's slot, adding the row to a lazy table on first touch.
+func (t *Table) slot(i int) int {
+	if t.slots == nil {
+		return i
+	}
+	s, ok := t.slots[i]
 	if !ok {
-		buf = make([]float64, t.Dim)
-		t.grad[i] = buf
+		s = len(t.steps)
+		t.slots[i] = s
+		t.steps = append(t.steps, 0)
+		if _, off, n := lazyPage(s); off == 0 {
+			t.pages = append(t.pages, make([]float64, 3*n*t.Dim))
+		}
+		w, _, _ := t.row(s)
+		for k := range w {
+			w[k] = t.init.Normal(0, 0.1)
+		}
 	}
-	tensor.AddVec(g, buf)
+	return s
 }
 
-// Step applies sparse Adam to every row with a pending gradient, then clears
-// the pending set. Each row keeps its own step counter for bias correction,
-// matching the sparse-Adam behaviour of mainstream frameworks.
-func (t *Table) Step() {
-	for i, g := range t.grad {
-		t.step[i]++
-		s := t.hy.update(t.step[i])
-		tensor.AdamUpdate(t.W.Row(i), t.m.Row(i), t.v.Row(i), g, &s)
-		delete(t.grad, i)
+// Step applies sparse Adam to every row with a gradient in g, then empties
+// g. Each row keeps its own step counter for bias correction, matching the
+// sparse-Adam behaviour of mainstream frameworks. Rows update independently,
+// so g's order cannot change a value.
+func (t *Table) Step(g *RowGrads) {
+	for k, i := range g.ids {
+		s := t.slot(i)
+		t.steps[s]++
+		up := t.hy.update(t.steps[s])
+		w, m, v := t.row(s)
+		tensor.AdamUpdate(w, m, v, g.slab[k*g.dim:(k+1)*g.dim], &up)
 	}
+	g.Reset()
 }
 
-// Snapshot writes the table's weights (not optimizer state) to w.
+// ids returns a lazy table's row ids in ascending order.
+func (t *Table) ids() []int { return slices.Sorted(maps.Keys(t.slots)) }
+
+// Snapshot writes the table's weights (not optimizer state) to w: a dense
+// table's as one block, a lazy table's as its ids, ascending, then each row.
 func (t *Table) Snapshot(w io.Writer) error {
-	return persist.WriteFloat64s(w, t.W.Data)
+	if t.slots == nil {
+		return persist.WriteFloat64s(w, t.W.Data)
+	}
+	ids := t.ids()
+	if err := persist.WriteInts(w, ids); err != nil {
+		return err
+	}
+	for _, id := range ids {
+		if err := persist.WriteFloat64s(w, t.Row(id)); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
-// Restore reads weights previously written by Snapshot into the table. The
-// table's shape must match; optimizer state is untouched (pair with
-// RestoreMoments for exact checkpoint-resume).
+// Restore reads weights previously written by Snapshot into the table, adding
+// a lazy table's rows as needed. A dense table's shape must match; optimizer
+// state is untouched (pair with RestoreMoments for exact checkpoint-resume).
 func (t *Table) Restore(r io.Reader) error {
-	return persist.ReadFloat64sInto(r, t.W.Data)
+	if t.slots == nil {
+		return persist.ReadFloat64sInto(r, t.W.Data)
+	}
+	ids, err := persist.ReadInts(r)
+	if err != nil {
+		return err
+	}
+	for _, id := range ids {
+		if err := persist.ReadFloat64sInto(r, t.Row(id)); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
-// SnapshotMoments writes the table's sparse-Adam state — per-row step
-// counters and both moment matrices — so a restored table resumes training
-// exactly where the snapshot left off. Call between optimizer steps (no
-// pending gradients).
+// SnapshotMoments writes the table's sparse-Adam state — ids, their step
+// counters and both moments — so a restored table resumes training exactly
+// where the snapshot left off. A dense table lists the rows that have
+// stepped and writes each moment as one block; a lazy table lists every row,
+// ascending, and writes each row's two moments in turn.
 func (t *Table) SnapshotMoments(w io.Writer) error {
-	ids := make([]int, 0, len(t.step))
-	for id := range t.step {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	counts := make([]int, len(ids))
-	for i, id := range ids {
-		counts[i] = t.step[id]
-	}
-	if err := persist.WriteInts(w, ids); err != nil {
-		return err
-	}
-	if err := persist.WriteInts(w, counts); err != nil {
-		return err
-	}
-	if err := persist.WriteFloat64s(w, t.m.Data); err != nil {
-		return err
-	}
-	return persist.WriteFloat64s(w, t.v.Data)
-}
-
-// RestoreMoments reads optimizer state previously written by SnapshotMoments.
-func (t *Table) RestoreMoments(r io.Reader) error {
-	ids, err := persist.ReadInts(r)
-	if err != nil {
-		return err
-	}
-	counts, err := persist.ReadInts(r)
-	if err != nil {
-		return err
-	}
-	if len(ids) != len(counts) {
-		return fmt.Errorf("emb: moment snapshot has %d ids, %d counts", len(ids), len(counts))
-	}
-	t.step = make(map[int]int, len(ids))
-	for i, id := range ids {
-		t.step[id] = counts[i]
-	}
-	if err := persist.ReadFloat64sInto(r, t.m.Data); err != nil {
-		return err
-	}
-	return persist.ReadFloat64sInto(r, t.v.Data)
-}
-
-// PendingGrad returns a copy of row i's uncommitted gradient, or nil if the
-// row has no pending update. Intended for tests and debugging.
-func (t *Table) PendingGrad(i int) []float64 {
-	g, ok := t.grad[i]
-	if !ok {
-		return nil
-	}
-	out := make([]float64, len(g))
-	copy(out, g)
-	return out
-}
-
-// LazyTable is an embedding table that materialises rows on demand.
-type LazyTable struct {
-	Dim  int
-	rows map[int]*lazyRow
-	// dirty lists the rows with a pending gradient, in the order they
-	// turned dirty: all Step visits.
-	dirty []*lazyRow
-	init  func(out []float64)
-	hy    AdamHyper
-}
-
-type lazyRow struct {
-	w, m, v, grad []float64
-	step          int
-	dirty         bool
-}
-
-// NewLazyTable returns an empty table; each first-touched row is filled with
-// N(0, 0.01) values drawn from the table's one "lazytable" stream, so a row's
-// init depends on the order rows are first touched.
-func NewLazyTable(s *rng.Stream, dim int, hy AdamHyper) *LazyTable {
-	base := s.Derive("lazytable")
-	return &LazyTable{
-		Dim:  dim,
-		rows: map[int]*lazyRow{},
-		hy:   hy,
-		init: func(out []float64) {
-			for i := range out {
-				out[i] = base.Normal(0, 0.1)
+	var ids []int
+	if t.slots == nil {
+		for i, n := range t.steps {
+			if n > 0 {
+				ids = append(ids, i)
 			}
-		},
-	}
-}
-
-// Row returns row i, materialising it on first use.
-func (t *LazyTable) Row(i int) []float64 { return t.row(i).w }
-
-// Len returns the number of materialised rows.
-func (t *LazyTable) Len() int { return len(t.rows) }
-
-func (t *LazyTable) row(i int) *lazyRow {
-	r, ok := t.rows[i]
-	if !ok {
-		r = &lazyRow{
-			w:    make([]float64, t.Dim),
-			m:    make([]float64, t.Dim),
-			v:    make([]float64, t.Dim),
-			grad: make([]float64, t.Dim),
 		}
-		t.init(r.w)
-		t.rows[i] = r
+	} else {
+		ids = t.ids()
 	}
-	return r
-}
-
-// Accumulate adds g into the pending gradient for row i.
-func (t *LazyTable) Accumulate(i int, g []float64) {
-	r := t.row(i)
-	tensor.AddVec(g, r.grad)
-	if !r.dirty {
-		r.dirty = true
-		t.dirty = append(t.dirty, r)
-	}
-}
-
-// Snapshot writes the materialised rows (ids + weights) to w.
-func (t *LazyTable) Snapshot(w io.Writer) error {
-	ids := make([]int, 0, len(t.rows))
-	for id := range t.rows {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	if err := persist.WriteInts(w, ids); err != nil {
-		return err
-	}
-	for _, id := range ids {
-		if err := persist.WriteFloat64s(w, t.rows[id].w); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Restore reads rows previously written by Snapshot, materialising them as
-// needed. Optimizer state is untouched (pair with RestoreMoments for exact
-// checkpoint-resume).
-func (t *LazyTable) Restore(r io.Reader) error {
-	ids, err := persist.ReadInts(r)
-	if err != nil {
-		return err
-	}
-	for _, id := range ids {
-		row := t.row(id)
-		if err := persist.ReadFloat64sInto(r, row.w); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// SnapshotMoments writes every materialised row's sparse-Adam state (step
-// counter and both moment vectors) in the same sorted-id order Snapshot uses.
-// Call between optimizer steps (no pending gradients).
-func (t *LazyTable) SnapshotMoments(w io.Writer) error {
-	ids := make([]int, 0, len(t.rows))
-	for id := range t.rows {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
 	steps := make([]int, len(ids))
-	for i, id := range ids {
-		steps[i] = t.rows[id].step
+	for k, id := range ids {
+		steps[k] = t.steps[t.slot(id)]
 	}
 	if err := persist.WriteInts(w, ids); err != nil {
 		return err
@@ -283,20 +240,28 @@ func (t *LazyTable) SnapshotMoments(w io.Writer) error {
 	if err := persist.WriteInts(w, steps); err != nil {
 		return err
 	}
-	for _, id := range ids {
-		if err := persist.WriteFloat64s(w, t.rows[id].m); err != nil {
+	if t.slots == nil {
+		m, v := t.denseMoments()
+		if err := persist.WriteFloat64s(w, m); err != nil {
 			return err
 		}
-		if err := persist.WriteFloat64s(w, t.rows[id].v); err != nil {
+		return persist.WriteFloat64s(w, v)
+	}
+	for _, id := range ids {
+		_, m, v := t.row(t.slot(id))
+		if err := persist.WriteFloat64s(w, m); err != nil {
+			return err
+		}
+		if err := persist.WriteFloat64s(w, v); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// RestoreMoments reads optimizer state previously written by SnapshotMoments,
-// materialising rows as needed.
-func (t *LazyTable) RestoreMoments(r io.Reader) error {
+// RestoreMoments reads optimizer state previously written by
+// SnapshotMoments, adding a lazy table's rows as needed.
+func (t *Table) RestoreMoments(r io.Reader) error {
 	ids, err := persist.ReadInts(r)
 	if err != nil {
 		return err
@@ -308,28 +273,93 @@ func (t *LazyTable) RestoreMoments(r io.Reader) error {
 	if len(ids) != len(steps) {
 		return fmt.Errorf("emb: moment snapshot has %d ids, %d steps", len(ids), len(steps))
 	}
-	for i, id := range ids {
-		row := t.row(id)
-		row.step = steps[i]
-		if err := persist.ReadFloat64sInto(r, row.m); err != nil {
+	if t.slots == nil {
+		clear(t.steps)
+		for k, id := range ids {
+			if id < 0 || id >= len(t.steps) {
+				return fmt.Errorf("emb: moment snapshot names row %d of a %d-row table", id, len(t.steps))
+			}
+			t.steps[id] = steps[k]
+		}
+		m, v := t.denseMoments()
+		if err := persist.ReadFloat64sInto(r, m); err != nil {
 			return err
 		}
-		if err := persist.ReadFloat64sInto(r, row.v); err != nil {
+		return persist.ReadFloat64sInto(r, v)
+	}
+	for k, id := range ids {
+		s := t.slot(id)
+		t.steps[s] = steps[k]
+		_, m, v := t.row(s)
+		if err := persist.ReadFloat64sInto(r, m); err != nil {
+			return err
+		}
+		if err := persist.ReadFloat64sInto(r, v); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// Step applies sparse Adam to the dirty rows and zeroes their gradients.
-// Rows update independently, so visiting them in dirty-list order computes
-// what any order would.
-func (t *LazyTable) Step() {
-	for _, r := range t.dirty {
-		r.step++
-		s := t.hy.update(r.step)
-		tensor.AdamUpdate(r.w, r.m, r.v, r.grad, &s)
-		r.dirty = false
+// RowGrads collects sparse per-row gradient vectors: one training shard's,
+// or a batch's pending set that Table.Step consumes. Rows keep their
+// first-touch order, so merges and steps never depend on map iteration
+// order. The vectors live back to back in one slab, so a reset set refills
+// without allocating once the slab and the index have reached the batch's
+// working size.
+type RowGrads struct {
+	dim  int
+	ids  []int       // touched rows, first-touch order
+	slot map[int]int // row → position in ids (and in slab, ×dim)
+	slab []float64
+}
+
+// NewRowGrads returns an empty set of dim-wide gradient rows.
+func NewRowGrads(dim int) *RowGrads {
+	return &RowGrads{dim: dim, slot: make(map[int]int)}
+}
+
+// Reset forgets every row, keeping the storage.
+func (a *RowGrads) Reset() {
+	a.ids = a.ids[:0]
+	a.slab = a.slab[:0]
+	clear(a.slot)
+}
+
+// Row returns row i's gradient, zeroed on first touch. The slice is valid
+// until the next first touch.
+func (a *RowGrads) Row(i int) []float64 {
+	k, ok := a.slot[i]
+	if !ok {
+		k = len(a.ids)
+		a.slot[i] = k
+		a.ids = append(a.ids, i)
+		a.slab = slices.Grow(a.slab, a.dim)[:(k+1)*a.dim]
+		clear(a.slab[k*a.dim:])
 	}
-	t.dirty = t.dirty[:0]
+	return a.slab[k*a.dim : (k+1)*a.dim]
+}
+
+// Add accumulates g into row i's gradient.
+func (a *RowGrads) Add(i int, g []float64) {
+	tensor.AddVec(g, a.Row(i))
+}
+
+// Axpy accumulates s*x into row i's gradient.
+func (a *RowGrads) Axpy(i int, s float64, x []float64) {
+	tensor.Axpy(s, x, a.Row(i))
+}
+
+// AddTo accumulates every row of a into dst, in a's first-touch order.
+func (a *RowGrads) AddTo(dst *RowGrads) {
+	for k, i := range a.ids {
+		dst.Add(i, a.slab[k*a.dim:(k+1)*a.dim])
+	}
+}
+
+// AddToRows adds every row of a into the matching row of m.
+func (a *RowGrads) AddToRows(m *tensor.Matrix) {
+	for k, i := range a.ids {
+		tensor.AddVec(a.slab[k*a.dim:(k+1)*a.dim], m.Row(i))
+	}
 }

@@ -23,14 +23,15 @@ func TestTableInitNonZero(t *testing.T) {
 
 func TestTableSparseStep(t *testing.T) {
 	tab := NewTable(rng.New(2), 3, 2, DefaultAdam(0.1))
+	g := NewRowGrads(2)
 	before0 := append([]float64(nil), tab.Row(0)...)
 	before1 := append([]float64(nil), tab.Row(1)...)
-	tab.Accumulate(1, []float64{1, -1})
-	if tab.PendingGrad(1) == nil || tab.PendingGrad(0) != nil {
-		t.Fatal("Accumulate did not leave exactly row 1 pending")
+	g.Add(1, []float64{1, -1})
+	if _, ok := g.slot[1]; !ok || len(g.ids) != 1 {
+		t.Fatal("Add did not leave exactly row 1 pending")
 	}
-	tab.Step()
-	if tab.PendingGrad(1) != nil {
+	tab.Step(g)
+	if len(g.ids) != 0 {
 		t.Fatal("Step did not clear pending gradients")
 	}
 	for k := range before0 {
@@ -49,10 +50,14 @@ func TestTableSparseStep(t *testing.T) {
 
 func TestTableAccumulateSums(t *testing.T) {
 	tab := NewTable(rng.New(3), 2, 2, DefaultAdam(0.1))
-	tab.Accumulate(0, []float64{1, 0})
-	tab.Accumulate(0, []float64{1, 0})
+	g := NewRowGrads(2)
+	g.Add(0, []float64{1, 0})
+	g.Add(0, []float64{1, 0})
+	if got := g.Row(0); got[0] != 2 || got[1] != 0 {
+		t.Fatalf("pending row 0 = %v, want [2 0]", got)
+	}
 	w0 := append([]float64(nil), tab.Row(0)...)
-	tab.Step()
+	tab.Step(g)
 	// Gradient 2 on dim 0, 0 on dim 1: dim 1 stays put.
 	if tab.Row(0)[1] != w0[1] {
 		t.Fatal("zero-gradient dimension moved")
@@ -65,15 +70,14 @@ func TestTableAccumulateSums(t *testing.T) {
 func TestTableConvergesToTarget(t *testing.T) {
 	// Minimise ||w - target||² for one row.
 	tab := NewTable(rng.New(4), 1, 3, DefaultAdam(0.05))
+	g := NewRowGrads(3)
 	target := []float64{0.5, -0.25, 1.0}
 	for i := 0; i < 800; i++ {
-		w := tab.Row(0)
-		g := make([]float64, 3)
-		for k := range g {
-			g[k] = 2 * (w[k] - target[k])
+		w, row := tab.Row(0), g.Row(0)
+		for k := range row {
+			row[k] = 2 * (w[k] - target[k])
 		}
-		tab.Accumulate(0, g)
-		tab.Step()
+		tab.Step(g)
 	}
 	for k, tv := range target {
 		if math.Abs(tab.Row(0)[k]-tv) > 1e-2 {
@@ -84,14 +88,14 @@ func TestTableConvergesToTarget(t *testing.T) {
 
 func TestLazyTableMaterialisesOnDemand(t *testing.T) {
 	tab := NewLazyTable(rng.New(5), 4, DefaultAdam(0.01))
-	if tab.Len() != 0 {
+	if tab.Rows() != 0 {
 		t.Fatal("new lazy table not empty")
 	}
 	r := tab.Row(7)
 	if len(r) != 4 {
 		t.Fatalf("row len = %d", len(r))
 	}
-	if tab.Len() != 1 {
+	if tab.Rows() != 1 {
 		t.Fatal("row 7 not materialised")
 	}
 	var norm float64
@@ -103,24 +107,34 @@ func TestLazyTableMaterialisesOnDemand(t *testing.T) {
 	}
 }
 
+// TestLazyTableRowStable also pins that rows never move: a slice Row
+// returned before later first touches added pages still aliases its row.
 func TestLazyTableRowStable(t *testing.T) {
 	tab := NewLazyTable(rng.New(6), 3, DefaultAdam(0.01))
-	a := append([]float64(nil), tab.Row(2)...)
+	held := tab.Row(2)
+	a := append([]float64(nil), held...)
+	for i := 10; i < 200; i++ {
+		tab.Row(i)
+	}
 	b := tab.Row(2)
 	for k := range a {
 		if a[k] != b[k] {
 			t.Fatal("re-reading a row changed it")
 		}
 	}
+	if &held[0] != &b[0] {
+		t.Fatal("a row moved when the table grew")
+	}
 }
 
 func TestLazyTableStepOnlyDirty(t *testing.T) {
 	tab := NewLazyTable(rng.New(7), 2, DefaultAdam(0.1))
+	g := NewRowGrads(2)
 	w0 := append([]float64(nil), tab.Row(0)...)
 	_ = tab.Row(1) // materialised but never updated
 	w1 := append([]float64(nil), tab.Row(1)...)
-	tab.Accumulate(0, []float64{1, 1})
-	tab.Step()
+	g.Add(0, []float64{1, 1})
+	tab.Step(g)
 	if tab.Row(1)[0] != w1[0] {
 		t.Fatal("clean row moved")
 	}
@@ -129,36 +143,33 @@ func TestLazyTableStepOnlyDirty(t *testing.T) {
 	}
 	// Second step without new gradient must not move row 0 again.
 	after := append([]float64(nil), tab.Row(0)...)
-	tab.Step()
+	tab.Step(g)
 	if tab.Row(0)[0] != after[0] {
 		t.Fatal("Step without gradient moved a row")
 	}
 }
 
-// TestLazyTableStepVisitsEachDirtyRowOnce pins the dirty list: a row
+// TestLazyTableStepVisitsEachDirtyRowOnce pins the pending set: a row
 // accumulated twice in a batch is stepped once, a materialised row never
-// accumulated is not stepped, and Step leaves the list empty and every
-// gradient zero.
+// accumulated is not stepped, and Step leaves the set empty.
 func TestLazyTableStepVisitsEachDirtyRowOnce(t *testing.T) {
 	tab := NewLazyTable(rng.New(9), 2, DefaultAdam(0.1))
+	g := NewRowGrads(2)
 	_ = tab.Row(1)
 	for batch := 1; batch <= 3; batch++ {
-		tab.Accumulate(3, []float64{1, 1})
-		tab.Accumulate(5, []float64{-1, 1})
-		tab.Accumulate(3, []float64{1, -1})
-		tab.Step()
-		if len(tab.dirty) != 0 {
-			t.Fatalf("batch %d: %d rows left dirty after Step", batch, len(tab.dirty))
+		g.Add(3, []float64{1, 1})
+		g.Add(5, []float64{-1, 1})
+		g.Add(3, []float64{1, -1})
+		if len(g.ids) != 2 {
+			t.Fatalf("batch %d: %d rows pending, want 2", batch, len(g.ids))
+		}
+		tab.Step(g)
+		if len(g.ids) != 0 || len(g.slot) != 0 {
+			t.Fatalf("batch %d: %d rows left pending after Step", batch, len(g.ids))
 		}
 		for id, want := range map[int]int{1: 0, 3: batch, 5: batch} {
-			r := tab.rows[id]
-			if r.step != want || r.dirty {
-				t.Fatalf("batch %d: row %d at step %d (dirty %v), want %d", batch, id, r.step, r.dirty, want)
-			}
-			for _, g := range r.grad {
-				if g != 0 {
-					t.Fatalf("batch %d: row %d kept gradient %v", batch, id, r.grad)
-				}
+			if got := tab.steps[tab.slot(id)]; got != want {
+				t.Fatalf("batch %d: row %d at step %d, want %d", batch, id, got, want)
 			}
 		}
 	}
@@ -166,15 +177,80 @@ func TestLazyTableStepVisitsEachDirtyRowOnce(t *testing.T) {
 
 func TestLazyTableConverges(t *testing.T) {
 	tab := NewLazyTable(rng.New(8), 2, DefaultAdam(0.05))
+	g := NewRowGrads(2)
 	target := []float64{-0.3, 0.8}
 	for i := 0; i < 800; i++ {
 		w := tab.Row(11)
-		tab.Accumulate(11, []float64{2 * (w[0] - target[0]), 2 * (w[1] - target[1])})
-		tab.Step()
+		g.Add(11, []float64{2 * (w[0] - target[0]), 2 * (w[1] - target[1])})
+		tab.Step(g)
 	}
 	for k, tv := range target {
 		if math.Abs(tab.Row(11)[k]-tv) > 1e-2 {
 			t.Fatalf("dim %d = %v, want %v", k, tab.Row(11)[k], tv)
 		}
+	}
+}
+
+// TestTableStepSteadyStateAllocs pins a batch's accumulate-and-step at zero
+// allocations on both layouts once its rows exist and the pending set has
+// reached the batch's size.
+func TestTableStepSteadyStateAllocs(t *testing.T) {
+	for _, tc := range tableStepCases() {
+		tab, g, run := tc.setup()
+		run(tab, g)
+		if allocs := testing.AllocsPerRun(20, func() { run(tab, g) }); allocs != 0 {
+			t.Fatalf("%s: steady-state accumulate and Step allocate %v times per batch, want 0", tc.name, allocs)
+		}
+	}
+}
+
+// tableStepCase is one layout's batch: benchRows gradient rows at d = 16,
+// accumulated then stepped.
+type tableStepCase struct {
+	name  string
+	setup func() (*Table, *RowGrads, func(*Table, *RowGrads))
+}
+
+const benchRows = 64
+
+func tableStepCases() []tableStepCase {
+	const dim = 16
+	grad := make([]float64, dim)
+	for k := range grad {
+		grad[k] = 0.01 * float64(k-dim/2)
+	}
+	run := func(stride int) func(*Table, *RowGrads) {
+		return func(tab *Table, g *RowGrads) {
+			for i := 0; i < benchRows; i++ {
+				tab.Row(i * stride)
+				g.Add(i*stride, grad)
+			}
+			tab.Step(g)
+		}
+	}
+	return []tableStepCase{
+		{"dense", func() (*Table, *RowGrads, func(*Table, *RowGrads)) {
+			return NewTable(rng.New(1), benchRows*4, dim, DefaultAdam(0.01)), NewRowGrads(dim), run(4)
+		}},
+		{"lazy", func() (*Table, *RowGrads, func(*Table, *RowGrads)) {
+			return NewLazyTable(rng.New(1), dim, DefaultAdam(0.01)), NewRowGrads(dim), run(idStride)
+		}},
+	}
+}
+
+// BenchmarkTableStep is one 64-row batch at d = 16 on each layout: read the
+// rows, accumulate a gradient into each, step. It reports the cost per row
+// and, with -benchmem, 0 allocs/op in steady state.
+func BenchmarkTableStep(b *testing.B) {
+	for _, tc := range tableStepCases() {
+		b.Run(tc.name, func(b *testing.B) {
+			tab, g, run := tc.setup()
+			run(tab, g)
+			b.ReportAllocs()
+			for b.Loop() {
+				run(tab, g)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*benchRows), "ns/row")
+		})
 	}
 }

@@ -1,6 +1,7 @@
 package models
 
 import (
+	"ptffedrec/internal/emb"
 	"ptffedrec/internal/graph"
 	"ptffedrec/internal/nn"
 	"ptffedrec/internal/rng"
@@ -230,21 +231,21 @@ func (m *LightGCN) TrainBatch(batch []Sample) float64 {
 // sparse contribution to dL/dE_final.
 type lgcnChunk struct {
 	lossSum float64
-	df      *rowAccum
+	df      *emb.RowGrads
 }
 
 // seed scores the shard's samples against the propagated embeddings f and
 // collects their loss and dL/dE_final rows; n is the whole batch's length.
 func (ws *lgcnChunk) seed(m *LightGCN, f *tensor.Matrix, shard []Sample, n int) {
 	ws.lossSum = 0
-	ws.df.reset()
+	ws.df.Reset()
 	for _, smp := range shard {
 		un, vn := smp.User, m.itemNode(smp.Item)
 		pred := nn.Sigmoid(dot(f.Row(un), f.Row(vn)))
 		ws.lossSum += nn.BCEOne(pred, smp.Label)
 		g := (pred - smp.Label) / float64(n)
-		ws.df.axpy(un, g, f.Row(vn))
-		ws.df.axpy(vn, g, f.Row(un))
+		ws.df.Axpy(un, g, f.Row(vn))
+		ws.df.Axpy(vn, g, f.Row(un))
 	}
 }
 
@@ -259,7 +260,7 @@ func (m *LightGCN) accumulateGrad(batch []Sample) float64 {
 	f := m.propagate()
 	n := len(batch)
 	for len(m.chunks) < trainChunks(n) {
-		m.chunks = append(m.chunks, lgcnChunk{df: newRowAccum(m.cfg.Dim)})
+		m.chunks = append(m.chunks, lgcnChunk{df: emb.NewRowGrads(m.cfg.Dim)})
 	}
 	chunks := m.chunks[:trainChunks(n)]
 	if m.workers <= 1 {
@@ -279,7 +280,7 @@ func (m *LightGCN) accumulateGrad(batch []Sample) float64 {
 	var lossSum float64
 	for i := range chunks {
 		lossSum += chunks[i].lossSum
-		chunks[i].df.mergeIntoRows(dF)
+		chunks[i].df.AddToRows(dF)
 	}
 
 	// Back through the propagation: G_L = c·dF, G_{l-1} = c·dF + Â·G_l.

@@ -1,6 +1,8 @@
 package models
 
 import (
+	"sync"
+
 	"ptffedrec/internal/emb"
 	"ptffedrec/internal/nn"
 	"ptffedrec/internal/rng"
@@ -10,23 +12,23 @@ import (
 // MF is logistic matrix factorization: r̂ᵤᵥ = σ(pᵤ·qᵥ). It is the model
 // federated by the FCF and FedMF baselines.
 type MF struct {
-	cfg     Config
-	workers int
-	users   embTable
-	items   embTable
+	cfg          Config
+	workers      int
+	users, items *emb.Table
+
+	// ws lends gradient workspaces to TrainBatch and its shards; every MF of
+	// the same embedding width shares it.
+	ws *sync.Pool
 }
+
+// mfPools maps an embedding width to the workspace pool of every MF that
+// wide.
+var mfPools sync.Map // int → *sync.Pool
 
 // NewMF builds a matrix factorization model.
 func NewMF(cfg Config, s *rng.Stream) *MF {
-	hy := emb.DefaultAdam(cfg.LR)
-	m := &MF{cfg: cfg, workers: resolveTrainWorkers(cfg)}
-	if cfg.Lazy {
-		m.users = emb.NewLazyTable(s.Derive("u"), cfg.Dim, hy)
-		m.items = emb.NewLazyTable(s.Derive("v"), cfg.Dim, hy)
-	} else {
-		m.users = emb.NewTable(s.Derive("u"), cfg.NumUsers, cfg.Dim, hy)
-		m.items = emb.NewTable(s.Derive("v"), cfg.NumItems, cfg.Dim, hy)
-	}
+	m := &MF{cfg: cfg, workers: resolveTrainWorkers(cfg), ws: widthPool(&mfPools, cfg.Dim, newMFChunk)}
+	m.users, m.items = newTables(cfg, s)
 	return m
 }
 
@@ -60,10 +62,8 @@ func (m *MF) ScoreItemsInto(dst []float64, u int, items []int) []float64 {
 // rows and is therefore single-goroutine anyway).
 func (m *MF) ScoreUsersBlockLogitsInto(dst *tensor.Matrix, users []int, items []int) {
 	checkUsersBlock(dst, users, items)
-	ut, uok := m.users.(*emb.Table)
-	it, iok := m.items.(*emb.Table)
-	if uok && iok {
-		tensor.GatherMulMatInto(dst, ut.W, users, 0, it.W, items, 0)
+	if !m.cfg.Lazy {
+		tensor.GatherMulMatInto(dst, m.users.W, users, 0, m.items.W, items, 0)
 		return
 	}
 	for i, u := range users {
@@ -78,10 +78,8 @@ func (m *MF) ScoreUsersBlockLogitsInto(dst *tensor.Matrix, users []int, items []
 // pair-dot pass over the dense embedding tables, then the sigmoid.
 func (m *MF) ScorePairsInto(dst []float64, users []int, items []int) {
 	checkPairs(dst, users, items)
-	ut, uok := m.users.(*emb.Table)
-	it, iok := m.items.(*emb.Table)
-	if uok && iok {
-		tensor.GatherPairDotInto(dst, ut.W, users, 0, it.W, items, 0)
+	if !m.cfg.Lazy {
+		tensor.GatherPairDotInto(dst, m.users.W, users, 0, m.items.W, items, 0)
 	} else {
 		for p, u := range users {
 			dst[p] = dot(m.users.Row(u), m.items.Row(items[p]))
@@ -95,43 +93,67 @@ func (m *MF) TrainBatch(batch []Sample) float64 {
 	if len(batch) == 0 {
 		return 0
 	}
-	loss := m.accumulateGrad(batch)
-	m.users.Step()
-	m.items.Step()
+	ws := m.ws.Get().(*mfChunk)
+	loss := m.accumulateGrad(ws, batch)
+	m.users.Step(ws.users)
+	m.items.Step(ws.items)
+	m.ws.Put(ws)
 	return loss
 }
 
-// mfChunk is one gradient shard's workspace.
+// mfChunk is one gradient shard's workspace: its loss sum and the embedding
+// rows it touched.
 type mfChunk struct {
 	lossSum      float64
-	users, items *rowAccum
+	users, items *emb.RowGrads
 }
 
-// accumulateGrad computes the batch loss and adds the embedding-row
-// gradients without applying them. Chunks of the batch are processed on the
-// TrainWorkers pool into private workspaces (weights are read-only until
-// Step), then merged in chunk order.
-func (m *MF) accumulateGrad(batch []Sample) float64 {
+func newMFChunk(dim int) *mfChunk {
+	return &mfChunk{users: emb.NewRowGrads(dim), items: emb.NewRowGrads(dim)}
+}
+
+// shardGrad computes one shard's loss sum and embedding-row gradients into
+// ws; n is the whole batch's length. The weights are only read.
+func (m *MF) shardGrad(ws *mfChunk, shard []Sample, n int) {
+	ws.lossSum = 0
+	ws.users.Reset()
+	ws.items.Reset()
+	for _, smp := range shard {
+		p := m.users.Row(smp.User)
+		q := m.items.Row(smp.Item)
+		pred := nn.Sigmoid(dot(p, q))
+		ws.lossSum += nn.BCEOne(pred, smp.Label)
+		g := (pred - smp.Label) / float64(n)
+		ws.users.Axpy(smp.User, g, q)
+		ws.items.Axpy(smp.Item, g, p)
+	}
+}
+
+// accumulateGrad computes the batch loss and leaves the embedding-row
+// gradients in ws without applying them. A batch of one shard — every client
+// batch — accumulates straight into ws. Larger batches run their chunks on
+// the TrainWorkers pool into private workspaces (weights are read-only until
+// Step), merged into ws in chunk order.
+func (m *MF) accumulateGrad(ws *mfChunk, batch []Sample) float64 {
 	n := len(batch)
-	chunks := make([]mfChunk, trainChunks(n))
+	if n <= trainChunkSize {
+		m.shardGrad(ws, batch, n)
+		return ws.lossSum / float64(n)
+	}
+	shards := make([]*mfChunk, trainChunks(n))
 	forChunks(n, m.workers, func(c, lo, hi int) {
-		ws := mfChunk{users: newRowAccum(m.cfg.Dim), items: newRowAccum(m.cfg.Dim)}
-		for _, smp := range batch[lo:hi] {
-			p := m.users.Row(smp.User)
-			q := m.items.Row(smp.Item)
-			pred := nn.Sigmoid(dot(p, q))
-			ws.lossSum += nn.BCEOne(pred, smp.Label)
-			g := (pred - smp.Label) / float64(n)
-			ws.users.axpy(smp.User, g, q)
-			ws.items.axpy(smp.Item, g, p)
-		}
-		chunks[c] = ws
+		sh := m.ws.Get().(*mfChunk)
+		m.shardGrad(sh, batch[lo:hi], n)
+		shards[c] = sh
 	})
+	ws.users.Reset()
+	ws.items.Reset()
 	var lossSum float64
-	for _, ws := range chunks {
-		lossSum += ws.lossSum
-		ws.users.mergeInto(m.users)
-		ws.items.mergeInto(m.items)
+	for _, sh := range shards {
+		lossSum += sh.lossSum
+		sh.users.AddTo(ws.users)
+		sh.items.AddTo(ws.items)
+		m.ws.Put(sh)
 	}
 	return lossSum / float64(n)
 }

@@ -12,6 +12,7 @@ package models
 import (
 	"fmt"
 
+	"ptffedrec/internal/emb"
 	"ptffedrec/internal/graph"
 	"ptffedrec/internal/nn"
 	"ptffedrec/internal/rng"
@@ -178,9 +179,12 @@ func New(kind Kind, cfg Config) (Recommender, error) {
 	return nil, fmt.Errorf("models: unknown kind %q", kind)
 }
 
-// embTable abstracts the dense vs lazy embedding storage from internal/emb.
-type embTable interface {
-	Row(i int) []float64
-	Accumulate(i int, g []float64)
-	Step()
+// newTables builds a model's user and item embedding tables: lazy for a
+// client model, dense over the whole universe otherwise.
+func newTables(cfg Config, s *rng.Stream) (users, items *emb.Table) {
+	hy := emb.DefaultAdam(cfg.LR)
+	if cfg.Lazy {
+		return emb.NewLazyTable(s.Derive("u"), cfg.Dim, hy), emb.NewLazyTable(s.Derive("v"), cfg.Dim, hy)
+	}
+	return emb.NewTable(s.Derive("u"), cfg.NumUsers, cfg.Dim, hy), emb.NewTable(s.Derive("v"), cfg.NumItems, cfg.Dim, hy)
 }

@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"ptffedrec/internal/emb"
 	"ptffedrec/internal/graph"
 	"ptffedrec/internal/nn"
 	"ptffedrec/internal/rng"
@@ -135,22 +134,21 @@ func TestMFGradCheck(t *testing.T) {
 	m := NewMF(smallConfig(), rng.New(3))
 	batch := smallBatch()
 	loss := func() float64 { return batchBCE(m, batch, nil) }
-	if got := m.accumulateGrad(batch); math.Abs(got-loss()) > 1e-12 {
+	ws := newMFChunk(m.cfg.Dim)
+	if got := m.accumulateGrad(ws, batch); math.Abs(got-loss()) > 1e-12 {
 		t.Fatalf("accumulateGrad loss %v vs %v", got, loss())
 	}
-	users := m.users.(*emb.Table)
-	items := m.items.(*emb.Table)
 	for _, smp := range batch {
-		g := users.PendingGrad(smp.User)
-		row := users.Row(smp.User)
+		g := ws.users.Row(smp.User)
+		row := m.users.Row(smp.User)
 		for k := range row {
 			want := fd(loss, row, k)
 			if math.Abs(g[k]-want) > 1e-5 {
 				t.Fatalf("user %d grad[%d] = %v, want %v", smp.User, k, g[k], want)
 			}
 		}
-		gi := items.PendingGrad(smp.Item)
-		irow := items.Row(smp.Item)
+		gi := ws.items.Row(smp.Item)
+		irow := m.items.Row(smp.Item)
 		for k := range irow {
 			want := fd(loss, irow, k)
 			if math.Abs(gi[k]-want) > 1e-5 {
@@ -184,13 +182,12 @@ func TestNeuMFGradCheck(t *testing.T) {
 		}
 	}
 	x, zs, as, preds := m.forward(batch)
-	m.backward(batch, x, zs, as, nn.BCELogitGrad(preds, targets))
+	users, _ := m.backward(batch, x, zs, as, nn.BCELogitGrad(preds, targets))
 	checkParams("oracle")
 	// Embedding rows.
-	users := m.users.(*emb.Table)
 	for _, smp := range batch {
-		g := users.PendingGrad(smp.User)
-		row := users.Row(smp.User)
+		g := users.Row(smp.User)
+		row := m.users.Row(smp.User)
 		for k := range row {
 			want := fd(loss, row, k)
 			if math.Abs(g[k]-want) > 1e-5 {

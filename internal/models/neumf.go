@@ -15,8 +15,8 @@ import (
 type NeuMF struct {
 	cfg     Config
 	workers int
-	users   embTable
-	items   embTable
+	users   *emb.Table
+	items   *emb.Table
 	layers  []*nn.Dense // the hidden tower, then the output head hᵀ + bias
 	opt     *nn.Adam
 	params  []*nn.Param
@@ -27,8 +27,7 @@ type NeuMF struct {
 
 	// ws lends chunk workspaces to training shards and to concurrent scoring
 	// callers (eval workers, the dispersal pool). It is shared by every NeuMF
-	// of the same embedding width: a federation holds one model per client,
-	// but only as many workspaces as there are goroutines in a model at once.
+	// of the same embedding width.
 	ws *sync.Pool
 }
 
@@ -38,15 +37,8 @@ func neumfSizes(dim int) []int { return []int{2 * dim, 64, 32, 16, 1} }
 
 // NewNeuMF builds the MLP recommender with the paper's layer sizes.
 func NewNeuMF(cfg Config, s *rng.Stream) *NeuMF {
-	hy := emb.DefaultAdam(cfg.LR)
-	m := &NeuMF{cfg: cfg, workers: resolveTrainWorkers(cfg), opt: nn.NewAdam(cfg.LR), ws: neumfPool(cfg.Dim)}
-	if cfg.Lazy {
-		m.users = emb.NewLazyTable(s.Derive("u"), cfg.Dim, hy)
-		m.items = emb.NewLazyTable(s.Derive("v"), cfg.Dim, hy)
-	} else {
-		m.users = emb.NewTable(s.Derive("u"), cfg.NumUsers, cfg.Dim, hy)
-		m.items = emb.NewTable(s.Derive("v"), cfg.NumItems, cfg.Dim, hy)
-	}
+	m := &NeuMF{cfg: cfg, workers: resolveTrainWorkers(cfg), opt: nn.NewAdam(cfg.LR), ws: widthPool(&neumfPools, cfg.Dim, newNeuMFWS)}
+	m.users, m.items = newTables(cfg, s)
 	sizes := neumfSizes(cfg.Dim)
 	last := len(sizes) - 2
 	for i := 0; i < last; i++ {
@@ -76,11 +68,13 @@ type neumfWS struct {
 	// Per layer, head included: dL/d(the layer's input) — masked in place
 	// into dL/d(the previous layer's pre-activation) — and scratch for Wᵀ.
 	dxs, wts []*tensor.Matrix
-	// A shard's private gradients, used when a batch has several shards:
-	// per-layer parameter gradients and the embedding rows it touched.
+	// The embedding-row gradients of the chunk's samples; a one-shard
+	// batch's are the pending set the tables step on.
+	users, items *emb.RowGrads
+	// A shard's private loss sum and per-layer parameter gradients, used
+	// when a batch has several shards.
 	lossSum        float64
 	wGrads, bGrads []*tensor.Matrix
-	users, items   *rowAccum
 
 	perRow []*tensor.Matrix // x, zs, as, logits, dxs: what setRows resizes
 }
@@ -98,21 +92,13 @@ func (ws *neumfWS) setRows(n int) {
 // that wide.
 var neumfPools sync.Map // int → *sync.Pool
 
-func neumfPool(dim int) *sync.Pool {
-	if p, ok := neumfPools.Load(dim); ok {
-		return p.(*sync.Pool)
-	}
-	p, _ := neumfPools.LoadOrStore(dim, &sync.Pool{New: func() any { return newNeuMFWS(dim) }})
-	return p.(*sync.Pool)
-}
-
 func newNeuMFWS(dim int) *neumfWS {
 	sizes := neumfSizes(dim)
 	ws := &neumfWS{
 		x:      tensor.New(trainChunkSize, sizes[0]),
 		logits: tensor.New(trainChunkSize, 1),
-		users:  newRowAccum(dim),
-		items:  newRowAccum(dim),
+		users:  emb.NewRowGrads(dim),
+		items:  emb.NewRowGrads(dim),
 	}
 	for i := 0; i+1 < len(sizes); i++ {
 		in, out := sizes[i], sizes[i+1]
@@ -145,8 +131,10 @@ func (m *NeuMF) forwardWS(ws *neumfWS) *tensor.Matrix {
 
 // shardGrad runs one gradient shard — sub, out of a batch of n samples —
 // forward and backward over ws and returns its loss sum. Its parameter
-// gradients are written to wGrads and bGrads (in layer order) and
-// dL/d(input row) is left in ws.dxs[0]. The shared weights are only read.
+// gradients are written to wGrads and bGrads (in layer order),
+// dL/d(input row) is left in ws.dxs[0] and its user and item halves are
+// collected per embedding row in ws.users and ws.items. The shared weights
+// are only read.
 func (m *NeuMF) shardGrad(ws *neumfWS, sub []Sample, n int, wGrads, bGrads []*tensor.Matrix) float64 {
 	d := m.cfg.Dim
 	ws.setRows(len(sub))
@@ -173,59 +161,60 @@ func (m *NeuMF) shardGrad(ws *neumfWS, sub []Sample, n int, wGrads, bGrads []*te
 			nn.ReLUBackwardInPlace(ws.zs[li-1], dy)
 		}
 	}
+	ws.users.Reset()
+	ws.items.Reset()
+	for i, smp := range sub {
+		row := ws.dxs[0].Row(i)
+		ws.users.Add(smp.User, row[:d])
+		ws.items.Add(smp.Item, row[d:])
+	}
 	return lossSum
 }
 
 // TrainBatch implements Recommender. The batch is sharded into fixed chunks:
 // each runs its own tower forward/backward over a borrowed workspace (the
 // shared weights are read-only until the optimizer step), the shards' private
-// gradients merge in chunk order, and a single Adam step applies. A batch of
-// one shard — every client batch — has nothing to merge: its gradients go
-// straight into the layers' Grad matrices, which every step leaves zero, and
-// into the embedding tables, the same sums the merge would produce.
+// gradients merge in chunk order into the first shard's workspace, and a
+// single Adam step applies. A batch of one shard — every client batch — has
+// nothing to merge: its layer gradients go straight into the layers' Grad
+// matrices, which every step leaves zero, and its embedding-row gradients
+// are the pending set the tables step on, the same sums the merge would
+// produce.
 func (m *NeuMF) TrainBatch(batch []Sample) float64 {
-	n, d := len(batch), m.cfg.Dim
+	n := len(batch)
 	if n == 0 {
 		return 0
 	}
+	var ws *neumfWS
 	var lossSum float64
 	if n <= trainChunkSize {
-		ws := m.ws.Get().(*neumfWS)
+		ws = m.ws.Get().(*neumfWS)
 		lossSum += m.shardGrad(ws, batch, n, m.wGrads, m.bGrads)
-		for i, smp := range batch {
-			row := ws.dxs[0].Row(i)
-			m.users.Accumulate(smp.User, row[:d])
-			m.items.Accumulate(smp.Item, row[d:])
-		}
-		m.ws.Put(ws)
 	} else {
 		shards := make([]*neumfWS, trainChunks(n))
 		forChunks(n, m.workers, func(c, lo, hi int) {
-			ws := m.ws.Get().(*neumfWS)
-			ws.lossSum = m.shardGrad(ws, batch[lo:hi], n, ws.wGrads, ws.bGrads)
-			ws.users.reset()
-			ws.items.reset()
-			for i, smp := range batch[lo:hi] {
-				row := ws.dxs[0].Row(i)
-				ws.users.add(smp.User, row[:d])
-				ws.items.add(smp.Item, row[d:])
-			}
-			shards[c] = ws
+			sh := m.ws.Get().(*neumfWS)
+			sh.lossSum = m.shardGrad(sh, batch[lo:hi], n, sh.wGrads, sh.bGrads)
+			shards[c] = sh
 		})
-		for _, ws := range shards {
-			lossSum += ws.lossSum
+		ws = shards[0]
+		for c, sh := range shards {
+			lossSum += sh.lossSum
 			for i, l := range m.layers {
-				l.W.Grad.AddInPlace(ws.wGrads[i])
-				l.B.Grad.AddInPlace(ws.bGrads[i])
+				l.W.Grad.AddInPlace(sh.wGrads[i])
+				l.B.Grad.AddInPlace(sh.bGrads[i])
 			}
-			ws.users.mergeInto(m.users)
-			ws.items.mergeInto(m.items)
-			m.ws.Put(ws)
+			if c > 0 {
+				sh.users.AddTo(ws.users)
+				sh.items.AddTo(ws.items)
+				m.ws.Put(sh)
+			}
 		}
 	}
 	m.opt.Step(m.params)
-	m.users.Step()
-	m.items.Step()
+	m.users.Step(ws.users)
+	m.items.Step(ws.items)
+	m.ws.Put(ws)
 	return lossSum / float64(n)
 }
 

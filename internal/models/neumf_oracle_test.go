@@ -12,6 +12,7 @@ import (
 	"math"
 	"testing"
 
+	"ptffedrec/internal/emb"
 	"ptffedrec/internal/nn"
 	"ptffedrec/internal/rng"
 	"ptffedrec/internal/tensor"
@@ -69,8 +70,10 @@ func (m *NeuMF) forward(batch []Sample) (x *tensor.Matrix, zs, as []*tensor.Matr
 }
 
 // backward pushes dL/dlogit through the tower, accumulating parameter
-// gradients and embedding-row gradients. It does not step the optimizer.
-func (m *NeuMF) backward(batch []Sample, x *tensor.Matrix, zs, as []*tensor.Matrix, dlogits []float64) {
+// gradients, and returns the embedding-row gradients (what the tables'
+// pending sets held before they moved out of the tables). It does not step
+// the optimizer.
+func (m *NeuMF) backward(batch []Sample, x *tensor.Matrix, zs, as []*tensor.Matrix, dlogits []float64) (users, items *emb.RowGrads) {
 	dy := tensor.FromSlice(len(batch), 1, dlogits)
 	grad := m.out().Backward(as[len(as)-1], dy)
 	for i := len(m.tower()) - 1; i >= 0; i-- {
@@ -81,11 +84,13 @@ func (m *NeuMF) backward(batch []Sample, x *tensor.Matrix, zs, as []*tensor.Matr
 		}
 		grad = m.tower()[i].Backward(input, grad)
 	}
+	users, items = emb.NewRowGrads(m.cfg.Dim), emb.NewRowGrads(m.cfg.Dim)
 	for i, smp := range batch {
 		row := grad.Row(i)
-		m.users.Accumulate(smp.User, row[:m.cfg.Dim])
-		m.items.Accumulate(smp.Item, row[m.cfg.Dim:])
+		users.Add(smp.User, row[:m.cfg.Dim])
+		items.Add(smp.Item, row[m.cfg.Dim:])
 	}
+	return users, items
 }
 
 // neumfChunk is one gradient shard's workspace: per-layer parameter
@@ -94,7 +99,7 @@ type neumfChunk struct {
 	lossSum      float64
 	wGrads       []*tensor.Matrix
 	bGrads       []*tensor.Matrix
-	users, items *rowAccum
+	users, items *emb.RowGrads
 }
 
 // trainBatchOracle is the replaced TrainBatch. The batch is sharded into
@@ -112,8 +117,8 @@ func (m *NeuMF) trainBatchOracle(batch []Sample) float64 {
 		sub := batch[lo:hi]
 		x, zs, as, preds := m.forward(sub)
 		ws := neumfChunk{
-			users: newRowAccum(m.cfg.Dim),
-			items: newRowAccum(m.cfg.Dim),
+			users: emb.NewRowGrads(m.cfg.Dim),
+			items: emb.NewRowGrads(m.cfg.Dim),
 		}
 		for _, d := range layers {
 			ws.wGrads = append(ws.wGrads, tensor.New(d.In, d.Out))
@@ -137,25 +142,26 @@ func (m *NeuMF) trainBatchOracle(batch []Sample) float64 {
 		}
 		for i, smp := range sub {
 			row := grad.Row(i)
-			ws.users.add(smp.User, row[:m.cfg.Dim])
-			ws.items.add(smp.Item, row[m.cfg.Dim:])
+			ws.users.Add(smp.User, row[:m.cfg.Dim])
+			ws.items.Add(smp.Item, row[m.cfg.Dim:])
 		}
 		chunks[c] = ws
 	})
 
 	var lossSum float64
+	users, items := emb.NewRowGrads(m.cfg.Dim), emb.NewRowGrads(m.cfg.Dim)
 	for _, ws := range chunks {
 		lossSum += ws.lossSum
 		for i, d := range layers {
 			d.W.Grad.AddInPlace(ws.wGrads[i])
 			d.B.Grad.AddInPlace(ws.bGrads[i])
 		}
-		ws.users.mergeInto(m.users)
-		ws.items.mergeInto(m.items)
+		ws.users.AddTo(users)
+		ws.items.AddTo(items)
 	}
 	m.opt.Step(m.params)
-	m.users.Step()
-	m.items.Step()
+	m.users.Step(users)
+	m.items.Step(items)
 	return lossSum / float64(n)
 }
 
@@ -253,6 +259,24 @@ func TestNeuMFClientTrainBatchSteadyStateAllocs(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(20, func() { m.TrainBatch(batch) }); allocs != 0 {
 		t.Fatalf("steady-state client TrainBatch allocates %v times per call, want 0", allocs)
+	}
+}
+
+// TestMFClientTrainBatchSteadyStateAllocs is the same pin for an MF client:
+// the batch accumulates straight into a pooled workspace's row gradients,
+// which the lazy tables step on.
+func TestMFClientTrainBatchSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	cfg := clientNeuMFConfig()
+	m := NewMF(cfg, rng.New(cfg.Seed))
+	batch := neumfBatch(rng.New(5), cfg, 64)
+	for i := 0; i < 3; i++ {
+		m.TrainBatch(batch)
+	}
+	if allocs := testing.AllocsPerRun(20, func() { m.TrainBatch(batch) }); allocs != 0 {
+		t.Fatalf("steady-state MF client TrainBatch allocates %v times per call, want 0", allocs)
 	}
 }
 

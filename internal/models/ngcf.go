@@ -1,6 +1,7 @@
 package models
 
 import (
+	"ptffedrec/internal/emb"
 	"ptffedrec/internal/graph"
 	"ptffedrec/internal/nn"
 	"ptffedrec/internal/rng"
@@ -209,7 +210,7 @@ func (m *NGCF) TrainBatch(batch []Sample) float64 {
 // sparse contribution to dL/dE_l for every layer.
 type ngcfChunk struct {
 	lossSum float64
-	dOuts   []*rowAccum
+	dOuts   []*emb.RowGrads
 }
 
 // accumulateGrad computes the batch loss and adds all parameter gradients
@@ -222,9 +223,9 @@ func (m *NGCF) accumulateGrad(batch []Sample) float64 {
 	scale := m.readoutScale()
 	chunks := make([]ngcfChunk, trainChunks(n))
 	forChunks(n, m.workers, func(c, lo, hi int) {
-		ws := ngcfChunk{dOuts: make([]*rowAccum, m.cfg.Layers+1)}
+		ws := ngcfChunk{dOuts: make([]*emb.RowGrads, m.cfg.Layers+1)}
 		for l := range ws.dOuts {
-			ws.dOuts[l] = newRowAccum(m.cfg.Dim)
+			ws.dOuts[l] = emb.NewRowGrads(m.cfg.Dim)
 		}
 		for _, smp := range batch[lo:hi] {
 			un, vn := smp.User, m.itemNode(smp.Item)
@@ -232,8 +233,8 @@ func (m *NGCF) accumulateGrad(batch []Sample) float64 {
 			ws.lossSum += nn.BCEOne(pred, smp.Label)
 			g := (pred - smp.Label) / float64(n) * scale
 			for l, e := range m.outs {
-				ws.dOuts[l].axpy(un, g, e.Row(vn))
-				ws.dOuts[l].axpy(vn, g, e.Row(un))
+				ws.dOuts[l].Axpy(un, g, e.Row(vn))
+				ws.dOuts[l].Axpy(vn, g, e.Row(un))
 			}
 		}
 		chunks[c] = ws
@@ -250,7 +251,7 @@ func (m *NGCF) accumulateGrad(batch []Sample) float64 {
 	for _, ws := range chunks {
 		lossSum += ws.lossSum
 		for l, acc := range ws.dOuts {
-			acc.mergeIntoRows(dOuts[l])
+			acc.AddToRows(dOuts[l])
 		}
 	}
 

@@ -31,14 +31,6 @@ type Snapshotter interface {
 	Restore(r io.Reader) error
 }
 
-// embSnapshotter is satisfied by both emb.Table and emb.LazyTable.
-type embSnapshotter interface {
-	Snapshot(w io.Writer) error
-	Restore(r io.Reader) error
-	SnapshotMoments(w io.Writer) error
-	RestoreMoments(r io.Reader) error
-}
-
 func writeHeader(w io.Writer, kind Kind) error {
 	if err := persist.WriteString(w, snapshotMagic); err != nil {
 		return err
@@ -74,16 +66,16 @@ func (m *MF) Snapshot(w io.Writer) error {
 	if err := writeHeader(w, KindMF); err != nil {
 		return err
 	}
-	if err := m.users.(embSnapshotter).Snapshot(w); err != nil {
+	if err := m.users.Snapshot(w); err != nil {
 		return err
 	}
-	if err := m.items.(embSnapshotter).Snapshot(w); err != nil {
+	if err := m.items.Snapshot(w); err != nil {
 		return err
 	}
-	if err := m.users.(embSnapshotter).SnapshotMoments(w); err != nil {
+	if err := m.users.SnapshotMoments(w); err != nil {
 		return err
 	}
-	return m.items.(embSnapshotter).SnapshotMoments(w)
+	return m.items.SnapshotMoments(w)
 }
 
 // Restore implements Snapshotter.
@@ -92,19 +84,19 @@ func (m *MF) Restore(r io.Reader) error {
 	if err != nil {
 		return err
 	}
-	if err := m.users.(embSnapshotter).Restore(r); err != nil {
+	if err := m.users.Restore(r); err != nil {
 		return err
 	}
-	if err := m.items.(embSnapshotter).Restore(r); err != nil {
+	if err := m.items.Restore(r); err != nil {
 		return err
 	}
 	if version < 2 {
 		return nil
 	}
-	if err := m.users.(embSnapshotter).RestoreMoments(r); err != nil {
+	if err := m.users.RestoreMoments(r); err != nil {
 		return err
 	}
-	return m.items.(embSnapshotter).RestoreMoments(r)
+	return m.items.RestoreMoments(r)
 }
 
 // Snapshot implements Snapshotter.
@@ -112,10 +104,10 @@ func (m *NeuMF) Snapshot(w io.Writer) error {
 	if err := writeHeader(w, KindNeuMF); err != nil {
 		return err
 	}
-	if err := m.users.(embSnapshotter).Snapshot(w); err != nil {
+	if err := m.users.Snapshot(w); err != nil {
 		return err
 	}
-	if err := m.items.(embSnapshotter).Snapshot(w); err != nil {
+	if err := m.items.Snapshot(w); err != nil {
 		return err
 	}
 	for _, p := range m.params {
@@ -123,10 +115,10 @@ func (m *NeuMF) Snapshot(w io.Writer) error {
 			return err
 		}
 	}
-	if err := m.users.(embSnapshotter).SnapshotMoments(w); err != nil {
+	if err := m.users.SnapshotMoments(w); err != nil {
 		return err
 	}
-	if err := m.items.(embSnapshotter).SnapshotMoments(w); err != nil {
+	if err := m.items.SnapshotMoments(w); err != nil {
 		return err
 	}
 	return m.opt.SnapshotState(w, m.params)
@@ -138,10 +130,10 @@ func (m *NeuMF) Restore(r io.Reader) error {
 	if err != nil {
 		return err
 	}
-	if err := m.users.(embSnapshotter).Restore(r); err != nil {
+	if err := m.users.Restore(r); err != nil {
 		return err
 	}
-	if err := m.items.(embSnapshotter).Restore(r); err != nil {
+	if err := m.items.Restore(r); err != nil {
 		return err
 	}
 	for _, p := range m.params {
@@ -152,10 +144,10 @@ func (m *NeuMF) Restore(r io.Reader) error {
 	if version < 2 {
 		return nil
 	}
-	if err := m.users.(embSnapshotter).RestoreMoments(r); err != nil {
+	if err := m.users.RestoreMoments(r); err != nil {
 		return err
 	}
-	if err := m.items.(embSnapshotter).RestoreMoments(r); err != nil {
+	if err := m.items.RestoreMoments(r); err != nil {
 		return err
 	}
 	return m.opt.RestoreState(r, m.params)

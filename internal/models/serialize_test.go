@@ -5,7 +5,6 @@ import (
 	"math"
 	"testing"
 
-	"ptffedrec/internal/emb"
 	"ptffedrec/internal/persist"
 )
 
@@ -222,10 +221,10 @@ func TestRestoreReadsV1Snapshots(t *testing.T) {
 	if err := persist.WriteString(&buf, string(KindMF)); err != nil {
 		t.Fatal(err)
 	}
-	if err := persist.WriteFloat64s(&buf, src.users.(*emb.Table).W.Data); err != nil {
+	if err := persist.WriteFloat64s(&buf, src.users.W.Data); err != nil {
 		t.Fatal(err)
 	}
-	if err := persist.WriteFloat64s(&buf, src.items.(*emb.Table).W.Data); err != nil {
+	if err := persist.WriteFloat64s(&buf, src.items.W.Data); err != nil {
 		t.Fatal(err)
 	}
 

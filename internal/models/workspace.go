@@ -1,10 +1,9 @@
 package models
 
 import (
-	"slices"
+	"sync"
 
 	"ptffedrec/internal/par"
-	"ptffedrec/internal/tensor"
 )
 
 // trainChunkSize is the fixed shard width of the gradient-workspace engine:
@@ -52,64 +51,14 @@ func forChunks(n, workers int, fn func(c, lo, hi int)) {
 	})
 }
 
-// rowAccum collects sparse per-row gradient vectors for one chunk. Rows are
-// replayed in first-touch order by merge — numerically immaterial (row sums
-// are independent) but kept deterministic so merges never depend on map
-// iteration order. The vectors live back to back in one slab, so a reset
-// accumulator refills without allocating once the slab and the index have
-// reached the chunk's working size.
-type rowAccum struct {
-	dim   int
-	order []int       // touched rows, first-touch order
-	slot  map[int]int // row → position in order (and in slab, ×dim)
-	slab  []float64
-}
-
-func newRowAccum(dim int) *rowAccum {
-	return &rowAccum{dim: dim, slot: make(map[int]int)}
-}
-
-// reset forgets every row, keeping the storage.
-func (a *rowAccum) reset() {
-	a.order = a.order[:0]
-	a.slab = a.slab[:0]
-	clear(a.slot)
-}
-
-// at returns row i's pending vector, zeroed on first touch. The slice is
-// valid until the next first touch.
-func (a *rowAccum) at(i int) []float64 {
-	k, ok := a.slot[i]
-	if !ok {
-		k = len(a.order)
-		a.slot[i] = k
-		a.order = append(a.order, i)
-		a.slab = slices.Grow(a.slab, a.dim)[:(k+1)*a.dim]
-		clear(a.slab[k*a.dim:])
+// widthPool returns the workspace pool, among pools, for embedding width dim,
+// creating it over build on first use: every model of a kind and width
+// shares one. A federation holds one model per client, but only as many
+// workspaces as there are goroutines in a model at once.
+func widthPool[W any](pools *sync.Map, dim int, build func(dim int) *W) *sync.Pool {
+	if p, ok := pools.Load(dim); ok {
+		return p.(*sync.Pool)
 	}
-	return a.slab[k*a.dim : (k+1)*a.dim]
-}
-
-// add accumulates g into row i's pending vector.
-func (a *rowAccum) add(i int, g []float64) {
-	tensor.AddVec(g, a.at(i))
-}
-
-// axpy accumulates s*x into row i's pending vector.
-func (a *rowAccum) axpy(i int, s float64, x []float64) {
-	tensor.Axpy(s, x, a.at(i))
-}
-
-// mergeInto replays the accumulated rows into an embedding table.
-func (a *rowAccum) mergeInto(t embTable) {
-	for k, i := range a.order {
-		t.Accumulate(i, a.slab[k*a.dim:(k+1)*a.dim])
-	}
-}
-
-// mergeIntoRows adds the accumulated rows into the matching rows of m.
-func (a *rowAccum) mergeIntoRows(m *tensor.Matrix) {
-	for k, i := range a.order {
-		tensor.AddVec(a.slab[k*a.dim:(k+1)*a.dim], m.Row(i))
-	}
+	p, _ := pools.LoadOrStore(dim, &sync.Pool{New: func() any { return build(dim) }})
+	return p.(*sync.Pool)
 }
