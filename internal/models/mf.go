@@ -158,10 +158,13 @@ func (m *MF) accumulateGrad(ws *mfChunk, batch []Sample) float64 {
 	return lossSum / float64(n)
 }
 
+// dot is tensor.Dot without its length check: summed in order from +0, every
+// multiply rounded before its add (the float64 conversion forbids a fused
+// multiply-add), so a scalar score has the bits of the batched GEMM's.
 func dot(a, b []float64) float64 {
 	var s float64
 	for i, v := range a {
-		s += v * b[i]
+		s += float64(v * b[i])
 	}
 	return s
 }

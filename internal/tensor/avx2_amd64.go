@@ -1,13 +1,13 @@
 package tensor
 
-// gemmTile4x8AVX2 is the AVX2 form of one full tile of gemm (densegemm.go):
-// for r < 4 and j < 8 it stores Σₖ a[r*sai+k*sak]·b[k*n+j], k = 0 … kk−1, at
-// c[r*n+j]. Every sum starts at +0 and takes one VMULPD and one VADDPD per k
-// (no FMA), the operation sequence of gemmTileGo, four lanes at a time. kk
-// must be positive; nothing is bounds-checked.
+// gemmTile4x8AVX2 is the AVX2 form of one full tile of gemmBlock
+// (densegemm.go): for r < 4 and j < 8 it stores Σₖ a[r*sai+k*sak]·b[k*ldb+j],
+// k = 0 … kk−1, at c[r*ldc+j]. Every sum starts at +0 and takes one VMULPD
+// and one VADDPD per k (no FMA), the operation sequence of gemmTileGo, four
+// lanes at a time. kk must be positive; nothing is bounds-checked.
 //
 //go:noescape
-func gemmTile4x8AVX2(c, a *float64, sai, sak int, b *float64, n, kk int)
+func gemmTile4x8AVX2(c *float64, ldc int, a *float64, sai, sak int, b *float64, ldb, kk int)
 
 // The AVX2 forms of elem.go's kernels (elem_amd64.s), four lanes per
 // instruction in the operation order of the Go bodies. n is a multiple of

@@ -2,8 +2,9 @@ package tensor
 
 // This file holds the one dense GEMM core every dense product in the
 // repository runs on — MatMul, MatMulATB, MatMulABT, their Into forms and
-// the row-partitioned Par variants in parallel.go — and so every nn.Dense
-// forward and backward.
+// the row-partitioned Par variants in parallel.go, and so every nn.Dense
+// forward and backward — and the gathered scoring products of gemm.go, which
+// pack their rows into panels and run the same tiles.
 //
 // Determinism contract: every output element is one sum, accumulated
 // k-ascending from +0 with a separately rounded multiply and add (never a
@@ -24,11 +25,11 @@ package tensor
 
 import "fmt"
 
-// fullTile, when non-nil, computes one full 4×8 tile of gemm's output in
-// place of gemmTileGo: c, a and b point at the tile's first output element,
-// at A's element (tile row, 0) and at B's element (0, tile column). It is
-// set once, by avx2_amd64.go's init.
-var fullTile func(c, a *float64, sai, sak int, b *float64, n, kk int)
+// fullTile, when non-nil, computes one full 4×8 tile of gemmBlock's output
+// in place of gemmTileGo: c, a and b point at the tile's first output
+// element, at A's element (tile row, 0) and at B's element (0, tile column).
+// It is set once, by avx2_amd64.go's init.
+var fullTile func(c *float64, ldc int, a *float64, sai, sak int, b *float64, ldb, kk int)
 
 // gemm computes the dense row-major m×n product
 //
@@ -50,35 +51,46 @@ func gemm(c, a []float64, sai, sak int, b []float64, m, n, kk int) {
 	if len(c) < m*n || len(b) < kk*n || len(a) <= (m-1)*sai+(kk-1)*sak {
 		panic(fmt.Sprintf("tensor: gemm %dx%d = %dx%d · %dx%d over slices of %d, %d, %d", m, n, m, kk, kk, n, len(c), len(a), len(b)))
 	}
+	gemmBlock(c, n, a, sai, sak, b, n, m, n, kk)
+}
+
+// gemmBlock computes
+//
+//	c[i*ldc+j] = Σₖ a[i*sai+k*sak] · b[k*ldb+j],   i < m, j < n, k < kk
+//
+// tile by tile: every full 4×8 tile through fullTile, every edge tile through
+// gemmTileGo. kk must be positive and every index in range; the caller
+// checks both.
+func gemmBlock(c []float64, ldc int, a []float64, sai, sak int, b []float64, ldb, m, n, kk int) {
 	for i := 0; i < m; i += 4 {
 		mr := min(4, m-i)
 		for j := 0; j < n; j += 8 {
 			nr := min(8, n-j)
 			if mr == 4 && nr == 8 && fullTile != nil {
-				fullTile(&c[i*n+j], &a[i*sai], sai, sak, &b[j], n, kk)
+				fullTile(&c[i*ldc+j], ldc, &a[i*sai], sai, sak, &b[j], ldb, kk)
 			} else {
-				gemmTileGo(c[i*n+j:], a[i*sai:], sai, sak, b[j:], n, mr, nr, kk)
+				gemmTileGo(c[i*ldc+j:], ldc, a[i*sai:], sai, sak, b[j:], ldb, mr, nr, kk)
 			}
 		}
 	}
 }
 
-// gemmTileGo computes one mr×nr tile (mr ≤ 4, nr ≤ 8) of gemm's output in
-// pure Go. A full-width row keeps its eight sums in registers across the k
+// gemmTileGo computes one mr×nr tile (mr ≤ 4, nr ≤ 8) of gemmBlock's output
+// in pure Go. A full-width row keeps its eight sums in registers across the k
 // loop — eight independent add chains and one load of each B element — and a
 // narrower edge row falls back to one sum at a time. The float64
 // conversions forbid the compiler from fusing a multiply into the add that
 // follows it (it would on arm64 and at GOAMD64=v3), which keeps the contract
 // on every target.
-func gemmTileGo(c, a []float64, sai, sak int, b []float64, n, mr, nr, kk int) {
+func gemmTileGo(c []float64, ldc int, a []float64, sai, sak int, b []float64, ldb, mr, nr, kk int) {
 	for i := 0; i < mr; i++ {
 		ai := a[i*sai:]
-		ci := c[i*n : i*n+nr]
+		ci := c[i*ldc : i*ldc+nr]
 		if nr == 8 {
 			var s0, s1, s2, s3, s4, s5, s6, s7 float64
 			for k := 0; k < kk; k++ {
 				av := ai[k*sak]
-				bk := b[k*n : k*n+8]
+				bk := b[k*ldb : k*ldb+8]
 				s0 += float64(av * bk[0])
 				s1 += float64(av * bk[1])
 				s2 += float64(av * bk[2])
@@ -94,7 +106,7 @@ func gemmTileGo(c, a []float64, sai, sak int, b []float64, n, mr, nr, kk int) {
 		for j := range ci {
 			var s float64
 			for k := 0; k < kk; k++ {
-				s += float64(ai[k*sak] * b[k*n+j])
+				s += float64(ai[k*sak] * b[k*ldb+j])
 			}
 			ci[j] = s
 		}

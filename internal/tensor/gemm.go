@@ -1,19 +1,23 @@
 package tensor
 
 // This file holds the multi-user gather-GEMM kernels behind the batched
-// dispersal engine (models.MultiBlockScorer): a block of query rows gathered
-// from one matrix is scored against a block of candidate rows gathered from
-// another, producing a dense query×candidate score matrix in one pass.
+// evaluation and dispersal engines (models.MultiBlockScorer): a block of
+// query rows gathered from one matrix is scored against a block of candidate
+// rows gathered from another, producing a dense query×candidate score matrix
+// in one pass.
 //
-// Determinism contract: every output element is a single dot product
-// accumulated in Dot's k-ascending order, so a multi-user GEMM score is
-// bitwise-identical to the per-item dot loop it replaces.
-// The kernels interleave four independent query accumulators per candidate
-// row — four separate dependency chains hide floating-point add latency and
-// each candidate row is loaded once per four queries — which changes neither
-// any element's accumulation order nor the result.
+// Determinism contract: densegemm.go's, the one every dense product keeps —
+// each output element is one sum, k-ascending from +0, with the multiply and
+// the add rounded separately. That is Dot's order, so a multi-user GEMM score
+// is bitwise-identical to the per-item dot loop it replaces. GatherMulMat*
+// packs its rows into panels and runs the core's tiles; the ragged pair
+// kernels keep four independent pair sums in flight, which changes no
+// element's order either.
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
 func checkGatherMat(dst *Matrix, a *Matrix, arows []int, b *Matrix, brows []int) {
 	if dst.Rows != len(arows) || dst.Cols != len(brows) {
@@ -46,83 +50,91 @@ func GatherMulMatAddInto(dst *Matrix, a *Matrix, arows []int, aoff int, b *Matri
 	gatherMulMat(dst, a, arows, aoff, b, brows, boff, true)
 }
 
-// gatherMulMat computes the kernel, writing (or accumulating into) every
-// output element with the dot running k-ascending.
+// gatherRows is gatherMulMat's query block: its rows are packed once, and
+// each candidate strip packed for it feeds four tile rows.
+const gatherRows = 16
+
+// gatherScratch holds gatherMulMat's panels. It is pooled because a panel
+// handed to the tile through the fullTile func var escapes: on the stack it
+// would be a heap allocation per call.
+type gatherScratch struct{ buf []float64 }
+
+var gatherPool = sync.Pool{New: func() any { return new(gatherScratch) }}
+
+// gatherMulMat computes the kernel on the dense core (densegemm.go): per
+// block of up to gatherRows query rows, the rows are packed into a row-major
+// panel, and per strip of up to eight candidates the rows are packed into a
+// d×8 Bᵀ panel; gemmBlock then writes the block × strip tiles straight into
+// dst. The Add form has them written to a strip of sums first and adds that
+// into dst, so every element is dst + Σ, the sum k-ascending from +0.
 func gatherMulMat(dst *Matrix, a *Matrix, arows []int, aoff int, b *Matrix, brows []int, boff int, add bool) {
-	d := a.Cols
-	jhi := len(brows)
-	i := 0
-	for ; i+4 <= len(arows); i += 4 {
-		// Reslicing every row to the shared inner length d lets the compiler
-		// drop the per-element bounds checks (checkGatherMat guarantees
-		// a.Cols == b.Cols; the reslices are free). The 4-query × 2-candidate
-		// register block runs eight independent accumulator chains — enough
-		// to hide FP-add latency — and loads each candidate row once per four
-		// queries; none of it changes any element's k-ascending sum.
-		r0 := a.Row(arows[i] + aoff)[:d]
-		r1 := a.Row(arows[i+1] + aoff)[:d]
-		r2 := a.Row(arows[i+2] + aoff)[:d]
-		r3 := a.Row(arows[i+3] + aoff)[:d]
-		d0, d1, d2, d3 := dst.Row(i), dst.Row(i+1), dst.Row(i+2), dst.Row(i+3)
-		j := 0
-		for ; j+2 <= jhi; j += 2 {
-			qa := b.Row(brows[j] + boff)[:d]
-			qb := b.Row(brows[j+1] + boff)[:d]
-			var s0a, s1a, s2a, s3a, s0b, s1b, s2b, s3b float64
-			for k := 0; k < d; k++ {
-				av, bv := qa[k], qb[k]
-				s0a += r0[k] * av
-				s1a += r1[k] * av
-				s2a += r2[k] * av
-				s3a += r3[k] * av
-				s0b += r0[k] * bv
-				s1b += r1[k] * bv
-				s2b += r2[k] * bv
-				s3b += r3[k] * bv
-			}
-			if add {
-				d0[j] += s0a
-				d1[j] += s1a
-				d2[j] += s2a
-				d3[j] += s3a
-				d0[j+1] += s0b
-				d1[j+1] += s1b
-				d2[j+1] += s2b
-				d3[j+1] += s3b
-			} else {
-				d0[j], d1[j], d2[j], d3[j] = s0a, s1a, s2a, s3a
-				d0[j+1], d1[j+1], d2[j+1], d3[j+1] = s0b, s1b, s2b, s3b
+	m, n, d := len(arows), len(brows), a.Cols
+	if m == 0 || n == 0 {
+		return
+	}
+	if d == 0 {
+		// Every sum is the empty one, +0; gemmBlock needs a positive depth.
+		for i := range m {
+			row := dst.Row(i)
+			for j := range row {
+				if add {
+					row[j] += 0
+				} else {
+					row[j] = 0
+				}
 			}
 		}
-		for ; j < jhi; j++ {
-			q := b.Row(brows[j] + boff)[:d]
-			var s0, s1, s2, s3 float64
-			for k, qv := range q {
-				s0 += r0[k] * qv
-				s1 += r1[k] * qv
-				s2 += r2[k] * qv
-				s3 += r3[k] * qv
+		return
+	}
+	ws := gatherPool.Get().(*gatherScratch)
+	need := (gatherRows+8)*d + gatherRows*8
+	if cap(ws.buf) < need {
+		ws.buf = make([]float64, need)
+	}
+	ap := ws.buf[:gatherRows*d]
+	bp := ws.buf[gatherRows*d : (gatherRows+8)*d]
+	sums := ws.buf[(gatherRows+8)*d : need]
+	for i0 := 0; i0 < m; i0 += gatherRows {
+		mb := min(gatherRows, m-i0)
+		for r, ar := range arows[i0 : i0+mb] {
+			copy(ap[r*d:(r+1)*d], a.Row(ar+aoff))
+		}
+		for j := 0; j < n; j += 8 {
+			nr := min(8, n-j)
+			packStrip(bp, b, brows[j:j+nr], boff)
+			if !add {
+				gemmBlock(dst.Data[i0*n+j:], n, ap, d, 1, bp, 8, mb, nr, d)
+				continue
 			}
-			if add {
-				d0[j] += s0
-				d1[j] += s1
-				d2[j] += s2
-				d3[j] += s3
-			} else {
-				d0[j], d1[j], d2[j], d3[j] = s0, s1, s2, s3
+			gemmBlock(sums, 8, ap, d, 1, bp, 8, mb, nr, d)
+			for r := range mb {
+				AddVec(sums[r*8:r*8+nr], dst.Row(i0 + r)[j:j+nr])
 			}
 		}
 	}
-	for ; i < len(arows); i++ {
-		r := a.Row(arows[i] + aoff)
-		d := dst.Row(i)
-		for j := 0; j < jhi; j++ {
-			s := Dot(r, b.Row(brows[j]+boff))
-			if add {
-				d[j] += s
-			} else {
-				d[j] = s
-			}
+	gatherPool.Put(ws)
+}
+
+// packStrip writes the rows b.Row(rows[c]+off), c < len(rows) ≤ 8, as the
+// columns of the b.Cols×8 panel p: p[k*8+c] = b.Row(rows[c]+off)[k].
+func packStrip(p []float64, b *Matrix, rows []int, off int) {
+	d := b.Cols
+	if len(rows) == 8 {
+		// Reslicing every row to d lets the compiler drop the bounds checks.
+		r0, r1 := b.Row(rows[0] + off)[:d], b.Row(rows[1] + off)[:d]
+		r2, r3 := b.Row(rows[2] + off)[:d], b.Row(rows[3] + off)[:d]
+		r4, r5 := b.Row(rows[4] + off)[:d], b.Row(rows[5] + off)[:d]
+		r6, r7 := b.Row(rows[6] + off)[:d], b.Row(rows[7] + off)[:d]
+		for k := range d {
+			q := p[k*8 : k*8+8]
+			q[0], q[1], q[2], q[3] = r0[k], r1[k], r2[k], r3[k]
+			q[4], q[5], q[6], q[7] = r4[k], r5[k], r6[k], r7[k]
+		}
+		return
+	}
+	for c, br := range rows {
+		for k, v := range b.Row(br + off) {
+			p[k*8+c] = v
 		}
 	}
 }
@@ -164,7 +176,9 @@ func gatherPairDotRange(dst []float64, a *Matrix, arows []int, aoff int, b *Matr
 	for ; p+4 <= len(arows); p += 4 {
 		// Reslicing every row to the shared inner length d lets the compiler
 		// drop the per-element bounds checks; the four pair accumulators then
-		// run as independent dependency chains in one fused k loop.
+		// run as independent dependency chains in one k loop. The float64
+		// conversions keep each multiply out of a fused multiply-add, as in
+		// gemmTileGo.
 		a0 := a.Row(arows[p] + aoff)[:d]
 		a1 := a.Row(arows[p+1] + aoff)[:d]
 		a2 := a.Row(arows[p+2] + aoff)[:d]
@@ -175,10 +189,10 @@ func gatherPairDotRange(dst []float64, a *Matrix, arows []int, aoff int, b *Matr
 		b3 := b.Row(brows[p+3] + boff)[:d]
 		var s0, s1, s2, s3 float64
 		for k := 0; k < d; k++ {
-			s0 += a0[k] * b0[k]
-			s1 += a1[k] * b1[k]
-			s2 += a2[k] * b2[k]
-			s3 += a3[k] * b3[k]
+			s0 += float64(a0[k] * b0[k])
+			s1 += float64(a1[k] * b1[k])
+			s2 += float64(a2[k] * b2[k])
+			s3 += float64(a3[k] * b3[k])
 		}
 		if add {
 			dst[p] += s0

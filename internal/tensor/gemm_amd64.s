@@ -1,22 +1,24 @@
 #include "textflag.h"
 
-// func gemmTile4x8AVX2(c, a *float64, sai, sak int, b *float64, n, kk int)
+// func gemmTile4x8AVX2(c *float64, ldc int, a *float64, sai, sak int, b *float64, ldb, kk int)
 //
 // Y0…Y7 hold the 4×8 tile (row r in Y(2r), Y(2r+1)). Per k: load the eight B
 // values once, broadcast each row's A value, multiply, then add — two
 // separately rounded instructions per sum, so every lane computes exactly
 // what the scalar Go tile computes.
-TEXT ·gemmTile4x8AVX2(SB), NOSPLIT, $0-56
+TEXT ·gemmTile4x8AVX2(SB), NOSPLIT, $0-64
 	MOVQ c+0(FP), DI
-	MOVQ a+8(FP), R8
-	MOVQ sai+16(FP), R9
-	MOVQ sak+24(FP), R10
-	MOVQ b+32(FP), R11
-	MOVQ n+40(FP), R12
-	MOVQ kk+48(FP), CX
+	MOVQ ldc+8(FP), R13
+	MOVQ a+16(FP), R8
+	MOVQ sai+24(FP), R9
+	MOVQ sak+32(FP), R10
+	MOVQ b+40(FP), R11
+	MOVQ ldb+48(FP), R12
+	MOVQ kk+56(FP), CX
 	SHLQ $3, R9             // strides in bytes
 	SHLQ $3, R10
 	SHLQ $3, R12
+	SHLQ $3, R13
 	LEAQ (R8)(R9*1), AX     // A rows 1, 2, 3
 	LEAQ (AX)(R9*1), BX
 	LEAQ (BX)(R9*1), DX
@@ -62,13 +64,13 @@ loop:
 
 	VMOVUPD Y0, (DI)
 	VMOVUPD Y1, 32(DI)
-	ADDQ    R12, DI
+	ADDQ    R13, DI
 	VMOVUPD Y2, (DI)
 	VMOVUPD Y3, 32(DI)
-	ADDQ    R12, DI
+	ADDQ    R13, DI
 	VMOVUPD Y4, (DI)
 	VMOVUPD Y5, 32(DI)
-	ADDQ    R12, DI
+	ADDQ    R13, DI
 	VMOVUPD Y6, (DI)
 	VMOVUPD Y7, 32(DI)
 	VZEROUPPER

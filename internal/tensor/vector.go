@@ -1,13 +1,16 @@
 package tensor
 
-// Dot returns the inner product of a and b. The slices must have equal length.
+// Dot returns the inner product of a and b, summed in order from +0 with
+// every multiply and add rounded separately (densegemm.go's contract; the
+// float64 conversion forbids a fused multiply-add). The slices must have
+// equal length.
 func Dot(a, b []float64) float64 {
 	if len(a) != len(b) {
 		panic("tensor: Dot length mismatch")
 	}
 	var s float64
 	for i, v := range a {
-		s += v * b[i]
+		s += float64(v * b[i])
 	}
 	return s
 }
