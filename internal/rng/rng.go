@@ -22,9 +22,10 @@ type Stream struct {
 	seed uint64
 }
 
-// New returns a stream seeded with seed. The math/rand source behind it is
-// built on the first draw: most streams are only ever parents in a Derive
-// chain, and seeding a source's 607-word state is far dearer than deriving.
+// New returns a stream seeded with seed. The source behind it — math/rand's
+// generator, draw for draw (source.go) — is built on the first draw: most
+// streams are only ever parents in a Derive chain, and allocating a source's
+// 607-word state is far dearer than deriving.
 func New(seed uint64) *Stream {
 	s := &Stream{seed: seed}
 	s.r = rand.New(&unseeded{s: s})
@@ -37,12 +38,12 @@ func New(seed uint64) *Stream {
 // draw in flight finishes through this wrapper on the same source.
 type unseeded struct {
 	s   *Stream
-	src rand.Source64
+	src *source
 }
 
-func (u *unseeded) seeded() rand.Source64 {
+func (u *unseeded) seeded() *source {
 	if u.src == nil {
-		u.src = rand.NewSource(int64(u.s.seed)).(rand.Source64)
+		u.src = newSource(int64(u.s.seed))
 		u.s.r = rand.New(u.src)
 	}
 	return u.src
