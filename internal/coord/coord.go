@@ -25,6 +25,8 @@ package coord
 
 import (
 	"context"
+	crand "crypto/rand"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -112,11 +114,10 @@ type Coordinator struct {
 	configJSON []byte
 	evaluator  *eval.Evaluator
 
-	mu        sync.Mutex
-	sessions  map[uint64]*session
-	nextToken uint64
-	rounds    map[int]*roundState
-	down      bool // run finished; new joins get an immediate shutdown
+	mu       sync.Mutex
+	sessions map[uint64]*session
+	rounds   map[int]*roundState
+	down     bool // run finished; new joins get an immediate shutdown
 
 	// pending retains each user's latest undelivered dispersal (bounded by
 	// Options.PendingDispersals); pendingQ holds the same users in stash
@@ -486,8 +487,7 @@ func (c *Coordinator) register(lo, hi int) (*session, error) {
 				lo, hi, s.token, s.lo, s.hi)
 		}
 	}
-	c.nextToken++
-	s := &session{token: c.nextToken, lo: lo, hi: hi, wake: make(chan struct{})}
+	s := &session{token: c.newTokenLocked(), lo: lo, hi: hi, wake: make(chan struct{})}
 	c.sessions[s.token] = s
 	// A joining host immediately receives any retained dispersals for its
 	// range — users whose D̃ᵢ outlived their round while nobody hosted them.
@@ -496,6 +496,19 @@ func (c *Coordinator) register(lo, hi int) (*session, error) {
 		s.events = append(s.events, comm.AppendFrame(nil, comm.MsgShutdown, nil))
 	}
 	return s, nil
+}
+
+// newTokenLocked draws a session token no live session holds, uniformly
+// from [1, 2⁶³) — queryInt parses a token as an int64 — with crypto/rand, so
+// that a peer cannot guess another's token and upload or leave as it.
+func (c *Coordinator) newTokenLocked() uint64 {
+	var b [8]byte
+	for {
+		crand.Read(b[:]) // never fails: it crashes the program instead
+		if tok := binary.LittleEndian.Uint64(b[:]) >> 1; tok != 0 && c.sessions[tok] == nil {
+			return tok
+		}
+	}
 }
 
 // unregister removes a session. A departed host's pending users resolve as

@@ -284,6 +284,60 @@ func TestJoinLeaveLifecycle(t *testing.T) {
 	}
 }
 
+// TestSessionTokensUnguessable pins that a session token carries no
+// neighbour's identity: two joins do not get consecutive tokens, both lie in
+// [1, 2⁶³), and a token one either side of a live one — what a peer counting
+// up from its own would try — gets MsgError from leave, poll and upload,
+// leaving both sessions in place.
+func TestSessionTokensUnguessable(t *testing.T) {
+	c, err := New(testSplit(), testConfig(models.KindMF, 1), testOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(c.Handler())
+	defer srv.Close()
+	p1, err := Join(srv.URL, 0, 20, srv.Client())
+	if err != nil {
+		t.Fatal(err)
+	}
+	p2, err := Join(srv.URL, 20, 40, srv.Client())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t1, t2 := p1.Token(), p2.Token()
+	for _, tok := range []uint64{t1, t2} {
+		if tok == 0 || tok >= 1<<63 {
+			t.Fatalf("token %d outside [1, 2⁶³)", tok)
+		}
+	}
+	if t1+1 == t2 || t2+1 == t1 {
+		t.Fatalf("consecutive tokens %d and %d", t1, t2)
+	}
+	for _, tok := range []uint64{t1 - 1, t1 + 1, t2 - 1, t2 + 1} {
+		if tok == t1 || tok == t2 {
+			continue
+		}
+		for _, path := range []string{
+			fmt.Sprintf("/v1/leave?token=%d", tok),
+			fmt.Sprintf("/v1/poll?token=%d&after=0", tok),
+			fmt.Sprintf("/v1/upload?token=%d&round=0&user=0", tok),
+		} {
+			resp, err := srv.Client().Post(srv.URL+path, "application/octet-stream", nil)
+			if err != nil {
+				t.Fatalf("%s: %v", path, err)
+			}
+			mt, payload, err := comm.ReadFrame(resp.Body)
+			resp.Body.Close()
+			if err != nil || mt != comm.MsgError || !strings.Contains(string(payload), "token") {
+				t.Fatalf("%s: reply %v %q (%v), want MsgError for an unknown token", path, mt, payload, err)
+			}
+		}
+	}
+	if n := c.Sessions(); n != 2 {
+		t.Fatalf("%d sessions after the guessed tokens, want 2", n)
+	}
+}
+
 // encodeUpload builds an upload body for readUpload tests.
 func encodeUpload(round, user int, codec comm.Codec, preds []comm.Prediction, sendPreds int, end bool) []byte {
 	return encodeUploadMetrics(round, user, codec, preds, sendPreds, end, 0.25, 0.5)
