@@ -8,7 +8,7 @@ GO ?= go
 # CI, fails above it. A change that shrinks the code lowers it to the size it
 # reaches; one that has to grow the code raises it in the same diff, where a
 # reviewer sees the price.
-LOC_BUDGET = 13782
+LOC_BUDGET = 13944
 
 # The packages whose concurrent paths CI runs in full (not -short) under the
 # race detector; ci.yml says why each is there.
@@ -24,11 +24,13 @@ build:
 
 # cross builds the side of the tensor kernels' dispatch this host does not
 # run: without avx2_amd64.go and the .s files every GEMM tile and elementwise
-# kernel is the pure Go body. It vets tensor and the dispatch's callers in nn
-# and emb. Both commands use the installed toolchain; nothing is downloaded.
+# kernel is the pure Go body. It vets tensor, the dispatch's callers in nn,
+# emb and models (whose scalar dots must stay unfused where the compiler
+# fuses multiply-adds) and rng. Both commands use the installed toolchain;
+# nothing is downloaded.
 cross:
 	GOARCH=arm64 $(GO) build ./...
-	GOARCH=arm64 $(GO) vet ./internal/tensor/ ./internal/nn/ ./internal/emb/
+	GOARCH=arm64 $(GO) vet ./internal/tensor/ ./internal/nn/ ./internal/emb/ ./internal/models/ ./internal/rng/
 
 test:
 	$(GO) test ./...
@@ -75,14 +77,17 @@ bench-module:
 # -timeout 30m: the root-package table benchmarks take ~10 min on one core,
 # right at go test's default 10m kill threshold.
 # internal/tensor, internal/models and internal/emb carry the client wave's
-# kernels: BenchmarkDenseGEMM, BenchmarkElementwise (Adam, ReLU and the vector
-# adds, assembly and pure Go bodies side by side),
+# kernels: BenchmarkDenseGEMM, BenchmarkGatherMulMat (the scoring GEMM at the
+# evaluator's 16 × 1024 window, assembly and Go tile side by side),
+# BenchmarkElementwise (Adam, ReLU and the vector adds, assembly and pure Go
+# bodies side by side),
 # BenchmarkNeuMFClientTrainBatch (0 allocs/op; the pin is
 # TestNeuMFClientTrainBatchSteadyStateAllocs) and BenchmarkTableStep (ns per
 # stepped row on the dense and the lazy layout, 0 allocs/op; the pin is
-# TestTableStepSteadyStateAllocs).
+# TestTableStepSteadyStateAllocs); internal/rng's BenchmarkSeed times seeding
+# a stream's source against math/rand's.
 bench:
-	$(GO) test -bench=. -benchmem -benchtime=1x -run='^$$' -timeout 30m . ./internal/fed/ ./internal/tensor/ ./internal/models/ ./internal/emb/
+	$(GO) test -bench=. -benchmem -benchtime=1x -run='^$$' -timeout 30m . ./internal/fed/ ./internal/tensor/ ./internal/models/ ./internal/emb/ ./internal/rng/
 	$(GO) run ./cmd/ptfbench -exp scalability -quick -json > BENCH_scalability.json.tmp
 	$(GO) run ./cmd/ptfbench -exp scalability -profile huge-1m -rounds 10 -json >> BENCH_scalability.json.tmp
 	mv BENCH_scalability.json.tmp BENCH_scalability.json

@@ -504,7 +504,7 @@ func (c *Coordinator) register(lo, hi int) (*session, error) {
 func (c *Coordinator) newTokenLocked() uint64 {
 	var b [8]byte
 	for {
-		crand.Read(b[:]) // never fails: it crashes the program instead
+		_, _ = crand.Read(b[:]) // never fails: it crashes the program instead
 		if tok := binary.LittleEndian.Uint64(b[:]) >> 1; tok != 0 && c.sessions[tok] == nil {
 			return tok
 		}

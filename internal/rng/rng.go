@@ -14,7 +14,8 @@ import (
 	"sort"
 )
 
-// Stream is a deterministic random stream. It wraps math/rand with the
+// Stream is a deterministic random stream. It wraps a math/rand generator
+// over this package's copy of math/rand's source (source.go) with the
 // sampling helpers used across the repository. A Stream is not safe for
 // concurrent use; derive one stream per goroutine.
 type Stream struct {

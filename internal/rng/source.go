@@ -4,12 +4,11 @@ import "math/rand"
 
 // source is math/rand's generator — Mitchell and Reeds' additive lagged
 // Fibonacci generator over 607 words with a tap at 273 — reproduced draw for
-// draw, with a seeding that is a few dozen times cheaper. math/rand seeds by
-// stepping the Park–Miller LCG x ← 48271·x mod (2³¹−1) 1841 times in a row;
-// every step is a division chain waiting on the one before. Here each of those
-// values is computed directly, x_k = 48271^k·x₀ mod (2³¹−1), from a table of
-// the powers, so the 1821 products that fill the state are independent of
-// each other.
+// draw, with a seeding several times cheaper (BenchmarkSeed). math/rand seeds
+// by stepping the Park–Miller LCG x ← 48271·x mod (2³¹−1) 1841 times in a
+// row; every step is a division chain waiting on the one before. Here each of
+// the 1821 values that fill the state is computed directly, x_k = 48271^k·x₀
+// mod (2³¹−1), from a table of the powers, so no product waits on another.
 type source struct {
 	tap, feed int
 	vec       [srcLen]int64

@@ -35,22 +35,6 @@ func TestSourceMatchesMathRand(t *testing.T) {
 	}
 }
 
-// TestStreamDrawsMathRand pins a Stream to a math/rand generator seeded
-// with the stream's seed, through the helpers that read more than one word.
-func TestStreamDrawsMathRand(t *testing.T) {
-	for _, seed := range []uint64{0, 7, 1 << 63, math.MaxUint64} {
-		s, want := New(seed), rand.New(rand.NewSource(int64(seed)))
-		for range 100 {
-			if g, w := s.Normal(0, 1), want.NormFloat64(); g != w {
-				t.Fatalf("seed %d: Normal %v, want %v", seed, g, w)
-			}
-			if g, w := s.Intn(1<<40+3), want.Intn(1<<40+3); g != w {
-				t.Fatalf("seed %d: Intn %d, want %d", seed, g, w)
-			}
-		}
-	}
-}
-
 // BenchmarkSeed times building a seeded source: math/rand's and this
 // package's. Both allocate the same 607-word state.
 func BenchmarkSeed(b *testing.B) {

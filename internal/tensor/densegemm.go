@@ -58,15 +58,15 @@ func gemm(c, a []float64, sai, sak int, b []float64, m, n, kk int) {
 //
 //	c[i*ldc+j] = Σₖ a[i*sai+k*sak] · b[k*ldb+j],   i < m, j < n, k < kk
 //
-// tile by tile: every full 4×8 tile through fullTile, every edge tile through
-// gemmTileGo. kk must be positive and every index in range; the caller
-// checks both.
+// tile by tile: every full 4×8 tile through fullTile, every edge tile — and
+// every tile of an empty sum, kk = 0 — through gemmTileGo. Every index must be
+// in range; the caller checks.
 func gemmBlock(c []float64, ldc int, a []float64, sai, sak int, b []float64, ldb, m, n, kk int) {
 	for i := 0; i < m; i += 4 {
 		mr := min(4, m-i)
 		for j := 0; j < n; j += 8 {
 			nr := min(8, n-j)
-			if mr == 4 && nr == 8 && fullTile != nil {
+			if mr == 4 && nr == 8 && kk > 0 && fullTile != nil {
 				fullTile(&c[i*ldc+j], ldc, &a[i*sai], sai, sak, &b[j], ldb, kk)
 			} else {
 				gemmTileGo(c[i*ldc+j:], ldc, a[i*sai:], sai, sak, b[j:], ldb, mr, nr, kk)

@@ -72,20 +72,6 @@ func gatherMulMat(dst *Matrix, a *Matrix, arows []int, aoff int, b *Matrix, brow
 	if m == 0 || n == 0 {
 		return
 	}
-	if d == 0 {
-		// Every sum is the empty one, +0; gemmBlock needs a positive depth.
-		for i := range m {
-			row := dst.Row(i)
-			for j := range row {
-				if add {
-					row[j] += 0
-				} else {
-					row[j] = 0
-				}
-			}
-		}
-		return
-	}
 	ws := gatherPool.Get().(*gatherScratch)
 	need := (gatherRows+8)*d + gatherRows*8
 	if cap(ws.buf) < need {

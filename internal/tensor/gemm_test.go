@@ -7,8 +7,7 @@ import (
 )
 
 // randGatherFixture builds random embedding matrices plus gathered row index
-// lists, covering offsets and remainder query counts (the 4-way interleave's
-// tail path).
+// lists, covering offsets and query counts off the 4-row tile edge.
 func randGatherFixture(seed uint64, nq, nc, rows, cols, off int) (a, b *Matrix, arows, brows []int) {
 	s := rng.New(seed).Derive("gemm")
 	a = New(rows, cols)
@@ -32,7 +31,7 @@ func randGatherFixture(seed uint64, nq, nc, rows, cols, off int) (a, b *Matrix, 
 
 // TestGatherMulMatMatchesVec pins the multi-user GEMM's contract: every row
 // equals the per-candidate Dot loop bitwise, for query counts that exercise
-// both the interleaved quad path and the remainder tail.
+// both full 4-row tiles and the Go edge rows.
 func TestGatherMulMatMatchesVec(t *testing.T) {
 	for _, nq := range []int{1, 2, 3, 4, 5, 7, 8, 11} {
 		a, b, arows, brows := randGatherFixture(uint64(nq), nq, 57, 40, 9, 3)

@@ -10,12 +10,13 @@
 //
 // Two kernel families have an assembly form on amd64, installed at init
 // (avx2_amd64.go) when CPUID and XGETBV report AVX2 with OS-saved YMM state:
-// the full 4×8 tile of the dense GEMM core (densegemm.go, gemm_amd64.s) and
-// the elementwise kernels — the Adam update, ReLU and its backward mask,
-// AddVec and Axpy (elem.go, elem_amd64.s). Every other platform and CPU, every
-// edge tile and every tail shorter than four lanes runs the pure Go body,
-// which computes the same bits. All other kernels — the gather GEMMs
-// (gemm.go), the sparse products (sparse.go), Dot — are Go only.
+// the full 4×8 tile of the dense GEMM core (densegemm.go, gemm_amd64.s), which
+// the gathered scoring GEMMs (gemm.go) run on too, and the elementwise
+// kernels — the Adam update, ReLU and its backward mask, AddVec and Axpy
+// (elem.go, elem_amd64.s). Every other platform and CPU, every edge tile and
+// every tail shorter than four lanes runs the pure Go body, which computes the
+// same bits. All other kernels — the gathered pair dots (gemm.go), the sparse
+// products (sparse.go), Dot — are Go only.
 package tensor
 
 import (
