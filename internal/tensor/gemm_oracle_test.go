@@ -507,6 +507,7 @@ func BenchmarkGatherMulMat(b *testing.B) {
 				saved := fullTile
 				fullTile = tl.tile
 				defer func() { fullTile = saved }()
+				GatherMulMatInto(dst, x, arows, 0, y, brows, 0) // fills the pooled panels
 				for b.Loop() {
 					GatherMulMatInto(dst, x, arows, 0, y, brows, 0)
 				}
