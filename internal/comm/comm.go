@@ -23,12 +23,6 @@ type Prediction struct {
 // PredictionWireSize is the encoded size of one Prediction in bytes.
 const PredictionWireSize = 12
 
-// PredictionMemBytes is the in-memory size of one Prediction (two ints and a
-// float64) — the unit per-upload memory accounting multiplies by. The server
-// stores the decoded float64 score rather than the 4-byte wire encoding
-// because the non-quantized protocol trains on the exact uploaded values.
-const PredictionMemBytes = 24
-
 // EncodePredictions serialises triples to the compact wire format.
 func EncodePredictions(preds []Prediction) []byte {
 	buf := make([]byte, 0, len(preds)*PredictionWireSize)

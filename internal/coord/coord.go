@@ -21,6 +21,15 @@
 // breaks fed.RoundEngine.CloseRound's contract. A round with a
 // configured straggler deadline closes with partial participation — pending
 // clients become dropped — instead of waiting forever.
+//
+// A dispersal is relative to its own round: Eq. 9 excludes the items of the
+// upload that produced it (fed.RoundEngine.CloseRound). A dispersal retained
+// for an absent host and flushed after the user's later upload therefore
+// still excludes its round-t upload, not the later one.
+//
+// Each session's event log holds only what its participant has not
+// acknowledged: a poll's cursor acknowledges every event before it, and the
+// log is trimmed there. A session that never polls keeps its whole log.
 package coord
 
 import (
@@ -79,10 +88,14 @@ type session struct {
 	token  uint64
 	lo, hi int
 
-	// events is the session's log of framed RoundStart/Disperse/RoundEnd/
-	// Shutdown messages; /v1/poll serves the suffix past the caller's cursor.
-	// wake is closed and replaced whenever an event lands.
+	// events is the unacknowledged tail of the session's log of framed
+	// RoundStart/Disperse/RoundEnd/Shutdown messages: events[0] is absolute
+	// event number base. A poll with cursor after acknowledges every event
+	// before it, so the log is trimmed there and /v1/poll serves the rest.
+	// wake, when a poll is parked on an empty tail, is closed by the next
+	// event.
 	events [][]byte
+	base   int64
 	wake   chan struct{}
 }
 
@@ -400,8 +413,10 @@ func (c *Coordinator) sessionForLocked(u int) *session {
 // parked poll. c.mu held.
 func (c *Coordinator) announceLocked(s *session, frame []byte) {
 	s.events = append(s.events, frame)
-	close(s.wake)
-	s.wake = make(chan struct{})
+	if s.wake != nil {
+		close(s.wake)
+		s.wake = nil
+	}
 }
 
 // resolveUpload records one user's outcome, closing the round when it was
@@ -487,7 +502,7 @@ func (c *Coordinator) register(lo, hi int) (*session, error) {
 				lo, hi, s.token, s.lo, s.hi)
 		}
 	}
-	s := &session{token: c.newTokenLocked(), lo: lo, hi: hi, wake: make(chan struct{})}
+	s := &session{token: c.newTokenLocked(), lo: lo, hi: hi}
 	c.sessions[s.token] = s
 	// A joining host immediately receives any retained dispersals for its
 	// range — users whose D̃ᵢ outlived their round while nobody hosted them.
@@ -577,18 +592,25 @@ func (c *Coordinator) handleLeave(w http.ResponseWriter, r *http.Request) {
 	c.writeFrame(w, comm.MsgAck, nil)
 }
 
-// eventsAfter returns a copy of the session's events past the cursor, or —
-// when the log ends at the cursor — the channel the next event closes. A
-// cursor outside [0, len(events)] is an error. The poll handler reads the log
-// only here; the deferred unlock releases c.mu on every path, a panic included.
+// eventsAfter acknowledges the session's events before the cursor — trimming
+// them from the log — and returns a copy of the events from the cursor on,
+// or, when the log ends at the cursor, the channel the next event closes. A
+// cursor outside the unacknowledged log [base, base+len(events)] is an error.
+// The poll handler reads the log only here; the deferred unlock releases c.mu
+// on every path, a panic included.
 func (c *Coordinator) eventsAfter(s *session, after int64) (events [][]byte, wake <-chan struct{}, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if after < 0 || after > int64(len(s.events)) {
-		return nil, nil, fmt.Errorf("coord: poll cursor %d outside event log (%d events)", after, len(s.events))
+	if after < s.base || after > s.base+int64(len(s.events)) {
+		return nil, nil, fmt.Errorf("coord: poll cursor %d outside event log [%d, %d]", after, s.base, s.base+int64(len(s.events)))
 	}
-	if tail := s.events[after:]; len(tail) > 0 {
-		return append([][]byte(nil), tail...), nil, nil
+	s.events = slices.Delete(s.events, 0, int(after-s.base))
+	s.base = after
+	if len(s.events) > 0 {
+		return slices.Clone(s.events), nil, nil
+	}
+	if s.wake == nil {
+		s.wake = make(chan struct{})
 	}
 	return nil, s.wake, nil
 }

@@ -3,8 +3,11 @@ package coord
 import (
 	"bytes"
 	"context"
+	"net/http"
 	"net/http/httptest"
 	"slices"
+	"strconv"
+	"sync"
 	"testing"
 	"time"
 
@@ -97,7 +100,7 @@ func TestPendingDispersalStore(t *testing.T) {
 
 	// Flushing a session delivers its hosted range — [3,5) covers user 3
 	// but not user 2 — and leaves the rest retained.
-	s := &session{lo: 3, hi: 5, wake: make(chan struct{})}
+	s := &session{lo: 3, hi: 5}
 	c.mu.Lock()
 	c.flushPendingLocked(s)
 	c.mu.Unlock()
@@ -126,7 +129,7 @@ func TestPendingQueueBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 	pay := bytes.Repeat([]byte{1}, comm.CodecFor(cfg.QuantizeScores).WireSize())
-	host := &session{lo: 3, hi: 4, wake: make(chan struct{})}
+	host := &session{lo: 3, hi: 4}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.stashPendingLocked(0, fed.Dispersal{ID: 2, Payload: pay})
@@ -213,6 +216,88 @@ func TestLateJoinReceivesRetainedDispersals(t *testing.T) {
 	c.mu.Unlock()
 	if left != 0 {
 		t.Fatalf("%d retained dispersals survived their host's join", left)
+	}
+}
+
+// TestEventLogTrimmedByPolls pins the bound on a session's event log: a poll
+// acknowledges every event before its cursor, so after a participant-driven
+// run each polled session holds at most the frames its last poll was served —
+// the events that poll had not acknowledged, ending in the shutdown notice.
+// A proxy in front of the handler counts the frames of each session's latest
+// poll reply.
+func TestEventLogTrimmedByPolls(t *testing.T) {
+	cfg := testConfig(models.KindMF, 2)
+	cfg.Rounds = 4
+	c, err := New(testSplit(), cfg, testOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	lastServed := map[string]int{} // token -> frames in the session's latest poll reply
+	h := c.Handler()
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/v1/poll" {
+			h.ServeHTTP(w, r)
+			return
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, r)
+		frames := 0
+		for body := bytes.NewReader(rec.Body.Bytes()); ; frames++ {
+			if _, _, err := comm.ReadFrame(body); err != nil {
+				break
+			}
+		}
+		mu.Lock()
+		lastServed[r.URL.Query().Get("token")] = frames
+		mu.Unlock()
+		w.WriteHeader(rec.Code)
+		w.Write(rec.Body.Bytes())
+	}))
+	defer srv.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+
+	var parts []*Participant
+	for _, r := range [][2]int{{0, 15}, {15, 40}} {
+		p, err := Join(srv.URL, r[0], r[1], srv.Client())
+		if err != nil {
+			t.Fatal(err)
+		}
+		parts = append(parts, p)
+	}
+	c.mu.Lock()
+	sessions := make([]*session, len(parts))
+	for i, p := range parts {
+		sessions[i] = c.sessions[p.Token()]
+	}
+	c.mu.Unlock()
+	errs := make(chan error, len(parts))
+	for _, p := range parts {
+		go func(p *Participant) { errs <- p.Run(ctx) }(p)
+	}
+	if _, err := c.Run(ctx); err != nil {
+		t.Fatalf("coordinator run: %v", err)
+	}
+	for range parts {
+		if err := <-errs; err != nil {
+			t.Fatalf("participant: %v", err)
+		}
+	}
+
+	mu.Lock()
+	defer mu.Unlock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for i, s := range sessions {
+		served := lastServed[strconv.FormatUint(parts[i].Token(), 10)]
+		if len(s.events) > served || s.base == 0 {
+			t.Fatalf("session [%d, %d) holds %d of its %d events; its last poll was served %d",
+				s.lo, s.hi, len(s.events), s.base+int64(len(s.events)), served)
+		}
+		if mt, _, err := comm.ReadFrame(bytes.NewReader(s.events[len(s.events)-1])); err != nil || mt != comm.MsgShutdown {
+			t.Fatalf("session [%d, %d): the retained tail ends in %v (%v), want the shutdown notice", s.lo, s.hi, mt, err)
+		}
 	}
 }
 

@@ -49,16 +49,11 @@ type ScalabilityRow struct {
 
 	// Memory accounting for this row's trainer. PeakHeapBytes is the largest
 	// live heap observed at phase boundaries (post-GC samples, so it tracks
-	// retained state, not allocator slack). The other columns are exact
-	// footprints from the components' own accounting: the server's flat
-	// upload store (slab + index), the incremental graph engine (rows,
-	// postings, degree vectors, staging scratch). BytesPerUser is the per-user
-	// server-side state — upload store / users — the figure the flat-memory
-	// design holds flat as users grow.
-	PeakHeapBytes    uint64  `json:"peak_heap_bytes"`
-	UploadStoreBytes int64   `json:"upload_store_bytes"`
-	GraphEngineBytes int64   `json:"graph_engine_bytes"`
-	BytesPerUser     float64 `json:"bytes_per_user"`
+	// retained state, not allocator slack). GraphEngineBytes is the
+	// incremental graph engine's exact footprint from its own accounting
+	// (rows, postings, degree vectors, staging scratch).
+	PeakHeapBytes    uint64 `json:"peak_heap_bytes"`
+	GraphEngineBytes int64  `json:"graph_engine_bytes"`
 }
 
 // ScalabilityResult is the scalability experiment's report: the parallel
@@ -190,7 +185,7 @@ func gitSHA() string {
 // measuredRow runs every round of one trainer serially, sampling the heap
 // between rounds, and folds the timings and footprints both modes report into
 // a row; the caller adds what only it measures.
-func measuredRow(tr *fed.Trainer, cfg fed.Config, numUsers int, hs *heapSampler) (ScalabilityRow, []fed.RoundStats) {
+func measuredRow(tr *fed.Trainer, cfg fed.Config, hs *heapSampler) (ScalabilityRow, []fed.RoundStats) {
 	rounds := make([]fed.RoundStats, 0, cfg.Rounds)
 	start := time.Now()
 	for round := 0; round < cfg.Rounds; round++ {
@@ -207,11 +202,9 @@ func measuredRow(tr *fed.Trainer, cfg fed.Config, numUsers int, hs *heapSampler)
 		GraphSecs:        phases.GraphBuild * perRound,
 		ServerTrainSecs:  phases.ServerTrain * perRound,
 		DisperseSecs:     phases.Disperse * perRound,
-		UploadStoreBytes: tr.Server().UploadStoreBytes(),
 		GraphEngineBytes: tr.Server().GraphEngineBytes(),
 	}
 	row.RoundsPerSec = speedup(1, row.RoundSecs)
-	row.BytesPerUser = float64(row.UploadStoreBytes) / float64(numUsers)
 	row.PeakHeapBytes = hs.peak
 	return row, rounds
 }
@@ -277,7 +270,7 @@ func RunScalability(o Options) (*ScalabilityResult, error) {
 		// segment's clock.
 		runtime.GC()
 		var hs heapSampler
-		row, rounds := measuredRow(tr, wcfg, sp.NumUsers, &hs)
+		row, rounds := measuredRow(tr, wcfg, &hs)
 
 		// Evaluation on the trained state: min of three passes, a forced GC
 		// before each. A single pass drifts with the process's allocator
@@ -332,12 +325,12 @@ func speedup(base, secs float64) float64 {
 // the table. The split streams straight from the generator, clients build
 // lazily on first participation, each round samples a few thousand
 // participants, and nothing is evaluated — so the retained state under
-// measurement is exactly the server's per-user structures: the flat upload
-// store and the incremental graph engine's maintained rows.
+// measurement is the per-user structures: the materialised clients and the
+// incremental graph engine's maintained rows.
 func runScalabilityMemory(o Options, p data.Profile) (*ScalabilityResult, error) {
 	// Same model pairing as the sweep, with the per-round participant count
 	// pinned near the full-scale sweep's (~5k clients) so round cost stays
-	// bounded while the store still accumulates fresh users every round.
+	// bounded while the graph still accumulates fresh users every round.
 	cfg := scalabilityConfig(o.Seed)
 	cfg.Rounds = 2
 	if o.Rounds > 0 {
@@ -358,7 +351,7 @@ func runScalabilityMemory(o Options, p data.Profile) (*ScalabilityResult, error)
 	if err != nil {
 		return nil, fmt.Errorf("scalability: %w", err)
 	}
-	row, _ := measuredRow(tr, cfg, sp.NumUsers, &hs)
+	row, _ := measuredRow(tr, cfg, &hs)
 	res.Rows = append(res.Rows, row)
 	return res, nil
 }
@@ -372,9 +365,8 @@ func (r *ScalabilityResult) Print(w io.Writer) {
 			r.Profile, r.Users, r.Items, r.Rounds, r.GOMAXPROCS)
 		fmt.Fprintf(w, "  round-secs=%.3f  client=%.3f absorb=%.3f graph=%.3f server-sgd=%.3f disperse=%.3f\n",
 			row.RoundSecs, row.ClientSecs, row.AbsorbSecs, row.GraphSecs, row.ServerTrainSecs, row.DisperseSecs)
-		fmt.Fprintf(w, "  peak-heap=%s  upload-store=%s  graph-engine=%s  server-state=%.1f bytes/user\n",
-			size(int64(row.PeakHeapBytes)), size(row.UploadStoreBytes),
-			size(row.GraphEngineBytes), row.BytesPerUser)
+		fmt.Fprintf(w, "  peak-heap=%s  graph-engine=%s\n",
+			size(int64(row.PeakHeapBytes)), size(row.GraphEngineBytes))
 		return
 	}
 	fmt.Fprintf(w, "Scalability: %s (%d users × %d items), %d rounds, GOMAXPROCS=%d\n",
@@ -394,12 +386,10 @@ func (r *ScalabilityResult) Print(w io.Writer) {
 			row.ServerTrainSecs, row.DisperseSecs, row.ServerTrainSpeedup, row.GraphSpeedup)
 	}
 	fmt.Fprintln(w, "  memory (post-run retained state; peak = max live heap at phase boundaries):")
-	fmt.Fprintf(w, "  %-8s %12s %13s %13s %16s\n",
-		"workers", "peak-heap", "upload-store", "graph-engine", "server-B/user")
+	fmt.Fprintf(w, "  %-8s %12s %13s\n", "workers", "peak-heap", "graph-engine")
 	for _, row := range r.Rows {
-		fmt.Fprintf(w, "  %-8d %12s %13s %13s %16.1f\n",
-			row.Workers, size(int64(row.PeakHeapBytes)), size(row.UploadStoreBytes),
-			size(row.GraphEngineBytes), row.BytesPerUser)
+		fmt.Fprintf(w, "  %-8d %12s %13s\n",
+			row.Workers, size(int64(row.PeakHeapBytes)), size(row.GraphEngineBytes))
 	}
 	fmt.Fprintf(w, "  history and metrics identical across worker counts: %v (recall@20=%.4f ndcg@20=%.4f)\n",
 		r.Deterministic, r.Rows[0].Recall, r.Rows[0].NDCG)

@@ -4,9 +4,10 @@ package fed
 // and the multi-user batched path, which groups one worker's clients into
 // score batches and drives the hard-half top-K and the final re-scoring
 // through multi-user GEMM kernels (models.MultiBlockScorer). Eligibility
-// (Eq. 9's "vⱼ ∉ V̂ᵗᵢ") is the target's upload bitset everywhere; only the
-// random ablation arms want it as a list, which they build per client into
-// worker scratch with one word walk. Nothing is kept between calls.
+// (Eq. 9's "vⱼ ∉ V̂ᵗᵢ") is the bitset of the target's upload in the
+// dispersal's own round everywhere; only the random ablation arms want it as
+// a list, which they build per client into worker scratch with one word walk.
+// Nothing is kept between calls.
 //
 // Determinism contract: D̃ᵢ is the same for every batch grouping, worker
 // count, model kind, and ablation arm, and bitwise-identical to the
@@ -361,17 +362,17 @@ func (sv *Server) disperseBatch(slots []disperseSlot, plan *dispersalPlan, sc *d
 
 // disperseUsers builds D̃ᵢ for every listed user on the calling goroutine,
 // disperseBatchClients at a time, and hands each result to emit with the
-// user's index in ids. Targets come from the upload store, so nothing here
-// touches (or materialises) a client; stream returns user id's
-// per-(round, client) stream, or nil for the arms that draw nothing.
-// The call only reads server state — workers run it concurrently on disjoint
-// id ranges once the model's scoring cache is warm.
-func (sv *Server) disperseUsers(ids []int, plan *dispersalPlan, stream func(id int) *rng.Stream, emit func(i int, preds []comm.Prediction)) {
+// user's index in ids. uploads[i] is user ids[i]'s upload in the dispersal's
+// round — Eq. 9's V̂ᵗᵢ — so nothing here touches (or materialises) a client;
+// stream returns user id's per-(round, client) stream, or nil for the arms
+// that draw nothing. The call only reads server state — workers run it
+// concurrently on disjoint id ranges once the model's scoring cache is warm.
+func (sv *Server) disperseUsers(ids []int, uploads [][]comm.Prediction, plan *dispersalPlan, stream func(id int) *rng.Stream, emit func(i int, preds []comm.Prediction)) {
 	sc := newDisperseBatchScratch()
 	for b := 0; b < len(ids); b += disperseBatchClients {
 		slots := sc.slots[:min(disperseBatchClients, len(ids)-b)]
 		for i := range slots {
-			slots[i].tgt, sc.excls[i] = sv.disperseTargetInto(ids[b+i], sc.excls[i])
+			slots[i].tgt, sc.excls[i] = sv.disperseTargetInto(ids[b+i], uploads[b+i], sc.excls[i])
 			slots[i].ds = stream(ids[b+i])
 		}
 		sv.disperseBatch(slots, plan, sc)

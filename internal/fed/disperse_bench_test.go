@@ -9,9 +9,10 @@ import (
 	"ptffedrec/internal/rng"
 )
 
-// benchDisperseTrainer builds a mid-size LightGCN-server trainer with one
-// round of real uploads, mirroring the scalability profile's dispersal shape.
-func benchDisperseTrainer(b *testing.B) *Trainer {
+// benchDisperseTrainer builds a mid-size LightGCN-server trainer with two
+// rounds of real uploads, mirroring the scalability profile's dispersal
+// shape, and returns the last round's uploads indexed by user.
+func benchDisperseTrainer(b *testing.B) (*Trainer, [][]comm.Prediction) {
 	b.Helper()
 	p := data.Profile{Name: "bench-disperse", NumUsers: 6000, NumItems: 900,
 		Interactions: 90000, ZipfExponent: 1.05, Clusters: 8, ClusterBias: 0.7, MinPerUser: 5}
@@ -28,9 +29,9 @@ func benchDisperseTrainer(b *testing.B) *Trainer {
 		b.Fatal(err)
 	}
 	tr.RunRound(0)
-	tr.RunRound(1)
+	uploads := runRoundUploads(tr, 1)
 	tr.EvaluateServer()
-	return tr
+	return tr, uploads
 }
 
 // BenchmarkDisperse measures one dispersal sweep over every client on a
@@ -40,7 +41,7 @@ func benchDisperseTrainer(b *testing.B) *Trainer {
 // CloseRound derives them: per client for the arms that draw, none for
 // conf+hard.
 func BenchmarkDisperse(b *testing.B) {
-	tr := benchDisperseTrainer(b)
+	tr, uploads := benchDisperseTrainer(b)
 	ids := allSlots(tr.split.NumUsers)
 	root := rng.New(1).Derive("bench-disperse")
 	for _, arm := range []DisperseMode{DisperseConfHard, DisperseNoHard, DisperseNoConf, DisperseAllRandom} {
@@ -54,7 +55,7 @@ func BenchmarkDisperse(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for n := 0; n < b.N; n++ {
-				tr.server.disperseUsers(ids, plan, stream, func(int, []comm.Prediction) {})
+				tr.server.disperseUsers(ids, uploads, plan, stream, func(int, []comm.Prediction) {})
 			}
 		})
 	}

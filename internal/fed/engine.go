@@ -108,6 +108,14 @@ func (e *RoundEngine) Evaluate(ev *eval.Evaluator) eval.Result {
 // absorb the uploads, rebuild the graph, optimise Eq. 5, and build every
 // responder's dispersal. The returned dispersals are in responder slot order.
 //
+// A responder is an outcome that is not Dropped and carries a non-empty
+// upload: an empty upload counts as a drop — no loss or attack F1 in the
+// round's means, and no dispersal — exactly as the networked coordinator
+// classifies a stream that carried no prediction. Eq. 9's exclusion set V̂ᵗᵢ
+// is the responder's upload in this round: a dispersal is relative to the
+// round that produced it, even when the transport delivers it after the
+// user's next upload.
+//
 // The outcomes must name distinct users, and every prediction in an upload
 // must name its outcome's user and an item in [0, NumItems): the graph
 // rebuild stages each uploader once, in user order, from the upload alone.
@@ -124,7 +132,7 @@ func (e *RoundEngine) CloseRound(round int, outcomes []ClientOutcome, overlap fu
 	ids := make([]int, 0, len(outcomes)) // responders, in slot order
 	uploads := make([][]comm.Prediction, 0, len(outcomes))
 	for _, o := range outcomes {
-		if o.Dropped {
+		if o.Dropped || len(o.Upload) == 0 {
 			stats.Dropped++
 			continue
 		}
@@ -160,9 +168,9 @@ func (e *RoundEngine) CloseRound(round int, outcomes []ClientOutcome, overlap fu
 	// Dispersal: the global confidence ranking is computed once for the
 	// round; each client draws from a stream derived per (round, client), and
 	// dispersal only reads server state (plus per-worker scratch), so results
-	// match the serial loop exactly. The Eq. 9 exclusion set V̂ᵗᵢ comes from
-	// the server's upload store — what it actually received — so a networked
-	// server needs nothing the wire did not carry.
+	// match the serial loop exactly. The Eq. 9 exclusion set V̂ᵗᵢ is the
+	// responder's upload in this round — what the server actually received —
+	// so a networked server needs nothing the wire did not carry.
 	phaseStart = time.Now()
 	var overlapDone chan struct{}
 	// Warm before an overlapped eval unconditionally; otherwise only a
@@ -199,7 +207,7 @@ func (e *RoundEngine) CloseRound(round int, outcomes []ClientOutcome, overlap fu
 		}
 		chunk := (len(ids) + workers - 1) / workers
 		par.ForChunks(len(ids), chunk, workers, func(lo, hi int) {
-			e.server.disperseUsers(ids[lo:hi], plan, clientStream, func(i int, out []comm.Prediction) {
+			e.server.disperseUsers(ids[lo:hi], uploads[lo:hi], plan, clientStream, func(i int, out []comm.Prediction) {
 				payload, preds := wireRoundTrip(out, e.cfg.QuantizeScores)
 				dispersals[lo+i] = Dispersal{ID: ids[lo+i], Preds: preds, Payload: payload}
 			})

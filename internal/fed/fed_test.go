@@ -1,7 +1,9 @@
 package fed
 
 import (
+	"bytes"
 	"math"
+	"slices"
 	"testing"
 
 	"ptffedrec/internal/bitset"
@@ -146,8 +148,8 @@ func TestTrainerGraphServerModels(t *testing.T) {
 		if _, err := tr.Run(); err != nil {
 			t.Fatalf("%s server: %v", kind, err)
 		}
-		// Server graph must have absorbed soft-positive edges.
-		if got := tr.Server().store.Count(); got == 0 {
+		// The server must have absorbed uploads and rebuilt its graph.
+		if sv := tr.Server(); sv.inc == nil || slices.Max(sv.itemFreq) == 0 {
 			t.Fatalf("%s server saw no uploads", kind)
 		}
 	}
@@ -198,6 +200,56 @@ func TestDispersalRespectsUploadExclusion(t *testing.T) {
 		}
 		if len(c.ServerData()) > cfg.Alpha {
 			t.Fatalf("client %d received %d items, alpha=%d", c.ID, len(c.ServerData()), cfg.Alpha)
+		}
+	}
+}
+
+// TestCloseRoundCountsEmptyUploadAsDropped pins one classification for an
+// empty upload on both transports: a non-dropped outcome that carries no
+// prediction — in-process, a user with no training items; over the wire, a
+// stream that ended before its first prediction — closes the round exactly as
+// the same outcome marked Dropped does. Its loss and attack F1 stay out of
+// the round's means, and it gets no dispersal.
+func TestCloseRoundCountsEmptyUploadAsDropped(t *testing.T) {
+	sp := tinySplit(t)
+	cfg := fastConfig(models.KindNeuMF)
+	host, err := NewClientHost(sp, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	newEngine := func() *RoundEngine {
+		e, err := NewRoundEngine(sp.NumUsers, sp.NumItems, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}
+	idx := newEngine().Select(0)
+	withEmpty := make([]ClientOutcome, len(idx))
+	for slot, id := range idx {
+		withEmpty[slot] = host.RunClientRound(0, id).Outcome()
+	}
+	const slot = 3
+	empty := idx[slot]
+	withEmpty[slot] = ClientOutcome{ID: empty, Loss: 7, AttackF1: 1}
+	withDrop := slices.Clone(withEmpty)
+	withDrop[slot].Dropped = true
+
+	gotStats, got := newEngine().CloseRound(0, withEmpty, nil)
+	wantStats, want := newEngine().CloseRound(0, withDrop, nil)
+	if gotStats != wantStats || gotStats.Dropped != 1 {
+		t.Fatalf("an empty upload closes the round as\n  %v dropped=%d\nthe same outcome dropped closes it as\n  %v dropped=%d",
+			gotStats, gotStats.Dropped, wantStats, wantStats.Dropped)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%d dispersals with an empty upload, %d with it dropped", len(got), len(want))
+	}
+	for i, d := range got {
+		if d.ID == empty {
+			t.Fatalf("user %d, whose upload was empty, received a dispersal", empty)
+		}
+		if d.ID != want[i].ID || !bytes.Equal(d.Payload, want[i].Payload) {
+			t.Fatalf("dispersal %d: user %d with an empty upload in the round, user %d with it dropped", i, d.ID, want[i].ID)
 		}
 	}
 }

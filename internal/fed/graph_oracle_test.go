@@ -1,8 +1,8 @@
 package fed
 
-// The server graph's reference: the soft-positive rule written out per stored
-// view, serially and independently of the live selection (selectEdges /
-// countEdgesIn / fillEdgesIn), then built from scratch with
+// The server graph's reference: the soft-positive rule written out per user's
+// latest upload, serially and independently of the live selection
+// (selectEdges / countEdgesIn / fillEdgesIn), then built from scratch with
 // graph.NewBipartite — the path clients and the centralized trainer take.
 // The maintained adjacency must equal its NormalizedAdjPar bit for bit.
 
@@ -36,12 +36,12 @@ func oracleEdges(cfg *Config, u int, preds []comm.Prediction) []graph.Edge {
 	return edges
 }
 
-// oracleGraph builds the server's graph from every stored upload: users
-// ascending, each user's edges in rule order.
-func oracleGraph(sv *Server) *graph.Bipartite {
+// oracleGraph builds the server's graph from every user's latest upload in
+// record: users ascending, each user's edges in rule order.
+func oracleGraph(sv *Server, record *mapUploadStore) *graph.Bipartite {
 	g := graph.NewBipartite(sv.numUsers, sv.numItems)
-	for _, u := range sv.store.Users(nil) {
-		for _, e := range oracleEdges(sv.cfg, u, sv.store.View(u)) {
+	for _, u := range record.Users(nil) {
+		for _, e := range oracleEdges(sv.cfg, u, record.View(u)) {
 			g.AddEdge(e.User, e.Item, e.Weight)
 		}
 	}

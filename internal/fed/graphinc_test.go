@@ -35,14 +35,14 @@ func requireSameCSR(t *testing.T, label string, a, b *tensor.CSR) {
 }
 
 // checkIncMatchesFull asserts the server's maintained adjacency (both
-// operators) bitwise-equals the oracle's from-scratch build of the current
-// store.
-func checkIncMatchesFull(t *testing.T, label string, sv *Server, workers int) {
+// operators) bitwise-equals the oracle's from-scratch build of every user's
+// latest upload in record.
+func checkIncMatchesFull(t *testing.T, label string, sv *Server, record *mapUploadStore, workers int) {
 	t.Helper()
 	if sv.inc == nil {
 		t.Fatalf("%s: incremental engine not engaged", label)
 	}
-	g := oracleGraph(sv)
+	g := oracleGraph(sv, record)
 	requireSameCSR(t, label+"/adj", g.NormalizedAdjPar(workers), sv.inc.AdjInto(nil, workers))
 	requireSameCSR(t, label+"/adj+I", g.NormalizedAdjSelfPar(workers), sv.inc.AdjSelfInto(nil, workers))
 }
@@ -68,6 +68,7 @@ func TestIncrementalAdjacencyMatchesFull(t *testing.T) {
 					tc.mutate(c)
 				})
 				s := rng.New(17).Derive("incadj")
+				record := newMapStoreOracle()
 				rounds := 8
 				if testing.Short() {
 					rounds = 4
@@ -78,9 +79,10 @@ func TestIncrementalAdjacencyMatchesFull(t *testing.T) {
 					for _, u := range s.SampleInts(numUsers, n) {
 						uploads = append(uploads, makeUpload(u, 1+s.Intn(14), numItems, s))
 					}
+					record.SetBatch(uploads)
 					sv.absorb(uploads, workers)
 					sv.rebuildGraph(uploads, workers)
-					checkIncMatchesFull(t, fmt.Sprintf("round %d", r), sv, workers)
+					checkIncMatchesFull(t, fmt.Sprintf("round %d", r), sv, record, workers)
 				}
 			})
 		}
@@ -89,12 +91,13 @@ func TestIncrementalAdjacencyMatchesFull(t *testing.T) {
 
 // oracleGraphModel is a graph server model that ignores the maintained
 // adjacency: every rebuild hands it the oracle's from-scratch build of the
-// store through SetGraph instead, and records the build's edge count. It keeps
-// every capability the round engine asserts on its model.
+// upload record through SetGraph instead, and records the build's edge count.
+// It keeps every capability the round engine asserts on its model.
 type oracleGraphModel struct {
 	graphServerModel
-	sv    *Server
-	edges []int
+	sv     *Server
+	record *mapUploadStore
+	edges  []int
 }
 
 type graphServerModel interface {
@@ -104,7 +107,7 @@ type graphServerModel interface {
 }
 
 func (m *oracleGraphModel) SetGraphIncremental(*graph.Incremental) {
-	g := oracleGraph(m.sv)
+	g := oracleGraph(m.sv, m.record)
 	m.SetGraph(g)
 	m.edges = append(m.edges, g.NumEdges())
 }
@@ -113,10 +116,12 @@ func (m *oracleGraphModel) SetGraphIncremental(*graph.Incremental) {
 // engine's contract: for both graph server kinds, every dispersal ablation
 // arm, and every worker count, training on the maintained adjacency
 // reproduces, bit for bit, the History of a server whose model takes the
-// oracle's from-scratch build of the store every round. The threshold is
-// 0.45 because on tiny the trained scores barely leave 0.5: at the default
-// 0.5 the graphs held 0 or 1 edge and the pin compared two empty graphs, so
-// every rebuild must now carry at least minEdges edges.
+// oracle's from-scratch build of every user's latest upload every round. The
+// reference drives its rounds one by one (Algorithm 1 as written) so that
+// each round's uploads enter the record before the round closes. The
+// threshold is 0.45 because on tiny the trained scores barely leave 0.5: at
+// the default 0.5 the graphs held 0 or 1 edge and the pin compared two empty
+// graphs, so every rebuild must now carry at least minEdges edges.
 func TestGraphRebuildInvariance(t *testing.T) {
 	const minEdges = 100
 	arms := []DisperseMode{DisperseConfHard, DisperseNoHard, DisperseNoConf, DisperseAllRandom}
@@ -139,12 +144,18 @@ func TestGraphRebuildInvariance(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				oracle := &oracleGraphModel{ref.server.model.(graphServerModel), ref.server, nil}
+				oracle := &oracleGraphModel{ref.server.model.(graphServerModel), ref.server, newMapStoreOracle(), nil}
 				ref.server.model = oracle
-				refHist, err := ref.Run()
-				if err != nil {
-					t.Fatal(err)
+				var rounds []RoundStats
+				for r := 0; r < cfg.Rounds; r++ {
+					idx := ref.engine.Select(r)
+					outcomes := make([]ClientOutcome, len(idx))
+					ref.trainSlots(r, idx, outcomes, allSlots(len(idx)))
+					oracle.record.SetOutcomes(outcomes)
+					stats, _ := ref.closeRound(r, outcomes, (r+1)%cfg.EvalEvery == 0)
+					rounds = append(rounds, stats)
 				}
+				refHist := NewHistory(rounds, ref.EvaluateServer())
 				if len(oracle.edges) != cfg.Rounds {
 					t.Fatalf("%s: %d oracle rebuilds in %d rounds", label, len(oracle.edges), cfg.Rounds)
 				}
@@ -204,6 +215,7 @@ func FuzzGraphRebuild(f *testing.F) {
 			}
 		})
 		s := rng.New(seed).Derive("fuzz-graph")
+		record := newMapStoreOracle()
 		workers := 1 + s.Intn(8)
 		rounds := int(nRounds%5) + 1
 		for r := 0; r < rounds; r++ {
@@ -212,15 +224,16 @@ func FuzzGraphRebuild(f *testing.F) {
 			for _, u := range s.SampleInts(numUsers, n) {
 				uploads = append(uploads, makeUpload(u, 1+s.Intn(10), numItems, s))
 			}
+			record.SetBatch(uploads)
 			sv.absorb(uploads, workers)
 			sv.rebuildGraph(uploads, workers)
-			checkIncMatchesFull(t, fmt.Sprintf("round %d", r), sv, workers)
+			checkIncMatchesFull(t, fmt.Sprintf("round %d", r), sv, record, workers)
 		}
 	})
 }
 
 // rebuildBenchServer builds a warmed graph server over 600 users with 200
-// stored uploads plus a cycle of small re-upload batches — the steady
+// absorbed uploads plus a cycle of small re-upload batches — the steady
 // partial-participation shape (1% of users change per round).
 func rebuildBenchServer(b *testing.B) (*Server, [][][]comm.Prediction) {
 	b.Helper()
@@ -249,7 +262,7 @@ func rebuildBenchServer(b *testing.B) (*Server, [][][]comm.Prediction) {
 
 // BenchmarkRebuildGraph measures one steady-state graph rebuild after a 1%
 // re-upload round. The -benchmem numbers are the regression pin: a rebuild
-// must not scale allocations with the store size.
+// must not scale allocations with the graph's size.
 func BenchmarkRebuildGraph(b *testing.B) {
 	sv, batches := rebuildBenchServer(b)
 	b.ReportAllocs()

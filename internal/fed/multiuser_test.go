@@ -41,12 +41,13 @@ func multiuserConfig(server models.Kind, mode DisperseMode) Config {
 
 // requireDispersalsMatchOracle compares the live dispersal engine with the
 // scalar reference oracle (disperse_oracle_test.go) at the engine boundary:
-// on the server's current state, every user's D̃ᵢ from disperseUsers — over
-// the whole population in one call and again split at an odd offset, so batch
-// grouping cannot leak — must equal, bitwise, what the per-client oracle
-// builds from the same plan and the same per-client stream through per-item
-// scoring.
-func requireDispersalsMatchOracle(t *testing.T, label string, tr *Trainer) {
+// on the server's current state, every user's D̃ᵢ from disperseUsers, with
+// the user's latest upload in record as the exclusion set — over the whole
+// population in one call and again split at an odd offset, so batch grouping
+// cannot leak — must equal, bitwise, what the per-client oracle builds from
+// the same upload, the same plan and the same per-client stream through
+// per-item scoring.
+func requireDispersalsMatchOracle(t *testing.T, label string, tr *Trainer, record *mapUploadStore) {
 	t.Helper()
 	sv := tr.server
 	if w, ok := sv.model.(models.Warmer); ok {
@@ -56,16 +57,20 @@ func requireDispersalsMatchOracle(t *testing.T, label string, tr *Trainer) {
 	root := rng.New(99).Derive("oracle")
 	stream := func(id int) *rng.Stream { return root.DeriveN("client", id) }
 	ids := allSlots(tr.split.NumUsers)
+	uploads := make([][]comm.Prediction, len(ids))
+	for i, id := range ids {
+		uploads[i] = record.View(id)
+	}
 
 	live := make([][]comm.Prediction, len(ids))
-	sv.disperseUsers(ids, plan, stream, func(i int, preds []comm.Prediction) { live[i] = preds })
+	sv.disperseUsers(ids, uploads, plan, stream, func(i int, preds []comm.Prediction) { live[i] = preds })
 	const cut = 7
-	sv.disperseUsers(ids[:cut], plan, stream, func(i int, preds []comm.Prediction) {
+	sv.disperseUsers(ids[:cut], uploads[:cut], plan, stream, func(i int, preds []comm.Prediction) {
 		if !slices.Equal(preds, live[i]) {
 			t.Fatalf("%s: user %d's dispersal depends on batch grouping", label, ids[i])
 		}
 	})
-	sv.disperseUsers(ids[cut:], plan, stream, func(i int, preds []comm.Prediction) {
+	sv.disperseUsers(ids[cut:], uploads[cut:], plan, stream, func(i int, preds []comm.Prediction) {
 		if !slices.Equal(preds, live[cut+i]) {
 			t.Fatalf("%s: user %d's dispersal depends on batch grouping", label, ids[cut+i])
 		}
@@ -74,7 +79,7 @@ func requireDispersalsMatchOracle(t *testing.T, label string, tr *Trainer) {
 	scratch := &disperseScratch{}
 	for _, id := range ids {
 		var tgt disperseTarget
-		tgt, scratch.excl = sv.disperseTargetInto(id, scratch.excl)
+		tgt, scratch.excl = sv.disperseTargetInto(id, uploads[id], scratch.excl)
 		want := sv.disperse(tgt, stream(id), plan, scratch)
 		if !slices.Equal(live[id], want) {
 			t.Fatalf("%s: user %d: live engine dispersed\n  %v\noracle says\n  %v", label, id, live[id], want)
@@ -84,8 +89,8 @@ func requireDispersalsMatchOracle(t *testing.T, label string, tr *Trainer) {
 
 // TestDisperseMatchesScalarOracle is the dispersal engine's reference pin:
 // for every server model kind and every ablation arm, on a server trained
-// through the live round path (partial participation, so some users have a
-// stored upload and some have none), per-user D̃ᵢ equals the scalar oracle's
+// through the live round path (partial participation, so some users have an
+// upload on record and some have none), per-user D̃ᵢ equals the scalar oracle's
 // — after every round, at the production score-chunk width and at one narrow
 // enough to force several ragged chunks on the tiny catalogue.
 func TestDisperseMatchesScalarOracle(t *testing.T) {
@@ -105,11 +110,12 @@ func TestDisperseMatchesScalarOracle(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			record := newMapStoreOracle()
 			for round := 0; round < cfg.Rounds; round++ {
-				tr.RunRound(round)
+				record.SetOutcomes(observeRound(tr, round, nil, nil).outcomes)
 				for _, chunk := range []int{1024, 16} { // Tiny has 60 items -> 4 chunks, last one ragged
 					disperseScoreChunk = chunk
-					requireDispersalsMatchOracle(t, fmt.Sprintf("%s/%s round %d chunk %d", server, mode, round, chunk), tr)
+					requireDispersalsMatchOracle(t, fmt.Sprintf("%s/%s round %d chunk %d", server, mode, round, chunk), tr, record)
 				}
 			}
 		}
@@ -143,7 +149,7 @@ func liveEligible(t *testing.T, sv *Server, sc *disperseBatchScratch, tgt disper
 // TestEligCacheMatchesNaiveWalk pins the eligible list's contract on live
 // protocol state: after real rounds, the list the engine builds for every
 // client equals the scalar oracle's item-universe walk, and when a new upload
-// changes the stored view the list follows it.
+// changes the exclusion set the list follows it.
 func TestEligCacheMatchesNaiveWalk(t *testing.T) {
 	sp := tinySplit(t)
 	cfg := multiuserConfig(models.KindNeuMF, DisperseAllRandom)
@@ -159,12 +165,8 @@ func TestEligCacheMatchesNaiveWalk(t *testing.T) {
 	var walk []int
 	var bit *bitset.Set
 	for _, c := range tr.Clients() {
-		// The target's exclusion set comes from the server's upload store; in
-		// a fault-free run it must carry the item set of the client's upload
-		// in the round's outcome, so the naive walk probes that — the
-		// comparison doubles as a store-vs-outcome consistency check.
 		var tgt disperseTarget
-		tgt, bit = sv.disperseTargetInto(c.ID, bit)
+		tgt, bit = sv.disperseTargetInto(c.ID, uploads[c.ID], bit)
 		got := liveEligible(t, sv, sc, tgt, ds)
 		walk = naiveEligible(walk, sp.NumItems, uploadItems(sp.NumItems, uploads[c.ID]))
 		if !slices.Equal(got, walk) {
@@ -172,13 +174,14 @@ func TestEligCacheMatchesNaiveWalk(t *testing.T) {
 		}
 	}
 
-	// Another round re-uploads: the stored view changes and the list follows.
-	view0 := slices.Clone(sv.store.View(0))
+	// Another round re-uploads: the exclusion set changes and the list
+	// follows.
+	upload0 := uploads[0]
 	uploads = runRoundUploads(tr, 1)
-	if slices.Equal(sv.store.View(0), view0) {
-		t.Fatal("round 1 left client 0's stored view unchanged; nothing to follow")
+	if slices.Equal(uploads[0], upload0) {
+		t.Fatal("round 1 left client 0's upload unchanged; nothing to follow")
 	}
-	tgt, _ := sv.disperseTargetInto(0, nil)
+	tgt, _ := sv.disperseTargetInto(0, uploads[0], nil)
 	got := liveEligible(t, sv, sc, tgt, ds)
 	walk = naiveEligible(walk, sp.NumItems, uploadItems(sp.NumItems, uploads[0]))
 	if !slices.Equal(got, walk) {
@@ -210,7 +213,7 @@ func FuzzEligCache(f *testing.F) {
 			id := int(op&0x7f) % nClients
 			if op&0x80 != 0 {
 				// A new upload lands: usually one more excluded item, now and
-				// then a user the server holds nothing for any more.
+				// then a target with no exclusion set at all.
 				if (step+int(op))%5 == 0 {
 					excls[id] = nil
 				} else {

@@ -193,10 +193,11 @@ func TestTruncatedUploadsHonourWireCodec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs := tr.RunRound(0)
+	obs := observeRound(tr, 0, nil, nil)
+	rs := obs.stats
 	var preds int
-	for _, u := range tr.Server().store.Users(nil) {
-		preds += len(tr.Server().store.View(u))
+	for _, o := range obs.outcomes {
+		preds += len(o.Upload)
 	}
 	if preds == 0 {
 		t.Fatal("no uploads reached the server")

@@ -58,14 +58,12 @@ func observeRound(tr *Trainer, round int, lose func(slot int) bool, beforeClose 
 // upload the server absorbed and count.
 type serverReplay struct {
 	itemFreq []int
-	uploads  map[int][]comm.Prediction // user -> last absorbed upload
-	absorbed map[int]int               // user -> number of absorbed uploads
+	absorbed map[int]int // user -> number of absorbed uploads
 }
 
 func newServerReplay(numItems int) *serverReplay {
 	return &serverReplay{
 		itemFreq: make([]int, numItems),
-		uploads:  map[int][]comm.Prediction{},
 		absorbed: map[int]int{},
 	}
 }
@@ -78,44 +76,33 @@ func (sr *serverReplay) absorb(outcomes []ClientOutcome) {
 		for _, p := range o.Upload {
 			sr.itemFreq[p.Item]++
 		}
-		sr.uploads[o.ID] = slices.Clone(o.Upload)
 		sr.absorbed[o.ID]++
 	}
 }
 
-// requireServerMatchesReplay checks properties (c) and the store half of
-// (d): the confidence counters equal a recount of every absorbed upload, and
-// per user the stored view equals the replay's.
+// requireServerMatchesReplay checks property (c): the confidence counters
+// equal a recount of every absorbed upload.
 func requireServerMatchesReplay(t *testing.T, label string, tr *Trainer, sr *serverReplay) {
 	t.Helper()
-	sv := tr.server
 	for v, want := range sr.itemFreq {
-		if got := sv.ItemFrequency(v); got != want {
+		if got := tr.server.ItemFrequency(v); got != want {
 			t.Fatalf("%s: itemFreq[%d] = %d, recount of absorbed uploads says %d", label, v, got, want)
-		}
-	}
-	if got := sv.store.Count(); got != len(sr.uploads) {
-		t.Fatalf("%s: server stores uploads for %d users, %d ever responded", label, got, len(sr.uploads))
-	}
-	for u := 0; u < tr.split.NumUsers; u++ {
-		if got, want := sv.store.View(u), sr.uploads[u]; !slices.Equal(got, want) {
-			t.Fatalf("%s: stored upload of user %d differs from the last one received:\n  %v\n  %v", label, u, got, want)
 		}
 	}
 }
 
 // requireDispersalProperties checks properties (a) and (b) for one
-// responder's D̃ᵢ against the upload the server holds for them (Eq. 9's V̂ᵗᵢ)
-// and the frozen post-round server state: size, distinctness, exclusion, the
-// µ split, and that each soft label is the hidden model's prediction (Eq. 6)
-// to the codec's precision. It returns |eligible| for the caller's coverage
-// accounting.
-func requireDispersalProperties(t *testing.T, label string, tr *Trainer, stored []comm.Prediction, d Dispersal) int {
+// responder's D̃ᵢ against the upload the server received from them in the
+// same round (Eq. 9's V̂ᵗᵢ) and the frozen post-round server state: size,
+// distinctness, exclusion, the µ split, and that each soft label is the
+// hidden model's prediction (Eq. 6) to the codec's precision. It returns
+// |eligible| for the caller's coverage accounting.
+func requireDispersalProperties(t *testing.T, label string, tr *Trainer, upload []comm.Prediction, d Dispersal) int {
 	t.Helper()
 	cfg, sv, numItems := tr.cfg, tr.server, tr.split.NumItems
 
 	uploaded := make([]bool, numItems)
-	for _, p := range stored {
+	for _, p := range upload {
 		uploaded[p.Item] = true
 	}
 	var eligible []int
@@ -141,7 +128,7 @@ func requireDispersalProperties(t *testing.T, label string, tr *Trainer, stored 
 		}
 		inD[p.Item] = true
 		if uploaded[p.Item] {
-			t.Fatalf("%s: item %d is in the user's stored upload and was dispersed anyway (Eq. 9)", label, p.Item)
+			t.Fatalf("%s: item %d is in the user's upload and was dispersed anyway (Eq. 9)", label, p.Item)
 		}
 	}
 	if want == 0 {
@@ -240,9 +227,9 @@ func propertyTrainer(t *testing.T, sp *data.Split, cfg Config) *Trainer {
 // defense, worker count and fault plan drawn per cell. Every round it checks, on the live path, that a twin trainer's
 // RunRound reports the same RoundStats (so what is observed is the product's
 // round), |D̃ᵢ| = min(α, |eligible|) with distinct items and the µ split (a),
-// the Eq. 9 exclusion against the stored — possibly truncated — upload (b),
-// and the confidence counters and stored views against a naive replay of the
-// absorbed uploads (c).
+// the Eq. 9 exclusion against the responder's — possibly truncated — upload
+// in the outcome (b), and the confidence counters against a naive replay of
+// the absorbed uploads (c).
 func TestProtocolProperties(t *testing.T) {
 	sp := tinySplit(t)
 	s := rng.New(20240913).Derive("protocol-properties")
@@ -281,7 +268,7 @@ func TestProtocolProperties(t *testing.T) {
 						if d.ID != o.ID {
 							t.Fatalf("%s: dispersal %d is for user %d, responder slot holds user %d", label, responders-1, d.ID, o.ID)
 						}
-						if n := requireDispersalProperties(t, fmt.Sprintf("%s user %d", label, o.ID), tr, tr.server.store.View(o.ID), d); n < cfg.Alpha {
+						if n := requireDispersalProperties(t, fmt.Sprintf("%s user %d", label, o.ID), tr, o.Upload, d); n < cfg.Alpha {
 							shortOfAlpha++
 						} else {
 							filled++
@@ -467,9 +454,9 @@ func userGraphRow(sv *Server, u int) []int {
 
 // TestDroppedClientChangesNoServerState is property (d): whether a client
 // drops before training (FaultPlan) or its finished upload is lost in
-// transit, the server's state for that user — stored view, graph row — is
-// what it was, the confidence counters count only
-// what arrived, and the user gets no dispersal.
+// transit, the server's state for that user — their graph row — is what it
+// was, the confidence counters count only what arrived, and the user gets no
+// dispersal.
 func TestDroppedClientChangesNoServerState(t *testing.T) {
 	sp := tinySplit(t)
 	s := rng.New(7).Derive("dropped-client")
@@ -481,22 +468,15 @@ func TestDroppedClientChangesNoServerState(t *testing.T) {
 		tr := propertyTrainer(t, sp, cfg)
 		replay := newServerReplay(sp.NumItems)
 		lost := s.Derive(string(server))
-		type userState struct {
-			view []comm.Prediction
-			row  []int
-		}
 		for round := 0; round < cfg.Rounds; round++ {
 			label := fmt.Sprintf("%s round %d", server, round)
-			before := map[int]userState{}
+			before := map[int][]int{} // dropped user -> graph row
 			obs := observeRound(tr, round,
 				func(int) bool { return round > 0 && lost.Bernoulli(0.2) },
 				func(outcomes []ClientOutcome) {
 					for _, o := range outcomes {
 						if o.Dropped {
-							before[o.ID] = userState{
-								view: slices.Clone(tr.server.store.View(o.ID)),
-								row:  userGraphRow(tr.server, o.ID),
-							}
+							before[o.ID] = userGraphRow(tr.server, o.ID)
 						}
 					}
 				})
@@ -504,11 +484,8 @@ func TestDroppedClientChangesNoServerState(t *testing.T) {
 				t.Fatalf("%s: %d of %d clients dropped; the round exercises nothing", label, len(before), len(obs.cohort))
 			}
 			for u, was := range before {
-				if got := tr.server.store.View(u); !slices.Equal(got, was.view) {
-					t.Fatalf("%s: dropped user %d's stored upload changed", label, u)
-				}
-				if got := userGraphRow(tr.server, u); !slices.Equal(got, was.row) {
-					t.Fatalf("%s: dropped user %d's graph row changed: %v -> %v", label, u, was.row, got)
+				if got := userGraphRow(tr.server, u); !slices.Equal(got, was) {
+					t.Fatalf("%s: dropped user %d's graph row changed: %v -> %v", label, u, was, got)
 				}
 			}
 			for _, d := range obs.dispersals {

@@ -32,11 +32,6 @@ type Server struct {
 	// embedding-update-frequency confidence measure of Eq. 9.
 	itemFreq []int
 
-	// store keeps each user's most recent D̂ᵗᵢ; the union is the server's
-	// entire view of the interaction structure, from which it rebuilds its
-	// graph every round.
-	store *flatUploadStore
-
 	// ident is the identity item list 0..numItems-1 — the shared candidate
 	// block the batched dispersal engine slices score chunks from.
 	ident []int
@@ -102,7 +97,6 @@ func newServer(numUsers, numItems int, cfg *Config, parent *rng.Stream) (*Server
 		numUsers: numUsers,
 		numItems: numItems,
 		itemFreq: make([]int, numItems),
-		store:    newFlatUploadStore(numUsers),
 		ident:    ident,
 	}, nil
 }
@@ -128,9 +122,12 @@ func (sv *Server) Restore(r io.Reader) error {
 // ItemFrequency returns the confidence counter for item v.
 func (sv *Server) ItemFrequency(v int) int { return sv.itemFreq[v] }
 
-// UploadStoreBytes reports the resident bytes of the per-user upload store —
-// the scalability experiment's memory-accounting hook.
-func (sv *Server) UploadStoreBytes() int64 { return sv.store.MemoryBytes() }
+// UploadStoreBytes reports the per-user upload state the server retains
+// between rounds: none — Eq. 9's exclusion set is built from the round's own
+// upload and the graph's delta is the round's uploads. Its one reader is the
+// frozen benchmark's fed.upload_store_mb probe (bench/traced.go); the two
+// leave together.
+func (sv *Server) UploadStoreBytes() int64 { return 0 }
 
 // EligCacheBytes reports the eligibility state the server retains between
 // dispersal calls: none — eligibility is the upload bitset, rebuilt per
@@ -162,12 +159,11 @@ func countUploadItems(counts []int, uploads [][]comm.Prediction) {
 	}
 }
 
-// absorb ingests one round of uploads: updates confidence counters and the
-// per-user latest views. The counter pass shards the uploads over workers,
-// each accumulating into a private (reused) histogram; the shard histograms
-// merge sequentially, so counts are exact integers regardless of worker
-// count. The view updates go to the upload store, sharded over fixed user
-// partitions. Steady-state rounds allocate nothing here.
+// absorb ingests one round of uploads into the confidence counters. The pass
+// shards the uploads over workers, each accumulating into a private (reused)
+// histogram; the shard histograms merge sequentially, so counts are exact
+// integers regardless of worker count. Steady-state rounds allocate nothing
+// here.
 func (sv *Server) absorb(uploads [][]comm.Prediction, workers int) {
 	workers = par.Workers(workers)
 	if workers > len(uploads) {
@@ -205,7 +201,6 @@ func (sv *Server) absorb(uploads [][]comm.Prediction, workers int) {
 			}
 		}
 	}
-	sv.store.SetBatch(uploads, workers)
 }
 
 // selectEdges runs the soft-positive edge selection over the round's
@@ -281,16 +276,16 @@ func (sv *Server) selectEdges(uploads [][]comm.Prediction, workers int) (users, 
 // models pay this cost.
 //
 // The graph's delta is exactly the round's uploaders: a user's edges derive
-// from their latest upload alone, and absorb has just replaced the stored
-// upload of every one of them. So selectEdges runs over the uploads, each
-// uploader's row is staged — an uploader whose new upload selects no edges
-// clears their row — and the maintained adjacency engine patches exactly the
-// affected rows, degrees and normalization values, bitwise-identical to a
-// from-scratch NormalizedAdjPar of every stored upload by the engine's
-// construction. CloseRound's contract (distinct users, each prediction naming
-// its outcome's user and an in-range item) is what makes the staging order
-// strictly ascending, and Validate's GraphThreshold > 0 with the top-fraction
-// floor is what keeps every weight positive.
+// from their latest upload alone, and the round's uploaders are the users
+// whose latest upload just changed. So selectEdges runs over the uploads,
+// each uploader's row is staged — an uploader whose new upload selects no
+// edges clears their row — and the maintained adjacency engine patches
+// exactly the affected rows, degrees and normalization values,
+// bitwise-identical to a from-scratch NormalizedAdjPar of every user's latest
+// upload by the engine's construction. CloseRound's contract (distinct users,
+// each prediction naming its outcome's user and an in-range item) is what
+// makes the staging order strictly ascending, and Validate's GraphThreshold >
+// 0 with the top-fraction floor is what keeps every weight positive.
 func (sv *Server) rebuildGraph(uploads [][]comm.Prediction, workers int) {
 	dm, ok := sv.model.(models.GraphDeltaRecommender)
 	if !ok {
@@ -441,26 +436,24 @@ func (sv *Server) buildDispersalPlan() *dispersalPlan {
 	return plan
 }
 
-// disperseTarget identifies one dispersal recipient from the server's own
-// state: the user id and the exclusion set Eq. 9's "vⱼ ∉ V̂ᵗᵢ" constraint
-// walks (nil when the server holds no upload for the user). It deliberately
-// carries no *Client — the networked coordinator disperses to users it only
-// knows through the wire, so everything here must derive from what the server
-// received.
+// disperseTarget identifies one dispersal recipient from what the server
+// received: the user id and the exclusion set Eq. 9's "vⱼ ∉ V̂ᵗᵢ" constraint
+// walks (nil for an empty upload). It deliberately carries no *Client — the
+// networked coordinator disperses to users it only knows through the wire,
+// so everything here must derive from what the server received.
 type disperseTarget struct {
 	id   int
 	excl *bitset.Set
 }
 
-// disperseTargetInto builds user id's dispersal target from the upload store,
-// filling (and returning) the caller's reusable scratch bitset. A user with
-// no stored upload gets a nil exclusion set. The exclusion therefore reflects
-// what the server actually received — under a truncated upload, the truncated
-// item set — which is the only exclusion a transport-separated server can
-// honour.
-func (sv *Server) disperseTargetInto(id int, bit *bitset.Set) (disperseTarget, *bitset.Set) {
+// disperseTargetInto builds user id's dispersal target from up, the upload
+// V̂ᵗᵢ the user sent in the dispersal's own round, filling (and returning) the
+// caller's reusable scratch bitset. An empty upload gets a nil exclusion set.
+// The exclusion therefore reflects what the server actually received — under
+// a truncated upload, the truncated item set — which is the only exclusion a
+// transport-separated server can honour.
+func (sv *Server) disperseTargetInto(id int, up []comm.Prediction, bit *bitset.Set) (disperseTarget, *bitset.Set) {
 	tgt := disperseTarget{id: id}
-	up := sv.store.View(id)
 	if len(up) == 0 {
 		return tgt, bit
 	}

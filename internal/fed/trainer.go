@@ -54,7 +54,7 @@ func NewHistory(rounds []RoundStats, final eval.Result) *History {
 // training traces.
 type PhaseSeconds struct {
 	ClientTrain float64 // parallel local training + upload construction
-	Absorb      float64 // confidence counters + latest-view ingestion
+	Absorb      float64 // confidence counters
 	GraphBuild  float64 // adjacency/CSR rebuild (graph server models only)
 	ServerTrain float64 // server-side SGD (Eq. 5)
 	Disperse    float64 // per-client D̃ᵢ construction + encoding

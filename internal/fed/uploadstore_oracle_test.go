@@ -1,11 +1,11 @@
 package fed
 
-// The map-of-slices upload store, moved here verbatim from uploadstore.go when
-// the flat sharded arena became the only production store. It is the
-// reference oracle for the per-operation store comparison
-// (TestFlatUploadStoreMatchesMap, TestUploadStoreInvariance) and must not be
-// edited to follow the flat store. Only the constructor's name changed in the
-// move; its dirty-set twins were deleted with the flat store's dirty set.
+// The map-of-slices upload record: the tests' account of each user's latest
+// upload. The server keeps no such state — Eq. 9's exclusion set is the
+// round's own upload and the graph's delta is the round's uploads — so this
+// record is what the from-scratch graph oracle (graph_oracle_test.go) and the
+// dispersal pins read instead. Tests fill it from the same uploads the round
+// engine absorbs, before closing the round.
 
 import (
 	"sort"
@@ -13,8 +13,8 @@ import (
 	"ptffedrec/internal/comm"
 )
 
-// mapUploadStore is the historical map-of-slices state, kept as the
-// baseline: each entry aliases the round's upload slice directly.
+// mapUploadStore records each user's latest non-empty upload: each entry
+// aliases the round's upload slice directly.
 type mapUploadStore struct {
 	m map[int][]comm.Prediction
 }
@@ -23,12 +23,21 @@ func newMapStoreOracle() *mapUploadStore {
 	return &mapUploadStore{m: map[int][]comm.Prediction{}}
 }
 
-func (st *mapUploadStore) SetBatch(uploads [][]comm.Prediction, workers int) {
+func (st *mapUploadStore) SetBatch(uploads [][]comm.Prediction) {
 	for _, up := range uploads {
 		if len(up) == 0 {
 			continue
 		}
 		st.m[up[0].User] = up
+	}
+}
+
+// SetOutcomes records the uploads of a round's responders.
+func (st *mapUploadStore) SetOutcomes(outcomes []ClientOutcome) {
+	for _, o := range outcomes {
+		if !o.Dropped && len(o.Upload) > 0 {
+			st.m[o.ID] = o.Upload
+		}
 	}
 }
 
@@ -41,18 +50,4 @@ func (st *mapUploadStore) Users(dst []int) []int {
 	}
 	sort.Ints(dst[start:])
 	return dst
-}
-
-func (st *mapUploadStore) Count() int { return len(st.m) }
-
-// mapEntryOverheadBytes approximates one map entry's bookkeeping: the
-// int key, the slice header, and the runtime's per-entry bucket share.
-const mapEntryOverheadBytes = 8 + 24 + 16
-
-func (st *mapUploadStore) MemoryBytes() int64 {
-	b := int64(len(st.m)) * mapEntryOverheadBytes
-	for _, up := range st.m {
-		b += int64(cap(up)) * comm.PredictionMemBytes
-	}
-	return b
 }

@@ -1,7 +1,7 @@
 package fed
 
 import (
-	"fmt"
+	"bytes"
 	"slices"
 	"testing"
 
@@ -10,7 +10,8 @@ import (
 	"ptffedrec/internal/rng"
 )
 
-// storeTestServer builds a bare server for store/graph micro-tests.
+// storeTestServer builds a bare server for absorb/graph/dispersal
+// micro-tests.
 func storeTestServer(tb testing.TB, numUsers, numItems int, mutate func(*Config)) *Server {
 	tb.Helper()
 	cfg := fastConfig(models.KindMF)
@@ -39,133 +40,12 @@ func makeUpload(u, m, numItems int, s *rng.Stream) []comm.Prediction {
 	return up
 }
 
-// TestFlatUploadStoreBasic drives one store through the region life cycle:
-// first insert, in-place rewrite, region abandonment on growth, and the
-// compaction a slow-growth pattern forces — checking views, user order and
-// counts at every step.
-func TestFlatUploadStoreBasic(t *testing.T) {
-	const numUsers, numItems = 100, 50
-	st := newFlatUploadStore(numUsers)
-	s := rng.New(3).Derive("basic")
-
-	if st.Count() != 0 || st.View(7) != nil || len(st.Users(nil)) != 0 {
-		t.Fatal("fresh store is not empty")
-	}
-
-	up7 := makeUpload(7, 8, numItems, s)
-	up90 := makeUpload(90, 5, numItems, s)
-	// Batch order must not matter for the final state; users span two shards
-	// (stride 64 at 100 users).
-	st.SetBatch([][]comm.Prediction{up90, nil, up7}, 1)
-	if st.Count() != 2 {
-		t.Fatalf("Count = %d, want 2 (empty upload must be ignored)", st.Count())
-	}
-	if got := st.Users(nil); len(got) != 2 || got[0] != 7 || got[1] != 90 {
-		t.Fatalf("Users = %v, want [7 90]", got)
-	}
-	requirePredsEqual(t, "initial view", st.View(7), up7)
-
-	// Same-length rewrite lands in place: the region offset must not move.
-	off7 := st.shards[7>>st.strideBits].off[7]
-	up7b := makeUpload(7, 8, numItems, s)
-	st.SetBatch([][]comm.Prediction{up7b}, 1)
-	if st.shards[7>>st.strideBits].off[7] != off7 {
-		t.Fatal("same-length rewrite relocated the region")
-	}
-	requirePredsEqual(t, "in-place rewrite", st.View(7), up7b)
-	requirePredsEqual(t, "untouched user", st.View(90), up90)
-
-	// Slow growth: each upload slightly exceeds the previous region's
-	// capacity, abandoning it. Abandoned capacity accumulates faster than the
-	// newest reservation grows, so compaction must trigger along the way.
-	compacted := false
-	for m := 10; m <= 22; m += 2 {
-		upg := makeUpload(7, m, numItems, s)
-		st.SetBatch([][]comm.Prediction{upg}, 1)
-		requirePredsEqual(t, fmt.Sprintf("growth to %d", m), st.View(7), upg)
-		requirePredsEqual(t, "other shard survives growth", st.View(90), up90)
-		if st.shards[7>>st.strideBits].dead == 0 {
-			compacted = true
-		}
-	}
-	if !compacted {
-		t.Fatal("slow-growth pattern never compacted the shard")
-	}
-	if st.Count() != 2 {
-		t.Fatalf("Count = %d after rewrites, want 2", st.Count())
-	}
-	if st.MemoryBytes() <= 0 {
-		t.Fatal("MemoryBytes must be positive for a non-empty store")
-	}
-}
-
-func requirePredsEqual(t *testing.T, label string, got, want []comm.Prediction) {
-	t.Helper()
-	if len(got) != len(want) {
-		t.Fatalf("%s: length %d, want %d", label, len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("%s: pred %d = %+v, want %+v", label, i, got[i], want[i])
-		}
-	}
-}
-
-// TestFlatUploadStoreMatchesMap runs the flat store and the map oracle
-// (uploadstore_oracle_test.go) through many rounds of randomized batches —
-// lengths jittering, shrinking and growing to force both in-place rewrites
-// and abandon/compact cycles — and requires identical observable state
-// (count, user order, every view) after every round.
-func TestFlatUploadStoreMatchesMap(t *testing.T) {
-	const numUsers, numItems, rounds = 700, 90, 80
-	flat := newFlatUploadStore(numUsers)
-	mp := newMapStoreOracle()
-	s := rng.New(11).Derive("equiv")
-
-	for round := 0; round < rounds; round++ {
-		n := 1 + s.Intn(60)
-		users := s.SampleInts(numUsers, n)
-		uploads := make([][]comm.Prediction, 0, n+1)
-		for _, u := range users {
-			// Length regime swings by round: small, large, or wild — the
-			// swings are what exercise region reuse vs abandonment.
-			var m int
-			switch round % 3 {
-			case 0:
-				m = 1 + s.Intn(6)
-			case 1:
-				m = 20 + s.Intn(20)
-			default:
-				m = 1 + s.Intn(40)
-			}
-			uploads = append(uploads, makeUpload(u, m, numItems, s))
-		}
-		uploads = append(uploads, nil) // empty uploads must be ignored
-		flat.SetBatch(uploads, 1+round%4)
-		mp.SetBatch(uploads, 1)
-
-		if flat.Count() != mp.Count() {
-			t.Fatalf("round %d: Count %d vs map %d", round, flat.Count(), mp.Count())
-		}
-		fu, mu := flat.Users(nil), mp.Users(nil)
-		if len(fu) != len(mu) {
-			t.Fatalf("round %d: user counts %d vs %d", round, len(fu), len(mu))
-		}
-		for i := range fu {
-			if fu[i] != mu[i] {
-				t.Fatalf("round %d: user order diverges at %d: %d vs %d", round, i, fu[i], mu[i])
-			}
-			requirePredsEqual(t, fmt.Sprintf("round %d user %d", round, fu[i]),
-				flat.View(fu[i]), mp.View(fu[i]))
-		}
-	}
-}
-
-// TestUploadStoreInvariance pins the flat store on live protocol traffic: for
-// every server model kind and worker count, every batch a training run's
-// rounds absorb — faulted, so truncated uploads and dropped clients are in
-// it — is mirrored into the map oracle, and after every round the two stores
-// must agree on the user list and on every user's view.
+// TestUploadStoreInvariance pins Eq. 9's exclusion set on live protocol
+// traffic: for every server model kind and worker count, under a fault plan
+// that drops and truncates uploads, every responder's D̃ᵢ — payload and
+// decoded values — equals what the scalar dispersal oracle
+// (disperse_oracle_test.go) builds, through the same wire codec, from the
+// record's latest view of that user.
 func TestUploadStoreInvariance(t *testing.T) {
 	kinds := []models.Kind{models.KindMF, models.KindNeuMF, models.KindNGCF, models.KindLightGCN}
 	if testing.Short() {
@@ -183,23 +63,27 @@ func TestUploadStoreInvariance(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			oracle := newMapStoreOracle()
+			sv := tr.server
+			record := newMapStoreOracle()
+			scratch := &disperseScratch{}
 			for round := 0; round < cfg.Rounds; round++ {
 				obs := observeRound(tr, round, nil, nil)
-				var uploads [][]comm.Prediction
-				for _, o := range obs.outcomes {
-					if !o.Dropped {
-						uploads = append(uploads, o.Upload)
+				record.SetOutcomes(obs.outcomes)
+				if w, ok := sv.model.(models.Warmer); ok {
+					w.WarmScoring()
+				}
+				plan := sv.buildDispersalPlan()
+				for _, d := range obs.dispersals {
+					tgt := disperseTarget{id: d.ID, excl: uploadItems(sp.NumItems, record.View(d.ID))}
+					var ds *rng.Stream
+					if disperseNeedsStreams(sv.cfg) {
+						ds = tr.engine.root.DeriveN("disperse", round).DeriveN("client", d.ID)
 					}
-				}
-				oracle.SetBatch(uploads, 1)
-				label := fmt.Sprintf("%s/workers=%d round %d", server, workers, round)
-				users := tr.server.store.Users(nil)
-				if want := oracle.Users(nil); !slices.Equal(users, want) || tr.server.store.Count() != oracle.Count() {
-					t.Fatalf("%s: stored users %v, oracle %v", label, users, want)
-				}
-				for u := 0; u < sp.NumUsers; u++ {
-					requirePredsEqual(t, fmt.Sprintf("%s user %d", label, u), tr.server.store.View(u), oracle.View(u))
+					payload, want := wireRoundTrip(sv.disperse(tgt, ds, plan, scratch), cfg.QuantizeScores)
+					if !bytes.Equal(d.Payload, payload) || !slices.Equal(d.Preds, want) {
+						t.Fatalf("%s/workers=%d round %d user %d: dispersed\n  %v\nthe oracle over the latest upload says\n  %v",
+							server, workers, round, d.ID, d.Preds, want)
+					}
 				}
 			}
 		}
@@ -219,8 +103,8 @@ func TestLazyClientsHistoryInvariance(t *testing.T) {
 }
 
 // storeAllocFixture builds a warmed server + batch for the steady-state
-// allocation pins: two absorbs make every region's capacity fit the next
-// same-shape batch, so the third absorb and onwards must run clean.
+// allocation pins: an absorb and an edge selection size every scratch buffer
+// for the next same-shape batch, so the next calls must run clean.
 func storeAllocFixture(tb testing.TB, topFrac float64) (*Server, [][]comm.Prediction) {
 	tb.Helper()
 	const numUsers, numItems = 600, 150
@@ -236,14 +120,12 @@ func storeAllocFixture(tb testing.TB, topFrac float64) (*Server, [][]comm.Predic
 		uploads = append(uploads, makeUpload(u, 4+s.Intn(12), numItems, s))
 	}
 	sv.absorb(uploads, 1)
-	sv.absorb(uploads, 1)
 	sv.selectEdges(uploads, 1)
 	return sv, uploads
 }
 
-// TestAbsorbSteadyStateAllocs pins the flat store's core promise: once
-// regions exist, absorbing a round allocates nothing — no map growth, no
-// per-user slices, no routing garbage.
+// TestAbsorbSteadyStateAllocs pins the confidence counters' promise: absorbing
+// a round allocates nothing.
 func TestAbsorbSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation perturbs allocation counts")
