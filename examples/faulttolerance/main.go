@@ -61,7 +61,7 @@ func main() {
 		fmt.Printf("%6.0f%%  %7.0f%%  %9v   %7.4f   %13.1f   %s\n",
 			cond.dropout*100, cond.truncate*100, cond.quantize,
 			history.Final.NDCG, dropped,
-			ptffedrec.FormatBytes(trainer.Meter().AvgPerClientPerRound()))
+			ptffedrec.FormatBytes(history.BytesPerClientRound()))
 	}
 
 	fmt.Println()

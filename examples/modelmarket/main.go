@@ -44,7 +44,7 @@ func main() {
 		}
 		fmt.Printf("%-19s   %7.4f   %9.4f   %s\n",
 			kind, history.Final.NDCG, history.Final.Recall,
-			ptffedrec.FormatBytes(trainer.Meter().AvgPerClientPerRound()))
+			ptffedrec.FormatBytes(history.BytesPerClientRound()))
 	}
 
 	fmt.Println()

@@ -69,7 +69,7 @@ func main() {
 	}
 	fmt.Printf("PTF-FedRec(NGCF):        Recall@20=%.4f NDCG@20=%.4f, %s/client/round, model hidden\n",
 		history.Final.Recall, history.Final.NDCG,
-		ptffedrec.FormatBytes(trainer.Meter().AvgPerClientPerRound()))
+		ptffedrec.FormatBytes(history.BytesPerClientRound()))
 
 	// --- Serve recommendations from the hidden model. ----------------------
 	const user = 3

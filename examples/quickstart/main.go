@@ -48,5 +48,5 @@ func main() {
 		history.Final.Recall, history.Final.NDCG, history.Final.Users)
 	fmt.Printf("attack F1:      %.3f (top-guess against protected uploads)\n", history.MeanAttackF1)
 	fmt.Printf("communication:  %s per client per round\n",
-		ptffedrec.FormatBytes(trainer.Meter().AvgPerClientPerRound()))
+		ptffedrec.FormatBytes(history.BytesPerClientRound()))
 }

@@ -1,7 +1,9 @@
 package baselines
 
 import (
+	crand "crypto/rand"
 	"math"
+	"math/big"
 	"testing"
 
 	"ptffedrec/internal/data"
@@ -36,7 +38,8 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.NegRatio = 0 },
 		func(c *Config) { c.ClientFraction = 0 },
 		func(c *Config) { c.EvalK = 0 },
-		func(c *Config) { c.Cipher = "bogus" },
+		func(c *Config) { c.KeyBits = 15 },
+		func(c *Config) { c.SlotBits = 0 },
 	}
 	for i, mutate := range bad {
 		c := DefaultConfig()
@@ -120,62 +123,44 @@ func TestFedMFAccountedCostsExceedFCF(t *testing.T) {
 	}
 }
 
-func TestFedMFRealMatchesAccounted(t *testing.T) {
-	// The encrypted aggregation path must produce (within fixed-point
-	// error) the same item matrix as plaintext aggregation.
-	d := data.Generate(data.Profile{
-		Name: "micro", NumUsers: 6, NumItems: 10,
-		Interactions: 30, ZipfExponent: 1, Clusters: 2, ClusterBias: 0.7, MinPerUser: 3,
-	}, 7)
-	sp := d.Split(rng.New(3), 0.2)
-
-	cfg := fastConfig()
-	cfg.Rounds = 2
-	cfg.Dim = 4
-	cfg.Workers = 1
-
-	cfgReal := cfg
-	cfgReal.Cipher = CipherReal
-	real, err := NewFedMF(sp, cfgReal)
+// TestFedMFPayloadBytes pins Table IV's FedMF arithmetic: a 2048-bit key's
+// ciphertext is 512 B and packs 7 slots of 256 bits, and at the default
+// config the tiny split's 60×32 item matrix is 275 ciphertexts each way.
+func TestFedMFPayloadBytes(t *testing.T) {
+	if got := ciphertextBytes(2048); got != 512 {
+		t.Fatalf("ciphertextBytes(2048) = %d, want 512", got)
+	}
+	if got := packedSlots(2048, 256); got != 7 {
+		t.Fatalf("packedSlots(2048, 256) = %d, want 7", got)
+	}
+	if got := packedSlots(256, 256); got != 1 {
+		t.Fatalf("packedSlots(256, 256) = %d, want at least one slot", got)
+	}
+	sp := tinySplit(t)
+	f, err := NewFedMF(sp, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfgAcc := cfg
-	cfgAcc.Cipher = CipherAccounted
-	acc, err := NewFedMF(sp, cfgAcc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	Run(real)
-	Run(acc)
-
-	// Same seed -> same plaintext trajectory; Real additionally keeps the
-	// ciphertext state in sync with its plaintext view.
-	dec, err := real.DecryptedItems()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for j := range dec.Data {
-		if math.Abs(dec.Data[j]-real.items.Data[j]) > 1e-6 {
-			t.Fatalf("ciphertext/plaintext diverged at %d: %v vs %v", j, dec.Data[j], real.items.Data[j])
-		}
-		if math.Abs(real.items.Data[j]-acc.items.Data[j]) > 1e-5 {
-			t.Fatalf("real/accounted diverged at %d: %v vs %v", j, real.items.Data[j], acc.items.Data[j])
-		}
-	}
-	if _, err := acc.DecryptedItems(); err == nil {
-		t.Fatal("DecryptedItems should fail in accounted mode")
+	if got := f.AvgBytesPerClientPerRound(); got != 2*275*512 {
+		t.Fatalf("FedMF bytes = %v, want %d", got, 2*275*512)
 	}
 }
 
-func TestFedMFHomomorphicSmokeTest(t *testing.T) {
-	sp := tinySplit(t)
-	f, err := NewFedMF(sp, fastConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := f.HomomorphicSmokeTest(); err != nil {
-		t.Fatal(err)
+// TestPaillierModulusBits pins the premise of packedSlots: the product of two
+// ⌊k/2⌋-bit primes from crypto/rand.Prime has exactly 2⌊k/2⌋ bits.
+func TestPaillierModulusBits(t *testing.T) {
+	for _, keyBits := range []int{64, 65, 256} {
+		p, err := crand.Prime(crand.Reader, keyBits/2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		q, err := crand.Prime(crand.Reader, keyBits/2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := new(big.Int).Mul(p, q).BitLen(); got != 2*(keyBits/2) {
+			t.Fatalf("keyBits %d: modulus has %d bits, want %d", keyBits, got, 2*(keyBits/2))
+		}
 	}
 }
 

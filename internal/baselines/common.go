@@ -4,21 +4,22 @@
 //   - FCF (Ammad-ud-din et al., 2019): FedAvg over a shared item-embedding
 //     matrix, private per-client user vectors.
 //   - FedMF (Chai et al., 2020): the same factorization, but item gradients
-//     travel as Paillier ciphertexts (internal/hesim), which is what blows
-//     its communication budget up in Table IV.
+//     travel as packed Paillier ciphertexts, which is what blows its
+//     communication budget up in Table IV.
 //   - MetaMF (Lin et al., 2020): a server-side meta-network generates
 //     personalized item embeddings per user; clients hold only a private
 //     user vector.
 //
 // All three transmit model parameters (or their encrypted gradients), which
-// is exactly the behaviour PTF-FedRec removes.
+// is exactly the behaviour PTF-FedRec removes. Nothing here is encoded: every
+// cohort member moves the same payload each round, so a baseline's Table IV
+// cell is that payload, down plus up, computed once at construction.
 package baselines
 
 import (
 	"fmt"
 	"math"
 
-	"ptffedrec/internal/comm"
 	"ptffedrec/internal/data"
 	"ptffedrec/internal/eval"
 	"ptffedrec/internal/models"
@@ -26,18 +27,6 @@ import (
 	"ptffedrec/internal/par"
 	"ptffedrec/internal/rng"
 	"ptffedrec/internal/tensor"
-)
-
-// CipherMode selects how FedMF handles encryption.
-type CipherMode string
-
-// FedMF cipher modes: Real runs actual Paillier operations (tests and small
-// universes); Accounted aggregates in plaintext but meters the exact
-// ciphertext byte counts, a substitution TestFedMFRealMatchesAccounted pins as
-// behaviour-preserving.
-const (
-	CipherReal      CipherMode = "real"
-	CipherAccounted CipherMode = "accounted"
 )
 
 // Config carries the shared baseline hyper-parameters (§IV-D: the baselines
@@ -54,11 +43,9 @@ type Config struct {
 	Workers        int
 	Seed           uint64
 
-	// FedMF.
-	Cipher   CipherMode
-	KeyBits  int  // Paillier modulus bits (2048 realistic; tests use 256)
-	SlotBits uint // packed slot width for ciphertext accounting
-	FracBits uint // fixed-point fraction bits
+	// FedMF: the Paillier key and packing that size its ciphertexts.
+	KeyBits  int  // modulus bits (2048 realistic; tests use 256)
+	SlotBits uint // packed slot width
 
 	// MetaMF.
 	CVDim      int // collaborative vector size
@@ -76,10 +63,8 @@ func DefaultConfig() Config {
 		ClientFraction: 1.0,
 		EvalK:          20,
 		Seed:           1,
-		Cipher:         CipherAccounted,
 		KeyBits:        2048,
 		SlotBits:       256,
-		FracBits:       48,
 		CVDim:          16,
 		MetaHidden:     32,
 	}
@@ -100,9 +85,10 @@ func (c Config) Validate() error {
 		return fmt.Errorf("baselines: ClientFraction = %v", c.ClientFraction)
 	case c.EvalK <= 0:
 		return fmt.Errorf("baselines: EvalK = %d", c.EvalK)
-	}
-	if c.Cipher != CipherReal && c.Cipher != CipherAccounted {
-		return fmt.Errorf("baselines: Cipher = %q", c.Cipher)
+	case c.KeyBits < 16:
+		return fmt.Errorf("baselines: KeyBits = %d", c.KeyBits)
+	case c.SlotBits == 0:
+		return fmt.Errorf("baselines: SlotBits = %d", c.SlotBits)
 	}
 	return nil
 }
@@ -164,16 +150,20 @@ func Run(b FederatedBaseline) {
 }
 
 // federation is what the three baselines share: the per-round cohort, every
-// client's private Adam-trained user vector, the local step a client takes
-// against whatever item matrix the server ships it, and the byte meter. What
-// differs per baseline — the matrix a client receives, the payload sizes, and
-// how the server folds the uploaded gradients in — is passed to round.
+// client's private Adam-trained user vector, and the local step a client takes
+// against whatever item matrix the server ships it. What differs per
+// baseline — the matrix a client receives and how the server folds the
+// uploaded gradients in — is passed to round; its payload size is set in
+// clientRoundBytes by its constructor.
 type federation struct {
 	cfg   Config
 	split *data.Split
 	users []*adamVec // private per-client vectors (live on devices)
-	meter *comm.Meter
 	root  *rng.Stream
+
+	// clientRoundBytes is what one cohort member downloads plus uploads in
+	// one round: Table IV's cell.
+	clientRoundBytes int
 
 	// evaluator holds the split's evaluated-user list across Evaluate calls.
 	evaluator *eval.Evaluator
@@ -185,7 +175,7 @@ func newFederation(sp *data.Split, cfg Config, stream string) (*federation, erro
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	f := &federation{cfg: cfg, split: sp, meter: comm.NewMeter(), root: rng.New(cfg.Seed).Derive(stream)}
+	f := &federation{cfg: cfg, split: sp, root: rng.New(cfg.Seed).Derive(stream)}
 	for u := 0; u < sp.NumUsers; u++ {
 		f.users = append(f.users, newAdamVec(f.root.DeriveN("user", u), cfg.Dim, cfg.LR))
 	}
@@ -196,26 +186,22 @@ func newFederation(sp *data.Split, cfg Config, stream string) (*federation, erro
 func (f *federation) Rounds() int { return f.cfg.Rounds }
 
 // AvgBytesPerClientPerRound implements FederatedBaseline.
-func (f *federation) AvgBytesPerClientPerRound() float64 { return f.meter.AvgPerClientPerRound() }
+func (f *federation) AvgBytesPerClientPerRound() float64 { return float64(f.clientRoundBytes) }
 
 // round runs one global round: the selected cohort fans out over the worker
-// pool, each client downloading itemsFor(u) (downBytes on the meter),
-// training its private vector against it and uploading a dense V×d
-// item-gradient block (upBytes); aggregate then folds the blocks, which
-// arrive in cohort order whatever the worker count, into the server's state.
-func (f *federation) round(round, downBytes, upBytes int, itemsFor func(u int) *tensor.Matrix, aggregate func(cohort []int, grads [][]float64)) {
+// pool, each client downloading itemsFor(u), training its private vector
+// against it and uploading a dense V×d item-gradient block; aggregate then
+// folds the blocks, which arrive in cohort order whatever the worker count,
+// into the server's state.
+func (f *federation) round(round int, itemsFor func(u int) *tensor.Matrix, aggregate func(cohort []int, grads [][]float64)) {
 	n := max(1, int(f.cfg.ClientFraction*float64(f.split.NumUsers)))
 	cohort := f.root.DeriveN("select", round).SampleInts(f.split.NumUsers, n)
 	grads := make([][]float64, len(cohort))
 	par.For(len(cohort), par.Workers(f.cfg.Workers), func(slot int) {
 		u := cohort[slot]
-		q := itemsFor(u)
-		f.meter.AddDown(u, downBytes)
-		grads[slot] = f.clientUpdate(u, round, q)
-		f.meter.AddUp(u, upBytes)
+		grads[slot] = f.clientUpdate(u, round, itemsFor(u))
 	})
 	aggregate(cohort, grads)
-	f.meter.EndRound()
 }
 
 // clientUpdate trains user u's private vector locally against the item
@@ -254,9 +240,8 @@ func (f *federation) rank(scorer models.ScorerFunc) eval.Result {
 // the payload is on the wire and how the server aggregates it.
 type sharedItems struct {
 	*federation
-	items        *tensor.Matrix
-	payloadBytes int // per direction, per client-round
-	aggregate    func(cohort []int, grads [][]float64)
+	items     *tensor.Matrix
+	aggregate func(cohort []int, grads [][]float64)
 }
 
 func newSharedItems(sp *data.Split, cfg Config, stream string) (*sharedItems, error) {
@@ -271,7 +256,7 @@ func newSharedItems(sp *data.Split, cfg Config, stream string) (*sharedItems, er
 
 // RunRound implements FederatedBaseline.
 func (s *sharedItems) RunRound(round int) {
-	s.round(round, s.payloadBytes, s.payloadBytes, func(int) *tensor.Matrix { return s.items }, s.aggregate)
+	s.round(round, func(int) *tensor.Matrix { return s.items }, s.aggregate)
 }
 
 // Evaluate implements FederatedBaseline.

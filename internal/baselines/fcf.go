@@ -30,7 +30,7 @@ func NewFCF(sp *data.Split, cfg Config) (*FCF, error) {
 	}
 	// The payload is the full float32 item matrix, exactly what the original
 	// FCF ships in each direction.
-	s.payloadBytes = comm.Float32BlockSize(sp.NumItems * cfg.Dim)
+	s.clientRoundBytes = 2 * comm.Float32BlockSize(sp.NumItems*cfg.Dim)
 	s.aggregate = f.fedAvg
 	return f, nil
 }

@@ -49,6 +49,10 @@ func NewMetaMF(sp *data.Split, cfg Config) (*MetaMF, error) {
 		opt:        nn.NewAdam(cfg.LR),
 	}
 	nn.Normal(f.root.Derive("base"), m.base.W, 0.1)
+	// Each client downloads its generated embeddings plus the modulation
+	// vector and uploads the dQᵤ block.
+	values := sp.NumItems * cfg.Dim
+	f.clientRoundBytes = comm.Float32BlockSize(values+2*cfg.Dim) + comm.Float32BlockSize(values)
 	return m, nil
 }
 
@@ -77,15 +81,13 @@ func (m *MetaMF) generatedItems(scale, shift []float64) *tensor.Matrix {
 	return q
 }
 
-// RunRound implements FederatedBaseline. Each client downloads its generated
-// embeddings plus the modulation vector and uploads the dQᵤ block.
+// RunRound implements FederatedBaseline: each client receives its generated
+// Qᵤ.
 func (m *MetaMF) RunRound(round int) {
-	values := m.split.NumItems * m.cfg.Dim
-	m.round(round, comm.Float32BlockSize(values+2*m.cfg.Dim), comm.Float32BlockSize(values),
-		func(u int) *tensor.Matrix {
-			_, _, _, _, scale, shift := m.generate(u)
-			return m.generatedItems(scale, shift)
-		}, m.backprop)
+	m.round(round, func(u int) *tensor.Matrix {
+		_, _, _, _, scale, shift := m.generate(u)
+		return m.generatedItems(scale, shift)
+	}, m.backprop)
 }
 
 // backprop is MetaMF's aggregation: every client's dQᵤ flows back through the

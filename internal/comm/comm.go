@@ -1,16 +1,15 @@
 // Package comm defines the wire formats exchanged in the federated protocols
-// and a byte meter that measures them. Table IV's comparison is produced by
-// actually encoding every message — prediction triples for PTF-FedRec,
-// float32 parameter blocks for FCF/MetaMF, Paillier ciphertexts for FedMF —
-// and counting the encoded bytes.
+// and the sizes Table IV is computed from. PTF-FedRec's cell counts the bytes
+// of the prediction payloads it actually encodes (fed.History's upload and
+// dispersal totals). The baselines encode nothing: their cells are the payload
+// sizes their protocols would ship — float32 parameter blocks for FCF and
+// MetaMF (Float32BlockSize), packed Paillier ciphertexts for FedMF.
 package comm
 
 import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"sync"
-	"sync/atomic"
 )
 
 // Prediction is one scored triple (uᵢ, vⱼ, r̂ᵢⱼ) — the knowledge carrier of
@@ -97,85 +96,6 @@ func DecodePredictionsQuantized(buf []byte) ([]Prediction, error) {
 		})
 	}
 	return out, nil
-}
-
-// meterShards partitions the meter's per-client counters. In the networked
-// coordinator, uploads from concurrent connections meter per-client bytes in
-// parallel; sharding by client id keeps those updates off one hot mutex.
-// A power of two so the shard index is a mask.
-const meterShards = 64
-
-// meterShard is one client partition's counters under its own lock, padded
-// to a cache line so neighbouring shards never false-share.
-type meterShard struct {
-	mu    sync.Mutex
-	bytes map[int]int64 // per client, both directions
-	_     [48]byte
-}
-
-// Meter accumulates per-client traffic across rounds, uploads and downloads
-// together: Table IV reports their sum, and a round's own up/down split lives
-// in fed.RoundStats. It is safe for concurrent use from any number of
-// goroutines: per-client byte counters shard over client id (the round
-// engine's parallel dispersal and the coordinator's concurrent upload
-// handlers both hammer it), and the round counter is atomic.
-type Meter struct {
-	shards [meterShards]meterShard
-	rounds atomic.Int64
-}
-
-// NewMeter returns an empty meter.
-func NewMeter() *Meter {
-	m := &Meter{}
-	for i := range m.shards {
-		m.shards[i].bytes = map[int]int64{}
-	}
-	return m
-}
-
-// shard maps a client id to its counter partition. Negative ids (not
-// produced by the protocol, but the meter should never panic) fold in too.
-func (m *Meter) shard(client int) *meterShard {
-	return &m.shards[uint(client)&(meterShards-1)]
-}
-
-// AddUp records bytes sent from a client to the server.
-func (m *Meter) AddUp(client, bytes int) { m.add(client, bytes) }
-
-// AddDown records bytes sent from the server to a client.
-func (m *Meter) AddDown(client, bytes int) { m.add(client, bytes) }
-
-func (m *Meter) add(client, bytes int) {
-	sh := m.shard(client)
-	sh.mu.Lock()
-	sh.bytes[client] += int64(bytes)
-	sh.mu.Unlock()
-}
-
-// EndRound marks the completion of one global round.
-func (m *Meter) EndRound() { m.rounds.Add(1) }
-
-// Rounds returns the number of completed rounds.
-func (m *Meter) Rounds() int { return int(m.rounds.Load()) }
-
-// AvgPerClientPerRound returns the mean bytes (up+down) one client exchanges
-// in one round — the quantity Table IV reports.
-func (m *Meter) AvgPerClientPerRound() float64 {
-	var clients, total int64
-	for i := range m.shards {
-		sh := &m.shards[i]
-		sh.mu.Lock()
-		clients += int64(len(sh.bytes))
-		for _, v := range sh.bytes {
-			total += v
-		}
-		sh.mu.Unlock()
-	}
-	rounds := m.rounds.Load()
-	if clients == 0 || rounds == 0 {
-		return 0
-	}
-	return float64(total) / float64(clients) / float64(rounds)
 }
 
 // FormatBytes renders a byte count the way the paper's Table IV does

@@ -3,7 +3,6 @@ package comm
 import (
 	"math"
 	"strings"
-	"sync"
 	"testing"
 )
 
@@ -47,54 +46,6 @@ func TestDecodeEmpty(t *testing.T) {
 func TestFloat32BlockSize(t *testing.T) {
 	if Float32BlockSize(100) != 400 {
 		t.Fatal("Float32BlockSize wrong")
-	}
-}
-
-func TestMeterAccounting(t *testing.T) {
-	m := NewMeter()
-	m.AddUp(0, 100)
-	m.AddDown(0, 50)
-	m.AddUp(1, 200)
-	m.AddDown(1, 50)
-	m.EndRound()
-	m.AddUp(0, 100)
-	m.AddDown(0, 50)
-	m.AddUp(1, 200)
-	m.AddDown(1, 50)
-	m.EndRound()
-	if m.Rounds() != 2 {
-		t.Fatalf("rounds = %d", m.Rounds())
-	}
-	// (600+200) / 2 clients / 2 rounds = 200.
-	if got := m.AvgPerClientPerRound(); got != 200 {
-		t.Fatalf("avg = %v", got)
-	}
-}
-
-func TestMeterEmpty(t *testing.T) {
-	if NewMeter().AvgPerClientPerRound() != 0 {
-		t.Fatal("empty meter should average 0")
-	}
-}
-
-func TestMeterConcurrent(t *testing.T) {
-	m := NewMeter()
-	var wg sync.WaitGroup
-	for c := 0; c < 8; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			for i := 0; i < 1000; i++ {
-				m.AddUp(c, 1)
-				m.AddDown(c, 2)
-			}
-		}(c)
-	}
-	wg.Wait()
-	m.EndRound()
-	// (8000 up + 16000 down) / 8 clients / 1 round.
-	if got := m.AvgPerClientPerRound(); got != 3000 {
-		t.Fatalf("concurrent avg = %v, want 3000", got)
 	}
 }
 

@@ -4,9 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
-	"math"
 	"reflect"
-	"sync"
 	"testing"
 )
 
@@ -175,48 +173,5 @@ func TestCodecDispatch(t *testing.T) {
 	}
 	if _, err := Codec(9).Decode(nil); err == nil {
 		t.Fatal("unknown codec decode accepted")
-	}
-}
-
-// TestMeterConcurrentSharded hammers every Meter method from many goroutines
-// at once — the coordinator's concurrent upload handlers plus a reader — so
-// `go test -race` proves the sharded counters are actually safe, and the
-// final totals prove no update was lost.
-func TestMeterConcurrentSharded(t *testing.T) {
-	m := NewMeter()
-	const goroutines = 16
-	const perG = 500
-	const clients = 100
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < perG; i++ {
-				c := (g*perG + i) % clients
-				m.AddUp(c, 3)
-				m.AddDown(c, 5)
-				if i%100 == 0 {
-					_ = m.AvgPerClientPerRound()
-				}
-			}
-		}(g)
-	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 50; i++ {
-			m.EndRound()
-			_ = m.Rounds()
-		}
-	}()
-	wg.Wait()
-	if m.Rounds() != 50 {
-		t.Fatalf("Rounds = %d", m.Rounds())
-	}
-	// up+down over `clients` distinct clients across 50 rounds.
-	want := float64(goroutines*perG*8) / clients / 50
-	if got := m.AvgPerClientPerRound(); math.Abs(got-want) > 1e-9 {
-		t.Fatalf("AvgPerClientPerRound = %v, want %v", got, want)
 	}
 }

@@ -57,6 +57,14 @@ import (
 // heartbeat. A variable so tests can shrink it.
 var pollWait = 25 * time.Second
 
+// pendingDispersals bounds the retention store for undelivered dispersals
+// (users nobody hosted when their round was published): at most this many
+// users keep their latest undelivered D̃ᵢ, evicted oldest-stash-first.
+// Retained dispersals are flushed into a session's event log when the user's
+// host joins or at the next round-start announcement. A variable so tests can
+// shrink it.
+var pendingDispersals = 4096
+
 // Options configures the coordinator service beyond the protocol Config.
 type Options struct {
 	// Profile names the synthetic dataset profile participants rebuild their
@@ -70,18 +78,7 @@ type Options struct {
 	// announcement. Zero waits forever. When it expires the round closes
 	// with the stragglers counted as dropped.
 	Deadline time.Duration
-
-	// PendingDispersals bounds the retention store for undelivered
-	// dispersals (users nobody hosted when their round was published): at
-	// most this many users keep their latest undelivered D̃ᵢ, evicted
-	// oldest-stash-first. Retained dispersals are flushed into a
-	// session's event log when the user's host joins or at the next
-	// round-start announcement. 0 means DefaultPendingDispersals.
-	PendingDispersals int
 }
-
-// DefaultPendingDispersals is the default Options.PendingDispersals budget.
-const DefaultPendingDispersals = 4096
 
 // session is one registered participant process hosting users [lo, hi).
 type session struct {
@@ -133,14 +130,14 @@ type Coordinator struct {
 	down     bool // run finished; new joins get an immediate shutdown
 
 	// pending retains each user's latest undelivered dispersal (bounded by
-	// Options.PendingDispersals); pendingQ holds the same users in stash
+	// pendingDispersals); pendingQ holds the same users in stash
 	// order, oldest first, for eviction.
 	pending  map[int]pendingDisp
 	pendingQ []int
 	codec    comm.Codec
 
 	// wireIn/wireOut count every frame byte crossing the HTTP boundary —
-	// the transport-level complement of the engine's protocol-level Meter.
+	// framing included, so more than the History's protocol byte totals.
 	wireIn, wireOut atomic.Int64
 }
 
@@ -169,7 +166,7 @@ func New(sp *data.Split, cfg fed.Config, opts Options) (*Coordinator, error) {
 	}, nil
 }
 
-// Engine exposes the embedded round engine (final model, meter, phases).
+// Engine exposes the embedded round engine (final model, config, evaluation).
 func (c *Coordinator) Engine() *fed.RoundEngine { return c.engine }
 
 // WireBytes reports total frame bytes received and sent over the transport.
@@ -291,15 +288,11 @@ func (c *Coordinator) publishRound(round int, dispersals []fed.Dispersal) {
 // superseding older, evicting the oldest-stashed user past the budget.
 // c.mu held.
 func (c *Coordinator) stashPendingLocked(round int, d fed.Dispersal) {
-	limit := c.opts.PendingDispersals
-	if limit <= 0 {
-		limit = DefaultPendingDispersals
-	}
 	if _, ok := c.pending[d.ID]; ok {
 		c.pending[d.ID] = pendingDisp{round: round, payload: d.Payload}
 		return
 	}
-	for len(c.pending) >= limit {
+	for len(c.pending) >= pendingDispersals {
 		delete(c.pending, c.pendingQ[0])
 		c.pendingQ = c.pendingQ[1:]
 	}

@@ -65,14 +65,21 @@ func decodeSessionDisperses(t *testing.T, s *session) []int {
 	return users
 }
 
+// shrinkPendingDispersals sets the retention budget for one test.
+func shrinkPendingDispersals(t *testing.T, n int) {
+	t.Helper()
+	old := pendingDispersals
+	pendingDispersals = n
+	t.Cleanup(func() { pendingDispersals = old })
+}
+
 // TestPendingDispersalStore unit-tests the bounded retention store: newest
 // payload supersedes per user, the oldest-stashed user is evicted past the
 // budget, and a flush moves a session's hosted range into its event log.
 func TestPendingDispersalStore(t *testing.T) {
 	cfg := testConfig(models.KindMF, 1)
-	opts := testOptions()
-	opts.PendingDispersals = 2
-	c, err := New(testSplit(), cfg, opts)
+	shrinkPendingDispersals(t, 2)
+	c, err := New(testSplit(), cfg, testOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,9 +129,8 @@ func TestPendingDispersalStore(t *testing.T) {
 // budget evicts the user that has waited longest.
 func TestPendingQueueBounded(t *testing.T) {
 	cfg := testConfig(models.KindMF, 1)
-	opts := testOptions()
-	opts.PendingDispersals = 2
-	c, err := New(testSplit(), cfg, opts)
+	shrinkPendingDispersals(t, 2)
+	c, err := New(testSplit(), cfg, testOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

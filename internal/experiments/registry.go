@@ -54,7 +54,7 @@ type Cell struct {
 	Recall float64 `json:"recall"`
 	NDCG   float64 `json:"ndcg"`
 	F1     float64 `json:"f1"`    // Top Guess Attack F1 over the second half of training
-	Bytes  float64 `json:"bytes"` // mean traffic per client per round
+	Bytes  float64 `json:"bytes"` // bytes per client-round, both ways: History.BytesPerClientRound or a baseline's payload
 	Ratio  float64 `json:"ratio"` // ΔF1/ΔNDCG vs the no-defense row; set only by Table VI's derive step
 }
 
@@ -229,7 +229,7 @@ func ptfArm(label string, server models.Kind, mutate func(*fed.Config)) arm {
 		}
 		return Cell{
 			Recall: h.Final.Recall, NDCG: h.Final.NDCG,
-			F1: lateRoundAttackF1(h), Bytes: tr.Meter().AvgPerClientPerRound(),
+			F1: lateRoundAttackF1(h), Bytes: h.BytesPerClientRound(),
 		}, nil
 	}}
 }

@@ -44,7 +44,6 @@ type RoundEngine struct {
 	cfg      Config
 	numUsers int
 	server   *Server
-	meter    *comm.Meter
 	root     *rng.Stream
 	phases   *PhaseSeconds
 }
@@ -60,7 +59,6 @@ func NewRoundEngine(numUsers, numItems int, cfg Config) (*RoundEngine, error) {
 	e := &RoundEngine{
 		cfg:      cfg,
 		numUsers: numUsers,
-		meter:    comm.NewMeter(),
 		root:     rng.New(cfg.Seed).Derive("ptf-fedrec"),
 		phases:   &PhaseSeconds{},
 	}
@@ -74,9 +72,6 @@ func NewRoundEngine(numUsers, numItems int, cfg Config) (*RoundEngine, error) {
 
 // Server exposes the hidden server model and its state.
 func (e *RoundEngine) Server() *Server { return e.server }
-
-// Meter exposes the communication meter.
-func (e *RoundEngine) Meter() *comm.Meter { return e.meter }
 
 // Config returns the active configuration.
 func (e *RoundEngine) Config() Config { return e.cfg }
@@ -141,7 +136,6 @@ func (e *RoundEngine) CloseRound(round int, outcomes []ClientOutcome, overlap fu
 		stats.ClientLoss += o.Loss
 		stats.AttackF1 += o.AttackF1
 		stats.UploadBytes += int64(o.UploadBytes)
-		e.meter.AddUp(o.ID, o.UploadBytes)
 	}
 	if len(ids) > 0 {
 		stats.ClientLoss /= float64(len(ids))
@@ -215,12 +209,10 @@ func (e *RoundEngine) CloseRound(round int, outcomes []ClientOutcome, overlap fu
 	}
 	for _, d := range dispersals {
 		stats.DispersBytes += int64(len(d.Payload))
-		e.meter.AddDown(d.ID, len(d.Payload))
 	}
 	e.phases.Disperse += time.Since(phaseStart).Seconds()
 	if overlapDone != nil {
 		<-overlapDone
 	}
-	e.meter.EndRound()
 	return stats, dispersals
 }

@@ -353,16 +353,37 @@ func TestCommunicationIsKilobytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tr.Run(); err != nil {
+	h, err := tr.Run()
+	if err != nil {
 		t.Fatal(err)
 	}
-	avg := tr.Meter().AvgPerClientPerRound()
+	avg := h.BytesPerClientRound()
 	if avg <= 0 {
 		t.Fatal("no traffic recorded")
 	}
 	if avg > 64*1024 {
 		t.Fatalf("avg per-client per-round = %v bytes, want well under 64KB", avg)
 	}
+}
+
+// TestHistoryBytesPerClientRound pins Table IV's quantity on a hand-built
+// History: both directions' totals over the summed Participants.
+func TestHistoryBytesPerClientRound(t *testing.T) {
+	t.Run("TwoRounds", func(t *testing.T) {
+		h := &History{Rounds: []RoundStats{
+			{Round: 0, Participants: 2, UploadBytes: 300, DispersBytes: 100},
+			{Round: 1, Participants: 2, UploadBytes: 300, DispersBytes: 100},
+		}}
+		// (600 up + 200 down) / 4 client-rounds.
+		if got := h.BytesPerClientRound(); got != 200 {
+			t.Fatalf("BytesPerClientRound = %v, want 200", got)
+		}
+	})
+	t.Run("NoRounds", func(t *testing.T) {
+		if got := (&History{}).BytesPerClientRound(); got != 0 {
+			t.Fatalf("BytesPerClientRound of no rounds = %v, want 0", got)
+		}
+	})
 }
 
 func TestDeterministicAcrossRuns(t *testing.T) {

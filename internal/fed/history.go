@@ -55,3 +55,18 @@ func (h *History) TotalDisperseBytes() int64 {
 	}
 	return t
 }
+
+// BytesPerClientRound is the mean traffic, both directions, one selected
+// client exchanges in one round — Table IV's quantity and the benchmark's
+// wire_bytes_per_client_round: the upload and dispersal totals over the sum
+// of every round's Participants, or 0 for a run of no rounds.
+func (h *History) BytesPerClientRound() float64 {
+	var clientRounds int
+	for _, rs := range h.Rounds {
+		clientRounds += rs.Participants
+	}
+	if clientRounds == 0 {
+		return 0
+	}
+	return float64(h.TotalUploadBytes()+h.TotalDisperseBytes()) / float64(clientRounds)
+}

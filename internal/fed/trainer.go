@@ -72,11 +72,10 @@ type Trainer struct {
 	engine *RoundEngine
 	phases PhaseSeconds
 
-	// server/clients/meter alias into the engine and host (tests and the
+	// server/clients alias into the engine and host (tests and the
 	// in-package benchmarks reach through them).
 	server  *Server
 	clients []*Client
-	meter   *comm.Meter
 
 	// evaluator holds the split's evaluated-user list across rounds (nothing
 	// per user: candidates are the complement of Split.Train[u]), built lazily
@@ -102,7 +101,6 @@ func NewTrainer(sp *data.Split, cfg Config) (*Trainer, error) {
 		engine:  engine,
 		server:  engine.server,
 		clients: host.clients,
-		meter:   engine.meter,
 	}
 	engine.sharePhases(&t.phases)
 	return t, nil
@@ -123,9 +121,6 @@ func (t *Trainer) Clients() []*Client {
 
 // Server exposes the server (tests, examples).
 func (t *Trainer) Server() *Server { return t.server }
-
-// Meter exposes the communication meter.
-func (t *Trainer) Meter() *comm.Meter { return t.meter }
 
 // Config returns the active configuration.
 func (t *Trainer) Config() Config { return t.cfg }

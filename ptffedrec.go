@@ -168,7 +168,8 @@ type (
 	BaselineConfig = baselines.Config
 	// FCF is federated collaborative filtering.
 	FCF = baselines.FCF
-	// FedMF is Paillier-encrypted federated matrix factorization.
+	// FedMF is federated matrix factorization whose traffic is costed as
+	// packed Paillier ciphertexts.
 	FedMF = baselines.FedMF
 	// MetaMF generates per-user item embeddings with a server meta-network.
 	MetaMF = baselines.MetaMF

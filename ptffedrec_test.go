@@ -7,7 +7,7 @@ import (
 )
 
 // TestFacadeEndToEnd exercises the documented public API path: generate,
-// split, train, evaluate, meter.
+// split, train, evaluate, count traffic.
 func TestFacadeEndToEnd(t *testing.T) {
 	profile := Profile{
 		Name: "facade-test", NumUsers: 30, NumItems: 50,
@@ -35,8 +35,8 @@ func TestFacadeEndToEnd(t *testing.T) {
 	if len(history.Rounds) != 2 {
 		t.Fatalf("rounds = %d", len(history.Rounds))
 	}
-	if trainer.Meter().AvgPerClientPerRound() <= 0 {
-		t.Fatal("no traffic metered")
+	if history.BytesPerClientRound() <= 0 {
+		t.Fatal("no traffic recorded")
 	}
 	if history.Final.Users == 0 {
 		t.Fatal("no users evaluated")
