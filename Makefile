@@ -8,7 +8,7 @@ GO ?= go
 # CI, fails above it. A change that shrinks the code lowers it to the size it
 # reaches; one that has to grow the code raises it in the same diff, where a
 # reviewer sees the price.
-LOC_BUDGET = 13305
+LOC_BUDGET = 13321
 
 # The packages whose concurrent paths CI runs in full (not -short) under the
 # race detector; ci.yml says why each is there.
@@ -25,12 +25,12 @@ build:
 # cross builds the side of the tensor kernels' dispatch this host does not
 # run: without avx2_amd64.go and the .s files every GEMM tile and elementwise
 # kernel is the pure Go body. It vets tensor, the dispatch's callers in nn,
-# emb and models (whose scalar dots must stay unfused where the compiler
-# fuses multiply-adds) and rng. Both commands use the installed toolchain;
-# nothing is downloaded.
+# emb, models (whose scalar dots must stay unfused where the compiler fuses
+# multiply-adds) and metrics (whose selector skips runs through FirstAbove),
+# and rng. Both commands use the installed toolchain; nothing is downloaded.
 cross:
 	GOARCH=arm64 $(GO) build ./...
-	GOARCH=arm64 $(GO) vet ./internal/tensor/ ./internal/nn/ ./internal/emb/ ./internal/models/ ./internal/rng/
+	GOARCH=arm64 $(GO) vet ./internal/tensor/ ./internal/nn/ ./internal/emb/ ./internal/models/ ./internal/metrics/ ./internal/rng/
 
 test:
 	$(GO) test ./...
@@ -80,14 +80,16 @@ bench-module:
 # kernels: BenchmarkDenseGEMM, BenchmarkGatherMulMat (the scoring GEMM at the
 # evaluator's 16 × 1024 window, assembly and Go tile side by side),
 # BenchmarkElementwise (Adam, ReLU and the vector adds, assembly and pure Go
-# bodies side by side),
-# BenchmarkNeuMFClientTrainBatch (0 allocs/op; the pin is
+# bodies side by side), BenchmarkFirstAbove (the selector's bulk reject scan,
+# both bodies), BenchmarkNeuMFClientTrainBatch (0 allocs/op; the pin is
 # TestNeuMFClientTrainBatchSteadyStateAllocs) and BenchmarkTableStep (ns per
 # stepped row on the dense and the lazy layout, 0 allocs/op; the pin is
 # TestTableStepSteadyStateAllocs); internal/rng's BenchmarkSeed times seeding
-# a stream's source against math/rand's.
+# a stream's source against math/rand's; internal/metrics' BenchmarkTopKSelect
+# and BenchmarkPushRun time the selection engine (PushRun against a Push per
+# element, 0 allocs/op; the pin is TestPushRunSteadyStateAllocs).
 bench:
-	$(GO) test -bench=. -benchmem -benchtime=1x -run='^$$' -timeout 30m . ./internal/fed/ ./internal/tensor/ ./internal/models/ ./internal/emb/ ./internal/rng/
+	$(GO) test -bench=. -benchmem -benchtime=1x -run='^$$' -timeout 30m . ./internal/fed/ ./internal/tensor/ ./internal/models/ ./internal/emb/ ./internal/rng/ ./internal/metrics/
 	$(GO) run ./cmd/ptfbench -exp scalability -quick -json > BENCH_scalability.json.tmp
 	$(GO) run ./cmd/ptfbench -exp scalability -profile huge-1m -rounds 10 -json >> BENCH_scalability.json.tmp
 	mv BENCH_scalability.json.tmp BENCH_scalability.json

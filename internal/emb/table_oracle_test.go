@@ -417,8 +417,8 @@ func (p *tablePair) check(t *testing.T, what string, i int) {
 }
 
 // restore replaces the pair's tables with fresh ones loaded from the current
-// state: weights only (a V1 model snapshot) or weights and moments. Pending
-// gradients are dropped on both sides, as a checkpoint never carries them.
+// state: weights only, or weights and moments. Pending gradients are dropped
+// on both sides, as a checkpoint never carries them.
 func (p *tablePair) restore(t *testing.T, moments bool) {
 	t.Helper()
 	w, m, err := snapshotBoth(p.live)

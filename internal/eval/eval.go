@@ -239,12 +239,13 @@ func (e *Evaluator) evalUser(s models.Scorer, sc *scratch, i, k int) (recall, nd
 // evalUserBatch ranks users [b, be) of e.users through the batched multi-user
 // logit engine: the batch's logits for each evalScoreChunk-wide item window
 // come from one ScoreUsersBlockLogitsInto call, each user's ascending train
-// list is walked across the window pushing the runs between consecutive train
-// items as (item, logit) into that user's logit-domain selector, and each
-// selector's winners are the user's ranked items. The slot's cursor indexes
-// Train[u] across windows. Train lists are strictly ascending and in range
-// (InTrain's binary search relies on it too); v never steps backwards, so a
-// stray value cannot index below the window.
+// list is walked across the window and every gap between consecutive train
+// items goes into that user's logit-domain selector as one PushRun — the run
+// of logits starting at the gap's first item — and each selector's winners
+// are the user's ranked items. The slot's cursor indexes Train[u] across
+// windows. Train lists are strictly ascending and in range (InTrain's binary
+// search relies on it too); v never steps backwards, so a stray value cannot
+// index below the window.
 //
 // Bitwise equivalence with the per-user path, piece by piece: σ of a window's
 // logits equals ScoreItems' values for any window boundary (per-element
@@ -277,17 +278,12 @@ func (e *Evaluator) evalUserBatch(mbs models.MultiBlockScorer, sc *batchScratch,
 			train, sel, row := e.sp.Train[users[i]], &sc.sels[i], m.Row(i)
 			cur, v := sc.cursors[i], lo
 			for ; cur < len(train) && train[cur] < hi; cur++ {
-				t := train[cur]
-				for ; v < t; v++ {
-					sel.Push(v, row[v-lo])
-				}
-				if v == t {
-					v++
+				if t := train[cur]; t >= v {
+					sel.PushRun(v, row[v-lo:t-lo])
+					v = t + 1
 				}
 			}
-			for ; v < hi; v++ {
-				sel.Push(v, row[v-lo])
-			}
+			sel.PushRun(v, row[v-lo:hi-lo])
 			sc.cursors[i] = cur
 		}
 	}

@@ -68,31 +68,30 @@ func disperseNeedsStreams(cfg *Config) bool {
 // every item in [lo, hi) outside the exclusion bitset is pushed with its raw
 // logit from scoresRow (indexed relative to lo), in ascending item order —
 // exactly the push order metrics.LogitTopKSelector's tie-safe contract
-// requires. The walk runs over the bitset's complement words — 64 memberships
-// per load, the same machinery as candset.AppendComplement windowed to the
-// chunk — so eligibility costs bitset words, not a materialised list.
+// requires. The walk visits the bitset's *set* bits in the chunk — the few
+// items the target uploaded, 64 memberships per word load — and pushes each
+// gap between them as one PushRun, so eligibility costs bitset words and a
+// run per uploaded item, not a push per candidate.
 func pushEligibleWindow(sel *metrics.LogitTopKSelector, excluded *bitset.Set, scoresRow []float64, lo, hi int) {
-	if excluded == nil {
-		for v := lo; v < hi; v++ {
-			sel.Push(v, scoresRow[v-lo])
-		}
-		return
-	}
-	words := excluded.Words()
-	for base := lo &^ 63; base < hi; base += 64 {
-		w := ^words[base>>6]
-		if base < lo {
-			w &^= (1 << uint(lo-base)) - 1
-		}
-		for w != 0 {
-			v := base + bits.TrailingZeros64(w)
-			if v >= hi {
-				break
+	v := lo
+	if excluded != nil {
+		words := excluded.Words()
+		for base := lo &^ 63; base < hi; base += 64 {
+			w := words[base>>6]
+			if base < lo {
+				w &^= (1 << uint(lo-base)) - 1
 			}
-			sel.Push(v, scoresRow[v-lo])
-			w &= w - 1
+			for ; w != 0; w &= w - 1 {
+				e := base + bits.TrailingZeros64(w)
+				if e >= hi {
+					break
+				}
+				sel.PushRun(v, scoresRow[v-lo:e-lo])
+				v = e + 1
+			}
 		}
 	}
+	sel.PushRun(v, scoresRow[v-lo:hi-lo])
 }
 
 // chosenIn reports whether v is already in D̃ᵢ. α is small (paper: 30), so a

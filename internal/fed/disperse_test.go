@@ -1,10 +1,12 @@
 package fed
 
 import (
+	"slices"
 	"testing"
 
 	"ptffedrec/internal/bitset"
 	"ptffedrec/internal/comm"
+	"ptffedrec/internal/metrics"
 	"ptffedrec/internal/models"
 	"ptffedrec/internal/rng"
 )
@@ -82,6 +84,45 @@ func TestDisperseRandomArmsFillAlpha(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestPushEligibleWindowMatchesPushAndAllocsNothing pins the hard half's run
+// pushes to a Push per eligible item, over windows that start and end inside
+// bitset words and exclusions at word edges, at both window ends and in
+// adjacent pairs — and, once the selector has grown to k, at zero
+// allocations per selection.
+func TestPushEligibleWindowMatchesPushAndAllocsNothing(t *testing.T) {
+	const numItems, window, k = 300, 70, 10
+	s := rng.New(5)
+	scores := make([]float64, numItems)
+	for i := range scores {
+		scores[i] = s.Normal(0, 3)
+	}
+	edges := bitset.New(numItems)
+	for _, v := range []int{0, 5, 6, 63, 64, 69, 70, 139, 140, 200, 299} {
+		edges.Add(v)
+	}
+	for _, excl := range []*bitset.Set{nil, bitset.New(numItems), edges} {
+		var sel, want metrics.LogitTopKSelector
+		run := func() {
+			sel.Reset(k)
+			for lo := 0; lo < numItems; lo += window {
+				hi := min(lo+window, numItems)
+				pushEligibleWindow(&sel, excl, scores[lo:hi], lo, hi)
+			}
+		}
+		run()
+		want.Reset(k)
+		for _, v := range naiveEligible(nil, numItems, excl) {
+			want.Push(v, scores[v])
+		}
+		if got, w := sel.Into(nil), want.Into(nil); !slices.Equal(got, w) {
+			t.Fatalf("exclusion %v: run pushes selected %v, per-item pushes %v", excl, got, w)
+		}
+		if allocs := testing.AllocsPerRun(20, run); allocs != 0 {
+			t.Fatalf("pushEligibleWindow allocates %v times per selection", allocs)
 		}
 	}
 }

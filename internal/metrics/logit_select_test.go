@@ -3,6 +3,7 @@ package metrics
 import (
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"ptffedrec/internal/nn"
@@ -187,6 +188,136 @@ func FuzzLogitTopKSelectorMatchesProbability(f *testing.F) {
 		var sel LogitTopKSelector
 		if got := logitPushAll(&sel, logits, k); len(want) > 0 && !reflect.DeepEqual(got, want) {
 			t.Fatalf("logit selection %v, want %v (logits %v, k %d)", got, want, logits, k)
+		}
+	})
+}
+
+// runLogit maps a fuzz byte onto a logit: the specials PushRun's bulk skip
+// must treat as Push does — NaN, ±Inf, ±0 — or a grid point spanning both
+// saturated tails of σ, where repeated bytes give exact duplicates and
+// σ-collapsed ties.
+func runLogit(b byte) float64 {
+	switch b {
+	case 250:
+		return math.NaN()
+	case 251:
+		return math.Inf(1)
+	case 252:
+		return math.Inf(-1)
+	case 253:
+		return 0
+	case 254:
+		return math.Copysign(0, -1)
+	}
+	return (float64(b) - 125) * 0.4
+}
+
+// pushRuns splits logits into runs whose lengths come from cuts (0 an empty
+// run) and pushes each with PushRun; the remainder is one last run.
+func pushRuns(sel *LogitTopKSelector, logits []float64, cuts []byte, k int) []int {
+	sel.Reset(k)
+	pos := 0
+	for _, c := range cuts {
+		end := min(pos+int(c), len(logits))
+		sel.PushRun(pos, logits[pos:end])
+		pos = end
+	}
+	sel.PushRun(pos, logits[pos:])
+	return sel.Into(nil)
+}
+
+// FuzzPushRunMatchesPush pins the bulk form to the per-element one: one
+// ascending logit stream, split at arbitrary run boundaries and pushed with
+// PushRun, must select exactly what a Push per element selects — NaN, ±Inf,
+// ±0, repeated logits, logits equal to the current threshold and σ-collapsed
+// ties included.
+func FuzzPushRunMatchesPush(f *testing.F) {
+	f.Add([]byte{}, []byte{}, 3)
+	f.Add([]byte{125, 125, 125, 125, 125, 125}, []byte{1, 0, 2}, 2)
+	f.Add([]byte{250, 1, 251, 252, 253, 254, 250, 249, 0, 250}, []byte{3}, 4)
+	f.Add([]byte{255, 254, 253, 252, 251, 250, 249, 248, 0, 1, 2}, []byte{0, 5, 0}, 1)
+	s := rng.New(31)
+	for trial := 0; trial < 40; trial++ {
+		data := make([]byte, s.Intn(600))
+		for i := range data {
+			if s.Intn(8) == 0 {
+				data[i] = byte(250 + s.Intn(5))
+			} else {
+				data[i] = byte(100 + s.Intn(50)) // dense enough to tie the threshold
+			}
+		}
+		cuts := make([]byte, s.Intn(40))
+		for i := range cuts {
+			cuts[i] = byte(s.Intn(40))
+		}
+		f.Add(data, cuts, 1+s.Intn(30))
+	}
+	f.Fuzz(func(t *testing.T, data, cuts []byte, k int) {
+		if k < 0 || k > len(data)+8 {
+			return
+		}
+		logits := make([]float64, len(data))
+		for i, b := range data {
+			logits[i] = runLogit(b)
+		}
+		var sel LogitTopKSelector
+		sel.Reset(k)
+		for i, l := range logits {
+			sel.Push(i, l)
+		}
+		want := sel.Into(nil)
+		if got := pushRuns(&sel, logits, cuts, k); !slices.Equal(got, want) {
+			t.Fatalf("PushRun selection %v, Push selection %v (logits %v, cuts %v, k %d)", got, want, logits, cuts, k)
+		}
+	})
+}
+
+// TestPushRunSteadyStateAllocs pins the bulk push at zero allocations once
+// the selector's storage has grown to k.
+func TestPushRunSteadyStateAllocs(t *testing.T) {
+	logits := adversarialLogits(rng.New(37), 4096)
+	var sel LogitTopKSelector
+	run := func() {
+		sel.Reset(20)
+		for lo := 0; lo < len(logits); lo += 300 {
+			sel.PushRun(lo, logits[lo:min(lo+299, len(logits))])
+		}
+	}
+	run()
+	if allocs := testing.AllocsPerRun(20, run); allocs != 0 {
+		t.Fatalf("PushRun allocates %v times per selection", allocs)
+	}
+}
+
+// BenchmarkPushRun times one evaluation-shaped selection — a 4096-item
+// catalogue, k = 20, runs of about 340 items between a user's train items —
+// pushed element by element and run by run.
+func BenchmarkPushRun(b *testing.B) {
+	s := rng.New(1)
+	logits := make([]float64, 4096)
+	for i := range logits {
+		logits[i] = s.Normal(0, 3)
+	}
+	const gap = 341
+	var sel LogitTopKSelector
+	sel.Reset(20)
+	sel.PushRun(0, logits) // grow the heap's storage before timing
+	b.Run("push", func(b *testing.B) {
+		for b.Loop() {
+			sel.Reset(20)
+			for lo := 0; lo < len(logits); lo += gap {
+				for i := lo; i < min(lo+gap-1, len(logits)); i++ {
+					sel.Push(i, logits[i])
+				}
+			}
+		}
+	})
+	b.Run("run", func(b *testing.B) {
+		for b.Loop() {
+			sel.Reset(20)
+			for lo := 0; lo < len(logits); lo += gap {
+				sel.PushRun(lo, logits[lo:min(lo+gap-1, len(logits))])
+			}
 		}
 	})
 }

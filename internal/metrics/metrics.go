@@ -15,6 +15,7 @@ import (
 	"sort"
 
 	"ptffedrec/internal/nn"
+	"ptffedrec/internal/tensor"
 )
 
 // RecallAtK returns |topK ∩ relevant| / |relevant|.
@@ -218,14 +219,15 @@ func TopKInto(dst []int, scores []float64, k int) []int {
 }
 
 // LogitTopKSelector is the streaming half of the selection engine: callers
-// push raw logits one (index, logit) pair at a time — chunk-wise from a
-// batched scorer that never materialises a probability vector — and the
-// selector keeps the k candidates whose probabilities σ(logit) are highest in
-// a bounded min-heap, computing σ (nn.Sigmoid) lazily — only for pushes that
-// survive the logit-domain reject test, roughly k·ln(n/k) of n pushes —
-// instead of once per candidate. Into yields the selected indices in
-// (σ(logit) desc, index asc) order, bitwise-identical to TopK over σ(logit)
-// of every push.
+// push raw logits — chunk-wise from a batched scorer that never materialises
+// a probability vector — and the selector keeps the k candidates whose
+// probabilities σ(logit) are highest in a bounded min-heap, computing σ
+// (nn.Sigmoid) lazily — only for pushes that survive the logit-domain reject
+// test, roughly k·ln(n/k) of n pushes — instead of once per candidate. Hot
+// loops push runs of consecutive indices with PushRun, which skips rejected
+// logits in bulk; Push is the per-element form. Into yields the selected
+// indices in (σ(logit) desc, index asc) order, bitwise-identical to TopK over
+// σ(logit) of every push.
 //
 // Tie safety is the subtle part of that equivalence. σ is monotone
 // non-decreasing but not injective in floats: distinct logits collapse to the
@@ -273,7 +275,7 @@ func (s *LogitTopKSelector) ResetBacked(k int, idx []int, logit, prob []float64)
 
 // worse reports whether heap slot a holds a worse candidate than slot b —
 // lower probability, or equal probability and larger index. The heap order is
-// entirely probability-domain; logits are carried only for Push's reject test.
+// entirely probability-domain; logits are carried only for the reject test.
 func (s *LogitTopKSelector) worse(a, b int) bool {
 	if s.prob[a] != s.prob[b] {
 		return s.prob[a] < s.prob[b]
@@ -305,12 +307,11 @@ func (s *LogitTopKSelector) siftDown(i, size int) {
 	}
 }
 
-// Push offers one (index, logit) pair. Indices must be distinct and ascending
-// within a selection (see the type comment); logits may repeat freely. The
-// overwhelmingly common case on a full selection — the newcomer's logit does
-// not beat the worst kept candidate's — returns from this small, inlinable
-// wrapper without computing a sigmoid; the σ evaluation and heap maintenance
-// live in pushHeap.
+// Push offers one (index, logit) pair, the per-element form of PushRun.
+// Indices must be distinct and ascending within a selection (see the type
+// comment); logits may repeat freely. On a full selection a newcomer whose
+// logit does not beat the worst kept candidate's is rejected without a
+// sigmoid; the σ evaluation and heap maintenance live in pushHeap.
 func (s *LogitTopKSelector) Push(i int, logit float64) {
 	if s.k <= 0 || (len(s.idx) == s.k && logit <= s.logit[0]) {
 		return
@@ -318,7 +319,28 @@ func (s *LogitTopKSelector) Push(i int, logit float64) {
 	s.pushHeap(i, logit)
 }
 
-// pushHeap inserts a pair that survived Push's logit-domain reject test:
+// PushRun offers logits[j] at index base+j for j ascending, exactly as that
+// many Push calls would, so base must continue the selection's ascending
+// indices. Once the selection is full, tensor.FirstAbove skips straight to
+// the next logit that is not ≤ the worst kept one — every skipped logit is
+// one Push rejects — then that logit is pushed and the threshold re-read.
+func (s *LogitTopKSelector) PushRun(base int, logits []float64) {
+	if s.k <= 0 {
+		return
+	}
+	j := 0
+	for ; j < len(logits) && len(s.idx) < s.k; j++ {
+		s.pushHeap(base+j, logits[j])
+	}
+	for j < len(logits) {
+		if j += tensor.FirstAbove(logits[j:], s.logit[0]); j < len(logits) {
+			s.pushHeap(base+j, logits[j])
+			j++
+		}
+	}
+}
+
+// pushHeap inserts a pair that survived the logit-domain reject test:
 // growing the heap while it is below k, otherwise comparing exact
 // probabilities against the root — where a collapsed tie still rejects the
 // newcomer (larger index) — and replacing it on a genuine win.

@@ -8,26 +8,21 @@ import (
 	"ptffedrec/internal/persist"
 )
 
-// Snapshot format versions. V1 carried weights only; V2 appends the Adam
-// moment state (embedding-table sparse-Adam rows and dense-parameter
+// snapshotMagic opens every snapshot: format V2, the parameters followed by
+// the Adam moment state (embedding-table sparse-Adam rows and dense-parameter
 // moments), so a restored model resumes training bit-for-bit where the
-// snapshot left off. Restore accepts both: a V1 snapshot loads weights and
-// leaves optimizer state untouched — the pre-V2 semantics.
-const (
-	snapshotMagicV1 = "PTFREC-MODEL-V1"
-	snapshotMagic   = "PTFREC-MODEL-V2"
-)
+// snapshot left off. The weights-only V1 format is no longer read.
+const snapshotMagic = "PTFREC-MODEL-V2"
 
 // Snapshotter is implemented by models that can persist their state.
-// Snapshots carry the parameters plus (since format V2) the optimizer's
-// moment estimates, so long federated runs can checkpoint-resume exactly.
+// Snapshots carry the parameters plus the optimizer's moment estimates, so
+// long federated runs can checkpoint-resume exactly.
 // Snapshot between optimizer steps — pending gradients are not persisted.
 type Snapshotter interface {
 	// Snapshot writes the model's parameters and optimizer state to w.
 	Snapshot(w io.Writer) error
-	// Restore loads a snapshot previously written by Snapshot (any format
-	// version) into this model. The model must have been constructed with
-	// the same Config.
+	// Restore loads a snapshot previously written by Snapshot into this
+	// model. The model must have been constructed with the same Config.
 	Restore(r io.Reader) error
 }
 
@@ -38,27 +33,19 @@ func writeHeader(w io.Writer, kind Kind) error {
 	return persist.WriteString(w, string(kind))
 }
 
-// readHeader validates the magic and model kind, returning the snapshot's
-// format version (1 or 2).
-func readHeader(r io.Reader, kind Kind) (int, error) {
+// readHeader validates the magic and model kind.
+func readHeader(r io.Reader, kind Kind) error {
 	magic, err := persist.ReadString(r)
 	if err != nil {
-		return 0, fmt.Errorf("models: bad snapshot header: %w", err)
+		return fmt.Errorf("models: bad snapshot header: %w", err)
 	}
-	var version int
-	switch magic {
-	case snapshotMagicV1:
-		version = 1
-	case snapshotMagic:
-		version = 2
-	default:
-		return 0, fmt.Errorf("models: bad snapshot header: expected %q or %q, got %q",
-			snapshotMagicV1, snapshotMagic, magic)
+	if magic != snapshotMagic {
+		return fmt.Errorf("models: bad snapshot header: expected %q, got %q", snapshotMagic, magic)
 	}
 	if err := persist.ExpectString(r, string(kind)); err != nil {
-		return 0, fmt.Errorf("models: snapshot model kind mismatch: %w", err)
+		return fmt.Errorf("models: snapshot model kind mismatch: %w", err)
 	}
-	return version, nil
+	return nil
 }
 
 // Snapshot implements Snapshotter.
@@ -80,8 +67,7 @@ func (m *MF) Snapshot(w io.Writer) error {
 
 // Restore implements Snapshotter.
 func (m *MF) Restore(r io.Reader) error {
-	version, err := readHeader(r, KindMF)
-	if err != nil {
+	if err := readHeader(r, KindMF); err != nil {
 		return err
 	}
 	if err := m.users.Restore(r); err != nil {
@@ -89,9 +75,6 @@ func (m *MF) Restore(r io.Reader) error {
 	}
 	if err := m.items.Restore(r); err != nil {
 		return err
-	}
-	if version < 2 {
-		return nil
 	}
 	if err := m.users.RestoreMoments(r); err != nil {
 		return err
@@ -126,8 +109,7 @@ func (m *NeuMF) Snapshot(w io.Writer) error {
 
 // Restore implements Snapshotter.
 func (m *NeuMF) Restore(r io.Reader) error {
-	version, err := readHeader(r, KindNeuMF)
-	if err != nil {
+	if err := readHeader(r, KindNeuMF); err != nil {
 		return err
 	}
 	if err := m.users.Restore(r); err != nil {
@@ -140,9 +122,6 @@ func (m *NeuMF) Restore(r io.Reader) error {
 		if err := persist.ReadFloat64sInto(r, p.W.Data); err != nil {
 			return err
 		}
-	}
-	if version < 2 {
-		return nil
 	}
 	if err := m.users.RestoreMoments(r); err != nil {
 		return err
@@ -166,17 +145,13 @@ func (m *LightGCN) Snapshot(w io.Writer) error {
 
 // Restore implements Snapshotter.
 func (m *LightGCN) Restore(r io.Reader) error {
-	version, err := readHeader(r, KindLightGCN)
-	if err != nil {
+	if err := readHeader(r, KindLightGCN); err != nil {
 		return err
 	}
 	if err := persist.ReadFloat64sInto(r, m.e0.W.Data); err != nil {
 		return err
 	}
 	m.dirty, m.deadStale = true, true
-	if version < 2 {
-		return nil
-	}
 	if err := m.opt.RestoreState(r, []*nn.Param{m.e0}); err != nil {
 		return err
 	}
@@ -220,8 +195,7 @@ func (m *NGCF) Snapshot(w io.Writer) error {
 
 // Restore implements Snapshotter.
 func (m *NGCF) Restore(r io.Reader) error {
-	version, err := readHeader(r, KindNGCF)
-	if err != nil {
+	if err := readHeader(r, KindNGCF); err != nil {
 		return err
 	}
 	if err := persist.ReadFloat64sInto(r, m.e0.W.Data); err != nil {
@@ -236,8 +210,5 @@ func (m *NGCF) Restore(r io.Reader) error {
 		}
 	}
 	m.dirty = true
-	if version < 2 {
-		return nil
-	}
 	return m.opt.RestoreState(r, m.paramList())
 }

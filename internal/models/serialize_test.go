@@ -3,6 +3,7 @@ package models
 import (
 	"bytes"
 	"math"
+	"strings"
 	"testing"
 
 	"ptffedrec/internal/persist"
@@ -208,36 +209,20 @@ func TestCheckpointResumeExactLazy(t *testing.T) {
 	}
 }
 
-// TestRestoreReadsV1Snapshots pins backward compatibility: a weights-only V1
-// snapshot (the pre-moment format) must still load, restoring weights and
-// leaving optimizer state untouched.
-func TestRestoreReadsV1Snapshots(t *testing.T) {
-	src := trainedModel(t, KindMF, 1).(*MF)
+// TestRestoreRejectsV1Snapshots pins the retirement of the weights-only V1
+// format: a V1 header is refused with an error that names the V2 magic
+// Restore expects.
+func TestRestoreRejectsV1Snapshots(t *testing.T) {
 	var buf bytes.Buffer
-	// Hand-write the V1 layout: magic, kind, then the two weight blobs.
-	if err := persist.WriteString(&buf, snapshotMagicV1); err != nil {
+	if err := persist.WriteString(&buf, "PTFREC-MODEL-V1"); err != nil {
 		t.Fatal(err)
 	}
 	if err := persist.WriteString(&buf, string(KindMF)); err != nil {
 		t.Fatal(err)
 	}
-	if err := persist.WriteFloat64s(&buf, src.users.W.Data); err != nil {
-		t.Fatal(err)
-	}
-	if err := persist.WriteFloat64s(&buf, src.items.W.Data); err != nil {
-		t.Fatal(err)
-	}
-
-	dst := trainedModel(t, KindMF, 99)
-	if err := dst.(Snapshotter).Restore(&buf); err != nil {
-		t.Fatalf("V1 restore: %v", err)
-	}
-	for u := 0; u < 4; u++ {
-		for v := 0; v < 6; v++ {
-			if a, b := src.Score(u, v), dst.Score(u, v); a != b {
-				t.Fatalf("V1 restore: score(%d,%d) %v != %v", u, v, a, b)
-			}
-		}
+	err := trainedModel(t, KindMF, 1).(Snapshotter).Restore(&buf)
+	if err == nil || !strings.Contains(err.Error(), snapshotMagic) {
+		t.Fatalf("V1 restore: got error %v, want one naming %q", err, snapshotMagic)
 	}
 }
 

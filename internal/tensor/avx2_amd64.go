@@ -28,6 +28,9 @@ func addVecAVX2(x, y *float64, n int)
 //go:noescape
 func axpyAVX2(a float64, x, y *float64, n int)
 
+//go:noescape
+func firstAboveAVX2(x *float64, n int, t float64) int
+
 // cpuHasAVX2 reports whether the CPU implements AVX2 and the operating system
 // saves the YMM registers (CPUID leaves 1 and 7, XGETBV).
 func cpuHasAVX2() bool
@@ -40,5 +43,6 @@ func init() {
 		reluMaskKernel = reluMaskAVX2
 		addVecKernel = addVecAVX2
 		axpyKernel = axpyAVX2
+		firstAboveKernel = firstAboveAVX2
 	}
 }

@@ -3,7 +3,8 @@ package tensor
 // This file holds the elementwise kernels the training step runs around the
 // GEMM core: the Adam update every optimizer in the repository applies
 // (nn.Adam and both embedding tables), ReLU forward and its backward mask,
-// and the vector adds (vector.go). Each has a pure Go body below and, on
+// and the vector adds (vector.go) — plus FirstAbove, the bulk reject scan the
+// logit selector runs over score runs. Each has a pure Go body below and, on
 // amd64 CPUs with AVX2, an assembly body in elem_amd64.s chosen once at init
 // (avx2_amd64.go) that runs four lanes at a time over the longest prefix
 // whose length is a multiple of four; the Go body finishes the tail.
@@ -28,6 +29,9 @@ var (
 	reluMaskKernel func(x, dy *float64, n int)
 	addVecKernel   func(x, y *float64, n int)
 	axpyKernel     func(a float64, x, y *float64, n int)
+	// firstAboveKernel returns FirstAbove's answer within the first n
+	// elements, or n when there is none.
+	firstAboveKernel func(x *float64, n int, t float64) int
 )
 
 // AdamBeta1 and AdamBeta2 are the standard moment decay rates (Kingma & Ba
@@ -163,4 +167,24 @@ func ReLUBackwardVec(x, dy []float64) {
 			dy[j] = 0
 		}
 	}
+}
+
+// FirstAbove returns the index of the first element of x that is not ≤ t —
+// greater than t, or NaN, as every element is when t is NaN — or len(x) when
+// there is none. It is metrics.LogitTopKSelector's bulk reject: the elements
+// it skips are exactly those the selector's "logit ≤ threshold" test rejects.
+func FirstAbove(x []float64, t float64) int {
+	i := 0
+	if firstAboveKernel != nil && len(x) >= 4 {
+		n := len(x) &^ 3
+		if i = firstAboveKernel(&x[0], n, t); i < n {
+			return i
+		}
+	}
+	for ; i < len(x); i++ {
+		if !(x[i] <= t) {
+			return i
+		}
+	}
+	return len(x)
 }

@@ -163,3 +163,60 @@ axpyLoop:
 axpyDone:
 	VZEROUPPER
 	RET
+
+// func firstAboveAVX2(x *float64, n int, t float64) int
+//
+// The index of the first of the n elements with !(x <= t), unordered
+// (NLE_UQ, so NaN stops the scan as the scalar `!(x <= t)` does), or n. Eight
+// lanes per iteration while eight remain, then one four-lane step. AX is the
+// element index, DX the end of the eight-lane part.
+TEXT ·firstAboveAVX2(SB), NOSPLIT, $0-32
+	MOVQ         x+0(FP), SI
+	MOVQ         n+8(FP), CX
+	VBROADCASTSD t+16(FP), Y15
+	XORQ         AX, AX
+	MOVQ         CX, DX
+	ANDQ         $-8, DX
+	TESTQ        DX, DX
+	JEQ          above4
+
+above8:
+	VMOVUPD   (SI)(AX*8), Y0
+	VMOVUPD   32(SI)(AX*8), Y1
+	VCMPPD    $0x16, Y15, Y0, Y0 // NLE_UQ: !(x <= t)
+	VCMPPD    $0x16, Y15, Y1, Y1
+	VORPD     Y0, Y1, Y2
+	VMOVMSKPD Y2, BX
+	TESTQ     BX, BX
+	JNE       found8
+	ADDQ      $8, AX
+	CMPQ      AX, DX
+	JLT       above8
+
+above4:
+	CMPQ      AX, CX
+	JGE       none
+	VMOVUPD   (SI)(AX*8), Y0
+	VCMPPD    $0x16, Y15, Y0, Y0
+	VMOVMSKPD Y0, BX
+	TESTQ     BX, BX
+	JNE       found
+
+none:
+	MOVQ CX, ret+24(FP)
+	VZEROUPPER
+	RET
+
+found8:
+	VMOVMSKPD Y0, BX
+	TESTQ     BX, BX
+	JNE       found
+	ADDQ      $4, AX
+	VMOVMSKPD Y1, BX
+
+found:
+	BSFQ BX, BX
+	ADDQ BX, AX
+	MOVQ AX, ret+24(FP)
+	VZEROUPPER
+	RET

@@ -80,6 +80,17 @@ func axpyOracle(a float64, x, y []float64) {
 	}
 }
 
+// firstAboveOracle is the reject test metrics.LogitTopKSelector.Push applies
+// per element, run until it first fails.
+func firstAboveOracle(x []float64, t float64) int {
+	for i, v := range x {
+		if !(v <= t) {
+			return i
+		}
+	}
+	return len(x)
+}
+
 // addVecOracle is AddVec's loop (models' rowAccum.add ran the same one).
 func addVecOracle(x, y []float64) {
 	for i, v := range x {
@@ -139,10 +150,10 @@ func requireSameFloats(t *testing.T, label string, want, got []float64) {
 // withGoBodies runs f with every elementwise kernel forced to its pure Go
 // body, the way gemm_oracle_test.go forces the Go tile.
 func withGoBodies(f func()) {
-	adam, relu, mask, add, axpy := adamKernel, reluKernel, reluMaskKernel, addVecKernel, axpyKernel
-	adamKernel, reluKernel, reluMaskKernel, addVecKernel, axpyKernel = nil, nil, nil, nil, nil
+	adam, relu, mask, add, axpy, above := adamKernel, reluKernel, reluMaskKernel, addVecKernel, axpyKernel, firstAboveKernel
+	adamKernel, reluKernel, reluMaskKernel, addVecKernel, axpyKernel, firstAboveKernel = nil, nil, nil, nil, nil, nil
 	defer func() {
-		adamKernel, reluKernel, reluMaskKernel, addVecKernel, axpyKernel = adam, relu, mask, add, axpy
+		adamKernel, reluKernel, reluMaskKernel, addVecKernel, axpyKernel, firstAboveKernel = adam, relu, mask, add, axpy, above
 	}()
 	f()
 }
@@ -268,6 +279,48 @@ func TestElemKernelsMatchOracle(t *testing.T) {
 	}
 }
 
+// TestFirstAboveMatchesOracle pins FirstAbove, as dispatched and on the pure
+// Go body, to the scalar reject loop: at lengths 0–9 (every four- and
+// eight-lane split) and 255–257, for finite, signed-zero, infinite and NaN
+// thresholds, with a stopper — a NaN, or the next value above the threshold —
+// at every position behind ties and lesser values, and with none at all.
+func TestFirstAboveMatchesOracle(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	var lengths []int
+	for n := 0; n <= 9; n++ {
+		lengths = append(lengths, n)
+	}
+	lengths = append(lengths, 255, 256, 257)
+	for _, th := range []float64{1.5, 0, negZero, math.Inf(1), math.Inf(-1), defaultNaN()} {
+		// Values ≤ th, ties first; the −0/+0 pair ties at either signed zero.
+		fill := []float64{th, math.Nextafter(th, math.Inf(-1)), math.Inf(-1), 0, negZero}
+		for _, stop := range []float64{defaultNaN(), math.Nextafter(th, math.Inf(1))} {
+			for _, n := range lengths {
+				for p := 0; p <= n; p++ {
+					x := make([]float64, n)
+					for i := range x {
+						x[i] = fill[i%len(fill)]
+						if th < 0 && x[i] == 0 {
+							x[i] = th
+						}
+					}
+					if p < n {
+						x[p] = stop
+					}
+					want := firstAboveOracle(x, th)
+					got := FirstAbove(x, th)
+					var goBody int
+					withGoBodies(func() { goBody = FirstAbove(x, th) })
+					if got != want || goBody != want {
+						t.Fatalf("t=%v n=%d stopper %v at %d: FirstAbove = %d (Go body %d), want %d",
+							th, n, stop, p, got, goBody, want)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestAdamBiasCorrectionsMatchPow pins the memoised corrections to the
 // math.Pow expression they replaced, across the table's end and off the
 // standard β pair.
@@ -347,4 +400,24 @@ func benchmarkElementwise(b *testing.B) {
 			Axpy(0.5, bias, row)
 		}
 	})
+}
+
+// BenchmarkFirstAbove times a full 256-element scan that finds nothing above
+// the threshold — the selector's common case between survivors — as
+// dispatched and on the pure Go body.
+func BenchmarkFirstAbove(b *testing.B) {
+	r := rand.New(rand.NewSource(7))
+	x := make([]float64, 256)
+	for i := range x {
+		x[i] = r.NormFloat64()
+	}
+	run := func(b *testing.B) {
+		for b.Loop() {
+			if FirstAbove(x, 10) != len(x) {
+				b.Fatal("FirstAbove stopped early")
+			}
+		}
+	}
+	b.Run("dispatch/256", run)
+	b.Run("go/256", func(b *testing.B) { withGoBodies(func() { run(b) }) })
 }
