@@ -8,7 +8,7 @@ GO ?= go
 # CI, fails above it. A change that shrinks the code lowers it to the size it
 # reaches; one that has to grow the code raises it in the same diff, where a
 # reviewer sees the price.
-LOC_BUDGET = 13321
+LOC_BUDGET = 13347
 
 # The packages whose concurrent paths CI runs in full (not -short) under the
 # race detector; ci.yml says why each is there.
@@ -84,10 +84,15 @@ bench-module:
 # both bodies), BenchmarkNeuMFClientTrainBatch (0 allocs/op; the pin is
 # TestNeuMFClientTrainBatchSteadyStateAllocs) and BenchmarkTableStep (ns per
 # stepped row on the dense and the lazy layout, 0 allocs/op; the pin is
-# TestTableStepSteadyStateAllocs); internal/rng's BenchmarkSeed times seeding
-# a stream's source against math/rand's; internal/metrics' BenchmarkTopKSelect
-# and BenchmarkPushRun time the selection engine (PushRun against a Push per
-# element, 0 allocs/op; the pin is TestPushRunSteadyStateAllocs).
+# TestTableStepSteadyStateAllocs); internal/models' BenchmarkLightGCNTrainBatch
+# times the server SGD step at the sparse-250k shape and reports B/live-row,
+# the heap the model retains per live row beyond E⁰ and the readout (0
+# allocs/op serially; the pins are TestLightGCNSteadyStateAllocatesNothing and
+# TestLightGCNRetainedBytesPerLiveRow); internal/rng's BenchmarkSeed times
+# seeding a stream's source against math/rand's; internal/metrics'
+# BenchmarkTopKSelect and BenchmarkPushRun time the selection engine (PushRun
+# against a Push per element, 0 allocs/op; the pin is
+# TestPushRunSteadyStateAllocs).
 bench:
 	$(GO) test -bench=. -benchmem -benchtime=1x -run='^$$' -timeout 30m . ./internal/fed/ ./internal/tensor/ ./internal/models/ ./internal/emb/ ./internal/rng/ ./internal/metrics/
 	$(GO) run ./cmd/ptfbench -exp scalability -quick -json > BENCH_scalability.json.tmp

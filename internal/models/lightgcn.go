@@ -1,6 +1,8 @@
 package models
 
 import (
+	"slices"
+
 	"ptffedrec/internal/emb"
 	"ptffedrec/internal/graph"
 	"ptffedrec/internal/nn"
@@ -17,39 +19,50 @@ import (
 // Backpropagation exploits Â's symmetry: dE⁰ = Σ_l c·Â^l dE_final, computed
 // with the recurrence G_{l-1} = c·dF + Â·G_l.
 //
-// All of it runs over the live rows only. A row is live if it may hold a
-// non-zero adjacency row, gradient or Adam moment: every item, plus every
-// user that has had an edge in a graph handed to SetGraph[Incremental] or
-// has appeared in a TrainBatch. The list only grows. For every other row the
-// adjacency row, the gradient and both moments are exact zeros, so the dense
-// computation would add exact zeros to it: its readout is the closed form
-// c·e⁰ (written once, e⁰ never moves) and its optimizer step is the identity.
-// Skipping those rows therefore changes no bit of any weight, moment, readout
-// or score; a federated server that hears from a fraction of a percent of its
-// users per round pays for the users it has heard from, not for the
-// population. Neighbours of a live row are live, so the layer buffers are
-// only ever read at rows the same pass wrote.
+// All of it runs over the live rows only, and so does its memory. A row is
+// live if it may hold a non-zero adjacency row, gradient or Adam moment:
+// every item, plus every user that has had an edge in a graph handed to
+// SetGraph[Incremental] or has appeared in a TrainBatch. The list only grows.
+// For every other row the adjacency row, the gradient and both moments are
+// exact zeros, so the dense computation would add exact zeros to it: its
+// readout is the closed form c·e⁰ (written once, e⁰ never moves) and its
+// optimizer step is the identity. Skipping those rows therefore changes no
+// bit of any weight, moment, readout or score; a federated server that hears
+// from a fraction of a percent of its users per round pays for the users it
+// has heard from, not for the population, in time and in bytes.
+//
+// The layout is by live slot: a row's slot is its position in the live list
+// (the items, then users in order of first use), and never changes. E⁰ and
+// the readout stay dense by node id, because E⁰'s init draws walk every row
+// and scoring gathers the readout by node. The six work matrices — the
+// gradient, both Adam moments, the two propagation buffers and dL/dE_final —
+// hold one row per slot and grow with the list. The adjacency's columns are
+// remapped from nodes to slots when it is installed, and each row keeps its
+// entry order, so both SpMMs run in slot space and add the same terms in the
+// same order as over node ids. Neighbours of a live row are live, so the
+// propagation buffers are only ever read at slots the same pass wrote.
 type LightGCN struct {
 	cfg     Config
 	workers int
-	e0      *nn.Param // (U+V)×d
-	opt     *nn.Adam
+	e0      *tensor.Matrix // (U+V)×d, by node
+	opt     *nn.Adam       // hyper-parameters; the moments are mom and vel
+	steps   int            // Adam steps taken: one counter for every row, as nn.Adam keeps
 
-	adj    *tensor.CSR
-	live   []int  // live rows: the items, then users in order of first use
-	isLive []bool // membership in live, by row
+	adj  *tensor.CSR // Â, rows by node, columns by slot
+	live []int       // slot → node
+	slot []int32     // node → slot, -1 for a row that is not live
 
-	final     *tensor.Matrix
-	dirty     bool // final's live rows are stale (graph or parameters changed)
-	deadStale bool // final's other rows lack their closed form (first use, Restore)
+	final     *tensor.Matrix // (U+V)×d layer-mean readout, by node
+	dirty     bool           // final's live rows are stale (graph or parameters changed)
+	deadStale bool           // final's other rows lack their closed form (first use, Restore)
 
-	// Workspaces, allocated on first use and then reused. layer holds two
-	// (U+V)×d propagation buffers (ping-pong in the forward pass; G and Â·G in
-	// the backward one), dF the batch's dL/dE_final, all-zero between batches.
-	// Only live rows of any of them are ever touched.
-	layer  [2]*tensor.Matrix
-	dF     *tensor.Matrix
-	chunks []lgcnChunk
+	// The work matrices, one row per live slot. grad is dL/dE⁰ and mom/vel
+	// the Adam moments; layer holds the two propagation buffers (ping-pong in
+	// the forward pass; G and Â·G in the backward one) and dF the batch's
+	// dL/dE_final, all-zero between batches.
+	grad, mom, vel, dF tensor.Matrix
+	layer              [2]tensor.Matrix
+	chunks             []lgcnChunk
 }
 
 // NewLightGCN builds the model over an initially empty graph (call SetGraph).
@@ -58,18 +71,24 @@ func NewLightGCN(cfg Config, s *rng.Stream) *LightGCN {
 	m := &LightGCN{
 		cfg:       cfg,
 		workers:   resolveTrainWorkers(cfg),
-		e0:        nn.NewParam("lightgcn.E0", n, cfg.Dim),
+		e0:        tensor.New(n, cfg.Dim),
 		opt:       nn.NewAdam(cfg.LR),
 		live:      make([]int, cfg.NumItems),
-		isLive:    make([]bool, n),
+		slot:      make([]int32, n),
 		dirty:     true,
 		deadStale: true,
 	}
+	for _, w := range m.work() {
+		*w = *tensor.New(cfg.NumItems, cfg.Dim)
+	}
+	for i := range m.slot {
+		m.slot[i] = -1
+	}
 	for v := range m.live {
 		m.live[v] = m.itemNode(v)
-		m.isLive[m.itemNode(v)] = true
+		m.slot[m.itemNode(v)] = int32(v)
 	}
-	nn.Normal(s.Derive("e0"), m.e0.W, 0.1)
+	nn.Normal(s.Derive("e0"), m.e0, 0.1)
 	m.SetGraph(graph.NewBipartite(cfg.NumUsers, cfg.NumItems))
 	return m
 }
@@ -94,51 +113,64 @@ func (m *LightGCN) SetGraphIncremental(inc *graph.Incremental) {
 	m.setAdj(inc.AdjInto(m.adj, m.workers))
 }
 
-// setAdj installs a new adjacency and makes every user it connects live.
+// setAdj installs a new adjacency, makes every user it connects live and
+// remaps its columns to slots in place (the model owns adj: SetGraph builds
+// it, AdjInto refills it). Â is symmetric, so every node its columns name is
+// then live.
 func (m *LightGCN) setAdj(adj *tensor.CSR) {
-	m.adj = adj
 	for u := 0; u < m.cfg.NumUsers; u++ {
 		if adj.RowNNZ(u) > 0 {
 			m.markLive(u)
 		}
 	}
+	for p, i := range adj.ColIdx {
+		adj.ColIdx[p] = int(m.slot[i])
+	}
+	adj.Cols = len(m.live)
+	m.adj = adj
 	m.dirty = true
 }
 
-// markLive adds row i to the live list. A row's closed-form readout is what
-// the live computation yields for it while its adjacency row is empty, so
-// joining the list does not by itself stale the propagation cache.
-func (m *LightGCN) markLive(i int) {
-	if !m.isLive[i] {
-		m.isLive[i] = true
-		m.live = append(m.live, i)
+// markLive adds row i to the live list, growing every work matrix by a zero
+// row, and returns its slot. A row's closed-form readout is what the live
+// computation yields for it while its adjacency row is empty, so joining the
+// list does not by itself stale the propagation cache.
+func (m *LightGCN) markLive(i int) int {
+	if s := m.slot[i]; s >= 0 {
+		return int(s)
 	}
+	m.slot[i] = int32(len(m.live))
+	m.live = append(m.live, i)
+	for _, w := range m.work() {
+		// Storage grows geometrically, as append's does: amortised O(d) a row.
+		w.Data = slices.Grow(w.Data, w.Cols)[:len(w.Data)+w.Cols]
+		w.Rows++
+	}
+	return len(m.live) - 1
 }
 
-// layerBuf returns propagation workspace k, allocating it on first use.
-func (m *LightGCN) layerBuf(k int) *tensor.Matrix {
-	if m.layer[k] == nil {
-		m.layer[k] = tensor.New(m.e0.W.Rows, m.e0.W.Cols)
-	}
-	return m.layer[k]
+// work returns the six slot-indexed work matrices.
+func (m *LightGCN) work() [6]*tensor.Matrix {
+	return [6]*tensor.Matrix{&m.grad, &m.mom, &m.vel, &m.dF, &m.layer[0], &m.layer[1]}
 }
 
 // propagate returns the cached layer-mean embeddings, recomputing the live
-// rows when the parameters or graph changed. The SpMM shards over the live
-// list on the TrainWorkers pool, bitwise-identical for any worker count.
+// rows when the parameters or graph changed. The first layer reads E⁰'s live
+// rows copied into slot order; the SpMMs shard over the live list on the
+// TrainWorkers pool, bitwise-identical for any worker count.
 func (m *LightGCN) propagate() *tensor.Matrix {
 	if !m.dirty && !m.deadStale {
 		return m.final
 	}
 	c := 1.0 / float64(m.cfg.Layers+1)
-	e0 := m.e0.W
+	e0 := m.e0
 	if m.final == nil {
 		m.final = tensor.New(e0.Rows, e0.Cols)
 	}
 	final := m.final
 	if m.deadStale {
 		for u := 0; u < m.cfg.NumUsers; u++ {
-			if m.isLive[u] {
+			if m.slot[u] >= 0 {
 				continue
 			}
 			frow := final.Row(u)
@@ -151,20 +183,21 @@ func (m *LightGCN) propagate() *tensor.Matrix {
 		}
 		m.deadStale = false
 	}
-	for _, i := range m.live {
+	in := &m.layer[1]
+	for s, i := range m.live {
 		frow := final.Row(i)
 		for k, v := range e0.Row(i) {
 			frow[k] = v * c
 		}
+		copy(in.Row(s), e0.Row(i))
 	}
-	cur := e0
 	for l := 0; l < m.cfg.Layers; l++ {
-		buf := m.layerBuf(l & 1)
-		m.adj.MulDenseRowsIntoPar(buf, cur, m.live, m.workers)
-		for _, i := range m.live {
-			tensor.Axpy(c, buf.Row(i), final.Row(i))
+		out := &m.layer[l&1]
+		m.adj.MulDenseRowsIntoPar(out, in, m.live, m.workers)
+		for s, i := range m.live {
+			tensor.Axpy(c, out.Row(s), final.Row(i))
 		}
-		cur = buf
+		in = out
 	}
 	m.dirty = false
 	return final
@@ -222,13 +255,17 @@ func (m *LightGCN) TrainBatch(batch []Sample) float64 {
 		return 0
 	}
 	loss := m.accumulateGrad(batch)
-	m.opt.StepRows(m.e0, m.live)
+	m.steps++
+	step := m.opt.Update(m.steps)
+	for s, i := range m.live {
+		tensor.AdamUpdate(m.e0.Row(i), m.mom.Row(s), m.vel.Row(s), m.grad.Row(s), &step)
+	}
 	m.dirty = true
 	return loss
 }
 
 // lgcnChunk is one gradient shard's workspace: the shard's loss sum and its
-// sparse contribution to dL/dE_final.
+// sparse contribution to dL/dE_final, by slot.
 type lgcnChunk struct {
 	lossSum float64
 	df      *emb.RowGrads
@@ -244,15 +281,16 @@ func (ws *lgcnChunk) seed(m *LightGCN, f *tensor.Matrix, shard []Sample, n int) 
 		pred := nn.Sigmoid(dot(f.Row(un), f.Row(vn)))
 		ws.lossSum += nn.BCEOne(pred, smp.Label)
 		g := (pred - smp.Label) / float64(n)
-		ws.df.Axpy(un, g, f.Row(vn))
-		ws.df.Axpy(vn, g, f.Row(un))
+		ws.df.Axpy(int(m.slot[un]), g, f.Row(vn))
+		ws.df.Axpy(int(m.slot[vn]), g, f.Row(un))
 	}
 }
 
-// accumulateGrad computes the batch loss and adds dL/dE⁰ into the parameter
-// gradient without stepping the optimizer. The per-sample score/seed pass is
-// sharded into fixed chunks merged in chunk order; the propagation backward
-// shards its SpMMs over the live list. Gradients land on live rows only.
+// accumulateGrad computes the batch loss and adds dL/dE⁰ into grad without
+// stepping the optimizer. The per-sample score/seed pass is sharded into
+// fixed chunks merged in chunk order; the propagation backward shards its
+// SpMMs over the live list. Every pass runs in slot space, so the elementwise
+// ones sweep whole work matrices.
 func (m *LightGCN) accumulateGrad(batch []Sample) float64 {
 	for _, smp := range batch {
 		m.markLive(smp.User)
@@ -273,10 +311,7 @@ func (m *LightGCN) accumulateGrad(batch []Sample) float64 {
 	}
 
 	// dL/dE_final from the dot-product scores, merged in chunk order.
-	if m.dF == nil {
-		m.dF = tensor.New(f.Rows, f.Cols)
-	}
-	dF := m.dF
+	dF := &m.dF
 	var lossSum float64
 	for i := range chunks {
 		lossSum += chunks[i].lossSum
@@ -285,26 +320,17 @@ func (m *LightGCN) accumulateGrad(batch []Sample) float64 {
 
 	// Back through the propagation: G_L = c·dF, G_{l-1} = c·dF + Â·G_l.
 	c := 1.0 / float64(m.cfg.Layers+1)
-	g := m.layerBuf(0)
-	for _, i := range m.live {
-		grow := g.Row(i)
-		for k, v := range dF.Row(i) {
-			grow[k] = v * c
-		}
+	g, buf := &m.layer[0], &m.layer[1]
+	for k, v := range dF.Data {
+		g.Data[k] = v * c
 	}
 	for l := m.cfg.Layers; l >= 1; l-- {
-		buf := m.layerBuf(1)
 		m.adj.MulDenseRowsIntoPar(buf, g, m.live, m.workers)
-		for _, i := range m.live {
-			grow, brow := g.Row(i), buf.Row(i)
-			for k, v := range dF.Row(i) {
-				grow[k] = float64(v*c) + brow[k] // rounded product, then the sum: never fused
-			}
+		for k, v := range dF.Data {
+			g.Data[k] = float64(v*c) + buf.Data[k] // rounded product, then the sum: never fused
 		}
 	}
-	for _, i := range m.live {
-		tensor.AddVec(g.Row(i), m.e0.Grad.Row(i))
-		clear(dF.Row(i))
-	}
+	tensor.AddVec(g.Data, m.grad.Data)
+	clear(dF.Data)
 	return lossSum / float64(n)
 }

@@ -288,7 +288,7 @@ func (w *liveRowWorld) snapshots() (live, dense []byte) {
 // (the snapshot carries all three, plus the step counter) and the readout.
 func (w *liveRowWorld) check() {
 	w.history = append(w.history, "check")
-	if !sameBits(w.live.e0.W.Data, w.dense.e0.W.Data) {
+	if !sameBits(w.live.e0.Data, w.dense.e0.W.Data) {
 		w.fail("E0 differs from the dense path")
 	}
 	if lb, db := w.snapshots(); !bytes.Equal(lb, db) {
@@ -297,16 +297,14 @@ func (w *liveRowWorld) check() {
 	if !sameBits(w.live.propagate().Data, w.dense.propagate().Data) {
 		w.fail("propagated embeddings differ from the dense path")
 	}
-	for _, g := range w.live.e0.Grad.Data {
+	for _, g := range w.live.grad.Data {
 		if g != 0 {
 			w.fail("a gradient survived the optimizer step")
 		}
 	}
-	if w.live.dF != nil {
-		for _, g := range w.live.dF.Data {
-			if g != 0 {
-				w.fail("dF was not left zeroed")
-			}
+	for _, g := range w.live.dF.Data {
+		if g != 0 {
+			w.fail("dF was not left zeroed")
 		}
 	}
 }
@@ -379,6 +377,10 @@ var liveRowScripts = map[string][]byte{
 	"score between steps":            {1, 11, 5, 1, 2, 2, 5, 2, 0, 12, 5, 3, 3, 4, 5, 4},
 	"check between steps":            {7, 0, 1, 20, 7, 0, 2, 21, 7, 0, 6, 0, 7, 0, 2, 22},
 	"many graphs, one long training": {0, 1, 1, 2, 0, 3, 1, 4, 0, 5, 1, 6, 4, 255, 4, 128, 4, 1},
+	// A fresh model restored from a snapshot gives its moment rows slots in
+	// ascending row order, not in the order they were first used; the live
+	// set then grows past them through the incremental graph and training.
+	"restore fresh, then grow": {4, 60, 1, 5, 2, 9, 6, 1, 1, 7, 2, 30, 5, 3, 7, 0, 4, 11, 6, 3, 3, 8, 1, 9, 5, 4},
 }
 
 // TestLightGCNLiveRowsMatchDense holds the live-row model to the dense oracle
@@ -432,14 +434,14 @@ func TestLightGCNDeadRowNegativeZero(t *testing.T) {
 		probe := newLiveRowWorld(t, liveRowConfig(layers, 1))
 		probe.run(script)
 		dead := 0
-		for probe.live.isLive[dead] {
+		for probe.live.slot[dead] >= 0 {
 			dead++
 		}
 		w := newLiveRowWorld(t, liveRowConfig(layers, 1))
 		negZero := math.Copysign(0, -1)
-		w.live.e0.W.Row(dead)[1], w.dense.e0.W.Row(dead)[1] = negZero, negZero
+		w.live.e0.Row(dead)[1], w.dense.e0.W.Row(dead)[1] = negZero, negZero
 		w.run(script)
-		if w.live.isLive[dead] {
+		if w.live.slot[dead] >= 0 {
 			t.Fatalf("user %d was meant to stay untouched", dead)
 		}
 	}
@@ -461,8 +463,8 @@ func TestLightGCNLiveListGrowsWithUse(t *testing.T) {
 	m.SetGraph(graph.NewBipartite(cfg.NumUsers, cfg.NumItems))
 	want := map[int]bool{0: true, 2: true}
 	for u := 0; u < cfg.NumUsers; u++ {
-		if m.isLive[u] != want[u] {
-			t.Fatalf("user %d live = %v, want %v", u, m.isLive[u], want[u])
+		if live := m.slot[u] >= 0; live != want[u] {
+			t.Fatalf("user %d live = %v, want %v", u, live, want[u])
 		}
 	}
 	if len(m.live) != cfg.NumItems+2 {

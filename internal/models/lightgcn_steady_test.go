@@ -2,6 +2,7 @@ package models
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"ptffedrec/internal/graph"
@@ -50,21 +51,59 @@ func TestLightGCNSteadyStateAllocatesNothing(t *testing.T) {
 	}
 }
 
+// trainedCrossDevice builds the sparse-250k shape (250k users, 8192 items,
+// 2000 of the users live), trains it to steady state and returns it with its
+// batch and the heap it retains beyond E⁰ and the readout — the two matrices
+// that stay dense by node — per live row.
+func trainedCrossDevice(workers int) (m *LightGCN, batch []Sample, perLiveRow float64) {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	m, batch = crossDeviceLightGCN(250_000, 8192, 2000, 8192, workers)
+	for i := 0; i < 3; i++ {
+		m.TrainBatch(batch)
+		m.WarmScoring()
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	dense := int64(len(m.e0.Data)+len(m.final.Data)) * 8
+	return m, batch, float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)-dense) / float64(len(m.live))
+}
+
+// TestLightGCNRetainedBytesPerLiveRow pins the server model's memory to the
+// rows it has heard from. At the sparse-250k shape, trained to steady state,
+// the heap it retains beyond E⁰ and the readout must be at most the six
+// d-wide work rows a live row owns (6·d·8 = 768 B at d = 16) plus slack: a
+// quarter of that for the work matrices' growth headroom, 12 B per node of
+// the population for Â's row pointers and the node→slot index, and 512 B for
+// the rest (Â's entries, the live list, the gradient shards and the batch).
+// Work matrices kept densely by node would retain about 19 KB per live row.
+func TestLightGCNRetainedBytesPerLiveRow(t *testing.T) {
+	m, _, perRow := trainedCrossDevice(1)
+	work := 6 * m.cfg.Dim * 8
+	bound := 1.25*float64(work) + 12*float64(len(m.slot))/float64(len(m.live)) + 512
+	t.Logf("retained per live row at d = %d: %.0f B (%d live of %d rows; bound %.0f B, work rows %d B)",
+		m.cfg.Dim, perRow, len(m.live), len(m.slot), bound, work)
+	if perRow > bound {
+		t.Fatalf("LightGCN retains %.0f B per live row beyond E⁰ and the readout, want ≤ %.0f", perRow, bound)
+	}
+}
+
 // BenchmarkLightGCNTrainBatch measures one server SGD step with its scoring
 // warm-up at the sparse-250k shape: 250k users of whom 2k are live. Run with
-// -benchmem; the serial case reports 0 allocs/op.
+// -benchmem; the serial case reports 0 allocs/op, and B/live-row is the heap
+// the model retains beyond E⁰ and the readout per live row.
 func BenchmarkLightGCNTrainBatch(b *testing.B) {
 	for _, workers := range []int{1, 2} {
 		b.Run(fmt.Sprintf("users=250k/live=2k/workers=%d", workers), func(b *testing.B) {
-			m, batch := crossDeviceLightGCN(250_000, 8192, 2000, 8192, workers)
-			m.TrainBatch(batch)
-			m.WarmScoring()
+			m, batch, perRow := trainedCrossDevice(workers)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				m.TrainBatch(batch)
 				m.WarmScoring()
 			}
+			b.ReportMetric(perRow, "B/live-row")
 		})
 	}
 }

@@ -3,9 +3,12 @@ package models
 import (
 	"fmt"
 	"io"
+	"math"
+	"slices"
 
 	"ptffedrec/internal/nn"
 	"ptffedrec/internal/persist"
+	"ptffedrec/internal/tensor"
 )
 
 // snapshotMagic opens every snapshot: format V2, the parameters followed by
@@ -132,34 +135,61 @@ func (m *NeuMF) Restore(r io.Reader) error {
 	return m.opt.RestoreState(r, m.params)
 }
 
-// Snapshot implements Snapshotter.
+// Snapshot implements Snapshotter. The moments go out in nn.Adam's dense
+// layout, zero rows for the rows that are not live, so the bytes are those
+// of a model that steps every row.
 func (m *LightGCN) Snapshot(w io.Writer) error {
 	if err := writeHeader(w, KindLightGCN); err != nil {
 		return err
 	}
-	if err := persist.WriteFloat64s(w, m.e0.W.Data); err != nil {
+	if err := persist.WriteFloat64s(w, m.e0.Data); err != nil {
 		return err
 	}
-	return m.opt.SnapshotState(w, []*nn.Param{m.e0})
+	if err := persist.WriteUint64(w, uint64(m.steps)); err != nil {
+		return err
+	}
+	for _, st := range []*tensor.Matrix{&m.mom, &m.vel} {
+		err := persist.WriteFloat64Rows(w, m.e0.Rows, m.e0.Cols, func(i int) []float64 {
+			if s := m.slot[i]; s >= 0 {
+				return st.Row(int(s))
+			}
+			return nil
+		})
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
-// Restore implements Snapshotter.
+// Restore implements Snapshotter. A row that trained before the checkpoint
+// keeps moving under its decaying moments whether or not it still has an
+// edge, so every row with a moment bit set (a negative zero counts: a step
+// turns it into +0) is live here as it was in the process that wrote the
+// snapshot. Rows join in ascending order, by the first moment, then the
+// second.
 func (m *LightGCN) Restore(r io.Reader) error {
 	if err := readHeader(r, KindLightGCN); err != nil {
 		return err
 	}
-	if err := persist.ReadFloat64sInto(r, m.e0.W.Data); err != nil {
+	if err := persist.ReadFloat64sInto(r, m.e0.Data); err != nil {
 		return err
 	}
 	m.dirty, m.deadStale = true, true
-	if err := m.opt.RestoreState(r, []*nn.Param{m.e0}); err != nil {
+	steps, err := persist.ReadUint64(r)
+	if err != nil {
 		return err
 	}
-	// A row that trained before the checkpoint keeps moving under its
-	// decaying moments whether or not it still has an edge: it is live here
-	// as it was in the process that wrote the snapshot.
-	for _, i := range m.opt.MomentRows(nil, m.e0) {
-		m.markLive(i)
+	m.steps = int(steps)
+	for _, st := range []*tensor.Matrix{&m.mom, &m.vel} {
+		err := persist.ReadFloat64Rows(r, m.e0.Rows, m.e0.Cols, func(i int, row []float64) {
+			if m.slot[i] >= 0 || slices.ContainsFunc(row, func(v float64) bool { return math.Float64bits(v) != 0 }) {
+				copy(st.Row(m.markLive(i)), row)
+			}
+		})
+		if err != nil {
+			return err
+		}
 	}
 	return nil
 }

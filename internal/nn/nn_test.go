@@ -1,12 +1,10 @@
 package nn
 
 import (
-	"bytes"
 	"math"
 	"testing"
 	"testing/quick"
 
-	"ptffedrec/internal/persist"
 	"ptffedrec/internal/rng"
 	"ptffedrec/internal/tensor"
 )
@@ -242,28 +240,6 @@ func TestDenseBackwardIntoMatchesBackward(t *testing.T) {
 	}
 }
 
-func TestSGDStep(t *testing.T) {
-	p := NewParam("p", 1, 2)
-	p.W.Data[0], p.W.Data[1] = 1, 2
-	p.Grad.Data[0], p.Grad.Data[1] = 0.5, -0.5
-	(&SGD{LR: 0.1}).Step([]*Param{p})
-	if math.Abs(p.W.Data[0]-0.95) > 1e-12 || math.Abs(p.W.Data[1]-2.05) > 1e-12 {
-		t.Fatalf("SGD -> %v", p.W.Data)
-	}
-	if p.Grad.Data[0] != 0 {
-		t.Fatal("SGD did not zero gradients")
-	}
-}
-
-func TestSGDWeightDecay(t *testing.T) {
-	p := NewParam("p", 1, 1)
-	p.W.Data[0] = 1
-	(&SGD{LR: 0.1, WeightDecay: 0.5}).Step([]*Param{p})
-	if math.Abs(p.W.Data[0]-0.95) > 1e-12 {
-		t.Fatalf("SGD decay -> %v", p.W.Data[0])
-	}
-}
-
 func TestAdamConvergesOnQuadratic(t *testing.T) {
 	// Minimise (w-3)² — Adam should land close to 3.
 	p := NewParam("w", 1, 1)
@@ -308,89 +284,33 @@ func TestAdamKeepsZeroWeightDecayTerm(t *testing.T) {
 	}
 }
 
-// adamBytes is the optimizer's serialised state for p followed by p's
-// weights and gradient — everything a step may change.
-func adamBytes(t *testing.T, o *Adam, p *Param) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := o.SnapshotState(&buf, []*Param{p}); err != nil {
-		t.Fatal(err)
-	}
-	for _, data := range [][]float64{p.W.Data, p.Grad.Data} {
-		if err := persist.WriteFloat64s(&buf, data); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return buf.Bytes()
-}
-
-// TestAdamStepRowsMatchesStep pins StepRows' contract: over every row it is
-// Step bitwise (weights, both moments, step counter, zeroed gradient), and
-// over the rows that have ever had a gradient it still is, because the rows
-// it skips have nothing to update. MomentRows names exactly those rows.
-func TestAdamStepRowsMatchesStep(t *testing.T) {
+// TestAdamUpdateMatchesStep pins Update's contract: a caller that keeps its
+// own moments and step counter and applies Update(t) through
+// tensor.AdamUpdate moves the weights and both moments exactly as Step does.
+func TestAdamUpdateMatchesStep(t *testing.T) {
 	const rows, cols = 9, 4
-	active := []int{7, 1, 4}
-	all := make([]int, rows)
-	for i := range all {
-		all[i] = i
-	}
-	newParam := func() *Param {
-		p := NewParam("p", rows, cols)
-		Normal(rng.New(3), p.W, 0.1)
-		return p
-	}
-	dense, full, sparse := newParam(), newParam(), newParam()
-	od, of, os := NewAdam(0.01), NewAdam(0.01), NewAdam(0.01)
-	g := rng.New(5)
-	for step := 0; step < 6; step++ {
-		for _, r := range active[:1+step%len(active)] {
-			for c := 0; c < cols; c++ {
-				v := g.Normal(0, 1)
-				dense.Grad.Row(r)[c], full.Grad.Row(r)[c], sparse.Grad.Row(r)[c] = v, v, v
+	p := NewParam("p", rows, cols)
+	Normal(rng.New(3), p.W, 0.1)
+	w := p.W.Clone()
+	m, v, g := tensor.New(rows, cols), tensor.New(rows, cols), tensor.New(rows, cols)
+	opt := NewAdam(0.01)
+	gs := rng.New(5)
+	for step := 1; step <= 6; step++ {
+		for i := range g.Data {
+			x := gs.Normal(0, 1)
+			g.Data[i], p.Grad.Data[i] = x, x
+		}
+		opt.Step([]*Param{p})
+		u := opt.Update(step)
+		tensor.AdamUpdate(w.Data, m.Data, v.Data, g.Data, &u)
+		st := opt.stateFor(p)
+		for _, pair := range [][2]*tensor.Matrix{{w, p.W}, {m, st.m}, {v, st.v}} {
+			for i, x := range pair[0].Data {
+				if math.Float64bits(x) != math.Float64bits(pair[1].Data[i]) {
+					t.Fatalf("step %d: element %d is %v under Update, %v under Step", step, i, x, pair[1].Data[i])
+				}
 			}
 		}
-		od.Step([]*Param{dense})
-		of.StepRows(full, all)
-		os.StepRows(sparse, active)
-		want := adamBytes(t, od, dense)
-		if !bytes.Equal(adamBytes(t, of, full), want) {
-			t.Fatalf("step %d: StepRows over all rows differs from Step", step)
-		}
-		if !bytes.Equal(adamBytes(t, os, sparse), want) {
-			t.Fatalf("step %d: StepRows over the active rows differs from Step", step)
-		}
-	}
-	if got := os.MomentRows(nil, sparse); len(got) != 3 || got[0] != 1 || got[1] != 4 || got[2] != 7 {
-		t.Fatalf("MomentRows = %v, want [1 4 7]", got)
-	}
-	if got := NewAdam(0.01).MomentRows(nil, sparse); len(got) != 0 {
-		t.Fatalf("MomentRows of an unstepped optimizer = %v", got)
-	}
-}
-
-func TestClipGradNorm(t *testing.T) {
-	p := NewParam("p", 1, 2)
-	p.Grad.Data[0], p.Grad.Data[1] = 3, 4 // norm 5
-	pre := ClipGradNorm([]*Param{p}, 1)
-	if math.Abs(pre-5) > 1e-12 {
-		t.Fatalf("pre-clip norm = %v", pre)
-	}
-	var norm float64
-	for _, g := range p.Grad.Data {
-		norm += g * g
-	}
-	if math.Abs(math.Sqrt(norm)-1) > 1e-9 {
-		t.Fatalf("post-clip norm = %v", math.Sqrt(norm))
-	}
-}
-
-func TestClipGradNormNoop(t *testing.T) {
-	p := NewParam("p", 1, 1)
-	p.Grad.Data[0] = 0.5
-	ClipGradNorm([]*Param{p}, 1)
-	if p.Grad.Data[0] != 0.5 {
-		t.Fatal("clip modified a small gradient")
 	}
 }
 

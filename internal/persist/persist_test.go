@@ -181,3 +181,58 @@ func TestWriteFloat64sBytes(t *testing.T) {
 		t.Fatal("a failed chunk write was not reported")
 	}
 }
+
+// TestFloat64RowsMatchesDense pins the row-streamed form to the dense one:
+// WriteFloat64Rows, with nil standing for a zero row, writes the bytes
+// WriteFloat64s writes for the matrix laid out densely, at shapes on both
+// sides of the encoder's and reader's chunk sizes, and ReadFloat64Rows hands
+// back every row in order. A prefix of the wrong size is refused.
+func TestFloat64RowsMatchesDense(t *testing.T) {
+	for _, shape := range [][2]int{{0, 3}, {1, 1}, {7, 3}, {40, 16}, {300, 16}, {3, 700}} {
+		rows, cols := shape[0], shape[1]
+		dense := make([]float64, rows*cols)
+		for i := range dense {
+			if (i/cols)%3 != 1 { // every third row is zero, and written as nil
+				dense[i] = math.Sqrt(float64(i)) - 7
+			}
+		}
+		row := func(i int) []float64 {
+			if i%3 == 1 {
+				return nil
+			}
+			return dense[i*cols : (i+1)*cols]
+		}
+		var got, want bytes.Buffer
+		if err := WriteFloat64Rows(&got, rows, cols, row); err != nil {
+			t.Fatal(err)
+		}
+		if err := WriteFloat64s(&want, dense); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("%d×%d: WriteFloat64Rows differs from WriteFloat64s", rows, cols)
+		}
+		next := 0
+		err := ReadFloat64Rows(bytes.NewReader(want.Bytes()), rows, cols, func(i int, r []float64) {
+			if i != next || !slicesEqual(r, dense[i*cols:(i+1)*cols]) {
+				t.Fatalf("%d×%d: row %d (expected %d) read back as %v", rows, cols, i, next, r)
+			}
+			next++
+		})
+		if err != nil || next != rows {
+			t.Fatalf("%d×%d: read %d rows, err %v", rows, cols, next, err)
+		}
+		if err := ReadFloat64Rows(bytes.NewReader(want.Bytes()), rows+1, cols, func(int, []float64) {}); err == nil {
+			t.Fatalf("%d×%d: a %d-row read accepted the prefix", rows, cols, rows+1)
+		}
+	}
+}
+
+func slicesEqual(a, b []float64) bool {
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return len(a) == len(b)
+}

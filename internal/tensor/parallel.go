@@ -55,16 +55,17 @@ func (m *CSR) MulDensePar(x *Matrix, workers int) *Matrix {
 	return out
 }
 
-// MulDenseRowsIntoPar computes the listed rows of m·x like MulDenseRowsInto,
-// sharding the row list over workers. Bitwise-identical to MulDenseRowsInto
-// for every worker count; rows must not repeat.
+// MulDenseRowsIntoPar computes the listed rows of m·x, packed, like
+// MulDenseRowsInto, sharding the row list over workers. Bitwise-identical to
+// MulDenseRowsInto for every worker count.
 func (m *CSR) MulDenseRowsIntoPar(dst, x *Matrix, rows []int, workers int) {
 	if workers <= 1 {
 		m.MulDenseRowsInto(dst, x, rows)
 		return
 	}
+	m.checkRows(dst, x, rows)
 	par.ForChunks(len(rows), parRowChunk, workers, func(lo, hi int) {
-		m.MulDenseRowsInto(dst, x, rows[lo:hi])
+		m.mulRows(dst.Data[lo*dst.Cols:hi*dst.Cols], x, rows[lo:hi])
 	})
 }
 

@@ -254,39 +254,33 @@ func (m *CSR) MulDenseInto(dst, x *Matrix) {
 	}
 }
 
-// MulDenseRowsInto computes the listed rows of m·x into dst and writes no
-// other row: dst.Row(i) = Σ_p m.Val[p]·x.Row(m.ColIdx[p]) for every i in rows,
-// accumulated in the row's stored-entry order, so each listed row is
-// bitwise-identical to what MulDenseInto produces for it. It is the SpMM of
-// callers that know which rows of the product they will read (the graph
-// models' live-row propagation): cost is O(len(rows) + their entries), not
-// O(m.Rows).
+// MulDenseRowsInto computes the listed rows of m·x, packed: dst.Row(k) =
+// Σ_p m.Val[p]·x.Row(m.ColIdx[p]) over row rows[k]'s stored entries,
+// accumulated in their order, so each is bitwise-identical to what
+// MulDenseInto produces for that row. dst has one row per listed row. It is
+// the SpMM of callers that store only the rows they read (the LightGCN's
+// live slots, whose adjacency columns name slots of x): cost is
+// O(len(rows) + their entries), not O(m.Rows).
 func (m *CSR) MulDenseRowsInto(dst, x *Matrix, rows []int) {
-	if m.Cols != x.Rows || dst.Rows != m.Rows || dst.Cols != x.Cols {
-		panic(fmt.Sprintf("tensor: CSR MulDenseRowsInto %dx%d = %dx%d · %dx%d",
-			dst.Rows, dst.Cols, m.Rows, m.Cols, x.Rows, x.Cols))
-	}
-	for _, i := range rows {
-		drow := dst.Row(i)
-		clear(drow)
-		for p := m.RowPtr[i]; p < m.RowPtr[i+1]; p++ {
-			Axpy(m.Val[p], x.Row(m.ColIdx[p]), drow)
-		}
+	m.checkRows(dst, x, rows)
+	m.mulRows(dst.Data, x, rows)
+}
+
+// checkRows panics unless dst fits the listed rows of m·x, packed.
+func (m *CSR) checkRows(dst, x *Matrix, rows []int) {
+	if x.Rows < m.Cols || dst.Rows != len(rows) || dst.Cols != x.Cols {
+		panic(fmt.Sprintf("tensor: CSR MulDenseRowsInto %dx%d = %d rows of %dx%d · %dx%d",
+			dst.Rows, dst.Cols, len(rows), m.Rows, m.Cols, x.Rows, x.Cols))
 	}
 }
 
-// MulDenseTInto computes dst = mᵀ·x (m is r×c, x is r×n, dst c×n). Used for
-// backpropagation through asymmetric propagation operators.
-func (m *CSR) MulDenseTInto(dst, x *Matrix) {
-	if m.Rows != x.Rows || dst.Rows != m.Cols || dst.Cols != x.Cols {
-		panic(fmt.Sprintf("tensor: CSR MulDenseTInto %dx%d = (%dx%d)ᵀ · %dx%d",
-			dst.Rows, dst.Cols, m.Rows, m.Cols, x.Rows, x.Cols))
-	}
-	dst.Zero()
-	for i := 0; i < m.Rows; i++ {
-		xrow := x.Row(i)
+// mulRows writes the listed rows of m·x, packed, into dst.
+func (m *CSR) mulRows(dst []float64, x *Matrix, rows []int) {
+	for k, i := range rows {
+		drow := dst[k*x.Cols : (k+1)*x.Cols]
+		clear(drow)
 		for p := m.RowPtr[i]; p < m.RowPtr[i+1]; p++ {
-			Axpy(m.Val[p], xrow, dst.Row(m.ColIdx[p]))
+			Axpy(m.Val[p], x.Row(m.ColIdx[p]), drow)
 		}
 	}
 }
