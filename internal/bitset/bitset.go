@@ -1,8 +1,8 @@
 // Package bitset provides a fixed-capacity bit set over a dense integer
-// universe. The federated server uses one per client to answer "was item v in
-// this client's last upload?" during dispersal: O(1) membership over the item
-// catalogue with one allocation per client, reused (Reset + re-fill) every
-// round instead of rebuilding a hash set.
+// universe. The federated server uses one per responder to answer "was item v
+// in this client's upload?" during dispersal, and negative sampling marks the
+// items it has drawn in one: O(1) membership over the item catalogue in one
+// allocation instead of a hash set.
 package bitset
 
 import "math/bits"

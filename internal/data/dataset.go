@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"sort"
 
+	"ptffedrec/internal/bitset"
 	"ptffedrec/internal/rng"
 )
 
@@ -205,14 +206,14 @@ func (sp *Split) SampleNegativesN(s *rng.Stream, u, n int) []int {
 		s.Shuffle(len(out), func(i, j int) { out[i], out[j] = out[j], out[i] })
 		return out
 	}
-	seen := make(map[int]bool, n)
+	seen := bitset.New(sp.NumItems)
 	out := make([]int, 0, n)
 	for len(out) < n {
 		v := s.Intn(sp.NumItems)
-		if seen[v] || sp.InTrain(u, v) || sp.InTest(u, v) {
+		if seen.Contains(v) || sp.InTrain(u, v) || sp.InTest(u, v) {
 			continue
 		}
-		seen[v] = true
+		seen.Add(v)
 		out = append(out, v)
 	}
 	return out

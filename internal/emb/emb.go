@@ -10,15 +10,18 @@
 // Either way the weights, both Adam moments and the step counters live in
 // slot-addressed slabs with no per-row pointers: one page for a dense table,
 // whose slot is the row id, and pages that double up to a fixed size for a
-// lazy table, whose slot is the order rows were first touched. Gradients are
-// collected outside the table, in a RowGrads the caller owns, which Step
-// consumes.
+// lazy table, whose slot is the order rows were first touched. A dense page
+// keeps the weights as one block, the matrix W the batched kernels read; a
+// lazy page keeps each row whole, weights then both moments, so one row's
+// Adam step reads one run of memory. A lazy table finds a row's slot, and a
+// RowGrads a row's gradient, through an open-addressed index over its
+// first-touch list of ids instead of a Go map. Gradients are collected
+// outside the table, in a RowGrads the caller owns, which Step consumes.
 package emb
 
 import (
 	"fmt"
 	"io"
-	"maps"
 	"math/bits"
 	"slices"
 
@@ -50,16 +53,19 @@ type Table struct {
 	Dim int
 	// W is a dense table's weights, row i at W.Row(i); nil for a lazy table.
 	W *tensor.Matrix
-	// pages hold the rows by slot. A page of n rows holds their weights,
-	// then their first Adam moments, then their second, each n·Dim wide. A
-	// dense table is one page with W as its first block; a lazy table's
-	// pages double from one row up to lazyPageRows, so a row never moves.
+	// pages hold the rows by slot. A dense table is one page of three
+	// rows·Dim blocks: W, then the first Adam moments, then the second. A
+	// lazy table's pages double from one row up to lazyPageRows, so a row
+	// never moves, and each holds its rows whole, 3·Dim floats apiece: the
+	// weights, then the first moment, then the second.
 	pages [][]float64
 	// steps is each slot's Adam step count.
 	steps []int
-	// slots maps a lazy table's row ids to their slots; it is nil for a
-	// dense table. init is the stream a lazy table draws new rows from.
-	slots map[int]int
+	// ids lists a lazy table's row ids by slot, and index finds an id's slot
+	// in it; both stay empty for a dense table. init is the stream a lazy
+	// table draws new rows from.
+	ids   []int
+	index index
 	init  *rng.Stream
 	hy    AdamHyper
 }
@@ -104,7 +110,7 @@ func NewTable(s *rng.Stream, rows, dim int, hy AdamHyper) *Table {
 // with N(0, 0.01) values drawn from the table's one "lazytable" stream, so a
 // row's init depends on the order rows are first touched.
 func NewLazyTable(s *rng.Stream, dim int, hy AdamHyper) *Table {
-	return &Table{Dim: dim, slots: map[int]int{}, init: s.Derive("lazytable"), hy: hy}
+	return &Table{Dim: dim, init: s.Derive("lazytable"), hy: hy}
 }
 
 // Rows returns the number of rows the table holds: every id of a dense
@@ -119,17 +125,19 @@ func (t *Table) Row(i int) []float64 {
 	return w
 }
 
+// lazy reports whether the table adds rows on first touch.
+func (t *Table) lazy() bool { return t.W == nil }
+
 // row returns the weights and both Adam moments of the row in slot s.
 func (t *Table) row(s int) (w, m, v []float64) {
-	k, off, n := 0, s, len(t.steps)
-	if t.slots != nil {
-		k, off, n = lazyPage(s)
+	d := t.Dim
+	if !t.lazy() {
+		p, n, o := t.pages[0], len(t.W.Data), s*d
+		return p[o : o+d], p[n+o : n+o+d], p[2*n+o : 2*n+o+d]
 	}
-	p, d := t.pages[k], t.Dim
-	w = p[off*d : (off+1)*d]
-	m = p[(n+off)*d : (n+off+1)*d]
-	v = p[(2*n+off)*d : (2*n+off+1)*d]
-	return w, m, v
+	k, off, _ := lazyPage(s)
+	r := t.pages[k][3*d*off : 3*d*(off+1)]
+	return r[:d], r[d : 2*d], r[2*d:]
 }
 
 // denseMoments returns a dense table's two moment blocks.
@@ -140,13 +148,12 @@ func (t *Table) denseMoments() (m, v []float64) {
 
 // slot returns row i's slot, adding the row to a lazy table on first touch.
 func (t *Table) slot(i int) int {
-	if t.slots == nil {
+	if !t.lazy() {
 		return i
 	}
-	s, ok := t.slots[i]
-	if !ok {
-		s = len(t.steps)
-		t.slots[i] = s
+	s, added := t.index.lookup(t.ids, i)
+	if added {
+		t.ids = append(t.ids, i)
 		t.steps = append(t.steps, 0)
 		if _, off, n := lazyPage(s); off == 0 {
 			t.pages = append(t.pages, make([]float64, 3*n*t.Dim))
@@ -174,16 +181,16 @@ func (t *Table) Step(g *RowGrads) {
 	g.Reset()
 }
 
-// ids returns a lazy table's row ids in ascending order.
-func (t *Table) ids() []int { return slices.Sorted(maps.Keys(t.slots)) }
+// sortedIDs returns a lazy table's row ids in ascending order.
+func (t *Table) sortedIDs() []int { return slices.Sorted(slices.Values(t.ids)) }
 
 // Snapshot writes the table's weights (not optimizer state) to w: a dense
 // table's as one block, a lazy table's as its ids, ascending, then each row.
 func (t *Table) Snapshot(w io.Writer) error {
-	if t.slots == nil {
+	if !t.lazy() {
 		return persist.WriteFloat64s(w, t.W.Data)
 	}
-	ids := t.ids()
+	ids := t.sortedIDs()
 	if err := persist.WriteInts(w, ids); err != nil {
 		return err
 	}
@@ -199,7 +206,7 @@ func (t *Table) Snapshot(w io.Writer) error {
 // a lazy table's rows as needed. A dense table's shape must match; optimizer
 // state is untouched (pair with RestoreMoments for exact checkpoint-resume).
 func (t *Table) Restore(r io.Reader) error {
-	if t.slots == nil {
+	if !t.lazy() {
 		return persist.ReadFloat64sInto(r, t.W.Data)
 	}
 	ids, err := persist.ReadInts(r)
@@ -221,14 +228,14 @@ func (t *Table) Restore(r io.Reader) error {
 // ascending, and writes each row's two moments in turn.
 func (t *Table) SnapshotMoments(w io.Writer) error {
 	var ids []int
-	if t.slots == nil {
+	if !t.lazy() {
 		for i, n := range t.steps {
 			if n > 0 {
 				ids = append(ids, i)
 			}
 		}
 	} else {
-		ids = t.ids()
+		ids = t.sortedIDs()
 	}
 	steps := make([]int, len(ids))
 	for k, id := range ids {
@@ -240,7 +247,7 @@ func (t *Table) SnapshotMoments(w io.Writer) error {
 	if err := persist.WriteInts(w, steps); err != nil {
 		return err
 	}
-	if t.slots == nil {
+	if !t.lazy() {
 		m, v := t.denseMoments()
 		if err := persist.WriteFloat64s(w, m); err != nil {
 			return err
@@ -273,7 +280,7 @@ func (t *Table) RestoreMoments(r io.Reader) error {
 	if len(ids) != len(steps) {
 		return fmt.Errorf("emb: moment snapshot has %d ids, %d steps", len(ids), len(steps))
 	}
-	if t.slots == nil {
+	if !t.lazy() {
 		clear(t.steps)
 		for k, id := range ids {
 			if id < 0 || id >= len(t.steps) {
@@ -303,36 +310,35 @@ func (t *Table) RestoreMoments(r io.Reader) error {
 
 // RowGrads collects sparse per-row gradient vectors: one training shard's,
 // or a batch's pending set that Table.Step consumes. Rows keep their
-// first-touch order, so merges and steps never depend on map iteration
-// order. The vectors live back to back in one slab, so a reset set refills
-// without allocating once the slab and the index have reached the batch's
-// working size.
+// first-touch order, so merges and steps never depend on the index's layout.
+// The vectors live back to back in one slab, so a reset set refills without
+// allocating once the slab and the index have reached the batch's working
+// size.
 type RowGrads struct {
-	dim  int
-	ids  []int       // touched rows, first-touch order
-	slot map[int]int // row → position in ids (and in slab, ×dim)
-	slab []float64
+	dim   int
+	ids   []int // touched rows, first-touch order
+	index index // row → position in ids (and in slab, ×dim)
+	slab  []float64
 }
 
 // NewRowGrads returns an empty set of dim-wide gradient rows.
 func NewRowGrads(dim int) *RowGrads {
-	return &RowGrads{dim: dim, slot: make(map[int]int)}
+	return &RowGrads{dim: dim}
 }
 
-// Reset forgets every row, keeping the storage.
+// Reset forgets every row, keeping the storage. It costs the rows touched,
+// not the index's size.
 func (a *RowGrads) Reset() {
+	a.index.reset(a.ids)
 	a.ids = a.ids[:0]
 	a.slab = a.slab[:0]
-	clear(a.slot)
 }
 
 // Row returns row i's gradient, zeroed on first touch. The slice is valid
 // until the next first touch.
 func (a *RowGrads) Row(i int) []float64 {
-	k, ok := a.slot[i]
-	if !ok {
-		k = len(a.ids)
-		a.slot[i] = k
+	k, added := a.index.lookup(a.ids, i)
+	if added {
 		a.ids = append(a.ids, i)
 		a.slab = slices.Grow(a.slab, a.dim)[:(k+1)*a.dim]
 		clear(a.slab[k*a.dim:])

@@ -2,6 +2,7 @@ package emb
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"ptffedrec/internal/rng"
@@ -27,7 +28,7 @@ func TestTableSparseStep(t *testing.T) {
 	before0 := append([]float64(nil), tab.Row(0)...)
 	before1 := append([]float64(nil), tab.Row(1)...)
 	g.Add(1, []float64{1, -1})
-	if _, ok := g.slot[1]; !ok || len(g.ids) != 1 {
+	if len(g.ids) != 1 || g.ids[0] != 1 {
 		t.Fatal("Add did not leave exactly row 1 pending")
 	}
 	tab.Step(g)
@@ -164,7 +165,7 @@ func TestLazyTableStepVisitsEachDirtyRowOnce(t *testing.T) {
 			t.Fatalf("batch %d: %d rows pending, want 2", batch, len(g.ids))
 		}
 		tab.Step(g)
-		if len(g.ids) != 0 || len(g.slot) != 0 {
+		if len(g.ids) != 0 || slices.ContainsFunc(g.index.cells, func(c int32) bool { return c != 0 }) {
 			t.Fatalf("batch %d: %d rows left pending after Step", batch, len(g.ids))
 		}
 		for id, want := range map[int]int{1: 0, 3: batch, 5: batch} {

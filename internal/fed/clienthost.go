@@ -1,6 +1,8 @@
 package fed
 
 import (
+	"sync"
+
 	"ptffedrec/internal/comm"
 	"ptffedrec/internal/data"
 	"ptffedrec/internal/privacy"
@@ -25,6 +27,11 @@ type ClientHost struct {
 	root    *rng.Stream
 	clients []*Client
 }
+
+// guessBuffers lends each client round the Top Guess Attack's scratch. It is
+// shared by every host: a pool inside a host would keep the host reachable
+// from the runtime's pool list for a collection after its last use.
+var guessBuffers = sync.Pool{New: func() any { return new(privacy.GuessBuffer) }}
 
 // NewClientHost wires up the client-side state for every user in the split.
 // Under Config.LazyClients, clients materialise on first participation.
@@ -149,8 +156,9 @@ func (h *ClientHost) RunClientRound(round, id int) ClientRoundResult {
 	// The curious-but-honest server's inference attempt, scored against
 	// ground truth for Table V / Fig. 3 — on the wire-decoded upload, since
 	// that is what the server sees.
-	guessed := privacy.TopGuessAttack(preds, h.cfg.AttackPosFraction)
-	f1 := privacy.AttackF1(preds, guessed, c.isPositive)
+	buf := guessBuffers.Get().(*privacy.GuessBuffer)
+	f1 := privacy.AttackF1(preds, privacy.TopGuessAttack(buf, preds, h.cfg.AttackPosFraction), c.isPositive)
+	guessBuffers.Put(buf)
 	send := len(preds)
 	if fs != nil && fs.Bernoulli(h.cfg.Faults.TruncateRate) && len(preds) > 1 {
 		// Short write: the connection dies mid-upload and the server keeps

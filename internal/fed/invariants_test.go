@@ -11,7 +11,9 @@ import (
 // TestUploadInvariants checks, across seeds and defenses, the properties the
 // protocol promises about every upload: scores in [0,1], items within the
 // universe, no duplicates, size bounded by the trained pool, and — for the
-// sampling defenses — strictly fewer items than the full pool on average.
+// sampling defenses — strictly fewer items than the full pool on average. No
+// duplicates is also what lets privacy.AttackF1 count guessed positions and
+// uploaded positives in place of the two item sets.
 func TestUploadInvariants(t *testing.T) {
 	sp := tinySplit(t)
 	for _, defense := range []privacy.Defense{

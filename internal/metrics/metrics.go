@@ -64,75 +64,15 @@ func NDCGAtK(ranked []int, relevant map[int]bool, k int) float64 {
 	return dcg / idcg
 }
 
-// PrecisionAtK returns |topK ∩ relevant| / k.
-func PrecisionAtK(ranked []int, relevant map[int]bool, k int) float64 {
-	if k <= 0 {
+// F1Counts returns the F1 score of a prediction of predicted items, tp of
+// them true, against truth true items.
+func F1Counts(tp, predicted, truth int) float64 {
+	if predicted == 0 || truth == 0 || tp == 0 {
 		return 0
 	}
-	if k > len(ranked) {
-		k = len(ranked)
-	}
-	if k == 0 {
-		return 0
-	}
-	hits := 0
-	for _, v := range ranked[:k] {
-		if relevant[v] {
-			hits++
-		}
-	}
-	return float64(hits) / float64(k)
-}
-
-// HitRateAtK returns 1 if any relevant item appears in the top k.
-func HitRateAtK(ranked []int, relevant map[int]bool, k int) float64 {
-	if k > len(ranked) {
-		k = len(ranked)
-	}
-	for _, v := range ranked[:k] {
-		if relevant[v] {
-			return 1
-		}
-	}
-	return 0
-}
-
-// F1Sets returns the F1 score of a predicted set against a truth set.
-func F1Sets(predicted, truth map[int]bool) float64 {
-	if len(predicted) == 0 || len(truth) == 0 {
-		return 0
-	}
-	tp := 0
-	for v := range predicted {
-		if truth[v] {
-			tp++
-		}
-	}
-	if tp == 0 {
-		return 0
-	}
-	precision := float64(tp) / float64(len(predicted))
-	recall := float64(tp) / float64(len(truth))
+	precision := float64(tp) / float64(predicted)
+	recall := float64(tp) / float64(truth)
 	return 2 * precision * recall / (precision + recall)
-}
-
-// AUC returns the probability a random positive outscores a random negative.
-func AUC(posScores, negScores []float64) float64 {
-	if len(posScores) == 0 || len(negScores) == 0 {
-		return 0.5
-	}
-	wins := 0.0
-	for _, p := range posScores {
-		for _, n := range negScores {
-			switch {
-			case p > n:
-				wins++
-			case p == n:
-				wins += 0.5
-			}
-		}
-	}
-	return wins / float64(len(posScores)*len(negScores))
 }
 
 // TopK returns the indices of the k largest scores, highest first. Ties

@@ -63,45 +63,20 @@ func TestNDCGMoreRelevantThanK(t *testing.T) {
 	}
 }
 
-func TestPrecisionAndHitRate(t *testing.T) {
-	ranked := []int{1, 2, 3, 4}
-	if got := PrecisionAtK(ranked, rel(2, 4), 2); got != 0.5 {
-		t.Fatalf("precision = %v", got)
-	}
-	if got := HitRateAtK(ranked, rel(4), 2); got != 0 {
-		t.Fatalf("hitrate = %v", got)
-	}
-	if got := HitRateAtK(ranked, rel(4), 4); got != 1 {
-		t.Fatalf("hitrate = %v", got)
-	}
-}
-
-func TestF1Sets(t *testing.T) {
+func TestF1Counts(t *testing.T) {
 	// precision 2/3, recall 2/4 -> F1 = 2*2/3*1/2 / (2/3+1/2) = 4/7.
-	got := F1Sets(rel(1, 2, 3), rel(1, 2, 4, 5))
+	got := F1Counts(2, 3, 4)
 	if math.Abs(got-4.0/7) > 1e-12 {
 		t.Fatalf("F1 = %v, want 4/7", got)
 	}
-	if F1Sets(rel(), rel(1)) != 0 || F1Sets(rel(1), rel()) != 0 {
+	if F1Counts(0, 0, 1) != 0 || F1Counts(0, 1, 0) != 0 {
 		t.Fatal("empty sets should give 0")
 	}
-	if F1Sets(rel(9), rel(1)) != 0 {
+	if F1Counts(0, 1, 1) != 0 {
 		t.Fatal("no overlap should give 0")
 	}
-	if F1Sets(rel(1, 2), rel(1, 2)) != 1 {
+	if F1Counts(2, 2, 2) != 1 {
 		t.Fatal("identical sets should give 1")
-	}
-}
-
-func TestAUC(t *testing.T) {
-	if got := AUC([]float64{0.9, 0.8}, []float64{0.1, 0.2}); got != 1 {
-		t.Fatalf("AUC = %v", got)
-	}
-	if got := AUC([]float64{0.5}, []float64{0.5}); got != 0.5 {
-		t.Fatalf("tied AUC = %v", got)
-	}
-	if got := AUC(nil, []float64{1}); got != 0.5 {
-		t.Fatal("empty AUC should be 0.5")
 	}
 }
 

@@ -28,9 +28,6 @@ func NewParam(name string, rows, cols int) *Param {
 	}
 }
 
-// ZeroGrad clears the accumulated gradient.
-func (p *Param) ZeroGrad() { p.Grad.Zero() }
-
 // Xavier fills m with the Glorot/Xavier uniform distribution
 // U(±sqrt(6/(fanIn+fanOut))), the initialization used by the reference
 // implementations of NeuMF/NGCF/LightGCN.

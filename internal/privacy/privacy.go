@@ -5,8 +5,9 @@
 package privacy
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 
 	"ptffedrec/internal/comm"
 	"ptffedrec/internal/metrics"
@@ -89,18 +90,25 @@ func SampleUpload(s *rng.Stream, positives, negatives []int, cfg Config) (selPos
 // randomly chosen negative's score, destroying exactly the order information
 // the Top Guess Attack relies on.
 func Swap(s *rng.Stream, preds []comm.Prediction, isPositive func(item int) bool, lambda float64) int {
-	var posIdx, negIdx []int
+	// One index list: positives from the front, negatives from the back, the
+	// latter reversed into ascending order, as the draws below index them.
+	idx := make([]int, len(preds))
+	np, nn := 0, len(preds)
 	for i, p := range preds {
 		if isPositive(p.Item) {
-			posIdx = append(posIdx, i)
+			idx[np] = i
+			np++
 		} else {
-			negIdx = append(negIdx, i)
+			nn--
+			idx[nn] = i
 		}
 	}
+	posIdx, negIdx := idx[:np], idx[np:]
+	slices.Reverse(negIdx)
 	if len(posIdx) == 0 || len(negIdx) == 0 {
 		return 0
 	}
-	sort.SliceStable(posIdx, func(a, b int) bool { return preds[posIdx[a]].Score > preds[posIdx[b]].Score })
+	slices.SortStableFunc(posIdx, func(a, b int) int { return cmp.Compare(preds[b].Score, preds[a].Score) })
 	n := int(math.Ceil(lambda * float64(len(posIdx))))
 	if n > len(posIdx) {
 		n = len(posIdx)
@@ -128,39 +136,53 @@ func AddLaplace(s *rng.Stream, preds []comm.Prediction, scale float64) {
 	}
 }
 
+// GuessBuffer is the Top Guess Attack's scratch: the upload's scores and the
+// guessed positions. A caller that attacks many uploads keeps one and hands it
+// to every TopGuessAttack, which then allocates nothing once the buffer has
+// grown to the largest upload. The zero value is ready.
+type GuessBuffer struct {
+	scores []float64
+	guess  []int
+}
+
 // TopGuessAttack is the curious-but-honest server's inference from §III-B2:
 // it assumes the uploaded set follows the platform-default negative sampling
 // ratio and guesses the top posFraction·|upload| items by score as the
 // client's positives (the paper uses posFraction = 0.2 for the 1:4 ratio).
-func TopGuessAttack(preds []comm.Prediction, posFraction float64) map[int]bool {
+// It returns the guessed items' positions in preds, in buf's storage, valid
+// until buf's next use.
+func TopGuessAttack(buf *GuessBuffer, preds []comm.Prediction, posFraction float64) []int {
 	n := int(math.Round(posFraction * float64(len(preds))))
 	if n < 1 && len(preds) > 0 {
 		n = 1
 	}
-	scores := make([]float64, len(preds))
-	for i, p := range preds {
-		scores[i] = p.Score
+	buf.scores = buf.scores[:0]
+	for _, p := range preds {
+		buf.scores = append(buf.scores, p.Score)
 	}
-	guessed := map[int]bool{}
 	// The guessed set is order-insensitive, so the bounded-heap selection is a
 	// drop-in for the full sort (identical indices, O(n log k)).
-	for _, idx := range metrics.TopKInto(nil, scores, n) {
-		guessed[preds[idx].Item] = true
-	}
-	return guessed
+	buf.guess = metrics.TopKInto(buf.guess, buf.scores, n)
+	return buf.guess
 }
 
-// AttackF1 scores the attack's guess against the true positive items that
-// appear in the upload. Only uploaded items count: the attack's target is
-// exactly the positive/negative partition of D̂ᵗᵢ.
-func AttackF1(preds []comm.Prediction, guessed map[int]bool, isPositive func(item int) bool) float64 {
-	truth := map[int]bool{}
-	for _, p := range preds {
-		if isPositive(p.Item) {
-			truth[p.Item] = true
+// AttackF1 scores the attack's guess, positions in preds, against the true
+// positive items that appear in the upload. Only uploaded items count: the
+// attack's target is exactly the positive/negative partition of D̂ᵗᵢ. An
+// upload names each item once, so counting positions counts items.
+func AttackF1(preds []comm.Prediction, guessed []int, isPositive func(item int) bool) float64 {
+	tp, truth := 0, 0
+	for _, i := range guessed {
+		if isPositive(preds[i].Item) {
+			tp++
 		}
 	}
-	return metrics.F1Sets(guessed, truth)
+	for _, p := range preds {
+		if isPositive(p.Item) {
+			truth++
+		}
+	}
+	return metrics.F1Counts(tp, len(guessed), truth)
 }
 
 // AmplifyBySampling applies the privacy-amplification-by-subsampling bound:
