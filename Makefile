@@ -8,7 +8,7 @@ GO ?= go
 # CI, fails above it. A change that shrinks the code lowers it to the size it
 # reaches; one that has to grow the code raises it in the same diff, where a
 # reviewer sees the price.
-LOC_BUDGET = 13390
+LOC_BUDGET = 13508
 
 # The packages whose concurrent paths CI runs in full (not -short) under the
 # race detector; ci.yml says why each is there.
@@ -23,8 +23,8 @@ build:
 	$(GO) build ./...
 
 # cross builds the side of the tensor kernels' dispatch this host does not
-# run: without avx2_amd64.go and the .s files every GEMM tile and elementwise
-# kernel is the pure Go body. It vets tensor, the dispatch's callers in nn,
+# run: without avx2_amd64.go and the .s files every GEMM tile, elementwise
+# kernel and SpMM row is the pure Go body. It vets tensor, the dispatch's callers in nn,
 # emb, models (whose scalar dots must stay unfused where the compiler fuses
 # multiply-adds) and metrics (whose selector skips runs through FirstAbove),
 # and rng. Both commands use the installed toolchain; nothing is downloaded.
@@ -81,7 +81,10 @@ bench-module:
 # evaluator's 16 × 1024 window, assembly and Go tile side by side),
 # BenchmarkElementwise (Adam, ReLU and the vector adds, assembly and pure Go
 # bodies side by side), BenchmarkFirstAbove (the selector's bulk reject scan,
-# both bodies), BenchmarkNeuMFClientTrainBatch (0 allocs/op; the pin is
+# both bodies), BenchmarkSpMMRows (one LightGCN propagation layer at the
+# sparse-250k shape, d = 16 over Zipf-skewed rows: the SpMM row kernel's
+# assembly and Go bodies and the per-entry loop it replaced, 0 allocs/op; the
+# pin is FuzzSpMMRowsMatchOracle), BenchmarkNeuMFClientTrainBatch (0 allocs/op; the pin is
 # TestNeuMFClientTrainBatchSteadyStateAllocs) and BenchmarkTableStep (ns per
 # stepped row on the dense and the lazy layout, 0 allocs/op; the pin is
 # TestTableStepSteadyStateAllocs); internal/models' BenchmarkLightGCNTrainBatch

@@ -6,6 +6,7 @@ import (
 	"ptffedrec/internal/emb"
 	"ptffedrec/internal/graph"
 	"ptffedrec/internal/nn"
+	"ptffedrec/internal/par"
 	"ptffedrec/internal/rng"
 	"ptffedrec/internal/tensor"
 )
@@ -44,9 +45,10 @@ import (
 type LightGCN struct {
 	cfg     Config
 	workers int
-	e0      *tensor.Matrix // (U+V)×d, by node
-	opt     *nn.Adam       // hyper-parameters; the moments are mom and vel
-	steps   int            // Adam steps taken: one counter for every row, as nn.Adam keeps
+	e0      *tensor.Matrix  // (U+V)×d, by node
+	opt     *nn.Adam        // hyper-parameters; the moments are mom and vel
+	steps   int             // Adam steps taken: one counter for every row, as nn.Adam keeps
+	step    tensor.AdamStep // the step TrainBatch is applying
 
 	adj  *tensor.CSR // Â, rows by node, columns by slot
 	live []int       // slot → node
@@ -59,7 +61,8 @@ type LightGCN struct {
 	// The work matrices, one row per live slot. grad is dL/dE⁰ and mom/vel
 	// the Adam moments; layer holds the two propagation buffers (ping-pong in
 	// the forward pass; G and Â·G in the backward one) and dF the batch's
-	// dL/dE_final, all-zero between batches.
+	// dL/dE_final, all-zero between batches. The forward pass borrows dF for
+	// the readout's running sum by slot and leaves it all-zero again.
 	grad, mom, vel, dF tensor.Matrix
 	layer              [2]tensor.Matrix
 	chunks             []lgcnChunk
@@ -156,8 +159,10 @@ func (m *LightGCN) work() [6]*tensor.Matrix {
 
 // propagate returns the cached layer-mean embeddings, recomputing the live
 // rows when the parameters or graph changed. The first layer reads E⁰'s live
-// rows copied into slot order; the SpMMs shard over the live list on the
-// TrainWorkers pool, bitwise-identical for any worker count.
+// rows copied into slot order; each layer is one pass over the live list on
+// the TrainWorkers pool, bitwise-identical for any worker count. The readout
+// is summed by slot, c·E⁰ + c·Â·E⁰ + …, in contiguous rows, and the last
+// layer writes each live row's sum into final by node.
 func (m *LightGCN) propagate() *tensor.Matrix {
 	if !m.dirty && !m.deadStale {
 		return m.final
@@ -184,19 +189,13 @@ func (m *LightGCN) propagate() *tensor.Matrix {
 		m.deadStale = false
 	}
 	in := &m.layer[1]
-	for s, i := range m.live {
-		frow := final.Row(i)
-		for k, v := range e0.Row(i) {
-			frow[k] = v * c
-		}
-		copy(in.Row(s), e0.Row(i))
-	}
+	m.overLive(seedLayers, in, nil)
 	for l := 0; l < m.cfg.Layers; l++ {
-		out := &m.layer[l&1]
-		m.adj.MulDenseRowsIntoPar(out, in, m.live, m.workers)
-		for s, i := range m.live {
-			tensor.Axpy(c, out.Row(s), final.Row(i))
+		out, p := &m.layer[l&1], forwardLayer
+		if l == m.cfg.Layers-1 {
+			p = lastLayer
 		}
+		m.overLive(p, out, in)
 		in = out
 	}
 	m.dirty = false
@@ -256,12 +255,90 @@ func (m *LightGCN) TrainBatch(batch []Sample) float64 {
 	}
 	loss := m.accumulateGrad(batch)
 	m.steps++
-	step := m.opt.Update(m.steps)
-	for s, i := range m.live {
-		tensor.AdamUpdate(m.e0.Row(i), m.mom.Row(s), m.vel.Row(s), m.grad.Row(s), &step)
-	}
+	m.step = m.opt.Update(m.steps)
+	m.overLive(adamStep, nil, nil)
 	m.dirty = true
 	return loss
+}
+
+// A livePass is one of LightGCN's passes over the live slots. overLive runs
+// it a chunk of slots at a time; each chunk writes only its own slots' rows
+// (by slot, or by node in E⁰ and the readout), so the result is the same for
+// any chunking and worker count. The forward pass's readout sum is dF.
+type livePass int
+
+const (
+	seedLayers    livePass = iota // out = E⁰ by slot, and the readout sum = c·E⁰ (final itself with no layers)
+	forwardLayer                  // out = Â·in, then sum += c·out
+	lastLayer                     // forwardLayer, then final = sum by node and sum = 0
+	backwardLayer                 // out = Â·in, then out = c·dF + out
+	seedGrad                      // out = c·dF
+	addGrad                       // grad += in
+	adamStep                      // the Adam step on E⁰'s live rows, which zeroes grad
+)
+
+// liveChunk is the slot count of one chunk of a pass over the live slots: a
+// scheduling knob, never a factor in any result. Small enough to balance the
+// popular items' long adjacency rows over the workers.
+const liveChunk = 256
+
+// overLive runs pass p over every live slot: inline when serial, else in
+// liveChunk-slot chunks on the TrainWorkers pool.
+func (m *LightGCN) overLive(p livePass, out, in *tensor.Matrix) {
+	if m.workers <= 1 {
+		m.passRows(p, out, in, 0, len(m.live))
+		return
+	}
+	par.ForChunks(len(m.live), liveChunk, m.workers, func(lo, hi int) { m.passRows(p, out, in, lo, hi) })
+}
+
+// passRows runs pass p over live slots [lo, hi). A layer runs its SpMM on the
+// chunk's rows and then its elementwise step on the same rows, while they are
+// still in cache.
+func (m *LightGCN) passRows(p livePass, out, in *tensor.Matrix, lo, hi int) {
+	d := m.cfg.Dim
+	c := 1.0 / float64(m.cfg.Layers+1)
+	switch p {
+	case seedLayers:
+		for s := lo; s < hi; s++ {
+			e0row, sum := m.e0.Row(m.live[s]), m.dF.Row(s)
+			if m.cfg.Layers == 0 {
+				sum = m.final.Row(m.live[s])
+			}
+			for k, v := range e0row {
+				sum[k] = v * c
+			}
+			copy(out.Row(s), e0row)
+		}
+	case forwardLayer, lastLayer, backwardLayer:
+		rows := tensor.Matrix{Rows: hi - lo, Cols: d, Data: out.Data[lo*d : hi*d]}
+		m.adj.MulDenseRowsInto(&rows, in, m.live[lo:hi])
+		dF := m.dF.Data[lo*d : hi*d] // forward: the readout sum
+		if p == backwardLayer {
+			for k, v := range dF {
+				rows.Data[k] = float64(v*c) + rows.Data[k] // rounded product, then the sum: never fused
+			}
+			return
+		}
+		tensor.Axpy(c, rows.Data, dF)
+		if p == lastLayer {
+			for s, i := range m.live[lo:hi] {
+				copy(m.final.Row(i), dF[s*d:(s+1)*d])
+			}
+			clear(dF)
+		}
+	case seedGrad:
+		g := out.Data[lo*d : hi*d]
+		for k, v := range m.dF.Data[lo*d : hi*d] {
+			g[k] = v * c
+		}
+	case addGrad:
+		tensor.AddVec(in.Data[lo*d:hi*d], m.grad.Data[lo*d:hi*d])
+	case adamStep:
+		for s := lo; s < hi; s++ {
+			tensor.AdamUpdate(m.e0.Row(m.live[s]), m.mom.Row(s), m.vel.Row(s), m.grad.Row(s), &m.step)
+		}
+	}
 }
 
 // lgcnChunk is one gradient shard's workspace: the shard's loss sum and its
@@ -288,9 +365,8 @@ func (ws *lgcnChunk) seed(m *LightGCN, f *tensor.Matrix, shard []Sample, n int) 
 
 // accumulateGrad computes the batch loss and adds dL/dE⁰ into grad without
 // stepping the optimizer. The per-sample score/seed pass is sharded into
-// fixed chunks merged in chunk order; the propagation backward shards its
-// SpMMs over the live list. Every pass runs in slot space, so the elementwise
-// ones sweep whole work matrices.
+// fixed chunks merged in chunk order; the propagation backward is a pass over
+// the live list per layer. Every pass runs in slot space.
 func (m *LightGCN) accumulateGrad(batch []Sample) float64 {
 	for _, smp := range batch {
 		m.markLive(smp.User)
@@ -318,19 +394,15 @@ func (m *LightGCN) accumulateGrad(batch []Sample) float64 {
 		chunks[i].df.AddToRows(dF)
 	}
 
-	// Back through the propagation: G_L = c·dF, G_{l-1} = c·dF + Â·G_l.
-	c := 1.0 / float64(m.cfg.Layers+1)
+	// Back through the propagation: G_L = c·dF, G_{l-1} = c·dF + Â·G_l,
+	// each layer written to the spare buffer, which then becomes G.
 	g, buf := &m.layer[0], &m.layer[1]
-	for k, v := range dF.Data {
-		g.Data[k] = v * c
-	}
+	m.overLive(seedGrad, g, nil)
 	for l := m.cfg.Layers; l >= 1; l-- {
-		m.adj.MulDenseRowsIntoPar(buf, g, m.live, m.workers)
-		for k, v := range dF.Data {
-			g.Data[k] = float64(v*c) + buf.Data[k] // rounded product, then the sum: never fused
-		}
+		m.overLive(backwardLayer, buf, g)
+		g, buf = buf, g
 	}
-	tensor.AddVec(g.Data, m.grad.Data)
+	m.overLive(addGrad, nil, g)
 	clear(dF.Data)
 	return lossSum / float64(n)
 }

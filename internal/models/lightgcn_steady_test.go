@@ -13,7 +13,11 @@ import (
 // cross-device regime: a large population of which liveUsers have uploaded
 // (a few edges each), and one server batch drawn from their uploads.
 func crossDeviceLightGCN(numUsers, numItems, liveUsers, batchSize, workers int) (*LightGCN, []Sample) {
-	cfg := Config{NumUsers: numUsers, NumItems: numItems, Dim: 16, LR: 0.05, Layers: 3, TrainWorkers: workers, Seed: 1}
+	return crossDeviceLightGCNLayers(numUsers, numItems, liveUsers, batchSize, workers, 3)
+}
+
+func crossDeviceLightGCNLayers(numUsers, numItems, liveUsers, batchSize, workers, layers int) (*LightGCN, []Sample) {
+	cfg := Config{NumUsers: numUsers, NumItems: numItems, Dim: 16, LR: 0.05, Layers: layers, TrainWorkers: workers, Seed: 1}
 	s := rng.New(17)
 	m := NewLightGCN(cfg, s)
 	users := s.SampleInts(numUsers, liveUsers)
@@ -48,6 +52,41 @@ func TestLightGCNSteadyStateAllocatesNothing(t *testing.T) {
 	step()
 	if allocs := testing.AllocsPerRun(10, step); allocs != 0 {
 		t.Fatalf("steady-state TrainBatch+WarmScoring allocated %v times per run, want 0", allocs)
+	}
+}
+
+// TestLightGCNPassesWorkerInvariance pins the chunked passes over the live
+// slots: with several liveChunk-slot chunks of live rows, training steps and
+// the scoring warm-up give bitwise the losses, weights, moments and readout
+// of the serial run, which is one chunk, for every worker count and layer
+// count.
+func TestLightGCNPassesWorkerInvariance(t *testing.T) {
+	for layers := 0; layers <= 3; layers++ {
+		var ref *LightGCN
+		var refLosses []float64
+		for _, workers := range []int{1, 2, 8} {
+			m, batch := crossDeviceLightGCNLayers(5000, 300, 600, 2*trainChunkSize+5, workers, layers)
+			if len(m.live) < 3*liveChunk {
+				t.Fatalf("%d live rows span fewer than three chunks", len(m.live))
+			}
+			var losses []float64
+			for i := 0; i < 3; i++ {
+				losses = append(losses, m.TrainBatch(batch))
+				m.WarmScoring()
+			}
+			if workers == 1 {
+				ref, refLosses = m, losses
+				continue
+			}
+			for name, pair := range map[string][2][]float64{
+				"loss": {refLosses, losses}, "E⁰": {ref.e0.Data, m.e0.Data}, "readout": {ref.final.Data, m.final.Data},
+				"first moment": {ref.mom.Data, m.mom.Data}, "second moment": {ref.vel.Data, m.vel.Data},
+			} {
+				if !sameBits(pair[0], pair[1]) {
+					t.Fatalf("layers=%d workers=%d: %s differs from the serial run", layers, workers, name)
+				}
+			}
+		}
 	}
 }
 

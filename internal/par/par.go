@@ -47,9 +47,10 @@ func ForChunks(n, size, workers int, fn func(lo, hi int)) {
 }
 
 // For runs fn(i) for every i in [0, n), distributing indices over at most
-// workers goroutines. workers <= 1 degenerates to a plain loop on the calling
-// goroutine. Indices are claimed through an atomic counter, so each runs
-// exactly once; fn must confine its writes to per-index state.
+// workers goroutines, the calling goroutine one of them. workers <= 1
+// degenerates to a plain loop on the calling goroutine. Indices are claimed
+// through an atomic counter, so each runs exactly once; fn must confine its
+// writes to per-index state.
 //
 // workers is additionally clamped to GOMAXPROCS: the determinism contract
 // makes results independent of the goroutine count, so spawning more
@@ -69,20 +70,32 @@ func For(n, workers int, fn func(i int)) {
 		}
 		return
 	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
+	var f fork
+	f.wg.Add(workers - 1)
+	for w := 1; w < workers; w++ {
 		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
+			defer f.wg.Done()
+			f.work(n, fn)
 		}()
 	}
-	wg.Wait()
+	f.work(n, fn)
+	f.wg.Wait()
+}
+
+// fork is one For call's shared state: the next unclaimed index and the
+// spawned workers still running.
+type fork struct {
+	next atomic.Int64
+	wg   sync.WaitGroup
+}
+
+// work runs fn on claimed indices until none is left.
+func (f *fork) work(n int, fn func(i int)) {
+	for {
+		i := int(f.next.Add(1)) - 1
+		if i >= n {
+			return
+		}
+		fn(i)
+	}
 }

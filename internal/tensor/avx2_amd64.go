@@ -31,6 +31,14 @@ func axpyAVX2(a float64, x, y *float64, n int)
 //go:noescape
 func firstAboveAVX2(x *float64, n int, t float64) int
 
+// spmmRowsAVX2 is the AVX2 form of spmmRows (sparse.go) over the rows' first
+// cols columns, cols a multiple of four. It bounds-checks every row index,
+// row range and column index it reads through, and returns n, or the position
+// of the first row that fails a check.
+//
+//go:noescape
+func spmmRowsAVX2(dst, x *float64, ld, xrows int, rowPtr, rows *int, n, mrows int, col *int, val *float64, nnz, cols int) int
+
 // cpuHasAVX2 reports whether the CPU implements AVX2 and the operating system
 // saves the YMM registers (CPUID leaves 1 and 7, XGETBV).
 func cpuHasAVX2() bool
@@ -44,5 +52,6 @@ func init() {
 		addVecKernel = addVecAVX2
 		axpyKernel = axpyAVX2
 		firstAboveKernel = firstAboveAVX2
+		spmmKernel = spmmRowsAVX2
 	}
 }

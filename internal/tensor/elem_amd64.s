@@ -220,3 +220,133 @@ found:
 	MOVQ AX, ret+24(FP)
 	VZEROUPPER
 	RET
+
+// func spmmRowsAVX2(dst, x *float64, ld, xrows int, rowPtr, rows *int, n, mrows int, col *int, val *float64, nnz, cols int) int
+//
+// The first cols columns (a multiple of four) of n rows of a sparse-times-
+// dense product, packed: dst's k-th row, ld wide, is row i = rows[k] (i = k
+// when rows is nil) of the CSR (rowPtr, col, val) times x, whose rows are ld
+// wide. Each element is Σ_p val[p]·x[col[p]·ld + j] over the row's entries p
+// ascending, from +0, with one VMULPD and one VADDPD per entry in axpyAVX2's
+// operand order. Sixteen columns stay in Y0–Y3 across all of the row's
+// entries, then four in Y0, and each block is stored once.
+//
+// Nothing is read unchecked: i must be below mrows, the row's entries must
+// lie in [0, nnz) (unsigned compares of start ≤ end ≤ nnz), and each column
+// index below xrows before its row of x is read. The result is n, or the k of
+// the first row that fails a check. R14 is k, DI the k-th row of dst, R10 and
+// R11 the row's first column index and weight, R12 its entry count, BX the
+// block's byte offset into a row, AX the entry index and R13 the entry's row
+// of x.
+TEXT ·spmmRowsAVX2(SB), NOSPLIT, $0-104
+	MOVQ dst+0(FP), DI
+	MOVQ x+8(FP), SI
+	MOVQ ld+16(FP), R8
+	MOVQ xrows+24(FP), R9
+	MOVQ cols+88(FP), CX
+	SHLQ $3, R8
+	SHLQ $3, CX
+	MOVQ CX, DX
+	ANDQ $-128, DX              // bytes in whole sixteen-column blocks
+	XORQ R14, R14
+
+spmmRow:
+	CMPQ  R14, n+48(FP)
+	JGE   spmmDone
+	MOVQ  R14, R13
+	MOVQ  rows+40(FP), R12
+	TESTQ R12, R12
+	JEQ   spmmRange
+	MOVQ  (R12)(R14*8), R13     // i = rows[k]
+
+spmmRange:
+	CMPQ R13, mrows+56(FP)
+	JCC  spmmBad                // i ≥ mrows, unsigned
+	MOVQ rowPtr+32(FP), R12
+	MOVQ (R12)(R13*8), R10      // start
+	MOVQ 8(R12)(R13*8), R12     // end
+	CMPQ R12, nnz+80(FP)
+	JHI  spmmBad                // end > nnz
+	CMPQ R10, R12
+	JHI  spmmBad                // start > end
+	SUBQ R10, R12
+	MOVQ val+72(FP), R11
+	LEAQ (R11)(R10*8), R11
+	MOVQ col+64(FP), R13
+	LEAQ (R13)(R10*8), R10
+	XORQ BX, BX
+
+spmm16:
+	CMPQ   BX, DX
+	JGE    spmm4
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	XORQ   AX, AX
+	TESTQ  R12, R12
+	JEQ    store16
+
+entry16:
+	MOVQ         (R10)(AX*8), R13
+	CMPQ         R13, R9
+	JCC          spmmBad
+	IMULQ        R8, R13
+	ADDQ         SI, R13
+	VBROADCASTSD (R11)(AX*8), Y15
+	VMULPD       (R13)(BX*1), Y15, Y4   // a·x
+	VADDPD       Y4, Y0, Y0             // s + a·x
+	VMULPD       32(R13)(BX*1), Y15, Y5
+	VADDPD       Y5, Y1, Y1
+	VMULPD       64(R13)(BX*1), Y15, Y6
+	VADDPD       Y6, Y2, Y2
+	VMULPD       96(R13)(BX*1), Y15, Y7
+	VADDPD       Y7, Y3, Y3
+	INCQ         AX
+	CMPQ         AX, R12
+	JLT          entry16
+
+store16:
+	VMOVUPD Y0, (DI)(BX*1)
+	VMOVUPD Y1, 32(DI)(BX*1)
+	VMOVUPD Y2, 64(DI)(BX*1)
+	VMOVUPD Y3, 96(DI)(BX*1)
+	ADDQ    $128, BX
+	JMP     spmm16
+
+spmm4:
+	CMPQ   BX, CX
+	JGE    spmmNext
+	VXORPD Y0, Y0, Y0
+	XORQ   AX, AX
+	TESTQ  R12, R12
+	JEQ    store4
+
+entry4:
+	MOVQ         (R10)(AX*8), R13
+	CMPQ         R13, R9
+	JCC          spmmBad
+	IMULQ        R8, R13
+	ADDQ         SI, R13
+	VBROADCASTSD (R11)(AX*8), Y15
+	VMULPD       (R13)(BX*1), Y15, Y4
+	VADDPD       Y4, Y0, Y0
+	INCQ         AX
+	CMPQ         AX, R12
+	JLT          entry4
+
+store4:
+	VMOVUPD Y0, (DI)(BX*1)
+	ADDQ    $32, BX
+	JMP     spmm4
+
+spmmNext:
+	ADDQ R8, DI
+	INCQ R14
+	JMP  spmmRow
+
+spmmDone:
+spmmBad:
+	MOVQ R14, ret+96(FP)
+	VZEROUPPER
+	RET

@@ -147,13 +147,14 @@ func requireSameFloats(t *testing.T, label string, want, got []float64) {
 	}
 }
 
-// withGoBodies runs f with every elementwise kernel forced to its pure Go
-// body, the way gemm_oracle_test.go forces the Go tile.
+// withGoBodies runs f with every elementwise kernel and the SpMM row kernel
+// forced to their pure Go bodies, the way gemm_oracle_test.go forces the Go
+// tile.
 func withGoBodies(f func()) {
-	adam, relu, mask, add, axpy, above := adamKernel, reluKernel, reluMaskKernel, addVecKernel, axpyKernel, firstAboveKernel
-	adamKernel, reluKernel, reluMaskKernel, addVecKernel, axpyKernel, firstAboveKernel = nil, nil, nil, nil, nil, nil
+	adam, relu, mask, add, axpy, above, spmm := adamKernel, reluKernel, reluMaskKernel, addVecKernel, axpyKernel, firstAboveKernel, spmmKernel
+	adamKernel, reluKernel, reluMaskKernel, addVecKernel, axpyKernel, firstAboveKernel, spmmKernel = nil, nil, nil, nil, nil, nil, nil
 	defer func() {
-		adamKernel, reluKernel, reluMaskKernel, addVecKernel, axpyKernel, firstAboveKernel = adam, relu, mask, add, axpy, above
+		adamKernel, reluKernel, reluMaskKernel, addVecKernel, axpyKernel, firstAboveKernel, spmmKernel = adam, relu, mask, add, axpy, above, spmm
 	}()
 	f()
 }

@@ -18,7 +18,7 @@ func matMulIntoOracle(dst, a, b *Matrix) {
 		panic(fmt.Sprintf("tensor: MatMulInto %dx%d = %dx%d · %dx%d",
 			dst.Rows, dst.Cols, a.Rows, a.Cols, b.Rows, b.Cols))
 	}
-	dst.Zero()
+	clear(dst.Data)
 	// ikj loop order: stream through b's rows for cache friendliness.
 	for i := 0; i < a.Rows; i++ {
 		arow := a.Row(i)

@@ -8,21 +8,19 @@
 // that panic on programmer error (mismatched dimensions are bugs, not runtime
 // conditions).
 //
-// Two kernel families have an assembly form on amd64, installed at init
+// Three kernel families have an assembly form on amd64, installed at init
 // (avx2_amd64.go) when CPUID and XGETBV report AVX2 with OS-saved YMM state:
 // the full 4×8 tile of the dense GEMM core (densegemm.go, gemm_amd64.s), which
-// the gathered scoring GEMMs (gemm.go) run on too, and the elementwise
-// kernels — the Adam update, ReLU and its backward mask, AddVec and Axpy
-// (elem.go, elem_amd64.s). Every other platform and CPU, every edge tile and
+// the gathered scoring GEMMs (gemm.go) run on too; the elementwise kernels —
+// the Adam update, ReLU and its backward mask, AddVec and Axpy (elem.go,
+// elem_amd64.s); and the SpMM row kernel behind every sparse product
+// (sparse.go, elem_amd64.s). Every other platform and CPU, every edge tile and
 // every tail shorter than four lanes runs the pure Go body, which computes the
-// same bits. All other kernels — the gathered pair dots (gemm.go), the sparse
-// products (sparse.go), Dot — are Go only.
+// same bits. All other kernels — the gathered pair dots (gemm.go), Dot — are
+// Go only.
 package tensor
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Matrix is a dense row-major matrix.
 type Matrix struct {
@@ -61,13 +59,6 @@ func (m *Matrix) Clone() *Matrix {
 	c := New(m.Rows, m.Cols)
 	copy(c.Data, m.Data)
 	return c
-}
-
-// Zero sets every element to 0 in place.
-func (m *Matrix) Zero() {
-	for i := range m.Data {
-		m.Data[i] = 0
-	}
 }
 
 // Scale multiplies every element by a in place and returns m.
@@ -135,45 +126,12 @@ func (m *Matrix) TransposeInto(dst *Matrix) {
 	}
 }
 
-// Norm returns the Frobenius norm of m.
-func (m *Matrix) Norm() float64 {
-	var s float64
-	for _, v := range m.Data {
-		s += v * v
-	}
-	return math.Sqrt(s)
-}
-
-// MaxAbs returns the largest absolute element value.
-func (m *Matrix) MaxAbs() float64 {
-	var mx float64
-	for _, v := range m.Data {
-		if a := math.Abs(v); a > mx {
-			mx = a
-		}
-	}
-	return mx
-}
-
 // Apply replaces each element x with f(x) in place and returns m.
 func (m *Matrix) Apply(f func(float64) float64) *Matrix {
 	for i, v := range m.Data {
 		m.Data[i] = f(v)
 	}
 	return m
-}
-
-// ConcatCols returns [a | b] — the horizontal concatenation of a and b.
-func ConcatCols(a, b *Matrix) *Matrix {
-	if a.Rows != b.Rows {
-		panic(fmt.Sprintf("tensor: ConcatCols %dx%d | %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-	out := New(a.Rows, a.Cols+b.Cols)
-	for i := 0; i < a.Rows; i++ {
-		copy(out.Row(i)[:a.Cols], a.Row(i))
-		copy(out.Row(i)[a.Cols:], b.Row(i))
-	}
-	return out
 }
 
 func (m *Matrix) sameShape(b *Matrix, op string) {

@@ -157,16 +157,6 @@ func TestCloneIndependent(t *testing.T) {
 	}
 }
 
-func TestNormAndMaxAbs(t *testing.T) {
-	m := FromSlice(1, 2, []float64{3, -4})
-	if !almostEq(m.Norm(), 5) {
-		t.Fatalf("Norm = %v", m.Norm())
-	}
-	if m.MaxAbs() != 4 {
-		t.Fatalf("MaxAbs = %v", m.MaxAbs())
-	}
-}
-
 func TestApplyAndFill(t *testing.T) {
 	m := FromSlice(2, 2, []float64{4, 4, 4, 4})
 	m.Apply(math.Sqrt)
@@ -174,15 +164,6 @@ func TestApplyAndFill(t *testing.T) {
 		if v != 2 {
 			t.Fatalf("Apply -> %v", m.Data)
 		}
-	}
-}
-
-func TestConcatCols(t *testing.T) {
-	a := FromSlice(2, 2, []float64{1, 2, 3, 4})
-	b := FromSlice(2, 1, []float64{9, 8})
-	c := ConcatCols(a, b)
-	if c.Cols != 3 || c.At(0, 2) != 9 || c.At(1, 2) != 8 || c.At(1, 1) != 4 {
-		t.Fatalf("ConcatCols -> %v", c.Data)
 	}
 }
 

@@ -36,15 +36,7 @@ func (m *CSR) MulDenseIntoPar(dst, x *Matrix, workers int) {
 			dst.Rows, dst.Cols, m.Rows, m.Cols, x.Rows, x.Cols))
 	}
 	par.ForChunks(m.Rows, parRowChunk, workers, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			drow := dst.Row(i)
-			for k := range drow {
-				drow[k] = 0
-			}
-			for p := m.RowPtr[i]; p < m.RowPtr[i+1]; p++ {
-				Axpy(m.Val[p], x.Row(m.ColIdx[p]), drow)
-			}
-		}
+		m.spmmRows(dst.Data[lo*dst.Cols:hi*dst.Cols], x, nil, lo, hi-lo)
 	})
 }
 
@@ -65,7 +57,7 @@ func (m *CSR) MulDenseRowsIntoPar(dst, x *Matrix, rows []int, workers int) {
 	}
 	m.checkRows(dst, x, rows)
 	par.ForChunks(len(rows), parRowChunk, workers, func(lo, hi int) {
-		m.mulRows(dst.Data[lo*dst.Cols:hi*dst.Cols], x, rows[lo:hi])
+		m.spmmRows(dst.Data[lo*dst.Cols:hi*dst.Cols], x, rows[lo:hi], 0, hi-lo)
 	})
 }
 

@@ -245,13 +245,7 @@ func (m *CSR) MulDenseInto(dst, x *Matrix) {
 		panic(fmt.Sprintf("tensor: CSR MulDenseInto %dx%d = %dx%d · %dx%d",
 			dst.Rows, dst.Cols, m.Rows, m.Cols, x.Rows, x.Cols))
 	}
-	dst.Zero()
-	for i := 0; i < m.Rows; i++ {
-		drow := dst.Row(i)
-		for p := m.RowPtr[i]; p < m.RowPtr[i+1]; p++ {
-			Axpy(m.Val[p], x.Row(m.ColIdx[p]), drow)
-		}
-	}
+	m.spmmRows(dst.Data, x, nil, 0, m.Rows)
 }
 
 // MulDenseRowsInto computes the listed rows of m·x, packed: dst.Row(k) =
@@ -263,7 +257,7 @@ func (m *CSR) MulDenseInto(dst, x *Matrix) {
 // O(len(rows) + their entries), not O(m.Rows).
 func (m *CSR) MulDenseRowsInto(dst, x *Matrix, rows []int) {
 	m.checkRows(dst, x, rows)
-	m.mulRows(dst.Data, x, rows)
+	m.spmmRows(dst.Data, x, rows, 0, len(rows))
 }
 
 // checkRows panics unless dst fits the listed rows of m·x, packed.
@@ -274,15 +268,89 @@ func (m *CSR) checkRows(dst, x *Matrix, rows []int) {
 	}
 }
 
-// mulRows writes the listed rows of m·x, packed, into dst.
-func (m *CSR) mulRows(dst []float64, x *Matrix, rows []int) {
-	for k, i := range rows {
-		drow := dst[k*x.Cols : (k+1)*x.Cols]
-		clear(drow)
-		for p := m.RowPtr[i]; p < m.RowPtr[i+1]; p++ {
-			Axpy(m.Val[p], x.Row(m.ColIdx[p]), drow)
+// spmmRows is the row function every SpMM entry point runs. It writes n rows
+// of m·x, packed, into dst: the k-th is product row rows[k], or row lo+k when
+// rows is nil. Each element is one sum over the row's entries in ascending
+// order from +0, the multiply and the add rounded separately in Axpy's
+// operand order (elem.go's contract): the bits of clearing the row and
+// running Axpy once per entry, the loop this replaced (sparse_oracle_test.go).
+// Each row's sums stay in registers across all of its entries and the row is
+// stored once: on amd64 CPUs with AVX2 sixteen columns at a time and then
+// four, every row in one call (elem_amd64.s); the pure Go body runs the last
+// d mod 4 columns and every other target. A row index, row range or column
+// index out of range panics before anything is read through it.
+func (m *CSR) spmmRows(dst []float64, x *Matrix, rows []int, lo, n int) {
+	d := x.Cols
+	dst = dst[:n*d]
+	if len(x.Data) < x.Rows*d {
+		panic(fmt.Sprintf("tensor: SpMM operand holds %d values for %dx%d", len(x.Data), x.Rows, d))
+	}
+	j, nnz := 0, min(len(m.ColIdx), len(m.Val))
+	if spmmKernel != nil && d >= 4 && n > 0 && nnz > 0 && len(x.Data) > 0 {
+		j = d &^ 3
+		rowPtr, rp, mrows := &m.RowPtr[lo], (*int)(nil), n
+		if rows != nil {
+			rowPtr, rp, mrows = &m.RowPtr[0], &rows[0], m.Rows
+		}
+		_ = m.RowPtr[lo+mrows] // the last row pointer the kernel may read
+		if k := spmmKernel(&dst[0], &x.Data[0], d, x.Rows, rowPtr, rp, n, mrows, &m.ColIdx[0], &m.Val[0], nnz, j); k < n {
+			// The Go body's checks name what failed.
+			m.spmmRowGo(dst[k*d:(k+1)*d], x, spmmRowIndex(rows, lo, k), 0)
+			panic("tensor: SpMM kernel rejected a row the Go body accepts")
 		}
 	}
+	if j == d {
+		return
+	}
+	for k := 0; k < n; k++ {
+		m.spmmRowGo(dst[k*d:(k+1)*d], x, spmmRowIndex(rows, lo, k), j)
+	}
+}
+
+// spmmRowIndex is the product row spmmRows writes at position k.
+func spmmRowIndex(rows []int, lo, k int) int {
+	if rows != nil {
+		return rows[k]
+	}
+	return lo + k
+}
+
+// spmmRowGo is spmmRows's pure Go body: row i of m·x from column j on, into
+// dst, four columns at a time in four scalar sums, then one at a time. The
+// float64 conversions forbid the compiler from fusing a multiply into the add
+// that follows it.
+func (m *CSR) spmmRowGo(dst []float64, x *Matrix, i, j int) {
+	lo, hi := m.RowPtr[i], m.RowPtr[i+1]
+	col, val := m.ColIdx[lo:hi], m.Val[lo:hi]
+	d, rows := x.Cols, x.Rows
+	for ; j+4 <= d; j += 4 {
+		var s0, s1, s2, s3 float64
+		for p, c := range col {
+			if uint(c) >= uint(rows) {
+				spmmColumnPanic(c, rows)
+			}
+			a, xr := val[p], x.Data[c*d+j:c*d+j+4]
+			s0 += float64(a * xr[0])
+			s1 += float64(a * xr[1])
+			s2 += float64(a * xr[2])
+			s3 += float64(a * xr[3])
+		}
+		dst[j], dst[j+1], dst[j+2], dst[j+3] = s0, s1, s2, s3
+	}
+	for ; j < d; j++ {
+		var s float64
+		for p, c := range col {
+			if uint(c) >= uint(rows) {
+				spmmColumnPanic(c, rows)
+			}
+			s += float64(val[p] * x.Data[c*d+j])
+		}
+		dst[j] = s
+	}
+}
+
+func spmmColumnPanic(c, rows int) {
+	panic(fmt.Sprintf("tensor: CSR column %d outside the %d rows of the dense operand", c, rows))
 }
 
 // At returns the value at (i, j), 0 if not stored. O(log nnz(row)).
