@@ -67,13 +67,17 @@ func NewTrainer(sp *data.Split, cfg Config) (*Trainer, error) {
 		return nil, fmt.Errorf("central: %w", err)
 	}
 	if gm, ok := m.(models.GraphRecommender); ok {
-		g := graph.NewBipartite(sp.NumUsers, sp.NumItems)
+		inc := graph.NewIncremental(sp.NumUsers, sp.NumItems)
+		var edges []graph.Edge
 		for u, items := range sp.Train {
+			edges = edges[:0]
 			for _, v := range items {
-				g.AddEdge(u, v, 1)
+				edges = append(edges, graph.Edge{Item: v, Weight: 1})
 			}
+			inc.StageUser(u, edges)
 		}
-		gm.SetGraph(g)
+		inc.Commit(1)
+		gm.SetGraph(inc)
 	}
 	return &Trainer{cfg: cfg, split: sp, model: m, s: rng.New(cfg.Seed).Derive("central")}, nil
 }

@@ -27,13 +27,16 @@ func trainedModel(t *testing.T, kind models.Kind, sp *data.Split) models.Recomme
 		}
 	}
 	if gm, ok := m.(models.GraphRecommender); ok {
-		g := graph.NewBipartite(sp.NumUsers, sp.NumItems)
+		inc := graph.NewIncremental(sp.NumUsers, sp.NumItems)
 		for u := 0; u < sp.NumUsers; u++ {
+			var edges []graph.Edge
 			for _, v := range sp.Train[u] {
-				g.AddEdge(u, v, 1)
+				edges = append(edges, graph.Edge{Item: v, Weight: 1})
 			}
+			inc.StageUser(u, edges)
 		}
-		gm.SetGraph(g)
+		inc.Commit(1)
+		gm.SetGraph(inc)
 	}
 	m.TrainBatch(batch)
 	return m

@@ -3,7 +3,10 @@ package experiments
 import (
 	"bytes"
 	"encoding/json"
+	"flag"
 	"math"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -241,5 +244,76 @@ func TestRunDispatcher(t *testing.T) {
 	}
 	if err := Run("bogus", testOptions(), &buf); err == nil {
 		t.Fatal("bogus experiment accepted")
+	}
+}
+
+// update rewrites testdata/grids.json from this tree's runs:
+// go test ./internal/experiments -run TestGridCellsMatchTestdata -update.
+var update = flag.Bool("update", false, "rewrite testdata/grids.json from this tree's grid runs")
+
+const gridsTestdata = "testdata/grids.json"
+
+// TestGridCellsMatchTestdata pins every grid experiment's cells at tiny +
+// Quick to the recorded ones, float bit for float bit: a change that moves
+// no arithmetic leaves every cell of every table where it was. A change that
+// does move numbers regenerates the file with -update and says why.
+func TestGridCellsMatchTestdata(t *testing.T) {
+	want := map[string][]Row{}
+	if !*update {
+		blob, err := os.ReadFile(gridsTestdata)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal(blob, &want); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := map[string][]Row{}
+	for _, e := range registry {
+		if e.custom != nil {
+			continue
+		}
+		t.Run(e.id, func(t *testing.T) {
+			g := gridOn(t, e.id)
+			got[e.id] = g.Rows
+			if *update {
+				return
+			}
+			rows, ok := want[e.id]
+			if !ok {
+				t.Fatalf("%s has no record in %s", e.id, gridsTestdata)
+			}
+			if len(rows) != len(g.Rows) {
+				t.Fatalf("%d rows, recorded %d", len(g.Rows), len(rows))
+			}
+			for i, row := range g.Rows {
+				if row.Label != rows[i].Label || len(row.Cells) != len(rows[i].Cells) {
+					t.Fatalf("row %d is %q with %d cells, recorded %q with %d", i, row.Label, len(row.Cells), rows[i].Label, len(rows[i].Cells))
+				}
+				for j, c := range row.Cells {
+					w := rows[i].Cells[j]
+					gf := []float64{c.Recall, c.NDCG, c.F1, c.Bytes, c.Ratio}
+					wf := []float64{w.Recall, w.NDCG, w.F1, w.Bytes, w.Ratio}
+					for k := range gf {
+						if math.Float64bits(gf[k]) != math.Float64bits(wf[k]) {
+							t.Errorf("%s / %s: %+v, recorded %+v", row.Label, g.Columns[j], c, w)
+							break
+						}
+					}
+				}
+			}
+		})
+	}
+	if *update {
+		blob, err := json.MarshalIndent(got, "", "\t")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.MkdirAll(filepath.Dir(gridsTestdata), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(gridsTestdata, append(blob, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

@@ -71,18 +71,22 @@ func (c *Client) localTrain(sampleNegatives func(n int) []int) ([]comm.Predictio
 	negatives := sampleNegatives(len(c.positives) * c.cfg.NegRatio)
 
 	// Graph client models rebuild their one-hop local graph from the hard
-	// positives plus the server's soft positives.
+	// positives plus the server's soft positives: one user staged into a
+	// fresh engine, every weight 1 or at least GraphThreshold > 0.
 	if gm, ok := c.model.(models.GraphRecommender); ok {
-		g := graph.NewBipartite(1, c.numItems)
+		edges := make([]graph.Edge, 0, len(c.positives)+len(c.serverData))
 		for _, v := range c.positives {
-			g.AddEdge(0, v, 1)
+			edges = append(edges, graph.Edge{Item: v, Weight: 1})
 		}
 		for _, p := range c.serverData {
 			if p.Score >= c.cfg.GraphThreshold {
-				g.AddEdge(0, p.Item, p.Score)
+				edges = append(edges, graph.Edge{Item: p.Item, Weight: p.Score})
 			}
 		}
-		gm.SetGraph(g)
+		inc := graph.NewIncremental(1, c.numItems)
+		inc.StageUser(0, edges)
+		inc.Commit(1)
+		gm.SetGraph(inc)
 	}
 
 	samples := make([]models.Sample, 0, len(c.positives)+len(negatives)+len(c.serverData))

@@ -75,14 +75,6 @@ type Config struct {
 	// construction open (swept by the ablation-servergraph experiment).
 	GraphThreshold float64
 
-	// GraphTopFrac, when positive, switches the server's edge selection to
-	// an adaptive per-user rule: the top fraction of each upload by score
-	// becomes soft-positive edges. This is robust to badly calibrated
-	// client scores (early rounds, very sparse users); 0 keeps the absolute
-	// threshold rule. No experiment sets it (ablation-servergraph sweeps
-	// GraphThreshold); the graph engine's invariance tests run both rules.
-	GraphTopFrac float64
-
 	// AttackPosFraction is the γ the curious server assumes in the Top
 	// Guess Attack (paper: 0.2, from the 1:4 platform default).
 	AttackPosFraction float64
@@ -173,8 +165,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("fed: Mu = %v", c.Mu)
 	case !(c.GraphThreshold > 0 && c.GraphThreshold <= 1):
 		return fmt.Errorf("fed: GraphThreshold = %v", c.GraphThreshold)
-	case c.GraphTopFrac < 0 || c.GraphTopFrac > 1:
-		return fmt.Errorf("fed: GraphTopFrac = %v", c.GraphTopFrac)
 	case c.EvalK <= 0:
 		return fmt.Errorf("fed: EvalK = %d", c.EvalK)
 	case c.Faults.DropoutRate < 0 || c.Faults.DropoutRate > 1:

@@ -14,7 +14,7 @@ import (
 )
 
 // requireSameCSR compares two CSR matrices with bit-level value equality —
-// the incremental graph engine's contract against the from-scratch build.
+// the maintained graph engine's contract against a fresh one.
 func requireSameCSR(t *testing.T, label string, a, b *tensor.CSR) {
 	t.Helper()
 	if a.Rows != b.Rows || a.Cols != b.Cols || a.NNZ() != b.NNZ() {
@@ -35,64 +35,56 @@ func requireSameCSR(t *testing.T, label string, a, b *tensor.CSR) {
 }
 
 // checkIncMatchesFull asserts the server's maintained adjacency (both
-// operators) bitwise-equals the oracle's from-scratch build of every user's
-// latest upload in record.
+// operators) bitwise-equals a fresh engine's build of every user's latest
+// upload in record.
 func checkIncMatchesFull(t *testing.T, label string, sv *Server, record *mapUploadStore, workers int) {
 	t.Helper()
 	if sv.inc == nil {
 		t.Fatalf("%s: incremental engine not engaged", label)
 	}
-	g := oracleGraph(sv, record)
-	requireSameCSR(t, label+"/adj", g.NormalizedAdjPar(workers), sv.inc.AdjInto(nil, workers))
-	requireSameCSR(t, label+"/adj+I", g.NormalizedAdjSelfPar(workers), sv.inc.AdjSelfInto(nil, workers))
+	g, _ := oracleGraph(sv, record)
+	requireSameCSR(t, label+"/adj", g.AdjInto(nil, 1), sv.inc.AdjInto(nil, workers))
+	requireSameCSR(t, label+"/adj+I", g.AdjSelfInto(nil, 1), sv.inc.AdjSelfInto(nil, workers))
 }
 
 // TestIncrementalAdjacencyMatchesFull drives servers through randomized
 // partial-participation absorb/rebuild sequences — users re-uploading,
-// batches from a handful of users up to everyone, both soft-positive rules —
-// and requires the maintained adjacency to bitwise-equal the oracle's
-// from-scratch NormalizedAdjPar build after every round.
+// batches from a handful of users up to everyone — and requires the
+// maintained adjacency to bitwise-equal the oracle's fresh engine after
+// every round.
 func TestIncrementalAdjacencyMatchesFull(t *testing.T) {
 	const numUsers, numItems = 300, 80
-	for _, tc := range []struct {
-		name   string
-		mutate func(*Config)
-	}{
-		{"threshold", func(c *Config) { c.GraphThreshold = 0.4 }},
-		{"topfrac", func(c *Config) { c.GraphTopFrac = 0.3 }},
-	} {
-		for _, workers := range []int{1, 2, 8} {
-			t.Run(fmt.Sprintf("%s/workers=%d", tc.name, workers), func(t *testing.T) {
-				sv := storeTestServer(t, numUsers, numItems, func(c *Config) {
-					c.ServerModel = models.KindLightGCN
-					tc.mutate(c)
-				})
-				s := rng.New(17).Derive("incadj")
-				record := newMapStoreOracle()
-				rounds := 8
-				if testing.Short() {
-					rounds = 4
-				}
-				for r := 0; r < rounds; r++ {
-					n := 1 + s.Intn(numUsers)
-					uploads := make([][]comm.Prediction, 0, n)
-					for _, u := range s.SampleInts(numUsers, n) {
-						uploads = append(uploads, makeUpload(u, 1+s.Intn(14), numItems, s))
-					}
-					record.SetBatch(uploads)
-					sv.absorb(uploads, workers)
-					sv.rebuildGraph(uploads, workers)
-					checkIncMatchesFull(t, fmt.Sprintf("round %d", r), sv, record, workers)
-				}
+	for _, workers := range []int{1, 2, 8} {
+		t.Run(fmt.Sprintf("threshold/workers=%d", workers), func(t *testing.T) {
+			sv := storeTestServer(t, numUsers, numItems, func(c *Config) {
+				c.ServerModel = models.KindLightGCN
+				c.GraphThreshold = 0.4
 			})
-		}
+			s := rng.New(17).Derive("incadj")
+			record := newMapStoreOracle()
+			rounds := 8
+			if testing.Short() {
+				rounds = 4
+			}
+			for r := 0; r < rounds; r++ {
+				n := 1 + s.Intn(numUsers)
+				uploads := make([][]comm.Prediction, 0, n)
+				for _, u := range s.SampleInts(numUsers, n) {
+					uploads = append(uploads, makeUpload(u, 1+s.Intn(14), numItems, s))
+				}
+				record.SetBatch(uploads)
+				sv.absorb(uploads, workers)
+				sv.rebuildGraph(uploads, workers)
+				checkIncMatchesFull(t, fmt.Sprintf("round %d", r), sv, record, workers)
+			}
+		})
 	}
 }
 
 // oracleGraphModel is a graph server model that ignores the maintained
-// adjacency: every rebuild hands it the oracle's from-scratch build of the
-// upload record through SetGraph instead, and records the build's edge count.
-// It keeps every capability the round engine asserts on its model.
+// adjacency: every rebuild hands it the oracle's fresh engine, staged from
+// the upload record, instead, and records the engine's edge count. It keeps
+// every capability the round engine asserts on its model.
 type oracleGraphModel struct {
 	graphServerModel
 	sv     *Server
@@ -101,22 +93,22 @@ type oracleGraphModel struct {
 }
 
 type graphServerModel interface {
-	models.GraphDeltaRecommender
+	models.GraphRecommender
 	models.MultiBlockScorer
 	models.Warmer
 }
 
-func (m *oracleGraphModel) SetGraphIncremental(*graph.Incremental) {
-	g := oracleGraph(m.sv, m.record)
-	m.SetGraph(g)
-	m.edges = append(m.edges, g.NumEdges())
+func (m *oracleGraphModel) SetGraph(*graph.Incremental) {
+	g, edges := oracleGraph(m.sv, m.record)
+	m.graphServerModel.SetGraph(g)
+	m.edges = append(m.edges, edges)
 }
 
 // TestGraphRebuildInvariance is the end-to-end pin demanded by the graph
 // engine's contract: for both graph server kinds, every dispersal ablation
 // arm, and every worker count, training on the maintained adjacency
-// reproduces, bit for bit, the History of a server whose model takes the
-// oracle's from-scratch build of every user's latest upload every round. The
+// reproduces, bit for bit, the History of a server whose model takes a fresh
+// engine staged with every user's latest upload every round. The
 // reference drives its rounds one by one (Algorithm 1 as written) so that
 // each round's uploads enter the record before the round closes. The
 // threshold is 0.45 because on tiny the trained scores barely leave 0.5: at
@@ -197,22 +189,18 @@ func TestRunRoundEvalSequentialFallback(t *testing.T) {
 }
 
 // FuzzGraphRebuild feeds randomized absorb/rebuild sequences (participation
-// 1 user to everyone, re-uploads, both soft-positive rules, fuzzed worker
-// counts) through the server and asserts the incremental adjacency
-// bitwise-equals the oracle's from-scratch build every round.
+// 1 user to everyone, re-uploads, fuzzed worker counts) through the server
+// and asserts the incremental adjacency bitwise-equals the oracle's fresh
+// engine every round.
 func FuzzGraphRebuild(f *testing.F) {
-	f.Add(uint64(1), uint8(3), false)
-	f.Add(uint64(77), uint8(5), true)
-	f.Add(uint64(123456), uint8(1), false)
-	f.Fuzz(func(t *testing.T, seed uint64, nRounds uint8, topFrac bool) {
+	f.Add(uint64(1), uint8(3))
+	f.Add(uint64(77), uint8(5))
+	f.Add(uint64(123456), uint8(1))
+	f.Fuzz(func(t *testing.T, seed uint64, nRounds uint8) {
 		const numUsers, numItems = 80, 30
 		sv := storeTestServer(t, numUsers, numItems, func(c *Config) {
 			c.ServerModel = models.KindLightGCN
-			if topFrac {
-				c.GraphTopFrac = 0.4
-			} else {
-				c.GraphThreshold = 0.3
-			}
+			c.GraphThreshold = 0.3
 		})
 		s := rng.New(seed).Derive("fuzz-graph")
 		record := newMapStoreOracle()

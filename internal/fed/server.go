@@ -42,13 +42,12 @@ type Server struct {
 
 	// Edge-selection scratch, reused across rounds so a steady-state graph
 	// rebuild does no per-user allocation: the non-empty uploads' indexes in
-	// user order, the uploaders, the per-uploader edge offsets, the edge slab
-	// the selection fills, and the serial path's rank-order sorter.
+	// user order, the uploaders, the per-uploader edge offsets and the edge
+	// slab the selection fills.
 	edgeIdx   []int32
 	edgeUsers []int
 	edgeOff   []int
 	edgeSlab  []graph.Edge
-	edgeSort  edgeSorter
 
 	// inc is the maintained adjacency of a graph server model (nil
 	// otherwise); every rebuild stages the round's uploaders into it.
@@ -254,15 +253,14 @@ func (sv *Server) selectEdges(uploads [][]comm.Prediction, workers int) (users, 
 
 	if workers <= 1 {
 		for i, ui := range idx {
-			sv.fillEdgesIn(users[i], uploads[ui], slab[off[i]:off[i+1]], &sv.edgeSort)
+			sv.fillEdgesIn(users[i], uploads[ui], slab[off[i]:off[i+1]])
 		}
 	} else {
 		cIdx, cUsers, cOff, cSlab := idx, users, off, slab
 		chunk := (len(cIdx) + workers - 1) / workers
 		par.ForChunks(len(cIdx), chunk, workers, func(lo, hi int) {
-			var sorter edgeSorter
 			for i := lo; i < hi; i++ {
-				sv.fillEdgesIn(cUsers[i], uploads[cIdx[i]], cSlab[cOff[i]:cOff[i+1]], &sorter)
+				sv.fillEdgesIn(cUsers[i], uploads[cIdx[i]], cSlab[cOff[i]:cOff[i+1]])
 			}
 		})
 	}
@@ -270,10 +268,9 @@ func (sv *Server) selectEdges(uploads [][]comm.Prediction, workers int) (users, 
 }
 
 // rebuildGraph brings the server's soft-positive graph up to date with the
-// round's uploads. Soft-positive edges come either from an absolute score
-// threshold or, when GraphTopFrac is set, from each user's top-scored
-// fraction (robust to per-client calibration drift). Only graph server
-// models pay this cost.
+// round's uploads: an uploaded triple scored at or above GraphThreshold is a
+// soft-positive edge weighted by its score. Only graph server models pay this
+// cost.
 //
 // The graph's delta is exactly the round's uploaders: a user's edges derive
 // from their latest upload alone, and the round's uploaders are the users
@@ -281,13 +278,13 @@ func (sv *Server) selectEdges(uploads [][]comm.Prediction, workers int) (users, 
 // each uploader's row is staged — an uploader whose new upload selects no
 // edges clears their row — and the maintained adjacency engine patches
 // exactly the affected rows, degrees and normalization values,
-// bitwise-identical to a from-scratch NormalizedAdjPar of every user's latest
-// upload by the engine's construction. CloseRound's contract (distinct users,
-// each prediction naming its outcome's user and an in-range item) is what
-// makes the staging order strictly ascending, and Validate's GraphThreshold >
-// 0 with the top-fraction floor is what keeps every weight positive.
+// bitwise-identical to a fresh engine that stages every user's latest upload
+// by the engine's construction. CloseRound's contract (distinct users, each
+// prediction naming its outcome's user and an in-range item) is what makes
+// the staging order strictly ascending, and Validate's GraphThreshold > 0 is
+// what keeps every weight positive.
 func (sv *Server) rebuildGraph(uploads [][]comm.Prediction, workers int) {
-	dm, ok := sv.model.(models.GraphDeltaRecommender)
+	gm, ok := sv.model.(models.GraphRecommender)
 	if !ok {
 		return
 	}
@@ -300,15 +297,12 @@ func (sv *Server) rebuildGraph(uploads [][]comm.Prediction, workers int) {
 		sv.inc.StageUser(u, slab[off[i]:off[i+1]])
 	}
 	sv.inc.Commit(workers)
-	dm.SetGraphIncremental(sv.inc)
+	gm.SetGraph(sv.inc)
 }
 
-// countEdgesIn returns how many edges the configured soft-positive rule
-// selects from one upload — the sizing pass of selectEdges.
+// countEdgesIn returns how many edges the soft-positive threshold selects
+// from one upload — the sizing pass of selectEdges.
 func (sv *Server) countEdgesIn(preds []comm.Prediction) int {
-	if sv.cfg.GraphTopFrac > 0 {
-		return min(max(int(sv.cfg.GraphTopFrac*float64(len(preds))+0.5), 1), len(preds))
-	}
 	n := 0
 	for _, p := range preds {
 		if p.Score >= sv.cfg.GraphThreshold {
@@ -319,27 +313,9 @@ func (sv *Server) countEdgesIn(preds []comm.Prediction) int {
 }
 
 // fillEdgesIn writes user u's selected edges from preds into dst (sized by
-// countEdgesIn). The top-fraction rule ranks the upload by (score desc,
-// upload order) via a stable sort — identical order to sort.SliceStable —
-// with scores floored at 0.05; the threshold rule keeps upload order. Calls
-// for distinct users only read server state, so they run concurrently.
-func (sv *Server) fillEdgesIn(u int, preds []comm.Prediction, dst []graph.Edge, sorter *edgeSorter) {
-	if sv.cfg.GraphTopFrac > 0 {
-		if cap(sorter.order) < len(preds) {
-			sorter.order = make([]int, len(preds))
-		}
-		sorter.order = sorter.order[:len(preds)]
-		for i := range sorter.order {
-			sorter.order[i] = i
-		}
-		sorter.preds = preds
-		sort.Stable(sorter)
-		for i := range dst {
-			p := preds[sorter.order[i]]
-			dst[i] = graph.Edge{User: u, Item: p.Item, Weight: max(p.Score, 0.05)}
-		}
-		return
-	}
+// countEdgesIn), in upload order. Calls for distinct users only read server
+// state, so they run concurrently.
+func (sv *Server) fillEdgesIn(u int, preds []comm.Prediction, dst []graph.Edge) {
 	k := 0
 	for _, p := range preds {
 		if p.Score >= sv.cfg.GraphThreshold {
@@ -348,20 +324,6 @@ func (sv *Server) fillEdgesIn(u int, preds []comm.Prediction, dst []graph.Edge, 
 		}
 	}
 }
-
-// edgeSorter stably orders upload indices by score descending — the
-// allocation-free replacement for a sort.SliceStable closure (its pointer
-// receiver converts to sort.Interface without boxing a new value per user).
-type edgeSorter struct {
-	order []int
-	preds []comm.Prediction
-}
-
-func (s *edgeSorter) Len() int { return len(s.order) }
-func (s *edgeSorter) Less(a, b int) bool {
-	return s.preds[s.order[a]].Score > s.preds[s.order[b]].Score
-}
-func (s *edgeSorter) Swap(a, b int) { s.order[a], s.order[b] = s.order[b], s.order[a] }
 
 // train runs the server-side optimisation of Eq. 5 on the round's uploads.
 // Flattening the uploads into the training set is sharded over workers into

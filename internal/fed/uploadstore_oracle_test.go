@@ -3,7 +3,7 @@ package fed
 // The map-of-slices upload record: the tests' account of each user's latest
 // upload. The server keeps no such state — Eq. 9's exclusion set is the
 // round's own upload and the graph's delta is the round's uploads — so this
-// record is what the from-scratch graph oracle (graph_oracle_test.go) and the
+// record is what the graph oracle (graph_oracle_test.go) and the
 // dispersal pins read instead. Tests fill it from the same uploads the round
 // engine absorbs, before closing the round.
 

@@ -105,15 +105,10 @@ func TestLazyClientsHistoryInvariance(t *testing.T) {
 // storeAllocFixture builds a warmed server + batch for the steady-state
 // allocation pins: an absorb and an edge selection size every scratch buffer
 // for the next same-shape batch, so the next calls must run clean.
-func storeAllocFixture(tb testing.TB, topFrac float64) (*Server, [][]comm.Prediction) {
+func storeAllocFixture(tb testing.TB) (*Server, [][]comm.Prediction) {
 	tb.Helper()
 	const numUsers, numItems = 600, 150
-	sv := storeTestServer(tb, numUsers, numItems, func(c *Config) {
-		c.GraphTopFrac = topFrac
-		if topFrac == 0 {
-			c.GraphThreshold = 0.4
-		}
-	})
+	sv := storeTestServer(tb, numUsers, numItems, func(c *Config) { c.GraphThreshold = 0.4 })
 	s := rng.New(9).Derive("alloc")
 	uploads := make([][]comm.Prediction, 0, 200)
 	for _, u := range s.SampleInts(numUsers, 200) {
@@ -130,7 +125,7 @@ func TestAbsorbSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation perturbs allocation counts")
 	}
-	sv, uploads := storeAllocFixture(t, 0)
+	sv, uploads := storeAllocFixture(t)
 	if allocs := testing.AllocsPerRun(50, func() { sv.absorb(uploads, 1) }); allocs != 0 {
 		t.Fatalf("steady-state absorb allocates %.1f times per round, want 0", allocs)
 	}
@@ -138,29 +133,23 @@ func TestAbsorbSteadyStateAllocs(t *testing.T) {
 
 // TestCollectEdgesSteadyStateAllocs pins the serial graph edge selection
 // over a round's uploads (selectEdges, the pass rebuildGraph runs) at zero
-// steady-state allocations for both soft-positive rules (threshold scan and
-// top-fraction stable sort).
+// steady-state allocations.
 func TestCollectEdgesSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation perturbs allocation counts")
 	}
-	for _, tc := range []struct {
-		name    string
-		topFrac float64
-	}{{"threshold", 0}, {"topfrac", 0.5}} {
-		t.Run(tc.name, func(t *testing.T) {
-			sv, uploads := storeAllocFixture(t, tc.topFrac)
-			if allocs := testing.AllocsPerRun(50, func() { sv.selectEdges(uploads, 1) }); allocs != 0 {
-				t.Fatalf("steady-state selectEdges allocates %.1f times per call, want 0", allocs)
-			}
-		})
-	}
+	t.Run("threshold", func(t *testing.T) {
+		sv, uploads := storeAllocFixture(t)
+		if allocs := testing.AllocsPerRun(50, func() { sv.selectEdges(uploads, 1) }); allocs != 0 {
+			t.Fatalf("steady-state selectEdges allocates %.1f times per call, want 0", allocs)
+		}
+	})
 }
 
 // BenchmarkAbsorb measures one steady-state absorb of a 200-client round.
 // -benchmem must report 0 B/op, 0 allocs/op — CI's allocation-regression pin.
 func BenchmarkAbsorb(b *testing.B) {
-	sv, uploads := storeAllocFixture(b, 0)
+	sv, uploads := storeAllocFixture(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -171,7 +160,7 @@ func BenchmarkAbsorb(b *testing.B) {
 // BenchmarkCollectEdges measures the steady-state serial edge selection over
 // a 200-client round. -benchmem must report 0 B/op, 0 allocs/op.
 func BenchmarkCollectEdges(b *testing.B) {
-	sv, uploads := storeAllocFixture(b, 0)
+	sv, uploads := storeAllocFixture(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -1,5 +1,11 @@
-// Package graph builds the bipartite user–item interaction graphs consumed by
-// the graph recommenders (NGCF, LightGCN).
+// Package graph builds the propagation operators of the bipartite user–item
+// graphs the graph recommenders (NGCF, LightGCN) run on. Incremental is the
+// one way a model receives them: a caller stages each user's edges, commits,
+// and hands the engine to models.GraphRecommender.SetGraph — the federated
+// server patches one engine round after round, a graph client and the
+// centralized trainer stage a fresh one. Bipartite, with its serial
+// NormalizedAdj and NormalizedAdjSelf, is the full-build reference the
+// tests pin the engine to.
 //
 // Nodes are indexed user-first: node u for users 0..U-1, node U+v for items
 // 0..V-1. The propagation operator is the symmetric normalized adjacency
@@ -10,7 +16,6 @@ package graph
 import (
 	"math"
 
-	"ptffedrec/internal/par"
 	"ptffedrec/internal/tensor"
 )
 
@@ -58,83 +63,50 @@ func (g *Bipartite) UserDegree(u int) float64 { return g.userDeg[u] }
 // ItemDegree returns the (weighted) degree of item v.
 func (g *Bipartite) ItemDegree(v int) float64 { return g.itemDeg[v] }
 
-// adjEdgeChunk is the edge-range granularity of the parallel triplet fill. A
-// scheduling knob only: every triplet is written to a slot derived from its
-// edge index, so the partitioning never affects the result.
-const adjEdgeChunk = 4096
-
 // normVal is the symmetric normalization of a single edge weight:
-// w / sqrt(du·dv). It is the one place this expression lives — the full
+// w / sqrt(du·dv). It is the one place this expression lives — the reference
 // triplet build and the incremental engine both call it, so their outputs
 // are bitwise-equal by construction, not by accident of compilation.
 func normVal(w, du, dv float64) float64 {
 	return w / math.Sqrt(du*dv)
 }
 
-// normalizedTriplets fills the symmetric (edge, mirror) triplet pairs for
-// every edge with positive endpoint degrees, sharding the normalisation over
-// workers, and compacts out the skipped edges in index order — exactly the
-// serial construction's triplet sequence.
-func (g *Bipartite) normalizedTriplets(extra, workers int) []tensor.Triplet {
-	trips := make([]tensor.Triplet, 2*len(g.edges), 2*len(g.edges)+extra)
-	par.ForChunks(len(g.edges), adjEdgeChunk, workers, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			e := g.edges[i]
-			du := g.userDeg[e.User]
-			dv := g.itemDeg[e.Item]
-			if du <= 0 || dv <= 0 {
-				trips[2*i] = tensor.Triplet{Row: -1}
-				trips[2*i+1] = tensor.Triplet{Row: -1}
-				continue
-			}
-			w := normVal(e.Weight, du, dv)
-			un := e.User
-			vn := g.NumUsers + e.Item
-			trips[2*i] = tensor.Triplet{Row: un, Col: vn, Val: w}
-			trips[2*i+1] = tensor.Triplet{Row: vn, Col: un, Val: w}
+// normalizedTriplets returns the symmetric (edge, mirror) triplet pairs of
+// every edge with positive endpoint degrees, in edge order, with room for
+// extra more.
+func (g *Bipartite) normalizedTriplets(extra int) []tensor.Triplet {
+	trips := make([]tensor.Triplet, 0, 2*len(g.edges)+extra)
+	for _, e := range g.edges {
+		du := g.userDeg[e.User]
+		dv := g.itemDeg[e.Item]
+		if du <= 0 || dv <= 0 {
+			continue
 		}
-	})
-	// Compact out skip markers (zero-degree endpoints are rare; the common
-	// case moves nothing).
-	out := trips[:0]
-	for _, t := range trips {
-		if t.Row >= 0 {
-			out = append(out, t)
-		}
+		w := normVal(e.Weight, du, dv)
+		un := e.User
+		vn := g.NumUsers + e.Item
+		trips = append(trips, tensor.Triplet{Row: un, Col: vn, Val: w}, tensor.Triplet{Row: vn, Col: un, Val: w})
 	}
-	return out
+	return trips
 }
 
 // NormalizedAdj returns the symmetric normalized adjacency
 // Â = D^{-1/2} A D^{-1/2} over the (users+items) node set. Isolated nodes
 // produce empty rows, which simply propagate nothing.
 func (g *Bipartite) NormalizedAdj() *tensor.CSR {
-	return g.NormalizedAdjPar(1)
-}
-
-// NormalizedAdjPar is NormalizedAdj with the triplet construction and CSR row
-// bucketing sharded over workers. The matrix is bitwise-identical to the
-// serial build for every worker count.
-func (g *Bipartite) NormalizedAdjPar(workers int) *tensor.CSR {
 	n := g.NumNodes()
-	return tensor.NewCSRPar(n, n, g.normalizedTriplets(0, workers), workers)
+	return tensor.NewCSR(n, n, g.normalizedTriplets(0))
 }
 
 // NormalizedAdjSelf returns Â + I, the self-loop-augmented propagation
 // operator NGCF uses for its self-retaining term.
 func (g *Bipartite) NormalizedAdjSelf() *tensor.CSR {
-	return g.NormalizedAdjSelfPar(1)
-}
-
-// NormalizedAdjSelfPar is NormalizedAdjSelf with the same worker-count
-// invariance as NormalizedAdjPar.
-func (g *Bipartite) NormalizedAdjSelfPar(workers int) *tensor.CSR {
 	n := g.NumNodes()
-	trips := g.normalizedTriplets(n, workers)
+	trips := g.normalizedTriplets(n)
 	for i := 0; i < n; i++ {
 		trips = append(trips, tensor.Triplet{Row: i, Col: i, Val: 1})
 	}
-	return tensor.NewCSRPar(n, n, trips, workers)
+	return tensor.NewCSR(n, n, trips)
 }
 
 // UserNode returns the node index for user u.

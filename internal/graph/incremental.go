@@ -21,7 +21,7 @@ import (
 //     order; item degrees sum contributions in (user ascending, fill order
 //     within user) — the global AddEdge order of the full rebuild.
 //   - rowItems/rowVals — each user's CSR row: distinct items ascending with
-//     the duplicate-summed normalized value, matching NewCSRPar's stable
+//     the duplicate-summed normalized value, matching NewCSR's stable
 //     column sort + left-to-right duplicate summation.
 //   - post — per-item postings: every raw edge contribution touching the
 //     item in full-build accumulation order, each carrying the weight and
@@ -34,13 +34,13 @@ import (
 // Values are computed with the same normVal expression as the full triplet
 // build and summed per duplicate group left-to-right, so both adjacency
 // variants assembled from this state are bitwise-identical to
-// NormalizedAdjPar / NormalizedAdjSelfPar on the equivalent Bipartite — at
-// every worker count. The engine requires strictly positive edge weights
-// (the full build's zero-degree skip would otherwise make row membership
+// NormalizedAdj / NormalizedAdjSelf on the equivalent Bipartite — at every
+// worker count. The engine requires strictly positive edge weights (the full
+// build's zero-degree skip would otherwise make row membership
 // data-dependent): StageUser panics on a non-positive or NaN weight, as it
-// does on an out-of-range item. The federated server never stages one —
-// fed.Config.Validate keeps GraphThreshold in (0, 1] and the top-fraction
-// rule floors weights at 0.05.
+// does on an out-of-range item. No caller stages one: the federated server
+// and graph clients weigh an edge by a score at or above GraphThreshold,
+// which fed.Config.Validate keeps in (0, 1], or by 1.
 type Incremental struct {
 	numUsers, numItems int
 
@@ -155,7 +155,7 @@ func (inc *Incremental) StageUser(u int, edges []Edge) {
 }
 
 // itemWSorter stable-sorts a staged (item, weight) span by item, preserving
-// fill order within equal items — the order NewCSRPar's stable column sort
+// fill order within equal items — the order NewCSR's stable column sort
 // leaves duplicates in.
 type itemWSorter struct {
 	items []int32
@@ -334,13 +334,13 @@ const incRowChunk = 4096
 
 // AdjInto assembles the maintained normalized adjacency Â into dst (reusing
 // its buffers; pass nil to allocate) and returns it. The result is
-// bitwise-identical to NormalizedAdjPar on the equivalent Bipartite.
+// bitwise-identical to NormalizedAdj on the equivalent Bipartite.
 func (inc *Incremental) AdjInto(dst *tensor.CSR, workers int) *tensor.CSR {
 	return inc.adjInto(dst, workers, false)
 }
 
 // AdjSelfInto is AdjInto for the self-loop-augmented operator Â + I,
-// bitwise-identical to NormalizedAdjSelfPar: the unit diagonal lands first
+// bitwise-identical to NormalizedAdjSelf: the unit diagonal lands first
 // in user rows (col u precedes every item column U+v) and last in item rows,
 // exactly where the full build's stable column sort places the appended
 // identity triplets.

@@ -80,14 +80,16 @@ func (st *incState) round(t *testing.T, staged []int, edges [][]Edge) {
 	full := fullBuild(st.users, st.items, st.rows)
 	st.adj = st.inc.AdjInto(st.adj, st.workers)
 	st.adjSelf = st.inc.AdjSelfInto(st.adjSelf, st.workers)
-	requireCSRBitwise(t, "adj", full.NormalizedAdjPar(st.workers), st.adj)
-	requireCSRBitwise(t, "adj+I", full.NormalizedAdjSelfPar(st.workers), st.adjSelf)
+	requireCSRBitwise(t, "adj", full.NormalizedAdj(), st.adj)
+	requireCSRBitwise(t, "adj+I", full.NormalizedAdjSelf(), st.adjSelf)
 }
 
 // TestIncrementalMatchesFullScripted walks a hand-written delta sequence
 // through the cases the engine must get right: bootstrap, overlapping
 // re-uploads that shift shared item degrees, duplicate items in one upload,
-// shrinking and emptying a row, and touching previously isolated nodes.
+// shrinking and emptying a row, and touching previously isolated nodes. Then
+// the two shapes a fresh engine is staged in outside the server: a graph
+// client's one-user universe and the centralized trainer's whole split.
 func TestIncrementalMatchesFullScripted(t *testing.T) {
 	for _, workers := range []int{1, 2, 8} {
 		st := newIncState(6, 5, workers)
@@ -121,6 +123,25 @@ func TestIncrementalMatchesFullScripted(t *testing.T) {
 			{{Item: 4, Weight: 0.44}},
 			{{Item: 0, Weight: 0.55}},
 			{},
+		})
+
+		// A graph client: its one user's hard positives at weight 1, then
+		// the dispersed soft positives at or above the threshold, two of
+		// which repeat a hard positive.
+		client := newIncState(1, 7, workers)
+		client.round(t, []int{0}, [][]Edge{{
+			{Item: 4, Weight: 1}, {Item: 1, Weight: 1}, {Item: 6, Weight: 1},
+			{Item: 1, Weight: 0.83}, {Item: 0, Weight: 0.61}, {Item: 4, Weight: 0.57},
+		}})
+		// The centralized trainer: every user, one without items, committed
+		// in the engine's first round at weight 1.
+		central := newIncState(5, 6, workers)
+		central.round(t, []int{0, 1, 2, 3, 4}, [][]Edge{
+			{{Item: 2, Weight: 1}, {Item: 0, Weight: 1}},
+			{{Item: 0, Weight: 1}, {Item: 5, Weight: 1}, {Item: 3, Weight: 1}},
+			{},
+			{{Item: 5, Weight: 1}},
+			{{Item: 3, Weight: 1}, {Item: 2, Weight: 1}, {Item: 0, Weight: 1}},
 		})
 	}
 }
@@ -192,7 +213,7 @@ func TestIncrementalBadWeight(t *testing.T) {
 
 // FuzzIncremental feeds randomized delta sequences (derived from the fuzzed
 // seed) through the engine, asserting the maintained adjacency bitwise-equals
-// a from-scratch NormalizedAdjPar build after every round.
+// a full NormalizedAdj build after every round.
 func FuzzIncremental(f *testing.F) {
 	f.Add(uint64(1), uint8(3))
 	f.Add(uint64(42), uint8(1))

@@ -16,15 +16,15 @@ func blockConfig() Config {
 
 // blockGraph wires every user to a spread of items so propagation is
 // non-trivial for the graph models.
-func blockGraph(cfg Config) *graph.Bipartite {
-	g := graph.NewBipartite(cfg.NumUsers, cfg.NumItems)
+func blockGraph(cfg Config) *graph.Incremental {
+	g := make(edgeRows, cfg.NumUsers)
 	s := rng.New(3)
 	for u := 0; u < cfg.NumUsers; u++ {
 		for k := 0; k < 40; k++ {
-			g.AddEdge(u, s.Intn(cfg.NumItems), 1)
+			g.add(u, s.Intn(cfg.NumItems), 1)
 		}
 	}
-	return g
+	return g.engine(cfg.NumItems)
 }
 
 // blockModel builds and briefly trains a model of the given kind on the

@@ -23,7 +23,7 @@ import (
 // All of it runs over the live rows only, and so does its memory. A row is
 // live if it may hold a non-zero adjacency row, gradient or Adam moment:
 // every item, plus every user that has had an edge in a graph handed to
-// SetGraph[Incremental] or has appeared in a TrainBatch. The list only grows.
+// SetGraph or has appeared in a TrainBatch. The list only grows.
 // For every other row the adjacency row, the gradient and both moments are
 // exact zeros, so the dense computation would add exact zeros to it: its
 // readout is the closed form c·e⁰ (written once, e⁰ never moves) and its
@@ -68,7 +68,8 @@ type LightGCN struct {
 	chunks             []lgcnChunk
 }
 
-// NewLightGCN builds the model over an initially empty graph (call SetGraph).
+// NewLightGCN builds the model over the empty graph, whose Â has no entries
+// (call SetGraph).
 func NewLightGCN(cfg Config, s *rng.Stream) *LightGCN {
 	n := cfg.NumUsers + cfg.NumItems
 	m := &LightGCN{
@@ -92,24 +93,16 @@ func NewLightGCN(cfg Config, s *rng.Stream) *LightGCN {
 		m.slot[m.itemNode(v)] = int32(v)
 	}
 	nn.Normal(s.Derive("e0"), m.e0, 0.1)
-	m.SetGraph(graph.NewBipartite(cfg.NumUsers, cfg.NumItems))
+	m.setAdj(tensor.NewCSR(n, n, nil))
 	return m
 }
 
 // Name implements Recommender.
 func (m *LightGCN) Name() string { return string(KindLightGCN) }
 
-// SetGraph implements GraphRecommender.
-func (m *LightGCN) SetGraph(g *graph.Bipartite) {
-	if g.NumUsers != m.cfg.NumUsers || g.NumItems != m.cfg.NumItems {
-		panic("models: LightGCN graph universe mismatch")
-	}
-	m.setAdj(g.NormalizedAdjPar(m.workers))
-}
-
-// SetGraphIncremental implements GraphDeltaRecommender: the maintained
-// adjacency is assembled straight into the model's reused CSR buffer.
-func (m *LightGCN) SetGraphIncremental(inc *graph.Incremental) {
+// SetGraph implements GraphRecommender: the maintained adjacency is
+// assembled straight into the model's reused CSR buffer.
+func (m *LightGCN) SetGraph(inc *graph.Incremental) {
 	if inc.NumUsers() != m.cfg.NumUsers || inc.NumItems() != m.cfg.NumItems {
 		panic("models: LightGCN graph universe mismatch")
 	}
@@ -117,9 +110,9 @@ func (m *LightGCN) SetGraphIncremental(inc *graph.Incremental) {
 }
 
 // setAdj installs a new adjacency, makes every user it connects live and
-// remaps its columns to slots in place (the model owns adj: SetGraph builds
-// it, AdjInto refills it). Â is symmetric, so every node its columns name is
-// then live.
+// remaps its columns to slots in place (the model owns adj: the constructor
+// builds it, SetGraph's AdjInto refills it). Â is symmetric, so every node
+// its columns name is then live.
 func (m *LightGCN) setAdj(adj *tensor.CSR) {
 	for u := 0; u < m.cfg.NumUsers; u++ {
 		if adj.RowNNZ(u) > 0 {

@@ -165,8 +165,9 @@ func sameBits(a, b []float64) bool {
 }
 
 // liveRowWorld drives a live-row LightGCN and the dense oracle through the
-// same history: graph replacements through either entry point, training,
-// scoring and checkpoint-resume, comparing as it goes.
+// same history: graph replacements from a fresh engine or the maintained
+// one (the "entry points" the scripts alternate), training, scoring and
+// checkpoint-resume, comparing as it goes.
 type liveRowWorld struct {
 	t       *testing.T
 	cfg     Config
@@ -174,7 +175,7 @@ type liveRowWorld struct {
 	dense   *denseLightGCN
 	edges   [][]graph.Edge // the current graph, per user in fill order
 	inc     *graph.Incremental
-	viaInc  bool // the entry point the live model's current graph came through
+	fresh   bool // the live model's current graph came from a fresh engine, not inc
 	history []string
 }
 
@@ -205,22 +206,22 @@ func (w *liveRowWorld) bipartite() *graph.Bipartite {
 	return g
 }
 
-// installGraph hands the current graph to the live model through the chosen
-// entry point and to the oracle through the full build.
-func (w *liveRowWorld) installGraph(viaInc bool) {
-	w.viaInc = viaInc
-	if viaInc {
-		w.live.SetGraphIncremental(w.inc)
+// installGraph hands the current graph to the live model from the chosen
+// engine: the maintained one, or a fresh one staged with every user's edges.
+func (w *liveRowWorld) installGraph(fresh bool) {
+	w.fresh = fresh
+	if fresh {
+		w.live.SetGraph(edgeRows(w.edges).engine(w.cfg.NumItems))
 	} else {
-		w.live.SetGraph(w.bipartite())
+		w.live.SetGraph(w.inc)
 	}
 }
 
 // mutateGraph replaces the edge sets of a few users — an empty set with
 // probability 1/3, so users that trained lose their last edge — and installs
-// the result.
-func (w *liveRowWorld) mutateGraph(s *rng.Stream, viaInc bool) {
-	w.history = append(w.history, map[bool]string{false: "SetGraph", true: "SetGraphIncremental"}[viaInc])
+// the result in the live model and, through the full build, in the oracle.
+func (w *liveRowWorld) mutateGraph(s *rng.Stream, fresh bool) {
+	w.history = append(w.history, map[bool]string{true: "SetGraph(fresh)", false: "SetGraph(maintained)"}[fresh])
 	users := s.SampleInts(w.cfg.NumUsers, 1+s.Intn(4))
 	sort.Ints(users) // the engine takes its staged users in ascending order
 	w.inc.Begin()
@@ -234,7 +235,7 @@ func (w *liveRowWorld) mutateGraph(s *rng.Stream, viaInc bool) {
 		w.inc.StageUser(u, w.edges[u])
 	}
 	w.inc.Commit(w.cfg.TrainWorkers)
-	w.installGraph(viaInc)
+	w.installGraph(fresh)
 	w.dense.SetGraph(w.bipartite())
 }
 
@@ -323,7 +324,7 @@ func (w *liveRowWorld) resume(graphFirst, warm bool) {
 	cfg.Seed++ // the restore must overwrite every weight
 	w.live = NewLightGCN(cfg, rng.New(cfg.Seed))
 	if graphFirst {
-		w.installGraph(w.viaInc)
+		w.installGraph(w.fresh)
 	}
 	if warm {
 		w.live.WarmScoring()
@@ -332,7 +333,7 @@ func (w *liveRowWorld) resume(graphFirst, warm bool) {
 		w.t.Fatal(err)
 	}
 	if !graphFirst {
-		w.installGraph(w.viaInc)
+		w.installGraph(w.fresh)
 	}
 }
 
@@ -344,9 +345,9 @@ func (w *liveRowWorld) run(script []byte) {
 		s := rng.New(uint64(arg)<<16 | uint64(i))
 		switch op % 8 {
 		case 0:
-			w.mutateGraph(s, false)
-		case 1:
 			w.mutateGraph(s, true)
+		case 1:
+			w.mutateGraph(s, false)
 		case 2, 3:
 			w.train(s, 1+int(arg)%40)
 		case 4:
@@ -456,11 +457,11 @@ func TestLightGCNLiveListGrowsWithUse(t *testing.T) {
 	if len(m.live) != cfg.NumItems {
 		t.Fatalf("a fresh model has %d live rows, want the %d items", len(m.live), cfg.NumItems)
 	}
-	g := graph.NewBipartite(cfg.NumUsers, cfg.NumItems)
-	g.AddEdge(2, 1, 1)
-	m.SetGraph(g)
+	g := make(edgeRows, cfg.NumUsers)
+	g.add(2, 1, 1)
+	m.SetGraph(g.engine(cfg.NumItems))
 	m.TrainBatch([]Sample{{User: 0, Item: 3, Label: 1}})
-	m.SetGraph(graph.NewBipartite(cfg.NumUsers, cfg.NumItems))
+	m.SetGraph(graph.NewIncremental(cfg.NumUsers, cfg.NumItems))
 	want := map[int]bool{0: true, 2: true}
 	for u := 0; u < cfg.NumUsers; u++ {
 		if live := m.slot[u] >= 0; live != want[u] {

@@ -5,7 +5,6 @@ import (
 	"runtime"
 	"testing"
 
-	"ptffedrec/internal/graph"
 	"ptffedrec/internal/rng"
 )
 
@@ -21,13 +20,13 @@ func crossDeviceLightGCNLayers(numUsers, numItems, liveUsers, batchSize, workers
 	s := rng.New(17)
 	m := NewLightGCN(cfg, s)
 	users := s.SampleInts(numUsers, liveUsers)
-	g := graph.NewBipartite(numUsers, numItems)
+	g := make(edgeRows, numUsers)
 	for _, u := range users {
 		for k := 0; k < 3; k++ {
-			g.AddEdge(u, s.Intn(numItems), 0.5+0.5*s.Float64())
+			g.add(u, s.Intn(numItems), 0.5+0.5*s.Float64())
 		}
 	}
-	m.SetGraph(g)
+	m.SetGraph(g.engine(numItems))
 	batch := make([]Sample, batchSize)
 	for i := range batch {
 		batch[i] = Sample{User: users[s.Intn(len(users))], Item: s.Intn(numItems), Label: s.Float64()}

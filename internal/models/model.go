@@ -40,25 +40,14 @@ type Recommender interface {
 }
 
 // GraphRecommender is implemented by the models that propagate over the
-// user–item graph; the graph can be replaced between rounds (the PTF-FedRec
-// server rebuilds it from uploads every round).
+// user–item graph. SetGraph installs the propagation operators of a committed
+// graph.Incremental; the graph can be replaced between rounds (the PTF-FedRec
+// server patches its engine from the round's uploads, a graph client and the
+// centralized trainer stage a fresh one). The model's operator buffers are
+// reused across calls — the engine copies into them, it does not retain them.
 type GraphRecommender interface {
 	Recommender
-	SetGraph(g *graph.Bipartite)
-}
-
-// GraphDeltaRecommender is implemented by graph models that can take their
-// propagation operators directly from an incrementally-maintained adjacency
-// engine instead of rebuilding them from triplets. The assembled operators
-// are bitwise-identical to SetGraph on the equivalent Bipartite (the engine's
-// contract), so a model may alternate freely between the two entry points.
-// The federated server uses only this one; clients and the centralized
-// trainer build a Bipartite and call SetGraph. The model's operator buffers
-// are reused across calls — the engine copies into them, it does not retain
-// them.
-type GraphDeltaRecommender interface {
-	GraphRecommender
-	SetGraphIncremental(inc *graph.Incremental)
+	SetGraph(inc *graph.Incremental)
 }
 
 // Scorer is the minimal scoring capability — one user against a list of
@@ -156,8 +145,8 @@ func DefaultConfig(numUsers, numItems int) Config {
 	}
 }
 
-// New constructs a model of the requested kind. Graph models start with an
-// empty graph; call SetGraph before training.
+// New constructs a model of the requested kind. Graph models start with the
+// empty graph's operators; call SetGraph before training.
 func New(kind Kind, cfg Config) (Recommender, error) {
 	if cfg.NumUsers <= 0 || cfg.NumItems <= 0 {
 		return nil, fmt.Errorf("models: universe %dx%d invalid", cfg.NumUsers, cfg.NumItems)

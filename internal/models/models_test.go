@@ -2,6 +2,7 @@ package models
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"ptffedrec/internal/graph"
@@ -13,15 +14,33 @@ func smallConfig() Config {
 	return Config{NumUsers: 4, NumItems: 6, Dim: 3, LR: 0.01, Layers: 2, Seed: 7}
 }
 
-func smallGraph(cfg Config) *graph.Bipartite {
-	g := graph.NewBipartite(cfg.NumUsers, cfg.NumItems)
-	g.AddEdge(0, 0, 1)
-	g.AddEdge(0, 1, 1)
-	g.AddEdge(1, 1, 1)
-	g.AddEdge(2, 3, 1)
-	g.AddEdge(3, 4, 1)
-	g.AddEdge(3, 5, 1)
-	return g
+// edgeRows collects a test graph's edges per user, in fill order.
+type edgeRows [][]graph.Edge
+
+func (r edgeRows) add(u, v int, w float64) {
+	r[u] = append(r[u], graph.Edge{User: u, Item: v, Weight: w})
+}
+
+// engine stages every user's edges into a fresh engine, users ascending, and
+// commits it: the graph a caller hands SetGraph.
+func (r edgeRows) engine(numItems int) *graph.Incremental {
+	inc := graph.NewIncremental(len(r), numItems)
+	for u, es := range r {
+		inc.StageUser(u, es)
+	}
+	inc.Commit(1)
+	return inc
+}
+
+func smallGraph(cfg Config) *graph.Incremental {
+	g := make(edgeRows, cfg.NumUsers)
+	g.add(0, 0, 1)
+	g.add(0, 1, 1)
+	g.add(1, 1, 1)
+	g.add(2, 3, 1)
+	g.add(3, 4, 1)
+	g.add(3, 5, 1)
+	return g.engine(cfg.NumItems)
 }
 
 func smallBatch() []Sample {
@@ -324,11 +343,11 @@ func TestGraphModelsReactToSetGraph(t *testing.T) {
 		m, _ := New(kind, cfg)
 		gm := m.(GraphRecommender)
 		before := m.Score(0, 1)
-		g := graph.NewBipartite(cfg.NumUsers, cfg.NumItems)
-		g.AddEdge(0, 1, 1)
-		g.AddEdge(0, 0, 1)
-		g.AddEdge(1, 1, 1)
-		gm.SetGraph(g)
+		g := make(edgeRows, cfg.NumUsers)
+		g.add(0, 1, 1)
+		g.add(0, 0, 1)
+		g.add(1, 1, 1)
+		gm.SetGraph(g.engine(cfg.NumItems))
 		after := m.Score(0, 1)
 		if before == after {
 			t.Fatalf("%s ignores the graph: %v == %v", kind, before, after)
@@ -346,8 +365,26 @@ func TestGraphUniverseMismatchPanics(t *testing.T) {
 					t.Fatalf("%s accepted wrong-universe graph", kind)
 				}
 			}()
-			m.(GraphRecommender).SetGraph(graph.NewBipartite(1, 1))
+			m.(GraphRecommender).SetGraph(graph.NewIncremental(1, 1))
 		}()
+	}
+}
+
+// TestGraphModelsStartOnTheEmptyGraph pins the operators the constructors
+// install without an engine to the empty graph's: Â without entries and, for
+// NGCF, Â+I the identity.
+func TestGraphModelsStartOnTheEmptyGraph(t *testing.T) {
+	cfg := smallConfig()
+	n := cfg.NumUsers + cfg.NumItems
+	empty := graph.NewBipartite(cfg.NumUsers, cfg.NumItems)
+	ngcf := NewNGCF(cfg, rng.New(1))
+	if !reflect.DeepEqual(ngcf.adj, empty.NormalizedAdj()) || !reflect.DeepEqual(ngcf.adjSelf, empty.NormalizedAdjSelf()) {
+		t.Fatalf("NGCF starts on Â %+v and Â+I %+v", ngcf.adj, ngcf.adjSelf)
+	}
+	lgcn := NewLightGCN(cfg, rng.New(1))
+	if lgcn.adj.Rows != n || lgcn.adj.Cols != cfg.NumItems || lgcn.adj.NNZ() != 0 {
+		t.Fatalf("LightGCN Â is %dx%d with %d entries, want %dx%d (columns by live slot) and none",
+			lgcn.adj.Rows, lgcn.adj.Cols, lgcn.adj.NNZ(), n, cfg.NumItems)
 	}
 }
 

@@ -3,7 +3,6 @@ package models
 import (
 	"testing"
 
-	"ptffedrec/internal/graph"
 	"ptffedrec/internal/rng"
 	"ptffedrec/internal/tensor"
 )
@@ -23,13 +22,13 @@ func multiBlockFixture(t *testing.T, kind Kind, lazy bool) Recommender {
 	}
 	s := rng.New(99).Derive("fixture")
 	if gm, ok := m.(GraphRecommender); ok {
-		g := graph.NewBipartite(cfg.NumUsers, cfg.NumItems)
+		g := make(edgeRows, cfg.NumUsers)
 		for u := 0; u < cfg.NumUsers; u++ {
 			for _, v := range s.SampleInts(cfg.NumItems, 5) {
-				g.AddEdge(u, v, 0.3+s.Float64()*0.7)
+				g.add(u, v, 0.3+s.Float64()*0.7)
 			}
 		}
-		gm.SetGraph(g)
+		gm.SetGraph(g.engine(cfg.NumItems))
 	}
 	var batch []Sample
 	for i := 0; i < 200; i++ {

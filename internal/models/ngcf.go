@@ -37,7 +37,8 @@ type NGCF struct {
 	dirty bool
 }
 
-// NewNGCF builds the model over an initially empty graph (call SetGraph).
+// NewNGCF builds the model over the empty graph, whose Â has no entries and
+// whose Â+I is the identity (call SetGraph).
 func NewNGCF(cfg Config, s *rng.Stream) *NGCF {
 	n := cfg.NumUsers + cfg.NumItems
 	m := &NGCF{
@@ -56,26 +57,22 @@ func NewNGCF(cfg Config, s *rng.Stream) *NGCF {
 		m.w1 = append(m.w1, w1)
 		m.w2 = append(m.w2, w2)
 	}
-	m.SetGraph(graph.NewBipartite(cfg.NumUsers, cfg.NumItems))
+	m.adj = tensor.NewCSR(n, n, nil)
+	m.adjSelf = &tensor.CSR{Rows: n, Cols: n, RowPtr: make([]int, n+1), ColIdx: make([]int, n), Val: make([]float64, n)}
+	for i := range n {
+		m.adjSelf.RowPtr[i+1] = i + 1
+		m.adjSelf.ColIdx[i] = i
+		m.adjSelf.Val[i] = 1
+	}
 	return m
 }
 
 // Name implements Recommender.
 func (m *NGCF) Name() string { return string(KindNGCF) }
 
-// SetGraph implements GraphRecommender.
-func (m *NGCF) SetGraph(g *graph.Bipartite) {
-	if g.NumUsers != m.cfg.NumUsers || g.NumItems != m.cfg.NumItems {
-		panic("models: NGCF graph universe mismatch")
-	}
-	m.adj = g.NormalizedAdjPar(m.workers)
-	m.adjSelf = g.NormalizedAdjSelfPar(m.workers)
-	m.dirty = true
-}
-
-// SetGraphIncremental implements GraphDeltaRecommender: both propagation
-// operators are assembled straight into the model's reused CSR buffers.
-func (m *NGCF) SetGraphIncremental(inc *graph.Incremental) {
+// SetGraph implements GraphRecommender: both propagation operators are
+// assembled straight into the model's reused CSR buffers.
+func (m *NGCF) SetGraph(inc *graph.Incremental) {
 	if inc.NumUsers() != m.cfg.NumUsers || inc.NumItems() != m.cfg.NumItems {
 		panic("models: NGCF graph universe mismatch")
 	}

@@ -25,14 +25,14 @@ func bigBatch(cfg Config, n int) []Sample {
 	return batch
 }
 
-func denseGraph(cfg Config, s *rng.Stream) *graph.Bipartite {
-	g := graph.NewBipartite(cfg.NumUsers, cfg.NumItems)
+func denseGraph(cfg Config, s *rng.Stream) *graph.Incremental {
+	g := make(edgeRows, cfg.NumUsers)
 	for u := 0; u < cfg.NumUsers; u++ {
 		for _, v := range s.SampleInts(cfg.NumItems, 5) {
-			g.AddEdge(u, v, 0.2+0.8*s.Float64())
+			g.add(u, v, 0.2+0.8*s.Float64())
 		}
 	}
-	return g
+	return g.engine(cfg.NumItems)
 }
 
 func snapshotBytes(t *testing.T, m Recommender) []byte {

@@ -47,20 +47,6 @@ func (m *CSR) MulDensePar(x *Matrix, workers int) *Matrix {
 	return out
 }
 
-// MulDenseRowsIntoPar computes the listed rows of m·x, packed, like
-// MulDenseRowsInto, sharding the row list over workers. Bitwise-identical to
-// MulDenseRowsInto for every worker count.
-func (m *CSR) MulDenseRowsIntoPar(dst, x *Matrix, rows []int, workers int) {
-	if workers <= 1 {
-		m.MulDenseRowsInto(dst, x, rows)
-		return
-	}
-	m.checkRows(dst, x, rows)
-	par.ForChunks(len(rows), parRowChunk, workers, func(lo, hi int) {
-		m.spmmRows(dst.Data[lo*dst.Cols:hi*dst.Cols], x, rows[lo:hi], 0, hi-lo)
-	})
-}
-
 // MatMulPar returns a·b like MatMul, sharding the output rows over workers.
 // Bitwise-identical to MatMul for every worker count.
 func MatMulPar(a, b *Matrix, workers int) *Matrix {

@@ -28,23 +28,31 @@ func requireSameCSR(t *testing.T, label string, a, b *CSR) {
 	}
 }
 
-// TestNewCSRParWorkerInvariance pins the construction contract: the CSR built
-// from the same triplets is bitwise-identical for every worker count, with a
-// triplet count spanning several scatter chunks.
-func TestNewCSRParWorkerInvariance(t *testing.T) {
+// TestNewCSRStableDuplicates checks that duplicate (row, col) values sum in
+// input order — the documented semantics — and that a random triplet set with
+// duplicates builds the matrix a dense accumulation gives.
+func TestNewCSRStableDuplicates(t *testing.T) {
+	trips := []Triplet{
+		{0, 0, 1e20}, {0, 0, 1}, {0, 0, -1e20}, // order-sensitive sum
+		{1, 2, 0.5}, {1, 2, 0.25},
+	}
+	m := NewCSR(3, 3, trips)
+	// Input-order association: (1e20 + 1) absorbs the 1, then cancels to 0.
+	if m.At(0, 0) != 0 {
+		t.Fatalf("At(0,0) = %v, want input-order sum 0", m.At(0, 0))
+	}
+	if m.At(1, 2) != 0.75 || m.NNZ() != 2 {
+		t.Fatalf("At(1,2) = %v with %d entries, want 0.75 with 2", m.At(1, 2), m.NNZ())
+	}
+
 	r := rand.New(rand.NewSource(17))
 	const rows, cols = 230, 190
-	trips := randomTriplets(r, rows, cols, 3*csrScatterChunk+511)
-	serial := NewCSR(rows, cols, trips)
-	for _, workers := range []int{2, 3, 8} {
-		requireSameCSR(t, "workers", serial, NewCSRPar(rows, cols, trips, workers))
-	}
-	// And the result must be the mathematically correct matrix.
+	trips = randomTriplets(r, rows, cols, 12799)
 	dense := New(rows, cols)
 	for _, tr := range trips {
 		dense.Set(tr.Row, tr.Col, dense.At(tr.Row, tr.Col)+tr.Val)
 	}
-	got := serial.Dense()
+	got := NewCSR(rows, cols, trips).Dense()
 	for i := range dense.Data {
 		if diff := got.Data[i] - dense.Data[i]; diff > 1e-9 || diff < -1e-9 {
 			t.Fatalf("CSR[%d] = %v, dense accumulation = %v", i, got.Data[i], dense.Data[i])
@@ -52,43 +60,14 @@ func TestNewCSRParWorkerInvariance(t *testing.T) {
 	}
 }
 
-// TestNewCSRParStableDuplicates checks that duplicate (row, col) values sum
-// in input order for any worker count — the documented semantics.
-func TestNewCSRParStableDuplicates(t *testing.T) {
-	trips := []Triplet{
-		{0, 0, 1e20}, {0, 0, 1}, {0, 0, -1e20}, // order-sensitive sum
-		{1, 2, 0.5}, {1, 2, 0.25},
-	}
-	serial := NewCSR(3, 3, trips)
-	for _, workers := range []int{2, 4} {
-		requireSameCSR(t, "duplicates", serial, NewCSRPar(3, 3, trips, workers))
-	}
-	// Input-order association: (1e20 + 1) absorbs the 1, then cancels to 0.
-	if serial.At(0, 0) != 0 {
-		t.Fatalf("At(0,0) = %v, want input-order sum 0", serial.At(0, 0))
-	}
-}
-
-// TestNewCSRParCappedRanges drives the input past csrScatterChunk ×
-// csrMaxRanges so the adaptive range sizing kicks in, and checks the output
-// still matches the small-input partitioning.
-func TestNewCSRParCappedRanges(t *testing.T) {
-	r := rand.New(rand.NewSource(41))
-	const rows, cols = 60, 45
-	trips := randomTriplets(r, rows, cols, csrScatterChunk*csrMaxRanges+12345)
-	serial := NewCSR(rows, cols, trips)
-	for _, workers := range []int{2, 8} {
-		requireSameCSR(t, "capped ranges", serial, NewCSRPar(rows, cols, trips, workers))
-	}
-}
-
-func TestNewCSRParOutOfRangePanics(t *testing.T) {
+// TestNewCSROutOfRangePanics feeds a bad triplet after a good one.
+func TestNewCSROutOfRangePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
 			t.Fatal("out-of-range triplet did not panic")
 		}
 	}()
-	NewCSRPar(2, 2, []Triplet{{0, 0, 1}, {5, 0, 1}}, 4)
+	NewCSR(2, 2, []Triplet{{0, 0, 1}, {5, 0, 1}})
 }
 
 // TestParKernelsMatchSerial pins the row-partitioned kernels' bitwise

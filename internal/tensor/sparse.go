@@ -1,10 +1,9 @@
 package tensor
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
-
-	"ptffedrec/internal/par"
+	"slices"
 )
 
 // Triplet is one non-zero entry of a sparse matrix under construction.
@@ -15,7 +14,7 @@ type Triplet struct {
 
 // CSR is a compressed sparse row matrix. It is immutable once filled; the
 // graph recommenders take one normalized adjacency per round and reuse it for
-// every propagation. Construction is either NewCSRPar (from triplets) or the
+// every propagation. Construction is either NewCSR (from triplets) or the
 // in-place Reshape/GrowNNZ assembly path used by engines that already hold
 // the matrix row-by-row (the incremental graph engine).
 type CSR struct {
@@ -25,172 +24,35 @@ type CSR struct {
 	Val        []float64 // len NNZ
 }
 
-// NewCSR builds a CSR matrix from triplets. Duplicate (row, col) entries are
-// summed in input order. The triplet slice is not retained.
+// NewCSR builds a CSR matrix from triplets: entries are ordered by (row,
+// column) with a stable sort, so duplicate (row, col) entries keep their input
+// order, and each duplicate run is summed left to right. The triplet slice is
+// not retained.
 func NewCSR(rows, cols int, entries []Triplet) *CSR {
-	return NewCSRPar(rows, cols, entries, 1)
-}
-
-// csrScatterChunk is the input-range granularity of NewCSRPar's counting and
-// scatter passes, and the row-range granularity of its per-row finalisation.
-// A scheduling knob only: the construction is defined so the output never
-// depends on how the passes are partitioned.
-const csrScatterChunk = 4096
-
-// csrMaxRanges caps the number of scatter ranges: each range carries a
-// private rows-sized histogram, so unbounded ranges would make the counting
-// pass O(nnz/csrScatterChunk × rows) memory on large graphs. Like the chunk
-// size, it only shapes the partitioning, never the output.
-const csrMaxRanges = 64
-
-// colValSorter stable-sorts one row's scattered (column, value) pairs by
-// column, preserving input order among equal columns.
-type colValSorter struct {
-	col []int
-	val []float64
-}
-
-func (s colValSorter) Len() int           { return len(s.col) }
-func (s colValSorter) Less(i, j int) bool { return s.col[i] < s.col[j] }
-func (s colValSorter) Swap(i, j int) {
-	s.col[i], s.col[j] = s.col[j], s.col[i]
-	s.val[i], s.val[j] = s.val[j], s.val[i]
-}
-
-// NewCSRPar builds the same matrix as NewCSR, sharding the row bucketing over
-// workers. The output is independent of the worker count by construction:
-// entries land in their row's bucket in input order (per-range scatter offsets
-// are prefix sums taken in range order), each bucket is then stable-sorted by
-// column, and duplicates are summed in that order — all quantities the
-// partitioning cannot change.
-func NewCSRPar(rows, cols int, entries []Triplet, workers int) *CSR {
-	n := len(entries)
 	m := &CSR{Rows: rows, Cols: cols, RowPtr: make([]int, rows+1)}
-	if n == 0 {
-		return m
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	rangeSize := csrScatterChunk
-	if n > csrScatterChunk*csrMaxRanges {
-		rangeSize = (n + csrMaxRanges - 1) / csrMaxRanges
-	}
-	nRanges := (n + rangeSize - 1) / rangeSize
-	if workers > nRanges {
-		workers = nRanges
-	}
-
-	// Pass 1: per-range row histograms (and bounds validation). Counts are
-	// integers, so summing them later is exact regardless of partitioning.
-	counts := make([][]int, nRanges)
-	bad := make([]int, nRanges)
-	par.For(nRanges, workers, func(c int) {
-		lo := c * rangeSize
-		hi := lo + rangeSize
-		if hi > n {
-			hi = n
-		}
-		bad[c] = -1
-		cnt := make([]int, rows)
-		for i := lo; i < hi; i++ {
-			t := entries[i]
-			if t.Row < 0 || t.Row >= rows || t.Col < 0 || t.Col >= cols {
-				if bad[c] < 0 {
-					bad[c] = i
-				}
-				continue
-			}
-			cnt[t.Row]++
-		}
-		counts[c] = cnt
-	})
-	for _, b := range bad {
-		if b >= 0 {
-			t := entries[b]
+	for _, t := range entries {
+		if t.Row < 0 || t.Row >= rows || t.Col < 0 || t.Col >= cols {
 			panic(fmt.Sprintf("tensor: CSR entry (%d,%d) outside %dx%d", t.Row, t.Col, rows, cols))
 		}
 	}
-
-	// Row bucket offsets, then per-range write cursors inside each bucket:
-	// range c's entries for row r start after every earlier range's.
-	rowStart := make([]int, rows+1)
-	for r := 0; r < rows; r++ {
-		acc := rowStart[r]
-		for c := 0; c < nRanges; c++ {
-			k := counts[c][r]
-			counts[c][r] = acc
-			acc += k
+	sorted := slices.Clone(entries)
+	slices.SortStableFunc(sorted, func(a, b Triplet) int {
+		return cmp.Or(cmp.Compare(a.Row, b.Row), cmp.Compare(a.Col, b.Col))
+	})
+	for i := 0; i < len(sorted); {
+		t := sorted[i]
+		j := i + 1
+		for ; j < len(sorted) && sorted[j].Row == t.Row && sorted[j].Col == t.Col; j++ {
+			t.Val += sorted[j].Val
 		}
-		rowStart[r+1] = acc
+		m.ColIdx = append(m.ColIdx, t.Col)
+		m.Val = append(m.Val, t.Val)
+		m.RowPtr[t.Row+1]++
+		i = j
 	}
-
-	// Pass 2: scatter into row buckets. Each range owns disjoint cursor state,
-	// and within a bucket entries end up in global input order.
-	bufCol := make([]int, n)
-	bufVal := make([]float64, n)
-	par.For(nRanges, workers, func(c int) {
-		lo := c * rangeSize
-		hi := lo + rangeSize
-		if hi > n {
-			hi = n
-		}
-		cur := counts[c]
-		for i := lo; i < hi; i++ {
-			t := entries[i]
-			dst := cur[t.Row]
-			cur[t.Row]++
-			bufCol[dst] = t.Col
-			bufVal[dst] = t.Val
-		}
-	})
-
-	// Pass 3: per-row stable column sort + duplicate counting. Rows are
-	// independent, so any row partitioning yields the same result.
-	uniq := make([]int, rows)
-	par.ForChunks(rows, csrScatterChunk, workers, func(lo, hi int) {
-		for r := lo; r < hi; r++ {
-			s, e := rowStart[r], rowStart[r+1]
-			if s == e {
-				continue
-			}
-			sort.Stable(colValSorter{col: bufCol[s:e], val: bufVal[s:e]})
-			u := 1
-			for i := s + 1; i < e; i++ {
-				if bufCol[i] != bufCol[i-1] {
-					u++
-				}
-			}
-			uniq[r] = u
-		}
-	})
 	for r := 0; r < rows; r++ {
-		m.RowPtr[r+1] = m.RowPtr[r] + uniq[r]
+		m.RowPtr[r+1] += m.RowPtr[r]
 	}
-
-	// Pass 4: compact duplicate runs (summed in the stable order) into the
-	// final arrays.
-	nnz := m.RowPtr[rows]
-	m.ColIdx = make([]int, nnz)
-	m.Val = make([]float64, nnz)
-	par.ForChunks(rows, csrScatterChunk, workers, func(lo, hi int) {
-		for r := lo; r < hi; r++ {
-			s, e := rowStart[r], rowStart[r+1]
-			out := m.RowPtr[r]
-			for i := s; i < e; {
-				j := i + 1
-				v := bufVal[i]
-				for j < e && bufCol[j] == bufCol[i] {
-					v += bufVal[j]
-					j++
-				}
-				m.ColIdx[out] = bufCol[i]
-				m.Val[out] = v
-				out++
-				i = j
-			}
-		}
-	})
 	return m
 }
 
@@ -199,7 +61,7 @@ func NewCSRPar(rows, cols int, entries []Triplet, workers int) *CSR {
 // with unspecified contents. The caller fills RowPtr as a prefix sum over row
 // lengths, calls GrowNNZ, then fills ColIdx/Val. This is the buffer-reuse
 // entry point for engines that assemble a CSR every round without paying
-// NewCSRPar's scatter passes and their per-range rows-sized histograms.
+// NewCSR's triplet copy and sort.
 func (m *CSR) Reshape(rows, cols int) {
 	m.Rows, m.Cols = rows, cols
 	if cap(m.RowPtr) < rows+1 {
@@ -356,8 +218,7 @@ func spmmColumnPanic(c, rows int) {
 // At returns the value at (i, j), 0 if not stored. O(log nnz(row)).
 func (m *CSR) At(i, j int) float64 {
 	lo, hi := m.RowPtr[i], m.RowPtr[i+1]
-	idx := sort.SearchInts(m.ColIdx[lo:hi], j)
-	if idx < hi-lo && m.ColIdx[lo+idx] == j {
+	if idx, ok := slices.BinarySearch(m.ColIdx[lo:hi], j); ok {
 		return m.Val[lo+idx]
 	}
 	return 0

@@ -49,8 +49,8 @@ func adversarialCSR(r *rand.Rand, n, cols int) *CSR {
 }
 
 // spmmOutputs runs every SpMM entry point on m·x: the full product serially
-// and on two workers, and the listed rows, packed, serially and on two
-// workers. Every output starts as a sentinel, so a row the kernel fails to
+// and on two workers, and the listed rows, packed. Every output starts as a
+// sentinel, so a row the kernel fails to
 // store shows.
 func spmmOutputs(m *CSR, x *Matrix, rows []int) [][]float64 {
 	fill := func(rows, cols int) *Matrix {
@@ -63,10 +63,9 @@ func spmmOutputs(m *CSR, x *Matrix, rows []int) [][]float64 {
 	full, fullPar := fill(m.Rows, x.Cols), fill(m.Rows, x.Cols)
 	m.MulDenseInto(full, x)
 	m.MulDenseIntoPar(fullPar, x, 2)
-	packed, packedPar := fill(len(rows), x.Cols), fill(len(rows), x.Cols)
+	packed := fill(len(rows), x.Cols)
 	m.MulDenseRowsInto(packed, x, rows)
-	m.MulDenseRowsIntoPar(packedPar, x, rows, 2)
-	return [][]float64{full.Data, fullPar.Data, packed.Data, packedPar.Data}
+	return [][]float64{full.Data, fullPar.Data, packed.Data}
 }
 
 // requireSpMMMatchesOracle checks every entry point, as dispatched and on the
@@ -80,8 +79,8 @@ func requireSpMMMatchesOracle(t *testing.T, label string, m *CSR, x *Matrix, row
 	full, packed := New(m.Rows, x.Cols), New(len(rows), x.Cols)
 	mulRowsOracle(m, full.Data, x, all)
 	mulRowsOracle(m, packed.Data, x, rows)
-	want := [][]float64{full.Data, full.Data, packed.Data, packed.Data}
-	names := []string{"MulDenseInto", "MulDenseIntoPar", "MulDenseRowsInto", "MulDenseRowsIntoPar"}
+	want := [][]float64{full.Data, full.Data, packed.Data}
+	names := []string{"MulDenseInto", "MulDenseIntoPar", "MulDenseRowsInto"}
 	got := spmmOutputs(m, x, rows)
 	var goBody [][]float64
 	withGoBodies(func() { goBody = spmmOutputs(m, x, rows) })
@@ -118,7 +117,7 @@ func FuzzSpMMRowsMatchOracle(f *testing.F) {
 // index at or past x.Rows, or negative, panics in every entry point and both
 // bodies, even when x's storage has spare capacity past its rows that an
 // unchecked read would land in. Two rows make one parRowChunk, so the Par
-// forms run inline and their panic reaches recover.
+// form runs inline and its panic reaches recover.
 func TestSpMMColumnOutOfRangePanics(t *testing.T) {
 	const xRows = 5
 	for _, d := range []int{3, 4, 16, 21} {
@@ -126,10 +125,9 @@ func TestSpMMColumnOutOfRangePanics(t *testing.T) {
 			m := &CSR{Rows: 2, Cols: xRows, RowPtr: []int{0, 2, 3}, ColIdx: []int{0, bad, 1}, Val: []float64{1, 2, 3}}
 			x := &Matrix{Rows: xRows, Cols: d, Data: make([]float64, xRows*d, (xRows+2000)*d)}
 			calls := map[string]func(){
-				"MulDenseInto":        func() { m.MulDenseInto(New(2, d), x) },
-				"MulDenseIntoPar":     func() { m.MulDenseIntoPar(New(2, d), x, 2) },
-				"MulDenseRowsInto":    func() { m.MulDenseRowsInto(New(1, d), x, []int{0}) },
-				"MulDenseRowsIntoPar": func() { m.MulDenseRowsIntoPar(New(1, d), x, []int{0}, 2) },
+				"MulDenseInto":     func() { m.MulDenseInto(New(2, d), x) },
+				"MulDenseIntoPar":  func() { m.MulDenseIntoPar(New(2, d), x, 2) },
+				"MulDenseRowsInto": func() { m.MulDenseRowsInto(New(1, d), x, []int{0}) },
 			}
 			for name, call := range calls {
 				for _, body := range []string{"dispatch", "go"} {

@@ -80,8 +80,8 @@ func TestCSRNoEntries(t *testing.T) {
 }
 
 // TestMulDenseRowsIntoMatchesFull pins the row-subset SpMM: the k-th packed
-// row is bitwise what MulDenseInto computes for the k-th listed row, for the
-// serial kernel and every worker count, whatever dst held before.
+// row is bitwise what MulDenseInto computes for the k-th listed row, whatever
+// dst held before.
 func TestMulDenseRowsIntoMatchesFull(t *testing.T) {
 	r := rand.New(rand.NewSource(41))
 	const n, k = 700, 5
@@ -99,17 +99,15 @@ func TestMulDenseRowsIntoMatchesFull(t *testing.T) {
 
 	rows := r.Perm(n)[:n/3]
 	const sentinel = 12345.5
-	for _, workers := range []int{1, 2, 8} {
-		got := New(len(rows), k)
-		for i := range got.Data {
-			got.Data[i] = sentinel
-		}
-		sp.MulDenseRowsIntoPar(got, x, rows, workers)
-		for j, i := range rows {
-			for c, v := range got.Row(j) {
-				if math.Float64bits(v) != math.Float64bits(want.At(i, c)) {
-					t.Fatalf("workers=%d: packed row %d (row %d) col %d = %v, full SpMM %v", workers, j, i, c, v, want.At(i, c))
-				}
+	got := New(len(rows), k)
+	for i := range got.Data {
+		got.Data[i] = sentinel
+	}
+	sp.MulDenseRowsInto(got, x, rows)
+	for j, i := range rows {
+		for c, v := range got.Row(j) {
+			if math.Float64bits(v) != math.Float64bits(want.At(i, c)) {
+				t.Fatalf("packed row %d (row %d) col %d = %v, full SpMM %v", j, i, c, v, want.At(i, c))
 			}
 		}
 	}
