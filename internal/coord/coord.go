@@ -723,6 +723,12 @@ func (c *Coordinator) readUpload(body io.Reader, round, user int) (fed.ClientOut
 		return fed.ClientOutcome{}, fmt.Errorf("coord: upload-begin names round %d user %d, request says round %d user %d",
 			begin.Round, begin.User, round, user)
 	}
+	// The run's codec fixes the precision of the scores the engine trains on
+	// and the UploadBytes the History counts; a stream in the other one is
+	// refused, not decoded.
+	if begin.Codec != c.codec {
+		return fed.ClientOutcome{}, fmt.Errorf("coord: upload-begin uses codec %d, the run's is %d", begin.Codec, c.codec)
+	}
 	// Both metrics reach RoundStats as sent. The negated comparisons reject
 	// NaN.
 	if !(begin.Loss >= 0) || math.IsInf(begin.Loss, 1) || !(begin.AttackF1 >= 0 && begin.AttackF1 <= 1) {

@@ -217,6 +217,30 @@ func TestStragglerDeadline(t *testing.T) {
 	}
 }
 
+// TestJoinRejectsForeignUniverse pins the join-ack's shape check: a
+// coordinator on the tiny split that advertises another profile would have
+// its participant train a different universe. Join fails naming both shapes
+// and gives its range back.
+func TestJoinRejectsForeignUniverse(t *testing.T) {
+	opts := testOptions()
+	opts.Profile = data.ML100KSmall.Name
+	c, err := New(testSplit(), testConfig(models.KindMF, 1), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(c.Handler())
+	defer srv.Close()
+	sp := testSplit()
+	_, err = Join(srv.URL, 0, sp.NumUsers, srv.Client())
+	want := fmt.Sprintf("%d users × %d items", sp.NumUsers, sp.NumItems)
+	if err == nil || !strings.Contains(err.Error(), want) || !strings.Contains(err.Error(), data.ML100KSmall.Name) {
+		t.Fatalf("join against a foreign profile: err = %v, want a refusal naming %q and the coordinator's %s", err, data.ML100KSmall.Name, want)
+	}
+	if n := c.Sessions(); n != 0 {
+		t.Fatalf("a refused join left %d sessions registered, want 0", n)
+	}
+}
+
 // TestJoinLeaveLifecycle pins the registry rules: overlapping and
 // out-of-range joins are refused, a vacated range can be re-joined, leaving
 // mid-round resolves the departed host's pending users as dropped, and a join
@@ -430,6 +454,10 @@ func TestReadUploadClassification(t *testing.T) {
 	if _, err = c.readUpload(bytes.NewReader(encodeUpload(2, 7, codec, preds, 4, true)), 1, 7); err == nil {
 		t.Fatal("round mismatch must be a protocol error")
 	}
+	if _, err = c.readUpload(bytes.NewReader(encodeUpload(1, 7, comm.CodecQuantized, preds, 4, true)), 1, 7); err == nil ||
+		!strings.Contains(err.Error(), "codec") {
+		t.Fatalf("a quantized stream to a plain-codec run: err = %v, want the codec refusal", err)
+	}
 	if _, err = c.readUpload(bytes.NewReader([]byte("not a frame stream")), 1, 7); err == nil {
 		t.Fatal("garbage bytes must be a protocol error")
 	}
@@ -468,8 +496,9 @@ func TestReadUploadClassification(t *testing.T) {
 }
 
 // TestMalformedUploadOverHTTP drives protocol violations through the HTTP
-// layer — garbage bytes, and a well-formed stream that carries more
-// predictions than it declared: the server answers MsgError, resolves the
+// layer — garbage bytes, a well-formed stream that carries more predictions
+// than it declared, and one in the codec the run does not use: the server
+// answers 400 with MsgError, resolves the
 // slot as dropped (a second, valid upload for it is refused), and the run
 // still completes under the deadline.
 func TestMalformedUploadOverHTTP(t *testing.T) {
@@ -498,7 +527,7 @@ func TestMalformedUploadOverHTTP(t *testing.T) {
 		h, _ = c.Run(ctx)
 	}()
 
-	post := func(user int, body []byte) (comm.MsgType, []byte) {
+	post := func(user int, body []byte) (int, comm.MsgType, []byte) {
 		t.Helper()
 		resp, err := srv.Client().Post(
 			fmt.Sprintf("%s/v1/upload?token=%d&round=0&user=%d", srv.URL, p.Token(), user),
@@ -511,7 +540,7 @@ func TestMalformedUploadOverHTTP(t *testing.T) {
 		if err != nil {
 			t.Fatalf("user %d upload reply: %v", user, err)
 		}
-		return mt, payload
+		return resp.StatusCode, mt, payload
 	}
 	codec := comm.CodecFor(cfg.QuantizeScores)
 	preds := []comm.Prediction{{User: 4, Item: 1, Score: 0.5}, {User: 4, Item: 2, Score: 0.25}}
@@ -521,13 +550,18 @@ func TestMalformedUploadOverHTTP(t *testing.T) {
 	overrun = comm.AppendFrame(overrun, comm.MsgUploadChunk, codec.Encode(preds))
 	overrun = comm.AppendFrame(overrun, comm.MsgUploadEnd, nil)
 	for user, body := range map[int][]byte{3: []byte(strings.Repeat("garbage", 4)), 4: overrun} {
-		if mt, payload := post(user, body); mt != comm.MsgError {
-			t.Fatalf("user %d malformed upload reply: %v %q, want MsgError", user, mt, payload)
+		if status, mt, payload := post(user, body); status != http.StatusBadRequest || mt != comm.MsgError {
+			t.Fatalf("user %d malformed upload reply: %d %v %q, want 400 and MsgError", user, status, mt, payload)
 		}
+	}
+	// A well-formed stream in the codec the run does not use.
+	foreign := encodeUpload(0, 5, comm.CodecFor(!cfg.QuantizeScores), []comm.Prediction{{User: 5, Item: 1, Score: 0.5}}, 1, true)
+	if status, mt, payload := post(5, foreign); status != http.StatusBadRequest || mt != comm.MsgError || !strings.Contains(string(payload), "codec") {
+		t.Fatalf("upload in the other codec: %d %v %q, want 400 and the codec refusal", status, mt, payload)
 	}
 	// The overrun resolved user 4's slot as dropped: a well-formed retry finds
 	// the slot gone.
-	if mt, payload := post(4, encodeUpload(0, 4, codec, preds, len(preds), true)); mt != comm.MsgError || !strings.Contains(string(payload), "closed") {
+	if _, mt, payload := post(4, encodeUpload(0, 4, codec, preds, len(preds), true)); mt != comm.MsgError || !strings.Contains(string(payload), "closed") {
 		t.Fatalf("upload after a rejected one: %v %q, want the round-closed refusal", mt, payload)
 	}
 

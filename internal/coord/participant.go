@@ -65,35 +65,39 @@ func Join(base string, lo, hi int, hc *http.Client) (*Participant, error) {
 	if err != nil {
 		return nil, err
 	}
+	p := &Participant{base: base, hc: hc, token: ack.Token, lo: lo, hi: hi}
+	if err := p.rebuild(ack); err != nil {
+		// Free the range for a participant that can host it.
+		p.leave(context.Background())
+		return nil, err
+	}
+	return p, nil
+}
 
-	var cfg fed.Config
-	if err := json.Unmarshal(ack.ConfigJSON, &cfg); err != nil {
-		return nil, fmt.Errorf("coord: join-ack config: %w", err)
+// rebuild reconstructs the shared world the join-ack describes: the run's
+// config, its codec and the client host over the split both sides derive
+// from (profile, seed, frac) — no dataset bytes cross the wire. The split
+// must have the coordinator's shape, or the two would train different
+// universes.
+func (p *Participant) rebuild(ack comm.JoinAck) error {
+	if err := json.Unmarshal(ack.ConfigJSON, &p.cfg); err != nil {
+		return fmt.Errorf("coord: join-ack config: %w", err)
 	}
 	// Hosting a slice of the universe, the participant materialises only the
 	// clients that actually participate; lazy construction is bitwise-neutral.
-	cfg.LazyClients = true
+	p.cfg.LazyClients = true
 	profile, err := data.ProfileByName(ack.Profile)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	// The same split recipe the coordinator used — both sides derive it
-	// purely from (profile, seed, frac), no dataset bytes cross the wire.
 	sp := data.StreamSplit(profile, ack.DataSeed, ack.TestFrac)
-	host, err := fed.NewClientHost(sp, cfg)
-	if err != nil {
-		return nil, err
+	if sp.NumUsers != ack.NumUsers || sp.NumItems != ack.NumItems {
+		return fmt.Errorf("coord: profile %q rebuilds %d users × %d items, the coordinator's split has %d users × %d items",
+			ack.Profile, sp.NumUsers, sp.NumItems, ack.NumUsers, ack.NumItems)
 	}
-	return &Participant{
-		base:  base,
-		hc:    hc,
-		token: ack.Token,
-		lo:    lo,
-		hi:    hi,
-		cfg:   cfg,
-		codec: comm.CodecFor(cfg.QuantizeScores),
-		host:  host,
-	}, nil
+	p.codec = comm.CodecFor(p.cfg.QuantizeScores)
+	p.host, err = fed.NewClientHost(sp, p.cfg)
+	return err
 }
 
 // Token returns the session token the coordinator assigned.

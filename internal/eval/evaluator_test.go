@@ -128,9 +128,6 @@ func TestEvaluatorCandidatesExcludeTrain(t *testing.T) {
 type logitFunc func(u, v int) float64
 
 func (f logitFunc) ScoreItems(u int, items []int) []float64 { panic("batched path only") }
-func (f logitFunc) ScorePairsInto(dst []float64, users, items []int) {
-	panic("batched path only")
-}
 func (f logitFunc) ScoreUsersBlockLogitsInto(dst *tensor.Matrix, users, items []int) {
 	for i, u := range users {
 		for j, v := range items {

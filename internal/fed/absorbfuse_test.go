@@ -36,7 +36,7 @@ func TestAbsorbFusedMatchesTwoPass(t *testing.T) {
 					uploads = append(uploads, makeUpload(u, 1+s.Intn(14), numItems, s))
 				}
 				record.SetBatch(uploads)
-				sv.absorb(uploads, workers)
+				sv.absorb(uploads)
 				users, off, slab := sv.selectEdges(uploads, workers)
 
 				sort.Ints(uploaders)

@@ -86,7 +86,7 @@ type Config struct {
 	EvalEvery int
 
 	// Workers bounds every pool of the run (0 = GOMAXPROCS): client local
-	// training, the server's absorb/training-set sharding, the server model's
+	// training, the server's training-set sharding, the server model's
 	// intra-batch SGD (fixed-size gradient chunks merged in chunk order), the
 	// dispersal loop and evaluation all fan out over this many workers.
 	// Seeded runs produce bitwise-identical Histories, metrics and server

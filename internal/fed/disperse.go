@@ -2,8 +2,9 @@ package fed
 
 // This file is the round-scoped dispersal engine: the D̃ᵢ assembly helpers
 // and the multi-user batched path, which groups one worker's clients into
-// score batches and drives the hard-half top-K and the final re-scoring
-// through multi-user GEMM kernels (models.MultiBlockScorer). Eligibility
+// score batches, drives the hard-half top-K through multi-user GEMM kernels
+// and re-scores each client's chosen items as a one-user block, both through
+// models.MultiBlockScorer's one method. Eligibility
 // (Eq. 9's "vⱼ ∉ V̂ᵗᵢ") is the bitset of the target's upload in the
 // dispersal's own round everywhere; only the random ablation arms want it as
 // a list, which they build per client into worker scratch with one word walk.
@@ -25,6 +26,7 @@ import (
 	"ptffedrec/internal/candset"
 	"ptffedrec/internal/comm"
 	"ptffedrec/internal/metrics"
+	"ptffedrec/internal/nn"
 	"ptffedrec/internal/rng"
 	"ptffedrec/internal/tensor"
 )
@@ -177,21 +179,21 @@ type disperseSlot struct {
 }
 
 // disperseBatchScratch is one worker's reusable state for the batched
-// dispersal path: the chunk score matrix backing, the per-slot selectors,
-// and the assembly buffers. Nothing here is allocated per batch once warm.
-// excls holds one reusable exclusion bitset per slot (disperseTargetInto
-// fills and returns them).
+// dispersal path: the score matrix backing and its header, the per-slot
+// selectors, and the assembly buffers. Nothing here is allocated per batch
+// once warm. excls holds one reusable exclusion bitset per slot
+// (disperseTargetInto fills and returns them).
 type disperseBatchScratch struct {
-	slots     []disperseSlot
-	excls     [disperseBatchClients]*bitset.Set
-	scores    []float64 // batch×chunk (and batch×union) score backing
-	users     []int     // active user ids for one scoring call
-	rows      []int     // active slot index per score-matrix row
-	sels      []metrics.LogitTopKSelector
-	top       []int
-	eligible  []int // one client's ascending eligible set (random arms only)
-	pairUsers []int // flattened (user, item) pairs for the final re-scoring
-	pairItems []int
+	slots    []disperseSlot
+	excls    [disperseBatchClients]*bitset.Set
+	scores   []float64     // batch×chunk (and 1×|D̃ᵢ|) score backing
+	mat      tensor.Matrix // scoreMat's header over scores
+	users    []int         // active user ids for one scoring call
+	rows     []int         // active slot index per score-matrix row
+	one      [1]int        // the user of a one-user re-scoring block
+	sels     []metrics.LogitTopKSelector
+	top      []int
+	eligible []int // one client's ascending eligible set (random arms only)
 }
 
 func newDisperseBatchScratch() *disperseBatchScratch {
@@ -202,12 +204,14 @@ func newDisperseBatchScratch() *disperseBatchScratch {
 }
 
 // scoreMat returns a rows×cols score matrix over the scratch backing,
-// growing it as needed.
+// growing it as needed. The header is the scratch's own, so the matrix is
+// valid until the next call.
 func (sc *disperseBatchScratch) scoreMat(rows, cols int) *tensor.Matrix {
 	if need := rows * cols; cap(sc.scores) < need {
 		sc.scores = make([]float64, need)
 	}
-	return tensor.FromSlice(rows, cols, sc.scores[:rows*cols])
+	sc.mat = tensor.Matrix{Rows: rows, Cols: cols, Data: sc.scores[:rows*cols]}
+	return &sc.mat
 }
 
 // disperseBatch builds D̃ᵢ for one worker's batch of clients (Eq. 9), with
@@ -224,8 +228,8 @@ func (sc *disperseBatchScratch) scoreMat(rows, cols int) *tensor.Matrix {
 //     selectors via windowed word walks over the upload bitsets — no
 //     per-item membership probes, no full score vectors, and sigmoids only
 //     for candidates that reach a heap;
-//  4. the final re-scoring of every client's chosen items runs as one
-//     ragged pair-batched multi-user pass.
+//  4. each client's chosen items are re-scored as a one-user logit block,
+//     σ applied per item — by the block contract, exactly ScoreItems.
 //
 // Each slot's preds is left ready for the wire.
 func (sv *Server) disperseBatch(slots []disperseSlot, plan *dispersalPlan, sc *disperseBatchScratch) {
@@ -319,43 +323,20 @@ func (sv *Server) disperseBatch(slots []disperseSlot, plan *dispersalPlan, sc *d
 		}
 	}
 
-	// Phase 3: final re-scoring of the chosen items as one ragged multi-user
-	// pass — every client's (id, item) pairs concatenate into one pair list
-	// scored by a single ScorePairsInto call, exactly Σ|D̃ᵢ| pair scores for
-	// the batch. The pair kernels compute the same dot products / tower
-	// forwards per-client re-scoring does, so values are identical.
-	pairUsers := sc.pairUsers[:0]
-	pairItems := sc.pairItems[:0]
+	// Phase 3: re-score each client's chosen items as a one-user block. The
+	// block contract makes σ of the row bitwise ScoreItems(id, items).
 	for si := range slots {
 		s := &slots[si]
 		if s.skip {
 			continue
 		}
+		sc.one[0] = s.tgt.id
+		m := sc.scoreMat(1, len(s.items))
+		mbs.ScoreUsersBlockLogitsInto(m, sc.one[:], s.items)
 		s.preds = make([]comm.Prediction, len(s.items))
-		for _, v := range s.items {
-			pairUsers = append(pairUsers, s.tgt.id)
-			pairItems = append(pairItems, v)
-		}
-	}
-	sc.pairUsers, sc.pairItems = pairUsers, pairItems
-	if len(pairItems) == 0 {
-		return
-	}
-	if cap(sc.scores) < len(pairItems) {
-		sc.scores = make([]float64, len(pairItems))
-	}
-	scores := sc.scores[:len(pairItems)]
-	mbs.ScorePairsInto(scores, pairUsers, pairItems)
-	off := 0
-	for si := range slots {
-		s := &slots[si]
-		if s.skip {
-			continue
-		}
 		for j, v := range s.items {
-			s.preds[j] = comm.Prediction{User: s.tgt.id, Item: v, Score: scores[off+j]}
+			s.preds[j] = comm.Prediction{User: s.tgt.id, Item: v, Score: nn.Sigmoid(m.Data[j])}
 		}
-		off += len(s.items)
 	}
 }
 

@@ -143,12 +143,12 @@ func (e *RoundEngine) CloseRound(round int, outcomes []ClientOutcome, overlap fu
 	}
 
 	// Server-side: absorb uploads, rebuild the graph, optimise Eq. 5. The
-	// absorb counters and the training-set construction shard over the round
-	// pool; inside every server TrainBatch the gradient workspace engine
-	// shards over the same pool size with a chunk-ordered merge. The graph
-	// rebuild takes the uploads too: they are exactly the graph's delta.
+	// training-set construction shards over the round pool; inside every
+	// server TrainBatch the gradient workspace engine shards over the same
+	// pool size with a chunk-ordered merge. The graph rebuild takes the
+	// uploads too: they are exactly the graph's delta.
 	phaseStart := time.Now()
-	e.server.absorb(uploads, workers)
+	e.server.absorb(uploads)
 	e.phases.Absorb += time.Since(phaseStart).Seconds()
 
 	phaseStart = time.Now()

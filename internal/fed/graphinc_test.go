@@ -73,7 +73,7 @@ func TestIncrementalAdjacencyMatchesFull(t *testing.T) {
 					uploads = append(uploads, makeUpload(u, 1+s.Intn(14), numItems, s))
 				}
 				record.SetBatch(uploads)
-				sv.absorb(uploads, workers)
+				sv.absorb(uploads)
 				sv.rebuildGraph(uploads, workers)
 				checkIncMatchesFull(t, fmt.Sprintf("round %d", r), sv, record, workers)
 			}
@@ -213,7 +213,7 @@ func FuzzGraphRebuild(f *testing.F) {
 				uploads = append(uploads, makeUpload(u, 1+s.Intn(10), numItems, s))
 			}
 			record.SetBatch(uploads)
-			sv.absorb(uploads, workers)
+			sv.absorb(uploads)
 			sv.rebuildGraph(uploads, workers)
 			checkIncMatchesFull(t, fmt.Sprintf("round %d", r), sv, record, workers)
 		}
@@ -235,7 +235,7 @@ func rebuildBenchServer(b *testing.B) (*Server, [][][]comm.Prediction) {
 	for _, u := range s.SampleInts(numUsers, 200) {
 		seedUploads = append(seedUploads, makeUpload(u, 4+s.Intn(12), numItems, s))
 	}
-	sv.absorb(seedUploads, 1)
+	sv.absorb(seedUploads)
 	sv.rebuildGraph(seedUploads, 1)
 	batches := make([][][]comm.Prediction, 8)
 	for i := range batches {
@@ -256,7 +256,7 @@ func BenchmarkRebuildGraph(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sv.absorb(batches[i%len(batches)], 1)
+		sv.absorb(batches[i%len(batches)])
 		sv.rebuildGraph(batches[i%len(batches)], 1)
 	}
 }

@@ -43,7 +43,7 @@ func requireEqualHistories(t *testing.T, label string, a, b *History) {
 // TestHistoryInvariantAcrossWorkerCounts pins the round engine's guarantee:
 // the entire History — per-round losses, attack F1, wire bytes, and final
 // metrics — is identical whether the round runs serially or on a worker
-// pool. This covers the parallel client training, the sharded absorb/train,
+// pool. This covers the parallel client training, the sharded server train,
 // and the parallel dispersal (including its per-client stream derivation).
 func TestHistoryInvariantAcrossWorkerCounts(t *testing.T) {
 	kinds := []models.Kind{models.KindNeuMF, models.KindLightGCN}

@@ -36,10 +36,6 @@ type Server struct {
 	// block the batched dispersal engine slices score chunks from.
 	ident []int
 
-	// hist holds per-worker histogram scratch for absorb's sharded counter
-	// pass, so steady-state rounds allocate nothing there.
-	hist [][]int
-
 	// Edge-selection scratch, reused across rounds so a steady-state graph
 	// rebuild does no per-user allocation: the non-empty uploads' indexes in
 	// user order, the uploaders, the per-uploader edge offsets and the edge
@@ -144,59 +140,14 @@ func (sv *Server) GraphEngineBytes() int64 {
 	return sv.inc.MemoryBytes()
 }
 
-// countUploadItems accumulates the uploads' item frequencies into counts.
-// Out-of-range items are skipped; the bound is len(counts) — the item
-// universe — so the single-worker and sharded absorb paths share one rule by
-// construction.
-func countUploadItems(counts []int, uploads [][]comm.Prediction) {
+// absorb ingests one round of uploads into the confidence counters: one
+// serial pass, out-of-range items skipped. Steady-state rounds allocate
+// nothing here.
+func (sv *Server) absorb(uploads [][]comm.Prediction) {
 	for _, up := range uploads {
 		for _, p := range up {
-			if p.Item >= 0 && p.Item < len(counts) {
-				counts[p.Item]++
-			}
-		}
-	}
-}
-
-// absorb ingests one round of uploads into the confidence counters. The pass
-// shards the uploads over workers, each accumulating into a private (reused)
-// histogram; the shard histograms merge sequentially, so counts are exact
-// integers regardless of worker count. Steady-state rounds allocate nothing
-// here.
-func (sv *Server) absorb(uploads [][]comm.Prediction, workers int) {
-	workers = par.Workers(workers)
-	if workers > len(uploads) {
-		workers = len(uploads)
-	}
-	if workers <= 1 {
-		countUploadItems(sv.itemFreq, uploads)
-	} else {
-		for len(sv.hist) < workers {
-			sv.hist = append(sv.hist, nil)
-		}
-		partial := sv.hist[:workers]
-		chunk := (len(uploads) + workers - 1) / workers
-		par.For(workers, workers, func(w int) {
-			counts := partial[w]
-			if counts == nil {
-				counts = make([]int, sv.numItems)
-				partial[w] = counts
-			} else {
-				for i := range counts {
-					counts[i] = 0
-				}
-			}
-			lo, hi := w*chunk, (w+1)*chunk
-			if hi > len(uploads) {
-				hi = len(uploads)
-			}
-			if lo < hi {
-				countUploadItems(counts, uploads[lo:hi])
-			}
-		})
-		for _, counts := range partial {
-			for v, c := range counts {
-				sv.itemFreq[v] += c
+			if p.Item >= 0 && p.Item < sv.numItems {
+				sv.itemFreq[p.Item]++
 			}
 		}
 	}

@@ -114,7 +114,7 @@ func storeAllocFixture(tb testing.TB) (*Server, [][]comm.Prediction) {
 	for _, u := range s.SampleInts(numUsers, 200) {
 		uploads = append(uploads, makeUpload(u, 4+s.Intn(12), numItems, s))
 	}
-	sv.absorb(uploads, 1)
+	sv.absorb(uploads)
 	sv.selectEdges(uploads, 1)
 	return sv, uploads
 }
@@ -126,7 +126,7 @@ func TestAbsorbSteadyStateAllocs(t *testing.T) {
 		t.Skip("race instrumentation perturbs allocation counts")
 	}
 	sv, uploads := storeAllocFixture(t)
-	if allocs := testing.AllocsPerRun(50, func() { sv.absorb(uploads, 1) }); allocs != 0 {
+	if allocs := testing.AllocsPerRun(50, func() { sv.absorb(uploads) }); allocs != 0 {
 		t.Fatalf("steady-state absorb allocates %.1f times per round, want 0", allocs)
 	}
 }
@@ -153,7 +153,7 @@ func BenchmarkAbsorb(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sv.absorb(uploads, 1)
+		sv.absorb(uploads)
 	}
 }
 

@@ -232,15 +232,6 @@ func (m *LightGCN) ScoreUsersBlockLogitsInto(dst *tensor.Matrix, users []int, it
 	tensor.GatherMulMatInto(dst, f, users, 0, f, items, m.cfg.NumUsers)
 }
 
-// ScorePairsInto implements MultiBlockScorer's ragged half: one gathered
-// pair-dot pass over the propagated embedding matrix, then the sigmoid.
-func (m *LightGCN) ScorePairsInto(dst []float64, users []int, items []int) {
-	checkPairs(dst, users, items)
-	f := m.propagate()
-	tensor.GatherPairDotInto(dst, f, users, 0, f, items, m.cfg.NumUsers)
-	sigmoidVec(dst)
-}
-
 // TrainBatch implements Recommender.
 func (m *LightGCN) TrainBatch(batch []Sample) float64 {
 	if len(batch) == 0 {

@@ -74,20 +74,6 @@ func (m *MF) ScoreUsersBlockLogitsInto(dst *tensor.Matrix, users []int, items []
 	}
 }
 
-// ScorePairsInto implements MultiBlockScorer's ragged half: one gathered
-// pair-dot pass over the dense embedding tables, then the sigmoid.
-func (m *MF) ScorePairsInto(dst []float64, users []int, items []int) {
-	checkPairs(dst, users, items)
-	if !m.cfg.Lazy {
-		tensor.GatherPairDotInto(dst, m.users.W, users, 0, m.items.W, items, 0)
-	} else {
-		for p, u := range users {
-			dst[p] = dot(m.users.Row(u), m.items.Row(items[p]))
-		}
-	}
-	sigmoidVec(dst)
-}
-
 // TrainBatch implements Recommender.
 func (m *MF) TrainBatch(batch []Sample) float64 {
 	if len(batch) == 0 {

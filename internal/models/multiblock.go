@@ -13,10 +13,12 @@ import (
 // shared candidate block through matrix kernels: MF and the graph models run
 // one double-gathered GEMM (tensor.GatherMulMatInto) against the (propagated)
 // embedding matrices, and NeuMF streams each user's row through its pooled
-// chunked MLP forwards. There is no σ-domain block entry point: the batched
-// evaluation and dispersal engines score logits and select under
+// chunked MLP forwards. It is the contract's one method, and logit-domain
+// only: the batched evaluation and dispersal engines select under
 // metrics.LogitTopKSelector's tie-safe contract, applying σ only to the
-// winners they keep.
+// winners they keep, and dispersal re-scores each client's chosen items —
+// whose lists differ per client — as a one-user block, applying σ to every
+// entry it ships.
 //
 // The contract is strict: σ (nn.Sigmoid) of dst.Row(i) is bitwise-identical
 // to ScoreItems(users[i], items) for any batch composition — so each row
@@ -28,27 +30,8 @@ import (
 // are safe once lazily built shared state is warm (Warmer) and the model's
 // tables are dense; Lazy models materialise rows on read and must be scored
 // from one goroutine.
-//
-// ScorePairsInto is the contract's ragged half: dst[p] = σ(logit) for the
-// pair (users[p], items[p]). It batches scoring passes whose per-user item
-// lists differ — dispersal's final re-scoring concatenates every client's
-// chosen items into one pair list — through the gathered pair-dot kernels
-// (tensor.GatherPairDotInto) or, for NeuMF, the same pooled chunked forwards
-// with per-row users. Values are bitwise-identical to scoring each pair
-// through the per-user paths. It is σ-domain only: its consumers ship the
-// probabilities over the wire, so every pair's sigmoid is paid regardless and
-// a logit variant would have no caller.
 type MultiBlockScorer interface {
 	ScoreUsersBlockLogitsInto(dst *tensor.Matrix, users []int, items []int)
-	ScorePairsInto(dst []float64, users []int, items []int)
-}
-
-// checkPairs validates a ScorePairsInto destination.
-func checkPairs(dst []float64, users, items []int) {
-	if len(dst) != len(users) || len(users) != len(items) {
-		panic(fmt.Sprintf("models: ScorePairsInto dst[%d] for %d users × %d items",
-			len(dst), len(users), len(items)))
-	}
 }
 
 // checkUsersBlock validates a ScoreUsersBlockLogitsInto destination.

@@ -51,10 +51,30 @@ func scoreOneUser(mbs MultiBlockScorer, dst []float64, u int, items []int) {
 	scoreUsersBlock(mbs, &tensor.Matrix{Rows: 1, Cols: len(items), Data: dst}, []int{u}, items)
 }
 
+// checkUsersBlockScalar scores users × items as one block and requires each
+// entry to be bitwise-identical to scoring its item alone through
+// ScoreItemsInto.
+func checkUsersBlockScalar(t *testing.T, kind Kind, mbs MultiBlockScorer, is perItemScorer, users, items []int) {
+	t.Helper()
+	dst := tensor.New(len(users), len(items))
+	scoreUsersBlock(mbs, dst, users, items)
+	var want []float64
+	for i, u := range users {
+		for j, v := range items {
+			want = is.ScoreItemsInto(want, u, items[j:j+1])
+			if dst.At(i, j) != want[0] {
+				t.Fatalf("%s users=%d items=%d: dst[%d][%d] = %v, want %v (user %d item %d)",
+					kind, len(users), len(items), i, j, dst.At(i, j), want[0], u, v)
+			}
+		}
+	}
+}
+
 // TestScoreUsersBlockMatchesScalar pins the MultiBlockScorer contract for
-// every model kind: each row of the batched user-block score matrix is
-// bitwise-identical to the per-item ScoreItemsInto path, for batch sizes
-// covering the GEMM kernel's interleaved quad path and its remainder tail.
+// every model kind: each entry of the batched user-block score matrix is
+// bitwise-identical to scoring its item alone through ScoreItemsInto, for
+// batch sizes covering the GEMM kernel's interleaved quad path and its
+// remainder tail.
 func TestScoreUsersBlockMatchesScalar(t *testing.T) {
 	kinds := []Kind{KindMF, KindNeuMF, KindNGCF, KindLightGCN}
 	s := rng.New(5).Derive("batch")
@@ -66,28 +86,16 @@ func TestScoreUsersBlockMatchesScalar(t *testing.T) {
 		}
 		is := m.(perItemScorer)
 		for _, nUsers := range []int{1, 3, 4, 7} {
-			users := s.SampleInts(23, nUsers)
-			items := s.SampleInts(57, 1+s.Intn(57))
-			dst := tensor.New(len(users), len(items))
-			scoreUsersBlock(mbs, dst, users, items)
-			var want []float64
-			for i, u := range users {
-				want = is.ScoreItemsInto(want, u, items)
-				for j := range want {
-					if dst.At(i, j) != want[j] {
-						t.Fatalf("%s users=%d: dst[%d][%d] = %v, want %v (user %d item %d)",
-							kind, nUsers, i, j, dst.At(i, j), want[j], u, items[j])
-					}
-				}
-			}
+			checkUsersBlockScalar(t, kind, mbs, is, s.SampleInts(23, nUsers), s.SampleInts(57, 1+s.Intn(57)))
 		}
 	}
 }
 
-// TestScorePairsMatchesScalar pins the ragged half of the contract for every
-// model kind: pair scores are bitwise-identical to scoring each pair through
-// the per-item path, across pair counts covering the interleaved quad path,
-// its tail, and NeuMF's chunk boundaries.
+// TestScorePairsMatchesScalar pins the shape dispersal re-scores (user, item)
+// pairs in, for every model kind: one user's one-row block over an item list
+// drawn with repeats is bitwise-identical to scoring each pair through the
+// per-item path, across counts covering the interleaved quad path, its tail,
+// and NeuMF's scoreChunkSize boundary at 300 items.
 func TestScorePairsMatchesScalar(t *testing.T) {
 	s := rng.New(17).Derive("pairs")
 	for _, kind := range []Kind{KindMF, KindNeuMF, KindNGCF, KindLightGCN} {
@@ -95,22 +103,11 @@ func TestScorePairsMatchesScalar(t *testing.T) {
 		mbs := m.(MultiBlockScorer)
 		is := m.(perItemScorer)
 		for _, n := range []int{1, 3, 4, 9, 300} {
-			users := make([]int, n)
 			items := make([]int, n)
-			for i := range users {
-				users[i] = s.Intn(23)
+			for i := range items {
 				items[i] = s.Intn(57)
 			}
-			dst := make([]float64, n)
-			mbs.ScorePairsInto(dst, users, items)
-			var one []float64
-			for p := range users {
-				one = is.ScoreItemsInto(one, users[p], items[p:p+1])
-				if dst[p] != one[0] {
-					t.Fatalf("%s n=%d: pair %d = %v, scalar %v (user %d item %d)",
-						kind, n, p, dst[p], one[0], users[p], items[p])
-				}
-			}
+			checkUsersBlockScalar(t, kind, mbs, is, []int{s.Intn(23)}, items)
 		}
 	}
 }

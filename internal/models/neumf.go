@@ -289,31 +289,3 @@ func (m *NeuMF) scoreBlockLogitsWS(ws *neumfWS, dst []float64, u int, items []in
 		copy(dst[off:end], m.forwardWS(ws).Data)
 	}
 }
-
-// ScorePairsInto implements MultiBlockScorer's ragged half: (user, item)
-// pairs stream through the same pooled chunked logit forwards with a per-row
-// user embedding, then the sigmoid. Each forward row depends only on its own
-// input row, so pair batching never changes a score.
-func (m *NeuMF) ScorePairsInto(dst []float64, users []int, items []int) {
-	checkPairs(dst, users, items)
-	if len(items) == 0 {
-		return
-	}
-	ws := m.ws.Get().(*neumfWS)
-	defer m.ws.Put(ws)
-	d := m.cfg.Dim
-	for off := 0; off < len(items); off += scoreChunkSize {
-		end := off + scoreChunkSize
-		if end > len(items) {
-			end = len(items)
-		}
-		ws.setRows(end - off)
-		for i := range ws.x.Rows {
-			row := ws.x.Row(i)
-			copy(row[:d], m.users.Row(users[off+i]))
-			copy(row[d:], m.items.Row(items[off+i]))
-		}
-		copy(dst[off:end], m.forwardWS(ws).Data)
-	}
-	sigmoidVec(dst)
-}

@@ -170,25 +170,6 @@ func (m *NGCF) ScoreUsersBlockLogitsInto(dst *tensor.Matrix, users []int, items 
 	}
 }
 
-// ScorePairsInto implements MultiBlockScorer's ragged half: one gathered
-// pair-dot pass per layer matrix, accumulated in layer order like
-// scoreNodes, then the scaled averaged-readout sigmoid.
-func (m *NGCF) ScorePairsInto(dst []float64, users []int, items []int) {
-	checkPairs(dst, users, items)
-	m.propagate()
-	for l, e := range m.outs {
-		if l == 0 {
-			tensor.GatherPairDotInto(dst, e, users, 0, e, items, m.cfg.NumUsers)
-			continue
-		}
-		tensor.GatherPairDotAddInto(dst, e, users, 0, e, items, m.cfg.NumUsers)
-	}
-	scale := m.readoutScale()
-	for i, s := range dst {
-		dst[i] = nn.Sigmoid(s * scale)
-	}
-}
-
 // TrainBatch implements Recommender.
 func (m *NGCF) TrainBatch(batch []Sample) float64 {
 	if len(batch) == 0 {

@@ -4,15 +4,14 @@ package tensor
 // evaluation and dispersal engines (models.MultiBlockScorer): a block of
 // query rows gathered from one matrix is scored against a block of candidate
 // rows gathered from another, producing a dense query×candidate score matrix
-// in one pass.
+// in one pass. A block of one query row is how dispersal re-scores a
+// client's chosen items.
 //
 // Determinism contract: densegemm.go's, the one every dense product keeps —
 // each output element is one sum, k-ascending from +0, with the multiply and
 // the add rounded separately. That is Dot's order, so a multi-user GEMM score
 // is bitwise-identical to the per-item dot loop it replaces. GatherMulMat*
-// packs its rows into panels and runs the core's tiles; the ragged pair
-// kernels keep four independent pair sums in flight, which changes no
-// element's order either.
+// packs its rows into panels and runs the core's tiles.
 
 import (
 	"fmt"
@@ -121,80 +120,6 @@ func packStrip(p []float64, b *Matrix, rows []int, off int) {
 	for c, br := range rows {
 		for k, v := range b.Row(br + off) {
 			p[k*8+c] = v
-		}
-	}
-}
-
-func checkGatherPair(dst []float64, a *Matrix, arows []int, b *Matrix, brows []int) {
-	if len(dst) != len(arows) || len(arows) != len(brows) {
-		panic(fmt.Sprintf("tensor: GatherPairDotInto dst[%d] for %d×%d pairs",
-			len(dst), len(arows), len(brows)))
-	}
-	if a.Cols != b.Cols {
-		panic(fmt.Sprintf("tensor: GatherPairDotInto inner dims %d vs %d", a.Cols, b.Cols))
-	}
-}
-
-// GatherPairDotInto computes the element-wise gathered pair products
-//
-//	dst[p] = a.Row(arows[p]+aoff) · b.Row(brows[p]+boff)
-//
-// — the ragged counterpart of GatherMulMatInto, scoring many (query,
-// candidate) pairs with arbitrary per-pair rows in one pass. Four pair
-// accumulators run interleaved; each pair's dot still accumulates
-// k-ascending, so results are bitwise-identical to per-pair Dot calls.
-func GatherPairDotInto(dst []float64, a *Matrix, arows []int, aoff int, b *Matrix, brows []int, boff int) {
-	checkGatherPair(dst, a, arows, b, brows)
-	gatherPairDotRange(dst, a, arows, aoff, b, brows, boff, false)
-}
-
-// GatherPairDotAddInto is GatherPairDotInto accumulating into dst. Used by
-// readouts that sum pair dots over several embedding matrices (NGCF's layer
-// concatenation).
-func GatherPairDotAddInto(dst []float64, a *Matrix, arows []int, aoff int, b *Matrix, brows []int, boff int) {
-	checkGatherPair(dst, a, arows, b, brows)
-	gatherPairDotRange(dst, a, arows, aoff, b, brows, boff, true)
-}
-
-func gatherPairDotRange(dst []float64, a *Matrix, arows []int, aoff int, b *Matrix, brows []int, boff int, add bool) {
-	d := a.Cols
-	p := 0
-	for ; p+4 <= len(arows); p += 4 {
-		// Reslicing every row to the shared inner length d lets the compiler
-		// drop the per-element bounds checks; the four pair accumulators then
-		// run as independent dependency chains in one k loop. The float64
-		// conversions keep each multiply out of a fused multiply-add, as in
-		// gemmTileGo.
-		a0 := a.Row(arows[p] + aoff)[:d]
-		a1 := a.Row(arows[p+1] + aoff)[:d]
-		a2 := a.Row(arows[p+2] + aoff)[:d]
-		a3 := a.Row(arows[p+3] + aoff)[:d]
-		b0 := b.Row(brows[p] + boff)[:d]
-		b1 := b.Row(brows[p+1] + boff)[:d]
-		b2 := b.Row(brows[p+2] + boff)[:d]
-		b3 := b.Row(brows[p+3] + boff)[:d]
-		var s0, s1, s2, s3 float64
-		for k := 0; k < d; k++ {
-			s0 += float64(a0[k] * b0[k])
-			s1 += float64(a1[k] * b1[k])
-			s2 += float64(a2[k] * b2[k])
-			s3 += float64(a3[k] * b3[k])
-		}
-		if add {
-			dst[p] += s0
-			dst[p+1] += s1
-			dst[p+2] += s2
-			dst[p+3] += s3
-		} else {
-			dst[p], dst[p+1], dst[p+2], dst[p+3] = s0, s1, s2, s3
-		}
-	}
-	for ; p < len(arows); p++ {
-		s := Dot(a.Row(arows[p]+aoff), b.Row(brows[p]+boff))
-		if add {
-			dst[p] += s
-		} else {
-			dst[p] = s
 		}
 	}
 }
