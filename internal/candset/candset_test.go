@@ -2,45 +2,49 @@ package candset
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
-	"ptffedrec/internal/bitset"
 	"ptffedrec/internal/rng"
 )
 
-// naiveComplement is the reference the word walk must match: probe every
-// element of the universe against the set.
-func naiveComplement(s *bitset.Set, n int) []int32 {
-	var out []int32
+// naiveComplement is the reference the run-append walk must match: probe
+// every element of the universe against the exclusion list.
+func naiveComplement(sorted []int, n int) []int {
+	var out []int
 	for v := 0; v < n; v++ {
-		if !s.Contains(v) {
-			out = append(out, int32(v))
+		if _, found := slices.BinarySearch(sorted, v); !found {
+			out = append(out, v)
 		}
 	}
 	return out
+}
+
+// sortedSample returns k distinct values of [0, n), ascending.
+func sortedSample(s *rng.Stream, n, k int) []int {
+	sorted := s.SampleInts(n, k)
+	slices.Sort(sorted)
+	return sorted
 }
 
 func TestAppendComplementMatchesWalk(t *testing.T) {
 	s := rng.New(7).Derive("candset")
 	for _, n := range []int{1, 63, 64, 65, 128, 1000} {
 		for trial := 0; trial < 20; trial++ {
-			set := bitset.New(n)
-			k := s.Intn(n + 1)
-			for _, v := range s.SampleInts(n, k) {
-				set.Add(v)
-			}
-			got := AppendComplement[int32](nil, set, n)
-			want := naiveComplement(set, n)
+			sorted := sortedSample(s, n, s.Intn(n+1))
+			got := AppendComplementSorted[int](nil, n, sorted)
+			want := naiveComplement(sorted, n)
 			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("n=%d trial=%d: word walk %v != probe walk %v", n, trial, got, want)
+				t.Fatalf("n=%d trial=%d: run walk %v != probe walk %v", n, trial, got, want)
 			}
 		}
 	}
 }
 
-// FuzzAppendComplementMatchesWalk pins the dispersal engine's eligibility
-// contract: the eligible list its random arms build (the bitset's word-walk
-// complement) must equal the naive item-universe walk for any upload pattern.
+// FuzzAppendComplementMatchesWalk pins the eligibility contract dispersal's
+// random arms rely on: the eligible list (the run-append complement of the
+// upload's sorted item list) must equal the naive item-universe walk for any
+// upload pattern.
 func FuzzAppendComplementMatchesWalk(f *testing.F) {
 	f.Add(uint64(1), 100, 10)
 	f.Add(uint64(2), 64, 64)
@@ -56,15 +60,11 @@ func FuzzAppendComplementMatchesWalk(f *testing.F) {
 		if k > n {
 			k = n
 		}
-		set := bitset.New(n)
-		s := rng.New(seed).Derive("fuzz")
-		for _, v := range s.SampleInts(n, k) {
-			set.Add(v)
-		}
-		got := AppendComplement[int32](nil, set, n)
-		want := naiveComplement(set, n)
+		sorted := sortedSample(rng.New(seed).Derive("fuzz"), n, k)
+		got := AppendComplementSorted[int](nil, n, sorted)
+		want := naiveComplement(sorted, n)
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("seed=%d n=%d k=%d: word walk != probe walk", seed, n, k)
+			t.Fatalf("seed=%d n=%d k=%d: run walk != probe walk", seed, n, k)
 		}
 	})
 }
@@ -75,28 +75,23 @@ func TestAppendComplementSorted(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("AppendComplementSorted = %v, want %v", got, want)
 	}
-	gotInt := AppendComplementSorted[int](nil, 3, nil)
-	if !reflect.DeepEqual(gotInt, []int{0, 1, 2}) {
-		t.Fatalf("empty exclusion: %v", gotInt)
-	}
-	if out := AppendComplementSorted[int]([]int{9}, 2, []int{0, 1}); !reflect.DeepEqual(out, []int{9}) {
+	if out := AppendComplementSorted([]int{9}, 2, []int{0, 1}); !reflect.DeepEqual(out, []int{9}) {
 		t.Fatalf("full exclusion should append nothing: %v", out)
 	}
 }
 
-// TestAppendRangeAndWiden: the full range is what AppendComplement gives for
-// a nil set (no upload stored) and for an empty one, in both element types.
+// TestAppendRangeAndWiden: the full range is what AppendComplementSorted
+// gives for a nil exclusion list (an empty upload) and for an empty one, and
+// it appends after what dst already holds.
 func TestAppendRangeAndWiden(t *testing.T) {
-	r := AppendComplement[int32](nil, nil, 4)
-	if !reflect.DeepEqual(r, []int32{0, 1, 2, 3}) {
-		t.Fatalf("complement of a nil set = %v", r)
+	r := AppendComplementSorted[int](nil, 4, nil)
+	if !reflect.DeepEqual(r, []int{0, 1, 2, 3}) {
+		t.Fatalf("complement of a nil list = %v", r)
 	}
-	if e := AppendComplement[int32](nil, bitset.New(4), 4); !reflect.DeepEqual(e, r) {
-		t.Fatalf("complement of an empty set = %v", e)
+	if e := AppendComplementSorted[int](nil, 4, []int{}); !reflect.DeepEqual(e, r) {
+		t.Fatalf("complement of an empty list = %v", e)
 	}
-	for _, s := range []*bitset.Set{nil, bitset.New(4)} {
-		if ri := AppendComplement([]int{9}, s, 4); !reflect.DeepEqual(ri, []int{9, 0, 1, 2, 3}) {
-			t.Fatalf("[]int complement appended to {9} = %v", ri)
-		}
+	if ri := AppendComplementSorted([]int{9}, 4, nil); !reflect.DeepEqual(ri, []int{9, 0, 1, 2, 3}) {
+		t.Fatalf("complement appended to {9} = %v", ri)
 	}
 }

@@ -22,6 +22,12 @@
 // configured straggler deadline closes with partial participation — pending
 // clients become dropped — instead of waiting forever.
 //
+// Every refusal answers a 4xx status with a MsgError frame, never 200: 409 to
+// an upload for a round that no longer takes it (a straggler's participant
+// carries on), 400 to everything else — a bad join frame or range, a
+// missing, malformed or unknown token, round, user or cursor, a user the
+// session does not host, and a malformed upload stream.
+//
 // A dispersal is relative to its own round: Eq. 9 excludes the items of the
 // upload that produced it (fed.RoundEngine.CloseRound). A dispersal retained
 // for an absent host and flushed after the user's later upload therefore
@@ -451,8 +457,10 @@ func (c *Coordinator) writeFrame(w io.Writer, t comm.MsgType, payload []byte) {
 	c.wireOut.Add(int64(n))
 }
 
-// writeError sends a MsgError frame.
-func (c *Coordinator) writeError(w http.ResponseWriter, format string, args ...any) {
+// writeError refuses a request: the 4xx status, then a MsgError frame whose
+// text is for people.
+func (c *Coordinator) writeError(w http.ResponseWriter, status int, format string, args ...any) {
+	w.WriteHeader(status)
 	c.writeFrame(w, comm.MsgError, []byte(fmt.Sprintf(format, args...)))
 }
 
@@ -546,22 +554,22 @@ func (c *Coordinator) handleJoin(w http.ResponseWriter, r *http.Request) {
 	defer func() { c.wireIn.Add(cr.n) }()
 	mt, payload, err := comm.ReadFrame(cr)
 	if err != nil || mt != comm.MsgJoin {
-		c.writeError(w, "coord: join expects a %v frame: %v", comm.MsgJoin, err)
+		c.writeError(w, http.StatusBadRequest, "coord: join expects a %v frame: %v", comm.MsgJoin, err)
 		return
 	}
 	j, err := comm.DecodeJoin(payload)
 	if err != nil {
-		c.writeError(w, "%v", err)
+		c.writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	if j.UserLo < 0 || j.UserHi > c.split.NumUsers || j.UserLo >= j.UserHi {
-		c.writeError(w, "coord: join range [%d, %d) outside universe of %d users",
+		c.writeError(w, http.StatusBadRequest, "coord: join range [%d, %d) outside universe of %d users",
 			j.UserLo, j.UserHi, c.split.NumUsers)
 		return
 	}
 	s, err := c.register(j.UserLo, j.UserHi)
 	if err != nil {
-		c.writeError(w, "%v", err)
+		c.writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	c.writeFrame(w, comm.MsgJoinAck, comm.EncodeJoinAck(comm.JoinAck{
@@ -578,7 +586,7 @@ func (c *Coordinator) handleJoin(w http.ResponseWriter, r *http.Request) {
 func (c *Coordinator) handleLeave(w http.ResponseWriter, r *http.Request) {
 	s, err := c.sessionFromQuery(r)
 	if err != nil {
-		c.writeError(w, "%v", err)
+		c.writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	c.unregister(s)
@@ -611,12 +619,12 @@ func (c *Coordinator) eventsAfter(s *session, after int64) (events [][]byte, wak
 func (c *Coordinator) handlePoll(w http.ResponseWriter, r *http.Request) {
 	s, err := c.sessionFromQuery(r)
 	if err != nil {
-		c.writeError(w, "%v", err)
+		c.writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	after, err := queryInt(r, "after")
 	if err != nil {
-		c.writeError(w, "%v", err)
+		c.writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	deadline := time.NewTimer(pollWait)
@@ -624,7 +632,7 @@ func (c *Coordinator) handlePoll(w http.ResponseWriter, r *http.Request) {
 	for {
 		events, wake, err := c.eventsAfter(s, after)
 		if err != nil {
-			c.writeError(w, "%v", err)
+			c.writeError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
 		if len(events) > 0 {
@@ -653,21 +661,21 @@ func (c *Coordinator) handlePoll(w http.ResponseWriter, r *http.Request) {
 func (c *Coordinator) handleUpload(w http.ResponseWriter, r *http.Request) {
 	s, err := c.sessionFromQuery(r)
 	if err != nil {
-		c.writeError(w, "%v", err)
+		c.writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	round, err := queryInt(r, "round")
 	if err != nil {
-		c.writeError(w, "%v", err)
+		c.writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	user, err := queryInt(r, "user")
 	if err != nil {
-		c.writeError(w, "%v", err)
+		c.writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	if int(user) < s.lo || int(user) >= s.hi {
-		c.writeError(w, "coord: session %d does not host user %d", s.token, user)
+		c.writeError(w, http.StatusBadRequest, "coord: session %d does not host user %d", s.token, user)
 		return
 	}
 
@@ -680,14 +688,12 @@ func (c *Coordinator) handleUpload(w http.ResponseWriter, r *http.Request) {
 		// transport faults: reject, and resolve the slot as dropped so the
 		// round never hangs on a broken peer.
 		c.resolveUpload(int(round), int(user), fed.ClientOutcome{ID: int(user), Dropped: true})
-		w.WriteHeader(http.StatusBadRequest)
-		c.writeError(w, "%v", perr)
+		c.writeError(w, http.StatusBadRequest, "%v", perr)
 		return
 	}
 	if !c.resolveUpload(int(round), int(user), outcome) {
 		// The 409 is what a straggler's participant reads; the text is for people.
-		w.WriteHeader(http.StatusConflict)
-		c.writeError(w, "coord: round %d closed for user %d", round, user)
+		c.writeError(w, http.StatusConflict, "coord: round %d closed for user %d", round, user)
 		return
 	}
 	c.writeFrame(w, comm.MsgAck, comm.EncodeRound(int(round)))

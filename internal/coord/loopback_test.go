@@ -362,6 +362,64 @@ func TestSessionTokensUnguessable(t *testing.T) {
 	}
 }
 
+// TestRefusalsAnswer4xx pins one rule for every refusal on the four
+// endpoints: a 4xx status and a MsgError frame, never 200. 409 is the late
+// upload's alone — an upload for a round that is closed or already published
+// (TestUploadRejectsForeignPredictions pins it); everything else a request
+// gets wrong answers 400, and none of it registers or drops a session.
+func TestRefusalsAnswer4xx(t *testing.T) {
+	sp := testSplit()
+	c, err := New(sp, testConfig(models.KindMF, 1), testOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(c.Handler())
+	defer srv.Close()
+	p, err := Join(srv.URL, 0, 20, srv.Client())
+	if err != nil {
+		t.Fatal(err)
+	}
+	tok := p.Token()
+	join := func(lo, hi int) []byte {
+		return comm.AppendFrame(nil, comm.MsgJoin, comm.EncodeJoin(comm.Join{UserLo: lo, UserHi: hi}))
+	}
+	for _, tc := range []struct {
+		name, path string
+		body       []byte
+	}{
+		{"join: not a frame", "/v1/join", []byte("not a frame")},
+		{"join: wrong frame", "/v1/join", comm.AppendFrame(nil, comm.MsgAck, nil)},
+		{"join: empty range", "/v1/join", join(30, 30)},
+		{"join: range beyond the universe", "/v1/join", join(30, sp.NumUsers+1)},
+		{"join: range overlaps a live session", "/v1/join", join(10, 30)},
+		{"leave: missing token", "/v1/leave", nil},
+		{"leave: malformed token", "/v1/leave?token=x", nil},
+		{"leave: unknown token", fmt.Sprintf("/v1/leave?token=%d", tok^1), nil},
+		{"poll: unknown token", fmt.Sprintf("/v1/poll?token=%d&after=0", tok^1), nil},
+		{"poll: missing after", fmt.Sprintf("/v1/poll?token=%d", tok), nil},
+		{"poll: malformed after", fmt.Sprintf("/v1/poll?token=%d&after=x", tok), nil},
+		{"poll: cursor outside the log", fmt.Sprintf("/v1/poll?token=%d&after=5", tok), nil},
+		{"upload: missing token", "/v1/upload?round=0&user=0", nil},
+		{"upload: missing round", fmt.Sprintf("/v1/upload?token=%d&user=0", tok), nil},
+		{"upload: malformed round", fmt.Sprintf("/v1/upload?token=%d&round=x&user=0", tok), nil},
+		{"upload: missing user", fmt.Sprintf("/v1/upload?token=%d&round=0", tok), nil},
+		{"upload: user not hosted", fmt.Sprintf("/v1/upload?token=%d&round=0&user=25", tok), nil},
+	} {
+		resp, err := srv.Client().Post(srv.URL+tc.path, "application/octet-stream", bytes.NewReader(tc.body))
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		mt, payload, err := comm.ReadFrame(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || err != nil || mt != comm.MsgError || len(payload) == 0 {
+			t.Errorf("%s: reply %d %v %q (%v), want 400 and a MsgError frame", tc.name, resp.StatusCode, mt, payload, err)
+		}
+	}
+	if n := c.Sessions(); n != 1 {
+		t.Fatalf("%d sessions after the refusals, want 1", n)
+	}
+}
+
 // encodeUpload builds an upload body for readUpload tests.
 func encodeUpload(round, user int, codec comm.Codec, preds []comm.Prediction, sendPreds int, end bool) []byte {
 	return encodeUploadMetrics(round, user, codec, preds, sendPreds, end, 0.25, 0.5)

@@ -10,20 +10,19 @@
 //
 // Candidates are the complement of the sorted train list, walked per score
 // window: Split.Train[u] is ascending and stays in memory, so nothing per
-// (user, item) is stored and Split.InTrain is never probed. The batched
-// engine: scorers that implement models.MultiBlockScorer score evalUsersBatch
-// users per kernel call in logit domain — one gather-GEMM per (user batch,
-// item window), the runs between each user's consecutive train items streamed
-// as raw logits into metrics.LogitTopKSelector under its tie-safe contract —
-// so the item-embedding rows are loaded once per batch instead of once per
-// user, no NumItems-length score vector exists, and the sigmoid is paid only
-// for candidates that reach a heap, not once per (user, candidate). Any other
-// scorer (a models.ScorerFunc: per-client adapters, the parameter-transmission
+// (user, item) is stored and Split.InTrain is never probed. Scorers that
+// implement models.MultiBlockScorer rank through BlockTopK, the batched
+// logit-domain top-K engine that Eq. 9's dispersal hard half (internal/fed)
+// selects through too: evalUsersBatch users per gather-GEMM over each item
+// window, the runs between each user's consecutive train items streamed into
+// metrics.LogitTopKSelector, so no NumItems-length score vector exists and the
+// sigmoid is paid only for candidates that reach a heap. Any other scorer (a
+// models.ScorerFunc: per-client adapters, the parameter-transmission
 // baselines) is ranked per user through ScoreItems and metrics.TopKInto over
-// the complement list rebuilt into worker scratch (one merge walk, next to a
-// score per item). That one type test is the only engine choice; both
-// paths are bitwise-identical to the naive score-everything-then-sort
-// evaluation (metrics.TopK), so Results never depend on the path taken.
+// the complement list rebuilt into worker scratch. That one type test is the
+// only engine choice; both paths are bitwise-identical to the naive
+// score-everything-then-sort evaluation (metrics.TopK), so Results never
+// depend on the path taken.
 //
 // The package consumes the models scoring interface family directly
 // (models.Scorer, its MultiBlockScorer refinement, models.Warmer for lazily
@@ -36,7 +35,6 @@ import (
 	"ptffedrec/internal/metrics"
 	"ptffedrec/internal/models"
 	"ptffedrec/internal/par"
-	"ptffedrec/internal/tensor"
 )
 
 // evalUsersBatch is how many users the batched engine scores per kernel call:
@@ -116,55 +114,23 @@ type scratch struct {
 	relevant map[int]bool
 }
 
-// batchScratch is one worker's reusable state for the batched multi-user
-// engine: the window logit matrix backing (plus its reusable header), one
-// logit-domain selector and train-list cursor per batch slot, the selectors'
-// three shared heap slabs, the ranked item list, and the relevance set.
-// Nothing here is allocated per batch — and because the selectors borrow
-// evalK-wide slab segments instead of growing their own arrays, building the
-// scratch itself costs a fixed handful of allocations, not three per slot.
+// batchScratch is one worker's reusable state for the batched engine: the
+// BlockTopK, the batch's train lists as its exclusion lists, the ranked item
+// list and the relevance set. Nothing here is allocated per batch.
 type batchScratch struct {
-	k        int       // slab stride: the Rank call's cutoff
-	scores   []float64 // batch×window logit backing
-	mat      tensor.Matrix
-	sels     []metrics.LogitTopKSelector
-	selIdx   []int // evalUsersBatch×k selector heap slabs
-	selLogit []float64
-	selProb  []float64
-	cursors  []int
+	topk     *BlockTopK
+	excl     [][]int
 	ranked   []int
 	relevant map[int]bool
 }
 
-func newBatchScratch(k int) *batchScratch {
+func (e *Evaluator) newBatchScratch(k int) *batchScratch {
 	return &batchScratch{
-		k:        k,
-		sels:     make([]metrics.LogitTopKSelector, evalUsersBatch),
-		selIdx:   make([]int, evalUsersBatch*k),
-		selLogit: make([]float64, evalUsersBatch*k),
-		selProb:  make([]float64, evalUsersBatch*k),
-		cursors:  make([]int, evalUsersBatch),
+		topk:     NewBlockTopK(e.ident, evalUsersBatch, evalScoreChunk, k),
+		excl:     make([][]int, 0, evalUsersBatch),
 		ranked:   make([]int, 0, k),
 		relevant: make(map[int]bool, 16),
 	}
-}
-
-// resetSel points slot i's selector at its slab segment with cutoff kSel
-// (≤ the slab stride, so the heap never outgrows the segment).
-func (sc *batchScratch) resetSel(i, kSel int) {
-	lo, hi := i*sc.k, (i+1)*sc.k
-	sc.sels[i].ResetBacked(kSel, sc.selIdx[lo:lo:hi], sc.selLogit[lo:lo:hi], sc.selProb[lo:lo:hi])
-}
-
-// scoreMat returns a rows×cols logit matrix over the scratch backing,
-// growing it as needed. The returned header lives in the scratch, so windows
-// don't allocate.
-func (sc *batchScratch) scoreMat(rows, cols int) *tensor.Matrix {
-	if need := rows * cols; cap(sc.scores) < need {
-		sc.scores = make([]float64, need)
-	}
-	sc.mat = tensor.Matrix{Rows: rows, Cols: cols, Data: sc.scores[:rows*cols]}
-	return &sc.mat
 }
 
 // Rank evaluates the scorer at cutoff k over every user's non-train items with
@@ -193,7 +159,7 @@ func (e *Evaluator) Rank(s models.Scorer, k, workers int) Result {
 	chunk := (len(e.users) + workers - 1) / workers
 	if batched {
 		par.ForChunks(len(e.users), chunk, workers, func(lo, hi int) {
-			sc := newBatchScratch(k)
+			sc := e.newBatchScratch(k)
 			for b := lo; b < hi; b += evalUsersBatch {
 				be := b + evalUsersBatch
 				if be > hi {
@@ -236,60 +202,21 @@ func (e *Evaluator) evalUser(s models.Scorer, sc *scratch, i, k int) (recall, nd
 	return e.userMetrics(ranked, sc.relevant, u, k)
 }
 
-// evalUserBatch ranks users [b, be) of e.users through the batched multi-user
-// logit engine: the batch's logits for each evalScoreChunk-wide item window
-// come from one ScoreUsersBlockLogitsInto call, each user's ascending train
-// list is walked across the window and every gap between consecutive train
-// items goes into that user's logit-domain selector as one PushRun — the run
-// of logits starting at the gap's first item — and each selector's winners
-// are the user's ranked items. The slot's cursor indexes Train[u] across
-// windows. Train lists are strictly ascending and in range (InTrain's binary
-// search relies on it too); v never steps backwards, so a stray value cannot
-// index below the window.
-//
-// Bitwise equivalence with the per-user path, piece by piece: σ of a window's
-// logits equals ScoreItems' values for any window boundary (per-element
-// independence, the MultiBlockScorer contract), so scoring the whole universe
-// and reading only candidate positions yields exactly the logits of scoring
-// the candidate list directly; the runs are pushed ascending in item id, so
-// pushing item ids preserves the per-user path's (score desc, position asc)
-// selection order; and LogitTopKSelector resolves σ-collapsed ties exactly as
-// a probability-domain selection does. Only the sigmoid count differs — paid
-// per heap insertion here, per candidate there.
+// evalUserBatch ranks users [b, be) of e.users through the batched engine:
+// each user's exclusion list is their train list — strictly ascending and in
+// range, as InTrain's binary search relies on too — so the BlockTopK's
+// winners are the user's ranked items, bitwise the per-user path's (see
+// BlockTopK).
 func (e *Evaluator) evalUserBatch(mbs models.MultiBlockScorer, sc *batchScratch, b, be, k int, recalls, ndcgs []float64) {
-	n := be - b
 	users := e.users[b:be]
-	for i := 0; i < n; i++ {
-		kSel := k
-		if cl := e.sp.NumItems - len(e.sp.Train[users[i]]); kSel > cl {
-			kSel = cl
-		}
-		sc.resetSel(i, kSel)
-		sc.cursors[i] = 0
+	sc.excl = sc.excl[:0]
+	for _, u := range users {
+		sc.excl = append(sc.excl, e.sp.Train[u])
 	}
-	for lo := 0; lo < e.sp.NumItems; lo += evalScoreChunk {
-		hi := lo + evalScoreChunk
-		if hi > e.sp.NumItems {
-			hi = e.sp.NumItems
-		}
-		m := sc.scoreMat(n, hi-lo)
-		mbs.ScoreUsersBlockLogitsInto(m, users, e.ident[lo:hi])
-		for i := 0; i < n; i++ {
-			train, sel, row := e.sp.Train[users[i]], &sc.sels[i], m.Row(i)
-			cur, v := sc.cursors[i], lo
-			for ; cur < len(train) && train[cur] < hi; cur++ {
-				if t := train[cur]; t >= v {
-					sel.PushRun(v, row[v-lo:t-lo])
-					v = t + 1
-				}
-			}
-			sel.PushRun(v, row[v-lo:hi-lo])
-			sc.cursors[i] = cur
-		}
-	}
-	for i := 0; i < n; i++ {
-		sc.ranked = sc.sels[i].Into(sc.ranked)
-		recalls[b+i], ndcgs[b+i] = e.userMetrics(sc.ranked, sc.relevant, e.users[b+i], k)
+	sc.topk.Select(mbs, users, sc.excl)
+	for i, u := range users {
+		sc.ranked = sc.topk.Into(i, sc.ranked)
+		recalls[b+i], ndcgs[b+i] = e.userMetrics(sc.ranked, sc.relevant, u, k)
 	}
 }
 

@@ -139,7 +139,7 @@ func (f logitFunc) ScoreUsersBlockLogitsInto(dst *tensor.Matrix, users, items []
 // rankedBatched ranks e.users[i] alone through the batched engine at cutoff k
 // and returns the ranked items, which Rank folds into metrics and drops.
 func rankedBatched(e *Evaluator, s models.MultiBlockScorer, i, k int) []int {
-	sc := newBatchScratch(k)
+	sc := e.newBatchScratch(k)
 	slots := make([]float64, len(e.users))
 	e.evalUserBatch(s, sc, i, i+1, k, slots, slots)
 	return sc.ranked
@@ -205,19 +205,19 @@ func TestEvaluatorAllocsPerUser(t *testing.T) {
 	}
 }
 
-// FuzzEvalWindowWalkMatchesComplement pins the batched engine's candidate
-// walk against the one definition of "candidate set": for any strictly
-// ascending train list (bit v of mask, cycled, says whether v is a training
-// positive) and window widths 1, 7 and 64, the (item, logit) pairs the walk
-// pushes are AppendComplementSorted's list, in order. The selector is the
-// only observer, so the pairs are read through it three ways: logits falling
-// with v rank the pushed items ascending, logits rising with v rank them
-// descending (an item pushed with a neighbour's logit breaks either), and
-// equal logits with a short cutoff keep the first pushed (the tie-safe
-// contract's loser is the newcomer), which an out-of-order walk would change.
+// FuzzEvalWindowWalkMatchesComplement pins BlockTopK's candidate walk
+// against the one definition of "candidate set": for any strictly ascending
+// exclusion list (bit v of mask, cycled, says whether v is excluded) and
+// window widths 1, 7 and 64, the (item, logit) pairs the walk pushes are
+// AppendComplementSorted's list, in order. The selector is the only observer,
+// so the pairs are read through it three ways: logits falling with v rank the
+// pushed items ascending, logits rising with v rank them descending (an item
+// pushed with a neighbour's logit breaks either), and equal logits with a
+// short cutoff keep the first pushed (the tie-safe contract's loser is the
+// newcomer), which an out-of-order walk would change.
 func FuzzEvalWindowWalkMatchesComplement(f *testing.F) {
-	f.Add(100, []byte{0})    // empty train list
-	f.Add(100, []byte{0xff}) // everything is a positive: nothing to push
+	f.Add(100, []byte{0})    // empty exclusion list
+	f.Add(100, []byte{0xff}) // everything is excluded: nothing to push
 	f.Add(1, []byte{1})
 	// Every multiple of 8 and the item before it: 63 and 64 sit at hi−1 and
 	// lo of the 64-wide windows, 7 and 56 at lo and 55 at hi−1 of 7-wide ones.
@@ -229,34 +229,41 @@ func FuzzEvalWindowWalkMatchesComplement(f *testing.F) {
 		if n <= 0 || n > 1024 || len(mask) == 0 {
 			t.Skip()
 		}
-		var train []int
+		var excl []int
 		for v := 0; v < n; v++ {
 			if mask[v/8%len(mask)]>>(v%8)&1 == 1 {
-				train = append(train, v)
+				excl = append(excl, v)
 			}
 		}
-		want := candset.AppendComplementSorted[int](nil, n, train)
-		sp := &data.Split{NumUsers: 1, NumItems: n, Train: [][]int{train}, Test: [][]int{{0}}}
-		e := NewEvaluator(sp)
-
-		defer func(c int) { evalScoreChunk = c }(evalScoreChunk)
-		for _, chunk := range []int{1, 7, 64} {
-			evalScoreChunk = chunk
+		want := candset.AppendComplementSorted[int](nil, n, excl)
+		items := identity(n)
+		for _, window := range []int{1, 7, 64} {
 			// Logits slope·v/n: distinct, and small enough that σ keeps them so.
 			ranked := func(slope float64, k int) []int {
-				return rankedBatched(e, logitFunc(func(_, v int) float64 { return slope * float64(v) / float64(n) }), 0, k)
+				tk := NewBlockTopK(items, 1, window, k)
+				tk.Select(logitFunc(func(_, v int) float64 { return slope * float64(v) / float64(n) }), []int{0}, [][]int{excl})
+				return tk.Into(0, nil)
 			}
 			if got := ranked(-1, n); !slices.Equal(got, want) {
-				t.Fatalf("chunk=%d train=%v: falling logits ranked %v, want %v", chunk, train, got, want)
+				t.Fatalf("window=%d excl=%v: falling logits ranked %v, want %v", window, excl, got, want)
 			}
 			got := ranked(1, n)
 			slices.Reverse(got)
 			if !slices.Equal(got, want) {
-				t.Fatalf("chunk=%d train=%v: rising logits ranked (reversed) %v, want %v", chunk, train, got, want)
+				t.Fatalf("window=%d excl=%v: rising logits ranked (reversed) %v, want %v", window, excl, got, want)
 			}
 			if got := ranked(0, 3); !slices.Equal(got, want[:min(3, len(want))]) {
-				t.Fatalf("chunk=%d train=%v: equal logits kept %v, want the first of %v", chunk, train, got, want)
+				t.Fatalf("window=%d excl=%v: equal logits kept %v, want the first of %v", window, excl, got, want)
 			}
 		}
 	})
+}
+
+// identity returns the item list 0..n-1.
+func identity(n int) []int {
+	items := make([]int, n)
+	for v := range items {
+		items[v] = v
+	}
+	return items
 }

@@ -19,7 +19,6 @@ import (
 type disperseScratch struct {
 	eligible []int
 	top      []int
-	excl     *bitset.Set
 }
 
 // disperse builds D̃ᵢ for one client (Eq. 9): µα items by update-frequency
@@ -38,7 +37,13 @@ func (sv *Server) disperse(tgt disperseTarget, ds *rng.Stream, plan *dispersalPl
 	if alpha <= 0 {
 		return nil
 	}
-	excluded := func(v int) bool { return tgt.excl != nil && tgt.excl.Contains(v) }
+	// The oracle probes a bitset it builds itself from the target's list, so
+	// it shares no walk with the production engine.
+	excl := bitset.New(sv.numItems)
+	for _, v := range tgt.excl {
+		excl.Add(v)
+	}
+	excluded := excl.Contains
 
 	nConf, nHard, confRandom, hardRandom := disperseArms(sv.cfg)
 

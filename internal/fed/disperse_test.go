@@ -4,9 +4,7 @@ import (
 	"slices"
 	"testing"
 
-	"ptffedrec/internal/bitset"
 	"ptffedrec/internal/comm"
-	"ptffedrec/internal/metrics"
 	"ptffedrec/internal/models"
 	"ptffedrec/internal/rng"
 )
@@ -17,15 +15,15 @@ import (
 func disperseForEligible(t *testing.T, tr *Trainer, wantEligible int, seed uint64) ([]comm.Prediction, []int) {
 	t.Helper()
 	sp := tr.split
-	excl := bitset.New(sp.NumItems)
+	var excl []int
 	for v := 0; v < sp.NumItems-wantEligible; v++ {
-		excl.Add(v)
+		excl = append(excl, v)
 	}
 	eligible := make([]int, 0, wantEligible)
 	for v := sp.NumItems - wantEligible; v < sp.NumItems; v++ {
 		eligible = append(eligible, v)
 	}
-	sc := newDisperseBatchScratch()
+	sc := tr.Server().newDisperseBatchScratch()
 	slots := sc.slots[:1]
 	slots[0].tgt = disperseTarget{id: 0, excl: excl}
 	slots[0].ds = rng.New(seed).Derive("disperse-test")
@@ -88,41 +86,46 @@ func TestDisperseRandomArmsFillAlpha(t *testing.T) {
 	}
 }
 
-// TestPushEligibleWindowMatchesPushAndAllocsNothing pins the hard half's run
-// pushes to a Push per eligible item, over windows that start and end inside
-// bitset words and exclusions at word edges, at both window ends and in
-// adjacent pairs — and, once the selector has grown to k, at zero
-// allocations per selection.
-func TestPushEligibleWindowMatchesPushAndAllocsNothing(t *testing.T) {
-	const numItems, window, k = 300, 70, 10
-	s := rng.New(5)
-	scores := make([]float64, numItems)
-	for i := range scores {
-		scores[i] = s.Normal(0, 3)
+// TestDisperseDuplicateUploadItems pins the exclusion list's de-duplication:
+// the coordinator bounds an upload's length but does not refuse an item named
+// twice, and such an upload must yield the same D̃ᵢ as the upload naming each
+// item once — the same eligible count and the same strictly ascending walk
+// for BlockTopK — for every arm, on one trained server. User 0's upload names
+// all but three items, so the eligible count, not α, bounds its D̃ᵢ.
+func TestDisperseDuplicateUploadItems(t *testing.T) {
+	sp := tinySplit(t)
+	tr, err := NewTrainer(sp, multiuserConfig(models.KindNeuMF, DisperseConfHard))
+	if err != nil {
+		t.Fatal(err)
 	}
-	edges := bitset.New(numItems)
-	for _, v := range []int{0, 5, 6, 63, 64, 69, 70, 139, 140, 200, 299} {
-		edges.Add(v)
+	once := runRoundUploads(tr, 0)
+	once[0] = nil
+	for v := 3; v < sp.NumItems; v++ {
+		once[0] = append(once[0], comm.Prediction{User: 0, Item: v, Score: 0.5})
 	}
-	for _, excl := range []*bitset.Set{nil, bitset.New(numItems), edges} {
-		var sel, want metrics.LogitTopKSelector
-		run := func() {
-			sel.Reset(k)
-			for lo := 0; lo < numItems; lo += window {
-				hi := min(lo+window, numItems)
-				pushEligibleWindow(&sel, excl, scores[lo:hi], lo, hi)
+	twice := make([][]comm.Prediction, len(once))
+	for i, up := range once {
+		twice[i] = append(slices.Clone(up), up...)
+	}
+	sv := tr.Server()
+	if w, ok := sv.model.(models.Warmer); ok {
+		w.WarmScoring()
+	}
+	ids := allSlots(sp.NumUsers)
+	root := rng.New(7).Derive("duplicates")
+	stream := func(id int) *rng.Stream { return root.DeriveN("client", id) }
+	for _, arm := range []DisperseMode{DisperseConfHard, DisperseNoHard, DisperseNoConf, DisperseAllRandom} {
+		sv.cfg.Disperse = arm
+		plan := sv.buildDispersalPlan()
+		want := make([][]comm.Prediction, len(ids))
+		sv.disperseUsers(ids, once, plan, stream, func(i int, preds []comm.Prediction) { want[i] = preds })
+		if len(want[0]) != 3 {
+			t.Fatalf("%s: user 0 has 3 eligible items, got %d dispersed", arm, len(want[0]))
+		}
+		sv.disperseUsers(ids, twice, plan, stream, func(i int, preds []comm.Prediction) {
+			if !slices.Equal(preds, want[i]) {
+				t.Fatalf("%s: user %d: doubled upload dispersed\n  %v\nthe upload named once\n  %v", arm, ids[i], preds, want[i])
 			}
-		}
-		run()
-		want.Reset(k)
-		for _, v := range naiveEligible(nil, numItems, excl) {
-			want.Push(v, scores[v])
-		}
-		if got, w := sel.Into(nil), want.Into(nil); !slices.Equal(got, w) {
-			t.Fatalf("exclusion %v: run pushes selected %v, per-item pushes %v", excl, got, w)
-		}
-		if allocs := testing.AllocsPerRun(20, run); allocs != 0 {
-			t.Fatalf("pushEligibleWindow allocates %v times per selection", allocs)
-		}
+		})
 	}
 }

@@ -49,13 +49,21 @@ func runRoundUploads(tr *Trainer, round int) [][]comm.Prediction {
 	return uploads
 }
 
-// uploadItems returns the item set of an upload.
-func uploadItems(numItems int, upload []comm.Prediction) *bitset.Set {
+// uploadItems returns the distinct items of an upload, ascending — marked in
+// a bitset and read back by probing every item, so the list shares no code
+// with disperseTargetInto's sort and de-duplication.
+func uploadItems(numItems int, upload []comm.Prediction) []int {
 	set := bitset.New(numItems)
 	for _, p := range upload {
 		set.Add(p.Item)
 	}
-	return set
+	var items []int
+	for v := 0; v < numItems; v++ {
+		if set.Contains(v) {
+			items = append(items, v)
+		}
+	}
+	return items
 }
 
 func TestConfigValidate(t *testing.T) {
@@ -188,7 +196,7 @@ func TestDispersalRespectsUploadExclusion(t *testing.T) {
 	for _, c := range tr.Clients() {
 		sent := uploadItems(sp.NumItems, uploads[c.ID])
 		for _, p := range c.ServerData() {
-			if sent.Contains(p.Item) {
+			if slices.Contains(sent, p.Item) {
 				t.Fatalf("client %d: dispersed item %d was in its upload", c.ID, p.Item)
 			}
 			if p.Score < 0 || p.Score > 1 {
@@ -290,7 +298,7 @@ func TestConfidenceSelectionPrefersFrequentItems(t *testing.T) {
 	sent := uploadItems(sp.NumItems, uploads[c.ID])
 	freqs := make([]int, 0)
 	for v := 0; v < sp.NumItems; v++ {
-		if !sent.Contains(v) {
+		if !slices.Contains(sent, v) {
 			freqs = append(freqs, tr.Server().ItemFrequency(v))
 		}
 	}

@@ -5,22 +5,20 @@ import (
 	"slices"
 	"testing"
 
-	"ptffedrec/internal/bitset"
 	"ptffedrec/internal/comm"
 	"ptffedrec/internal/models"
 	"ptffedrec/internal/rng"
 )
 
 // naiveEligible is the reference definition the random arms' eligible list
-// must reproduce: walk the item universe probing the exclusion bitset —
-// exactly the scalar dispersal oracle's construction.
-func naiveEligible(dst []int, numItems int, excl *bitset.Set) []int {
+// must reproduce: walk the item universe probing the exclusion list — the
+// scalar dispersal oracle's construction.
+func naiveEligible(dst []int, numItems int, excl []int) []int {
 	dst = dst[:0]
 	for v := 0; v < numItems; v++ {
-		if excl != nil && excl.Contains(v) {
-			continue
+		if !slices.Contains(excl, v) {
+			dst = append(dst, v)
 		}
-		dst = append(dst, v)
 	}
 	return dst
 }
@@ -77,9 +75,9 @@ func requireDispersalsMatchOracle(t *testing.T, label string, tr *Trainer, recor
 	})
 
 	scratch := &disperseScratch{}
+	var tgt disperseTarget
 	for _, id := range ids {
-		var tgt disperseTarget
-		tgt, scratch.excl = sv.disperseTargetInto(id, uploads[id], scratch.excl)
+		tgt = sv.disperseTargetInto(id, uploads[id], tgt.excl)
 		want := sv.disperse(tgt, stream(id), plan, scratch)
 		if !slices.Equal(live[id], want) {
 			t.Fatalf("%s: user %d: live engine dispersed\n  %v\noracle says\n  %v", label, id, live[id], want)
@@ -139,7 +137,7 @@ func liveEligible(t *testing.T, sv *Server, sc *disperseBatchScratch, tgt disper
 		return nil
 	}
 	for _, p := range slots[0].preds {
-		if tgt.excl != nil && tgt.excl.Contains(p.Item) {
+		if slices.Contains(tgt.excl, p.Item) {
 			t.Fatalf("user %d: dispersed excluded item %d", tgt.id, p.Item)
 		}
 	}
@@ -160,13 +158,12 @@ func TestEligCacheMatchesNaiveWalk(t *testing.T) {
 	uploads := runRoundUploads(tr, 0)
 
 	sv := tr.Server()
-	sc := newDisperseBatchScratch()
+	sc := sv.newDisperseBatchScratch()
 	ds := rng.New(3).Derive("elig-walk")
 	var walk []int
-	var bit *bitset.Set
+	var tgt disperseTarget
 	for _, c := range tr.Clients() {
-		var tgt disperseTarget
-		tgt, bit = sv.disperseTargetInto(c.ID, uploads[c.ID], bit)
+		tgt = sv.disperseTargetInto(c.ID, uploads[c.ID], tgt.excl)
 		got := liveEligible(t, sv, sc, tgt, ds)
 		walk = naiveEligible(walk, sp.NumItems, uploadItems(sp.NumItems, uploads[c.ID]))
 		if !slices.Equal(got, walk) {
@@ -181,7 +178,7 @@ func TestEligCacheMatchesNaiveWalk(t *testing.T) {
 	if slices.Equal(uploads[0], upload0) {
 		t.Fatal("round 1 left client 0's upload unchanged; nothing to follow")
 	}
-	tgt, _ := sv.disperseTargetInto(0, uploads[0], nil)
+	tgt = sv.disperseTargetInto(0, uploads[0], nil)
 	got := liveEligible(t, sv, sc, tgt, ds)
 	walk = naiveEligible(walk, sp.NumItems, uploadItems(sp.NumItems, uploads[0]))
 	if !slices.Equal(got, walk) {
@@ -190,9 +187,9 @@ func TestEligCacheMatchesNaiveWalk(t *testing.T) {
 }
 
 // FuzzEligCache drives one worker's reused scratch list through interleaved
-// targets whose exclusion sets grow, shrink to nil and straddle the 64-bit
-// word boundary. Every build must equal the naive walk over that target's
-// set alone: nothing of the previous target's list — longer or shorter — may
+// targets whose exclusion lists grow, shrink to nil and hold items on both
+// sides of 64. Every build must equal the naive walk over that target's list
+// alone: nothing of the previous target's list — longer or shorter — may
 // survive into it.
 func FuzzEligCache(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 0x81, 0, 4, 5, 0x82, 2, 6, 7, 0})
@@ -201,26 +198,22 @@ func FuzzEligCache(f *testing.F) {
 	const numItems, nClients = 70, 8
 	sv := storeTestServer(f, nClients, numItems, func(c *Config) { c.Disperse = DisperseAllRandom })
 	f.Fuzz(func(t *testing.T, ops []byte) {
-		sc := newDisperseBatchScratch()
+		sc := sv.newDisperseBatchScratch()
 		ds := rng.New(uint64(len(ops))).Derive("fuzz-elig")
-		excls := make([]*bitset.Set, nClients)
+		excls := make([][]int, nClients)
 		for i := range excls {
-			excls[i] = bitset.New(numItems)
-			excls[i].Add(i)
-			excls[i].Add(64 + i%6)
+			excls[i] = []int{i, 64 + i%6}
 		}
 		for step, op := range ops {
 			id := int(op&0x7f) % nClients
 			if op&0x80 != 0 {
 				// A new upload lands: usually one more excluded item, now and
-				// then a target with no exclusion set at all.
+				// then a target with no exclusion list at all.
 				if (step+int(op))%5 == 0 {
 					excls[id] = nil
-				} else {
-					if excls[id] == nil {
-						excls[id] = bitset.New(numItems)
-					}
-					excls[id].Add((step*13 + int(op)) % numItems)
+				} else if v := (step*13 + int(op)) % numItems; !slices.Contains(excls[id], v) {
+					excls[id] = append(excls[id], v)
+					slices.Sort(excls[id])
 				}
 			}
 			got := liveEligible(t, sv, sc, disperseTarget{id: id, excl: excls[id]}, ds)

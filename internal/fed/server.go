@@ -7,7 +7,6 @@ import (
 	"slices"
 	"sort"
 
-	"ptffedrec/internal/bitset"
 	"ptffedrec/internal/comm"
 	"ptffedrec/internal/graph"
 	"ptffedrec/internal/models"
@@ -32,8 +31,8 @@ type Server struct {
 	// embedding-update-frequency confidence measure of Eq. 9.
 	itemFreq []int
 
-	// ident is the identity item list 0..numItems-1 — the shared candidate
-	// block the batched dispersal engine slices score chunks from.
+	// ident is the identity item list 0..numItems-1 — the item universe the
+	// hard half's BlockTopK slices score windows from.
 	ident []int
 
 	// Edge-selection scratch, reused across rounds so a steady-state graph
@@ -125,8 +124,8 @@ func (sv *Server) ItemFrequency(v int) int { return sv.itemFreq[v] }
 func (sv *Server) UploadStoreBytes() int64 { return 0 }
 
 // EligCacheBytes reports the eligibility state the server retains between
-// dispersal calls: none — eligibility is the upload bitset, rebuilt per
-// target into worker scratch. Its one reader is the frozen benchmark's
+// dispersal calls: none — eligibility is the complement of the upload's
+// sorted item list, rebuilt per target into worker scratch. Its one reader is the frozen benchmark's
 // fed.elig_cache_mb probe (bench/traced.go); the two leave together.
 func (sv *Server) EligCacheBytes() int64 { return 0 }
 
@@ -350,36 +349,31 @@ func (sv *Server) buildDispersalPlan() *dispersalPlan {
 }
 
 // disperseTarget identifies one dispersal recipient from what the server
-// received: the user id and the exclusion set Eq. 9's "vⱼ ∉ V̂ᵗᵢ" constraint
-// walks (nil for an empty upload). It deliberately carries no *Client — the
-// networked coordinator disperses to users it only knows through the wire,
-// so everything here must derive from what the server received.
+// received: the user id and the exclusion list Eq. 9's "vⱼ ∉ V̂ᵗᵢ" constraint
+// walks — the upload's distinct in-range items, ascending (empty for an empty
+// upload). It deliberately carries no *Client — the networked coordinator
+// disperses to users it only knows through the wire, so everything here must
+// derive from what the server received.
 type disperseTarget struct {
 	id   int
-	excl *bitset.Set
+	excl []int
 }
 
 // disperseTargetInto builds user id's dispersal target from up, the upload
-// V̂ᵗᵢ the user sent in the dispersal's own round, filling (and returning) the
-// caller's reusable scratch bitset. An empty upload gets a nil exclusion set.
-// The exclusion therefore reflects what the server actually received — under
-// a truncated upload, the truncated item set — which is the only exclusion a
+// V̂ᵗᵢ the user sent in the dispersal's own round, its exclusion list filled
+// into buf's storage. The list is sorted and de-duplicated: an upload may
+// name an item twice, and every walk over the list — the eligible count, the
+// complement, BlockTopK's cursor — needs it strictly ascending. The exclusion
+// therefore reflects what the server actually received — under a truncated
+// upload, the truncated item set — which is the only exclusion a
 // transport-separated server can honour.
-func (sv *Server) disperseTargetInto(id int, up []comm.Prediction, bit *bitset.Set) (disperseTarget, *bitset.Set) {
-	tgt := disperseTarget{id: id}
-	if len(up) == 0 {
-		return tgt, bit
-	}
-	if bit == nil {
-		bit = bitset.New(sv.numItems)
-	} else {
-		bit.Reset()
-	}
+func (sv *Server) disperseTargetInto(id int, up []comm.Prediction, buf []int) disperseTarget {
+	buf = buf[:0]
 	for _, p := range up {
 		if p.Item >= 0 && p.Item < sv.numItems {
-			bit.Add(p.Item)
+			buf = append(buf, p.Item)
 		}
 	}
-	tgt.excl = bit
-	return tgt, bit
+	slices.Sort(buf)
+	return disperseTarget{id: id, excl: slices.Compact(buf)}
 }

@@ -14,9 +14,10 @@ import (
 // one double-gathered GEMM (tensor.GatherMulMatInto) against the (propagated)
 // embedding matrices, and NeuMF streams each user's row through its pooled
 // chunked MLP forwards. It is the contract's one method, and logit-domain
-// only: the batched evaluation and dispersal engines select under
-// metrics.LogitTopKSelector's tie-safe contract, applying σ only to the
-// winners they keep, and dispersal re-scores each client's chosen items —
+// only: eval.BlockTopK, the one top-K engine evaluation and dispersal's hard
+// half select through, pushes logits under metrics.LogitTopKSelector's
+// tie-safe contract, applying σ only to the winners it keeps, and dispersal
+// re-scores each client's chosen items —
 // whose lists differ per client — as a one-user block, applying σ to every
 // entry it ships.
 //

@@ -72,20 +72,3 @@ func LeakyReLUBackward(x, dy *tensor.Matrix, alpha float64) *tensor.Matrix {
 	}
 	return out
 }
-
-// Tanh applies tanh element-wise, returning a new matrix.
-func Tanh(x *tensor.Matrix) *tensor.Matrix {
-	out := x.Clone()
-	out.Apply(math.Tanh)
-	return out
-}
-
-// TanhBackward computes dx = dy ⊙ (1 − tanh(x)²) given the activation output
-// y = tanh(x).
-func TanhBackward(y, dy *tensor.Matrix) *tensor.Matrix {
-	out := dy.Clone()
-	for i, v := range y.Data {
-		out.Data[i] *= 1 - v*v
-	}
-	return out
-}

@@ -110,17 +110,6 @@ func TestLeakyReLU(t *testing.T) {
 	}
 }
 
-func TestTanhBackward(t *testing.T) {
-	x := tensor.FromSlice(1, 1, []float64{0.7})
-	y := Tanh(x)
-	dy := tensor.FromSlice(1, 1, []float64{1})
-	dx := TanhBackward(y, dy)
-	want := 1 - math.Tanh(0.7)*math.Tanh(0.7)
-	if math.Abs(dx.Data[0]-want) > 1e-12 {
-		t.Fatalf("TanhBackward = %v, want %v", dx.Data[0], want)
-	}
-}
-
 func TestBCEKnownValues(t *testing.T) {
 	// Perfect prediction -> ~0 loss; 0.5 prediction -> ln 2.
 	if got := BCE([]float64{0.5}, []float64{1}); math.Abs(got-math.Ln2) > 1e-9 {

@@ -113,11 +113,6 @@ func (s *Stream) Laplace(scale float64) float64 {
 	return scale * math.Log(1+2*u)
 }
 
-// Exponential returns a sample from Exp(rate).
-func (s *Stream) Exponential(rate float64) float64 {
-	return s.r.ExpFloat64() / rate
-}
-
 // Perm returns a random permutation of [0, n).
 func (s *Stream) Perm(n int) []int { return s.r.Perm(n) }
 

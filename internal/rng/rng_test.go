@@ -196,18 +196,6 @@ func TestBernoulliRate(t *testing.T) {
 	}
 }
 
-func TestExponentialMean(t *testing.T) {
-	s := New(31)
-	var sum float64
-	const n = 100000
-	for i := 0; i < n; i++ {
-		sum += s.Exponential(2.0)
-	}
-	if math.Abs(sum/n-0.5) > 0.02 {
-		t.Fatalf("Exp(2) mean = %v, want 0.5", sum/n)
-	}
-}
-
 // TestLazySeedingMatchesEager pins the lazy generator: whichever helper makes
 // a stream's first draw, it and every later draw equal those of a stream whose
 // math/rand source was seeded at construction.
@@ -221,7 +209,6 @@ func TestLazySeedingMatchesEager(t *testing.T) {
 		"Bernoulli":    func(s *Stream) any { return s.Bernoulli(0.5) },
 		"Normal":       func(s *Stream) any { return s.Normal(1, 2) },
 		"Laplace":      func(s *Stream) any { return s.Laplace(0.7) },
-		"Exponential":  func(s *Stream) any { return s.Exponential(1.5) },
 		"Perm":         func(s *Stream) any { return s.Perm(9) },
 		"Shuffle": func(s *Stream) any {
 			xs := []int{0, 1, 2, 3, 4, 5, 6}
