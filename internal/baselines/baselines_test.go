@@ -23,7 +23,6 @@ func fastConfig() Config {
 	cfg.Dim = 8
 	cfg.LR = 0.01
 	cfg.Workers = 4
-	cfg.KeyBits = 256
 	return cfg
 }
 
@@ -38,8 +37,6 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.NegRatio = 0 },
 		func(c *Config) { c.ClientFraction = 0 },
 		func(c *Config) { c.EvalK = 0 },
-		func(c *Config) { c.KeyBits = 15 },
-		func(c *Config) { c.SlotBits = 0 },
 	}
 	for i, mutate := range bad {
 		c := DefaultConfig()

@@ -42,15 +42,19 @@ type Config struct {
 	EvalK          int
 	Workers        int
 	Seed           uint64
-
-	// FedMF: the Paillier key and packing that size its ciphertexts.
-	KeyBits  int  // modulus bits (2048 realistic; tests use 256)
-	SlotBits uint // packed slot width
-
-	// MetaMF.
-	CVDim      int // collaborative vector size
-	MetaHidden int // meta-network hidden width
 }
+
+// FedMF's Paillier key and packing, which size its ciphertexts.
+const (
+	paillierKeyBits  = 2048 // modulus bits
+	paillierSlotBits = 256  // packed slot width
+)
+
+// MetaMF's collaborative vector size and meta-network hidden width.
+const (
+	cvDim      = 16
+	metaHidden = 32
+)
 
 // DefaultConfig mirrors §IV-D for the baselines.
 func DefaultConfig() Config {
@@ -63,10 +67,6 @@ func DefaultConfig() Config {
 		ClientFraction: 1.0,
 		EvalK:          20,
 		Seed:           1,
-		KeyBits:        2048,
-		SlotBits:       256,
-		CVDim:          16,
-		MetaHidden:     32,
 	}
 }
 
@@ -85,10 +85,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("baselines: ClientFraction = %v", c.ClientFraction)
 	case c.EvalK <= 0:
 		return fmt.Errorf("baselines: EvalK = %d", c.EvalK)
-	case c.KeyBits < 16:
-		return fmt.Errorf("baselines: KeyBits = %d", c.KeyBits)
-	case c.SlotBits == 0:
-		return fmt.Errorf("baselines: SlotBits = %d", c.SlotBits)
 	}
 	return nil
 }

@@ -9,8 +9,8 @@ import "ptffedrec/internal/data"
 //
 // Here the sum is taken in plaintext, which is the update the homomorphic sum
 // decrypts to, and no key is generated: Table IV's cell is the size of the
-// packed ciphertexts the protocol ships, which is arithmetic on KeyBits and
-// SlotBits.
+// packed ciphertexts the protocol ships, which is arithmetic on paillierKeyBits
+// and paillierSlotBits.
 type FedMF struct {
 	*sharedItems // items is the plaintext view of the item matrix
 }
@@ -27,9 +27,9 @@ func NewFedMF(sp *data.Split, cfg Config) (*FedMF, error) {
 	// each direction. Uploading gradients for every item (zeros included) is
 	// what hides which items a client interacted with — and what makes FedMF
 	// the most expensive row of Table IV.
-	slots := packedSlots(cfg.KeyBits, cfg.SlotBits)
+	slots := packedSlots(paillierKeyBits, paillierSlotBits)
 	cts := (sp.NumItems*cfg.Dim + slots - 1) / slots
-	s.clientRoundBytes = 2 * cts * ciphertextBytes(cfg.KeyBits)
+	s.clientRoundBytes = 2 * cts * ciphertextBytes(paillierKeyBits)
 	return f, nil
 }
 

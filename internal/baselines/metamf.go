@@ -42,10 +42,10 @@ func NewMetaMF(sp *data.Split, cfg Config) (*MetaMF, error) {
 	m := &MetaMF{
 		federation: f,
 		base:       nn.NewParam("metamf.base", sp.NumItems, cfg.Dim),
-		cv:         emb.NewTable(f.root.Derive("cv"), sp.NumUsers, cfg.CVDim, emb.DefaultAdam(cfg.LR)),
-		cvG:        emb.NewRowGrads(cfg.CVDim),
-		l1:         nn.NewDense("metamf.l1", cfg.CVDim, cfg.MetaHidden, f.root.Derive("l1")),
-		l2:         nn.NewDense("metamf.l2", cfg.MetaHidden, 2*cfg.Dim, f.root.Derive("l2")),
+		cv:         emb.NewTable(f.root.Derive("cv"), sp.NumUsers, cvDim, emb.DefaultAdam(cfg.LR)),
+		cvG:        emb.NewRowGrads(cvDim),
+		l1:         nn.NewDense("metamf.l1", cvDim, metaHidden, f.root.Derive("l1")),
+		l2:         nn.NewDense("metamf.l2", metaHidden, 2*cfg.Dim, f.root.Derive("l2")),
 		opt:        nn.NewAdam(cfg.LR),
 	}
 	nn.Normal(f.root.Derive("base"), m.base.W, 0.1)
@@ -59,7 +59,7 @@ func NewMetaMF(sp *data.Split, cfg Config) (*MetaMF, error) {
 // generate runs the meta-network for user u, returning the modulation and
 // the intermediates needed for backprop.
 func (m *MetaMF) generate(u int) (x, h1, a1, out *tensor.Matrix, scale, shift []float64) {
-	x = tensor.FromSlice(1, m.cfg.CVDim, tensor.CloneVec(m.cv.Row(u)))
+	x = tensor.FromSlice(1, cvDim, tensor.CloneVec(m.cv.Row(u)))
 	h1 = m.l1.Forward(x)
 	a1 = nn.ReLU(h1)
 	out = m.l2.Forward(a1)

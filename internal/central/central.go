@@ -97,21 +97,7 @@ func (t *Trainer) TrainEpoch() float64 {
 			samples = append(samples, models.Sample{User: u, Item: v, Label: 0})
 		}
 	}
-	t.s.Shuffle(len(samples), func(i, j int) { samples[i], samples[j] = samples[j], samples[i] })
-	var total float64
-	batches := 0
-	for off := 0; off < len(samples); off += t.cfg.BatchSize {
-		end := off + t.cfg.BatchSize
-		if end > len(samples) {
-			end = len(samples)
-		}
-		total += t.model.TrainBatch(samples[off:end])
-		batches++
-	}
-	if batches == 0 {
-		return 0
-	}
-	return total / float64(batches)
+	return models.Fit(t.model, t.s, samples, 1, t.cfg.BatchSize)
 }
 
 // Run trains for the configured number of epochs and returns the final

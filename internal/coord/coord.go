@@ -29,9 +29,10 @@
 // session does not host, and a malformed upload stream.
 //
 // A dispersal is relative to its own round: Eq. 9 excludes the items of the
-// upload that produced it (fed.RoundEngine.CloseRound). A dispersal retained
-// for an absent host and flushed after the user's later upload therefore
-// still excludes its round-t upload, not the later one.
+// upload that produced it (fed.RoundEngine.CloseRound). A dispersal published
+// while no session hosts its user is retained, and a session that joins to
+// host the user receives it in its join's first events; it still excludes its
+// round-t upload, whenever it arrives.
 //
 // Each session's event log holds only what its participant has not
 // acknowledged: a poll's cursor acknowledges every event before it, and the
@@ -48,6 +49,7 @@ import (
 	"math"
 	"net/http"
 	"slices"
+	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -65,9 +67,9 @@ var pollWait = 25 * time.Second
 
 // pendingDispersals bounds the retention store for undelivered dispersals
 // (users nobody hosted when their round was published): at most this many
-// users keep their latest undelivered D̃ᵢ, evicted oldest-stash-first.
-// Retained dispersals are flushed into a session's event log when the user's
-// host joins or at the next round-start announcement. A variable so tests can
+// users keep their latest undelivered D̃ᵢ, evicted oldest-stash-first. A
+// joining session takes its range's retained dispersals into its event log at
+// once, so no live session's user is ever retained. A variable so tests can
 // shrink it.
 var pendingDispersals = 4096
 
@@ -102,14 +104,24 @@ type session struct {
 	wake   chan struct{}
 }
 
-// roundState tracks one announced round until it is published.
+// roundState tracks one announced round until it is published. Every slot
+// starts as a dropped outcome; awaiting maps each hosted cohort member whose
+// upload has not resolved to its outcome slot (Select order). The round takes
+// no further uploads once awaiting is empty, and done is closed then.
 type roundState struct {
-	slots      map[int]int  // user -> outcome slot (Select order)
-	unresolved map[int]bool // the hosted users whose upload is still awaited
-	outcomes   []fed.ClientOutcome
+	awaiting map[int]int
+	outcomes []fed.ClientOutcome
+	done     chan struct{}
+}
 
-	closed bool          // no further uploads accepted
-	done   chan struct{} // closed when every awaited upload resolved (or deadline)
+// resolve stops awaiting user u, whose outcome is already in its slot, and
+// closes done when u was the last awaited upload: Run reads the outcomes
+// without the lock once done is closed. c.mu held; u must be awaited.
+func (rs *roundState) resolve(u int) {
+	delete(rs.awaiting, u)
+	if len(rs.awaiting) == 0 {
+		close(rs.done)
+	}
 }
 
 // pendingDisp is one user's latest undelivered dispersal, retained because no
@@ -130,8 +142,11 @@ type Coordinator struct {
 	configJSON []byte
 	evaluator  *eval.Evaluator
 
-	mu       sync.Mutex
+	mu sync.Mutex
+	// sessions finds a live session by token; hosts holds the same sessions
+	// sorted by lo, the registry that answers who hosts a user.
 	sessions map[uint64]*session
+	hosts    []*session
 	rounds   map[int]*roundState
 	down     bool // run finished; new joins get an immediate shutdown
 
@@ -253,7 +268,7 @@ func (c *Coordinator) broadcastShutdown() {
 	defer c.mu.Unlock()
 	c.down = true
 	shutdown := comm.AppendFrame(nil, comm.MsgShutdown, nil)
-	for _, s := range c.sessions {
+	for _, s := range c.hosts {
 		c.announceLocked(s, shutdown)
 	}
 }
@@ -277,14 +292,14 @@ func (c *Coordinator) publishRound(round int, dispersals []fed.Dispersal) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for _, d := range dispersals {
-		if s := c.sessionForLocked(d.ID); s != nil {
-			c.announceLocked(s, c.disperseFrame(d.ID, d.Payload))
+		if i := c.hostLocked(d.ID); i >= 0 {
+			c.announceLocked(c.hosts[i], c.disperseFrame(d.ID, d.Payload))
 		} else {
 			c.stashPendingLocked(round, d)
 		}
 	}
 	end := comm.AppendFrame(nil, comm.MsgRoundEnd, comm.EncodeRound(round))
-	for _, s := range c.sessions {
+	for _, s := range c.hosts {
 		c.announceLocked(s, end)
 	}
 	delete(c.rounds, round)
@@ -306,9 +321,9 @@ func (c *Coordinator) stashPendingLocked(round int, d fed.Dispersal) {
 	c.pendingQ = append(c.pendingQ, d.ID)
 }
 
-// flushPendingLocked moves every retained dispersal the session hosts into
-// its event log, and their users out of the eviction queue, so a host that
-// leaves and rejoins cannot grow it. Delivery order across users is
+// flushPendingLocked moves every retained dispersal the joining session hosts
+// into its event log, and their users out of the eviction queue, so a host
+// that leaves and rejoins cannot grow it. Delivery order across users is
 // irrelevant (distinct clients); a client sees its newest available D̃ᵢ,
 // exactly what late delivery means. c.mu held.
 func (c *Coordinator) flushPendingLocked(s *session) {
@@ -327,40 +342,32 @@ func (c *Coordinator) flushPendingLocked(s *session) {
 }
 
 // openRound binds the selected cohort to outcome slots, announces the round
-// to every session, and returns its state. Users no session hosts are
-// resolved as dropped immediately — a real deployment cannot train a user
-// nobody runs.
+// to every session with the cohort members it hosts, and returns its state.
+// One walk of the cohort fills both. Users no session hosts are resolved as
+// dropped at once — a real deployment cannot train a user nobody runs.
 func (c *Coordinator) openRound(round int, users []int) *roundState {
 	rs := &roundState{
-		slots:      make(map[int]int, len(users)),
-		unresolved: make(map[int]bool),
-		outcomes:   make([]fed.ClientOutcome, len(users)),
-		done:       make(chan struct{}),
+		awaiting: make(map[int]int, len(users)),
+		outcomes: make([]fed.ClientOutcome, len(users)),
+		done:     make(chan struct{}),
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	hosted := make([][]int, len(c.hosts)) // by position in c.hosts
 	for slot, u := range users {
-		rs.slots[u] = slot
 		rs.outcomes[slot] = fed.ClientOutcome{ID: u, Dropped: true}
-		if c.sessionForLocked(u) != nil {
-			rs.unresolved[u] = true
+		if i := c.hostLocked(u); i >= 0 {
+			rs.awaiting[u] = slot
+			hosted[i] = append(hosted[i], u)
 		}
 	}
-	if len(rs.unresolved) == 0 {
-		rs.closed = true
+	if len(rs.awaiting) == 0 {
 		close(rs.done)
 	}
 	c.rounds[round] = rs
-	for _, s := range c.sessions {
-		c.flushPendingLocked(s)
-		hosted := make([]int, 0, 8)
-		for _, u := range users {
-			if s.lo <= u && u < s.hi {
-				hosted = append(hosted, u)
-			}
-		}
+	for i, s := range c.hosts {
 		c.announceLocked(s, comm.AppendFrame(nil, comm.MsgRoundStart,
-			comm.EncodeRoundStart(comm.RoundStart{Round: round, Users: hosted})))
+			comm.EncodeRoundStart(comm.RoundStart{Round: round, Users: hosted[i]})))
 	}
 	return rs
 }
@@ -390,22 +397,26 @@ func (c *Coordinator) waitRound(ctx context.Context, rs *roundState) error {
 func (c *Coordinator) expireRound(rs *roundState) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if rs.closed {
-		return
+	for u := range rs.awaiting {
+		rs.resolve(u)
 	}
-	rs.closed = true
-	clear(rs.unresolved)
-	close(rs.done)
 }
 
-// sessionForLocked finds the session hosting user u, if any. c.mu held.
-func (c *Coordinator) sessionForLocked(u int) *session {
-	for _, s := range c.sessions {
-		if s.lo <= u && u < s.hi {
-			return s
-		}
+// searchLocked returns the position in c.hosts of the first session whose
+// range ends after user u. Live ranges are disjoint, so c.hosts, sorted by lo,
+// is sorted by hi too, and that session is the only one that can host u or
+// overlap a range starting at u. c.mu held.
+func (c *Coordinator) searchLocked(u int) int {
+	return sort.Search(len(c.hosts), func(i int) bool { return c.hosts[i].hi > u })
+}
+
+// hostLocked returns the position in c.hosts of the session hosting user u,
+// or -1 when no live session hosts it. c.mu held.
+func (c *Coordinator) hostLocked(u int) int {
+	if i := c.searchLocked(u); i < len(c.hosts) && c.hosts[i].lo <= u {
+		return i
 	}
-	return nil
+	return -1
 }
 
 // announceLocked appends a framed event to the session's log and wakes any
@@ -425,15 +436,15 @@ func (c *Coordinator) resolveUpload(round int, user int, o fed.ClientOutcome) bo
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	rs := c.rounds[round]
-	if rs == nil || rs.closed || !rs.unresolved[user] {
+	if rs == nil {
 		return false
 	}
-	rs.outcomes[rs.slots[user]] = o
-	delete(rs.unresolved, user)
-	if len(rs.unresolved) == 0 {
-		rs.closed = true
-		close(rs.done)
+	slot, ok := rs.awaiting[user]
+	if !ok {
+		return false
 	}
+	rs.outcomes[slot] = o
+	rs.resolve(user)
 	return true
 }
 
@@ -497,14 +508,15 @@ func (c *Coordinator) sessionFromQuery(r *http.Request) (*session, error) {
 func (c *Coordinator) register(lo, hi int) (*session, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for _, s := range c.sessions {
-		if lo < s.hi && s.lo < hi {
-			return nil, fmt.Errorf("coord: join range [%d, %d) overlaps session %d hosting [%d, %d)",
-				lo, hi, s.token, s.lo, s.hi)
-		}
+	i := c.searchLocked(lo)
+	if i < len(c.hosts) && c.hosts[i].lo < hi {
+		s := c.hosts[i]
+		return nil, fmt.Errorf("coord: join range [%d, %d) overlaps session %d hosting [%d, %d)",
+			lo, hi, s.token, s.lo, s.hi)
 	}
 	s := &session{token: c.newTokenLocked(), lo: lo, hi: hi}
 	c.sessions[s.token] = s
+	c.hosts = slices.Insert(c.hosts, i, s)
 	// A joining host immediately receives any retained dispersals for its
 	// range — users whose D̃ᵢ outlived their round while nobody hosted them.
 	c.flushPendingLocked(s)
@@ -532,19 +544,15 @@ func (c *Coordinator) newTokenLocked() uint64 {
 func (c *Coordinator) unregister(s *session) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if i := c.searchLocked(s.lo); i < len(c.hosts) && c.hosts[i] == s {
+		c.hosts = slices.Delete(c.hosts, i, i+1)
+	}
 	delete(c.sessions, s.token)
 	for _, rs := range c.rounds {
-		if rs.closed {
-			continue
-		}
-		for u := range rs.unresolved {
+		for u := range rs.awaiting {
 			if s.lo <= u && u < s.hi {
-				delete(rs.unresolved, u)
+				rs.resolve(u)
 			}
-		}
-		if len(rs.unresolved) == 0 {
-			rs.closed = true
-			close(rs.done)
 		}
 	}
 }

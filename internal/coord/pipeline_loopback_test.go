@@ -21,25 +21,39 @@ import (
 // each announced round has dependency-free clients that train during the
 // previous round's window, plus dispersal-gated ones held for the pushed
 // round-end. The networked history must still match the in-process run
-// bitwise, clean and faulted.
+// bitwise, clean and faulted, with the users in two sessions and in the
+// cross-device shape the paper assumes — one device, one user, one session:
+// tiny's 40 users as 40 sessions.
 func TestLoopbackBitwisePartialFraction(t *testing.T) {
 	defer func(old int) { uploadChunkPreds = old }(uploadChunkPreds)
 	uploadChunkPreds = 3
 
-	for _, faulted := range []bool{false, true} {
-		cfg := testConfig(models.KindNeuMF, 4)
-		cfg.Rounds = 4
-		cfg.ClientFraction = 0.4
-		if faulted {
-			cfg.Faults = fed.FaultPlan{DropoutRate: 0.25, TruncateRate: 0.4}
+	oneUserEach := make([][2]int, testSplit().NumUsers)
+	for u := range oneUserEach {
+		oneUserEach[u] = [2]int{u, u + 1}
+	}
+	for _, layout := range []struct {
+		name   string
+		ranges [][2]int
+	}{
+		{"two sessions", [][2]int{{0, 15}, {15, 40}}},
+		{"one user per session", oneUserEach},
+	} {
+		for _, faulted := range []bool{false, true} {
+			cfg := testConfig(models.KindNeuMF, 4)
+			cfg.Rounds = 4
+			cfg.ClientFraction = 0.4
+			if faulted {
+				cfg.Faults = fed.FaultPlan{DropoutRate: 0.25, TruncateRate: 0.4}
+			}
+			ref := referenceHistory(t, cfg)
+			h, _ := runNetworked(t, cfg, testOptions(), layout.ranges)
+			label := "partial-fraction loopback, " + layout.name
+			if faulted {
+				label += " (faulted)"
+			}
+			requireEqualHistories(t, label, ref, h)
 		}
-		ref := referenceHistory(t, cfg)
-		h, _ := runNetworked(t, cfg, testOptions(), [][2]int{{0, 15}, {15, 40}})
-		label := "partial-fraction loopback"
-		if faulted {
-			label += " (faulted)"
-		}
-		requireEqualHistories(t, label, ref, h)
 	}
 }
 

@@ -100,23 +100,7 @@ func (c *Client) localTrain(sampleNegatives func(n int) []int) ([]comm.Predictio
 		samples = append(samples, models.Sample{User: 0, Item: p.Item, Label: p.Score})
 	}
 
-	var loss float64
-	batches := 0
-	for e := 0; e < c.cfg.ClientEpochs; e++ {
-		c.s.Shuffle(len(samples), func(i, j int) { samples[i], samples[j] = samples[j], samples[i] })
-		for off := 0; off < len(samples); off += c.cfg.ClientBatch {
-			end := off + c.cfg.ClientBatch
-			if end > len(samples) {
-				end = len(samples)
-			}
-			loss += c.model.TrainBatch(samples[off:end])
-			batches++
-		}
-	}
-	if batches > 0 {
-		loss /= float64(batches)
-	}
-
+	loss := models.Fit(c.model, c.s, samples, c.cfg.ClientEpochs, c.cfg.ClientBatch)
 	return c.buildUpload(negatives), loss
 }
 

@@ -45,7 +45,7 @@ type RoundEngine struct {
 	numUsers int
 	server   *Server
 	root     *rng.Stream
-	phases   *PhaseSeconds
+	phases   PhaseSeconds // the server phases; ClientTrain stays zero
 }
 
 // NewRoundEngine builds the server-side engine for a numUsers × numItems
@@ -60,7 +60,6 @@ func NewRoundEngine(numUsers, numItems int, cfg Config) (*RoundEngine, error) {
 		cfg:      cfg,
 		numUsers: numUsers,
 		root:     rng.New(cfg.Seed).Derive("ptf-fedrec"),
-		phases:   &PhaseSeconds{},
 	}
 	server, err := newServer(numUsers, numItems, &e.cfg, e.root)
 	if err != nil {
@@ -75,10 +74,6 @@ func (e *RoundEngine) Server() *Server { return e.server }
 
 // Config returns the active configuration.
 func (e *RoundEngine) Config() Config { return e.cfg }
-
-// sharePhases points the engine's phase accounting at an external sink (the
-// Trainer aggregates engine phases with its own client-train timer).
-func (e *RoundEngine) sharePhases(p *PhaseSeconds) { e.phases = p }
 
 // Select samples the round's cohort Uᵗ. Selection is a pure function of
 // (seed, round), so a coordinator and an observer agree on every round's

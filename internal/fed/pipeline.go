@@ -43,7 +43,7 @@ func (t *Trainer) runPipelined() []RoundStats {
 		mark[u] = 1
 	}
 	outcomes := make([]ClientOutcome, len(idx))
-	t.phases.ClientTrain += t.trainSlots(0, idx, outcomes, allSlots(len(idx)))
+	t.trainSlots(0, idx, outcomes, allSlots(len(idx)))
 
 	concurrent := runtime.GOMAXPROCS(0) > 1
 	for r := 0; r < t.cfg.Rounds; r++ {
@@ -53,7 +53,6 @@ func (t *Trainer) runPipelined() []RoundStats {
 		var nextOutcomes []ClientOutcome
 		var freeSlots, gatedSlots []int
 		var freeDone chan struct{}
-		var freeSecs float64
 		if r+1 < t.cfg.Rounds {
 			nextIdx = t.engine.Select(r + 1)
 			nextOutcomes = make([]ClientOutcome, len(nextIdx))
@@ -66,16 +65,13 @@ func (t *Trainer) runPipelined() []RoundStats {
 				mark[u] = int32(r + 2)
 			}
 			if concurrent && len(freeSlots) > 0 {
-				// The main goroutine folds the wave's wall into the shared
-				// phase totals after the join — CloseRound writes t.phases
-				// concurrently.
 				freeDone = make(chan struct{})
 				go func() {
-					freeSecs = t.trainSlots(r+1, nextIdx, nextOutcomes, freeSlots)
+					t.trainSlots(r+1, nextIdx, nextOutcomes, freeSlots)
 					close(freeDone)
 				}()
 			} else {
-				freeSecs = t.trainSlots(r+1, nextIdx, nextOutcomes, freeSlots)
+				t.trainSlots(r+1, nextIdx, nextOutcomes, freeSlots)
 			}
 		}
 
@@ -89,7 +85,7 @@ func (t *Trainer) runPipelined() []RoundStats {
 		if freeDone != nil {
 			<-freeDone
 		}
-		t.phases.ClientTrain += freeSecs + t.trainSlots(r+1, nextIdx, nextOutcomes, gatedSlots)
+		t.trainSlots(r+1, nextIdx, nextOutcomes, gatedSlots)
 		idx, outcomes = nextIdx, nextOutcomes
 	}
 	return rounds

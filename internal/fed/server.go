@@ -298,23 +298,7 @@ func (sv *Server) train(uploads [][]comm.Prediction, workers int) float64 {
 			out[j] = models.Sample{User: p.User, Item: p.Item, Label: p.Score}
 		}
 	})
-	if len(samples) == 0 {
-		return 0
-	}
-	var loss float64
-	batches := 0
-	for e := 0; e < sv.cfg.ServerEpochs; e++ {
-		sv.s.Shuffle(len(samples), func(i, j int) { samples[i], samples[j] = samples[j], samples[i] })
-		for off := 0; off < len(samples); off += sv.cfg.ServerBatch {
-			end := off + sv.cfg.ServerBatch
-			if end > len(samples) {
-				end = len(samples)
-			}
-			loss += sv.model.TrainBatch(samples[off:end])
-			batches++
-		}
-	}
-	return loss / float64(batches)
+	return models.Fit(sv.model, sv.s, samples, sv.cfg.ServerEpochs, sv.cfg.ServerBatch)
 }
 
 // dispersalPlan is the round-scoped shared state of Eq. 9's dispersal: the

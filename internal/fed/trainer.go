@@ -70,7 +70,11 @@ type Trainer struct {
 	split  *data.Split
 	host   *ClientHost
 	engine *RoundEngine
-	phases PhaseSeconds
+
+	// clientTrain is the ClientTrain phase: trainSlots adds each wave's
+	// wall-clock, and waves never overlap. The server phases live in the
+	// engine, which CloseRound runs beside the pipeline's free wave.
+	clientTrain float64
 
 	// server/clients alias into the engine and host (tests and the
 	// in-package benchmarks reach through them).
@@ -102,7 +106,6 @@ func NewTrainer(sp *data.Split, cfg Config) (*Trainer, error) {
 		server:  engine.server,
 		clients: host.clients,
 	}
-	engine.sharePhases(&t.phases)
 	return t, nil
 }
 
@@ -126,7 +129,11 @@ func (t *Trainer) Server() *Server { return t.server }
 func (t *Trainer) Config() Config { return t.cfg }
 
 // PhaseSeconds returns the cumulative per-phase wall-clock since construction.
-func (t *Trainer) PhaseSeconds() PhaseSeconds { return t.phases }
+func (t *Trainer) PhaseSeconds() PhaseSeconds {
+	p := t.engine.phases
+	p.ClientTrain = t.clientTrain
+	return p
+}
 
 // RunRound executes Algorithm 1's loop body once, serially: sample the
 // cohort, run every selected client's local round on the worker pool, close
@@ -150,7 +157,7 @@ func (t *Trainer) RunRoundEval(round int) (RoundStats, eval.Result) {
 func (t *Trainer) runRound(round int, withEval bool) (RoundStats, eval.Result) {
 	idx := t.engine.Select(round)
 	outcomes := make([]ClientOutcome, len(idx))
-	t.phases.ClientTrain += t.trainSlots(round, idx, outcomes, allSlots(len(idx)))
+	t.trainSlots(round, idx, outcomes, allSlots(len(idx)))
 	return t.closeRound(round, outcomes, withEval)
 }
 
@@ -184,17 +191,15 @@ func (t *Trainer) closeRound(round int, outcomes []ClientOutcome, withEval bool)
 
 // trainSlots runs the listed cohort slots' client rounds on the worker pool,
 // each goroutine writing only its own outcome slot (so the round is
-// deterministic for any worker count), and returns the wall-clock for the
-// caller to add to the ClientTrain phase — returned rather than accrued
-// because runPipelined's overlapped wave runs while CloseRound writes
-// t.phases.
-func (t *Trainer) trainSlots(round int, idx []int, outcomes []ClientOutcome, slots []int) float64 {
+// deterministic for any worker count), and adds the wall-clock to the
+// ClientTrain phase.
+func (t *Trainer) trainSlots(round int, idx []int, outcomes []ClientOutcome, slots []int) {
 	start := time.Now()
 	par.For(len(slots), par.Workers(t.cfg.Workers), func(i int) {
 		slot := slots[i]
 		outcomes[slot] = t.host.RunClientRound(round, idx[slot]).Outcome()
 	})
-	return time.Since(start).Seconds()
+	t.clientTrain += time.Since(start).Seconds()
 }
 
 // allSlots lists every slot of an n-client cohort.

@@ -39,6 +39,26 @@ type Recommender interface {
 	ScoreItems(u int, items []int) []float64
 }
 
+// Fit is the minibatch loop every trainer shares: each of epochs passes
+// shuffles samples in place with s, then calls m.TrainBatch once per
+// consecutive batch of at most batch samples. It returns the mean batch loss
+// over every pass, or 0 when there was no batch.
+func Fit(m Recommender, s *rng.Stream, samples []Sample, epochs, batch int) float64 {
+	var loss float64
+	batches := 0
+	for e := 0; e < epochs; e++ {
+		s.Shuffle(len(samples), func(i, j int) { samples[i], samples[j] = samples[j], samples[i] })
+		for off := 0; off < len(samples); off += batch {
+			loss += m.TrainBatch(samples[off:min(off+batch, len(samples))])
+			batches++
+		}
+	}
+	if batches == 0 {
+		return 0
+	}
+	return loss / float64(batches)
+}
+
 // GraphRecommender is implemented by the models that propagate over the
 // user–item graph. SetGraph installs the propagation operators of a committed
 // graph.Incremental; the graph can be replaced between rounds (the PTF-FedRec

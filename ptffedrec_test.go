@@ -66,7 +66,6 @@ func TestFacadeCentralAndBaselines(t *testing.T) {
 	bcfg.Rounds = 1
 	bcfg.LocalEpochs = 1
 	bcfg.Dim = 8
-	bcfg.KeyBits = 256
 	fcf, err := NewFCF(split, bcfg)
 	if err != nil {
 		t.Fatal(err)
