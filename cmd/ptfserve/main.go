@@ -214,7 +214,7 @@ func serialHistory(sp *data.Split, cfg fed.Config) (*fed.History, error) {
 	var rounds []fed.RoundStats
 	for round := 0; round < cfg.Rounds; round++ {
 		var rs fed.RoundStats
-		if cfg.EvalEvery > 0 && (round+1)%cfg.EvalEvery == 0 {
+		if cfg.EvalDue(round) {
 			rs, _ = tr.RunRoundEval(round)
 		} else {
 			rs = tr.RunRound(round)

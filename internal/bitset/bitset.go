@@ -20,10 +20,3 @@ func (s *Set) Add(i int) { s.words[i>>6] |= 1 << (uint(i) & 63) }
 
 // Contains reports whether i is in the set.
 func (s *Set) Contains(i int) bool { return s.words[i>>6]&(1<<(uint(i)&63)) != 0 }
-
-// Reset removes every element, keeping the allocation.
-func (s *Set) Reset() {
-	for i := range s.words {
-		s.words[i] = 0
-	}
-}

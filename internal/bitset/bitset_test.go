@@ -30,17 +30,3 @@ func TestSetBasics(t *testing.T) {
 		t.Fatalf("members = %v, want %v", got, want)
 	}
 }
-
-func TestReset(t *testing.T) {
-	s := New(70)
-	s.Add(1)
-	s.Add(69)
-	s.Reset()
-	if got := members(s, 70); got != nil {
-		t.Fatalf("Reset left %v in the set", got)
-	}
-	s.Add(5)
-	if got := members(s, 70); !slices.Equal(got, []int{5}) {
-		t.Fatalf("set unusable after Reset: %v", got)
-	}
-}

@@ -8,7 +8,10 @@
 // halves derive their
 // randomness purely from the shared seed, so a coordinator plus any
 // partition of users across participants reproduces the in-process
-// fed.Trainer history bitwise — the loopback suite pins exactly that.
+// fed.Trainer history bitwise — the loopback suite pins exactly that. A
+// participant schedules its clients through the trainer's own fed.Waves: a
+// round's announcement starts the users who sat out the previous round, and
+// that round's end marker starts the rest.
 //
 // Fault semantics follow real transports: an empty upload body is a
 // connection drop (the client is counted as dropped), an upload stream that
@@ -248,7 +251,7 @@ func (c *Coordinator) Run(ctx context.Context) (*fed.History, error) {
 			return nil, err
 		}
 		stats, dispersals := c.engine.CloseRound(round, rs.outcomes, nil)
-		if c.cfg.EvalEvery > 0 && (round+1)%c.cfg.EvalEvery == 0 {
+		if c.cfg.EvalDue(round) {
 			res := c.engine.Evaluate(eval.LazyEvaluator(&c.evaluator, c.split))
 			stats.Recall, stats.NDCG, stats.Evaluated = res.Recall, res.NDCG, true
 		}

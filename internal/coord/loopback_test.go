@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -167,53 +168,74 @@ func TestLoopbackBitwiseFaulted(t *testing.T) {
 // TestStragglerDeadline covers partial participation: one live participant
 // and one registered-but-silent session. The round deadline fires, the silent
 // host's users are counted as dropped, and the run completes every round
-// instead of waiting forever.
+// instead of waiting forever. At ClientFraction 1.0 every live user is gated
+// on the previous round; at 0.4 the cohorts change round to round, so rounds
+// the deadline cut loose meet both free and gated waves in the participant.
 func TestStragglerDeadline(t *testing.T) {
-	cfg := testConfig(models.KindNeuMF, 2)
-	opts := testOptions()
-	opts.Deadline = 500 * time.Millisecond
+	for _, tc := range []struct {
+		name     string
+		fraction float64
+		rounds   int
+	}{
+		{"full", 1.0, 2},
+		{"partial", 0.4, 4},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := testConfig(models.KindNeuMF, 2)
+			cfg.ClientFraction = tc.fraction
+			cfg.Rounds = tc.rounds
+			opts := testOptions()
+			opts.Deadline = 500 * time.Millisecond
 
-	c, err := New(testSplit(), cfg, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(c.Handler())
-	defer srv.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-	defer cancel()
+			c, err := New(testSplit(), cfg, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			srv := httptest.NewServer(c.Handler())
+			defer srv.Close()
+			ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+			defer cancel()
 
-	if _, err := Join(srv.URL, 20, 40, srv.Client()); err != nil {
-		t.Fatalf("silent join: %v", err)
-	}
-	live, err := Join(srv.URL, 0, 20, srv.Client())
-	if err != nil {
-		t.Fatalf("live join: %v", err)
-	}
-	var wg sync.WaitGroup
-	var liveErr error
-	wg.Add(1)
-	go func() { defer wg.Done(); liveErr = live.Run(ctx) }()
+			if _, err := Join(srv.URL, 20, 40, srv.Client()); err != nil {
+				t.Fatalf("silent join: %v", err)
+			}
+			live, err := Join(srv.URL, 0, 20, srv.Client())
+			if err != nil {
+				t.Fatalf("live join: %v", err)
+			}
+			var wg sync.WaitGroup
+			var liveErr error
+			wg.Add(1)
+			go func() { defer wg.Done(); liveErr = live.Run(ctx) }()
 
-	h, err := c.Run(ctx)
-	if err != nil {
-		t.Fatalf("coordinator run: %v", err)
-	}
-	wg.Wait()
-	if liveErr != nil {
-		t.Fatalf("live participant: %v", liveErr)
-	}
-	if len(h.Rounds) != cfg.Rounds {
-		t.Fatalf("run produced %d rounds, want %d", len(h.Rounds), cfg.Rounds)
-	}
-	for _, rs := range h.Rounds {
-		// ClientFraction 1.0 selects every user: the silent host's 20 are
-		// dropped by the deadline every round.
-		if rs.Dropped < 20 {
-			t.Fatalf("round %d: %d dropped, want at least the 20 silent-hosted users", rs.Round, rs.Dropped)
-		}
-		if rs.Dropped == rs.Participants {
-			t.Fatalf("round %d: every client dropped; the live half never landed", rs.Round)
-		}
+			h, err := c.Run(ctx)
+			if err != nil {
+				t.Fatalf("coordinator run: %v", err)
+			}
+			wg.Wait()
+			if liveErr != nil {
+				t.Fatalf("live participant: %v", liveErr)
+			}
+			if len(h.Rounds) != cfg.Rounds {
+				t.Fatalf("run produced %d rounds, want %d", len(h.Rounds), cfg.Rounds)
+			}
+			for _, rs := range h.Rounds {
+				silent, hosted := 0, 0
+				for _, u := range c.engine.Select(rs.Round) {
+					if u >= 20 {
+						silent++
+					} else {
+						hosted++
+					}
+				}
+				if rs.Dropped < silent {
+					t.Fatalf("round %d: %d dropped, want at least the %d silent-hosted users", rs.Round, rs.Dropped, silent)
+				}
+				if hosted > 0 && rs.Dropped == rs.Participants {
+					t.Fatalf("round %d: every client dropped; the live half never landed", rs.Round)
+				}
+			}
+		})
 	}
 }
 
@@ -841,5 +863,44 @@ func TestUploadToleratesOnlyConflict(t *testing.T) {
 		if (err != nil) != tc.fatal {
 			t.Fatalf("status %d, text %q: upload returned %v, want fatal=%v", tc.status, tc.text, err, tc.fatal)
 		}
+	}
+}
+
+// TestRunRefusesAnnouncementBeforeRoundEnd pins the participant's check on
+// the order of its poll stream: round 2 announced before round 0's end marker
+// would overwrite round 1's held gated wave, whose users would then never
+// upload. Run returns the schedule's refusal instead, after the waves it
+// launched have finished.
+func TestRunRefusesAnnouncementBeforeRoundEnd(t *testing.T) {
+	var uploads atomic.Int32
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch r.URL.Path {
+		case "/v1/poll":
+			for round := 0; round < 3; round++ {
+				comm.WriteFrame(w, comm.MsgRoundStart, comm.EncodeRoundStart(comm.RoundStart{Round: round, Users: []int{3}}))
+			}
+		case "/v1/upload":
+			uploads.Add(1)
+			comm.WriteFrame(w, comm.MsgAck, nil)
+		default:
+			http.NotFound(w, r)
+		}
+	}))
+	defer srv.Close()
+	cfg := testConfig(models.KindMF, 1)
+	cfg.LazyClients = true
+	host, err := fed.NewClientHost(testSplit(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := &Participant{base: srv.URL, hc: srv.Client(), lo: 0, hi: 40, cfg: cfg, codec: comm.CodecFor(cfg.QuantizeScores), host: host}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	err = p.Run(ctx)
+	if err == nil || !strings.Contains(err.Error(), "round 2 announced while round 1's gated wave") {
+		t.Fatalf("Run on RS(0), RS(1), RS(2) = %v, want the refusal of round 2's announcement", err)
+	}
+	if n := uploads.Load(); n != 1 {
+		t.Fatalf("Run returned after %d uploads, want round 0's one (round 1's user is held)", n)
 	}
 }

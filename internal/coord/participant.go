@@ -8,7 +8,7 @@ import (
 	"io"
 	"net/http"
 	"strings"
-	"sync"
+	"sync/atomic"
 
 	"ptffedrec/internal/comm"
 	"ptffedrec/internal/data"
@@ -103,96 +103,34 @@ func (p *Participant) rebuild(ack comm.JoinAck) error {
 // Token returns the session token the coordinator assigned.
 func (p *Participant) Token() uint64 { return p.token }
 
-// wave is one in-flight hosted training wave. Later waves order themselves
-// behind earlier-round waves that could still be training a shared user (a
-// straggler past a deadline-closed round).
-type wave struct {
-	round int
-	done  chan struct{}
-}
-
 // Run processes announcements until shutdown. The coordinator pushes
 // dispersals and round-end markers into the poll stream and announces round
-// r+1 during round r's collection. Per announced round the hosted cohort
-// splits into a free wave (users not in the previous cohort — no inbound
-// dispersal, train immediately, overlapping the coordinator's close of the
-// previous round) and a gated wave (users in the previous cohort — train once
-// the previous round's pushed dispersals and end marker arrive).
-// The coordinator orders each session's log as RS(r), RS(r+1), D(r)…, RE(r),
-// RS(r+2), … so at most one gated wave is ever outstanding.
+// r+1 during round r's collection, ordering each session's log as RS(r),
+// RS(r+1), D(r)…, RE(r), RS(r+2), … Run hands each announcement and each
+// round end to a fed.Waves, which trains the hosted users of a round who sat
+// out the previous one at once (overlapping the coordinator's close of that
+// round) and the rest once the previous round's dispersals and end marker
+// have arrived. An announcement while a gated wave still waits — the
+// previous round's end marker missing — is an error. The event loop itself
+// only decodes frames and records the waves' errors.
 func (p *Participant) Run(ctx context.Context) error {
 	after := 0
-	var wg sync.WaitGroup
-	errCh := make(chan error, 1)
-	record := func(err error) {
-		if err != nil {
-			select {
-			case errCh <- err:
-			default:
-			}
-		}
-	}
+	waves := fed.NewWaves()
+	defer waves.Wait()
+	var waveErr atomic.Pointer[error] // the first error a wave returned
 	firstErr := func() error {
-		select {
-		case err := <-errCh:
-			return err
-		default:
-			return nil
+		if err := waveErr.Load(); err != nil {
+			return *err
 		}
+		return nil
 	}
-
-	// Wave ordering: a wave for round R must not overlap an earlier wave
-	// still training one of its users. Free users of round R sat out round
-	// R-1 but may sit in any older cohort, so they wait for waves of rounds
-	// ≤ R-2; gated users sit in cohort(R-1), so they wait for rounds ≤ R-1.
-	// In the normal schedule those waves finished long ago (their uploads
-	// resolved before the dependency round closed) — the ordering only bites
-	// when a deadline cut a round loose while its clients were mid-training.
-	var waves []wave
-	launch := func(round int, users []int, waitBelow int) {
-		if len(users) == 0 {
-			return
-		}
-		var deps []chan struct{}
-		kept := waves[:0]
-		for _, w := range waves {
-			select {
-			case <-w.done:
-				continue // finished; forget it
-			default:
-			}
-			if w.round <= waitBelow {
-				deps = append(deps, w.done)
-			}
-			kept = append(kept, w)
-		}
-		done := make(chan struct{})
-		waves = append(kept, wave{round: round, done: done})
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer close(done)
-			for _, d := range deps {
-				<-d
-			}
-			record(p.runUsers(ctx, round, users))
-		}()
-	}
-
-	prevRound := -1
-	prevUsers := map[int]bool{}
-	endedThrough := -1
-	gatedRound := -1
-	var gatedUsers []int
 
 	for {
 		if err := firstErr(); err != nil {
-			wg.Wait()
 			return err
 		}
 		frames, err := p.poll(ctx, after)
 		if err != nil {
-			wg.Wait()
 			return err
 		}
 		for _, f := range frames {
@@ -200,68 +138,41 @@ func (p *Participant) Run(ctx context.Context) error {
 			case comm.MsgRoundStart:
 				rs, err := comm.DecodeRoundStart(f.payload)
 				if err != nil {
-					wg.Wait()
 					return err
 				}
-				var free, gated []int
-				if rs.Round-1 == prevRound && endedThrough < prevRound {
-					for _, u := range rs.Users {
-						if prevUsers[u] {
-							gated = append(gated, u)
-						} else {
-							free = append(free, u)
-						}
+				if err := waves.Announce(rs.Round, rs.Users, func(slots []int) {
+					if err := p.runUsers(ctx, rs.Round, rs.Users, slots); err != nil {
+						waveErr.CompareAndSwap(nil, &err)
 					}
-				} else {
-					// First announcement, or the previous round already
-					// ended: every hosted client is dependency-free.
-					free = rs.Users
-				}
-				launch(rs.Round, free, rs.Round-2)
-				if len(gated) > 0 {
-					gatedRound, gatedUsers = rs.Round, gated
-				}
-				prevRound = rs.Round
-				prevUsers = make(map[int]bool, len(rs.Users))
-				for _, u := range rs.Users {
-					prevUsers[u] = true
+				}); err != nil {
+					return err
 				}
 				after++
 			case comm.MsgDisperse:
 				// Pushed deliveries land on the event loop; the target's own
 				// training for the dispersal's round has finished (its upload
-				// produced the dispersal) and in-flight waves only touch
-				// other users' clients.
+				// produced the dispersal) and a wave training now holds only
+				// users that wait on no dispersal still to come.
 				if err := p.deliver(f.payload); err != nil {
-					wg.Wait()
 					return err
 				}
 				after++
 			case comm.MsgRoundEnd:
 				r, err := comm.DecodeRound(f.payload)
 				if err != nil {
-					wg.Wait()
 					return err
 				}
-				if r > endedThrough {
-					endedThrough = r
-				}
-				if gatedRound == r+1 {
-					launch(gatedRound, gatedUsers, r)
-					gatedRound, gatedUsers = -1, nil
-				}
+				waves.End(r)
 				after++
 			case comm.MsgShutdown:
-				wg.Wait()
+				waves.Wait()
 				p.leave(ctx)
 				return firstErr()
 			case comm.MsgAck:
 				// Heartbeat: re-poll with the same cursor.
 			case comm.MsgError:
-				wg.Wait()
 				return fmt.Errorf("coord: poll: %s", f.payload)
 			default:
-				wg.Wait()
 				return fmt.Errorf("coord: unexpected %v frame from poll", f.mt)
 			}
 		}
@@ -315,14 +226,13 @@ func (p *Participant) poll(ctx context.Context, after int) ([]frame, error) {
 	}
 }
 
-// runUsers trains and uploads the listed hosted users for one round on the
-// configured worker pool. Each worker touches only its own user's client,
-// exactly like the in-process trainer's round loop.
-func (p *Participant) runUsers(ctx context.Context, round int, users []int) error {
-	workers := par.Workers(p.cfg.Workers)
-	errs := make([]error, len(users))
-	par.For(len(users), workers, func(i int) {
-		res := p.host.RunClientRound(round, users[i])
+// runUsers trains and uploads one wave of a round's hosted users — the given
+// slots of users — on the configured worker pool. Each worker touches only
+// its own user's client, exactly like the in-process trainer's round loop.
+func (p *Participant) runUsers(ctx context.Context, round int, users, slots []int) error {
+	errs := make([]error, len(slots))
+	par.For(len(slots), par.Workers(p.cfg.Workers), func(i int) {
+		res := p.host.RunClientRound(round, users[slots[i]])
 		errs[i] = p.upload(ctx, round, res)
 	})
 	for _, err := range errs {

@@ -200,11 +200,11 @@ func TestLateJoinReceivesRetainedDispersals(t *testing.T) {
 	// Upload round 0 for all but one user directly (no poll loop), then
 	// leave: the departure resolves the last user as dropped, the round
 	// closes and publishes with no session left to push its dispersals to.
-	users := make([]int, 39)
+	users := make([]int, 39) // users[i] == i, so the list is its own slots
 	for i := range users {
 		users[i] = i
 	}
-	if err := p.runUsers(ctx, 0, users); err != nil {
+	if err := p.runUsers(ctx, 0, users, users); err != nil {
 		t.Fatalf("uploads: %v", err)
 	}
 	p.leave(ctx)
@@ -321,9 +321,10 @@ func TestEventLogTrimmedByPolls(t *testing.T) {
 	}
 }
 
-// TestPipelinedEventOrdering pins the session-log invariant the participant
-// relies on — round r+1's start is announced before round r's end marker, so
-// at most one gated wave is ever outstanding. A silent observer session
+// TestPipelinedEventOrdering pins the session-log order the participant's
+// fed.Waves relies on — round r+1's start is announced before round r's end
+// marker, and round r+2's after it, so at most one gated wave is ever held
+// (Waves refuses an announcement while one is). A silent observer session
 // (whose users the deadline drops) keeps its full event log readable after
 // the run.
 func TestPipelinedEventOrdering(t *testing.T) {
@@ -401,6 +402,9 @@ func TestPipelinedEventOrdering(t *testing.T) {
 		if r+1 < cfg.Rounds && startAt[r+1] > endAt[r] {
 			t.Fatalf("round %d announced at event %d, after round %d ended at %d — the pipeline never overlapped",
 				r+1, startAt[r+1], r, endAt[r])
+		}
+		if r+2 < cfg.Rounds && startAt[r+2] < endAt[r] {
+			t.Fatalf("round %d announced at event %d, before round %d ended at %d", r+2, startAt[r+2], r, endAt[r])
 		}
 		if r > 0 && endAt[r] < endAt[r-1] {
 			t.Fatalf("round ends out of order: end(%d)=%d before end(%d)=%d", r, endAt[r], r-1, endAt[r-1])

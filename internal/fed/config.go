@@ -144,6 +144,12 @@ func DefaultConfig(serverModel models.Kind) Config {
 	}
 }
 
+// EvalDue reports whether round (0-based) ends with a server evaluation:
+// every EvalEvery rounds, never when EvalEvery is 0.
+func (c Config) EvalDue(round int) bool {
+	return c.EvalEvery > 0 && (round+1)%c.EvalEvery == 0
+}
+
 // Validate reports the first invalid field.
 func (c Config) Validate() error {
 	switch {

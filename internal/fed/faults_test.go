@@ -141,8 +141,10 @@ func TestHistoryJSONRoundTrip(t *testing.T) {
 	if len(back.Rounds) != len(h.Rounds) || back.Final.NDCG != h.Final.NDCG {
 		t.Fatal("history JSON round trip lost data")
 	}
-	if back.BestRound() < 0 {
-		t.Fatal("BestRound lost evaluated rounds")
+	for i := range h.Rounds {
+		if back.Rounds[i] != h.Rounds[i] {
+			t.Fatalf("round %d changed in the JSON round trip:\n  %+v\n  %+v", i, back.Rounds[i], h.Rounds[i])
+		}
 	}
 	if back.TotalUploadBytes() != h.TotalUploadBytes() {
 		t.Fatal("TotalUploadBytes mismatch")

@@ -144,7 +144,7 @@ func TestGraphRebuildInvariance(t *testing.T) {
 					outcomes := make([]ClientOutcome, len(idx))
 					ref.trainSlots(r, idx, outcomes, allSlots(len(idx)))
 					oracle.record.SetOutcomes(outcomes)
-					stats, _ := ref.closeRound(r, outcomes, (r+1)%cfg.EvalEvery == 0)
+					stats, _ := ref.closeRound(r, outcomes, cfg.EvalDue(r))
 					rounds = append(rounds, stats)
 				}
 				refHist := NewHistory(rounds, ref.EvaluateServer())
@@ -162,10 +162,11 @@ func TestGraphRebuildInvariance(t *testing.T) {
 	}
 }
 
-// TestRunRoundEvalSequentialFallback pins the GOMAXPROCS gate: with one
-// schedulable thread the round's evaluation runs after dispersal instead of
-// beside it, and the History is bitwise-identical to the overlapped run
-// (which in turn equals RunRound + EvaluateServer).
+// TestRunRoundEvalSequentialFallback pins the schedule on one schedulable
+// thread: the round's evaluation still runs beside dispersal, and the client
+// waves beside the server phases, only time-sliced — and the History is
+// bitwise-identical to the run on two (which in turn equals RunRound +
+// EvaluateServer).
 func TestRunRoundEvalSequentialFallback(t *testing.T) {
 	cfg := fastConfig(models.KindLightGCN)
 	cfg.Rounds = 2

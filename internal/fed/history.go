@@ -26,18 +26,6 @@ func ReadHistoryJSON(r io.Reader) (*History, error) {
 	return &h, nil
 }
 
-// BestRound returns the evaluated round with the highest NDCG, or -1 if no
-// round was evaluated (EvalEvery = 0).
-func (h *History) BestRound() int {
-	best, bestNDCG := -1, -1.0
-	for _, rs := range h.Rounds {
-		if rs.Evaluated && rs.NDCG > bestNDCG {
-			best, bestNDCG = rs.Round, rs.NDCG
-		}
-	}
-	return best
-}
-
 // TotalUploadBytes sums the client→server traffic across rounds.
 func (h *History) TotalUploadBytes() int64 {
 	var t int64

@@ -2,7 +2,12 @@ package fed
 
 import (
 	"fmt"
+	"slices"
+	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"ptffedrec/internal/models"
 )
@@ -36,7 +41,7 @@ func runSerialHistory(t *testing.T, cfg Config) *History {
 	var rounds []RoundStats
 	for round := 0; round < cfg.Rounds; round++ {
 		var rs RoundStats
-		if cfg.EvalEvery > 0 && (round+1)%cfg.EvalEvery == 0 {
+		if cfg.EvalDue(round) {
 			rs, _ = tr.RunRoundEval(round)
 		} else {
 			rs = tr.RunRound(round)
@@ -111,5 +116,81 @@ func TestPipelinedWorkerInvariance(t *testing.T) {
 	for _, workers := range []int{2, 8} {
 		h := runHistory(t, pipelineConfig(models.KindLightGCN, workers, true))
 		requireEqualHistories(t, fmt.Sprintf("pipelined w%d vs w1", workers), base, h)
+	}
+}
+
+// TestWaves pins the dependency rule's one owner on a scripted schedule:
+// which slots each wave trains and in what order, that an announcement after
+// its predecessor ended (or after a gap) runs everyone free, that no two
+// waves ever train at once, that Wait returns only after the last wave, and
+// that an announcement while a gated wave is held is refused.
+func TestWaves(t *testing.T) {
+	type wave struct {
+		round int
+		slots []int
+	}
+	var (
+		mu       sync.Mutex
+		got      []wave
+		inFlight atomic.Int32
+		overlaps atomic.Int32
+	)
+	train := func(round int, pause time.Duration) func([]int) {
+		return func(slots []int) {
+			if inFlight.Add(1) > 1 {
+				overlaps.Add(1)
+			}
+			time.Sleep(pause)
+			mu.Lock()
+			got = append(got, wave{round, slots})
+			mu.Unlock()
+			inFlight.Add(-1)
+		}
+	}
+	announce := func(w *Waves, round int, users []int, pause time.Duration) {
+		t.Helper()
+		if err := w.Announce(round, users, train(round, pause)); err != nil {
+			t.Fatalf("announce round %d: %v", round, err)
+		}
+	}
+
+	w := NewWaves()
+	w.Wait() // nothing launched yet
+	announce(w, 0, []int{10, 11, 12}, 5*time.Millisecond)
+	announce(w, 1, []int{11, 20, 12, 21}, 0) // 11 and 12 wait on round 0
+	err := w.Announce(2, []int{20, 30}, train(2, 0))
+	if err == nil || !strings.Contains(err.Error(), "round 1's gated wave") {
+		t.Fatalf("announce of round 2 before round 0 ended: err = %v, want a refusal naming round 1's gated wave", err)
+	}
+	w.End(0)
+	announce(w, 2, []int{20, 30}, 0) // 20 waits on round 1
+	w.End(1)
+	w.End(2)
+	announce(w, 3, []int{30, 40}, 0)                   // round 2 ended: all free
+	announce(w, 5, []int{40, 50}, 20*time.Millisecond) // round 4 never announced here: all free
+	w.Wait()
+
+	mu.Lock()
+	defer mu.Unlock()
+	want := []wave{
+		{0, []int{0, 1, 2}},
+		{1, []int{1, 3}},
+		{1, []int{0, 2}},
+		{2, []int{1}},
+		{2, []int{0}},
+		{3, []int{0, 1}},
+		{5, []int{0, 1}},
+	}
+	if len(got) != len(want) {
+		t.Fatalf("Wait returned after %d waves, want %d: %v", len(got), len(want), got)
+	}
+	for i := range want {
+		if got[i].round != want[i].round || !slices.Equal(got[i].slots, want[i].slots) {
+			t.Fatalf("wave %d trained round %d slots %v, want round %d slots %v",
+				i, got[i].round, got[i].slots, want[i].round, want[i].slots)
+		}
+	}
+	if n := overlaps.Load(); n != 0 {
+		t.Fatalf("%d waves started while another was training", n)
 	}
 }

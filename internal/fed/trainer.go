@@ -2,7 +2,6 @@ package fed
 
 import (
 	"fmt"
-	"runtime"
 	"time"
 
 	"ptffedrec/internal/comm"
@@ -166,14 +165,11 @@ func (t *Trainer) runRound(round int, withEval bool) (RoundStats, eval.Result) {
 // withEval the server evaluation runs concurrently with dispersal inside
 // CloseRound — after the shared warm step both are pure reads of the frozen
 // server model, so the overlap changes wall-clock only, never results — and
-// the returned stats carry Recall/NDCG. The overlap is gated on
-// GOMAXPROCS > 1: on a single-core host the two phases just time-slice one
-// thread and the goroutine handoffs make the pair slower than running them
-// back to back, so eval runs after the deliveries instead.
+// the returned stats carry Recall/NDCG.
 func (t *Trainer) closeRound(round int, outcomes []ClientOutcome, withEval bool) (RoundStats, eval.Result) {
 	var res eval.Result
 	var overlap func()
-	if withEval && runtime.GOMAXPROCS(0) > 1 {
+	if withEval {
 		overlap = func() { res = t.EvaluateServer() }
 	}
 	stats, dispersals := t.engine.CloseRound(round, outcomes, overlap)
@@ -181,9 +177,6 @@ func (t *Trainer) closeRound(round int, outcomes []ClientOutcome, withEval bool)
 		t.host.Deliver(d.ID, d.Preds)
 	}
 	if withEval {
-		if overlap == nil {
-			res = t.EvaluateServer()
-		}
 		stats.Recall, stats.NDCG, stats.Evaluated = res.Recall, res.NDCG, true
 	}
 	return stats, res
