@@ -8,18 +8,18 @@ GO ?= go
 # CI, fails above it. A change that shrinks the code lowers it to the size it
 # reaches; one that has to grow the code raises it in the same diff, where a
 # reviewer sees the price.
-LOC_BUDGET = 12847
+LOC_BUDGET = 12844
 
 # The packages whose concurrent paths CI runs in full (not -short) under the
 # race detector; ci.yml says why each is there (fed.Waves' client waves
-# running beside the server phases and the participant's event loop among
-# them).
+# running beside the server phases, the participant's event loop and
+# evaluation overlapping dispersal in RoundEngine.Run among them).
 RACE_FULL = ./internal/eval/... ./internal/fed/... ./internal/graph/... \
 	./internal/candset/... ./internal/models/... ./internal/metrics/... \
 	./internal/comm/... ./internal/coord/... ./internal/rng/... \
 	./internal/tensor/... ./internal/nn/...
 
-.PHONY: build cross test race race-full selftest examples bench-module bench benchmark loc traffic fmt fmt-check vet ci
+.PHONY: build cross test race experiments race-full selftest examples bench-module bench benchmark loc traffic fmt fmt-check vet ci
 
 build:
 	$(GO) build ./...
@@ -39,6 +39,12 @@ test:
 
 race:
 	$(GO) test -race -short ./...
+
+# experiments runs internal/experiments' full suite without the race
+# detector: under -short (the race target) TestGridCellsMatchTestdata pins
+# table4's cells alone, and the package is not in RACE_FULL.
+experiments:
+	$(GO) test ./internal/experiments/
 
 race-full:
 	$(GO) test -race $(RACE_FULL)
@@ -109,9 +115,11 @@ bench-module:
 # (announcing a round and publishing its dispersals) at 1, 100 and 2000
 # one-user sessions with the whole population as the cohort, the cross-device
 # shape, where a round looks up one host per cohort member. The first command
-# is ci.yml's bench smoke, package for package. The cross-round schedule
-# (fed.Waves) has no benchmark of its own: its waves run the client rounds
-# BenchmarkMFClientRound times, and its cost shows in the workloads' round_s.
+# is ci.yml's bench smoke, package for package. The cross-round schedule has
+# no benchmark of its own: fed.Waves' waves run the client rounds
+# BenchmarkMFClientRound times, RoundEngine.Run's server side runs the
+# CloseRound phases the scalability sweep times, and the schedule's cost
+# shows in the workloads' round_s.
 bench:
 	$(GO) test -bench=. -benchmem -benchtime=1x -run='^$$' -timeout 30m . ./internal/fed/ ./internal/tensor/ ./internal/models/ ./internal/emb/ ./internal/rng/ ./internal/metrics/ ./internal/eval/ ./internal/coord/
 	$(GO) run ./cmd/ptfbench -exp scalability -quick -json > BENCH_scalability.json.tmp
@@ -171,4 +179,4 @@ fmt-check:
 vet:
 	$(GO) vet ./...
 
-ci: fmt-check vet build cross loc race race-full selftest examples bench-module bench
+ci: fmt-check vet build cross loc race experiments race-full selftest examples bench-module bench

@@ -213,13 +213,7 @@ func serialHistory(sp *data.Split, cfg fed.Config) (*fed.History, error) {
 	}
 	var rounds []fed.RoundStats
 	for round := 0; round < cfg.Rounds; round++ {
-		var rs fed.RoundStats
-		if cfg.EvalDue(round) {
-			rs, _ = tr.RunRoundEval(round)
-		} else {
-			rs = tr.RunRound(round)
-		}
-		rounds = append(rounds, rs)
+		rounds = append(rounds, tr.RunRound(round))
 	}
 	return fed.NewHistory(rounds, tr.EvaluateServer()), nil
 }

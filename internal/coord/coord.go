@@ -8,10 +8,12 @@
 // halves derive their
 // randomness purely from the shared seed, so a coordinator plus any
 // partition of users across participants reproduces the in-process
-// fed.Trainer history bitwise — the loopback suite pins exactly that. A
-// participant schedules its clients through the trainer's own fed.Waves: a
-// round's announcement starts the users who sat out the previous round, and
-// that round's end marker starts the rest.
+// fed.Trainer history bitwise — the loopback suite pins exactly that. The
+// coordinator runs its rounds through the trainer's own fed.RoundEngine.Run,
+// announcing round r+1 while round r collects and evaluating a due round
+// during its dispersal. A participant schedules its clients through the
+// trainer's own fed.Waves: a round's announcement starts the users who sat
+// out the previous round, and that round's end marker starts the rest.
 //
 // Fault semantics follow real transports: an empty upload body is a
 // connection drop (the client is counted as dropped), an upload stream that
@@ -21,9 +23,11 @@
 // slot resolved as dropped: bad framing, a count it does not keep, and any
 // prediction that names another user, an item outside the catalogue, or a
 // score outside [0, 1] (NaN included) — so nothing the round engine absorbs
-// breaks fed.RoundEngine.CloseRound's contract. A round with a
-// configured straggler deadline closes with partial participation — pending
-// clients become dropped — instead of waiting forever.
+// breaks fed.RoundEngine.CloseRound's contract. A participant holds each
+// pushed dispersal to the same rule and ends its run on one that breaks it.
+// A round with a configured straggler deadline closes with partial
+// participation — pending clients become dropped — instead of waiting
+// forever.
 //
 // Every refusal answers a 4xx status with a MsgError frame, never 200: 409 to
 // an upload for a round that no longer takes it (a straggler's participant
@@ -118,8 +122,8 @@ type roundState struct {
 }
 
 // resolve stops awaiting user u, whose outcome is already in its slot, and
-// closes done when u was the last awaited upload: Run reads the outcomes
-// without the lock once done is closed. c.mu held; u must be awaited.
+// closes done when u was the last awaited upload: waitRound reads the
+// outcomes without the lock once done is closed. c.mu held; u must be awaited.
 func (rs *roundState) resolve(u int) {
 	delete(rs.awaiting, u)
 	if len(rs.awaiting) == 0 {
@@ -225,41 +229,18 @@ func (c *Coordinator) Handler() http.Handler {
 // The history is bitwise-identical to fed.Trainer.Run on the same (split,
 // config) when every user is hosted and no transport faults strike.
 //
-// The schedule is pipelined: round r+1's cohort is announced while round r is
-// still collecting uploads (Select is a pure function of the seed), and round
-// r's dispersals plus its round-end marker are pushed into the sessions' poll
-// logs at close — so a participant's dependency-free clients train during
-// round r's straggler window, and the server phase leaves the networked
-// critical path. The history does not depend on arrival order because uploads
-// are absorbed in cohort slot order.
+// The schedule is fed.RoundEngine.Run's over openRound, waitRound and
+// publishRound: round r+1 is announced while round r still collects uploads,
+// and round r's dispersals and round-end marker are pushed into the poll logs
+// at close, so a participant's dependency-free clients train during round r's
+// straggler window. A due evaluation overlaps its round's dispersal. The
+// history does not depend on arrival order: uploads are absorbed in slot order.
 func (c *Coordinator) Run(ctx context.Context) (*fed.History, error) {
-	var rounds []fed.RoundStats
-	// ahead queues announced-but-unclosed rounds in order: the pipeline keeps
-	// one round announced beyond the one being collected.
-	var ahead []*roundState
-	announce := func(round int) {
-		if round < c.cfg.Rounds {
-			ahead = append(ahead, c.openRound(round, c.engine.Select(round)))
-		}
+	h, err := c.engine.Run(ctx, func() *eval.Evaluator { return eval.LazyEvaluator(&c.evaluator, c.split) },
+		c.openRound, c.publishRound)
+	if err != nil {
+		return nil, err
 	}
-	announce(0)
-	announce(1)
-	for round := 0; round < c.cfg.Rounds; round++ {
-		rs := ahead[0]
-		ahead = ahead[1:]
-		if err := c.waitRound(ctx, rs); err != nil {
-			return nil, err
-		}
-		stats, dispersals := c.engine.CloseRound(round, rs.outcomes, nil)
-		if c.cfg.EvalDue(round) {
-			res := c.engine.Evaluate(eval.LazyEvaluator(&c.evaluator, c.split))
-			stats.Recall, stats.NDCG, stats.Evaluated = res.Recall, res.NDCG, true
-		}
-		c.publishRound(round, dispersals)
-		rounds = append(rounds, stats)
-		announce(round + 2)
-	}
-	h := fed.NewHistory(rounds, c.engine.Evaluate(eval.LazyEvaluator(&c.evaluator, c.split)))
 	c.broadcastShutdown()
 	return h, nil
 }
@@ -345,10 +326,10 @@ func (c *Coordinator) flushPendingLocked(s *session) {
 }
 
 // openRound binds the selected cohort to outcome slots, announces the round
-// to every session with the cohort members it hosts, and returns its state.
+// to every session with the cohort members it hosts, and returns its collect.
 // One walk of the cohort fills both. Users no session hosts are resolved as
 // dropped at once — a real deployment cannot train a user nobody runs.
-func (c *Coordinator) openRound(round int, users []int) *roundState {
+func (c *Coordinator) openRound(round int, users []int) fed.Collect {
 	rs := &roundState{
 		awaiting: make(map[int]int, len(users)),
 		outcomes: make([]fed.ClientOutcome, len(users)),
@@ -372,12 +353,12 @@ func (c *Coordinator) openRound(round int, users []int) *roundState {
 		c.announceLocked(s, comm.AppendFrame(nil, comm.MsgRoundStart,
 			comm.EncodeRoundStart(comm.RoundStart{Round: round, Users: hosted[i]})))
 	}
-	return rs
+	return func(ctx context.Context) ([]fed.ClientOutcome, error) { return c.waitRound(ctx, rs) }
 }
 
-// waitRound blocks until the round's uploads resolve, the straggler deadline
-// expires (pending clients become dropped), or ctx ends.
-func (c *Coordinator) waitRound(ctx context.Context, rs *roundState) error {
+// waitRound returns the round's outcomes once its uploads resolve or the
+// straggler deadline expires (pending clients become dropped), or ctx's error.
+func (c *Coordinator) waitRound(ctx context.Context, rs *roundState) ([]fed.ClientOutcome, error) {
 	var deadline <-chan time.Time
 	if c.opts.Deadline > 0 {
 		timer := time.NewTimer(c.opts.Deadline)
@@ -386,13 +367,12 @@ func (c *Coordinator) waitRound(ctx context.Context, rs *roundState) error {
 	}
 	select {
 	case <-rs.done:
-		return nil
 	case <-ctx.Done():
-		return ctx.Err()
+		return nil, ctx.Err()
 	case <-deadline:
 		c.expireRound(rs)
-		return nil
 	}
+	return rs.outcomes, nil
 }
 
 // expireRound closes a round at its straggler deadline. Slots were
@@ -449,6 +429,15 @@ func (c *Coordinator) resolveUpload(round int, user int, o fed.ClientOutcome) bo
 	rs.outcomes[slot] = o
 	rs.resolve(user)
 	return true
+}
+
+// checkPrediction refuses an uploaded or dispersed prediction that names
+// another user, an item outside [0, numItems) or a score outside [0, 1] (NaN).
+func checkPrediction(p comm.Prediction, user, numItems int) error {
+	if p.User != user || p.Item < 0 || p.Item >= numItems || !(p.Score >= 0 && p.Score <= 1) {
+		return fmt.Errorf("prediction %+v: want user %d, an item in [0, %d) and a score in [0, 1]", p, user, numItems)
+	}
+	return nil
 }
 
 // --- HTTP handlers -------------------------------------------------------
@@ -780,9 +769,8 @@ func (c *Coordinator) readUpload(body io.Reader, round, user int) (fed.ClientOut
 				return fed.ClientOutcome{}, fmt.Errorf("coord: upload stream carries more than the %d predictions it declared", begin.Count)
 			}
 			for _, p := range chunk {
-				if p.User != user || p.Item < 0 || p.Item >= c.split.NumItems || !(p.Score >= 0 && p.Score <= 1) {
-					return fed.ClientOutcome{}, fmt.Errorf("coord: user %d uploads prediction %+v: want its own user, an item in [0, %d) and a score in [0, 1]",
-						user, p, c.split.NumItems)
+				if err := checkPrediction(p, user, c.split.NumItems); err != nil {
+					return fed.ClientOutcome{}, fmt.Errorf("coord: user %d uploads %w", user, err)
 				}
 			}
 			preds = append(preds, chunk...)

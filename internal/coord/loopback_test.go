@@ -606,6 +606,12 @@ func TestMalformedUploadOverHTTP(t *testing.T) {
 		defer close(done)
 		h, _ = c.Run(ctx)
 	}()
+	// Post only once round 0 is open: an upload that arrives before the round
+	// is announced finds no slot to resolve, and the retry below would then
+	// be accepted.
+	if _, err := p.poll(ctx, 0); err != nil {
+		t.Fatal(err)
+	}
 
 	post := func(user int, body []byte) (int, comm.MsgType, []byte) {
 		t.Helper()
@@ -902,5 +908,52 @@ func TestRunRefusesAnnouncementBeforeRoundEnd(t *testing.T) {
 	}
 	if n := uploads.Load(); n != 1 {
 		t.Fatalf("Run returned after %d uploads, want round 0's one (round 1's user is held)", n)
+	}
+}
+
+// TestRunRefusesBadDispersal pins the participant's check on what it is
+// pushed: a dispersal whose predictions name another user, an item outside
+// the catalogue or a score outside [0, 1] (NaN included) would become
+// training data — a graph client's engine panics staging the item, an MF
+// client grows a phantom row, a NaN label turns the model NaN. Run returns
+// the refusal, naming the prediction, instead of delivering it.
+func TestRunRefusesBadDispersal(t *testing.T) {
+	sp := testSplit()
+	const user = 3
+	for name, bad := range map[string]comm.Prediction{
+		"other user":   {User: user + 1, Item: 0, Score: 0.5},
+		"item too big": {User: user, Item: sp.NumItems, Score: 0.5},
+		"score above":  {User: user, Item: 0, Score: 1.5},
+		"score NaN":    {User: user, Item: 0, Score: math.NaN()},
+	} {
+		t.Run(name, func(t *testing.T) {
+			preds := []comm.Prediction{{User: user, Item: 1, Score: 0.5}, bad}
+			srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				switch r.URL.Path {
+				case "/v1/poll":
+					comm.WriteFrame(w, comm.MsgDisperse, comm.EncodeDisperse(comm.Disperse{
+						User: user, Codec: comm.CodecPlain, Payload: comm.CodecPlain.Encode(preds)}))
+					comm.WriteFrame(w, comm.MsgShutdown, nil)
+				case "/v1/leave":
+					comm.WriteFrame(w, comm.MsgAck, nil)
+				default:
+					http.NotFound(w, r)
+				}
+			}))
+			defer srv.Close()
+			cfg := testConfig(models.KindMF, 1)
+			cfg.LazyClients = true
+			host, err := fed.NewClientHost(sp, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p := &Participant{base: srv.URL, hc: srv.Client(), lo: 0, hi: 40, cfg: cfg, codec: comm.CodecFor(cfg.QuantizeScores), host: host}
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			defer cancel()
+			err = p.Run(ctx)
+			if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("prediction %+v", bad)) {
+				t.Fatalf("Run on a dispersal carrying %+v = %v, want a refusal naming it", bad, err)
+			}
+		})
 	}
 }

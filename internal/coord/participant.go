@@ -140,7 +140,7 @@ func (p *Participant) Run(ctx context.Context) error {
 				if err != nil {
 					return err
 				}
-				if err := waves.Announce(rs.Round, rs.Users, func(slots []int) {
+				if _, err := waves.Announce(rs.Round, rs.Users, func(slots []int) {
 					if err := p.runUsers(ctx, rs.Round, rs.Users, slots); err != nil {
 						waveErr.CompareAndSwap(nil, &err)
 					}
@@ -179,7 +179,9 @@ func (p *Participant) Run(ctx context.Context) error {
 	}
 }
 
-// deliver decodes one pushed dispersal and hands it to the hosted client.
+// deliver decodes one pushed dispersal and hands it to the hosted client,
+// which would train on it: a foreign user or a prediction checkPrediction
+// refuses is a protocol error.
 func (p *Participant) deliver(payload []byte) error {
 	d, err := comm.DecodeDisperse(payload)
 	if err != nil {
@@ -191,6 +193,11 @@ func (p *Participant) deliver(payload []byte) error {
 	preds, err := d.Codec.Decode(d.Payload)
 	if err != nil {
 		return err
+	}
+	for _, pr := range preds {
+		if err := checkPrediction(pr, d.User, p.host.Split().NumItems); err != nil {
+			return fmt.Errorf("coord: dispersal for user %d: %w", d.User, err)
+		}
 	}
 	p.host.Deliver(d.User, preds)
 	return nil

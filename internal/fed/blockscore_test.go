@@ -42,7 +42,8 @@ func TestEvalInvariantBatchedVsScalar(t *testing.T) {
 			t.Fatal(err)
 		}
 		for round := 0; round < cfg.Rounds; round++ {
-			_, batched := tr.RunRoundEval(round)
+			tr.RunRound(round)
+			batched := tr.EvaluateServer()
 			for _, workers := range []int{1, 2, 8} {
 				perItem := tr.splitEvaluator().Rank(&scalarModel{tr.server.model}, cfg.EvalK, workers)
 				if perItem != batched {
@@ -53,9 +54,10 @@ func TestEvalInvariantBatchedVsScalar(t *testing.T) {
 	}
 }
 
-// TestRunRoundEvalMatchesSequential pins the overlap's determinism: running
-// the evaluation concurrently with dispersal must produce the same round
-// trace and the same metrics as dispersing first and evaluating after.
+// TestRunRoundEvalMatchesSequential pins the overlap's determinism: a round
+// evaluated during its dispersal (RunRound at EvalEvery = 1) must produce the
+// same round trace and the same metrics as dispersing first and evaluating
+// after (RunRound at EvalEvery = 0, then EvaluateServer).
 func TestRunRoundEvalMatchesSequential(t *testing.T) {
 	sp := tinySplit(t)
 	for _, server := range []models.Kind{models.KindNeuMF, models.KindLightGCN} {
@@ -66,6 +68,7 @@ func TestRunRoundEvalMatchesSequential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		cfg.EvalEvery = 1
 		b, err := NewTrainer(sp, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -73,10 +76,7 @@ func TestRunRoundEvalMatchesSequential(t *testing.T) {
 		for round := 0; round < cfg.Rounds; round++ {
 			sa := a.RunRound(round)
 			resA := a.EvaluateServer()
-			sb, resB := b.RunRoundEval(round)
-			if resA != resB {
-				t.Fatalf("%s round %d: overlapped eval %+v != sequential %+v", server, round, resB, resA)
-			}
+			sb := b.RunRound(round)
 			sa.Recall, sa.NDCG, sa.Evaluated = resA.Recall, resA.NDCG, true
 			if sa != sb {
 				t.Fatalf("%s round %d: overlapped stats %+v != sequential %+v", server, round, sb, sa)

@@ -90,9 +90,6 @@ func (h *ClientHost) Client(id int) *Client {
 // Split returns the host's dataset split.
 func (h *ClientHost) Split() *data.Split { return h.split }
 
-// Config returns the host's configuration.
-func (h *ClientHost) Config() Config { return h.cfg }
-
 // ClientRoundResult is one user's full client-side round output, before any
 // transport decides how much of it reaches the server. Preds is the
 // wire-decoded upload (what a faithful receiver reconstructs from Payload);

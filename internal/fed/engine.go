@@ -1,6 +1,7 @@
 package fed
 
 import (
+	"context"
 	"time"
 
 	"ptffedrec/internal/comm"
@@ -72,9 +73,6 @@ func NewRoundEngine(numUsers, numItems int, cfg Config) (*RoundEngine, error) {
 // Server exposes the hidden server model and its state.
 func (e *RoundEngine) Server() *Server { return e.server }
 
-// Config returns the active configuration.
-func (e *RoundEngine) Config() Config { return e.cfg }
-
 // Select samples the round's cohort Uᵗ. Selection is a pure function of
 // (seed, round), so a coordinator and an observer agree on every round's
 // cohort without communicating.
@@ -91,6 +89,52 @@ func (e *RoundEngine) Select(round int) []int {
 // reports for PTF-FedRec.
 func (e *RoundEngine) Evaluate(ev *eval.Evaluator) eval.Result {
 	return ev.Rank(e.server.model, e.cfg.EvalK, e.cfg.Workers)
+}
+
+// Collect waits for an opened round's cohort and returns its outcomes in
+// Select's slot order.
+type Collect func(ctx context.Context) ([]ClientOutcome, error)
+
+// Run is the server side of the round schedule for any transport: open starts
+// a round's cohort and publish hands back a closed round. Round r+1 is opened
+// before round r is collected (Select is a pure function of the seed), so a
+// transport can train its dependency-free clients while round r collects and
+// closes. For each round r, Run collects r, closes it, publishes it and opens
+// r+2; after the last it evaluates through evaluator and returns the History.
+// A collect error ends the run.
+func (e *RoundEngine) Run(ctx context.Context, evaluator func() *eval.Evaluator,
+	open func(round int, users []int) Collect, publish func(round int, dispersals []Dispersal)) (*History, error) {
+	collects := make([]Collect, e.cfg.Rounds)
+	for r := range min(2, e.cfg.Rounds) {
+		collects[r] = open(r, e.Select(r))
+	}
+	rounds := make([]RoundStats, 0, e.cfg.Rounds)
+	for r := range collects {
+		outcomes, err := collects[r](ctx)
+		if err != nil {
+			return nil, err
+		}
+		stats, dispersals := e.closeRound(r, outcomes, evaluator)
+		publish(r, dispersals)
+		rounds = append(rounds, stats)
+		if r+2 < e.cfg.Rounds {
+			collects[r+2] = open(r+2, e.Select(r+2))
+		}
+	}
+	return NewHistory(rounds, e.Evaluate(evaluator())), nil
+}
+
+// closeRound is CloseRound evaluating, when Config.EvalDue asks, through
+// evaluator during the dispersal — both only read the frozen server model —
+// with Recall/NDCG in the stats.
+func (e *RoundEngine) closeRound(round int, outcomes []ClientOutcome, evaluator func() *eval.Evaluator) (RoundStats, []Dispersal) {
+	if !e.cfg.EvalDue(round) {
+		return e.CloseRound(round, outcomes, nil)
+	}
+	var res eval.Result
+	stats, dispersals := e.CloseRound(round, outcomes, func() { res = e.Evaluate(evaluator()) })
+	stats.Recall, stats.NDCG, stats.Evaluated = res.Recall, res.NDCG, true
+	return stats, dispersals
 }
 
 // CloseRound finishes round `round` from the transport-gathered outcomes
@@ -113,8 +157,8 @@ func (e *RoundEngine) Evaluate(ev *eval.Evaluator) eval.Result {
 // networked coordinator refuses an upload that breaks the second before it
 // becomes an outcome.
 //
-// A non-nil overlap runs concurrently with the dispersal phase — the Trainer
-// passes its server evaluation, which after the shared warm step is a pure
+// A non-nil overlap runs concurrently with the dispersal phase — Run passes a
+// due round's server evaluation, which after the shared warm step is a pure
 // read of the frozen model. CloseRound returns only after overlap finishes.
 func (e *RoundEngine) CloseRound(round int, outcomes []ClientOutcome, overlap func()) (RoundStats, []Dispersal) {
 	workers := par.Workers(e.cfg.Workers)

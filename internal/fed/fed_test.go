@@ -41,7 +41,8 @@ func runRoundUploads(tr *Trainer, round int) [][]comm.Prediction {
 	idx := tr.engine.Select(round)
 	outcomes := make([]ClientOutcome, len(idx))
 	tr.trainSlots(round, idx, outcomes, allSlots(len(idx)))
-	tr.closeRound(round, outcomes, false)
+	_, dispersals := tr.engine.closeRound(round, outcomes, tr.splitEvaluator)
+	tr.deliver(dispersals)
 	uploads := make([][]comm.Prediction, tr.split.NumUsers)
 	for _, o := range outcomes {
 		uploads[o.ID] = o.Upload

@@ -144,7 +144,8 @@ func TestGraphRebuildInvariance(t *testing.T) {
 					outcomes := make([]ClientOutcome, len(idx))
 					ref.trainSlots(r, idx, outcomes, allSlots(len(idx)))
 					oracle.record.SetOutcomes(outcomes)
-					stats, _ := ref.closeRound(r, outcomes, cfg.EvalDue(r))
+					stats, dispersals := ref.engine.closeRound(r, outcomes, ref.splitEvaluator)
+					ref.deliver(dispersals)
 					rounds = append(rounds, stats)
 				}
 				refHist := NewHistory(rounds, ref.EvaluateServer())

@@ -12,9 +12,12 @@ import "fmt"
 // client-local (its model, its split rows, its pure per-(round, client)
 // streams), and the server phases never touch client state.
 //
-// Waves is the one place that rule is applied. The in-process trainer
-// (runPipelined) and the networked participant (coord.Participant.Run) both
-// announce each round to it and tell it when a round has ended:
+// Waves is the one place that rule is applied, on the client side: the
+// in-process trainer (Trainer.Run) and the networked participant
+// (coord.Participant.Run) both announce each round to it and tell it when a
+// round has ended. RoundEngine.Run owns the server side — it opens round r+1
+// before collecting round r, and closes, evaluates and publishes each round —
+// for the trainer and the networked coordinator alike:
 //
 //	round r   : [ uploads r ][ absorb/graph/train/disperse r ][ deliver r ]
 //	round r+1 :              [ free wave (∉ cohort(r)) trains ][ gated wave trains ]
@@ -45,7 +48,7 @@ type Waves struct {
 	prevUsers map[int]bool // its users
 	ended     int          // the latest ended round, -1 before the first
 
-	// held is the gated wave of round heldRound, waiting on round
+	// held launches the gated wave of round heldRound, waiting on round
 	// heldRound-1's end; nil when no wave is held.
 	held      func()
 	heldRound int
@@ -59,12 +62,15 @@ func NewWaves() *Waves {
 }
 
 // Announce launches round's free wave and holds its gated one. train runs a
-// wave: it receives the wave's slots, ascending indices into users. Announce
-// refuses a round while a gated wave is still held — the previous round must
-// end before the next-but-one is announced — and then launches nothing.
-func (w *Waves) Announce(round int, users []int, train func(slots []int)) error {
+// wave: it receives the wave's slots, ascending indices into users. The
+// returned channel closes once the round's last wave has trained — at once
+// for a round with no users. Waves run in launch order, so then the whole
+// round has trained. Announce refuses a round while a gated wave is still
+// held — the previous round must end before the next-but-one is announced —
+// and then launches nothing.
+func (w *Waves) Announce(round int, users []int, train func(slots []int)) (<-chan struct{}, error) {
 	if w.held != nil {
-		return fmt.Errorf("fed: round %d announced while round %d's gated wave waits for round %d to end",
+		return nil, fmt.Errorf("fed: round %d announced while round %d's gated wave waits for round %d to end",
 			round, w.heldRound, w.heldRound-1)
 	}
 	gate := w.prevRound == round-1 && w.ended < w.prevRound
@@ -81,13 +87,19 @@ func (w *Waves) Announce(round int, users []int, train func(slots []int)) error 
 		w.prevUsers[u] = true
 	}
 	w.prevRound = round
-	if len(free) > 0 {
-		w.launch(func() { train(free) })
+	done := make(chan struct{})
+	switch {
+	case len(gated) > 0:
+		if len(free) > 0 {
+			w.launch(func() { train(free) }, make(chan struct{}))
+		}
+		w.held, w.heldRound = func() { w.launch(func() { train(gated) }, done) }, round
+	case len(free) > 0:
+		w.launch(func() { train(free) }, done)
+	default:
+		close(done)
 	}
-	if len(gated) > 0 {
-		w.held, w.heldRound = func() { train(gated) }, round
-	}
-	return nil
+	return done, nil
 }
 
 // End records that round has ended (its dispersals are delivered) and
@@ -95,7 +107,7 @@ func (w *Waves) Announce(round int, users []int, train func(slots []int)) error 
 func (w *Waves) End(round int) {
 	w.ended = max(w.ended, round)
 	if w.held != nil && w.heldRound-1 <= round {
-		w.launch(w.held)
+		w.held()
 		w.held = nil
 	}
 }
@@ -107,9 +119,10 @@ func (w *Waves) Wait() {
 	}
 }
 
-// launch starts train once the previously launched wave has finished.
-func (w *Waves) launch(train func()) {
-	prev, done := w.last, make(chan struct{})
+// launch starts train once the previously launched wave has finished, and
+// closes done when train returns.
+func (w *Waves) launch(train func(), done chan struct{}) {
+	prev := w.last
 	w.last = done
 	go func() {
 		defer close(done)
@@ -118,39 +131,4 @@ func (w *Waves) launch(train func()) {
 		}
 		train()
 	}()
-}
-
-// runPipelined executes the configured rounds through the cross-round
-// pipeline and returns the per-round stats. Round r+1 is announced only once
-// round r's cohort has trained, and round r ends before round r+2 is
-// announced, so Announce never refuses.
-func (t *Trainer) runPipelined() []RoundStats {
-	rounds := make([]RoundStats, 0, t.cfg.Rounds)
-	waves := NewWaves()
-	announce := func(round int) []ClientOutcome {
-		idx := t.engine.Select(round)
-		outcomes := make([]ClientOutcome, len(idx))
-		if err := waves.Announce(round, idx, func(slots []int) {
-			t.trainSlots(round, idx, outcomes, slots)
-		}); err != nil {
-			panic(err)
-		}
-		return outcomes
-	}
-
-	next := announce(0)
-	for r := 0; r < t.cfg.Rounds; r++ {
-		waves.Wait()
-		outcomes := next
-		if r+1 < t.cfg.Rounds {
-			next = announce(r + 1)
-		}
-		// Deliveries inside closeRound target round r's responders —
-		// disjoint from the free wave's users (∉ cohort(r)), so they can
-		// land mid-wave.
-		stats, _ := t.closeRound(r, outcomes, t.cfg.EvalDue(r))
-		rounds = append(rounds, stats)
-		waves.End(r)
-	}
-	return rounds
 }

@@ -1,6 +1,8 @@
 package fed
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"slices"
 	"strings"
@@ -9,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"ptffedrec/internal/eval"
 	"ptffedrec/internal/models"
 )
 
@@ -40,13 +43,7 @@ func runSerialHistory(t *testing.T, cfg Config) *History {
 	}
 	var rounds []RoundStats
 	for round := 0; round < cfg.Rounds; round++ {
-		var rs RoundStats
-		if cfg.EvalDue(round) {
-			rs, _ = tr.RunRoundEval(round)
-		} else {
-			rs = tr.RunRound(round)
-		}
-		rounds = append(rounds, rs)
+		rounds = append(rounds, tr.RunRound(round))
 	}
 	return NewHistory(rounds, tr.EvaluateServer())
 }
@@ -119,11 +116,82 @@ func TestPipelinedWorkerInvariance(t *testing.T) {
 	}
 }
 
+// TestRoundEngineRun pins the server side of the schedule on a scripted
+// transport that records every call: rounds 0 and 1 are opened before round 0
+// is collected, publish(r) comes before open(r+2), only EvalDue rounds carry
+// Evaluated, and a collect error ends the run and is returned. A transport
+// that trains each cohort when it is collected reproduces Trainer.Run's
+// History.
+func TestRoundEngineRun(t *testing.T) {
+	cfg := pipelineConfig(models.KindLightGCN, 2, false)
+	sp := tinySplit(t)
+	errCollect := errors.New("scripted collect failure")
+	run := func(failRound int) (*History, []string, error) {
+		engine, err := NewRoundEngine(sp.NumUsers, sp.NumItems, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		host, err := NewClientHost(sp, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var calls []string
+		var ev *eval.Evaluator
+		h, err := engine.Run(context.Background(), func() *eval.Evaluator { return eval.LazyEvaluator(&ev, sp) },
+			func(round int, users []int) Collect {
+				calls = append(calls, fmt.Sprint("open ", round))
+				return func(context.Context) ([]ClientOutcome, error) {
+					calls = append(calls, fmt.Sprint("collect ", round))
+					if round == failRound {
+						return nil, errCollect
+					}
+					outcomes := make([]ClientOutcome, len(users))
+					for slot, u := range users {
+						outcomes[slot] = host.RunClientRound(round, u).Outcome()
+					}
+					return outcomes, nil
+				}
+			}, func(round int, dispersals []Dispersal) {
+				calls = append(calls, fmt.Sprint("publish ", round))
+				for _, d := range dispersals {
+					host.Deliver(d.ID, d.Preds)
+				}
+			})
+		return h, calls, err
+	}
+
+	h, calls, err := run(-1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"open 0", "open 1", "collect 0", "publish 0", "open 2", "collect 1", "publish 1",
+		"open 3", "collect 2", "publish 2", "collect 3", "publish 3"}
+	if !slices.Equal(calls, want) {
+		t.Fatalf("calls %q, want %q", calls, want)
+	}
+	for _, rs := range h.Rounds {
+		if rs.Evaluated != cfg.EvalDue(rs.Round) || rs.Evaluated != (rs.NDCG > 0) {
+			t.Fatalf("round %d: Evaluated = %v with NDCG %v, want Evaluated = EvalDue = %v", rs.Round, rs.Evaluated, rs.NDCG, cfg.EvalDue(rs.Round))
+		}
+	}
+	requireEqualHistories(t, "scripted transport vs Trainer.Run", h, runHistory(t, cfg))
+
+	h, calls, err = run(1)
+	if !errors.Is(err, errCollect) || h != nil {
+		t.Fatalf("Run with round 1's collect failing = %v, %v; want no History and the collect error", h, err)
+	}
+	if want := want[:6]; !slices.Equal(calls, want) {
+		t.Fatalf("calls %q after a failed collect, want %q", calls, want)
+	}
+}
+
 // TestWaves pins the dependency rule's one owner on a scripted schedule:
 // which slots each wave trains and in what order, that an announcement after
 // its predecessor ended (or after a gap) runs everyone free, that no two
-// waves ever train at once, that Wait returns only after the last wave, and
-// that an announcement while a gated wave is held is refused.
+// waves ever train at once, that Wait returns only after the last wave, that
+// an announcement while a gated wave is held is refused, and that Announce's
+// channel closes only after the round's gated wave has trained — at once for
+// a round with no users.
 func TestWaves(t *testing.T) {
 	type wave struct {
 		round int
@@ -147,27 +215,50 @@ func TestWaves(t *testing.T) {
 			inFlight.Add(-1)
 		}
 	}
-	announce := func(w *Waves, round int, users []int, pause time.Duration) {
+	announce := func(w *Waves, round int, users []int, pause time.Duration) <-chan struct{} {
 		t.Helper()
-		if err := w.Announce(round, users, train(round, pause)); err != nil {
+		done, err := w.Announce(round, users, train(round, pause))
+		if err != nil {
 			t.Fatalf("announce round %d: %v", round, err)
+		}
+		return done
+	}
+	closed := func(done <-chan struct{}) bool {
+		select {
+		case <-done:
+			return true
+		default:
+			return false
 		}
 	}
 
 	w := NewWaves()
 	w.Wait() // nothing launched yet
 	announce(w, 0, []int{10, 11, 12}, 5*time.Millisecond)
-	announce(w, 1, []int{11, 20, 12, 21}, 0) // 11 and 12 wait on round 0
-	err := w.Announce(2, []int{20, 30}, train(2, 0))
+	done1 := announce(w, 1, []int{11, 20, 12, 21}, 0) // 11 and 12 wait on round 0
+	_, err := w.Announce(2, []int{20, 30}, train(2, 0))
 	if err == nil || !strings.Contains(err.Error(), "round 1's gated wave") {
 		t.Fatalf("announce of round 2 before round 0 ended: err = %v, want a refusal naming round 1's gated wave", err)
 	}
+	w.Wait() // round 0's wave and round 1's free wave have trained
+	if closed(done1) {
+		t.Fatal("round 1's channel closed while its gated wave was held")
+	}
 	w.End(0)
+	<-done1
+	mu.Lock()
+	if last := got[len(got)-1]; last.round != 1 || !slices.Equal(last.slots, []int{0, 2}) {
+		t.Fatalf("round 1's channel closed after wave %v, want its gated wave {1 [0 2]}", last)
+	}
+	mu.Unlock()
 	announce(w, 2, []int{20, 30}, 0) // 20 waits on round 1
 	w.End(1)
 	w.End(2)
 	announce(w, 3, []int{30, 40}, 0)                   // round 2 ended: all free
 	announce(w, 5, []int{40, 50}, 20*time.Millisecond) // round 4 never announced here: all free
+	if done6 := announce(w, 6, nil, 0); !closed(done6) {
+		t.Fatal("a round with no users: channel open, want it closed at once")
+	}
 	w.Wait()
 
 	mu.Lock()

@@ -1,6 +1,7 @@
 package fed
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -72,7 +73,7 @@ type Trainer struct {
 
 	// clientTrain is the ClientTrain phase: trainSlots adds each wave's
 	// wall-clock, and waves never overlap. The server phases live in the
-	// engine, which CloseRound runs beside the pipeline's free wave.
+	// engine, which closes a round beside the next round's free wave.
 	clientTrain float64
 
 	// server/clients alias into the engine and host (tests and the
@@ -124,9 +125,6 @@ func (t *Trainer) Clients() []*Client {
 // Server exposes the server (tests, examples).
 func (t *Trainer) Server() *Server { return t.server }
 
-// Config returns the active configuration.
-func (t *Trainer) Config() Config { return t.cfg }
-
 // PhaseSeconds returns the cumulative per-phase wall-clock since construction.
 func (t *Trainer) PhaseSeconds() PhaseSeconds {
 	p := t.engine.phases
@@ -136,50 +134,24 @@ func (t *Trainer) PhaseSeconds() PhaseSeconds {
 
 // RunRound executes Algorithm 1's loop body once, serially: sample the
 // cohort, run every selected client's local round on the worker pool, close
-// the round on the engine, deliver the dispersals. Calling it for rounds
-// 0..Rounds-1 in order is Algorithm 1 as written, and produces the same
-// History as Run's cross-round pipeline.
+// the round on the engine — evaluating it during its dispersal when
+// Config.EvalDue asks — and deliver the dispersals. Calling it for rounds
+// 0..Rounds-1 in order, then EvaluateServer, is Algorithm 1 as written, and
+// produces the same History as Run's cross-round schedule.
 func (t *Trainer) RunRound(round int) RoundStats {
-	stats, _ := t.runRound(round, false)
-	return stats
-}
-
-// RunRoundEval is RunRound with the round's server evaluation overlapped with
-// the dispersal phase: both only read the warmed, frozen server model, so
-// they run concurrently after a shared warm step. The returned RoundStats has
-// Recall/NDCG/Evaluated filled in. The trace and the evaluation result are
-// bitwise-identical to RunRound followed by EvaluateServer.
-func (t *Trainer) RunRoundEval(round int) (RoundStats, eval.Result) {
-	return t.runRound(round, true)
-}
-
-func (t *Trainer) runRound(round int, withEval bool) (RoundStats, eval.Result) {
 	idx := t.engine.Select(round)
 	outcomes := make([]ClientOutcome, len(idx))
 	t.trainSlots(round, idx, outcomes, allSlots(len(idx)))
-	return t.closeRound(round, outcomes, withEval)
+	stats, dispersals := t.engine.closeRound(round, outcomes, t.splitEvaluator)
+	t.deliver(dispersals)
+	return stats
 }
 
-// closeRound finishes a round whose cohort has trained: the engine absorbs the
-// outcomes, trains and disperses, and every responder receives its D̃ᵢ. With
-// withEval the server evaluation runs concurrently with dispersal inside
-// CloseRound — after the shared warm step both are pure reads of the frozen
-// server model, so the overlap changes wall-clock only, never results — and
-// the returned stats carry Recall/NDCG.
-func (t *Trainer) closeRound(round int, outcomes []ClientOutcome, withEval bool) (RoundStats, eval.Result) {
-	var res eval.Result
-	var overlap func()
-	if withEval {
-		overlap = func() { res = t.EvaluateServer() }
-	}
-	stats, dispersals := t.engine.CloseRound(round, outcomes, overlap)
+// deliver hands every responder its D̃ᵢ.
+func (t *Trainer) deliver(dispersals []Dispersal) {
 	for _, d := range dispersals {
 		t.host.Deliver(d.ID, d.Preds)
 	}
-	if withEval {
-		stats.Recall, stats.NDCG, stats.Evaluated = res.Recall, res.NDCG, true
-	}
-	return stats, res
 }
 
 // trainSlots runs the listed cohort slots' client rounds on the worker pool,
@@ -204,12 +176,29 @@ func allSlots(n int) []int {
 	return slots
 }
 
-// Run executes the configured number of rounds through the cross-round
-// pipeline (pipeline.go) and a final evaluation. Periodic evaluations
-// (Config.EvalEvery) overlap each round's dispersal phase.
+// Run executes the configured rounds and a final evaluation through
+// RoundEngine.Run, with the clients on a Waves: collecting a round waits for
+// its last wave, and publishing it delivers the dispersals — to round r's
+// responders, none in round r+1's free wave training beside the server
+// phases — and then releases round r+1's gated wave.
 func (t *Trainer) Run() (*History, error) {
-	rounds := t.runPipelined()
-	return NewHistory(rounds, t.EvaluateServer()), nil
+	waves := NewWaves()
+	return t.engine.Run(context.Background(), t.splitEvaluator, func(round int, users []int) Collect {
+		outcomes := make([]ClientOutcome, len(users))
+		done, err := waves.Announce(round, users, func(slots []int) {
+			t.trainSlots(round, users, outcomes, slots)
+		})
+		if err != nil {
+			panic(err) // Run ends round r before it opens r+2
+		}
+		return func(context.Context) ([]ClientOutcome, error) {
+			<-done
+			return outcomes, nil
+		}
+	}, func(round int, dispersals []Dispersal) {
+		t.deliver(dispersals)
+		waves.End(round)
+	})
 }
 
 // splitEvaluator returns the trainer's evaluator, building it on first use.
