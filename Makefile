@@ -8,7 +8,7 @@ GO ?= go
 # CI, fails above it. A change that shrinks the code lowers it to the size it
 # reaches; one that has to grow the code raises it in the same diff, where a
 # reviewer sees the price.
-LOC_BUDGET = 12844
+LOC_BUDGET = 12915
 
 # The packages whose concurrent paths CI runs in full (not -short) under the
 # race detector; ci.yml says why each is there (fed.Waves' client waves
@@ -99,8 +99,10 @@ bench-module:
 # times the server SGD step at the sparse-250k shape and reports B/live-row,
 # the heap the model retains per live row beyond E⁰ and the readout (0
 # allocs/op serially; the pins are TestLightGCNSteadyStateAllocatesNothing and
-# TestLightGCNRetainedBytesPerLiveRow); internal/rng's BenchmarkSeed times
-# seeding a stream's source against math/rand's; internal/metrics'
+# TestLightGCNRetainedBytesPerLiveRow); internal/rng's BenchmarkSeed is the
+# sweep behind the lazy source's cutover: a stream built and drawn from 16,
+# 64, 256, 607 and 2000 times, seeded eagerly against lazily, with B/op (the
+# pin is FuzzLazySourceMatchesMathRand); internal/metrics'
 # BenchmarkTopKSelect and BenchmarkPushRun time the selection engine (PushRun
 # against a Push per element, 0 allocs/op; the pin is
 # TestPushRunSteadyStateAllocs); internal/eval's BenchmarkBlockTopK times one

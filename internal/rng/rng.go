@@ -5,6 +5,12 @@
 // initialization) draws from a named stream derived from a single experiment
 // seed, so a run is reproducible end-to-end and two components never share a
 // stream by accident.
+//
+// A stream draws math/rand's sequence for its seed, draw for draw, from this
+// package's copy of math/rand's source (source.go). It seeds nothing until it
+// needs to: its first 607 draws are computed from the seed alone, so a stream
+// that is only a parent in a Derive chain, or draws a few hundred values,
+// never builds math/rand's 607-word state.
 package rng
 
 import (
@@ -23,36 +29,13 @@ type Stream struct {
 	seed uint64
 }
 
-// New returns a stream seeded with seed. The source behind it — math/rand's
-// generator, draw for draw (source.go) — is built on the first draw: most
-// streams are only ever parents in a Derive chain, and allocating a source's
-// 607-word state is far dearer than deriving.
+// New returns a stream seeded with seed. It starts on a lazySource, which
+// seeds no state until the stream's 608th draw.
 func New(seed uint64) *Stream {
 	s := &Stream{seed: seed}
-	s.r = rand.New(&unseeded{s: s})
+	s.r = rand.New(&lazySource{s: s, x0: uint32(seedStart(int64(seed)))})
 	return s
 }
-
-// unseeded is the source of a stream nobody has drawn from yet. Its first
-// draw seeds the real source and hands the stream a generator directly over
-// it, so every later draw runs exactly as if New had seeded eagerly; the
-// draw in flight finishes through this wrapper on the same source.
-type unseeded struct {
-	s   *Stream
-	src *source
-}
-
-func (u *unseeded) seeded() *source {
-	if u.src == nil {
-		u.src = newSource(int64(u.s.seed))
-		u.s.r = rand.New(u.src)
-	}
-	return u.src
-}
-
-func (u *unseeded) Int63() int64   { return u.seeded().Int63() }
-func (u *unseeded) Uint64() uint64 { return u.seeded().Uint64() }
-func (u *unseeded) Seed(int64)     { panic("rng: a Stream is seeded once, by New") }
 
 // Derive returns an independent stream keyed by name. Deriving the same name
 // from the same parent seed always yields the same stream, regardless of how

@@ -239,27 +239,35 @@ func TestLazySeedingMatchesEager(t *testing.T) {
 }
 
 // TestDeriveSeedsNothing pins what the laziness is for: a Derive chain seeds
-// no math/rand source — not the parent's, not the intermediate's, not the
-// leaf's — until somebody draws, and a draw seeds only the stream drawn from.
+// no 607-word state — not the parent's, not the intermediate's, not the
+// leaf's — nor does a stream that has drawn fewer than lazyDraws values; the
+// draw at lazyDraws swaps in a generator over the seeded source, once; and a
+// draw never touches an ancestor.
 func TestDeriveSeedsNothing(t *testing.T) {
 	root := New(11)
 	mid := root.Derive("model:mf")
 	leaf := mid.DeriveN("client", 4)
 	rootR, midR, leafR := root.r, mid.r, leaf.r
-	leaf.Float64()
+	for range lazyDraws {
+		leaf.r.Uint64()
+	}
+	if leaf.r != leafR {
+		t.Fatalf("the generator was swapped before the draw at lazyDraws = %d", lazyDraws)
+	}
+	leaf.r.Int63()
 	if leaf.r == leafR {
-		t.Fatal("the first draw did not swap in a generator over the seeded source")
+		t.Fatal("the draw at lazyDraws did not swap in a generator over the seeded source")
 	}
 	if root.r != rootR || mid.r != midR {
-		t.Fatal("drawing from a derived stream seeded its ancestors")
+		t.Fatal("drawing from a derived stream touched its ancestors")
 	}
 	seeded := leaf.r
 	leaf.Intn(10)
 	if leaf.r != seeded {
 		t.Fatal("a later draw replaced the generator again")
 	}
-	// math/rand's source alone is 607 words; an undrawn chain stays far
-	// below one of them.
+	// math/rand's source alone is 607 words; an undrawn chain, and a stream
+	// short of lazyDraws draws, stay far below one of them.
 	var sink *Stream
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -269,5 +277,16 @@ func TestDeriveSeedsNothing(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	if perChain := (after.TotalAlloc - before.TotalAlloc) / 100; sink == nil || perChain > 512 {
 		t.Fatalf("an undrawn New→Derive→DeriveN chain allocated %d B", perChain)
+	}
+	runtime.ReadMemStats(&before)
+	for i := 0; i < 100; i++ {
+		sink = New(uint64(i))
+		for range lazyDraws {
+			sink.r.Uint64()
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if perStream := (after.TotalAlloc - before.TotalAlloc) / 100; perStream > 512 {
+		t.Fatalf("a stream that drew %d values allocated %d B", lazyDraws, perStream)
 	}
 }

@@ -1,6 +1,7 @@
 package rng
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -35,17 +36,60 @@ func TestSourceMatchesMathRand(t *testing.T) {
 	}
 }
 
-// BenchmarkSeed times building a seeded source: math/rand's and this
-// package's. Both allocate the same 607-word state.
+// FuzzLazySourceMatchesMathRand pins a Stream's lazy source to math/rand
+// draw for draw: from seed, through the lazy draws, the cutover at lazyDraws
+// and the 607-word ring after it, draws values with Uint64 and Int63 mixed
+// by the bits of mix, as rand.Rand's helpers mix them.
+func FuzzLazySourceMatchesMathRand(f *testing.F) {
+	seeds := []int64{0, 1, -1, lcgMod, -lcgMod, 2 * lcgMod, -2 * lcgMod, 3 * lcgMod,
+		math.MinInt64, math.MaxInt64}
+	draws := []uint16{0, 272, 273, 274, 545, 546, 547, 606, 607, 608,
+		lazyDraws - 1, lazyDraws, lazyDraws + 1, 2000}
+	for i, seed := range seeds {
+		for j, n := range draws {
+			f.Add(seed, n, uint64(i*len(draws)+j)*0x9e3779b97f4a7c15)
+		}
+	}
+	f.Fuzz(func(t *testing.T, seed int64, n uint16, mix uint64) {
+		n %= 4096
+		want := rand.NewSource(seed).(rand.Source64)
+		s := New(uint64(seed))
+		for k := range int(n) {
+			if mix>>(k%64)&1 == 1 {
+				if w, g := want.Int63(), s.r.Int63(); w != g {
+					t.Fatalf("seed %d: Int63 draw %d = %d, want %d", seed, k, g, w)
+				}
+				continue
+			}
+			if w, g := want.Uint64(), s.r.Uint64(); w != g {
+				t.Fatalf("seed %d: Uint64 draw %d = %d, want %d", seed, k, g, w)
+			}
+		}
+	})
+}
+
+// BenchmarkSeed is the sweep that chose lazyDraws: per stream, building it
+// and drawing n values, with the whole state seeded up front (newSource, as
+// math/rand seeds) against New's lazy source. Past lazyDraws the lazy form
+// pays the cutover too.
 func BenchmarkSeed(b *testing.B) {
-	b.Run("math-rand", func(b *testing.B) {
-		for i := 0; b.Loop(); i++ {
-			_ = rand.NewSource(int64(i))
-		}
-	})
-	b.Run("source", func(b *testing.B) {
-		for i := 0; b.Loop(); i++ {
-			_ = newSource(int64(i))
-		}
-	})
+	for _, n := range []int{16, 64, 256, 607, 2000} {
+		b.Run(fmt.Sprintf("eager/draws=%d", n), func(b *testing.B) {
+			for i := 0; b.Loop(); i++ {
+				s := &Stream{seed: uint64(i)}
+				s.r = rand.New(newSource(int64(i)))
+				for range n {
+					s.r.Uint64()
+				}
+			}
+		})
+		b.Run(fmt.Sprintf("lazy/draws=%d", n), func(b *testing.B) {
+			for i := 0; b.Loop(); i++ {
+				s := New(uint64(i))
+				for range n {
+					s.r.Uint64()
+				}
+			}
+		})
+	}
 }
