@@ -8,7 +8,7 @@ GO ?= go
 # CI, fails above it. A change that shrinks the code lowers it to the size it
 # reaches; one that has to grow the code raises it in the same diff, where a
 # reviewer sees the price.
-LOC_BUDGET = 12915
+LOC_BUDGET = 13180
 
 # The packages whose concurrent paths CI runs in full (not -short) under the
 # race detector; ci.yml says why each is there (fed.Waves' client waves
@@ -86,7 +86,7 @@ bench-module:
 # right at go test's default 10m kill threshold.
 # internal/tensor, internal/models and internal/emb carry the client wave's
 # kernels: BenchmarkDenseGEMM, BenchmarkGatherMulMat (the scoring GEMM at the
-# evaluator's 16 × 1024 window, assembly and Go tile side by side),
+# dispersal's 16 × 1024 window, assembly and Go tile side by side),
 # BenchmarkElementwise (Adam, ReLU and the vector adds, assembly and pure Go
 # bodies side by side), BenchmarkFirstAbove (the selector's bulk reject scan,
 # both bodies), BenchmarkSpMMRows (one LightGCN propagation layer at the
@@ -106,10 +106,13 @@ bench-module:
 # BenchmarkTopKSelect and BenchmarkPushRun time the selection engine (PushRun
 # against a Push per element, 0 allocs/op; the pin is
 # TestPushRunSteadyStateAllocs); internal/eval's BenchmarkBlockTopK times one
-# selection of the top-K engine evaluation and dispersal's hard half share —
-# 16 users × 4 096 items at d = 16, for train-list-shaped and upload-shaped
-# exclusion lists, 0 allocs/op (the pin is
-# TestBlockTopKMatchesPushAndAllocsNothing); internal/fed's BenchmarkMFClientRound times
+# selection of dispersal's hard-half top-K engine — 16 users × 4 096 items at
+# d = 16, for train-list-shaped and upload-shaped exclusion lists, 0 allocs/op
+# (the pin is TestBlockTopKMatchesPushAndAllocsNothing) — and
+# BenchmarkEvaluatorRank one worker's evaluation at rank-heavy's shape (a
+# trained MF scorer, d = 16, 4 096 items): the BlockTopK body evaluation ran
+# through before beside the rank-counting engine, 0 allocs/op each (the pins
+# are FuzzRankCountMatchesNaive and TestEvaluatorAllocsPerUser); internal/fed's BenchmarkMFClientRound times
 # one MF client round at net-loopback's shape (d = 16, 900 items, clients
 # taken in turn so their rows are cold) and reports ns/op and allocs/op (the
 # pin is TestMFClientRoundSteadyStateAllocs); internal/coord's

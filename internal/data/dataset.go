@@ -122,7 +122,7 @@ func (s Stats) String() string {
 }
 
 // Split holds a per-user train/test partition of a Dataset. Both sides keep
-// each user's items sorted.
+// each user's items sorted and distinct, and the two sides are disjoint.
 type Split struct {
 	Name               string
 	NumUsers, NumItems int

@@ -8,10 +8,9 @@ import (
 
 // BlockTopK is one worker's batched top-K engine: for a batch of users it
 // ranks each user's items outside an ascending exclusion list by the hidden
-// model's logit and keeps the top k. It is the one implementation of that
-// operation — §IV-B's ranking (candidates are the complement of the train
-// list) and Eq. 9's hard half (eligible items are the complement of the
-// upload) both select through it.
+// model's logit and keeps the top k. Eq. 9's hard half (internal/fed), whose
+// eligible items are the complement of the upload, selects through it;
+// evaluation needs ranks, not lists, and counts them with rankCounter.
 //
 // Select scores the batch against the item universe one window at a time
 // with a single ScoreUsersBlockLogitsInto call, walks each user's exclusion
@@ -28,9 +27,9 @@ import (
 // and reading only candidate positions yields exactly the logits of scoring
 // the candidate list; the runs are pushed ascending in item id, so pushing
 // item ids preserves the direct path's (score desc, position asc) selection
-// order; and LogitTopKSelector resolves σ-collapsed ties exactly as a
-// probability-domain selection does. Window width and batch size are
-// scheduling only and never change a result.
+// order; and LogitTopKSelector resolves σ-collapsed ties and σ's non-monotone
+// rounding exactly as a probability-domain selection does. Window width and
+// batch size are scheduling only and never change a result.
 //
 // The selectors borrow k-wide segments of three shared heap slabs, so the
 // engine costs a fixed handful of allocations and a warm Select none.
@@ -42,7 +41,7 @@ type BlockTopK struct {
 	mat      tensor.Matrix
 	sels     []metrics.LogitTopKSelector
 	selIdx   []int
-	selLogit []float64
+	selFloor []float64
 	selProb  []float64
 	cursors  []int
 }
@@ -57,7 +56,7 @@ func NewBlockTopK(items []int, batch, window, k int) *BlockTopK {
 		k:        k,
 		sels:     make([]metrics.LogitTopKSelector, batch),
 		selIdx:   make([]int, batch*k),
-		selLogit: make([]float64, batch*k),
+		selFloor: make([]float64, batch*k),
 		selProb:  make([]float64, batch*k),
 		cursors:  make([]int, batch),
 	}
@@ -71,7 +70,7 @@ func (t *BlockTopK) Select(s models.MultiBlockScorer, users []int, excl [][]int)
 	n := len(users)
 	for i := 0; i < n; i++ {
 		lo, hi := i*t.k, (i+1)*t.k
-		t.sels[i].ResetBacked(t.k, t.selIdx[lo:lo:hi], t.selLogit[lo:lo:hi], t.selProb[lo:lo:hi])
+		t.sels[i].ResetBacked(t.k, t.selIdx[lo:lo:hi], t.selFloor[lo:lo:hi], t.selProb[lo:lo:hi])
 		t.cursors[i] = 0
 	}
 	for lo := 0; lo < len(t.items); lo += t.window {

@@ -2,27 +2,37 @@
 // NDCG@20 over every item the user has not interacted with in training, with
 // the held-out 20% as relevance targets.
 //
+// The metrics need only where each held-out item t ranks among the
+// candidates, never the ranked list itself: t's 0-based position in
+// metrics.TopK's order over the candidates' probabilities is the number of
+// candidates c that beat it (metrics.Beats: a higher probability, or an equal
+// one and c < t), and t is a hit iff that count is below min(k, candidates).
+// metrics.HitMetrics turns the hits' positions into Recall and NDCG bitwise
+// RecallAtK's and NDCGAtK's over that list. So the evaluator counts: a
+// held-out item stops counting once k candidates beat it, and a user stops
+// being scored once all of theirs have.
+//
 // Evaluation is embarrassingly parallel across users, and once per-round
-// traffic is kilobytes it dominates server-side wall-clock, so Ranking fans
+// traffic is kilobytes it dominates server-side wall-clock, so Rank fans
 // the user loop out over a worker pool. Per-user metric values are written to
 // index-addressed slots and reduced sequentially in user order, so the result
 // is bitwise-identical for every worker count.
 //
 // Candidates are the complement of the sorted train list, walked per score
 // window: Split.Train[u] is ascending and stays in memory, so nothing per
-// (user, item) is stored and Split.InTrain is never probed. Scorers that
-// implement models.MultiBlockScorer rank through BlockTopK, the batched
-// logit-domain top-K engine that Eq. 9's dispersal hard half (internal/fed)
-// selects through too: evalUsersBatch users per gather-GEMM over each item
-// window, the runs between each user's consecutive train items streamed into
-// metrics.LogitTopKSelector, so no NumItems-length score vector exists and the
-// sigmoid is paid only for candidates that reach a heap. Any other scorer (a
-// models.ScorerFunc: per-client adapters, the parameter-transmission
-// baselines) is ranked per user through ScoreItems and metrics.TopKInto over
-// the complement list rebuilt into worker scratch. That one type test is the
+// (user, item) is stored. Every held-out item is a candidate, as a Split's
+// two sides are disjoint. Scorers that implement models.MultiBlockScorer rank
+// through rankCounter, in the logit domain: evalUsersBatch users' held-out
+// items are scored in one block, then each item window is scored only for the
+// users still counting, and only logits inside a held-out item's
+// metrics.LogitBand pay for a sigmoid. Any other scorer (a models.ScorerFunc:
+// per-client adapters, the parameter-transmission baselines) is scored per
+// user through ScoreItems over the complement list rebuilt into worker
+// scratch, and counted over those probabilities. That one type test is the
 // only engine choice; both paths are bitwise-identical to the naive
 // score-everything-then-sort evaluation (metrics.TopK), so Results never
-// depend on the path taken.
+// depend on the path taken. A NaN score never beats, and a held-out item
+// whose own score is NaN is never a hit.
 //
 // The package consumes the models scoring interface family directly
 // (models.Scorer, its MultiBlockScorer refinement, models.Warmer for lazily
@@ -30,6 +40,8 @@
 package eval
 
 import (
+	"slices"
+
 	"ptffedrec/internal/candset"
 	"ptffedrec/internal/data"
 	"ptffedrec/internal/metrics"
@@ -44,12 +56,15 @@ import (
 // tests can shrink it to force multi-batch runs on small user sets.
 var evalUsersBatch = 16
 
-// evalScoreChunk is the item-window width of the batched engine: a user
-// batch's logits materialise batch×chunk at a time, streaming each window's
-// candidate logits into the per-user selectors, so no full score vector ever
-// exists. A var so tests can shrink it to force multi-window selections on
-// small catalogues.
-var evalScoreChunk = 1024
+// evalScoreChunk is the item-window width of the batched engine: a batch's
+// logits materialise active-users×chunk at a time, and a user whose held-out
+// items are all decided leaves before the next window, so a narrower window
+// stops scoring sooner at a higher per-call cost. Windows of 256 to 1024 items
+// timed within about 10 % of each other at rank-heavy's shape
+// (BenchmarkEvaluatorRank and the workload itself); 512 was at least as fast
+// as any. A var so tests can shrink it to force multi-window counts on small
+// catalogues.
+var evalScoreChunk = 512
 
 // Result holds user-averaged ranking metrics.
 type Result struct {
@@ -57,7 +72,7 @@ type Result struct {
 	Users        int
 }
 
-// Evaluator is the selection engine's round-persistent state for one split:
+// Evaluator is the evaluation engines' round-persistent state for one split:
 // the evaluated-user list and the identity item list, and nothing per user —
 // each user's candidates are the complement of Split.Train[u], walked while
 // the scores stream past. It is scorer- and cutoff-agnostic and read-only
@@ -104,33 +119,11 @@ func (e *Evaluator) Users() int { return len(e.users) }
 func (e *Evaluator) CacheBytes() int64 { return 8 * int64(cap(e.users)+cap(e.ident)) }
 
 // scratch is one worker's reusable state for its whole share of users on the
-// per-user path: the candidate list, the selection output, the ranked
-// item list and the relevance set. Only the score vector ScoreItems returns
-// is allocated per user.
+// per-user path: the candidate list and the hits' ranks. Only the score
+// vector ScoreItems returns is allocated per user.
 type scratch struct {
-	cand     []int
-	top      []int
-	ranked   []int
-	relevant map[int]bool
-}
-
-// batchScratch is one worker's reusable state for the batched engine: the
-// BlockTopK, the batch's train lists as its exclusion lists, the ranked item
-// list and the relevance set. Nothing here is allocated per batch.
-type batchScratch struct {
-	topk     *BlockTopK
-	excl     [][]int
-	ranked   []int
-	relevant map[int]bool
-}
-
-func (e *Evaluator) newBatchScratch(k int) *batchScratch {
-	return &batchScratch{
-		topk:     NewBlockTopK(e.ident, evalUsersBatch, evalScoreChunk, k),
-		excl:     make([][]int, 0, evalUsersBatch),
-		ranked:   make([]int, 0, k),
-		relevant: make(map[int]bool, 16),
-	}
+	cand  []int
+	ranks []int
 }
 
 // Rank evaluates the scorer at cutoff k over every user's non-train items with
@@ -157,29 +150,16 @@ func (e *Evaluator) Rank(s models.Scorer, k, workers int) Result {
 	// Chunk users so each worker reuses one scratch across its whole share
 	// instead of allocating per user (or per batch).
 	chunk := (len(e.users) + workers - 1) / workers
-	if batched {
-		par.ForChunks(len(e.users), chunk, workers, func(lo, hi int) {
-			sc := e.newBatchScratch(k)
-			for b := lo; b < hi; b += evalUsersBatch {
-				be := b + evalUsersBatch
-				if be > hi {
-					be = hi
-				}
-				e.evalUserBatch(multi, sc, b, be, k, recalls, ndcgs)
-			}
-		})
-	} else {
-		par.ForChunks(len(e.users), chunk, workers, func(lo, hi int) {
-			sc := &scratch{
-				cand:     make([]int, 0, e.sp.NumItems),
-				ranked:   make([]int, 0, k),
-				relevant: make(map[int]bool, 16),
-			}
-			for i := lo; i < hi; i++ {
-				recalls[i], ndcgs[i] = e.evalUser(s, sc, i, k)
-			}
-		})
-	}
+	par.ForChunks(len(e.users), chunk, workers, func(lo, hi int) {
+		if batched {
+			e.rankBatched(multi, lo, hi, k, recalls, ndcgs)
+			return
+		}
+		sc := &scratch{cand: make([]int, 0, e.sp.NumItems)}
+		for i := lo; i < hi; i++ {
+			recalls[i], ndcgs[i] = e.evalUser(s, sc, i, k)
+		}
+	})
 	var agg metrics.RankEval
 	for i := range e.users {
 		agg.AddUser(recalls[i], ndcgs[i])
@@ -188,58 +168,41 @@ func (e *Evaluator) Rank(s models.Scorer, k, workers int) Result {
 	return Result{Recall: r, NDCG: n, Users: agg.Users}
 }
 
-// evalUser ranks one user through ScoreItems and a partial selection over the
-// materialised score vector, and returns their Recall@k and NDCG@k.
+// evalUser scores one user's candidates through ScoreItems, counts the
+// candidates that beat each held-out item, and returns their Recall@k and
+// NDCG@k.
 func (e *Evaluator) evalUser(s models.Scorer, sc *scratch, i, k int) (recall, ndcg float64) {
 	u := e.users[i]
 	sc.cand = candset.AppendComplementSorted(sc.cand[:0], e.sp.NumItems, e.sp.Train[u])
-	sc.top = metrics.TopKInto(sc.top, s.ScoreItems(u, sc.cand), k)
-	ranked := sc.ranked[:0]
-	for _, idx := range sc.top {
-		ranked = append(ranked, sc.cand[idx])
+	probs := s.ScoreItems(u, sc.cand)
+	sc.ranks = sc.ranks[:0]
+	for _, t := range e.sp.Test[u] {
+		pos, _ := slices.BinarySearch(sc.cand, t)
+		pt, count := probs[pos], 0
+		for c := 0; c < len(probs) && count < k; c++ {
+			if metrics.Beats(probs[c], c, pt, pos) {
+				count++
+			}
+		}
+		if count < k && pt == pt {
+			sc.ranks = append(sc.ranks, count)
+		}
 	}
-	sc.ranked = ranked
-	return e.userMetrics(ranked, sc.relevant, u, k)
+	return hitMetrics(sc.ranks, len(e.sp.Test[u]), min(k, len(sc.cand)))
 }
 
-// evalUserBatch ranks users [b, be) of e.users through the batched engine:
-// each user's exclusion list is their train list — strictly ascending and in
-// range, as InTrain's binary search relies on too — so the BlockTopK's
-// winners are the user's ranked items, bitwise the per-user path's (see
-// BlockTopK).
-func (e *Evaluator) evalUserBatch(mbs models.MultiBlockScorer, sc *batchScratch, b, be, k int, recalls, ndcgs []float64) {
-	users := e.users[b:be]
-	sc.excl = sc.excl[:0]
-	for _, u := range users {
-		sc.excl = append(sc.excl, e.sp.Train[u])
-	}
-	sc.topk.Select(mbs, users, sc.excl)
-	for i, u := range users {
-		sc.ranked = sc.topk.Into(i, sc.ranked)
-		recalls[b+i], ndcgs[b+i] = e.userMetrics(sc.ranked, sc.relevant, u, k)
-	}
+// hitMetrics sorts the hits' ranks and hands them to metrics.HitMetrics; k
+// is the cutoff clamped to the candidate count.
+func hitMetrics(ranks []int, relevant, k int) (recall, ndcg float64) {
+	slices.Sort(ranks)
+	return metrics.HitMetrics(ranks, relevant, k)
 }
 
-// userMetrics computes one user's Recall@k and NDCG@k from their ranked item
-// list, rebuilding the relevance set in the worker's scratch map.
-func (e *Evaluator) userMetrics(ranked []int, relevant map[int]bool, u, k int) (recall, ndcg float64) {
-	clear(relevant)
-	for _, v := range e.sp.Test[u] {
-		relevant[v] = true
-	}
-	return metrics.RecallAtK(ranked, relevant, k), metrics.NDCGAtK(ranked, relevant, k)
-}
-
-// Ranking evaluates the scorer on a split at cutoff k with GOMAXPROCS
-// workers. For each user with held-out items, every non-train item is scored;
-// train positives are excluded from the candidate list.
-func Ranking(s models.Scorer, sp *data.Split, k int) Result {
-	return RankingWorkers(s, sp, k, 0)
-}
-
-// RankingWorkers is Ranking with an explicit worker count (<= 0 means
-// GOMAXPROCS): a throwaway Evaluator ranked once. Nothing outside tests and
-// the root facade calls the one-shot form; per-round callers hold one.
+// RankingWorkers evaluates the scorer on a split at cutoff k with the given
+// worker count (<= 0 means GOMAXPROCS): a throwaway Evaluator ranked once.
+// For each user with held-out items, every non-train item is scored. Nothing
+// outside tests and the root facade calls the one-shot form; per-round
+// callers hold one.
 func RankingWorkers(s models.Scorer, sp *data.Split, k, workers int) Result {
 	return NewEvaluator(sp).Rank(s, k, workers)
 }

@@ -22,7 +22,7 @@ func TestRankingPerfectOracle(t *testing.T) {
 		}
 		return out
 	})
-	res := Ranking(oracle, sp, 20)
+	res := RankingWorkers(oracle, sp, 20, 0)
 	if res.Users == 0 {
 		t.Fatal("no users evaluated")
 	}
@@ -46,7 +46,7 @@ func TestRankingAntiOracle(t *testing.T) {
 		}
 		return out
 	})
-	res := Ranking(anti, sp, 5)
+	res := RankingWorkers(anti, sp, 5, 0)
 	if res.Recall > 0.01 {
 		t.Fatalf("anti-oracle recall = %v, want ≈0", res.Recall)
 	}
@@ -64,7 +64,7 @@ func TestRankingExcludesTrainItems(t *testing.T) {
 		}
 		return make([]float64, len(items))
 	})
-	Ranking(probe, sp, 20)
+	RankingWorkers(probe, sp, 20, 0)
 	if sawTrain {
 		t.Fatal("candidate list contained training positives")
 	}
@@ -81,9 +81,9 @@ func TestRankingSkipsUsersWithoutTest(t *testing.T) {
 		t.Fatal(err)
 	}
 	sp := dd.Split(rng.New(2), 0.2)
-	res := Ranking(models.ScorerFunc(func(u int, items []int) []float64 {
+	res := RankingWorkers(models.ScorerFunc(func(u int, items []int) []float64 {
 		return make([]float64, len(items))
-	}), sp, 5)
+	}), sp, 5, 0)
 	if res.Users != 1 {
 		t.Fatalf("users evaluated = %d, want 1", res.Users)
 	}

@@ -8,6 +8,7 @@ import (
 
 	"ptffedrec/internal/candset"
 	"ptffedrec/internal/data"
+	"ptffedrec/internal/metrics"
 	"ptffedrec/internal/models"
 	"ptffedrec/internal/rng"
 	"ptffedrec/internal/tensor"
@@ -69,8 +70,11 @@ func TestEvaluatorReuseAcrossRounds(t *testing.T) {
 // TestEvaluatorCandidatesExcludeTrain checks both walks against the mask they
 // replaced. Per-user path: a recording ScorerFunc sees, for every evaluated
 // user, exactly the ascending complement of their training positives. Batched
-// path: a scorer that gives every train item the top logit never has one
-// ranked.
+// path: a scorer that puts every train item on top and every held-out item at
+// the bottom, at a cutoff past the catalogue, must give every user's j-th
+// held-out item rank candidates − |test| + j exactly — a train item counted
+// as a candidate would push it down, a candidate skipped pull it up — for
+// windows that cut the train lists at several places.
 func TestEvaluatorCandidatesExcludeTrain(t *testing.T) {
 	d := data.Generate(data.Tiny, 7)
 	sp := d.Split(rng.New(9), 0.2)
@@ -102,22 +106,30 @@ func TestEvaluatorCandidatesExcludeTrain(t *testing.T) {
 		}
 	}
 
-	defer func(c int) { evalScoreChunk = c }(evalScoreChunk)
-	evalScoreChunk = 48
-	trainOnTop := logitFunc(func(u, v int) float64 {
-		if sp.InTrain(u, v) {
+	defer func(b, c int) { evalUsersBatch, evalScoreChunk = b, c }(evalUsersBatch, evalScoreChunk)
+	trainTopTestBottom := logitFunc(func(u, v int) float64 {
+		switch {
+		case sp.InTrain(u, v):
 			return 1
+		case sp.InTest(u, v):
+			return -1
 		}
 		return 0
 	})
-	for i, u := range e.users {
-		ranked := rankedBatched(e, trainOnTop, i, sp.NumItems)
-		if want := sp.NumItems - len(sp.Train[u]); len(ranked) != want {
-			t.Fatalf("user %d: %d items ranked, want %d", u, len(ranked), want)
-		}
-		for _, v := range ranked {
-			if sp.InTrain(u, v) {
-				t.Fatalf("user %d: training positive %d was ranked", u, v)
+	recalls := make([]float64, e.Users())
+	ndcgs := make([]float64, e.Users())
+	for _, chunk := range []int{48, 7, 1} {
+		evalUsersBatch, evalScoreChunk = 3, chunk
+		e.rankBatched(trainTopTestBottom, 0, e.Users(), sp.NumItems, recalls, ndcgs)
+		for i, u := range e.users {
+			cands, m := sp.NumItems-len(sp.Train[u]), len(sp.Test[u])
+			ranks := make([]int, m)
+			for j := range ranks {
+				ranks[j] = cands - m + j
+			}
+			if r, n := metrics.HitMetrics(ranks, m, cands); recalls[i] != r || ndcgs[i] != n {
+				t.Fatalf("chunk=%d user %d: recall, ndcg = %v, %v; want %v, %v (held-out ranks %v)",
+					chunk, u, recalls[i], ndcgs[i], r, n, ranks)
 			}
 		}
 	}
@@ -134,15 +146,6 @@ func (f logitFunc) ScoreUsersBlockLogitsInto(dst *tensor.Matrix, users, items []
 			dst.Row(i)[j] = f(u, v)
 		}
 	}
-}
-
-// rankedBatched ranks e.users[i] alone through the batched engine at cutoff k
-// and returns the ranked items, which Rank folds into metrics and drops.
-func rankedBatched(e *Evaluator, s models.MultiBlockScorer, i, k int) []int {
-	sc := e.newBatchScratch(k)
-	slots := make([]float64, len(e.users))
-	e.evalUserBatch(s, sc, i, i+1, k, slots, slots)
-	return sc.ranked
 }
 
 // TestEvaluatorRetainsNoPerUserState is the memory pin: what an Evaluator

@@ -77,8 +77,8 @@ func TestRankingWorkersDeterministic(t *testing.T) {
 				t.Fatalf("%s: workers=%d metrics %+v != workers=1 metrics %+v", kind, workers, got, ref)
 			}
 		}
-		if got := Ranking(trainedModel(t, kind, sp), sp, 20); got != ref {
-			t.Fatalf("%s: default Ranking %+v != workers=1 metrics %+v", kind, got, ref)
+		if got := RankingWorkers(trainedModel(t, kind, sp), sp, 20, 0); got != ref {
+			t.Fatalf("%s: default workers %+v != workers=1 metrics %+v", kind, got, ref)
 		}
 	}
 }

@@ -2,8 +2,9 @@ package fed
 
 // This file is the round-scoped dispersal engine: the D̃ᵢ assembly helpers
 // and the multi-user batched path, which groups one worker's clients into
-// score batches, selects the hard half through eval.BlockTopK — the top-K
-// engine evaluation ranks through — and re-scores each client's chosen items
+// score batches, selects the hard half through eval.BlockTopK — the batched
+// top-K engine over the same scoring contract evaluation counts ranks
+// through — and re-scores each client's chosen items
 // as a one-user block, both through models.MultiBlockScorer's one method.
 // Eligibility (Eq. 9's "vⱼ ∉ V̂ᵗᵢ") is the complement of the target's upload
 // in the dispersal's own round, held as its sorted, de-duplicated item list

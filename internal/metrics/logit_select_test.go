@@ -164,25 +164,45 @@ func TestLogitTopKSelectorResetBacked(t *testing.T) {
 	}
 }
 
+// ulpLogit maps i in [0, 56) to a logit within 7 ulps of one of four points
+// on σ's negative branch, where adjacent doubles collapse or invert: the
+// inverted pair's lower logit (i = 7; i = 8 is its upper one), −0.75, −1.5
+// and −1.9. A grid of any step never yields adjacent doubles.
+func ulpLogit(i int) float64 {
+	x := [...]float64{invertedLo, -0.75, -1.5, -1.9}[i/14]
+	for d := i%14 - 7; d < 0; d++ {
+		x = math.Nextafter(x, math.Inf(-1))
+	}
+	for d := i%14 - 7; d > 0; d-- {
+		x = math.Nextafter(x, math.Inf(1))
+	}
+	return x
+}
+
 // FuzzLogitTopKSelectorMatchesProbability is the engine-equivalence fuzz: for
-// arbitrary byte-derived logit vectors mapped onto a scale that spans both
-// saturated tails and the dense centre of σ, logit-domain selection must
-// equal σ-then-select exactly.
+// arbitrary byte-derived logit vectors — bytes below 200 on a grid that spans
+// both saturated tails and the dense centre of σ, the rest ulp neighbourhoods
+// (ulpLogit) — logit-domain selection must equal σ-then-select exactly.
 func FuzzLogitTopKSelectorMatchesProbability(f *testing.F) {
 	f.Add([]byte{}, 5)
 	f.Add([]byte{0, 0, 0, 0}, 2)
 	f.Add([]byte{255, 254, 253, 252, 251}, 3)
 	f.Add([]byte{128, 127, 129, 128, 128}, 4)
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}, 20)
+	f.Add([]byte{208, 207}, 1) // the inverted pair, larger logit first
+	f.Add([]byte{214, 200, 209, 203, 208, 207, 210, 201, 206, 213, 211, 100}, 3)
 	f.Fuzz(func(t *testing.T, data []byte, k int) {
 		if k < 0 || k > len(data)+8 {
 			return
 		}
 		logits := make([]float64, len(data))
 		for i, b := range data {
-			// [-51, 51]: bytes near the ends saturate σ, the middle stays
+			// [-39.8, 40]: bytes near the ends saturate σ, the middle stays
 			// distinct, and repeated bytes give exact duplicates.
-			logits[i] = (float64(b) - 127.5) * 0.4
+			logits[i] = (float64(b) - 99.5) * 0.4
+			if b >= 200 {
+				logits[i] = ulpLogit(int(b) - 200)
+			}
 		}
 		want := probTopK(logits, k)
 		var sel LogitTopKSelector
@@ -193,21 +213,24 @@ func FuzzLogitTopKSelectorMatchesProbability(f *testing.F) {
 }
 
 // runLogit maps a fuzz byte onto a logit: the specials PushRun's bulk skip
-// must treat as Push does — NaN, ±Inf, ±0 — or a grid point spanning both
-// saturated tails of σ, where repeated bytes give exact duplicates and
-// σ-collapsed ties.
+// must treat as Push does — NaN, ±Inf, ±0 — an ulp neighbourhood where σ
+// collapses or inverts adjacent doubles (ulpLogit, bytes 200–249), or a grid
+// point spanning both saturated tails of σ, where repeated bytes give exact
+// duplicates and σ-collapsed ties.
 func runLogit(b byte) float64 {
-	switch b {
-	case 250:
+	switch {
+	case b == 250:
 		return math.NaN()
-	case 251:
+	case b == 251:
 		return math.Inf(1)
-	case 252:
+	case b == 252:
 		return math.Inf(-1)
-	case 253:
+	case b == 253:
 		return 0
-	case 254:
+	case b == 254:
 		return math.Copysign(0, -1)
+	case b >= 200 && b < 250:
+		return ulpLogit(int(b) - 200)
 	}
 	return (float64(b) - 125) * 0.4
 }
@@ -229,8 +252,9 @@ func pushRuns(sel *LogitTopKSelector, logits []float64, cuts []byte, k int) []in
 // FuzzPushRunMatchesPush pins the bulk form to the per-element one: one
 // ascending logit stream, split at arbitrary run boundaries and pushed with
 // PushRun, must select exactly what a Push per element selects — NaN, ±Inf,
-// ±0, repeated logits, logits equal to the current threshold and σ-collapsed
-// ties included.
+// ±0, repeated logits, logits equal to the current threshold, σ-collapsed
+// ties and σ-inverted neighbours included — and, without a NaN, what
+// σ-then-select does.
 func FuzzPushRunMatchesPush(f *testing.F) {
 	f.Add([]byte{}, []byte{}, 3)
 	f.Add([]byte{125, 125, 125, 125, 125, 125}, []byte{1, 0, 2}, 2)
@@ -252,6 +276,12 @@ func FuzzPushRunMatchesPush(f *testing.F) {
 		}
 		f.Add(data, cuts, 1+s.Intn(30))
 	}
+	f.Add([]byte{208, 207}, []byte{}, 1) // the inverted pair, larger logit first
+	dense := make([]byte, 300)
+	for i := range dense {
+		dense[i] = byte(200 + s.Intn(50))
+	}
+	f.Add(dense, []byte{7, 0, 33}, 5)
 	f.Fuzz(func(t *testing.T, data, cuts []byte, k int) {
 		if k < 0 || k > len(data)+8 {
 			return
@@ -268,6 +298,11 @@ func FuzzPushRunMatchesPush(f *testing.F) {
 		want := sel.Into(nil)
 		if got := pushRuns(&sel, logits, cuts, k); !slices.Equal(got, want) {
 			t.Fatalf("PushRun selection %v, Push selection %v (logits %v, cuts %v, k %d)", got, want, logits, cuts, k)
+		}
+		if !slices.ContainsFunc(logits, math.IsNaN) {
+			if ref := probTopK(logits, k); len(ref) > 0 && !slices.Equal(want, ref) {
+				t.Fatalf("Push selection %v, σ-then-select %v (logits %v, k %d)", want, ref, logits, k)
+			}
 		}
 	})
 }

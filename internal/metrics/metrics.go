@@ -8,6 +8,9 @@
 // materialised probability vector) and LogitTopKSelector (the streaming
 // logit-domain selector, which defers the sigmoid to the candidates that
 // matter). All three produce the same index order — (score desc, index asc).
+// Beats states that order for one pair, LogitBand bounds where the logit
+// alone decides it, and HitMetrics turns the positions of the relevant items
+// under it into Recall@K and NDCG@K, bitwise RecallAtK and NDCGAtK.
 package metrics
 
 import (
@@ -75,14 +78,96 @@ func F1Counts(tp, predicted, truth int) float64 {
 	return 2 * precision * recall / (precision + recall)
 }
 
+// HitMetrics returns Recall@k and NDCG@k for a user with the given number of
+// relevant items, from the 0-based ranks, ascending, of those that placed in
+// the top k; k must already be clamped to the candidate count. It sums the
+// same terms in the same order as RecallAtK and NDCGAtK over the ranked list
+// those ranks come from, so the values are bitwise theirs.
+func HitMetrics(ranks []int, relevant, k int) (recall, ndcg float64) {
+	if relevant == 0 {
+		return 0, 0
+	}
+	var dcg float64
+	for _, r := range ranks {
+		dcg += 1 / math.Log2(float64(r)+2)
+	}
+	var idcg float64
+	for i := 0; i < min(relevant, k); i++ {
+		idcg += 1 / math.Log2(float64(i)+2)
+	}
+	recall = float64(len(ranks)) / float64(relevant)
+	if idcg == 0 {
+		return recall, 0
+	}
+	return recall, dcg / idcg
+}
+
+// Beats reports whether candidate c with score pc ranks ahead of candidate t
+// with score pt in TopK's order: a higher score, or an equal one and a lower
+// index. A NaN on either side makes it false.
+func Beats(pc float64, c int, pt float64, t int) bool {
+	return pc > pt || (pc == pt && c < t)
+}
+
+// sigmoidErr bounds nn.Sigmoid's relative rounding error wherever σ is a
+// normal float: math.Exp is within one ulp (its portable body and the amd64
+// assembly alike) and σ's one addition and one division add half an ulp each,
+// so the computed σ is within about 2⁻⁵¹ of the true one, relatively. 2⁻⁴⁰
+// leaves a factor of 2¹¹ over that, and still keeps LogitBand about 10⁻¹¹
+// wide at moderate logits, where hardly a candidate falls inside.
+const sigmoidErr = 0x1p-40
+
+// LogitBand returns p = nn.Sigmoid(t) and the logits [lo, hi] whose σ may
+// compare either way with p under rounding: for every x < lo,
+// nn.Sigmoid(x) < p, and for every x > hi, nn.Sigmoid(x) > p. The computed σ
+// is not monotone — x = −1.0208601135704396 and the next double up invert,
+// and such pairs, at most a few ulps apart, are common on σ's negative branch
+// for |x| in [0.5, 2) — so only a logit inside the band needs the exact σ.
+//
+// Write R for sigmoidErr and σ for the exact sigmoid, which the computed one
+// is within R·σ of. A logit more than 2R from t in ln σ then compares the
+// right way, and q = 1 − p − R is a lower bound on σ(−t).
+//   - lo. ln σ has slope σ(−y), which falls as y grows, so
+//     ln σ(t) − ln σ(x) ≥ (t−x)·σ(−t), and t − lo = 3R/q puts every x < lo
+//     more than 2R below t.
+//   - hi. For 0 < hi − t ≤ 1 the slope on [t, hi] is at least σ(−t)/e, so
+//     hi − t = 8R/q puts every x > hi more than 2R above t. Past that,
+//     hi is +Inf.
+//   - When q < 2R, σ(−t) < 4R, so t > 26 and σ(t) − σ(x) > σ(−25) − 4R > 2R
+//     for every x < 25: lo is 25 and hi +Inf. This covers t = +Inf.
+//   - Below t = −708, σ(t) leaves the normal floats and the relative bound
+//     fails: lo is −Inf and hi is −707, where σ is e times larger.
+//
+// The constants' slack (3R against 2R, 8R against 2e·R) is at least R/σ(−t),
+// far above the rounding of t ∓ δ for |t| ≤ 708. A NaN t gets a NaN band,
+// which every comparison fails.
+func LogitBand(t float64) (p, lo, hi float64) {
+	p = nn.Sigmoid(t)
+	switch {
+	case t != t:
+		return p, t, t
+	case t < -708:
+		return p, math.Inf(-1), -707
+	}
+	lo, hi = 25, math.Inf(1)
+	if q := 1 - p - sigmoidErr; q >= 2*sigmoidErr {
+		lo = t - 3*sigmoidErr/q
+		if d := 8 * sigmoidErr / q; d <= 1 {
+			hi = t + d
+		}
+	}
+	return p, lo, hi
+}
+
 // TopK returns the indices of the k largest scores, highest first. Ties
 // break toward the lower index for determinism.
 //
 // It stable-sorts a full O(n) index permutation, which makes it the reference
 // semantics of the selection engine: TopKInto and LogitTopKSelector produce
 // the exact same index order in O(n log k) without materialising the
-// permutation. Every caller outside tests uses those; TopK remains as the
-// reference they and the evaluator are tested against.
+// permutation, and Beats states the same order for one pair, which the
+// evaluator counts ranks by. Every caller outside tests uses those; TopK
+// remains as the reference they and the evaluator are tested against.
 func TopK(scores []float64, k int) []int {
 	idx := make([]int, len(scores))
 	for i := range idx {
@@ -169,27 +254,26 @@ func TopKInto(dst []int, scores []float64, k int) []int {
 // indices in (σ(logit) desc, index asc) order, bitwise-identical to TopK over
 // σ(logit) of every push.
 //
-// Tie safety is the subtle part of that equivalence. σ is monotone
-// non-decreasing but not injective in floats: distinct logits collapse to the
-// same probability wherever σ's slope drops below the local ulp spacing (the
-// saturated tails, but also adjacent doubles anywhere), so a logit-domain
-// strict comparison would order candidates that the probability domain ties —
-// and ties break toward the smaller index. The selector therefore imposes one
-// contract: within a selection, indices must be pushed in ascending order
+// Tie safety is the subtle part of that equivalence. The computed σ is
+// neither injective nor monotone: distinct logits collapse to the same
+// probability wherever σ's slope drops below the local ulp spacing (the
+// saturated tails, but also adjacent doubles anywhere), and a few adjacent
+// logits even invert (see LogitBand). So the logit order alone can neither
+// rank nor reject a candidate near the worst kept one. The selector imposes
+// one contract: within a selection, indices must be pushed in ascending order
 // (true of every scoring stream in this codebase — candidate lists and item
 // universes are walked ascending). Then a newcomer can only lose a
-// probability tie, so "logit ≤ worst kept logit" is a sound reject — monotone
-// σ makes the newcomer's probability ≤ the worst kept probability, and
-// equality is a tie the newcomer's larger index loses — and every surviving
-// push compares and stores exact probabilities, keeping the heap's order the
-// probability domain's.
+// probability tie, so a logit below the worst kept candidate's LogitBand is a
+// sound reject — its σ is strictly lower — and every surviving push compares
+// and stores exact probabilities, keeping the heap's order the probability
+// domain's.
 //
 // The zero value is unusable: call Reset(k) before each selection.
 type LogitTopKSelector struct {
-	k     int
-	idx   []int
-	logit []float64
-	prob  []float64
+	k      int
+	idx    []int
+	reject []float64 // per kept candidate, the logit at or below which a newcomer loses to it
+	prob   []float64
 }
 
 // Reset prepares the selector for a fresh selection of up to k indices,
@@ -197,25 +281,25 @@ type LogitTopKSelector struct {
 func (s *LogitTopKSelector) Reset(k int) {
 	s.k = k
 	s.idx = s.idx[:0]
-	s.logit = s.logit[:0]
+	s.reject = s.reject[:0]
 	s.prob = s.prob[:0]
 }
 
-// ResetBacked is Reset with caller-provided backing: idx, logit and prob must
-// have capacity ≥ k and belong to this selector alone. Callers running many
-// selectors per batch slice the backings out of three shared slabs, so a
+// ResetBacked is Reset with caller-provided backing: idx, reject and prob
+// must have capacity ≥ k and belong to this selector alone. Callers running
+// many selectors per batch slice the backings out of three shared slabs, so a
 // batch scratch costs three allocations instead of three per selector — the
 // heap never outgrows k, so the slab segments never reallocate.
-func (s *LogitTopKSelector) ResetBacked(k int, idx []int, logit, prob []float64) {
+func (s *LogitTopKSelector) ResetBacked(k int, idx []int, reject, prob []float64) {
 	s.k = k
 	s.idx = idx[:0]
-	s.logit = logit[:0]
+	s.reject = reject[:0]
 	s.prob = prob[:0]
 }
 
 // worse reports whether heap slot a holds a worse candidate than slot b —
 // lower probability, or equal probability and larger index. The heap order is
-// entirely probability-domain; logits are carried only for the reject test.
+// entirely probability-domain; the reject thresholds only skip losers.
 func (s *LogitTopKSelector) worse(a, b int) bool {
 	if s.prob[a] != s.prob[b] {
 		return s.prob[a] < s.prob[b]
@@ -225,7 +309,7 @@ func (s *LogitTopKSelector) worse(a, b int) bool {
 
 func (s *LogitTopKSelector) swap(a, b int) {
 	s.idx[a], s.idx[b] = s.idx[b], s.idx[a]
-	s.logit[a], s.logit[b] = s.logit[b], s.logit[a]
+	s.reject[a], s.reject[b] = s.reject[b], s.reject[a]
 	s.prob[a], s.prob[b] = s.prob[b], s.prob[a]
 }
 
@@ -249,11 +333,11 @@ func (s *LogitTopKSelector) siftDown(i, size int) {
 
 // Push offers one (index, logit) pair, the per-element form of PushRun.
 // Indices must be distinct and ascending within a selection (see the type
-// comment); logits may repeat freely. On a full selection a newcomer whose
-// logit does not beat the worst kept candidate's is rejected without a
+// comment); logits may repeat freely. On a full selection a newcomer at or
+// below the worst kept candidate's reject threshold is rejected without a
 // sigmoid; the σ evaluation and heap maintenance live in pushHeap.
 func (s *LogitTopKSelector) Push(i int, logit float64) {
-	if s.k <= 0 || (len(s.idx) == s.k && logit <= s.logit[0]) {
+	if s.k <= 0 || (len(s.idx) == s.k && logit <= s.reject[0]) {
 		return
 	}
 	s.pushHeap(i, logit)
@@ -262,8 +346,9 @@ func (s *LogitTopKSelector) Push(i int, logit float64) {
 // PushRun offers logits[j] at index base+j for j ascending, exactly as that
 // many Push calls would, so base must continue the selection's ascending
 // indices. Once the selection is full, tensor.FirstAbove skips straight to
-// the next logit that is not ≤ the worst kept one — every skipped logit is
-// one Push rejects — then that logit is pushed and the threshold re-read.
+// the next logit above the worst kept candidate's reject threshold — every
+// skipped logit is one Push rejects — then that logit is pushed and the
+// threshold re-read.
 func (s *LogitTopKSelector) PushRun(base int, logits []float64) {
 	if s.k <= 0 {
 		return
@@ -273,7 +358,7 @@ func (s *LogitTopKSelector) PushRun(base int, logits []float64) {
 		s.pushHeap(base+j, logits[j])
 	}
 	for j < len(logits) {
-		if j += tensor.FirstAbove(logits[j:], s.logit[0]); j < len(logits) {
+		if j += tensor.FirstAbove(logits[j:], s.reject[0]); j < len(logits) {
 			s.pushHeap(base+j, logits[j])
 			j++
 		}
@@ -285,10 +370,21 @@ func (s *LogitTopKSelector) PushRun(base int, logits []float64) {
 // probabilities against the root — where a collapsed tie still rejects the
 // newcomer (larger index) — and replacing it on a genuine win.
 func (s *LogitTopKSelector) pushHeap(i int, logit float64) {
-	p := nn.Sigmoid(logit)
+	p, lo, _ := LogitBand(logit)
+	if len(s.idx) == s.k && p <= s.prob[0] {
+		// The probabilities collapsed (p == root's) — the ascending-index
+		// contract makes the newcomer the tie's loser — or p < root's inside
+		// the root's LogitBand, where σ need not follow the logits; either way
+		// the probability domain rejects.
+		return
+	}
+	// A later logit ≤ lo's predecessor is below lo, so its σ is strictly
+	// lower; when lo is −Inf that threshold only skips −Inf, whose σ of 0 can
+	// at best tie.
+	reject := math.Nextafter(lo, math.Inf(-1))
 	if len(s.idx) < s.k {
 		s.idx = append(s.idx, i)
-		s.logit = append(s.logit, logit)
+		s.reject = append(s.reject, reject)
 		s.prob = append(s.prob, p)
 		for c := len(s.idx) - 1; c > 0; {
 			par := (c - 1) / 2
@@ -300,14 +396,7 @@ func (s *LogitTopKSelector) pushHeap(i int, logit float64) {
 		}
 		return
 	}
-	if p <= s.prob[0] {
-		// The logits differed but the probabilities collapsed (p == root's) —
-		// the ascending-index contract makes the newcomer the tie's loser — or
-		// p < root's, which monotone σ permits only through rounding; either
-		// way the probability domain rejects.
-		return
-	}
-	s.idx[0], s.logit[0], s.prob[0] = i, logit, p
+	s.idx[0], s.reject[0], s.prob[0] = i, reject, p
 	s.siftDown(0, s.k)
 }
 
@@ -334,20 +423,10 @@ type RankEval struct {
 	Users        int
 }
 
-// Add accumulates one user's ranked list.
-func (e *RankEval) Add(ranked []int, relevant map[int]bool, k int) {
-	if len(relevant) == 0 {
-		return
-	}
-	e.Recall += RecallAtK(ranked, relevant, k)
-	e.NDCG += NDCGAtK(ranked, relevant, k)
-	e.Users++
-}
-
-// AddUser accumulates precomputed per-user metric values. The parallel
-// evaluator computes (recall, ndcg) per user concurrently and feeds them back
-// here sequentially in user order, so the floating-point sum matches the
-// serial Add path exactly.
+// AddUser accumulates one user's metric values. The parallel evaluator
+// computes (recall, ndcg) per user concurrently and feeds them back here
+// sequentially in user order, so the floating-point sum is the same for every
+// worker count.
 func (e *RankEval) AddUser(recall, ndcg float64) {
 	e.Recall += recall
 	e.NDCG += ndcg

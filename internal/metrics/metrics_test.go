@@ -93,9 +93,8 @@ func TestTopK(t *testing.T) {
 
 func TestRankEvalAggregates(t *testing.T) {
 	var e RankEval
-	e.Add([]int{1, 2}, rel(1), 2) // recall 1, ndcg 1
-	e.Add([]int{9, 8}, rel(1), 2) // recall 0, ndcg 0
-	e.Add([]int{1, 2}, rel(), 2)  // skipped: no relevant
+	e.AddUser(RecallAtK([]int{1, 2}, rel(1), 2), NDCGAtK([]int{1, 2}, rel(1), 2)) // recall 1, ndcg 1
+	e.AddUser(RecallAtK([]int{9, 8}, rel(1), 2), NDCGAtK([]int{9, 8}, rel(1), 2)) // recall 0, ndcg 0
 	r, n := e.Mean()
 	if e.Users != 2 {
 		t.Fatalf("users = %d", e.Users)

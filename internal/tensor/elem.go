@@ -177,8 +177,10 @@ func ReLUBackwardVec(x, dy []float64) {
 
 // FirstAbove returns the index of the first element of x that is not ≤ t —
 // greater than t, or NaN, as every element is when t is NaN — or len(x) when
-// there is none. It is metrics.LogitTopKSelector's bulk reject: the elements
-// it skips are exactly those the selector's "logit ≤ threshold" test rejects.
+// there is none. It is metrics.LogitTopKSelector's bulk reject — the elements
+// it skips are exactly those the selector's "logit ≤ threshold" test rejects —
+// and the evaluator's jump to the next candidate that may beat a held-out
+// item.
 func FirstAbove(x []float64, t float64) int {
 	i := 0
 	if firstAboveKernel != nil && len(x) >= 4 {

@@ -488,7 +488,7 @@ func TestGatherMulMatSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkGatherMulMat times the gathered product at the evaluator's score
+// BenchmarkGatherMulMat times the gathered product at dispersal's score
 // window (16 users × 1024 items) at two embedding widths, on the assembly
 // tile where one is installed and on the pure Go tile.
 func BenchmarkGatherMulMat(b *testing.B) {

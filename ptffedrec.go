@@ -208,10 +208,11 @@ func RunExperiment(id string, o ExperimentOptions, w io.Writer) error {
 // Ranking evaluates a scorer on a split at cutoff k, fanning the user loop
 // out over GOMAXPROCS workers. Metrics are bitwise-identical for any worker
 // count. A model from this package is ranked through its multi-user logit
-// batches, a ScorerFunc through ScoreItems. Candidates are the complement of
-// the user's sorted train list, walked as the scores stream past, so a call
+// batches, a ScorerFunc through ScoreItems; either way each held-out item's
+// rank is the count of candidates that beat it. Candidates are the complement
+// of the user's sorted train list, walked as the scores stream past, so a call
 // retains nothing and costs one scan of the split's test lists beyond ranking.
-func Ranking(s Scorer, sp *Split, k int) Result { return eval.Ranking(s, sp, k) }
+func Ranking(s Scorer, sp *Split, k int) Result { return eval.RankingWorkers(s, sp, k, 0) }
 
 // RankingWorkers is Ranking with an explicit worker count (<= 0 means
 // GOMAXPROCS).
