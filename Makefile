@@ -8,7 +8,7 @@ GO ?= go
 # CI, fails above it. A change that shrinks the code lowers it to the size it
 # reaches; one that has to grow the code raises it in the same diff, where a
 # reviewer sees the price.
-LOC_BUDGET = 13180
+LOC_BUDGET = 13055
 
 # The packages whose concurrent paths CI runs in full (not -short) under the
 # race detector; ci.yml says why each is there (fed.Waves' client waves
@@ -19,7 +19,7 @@ RACE_FULL = ./internal/eval/... ./internal/fed/... ./internal/graph/... \
 	./internal/comm/... ./internal/coord/... ./internal/rng/... \
 	./internal/tensor/... ./internal/nn/...
 
-.PHONY: build cross test race experiments race-full selftest examples bench-module bench benchmark loc traffic fmt fmt-check vet ci
+.PHONY: build cross test race experiments race-full fuzz-wire selftest examples bench-module bench benchmark loc traffic fmt fmt-check vet ci
 
 build:
 	$(GO) build ./...
@@ -48,6 +48,14 @@ experiments:
 
 race-full:
 	$(GO) test -race $(RACE_FULL)
+
+# fuzz-wire fuzzes the decoders a hostile peer reaches first: the frame
+# reader (and, through it, every message decoder) and the prediction
+# payload. `go test` alone only replays their seed inputs. -fuzz takes one
+# target per run, hence two commands (~35 s together).
+fuzz-wire:
+	$(GO) test ./internal/comm -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime 15s
+	$(GO) test ./internal/comm -run '^$$' -fuzz '^FuzzDecodePredictions$$' -fuzztime 15s
 
 # selftest is the loopback e2e smoke: coordinator + two participants over real
 # HTTP must reproduce the serial in-process round loop bitwise.
@@ -184,4 +192,4 @@ fmt-check:
 vet:
 	$(GO) vet ./...
 
-ci: fmt-check vet build cross loc race experiments race-full selftest examples bench-module bench
+ci: fmt-check vet build cross loc race experiments race-full fuzz-wire selftest examples bench-module bench

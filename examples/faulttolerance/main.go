@@ -4,9 +4,8 @@
 // round starts from its own persistent local model.
 //
 // This example trains the same federation under increasingly hostile
-// conditions (0%, 20%, 50% dropout plus truncated uploads) and also turns on
-// the quantized wire codec, showing that quality erodes smoothly while the
-// already-small traffic shrinks further.
+// conditions (0%, 20%, 50% dropout plus truncated uploads), showing that
+// quality erodes smoothly instead of collapsing.
 package main
 
 import (
@@ -21,19 +20,10 @@ func main() {
 	split := dataset.Split(ptffedrec.NewRand(3), 0.2)
 	fmt.Println("federation:", dataset.Stats())
 	fmt.Println()
-	fmt.Println("dropout  truncate  quantized   NDCG@20   dropped/round   traffic/client/round")
-	fmt.Println("-------  --------  ---------   -------   -------------   ---------------------")
+	fmt.Println("dropout  truncate   NDCG@20   dropped/round   traffic/client/round")
+	fmt.Println("-------  --------   -------   -------------   ---------------------")
 
-	type condition struct {
-		dropout, truncate float64
-		quantize          bool
-	}
-	conditions := []condition{
-		{0, 0, false},
-		{0.2, 0, false},
-		{0.5, 0.3, false},
-		{0.2, 0, true},
-	}
+	conditions := []struct{ dropout, truncate float64 }{{0, 0}, {0.2, 0}, {0.5, 0.3}}
 
 	for _, cond := range conditions {
 		cfg := ptffedrec.DefaultConfig(ptffedrec.ServerLightGCN)
@@ -41,7 +31,6 @@ func main() {
 		cfg.ClientEpochs = 3
 		cfg.Faults.DropoutRate = cond.dropout
 		cfg.Faults.TruncateRate = cond.truncate
-		cfg.QuantizeScores = cond.quantize
 
 		trainer, err := ptffedrec.NewTrainer(split, cfg)
 		if err != nil {
@@ -58,9 +47,8 @@ func main() {
 		}
 		dropped /= float64(len(history.Rounds))
 
-		fmt.Printf("%6.0f%%  %7.0f%%  %9v   %7.4f   %13.1f   %s\n",
-			cond.dropout*100, cond.truncate*100, cond.quantize,
-			history.Final.NDCG, dropped,
+		fmt.Printf("%6.0f%%  %7.0f%%   %7.4f   %13.1f   %s\n",
+			cond.dropout*100, cond.truncate*100, history.Final.NDCG, dropped,
 			ptffedrec.FormatBytes(history.BytesPerClientRound()))
 	}
 

@@ -55,49 +55,6 @@ func DecodePredictions(buf []byte) ([]Prediction, error) {
 // payload unit of the parameter-transmission baselines.
 func Float32BlockSize(n int) int { return 4 * n }
 
-// QuantizedWireSize is the encoded size of one quantized Prediction: two
-// uint32 ids and a uint8 score bucket.
-const QuantizedWireSize = 9
-
-// EncodePredictionsQuantized serialises triples with scores quantized to 256
-// uniform buckets in [0,1] — the communication-compression extension the
-// paper's efficiency discussion points at. 25% smaller than the float32
-// format at a worst-case score error of 1/512.
-func EncodePredictionsQuantized(preds []Prediction) []byte {
-	buf := make([]byte, 0, len(preds)*QuantizedWireSize)
-	var scratch [QuantizedWireSize]byte
-	for _, p := range preds {
-		binary.LittleEndian.PutUint32(scratch[0:4], uint32(p.User))
-		binary.LittleEndian.PutUint32(scratch[4:8], uint32(p.Item))
-		s := p.Score
-		if s < 0 {
-			s = 0
-		}
-		if s > 1 {
-			s = 1
-		}
-		scratch[8] = uint8(s*255 + 0.5)
-		buf = append(buf, scratch[:]...)
-	}
-	return buf
-}
-
-// DecodePredictionsQuantized parses the quantized wire format.
-func DecodePredictionsQuantized(buf []byte) ([]Prediction, error) {
-	if len(buf)%QuantizedWireSize != 0 {
-		return nil, fmt.Errorf("comm: quantized payload length %d not a multiple of %d", len(buf), QuantizedWireSize)
-	}
-	out := make([]Prediction, 0, len(buf)/QuantizedWireSize)
-	for off := 0; off < len(buf); off += QuantizedWireSize {
-		out = append(out, Prediction{
-			User:  int(binary.LittleEndian.Uint32(buf[off : off+4])),
-			Item:  int(binary.LittleEndian.Uint32(buf[off+4 : off+8])),
-			Score: float64(buf[off+8]) / 255,
-		})
-	}
-	return out, nil
-}
-
 // FormatBytes renders a byte count the way the paper's Table IV does
 // (e.g. "3.02KB", "7.32MB").
 func FormatBytes(b float64) string {

@@ -2,8 +2,8 @@ package comm
 
 // This file is the versioned wire protocol the coordinator service speaks:
 // length-prefixed frames carrying registration, round announcements,
-// streaming upload ingestion, and dispersal delivery. The payload codecs for
-// prediction triples live in comm.go; frames wrap them with a typed,
+// streaming upload ingestion, and dispersal delivery. The payload format for
+// prediction triples lives in comm.go; frames wrap them with a typed,
 // versioned envelope so a listener can reject garbage before allocating.
 //
 // Hardening contract: every decoder in this file returns an error — never
@@ -59,11 +59,11 @@ const (
 	// MsgRoundStart announces a round to a polling participant, listing the
 	// selected users that participant hosts (possibly none).
 	MsgRoundStart
-	// MsgUploadBegin opens one user's upload stream: codec, declared
-	// prediction count, and the client-side metrics that must survive a
+	// MsgUploadBegin opens one user's upload stream: the declared
+	// prediction count and the client-side metrics that must survive a
 	// transport-truncated payload (they describe the full local upload).
 	MsgUploadBegin
-	// MsgUploadChunk carries a codec-encoded run of predictions.
+	// MsgUploadChunk carries an EncodePredictions run of predictions.
 	MsgUploadChunk
 	// MsgUploadEnd marks a complete upload. A stream that ends without it
 	// was cut by the transport: the coordinator keeps the decoded prefix if
@@ -178,53 +178,24 @@ func ReadFrame(r io.Reader) (MsgType, []byte, error) {
 	return t, payload, nil
 }
 
-// Codec identifies a prediction payload encoding.
-type Codec uint8
+// predictionCodec is the codec byte UploadBegin and Disperse carry: 0, the
+// 12-byte triples comm.go defines. The byte keeps the layout of protocol
+// generation 1; a decoder refuses any other value.
+const predictionCodec = 0
 
-// Prediction codecs: the 12-byte float32 triples and the 9-byte quantized
-// triples, exactly the two formats comm.go defines.
-const (
-	CodecPlain     Codec = 0
-	CodecQuantized Codec = 1
-)
+// Codec encodes and decodes the one prediction format. It and CodecFor stay
+// only because bench/'s probes still call them; CodecFor ignores its
+// argument.
+type Codec struct{}
 
-// CodecFor maps the protocol's quantization knob to its wire codec.
-func CodecFor(quantize bool) Codec {
-	if quantize {
-		return CodecQuantized
-	}
-	return CodecPlain
-}
+// CodecFor returns the prediction codec.
+func CodecFor(bool) Codec { return Codec{} }
 
-// Valid reports whether c names a known codec.
-func (c Codec) Valid() bool { return c == CodecPlain || c == CodecQuantized }
+// Encode is EncodePredictions.
+func (Codec) Encode(preds []Prediction) []byte { return EncodePredictions(preds) }
 
-// WireSize returns the encoded size of one prediction under the codec.
-func (c Codec) WireSize() int {
-	if c == CodecQuantized {
-		return QuantizedWireSize
-	}
-	return PredictionWireSize
-}
-
-// Encode serialises predictions under the codec.
-func (c Codec) Encode(preds []Prediction) []byte {
-	if c == CodecQuantized {
-		return EncodePredictionsQuantized(preds)
-	}
-	return EncodePredictions(preds)
-}
-
-// Decode parses a payload under the codec.
-func (c Codec) Decode(buf []byte) ([]Prediction, error) {
-	if !c.Valid() {
-		return nil, fmt.Errorf("comm: unknown codec %d", uint8(c))
-	}
-	if c == CodecQuantized {
-		return DecodePredictionsQuantized(buf)
-	}
-	return DecodePredictions(buf)
-}
+// Decode is DecodePredictions.
+func (Codec) Decode(buf []byte) ([]Prediction, error) { return DecodePredictions(buf) }
 
 // Join registers a participant hosting users [UserLo, UserHi).
 type Join struct {
@@ -357,7 +328,6 @@ func DecodeRoundStart(buf []byte) (RoundStart, error) {
 // that computed its metrics before its connection died.
 type UploadBegin struct {
 	Round, User int
-	Codec       Codec
 	Count       int // declared predictions in the full upload
 	Loss        float64
 	AttackF1    float64
@@ -368,7 +338,7 @@ func EncodeUploadBegin(b UploadBegin) []byte {
 	buf := make([]byte, 29)
 	binary.LittleEndian.PutUint32(buf[0:4], uint32(b.Round))
 	binary.LittleEndian.PutUint32(buf[4:8], uint32(b.User))
-	buf[8] = byte(b.Codec)
+	buf[8] = predictionCodec
 	binary.LittleEndian.PutUint32(buf[9:13], uint32(b.Count))
 	binary.LittleEndian.PutUint64(buf[13:21], math.Float64bits(b.Loss))
 	binary.LittleEndian.PutUint64(buf[21:29], math.Float64bits(b.AttackF1))
@@ -380,25 +350,22 @@ func DecodeUploadBegin(buf []byte) (UploadBegin, error) {
 	if len(buf) != 29 {
 		return UploadBegin{}, fmt.Errorf("comm: upload-begin payload length %d, want 29", len(buf))
 	}
-	b := UploadBegin{
+	if buf[8] != predictionCodec {
+		return UploadBegin{}, fmt.Errorf("comm: upload-begin names unknown codec %d", buf[8])
+	}
+	return UploadBegin{
 		Round:    int(binary.LittleEndian.Uint32(buf[0:4])),
 		User:     int(binary.LittleEndian.Uint32(buf[4:8])),
-		Codec:    Codec(buf[8]),
 		Count:    int(binary.LittleEndian.Uint32(buf[9:13])),
 		Loss:     math.Float64frombits(binary.LittleEndian.Uint64(buf[13:21])),
 		AttackF1: math.Float64frombits(binary.LittleEndian.Uint64(buf[21:29])),
-	}
-	if !b.Codec.Valid() {
-		return UploadBegin{}, fmt.Errorf("comm: upload-begin names unknown codec %d", buf[8])
-	}
-	return b, nil
+	}, nil
 }
 
-// Disperse delivers one user's D̃ᵢ under a codec.
+// Disperse delivers one user's D̃ᵢ.
 type Disperse struct {
 	User    int
-	Codec   Codec
-	Payload []byte // codec-encoded predictions
+	Payload []byte // EncodePredictions' bytes
 }
 
 // EncodeDisperse serialises a Disperse payload.
@@ -407,27 +374,24 @@ func EncodeDisperse(d Disperse) []byte {
 	var scratch [4]byte
 	binary.LittleEndian.PutUint32(scratch[:], uint32(d.User))
 	buf = append(buf, scratch[:]...)
-	buf = append(buf, byte(d.Codec))
+	buf = append(buf, predictionCodec)
 	return append(buf, d.Payload...)
 }
 
 // DecodeDisperse parses a Disperse payload. The prediction payload is
-// validated against the codec's stride but left encoded — the caller decodes
-// it with Codec.Decode.
+// validated against the triple stride but left encoded — the caller decodes
+// it with DecodePredictions.
 func DecodeDisperse(buf []byte) (Disperse, error) {
 	if len(buf) < 5 {
 		return Disperse{}, fmt.Errorf("comm: disperse payload length %d, want >= 5", len(buf))
 	}
-	d := Disperse{
-		User:  int(binary.LittleEndian.Uint32(buf[0:4])),
-		Codec: Codec(buf[4]),
-	}
-	if !d.Codec.Valid() {
+	if buf[4] != predictionCodec {
 		return Disperse{}, fmt.Errorf("comm: disperse names unknown codec %d", buf[4])
 	}
+	d := Disperse{User: int(binary.LittleEndian.Uint32(buf[0:4]))}
 	if rest := buf[5:]; len(rest) > 0 {
-		if len(rest)%d.Codec.WireSize() != 0 {
-			return Disperse{}, fmt.Errorf("comm: disperse payload %d not a multiple of codec stride %d", len(rest), d.Codec.WireSize())
+		if len(rest)%PredictionWireSize != 0 {
+			return Disperse{}, fmt.Errorf("comm: disperse payload %d not a multiple of stride %d", len(rest), PredictionWireSize)
 		}
 		d.Payload = append([]byte(nil), rest...)
 	}

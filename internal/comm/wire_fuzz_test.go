@@ -2,7 +2,7 @@ package comm
 
 // Fuzz suite for the wire decoders: adversarial and truncated buffers must
 // come back as errors — never panics — and every valid encoding must
-// round-trip exactly. The prediction codecs additionally pin the idempotence
+// round-trip exactly. The prediction decoder additionally pins the idempotence
 // the fault-injection path depends on: re-encoding a decoded payload
 // reproduces the payload byte for byte, so a truncated-then-reencoded upload
 // equals the prefix of the original encoding.
@@ -55,36 +55,6 @@ func FuzzDecodePredictions(f *testing.F) {
 	})
 }
 
-func FuzzDecodePredictionsQuantized(f *testing.F) {
-	f.Add([]byte{})
-	f.Add(EncodePredictionsQuantized([]Prediction{{User: 1, Item: 2, Score: 0.5}}))
-	f.Add([]byte{1, 2, 3, 4, 5})          // truncated
-	f.Add(bytes.Repeat([]byte{0xee}, 27)) // aligned garbage
-	f.Fuzz(func(t *testing.T, buf []byte) {
-		preds, err := DecodePredictionsQuantized(buf)
-		if err != nil {
-			if len(buf)%QuantizedWireSize == 0 {
-				t.Fatalf("aligned buffer rejected: %v", err)
-			}
-			return
-		}
-		if len(preds) != len(buf)/QuantizedWireSize {
-			t.Fatalf("decoded %d preds from %d bytes", len(preds), len(buf))
-		}
-		for _, p := range preds {
-			if p.Score < 0 || p.Score > 1 {
-				t.Fatalf("quantized score %v out of [0,1]", p.Score)
-			}
-		}
-		// Every 9-byte-aligned buffer is a valid encoding, and the bucket
-		// values survive the round trip exactly.
-		re := EncodePredictionsQuantized(preds)
-		if !bytes.Equal(re, buf) {
-			t.Fatal("quantized re-encode diverged from input")
-		}
-	})
-}
-
 func FuzzReadFrame(f *testing.F) {
 	f.Add(AppendFrame(nil, MsgJoin, EncodeJoin(Join{UserLo: 0, UserHi: 40})))
 	f.Add(AppendFrame(AppendFrame(nil, MsgUploadBegin, EncodeUploadBegin(UploadBegin{Count: 3})), MsgUploadEnd, nil))
@@ -116,7 +86,6 @@ func FuzzReadFrame(f *testing.F) {
 				_, _ = DecodeUploadBegin(payload)
 			case MsgUploadChunk:
 				_, _ = DecodePredictions(payload)
-				_, _ = DecodePredictionsQuantized(payload)
 			case MsgDisperse:
 				_, _ = DecodeDisperse(payload)
 			case MsgRoundEnd:
@@ -133,11 +102,11 @@ func TestFrameStreamRoundTrip(t *testing.T) {
 	preds := []Prediction{{User: 4, Item: 7, Score: 0.75}, {User: 4, Item: 9, Score: 0.125}}
 	var body bytes.Buffer
 	if _, err := WriteFrame(&body, MsgUploadBegin, EncodeUploadBegin(UploadBegin{
-		Round: 1, User: 4, Codec: CodecPlain, Count: len(preds), Loss: 0.5, AttackF1: 0.25,
+		Round: 1, User: 4, Count: len(preds), Loss: 0.5, AttackF1: 0.25,
 	})); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := WriteFrame(&body, MsgUploadChunk, CodecPlain.Encode(preds)); err != nil {
+	if _, err := WriteFrame(&body, MsgUploadChunk, EncodePredictions(preds)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := WriteFrame(&body, MsgUploadEnd, nil); err != nil {
@@ -156,7 +125,7 @@ func TestFrameStreamRoundTrip(t *testing.T) {
 	if err != nil || mt != MsgUploadChunk {
 		t.Fatalf("second frame: %v %v", mt, err)
 	}
-	got, err := begin.Codec.Decode(payload)
+	got, err := DecodePredictions(payload)
 	if err != nil {
 		t.Fatal(err)
 	}

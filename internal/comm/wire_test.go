@@ -3,8 +3,10 @@ package comm
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -122,7 +124,7 @@ func TestRoundStartRoundTrip(t *testing.T) {
 }
 
 func TestUploadBeginRoundTrip(t *testing.T) {
-	b := UploadBegin{Round: 2, User: 17, Codec: CodecQuantized, Count: 40, Loss: 0.25, AttackF1: 0.5}
+	b := UploadBegin{Round: 2, User: 17, Count: 40, Loss: 0.25, AttackF1: 0.5}
 	got, err := DecodeUploadBegin(EncodeUploadBegin(b))
 	if err != nil {
 		t.Fatal(err)
@@ -130,33 +132,43 @@ func TestUploadBeginRoundTrip(t *testing.T) {
 	if got != b {
 		t.Fatalf("got %+v", got)
 	}
-	bad := EncodeUploadBegin(b)
-	bad[8] = 99 // unknown codec
-	if _, err := DecodeUploadBegin(bad); err == nil {
-		t.Fatal("unknown codec accepted")
+	// Byte 8 is the codec byte: 0 is the one prediction format, 1 the
+	// retired quantized codec's id, 99 never named anything.
+	for _, codec := range []byte{1, 99} {
+		bad := EncodeUploadBegin(b)
+		bad[8] = codec
+		if _, err := DecodeUploadBegin(bad); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("codec %d", codec)) {
+			t.Fatalf("codec byte %d: err = %v, want the unknown-codec refusal", codec, err)
+		}
 	}
-	if _, err := DecodeUploadBegin(bad[:10]); err == nil {
+	if _, err := DecodeUploadBegin(EncodeUploadBegin(b)[:10]); err == nil {
 		t.Fatal("truncated upload-begin accepted")
 	}
 }
 
 func TestDisperseRoundTrip(t *testing.T) {
 	preds := []Prediction{{User: 3, Item: 9, Score: 0.5}, {User: 3, Item: 11, Score: 0.25}}
-	for _, codec := range []Codec{CodecPlain, CodecQuantized} {
-		d := Disperse{User: 3, Codec: codec, Payload: codec.Encode(preds)}
-		got, err := DecodeDisperse(EncodeDisperse(d))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.User != d.User || got.Codec != d.Codec || !bytes.Equal(got.Payload, d.Payload) {
-			t.Fatalf("got %+v, want %+v", got, d)
-		}
-		back, err := got.Codec.Decode(got.Payload)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(back) != len(preds) {
-			t.Fatalf("decoded %d preds", len(back))
+	d := Disperse{User: 3, Payload: EncodePredictions(preds)}
+	got, err := DecodeDisperse(EncodeDisperse(d))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.User != d.User || !bytes.Equal(got.Payload, d.Payload) {
+		t.Fatalf("got %+v, want %+v", got, d)
+	}
+	back, err := DecodePredictions(got.Payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(back, preds) {
+		t.Fatalf("decoded %+v, want %+v", back, preds)
+	}
+	// Byte 4 is the codec byte, as in the upload-begin frame.
+	for _, codec := range []byte{1, 99} {
+		bad := EncodeDisperse(d)
+		bad[4] = codec
+		if _, err := DecodeDisperse(bad); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("codec %d", codec)) {
+			t.Fatalf("codec byte %d: err = %v, want the unknown-codec refusal", codec, err)
 		}
 	}
 	if _, err := DecodeDisperse([]byte{0, 0, 0, 0, 0, 1, 2, 3}); err == nil {
@@ -164,14 +176,24 @@ func TestDisperseRoundTrip(t *testing.T) {
 	}
 }
 
+// TestCodecDispatch pins the Codec shim bench/ still calls: it is the one
+// prediction format, byte for byte, whatever CodecFor is asked for.
 func TestCodecDispatch(t *testing.T) {
-	if CodecFor(false) != CodecPlain || CodecFor(true) != CodecQuantized {
-		t.Fatal("CodecFor mapping wrong")
-	}
-	if CodecPlain.WireSize() != PredictionWireSize || CodecQuantized.WireSize() != QuantizedWireSize {
-		t.Fatal("WireSize mapping wrong")
-	}
-	if _, err := Codec(9).Decode(nil); err == nil {
-		t.Fatal("unknown codec decode accepted")
+	preds := []Prediction{{User: 1, Item: 2, Score: 0.5}, {User: 1, Item: 7, Score: 1.0 / 3}}
+	want := EncodePredictions(preds)
+	for _, quantize := range []bool{false, true} {
+		codec := CodecFor(quantize)
+		payload := codec.Encode(preds)
+		if !bytes.Equal(payload, want) {
+			t.Fatalf("CodecFor(%v).Encode = %x, want EncodePredictions' %x", quantize, payload, want)
+		}
+		got, err := codec.Decode(payload)
+		wantPreds, wantErr := DecodePredictions(payload)
+		if err != nil || wantErr != nil || !reflect.DeepEqual(got, wantPreds) {
+			t.Fatalf("CodecFor(%v).Decode = %+v, %v; DecodePredictions = %+v, %v", quantize, got, err, wantPreds, wantErr)
+		}
+		if _, err := codec.Decode(want[:7]); err == nil {
+			t.Fatalf("CodecFor(%v).Decode accepted a ragged payload", quantize)
+		}
 	}
 }

@@ -162,7 +162,6 @@ type Coordinator struct {
 	// order, oldest first, for eviction.
 	pending  map[int]pendingDisp
 	pendingQ []int
-	codec    comm.Codec
 
 	// wireIn/wireOut count every frame byte crossing the HTTP boundary —
 	// framing included, so more than the History's protocol byte totals.
@@ -190,7 +189,6 @@ func New(sp *data.Split, cfg fed.Config, opts Options) (*Coordinator, error) {
 		sessions:   make(map[uint64]*session),
 		rounds:     make(map[int]*roundState),
 		pending:    make(map[int]pendingDisp),
-		codec:      comm.CodecFor(cfg.QuantizeScores),
 	}, nil
 }
 
@@ -259,11 +257,7 @@ func (c *Coordinator) broadcastShutdown() {
 
 // disperseFrame frames one user's dispersal payload for a session log.
 func (c *Coordinator) disperseFrame(user int, payload []byte) []byte {
-	return comm.AppendFrame(nil, comm.MsgDisperse, comm.EncodeDisperse(comm.Disperse{
-		User:    user,
-		Codec:   c.codec,
-		Payload: payload,
-	}))
+	return comm.AppendFrame(nil, comm.MsgDisperse, comm.EncodeDisperse(comm.Disperse{User: user, Payload: payload}))
 }
 
 // publishRound delivers a closed round: each dispersal is appended to its
@@ -729,12 +723,6 @@ func (c *Coordinator) readUpload(body io.Reader, round, user int) (fed.ClientOut
 		return fed.ClientOutcome{}, fmt.Errorf("coord: upload-begin names round %d user %d, request says round %d user %d",
 			begin.Round, begin.User, round, user)
 	}
-	// The run's codec fixes the precision of the scores the engine trains on
-	// and the UploadBytes the History counts; a stream in the other one is
-	// refused, not decoded.
-	if begin.Codec != c.codec {
-		return fed.ClientOutcome{}, fmt.Errorf("coord: upload-begin uses codec %d, the run's is %d", begin.Codec, c.codec)
-	}
 	// Both metrics reach RoundStats as sent. The negated comparisons reject
 	// NaN.
 	if !(begin.Loss >= 0) || math.IsInf(begin.Loss, 1) || !(begin.AttackF1 >= 0 && begin.AttackF1 <= 1) {
@@ -761,7 +749,7 @@ func (c *Coordinator) readUpload(body io.Reader, round, user int) (fed.ClientOut
 		}
 		switch mt {
 		case comm.MsgUploadChunk:
-			chunk, err := begin.Codec.Decode(payload)
+			chunk, err := comm.DecodePredictions(payload)
 			if err != nil {
 				return fed.ClientOutcome{}, err
 			}

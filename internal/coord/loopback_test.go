@@ -3,6 +3,7 @@ package coord
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -443,30 +444,35 @@ func TestRefusalsAnswer4xx(t *testing.T) {
 }
 
 // encodeUpload builds an upload body for readUpload tests.
-func encodeUpload(round, user int, codec comm.Codec, preds []comm.Prediction, sendPreds int, end bool) []byte {
-	return encodeUploadMetrics(round, user, codec, preds, sendPreds, end, 0.25, 0.5)
+func encodeUpload(round, user int, preds []comm.Prediction, sendPreds int, end bool) []byte {
+	return encodeUploadMetrics(round, user, preds, sendPreds, end, 0.25, 0.5)
 }
 
 // encodeUploadMetrics is encodeUpload with the begin frame's loss and attack
 // F1 given.
-func encodeUploadMetrics(round, user int, codec comm.Codec, preds []comm.Prediction, sendPreds int, end bool, loss, attackF1 float64) []byte {
+func encodeUploadMetrics(round, user int, preds []comm.Prediction, sendPreds int, end bool, loss, attackF1 float64) []byte {
 	var b bytes.Buffer
 	comm.WriteFrame(&b, comm.MsgUploadBegin, comm.EncodeUploadBegin(comm.UploadBegin{
-		Round: round, User: user, Codec: codec, Count: len(preds),
+		Round: round, User: user, Count: len(preds),
 		Loss: loss, AttackF1: attackF1,
 	}))
-	payload := codec.Encode(preds)[:sendPreds*codec.WireSize()]
-	for off := 0; off < len(payload); off += 2 * codec.WireSize() {
-		hi := off + 2*codec.WireSize()
-		if hi > len(payload) {
-			hi = len(payload)
-		}
+	payload := comm.EncodePredictions(preds)[:sendPreds*comm.PredictionWireSize]
+	for off := 0; off < len(payload); off += 2 * comm.PredictionWireSize {
+		hi := min(off+2*comm.PredictionWireSize, len(payload))
 		comm.WriteFrame(&b, comm.MsgUploadChunk, payload[off:hi])
 	}
 	if end {
 		comm.WriteFrame(&b, comm.MsgUploadEnd, nil)
 	}
 	return b.Bytes()
+}
+
+// withCodecByte returns a copy of an upload body whose opening frame names
+// codec instead of 0, the one prediction format's id.
+func withCodecByte(body []byte, codec byte) []byte {
+	body = bytes.Clone(body)
+	body[comm.FrameHeaderSize+8] = codec // UploadBegin's codec byte
+	return body
 }
 
 // repeatReader yields its frame's bytes over and over: a peer that never
@@ -489,7 +495,6 @@ func (r *repeatReader) Read(p []byte) (int, error) {
 // complete, and protocol violations → errors.
 func TestReadUploadClassification(t *testing.T) {
 	c := &Coordinator{split: testSplit()}
-	codec := comm.CodecFor(false)
 	preds := []comm.Prediction{
 		{User: 7, Item: 3, Score: 0.5},
 		{User: 7, Item: 9, Score: 0},
@@ -502,7 +507,7 @@ func TestReadUploadClassification(t *testing.T) {
 		t.Fatalf("empty body: outcome %+v, err %v; want a drop", o, err)
 	}
 
-	o, err = c.readUpload(bytes.NewReader(encodeUpload(1, 7, codec, preds, len(preds), true)), 1, 7)
+	o, err = c.readUpload(bytes.NewReader(encodeUpload(1, 7, preds, len(preds), true)), 1, 7)
 	if err != nil || o.Dropped || len(o.Upload) != len(preds) {
 		t.Fatalf("complete body: outcome %+v, err %v; want %d predictions", o, err, len(preds))
 	}
@@ -511,32 +516,32 @@ func TestReadUploadClassification(t *testing.T) {
 			t.Fatalf("complete body: prediction %d = %+v, want %+v", i, o.Upload[i], preds[i])
 		}
 	}
-	if o.UploadBytes != len(preds)*codec.WireSize() {
-		t.Fatalf("complete body: UploadBytes = %d, want %d", o.UploadBytes, len(preds)*codec.WireSize())
+	if o.UploadBytes != len(preds)*comm.PredictionWireSize {
+		t.Fatalf("complete body: UploadBytes = %d, want %d", o.UploadBytes, len(preds)*comm.PredictionWireSize)
 	}
 	if o.Loss != 0.25 || o.AttackF1 != 0.5 {
 		t.Fatalf("complete body: metrics %v/%v did not survive the begin frame", o.Loss, o.AttackF1)
 	}
 
-	o, err = c.readUpload(bytes.NewReader(encodeUpload(1, 7, codec, preds, 2, false)), 1, 7)
+	o, err = c.readUpload(bytes.NewReader(encodeUpload(1, 7, preds, 2, false)), 1, 7)
 	if err != nil || o.Dropped || len(o.Upload) != 2 {
 		t.Fatalf("truncated body: outcome %+v, err %v; want the 2-prediction prefix", o, err)
 	}
 
-	o, err = c.readUpload(bytes.NewReader(encodeUpload(1, 7, codec, preds, 0, false)), 1, 7)
+	o, err = c.readUpload(bytes.NewReader(encodeUpload(1, 7, preds, 0, false)), 1, 7)
 	if err != nil || !o.Dropped {
 		t.Fatalf("begin-only body: outcome %+v, err %v; want a drop", o, err)
 	}
 
-	if _, err = c.readUpload(bytes.NewReader(encodeUpload(1, 7, codec, preds, 2, true)), 1, 7); err == nil {
+	if _, err = c.readUpload(bytes.NewReader(encodeUpload(1, 7, preds, 2, true)), 1, 7); err == nil {
 		t.Fatal("count mismatch with end frame must be a protocol error")
 	}
-	if _, err = c.readUpload(bytes.NewReader(encodeUpload(2, 7, codec, preds, 4, true)), 1, 7); err == nil {
+	if _, err = c.readUpload(bytes.NewReader(encodeUpload(2, 7, preds, 4, true)), 1, 7); err == nil {
 		t.Fatal("round mismatch must be a protocol error")
 	}
-	if _, err = c.readUpload(bytes.NewReader(encodeUpload(1, 7, comm.CodecQuantized, preds, 4, true)), 1, 7); err == nil ||
-		!strings.Contains(err.Error(), "codec") {
-		t.Fatalf("a quantized stream to a plain-codec run: err = %v, want the codec refusal", err)
+	if _, err = c.readUpload(bytes.NewReader(withCodecByte(encodeUpload(1, 7, preds, 4, true), 1)), 1, 7); err == nil ||
+		!strings.Contains(err.Error(), "codec 1") {
+		t.Fatalf("a begin frame naming codec 1: err = %v, want the codec refusal", err)
 	}
 	if _, err = c.readUpload(bytes.NewReader([]byte("not a frame stream")), 1, 7); err == nil {
 		t.Fatal("garbage bytes must be a protocol error")
@@ -551,10 +556,10 @@ func TestReadUploadClassification(t *testing.T) {
 	// the bound this read buffered until memory ran out.
 	begin := func(count int) []byte {
 		return comm.AppendFrame(nil, comm.MsgUploadBegin, comm.EncodeUploadBegin(comm.UploadBegin{
-			Round: 1, User: 7, Codec: codec, Count: count,
+			Round: 1, User: 7, Count: count,
 		}))
 	}
-	chunk := comm.AppendFrame(nil, comm.MsgUploadChunk, codec.Encode(preds[:3]))
+	chunk := comm.AppendFrame(nil, comm.MsgUploadChunk, comm.EncodePredictions(preds[:3]))
 	endless := io.MultiReader(bytes.NewReader(begin(2)), &repeatReader{frame: chunk})
 	if _, err = c.readUpload(endless, 1, 7); err == nil || !strings.Contains(err.Error(), "more than the 2 predictions") {
 		t.Fatalf("overrunning stream: err = %v, want the declared-count rejection", err)
@@ -577,7 +582,7 @@ func TestReadUploadClassification(t *testing.T) {
 
 // TestMalformedUploadOverHTTP drives protocol violations through the HTTP
 // layer — garbage bytes, a well-formed stream that carries more predictions
-// than it declared, and one in the codec the run does not use: the server
+// than it declared, and one whose begin frame names codec 1: the server
 // answers 400 with MsgError, resolves the
 // slot as dropped (a second, valid upload for it is refused), and the run
 // still completes under the deadline.
@@ -628,26 +633,26 @@ func TestMalformedUploadOverHTTP(t *testing.T) {
 		}
 		return resp.StatusCode, mt, payload
 	}
-	codec := comm.CodecFor(cfg.QuantizeScores)
 	preds := []comm.Prediction{{User: 4, Item: 1, Score: 0.5}, {User: 4, Item: 2, Score: 0.25}}
 	overrun := comm.AppendFrame(nil, comm.MsgUploadBegin, comm.EncodeUploadBegin(comm.UploadBegin{
-		Round: 0, User: 4, Codec: codec, Count: 1,
+		Round: 0, User: 4, Count: 1,
 	}))
-	overrun = comm.AppendFrame(overrun, comm.MsgUploadChunk, codec.Encode(preds))
+	overrun = comm.AppendFrame(overrun, comm.MsgUploadChunk, comm.EncodePredictions(preds))
 	overrun = comm.AppendFrame(overrun, comm.MsgUploadEnd, nil)
 	for user, body := range map[int][]byte{3: []byte(strings.Repeat("garbage", 4)), 4: overrun} {
 		if status, mt, payload := post(user, body); status != http.StatusBadRequest || mt != comm.MsgError {
 			t.Fatalf("user %d malformed upload reply: %d %v %q, want 400 and MsgError", user, status, mt, payload)
 		}
 	}
-	// A well-formed stream in the codec the run does not use.
-	foreign := encodeUpload(0, 5, comm.CodecFor(!cfg.QuantizeScores), []comm.Prediction{{User: 5, Item: 1, Score: 0.5}}, 1, true)
-	if status, mt, payload := post(5, foreign); status != http.StatusBadRequest || mt != comm.MsgError || !strings.Contains(string(payload), "codec") {
-		t.Fatalf("upload in the other codec: %d %v %q, want 400 and the codec refusal", status, mt, payload)
+	// A well-formed stream whose begin frame names codec 1, the retired
+	// quantized codec's id.
+	foreign := withCodecByte(encodeUpload(0, 5, []comm.Prediction{{User: 5, Item: 1, Score: 0.5}}, 1, true), 1)
+	if status, mt, payload := post(5, foreign); status != http.StatusBadRequest || mt != comm.MsgError || !strings.Contains(string(payload), "codec 1") {
+		t.Fatalf("upload naming codec 1: %d %v %q, want 400 and the codec refusal", status, mt, payload)
 	}
 	// The overrun resolved user 4's slot as dropped: a well-formed retry finds
 	// the slot gone.
-	if _, mt, payload := post(4, encodeUpload(0, 4, codec, preds, len(preds), true)); mt != comm.MsgError || !strings.Contains(string(payload), "closed") {
+	if _, mt, payload := post(4, encodeUpload(0, 4, preds, len(preds), true)); mt != comm.MsgError || !strings.Contains(string(payload), "closed") {
 		t.Fatalf("upload after a rejected one: %v %q, want the round-closed refusal", mt, payload)
 	}
 
@@ -721,7 +726,6 @@ func TestUploadRejectsForeignPredictions(t *testing.T) {
 		}
 		return resp.StatusCode, mt, payload
 	}
-	codec := comm.CodecFor(cfg.QuantizeScores)
 	honest := func(u int) []comm.Prediction {
 		return []comm.Prediction{{User: u, Item: 1, Score: 0.9}, {User: u, Item: 2, Score: 0.75}}
 	}
@@ -741,16 +745,16 @@ func TestUploadRejectsForeignPredictions(t *testing.T) {
 		12: {honest(12), 0.25, 1.5},
 	}
 	for user, up := range hostile {
-		status, mt, payload := post(user, encodeUploadMetrics(0, user, codec, up.preds, len(up.preds), true, up.loss, up.attackF1))
+		status, mt, payload := post(user, encodeUploadMetrics(0, user, up.preds, len(up.preds), true, up.loss, up.attackF1))
 		if status != http.StatusBadRequest || mt != comm.MsgError {
 			t.Fatalf("user %d hostile upload: reply %d %v %q, want 400 and MsgError", user, status, mt, payload)
 		}
 	}
-	if status, mt, payload := post(6, encodeUpload(0, 6, codec, honest(6), 2, true)); status != http.StatusOK || mt != comm.MsgAck {
+	if status, mt, payload := post(6, encodeUpload(0, 6, honest(6), 2, true)); status != http.StatusOK || mt != comm.MsgAck {
 		t.Fatalf("honest upload: reply %d %v %q, want 200 and MsgAck", status, mt, payload)
 	}
 	// A refusal resolved its slot: an honest retry finds it gone.
-	if status, _, _ := post(3, encodeUpload(0, 3, codec, honest(3), 2, true)); status != http.StatusConflict {
+	if status, _, _ := post(3, encodeUpload(0, 3, honest(3), 2, true)); status != http.StatusConflict {
 		t.Fatalf("honest retry after a refusal: status %d, want 409", status)
 	}
 
@@ -894,12 +898,11 @@ func TestRunRefusesAnnouncementBeforeRoundEnd(t *testing.T) {
 	}))
 	defer srv.Close()
 	cfg := testConfig(models.KindMF, 1)
-	cfg.LazyClients = true
 	host, err := fed.NewClientHost(testSplit(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := &Participant{base: srv.URL, hc: srv.Client(), lo: 0, hi: 40, cfg: cfg, codec: comm.CodecFor(cfg.QuantizeScores), host: host}
+	p := &Participant{base: srv.URL, hc: srv.Client(), lo: 0, hi: 40, cfg: cfg, host: host}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	err = p.Run(ctx)
@@ -932,7 +935,7 @@ func TestRunRefusesBadDispersal(t *testing.T) {
 				switch r.URL.Path {
 				case "/v1/poll":
 					comm.WriteFrame(w, comm.MsgDisperse, comm.EncodeDisperse(comm.Disperse{
-						User: user, Codec: comm.CodecPlain, Payload: comm.CodecPlain.Encode(preds)}))
+						User: user, Payload: comm.EncodePredictions(preds)}))
 					comm.WriteFrame(w, comm.MsgShutdown, nil)
 				case "/v1/leave":
 					comm.WriteFrame(w, comm.MsgAck, nil)
@@ -942,12 +945,11 @@ func TestRunRefusesBadDispersal(t *testing.T) {
 			}))
 			defer srv.Close()
 			cfg := testConfig(models.KindMF, 1)
-			cfg.LazyClients = true
 			host, err := fed.NewClientHost(sp, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			p := &Participant{base: srv.URL, hc: srv.Client(), lo: 0, hi: 40, cfg: cfg, codec: comm.CodecFor(cfg.QuantizeScores), host: host}
+			p := &Participant{base: srv.URL, hc: srv.Client(), lo: 0, hi: 40, cfg: cfg, host: host}
 			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 			defer cancel()
 			err = p.Run(ctx)
@@ -955,5 +957,28 @@ func TestRunRefusesBadDispersal(t *testing.T) {
 				t.Fatalf("Run on a dispersal carrying %+v = %v, want a refusal naming it", bad, err)
 			}
 		})
+	}
+}
+
+// TestRebuildRefusesBadPrivacyWindow pins that a participant validates the
+// config a join-ack carries before hosting anyone: γ window [3, 1] would
+// otherwise pass construction and panic in the upload sampler of the first
+// client round, on a worker goroutine that takes the process down.
+func TestRebuildRefusesBadPrivacyWindow(t *testing.T) {
+	sp := testSplit()
+	cfg := testConfig(models.KindMF, 1)
+	cfg.Privacy.GammaMin, cfg.Privacy.GammaMax = 3, 1
+	cfgJSON, err := json.Marshal(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ack := comm.JoinAck{NumUsers: sp.NumUsers, NumItems: sp.NumItems, DataSeed: testSeed, TestFrac: testFrac,
+		Profile: data.Tiny.Name, ConfigJSON: cfgJSON}
+	p := &Participant{lo: 0, hi: sp.NumUsers}
+	if err := p.rebuild(ack); err == nil || !strings.Contains(err.Error(), "γ window") {
+		t.Fatalf("rebuild of a join-ack with γ window [3, 1] = %v, want the validation error", err)
+	}
+	if p.host != nil {
+		t.Fatal("rebuild built a client host for a config it refused")
 	}
 }

@@ -33,7 +33,6 @@ type Participant struct {
 	token  uint64
 	lo, hi int
 	cfg    fed.Config
-	codec  comm.Codec
 	host   *fed.ClientHost
 }
 
@@ -75,7 +74,7 @@ func Join(base string, lo, hi int, hc *http.Client) (*Participant, error) {
 }
 
 // rebuild reconstructs the shared world the join-ack describes: the run's
-// config, its codec and the client host over the split both sides derive
+// config (refused unless it validates) and the client host over the split both sides derive
 // from (profile, seed, frac) — no dataset bytes cross the wire. The split
 // must have the coordinator's shape, or the two would train different
 // universes.
@@ -83,9 +82,6 @@ func (p *Participant) rebuild(ack comm.JoinAck) error {
 	if err := json.Unmarshal(ack.ConfigJSON, &p.cfg); err != nil {
 		return fmt.Errorf("coord: join-ack config: %w", err)
 	}
-	// Hosting a slice of the universe, the participant materialises only the
-	// clients that actually participate; lazy construction is bitwise-neutral.
-	p.cfg.LazyClients = true
 	profile, err := data.ProfileByName(ack.Profile)
 	if err != nil {
 		return err
@@ -95,7 +91,6 @@ func (p *Participant) rebuild(ack comm.JoinAck) error {
 		return fmt.Errorf("coord: profile %q rebuilds %d users × %d items, the coordinator's split has %d users × %d items",
 			ack.Profile, sp.NumUsers, sp.NumItems, ack.NumUsers, ack.NumItems)
 	}
-	p.codec = comm.CodecFor(p.cfg.QuantizeScores)
 	p.host, err = fed.NewClientHost(sp, p.cfg)
 	return err
 }
@@ -190,7 +185,7 @@ func (p *Participant) deliver(payload []byte) error {
 	if d.User < p.lo || d.User >= p.hi {
 		return fmt.Errorf("coord: dispersal for user %d outside hosted range [%d, %d)", d.User, p.lo, p.hi)
 	}
-	preds, err := d.Codec.Decode(d.Payload)
+	preds, err := comm.DecodePredictions(d.Payload)
 	if err != nil {
 		return err
 	}
@@ -265,13 +260,12 @@ func (p *Participant) upload(ctx context.Context, round int, res fed.ClientRound
 		body.Append(comm.MsgUploadBegin, comm.EncodeUploadBegin(comm.UploadBegin{
 			Round:    round,
 			User:     res.ID,
-			Codec:    p.codec,
 			Count:    len(res.Preds),
 			Loss:     res.Loss,
 			AttackF1: res.AttackF1,
 		}))
 		payload := res.WirePayload()
-		chunkBytes := uploadChunkPreds * p.codec.WireSize()
+		chunkBytes := uploadChunkPreds * comm.PredictionWireSize
 		for off := 0; off < len(payload); off += chunkBytes {
 			end := off + chunkBytes
 			if end > len(payload) {

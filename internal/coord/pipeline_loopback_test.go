@@ -98,9 +98,9 @@ func TestPendingDispersalStore(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Payloads must be stride-valid for the codec so a flush's MsgDisperse
+	// Payloads must be whole 12-byte triples so a flush's MsgDisperse
 	// frames decode.
-	stride := comm.CodecFor(cfg.QuantizeScores).WireSize()
+	stride := comm.PredictionWireSize
 	pay := func(b byte) []byte { return bytes.Repeat([]byte{b}, stride) }
 	c.mu.Lock()
 	c.stashPendingLocked(0, fed.Dispersal{ID: 1, Payload: pay(1)})
@@ -148,7 +148,7 @@ func TestPendingQueueBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pay := bytes.Repeat([]byte{1}, comm.CodecFor(cfg.QuantizeScores).WireSize())
+	pay := bytes.Repeat([]byte{1}, comm.PredictionWireSize)
 	host := &session{lo: 3, hi: 4}
 	c.mu.Lock()
 	defer c.mu.Unlock()

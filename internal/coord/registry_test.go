@@ -27,7 +27,7 @@ func TestNoRetainedDispersalForHostedUser(t *testing.T) {
 		t.Fatal(err)
 	}
 	numUsers := testSplit().NumUsers
-	pay := bytes.Repeat([]byte{1}, comm.CodecFor(cfg.QuantizeScores).WireSize())
+	pay := bytes.Repeat([]byte{1}, comm.PredictionWireSize)
 	s := rng.New(7)
 	var live []*session
 	stashed := 0
@@ -91,7 +91,7 @@ func BenchmarkOpenPublishRound(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			pay := bytes.Repeat([]byte{1}, 20*comm.CodecFor(cfg.QuantizeScores).WireSize())
+			pay := bytes.Repeat([]byte{1}, 20*comm.PredictionWireSize)
 			users := make([]int, n)
 			dispersals := make([]fed.Dispersal, n)
 			for u := range users {

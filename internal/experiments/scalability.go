@@ -336,7 +336,6 @@ func runScalabilityMemory(o Options, p data.Profile) (*ScalabilityResult, error)
 	if o.Rounds > 0 {
 		cfg.Rounds = o.Rounds
 	}
-	cfg.LazyClients = true
 	cfg.Workers = runtime.GOMAXPROCS(0)
 	cfg.ClientFraction = math.Min(1, 5000/float64(p.NumUsers))
 	res := newScalabilityResult(p, cfg.Rounds)

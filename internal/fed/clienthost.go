@@ -33,8 +33,10 @@ type ClientHost struct {
 // from the runtime's pool list for a collection after its last use.
 var guessBuffers = sync.Pool{New: func() any { return new(privacy.GuessBuffer) }}
 
-// NewClientHost wires up the client-side state for every user in the split.
-// Under Config.LazyClients, clients materialise on first participation.
+// NewClientHost wires up the client side for every user in the split. Each
+// client materialises on its first participation (Client); only client 0 is
+// built here, so an invalid client-model kind still fails at construction
+// instead of mid-round.
 func NewClientHost(sp *data.Split, cfg Config) (*ClientHost, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -45,41 +47,30 @@ func NewClientHost(sp *data.Split, cfg Config) (*ClientHost, error) {
 		root:    rng.New(cfg.Seed).Derive("ptf-fedrec"),
 		clients: make([]*Client, sp.NumUsers),
 	}
-	if cfg.LazyClients {
-		// Build one eagerly so an invalid client-model kind still fails at
-		// construction time instead of mid-round.
-		if sp.NumUsers > 0 {
-			c, err := newClient(0, sp.Train[0], sp.NumItems, &h.cfg, h.root)
-			if err != nil {
-				return nil, err
-			}
-			h.clients[0] = c
-		}
-		return h, nil
-	}
-	for u := 0; u < sp.NumUsers; u++ {
-		c, err := newClient(u, sp.Train[u], sp.NumItems, &h.cfg, h.root)
+	if sp.NumUsers > 0 {
+		c, err := newClient(0, sp.Train[0], sp.NumItems, &h.cfg, h.root)
 		if err != nil {
 			return nil, err
 		}
-		h.clients[u] = c
+		h.clients[0] = c
 	}
 	return h, nil
 }
 
-// Client returns the host's client for user id, constructing it on first use
-// under Config.LazyClients. Lazy construction is bitwise-safe because
-// everything a client owns derives purely from (config, split, id).
-// Concurrent calls for distinct ids write distinct slots and the round/eval
-// engines never hand one id to two workers, so no synchronisation is needed.
+// Client returns the host's client for user id, constructing it on first
+// use. Construction order cannot change a bit: everything a client owns
+// derives purely from (config, split, id) — its streams come from DeriveN on
+// the immutable root seed, never from shared generator state. Concurrent
+// calls for distinct ids write distinct slots and the round/eval engines
+// never hand one id to two workers, so no synchronisation is needed.
 func (h *ClientHost) Client(id int) *Client {
 	c := h.clients[id]
 	if c == nil {
 		var err error
 		c, err = newClient(id, h.split.Train[id], h.split.NumItems, &h.cfg, h.root)
 		if err != nil {
-			// Construction can only fail on an invalid model kind, which the
-			// eager client 0 already validated.
+			// Construction can only fail on an invalid model kind, which
+			// NewClientHost's client 0 already validated.
 			panic(err)
 		}
 		h.clients[id] = c
@@ -101,16 +92,16 @@ type ClientRoundResult struct {
 	ID        int
 	Dropped   bool
 	Payload   []byte            // canonical wire encoding of the full upload
-	Preds     []comm.Prediction // Payload decoded through the codec
+	Preds     []comm.Prediction // Payload decoded
 	SendPreds int               // predictions actually transmitted (≤ len(Preds))
-	SendBytes int               // bytes actually transmitted (= SendPreds × stride)
+	SendBytes int               // bytes actually transmitted (= SendPreds × 12)
 	Loss      float64
 	AttackF1  float64
 }
 
 // Outcome folds the result into what the server observes: a dropped client
 // contributes nothing, a truncated one only its transmitted prefix. Decoding
-// a payload prefix equals the prefix of the decoded payload (the codecs are
+// a payload prefix equals the prefix of the decoded payload (the format is
 // element-wise), so this is exactly what a receiver of WirePayload sees.
 func (r ClientRoundResult) Outcome() ClientOutcome {
 	if r.Dropped {
@@ -149,7 +140,7 @@ func (h *ClientHost) RunClientRound(round, id int) ClientRoundResult {
 	upload, loss := c.localTrain(func(n int) []int {
 		return h.split.SampleNegativesN(c.s.DeriveN("negs", round), c.ID, n)
 	})
-	payload, preds := wireRoundTrip(upload, h.cfg.QuantizeScores)
+	payload, preds := wireRoundTrip(upload)
 	// The curious-but-honest server's inference attempt, scored against
 	// ground truth for Table V / Fig. 3 — on the wire-decoded upload, since
 	// that is what the server sees.
@@ -167,7 +158,7 @@ func (h *ClientHost) RunClientRound(round, id int) ClientRoundResult {
 		Payload:   payload,
 		Preds:     preds,
 		SendPreds: send,
-		SendBytes: send * comm.CodecFor(h.cfg.QuantizeScores).WireSize(),
+		SendBytes: send * comm.PredictionWireSize,
 		Loss:      loss,
 		AttackF1:  f1,
 	}
@@ -178,21 +169,19 @@ func (h *ClientHost) Deliver(id int, preds []comm.Prediction) {
 	h.Client(id).receiveDispersal(preds)
 }
 
-// wireRoundTrip runs predictions through the configured wire codec both
-// ways, returning the canonical payload and what a receiver decodes from it.
-// Training proceeds on the decoded values on both sides of the wire: the
-// in-process engine and the networked path therefore see identical floats
-// (under the plain codec that is the float32 round trip; under quantization
-// the round trip is lossy by design). Encoding a decoded payload reproduces
-// it byte for byte — the codec idempotence the fuzz suite pins — so the
-// coordinator can forward canonical payloads without re-encoding drift.
-func wireRoundTrip(preds []comm.Prediction, quantize bool) ([]byte, []comm.Prediction) {
-	codec := comm.CodecFor(quantize)
-	payload := codec.Encode(preds)
-	decoded, err := codec.Decode(payload)
+// wireRoundTrip encodes predictions and decodes them back, returning the
+// canonical payload and what a receiver decodes from it. Training proceeds on
+// the decoded values on both sides of the wire — the float32 round trip — so
+// the in-process engine and the networked path see identical floats.
+// Encoding a decoded payload reproduces it byte for byte (the idempotence
+// FuzzDecodePredictions pins), so the coordinator forwards canonical payloads
+// without re-encoding drift.
+func wireRoundTrip(preds []comm.Prediction) ([]byte, []comm.Prediction) {
+	payload := comm.EncodePredictions(preds)
+	decoded, err := comm.DecodePredictions(payload)
 	if err != nil {
 		// Encoding our own payload cannot fail to decode; a failure here is
-		// a bug in the codec.
+		// a bug in the format.
 		panic(err)
 	}
 	return payload, decoded

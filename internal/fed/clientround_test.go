@@ -2,6 +2,7 @@ package fed
 
 import (
 	"runtime"
+	"slices"
 	"testing"
 
 	"ptffedrec/internal/comm"
@@ -11,7 +12,7 @@ import (
 
 // mfClientHost builds a ClientHost at net-loopback's client shape: MF clients
 // at d = 16 over large-50k-small's 900 items, three local epochs of
-// 32-sample batches, lazy clients, the default sampling+swap upload.
+// 32-sample batches, the default sampling+swap upload.
 func mfClientHost(tb testing.TB) *ClientHost {
 	tb.Helper()
 	cfg := DefaultConfig(models.KindLightGCN)
@@ -20,12 +21,57 @@ func mfClientHost(tb testing.TB) *ClientHost {
 	cfg.LR = 0.05
 	cfg.ClientEpochs = 3
 	cfg.ClientBatch = 32
-	cfg.LazyClients = true
 	h, err := NewClientHost(data.StreamSplit(data.LargeScaleSmall, 1, 0.2), cfg)
 	if err != nil {
 		tb.Fatal(err)
 	}
 	return h
+}
+
+// builtClients lists the users whose client h has constructed so far.
+func builtClients(h *ClientHost) []int {
+	var ids []int
+	for id, c := range h.clients {
+		if c != nil {
+			ids = append(ids, id)
+		}
+	}
+	return ids
+}
+
+// TestClientHostBuildsOnFirstParticipation pins lazy hosting: a host builds
+// client 0 up front, so an unknown client model fails at construction, and
+// every other client in the round that first selects it.
+func TestClientHostBuildsOnFirstParticipation(t *testing.T) {
+	sp := tinySplit(t)
+	cfg := DefaultConfig(models.KindMF)
+	tr, err := NewTrainer(sp, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := builtClients(tr.host); !slices.Equal(got, []int{0}) {
+		t.Fatalf("after NewTrainer the host holds clients %v, want [0]", got)
+	}
+
+	cfg.ClientFraction = 0.25
+	if tr, err = NewTrainer(sp, cfg); err != nil {
+		t.Fatal(err)
+	}
+	want := append([]int{0}, tr.engine.Select(0)...)
+	slices.Sort(want)
+	want = slices.Compact(want)
+	if len(want) >= sp.NumUsers {
+		t.Fatalf("cohort %v covers all %d users; the pin needs an idle one", want, sp.NumUsers)
+	}
+	tr.RunRound(0)
+	if got := builtClients(tr.host); !slices.Equal(got, want) {
+		t.Fatalf("after RunRound(0) at ClientFraction 0.25 the host holds clients %v, want the cohort plus client 0: %v", got, want)
+	}
+
+	cfg.ClientModel = "bogus"
+	if _, err := NewClientHost(sp, cfg); err == nil {
+		t.Fatal("NewClientHost accepted an unknown client model")
+	}
 }
 
 // warmClient gives user id a dispersal of Alpha items, as a returning
@@ -124,7 +170,6 @@ func TestClientRetainedBytes(t *testing.T) {
 	cfg.LR = 0.05
 	cfg.ClientEpochs = 3
 	cfg.ClientBatch = 32
-	cfg.LazyClients = true
 	prof := data.Profile{Name: "sparse-clients", NumUsers: 4 * clients, NumItems: 8192,
 		Interactions: 4 * clients * 5, ZipfExponent: 1.05, Clusters: 64, ClusterBias: 0.7, MinPerUser: 3}
 	h, err := NewClientHost(data.StreamSplit(prof, 1, 0.2), cfg)

@@ -94,24 +94,17 @@ type Config struct {
 	// — they already run on this pool.
 	Workers int
 
-	// LazyClients constructs each client's state (model, rng streams) on its
-	// first participation instead of all NumUsers clients up front. Lazily
-	// built clients are bitwise-identical to eagerly built ones: everything a
-	// client owns derives purely from (config, split, id) — the streams come
-	// from DeriveN on the immutable root seed, never from consuming shared
-	// generator state. The knob exists for huge-user profiles, where the
-	// idle majority's models and generator states would dominate memory.
+	// LazyClients is ignored: a ClientHost always builds each client on its
+	// first participation. It stays only because bench/ still sets it.
 	LazyClients bool
 
 	// Faults optionally injects client dropouts and truncated uploads to
 	// exercise the protocol's robustness (zero value = no faults).
 	Faults FaultPlan
 
-	// QuantizeScores ships prediction scores as uint8 buckets (9-byte
-	// triples instead of 12), the compression extension suggested by the
-	// paper's communication-efficiency discussion. Training on both sides
-	// sees the quantized values, so the measured quality includes the
-	// quantization error.
+	// QuantizeScores must be false: predictions cross the wire in the one
+	// 12-byte format (comm.EncodePredictions), and Validate refuses true. It
+	// stays only because bench/ still reads it.
 	QuantizeScores bool
 
 	Seed uint64
@@ -177,6 +170,19 @@ func (c Config) Validate() error {
 		return fmt.Errorf("fed: Faults.DropoutRate = %v", c.Faults.DropoutRate)
 	case c.Faults.TruncateRate < 0 || c.Faults.TruncateRate > 1:
 		return fmt.Errorf("fed: Faults.TruncateRate = %v", c.Faults.TruncateRate)
+	case c.QuantizeScores:
+		return fmt.Errorf("fed: QuantizeScores = true: the quantized codec is retired")
+	// The upload sampler draws β ~ U[BetaMin, BetaMax] and γ ~
+	// U{GammaMin..GammaMax}; an empty or out-of-range window panics in the
+	// first client round. The negated comparisons reject NaN.
+	case c.Privacy.GammaMin < 0 || c.Privacy.GammaMax < c.Privacy.GammaMin:
+		return fmt.Errorf("fed: Privacy γ window [%d, %d]", c.Privacy.GammaMin, c.Privacy.GammaMax)
+	case !(c.Privacy.BetaMin >= 0 && c.Privacy.BetaMin <= c.Privacy.BetaMax && c.Privacy.BetaMax <= 1):
+		return fmt.Errorf("fed: Privacy β window [%v, %v]", c.Privacy.BetaMin, c.Privacy.BetaMax)
+	case !(c.Privacy.Lambda >= 0 && c.Privacy.Lambda <= 1):
+		return fmt.Errorf("fed: Privacy.Lambda = %v", c.Privacy.Lambda)
+	case !(c.Privacy.LaplaceScale >= 0):
+		return fmt.Errorf("fed: Privacy.LaplaceScale = %v", c.Privacy.LaplaceScale)
 	}
 	if _, ok := ParseDisperseMode(string(c.Disperse)); !ok {
 		return fmt.Errorf("fed: Disperse = %q", c.Disperse)

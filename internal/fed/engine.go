@@ -241,7 +241,7 @@ func (e *RoundEngine) CloseRound(round int, outcomes []ClientOutcome, overlap fu
 		chunk := (len(ids) + workers - 1) / workers
 		par.ForChunks(len(ids), chunk, workers, func(lo, hi int) {
 			e.server.disperseUsers(ids[lo:hi], uploads[lo:hi], plan, clientStream, func(i int, out []comm.Prediction) {
-				payload, preds := wireRoundTrip(out, e.cfg.QuantizeScores)
+				payload, preds := wireRoundTrip(out)
 				dispersals[lo+i] = Dispersal{ID: ids[lo+i], Preds: preds, Payload: payload}
 			})
 		})

@@ -91,12 +91,42 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.EvalK = 0 },
 		func(c *Config) { c.Disperse = "bogus" },
 		func(c *Config) { c.Privacy.Defense = "bogus" },
+		func(c *Config) { c.QuantizeScores = true },
+		// The upload sampler's windows: an empty γ window panics the first
+		// client round, and β, λ and the Laplace scale have no meaning
+		// outside these ranges.
+		func(c *Config) { c.Privacy.GammaMin, c.Privacy.GammaMax = 3, 1 },
+		func(c *Config) { c.Privacy.GammaMin = -1 },
+		func(c *Config) { c.Privacy.BetaMin = -0.1 },
+		func(c *Config) { c.Privacy.BetaMin, c.Privacy.BetaMax = 0.8, 0.2 },
+		func(c *Config) { c.Privacy.BetaMax = 1.5 },
+		func(c *Config) { c.Privacy.BetaMin = math.NaN() },
+		func(c *Config) { c.Privacy.BetaMax = math.NaN() },
+		func(c *Config) { c.Privacy.Lambda = -0.1 },
+		func(c *Config) { c.Privacy.Lambda = 1.5 },
+		func(c *Config) { c.Privacy.Lambda = math.NaN() },
+		func(c *Config) { c.Privacy.LaplaceScale = -1 },
+		func(c *Config) { c.Privacy.LaplaceScale = math.NaN() },
 	}
 	for i, mutate := range bad {
 		c := DefaultConfig(models.KindNGCF)
 		mutate(&c)
 		if err := c.Validate(); err == nil {
 			t.Fatalf("mutation %d accepted", i)
+		}
+	}
+	// The windows' ends stay valid.
+	edges := []func(*Config){
+		func(c *Config) { c.Privacy.GammaMin, c.Privacy.GammaMax = 0, 0 },
+		func(c *Config) { c.Privacy.BetaMin, c.Privacy.BetaMax = 0, 0 },
+		func(c *Config) { c.Privacy.BetaMin, c.Privacy.BetaMax = 1, 1 },
+		func(c *Config) { c.Privacy.Lambda, c.Privacy.LaplaceScale = 1, 0 },
+	}
+	for i, mutate := range edges {
+		c := DefaultConfig(models.KindNGCF)
+		mutate(&c)
+		if err := c.Validate(); err != nil {
+			t.Fatalf("edge %d refused: %v", i, err)
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"ptffedrec/internal/comm"
 	"ptffedrec/internal/models"
 	"ptffedrec/internal/par"
 )
@@ -181,13 +182,12 @@ func TestPhaseSecondsAccumulate(t *testing.T) {
 	}
 }
 
-// TestTruncatedUploadsHonourWireCodec pins the fault-path codec fix: when
-// QuantizeScores is on, a truncated upload must be re-encoded with the
-// quantized codec (9-byte triples), not the float32 one.
+// TestTruncatedUploadsHonourWireCodec pins the fault path's byte count: a
+// truncated upload is charged the wire size of the prefix that reached the
+// server, 12 bytes a triple, not that of the full upload.
 func TestTruncatedUploadsHonourWireCodec(t *testing.T) {
 	cfg := fastConfig(models.KindNeuMF)
 	cfg.Rounds = 1
-	cfg.QuantizeScores = true
 	cfg.Faults = FaultPlan{TruncateRate: 1.0}
 	tr, err := NewTrainer(tinySplit(t), cfg)
 	if err != nil {
@@ -202,7 +202,7 @@ func TestTruncatedUploadsHonourWireCodec(t *testing.T) {
 	if preds == 0 {
 		t.Fatal("no uploads reached the server")
 	}
-	if want := int64(9 * preds); rs.UploadBytes != want {
-		t.Fatalf("UploadBytes = %d, want %d (9 bytes × %d quantized triples)", rs.UploadBytes, want, preds)
+	if want := int64(comm.PredictionWireSize * preds); rs.UploadBytes != want {
+		t.Fatalf("UploadBytes = %d, want %d (12 bytes × %d triples)", rs.UploadBytes, want, preds)
 	}
 }

@@ -95,7 +95,7 @@ func requireServerMatchesReplay(t *testing.T, label string, tr *Trainer, sr *ser
 // responder's D̃ᵢ against the upload the server received from them in the
 // same round (Eq. 9's V̂ᵗᵢ) and the frozen post-round server state: size,
 // distinctness, exclusion, the µ split, and that each soft label is the
-// hidden model's prediction (Eq. 6) to the codec's precision. It returns
+// hidden model's prediction (Eq. 6) to float32 precision. It returns
 // |eligible| for the caller's coverage accounting.
 func requireDispersalProperties(t *testing.T, label string, tr *Trainer, upload []comm.Prediction, d Dispersal) int {
 	t.Helper()
@@ -135,11 +135,9 @@ func requireDispersalProperties(t *testing.T, label string, tr *Trainer, upload 
 		return len(eligible)
 	}
 
-	// Eq. 6: the soft label is the hidden model's score, through the codec.
-	tol := 1e-6
-	if cfg.QuantizeScores {
-		tol = 1.0/510 + 1e-9
-	}
+	// Eq. 6: the soft label is the hidden model's score, through the wire's
+	// float32.
+	const tol = 1e-6
 	score := make([]float64, numItems)
 	for i, s := range sv.model.ScoreItems(d.ID, eligible) {
 		score[eligible[i]] = s
@@ -196,7 +194,9 @@ func propertyConfig(s *rng.Stream, server models.Kind, arm DisperseMode, mu floa
 	cfg.Disperse = arm
 	cfg.Mu = mu
 	cfg.Seed = uint64(1 + s.Intn(1<<20))
-	cfg.QuantizeScores = s.Bernoulli(0.5)
+	// This draw once picked the wire codec. It stays, discarded, so every
+	// later draw — and with it every sampled cell — is what it was.
+	_ = s.Bernoulli(0.5)
 	cfg.Alpha = []int{3, 10, 30, 55, 120}[s.Intn(5)]
 	cfg.ClientFraction = []float64{0.3, 0.6, 1}[s.Intn(3)]
 	cfg.NegRatio = []int{4, 4, 30}[s.Intn(3)] // at 30 an undefended upload leaves only held-out items eligible
@@ -223,7 +223,7 @@ func propertyTrainer(t *testing.T, sp *data.Split, cfg Config) *Trainer {
 }
 
 // TestProtocolProperties runs the randomized sweep: four server kinds × four
-// dispersal arms × µ ∈ {0, 0.5, 0.9, 1}, with the codec, α, participation,
+// dispersal arms × µ ∈ {0, 0.5, 0.9, 1}, with α, participation,
 // defense, worker count and fault plan drawn per cell. Every round it checks, on the live path, that a twin trainer's
 // RunRound reports the same RoundStats (so what is observed is the product's
 // round), |D̃ᵢ| = min(α, |eligible|) with distinct items and the µ split (a),
@@ -244,8 +244,8 @@ func TestProtocolProperties(t *testing.T) {
 				if testing.Short() && cell%4 != 0 {
 					continue
 				}
-				name := fmt.Sprintf("%s/%s/mu=%v/alpha=%d/q=%v/frac=%v/%s/faults=%+v",
-					server, arm, mu, cfg.Alpha, cfg.QuantizeScores, cfg.ClientFraction, cfg.Privacy.Defense, cfg.Faults)
+				name := fmt.Sprintf("%s/%s/mu=%v/alpha=%d/frac=%v/%s/faults=%+v",
+					server, arm, mu, cfg.Alpha, cfg.ClientFraction, cfg.Privacy.Defense, cfg.Faults)
 				tr := propertyTrainer(t, sp, cfg)
 				twin := propertyTrainer(t, sp, cfg)
 				replay := newServerReplay(sp.NumItems)
@@ -409,33 +409,33 @@ func TestUploadComposition(t *testing.T) {
 // networked coordinator refuses an upload for, so that it can never refuse an
 // honest client: every prediction a client uploads names that client, an
 // item in [0, NumItems) and a score in [0, 1] — under every defense (Laplace
-// noise and the swap included) and through both codecs, as decoded on the
-// server's side of the wire.
+// noise and the swap included) — as decoded on the server's side of the
+// wire, 12 bytes a triple.
 func TestUploadPredictionsAreWellFormed(t *testing.T) {
 	sp := tinySplit(t)
 	for _, defense := range []privacy.Defense{
 		privacy.DefenseNone, privacy.DefenseLDP, privacy.DefenseSampling, privacy.DefenseSamplingSwap,
 	} {
-		for _, quantize := range []bool{false, true} {
-			cfg := fastConfig(models.KindMF)
-			cfg.ClientModel, cfg.ClientEpochs, cfg.Rounds = models.KindMF, 1, 3
-			cfg.Privacy.Defense = defense
-			cfg.QuantizeScores = quantize
-			tr := propertyTrainer(t, sp, cfg)
-			checked := 0
-			for round := 0; round < cfg.Rounds; round++ {
-				for _, o := range observeRound(tr, round, nil, nil).outcomes {
-					for _, p := range o.Upload {
-						if p.User != o.ID || p.Item < 0 || p.Item >= sp.NumItems || !(p.Score >= 0 && p.Score <= 1) {
-							t.Fatalf("%s quantize=%v round %d: user %d uploads %+v", defense, quantize, round, o.ID, p)
-						}
-						checked++
+		cfg := fastConfig(models.KindMF)
+		cfg.ClientModel, cfg.ClientEpochs, cfg.Rounds = models.KindMF, 1, 3
+		cfg.Privacy.Defense = defense
+		tr := propertyTrainer(t, sp, cfg)
+		checked := 0
+		for round := 0; round < cfg.Rounds; round++ {
+			for _, o := range observeRound(tr, round, nil, nil).outcomes {
+				if o.UploadBytes != comm.PredictionWireSize*len(o.Upload) {
+					t.Fatalf("%s round %d: user %d's %d predictions cost %d bytes, want 12 each", defense, round, o.ID, len(o.Upload), o.UploadBytes)
+				}
+				for _, p := range o.Upload {
+					if p.User != o.ID || p.Item < 0 || p.Item >= sp.NumItems || !(p.Score >= 0 && p.Score <= 1) {
+						t.Fatalf("%s round %d: user %d uploads %+v", defense, round, o.ID, p)
 					}
+					checked++
 				}
 			}
-			if checked == 0 {
-				t.Fatalf("%s quantize=%v: no prediction was uploaded", defense, quantize)
-			}
+		}
+		if checked == 0 {
+			t.Fatalf("%s: no prediction was uploaded", defense)
 		}
 	}
 }

@@ -76,10 +76,9 @@ type Trainer struct {
 	// engine, which closes a round beside the next round's free wave.
 	clientTrain float64
 
-	// server/clients alias into the engine and host (tests and the
-	// in-package benchmarks reach through them).
-	server  *Server
-	clients []*Client
+	// server aliases into the engine (tests and the in-package benchmarks
+	// reach through it).
+	server *Server
 
 	// evaluator holds the split's evaluated-user list across rounds (nothing
 	// per user: candidates are the complement of Split.Train[u]), built lazily
@@ -98,28 +97,19 @@ func NewTrainer(sp *data.Split, cfg Config) (*Trainer, error) {
 	if err != nil {
 		return nil, err
 	}
-	t := &Trainer{
-		cfg:     cfg,
-		split:   sp,
-		host:    host,
-		engine:  engine,
-		server:  engine.server,
-		clients: host.clients,
-	}
-	return t, nil
+	return &Trainer{cfg: cfg, split: sp, host: host, engine: engine, server: engine.server}, nil
 }
 
-// client returns participant i, constructing it on first use under
-// Config.LazyClients.
+// client returns participant i, constructing it on first use.
 func (t *Trainer) client(i int) *Client { return t.host.Client(i) }
 
 // Clients exposes the participant list (tests, examples), materialising any
-// clients a lazy trainer has not built yet.
+// clients not built yet.
 func (t *Trainer) Clients() []*Client {
-	for i := range t.clients {
+	for i := range t.host.clients {
 		t.client(i)
 	}
-	return t.clients
+	return t.host.clients
 }
 
 // Server exposes the server (tests, examples).

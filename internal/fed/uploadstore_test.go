@@ -44,7 +44,7 @@ func makeUpload(u, m, numItems int, s *rng.Stream) []comm.Prediction {
 // traffic: for every server model kind and worker count, under a fault plan
 // that drops and truncates uploads, every responder's D̃ᵢ — payload and
 // decoded values — equals what the scalar dispersal oracle
-// (disperse_oracle_test.go) builds, through the same wire codec, from the
+// (disperse_oracle_test.go) builds, through the same wire round trip, from the
 // record's latest view of that user.
 func TestUploadStoreInvariance(t *testing.T) {
 	kinds := []models.Kind{models.KindMF, models.KindNeuMF, models.KindNGCF, models.KindLightGCN}
@@ -79,7 +79,7 @@ func TestUploadStoreInvariance(t *testing.T) {
 					if disperseNeedsStreams(sv.cfg) {
 						ds = tr.engine.root.DeriveN("disperse", round).DeriveN("client", d.ID)
 					}
-					payload, want := wireRoundTrip(sv.disperse(tgt, ds, plan, scratch), cfg.QuantizeScores)
+					payload, want := wireRoundTrip(sv.disperse(tgt, ds, plan, scratch))
 					if !bytes.Equal(d.Payload, payload) || !slices.Equal(d.Preds, want) {
 						t.Fatalf("%s/workers=%d round %d user %d: dispersed\n  %v\nthe oracle over the latest upload says\n  %v",
 							server, workers, round, d.ID, d.Preds, want)
@@ -90,16 +90,27 @@ func TestUploadStoreInvariance(t *testing.T) {
 	}
 }
 
-// TestLazyClientsHistoryInvariance pins on-demand client construction:
-// everything a client owns derives purely from (config, split, id), so a
-// lazily-built fleet must reproduce the eager fleet's History bit for bit.
+// TestLazyClientsHistoryInvariance pins that construction order cannot change
+// a bit: everything a client owns derives purely from (config, split, id), so
+// a trainer whose clients were all built in id order before round 0 must
+// reproduce, bit for bit, the History of one that builds each client in the
+// round that first selects it — at half participation, so that the lazy
+// trainer's later clients are built rounds after the first.
 func TestLazyClientsHistoryInvariance(t *testing.T) {
 	cfg := fastConfig(models.KindLightGCN)
-	cfg.Rounds = 2
+	cfg.Rounds = 3
 	cfg.EvalEvery = 1
-	eager := runHistory(t, cfg)
-	cfg.LazyClients = true
-	requireEqualHistories(t, "lazy-clients", eager, runHistory(t, cfg))
+	cfg.ClientFraction = 0.5
+	eager, err := NewTrainer(tinySplit(t), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eager.Clients()
+	h, err := eager.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireEqualHistories(t, "built up front vs on first participation", h, runHistory(t, cfg))
 }
 
 // storeAllocFixture builds a warmed server + batch for the steady-state
