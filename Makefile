@@ -8,7 +8,7 @@ GO ?= go
 # CI, fails above it. A change that shrinks the code lowers it to the size it
 # reaches; one that has to grow the code raises it in the same diff, where a
 # reviewer sees the price.
-LOC_BUDGET = 13055
+LOC_BUDGET = 13082
 
 # The packages whose concurrent paths CI runs in full (not -short) under the
 # race detector; ci.yml says why each is there (fed.Waves' client waves
@@ -19,7 +19,7 @@ RACE_FULL = ./internal/eval/... ./internal/fed/... ./internal/graph/... \
 	./internal/comm/... ./internal/coord/... ./internal/rng/... \
 	./internal/tensor/... ./internal/nn/...
 
-.PHONY: build cross test race experiments race-full fuzz-wire selftest examples bench-module bench benchmark loc traffic fmt fmt-check vet ci
+.PHONY: build cross test race experiments race-full fuzz-wire fuzz-kernels selftest examples bench-module bench benchmark loc traffic fmt fmt-check vet ci
 
 build:
 	$(GO) build ./...
@@ -56,6 +56,13 @@ race-full:
 fuzz-wire:
 	$(GO) test ./internal/comm -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime 15s
 	$(GO) test ./internal/comm -run '^$$' -fuzz '^FuzzDecodePredictions$$' -fuzztime 15s
+
+# fuzz-kernels fuzzes the two kernels evaluation's scores pass through: the
+# gathered scoring GEMM against the 4×2 kernel it replaced (query panels up
+# to 131 rows) and the rank counter against the naive sort (~20 s together).
+fuzz-kernels:
+	$(GO) test ./internal/tensor -run '^$$' -fuzz '^FuzzGatherMulMat$$' -fuzztime 10s
+	$(GO) test ./internal/eval -run '^$$' -fuzz '^FuzzRankCountMatchesNaive$$' -fuzztime 10s
 
 # selftest is the loopback e2e smoke: coordinator + two participants over real
 # HTTP must reproduce the serial in-process round loop bitwise.
@@ -119,8 +126,10 @@ bench-module:
 # (the pin is TestBlockTopKMatchesPushAndAllocsNothing) — and
 # BenchmarkEvaluatorRank one worker's evaluation at rank-heavy's shape (a
 # trained MF scorer, d = 16, 4 096 items): the BlockTopK body evaluation ran
-# through before beside the rank-counting engine, 0 allocs/op each (the pins
-# are FuzzRankCountMatchesNaive and TestEvaluatorAllocsPerUser); internal/fed's BenchmarkMFClientRound times
+# through before beside the rank-counting engine swept over batch ∈ {16, 64,
+# 128, 256} × window ∈ {128, 256, 512}, the sweep evalUsersBatch and
+# evalScoreChunk were chosen from, 0 allocs/op each (the pins are
+# FuzzRankCountMatchesNaive and TestEvaluatorAllocsPerUser); internal/fed's BenchmarkMFClientRound times
 # one MF client round at net-loopback's shape (d = 16, 900 items, clients
 # taken in turn so their rows are cold) and reports ns/op and allocs/op (the
 # pin is TestMFClientRoundSteadyStateAllocs); internal/coord's
@@ -192,4 +201,4 @@ fmt-check:
 vet:
 	$(GO) vet ./...
 
-ci: fmt-check vet build cross loc race experiments race-full fuzz-wire selftest examples bench-module bench
+ci: fmt-check vet build cross loc race experiments race-full fuzz-wire fuzz-kernels selftest examples bench-module bench

@@ -960,6 +960,59 @@ func TestRunRefusesBadDispersal(t *testing.T) {
 	}
 }
 
+// TestRunRefusesBadRoundStart pins the participant's check on a round-start
+// announcement: a user past the hosted range is refused before any client
+// trains — one past the catalogue would index past the host's clients and
+// panic on a worker goroutine, a catalogue user another participant hosts
+// would be trained anyway — and so is a user named twice, whose client would
+// train on two goroutines at once.
+func TestRunRefusesBadRoundStart(t *testing.T) {
+	sp := testSplit()
+	for name, c := range map[string]struct {
+		hi    int
+		users []int
+		want  string
+	}{
+		"user at hi":       {20, []int{3, 20}, "user 20 outside hosted range [0, 20)"},
+		"user at NumUsers": {sp.NumUsers, []int{3, sp.NumUsers}, fmt.Sprintf("user %d outside hosted range [0, %d)", sp.NumUsers, sp.NumUsers)},
+		"duplicate":        {sp.NumUsers, []int{3, 5, 3}, "user 3 twice"},
+	} {
+		t.Run(name, func(t *testing.T) {
+			var uploads atomic.Int32
+			srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				switch r.URL.Path {
+				case "/v1/poll":
+					comm.WriteFrame(w, comm.MsgRoundStart, comm.EncodeRoundStart(comm.RoundStart{Round: 0, Users: c.users}))
+					comm.WriteFrame(w, comm.MsgShutdown, nil)
+				case "/v1/upload":
+					uploads.Add(1)
+					comm.WriteFrame(w, comm.MsgAck, nil)
+				case "/v1/leave":
+					comm.WriteFrame(w, comm.MsgAck, nil)
+				default:
+					http.NotFound(w, r)
+				}
+			}))
+			defer srv.Close()
+			cfg := testConfig(models.KindMF, 1)
+			host, err := fed.NewClientHost(sp, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p := &Participant{base: srv.URL, hc: srv.Client(), lo: 0, hi: c.hi, cfg: cfg, host: host}
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			defer cancel()
+			err = p.Run(ctx)
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("Run on RS(0) for users %v hosting [0, %d) = %v, want the refusal %q", c.users, c.hi, err, c.want)
+			}
+			if n := uploads.Load(); n != 0 {
+				t.Fatalf("Run uploaded %d results before refusing the announcement", n)
+			}
+		})
+	}
+}
+
 // TestRebuildRefusesBadPrivacyWindow pins that a participant validates the
 // config a join-ack carries before hosting anyone: γ window [3, 1] would
 // otherwise pass construction and panic in the upload sampler of the first

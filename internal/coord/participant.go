@@ -106,10 +106,11 @@ func (p *Participant) Token() uint64 { return p.token }
 // out the previous one at once (overlapping the coordinator's close of that
 // round) and the rest once the previous round's dispersals and end marker
 // have arrived. An announcement while a gated wave still waits — the
-// previous round's end marker missing — is an error. The event loop itself
-// only decodes frames and records the waves' errors.
+// previous round's end marker missing — or one checkRoundUsers refuses is an
+// error. The event loop only decodes frames and records the waves' errors.
 func (p *Participant) Run(ctx context.Context) error {
 	after := 0
+	seen := map[int]bool{} // checkRoundUsers' scratch
 	waves := fed.NewWaves()
 	defer waves.Wait()
 	var waveErr atomic.Pointer[error] // the first error a wave returned
@@ -133,6 +134,9 @@ func (p *Participant) Run(ctx context.Context) error {
 			case comm.MsgRoundStart:
 				rs, err := comm.DecodeRoundStart(f.payload)
 				if err != nil {
+					return err
+				}
+				if err := p.checkRoundUsers(rs, seen); err != nil {
 					return err
 				}
 				if _, err := waves.Announce(rs.Round, rs.Users, func(slots []int) {
@@ -172,6 +176,24 @@ func (p *Participant) Run(ctx context.Context) error {
 			}
 		}
 	}
+}
+
+// checkRoundUsers refuses an announced user outside the hosted range — past
+// the catalogue it would index past the host's clients, inside it train
+// another participant's user — or named twice, which would train one client
+// on two goroutines at once. seen is scratch.
+func (p *Participant) checkRoundUsers(rs comm.RoundStart, seen map[int]bool) error {
+	clear(seen)
+	for _, u := range rs.Users {
+		if u < p.lo || u >= p.hi {
+			return fmt.Errorf("coord: round %d announces user %d outside hosted range [%d, %d)", rs.Round, u, p.lo, p.hi)
+		}
+		if seen[u] {
+			return fmt.Errorf("coord: round %d announces user %d twice", rs.Round, u)
+		}
+		seen[u] = true
+	}
+	return nil
 }
 
 // deliver decodes one pushed dispersal and hands it to the hosted client,

@@ -53,11 +53,11 @@ func TestBlockTopKMatchesPushAndAllocsNothing(t *testing.T) {
 }
 
 // BenchmarkBlockTopK times one selection over 16 users × 4 096 items at
-// d = 16 (an MF scorer), windowed as evaluation and dispersal run it, for
+// d = 16 (an MF scorer), in the 1024-item windows dispersal runs it in, for
 // train-list-shaped exclusions (1 item in 20, cutoff 20) and upload-shaped
 // ones (40 items, cutoff α = 30). A warm engine reports 0 allocs/op.
 func BenchmarkBlockTopK(b *testing.B) {
-	const numUsers, numItems, dim = 16, 4096, 16
+	const numUsers, numItems, dim, window = 16, 4096, 16, 1024
 	m, err := models.New(models.KindMF, models.Config{NumUsers: numUsers, NumItems: numItems, Dim: dim, LR: 1e-2, Seed: 3})
 	if err != nil {
 		b.Fatal(err)
@@ -76,7 +76,7 @@ func BenchmarkBlockTopK(b *testing.B) {
 			slices.Sort(excl[u])
 		}
 		b.Run(shape.name, func(b *testing.B) {
-			tk := NewBlockTopK(items, numUsers, evalScoreChunk, shape.k)
+			tk := NewBlockTopK(items, numUsers, window, shape.k)
 			var top []int
 			selectAll := func() {
 				tk.Select(mbs, users, excl)

@@ -22,17 +22,17 @@
 // window: Split.Train[u] is ascending and stays in memory, so nothing per
 // (user, item) is stored. Every held-out item is a candidate, as a Split's
 // two sides are disjoint. Scorers that implement models.MultiBlockScorer rank
-// through rankCounter, in the logit domain: evalUsersBatch users' held-out
-// items are scored in one block, then each item window is scored only for the
-// users still counting, and only logits inside a held-out item's
-// metrics.LogitBand pay for a sigmoid. Any other scorer (a models.ScorerFunc:
-// per-client adapters, the parameter-transmission baselines) is scored per
-// user through ScoreItems over the complement list rebuilt into worker
-// scratch, and counted over those probabilities. That one type test is the
-// only engine choice; both paths are bitwise-identical to the naive
-// score-everything-then-sort evaluation (metrics.TopK), so Results never
-// depend on the path taken. A NaN score never beats, and a held-out item
-// whose own score is NaN is never a hit.
+// through rankCounter, in the logit domain, evalUsersBatch users at a time:
+// each user's held-out items are scored as a one-user block, each item window
+// in one block for the batch's users still counting, and only logits inside a
+// held-out item's metrics.LogitBand pay for a sigmoid. Any other scorer (a
+// models.ScorerFunc: per-client adapters, the parameter-transmission
+// baselines) is scored per user through ScoreItems over the complement list
+// rebuilt into worker scratch, and counted over those probabilities. That one
+// type test is the only engine choice; both paths are bitwise-identical to
+// the naive score-everything-then-sort evaluation (metrics.TopK), so Results
+// never depend on the path taken. A NaN score never beats, and a held-out
+// item whose own score is NaN is never a hit.
 //
 // The package consumes the models scoring interface family directly
 // (models.Scorer, its MultiBlockScorer refinement, models.Warmer for lazily
@@ -49,22 +49,24 @@ import (
 	"ptffedrec/internal/par"
 )
 
-// evalUsersBatch is how many users the batched engine scores per kernel call:
-// the multi-user GEMM loads each item-embedding row once per batch instead of
-// once per user, and its interleaved accumulators hide FP-add latency. Purely
-// a scheduling knob — the batch grouping never changes results. A var so
-// tests can shrink it to force multi-batch runs on small user sets.
-var evalUsersBatch = 16
+// evalUsersBatch is how many users the batched engine counts together: each
+// window is one kernel call over the batch's users still counting, which
+// packs each item strip once for all of them, so a wide batch keeps that
+// call's rows many once most users have left (at 16, about 4.8 a window, a
+// quarter of the scored rows being tile padding). Purely a scheduling knob —
+// the batch grouping never changes results. A var so tests can shrink it.
+var evalUsersBatch = 128
 
 // evalScoreChunk is the item-window width of the batched engine: a batch's
 // logits materialise active-users×chunk at a time, and a user whose held-out
 // items are all decided leaves before the next window, so a narrower window
-// stops scoring sooner at a higher per-call cost. Windows of 256 to 1024 items
-// timed within about 10 % of each other at rank-heavy's shape
-// (BenchmarkEvaluatorRank and the workload itself); 512 was at least as fast
-// as any. A var so tests can shrink it to force multi-window counts on small
-// catalogues.
-var evalScoreChunk = 512
+// stops scoring sooner at a higher per-call cost. The pair comes from a sweep
+// of batch ∈ {16, 64, 128, 256} × window ∈ {128, 256, 512} (2 cores): on the
+// rank-heavy workload it read 0.259 core-s a round, against 0.345 at 16 × 512,
+// 0.272 at 64 × 256 and 0.264 at 128 × 512; only batch 256 read lower, 1–4 %
+// here and in BenchmarkEvaluatorRank, inside the spread, for twice the
+// scratch. A var so tests can shrink it to force multi-window counts.
+var evalScoreChunk = 256
 
 // Result holds user-averaged ranking metrics.
 type Result struct {

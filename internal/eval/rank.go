@@ -10,8 +10,8 @@ import (
 )
 
 // rankCounter is one worker's batched rank-counting engine. Per batch of up
-// to evalUsersBatch users it scores every user's held-out items in one
-// ScoreUsersBlockLogitsInto call, then streams the item universe one window
+// to evalUsersBatch users it scores each user's held-out items as a one-user
+// ScoreUsersBlockLogitsInto block, then streams the item universe one window
 // at a time, scoring it only for the users with a held-out item still
 // undecided. Each user's train list is walked across the window with a
 // cursor, as BlockTopK walks an exclusion list, and each run of candidates
@@ -25,7 +25,7 @@ import (
 //
 // Bitwise equivalence with the naive evaluation: by the MultiBlockScorer
 // contract a logit does not depend on the block it was scored in, so the
-// held-out block and the windows give σ exactly ScoreItems' probabilities;
+// held-out blocks and the windows give σ exactly ScoreItems' probabilities;
 // LogitBand's promise makes every logit outside the band decide Beats as
 // exact σ would; and a count stopped at k is a miss whatever the rest of the
 // catalogue holds. Window width, batch size and the padding rows are
@@ -36,7 +36,6 @@ type rankCounter struct {
 	k      int
 	users  []batchUser
 	held   []heldItem // the batch's held-out items, user by user
-	items  []int      // their ids: the held-out block's columns
 	active []int      // batch positions of the users still counting
 	rows   []int      // the window block's users: active ones padded to whole 4-row tiles
 	ranks  []int
@@ -72,8 +71,8 @@ func (e *Evaluator) rankBatched(s models.MultiBlockScorer, lo, hi, k int, recall
 }
 
 // newRankCounter sizes the engine's scratch for a batch of evalUsersBatch
-// users, a window of evalScoreChunk items and 8 held-out items a user, so
-// only a batch holding more held-out items than that grows it.
+// users, a window of evalScoreChunk items and 8 held-out items a user; only a
+// batch or a user holding more held-out items than that fits grows it.
 func (e *Evaluator) newRankCounter(s models.MultiBlockScorer, k int) *rankCounter {
 	const held = 8
 	return &rankCounter{
@@ -82,34 +81,30 @@ func (e *Evaluator) newRankCounter(s models.MultiBlockScorer, k int) *rankCounte
 		k:      k,
 		users:  make([]batchUser, 0, evalUsersBatch),
 		held:   make([]heldItem, 0, held*evalUsersBatch),
-		items:  make([]int, 0, held*evalUsersBatch),
 		active: make([]int, 0, evalUsersBatch),
 		rows:   make([]int, 0, evalUsersBatch+3),
 		ranks:  make([]int, 0, held),
-		scores: make([]float64, (evalUsersBatch+3)*max(evalScoreChunk, held*evalUsersBatch)),
+		scores: make([]float64, (evalUsersBatch+3)*evalScoreChunk),
 	}
 }
 
 // rank counts users [b, be) of e.users.
 func (rc *rankCounter) rank(b, be int, recalls, ndcgs []float64) {
 	sp := rc.e.sp
-	users := rc.e.users[b:be]
-	rc.users, rc.items = rc.users[:0], rc.items[:0]
-	for _, u := range users {
-		rc.items = append(rc.items, sp.Test[u]...)
-		rc.users = append(rc.users, batchUser{u: u, lo: len(rc.items) - len(sp.Test[u]), hi: len(rc.items)})
-	}
-	rc.held, rc.active = rc.held[:0], rc.active[:0]
-	logits := rc.block(len(users), len(rc.items))
-	rc.s.ScoreUsersBlockLogitsInto(logits, users, rc.items)
-	for i := range rc.users {
-		bu := &rc.users[i]
-		for h := bu.lo; h < bu.hi; h++ {
-			rc.held = append(rc.held, newHeldItem(rc.items[h], logits.Row(i)[h], rc.k))
-			if rc.held[h].open {
+	rc.users, rc.held, rc.active = rc.users[:0], rc.held[:0], rc.active[:0]
+	for i := range be - b {
+		one := rc.e.users[b+i : b+i+1]
+		test := sp.Test[one[0]]
+		bu := batchUser{u: one[0], lo: len(rc.held), hi: len(rc.held) + len(test)}
+		logits := rc.block(1, len(test))
+		rc.s.ScoreUsersBlockLogitsInto(logits, one, test)
+		for j, v := range test {
+			rc.held = append(rc.held, newHeldItem(v, logits.Data[j], rc.k))
+			if rc.held[len(rc.held)-1].open {
 				bu.open++
 			}
 		}
+		rc.users = append(rc.users, bu)
 		if bu.open > 0 {
 			rc.active = append(rc.active, i)
 		}

@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -137,14 +138,26 @@ func TestRankNaNRule(t *testing.T) {
 
 // TestRankCountMatchesOracle holds the engine to the BlockTopK body it
 // replaced (eval_oracle_test.go) on trained models of every kind, for the
-// shipped batch and window and for shrunken ones.
+// shipped batch and window (128 users, 256 items), the 16 × 512 they
+// replaced, shrunken ones, and a 2 × 1 shape whose 5-logit score scratch
+// some user's held-out list outgrows.
 func TestRankCountMatchesOracle(t *testing.T) {
 	defer func(b, c int) { evalUsersBatch, evalScoreChunk = b, c }(evalUsersBatch, evalScoreChunk)
 	d := data.Generate(data.ML100KSmall, 5)
 	sp := d.Split(rng.New(6), 0.2)
+	if evalUsersBatch != 128 || evalScoreChunk != 256 {
+		t.Fatalf("shipped shape %d × %d, want the 128 × 256 pinned here", evalUsersBatch, evalScoreChunk)
+	}
+	maxHeld := 0
+	for _, test := range sp.Test {
+		maxHeld = max(maxHeld, len(test))
+	}
+	if maxHeld <= (2+3)*1 {
+		t.Fatalf("largest held-out list %d fits the 2 × 1 shape's scratch", maxHeld)
+	}
 	for _, kind := range []models.Kind{models.KindMF, models.KindNeuMF, models.KindLightGCN, models.KindNGCF} {
 		m := trainedModel(t, kind, sp)
-		for _, shape := range []struct{ batch, chunk int }{{16, 512}, {5, 37}, {1, 1}} {
+		for _, shape := range []struct{ batch, chunk int }{{128, 256}, {16, 512}, {5, 37}, {2, 1}, {1, 1}} {
 			evalUsersBatch, evalScoreChunk = shape.batch, shape.chunk
 			e := NewEvaluator(sp)
 			want := oracleRank(e, m.(models.MultiBlockScorer), 20)
@@ -158,8 +171,10 @@ func TestRankCountMatchesOracle(t *testing.T) {
 // BenchmarkEvaluatorRank times one worker's evaluation at rank-heavy's shape —
 // an MF scorer at d = 16 over 4 096 items, about 15 interactions a user, 512
 // users — trained until held-out items rank well above chance: the BlockTopK
-// body the engine replaced ("oracle") beside the rank-counting engine
-// ("count"). Both report 0 allocs/op once warm.
+// body the engine replaced ("oracle", at the shipped batch and window) beside
+// the rank-counting engine ("count") swept over batch ∈ {16, 64, 128, 256}
+// and window ∈ {128, 256, 512}, the sweep evalUsersBatch and evalScoreChunk
+// were chosen from. Every arm reports 0 allocs/op once warm.
 func BenchmarkEvaluatorRank(b *testing.B) {
 	const dim = 16
 	p := data.Profile{Name: "rank-bench", NumUsers: 512, NumItems: 4096, Interactions: 512 * 15,
@@ -188,32 +203,36 @@ func BenchmarkEvaluatorRank(b *testing.B) {
 	e := NewEvaluator(sp)
 	users := e.Users()
 	recalls, ndcgs := make([]float64, users), make([]float64, users)
-	o := newOracleEval(e, 20)
-	rc := e.newRankCounter(mbs, 20)
-	for _, arm := range []struct {
-		name  string
-		batch func(lo, hi int)
-	}{
-		{"oracle", func(lo, hi int) { o.batch(mbs, lo, hi, recalls, ndcgs) }},
-		{"count", func(lo, hi int) { rc.rank(lo, hi, recalls, ndcgs) }},
-	} {
-		b.Run(arm.name, func(b *testing.B) {
-			all := func() {
-				for lo := 0; lo < users; lo += evalUsersBatch {
-					arm.batch(lo, min(lo+evalUsersBatch, users))
-				}
+	run := func(b *testing.B, batch func(lo, hi int)) {
+		all := func() {
+			for lo := 0; lo < users; lo += evalUsersBatch {
+				batch(lo, min(lo+evalUsersBatch, users))
 			}
-			all() // warms the score backings
-			b.ReportAllocs()
-			for b.Loop() {
-				all()
-			}
-			var agg metrics.RankEval
-			for i := range recalls {
-				agg.AddUser(recalls[i], ndcgs[i])
-			}
-			_, ndcg := agg.Mean()
-			b.ReportMetric(ndcg, "ndcg")
-		})
+		}
+		all() // warms the score backings
+		b.ReportAllocs()
+		for b.Loop() {
+			all()
+		}
+		var agg metrics.RankEval
+		for i := range recalls {
+			agg.AddUser(recalls[i], ndcgs[i])
+		}
+		_, ndcg := agg.Mean()
+		b.ReportMetric(ndcg, "ndcg")
+	}
+	b.Run("oracle", func(b *testing.B) {
+		o := newOracleEval(e, 20)
+		run(b, func(lo, hi int) { o.batch(mbs, lo, hi, recalls, ndcgs) })
+	})
+	defer func(b, c int) { evalUsersBatch, evalScoreChunk = b, c }(evalUsersBatch, evalScoreChunk)
+	for _, batch := range []int{16, 64, 128, 256} {
+		for _, window := range []int{128, 256, 512} {
+			b.Run(fmt.Sprintf("count/batch=%d/window=%d", batch, window), func(b *testing.B) {
+				evalUsersBatch, evalScoreChunk = batch, window
+				rc := e.newRankCounter(mbs, 20)
+				run(b, func(lo, hi int) { rc.rank(lo, hi, recalls, ndcgs) })
+			})
+		}
 	}
 }

@@ -16,11 +16,12 @@ import (
 // chunked MLP forwards. It is the contract's one method, and logit-domain
 // only: eval.BlockTopK, the top-K engine dispersal's hard half selects
 // through, pushes logits under metrics.LogitTopKSelector's tie-safe contract,
-// applying σ only to the winners it keeps; evaluation's rank counter compares
-// logits against each held-out item's metrics.LogitBand, applying σ only
-// inside it; and dispersal re-scores each client's chosen items — whose lists
-// differ per client — as a one-user block, applying σ to every entry it
-// ships.
+// applying σ only to the winners it keeps; evaluation's rank counter scores
+// each user's held-out items as a one-user block and compares its batch's
+// window logits against each held-out item's metrics.LogitBand, applying σ
+// only inside it; and dispersal re-scores each client's chosen items — whose
+// lists differ per client — as a one-user block, applying σ to every entry
+// it ships.
 //
 // The contract is strict: σ (nn.Sigmoid) of dst.Row(i) is bitwise-identical
 // to ScoreItems(users[i], items) for any batch composition — so each row

@@ -5,13 +5,14 @@ package tensor
 // query rows gathered from one matrix is scored against a block of candidate
 // rows gathered from another, producing a dense query×candidate score matrix
 // in one pass. A block of one query row is how dispersal re-scores a
-// client's chosen items.
+// client's chosen items and evaluation scores a user's held-out items.
 //
 // Determinism contract: densegemm.go's, the one every dense product keeps —
 // each output element is one sum, k-ascending from +0, with the multiply and
 // the add rounded separately. That is Dot's order, so a multi-user GEMM score
 // is bitwise-identical to the per-item dot loop it replaces. GatherMulMat*
-// packs its rows into panels and runs the core's tiles.
+// packs every query row and every candidate strip once per call and runs the
+// core's tiles over the whole block; a one-row block is a Dot per candidate.
 
 import (
 	"fmt"
@@ -49,10 +50,6 @@ func GatherMulMatAddInto(dst *Matrix, a *Matrix, arows []int, aoff int, b *Matri
 	gatherMulMat(dst, a, arows, aoff, b, brows, boff, true)
 }
 
-// gatherRows is gatherMulMat's query block: its rows are packed once, and
-// each candidate strip packed for it feeds four tile rows.
-const gatherRows = 16
-
 // gatherScratch holds gatherMulMat's panels. It is pooled because a panel
 // handed to the tile through the fullTile func var escapes: on the stack it
 // would be a heap allocation per call.
@@ -60,41 +57,51 @@ type gatherScratch struct{ buf []float64 }
 
 var gatherPool = sync.Pool{New: func() any { return new(gatherScratch) }}
 
-// gatherMulMat computes the kernel on the dense core (densegemm.go): per
-// block of up to gatherRows query rows, the rows are packed into a row-major
-// panel, and per strip of up to eight candidates the rows are packed into a
-// d×8 Bᵀ panel; gemmBlock then writes the block × strip tiles straight into
-// dst. The Add form has them written to a strip of sums first and adds that
-// into dst, so every element is dst + Σ, the sum k-ascending from +0.
+// gatherMulMat computes the kernel on the dense core (densegemm.go): for two
+// or more query rows, all m are packed once into a row-major panel, and per
+// strip of up to eight candidates the rows are packed once into a d×8 Bᵀ
+// panel; gemmBlock then writes the m × strip tiles straight into dst. The Add
+// form has them written to an m×8 strip of sums first and adds that into dst,
+// so every element is dst + Σ, the sum k-ascending from +0.
 func gatherMulMat(dst *Matrix, a *Matrix, arows []int, aoff int, b *Matrix, brows []int, boff int, add bool) {
 	m, n, d := len(arows), len(brows), a.Cols
 	if m == 0 || n == 0 {
 		return
 	}
+	if m == 1 {
+		// One query row fills no 4-row tile, and packing its strips costs
+		// more than the product: Dot sums in the tiles' order.
+		q, row := a.Row(arows[0]+aoff), dst.Row(0)
+		for j, br := range brows {
+			if s := Dot(q, b.Row(br+boff)); add {
+				row[j] += s
+			} else {
+				row[j] = s
+			}
+		}
+		return
+	}
 	ws := gatherPool.Get().(*gatherScratch)
-	need := (gatherRows+8)*d + gatherRows*8
+	need := (m+8)*d + m*8
 	if cap(ws.buf) < need {
 		ws.buf = make([]float64, need)
 	}
-	ap := ws.buf[:gatherRows*d]
-	bp := ws.buf[gatherRows*d : (gatherRows+8)*d]
-	sums := ws.buf[(gatherRows+8)*d : need]
-	for i0 := 0; i0 < m; i0 += gatherRows {
-		mb := min(gatherRows, m-i0)
-		for r, ar := range arows[i0 : i0+mb] {
-			copy(ap[r*d:(r+1)*d], a.Row(ar+aoff))
+	ap := ws.buf[:m*d]
+	bp := ws.buf[m*d : (m+8)*d]
+	sums := ws.buf[(m+8)*d : need]
+	for r, ar := range arows {
+		copy(ap[r*d:(r+1)*d], a.Row(ar+aoff))
+	}
+	for j := 0; j < n; j += 8 {
+		nr := min(8, n-j)
+		packStrip(bp, b, brows[j:j+nr], boff)
+		if !add {
+			gemmBlock(dst.Data[j:], n, ap, d, 1, bp, 8, m, nr, d)
+			continue
 		}
-		for j := 0; j < n; j += 8 {
-			nr := min(8, n-j)
-			packStrip(bp, b, brows[j:j+nr], boff)
-			if !add {
-				gemmBlock(dst.Data[i0*n+j:], n, ap, d, 1, bp, 8, mb, nr, d)
-				continue
-			}
-			gemmBlock(sums, 8, ap, d, 1, bp, 8, mb, nr, d)
-			for r := range mb {
-				AddVec(sums[r*8:r*8+nr], dst.Row(i0 + r)[j:j+nr])
-			}
+		gemmBlock(sums, 8, ap, d, 1, bp, 8, m, nr, d)
+		for r := range m {
+			AddVec(sums[r*8:r*8+nr], dst.Row(r)[j:j+nr])
 		}
 	}
 	gatherPool.Put(ws)

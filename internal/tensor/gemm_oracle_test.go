@@ -439,10 +439,11 @@ func requireGatherMatchesOracle(t *testing.T, seed int64, m, n, d int) {
 
 // TestGatherMulMatMatchesOracle pins the gathered products to the kernel they
 // replaced: every depth 0…70 across every query count 0…21 (with a candidate
-// count that walks 0…70 as they vary), and the full 0…21 × 0…70 grid of
-// query and candidate counts — every edge of the 16-row block, the 4-row tile
-// and the 8-candidate strip — at a few depths either side of a packed panel's
-// natural widths.
+// count that walks 0…70 as they vary), the full 0…21 × 0…70 grid of query
+// and candidate counts — every edge of the 4-row tile and the 8-candidate
+// strip — at a few depths either side of a packed panel's natural widths, and
+// query panels of 31 to 131 rows, past the 16-row block the kernel once
+// packed per strip, against candidate counts ending in a short strip.
 func TestGatherMulMatMatchesOracle(t *testing.T) {
 	seed := int64(1)
 	for d := 0; d <= 70; d++ {
@@ -459,31 +460,43 @@ func TestGatherMulMatMatchesOracle(t *testing.T) {
 			}
 		}
 	}
+	for _, d := range []int{1, 16, 33} {
+		for _, m := range []int{31, 32, 33, 64, 131} {
+			for _, n := range []int{5, 29, 67} {
+				requireGatherMatchesOracle(t, seed, m, n, d)
+				seed++
+			}
+		}
+	}
 }
 
 func FuzzGatherMulMat(f *testing.F) {
 	f.Add(int64(1), uint8(16), uint8(64), uint8(16))
 	f.Add(int64(2), uint8(21), uint8(70), uint8(33))
 	f.Add(int64(3), uint8(3), uint8(7), uint8(1))
+	f.Add(int64(4), uint8(131), uint8(29), uint8(16))
 	f.Fuzz(func(t *testing.T, seed int64, m, n, d uint8) {
-		requireGatherMatchesOracle(t, seed, int(m)%40, int(n), int(d)%96)
+		requireGatherMatchesOracle(t, seed, int(m)%132, int(n), int(d)%96)
 	})
 }
 
-// TestGatherMulMatSteadyStateAllocs pins the pooled panels: once a depth's
-// scratch exists, neither form allocates.
+// TestGatherMulMatSteadyStateAllocs pins the pooled panels: once the scratch
+// has grown to a shape's panels, neither form allocates — at dispersal's 16
+// query rows and at evaluation's padded 131.
 func TestGatherMulMatSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's sync.Pool drops scratch on purpose")
 	}
-	a, b, arows, brows := randGatherFixture(3, 16, 1024, 2048, 16, 0)
-	dst := New(len(arows), len(brows))
-	for name, f := range map[string]func(){
-		"plain": func() { GatherMulMatInto(dst, a, arows, 0, b, brows, 0) },
-		"add":   func() { GatherMulMatAddInto(dst, a, arows, 0, b, brows, 0) },
-	} {
-		if allocs := testing.AllocsPerRun(20, f); allocs != 0 {
-			t.Fatalf("%s: %v allocations per call, want 0", name, allocs)
+	for _, m := range []int{16, 131} {
+		a, b, arows, brows := randGatherFixture(3, m, 1024, 2048, 16, 0)
+		dst := New(len(arows), len(brows))
+		for name, f := range map[string]func(){
+			"plain": func() { GatherMulMatInto(dst, a, arows, 0, b, brows, 0) },
+			"add":   func() { GatherMulMatAddInto(dst, a, arows, 0, b, brows, 0) },
+		} {
+			if allocs := testing.AllocsPerRun(20, f); allocs != 0 {
+				t.Fatalf("m=%d %s: %v allocations per call, want 0", m, name, allocs)
+			}
 		}
 	}
 }
