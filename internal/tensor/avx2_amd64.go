@@ -9,6 +9,12 @@ package tensor
 //go:noescape
 func gemmTile4x8AVX2(c *float64, ldc int, a *float64, sai, sak int, b *float64, ldb, kk int)
 
+// gemmTile8x8AVX512 is gemmTile4x8AVX2 over eight rows (r < 8), eight lanes
+// at a time: the same per-element operation sequence, so the same bits.
+//
+//go:noescape
+func gemmTile8x8AVX512(c *float64, ldc int, a *float64, sai, sak int, b *float64, ldb, kk int)
+
 // The AVX2 forms of elem.go's kernels (elem_amd64.s), four lanes per
 // instruction in the operation order of the Go bodies. n is a multiple of
 // four; nothing is bounds-checked.
@@ -39,13 +45,21 @@ func firstAboveAVX2(x *float64, n int, t float64) int
 //go:noescape
 func spmmRowsAVX2(dst, x *float64, ld, xrows int, rowPtr, rows *int, n, mrows int, col *int, val *float64, nnz, cols int) int
 
-// cpuHasAVX2 reports whether the CPU implements AVX2 and the operating system
-// saves the YMM registers (CPUID leaves 1 and 7, XGETBV).
-func cpuHasAVX2() bool
+// cpuFeatures reports whether the CPU implements AVX2 and the operating
+// system saves the YMM registers, and whether it also implements AVX512F and
+// the operating system saves the opmask and ZMM registers (CPUID leaves 1 and
+// 7, XGETBV).
+func cpuFeatures() (avx2, avx512 bool)
 
+// init installs the assembly bodies the CPU can run, once. The dense core's
+// tiles are chosen from the platform alone: the 8×8 AVX-512 tile only beside
+// the 4×8 AVX2 tile, which computes the 4-row band below the last 8-row one.
 func init() {
-	if cpuHasAVX2() {
-		fullTile = gemmTile4x8AVX2
+	if avx2, avx512 := cpuFeatures(); avx2 {
+		tile4x8 = gemmTile4x8AVX2
+		if avx512 {
+			tile8x8 = gemmTile8x8AVX512
+		}
 		adamKernel = adamAVX2
 		reluKernel = reluAVX2
 		reluMaskKernel = reluMaskAVX2

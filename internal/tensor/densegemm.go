@@ -10,12 +10,14 @@ package tensor
 // k-ascending from +0 with a separately rounded multiply and add (never a
 // fused multiply-add), exactly what the naive triple loop computes. The core
 // only changes which elements are in flight together: the output is cut into
-// 4-row × 8-column tiles, and a full tile is computed either by the AVX2
-// micro-kernel in gemm_amd64.s (amd64 CPUs that have AVX2; chosen once at
-// init) or by the register-blocked pure Go tile below, which also computes
-// every edge tile on every platform. The two tiles run the same per-element
-// operation sequence, so results are bitwise-identical with and without the
-// assembly, for every tiling and every worker count.
+// bands of 8 rows (where an 8×8 tile is installed) or 4 rows, and each band
+// into 8-column tiles. A full tile is computed by an assembly micro-kernel
+// from gemm_amd64.s, chosen once at init from what the CPU and OS support —
+// the AVX-512 8×8 tile, the AVX2 4×8 tile — or by the register-blocked pure
+// Go tile below, which also computes every edge tile on every platform. All
+// three run the same per-element operation sequence, so results are
+// bitwise-identical with and without the assembly, for every tiling and
+// every worker count.
 //
 // The one place the core differs from the naive loops it replaced
 // (gemm_oracle_test.go): those skipped a zero element of A, so 0 × ±Inf and
@@ -25,11 +27,12 @@ package tensor
 
 import "fmt"
 
-// fullTile, when non-nil, computes one full 4×8 tile of gemmBlock's output
-// in place of gemmTileGo: c, a and b point at the tile's first output
-// element, at A's element (tile row, 0) and at B's element (0, tile column).
-// It is set once, by avx2_amd64.go's init.
-var fullTile func(c *float64, ldc int, a *float64, sai, sak int, b *float64, ldb, kk int)
+// tile4x8 and tile8x8, when non-nil, compute one full 4×8 and 8×8 tile of
+// gemmBlock's output in place of gemmTileGo: c, a and b point at the tile's
+// first output element, at A's element (tile row, 0) and at B's element
+// (0, tile column). They are set once, by avx2_amd64.go's init, and tile8x8
+// only where tile4x8 is.
+var tile4x8, tile8x8 func(c *float64, ldc int, a *float64, sai, sak int, b *float64, ldb, kk int)
 
 // gemm computes the dense row-major m×n product
 //
@@ -58,24 +61,30 @@ func gemm(c, a []float64, sai, sak int, b []float64, m, n, kk int) {
 //
 //	c[i*ldc+j] = Σₖ a[i*sai+k*sak] · b[k*ldb+j],   i < m, j < n, k < kk
 //
-// tile by tile: every full 4×8 tile through fullTile, every edge tile — and
-// every tile of an empty sum, kk = 0 — through gemmTileGo. Every index must be
-// in range; the caller checks.
+// band by band: while tile8x8 is installed and 8 rows remain, an 8-row band
+// whose full 8-column tiles go through tile8x8; then 4-row bands whose full
+// tiles go through tile4x8. Every edge tile — and every tile of an empty sum,
+// kk = 0 — goes through gemmTileGo. Every index must be in range; the caller
+// checks.
 func gemmBlock(c []float64, ldc int, a []float64, sai, sak int, b []float64, ldb, m, n, kk int) {
-	for i := 0; i < m; i += 4 {
-		mr := min(4, m-i)
+	for i := 0; i < m; {
+		mr, tile := min(4, m-i), tile4x8
+		if m-i >= 8 && tile8x8 != nil {
+			mr, tile = 8, tile8x8
+		}
 		for j := 0; j < n; j += 8 {
 			nr := min(8, n-j)
-			if mr == 4 && nr == 8 && kk > 0 && fullTile != nil {
-				fullTile(&c[i*ldc+j], ldc, &a[i*sai], sai, sak, &b[j], ldb, kk)
+			if mr >= 4 && nr == 8 && kk > 0 && tile != nil {
+				tile(&c[i*ldc+j], ldc, &a[i*sai], sai, sak, &b[j], ldb, kk)
 			} else {
 				gemmTileGo(c[i*ldc+j:], ldc, a[i*sai:], sai, sak, b[j:], ldb, mr, nr, kk)
 			}
 		}
+		i += mr
 	}
 }
 
-// gemmTileGo computes one mr×nr tile (mr ≤ 4, nr ≤ 8) of gemmBlock's output
+// gemmTileGo computes one mr×nr tile (mr ≤ 8, nr ≤ 8) of gemmBlock's output
 // in pure Go. A full-width row keeps its eight sums in registers across the k
 // loop — eight independent add chains and one load of each B element — and a
 // narrower edge row falls back to one sum at a time. The float64

@@ -10,9 +10,11 @@ package tensor
 // Determinism contract: densegemm.go's, the one every dense product keeps —
 // each output element is one sum, k-ascending from +0, with the multiply and
 // the add rounded separately. That is Dot's order, so a multi-user GEMM score
-// is bitwise-identical to the per-item dot loop it replaces. GatherMulMat*
-// packs every query row and every candidate strip once per call and runs the
-// core's tiles over the whole block; a one-row block is a Dot per candidate.
+// is bitwise-identical to the per-item dot loop it replaces, whichever tile
+// the core installed at init (AVX-512 8×8, AVX2 4×8 or pure Go) computes it.
+// GatherMulMat* packs every query row and every 8-candidate strip once per
+// call and runs the core's tiles over the whole block, 8-row bands first
+// where the 8×8 tile is installed; a one-row block is a Dot per candidate.
 
 import (
 	"fmt"
@@ -51,8 +53,8 @@ func GatherMulMatAddInto(dst *Matrix, a *Matrix, arows []int, aoff int, b *Matri
 }
 
 // gatherScratch holds gatherMulMat's panels. It is pooled because a panel
-// handed to the tile through the fullTile func var escapes: on the stack it
-// would be a heap allocation per call.
+// handed to a tile through the tile4x8 and tile8x8 func vars escapes: on the
+// stack it would be a heap allocation per call.
 type gatherScratch struct{ buf []float64 }
 
 var gatherPool = sync.Pool{New: func() any { return new(gatherScratch) }}

@@ -3,15 +3,74 @@ package tensor
 // The three naive dense products the GEMM core (densegemm.go) replaced and
 // the 4×2 register-blocked gather kernel that gemm.go's gathered products
 // replaced, kept verbatim as their references, and the tests that pin the
-// core — every layout, the Par variants, the gathered products, the assembly
-// tile and the pure Go tile — to them bit for bit.
+// core — every layout, the Par variants, the gathered products, and every
+// tile body the host can run — to them bit for bit.
 
 import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
+	"runtime"
 	"testing"
 )
+
+// tileFunc is the signature every full tile of the core shares.
+type tileFunc = func(c *float64, ldc int, a *float64, sai, sak int, b *float64, ldb, kk int)
+
+// gemmBody is one dispatch of the dense core: the tiles gemmBlock hands its
+// full tiles to, nil for the pure Go tile.
+type gemmBody struct {
+	name             string
+	tile8x8, tile4x8 tileFunc
+}
+
+// gemmBodies lists the dispatches this host can run, the installed one
+// first: both assembly tiles ("avx512"), the 4×8 tile alone ("avx2") and the
+// pure Go tile ("go"). Call it with the installed tiles in place.
+func gemmBodies() []gemmBody {
+	var bodies []gemmBody
+	if tile8x8 != nil {
+		bodies = append(bodies, gemmBody{"avx512", tile8x8, tile4x8})
+	}
+	if tile4x8 != nil {
+		bodies = append(bodies, gemmBody{"avx2", nil, tile4x8})
+	}
+	return append(bodies, gemmBody{"go", nil, nil})
+}
+
+// with runs f with gemmBlock dispatching to the body's tiles; the "go" body
+// forces the elementwise kernels to their Go bodies too (withGoBodies).
+func (g gemmBody) with(f func()) {
+	s8, s4 := tile8x8, tile4x8
+	tile8x8, tile4x8 = g.tile8x8, g.tile4x8
+	defer func() { tile8x8, tile4x8 = s8, s4 }()
+	if g.tile4x8 == nil {
+		withGoBodies(f)
+		return
+	}
+	f()
+}
+
+// TestGEMMDispatch logs the tiles the core installed at init, so a test log
+// says which bodies the oracle tests below compared, and pins the one rule
+// the dispatch keeps: the 8×8 tile is installed only beside the 4×8 tile.
+func TestGEMMDispatch(t *testing.T) {
+	name := func(f tileFunc) string {
+		if f == nil {
+			return "none (pure Go tile)"
+		}
+		return runtime.FuncForPC(reflect.ValueOf(f).Pointer()).Name()
+	}
+	var bodies []string
+	for _, body := range gemmBodies() {
+		bodies = append(bodies, body.name)
+	}
+	t.Logf("8×8 tile: %s; 4×8 tile: %s; bodies compared: %v", name(tile8x8), name(tile4x8), bodies)
+	if tile8x8 != nil && tile4x8 == nil {
+		t.Fatal("an 8×8 tile is installed without a 4×8 tile for the 4-row bands")
+	}
+}
 
 func matMulIntoOracle(dst, a, b *Matrix) {
 	if a.Cols != b.Rows || dst.Rows != a.Rows || dst.Cols != b.Cols {
@@ -159,8 +218,8 @@ func denseGEMMOutputs(seed int64, m, k, n int) (labels []string, oracle, got []*
 }
 
 // requireDenseGEMMMatchesOracle checks one shape: every entry point equals
-// its oracle bitwise, and — where an assembly tile is installed — computes
-// the same bits again with the dispatch forced to the pure Go tile.
+// its oracle bitwise, and computes the same bits again under every other
+// body the host can run (gemmBodies).
 func requireDenseGEMMMatchesOracle(t *testing.T, seed int64, m, k, n int) {
 	t.Helper()
 	labels, oracle, got := denseGEMMOutputs(seed, m, k, n)
@@ -170,25 +229,24 @@ func requireDenseGEMMMatchesOracle(t *testing.T, seed int64, m, k, n int) {
 			requireSameBits(t, shape+" "+label, oracle[i], got[i])
 		}
 	}
-	if fullTile == nil {
-		return
-	}
-	asm := fullTile
-	fullTile = nil
-	defer func() { fullTile = asm }()
-	_, _, goTile := denseGEMMOutputs(seed, m, k, n)
-	for i, label := range labels {
-		requireSameBits(t, shape+" "+label+" (Go tile vs assembly tile)", got[i], goTile[i])
+	bodies := gemmBodies()
+	for _, body := range bodies[1:] {
+		var other []*Matrix
+		body.with(func() { _, _, other = denseGEMMOutputs(seed, m, k, n) })
+		for i, label := range labels {
+			requireSameBits(t, fmt.Sprintf("%s %s (%s vs %s)", shape, label, body.name, bodies[0].name), got[i], other[i])
+		}
 	}
 }
 
 // TestDenseGEMMMatchesOracle sweeps ragged shapes — empty, smaller than a
 // tile, one off either side of the 4-row and 8-column tile edges and of
-// parRowChunk — through every dimension.
+// parRowChunk — through every dimension, and the row count one off either
+// side of two and three 8-row bands.
 func TestDenseGEMMMatchesOracle(t *testing.T) {
 	dims := []int{0, 1, 3, 4, 5, 7, 8, 9, 63, 64, 65, 257}
 	seed := int64(1)
-	for _, m := range dims {
+	for _, m := range append(dims, 15, 16, 17, 23, 24, 25) {
 		for _, k := range dims {
 			for _, n := range dims {
 				requireDenseGEMMMatchesOracle(t, seed, m, k, n)
@@ -224,6 +282,59 @@ func TestMatMulATBParMatchesChunkedOracle(t *testing.T) {
 	}
 }
 
+// TestGEMMTileBounds runs one full tile alone through every body — m = 8
+// rows (two 4×8 tiles on the avx2 body), kk = 1 and 3, A read row-major and
+// transposed, ldc and ldb wider than n = 8 — over slices that end at the last
+// element the tile may touch. Every element of A and B the tile must not read
+// is NaN and every element of C it must not write is a sentinel: the tile
+// must compute the formula's bits and leave every sentinel standing.
+func TestGEMMTileBounds(t *testing.T) {
+	const m, n, ldc, ldb = 8, 8, 13, 11
+	sentinel := math.Float64frombits(0x7ff8dead0000beef)
+	for _, body := range gemmBodies() {
+		for _, kk := range []int{1, 3} {
+			for _, layout := range []struct {
+				name     string
+				sai, sak int
+			}{{"A", kk + 2, 1}, {"Aᵀ", 1, m + 3}} {
+				r := rand.New(rand.NewSource(int64(kk)))
+				a := make([]float64, (m-1)*layout.sai+(kk-1)*layout.sak+1)
+				b := make([]float64, (kk-1)*ldb+n)
+				c := make([]float64, (m-1)*ldc+n)
+				for _, s := range [][]float64{a, b} {
+					for i := range s {
+						s[i] = math.NaN()
+					}
+				}
+				for i := range c {
+					c[i] = sentinel
+				}
+				for k := range kk {
+					for i := range m {
+						a[i*layout.sai+k*layout.sak] = r.NormFloat64()
+					}
+					for j := range n {
+						b[k*ldb+j] = r.NormFloat64()
+					}
+				}
+				body.with(func() { gemmBlock(c, ldc, a, layout.sai, layout.sak, b, ldb, m, n, kk) })
+				for i, got := range c {
+					want := sentinel
+					if row, j := i/ldc, i%ldc; j < n {
+						want = 0
+						for k := range kk {
+							want += float64(a[row*layout.sai+k*layout.sak] * b[k*ldb+j])
+						}
+					}
+					if math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("%s, kk=%d, %s: c[%d] = %v, want %v", body.name, kk, layout.name, i, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
 func FuzzDenseGEMM(f *testing.F) {
 	f.Add(int64(1), uint8(4), uint8(8), uint8(8))
 	f.Add(int64(2), uint8(23), uint8(64), uint8(33))
@@ -235,29 +346,34 @@ func FuzzDenseGEMM(f *testing.F) {
 
 // BenchmarkDenseGEMM times the core at the NeuMF tower's shapes for a
 // 64-sample client batch: the forward products, and the ᵀ forms of the
-// backward pass (xᵀ·dy for the weights, dy·Wᵀ for the input).
+// backward pass (xᵀ·dy for the weights, dy·Wᵀ for the input), on every body
+// the host can run side by side (avx512, avx2, go).
 func BenchmarkDenseGEMM(b *testing.B) {
 	r := rand.New(rand.NewSource(7))
+	bodies := gemmBodies()
 	for _, s := range [][3]int{{64, 64, 64}, {64, 64, 32}, {64, 32, 16}} {
 		batch, in, out := s[0], s[1], s[2]
 		x, w, dy := gemmOperand(r, batch, in), gemmOperand(r, in, out), gemmOperand(r, batch, out)
 		z, dw, dx, wt := New(batch, out), New(in, out), New(batch, in), New(out, in)
 		shape := fmt.Sprintf("%dx%d·%dx%d", batch, in, in, out)
-		b.Run("NN/"+shape, func(b *testing.B) {
-			for b.Loop() {
-				MatMulInto(z, x, w)
+		for _, op := range []struct {
+			name string
+			run  func()
+		}{
+			{"NN", func() { MatMulInto(z, x, w) }},
+			{"ATB", func() { MatMulATBInto(dw, x, dy) }},
+			{"ABT", func() { MatMulABTInto(dx, dy, w, wt) }},
+		} {
+			for _, body := range bodies {
+				b.Run(op.name+"/"+shape+"/"+body.name, func(b *testing.B) {
+					body.with(func() {
+						for b.Loop() {
+							op.run()
+						}
+					})
+				})
 			}
-		})
-		b.Run("ATB/"+shape, func(b *testing.B) {
-			for b.Loop() {
-				MatMulATBInto(dw, x, dy)
-			}
-		})
-		b.Run("ABT/"+shape, func(b *testing.B) {
-			for b.Loop() {
-				MatMulABTInto(dx, dy, w, wt)
-			}
-		})
+		}
 	}
 }
 
@@ -411,8 +527,8 @@ func (c *gatherCase) outputs(oracle bool) []*Matrix {
 }
 
 // requireGatherMatchesOracle checks one gathered shape: both forms equal the
-// oracle bitwise, and — where assembly is installed — compute the same bits
-// again with the tile and AddVec forced to their pure Go bodies.
+// oracle bitwise, and compute the same bits again under every other body the
+// host can run (gemmBodies; the go body forces AddVec to Go too).
 func requireGatherMatchesOracle(t *testing.T, seed int64, m, n, d int) {
 	t.Helper()
 	labels := []string{"GatherMulMatInto", "GatherMulMatAddInto"}
@@ -424,16 +540,13 @@ func requireGatherMatchesOracle(t *testing.T, seed int64, m, n, d int) {
 			requireSameBits(t, shape+" "+labels[i], want, got[i])
 		}
 	}
-	if fullTile == nil {
-		return
-	}
-	asm := fullTile
-	fullTile = nil
-	defer func() { fullTile = asm }()
-	var goTile []*Matrix
-	withGoBodies(func() { goTile = c.outputs(false) })
-	for i, label := range labels {
-		requireSameBits(t, shape+" "+label+" (Go tile vs assembly tile)", got[i], goTile[i])
+	bodies := gemmBodies()
+	for _, body := range bodies[1:] {
+		var other []*Matrix
+		body.with(func() { other = c.outputs(false) })
+		for i, label := range labels {
+			requireSameBits(t, fmt.Sprintf("%s %s (%s vs %s)", shape, label, body.name, bodies[0].name), got[i], other[i])
+		}
 	}
 }
 
@@ -442,8 +555,9 @@ func requireGatherMatchesOracle(t *testing.T, seed int64, m, n, d int) {
 // count that walks 0…70 as they vary), the full 0…21 × 0…70 grid of query
 // and candidate counts — every edge of the 4-row tile and the 8-candidate
 // strip — at a few depths either side of a packed panel's natural widths, and
-// query panels of 31 to 131 rows, past the 16-row block the kernel once
-// packed per strip, against candidate counts ending in a short strip.
+// query panels of 23 to 131 rows, either side of three 8-row bands and past
+// the 16-row block the kernel once packed per strip, against candidate counts
+// ending in a short strip.
 func TestGatherMulMatMatchesOracle(t *testing.T) {
 	seed := int64(1)
 	for d := 0; d <= 70; d++ {
@@ -461,7 +575,7 @@ func TestGatherMulMatMatchesOracle(t *testing.T) {
 		}
 	}
 	for _, d := range []int{1, 16, 33} {
-		for _, m := range []int{31, 32, 33, 64, 131} {
+		for _, m := range []int{23, 24, 25, 31, 32, 33, 64, 131} {
 			for _, n := range []int{5, 29, 67} {
 				requireGatherMatchesOracle(t, seed, m, n, d)
 				seed++
@@ -502,28 +616,21 @@ func TestGatherMulMatSteadyStateAllocs(t *testing.T) {
 }
 
 // BenchmarkGatherMulMat times the gathered product at dispersal's score
-// window (16 users × 1024 items) at two embedding widths, on the assembly
-// tile where one is installed and on the pure Go tile.
+// window (16 users × 1024 items) at two embedding widths, on every body the
+// host can run side by side (avx512, avx2, go).
 func BenchmarkGatherMulMat(b *testing.B) {
+	bodies := gemmBodies()
 	for _, d := range []int{16, 32} {
 		x, y, arows, brows := randGatherFixture(uint64(d), 16, 1024, 4096, d, 0)
 		dst := New(len(arows), len(brows))
-		tiles := []struct {
-			name string
-			tile func(c *float64, ldc int, a *float64, sai, sak int, b *float64, ldb, kk int)
-		}{{"asm", fullTile}, {"go", nil}}
-		for _, tl := range tiles {
-			if tl.name == "asm" && tl.tile == nil {
-				continue
-			}
-			b.Run(fmt.Sprintf("d=%d/%s", d, tl.name), func(b *testing.B) {
-				saved := fullTile
-				fullTile = tl.tile
-				defer func() { fullTile = saved }()
-				GatherMulMatInto(dst, x, arows, 0, y, brows, 0) // fills the pooled panels
-				for b.Loop() {
-					GatherMulMatInto(dst, x, arows, 0, y, brows, 0)
-				}
+		for _, body := range bodies {
+			b.Run(fmt.Sprintf("d=%d/%s", d, body.name), func(b *testing.B) {
+				body.with(func() {
+					GatherMulMatInto(dst, x, arows, 0, y, brows, 0) // fills the pooled panels
+					for b.Loop() {
+						GatherMulMatInto(dst, x, arows, 0, y, brows, 0)
+					}
+				})
 			})
 		}
 	}
