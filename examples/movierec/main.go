@@ -17,6 +17,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"math"
 	"sort"
 
 	"ptffedrec"
@@ -77,13 +78,18 @@ func main() {
 		item  int
 		score float64
 	}
-	var candidates []scored
-	server := trainer.Server().Model()
+	var items []int
 	for v := 0; v < split.NumItems; v++ {
-		if split.InTrain(user, v) {
-			continue
+		if !split.InTrain(user, v) {
+			items = append(items, v)
 		}
-		candidates = append(candidates, scored{v, server.Score(user, v)})
+	}
+	// One logit block scores the user against every candidate.
+	logits := &ptffedrec.Matrix{Rows: 1, Cols: len(items), Data: make([]float64, len(items))}
+	trainer.Server().Model().ScoreUsersBlockLogitsInto(logits, []int{user}, items)
+	candidates := make([]scored, len(items))
+	for j, v := range items {
+		candidates[j] = scored{v, 1 / (1 + math.Exp(-logits.Data[j]))}
 	}
 	sort.Slice(candidates, func(i, j int) bool { return candidates[i].score > candidates[j].score })
 	fmt.Printf("\ntop-10 movies for user %d (from the hidden server model):\n", user)

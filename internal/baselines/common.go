@@ -225,9 +225,10 @@ func (f *federation) clientUpdate(u, round int, q *tensor.Matrix) []float64 {
 	return grad
 }
 
-// rank evaluates a scorer on the split's held-out items.
-func (f *federation) rank(scorer models.ScorerFunc) eval.Result {
-	return eval.LazyEvaluator(&f.evaluator, f.split).Rank(scorer, f.cfg.EvalK, 0)
+// rank evaluates a scorer on the split's held-out items over the configured
+// workers.
+func (f *federation) rank(scorer models.MultiBlockScorer) eval.Result {
+	return eval.LazyEvaluator(&f.evaluator, f.split).Rank(scorer, f.cfg.EvalK, f.cfg.Workers)
 }
 
 // sharedItems is the federation FCF and FedMF both are: the server owns one
@@ -256,12 +257,15 @@ func (s *sharedItems) RunRound(round int) {
 }
 
 // Evaluate implements FederatedBaseline.
-func (s *sharedItems) Evaluate() eval.Result {
-	return s.rank(func(u int, items []int) []float64 {
-		out := make([]float64, len(items))
-		for i, v := range items {
-			out[i] = nn.Sigmoid(tensor.Dot(s.users[u].w, s.items.Row(v)))
+func (s *sharedItems) Evaluate() eval.Result { return s.rank(s) }
+
+// ScoreUsersBlockLogitsInto implements models.MultiBlockScorer: each user's
+// private vector dotted with the shared item rows.
+func (s *sharedItems) ScoreUsersBlockLogitsInto(dst *tensor.Matrix, users, items []int) {
+	for i, u := range users {
+		row := dst.Row(i)
+		for j, v := range items {
+			row[j] = tensor.Dot(s.users[u].w, s.items.Row(v))
 		}
-		return out
-	})
+	}
 }

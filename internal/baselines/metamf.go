@@ -129,19 +129,22 @@ func (m *MetaMF) backprop(idx []int, grads [][]float64) {
 }
 
 // Evaluate implements FederatedBaseline.
-func (m *MetaMF) Evaluate() eval.Result {
-	return m.rank(func(u int, items []int) []float64 {
+func (m *MetaMF) Evaluate() eval.Result { return m.rank(m) }
+
+// ScoreUsersBlockLogitsInto implements models.MultiBlockScorer: each user's
+// private vector against the items the meta-network generates for them.
+func (m *MetaMF) ScoreUsersBlockLogitsInto(dst *tensor.Matrix, users, items []int) {
+	for i, u := range users {
 		_, _, _, _, scale, shift := m.generate(u)
-		out := make([]float64, len(items))
+		row := dst.Row(i)
 		p := m.users[u].w
-		for i, v := range items {
+		for j, v := range items {
 			b := m.base.W.Row(v)
 			var s float64
 			for k := 0; k < m.cfg.Dim; k++ {
 				s += p[k] * (b[k]*(1+scale[k]) + shift[k])
 			}
-			out[i] = nn.Sigmoid(s)
+			row[j] = s
 		}
-		return out
-	})
+	}
 }

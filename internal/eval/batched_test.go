@@ -10,9 +10,8 @@ import (
 
 // TestBatchedEngineInvariance is the batched engine's pin: the multi-user
 // logit engine must produce Results bitwise-identical to the naive
-// score-everything-then-sort reference (naiveRank over metrics.TopK) and to
-// the per-user probability-domain loop (the same model behind a wrapper that
-// hides MultiBlockScorer), for every model kind and workers ∈ {1, 2, 8}.
+// score-everything-then-sort reference (naiveRank over metrics.TopK), for
+// every model kind and workers ∈ {1, 2, 8}.
 // The batch and window knobs are shrunk so even the tiny split exercises
 // partial batches, multi-window selections, and window boundaries that split
 // candidate runs.
@@ -25,9 +24,6 @@ func TestBatchedEngineInvariance(t *testing.T) {
 	sp := d.Split(rng.New(2), 0.2)
 	for _, kind := range []models.Kind{models.KindMF, models.KindNeuMF, models.KindLightGCN, models.KindNGCF} {
 		m := trainedModel(t, kind, sp)
-		if _, ok := m.(models.MultiBlockScorer); !ok {
-			t.Fatalf("%s does not implement MultiBlockScorer", kind)
-		}
 		ref := naiveRank(m, sp, 20)
 		if ref.Users == 0 {
 			t.Fatalf("%s: no users evaluated", kind)
@@ -36,9 +32,6 @@ func TestBatchedEngineInvariance(t *testing.T) {
 		for _, workers := range []int{1, 2, 8} {
 			if got := e.Rank(m, 20, workers); got != ref {
 				t.Fatalf("%s workers=%d: batched %+v != naive sort %+v", kind, workers, got, ref)
-			}
-			if got := e.Rank(scalarOnly{m}, 20, workers); got != ref {
-				t.Fatalf("%s workers=%d: per-user %+v != naive sort %+v", kind, workers, got, ref)
 			}
 		}
 	}
@@ -66,10 +59,8 @@ func TestBatchedEngineBatchSizeInvariance(t *testing.T) {
 	}
 }
 
-// TestBatchedEngineStreamingFallback checks the engine gate: the one-shot
-// RankingWorkers (its own throwaway cache) and a scorer without the
-// multi-user contract (the per-user fallback) must both match a held
-// Evaluator's batched result exactly.
+// TestBatchedEngineStreamingFallback checks that the one-shot RankingWorkers
+// (its own throwaway evaluator) matches a held Evaluator's result exactly.
 func TestBatchedEngineStreamingFallback(t *testing.T) {
 	d := data.Generate(data.Tiny, 9)
 	sp := d.Split(rng.New(3), 0.2)
@@ -78,8 +69,5 @@ func TestBatchedEngineStreamingFallback(t *testing.T) {
 	cached := e.Rank(m, 20, 2)
 	if oneShot := RankingWorkers(m, sp, 20, 2); oneShot != cached {
 		t.Fatalf("one-shot %+v != cached batched %+v", oneShot, cached)
-	}
-	if perUser := e.Rank(scalarOnly{m}, 20, 2); perUser != cached {
-		t.Fatalf("per-user fallback %+v != cached batched %+v", perUser, cached)
 	}
 }

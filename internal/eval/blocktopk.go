@@ -20,16 +20,16 @@ import (
 // batch×window logits ever exist, and the sigmoid is paid per heap insertion,
 // not per candidate.
 //
-// Bitwise equivalence with ranking the candidate list directly (ScoreItems
-// over the complement, then metrics.TopK), piece by piece: σ of a window's
-// logits equals ScoreItems' values for any window boundary (per-element
-// independence, the MultiBlockScorer contract), so scoring the whole universe
-// and reading only candidate positions yields exactly the logits of scoring
-// the candidate list; the runs are pushed ascending in item id, so pushing
-// item ids preserves the direct path's (score desc, position asc) selection
-// order; and LogitTopKSelector resolves σ-collapsed ties and σ's non-monotone
-// rounding exactly as a probability-domain selection does. Window width and
-// batch size are scheduling only and never change a result.
+// Bitwise equivalence with ranking the candidate list directly (σ of a
+// one-user block over the complement, then metrics.TopK), piece by piece: σ
+// of a window's logits equals that block's values for any window boundary
+// (per-element independence, the MultiBlockScorer contract), so scoring the
+// whole universe and reading only candidate positions yields exactly the
+// logits of scoring the candidate list; the runs are pushed ascending in item
+// id, so pushing item ids preserves the direct path's (score desc, position
+// asc) selection order; and LogitTopKSelector resolves σ-collapsed ties and
+// σ's non-monotone rounding exactly as a probability-domain selection does.
+// Window width and batch size are scheduling only and never change a result.
 //
 // The selectors borrow k-wide segments of three shared heap slabs, so the
 // engine costs a fixed handful of allocations and a warm Select none.

@@ -62,7 +62,6 @@ func BenchmarkBlockTopK(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	mbs := m.(models.MultiBlockScorer)
 	users, items := identity(numUsers), identity(numItems)
 	s := rng.New(1).Derive("block-topk")
 	for _, shape := range []struct {
@@ -79,7 +78,7 @@ func BenchmarkBlockTopK(b *testing.B) {
 			tk := NewBlockTopK(items, numUsers, window, shape.k)
 			var top []int
 			selectAll := func() {
-				tk.Select(mbs, users, excl)
+				tk.Select(m, users, excl)
 				for i := range users {
 					top = tk.Into(i, top)
 				}

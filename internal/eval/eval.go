@@ -21,28 +21,21 @@
 // Candidates are the complement of the sorted train list, walked per score
 // window: Split.Train[u] is ascending and stays in memory, so nothing per
 // (user, item) is stored. Every held-out item is a candidate, as a Split's
-// two sides are disjoint. Scorers that implement models.MultiBlockScorer rank
-// through rankCounter, in the logit domain, evalUsersBatch users at a time:
-// each user's held-out items are scored as a one-user block, each item window
-// in one block for the batch's users still counting, and only logits inside a
-// held-out item's metrics.LogitBand pay for a sigmoid. Any other scorer (a
-// models.ScorerFunc: per-client adapters, the parameter-transmission
-// baselines) is scored per user through ScoreItems over the complement list
-// rebuilt into worker scratch, and counted over those probabilities. That one
-// type test is the only engine choice; both paths are bitwise-identical to
-// the naive score-everything-then-sort evaluation (metrics.TopK), so Results
-// never depend on the path taken. A NaN score never beats, and a held-out
-// item whose own score is NaN is never a hit.
-//
-// The package consumes the models scoring interface family directly
-// (models.Scorer, its MultiBlockScorer refinement, models.Warmer for lazily
-// built shared state); the type test happens once per Rank call, not per user.
+// two sides are disjoint. There is one engine, rankCounter, and one scoring
+// contract, models.MultiBlockScorer: users are counted in the logit domain,
+// evalUsersBatch at a time — each user's held-out items are scored as a
+// one-user block, each item window in one block for the batch's users still
+// counting — and only logits inside a held-out item's metrics.LogitBand pay
+// for a sigmoid. The engine is bitwise-identical to the naive
+// score-everything-then-sort evaluation (metrics.TopK over σ of every
+// candidate's logit). A NaN score never beats, and a held-out item whose own
+// score is NaN is never a hit. A scorer that lazily builds shared state
+// implements models.Warmer, which Rank calls once before fanning out.
 package eval
 
 import (
 	"slices"
 
-	"ptffedrec/internal/candset"
 	"ptffedrec/internal/data"
 	"ptffedrec/internal/metrics"
 	"ptffedrec/internal/models"
@@ -120,28 +113,15 @@ func (e *Evaluator) Users() int { return len(e.users) }
 // bench/traced.go, which reads it as eval.cache_mb.
 func (e *Evaluator) CacheBytes() int64 { return 8 * int64(cap(e.users)+cap(e.ident)) }
 
-// scratch is one worker's reusable state for its whole share of users on the
-// per-user path: the candidate list and the hits' ranks. Only the score
-// vector ScoreItems returns is allocated per user.
-type scratch struct {
-	cand  []int
-	ranks []int
-}
-
 // Rank evaluates the scorer at cutoff k over every user's non-train items with
 // the given worker count (<= 0 means GOMAXPROCS). Metrics are
-// bitwise-identical for every worker count and for both scoring paths:
-// per-user values depend only on the scorer, and the reduction runs
-// sequentially in user order.
-func (e *Evaluator) Rank(s models.Scorer, k, workers int) Result {
+// bitwise-identical for every worker count: per-user values depend only on
+// the scorer, and the reduction runs sequentially in user order.
+func (e *Evaluator) Rank(s models.MultiBlockScorer, k, workers int) Result {
 	if len(e.users) == 0 {
 		return Result{}
 	}
 	workers = par.Workers(workers)
-	// The one engine choice: a scorer with the multi-user logit contract ranks
-	// through the batched engine; anything else — per-client adapters, the
-	// parameter-transmission baselines — through the per-user ScoreItems loop.
-	multi, batched := s.(models.MultiBlockScorer)
 	if workers > 1 {
 		if w, ok := s.(models.Warmer); ok {
 			w.WarmScoring()
@@ -149,18 +129,11 @@ func (e *Evaluator) Rank(s models.Scorer, k, workers int) Result {
 	}
 	recalls := make([]float64, len(e.users))
 	ndcgs := make([]float64, len(e.users))
-	// Chunk users so each worker reuses one scratch across its whole share
-	// instead of allocating per user (or per batch).
+	// Chunk users so each worker reuses one rank counter across its whole
+	// share instead of allocating per user (or per batch).
 	chunk := (len(e.users) + workers - 1) / workers
 	par.ForChunks(len(e.users), chunk, workers, func(lo, hi int) {
-		if batched {
-			e.rankBatched(multi, lo, hi, k, recalls, ndcgs)
-			return
-		}
-		sc := &scratch{cand: make([]int, 0, e.sp.NumItems)}
-		for i := lo; i < hi; i++ {
-			recalls[i], ndcgs[i] = e.evalUser(s, sc, i, k)
-		}
+		e.rankBatched(s, lo, hi, k, recalls, ndcgs)
 	})
 	var agg metrics.RankEval
 	for i := range e.users {
@@ -168,29 +141,6 @@ func (e *Evaluator) Rank(s models.Scorer, k, workers int) Result {
 	}
 	r, n := agg.Mean()
 	return Result{Recall: r, NDCG: n, Users: agg.Users}
-}
-
-// evalUser scores one user's candidates through ScoreItems, counts the
-// candidates that beat each held-out item, and returns their Recall@k and
-// NDCG@k.
-func (e *Evaluator) evalUser(s models.Scorer, sc *scratch, i, k int) (recall, ndcg float64) {
-	u := e.users[i]
-	sc.cand = candset.AppendComplementSorted(sc.cand[:0], e.sp.NumItems, e.sp.Train[u])
-	probs := s.ScoreItems(u, sc.cand)
-	sc.ranks = sc.ranks[:0]
-	for _, t := range e.sp.Test[u] {
-		pos, _ := slices.BinarySearch(sc.cand, t)
-		pt, count := probs[pos], 0
-		for c := 0; c < len(probs) && count < k; c++ {
-			if metrics.Beats(probs[c], c, pt, pos) {
-				count++
-			}
-		}
-		if count < k && pt == pt {
-			sc.ranks = append(sc.ranks, count)
-		}
-	}
-	return hitMetrics(sc.ranks, len(e.sp.Test[u]), min(k, len(sc.cand)))
 }
 
 // hitMetrics sorts the hits' ranks and hands them to metrics.HitMetrics; k
@@ -205,6 +155,6 @@ func hitMetrics(ranks []int, relevant, k int) (recall, ndcg float64) {
 // For each user with held-out items, every non-train item is scored. Nothing
 // outside tests and the root facade calls the one-shot form; per-round
 // callers hold one.
-func RankingWorkers(s models.Scorer, sp *data.Split, k, workers int) Result {
+func RankingWorkers(s models.MultiBlockScorer, sp *data.Split, k, workers int) Result {
 	return NewEvaluator(sp).Rank(s, k, workers)
 }

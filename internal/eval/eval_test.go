@@ -5,22 +5,18 @@ import (
 	"testing"
 
 	"ptffedrec/internal/data"
-	"ptffedrec/internal/models"
 	"ptffedrec/internal/rng"
 )
 
 func TestRankingPerfectOracle(t *testing.T) {
 	d := data.Generate(data.Tiny, 3)
 	sp := d.Split(rng.New(1), 0.2)
-	// Oracle scores test items 1, everything else 0.
-	oracle := models.ScorerFunc(func(u int, items []int) []float64 {
-		out := make([]float64, len(items))
-		for i, v := range items {
-			if sp.InTest(u, v) {
-				out[i] = 1
-			}
+	// Oracle scores test items logit 1, everything else 0.
+	oracle := logitFunc(func(u, v int) float64 {
+		if sp.InTest(u, v) {
+			return 1
 		}
-		return out
+		return 0
 	})
 	res := RankingWorkers(oracle, sp, 20, 0)
 	if res.Users == 0 {
@@ -35,16 +31,11 @@ func TestRankingPerfectOracle(t *testing.T) {
 func TestRankingAntiOracle(t *testing.T) {
 	d := data.Generate(data.Tiny, 3)
 	sp := d.Split(rng.New(1), 0.2)
-	anti := models.ScorerFunc(func(u int, items []int) []float64 {
-		out := make([]float64, len(items))
-		for i, v := range items {
-			if sp.InTest(u, v) {
-				out[i] = 0
-			} else {
-				out[i] = 1
-			}
+	anti := logitFunc(func(u, v int) float64 {
+		if sp.InTest(u, v) {
+			return 0
 		}
-		return out
+		return 1
 	})
 	res := RankingWorkers(anti, sp, 5, 0)
 	if res.Recall > 0.01 {
@@ -52,21 +43,25 @@ func TestRankingAntiOracle(t *testing.T) {
 	}
 }
 
+// TestRankingExcludesTrainItems scores every training positive above every
+// held-out item, and held-out items above the rest: a train item counted as a
+// candidate would push a held-out one down, so the oracle stays perfect only
+// if none is.
 func TestRankingExcludesTrainItems(t *testing.T) {
 	d := data.Generate(data.Tiny, 3)
 	sp := d.Split(rng.New(1), 0.2)
-	sawTrain := false
-	probe := models.ScorerFunc(func(u int, items []int) []float64 {
-		for _, v := range items {
-			if sp.InTrain(u, v) {
-				sawTrain = true
-			}
+	trainOnTop := logitFunc(func(u, v int) float64 {
+		switch {
+		case sp.InTrain(u, v):
+			return 2
+		case sp.InTest(u, v):
+			return 1
 		}
-		return make([]float64, len(items))
+		return 0
 	})
-	RankingWorkers(probe, sp, 20, 0)
-	if sawTrain {
-		t.Fatal("candidate list contained training positives")
+	res := RankingWorkers(trainOnTop, sp, 20, 0)
+	if res.Users == 0 || math.Abs(res.Recall-1) > 1e-9 || math.Abs(res.NDCG-1) > 1e-9 {
+		t.Fatalf("train-on-top oracle metrics = %+v, want 1/1: training positives were ranked", res)
 	}
 }
 
@@ -81,9 +76,7 @@ func TestRankingSkipsUsersWithoutTest(t *testing.T) {
 		t.Fatal(err)
 	}
 	sp := dd.Split(rng.New(2), 0.2)
-	res := RankingWorkers(models.ScorerFunc(func(u int, items []int) []float64 {
-		return make([]float64, len(items))
-	}), sp, 5, 0)
+	res := RankingWorkers(logitFunc(func(u, v int) float64 { return 0 }), sp, 5, 0)
 	if res.Users != 1 {
 		t.Fatalf("users evaluated = %d, want 1", res.Users)
 	}

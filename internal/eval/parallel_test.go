@@ -51,7 +51,7 @@ func TestRankingWorkersNoTestItems(t *testing.T) {
 	for u := range sp.Test {
 		sp.Test[u] = nil
 	}
-	zero := models.ScorerFunc(func(u int, items []int) []float64 { return make([]float64, len(items)) })
+	zero := logitFunc(func(u, v int) float64 { return 0 })
 	for _, workers := range []int{1, 4} {
 		if got := RankingWorkers(zero, sp, 20, workers); got != (Result{}) {
 			t.Fatalf("workers=%d: got %+v, want zero Result", workers, got)

@@ -25,7 +25,7 @@ import (
 //
 // Bitwise equivalence with the naive evaluation: by the MultiBlockScorer
 // contract a logit does not depend on the block it was scored in, so the
-// held-out blocks and the windows give σ exactly ScoreItems' probabilities;
+// held-out blocks and the windows give σ exactly the per-item probabilities;
 // LogitBand's promise makes every logit outside the band decide Beats as
 // exact σ would; and a count stopped at k is a miss whatever the rest of the
 // catalogue holds. Window width, batch size and the padding rows are

@@ -8,22 +8,12 @@ import (
 	"ptffedrec/internal/data"
 	"ptffedrec/internal/metrics"
 	"ptffedrec/internal/models"
-	"ptffedrec/internal/nn"
 	"ptffedrec/internal/rng"
 	"ptffedrec/internal/tensor"
 )
 
-// logitTable scores user u's item v as logits[u][v] through both entry
-// points: σ of the logit per item, and the raw logit per block.
+// logitTable scores user u's item v as the logit logits[u][v].
 type logitTable [][]float64
-
-func (l logitTable) ScoreItems(u int, items []int) []float64 {
-	out := make([]float64, len(items))
-	for j, v := range items {
-		out[j] = nn.Sigmoid(l[u][v])
-	}
-	return out
-}
 
 func (l logitTable) ScoreUsersBlockLogitsInto(dst *tensor.Matrix, users, items []int) {
 	for i, u := range users {
@@ -62,8 +52,7 @@ func fuzzLogit(b byte) float64 {
 // logitBytes through fuzzLogit (cycled, offset per user), train and test
 // lists from two masks (test wins a clash, an empty train list is allowed),
 // batches of three users and 8-item windows, so train and held-out items sit
-// at window edges, and workers 1, 2 and 8. The per-user probability path is
-// held to the same reference.
+// at window edges, and workers 1, 2 and 8.
 func FuzzRankCountMatchesNaive(f *testing.F) {
 	f.Add(40, []byte{0x80, 0x81, 0x7f}, []byte{0x81, 0x80}, []byte{0x22, 0x04}, 20)
 	// The inverted pair: user 0's even items at −1.0208601135704396 + 1 ulp,
@@ -101,19 +90,16 @@ func FuzzRankCountMatchesNaive(f *testing.F) {
 			if got := e.Rank(logits, k, workers); got != want {
 				t.Fatalf("workers=%d k=%d: rank count %+v, naive %+v", workers, k, got, want)
 			}
-			if got := e.Rank(models.ScorerFunc(logits.ScoreItems), k, workers); got != want {
-				t.Fatalf("workers=%d k=%d: per-user count %+v, naive %+v", workers, k, got, want)
-			}
 		}
 	})
 }
 
-// TestRankNaNRule pins what neither engine may leave to chance: a NaN logit
+// TestRankNaNRule pins what the engine may not leave to chance: a NaN logit
 // never beats a held-out item, and a held-out item whose own logit is NaN is
 // never a hit. One user, eight items: items 1 and 5 are held out, item 5's
 // logit is NaN, and of the other candidates only item 6 (logit 3) beats
 // item 1 (logit 2) — items 0 and 3 are NaN, item 2 is in training. So item 1
-// ranks 1 of 2 relevant, on both paths, for windows that cut the run anywhere.
+// ranks 1 of 2 relevant, for windows that cut the run anywhere.
 func TestRankNaNRule(t *testing.T) {
 	nan := math.NaN()
 	logits := logitTable{{nan, 2, 9, nan, 1, nan, 3, -1}}
@@ -129,9 +115,6 @@ func TestRankNaNRule(t *testing.T) {
 		e := NewEvaluator(sp)
 		if got := e.Rank(logits, 20, 1); got != want {
 			t.Fatalf("chunk=%d: rank count %+v, want %+v", chunk, got, want)
-		}
-		if got := e.Rank(models.ScorerFunc(logits.ScoreItems), 20, 1); got != want {
-			t.Fatalf("chunk=%d: per-user count %+v, want %+v", chunk, got, want)
 		}
 	}
 }
@@ -160,7 +143,7 @@ func TestRankCountMatchesOracle(t *testing.T) {
 		for _, shape := range []struct{ batch, chunk int }{{128, 256}, {16, 512}, {5, 37}, {2, 1}, {1, 1}} {
 			evalUsersBatch, evalScoreChunk = shape.batch, shape.chunk
 			e := NewEvaluator(sp)
-			want := oracleRank(e, m.(models.MultiBlockScorer), 20)
+			want := oracleRank(e, m, 20)
 			if got := e.Rank(m, 20, 2); got != want {
 				t.Fatalf("%s batch=%d chunk=%d: rank count %+v, oracle %+v", kind, shape.batch, shape.chunk, got, want)
 			}
@@ -199,7 +182,6 @@ func BenchmarkEvaluatorRank(b *testing.B) {
 			m.TrainBatch(batch[lo:min(lo+256, len(batch))])
 		}
 	}
-	mbs := m.(models.MultiBlockScorer)
 	e := NewEvaluator(sp)
 	users := e.Users()
 	recalls, ndcgs := make([]float64, users), make([]float64, users)
@@ -223,14 +205,14 @@ func BenchmarkEvaluatorRank(b *testing.B) {
 	}
 	b.Run("oracle", func(b *testing.B) {
 		o := newOracleEval(e, 20)
-		run(b, func(lo, hi int) { o.batch(mbs, lo, hi, recalls, ndcgs) })
+		run(b, func(lo, hi int) { o.batch(m, lo, hi, recalls, ndcgs) })
 	})
 	defer func(b, c int) { evalUsersBatch, evalScoreChunk = b, c }(evalUsersBatch, evalScoreChunk)
 	for _, batch := range []int{16, 64, 128, 256} {
 		for _, window := range []int{128, 256, 512} {
 			b.Run(fmt.Sprintf("count/batch=%d/window=%d", batch, window), func(b *testing.B) {
 				evalUsersBatch, evalScoreChunk = batch, window
-				rc := e.newRankCounter(mbs, 20)
+				rc := e.newRankCounter(m, 20)
 				run(b, func(lo, hi int) { rc.rank(lo, hi, recalls, ndcgs) })
 			})
 		}

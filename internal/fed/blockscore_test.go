@@ -3,31 +3,60 @@ package fed
 import (
 	"testing"
 
+	"ptffedrec/internal/data"
+	"ptffedrec/internal/eval"
+	"ptffedrec/internal/metrics"
 	"ptffedrec/internal/models"
+	"ptffedrec/internal/nn"
+	"ptffedrec/internal/tensor"
 )
 
-// scalarModel hides a server model's MultiBlockScorer so every score goes
-// through the per-item path, while forwarding the warm-up scoring relies on.
-// The evaluator is driven through it to pin block scoring against per-item
-// scoring.
-type scalarModel struct {
-	m models.Recommender
+// scoreItems is σ of user u's one-user logit block over items: by the
+// MultiBlockScorer contract, the per-item probabilities.
+func scoreItems(m models.MultiBlockScorer, u int, items []int) []float64 {
+	row := tensor.New(1, len(items))
+	m.ScoreUsersBlockLogitsInto(row, []int{u}, items)
+	for j, x := range row.Data {
+		row.Data[j] = nn.Sigmoid(x)
+	}
+	return row.Data
 }
 
-func (s *scalarModel) ScoreItems(u int, items []int) []float64 {
-	return s.m.ScoreItems(u, items)
-}
-func (s *scalarModel) WarmScoring() {
-	if w, ok := s.m.(models.Warmer); ok {
-		w.WarmScoring()
+// naiveEval is the score-everything-then-sort evaluation: per evaluated user,
+// every non-train item scored by scoreItems, ranked by metrics.TopK, and
+// Recall@k / NDCG@k averaged in user order.
+func naiveEval(m models.MultiBlockScorer, sp *data.Split, k int) eval.Result {
+	var agg metrics.RankEval
+	for u := 0; u < sp.NumUsers; u++ {
+		if len(sp.Test[u]) == 0 {
+			continue
+		}
+		var cand []int
+		for v := 0; v < sp.NumItems; v++ {
+			if !sp.InTrain(u, v) {
+				cand = append(cand, v)
+			}
+		}
+		var ranked []int
+		for _, idx := range metrics.TopK(scoreItems(m, u, cand), k) {
+			ranked = append(ranked, cand[idx])
+		}
+		relevant := map[int]bool{}
+		for _, v := range sp.Test[u] {
+			relevant[v] = true
+		}
+		agg.AddUser(metrics.RecallAtK(ranked, relevant, k), metrics.NDCGAtK(ranked, relevant, k))
 	}
+	r, n := agg.Mean()
+	return eval.Result{Recall: r, NDCG: n, Users: agg.Users}
 }
 
 // TestEvalInvariantBatchedVsScalar pins the batched scoring engine's contract
 // on the trainer's evaluation: after every live round, for every server model
 // kind and several worker counts, ranking the server model through its
-// multi-user kernels gives the metrics that ranking it per item gives. (The
-// dispersal half of the same contract is TestDisperseMatchesScalarOracle.)
+// multi-user kernels gives the metrics a naive per-user sort of every
+// candidate's score gives. (The dispersal half of the same contract is
+// TestDisperseMatchesScalarOracle.)
 func TestEvalInvariantBatchedVsScalar(t *testing.T) {
 	kinds := []models.Kind{models.KindMF, models.KindNeuMF, models.KindLightGCN, models.KindNGCF}
 	if testing.Short() {
@@ -43,11 +72,11 @@ func TestEvalInvariantBatchedVsScalar(t *testing.T) {
 		}
 		for round := 0; round < cfg.Rounds; round++ {
 			tr.RunRound(round)
-			batched := tr.EvaluateServer()
+			naive := naiveEval(tr.server.model, sp, cfg.EvalK)
 			for _, workers := range []int{1, 2, 8} {
-				perItem := tr.splitEvaluator().Rank(&scalarModel{tr.server.model}, cfg.EvalK, workers)
-				if perItem != batched {
-					t.Fatalf("%s round %d workers=%d: per-item eval %+v != batched %+v", server, round, workers, perItem, batched)
+				batched := tr.splitEvaluator().Rank(tr.server.model, cfg.EvalK, workers)
+				if batched != naive {
+					t.Fatalf("%s round %d workers=%d: batched eval %+v != naive %+v", server, round, workers, batched, naive)
 				}
 			}
 		}

@@ -3,12 +3,15 @@ package fed
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"ptffedrec/internal/comm"
 	"ptffedrec/internal/graph"
 	"ptffedrec/internal/models"
+	"ptffedrec/internal/nn"
 	"ptffedrec/internal/privacy"
 	"ptffedrec/internal/rng"
+	"ptffedrec/internal/tensor"
 )
 
 // Client is one federated participant. It owns its private interactions, a
@@ -118,11 +121,9 @@ func (c *Client) buildUpload(negatives []int) []comm.Prediction {
 	items := make([]int, 0, len(selPos)+len(selNeg))
 	items = append(items, selPos...)
 	items = append(items, selNeg...)
-	scores := c.model.ScoreItems(0, items)
-	preds := make([]comm.Prediction, len(items))
-	for i, v := range items {
-		preds[i] = comm.Prediction{User: c.ID, Item: v, Score: scores[i]}
-	}
+	block := scoreBlocks.Get().(*oneUserBlock)
+	preds := block.predictions(c.model, 0, c.ID, items)
+	scoreBlocks.Put(block)
 
 	switch c.cfg.Privacy.Defense {
 	case privacy.DefenseSamplingSwap:
@@ -136,6 +137,37 @@ func (c *Client) buildUpload(negatives []int) []comm.Prediction {
 	// Shuffle so upload order leaks nothing about the positive/negative
 	// partition.
 	c.s.Shuffle(len(preds), func(i, j int) { preds[i], preds[j] = preds[j], preds[i] })
+	return preds
+}
+
+// oneUserBlock scores one user's item list as a one-user logit block and
+// ships it as predictions: a client's upload scores (Eq. 4) and dispersal's
+// soft labels (Eq. 9). Its user array, matrix header and logit backing are
+// reused across calls, so a call allocates only the predictions it returns.
+type oneUserBlock struct {
+	one    [1]int
+	mat    tensor.Matrix
+	logits []float64
+}
+
+// scoreBlocks lends each client upload a oneUserBlock; like guessBuffers it
+// is shared by every host.
+var scoreBlocks = sync.Pool{New: func() any { return new(oneUserBlock) }}
+
+// predictions scores items for user u of s and returns them as user id's
+// predictions, σ applied to each logit: by the MultiBlockScorer contract, the
+// per-item probabilities.
+func (b *oneUserBlock) predictions(s models.MultiBlockScorer, u, id int, items []int) []comm.Prediction {
+	if cap(b.logits) < len(items) {
+		b.logits = make([]float64, len(items))
+	}
+	b.one[0] = u
+	b.mat = tensor.Matrix{Rows: 1, Cols: len(items), Data: b.logits[:len(items)]}
+	s.ScoreUsersBlockLogitsInto(&b.mat, b.one[:], items)
+	preds := make([]comm.Prediction, len(items))
+	for j, v := range items {
+		preds[j] = comm.Prediction{User: id, Item: v, Score: nn.Sigmoid(b.mat.Data[j])}
+	}
 	return preds
 }
 

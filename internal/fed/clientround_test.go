@@ -87,7 +87,7 @@ func warmClient(h *ClientHost, id int) {
 	for v := range all {
 		all[v] = v
 	}
-	h.Client(id).Model().ScoreItems(0, all)
+	scoreItems(h.Client(id).Model(), 0, all)
 }
 
 // mfClientRoundAllocs is what one steady-state MF client round allocates,
@@ -101,9 +101,10 @@ func warmClient(h *ClientHost, id int) {
 //   - the upload slices: SampleUpload's two index draws and the two slices
 //     they fill, where a positive draw of under a quarter of Dᵢ takes a map
 //     and a slice instead of a permutation (4 and a fraction); the item
-//     list, its scores and the predictions (3); Swap's one index list (1);
+//     list and the predictions (2), scored through a pooled one-user logit
+//     block (oneUserBlock); Swap's one index list (1);
 //   - the payload and the decoded predictions (2).
-const mfClientRoundAllocs = 16
+const mfClientRoundAllocs = 15
 
 // TestMFClientRoundSteadyStateAllocs pins the allocations of one MF client
 // round whose rows are all materialised, so a map or a scratch slice that

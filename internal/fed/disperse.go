@@ -27,9 +27,7 @@ import (
 	"ptffedrec/internal/candset"
 	"ptffedrec/internal/comm"
 	"ptffedrec/internal/eval"
-	"ptffedrec/internal/nn"
 	"ptffedrec/internal/rng"
-	"ptffedrec/internal/tensor"
 )
 
 // disperseBatchClients is how many clients one worker scores together: the
@@ -148,26 +146,24 @@ type disperseSlot struct {
 
 // disperseBatchScratch is one worker's reusable state for the batched
 // dispersal path: the hard half's BlockTopK and its per-call lists, the
-// re-scoring block's backing and header, and the assembly buffers. Nothing
-// here is allocated per batch once warm; each slot's exclusion list is
-// refilled in place for the next batch's target.
+// re-scoring block, and the assembly buffers. Nothing here is allocated per
+// batch once warm; each slot's exclusion list is refilled in place for the
+// next batch's target.
 type disperseBatchScratch struct {
 	slots    []disperseSlot
 	topk     *eval.BlockTopK
 	users    []int   // the batch's user ids, one selection row each
 	lists    [][]int // their exclusion lists
-	one      [1]int  // the user of a one-user re-scoring block
-	scores   []float64
-	mat      tensor.Matrix
+	block    oneUserBlock
 	top      []int
 	eligible []int // one client's ascending eligible set (random arms only)
 }
 
 func (sv *Server) newDisperseBatchScratch() *disperseBatchScratch {
 	return &disperseBatchScratch{
-		slots:  make([]disperseSlot, disperseBatchClients),
-		topk:   eval.NewBlockTopK(sv.ident, disperseBatchClients, disperseScoreChunk, sv.cfg.Alpha),
-		scores: make([]float64, sv.cfg.Alpha),
+		slots: make([]disperseSlot, disperseBatchClients),
+		topk:  eval.NewBlockTopK(sv.ident, disperseBatchClients, disperseScoreChunk, sv.cfg.Alpha),
+		block: oneUserBlock{logits: make([]float64, sv.cfg.Alpha)},
 	}
 }
 
@@ -186,11 +182,10 @@ func (sv *Server) newDisperseBatchScratch() *disperseBatchScratch {
 //     the window and the runs between its items pushed into that client's
 //     logit-domain selector;
 //  4. each client's chosen items are re-scored as a one-user logit block,
-//     σ applied per item — by the block contract, exactly ScoreItems.
+//     σ applied per item (oneUserBlock, shared with the client's upload).
 //
 // Each slot's preds is left ready for the wire.
 func (sv *Server) disperseBatch(slots []disperseSlot, plan *dispersalPlan, sc *disperseBatchScratch) {
-	mbs := sv.scorer
 	nConf, nHard, confRandom, hardRandom := disperseArms(sv.cfg)
 	draws := disperseNeedsStreams(sv.cfg)
 
@@ -235,7 +230,7 @@ func (sv *Server) disperseBatch(slots []disperseSlot, plan *dispersalPlan, sc *d
 			sc.users = append(sc.users, slots[si].tgt.id)
 			sc.lists = append(sc.lists, slots[si].tgt.excl)
 		}
-		sc.topk.Select(mbs, sc.users, sc.lists)
+		sc.topk.Select(sv.model, sc.users, sc.lists)
 		for si := range slots {
 			if s := &slots[si]; !s.skip {
 				sc.top = sc.topk.Into(si, sc.top)
@@ -244,19 +239,10 @@ func (sv *Server) disperseBatch(slots []disperseSlot, plan *dispersalPlan, sc *d
 		}
 	}
 
-	// Phase 3: re-score each client's chosen items as a one-user block. The
-	// block contract makes σ of the row bitwise ScoreItems(id, items).
+	// Phase 3: re-score each client's chosen items as a one-user block.
 	for si := range slots {
-		s := &slots[si]
-		if s.skip {
-			continue
-		}
-		sc.one[0] = s.tgt.id
-		sc.mat = tensor.Matrix{Rows: 1, Cols: len(s.items), Data: sc.scores[:len(s.items)]}
-		mbs.ScoreUsersBlockLogitsInto(&sc.mat, sc.one[:], s.items)
-		s.preds = make([]comm.Prediction, len(s.items))
-		for j, v := range s.items {
-			s.preds[j] = comm.Prediction{User: s.tgt.id, Item: v, Score: nn.Sigmoid(sc.mat.Data[j])}
+		if s := &slots[si]; !s.skip {
+			s.preds = sc.block.predictions(sv.model, s.tgt.id, s.tgt.id, s.items)
 		}
 	}
 }

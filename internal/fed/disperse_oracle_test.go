@@ -5,7 +5,9 @@ package fed
 // reference oracle the live engine is compared against at the engine
 // boundary — per-user D̃ᵢ on a trained server (TestDisperseMatchesScalarOracle)
 // — and must not be edited to follow the production engine. Every score in
-// it is a per-item ScoreItems score.
+// it is a per-item probability: σ of a one-user block over the client's list
+// (scoreItems), which the models package pins bitwise to each model's
+// per-item oracle.
 
 import (
 	"ptffedrec/internal/bitset"
@@ -95,12 +97,12 @@ func (sv *Server) disperse(tgt disperseTarget, ds *rng.Stream, plan *dispersalPl
 			items, unfilled = pickItems(items, rng.SampleSlice(ds, eligible, k), nHard)
 			items = fillItems(items, eligible, unfilled)
 		} else {
-			scratch.top = topKByScore(scratch.top, eligible, sv.model.ScoreItems(tgt.id, eligible), nHard+len(items))
+			scratch.top = topKByScore(scratch.top, eligible, scoreItems(sv.model, tgt.id, eligible), nHard+len(items))
 			items, _ = pickItems(items, scratch.top, nHard)
 		}
 	}
 
-	scores := sv.model.ScoreItems(tgt.id, items)
+	scores := scoreItems(sv.model, tgt.id, items)
 	preds := make([]comm.Prediction, len(items))
 	for i, v := range items {
 		preds[i] = comm.Prediction{User: tgt.id, Item: v, Score: scores[i]}

@@ -470,26 +470,6 @@ func TestClientFractionSelectsSubset(t *testing.T) {
 	}
 }
 
-func TestEvaluateClients(t *testing.T) {
-	sp := tinySplit(t)
-	cfg := fastConfig(models.KindNeuMF)
-	cfg.Rounds = 2
-	tr, err := NewTrainer(sp, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tr.Run(); err != nil {
-		t.Fatal(err)
-	}
-	res := tr.EvaluateClients()
-	if res.Users == 0 {
-		t.Fatal("client evaluation saw no users")
-	}
-	if res.Recall < 0 || res.Recall > 1 {
-		t.Fatalf("client recall = %v", res.Recall)
-	}
-}
-
 func TestTableVIIIClientModelCombos(t *testing.T) {
 	// Graph models as *clients* (one-hop local graphs).
 	sp := tinySplit(t)

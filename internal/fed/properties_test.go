@@ -139,7 +139,7 @@ func requireDispersalProperties(t *testing.T, label string, tr *Trainer, upload 
 	// float32.
 	const tol = 1e-6
 	score := make([]float64, numItems)
-	for i, s := range sv.model.ScoreItems(d.ID, eligible) {
+	for i, s := range scoreItems(sv.model, d.ID, eligible) {
 		score[eligible[i]] = s
 	}
 	for _, p := range d.Preds {

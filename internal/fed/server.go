@@ -19,11 +19,8 @@ import (
 // prediction scores.
 type Server struct {
 	model models.Recommender
-	// scorer is model's multi-user scoring contract, which the dispersal
-	// engine scores every batch through; asserted once at construction.
-	scorer models.MultiBlockScorer
-	cfg    *Config
-	s      *rng.Stream
+	cfg   *Config
+	s     *rng.Stream
 
 	numUsers, numItems int
 
@@ -75,17 +72,12 @@ func newServer(numUsers, numItems int, cfg *Config, parent *rng.Stream) (*Server
 	if err != nil {
 		return nil, fmt.Errorf("fed: server: %w", err)
 	}
-	scorer, ok := m.(models.MultiBlockScorer)
-	if !ok {
-		return nil, fmt.Errorf("fed: server model %q cannot score user batches (models.MultiBlockScorer)", cfg.ServerModel)
-	}
 	ident := make([]int, numItems)
 	for v := range ident {
 		ident[v] = v
 	}
 	return &Server{
 		model:    m,
-		scorer:   scorer,
 		cfg:      cfg,
 		s:        parent.Derive("server"),
 		numUsers: numUsers,

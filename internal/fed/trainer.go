@@ -8,7 +8,6 @@ import (
 	"ptffedrec/internal/comm"
 	"ptffedrec/internal/data"
 	"ptffedrec/internal/eval"
-	"ptffedrec/internal/models"
 	"ptffedrec/internal/par"
 )
 
@@ -100,14 +99,11 @@ func NewTrainer(sp *data.Split, cfg Config) (*Trainer, error) {
 	return &Trainer{cfg: cfg, split: sp, host: host, engine: engine, server: engine.server}, nil
 }
 
-// client returns participant i, constructing it on first use.
-func (t *Trainer) client(i int) *Client { return t.host.Client(i) }
-
 // Clients exposes the participant list (tests, examples), materialising any
 // clients not built yet.
 func (t *Trainer) Clients() []*Client {
 	for i := range t.host.clients {
-		t.client(i)
+		t.host.Client(i)
 	}
 	return t.host.clients
 }
@@ -209,17 +205,6 @@ func (t *Trainer) ShareEvaluator(e *eval.Evaluator) { t.evaluator = e }
 // worker count, reusing the trainer's cached candidate sets every round.
 func (t *Trainer) EvaluateServer() eval.Result {
 	return t.engine.Evaluate(t.splitEvaluator())
-}
-
-// EvaluateClients measures the mean ranking quality of the client-side local
-// models (each scoring through its own single-user universe). Parallel
-// evaluation is safe because each user's scores come from that user's own
-// model: no two workers ever touch the same client.
-func (t *Trainer) EvaluateClients() eval.Result {
-	scorer := models.ScorerFunc(func(u int, items []int) []float64 {
-		return t.client(u).model.ScoreItems(0, items)
-	})
-	return t.splitEvaluator().Rank(scorer, t.cfg.EvalK, t.cfg.Workers)
 }
 
 // String summarises a round for logs.

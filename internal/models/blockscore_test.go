@@ -76,28 +76,18 @@ func raggedLists(numItems int) [][]int {
 	return lists
 }
 
-// perItemScorer is the per-item loop every model keeps behind ScoreItems —
-// the reference the batched engines are compared with.
-type perItemScorer interface {
-	ScoreItemsInto(dst []float64, u int, items []int) []float64
-}
-
 // TestScoreBlockMatchesScalar pins the batched scoring engine's contract for
 // every model kind: σ of a one-user logit block must be bitwise-identical to
-// the per-item ScoreItemsInto path for any candidate list.
+// the per-item oracle for any candidate list.
 func TestScoreBlockMatchesScalar(t *testing.T) {
 	for _, kind := range []Kind{KindMF, KindNeuMF, KindNGCF, KindLightGCN} {
 		m := blockModel(t, kind, false)
-		mbs, ok := m.(MultiBlockScorer)
-		if !ok {
-			t.Fatalf("%s does not implement MultiBlockScorer", kind)
-		}
-		is := m.(perItemScorer)
+		is := m.(perItemOracle)
 		for _, items := range raggedLists(blockConfig().NumItems) {
 			for u := 0; u < blockConfig().NumUsers; u++ {
-				want := is.ScoreItemsInto(nil, u, items)
+				want := is.scoreItemsOracle(u, items)
 				got := make([]float64, len(items))
-				scoreOneUser(mbs, got, u, items)
+				scoreOneUser(m, got, u, items)
 				for i := range want {
 					if got[i] != want[i] {
 						t.Fatalf("%s: u=%d |items|=%d: block score[%d]=%v, scalar=%v",
@@ -114,11 +104,10 @@ func TestScoreBlockMatchesScalar(t *testing.T) {
 func TestScoreBlockLazyFallback(t *testing.T) {
 	for _, kind := range []Kind{KindMF, KindNeuMF} {
 		m := blockModel(t, kind, true)
-		is := m.(perItemScorer)
 		items := raggedLists(blockConfig().NumItems)[6]
-		want := is.ScoreItemsInto(nil, 0, items)
+		want := m.(perItemOracle).scoreItemsOracle(0, items)
 		got := make([]float64, len(items))
-		scoreOneUser(m.(MultiBlockScorer), got, 0, items)
+		scoreOneUser(m, got, 0, items)
 		for i := range want {
 			if got[i] != want[i] {
 				t.Fatalf("%s lazy: block score[%d]=%v, scalar=%v", kind, i, got[i], want[i])
@@ -135,11 +124,11 @@ func TestScoreBlockRejectsBadDst(t *testing.T) {
 			t.Fatal("short dst accepted")
 		}
 	}()
-	m.(MultiBlockScorer).ScoreUsersBlockLogitsInto(tensor.New(1, 2), []int{0}, []int{0, 1, 2})
+	m.ScoreUsersBlockLogitsInto(tensor.New(1, 2), []int{0}, []int{0, 1, 2})
 }
 
-// BenchmarkScoring compares the scalar per-item path with a one-user block of
-// the batched engine on a full-catalogue candidate list, per model kind.
+// BenchmarkScoring compares the per-item oracle with a one-user block of the
+// batched engine on a full-catalogue candidate list, per model kind.
 func BenchmarkScoring(b *testing.B) {
 	for _, kind := range []Kind{KindMF, KindNeuMF, KindNGCF, KindLightGCN} {
 		m := blockModel(b, kind, false)
@@ -151,29 +140,33 @@ func BenchmarkScoring(b *testing.B) {
 			items[i] = i
 		}
 		dst := make([]float64, len(items))
-		b.Run(string(kind)+"/scalar", func(b *testing.B) {
+		b.Run(string(kind)+"/oracle", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				dst = m.(perItemScorer).ScoreItemsInto(dst[:0], i%blockConfig().NumUsers, items)
+				m.(perItemOracle).scoreItemsOracle(i%blockConfig().NumUsers, items)
 			}
 		})
 		b.Run(string(kind)+"/block", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				scoreOneUser(m.(MultiBlockScorer), dst[:len(items)], i%blockConfig().NumUsers, items)
+				scoreOneUser(m, dst, i%blockConfig().NumUsers, items)
 			}
 		})
 	}
 }
 
 // FuzzScoreBlockRagged fuzzes ragged candidate-list shapes (length, item
-// skew, user) against the scalar path for the two model families with
-// distinct batched implementations: MF's gather-GEMM and NeuMF's chunked MLP
-// forward.
+// skew, user) against the per-item oracle for every model kind on dense
+// tables — MF's and the graph models' gather-GEMM, NeuMF's chunked MLP
+// forward — and for the lazy MF and NeuMF every client trains, whose rows
+// materialise on first read in the order both paths touch them.
 func FuzzScoreBlockRagged(f *testing.F) {
 	f.Add(uint64(1), uint(3), uint(0))
 	f.Add(uint64(42), uint(scoreChunkSize), uint(1))
 	f.Add(uint64(7), uint(2*scoreChunkSize+3), uint(4))
-	mf := blockModel(f, KindMF, false)
-	neumf := blockModel(f, KindNeuMF, false)
+	var ms []Recommender
+	for _, kind := range []Kind{KindMF, KindNeuMF, KindNGCF, KindLightGCN} {
+		ms = append(ms, blockModel(f, kind, false))
+	}
+	ms = append(ms, blockModel(f, KindMF, true), blockModel(f, KindNeuMF, true))
 	numItems := blockConfig().NumItems
 	numUsers := blockConfig().NumUsers
 	f.Fuzz(func(t *testing.T, seed uint64, n, u uint) {
@@ -186,13 +179,13 @@ func FuzzScoreBlockRagged(f *testing.F) {
 			items[i] = s.Intn(numItems)
 		}
 		user := int(u % uint(numUsers))
-		for _, m := range []Recommender{mf, neumf} {
-			want := m.(perItemScorer).ScoreItemsInto(nil, user, items)
+		for i, m := range ms {
+			want := m.(perItemOracle).scoreItemsOracle(user, items)
 			got := make([]float64, len(items))
-			scoreOneUser(m.(MultiBlockScorer), got, user, items)
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("%s: score[%d]=%v, scalar=%v", m.Name(), i, got[i], want[i])
+			scoreOneUser(m, got, user, items)
+			for j := range want {
+				if got[j] != want[j] {
+					t.Fatalf("%s (lazy %v): score[%d]=%v, oracle %v", m.Name(), i >= 4, j, got[j], want[j])
 				}
 			}
 		}

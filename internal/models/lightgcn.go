@@ -196,32 +196,10 @@ func (m *LightGCN) propagate() *tensor.Matrix {
 }
 
 // WarmScoring implements Warmer: it forces the propagation cache so
-// concurrent ScoreItems calls are pure reads.
+// concurrent scoring calls are pure reads.
 func (m *LightGCN) WarmScoring() { m.propagate() }
 
 func (m *LightGCN) itemNode(v int) int { return m.cfg.NumUsers + v }
-
-// Score implements Recommender.
-func (m *LightGCN) Score(u, v int) float64 {
-	f := m.propagate()
-	return nn.Sigmoid(dot(f.Row(u), f.Row(m.itemNode(v))))
-}
-
-// ScoreItems implements Recommender.
-func (m *LightGCN) ScoreItems(u int, items []int) []float64 {
-	return m.ScoreItemsInto(nil, u, items)
-}
-
-// ScoreItemsInto is the per-item loop behind ScoreItems; it reuses dst's capacity.
-func (m *LightGCN) ScoreItemsInto(dst []float64, u int, items []int) []float64 {
-	f := m.propagate()
-	urow := f.Row(u)
-	out := scoreBuf(dst, len(items))
-	for _, v := range items {
-		out = append(out, nn.Sigmoid(dot(urow, f.Row(m.itemNode(v)))))
-	}
-	return out
-}
 
 // ScoreUsersBlockLogitsInto implements MultiBlockScorer's logit-domain half:
 // one double-gathered GEMM against the propagated embedding matrix produces

@@ -16,11 +16,7 @@ func TestScoreUsersBlockLogitsContract(t *testing.T) {
 	users := []int{0, 2, 1, 4, 2}
 	for _, kind := range []Kind{KindMF, KindNeuMF, KindNGCF, KindLightGCN} {
 		for _, lazy := range []bool{false, true} {
-			m := blockModel(t, kind, lazy)
-			mbs, ok := m.(MultiBlockScorer)
-			if !ok {
-				t.Fatalf("%s lazy=%v does not implement MultiBlockScorer", kind, lazy)
-			}
+			mbs := blockModel(t, kind, lazy)
 			for _, items := range raggedLists(cfg.NumItems) {
 				if len(items) == 0 {
 					continue

@@ -35,26 +35,6 @@ func NewMF(cfg Config, s *rng.Stream) *MF {
 // Name implements Recommender.
 func (m *MF) Name() string { return string(KindMF) }
 
-// Score implements Recommender.
-func (m *MF) Score(u, v int) float64 {
-	return nn.Sigmoid(dot(m.users.Row(u), m.items.Row(v)))
-}
-
-// ScoreItems implements Recommender.
-func (m *MF) ScoreItems(u int, items []int) []float64 {
-	return m.ScoreItemsInto(nil, u, items)
-}
-
-// ScoreItemsInto is the per-item loop behind ScoreItems; it reuses dst's capacity.
-func (m *MF) ScoreItemsInto(dst []float64, u int, items []int) []float64 {
-	out := scoreBuf(dst, len(items))
-	p := m.users.Row(u)
-	for _, v := range items {
-		out = append(out, nn.Sigmoid(dot(p, m.items.Row(v))))
-	}
-	return out
-}
-
 // ScoreUsersBlockLogitsInto implements MultiBlockScorer's logit-domain half:
 // one double-gathered GEMM against the dense embedding tables produces the
 // whole user batch's raw dot products. Lazy tables have no dense matrix to

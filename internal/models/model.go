@@ -14,7 +14,6 @@ import (
 
 	"ptffedrec/internal/emb"
 	"ptffedrec/internal/graph"
-	"ptffedrec/internal/nn"
 	"ptffedrec/internal/rng"
 )
 
@@ -26,17 +25,14 @@ type Sample struct {
 }
 
 // Recommender is the model contract the federated and centralized trainers
-// share.
+// share. Every score it gives goes through MultiBlockScorer's logit block.
 type Recommender interface {
+	MultiBlockScorer
 	// Name identifies the model family (for reports).
 	Name() string
 	// TrainBatch runs forward/backward/update on one batch and returns the
 	// batch's mean BCE loss.
 	TrainBatch(batch []Sample) float64
-	// Score returns σ(logit) for a single user–item pair.
-	Score(u, v int) float64
-	// ScoreItems scores one user against a list of items.
-	ScoreItems(u int, items []int) []float64
 }
 
 // Fit is the minibatch loop every trainer shares: each of epochs passes
@@ -70,49 +66,13 @@ type GraphRecommender interface {
 	SetGraph(inc *graph.Incremental)
 }
 
-// Scorer is the minimal scoring capability — one user against a list of
-// candidate items — and the root of the scoring interface family consumed by
-// the evaluator and the dispersal engine (MultiBlockScorer refines it: a
-// scorer that implements it is ranked through multi-user logit batches,
-// anything else through ScoreItems). Recommender satisfies it; federated
-// clients adapt it to their local user index via ScorerFunc.
-//
-// A Scorer handed to a parallel consumer must tolerate concurrent ScoreItems
-// calls for distinct users (no consumer scores the same user from two
-// goroutines). Scorers whose first call lazily builds shared state should
-// implement Warmer.
-type Scorer interface {
-	ScoreItems(u int, items []int) []float64
-}
-
-// ScorerFunc adapts a function to the Scorer interface.
-type ScorerFunc func(u int, items []int) []float64
-
-// ScoreItems implements Scorer.
-func (f ScorerFunc) ScoreItems(u int, items []int) []float64 { return f(u, items) }
-
-// Warmer is an optional Scorer extension. WarmScoring precomputes any lazily
-// cached shared state (e.g. a graph model's propagated embeddings) so that
-// subsequent scoring calls are read-only and safe to issue concurrently.
-// Parallel consumers invoke it once before fanning out to workers.
+// Warmer is an optional MultiBlockScorer extension. WarmScoring precomputes
+// any lazily cached shared state (e.g. a graph model's propagated embeddings)
+// so that subsequent scoring calls are read-only and safe to issue
+// concurrently. Parallel consumers invoke it once before fanning out to
+// workers.
 type Warmer interface {
 	WarmScoring()
-}
-
-// scoreBuf returns a zero-length slice with capacity for n scores, reusing
-// dst's storage when possible.
-func scoreBuf(dst []float64, n int) []float64 {
-	if cap(dst) < n {
-		return make([]float64, 0, n)
-	}
-	return dst[:0]
-}
-
-// sigmoidVec replaces each logit in dst with σ(logit).
-func sigmoidVec(dst []float64) {
-	for i, v := range dst {
-		dst[i] = nn.Sigmoid(v)
-	}
 }
 
 // Kind selects a model family.

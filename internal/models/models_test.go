@@ -53,7 +53,7 @@ func smallBatch() []Sample {
 	}
 }
 
-// batchBCE recomputes the loss from scratch via the public Score path.
+// batchBCE recomputes the loss from scratch through the logit block.
 func batchBCE(m Recommender, batch []Sample, invalidate func()) float64 {
 	if invalidate != nil {
 		invalidate()
@@ -61,7 +61,7 @@ func batchBCE(m Recommender, batch []Sample, invalidate func()) float64 {
 	preds := make([]float64, len(batch))
 	targets := make([]float64, len(batch))
 	for i, s := range batch {
-		preds[i] = m.Score(s.User, s.Item)
+		preds[i] = score(m, s.User, s.Item)
 		targets[i] = s.Label
 	}
 	return nn.BCE(preds, targets)
@@ -88,7 +88,7 @@ func TestFactoryAllKinds(t *testing.T) {
 		if m.Name() != string(kind) {
 			t.Fatalf("Name = %s", m.Name())
 		}
-		sc := m.Score(0, 0)
+		sc := score(m, 0, 0)
 		if sc <= 0 || sc >= 1 || math.IsNaN(sc) {
 			t.Fatalf("%s Score = %v", kind, sc)
 		}
@@ -120,6 +120,9 @@ func TestParseKind(t *testing.T) {
 	}
 }
 
+// TestScoreItemsMatchesScore pins the two shapes the removed ScoreItems and
+// Score scored in: a one-user block over an item list agrees with each item
+// scored alone as a one-by-one block.
 func TestScoreItemsMatchesScore(t *testing.T) {
 	cfg := smallConfig()
 	for _, kind := range []Kind{KindMF, KindNeuMF, KindNGCF, KindLightGCN} {
@@ -131,10 +134,11 @@ func TestScoreItemsMatchesScore(t *testing.T) {
 			gm.SetGraph(smallGraph(cfg))
 		}
 		items := []int{0, 2, 5}
-		got := m.ScoreItems(1, items)
+		got := make([]float64, len(items))
+		scoreOneUser(m, got, 1, items)
 		for i, v := range items {
-			if math.Abs(got[i]-m.Score(1, v)) > 1e-12 {
-				t.Fatalf("%s ScoreItems[%d] = %v, Score = %v", kind, i, got[i], m.Score(1, v))
+			if math.Abs(got[i]-score(m, 1, v)) > 1e-12 {
+				t.Fatalf("%s block[%d] = %v, alone = %v", kind, i, got[i], score(m, 1, v))
 			}
 		}
 	}
@@ -328,8 +332,8 @@ func TestModelsLearnSmallData(t *testing.T) {
 		}
 		// Positives must outscore negatives after training.
 		for i := 0; i+1 < len(batch); i += 2 {
-			pos := m.Score(batch[i].User, batch[i].Item)
-			neg := m.Score(batch[i+1].User, batch[i+1].Item)
+			pos := score(m, batch[i].User, batch[i].Item)
+			neg := score(m, batch[i+1].User, batch[i+1].Item)
 			if pos <= neg {
 				t.Fatalf("%s: pos %v <= neg %v for user %d", kind, pos, neg, batch[i].User)
 			}
@@ -342,13 +346,13 @@ func TestGraphModelsReactToSetGraph(t *testing.T) {
 	for _, kind := range []Kind{KindNGCF, KindLightGCN} {
 		m, _ := New(kind, cfg)
 		gm := m.(GraphRecommender)
-		before := m.Score(0, 1)
+		before := score(m, 0, 1)
 		g := make(edgeRows, cfg.NumUsers)
 		g.add(0, 1, 1)
 		g.add(0, 0, 1)
 		g.add(1, 1, 1)
 		gm.SetGraph(g.engine(cfg.NumItems))
-		after := m.Score(0, 1)
+		after := score(m, 0, 1)
 		if before == after {
 			t.Fatalf("%s ignores the graph: %v == %v", kind, before, after)
 		}
@@ -417,7 +421,7 @@ func TestSoftLabelTraining(t *testing.T) {
 	for i := 0; i < 600; i++ {
 		m.TrainBatch(batch)
 	}
-	if got := m.Score(0, 0); math.Abs(got-0.7) > 0.05 {
+	if got := score(m, 0, 0); math.Abs(got-0.7) > 0.05 {
 		t.Fatalf("soft-label fit = %v, want ≈0.7", got)
 	}
 }

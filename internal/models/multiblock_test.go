@@ -3,6 +3,7 @@ package models
 import (
 	"testing"
 
+	"ptffedrec/internal/nn"
 	"ptffedrec/internal/rng"
 	"ptffedrec/internal/tensor"
 )
@@ -39,11 +40,13 @@ func multiBlockFixture(t *testing.T, kind Kind, lazy bool) Recommender {
 }
 
 // scoreUsersBlock is the σ-domain view of the multi-user kernel these tests
-// compare with the per-user paths: the logit block with σ applied here, the
-// way the kernel's consumers apply it to the winners they keep.
+// compare with the per-item oracles: the logit block with σ applied here, the
+// way the kernel's consumers apply it to the scores they keep.
 func scoreUsersBlock(mbs MultiBlockScorer, dst *tensor.Matrix, users, items []int) {
 	mbs.ScoreUsersBlockLogitsInto(dst, users, items)
-	sigmoidVec(dst.Data)
+	for i, x := range dst.Data {
+		dst.Data[i] = nn.Sigmoid(x)
+	}
 }
 
 // scoreOneUser is scoreUsersBlock for a batch of one: user u's σ-domain row.
@@ -51,17 +54,23 @@ func scoreOneUser(mbs MultiBlockScorer, dst []float64, u int, items []int) {
 	scoreUsersBlock(mbs, &tensor.Matrix{Rows: 1, Cols: len(items), Data: dst}, []int{u}, items)
 }
 
+// score is σ of user u's logit for item v, scored as a one-by-one block.
+func score(mbs MultiBlockScorer, u, v int) float64 {
+	var p [1]float64
+	scoreOneUser(mbs, p[:], u, []int{v})
+	return p[0]
+}
+
 // checkUsersBlockScalar scores users × items as one block and requires each
-// entry to be bitwise-identical to scoring its item alone through
-// ScoreItemsInto.
-func checkUsersBlockScalar(t *testing.T, kind Kind, mbs MultiBlockScorer, is perItemScorer, users, items []int) {
+// entry to be bitwise-identical to scoring its item alone through the
+// per-item oracle.
+func checkUsersBlockScalar(t *testing.T, kind Kind, mbs MultiBlockScorer, is perItemOracle, users, items []int) {
 	t.Helper()
 	dst := tensor.New(len(users), len(items))
 	scoreUsersBlock(mbs, dst, users, items)
-	var want []float64
 	for i, u := range users {
 		for j, v := range items {
-			want = is.ScoreItemsInto(want, u, items[j:j+1])
+			want := is.scoreItemsOracle(u, items[j:j+1])
 			if dst.At(i, j) != want[0] {
 				t.Fatalf("%s users=%d items=%d: dst[%d][%d] = %v, want %v (user %d item %d)",
 					kind, len(users), len(items), i, j, dst.At(i, j), want[0], u, v)
@@ -72,7 +81,7 @@ func checkUsersBlockScalar(t *testing.T, kind Kind, mbs MultiBlockScorer, is per
 
 // TestScoreUsersBlockMatchesScalar pins the MultiBlockScorer contract for
 // every model kind: each entry of the batched user-block score matrix is
-// bitwise-identical to scoring its item alone through ScoreItemsInto, for
+// bitwise-identical to scoring its item alone through the per-item oracle, for
 // batch sizes covering the GEMM kernel's interleaved quad path and its
 // remainder tail.
 func TestScoreUsersBlockMatchesScalar(t *testing.T) {
@@ -80,13 +89,9 @@ func TestScoreUsersBlockMatchesScalar(t *testing.T) {
 	s := rng.New(5).Derive("batch")
 	for _, kind := range kinds {
 		m := multiBlockFixture(t, kind, false)
-		mbs, ok := m.(MultiBlockScorer)
-		if !ok {
-			t.Fatalf("%s does not implement MultiBlockScorer", kind)
-		}
-		is := m.(perItemScorer)
+		is := m.(perItemOracle)
 		for _, nUsers := range []int{1, 3, 4, 7} {
-			checkUsersBlockScalar(t, kind, mbs, is, s.SampleInts(23, nUsers), s.SampleInts(57, 1+s.Intn(57)))
+			checkUsersBlockScalar(t, kind, m, is, s.SampleInts(23, nUsers), s.SampleInts(57, 1+s.Intn(57)))
 		}
 	}
 }
@@ -100,14 +105,13 @@ func TestScorePairsMatchesScalar(t *testing.T) {
 	s := rng.New(17).Derive("pairs")
 	for _, kind := range []Kind{KindMF, KindNeuMF, KindNGCF, KindLightGCN} {
 		m := multiBlockFixture(t, kind, false)
-		mbs := m.(MultiBlockScorer)
-		is := m.(perItemScorer)
+		is := m.(perItemOracle)
 		for _, n := range []int{1, 3, 4, 9, 300} {
 			items := make([]int, n)
 			for i := range items {
 				items[i] = s.Intn(57)
 			}
-			checkUsersBlockScalar(t, kind, mbs, is, []int{s.Intn(23)}, items)
+			checkUsersBlockScalar(t, kind, m, is, []int{s.Intn(23)}, items)
 		}
 	}
 }
@@ -117,14 +121,12 @@ func TestScorePairsMatchesScalar(t *testing.T) {
 // through the per-pair dot loop.
 func TestScoreUsersBlockLazyFallback(t *testing.T) {
 	m := multiBlockFixture(t, KindMF, true)
-	mbs := m.(MultiBlockScorer)
 	users := []int{0, 3, 7, 7, 12, 22}
 	items := []int{0, 5, 9, 31, 56}
 	dst := tensor.New(len(users), len(items))
-	scoreUsersBlock(mbs, dst, users, items)
-	var want []float64
+	scoreUsersBlock(m, dst, users, items)
 	for i, u := range users {
-		want = m.(perItemScorer).ScoreItemsInto(want, u, items)
+		want := m.(perItemOracle).scoreItemsOracle(u, items)
 		for j := range want {
 			if dst.At(i, j) != want[j] {
 				t.Fatalf("lazy MF: dst[%d][%d] = %v, want %v", i, j, dst.At(i, j), want[j])
@@ -154,18 +156,17 @@ func BenchmarkMultiUserScoring(b *testing.B) {
 			users[i] = i % numUsers
 		}
 		dst := tensor.New(len(users), len(items))
-		mbs := m.(MultiBlockScorer)
 		b.Run(string(kind)+"/per-user", func(b *testing.B) {
 			row := tensor.New(1, len(items))
 			for i := 0; i < b.N; i++ {
 				for r := range users {
-					mbs.ScoreUsersBlockLogitsInto(row, users[r:r+1], items)
+					m.ScoreUsersBlockLogitsInto(row, users[r:r+1], items)
 				}
 			}
 		})
 		b.Run(string(kind)+"/multi-user", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				mbs.ScoreUsersBlockLogitsInto(dst, users, items)
+				m.ScoreUsersBlockLogitsInto(dst, users, items)
 			}
 		})
 	}
@@ -176,6 +177,6 @@ func TestScoreUsersBlockEmptyItems(t *testing.T) {
 	for _, kind := range []Kind{KindMF, KindNeuMF, KindNGCF, KindLightGCN} {
 		m := multiBlockFixture(t, kind, false)
 		dst := tensor.New(2, 0)
-		m.(MultiBlockScorer).ScoreUsersBlockLogitsInto(dst, []int{0, 1}, nil) // must not panic
+		m.ScoreUsersBlockLogitsInto(dst, []int{0, 1}, nil) // must not panic
 	}
 }

@@ -218,30 +218,6 @@ func (m *NeuMF) TrainBatch(batch []Sample) float64 {
 	return lossSum / float64(n)
 }
 
-// Score implements Recommender.
-func (m *NeuMF) Score(u, v int) float64 {
-	return m.ScoreItems(u, []int{v})[0]
-}
-
-// ScoreItems implements Recommender.
-func (m *NeuMF) ScoreItems(u int, items []int) []float64 {
-	return m.ScoreItemsInto(nil, u, items)
-}
-
-// ScoreItemsInto is ScoreItems reusing dst's capacity: σ of the chunked
-// logit forwards the block scorer runs, over a borrowed workspace.
-func (m *NeuMF) ScoreItemsInto(dst []float64, u int, items []int) []float64 {
-	out := scoreBuf(dst, len(items))[:len(items)]
-	if len(items) == 0 {
-		return out
-	}
-	ws := m.ws.Get().(*neumfWS)
-	m.scoreBlockLogitsWS(ws, out, u, items)
-	m.ws.Put(ws)
-	sigmoidVec(out)
-	return out
-}
-
 // scoreChunkSize is the candidate-chunk width of NeuMF's batched scoring: the
 // workspace holds one chunk's forward intermediates, so peak memory is
 // O(chunk·width) instead of O(|candidates|·width). Each output row of a dense

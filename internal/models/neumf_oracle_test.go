@@ -165,8 +165,9 @@ func (m *NeuMF) trainBatchOracle(batch []Sample) float64 {
 	return lossSum / float64(n)
 }
 
-// scoreItemsOracle is the replaced ScoreItemsInto: one allocating forward
-// over the whole item list.
+// scoreItemsOracle is NeuMF's per-item reference, the body ScoreItemsInto
+// had before it ran the block scorer's chunked forwards: one allocating
+// forward over the whole item list.
 func (m *NeuMF) scoreItemsOracle(u int, items []int) []float64 {
 	batch := make([]Sample, len(items))
 	for i, v := range items {
@@ -234,7 +235,9 @@ func TestNeuMFTrainBatchMatchesOracle(t *testing.T) {
 				}
 			}
 			items := []int{0, 3, 3, cfg.NumItems - 1}
-			got, want := live.ScoreItems(0, items), oracle.scoreItemsOracle(0, items)
+			got := make([]float64, len(items))
+			scoreOneUser(live, got, 0, items)
+			want := oracle.scoreItemsOracle(0, items)
 			for i := range want {
 				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
 					t.Fatalf("score[%d] = %v, oracle %v", i, got[i], want[i])

@@ -108,7 +108,7 @@ func (m *NGCF) propagate() {
 }
 
 // WarmScoring implements Warmer: it forces the propagation caches so
-// concurrent ScoreItems calls are pure reads.
+// concurrent scoring calls are pure reads.
 func (m *NGCF) WarmScoring() { m.propagate() }
 
 func (m *NGCF) itemNode(v int) int { return m.cfg.NumUsers + v }
@@ -126,27 +126,6 @@ func (m *NGCF) scoreNodes(un, vn int) float64 {
 		s += dot(e.Row(un), e.Row(vn))
 	}
 	return nn.Sigmoid(s * m.readoutScale())
-}
-
-// Score implements Recommender.
-func (m *NGCF) Score(u, v int) float64 {
-	m.propagate()
-	return m.scoreNodes(u, m.itemNode(v))
-}
-
-// ScoreItems implements Recommender.
-func (m *NGCF) ScoreItems(u int, items []int) []float64 {
-	return m.ScoreItemsInto(nil, u, items)
-}
-
-// ScoreItemsInto is the per-item loop behind ScoreItems; it reuses dst's capacity.
-func (m *NGCF) ScoreItemsInto(dst []float64, u int, items []int) []float64 {
-	m.propagate()
-	out := scoreBuf(dst, len(items))
-	for _, v := range items {
-		out = append(out, m.scoreNodes(u, m.itemNode(v)))
-	}
-	return out
 }
 
 // ScoreUsersBlockLogitsInto implements MultiBlockScorer's logit-domain half:

@@ -47,7 +47,7 @@ func TestSnapshotRestoreAllModels(t *testing.T) {
 		}
 		for u := 0; u < 4; u++ {
 			for v := 0; v < 6; v++ {
-				a, b := src.Score(u, v), dst.Score(u, v)
+				a, b := score(src, u, v), score(dst, u, v)
 				if math.Abs(a-b) > 1e-12 {
 					t.Fatalf("%s: score(%d,%d) %v != %v after restore", kind, u, v, a, b)
 				}
@@ -111,7 +111,7 @@ func TestLazySnapshotRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, smp := range smallBatch() {
-		if math.Abs(a.Score(smp.User, smp.Item)-b.Score(smp.User, smp.Item)) > 1e-12 {
+		if math.Abs(score(a, smp.User, smp.Item)-score(b, smp.User, smp.Item)) > 1e-12 {
 			t.Fatal("lazy snapshot round trip changed scores")
 		}
 	}
@@ -158,9 +158,8 @@ func TestCheckpointResumeExact(t *testing.T) {
 		}
 		for u := 0; u < smallConfig().NumUsers; u++ {
 			for v := 0; v < smallConfig().NumItems; v++ {
-				if a.Score(u, v) != b.Score(u, v) {
-					t.Fatalf("%s: score(%d,%d) diverged after resume: %v != %v",
-						kind, u, v, a.Score(u, v), b.Score(u, v))
+				if sa, sb := score(a, u, v), score(b, u, v); sa != sb {
+					t.Fatalf("%s: score(%d,%d) diverged after resume: %v != %v", kind, u, v, sa, sb)
 				}
 			}
 		}
@@ -203,7 +202,7 @@ func TestCheckpointResumeExactLazy(t *testing.T) {
 		}
 	}
 	for _, smp := range smallBatch() {
-		if a.Score(smp.User, smp.Item) != b.Score(smp.User, smp.Item) {
+		if score(a, smp.User, smp.Item) != score(b, smp.User, smp.Item) {
 			t.Fatal("lazy checkpoint-resume diverged")
 		}
 	}

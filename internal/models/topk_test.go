@@ -23,11 +23,12 @@ func logitSelect(mbs MultiBlockScorer, sel *metrics.LogitTopKSelector, u int, it
 }
 
 // requireLogitSelectMatchesSort compares logitSelect with the
-// score-everything-then-sort reference: metrics.TopK over ScoreItems.
+// score-everything-then-sort reference: metrics.TopK over the per-item
+// oracle's probabilities.
 func requireLogitSelectMatchesSort(t *testing.T, m Recommender, sel *metrics.LogitTopKSelector, u int, items []int, k int) {
 	t.Helper()
-	got := logitSelect(m.(MultiBlockScorer), sel, u, items, k)
-	want := metrics.TopK(m.ScoreItems(u, items), k)
+	got := logitSelect(m, sel, u, items, k)
+	want := metrics.TopK(m.(perItemOracle).scoreItemsOracle(u, items), k)
 	if len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
 		t.Fatalf("%s u=%d n=%d k=%d: logit selection %v != sort %v", m.Name(), u, len(items), k, got, want)
 	}

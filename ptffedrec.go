@@ -43,6 +43,7 @@ import (
 	"ptffedrec/internal/models"
 	"ptffedrec/internal/privacy"
 	"ptffedrec/internal/rng"
+	"ptffedrec/internal/tensor"
 )
 
 // Core protocol types.
@@ -82,10 +83,11 @@ type (
 	Result = eval.Result
 	// Prediction is one (user, item, score) wire triple.
 	Prediction = comm.Prediction
-	// Scorer scores one user against candidate items (models satisfy this).
-	Scorer = models.Scorer
-	// ScorerFunc adapts a function to Scorer.
-	ScorerFunc = models.ScorerFunc
+	// Scorer fills a users × items Matrix with raw logits, σ of which are
+	// the scores (every model satisfies it).
+	Scorer = models.MultiBlockScorer
+	// Matrix is the dense row-major matrix a Scorer fills.
+	Matrix = tensor.Matrix
 )
 
 // Model kinds.
@@ -207,11 +209,11 @@ func RunExperiment(id string, o ExperimentOptions, w io.Writer) error {
 
 // Ranking evaluates a scorer on a split at cutoff k, fanning the user loop
 // out over GOMAXPROCS workers. Metrics are bitwise-identical for any worker
-// count. A model from this package is ranked through its multi-user logit
-// batches, a ScorerFunc through ScoreItems; either way each held-out item's
-// rank is the count of candidates that beat it. Candidates are the complement
-// of the user's sorted train list, walked as the scores stream past, so a call
-// retains nothing and costs one scan of the split's test lists beyond ranking.
+// count. Users are ranked through the scorer's multi-user logit blocks, and
+// each held-out item's rank is the count of candidates that beat it.
+// Candidates are the complement of the user's sorted train list, walked as
+// the scores stream past, so a call retains nothing and costs one scan of the
+// split's test lists beyond ranking.
 func Ranking(s Scorer, sp *Split, k int) Result { return eval.RankingWorkers(s, sp, k, 0) }
 
 // RankingWorkers is Ranking with an explicit worker count (<= 0 means
