@@ -132,3 +132,29 @@ func TestEvaluateMatchesNaive(t *testing.T) {
 		}
 	}
 }
+
+// TestMetaMFEvaluateRunsGeneratorOncePerUser bounds one Evaluate after the
+// generator moved: the meta-network runs once per user, not once per block
+// the rank counter scores a user in (the held-out items, then each item
+// window), so Evaluate allocates at most one generate's worth per user plus
+// the evaluator's own few.
+func TestMetaMFEvaluateRunsGeneratorOncePerUser(t *testing.T) {
+	sp := tinySplit(t)
+	cfg := fastConfig()
+	cfg.Rounds = 1
+	cfg.Workers = 1
+	m, err := NewMetaMF(sp, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.RunRound(0)
+	perGenerate := testing.AllocsPerRun(10, func() { m.generate(0) })
+	got := testing.AllocsPerRun(5, func() {
+		m.modFresh = false
+		m.Evaluate()
+	})
+	if limit := perGenerate*float64(sp.NumUsers) + 32; got > limit {
+		t.Fatalf("Evaluate allocates %.0f, want at most %.0f (%.0f per generate, %d users)",
+			got, limit, perGenerate, sp.NumUsers)
+	}
+}

@@ -31,6 +31,12 @@ type MetaMF struct {
 	l1   *nn.Dense     // cvDim -> hidden
 	l2   *nn.Dense     // hidden -> 2d (scale ‖ shift)
 	opt  *nn.Adam
+
+	// mod holds every user's meta-network output (scale ‖ shift) for
+	// scoring while modFresh; backprop, which moves the generator, clears
+	// modFresh.
+	mod      *tensor.Matrix
+	modFresh bool
 }
 
 // NewMetaMF builds the baseline for a split.
@@ -126,22 +132,44 @@ func (m *MetaMF) backprop(idx []int, grads [][]float64) {
 	params = append(params, m.l2.Params()...)
 	m.opt.Step(params)
 	m.cv.Step(m.cvG)
+	m.modFresh = false
 }
 
 // Evaluate implements FederatedBaseline.
 func (m *MetaMF) Evaluate() eval.Result { return m.rank(m) }
 
+// WarmScoring implements models.Warmer: it runs the meta-network once per
+// user into mod unless mod is fresh. The rank counter scores every user in
+// several blocks (the held-out items, then each item window), and each
+// block reads the modulation from mod.
+func (m *MetaMF) WarmScoring() {
+	if m.modFresh {
+		return
+	}
+	if m.mod == nil {
+		m.mod = tensor.New(m.split.NumUsers, 2*m.cfg.Dim)
+	}
+	for u := range m.split.NumUsers {
+		_, _, _, out, _, _ := m.generate(u)
+		copy(m.mod.Row(u), out.Row(0))
+	}
+	m.modFresh = true
+}
+
 // ScoreUsersBlockLogitsInto implements models.MultiBlockScorer: each user's
 // private vector against the items the meta-network generates for them.
 func (m *MetaMF) ScoreUsersBlockLogitsInto(dst *tensor.Matrix, users, items []int) {
+	m.WarmScoring()
+	dim := m.cfg.Dim
 	for i, u := range users {
-		_, _, _, _, scale, shift := m.generate(u)
+		mod := m.mod.Row(u)
+		scale, shift := mod[:dim], mod[dim:]
 		row := dst.Row(i)
 		p := m.users[u].w
 		for j, v := range items {
 			b := m.base.W.Row(v)
 			var s float64
-			for k := 0; k < m.cfg.Dim; k++ {
+			for k := 0; k < dim; k++ {
 				s += p[k] * (b[k]*(1+scale[k]) + shift[k])
 			}
 			row[j] = s

@@ -74,7 +74,7 @@ var (
 
 	// Huge1M is the million-user memory workload: 1M users over an 8192-item
 	// catalogue at cross-device sparsity (≈5 interactions per user). It
-	// exists to prove the per-user state — the incremental graph engine, lazy
+	// exists to prove the per-user state — the graph engine, lazy
 	// client construction — stays O(bytes) per user, not O(allocations). Use the streaming generator
 	// (StreamUsers / StreamSplit / StreamCSV); materialising the full
 	// Dataset is deliberately avoided everywhere this profile is wired up.

@@ -50,8 +50,8 @@ type ScalabilityRow struct {
 	// Memory accounting for this row's trainer. PeakHeapBytes is the largest
 	// live heap observed at phase boundaries (post-GC samples, so it tracks
 	// retained state, not allocator slack). GraphEngineBytes is the
-	// incremental graph engine's exact footprint from its own accounting
-	// (rows, postings, degree vectors, staging scratch).
+	// graph engine's footprint from its own accounting (each user's kept
+	// edges, degree vectors, staging and assembly scratch).
 	PeakHeapBytes    uint64 `json:"peak_heap_bytes"`
 	GraphEngineBytes int64  `json:"graph_engine_bytes"`
 }
@@ -326,7 +326,7 @@ func speedup(base, secs float64) float64 {
 // lazily on first participation, each round samples a few thousand
 // participants, and nothing is evaluated — so the retained state under
 // measurement is the per-user structures: the materialised clients and the
-// incremental graph engine's maintained rows.
+// graph engine's kept edge sets.
 func runScalabilityMemory(o Options, p data.Profile) (*ScalabilityResult, error) {
 	// Same model pairing as the sweep, with the per-round participant count
 	// pinned near the full-scale sweep's (~5k clients) so round cost stays

@@ -90,32 +90,18 @@ func pickItems(items []int, ranked []int, n int) ([]int, int) {
 	return items, n
 }
 
-// fillItems backstops the random ablation arms: an oversample (2×nConf /
-// 3×nHard draws) can collide with already-chosen items and leave pickItems
-// short, which used to under-fill D̃ᵢ below α. A deterministic walk of the
-// remaining eligible items tops the set back up to min(α, |eligible|)
-// without consuming the client's random stream, so worker-count invariance
-// is preserved.
-func fillItems(items []int, eligible []int, n int) []int {
-	for _, v := range eligible {
-		if n == 0 {
-			break
-		}
-		if chosenIn(items, v) {
-			continue
-		}
-		items = append(items, v)
-		n--
-	}
-	return items
-}
-
 // drawItems is one random half of D̃ᵢ: up to n items from an oversample×n
-// uniform draw over the client's eligible list, topped up by fillItems.
+// uniform draw over the client's eligible list. The oversample (2×nConf /
+// 3×nHard draws) can collide with already-chosen items and leave the first
+// pick short of n, so a second pick walks the eligible list itself and tops
+// D̃ᵢ up to min(α, |eligible|). The walk draws nothing from the client's
+// random stream, which keeps the draws, and so the result, the same at every
+// worker count.
 func drawItems(items []int, ds *rng.Stream, eligible []int, n, oversample int) []int {
 	k := min(n*oversample, len(eligible))
 	items, unfilled := pickItems(items, rng.SampleSlice(ds, eligible, k), n)
-	return fillItems(items, eligible, unfilled)
+	items, _ = pickItems(items, eligible, unfilled)
+	return items
 }
 
 // confWalkItems appends up to n items from the round's confidence ranking,

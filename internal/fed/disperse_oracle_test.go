@@ -77,7 +77,7 @@ func (sv *Server) disperse(tgt disperseTarget, ds *rng.Stream, plan *dispersalPl
 			}
 			var unfilled int
 			items, unfilled = pickItems(items, rng.SampleSlice(ds, eligible, k), nConf)
-			items = fillItems(items, eligible, unfilled)
+			items, _ = pickItems(items, eligible, unfilled)
 		} else {
 			items = confWalkItems(items, plan.confRank, excluded, nConf)
 		}
@@ -95,7 +95,7 @@ func (sv *Server) disperse(tgt disperseTarget, ds *rng.Stream, plan *dispersalPl
 			}
 			var unfilled int
 			items, unfilled = pickItems(items, rng.SampleSlice(ds, eligible, k), nHard)
-			items = fillItems(items, eligible, unfilled)
+			items, _ = pickItems(items, eligible, unfilled)
 		} else {
 			scratch.top = topKByScore(scratch.top, eligible, scoreItems(sv.model, tgt.id, eligible), nHard+len(items))
 			items, _ = pickItems(items, scratch.top, nHard)

@@ -41,7 +41,7 @@ type Server struct {
 	edgeOff   []int
 	edgeSlab  []graph.Edge
 
-	// inc is the maintained adjacency of a graph server model (nil
+	// inc holds every user's latest edges for a graph server model (nil
 	// otherwise); every rebuild stages the round's uploaders into it.
 	inc *graph.Incremental
 
@@ -121,9 +121,9 @@ func (sv *Server) UploadStoreBytes() int64 { return 0 }
 // fed.elig_cache_mb probe (bench/traced.go); the two leave together.
 func (sv *Server) EligCacheBytes() int64 { return 0 }
 
-// GraphEngineBytes reports the resident bytes of the incremental graph
-// engine's maintained rows, postings, and scratch (0 when the server model
-// is not a graph model).
+// GraphEngineBytes reports the resident bytes of the graph engine: each
+// user's kept edges, the degree vectors and the staging and assembly scratch
+// (0 when the server model is not a graph model).
 func (sv *Server) GraphEngineBytes() int64 {
 	if sv.inc == nil {
 		return 0
@@ -218,13 +218,14 @@ func (sv *Server) selectEdges(uploads [][]comm.Prediction, workers int) (users, 
 // from their latest upload alone, and the round's uploaders are the users
 // whose latest upload just changed. So selectEdges runs over the uploads,
 // each uploader's row is staged — an uploader whose new upload selects no
-// edges clears their row — and the maintained adjacency engine patches
-// exactly the affected rows, degrees and normalization values,
-// bitwise-identical to a fresh engine that stages every user's latest upload
-// by the engine's construction. CloseRound's contract (distinct users, each
-// prediction naming its outcome's user and an in-range item) is what makes
-// the staging order strictly ascending, and Validate's GraphThreshold > 0 is
-// what keeps every weight positive.
+// edges clears their row — and the engine rebuilds every degree and
+// normalization value from each user's latest edges, bitwise-identical to a
+// fresh engine that stages every user's latest upload by the engine's
+// construction. The commit costs O(users + items + edges), the order the
+// model's SetGraph pays to assemble the adjacency anyway. CloseRound's
+// contract (distinct users, each prediction naming its outcome's user and an
+// in-range item) is what makes the staging order strictly ascending, and
+// Validate's GraphThreshold > 0 is what keeps every weight positive.
 func (sv *Server) rebuildGraph(uploads [][]comm.Prediction, workers int) {
 	gm, ok := sv.model.(models.GraphRecommender)
 	if !ok {

@@ -2,7 +2,8 @@
 // graphs the graph recommenders (NGCF, LightGCN) run on. Incremental is the
 // one way a model receives them: a caller stages each user's edges, commits,
 // and hands the engine to models.GraphRecommender.SetGraph — the federated
-// server patches one engine round after round, a graph client and the
+// server keeps one engine, restaging each round's uploaders and rebuilding
+// the adjacency from every user's latest edges, a graph client and the
 // centralized trainer stage a fresh one. Bipartite, with its serial
 // NormalizedAdj and NormalizedAdjSelf, is the full-build reference the
 // tests pin the engine to.
@@ -65,7 +66,7 @@ func (g *Bipartite) ItemDegree(v int) float64 { return g.itemDeg[v] }
 
 // normVal is the symmetric normalization of a single edge weight:
 // w / sqrt(du·dv). It is the one place this expression lives — the reference
-// triplet build and the incremental engine both call it, so their outputs
+// triplet build and Incremental both call it, so their outputs
 // are bitwise-equal by construction, not by accident of compilation.
 func normVal(w, du, dv float64) float64 {
 	return w / math.Sqrt(du*dv)

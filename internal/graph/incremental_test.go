@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"ptffedrec/internal/tensor"
@@ -82,6 +83,21 @@ func (st *incState) round(t *testing.T, staged []int, edges [][]Edge) {
 	st.adjSelf = st.inc.AdjSelfInto(st.adjSelf, st.workers)
 	requireCSRBitwise(t, "adj", full.NormalizedAdj(), st.adj)
 	requireCSRBitwise(t, "adj+I", full.NormalizedAdjSelf(), st.adjSelf)
+
+	// Assemble each operator again from the same commit into the same CSR,
+	// as NGCF.SetGraph and repeated probes do: whatever scratch the first
+	// assembly kept must not change the second.
+	first, firstSelf := cloneCSR(st.adj), cloneCSR(st.adjSelf)
+	st.adj = st.inc.AdjInto(st.adj, st.workers)
+	st.adjSelf = st.inc.AdjSelfInto(st.adjSelf, st.workers)
+	requireCSRBitwise(t, "adj again", first, st.adj)
+	requireCSRBitwise(t, "adj+I again", firstSelf, st.adjSelf)
+}
+
+// cloneCSR returns a deep copy of m.
+func cloneCSR(m *tensor.CSR) *tensor.CSR {
+	return &tensor.CSR{Rows: m.Rows, Cols: m.Cols, RowPtr: slices.Clone(m.RowPtr),
+		ColIdx: slices.Clone(m.ColIdx), Val: slices.Clone(m.Val)}
 }
 
 // TestIncrementalMatchesFullScripted walks a hand-written delta sequence
@@ -99,8 +115,8 @@ func TestIncrementalMatchesFullScripted(t *testing.T) {
 			{{Item: 3, Weight: 0.7}, {Item: 1, Weight: 0.2}},
 			{{Item: 0, Weight: 0.5}},
 		})
-		// Re-upload user 2 (changes item 3's degree, patching user 0's clean
-		// entry) and add user 1 with a duplicate item.
+		// Re-upload user 2 (changes item 3's degree, and with it user 0's
+		// unchanged entry) and add user 1 with a duplicate item.
 		st.round(t, []int{1, 2}, [][]Edge{
 			{{Item: 2, Weight: 0.6}, {Item: 2, Weight: 0.3}, {Item: 4, Weight: 0.8}},
 			{{Item: 3, Weight: 0.1}},

@@ -58,7 +58,7 @@ func Fit(m Recommender, s *rng.Stream, samples []Sample, epochs, batch int) floa
 // GraphRecommender is implemented by the models that propagate over the
 // user–item graph. SetGraph installs the propagation operators of a committed
 // graph.Incremental; the graph can be replaced between rounds (the PTF-FedRec
-// server patches its engine from the round's uploads, a graph client and the
+// server restages its engine from the round's uploads, a graph client and the
 // centralized trainer stage a fresh one). The model's operator buffers are
 // reused across calls — the engine copies into them, it does not retain them.
 type GraphRecommender interface {

@@ -16,7 +16,7 @@ type Triplet struct {
 // graph recommenders take one normalized adjacency per round and reuse it for
 // every propagation. Construction is either NewCSR (from triplets) or the
 // in-place Reshape/GrowNNZ assembly path used by engines that already hold
-// the matrix row-by-row (the incremental graph engine).
+// the matrix row-by-row (the graph engine, graph.Incremental).
 type CSR struct {
 	Rows, Cols int
 	RowPtr     []int     // len Rows+1
