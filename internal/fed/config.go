@@ -18,6 +18,7 @@ package fed
 
 import (
 	"fmt"
+	"math"
 
 	"ptffedrec/internal/models"
 	"ptffedrec/internal/privacy"
@@ -158,6 +159,14 @@ func (c Config) Validate() error {
 		return fmt.Errorf("fed: NegRatio = %d", c.NegRatio)
 	case c.Dim <= 0:
 		return fmt.Errorf("fed: Dim = %d", c.Dim)
+	// A negative layer count makes a graph server's readout weight
+	// 1/(Layers+1) infinite or negative, and a learning rate that is not a
+	// finite positive number trains away from the loss or to NaN; neither
+	// fails on its own.
+	case c.Layers < 0:
+		return fmt.Errorf("fed: Layers = %d", c.Layers)
+	case !(c.LR > 0 && c.LR <= math.MaxFloat64):
+		return fmt.Errorf("fed: LR = %v", c.LR)
 	case c.Alpha < 0:
 		return fmt.Errorf("fed: Alpha = %d", c.Alpha)
 	case c.Mu < 0 || c.Mu > 1:

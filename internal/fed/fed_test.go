@@ -80,6 +80,11 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.ClientBatch = 0 },
 		func(c *Config) { c.NegRatio = 0 },
 		func(c *Config) { c.Dim = 0 },
+		func(c *Config) { c.Layers = -1 },
+		func(c *Config) { c.LR = 0 },
+		func(c *Config) { c.LR = -1 },
+		func(c *Config) { c.LR = math.NaN() },
+		func(c *Config) { c.LR = math.Inf(1) },
 		func(c *Config) { c.Alpha = -1 },
 		func(c *Config) { c.Mu = 2 },
 		func(c *Config) { c.GraphThreshold = -0.1 },
@@ -115,12 +120,14 @@ func TestConfigValidate(t *testing.T) {
 			t.Fatalf("mutation %d accepted", i)
 		}
 	}
-	// The windows' ends stay valid.
+	// The windows' ends stay valid, and so does a graph server without
+	// propagation layers.
 	edges := []func(*Config){
 		func(c *Config) { c.Privacy.GammaMin, c.Privacy.GammaMax = 0, 0 },
 		func(c *Config) { c.Privacy.BetaMin, c.Privacy.BetaMax = 0, 0 },
 		func(c *Config) { c.Privacy.BetaMin, c.Privacy.BetaMax = 1, 1 },
 		func(c *Config) { c.Privacy.Lambda, c.Privacy.LaplaceScale = 1, 0 },
+		func(c *Config) { c.Layers = 0 },
 	}
 	for i, mutate := range edges {
 		c := DefaultConfig(models.KindNGCF)

@@ -20,7 +20,8 @@ import (
 //     an item stay in fill order: the order NewCSR's stable column sort
 //     leaves them in.
 //   - userDeg — each user's weighted degree, summed in fill order before the
-//     sort, as AddEdge sums it.
+//     sort, as AddEdge sums it. userGroups counts the user's distinct items,
+//     the length of the user's adjacency row.
 //   - itemDeg — each item's weighted degree, recomputed by every commit over
 //     users ascending, fill order within a user: the full build's AddEdge
 //     order. itemGroups counts the distinct users per item, the length of
@@ -41,6 +42,7 @@ type Incremental struct {
 
 	edges      [][]incEdge
 	userDeg    []float64
+	userGroups []int32
 	itemDeg    []float64
 	itemGroups []int32
 
@@ -70,6 +72,7 @@ func NewIncremental(numUsers, numItems int) *Incremental {
 		numItems:   numItems,
 		edges:      make([][]incEdge, numUsers),
 		userDeg:    make([]float64, numUsers),
+		userGroups: make([]int32, numUsers),
 		itemDeg:    make([]float64, numItems),
 		itemGroups: make([]int32, numItems),
 		stagedOff:  []int32{0},
@@ -121,9 +124,10 @@ const incChunk = 1024
 
 // Commit installs the staged edge sets, then recomputes every item degree.
 // The install runs in parallel over staged users: each copies its span,
-// sums its degree in fill order and stable-sorts the copy by item. The item
-// pass runs serially over users ascending, the full build's AddEdge order,
-// so the result is identical for every worker count.
+// sums its degree in fill order, stable-sorts the copy by item and counts
+// its item groups. The item pass runs serially over users ascending, the
+// full build's AddEdge order, so the result is identical for every worker
+// count.
 func (inc *Incremental) Commit(workers int) {
 	nStaged := len(inc.stagedUsers)
 	if nStaged == 0 {
@@ -141,6 +145,13 @@ func (inc *Incremental) Commit(workers int) {
 			es := append(inc.edges[u][:0], span...)
 			slices.SortStableFunc(es, func(a, b incEdge) int { return cmp.Compare(a.item, b.item) })
 			inc.edges[u] = es
+			groups := int32(0)
+			for s, e := range es {
+				if s == 0 || es[s-1].item != e.item {
+					groups++
+				}
+			}
+			inc.userGroups[u] = groups
 		}
 	})
 
@@ -189,19 +200,8 @@ func (inc *Incremental) adjInto(dst *tensor.CSR, workers int, self bool) *tensor
 	dst.Reshape(U+V, U+V)
 	rp := dst.RowPtr
 	rp[0] = 0
-	par.ForChunks(U, incChunk, workers, func(lo, hi int) {
-		for u := lo; u < hi; u++ {
-			es, n := inc.edges[u], 0
-			for s := range es {
-				if s == 0 || es[s-1].item != es[s].item {
-					n++
-				}
-			}
-			rp[u+1] = n + diag
-		}
-	})
 	for u := 0; u < U; u++ {
-		rp[u+1] += rp[u]
+		rp[u+1] = rp[u] + int(inc.userGroups[u]) + diag
 	}
 	for v := 0; v < V; v++ {
 		rp[U+v+1] = rp[U+v] + int(inc.itemGroups[v]) + diag
@@ -251,11 +251,11 @@ func (inc *Incremental) adjInto(dst *tensor.CSR, workers int, self bool) *tensor
 const sliceHeaderBytes = 24
 
 // MemoryBytes estimates the engine's resident footprint: the degree and
-// item-group vectors, each user's edge set (a slice header plus 16 B per
+// group-count vectors, each user's edge set (a slice header plus 16 B per
 // edge at its capacity), and the staging and assembly scratch at their
 // current capacity.
 func (inc *Incremental) MemoryBytes() int64 {
-	b := int64(len(inc.userDeg)+len(inc.itemDeg))*8 + int64(len(inc.itemGroups))*4
+	b := int64(len(inc.userDeg)+len(inc.itemDeg))*8 + int64(len(inc.userGroups)+len(inc.itemGroups))*4
 	b += int64(len(inc.edges)) * sliceHeaderBytes
 	for _, es := range inc.edges {
 		b += int64(cap(es)) * 16

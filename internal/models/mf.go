@@ -27,7 +27,7 @@ var mfPools sync.Map // int → *sync.Pool
 
 // NewMF builds a matrix factorization model.
 func NewMF(cfg Config, s *rng.Stream) *MF {
-	m := &MF{cfg: cfg, workers: resolveTrainWorkers(cfg), ws: widthPool(&mfPools, cfg.Dim, newMFChunk)}
+	m := &MF{cfg: cfg, workers: resolveTrainWorkers(cfg), ws: shapePool(&mfPools, cfg.Dim, newMFChunk)}
 	m.users, m.items = newTables(cfg, s)
 	return m
 }

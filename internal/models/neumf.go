@@ -37,7 +37,7 @@ func neumfSizes(dim int) []int { return []int{2 * dim, 64, 32, 16, 1} }
 
 // NewNeuMF builds the MLP recommender with the paper's layer sizes.
 func NewNeuMF(cfg Config, s *rng.Stream) *NeuMF {
-	m := &NeuMF{cfg: cfg, workers: resolveTrainWorkers(cfg), opt: nn.NewAdam(cfg.LR), ws: widthPool(&neumfPools, cfg.Dim, newNeuMFWS)}
+	m := &NeuMF{cfg: cfg, workers: resolveTrainWorkers(cfg), opt: nn.NewAdam(cfg.LR), ws: shapePool(&neumfPools, cfg.Dim, newNeuMFWS)}
 	m.users, m.items = newTables(cfg, s)
 	sizes := neumfSizes(cfg.Dim)
 	last := len(sizes) - 2

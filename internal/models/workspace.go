@@ -51,14 +51,15 @@ func forChunks(n, workers int, fn func(c, lo, hi int)) {
 	})
 }
 
-// widthPool returns the workspace pool, among pools, for embedding width dim,
-// creating it over build on first use: every model of a kind and width
-// shares one. A federation holds one model per client, but only as many
-// workspaces as there are goroutines in a model at once.
-func widthPool[W any](pools *sync.Map, dim int, build func(dim int) *W) *sync.Pool {
-	if p, ok := pools.Load(dim); ok {
+// shapePool returns the workspace pool, among pools, for shape key (an
+// embedding width, or NGCF's graph shape), creating it over build on first
+// use: every model of a kind and shape shares one. A federation holds one
+// model per client, but only as many workspaces as there are goroutines in a
+// model at once.
+func shapePool[K comparable, W any](pools *sync.Map, key K, build func(K) *W) *sync.Pool {
+	if p, ok := pools.Load(key); ok {
 		return p.(*sync.Pool)
 	}
-	p, _ := pools.LoadOrStore(dim, &sync.Pool{New: func() any { return build(dim) }})
+	p, _ := pools.LoadOrStore(key, &sync.Pool{New: func() any { return build(key) }})
 	return p.(*sync.Pool)
 }

@@ -50,25 +50,31 @@ func ReLUBackwardInPlace(x, dy *tensor.Matrix) {
 	tensor.ReLUBackwardVec(x.Data, dy.Data)
 }
 
-// LeakyReLU applies max(αx, x) element-wise (NGCF uses α = 0.2).
-func LeakyReLU(x *tensor.Matrix, alpha float64) *tensor.Matrix {
-	out := x.Clone()
-	out.Apply(func(v float64) float64 {
-		if v > 0 {
-			return v
-		}
-		return alpha * v
-	})
-	return out
-}
-
-// LeakyReLUBackward computes dx = dy ⊙ LeakyReLU'(x).
-func LeakyReLUBackward(x, dy *tensor.Matrix, alpha float64) *tensor.Matrix {
-	out := dy.Clone()
+// LeakyReLUInto computes dst = max(αx, x) element-wise, reusing dst's
+// storage: x where x > 0, else αx (NGCF uses α = 0.2). dst may be x.
+func LeakyReLUInto(dst, x *tensor.Matrix, alpha float64) *tensor.Matrix {
+	if dst.Rows != x.Rows || dst.Cols != x.Cols {
+		panic(fmt.Sprintf("nn: LeakyReLUInto dst %dx%d for %dx%d", dst.Rows, dst.Cols, x.Rows, x.Cols))
+	}
 	for i, v := range x.Data {
-		if v <= 0 {
-			out.Data[i] *= alpha
+		if v > 0 {
+			dst.Data[i] = v
+		} else {
+			dst.Data[i] = alpha * v
 		}
 	}
-	return out
+	return dst
+}
+
+// LeakyReLUBackwardInPlace overwrites the upstream gradient dy with
+// dx = dy ⊙ LeakyReLU'(x): dy where x > 0, else α·dy.
+func LeakyReLUBackwardInPlace(x, dy *tensor.Matrix, alpha float64) {
+	if dy.Rows != x.Rows || dy.Cols != x.Cols {
+		panic(fmt.Sprintf("nn: LeakyReLUBackwardInPlace dy %dx%d for %dx%d", dy.Rows, dy.Cols, x.Rows, x.Cols))
+	}
+	for i, v := range x.Data {
+		if v <= 0 {
+			dy.Data[i] *= alpha
+		}
+	}
 }

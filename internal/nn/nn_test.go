@@ -100,13 +100,17 @@ func TestReLUNaNAndNegativeZero(t *testing.T) {
 
 func TestLeakyReLU(t *testing.T) {
 	x := tensor.FromSlice(1, 2, []float64{-2, 3})
-	y := LeakyReLU(x, 0.2)
+	y := LeakyReLUInto(tensor.New(1, 2), x, 0.2)
 	if y.Data[0] != -0.4 || y.Data[1] != 3 {
-		t.Fatalf("LeakyReLU -> %v", y.Data)
+		t.Fatalf("LeakyReLUInto -> %v", y.Data)
 	}
-	dx := LeakyReLUBackward(x, tensor.FromSlice(1, 2, []float64{1, 1}), 0.2)
+	dx := tensor.FromSlice(1, 2, []float64{1, 1})
+	LeakyReLUBackwardInPlace(x, dx, 0.2)
 	if dx.Data[0] != 0.2 || dx.Data[1] != 1 {
-		t.Fatalf("LeakyReLUBackward -> %v", dx.Data)
+		t.Fatalf("LeakyReLUBackwardInPlace -> %v", dx.Data)
+	}
+	if LeakyReLUInto(x, x, 0.2); x.Data[0] != -0.4 || x.Data[1] != 3 {
+		t.Fatalf("LeakyReLUInto in place -> %v", x.Data)
 	}
 }
 

@@ -1,10 +1,10 @@
 package tensor
 
 // This file holds the one dense GEMM core every dense product in the
-// repository runs on — MatMul, MatMulATB, MatMulABT, their Into forms and
-// the row-partitioned Par variants in parallel.go, and so every nn.Dense
-// forward and backward — and the gathered scoring products of gemm.go, which
-// pack their rows into panels and run the same tiles.
+// repository runs on — MatMul, MatMulATB, MatMulABT and their Into forms, and
+// so every nn.Dense forward and backward and every NGCF layer — and the
+// gathered scoring products of gemm.go, which pack their rows into panels and
+// run the same tiles.
 //
 // Determinism contract: every output element is one sum, accumulated
 // k-ascending from +0 with a separately rounded multiply and add (never a

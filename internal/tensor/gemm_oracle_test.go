@@ -3,7 +3,7 @@ package tensor
 // The three naive dense products the GEMM core (densegemm.go) replaced and
 // the 4×2 register-blocked gather kernel that gemm.go's gathered products
 // replaced, kept verbatim as their references, and the tests that pin the
-// core — every layout, the Par variants, the gathered products, and every
+// core — every layout, the gathered products, and every
 // tile body the host can run — to them bit for bit.
 
 import (
@@ -175,9 +175,8 @@ func requireSameBits(t *testing.T, label string, want, got *Matrix) {
 
 // denseGEMMOutputs runs every entry point of the core on one m×k·k×n shape
 // drawn from seed: the three layouts through their allocating and Into forms
-// (Into destinations pre-filled with garbage: the core overwrites) and the
-// Par variants at two and three workers. The oracles' outputs come back in
-// the same order.
+// (Into destinations pre-filled with garbage: the core overwrites). The
+// oracles' outputs come back in the same order.
 func denseGEMMOutputs(seed int64, m, k, n int) (labels []string, oracle, got []*Matrix) {
 	r := rand.New(rand.NewSource(seed))
 	a, b := gemmOperand(r, m, k), gemmOperand(r, k, n) // a·b
@@ -209,11 +208,6 @@ func denseGEMMOutputs(seed int64, m, k, n int) (labels []string, oracle, got []*
 	into = dirty(m, n)
 	MatMulABTInto(into, a, bt, dirty(k, n))
 	add("MatMulABTInto", abt, into)
-	for _, workers := range []int{2, 3} {
-		add(fmt.Sprintf("MatMulPar/%d", workers), nn, MatMulPar(a, b, workers))
-		add(fmt.Sprintf("MatMulABTPar/%d", workers), abt, MatMulABTPar(a, bt, workers))
-		add(fmt.Sprintf("MatMulATBPar/%d", workers), atb, MatMulATBPar(at, b, workers))
-	}
 	return labels, oracle, got
 }
 
@@ -241,8 +235,8 @@ func requireDenseGEMMMatchesOracle(t *testing.T, seed int64, m, k, n int) {
 
 // TestDenseGEMMMatchesOracle sweeps ragged shapes — empty, smaller than a
 // tile, one off either side of the 4-row and 8-column tile edges and of
-// parRowChunk — through every dimension, and the row count one off either
-// side of two and three 8-row bands.
+// 64 — through every dimension, and the row count one off either side of two
+// and three 8-row bands.
 func TestDenseGEMMMatchesOracle(t *testing.T) {
 	dims := []int{0, 1, 3, 4, 5, 7, 8, 9, 63, 64, 65, 257}
 	seed := int64(1)
@@ -253,32 +247,6 @@ func TestDenseGEMMMatchesOracle(t *testing.T) {
 				seed++
 			}
 		}
-	}
-}
-
-// TestMatMulATBParMatchesChunkedOracle pins the one Par kernel whose
-// association differs from its serial twin: past one atbChunkRows shard it
-// equals the oracle run per shard and merged in shard order.
-func TestMatMulATBParMatchesChunkedOracle(t *testing.T) {
-	if compilerFusesMulAdd() {
-		t.Skip("the compiler fuses the oracle's multiply-adds on this target")
-	}
-	r := rand.New(rand.NewSource(31))
-	rows := 2*atbChunkRows + 77
-	a, b := gemmOperand(r, rows, 13), gemmOperand(r, rows, 9)
-	var want *Matrix
-	for lo := 0; lo < rows; lo += atbChunkRows {
-		hi := min(lo+atbChunkRows, rows)
-		p := matMulATBOracle(FromSlice(hi-lo, a.Cols, a.Data[lo*a.Cols:hi*a.Cols]),
-			FromSlice(hi-lo, b.Cols, b.Data[lo*b.Cols:hi*b.Cols]))
-		if want == nil {
-			want = p
-		} else {
-			want.AddInPlace(p)
-		}
-	}
-	for _, workers := range []int{1, 2, 3} {
-		requireSameBits(t, fmt.Sprintf("MatMulATBPar/%d", workers), want, MatMulATBPar(a, b, workers))
 	}
 }
 

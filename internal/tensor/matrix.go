@@ -10,14 +10,15 @@
 //
 // Three kernel families have an assembly form on amd64, installed at init
 // (avx2_amd64.go) when CPUID and XGETBV report AVX2 with OS-saved YMM state:
-// the full 4×8 tile of the dense GEMM core (densegemm.go, gemm_amd64.s), which
-// the gathered scoring GEMMs (gemm.go) run on too; the elementwise kernels —
-// the Adam update, ReLU and its backward mask, AddVec and Axpy (elem.go,
-// elem_amd64.s); and the SpMM row kernel behind every sparse product
-// (sparse.go, elem_amd64.s). Every other platform and CPU, every edge tile and
-// every tail shorter than four lanes runs the pure Go body, which computes the
-// same bits. All other kernels — the gathered pair dots (gemm.go), Dot — are
-// Go only.
+// the dense GEMM core's full 4×8 tile (densegemm.go, gemm_amd64.s) and, where
+// they also report AVX512F with OS-saved opmask and ZMM state, its full 8×8
+// AVX-512 tile beside it, the tiles the gathered scoring GEMMs (gemm.go) run
+// on too; the elementwise kernels — the Adam update, ReLU and its backward mask,
+// AddVec and Axpy (elem.go, elem_amd64.s); and the SpMM row kernel behind
+// every sparse product (sparse.go, elem_amd64.s). Every other platform and
+// CPU, every edge tile and every tail shorter than four lanes runs the pure
+// Go body, which computes the same bits. All other kernels — the gathered
+// pair dots (gemm.go), Dot — are Go only.
 package tensor
 
 import "fmt"
@@ -87,16 +88,6 @@ func (m *Matrix) AddScaled(a float64, b *Matrix) *Matrix {
 	return m
 }
 
-// Hadamard returns the element-wise product a ⊙ b as a new matrix.
-func Hadamard(a, b *Matrix) *Matrix {
-	a.sameShape(b, "Hadamard")
-	out := New(a.Rows, a.Cols)
-	for i := range a.Data {
-		out.Data[i] = a.Data[i] * b.Data[i]
-	}
-	return out
-}
-
 // HadamardInto computes dst = a ⊙ b, reusing dst's storage.
 func HadamardInto(dst, a, b *Matrix) {
 	a.sameShape(b, "HadamardInto")
@@ -124,14 +115,6 @@ func (m *Matrix) TransposeInto(dst *Matrix) {
 			drow[i] = m.Data[i*m.Cols+j]
 		}
 	}
-}
-
-// Apply replaces each element x with f(x) in place and returns m.
-func (m *Matrix) Apply(f func(float64) float64) *Matrix {
-	for i, v := range m.Data {
-		m.Data[i] = f(v)
-	}
-	return m
 }
 
 func (m *Matrix) sameShape(b *Matrix, op string) {

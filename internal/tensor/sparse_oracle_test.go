@@ -11,7 +11,7 @@ import (
 )
 
 // mulRowsOracle is the loop CSR.mulRows ran: clear the row, then one Axpy per
-// stored entry (MulDenseInto and MulDenseIntoPar ran the same loop per row).
+// stored entry.
 func mulRowsOracle(m *CSR, dst []float64, x *Matrix, rows []int) {
 	for k, i := range rows {
 		drow := dst[k*x.Cols : (k+1)*x.Cols]
@@ -48,10 +48,9 @@ func adversarialCSR(r *rand.Rand, n, cols int) *CSR {
 	return m
 }
 
-// spmmOutputs runs every SpMM entry point on m·x: the full product serially
-// and on two workers, and the listed rows, packed. Every output starts as a
-// sentinel, so a row the kernel fails to
-// store shows.
+// spmmOutputs runs every SpMM entry point on m·x: the full product and the
+// listed rows, packed. Every output starts as a sentinel, so a row the kernel
+// fails to store shows.
 func spmmOutputs(m *CSR, x *Matrix, rows []int) [][]float64 {
 	fill := func(rows, cols int) *Matrix {
 		out := New(rows, cols)
@@ -60,12 +59,11 @@ func spmmOutputs(m *CSR, x *Matrix, rows []int) [][]float64 {
 		}
 		return out
 	}
-	full, fullPar := fill(m.Rows, x.Cols), fill(m.Rows, x.Cols)
+	full := fill(m.Rows, x.Cols)
 	m.MulDenseInto(full, x)
-	m.MulDenseIntoPar(fullPar, x, 2)
 	packed := fill(len(rows), x.Cols)
 	m.MulDenseRowsInto(packed, x, rows)
-	return [][]float64{full.Data, fullPar.Data, packed.Data}
+	return [][]float64{full.Data, packed.Data}
 }
 
 // requireSpMMMatchesOracle checks every entry point, as dispatched and on the
@@ -79,8 +77,8 @@ func requireSpMMMatchesOracle(t *testing.T, label string, m *CSR, x *Matrix, row
 	full, packed := New(m.Rows, x.Cols), New(len(rows), x.Cols)
 	mulRowsOracle(m, full.Data, x, all)
 	mulRowsOracle(m, packed.Data, x, rows)
-	want := [][]float64{full.Data, full.Data, packed.Data}
-	names := []string{"MulDenseInto", "MulDenseIntoPar", "MulDenseRowsInto"}
+	want := [][]float64{full.Data, packed.Data}
+	names := []string{"MulDenseInto", "MulDenseRowsInto"}
 	got := spmmOutputs(m, x, rows)
 	var goBody [][]float64
 	withGoBodies(func() { goBody = spmmOutputs(m, x, rows) })
@@ -116,8 +114,7 @@ func FuzzSpMMRowsMatchOracle(f *testing.F) {
 // TestSpMMColumnOutOfRangePanics pins the kernel's bounds check: a column
 // index at or past x.Rows, or negative, panics in every entry point and both
 // bodies, even when x's storage has spare capacity past its rows that an
-// unchecked read would land in. Two rows make one parRowChunk, so the Par
-// form runs inline and its panic reaches recover.
+// unchecked read would land in.
 func TestSpMMColumnOutOfRangePanics(t *testing.T) {
 	const xRows = 5
 	for _, d := range []int{3, 4, 16, 21} {
@@ -126,7 +123,6 @@ func TestSpMMColumnOutOfRangePanics(t *testing.T) {
 			x := &Matrix{Rows: xRows, Cols: d, Data: make([]float64, xRows*d, (xRows+2000)*d)}
 			calls := map[string]func(){
 				"MulDenseInto":     func() { m.MulDenseInto(New(2, d), x) },
-				"MulDenseIntoPar":  func() { m.MulDenseIntoPar(New(2, d), x, 2) },
 				"MulDenseRowsInto": func() { m.MulDenseRowsInto(New(1, d), x, []int{0}) },
 			}
 			for name, call := range calls {

@@ -112,3 +112,55 @@ func TestMulDenseRowsIntoMatchesFull(t *testing.T) {
 		}
 	}
 }
+
+// randomTriplets builds a triplet set with deliberate duplicates so the
+// stable summation order is exercised.
+func randomTriplets(r *rand.Rand, rows, cols, n int) []Triplet {
+	trips := make([]Triplet, n)
+	for i := range trips {
+		trips[i] = Triplet{Row: r.Intn(rows), Col: r.Intn(cols), Val: r.NormFloat64()}
+	}
+	return trips
+}
+
+// TestNewCSRStableDuplicates checks that duplicate (row, col) values sum in
+// input order — the documented semantics — and that a random triplet set with
+// duplicates builds the matrix a dense accumulation gives.
+func TestNewCSRStableDuplicates(t *testing.T) {
+	trips := []Triplet{
+		{0, 0, 1e20}, {0, 0, 1}, {0, 0, -1e20}, // order-sensitive sum
+		{1, 2, 0.5}, {1, 2, 0.25},
+	}
+	m := NewCSR(3, 3, trips)
+	// Input-order association: (1e20 + 1) absorbs the 1, then cancels to 0.
+	if m.At(0, 0) != 0 {
+		t.Fatalf("At(0,0) = %v, want input-order sum 0", m.At(0, 0))
+	}
+	if m.At(1, 2) != 0.75 || m.NNZ() != 2 {
+		t.Fatalf("At(1,2) = %v with %d entries, want 0.75 with 2", m.At(1, 2), m.NNZ())
+	}
+
+	r := rand.New(rand.NewSource(17))
+	const rows, cols = 230, 190
+	trips = randomTriplets(r, rows, cols, 12799)
+	dense := New(rows, cols)
+	for _, tr := range trips {
+		dense.Set(tr.Row, tr.Col, dense.At(tr.Row, tr.Col)+tr.Val)
+	}
+	got := NewCSR(rows, cols, trips).Dense()
+	for i := range dense.Data {
+		if diff := got.Data[i] - dense.Data[i]; diff > 1e-9 || diff < -1e-9 {
+			t.Fatalf("CSR[%d] = %v, dense accumulation = %v", i, got.Data[i], dense.Data[i])
+		}
+	}
+}
+
+// TestNewCSROutOfRangePanics feeds a bad triplet after a good one.
+func TestNewCSROutOfRangePanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("out-of-range triplet did not panic")
+		}
+	}()
+	NewCSR(2, 2, []Triplet{{0, 0, 1}, {5, 0, 1}})
+}
