@@ -8,7 +8,7 @@ GO ?= go
 # CI, fails above it. A change that shrinks the code lowers it to the size it
 # reaches; one that has to grow the code raises it in the same diff, where a
 # reviewer sees the price.
-LOC_BUDGET = 12781
+LOC_BUDGET = 13029
 
 # The packages whose concurrent paths CI runs in full (not -short) under the
 # race detector; ci.yml says why each is there (fed.Waves' client waves
@@ -61,12 +61,15 @@ fuzz-wire:
 # fuzz-kernels fuzzes the dense GEMM core every nn.Dense product runs on
 # against the naive loops it replaced, then the two kernels evaluation's
 # scores pass through: the gathered scoring GEMM against the 4×2 kernel it
-# replaced (query panels up to 131 rows) and the rank counter against the
-# naive sort, then the one scoring contract every client upload, dispersal
-# and evaluation goes through: each model kind's one-user logit block (dense,
-# and lazy MF and NeuMF) against its per-item oracle on ragged item lists,
-# then the graph engine every graph model's operators come from: rounds of
-# staged users against the from-scratch Bipartite build (~50 s together).
+# replaced (query panels up to 131 rows) and the rank counter, in id and in
+# bound order, against the naive sort, then the one scoring contract every
+# client upload, dispersal and evaluation goes through: each model kind's
+# one-user logit block (dense, and lazy MF and NeuMF) against its per-item
+# oracle on ragged item lists, then the logit bounds evaluation prunes by
+# against the scores they bound, on rows from ±0 and subnormals to overflow,
+# ±Inf and NaN, then the graph engine every graph model's operators come
+# from: rounds of staged users against the from-scratch Bipartite build
+# (~65 s together).
 # Each GEMM input is compared across every tile
 # body the host has (AVX-512 8×8, AVX2 4×8, pure Go); TestGEMMDispatch logs
 # which those are first, so the log says whether the 8×8 tile ran.
@@ -76,6 +79,7 @@ fuzz-kernels:
 	$(GO) test ./internal/tensor -run '^$$' -fuzz '^FuzzGatherMulMat$$' -fuzztime 10s
 	$(GO) test ./internal/eval -run '^$$' -fuzz '^FuzzRankCountMatchesNaive$$' -fuzztime 10s
 	$(GO) test ./internal/models -run '^$$' -fuzz '^FuzzScoreBlockRagged$$' -fuzztime 10s
+	$(GO) test ./internal/models -run '^$$' -fuzz '^FuzzLogitNormBound$$' -fuzztime 10s
 	$(GO) test ./internal/graph -run '^$$' -fuzz '^FuzzIncremental$$' -fuzztime 10s
 
 # selftest is the loopback e2e smoke: coordinator + two participants over real

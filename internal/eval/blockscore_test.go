@@ -48,19 +48,34 @@ func naiveRank(s models.MultiBlockScorer, sp *data.Split, k int) Result {
 
 // TestRankingBatchedMatchesScalar pins the engine-level guarantee: Results
 // from the batched logit engine are bitwise-identical to naiveRank's, for
-// every model kind and worker count.
+// every model kind and worker count, at the shipped batch and window and at
+// 3 users × 8 items, where the bounded kinds (MF, LightGCN) retire users
+// mid-catalogue: there they must score fewer user-windows than in id order.
 func TestRankingBatchedMatchesScalar(t *testing.T) {
+	defer func(b, c int) { evalUsersBatch, evalScoreChunk = b, c }(evalUsersBatch, evalScoreChunk)
 	d := data.Generate(data.Tiny, 11)
 	sp := d.Split(rng.New(2), 0.2)
+	shapes := []struct{ batch, chunk int }{{evalUsersBatch, evalScoreChunk}, {3, 8}}
 	for _, kind := range []models.Kind{models.KindMF, models.KindNeuMF, models.KindLightGCN, models.KindNGCF} {
 		m := trainedModel(t, kind, sp)
 		ref := naiveRank(m, sp, 20)
 		if ref.Users == 0 {
 			t.Fatalf("%s: no users evaluated", kind)
 		}
-		for _, workers := range []int{1, 2, 8} {
-			if got := RankingWorkers(m, sp, 20, workers); got != ref {
-				t.Fatalf("%s: batched workers=%d %+v != naive %+v", kind, workers, got, ref)
+		for _, shape := range shapes {
+			evalUsersBatch, evalScoreChunk = shape.batch, shape.chunk
+			for _, workers := range []int{1, 2, 8} {
+				if got := RankingWorkers(m, sp, 20, workers); got != ref {
+					t.Fatalf("%s batch=%d chunk=%d: batched workers=%d %+v != naive %+v",
+						kind, shape.batch, shape.chunk, workers, got, ref)
+				}
+			}
+		}
+		if _, ok := m.(models.LogitBounder); ok {
+			e := NewEvaluator(sp)
+			_, win := countWindows(e, m, 20)
+			if _, idWin := countWindows(e, unbounded{m}, 20); win >= idWin {
+				t.Fatalf("%s: bound order scored %d user-windows, id order %d", kind, win, idWin)
 			}
 		}
 	}

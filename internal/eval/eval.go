@@ -18,19 +18,28 @@
 // index-addressed slots and reduced sequentially in user order, so the result
 // is bitwise-identical for every worker count.
 //
-// Candidates are the complement of the sorted train list, walked per score
-// window: Split.Train[u] is ascending and stays in memory, so nothing per
-// (user, item) is stored. Every held-out item is a candidate, as a Split's
-// two sides are disjoint. There is one engine, rankCounter, and one scoring
-// contract, models.MultiBlockScorer: users are counted in the logit domain,
-// evalUsersBatch at a time — each user's held-out items are scored as a
-// one-user block, each item window in one block for the batch's users still
-// counting — and only logits inside a held-out item's metrics.LogitBand pay
-// for a sigmoid. The engine is bitwise-identical to the naive
+// Candidates are the complement of the train list, masked per score window:
+// Split.Train[u] stays in memory, so nothing per (user, item) is stored. Every
+// held-out item is a candidate, as a Split's two sides are disjoint. There is
+// one engine, rankCounter, and one scoring contract, models.MultiBlockScorer:
+// users are counted in the logit domain, evalUsersBatch at a time — each
+// user's held-out items are scored as a one-user block, each item window in
+// one block for the batch's users still counting — and only logits inside a
+// held-out item's metrics.LogitBand pay for a sigmoid.
+//
+// Each Rank call scans the catalogue in one order. For a scorer that
+// implements models.LogitBounder, whose logits are bounded by b_u·b_v, it is
+// descending item bound, ties by id, and at each window start a user retires
+// once b_u times the window's first bound is below the band of every held-out
+// item still counting: no remaining item can beat one, so they finish as hits
+// at the counts they hold. Any other scorer is scanned in id order with +Inf
+// bounds, which retire nobody early. A beat count does not depend on the scan
+// order, so the engine is bitwise-identical to the naive
 // score-everything-then-sort evaluation (metrics.TopK over σ of every
-// candidate's logit). A NaN score never beats, and a held-out item whose own
-// score is NaN is never a hit. A scorer that lazily builds shared state
-// implements models.Warmer, which Rank calls once before fanning out.
+// candidate's logit) either way. A NaN score never beats, and a held-out item
+// whose own score is NaN is never a hit. A scorer that lazily builds shared
+// state implements models.Warmer, which Rank calls before ordering and
+// fanning out.
 package eval
 
 import (
@@ -52,13 +61,16 @@ var evalUsersBatch = 128
 
 // evalScoreChunk is the item-window width of the batched engine: a batch's
 // logits materialise active-users×chunk at a time, and a user whose held-out
-// items are all decided leaves before the next window, so a narrower window
-// stops scoring sooner at a higher per-call cost. The pair comes from a sweep
-// of batch ∈ {16, 64, 128, 256} × window ∈ {128, 256, 512} (2 cores): on the
-// rank-heavy workload it read 0.259 core-s a round, against 0.345 at 16 × 512,
-// 0.272 at 64 × 256 and 0.264 at 128 × 512; only batch 256 read lower, 1–4 %
-// here and in BenchmarkEvaluatorRank, inside the spread, for twice the
-// scratch. A var so tests can shrink it to force multi-window counts.
+// items are all decided, or who retires on the bound, leaves before the next
+// window, so a narrower window stops scoring sooner at a higher per-call
+// cost. The pair comes from a sweep of batch ∈ {16, 64, 128, 256} × window ∈
+// {128, 256, 512} (2 cores), taken in id order on the rank-heavy workload
+// (0.259 core-s a round, against 0.345 at 16 × 512 and 0.272 at 64 × 256) and
+// again in bound order, in BenchmarkEvaluatorRank and on a LightGCN trained
+// as rank-heavy trains it: batches of 128 and 256 at windows of 256 and 512
+// read within their run-to-run spread (2.4–3.6 ms for BenchmarkEvaluatorRank),
+// and the smaller batch needs half the scratch. A var so tests can shrink it
+// to force multi-window counts.
 var evalScoreChunk = 256
 
 // Result holds user-averaged ranking metrics.
@@ -69,7 +81,7 @@ type Result struct {
 
 // Evaluator is the evaluation engines' round-persistent state for one split:
 // the evaluated-user list and the identity item list, and nothing per user —
-// each user's candidates are the complement of Split.Train[u], walked while
+// each user's candidates are the complement of Split.Train[u], masked while
 // the scores stream past. It is scorer- and cutoff-agnostic and read-only
 // after construction, so one Evaluator can serve concurrent Rank calls (the
 // federated trainer holds one across rounds and shares it between the server
@@ -116,24 +128,25 @@ func (e *Evaluator) CacheBytes() int64 { return 8 * int64(cap(e.users)+cap(e.ide
 // Rank evaluates the scorer at cutoff k over every user's non-train items with
 // the given worker count (<= 0 means GOMAXPROCS). Metrics are
 // bitwise-identical for every worker count: per-user values depend only on
-// the scorer, and the reduction runs sequentially in user order.
+// the scorer, and the reduction runs sequentially in user order. It warms a
+// Warmer at every worker count, since the item bounds read the warm state,
+// and builds the call's scan order, which its workers share read-only.
 func (e *Evaluator) Rank(s models.MultiBlockScorer, k, workers int) Result {
 	if len(e.users) == 0 {
 		return Result{}
 	}
 	workers = par.Workers(workers)
-	if workers > 1 {
-		if w, ok := s.(models.Warmer); ok {
-			w.WarmScoring()
-		}
+	if w, ok := s.(models.Warmer); ok {
+		w.WarmScoring()
 	}
+	ord := e.newScanOrder(s)
 	recalls := make([]float64, len(e.users))
 	ndcgs := make([]float64, len(e.users))
 	// Chunk users so each worker reuses one rank counter across its whole
 	// share instead of allocating per user (or per batch).
 	chunk := (len(e.users) + workers - 1) / workers
 	par.ForChunks(len(e.users), chunk, workers, func(lo, hi int) {
-		e.rankBatched(s, lo, hi, k, recalls, ndcgs)
+		e.rankBatched(s, &ord, lo, hi, k, recalls, ndcgs)
 	})
 	var agg metrics.RankEval
 	for i := range e.users {

@@ -105,7 +105,8 @@ func TestEvaluatorCandidatesExcludeTrain(t *testing.T) {
 	ndcgs := make([]float64, e.Users())
 	for _, chunk := range []int{48, 7, 1} {
 		evalUsersBatch, evalScoreChunk = 3, chunk
-		e.rankBatched(trainTopTestBottom, 0, e.Users(), sp.NumItems, recalls, ndcgs)
+		ord := e.newScanOrder(trainTopTestBottom)
+		e.rankBatched(trainTopTestBottom, &ord, 0, e.Users(), sp.NumItems, recalls, ndcgs)
 		for i, u := range e.users {
 			cands, m := sp.NumItems-len(sp.Train[u]), len(sp.Test[u])
 			ranks := make([]int, m)

@@ -52,7 +52,10 @@ func fuzzLogit(b byte) float64 {
 // logitBytes through fuzzLogit (cycled, offset per user), train and test
 // lists from two masks (test wins a clash, an empty train list is allowed),
 // batches of three users and 8-item windows, so train and held-out items sit
-// at window edges, and workers 1, 2 and 8.
+// at window edges, and workers 1, 2 and 8. The logit table is ranked in id
+// order, in bound order with its tightest bounds and with every bound equal,
+// and so are a dense MF and a LightGCN trained on the split, the bounded
+// models, whose users retire mid-catalogue.
 func FuzzRankCountMatchesNaive(f *testing.F) {
 	f.Add(40, []byte{0x80, 0x81, 0x7f}, []byte{0x81, 0x80}, []byte{0x22, 0x04}, 20)
 	// The inverted pair: user 0's even items at −1.0208601135704396 + 1 ulp,
@@ -82,13 +85,19 @@ func FuzzRankCountMatchesNaive(f *testing.F) {
 				}
 			}
 		}
-		want := naiveRank(logits, sp, k)
 		defer func(b, c int) { evalUsersBatch, evalScoreChunk = b, c }(evalUsersBatch, evalScoreChunk)
 		evalUsersBatch, evalScoreChunk = 3, 8
 		e := NewEvaluator(sp)
-		for _, workers := range []int{1, 2, 8} {
-			if got := e.Rank(logits, k, workers); got != want {
-				t.Fatalf("workers=%d k=%d: rank count %+v, naive %+v", workers, k, got, want)
+		scorers := []models.MultiBlockScorer{logits, boundedTable{logits, false}, boundedTable{logits, true}}
+		for _, kind := range []models.Kind{models.KindMF, models.KindLightGCN} {
+			scorers = append(scorers, trainedModel(t, kind, sp))
+		}
+		for i, s := range scorers {
+			want := naiveRank(s, sp, k)
+			for _, workers := range []int{1, 2, 8} {
+				if got := e.Rank(s, k, workers); got != want {
+					t.Fatalf("scorer %d workers=%d k=%d: rank count %+v, naive %+v", i, workers, k, got, want)
+				}
 			}
 		}
 	})
@@ -155,33 +164,17 @@ func TestRankCountMatchesOracle(t *testing.T) {
 // an MF scorer at d = 16 over 4 096 items, about 15 interactions a user, 512
 // users — trained until held-out items rank well above chance: the BlockTopK
 // body the engine replaced ("oracle", at the shipped batch and window) beside
-// the rank-counting engine ("count") swept over batch ∈ {16, 64, 128, 256}
-// and window ∈ {128, 256, 512}, the sweep evalUsersBatch and evalScoreChunk
-// were chosen from. Every arm reports 0 allocs/op once warm.
+// the rank-counting engine ("count") in bound order swept over batch ∈ {16,
+// 64, 128, 256} and window ∈ {128, 256, 512}, the sweep evalUsersBatch and
+// evalScoreChunk were chosen from, and in id order ("count-id", the scorer
+// without its bounds) at the shipped shape. The count arms report the
+// user-windows they score per op. Every arm reports 0 allocs/op once warm.
 func BenchmarkEvaluatorRank(b *testing.B) {
 	const dim = 16
 	p := data.Profile{Name: "rank-bench", NumUsers: 512, NumItems: 4096, Interactions: 512 * 15,
 		ZipfExponent: 1.05, Clusters: 40, ClusterBias: 0.7, MinPerUser: 5}
 	sp := data.Generate(p, 1).Split(rng.New(2), 0.2)
-	m, err := models.New(models.KindMF, models.Config{NumUsers: p.NumUsers, NumItems: p.NumItems, Dim: dim, LR: 0.05, Seed: 3})
-	if err != nil {
-		b.Fatal(err)
-	}
-	s := rng.New(4)
-	for epoch := 0; epoch < 10; epoch++ {
-		var batch []models.Sample
-		for u := range sp.Train {
-			for _, v := range sp.Train[u] {
-				batch = append(batch, models.Sample{User: u, Item: v, Label: 1})
-			}
-			for _, v := range sp.SampleNegatives(s, u, 4) {
-				batch = append(batch, models.Sample{User: u, Item: v})
-			}
-		}
-		for lo := 0; lo < len(batch); lo += 256 {
-			m.TrainBatch(batch[lo:min(lo+256, len(batch))])
-		}
-	}
+	m := trainedMF(b, sp, dim, 10)
 	e := NewEvaluator(sp)
 	users := e.Users()
 	recalls, ndcgs := make([]float64, users), make([]float64, users)
@@ -203,17 +196,23 @@ func BenchmarkEvaluatorRank(b *testing.B) {
 		_, ndcg := agg.Mean()
 		b.ReportMetric(ndcg, "ndcg")
 	}
+	count := func(b *testing.B, s models.MultiBlockScorer) {
+		ord := e.newScanOrder(s)
+		rc := e.newRankCounter(s, &ord, 20)
+		run(b, func(lo, hi int) { rc.rank(lo, hi, recalls, ndcgs) })
+		b.ReportMetric(float64(rc.windows)/float64(b.N+1), "user-windows/op")
+	}
 	b.Run("oracle", func(b *testing.B) {
 		o := newOracleEval(e, 20)
 		run(b, func(lo, hi int) { o.batch(m, lo, hi, recalls, ndcgs) })
 	})
+	b.Run("count-id", func(b *testing.B) { count(b, unbounded{m}) })
 	defer func(b, c int) { evalUsersBatch, evalScoreChunk = b, c }(evalUsersBatch, evalScoreChunk)
 	for _, batch := range []int{16, 64, 128, 256} {
 		for _, window := range []int{128, 256, 512} {
 			b.Run(fmt.Sprintf("count/batch=%d/window=%d", batch, window), func(b *testing.B) {
 				evalUsersBatch, evalScoreChunk = batch, window
-				rc := e.newRankCounter(m, 20)
-				run(b, func(lo, hi int) { rc.rank(lo, hi, recalls, ndcgs) })
+				count(b, m)
 			})
 		}
 	}

@@ -210,6 +210,19 @@ func (m *LightGCN) ScoreUsersBlockLogitsInto(dst *tensor.Matrix, users []int, it
 	tensor.GatherMulMatInto(dst, f, users, 0, f, items, m.cfg.NumUsers)
 }
 
+// LogitBoundsInto implements LogitBounder from the readout rows the scores
+// multiply.
+func (m *LightGCN) LogitBoundsInto(dst []float64, users, items []int) {
+	checkBounds(dst, users, items)
+	f := m.propagate()
+	for i, u := range users {
+		dst[i] = rowBound(f.Row(u))
+	}
+	for j, v := range items {
+		dst[len(users)+j] = rowBound(f.Row(m.itemNode(v)))
+	}
+}
+
 // TrainBatch implements Recommender.
 func (m *LightGCN) TrainBatch(batch []Sample) float64 {
 	if len(batch) == 0 {

@@ -1,6 +1,7 @@
 package models
 
 import (
+	"math"
 	"sync"
 
 	"ptffedrec/internal/emb"
@@ -51,6 +52,24 @@ func (m *MF) ScoreUsersBlockLogitsInto(dst *tensor.Matrix, users []int, items []
 		for j, v := range items {
 			row[j] = dot(p, m.items.Row(v))
 		}
+	}
+}
+
+// LogitBoundsInto implements LogitBounder from the dense tables' rows. A lazy
+// table materialises a row on read, so a lazy model promises nothing: +Inf.
+func (m *MF) LogitBoundsInto(dst []float64, users, items []int) {
+	checkBounds(dst, users, items)
+	if m.cfg.Lazy {
+		for i := range dst {
+			dst[i] = math.Inf(1)
+		}
+		return
+	}
+	for i, u := range users {
+		dst[i] = rowBound(m.users.W.Row(u))
+	}
+	for j, v := range items {
+		dst[len(users)+j] = rowBound(m.items.W.Row(v))
 	}
 }
 

@@ -27,9 +27,17 @@ func BCE(pred, target []float64) float64 {
 
 // BCEOne returns the unreduced binary cross-entropy of a single
 // (prediction, target) pair, with the same clamping as BCE. The gradient
-// workspace engine uses it to sum chunk losses before one final mean.
+// workspace engine uses it to sum chunk losses before one final mean. A hard
+// label takes only its live log: the other term is 0 times a finite log,
+// −0, and x + (−0) is x, so the bits are the two-log form's.
 func BCEOne(pred, target float64) float64 {
 	p := clamp01(pred)
+	switch target {
+	case 0:
+		return -math.Log(1 - p)
+	case 1:
+		return -math.Log(p)
+	}
 	return -(target*math.Log(p) + (1-target)*math.Log(1-p))
 }
 

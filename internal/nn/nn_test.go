@@ -127,6 +127,33 @@ func TestBCEKnownValues(t *testing.T) {
 	}
 }
 
+// TestBCEOneMatchesTwoLogForm pins BCEOne's one-log shortcut for hard labels
+// to the two-log form it replaced, bit for bit, over predictions through both
+// clamps, 0.5 and the doubles next to 1e-7 and 1 − 1e-7, at labels 0, 1 and
+// the soft 0.3.
+func TestBCEOneMatchesTwoLogForm(t *testing.T) {
+	twoLog := func(pred, target float64) float64 {
+		p := clamp01(pred)
+		return -(target*math.Log(p) + (1-target)*math.Log(1-p))
+	}
+	preds := []float64{-1, 0, 1e-300, 0.5, 0.25, 0.75, 1, 2}
+	for _, edge := range []float64{bceEps, 1 - bceEps} {
+		for _, x := range []float64{math.Nextafter(edge, 0), edge, math.Nextafter(edge, 1)} {
+			preds = append(preds, x, math.Nextafter(x, 0), math.Nextafter(x, 1))
+		}
+	}
+	for i := 1; i < 100; i++ {
+		preds = append(preds, float64(i)/100)
+	}
+	for _, target := range []float64{0, 1, 0.3} {
+		for _, p := range preds {
+			if got, want := BCEOne(p, target), twoLog(p, target); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("BCEOne(%v, %v) = %v (%#x), two-log form %v (%#x)", p, target, got, math.Float64bits(got), want, math.Float64bits(want))
+			}
+		}
+	}
+}
+
 func TestBCEClampsExtremes(t *testing.T) {
 	got := BCE([]float64{0, 1}, []float64{1, 0})
 	if math.IsInf(got, 0) || math.IsNaN(got) {
