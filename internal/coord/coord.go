@@ -21,19 +21,21 @@
 // short write (the server keeps the received prefix). Anything else a stream
 // gets wrong is a protocol error, answered 400 with a MsgError frame and the
 // slot resolved as dropped: bad framing, a count it does not keep, and any
-// prediction that names another user, an item outside the catalogue, or a
-// score outside [0, 1] (NaN included) — so nothing the round engine absorbs
-// breaks fed.RoundEngine.CloseRound's contract. A participant holds each
-// pushed dispersal to the same rule and ends its run on one that breaks it.
+// prediction that names another user, an item outside the catalogue or an
+// item the stream already named, or a score outside [0, 1] (NaN included) —
+// so nothing the round engine absorbs breaks fed.RoundEngine.CloseRound's
+// contract. A participant holds each pushed dispersal to the same rule and
+// ends its run on one that breaks it.
 // A round with a configured straggler deadline closes with partial
 // participation — pending clients become dropped — instead of waiting
 // forever.
 //
 // Every refusal answers a 4xx status with a MsgError frame, never 200: 409 to
-// an upload for a round that no longer takes it (a straggler's participant
-// carries on), 400 to everything else — a bad join frame or range, a
-// missing, malformed or unknown token, round, user or cursor, a user the
-// session does not host, and a malformed upload stream.
+// an upload for an announced round that no longer takes it (a straggler's
+// participant carries on), 400 to everything else — a bad join frame or
+// range, a missing, malformed or unknown token, round, user or cursor (a
+// round never announced included), a user the session does not host, and a
+// malformed upload stream.
 //
 // A dispersal is relative to its own round: Eq. 9 excludes the items of the
 // upload that produced it (fed.RoundEngine.CloseRound). A dispersal published
@@ -62,6 +64,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"ptffedrec/internal/bitset"
 	"ptffedrec/internal/comm"
 	"ptffedrec/internal/data"
 	"ptffedrec/internal/eval"
@@ -155,6 +158,7 @@ type Coordinator struct {
 	sessions map[uint64]*session
 	hosts    []*session
 	rounds   map[int]*roundState
+	opened   int  // rounds openRound has announced: 0 .. opened-1
 	down     bool // run finished; new joins get an immediate shutdown
 
 	// pending retains each user's latest undelivered dispersal (bounded by
@@ -264,8 +268,8 @@ func (c *Coordinator) disperseFrame(user int, payload []byte) []byte {
 // host session's event log (or retained for an absent host), every session
 // gets the round-end marker that releases its dispersal-gated clients, and
 // the round's state is dropped — every dispersal has by now reached a log or
-// the retention store, and a late upload gets the same "round closed" reply
-// an unknown round does.
+// the retention store, and a late upload for the round gets the 409 "round
+// closed" reply (an upload for a round never announced gets 400).
 func (c *Coordinator) publishRound(round int, dispersals []fed.Dispersal) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -343,6 +347,7 @@ func (c *Coordinator) openRound(round int, users []int) fed.Collect {
 		close(rs.done)
 	}
 	c.rounds[round] = rs
+	c.opened = round + 1
 	for i, s := range c.hosts {
 		c.announceLocked(s, comm.AppendFrame(nil, comm.MsgRoundStart,
 			comm.EncodeRoundStart(comm.RoundStart{Round: round, Users: hosted[i]})))
@@ -406,9 +411,17 @@ func (c *Coordinator) announceLocked(s *session, frame []byte) {
 	}
 }
 
+// announced reports whether openRound has announced round; rounds open in
+// order from 0.
+func (c *Coordinator) announced(round int) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return round >= 0 && round < c.opened
+}
+
 // resolveUpload records one user's outcome, closing the round when it was
 // the last pending upload. Returns false when the round no longer accepts
-// uploads for this user (closed, unknown, or already resolved).
+// uploads for this user (closed, or already resolved).
 func (c *Coordinator) resolveUpload(round int, user int, o fed.ClientOutcome) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -672,15 +685,19 @@ func (c *Coordinator) handleUpload(w http.ResponseWriter, r *http.Request) {
 		c.writeError(w, http.StatusBadRequest, "coord: session %d does not host user %d", s.token, user)
 		return
 	}
+	if !c.announced(int(round)) {
+		c.writeError(w, http.StatusBadRequest, "coord: round %d was never announced", round)
+		return
+	}
 
 	cr := &countReader{r: r.Body}
 	outcome, perr := c.readUpload(cr, int(round), int(user))
 	c.wireIn.Add(cr.n)
 	if perr != nil {
 		// Malformed streams (bad magic, wrong frame order, codec garbage,
-		// foreign or out-of-range predictions) are protocol errors, not
-		// transport faults: reject, and resolve the slot as dropped so the
-		// round never hangs on a broken peer.
+		// foreign, out-of-range or repeated predictions) are protocol
+		// errors, not transport faults: reject, and resolve the slot as
+		// dropped so the round never hangs on a broken peer.
 		c.resolveUpload(int(round), int(user), fed.ClientOutcome{ID: int(user), Dropped: true})
 		c.writeError(w, http.StatusBadRequest, "%v", perr)
 		return
@@ -699,8 +716,8 @@ func (c *Coordinator) handleUpload(w http.ResponseWriter, r *http.Request) {
 // including an opening frame whose loss is negative or not finite or whose
 // attack F1 lies outside [0, 1], a stream that outgrows the count its opening
 // frame declared, and a prediction that names another user, an item outside
-// [0, NumItems) or a score outside [0, 1]; each is rejected at the frame that
-// carries it rather than buffered.
+// [0, NumItems), an item the stream already named or a score outside [0, 1];
+// each is rejected at the frame that carries it rather than buffered.
 func (c *Coordinator) readUpload(body io.Reader, round, user int) (fed.ClientOutcome, error) {
 	mt, payload, err := comm.ReadFrame(body)
 	if err == io.EOF {
@@ -737,6 +754,7 @@ func (c *Coordinator) readUpload(body io.Reader, round, user int) (fed.ClientOut
 	}
 
 	preds := make([]comm.Prediction, 0, begin.Count)
+	named := bitset.New(c.split.NumItems)
 	var predBytes int
 	complete := false
 	for !complete {
@@ -760,6 +778,10 @@ func (c *Coordinator) readUpload(body io.Reader, round, user int) (fed.ClientOut
 				if err := checkPrediction(p, user, c.split.NumItems); err != nil {
 					return fed.ClientOutcome{}, fmt.Errorf("coord: user %d uploads %w", user, err)
 				}
+				if named.Contains(p.Item) {
+					return fed.ClientOutcome{}, fmt.Errorf("coord: user %d uploads item %d twice", user, p.Item)
+				}
+				named.Add(p.Item)
 			}
 			preds = append(preds, chunk...)
 			predBytes += len(payload)

@@ -9,6 +9,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -387,9 +388,11 @@ func TestSessionTokensUnguessable(t *testing.T) {
 
 // TestRefusalsAnswer4xx pins one rule for every refusal on the four
 // endpoints: a 4xx status and a MsgError frame, never 200. 409 is the late
-// upload's alone — an upload for a round that is closed or already published
-// (TestUploadRejectsForeignPredictions pins it); everything else a request
-// gets wrong answers 400, and none of it registers or drops a session.
+// upload's alone — an upload for an announced round that is closed or already
+// published (TestUploadRejectsForeignPredictions pins it); everything else a
+// request gets wrong answers 400, an upload for a round never announced
+// included (this coordinator never runs, so it announces none), and none of
+// it registers or drops a session.
 func TestRefusalsAnswer4xx(t *testing.T) {
 	sp := testSplit()
 	c, err := New(sp, testConfig(models.KindMF, 1), testOptions())
@@ -427,6 +430,8 @@ func TestRefusalsAnswer4xx(t *testing.T) {
 		{"upload: malformed round", fmt.Sprintf("/v1/upload?token=%d&round=x&user=0", tok), nil},
 		{"upload: missing user", fmt.Sprintf("/v1/upload?token=%d&round=0", tok), nil},
 		{"upload: user not hosted", fmt.Sprintf("/v1/upload?token=%d&round=0&user=25", tok), nil},
+		{"upload: round never announced", fmt.Sprintf("/v1/upload?token=%d&round=0&user=0", tok), encodeUpload(0, 0, []comm.Prediction{{User: 0, Item: 1, Score: 0.5}}, 1, true)},
+		{"upload: negative round", fmt.Sprintf("/v1/upload?token=%d&round=-1&user=0", tok), nil},
 	} {
 		resp, err := srv.Client().Post(srv.URL+tc.path, "application/octet-stream", bytes.NewReader(tc.body))
 		if err != nil {
@@ -549,6 +554,18 @@ func TestReadUploadClassification(t *testing.T) {
 	if _, err = c.readUpload(bytes.NewReader(comm.AppendFrame(nil, comm.MsgAck, nil)), 1, 7); err == nil {
 		t.Fatal("a non-begin opening frame must be a protocol error")
 	}
+	// An item named twice is refused even when the repeat sits in a later
+	// chunk (encodeUpload sends two predictions per chunk).
+	repeated := append(slices.Clone(preds), comm.Prediction{User: 7, Item: 3, Score: 0.25})
+	for _, sent := range []int{len(repeated), len(repeated) - 1} {
+		_, err = c.readUpload(bytes.NewReader(encodeUpload(1, 7, repeated, sent, sent == len(repeated))), 1, 7)
+		if sent == len(repeated) && (err == nil || !strings.Contains(err.Error(), "item 3 twice")) {
+			t.Fatalf("an upload naming item 3 twice: err = %v, want the repeat refusal", err)
+		}
+		if sent < len(repeated) && err != nil {
+			t.Fatalf("the same upload cut before the repeat: err = %v, want the truncated prefix", err)
+		}
+	}
 
 	// The declared count bounds the stream. A body that declares two
 	// predictions and then never stops sending chunks is rejected at the
@@ -612,8 +629,8 @@ func TestMalformedUploadOverHTTP(t *testing.T) {
 		h, _ = c.Run(ctx)
 	}()
 	// Post only once round 0 is open: an upload that arrives before the round
-	// is announced finds no slot to resolve, and the retry below would then
-	// be accepted.
+	// is announced is refused as never announced and resolves no slot, so
+	// the retry below would then be accepted.
 	if _, err := p.poll(ctx, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -667,12 +684,14 @@ func TestMalformedUploadOverHTTP(t *testing.T) {
 
 // TestUploadRejectsForeignPredictions posts well-framed round-0 uploads whose
 // predictions break the round engine's contract — one naming a user outside
-// the universe, one an item outside the catalogue, one a NaN score — beside
-// one honest upload, to a LightGCN server. Unchecked, the first panics
-// Coordinator.Run in the upload store, the second in the graph engine, and
-// the third turns the round's ServerLoss into NaN. Honest predictions under
-// a begin frame whose loss is NaN, negative or infinite, or whose attack F1
-// is NaN or outside [0, 1], would reach RoundStats and the History as sent.
+// the universe, one an item outside the catalogue, one a NaN score, one an
+// item twice — beside one honest upload, to a LightGCN server. Unchecked, the
+// first panics Coordinator.Run in the upload store, the second in the graph
+// engine, the third turns the round's ServerLoss into NaN, and the fourth
+// counts its item twice in the confidence counters and the graph. Honest
+// predictions under a begin frame whose loss is NaN, negative or infinite, or
+// whose attack F1 is NaN or outside [0, 1], would reach RoundStats and the
+// History as sent.
 // Each must be refused 400 with a MsgError frame and its user dropped, and
 // the round must train and report on the honest upload alone.
 func TestUploadRejectsForeignPredictions(t *testing.T) {
@@ -737,6 +756,7 @@ func TestUploadRejectsForeignPredictions(t *testing.T) {
 		3:  {[]comm.Prediction{{User: sp.NumUsers + 1000, Item: 1, Score: 0.9}, {User: 3, Item: 2, Score: 0.75}}, 0.25, 0.5},
 		4:  {[]comm.Prediction{{User: 4, Item: 1, Score: 0.9}, {User: 4, Item: sp.NumItems + 7, Score: 0.9}}, 0.25, 0.5},
 		5:  {[]comm.Prediction{{User: 5, Item: 1, Score: 0.9}, {User: 5, Item: 2, Score: math.NaN()}}, 0.25, 0.5},
+		13: {[]comm.Prediction{{User: 13, Item: 2, Score: 0.9}, {User: 13, Item: 2, Score: 0.75}}, 0.25, 0.5},
 		7:  {honest(7), math.NaN(), 0.5},
 		8:  {honest(8), -0.5, 0.5},
 		9:  {honest(9), math.Inf(1), 0.5},

@@ -60,20 +60,7 @@ func (d *Dataset) NumInteractions() int {
 }
 
 // Density returns interactions / (users × items).
-func (d *Dataset) Density() float64 {
-	if d.NumUsers == 0 || d.NumItems == 0 {
-		return 0
-	}
-	return float64(d.NumInteractions()) / (float64(d.NumUsers) * float64(d.NumItems))
-}
-
-// AvgProfileLen returns the mean number of interactions per user.
-func (d *Dataset) AvgProfileLen() float64 {
-	if d.NumUsers == 0 {
-		return 0
-	}
-	return float64(d.NumInteractions()) / float64(d.NumUsers)
-}
+func (d *Dataset) Density() float64 { return d.Stats().Density }
 
 // HasInteraction reports whether user u interacted with item v.
 func (d *Dataset) HasInteraction(u, v int) bool {
@@ -105,14 +92,20 @@ type Stats struct {
 
 // Stats summarises the dataset in the shape of Table II.
 func (d *Dataset) Stats() Stats {
-	return Stats{
-		Name:         d.Name,
-		Users:        d.NumUsers,
-		Items:        d.NumItems,
-		Interactions: d.NumInteractions(),
-		AvgLength:    d.AvgProfileLen(),
-		Density:      d.Density(),
+	return newStats(d.Name, d.NumUsers, d.NumItems, d.NumInteractions())
+}
+
+// newStats is one Table II row: the mean profile length and the density
+// derive from the interaction count, 0 over an empty universe.
+func newStats(name string, users, items, interactions int) Stats {
+	st := Stats{Name: name, Users: users, Items: items, Interactions: interactions}
+	if users > 0 {
+		st.AvgLength = float64(interactions) / float64(users)
 	}
+	if users > 0 && items > 0 {
+		st.Density = float64(interactions) / (float64(users) * float64(items))
+	}
+	return st
 }
 
 // String formats the stats like the paper's Table II row.

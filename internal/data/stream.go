@@ -105,7 +105,7 @@ func StreamCSV(w io.Writer, p Profile, seed uint64) (Stats, error) {
 	if err := bw.Flush(); err != nil {
 		return Stats{}, fmt.Errorf("data: write csv: %w", err)
 	}
-	return streamStats(p, interactions), nil
+	return newStats(p.Name, p.NumUsers, p.NumItems, interactions), nil
 }
 
 // StreamStats computes the profile's Table II statistics by streaming the
@@ -119,21 +119,5 @@ func StreamStats(p Profile, seed uint64) Stats {
 	if err != nil {
 		panic(err) // callback never fails
 	}
-	return streamStats(p, interactions)
-}
-
-func streamStats(p Profile, interactions int) Stats {
-	st := Stats{
-		Name:         p.Name,
-		Users:        p.NumUsers,
-		Items:        p.NumItems,
-		Interactions: interactions,
-	}
-	if p.NumUsers > 0 {
-		st.AvgLength = float64(interactions) / float64(p.NumUsers)
-	}
-	if p.NumUsers > 0 && p.NumItems > 0 {
-		st.Density = float64(interactions) / (float64(p.NumUsers) * float64(p.NumItems))
-	}
-	return st
+	return newStats(p.Name, p.NumUsers, p.NumItems, interactions)
 }

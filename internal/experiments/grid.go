@@ -131,11 +131,12 @@ type Table2Result struct {
 	Stats []data.Stats
 }
 
-// RunTable2 regenerates the dataset statistics table.
+// RunTable2 regenerates the dataset statistics table, streaming each
+// profile's generation rather than holding its Dataset.
 func RunTable2(o Options) Table2Result {
 	var res Table2Result
 	for _, p := range o.Profiles() {
-		res.Stats = append(res.Stats, data.Generate(p, o.Seed).Stats())
+		res.Stats = append(res.Stats, data.StreamStats(p, o.Seed))
 	}
 	return res
 }

@@ -11,13 +11,13 @@ import (
 	"ptffedrec/internal/rng"
 )
 
-// TestAbsorbFusedMatchesTwoPass checks the edge selection the graph rebuild
-// runs over the round's upload slices against the upload record: after every
-// absorb the selection's users must be the round's uploaders in ascending
-// order, each user's edge row must equal the oracle rule
-// (graph_oracle_test.go) over the record's latest upload for them, and the
-// rebuilt adjacency must match the oracle's fresh engine. Both the serial
-// and the parallel selection are exercised.
+// TestAbsorbFusedMatchesTwoPass checks the graph staging the rebuild runs
+// over the round's upload slices against the upload record: after every
+// absorb the staging must walk the round's uploaders in ascending order, and
+// the rebuilt adjacency must match the oracle's fresh engine
+// (graph_oracle_test.go), which stages the oracle rule over the record's
+// latest upload for every user. Both the serial and the parallel commit are
+// exercised.
 func TestAbsorbFusedMatchesTwoPass(t *testing.T) {
 	const numUsers, numItems = 80, 60
 	for _, workers := range []int{1, 4} {
@@ -37,19 +37,16 @@ func TestAbsorbFusedMatchesTwoPass(t *testing.T) {
 				}
 				record.SetBatch(uploads)
 				sv.absorb(uploads)
-				users, off, slab := sv.selectEdges(uploads, workers)
-
-				sort.Ints(uploaders)
-				if !slices.Equal(users, uploaders) {
-					t.Fatalf("round %d: selected users %v != sorted uploaders %v", r, users, uploaders)
-				}
-				for i, u := range users {
-					want := oracleEdges(sv.cfg, u, record.View(u))
-					if got := slab[off[i]:off[i+1]]; !slices.Equal(got, want) {
-						t.Fatalf("round %d user %d: selected edges %+v, the oracle rule over the latest upload says %+v", r, u, got, want)
-					}
-				}
 				sv.rebuildGraph(uploads, workers)
+
+				staged := make([]int, 0, len(sv.stageIdx))
+				for _, i := range sv.stageIdx {
+					staged = append(staged, uploads[i][0].User)
+				}
+				sort.Ints(uploaders)
+				if !slices.Equal(staged, uploaders) {
+					t.Fatalf("round %d: staged users %v != sorted uploaders %v", r, staged, uploaders)
+				}
 				checkIncMatchesFull(t, fmt.Sprintf("round %d", r), sv, record, workers)
 			}
 		})

@@ -7,8 +7,8 @@ package fed
 // through — and re-scores each client's chosen items
 // as a one-user block, both through models.MultiBlockScorer's one method.
 // Eligibility (Eq. 9's "vⱼ ∉ V̂ᵗᵢ") is the complement of the target's upload
-// in the dispersal's own round, held as its sorted, de-duplicated item list
-// in per-slot scratch; only the random ablation arms want the eligible items
+// in the dispersal's own round, held as its sorted item list in per-slot
+// scratch; only the random ablation arms want the eligible items
 // themselves, which they build per client into worker scratch with one run
 // walk. Nothing is kept between calls.
 //

@@ -1,7 +1,6 @@
 package fed
 
 import (
-	"slices"
 	"testing"
 
 	"ptffedrec/internal/comm"
@@ -83,49 +82,5 @@ func TestDisperseRandomArmsFillAlpha(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestDisperseDuplicateUploadItems pins the exclusion list's de-duplication:
-// the coordinator bounds an upload's length but does not refuse an item named
-// twice, and such an upload must yield the same D̃ᵢ as the upload naming each
-// item once — the same eligible count and the same strictly ascending walk
-// for BlockTopK — for every arm, on one trained server. User 0's upload names
-// all but three items, so the eligible count, not α, bounds its D̃ᵢ.
-func TestDisperseDuplicateUploadItems(t *testing.T) {
-	sp := tinySplit(t)
-	tr, err := NewTrainer(sp, multiuserConfig(models.KindNeuMF, DisperseConfHard))
-	if err != nil {
-		t.Fatal(err)
-	}
-	once := runRoundUploads(tr, 0)
-	once[0] = nil
-	for v := 3; v < sp.NumItems; v++ {
-		once[0] = append(once[0], comm.Prediction{User: 0, Item: v, Score: 0.5})
-	}
-	twice := make([][]comm.Prediction, len(once))
-	for i, up := range once {
-		twice[i] = append(slices.Clone(up), up...)
-	}
-	sv := tr.Server()
-	if w, ok := sv.model.(models.Warmer); ok {
-		w.WarmScoring()
-	}
-	ids := allSlots(sp.NumUsers)
-	root := rng.New(7).Derive("duplicates")
-	stream := func(id int) *rng.Stream { return root.DeriveN("client", id) }
-	for _, arm := range []DisperseMode{DisperseConfHard, DisperseNoHard, DisperseNoConf, DisperseAllRandom} {
-		sv.cfg.Disperse = arm
-		plan := sv.buildDispersalPlan()
-		want := make([][]comm.Prediction, len(ids))
-		sv.disperseUsers(ids, once, plan, stream, func(i int, preds []comm.Prediction) { want[i] = preds })
-		if len(want[0]) != 3 {
-			t.Fatalf("%s: user 0 has 3 eligible items, got %d dispersed", arm, len(want[0]))
-		}
-		sv.disperseUsers(ids, twice, plan, stream, func(i int, preds []comm.Prediction) {
-			if !slices.Equal(preds, want[i]) {
-				t.Fatalf("%s: user %d: doubled upload dispersed\n  %v\nthe upload named once\n  %v", arm, ids[i], preds, want[i])
-			}
-		})
 	}
 }

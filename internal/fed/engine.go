@@ -151,8 +151,9 @@ func (e *RoundEngine) closeRound(round int, outcomes []ClientOutcome, evaluator 
 // user's next upload.
 //
 // The outcomes must name distinct users, and every prediction in an upload
-// must name its outcome's user and an item in [0, NumItems): the graph
-// rebuild stages each uploader once, in user order, from the upload alone.
+// must name its outcome's user and an item in [0, NumItems), each item at
+// most once: the graph rebuild stages each uploader once, in user order, from
+// the upload alone, and nothing downstream filters or de-duplicates an item.
 // In-process, Select's cohort and the client round guarantee both; the
 // networked coordinator refuses an upload that breaks the second before it
 // becomes an outcome.
@@ -181,11 +182,12 @@ func (e *RoundEngine) CloseRound(round int, outcomes []ClientOutcome, overlap fu
 		stats.AttackF1 /= float64(len(ids))
 	}
 
-	// Server-side: absorb uploads, rebuild the graph, optimise Eq. 5. The
-	// training-set construction shards over the round pool; inside every
-	// server TrainBatch the gradient workspace engine shards over the same
-	// pool size with a chunk-ordered merge. The graph rebuild takes the
-	// uploads too: they are exactly the graph's delta.
+	// Server-side: absorb uploads, rebuild the graph, optimise Eq. 5. Absorb,
+	// the graph staging and the training-set flatten are serial passes over
+	// the uploads; the graph commit shards its install over the round pool,
+	// and inside every server TrainBatch the gradient workspace engine shards
+	// over the same pool size with a chunk-ordered merge. The graph rebuild
+	// takes the uploads too: they are exactly the graph's delta.
 	phaseStart := time.Now()
 	e.server.absorb(uploads)
 	e.phases.Absorb += time.Since(phaseStart).Seconds()
@@ -195,7 +197,7 @@ func (e *RoundEngine) CloseRound(round int, outcomes []ClientOutcome, overlap fu
 	e.phases.GraphBuild += time.Since(phaseStart).Seconds()
 
 	phaseStart = time.Now()
-	stats.ServerLoss = e.server.train(uploads, workers)
+	stats.ServerLoss = e.server.train(uploads)
 	e.phases.ServerTrain += time.Since(phaseStart).Seconds()
 
 	// Dispersal: the global confidence ranking is computed once for the

@@ -52,7 +52,7 @@ func runRoundUploads(tr *Trainer, round int) [][]comm.Prediction {
 
 // uploadItems returns the distinct items of an upload, ascending — marked in
 // a bitset and read back by probing every item, so the list shares no code
-// with disperseTargetInto's sort and de-duplication.
+// with disperseTargetInto's sort.
 func uploadItems(numItems int, upload []comm.Prediction) []int {
 	set := bitset.New(numItems)
 	for _, p := range upload {

@@ -1,10 +1,9 @@
 package fed
 
 // The server graph's reference: the soft-positive rule written out per user's
-// latest upload, serially and independently of the live selection
-// (selectEdges / countEdgesIn / fillEdgesIn), then staged into a fresh
-// graph.Incremental — the path graph clients and the centralized trainer
-// take. The maintained adjacency must equal the fresh engine's bit for bit;
+// latest upload, independently of the live staging pass (stageUploads), then
+// staged into a fresh graph.Incremental — the path graph clients and the
+// centralized trainer take. The maintained adjacency must equal the fresh engine's bit for bit;
 // the graph package pins a fresh engine to its full Bipartite build.
 
 import (

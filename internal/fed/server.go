@@ -32,23 +32,18 @@ type Server struct {
 	// hard half's BlockTopK slices score windows from.
 	ident []int
 
-	// Edge-selection scratch, reused across rounds so a steady-state graph
+	// Graph-staging scratch, reused across rounds so a steady-state graph
 	// rebuild does no per-user allocation: the non-empty uploads' indexes in
-	// user order, the uploaders, the per-uploader edge offsets and the edge
-	// slab the selection fills.
-	edgeIdx   []int32
-	edgeUsers []int
-	edgeOff   []int
-	edgeSlab  []graph.Edge
+	// user order and one uploader's soft-positive edges.
+	stageIdx   []int32
+	stageEdges []graph.Edge
 
 	// inc holds every user's latest edges for a graph server model (nil
 	// otherwise); every rebuild stages the round's uploaders into it.
 	inc *graph.Incremental
 
-	// train's flattened sample set and its per-upload offsets, reused across
-	// rounds (every entry is overwritten before it is read).
+	// train's flattened sample set, reused across rounds.
 	trainSamples []models.Sample
-	trainOff     []int
 }
 
 // serverModelConfig is the hidden model's configuration. Its SGD shards every
@@ -132,81 +127,43 @@ func (sv *Server) GraphEngineBytes() int64 {
 }
 
 // absorb ingests one round of uploads into the confidence counters: one
-// serial pass, out-of-range items skipped. Steady-state rounds allocate
-// nothing here.
+// serial pass. Steady-state rounds allocate nothing here.
 func (sv *Server) absorb(uploads [][]comm.Prediction) {
 	for _, up := range uploads {
 		for _, p := range up {
-			if p.Item >= 0 && p.Item < sv.numItems {
-				sv.itemFreq[p.Item]++
-			}
+			sv.itemFreq[p.Item]++
 		}
 	}
 }
 
-// selectEdges runs the soft-positive edge selection over the round's
-// non-empty uploads in ascending user order: users lists the uploaders, and
-// user users[i]'s edges are slab[off[i]:off[i+1]]. A parallel count pass
-// fixes each uploader's edge range by prefix sum and a parallel fill pass
-// writes each range, so the slab — and with it the order edge weights
-// accumulate in — is the serial construction's for any worker count.
-// Steady-state calls at workers<=1 allocate nothing.
-func (sv *Server) selectEdges(uploads [][]comm.Prediction, workers int) (users, off []int, slab []graph.Edge) {
-	idx := sv.edgeIdx[:0]
+// stageUploads stages the round's non-empty uploads into the graph engine in
+// ascending user order, each uploader's soft-positive edges (every triple
+// scored at or above GraphThreshold, weighted by its score) in upload order;
+// an uploader whose upload selects no edge clears their row. Steady-state
+// calls allocate nothing.
+func (sv *Server) stageUploads(uploads [][]comm.Prediction) {
+	idx := sv.stageIdx[:0]
 	for i, up := range uploads {
 		if len(up) > 0 {
 			idx = append(idx, int32(i))
 		}
 	}
-	sv.edgeIdx = idx
+	sv.stageIdx = idx
 	// Uploads carry one user each and users are distinct, so the first
 	// prediction's id is a total order.
 	slices.SortFunc(idx, func(a, b int32) int { return cmp.Compare(uploads[a][0].User, uploads[b][0].User) })
-	users = slices.Grow(sv.edgeUsers[:0], len(idx))[:len(idx)]
-	sv.edgeUsers = users
-	off = slices.Grow(sv.edgeOff[:0], len(idx)+1)[:len(idx)+1]
-	sv.edgeOff = off
-
-	// The parallel branches capture shadow copies: closing over the named
-	// results directly would box them on the heap every call, breaking the
-	// serial path's zero-allocation pin.
-	workers = par.Workers(workers)
-	off[0] = 0
-	if workers <= 1 {
-		for i, ui := range idx {
-			up := uploads[ui]
-			users[i] = up[0].User
-			off[i+1] = sv.countEdgesIn(up)
-		}
-	} else {
-		cIdx, cUsers, cOff := idx, users, off
-		par.For(len(cIdx), workers, func(i int) {
-			up := uploads[cIdx[i]]
-			cUsers[i] = up[0].User
-			cOff[i+1] = sv.countEdgesIn(up)
-		})
-	}
-	for i := 1; i <= len(idx); i++ {
-		off[i] += off[i-1]
-	}
-
-	slab = slices.Grow(sv.edgeSlab[:0], off[len(idx)])[:off[len(idx)]]
-	sv.edgeSlab = slab
-
-	if workers <= 1 {
-		for i, ui := range idx {
-			sv.fillEdgesIn(users[i], uploads[ui], slab[off[i]:off[i+1]])
-		}
-	} else {
-		cIdx, cUsers, cOff, cSlab := idx, users, off, slab
-		chunk := (len(cIdx) + workers - 1) / workers
-		par.ForChunks(len(cIdx), chunk, workers, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				sv.fillEdgesIn(cUsers[i], uploads[cIdx[i]], cSlab[cOff[i]:cOff[i+1]])
+	sv.inc.Begin()
+	for _, i := range idx {
+		u := uploads[i][0].User
+		edges := sv.stageEdges[:0]
+		for _, p := range uploads[i] {
+			if p.Score >= sv.cfg.GraphThreshold {
+				edges = append(edges, graph.Edge{User: u, Item: p.Item, Weight: p.Score})
 			}
-		})
+		}
+		sv.stageEdges = edges
+		sv.inc.StageUser(u, edges)
 	}
-	return users, off, slab
 }
 
 // rebuildGraph brings the server's soft-positive graph up to date with the
@@ -216,81 +173,42 @@ func (sv *Server) selectEdges(uploads [][]comm.Prediction, workers int) (users, 
 //
 // The graph's delta is exactly the round's uploaders: a user's edges derive
 // from their latest upload alone, and the round's uploaders are the users
-// whose latest upload just changed. So selectEdges runs over the uploads,
-// each uploader's row is staged — an uploader whose new upload selects no
-// edges clears their row — and the engine rebuilds every degree and
-// normalization value from each user's latest edges, bitwise-identical to a
-// fresh engine that stages every user's latest upload by the engine's
-// construction. The commit costs O(users + items + edges), the order the
-// model's SetGraph pays to assemble the adjacency anyway. CloseRound's
-// contract (distinct users, each prediction naming its outcome's user and an
-// in-range item) is what makes the staging order strictly ascending, and
-// Validate's GraphThreshold > 0 is what keeps every weight positive.
+// whose latest upload just changed. So stageUploads stages each uploader's
+// row, and the engine rebuilds every degree and normalization value from each
+// user's latest edges, bitwise-identical to a fresh engine that stages every
+// user's latest upload by the engine's construction. The commit costs
+// O(users + items + edges), the order the model's SetGraph pays to assemble
+// the adjacency anyway. CloseRound's contract (distinct users, each
+// prediction naming its outcome's user and an in-range item) is what makes
+// the staging order strictly ascending, and Validate's GraphThreshold > 0 is
+// what keeps every weight positive.
 func (sv *Server) rebuildGraph(uploads [][]comm.Prediction, workers int) {
 	gm, ok := sv.model.(models.GraphRecommender)
 	if !ok {
 		return
 	}
-	users, off, slab := sv.selectEdges(uploads, workers)
 	if sv.inc == nil {
 		sv.inc = graph.NewIncremental(sv.numUsers, sv.numItems)
 	}
-	sv.inc.Begin()
-	for i, u := range users {
-		sv.inc.StageUser(u, slab[off[i]:off[i+1]])
-	}
+	sv.stageUploads(uploads)
 	sv.inc.Commit(workers)
 	gm.SetGraph(sv.inc)
 }
 
-// countEdgesIn returns how many edges the soft-positive threshold selects
-// from one upload — the sizing pass of selectEdges.
-func (sv *Server) countEdgesIn(preds []comm.Prediction) int {
-	n := 0
-	for _, p := range preds {
-		if p.Score >= sv.cfg.GraphThreshold {
-			n++
-		}
-	}
-	return n
-}
-
-// fillEdgesIn writes user u's selected edges from preds into dst (sized by
-// countEdgesIn), in upload order. Calls for distinct users only read server
-// state, so they run concurrently.
-func (sv *Server) fillEdgesIn(u int, preds []comm.Prediction, dst []graph.Edge) {
-	k := 0
-	for _, p := range preds {
-		if p.Score >= sv.cfg.GraphThreshold {
-			dst[k] = graph.Edge{User: u, Item: p.Item, Weight: p.Score}
-			k++
-		}
-	}
-}
-
-// train runs the server-side optimisation of Eq. 5 on the round's uploads.
-// Flattening the uploads into the training set is sharded over workers into
-// precomputed offset ranges, so the sample order — and with it the shuffle
-// and every optimizer step — is identical to the serial construction. The
-// SGD loop itself visits batches sequentially; inside each TrainBatch the
-// model's gradient workspace engine shards the forward/backward over its
-// TrainWorkers with a chunk-ordered merge, which is what keeps seeded runs
-// exactly reproducible at any worker count.
-func (sv *Server) train(uploads [][]comm.Prediction, workers int) float64 {
-	offsets := append(sv.trainOff[:0], 0)
+// train runs the server-side optimisation of Eq. 5 on the round's uploads,
+// flattened in slot order into the training set. The SGD loop visits batches
+// sequentially; inside each TrainBatch the model's gradient workspace engine
+// shards the forward/backward over its TrainWorkers with a chunk-ordered
+// merge, which is what keeps seeded runs exactly reproducible at any worker
+// count.
+func (sv *Server) train(uploads [][]comm.Prediction) float64 {
+	samples := sv.trainSamples[:0]
 	for _, up := range uploads {
-		offsets = append(offsets, offsets[len(offsets)-1]+len(up))
-	}
-	sv.trainOff = offsets
-	total := offsets[len(uploads)]
-	samples := slices.Grow(sv.trainSamples[:0], total)[:total]
-	sv.trainSamples = samples
-	par.For(len(uploads), par.Workers(workers), func(i int) {
-		out := samples[offsets[i]:offsets[i+1]]
-		for j, p := range uploads[i] {
-			out[j] = models.Sample{User: p.User, Item: p.Item, Label: p.Score}
+		for _, p := range up {
+			samples = append(samples, models.Sample{User: p.User, Item: p.Item, Label: p.Score})
 		}
-	})
+	}
+	sv.trainSamples = samples
 	return models.Fit(sv.model, sv.s, samples, sv.cfg.ServerEpochs, sv.cfg.ServerBatch)
 }
 
@@ -327,10 +245,10 @@ func (sv *Server) buildDispersalPlan() *dispersalPlan {
 
 // disperseTarget identifies one dispersal recipient from what the server
 // received: the user id and the exclusion list Eq. 9's "vⱼ ∉ V̂ᵗᵢ" constraint
-// walks — the upload's distinct in-range items, ascending (empty for an empty
-// upload). It deliberately carries no *Client — the networked coordinator
-// disperses to users it only knows through the wire, so everything here must
-// derive from what the server received.
+// walks — the upload's items, ascending (empty for an empty upload). It
+// deliberately carries no *Client — the networked coordinator disperses to
+// users it only knows through the wire, so everything here must derive from
+// what the server received.
 type disperseTarget struct {
 	id   int
 	excl []int
@@ -338,19 +256,17 @@ type disperseTarget struct {
 
 // disperseTargetInto builds user id's dispersal target from up, the upload
 // V̂ᵗᵢ the user sent in the dispersal's own round, its exclusion list filled
-// into buf's storage. The list is sorted and de-duplicated: an upload may
-// name an item twice, and every walk over the list — the eligible count, the
-// complement, BlockTopK's cursor — needs it strictly ascending. The exclusion
-// therefore reflects what the server actually received — under a truncated
-// upload, the truncated item set — which is the only exclusion a
-// transport-separated server can honour.
+// into buf's storage. CloseRound's contract names each item at most once, so
+// the sorted list is strictly ascending, as every walk over it — the eligible
+// count, the complement, BlockTopK's cursor — needs. The exclusion therefore
+// reflects what the server actually received — under a truncated upload, the
+// truncated item set — which is the only exclusion a transport-separated
+// server can honour.
 func (sv *Server) disperseTargetInto(id int, up []comm.Prediction, buf []int) disperseTarget {
 	buf = buf[:0]
 	for _, p := range up {
-		if p.Item >= 0 && p.Item < sv.numItems {
-			buf = append(buf, p.Item)
-		}
+		buf = append(buf, p.Item)
 	}
 	slices.Sort(buf)
-	return disperseTarget{id: id, excl: slices.Compact(buf)}
+	return disperseTarget{id: id, excl: buf}
 }

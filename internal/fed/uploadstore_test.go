@@ -28,14 +28,15 @@ func storeTestServer(tb testing.TB, numUsers, numItems int, mutate func(*Config)
 	return sv
 }
 
-// makeUpload builds one user's upload with deterministic items/scores. Scores
+// makeUpload builds one user's upload with deterministic items/scores: m
+// distinct items in random order, as CloseRound's contract requires. Scores
 // sit on a grid of twentieths, so uploads hold ties and scores exactly at the
 // graph tests' thresholds (0.3, 0.4) — the cases where ">=" and a stable rank
 // order decide which edges exist.
 func makeUpload(u, m, numItems int, s *rng.Stream) []comm.Prediction {
 	up := make([]comm.Prediction, m)
-	for j := range up {
-		up[j] = comm.Prediction{User: u, Item: s.Intn(numItems), Score: float64(s.Intn(21)) / 20}
+	for j, v := range s.SampleInts(numItems, m) {
+		up[j] = comm.Prediction{User: u, Item: v, Score: float64(s.Intn(21)) / 20}
 	}
 	return up
 }
@@ -113,20 +114,24 @@ func TestLazyClientsHistoryInvariance(t *testing.T) {
 	requireEqualHistories(t, "built up front vs on first participation", h, runHistory(t, cfg))
 }
 
-// storeAllocFixture builds a warmed server + batch for the steady-state
-// allocation pins: an absorb and an edge selection size every scratch buffer
-// for the next same-shape batch, so the next calls must run clean.
+// storeAllocFixture builds a warmed LightGCN server + batch for the
+// steady-state allocation pins: an absorb and a graph rebuild size every
+// scratch buffer for the next same-shape batch, so the next calls must run
+// clean.
 func storeAllocFixture(tb testing.TB) (*Server, [][]comm.Prediction) {
 	tb.Helper()
 	const numUsers, numItems = 600, 150
-	sv := storeTestServer(tb, numUsers, numItems, func(c *Config) { c.GraphThreshold = 0.4 })
+	sv := storeTestServer(tb, numUsers, numItems, func(c *Config) {
+		c.ServerModel = models.KindLightGCN
+		c.GraphThreshold = 0.4
+	})
 	s := rng.New(9).Derive("alloc")
 	uploads := make([][]comm.Prediction, 0, 200)
 	for _, u := range s.SampleInts(numUsers, 200) {
 		uploads = append(uploads, makeUpload(u, 4+s.Intn(12), numItems, s))
 	}
 	sv.absorb(uploads)
-	sv.selectEdges(uploads, 1)
+	sv.rebuildGraph(uploads, 1)
 	return sv, uploads
 }
 
@@ -142,17 +147,17 @@ func TestAbsorbSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestCollectEdgesSteadyStateAllocs pins the serial graph edge selection
-// over a round's uploads (selectEdges, the pass rebuildGraph runs) at zero
-// steady-state allocations.
+// TestCollectEdgesSteadyStateAllocs pins the graph staging over a round's
+// uploads (stageUploads, the pass rebuildGraph runs before its commit) at
+// zero steady-state allocations.
 func TestCollectEdgesSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation perturbs allocation counts")
 	}
 	t.Run("threshold", func(t *testing.T) {
 		sv, uploads := storeAllocFixture(t)
-		if allocs := testing.AllocsPerRun(50, func() { sv.selectEdges(uploads, 1) }); allocs != 0 {
-			t.Fatalf("steady-state selectEdges allocates %.1f times per call, want 0", allocs)
+		if allocs := testing.AllocsPerRun(50, func() { sv.stageUploads(uploads) }); allocs != 0 {
+			t.Fatalf("steady-state stageUploads allocates %.1f times per call, want 0", allocs)
 		}
 	})
 }
@@ -168,13 +173,13 @@ func BenchmarkAbsorb(b *testing.B) {
 	}
 }
 
-// BenchmarkCollectEdges measures the steady-state serial edge selection over
-// a 200-client round. -benchmem must report 0 B/op, 0 allocs/op.
+// BenchmarkCollectEdges measures the steady-state graph staging of a
+// 200-client round. -benchmem must report 0 B/op, 0 allocs/op.
 func BenchmarkCollectEdges(b *testing.B) {
 	sv, uploads := storeAllocFixture(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sv.selectEdges(uploads, 1)
+		sv.stageUploads(uploads)
 	}
 }
