@@ -62,13 +62,15 @@ func NewMetaMF(sp *data.Split, cfg Config) (*MetaMF, error) {
 	return m, nil
 }
 
-// generate runs the meta-network for user u, returning the modulation and
-// the intermediates needed for backprop.
+// generate runs the meta-network for user u into new matrices, returning
+// the modulation and the intermediates needed for backprop. RunRound's
+// clients call it concurrently, so it shares no buffer; x aliases cvᵤ, which
+// only cv.Step moves, after backprop's last read of x.
 func (m *MetaMF) generate(u int) (x, h1, a1, out *tensor.Matrix, scale, shift []float64) {
-	x = tensor.FromSlice(1, cvDim, tensor.CloneVec(m.cv.Row(u)))
-	h1 = m.l1.Forward(x)
-	a1 = nn.ReLU(h1)
-	out = m.l2.Forward(a1)
+	x = tensor.FromSlice(1, cvDim, m.cv.Row(u))
+	h1 = m.l1.ForwardInto(tensor.New(1, metaHidden), x)
+	a1 = nn.ReLUInto(tensor.New(1, metaHidden), h1)
+	out = m.l2.ForwardInto(tensor.New(1, 2*m.cfg.Dim), a1)
 	scale = out.Row(0)[:m.cfg.Dim]
 	shift = out.Row(0)[m.cfg.Dim:]
 	return x, h1, a1, out, scale, shift
@@ -101,11 +103,20 @@ func (m *MetaMF) RunRound(round int) {
 func (m *MetaMF) backprop(idx []int, grads [][]float64) {
 	inv := 1.0 / float64(len(idx))
 	dim := m.cfg.Dim
+	dout := tensor.New(1, 2*dim)
+	dscale, dshift := dout.Row(0)[:dim], dout.Row(0)[dim:]
+	da1, dx := tensor.New(1, metaHidden), tensor.New(1, cvDim)
+	// backward writes dx and adds one user's dW and db into d's Grad.
+	backward := func(d *nn.Dense, dx, x, dy *tensor.Matrix) {
+		wGrad, bGrad := tensor.New(d.In, d.Out), tensor.New(1, d.Out)
+		d.BackwardInto(dx, x, dy, wGrad, bGrad, tensor.New(d.Out, d.In))
+		d.W.Grad.AddInPlace(wGrad)
+		d.B.Grad.AddInPlace(bGrad)
+	}
 	for slot, u := range idx {
 		dq := grads[slot]
 		x, h1, a1, _, scale, _ := m.generate(u)
-		dscale := make([]float64, dim)
-		dshift := make([]float64, dim)
+		clear(dout.Data)
 		for v := 0; v < m.split.NumItems; v++ {
 			b := m.base.W.Row(v)
 			bg := m.base.Grad.Row(v)
@@ -119,12 +130,9 @@ func (m *MetaMF) backprop(idx []int, grads [][]float64) {
 				dshift[k] += g
 			}
 		}
-		dout := tensor.New(1, 2*dim)
-		copy(dout.Row(0)[:dim], dscale)
-		copy(dout.Row(0)[dim:], dshift)
-		da1 := m.l2.Backward(a1, dout)
-		dh1 := nn.ReLUBackward(h1, da1)
-		dx := m.l1.Backward(x, dh1)
+		backward(m.l2, da1, a1, dout)
+		nn.ReLUBackwardInPlace(h1, da1)
+		backward(m.l1, dx, x, da1)
 		m.cvG.Add(u, dx.Row(0))
 	}
 	params := []*nn.Param{m.base}

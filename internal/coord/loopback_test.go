@@ -265,6 +265,29 @@ func TestJoinRejectsForeignUniverse(t *testing.T) {
 	}
 }
 
+// TestJoinRejectsTestFracOutOfRange pins that a participant refuses a
+// join-ack whose test fraction lies outside [0, 1], NaN included, and gives
+// its range back.
+func TestJoinRejectsTestFracOutOfRange(t *testing.T) {
+	for _, frac := range []float64{-0.1, 1.5, math.NaN()} {
+		opts := testOptions()
+		opts.TestFrac = frac
+		c, err := New(testSplit(), testConfig(models.KindMF, 1), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv := httptest.NewServer(c.Handler())
+		_, err = Join(srv.URL, 0, testSplit().NumUsers, srv.Client())
+		srv.Close()
+		if err == nil || !strings.Contains(err.Error(), "TestFrac") {
+			t.Fatalf("join-ack TestFrac %v: err = %v, want a refusal naming TestFrac", frac, err)
+		}
+		if n := c.Sessions(); n != 0 {
+			t.Fatalf("join-ack TestFrac %v: a refused join left %d sessions registered, want 0", frac, n)
+		}
+	}
+}
+
 // TestJoinLeaveLifecycle pins the registry rules: overlapping and
 // out-of-range joins are refused, a vacated range can be re-joined, leaving
 // mid-round resolves the departed host's pending users as dropped, and a join

@@ -74,10 +74,10 @@ func Join(base string, lo, hi int, hc *http.Client) (*Participant, error) {
 }
 
 // rebuild reconstructs the shared world the join-ack describes: the run's
-// config (refused unless it validates) and the client host over the split both sides derive
-// from (profile, seed, frac) — no dataset bytes cross the wire. The split
-// must have the coordinator's shape, or the two would train different
-// universes.
+// config (refused unless it validates) and the client host over the split
+// both sides derive from (profile, seed, frac) — no dataset bytes cross the
+// wire. The fraction must lie in [0, 1], and the split must have the
+// coordinator's shape, or the two would train different universes.
 func (p *Participant) rebuild(ack comm.JoinAck) error {
 	if err := json.Unmarshal(ack.ConfigJSON, &p.cfg); err != nil {
 		return fmt.Errorf("coord: join-ack config: %w", err)
@@ -85,6 +85,11 @@ func (p *Participant) rebuild(ack comm.JoinAck) error {
 	profile, err := data.ProfileByName(ack.Profile)
 	if err != nil {
 		return err
+	}
+	// Outside [0, 1] the split holds no item out, and evaluation would
+	// report zeros without an error. The negation refuses NaN.
+	if !(ack.TestFrac >= 0 && ack.TestFrac <= 1) {
+		return fmt.Errorf("coord: join-ack TestFrac = %v, want a fraction in [0, 1]", ack.TestFrac)
 	}
 	sp := data.StreamSplit(profile, ack.DataSeed, ack.TestFrac)
 	if sp.NumUsers != ack.NumUsers || sp.NumItems != ack.NumItems {

@@ -126,33 +126,43 @@ type Split struct {
 // test fraction (the paper uses 8:2). Every user keeps at least one training
 // item; users with fewer than two interactions contribute nothing to test.
 func (d *Dataset) Split(s *rng.Stream, testFrac float64) *Split {
-	sp := &Split{
-		Name:     d.Name,
-		NumUsers: d.NumUsers,
-		NumItems: d.NumItems,
-		Train:    make([][]int, d.NumUsers),
-		Test:     make([][]int, d.NumUsers),
-	}
+	sp := newSplit(d.Name, d.NumUsers, d.NumItems)
 	for u, items := range d.UserItems {
-		if len(items) == 0 {
-			continue
-		}
-		nTest := int(float64(len(items)) * testFrac)
-		if nTest >= len(items) {
-			nTest = len(items) - 1
-		}
-		perm := s.Perm(len(items))
-		for i, pi := range perm {
-			if i < nTest {
-				sp.Test[u] = append(sp.Test[u], items[pi])
-			} else {
-				sp.Train[u] = append(sp.Train[u], items[pi])
-			}
-		}
-		sort.Ints(sp.Train[u])
-		sort.Ints(sp.Test[u])
+		splitUser(sp, s, u, items, testFrac)
 	}
 	return sp
+}
+
+// newSplit returns an empty split of the given universe.
+func newSplit(name string, numUsers, numItems int) *Split {
+	return &Split{
+		Name:     name,
+		NumUsers: numUsers,
+		NumItems: numItems,
+		Train:    make([][]int, numUsers),
+		Test:     make([][]int, numUsers),
+	}
+}
+
+// splitUser partitions one user's items into sp.Train[u]/sp.Test[u],
+// drawing one permutation of the user's items from s (none for a user with
+// no items). Users are split in ascending order, so the stream's draws line
+// up per user whether the items come from a Dataset or a generator stream.
+func splitUser(sp *Split, s *rng.Stream, u int, items []int, testFrac float64) {
+	if len(items) == 0 {
+		return
+	}
+	nTest := min(int(float64(len(items))*testFrac), len(items)-1)
+	perm := s.Perm(len(items))
+	for i, pi := range perm {
+		if i < nTest {
+			sp.Test[u] = append(sp.Test[u], items[pi])
+		} else {
+			sp.Train[u] = append(sp.Train[u], items[pi])
+		}
+	}
+	sort.Ints(sp.Train[u])
+	sort.Ints(sp.Test[u])
 }
 
 // InTrain reports whether item v is in user u's training positives.

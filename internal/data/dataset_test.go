@@ -84,11 +84,23 @@ func TestSplitProportions(t *testing.T) {
 	}
 }
 
+// TestSplitKeepsOneTrainItem pins the splitter's two guards: a user with no
+// items stays empty on both sides, and a test fraction that would hold out
+// every item is clamped so each non-empty user keeps exactly one train item.
 func TestSplitKeepsOneTrainItem(t *testing.T) {
-	d, _ := NewDataset("t", 1, 2, [][2]int{{0, 0}})
-	sp := d.Split(rng.New(2), 0.99)
-	if len(sp.Train[0]) != 1 || len(sp.Test[0]) != 0 {
-		t.Fatalf("single-interaction split train=%v test=%v", sp.Train[0], sp.Test[0])
+	// User 0 has one item, user 1 none, user 2 four.
+	d, _ := NewDataset("t", 3, 6, [][2]int{{0, 0}, {2, 1}, {2, 2}, {2, 4}, {2, 5}})
+	for _, frac := range []float64{0.99, 1} {
+		sp := d.Split(rng.New(2), frac)
+		if len(sp.Train[0]) != 1 || len(sp.Test[0]) != 0 {
+			t.Fatalf("frac %v: single-interaction split train=%v test=%v", frac, sp.Train[0], sp.Test[0])
+		}
+		if sp.Train[1] != nil || sp.Test[1] != nil {
+			t.Fatalf("frac %v: empty user split train=%v test=%v", frac, sp.Train[1], sp.Test[1])
+		}
+		if len(sp.Train[2]) != 1 || len(sp.Test[2]) != 3 {
+			t.Fatalf("frac %v: four-item split train=%v test=%v", frac, sp.Train[2], sp.Test[2])
+		}
 	}
 }
 

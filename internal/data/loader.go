@@ -96,15 +96,23 @@ func ParseInteractions(name string, r io.Reader, sep string, minRating float64, 
 }
 
 // WriteCSV emits the dataset as "user,item" lines, the format LoadCSV reads
-// back. Used by cmd/datagen.
+// back.
 func WriteCSV(d *Dataset, w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	for u, items := range d.UserItems {
-		for _, v := range items {
-			if _, err := fmt.Fprintf(bw, "%d,%d\n", u, v); err != nil {
-				return fmt.Errorf("data: write csv: %w", err)
-			}
+		if err := writeUserCSV(bw, u, items); err != nil {
+			return err
 		}
 	}
 	return bw.Flush()
+}
+
+// writeUserCSV writes user u's items as one "user,item" line each.
+func writeUserCSV(bw *bufio.Writer, u int, items []int) error {
+	for _, v := range items {
+		if _, err := fmt.Fprintf(bw, "%d,%d\n", u, v); err != nil {
+			return fmt.Errorf("data: write csv: %w", err)
+		}
+	}
+	return nil
 }

@@ -4,20 +4,20 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"sort"
 
 	"ptffedrec/internal/rng"
 )
 
-// This file is the streaming face of the synthetic generator: the same
-// per-user profile sequence Generate produces, delivered one user at a time
-// with O(users) scalar state instead of the materialised interaction set.
-// It exists for the huge profiles (Huge1M) where holding every profile —
-// let alone a Dataset plus a Split copy of it — would dominate the very
-// memory budget the scalability experiment measures. Equality with the
-// all-at-once path is pinned by tests: StreamUsers item-for-item against
-// Generate, StreamSplit against Generate+Split, StreamCSV byte-for-byte
-// against WriteCSV.
+// This file is the streaming face of the synthetic generator: each user's
+// profile delivered one at a time with O(users) scalar state instead of the
+// materialised interaction set. It exists for the huge profiles (Huge1M)
+// where holding every profile — let alone a Dataset plus a Split copy of it —
+// would dominate the very memory budget the scalability experiment measures.
+// The all-at-once forms are built on it: Generate collects StreamUsers,
+// StreamSplit and Dataset.Split split each user through one splitUser, and
+// StreamCSV and WriteCSV write each user through one writeUserCSV. Tests pin
+// the pairs equal: StreamUsers item-for-item against Generate, StreamSplit
+// against Generate+Split, StreamCSV byte-for-byte against WriteCSV.
 
 // StreamUsers generates the profile's users in ascending order, invoking fn
 // once per user with that user's sorted, deduplicated item list. The slice
@@ -41,13 +41,7 @@ func StreamUsers(p Profile, seed uint64, fn func(u int, items []int) error) erro
 // the full Dataset. Peak extra memory is the Split itself (which the caller
 // needs anyway) plus one user's scratch.
 func StreamSplit(p Profile, seed uint64, testFrac float64) *Split {
-	sp := &Split{
-		Name:     p.Name,
-		NumUsers: p.NumUsers,
-		NumItems: p.NumItems,
-		Train:    make([][]int, p.NumUsers),
-		Test:     make([][]int, p.NumUsers),
-	}
+	sp := newSplit(p.Name, p.NumUsers, p.NumItems)
 	s := rng.New(seed).Derive("split:" + p.Name)
 	err := StreamUsers(p, seed, func(u int, items []int) error {
 		splitUser(sp, s, u, items, testFrac)
@@ -60,30 +54,6 @@ func StreamSplit(p Profile, seed uint64, testFrac float64) *Split {
 	return sp
 }
 
-// splitUser partitions one user's items into sp.Train[u]/sp.Test[u],
-// consuming the split stream exactly as Dataset.Split does for that user.
-// Both implementations must stay draw-for-draw identical — Split iterates
-// users in ascending order, so the per-user stream consumption lines up.
-func splitUser(sp *Split, s *rng.Stream, u int, items []int, testFrac float64) {
-	if len(items) == 0 {
-		return
-	}
-	nTest := int(float64(len(items)) * testFrac)
-	if nTest >= len(items) {
-		nTest = len(items) - 1
-	}
-	perm := s.Perm(len(items))
-	for i, pi := range perm {
-		if i < nTest {
-			sp.Test[u] = append(sp.Test[u], items[pi])
-		} else {
-			sp.Train[u] = append(sp.Train[u], items[pi])
-		}
-	}
-	sort.Ints(sp.Train[u])
-	sort.Ints(sp.Test[u])
-}
-
 // StreamCSV streams the profile to w as "user,item" lines — byte-identical
 // to WriteCSV(Generate(p, seed), w) — and returns the dataset statistics
 // gathered along the way. Working memory stays O(one user's profile).
@@ -92,12 +62,7 @@ func StreamCSV(w io.Writer, p Profile, seed uint64) (Stats, error) {
 	var interactions int
 	err := StreamUsers(p, seed, func(u int, items []int) error {
 		interactions += len(items)
-		for _, v := range items {
-			if _, err := fmt.Fprintf(bw, "%d,%d\n", u, v); err != nil {
-				return fmt.Errorf("data: write csv: %w", err)
-			}
-		}
-		return nil
+		return writeUserCSV(bw, u, items)
 	})
 	if err != nil {
 		return Stats{}, err

@@ -40,25 +40,51 @@ func TestStreamUsersMatchesGenerate(t *testing.T) {
 	}
 }
 
+// sparseProfile leaves some users without a single item (MinPerUser 0 and
+// fewer interactions than users), so the split's empty-user return runs.
+var sparseProfile = Profile{Name: "sparse", NumUsers: 30, NumItems: 20,
+	Interactions: 20, ZipfExponent: 1.0, Clusters: 2, ClusterBias: 0.7, MinPerUser: 0}
+
 // TestStreamSplitMatchesDatasetSplit pins the one-pass split against the
 // experiment harness's recipe (Generate then Dataset.Split with the derived
 // split stream): both sides must consume the split stream draw-for-draw
-// identically, so the partitions are equal per user.
+// identically, so the partitions are equal per user. The sweep includes
+// users with no items, which stay empty, and testFrac 1, at which every user
+// with two or more items keeps exactly one train item.
 func TestStreamSplitMatchesDatasetSplit(t *testing.T) {
-	for _, p := range streamProfiles {
-		want := Generate(p, 7).Split(rng.New(7).Derive("split:"+p.Name), 0.2)
-		got := StreamSplit(p, 7, 0.2)
-		if got.Name != want.Name || got.NumUsers != want.NumUsers || got.NumItems != want.NumItems {
-			t.Fatalf("%s: split headers differ: %+v vs %+v", p.Name, got, want)
-		}
-		for u := 0; u < p.NumUsers; u++ {
-			if !equalIntSlices(got.Train[u], want.Train[u]) {
-				t.Fatalf("%s: user %d train differs:\n  stream: %v\n  split:  %v",
-					p.Name, u, got.Train[u], want.Train[u])
+	for _, p := range append(streamProfiles, sparseProfile) {
+		for _, frac := range []float64{0.2, 1} {
+			d := Generate(p, 7)
+			want := d.Split(rng.New(7).Derive("split:"+p.Name), frac)
+			got := StreamSplit(p, 7, frac)
+			if got.Name != want.Name || got.NumUsers != want.NumUsers || got.NumItems != want.NumItems {
+				t.Fatalf("%s: split headers differ: %+v vs %+v", p.Name, got, want)
 			}
-			if !equalIntSlices(got.Test[u], want.Test[u]) {
-				t.Fatalf("%s: user %d test differs:\n  stream: %v\n  split:  %v",
-					p.Name, u, got.Test[u], want.Test[u])
+			empty := 0
+			for u := 0; u < p.NumUsers; u++ {
+				if !equalIntSlices(got.Train[u], want.Train[u]) {
+					t.Fatalf("%s frac %v: user %d train differs:\n  stream: %v\n  split:  %v",
+						p.Name, frac, u, got.Train[u], want.Train[u])
+				}
+				if !equalIntSlices(got.Test[u], want.Test[u]) {
+					t.Fatalf("%s frac %v: user %d test differs:\n  stream: %v\n  split:  %v",
+						p.Name, frac, u, got.Test[u], want.Test[u])
+				}
+				n := len(d.UserItems[u])
+				switch {
+				case n == 0:
+					empty++
+					if len(got.Train[u])+len(got.Test[u]) != 0 {
+						t.Fatalf("%s frac %v: empty user %d split to train=%v test=%v",
+							p.Name, frac, u, got.Train[u], got.Test[u])
+					}
+				case frac == 1 && n >= 2 && len(got.Train[u]) != 1:
+					t.Fatalf("%s frac 1: user %d with %d items keeps %d train items, want 1",
+						p.Name, u, n, len(got.Train[u]))
+				}
+			}
+			if p.Name == sparseProfile.Name && empty == 0 {
+				t.Fatalf("%s: no user without items; the empty-user case went untested", p.Name)
 			}
 		}
 	}

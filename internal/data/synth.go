@@ -220,11 +220,12 @@ func containsInt(xs []int, v int) bool {
 // produces the same dataset.
 func Generate(p Profile, seed uint64) *Dataset {
 	ui := make([][]int, p.NumUsers)
-	g := newStreamGen(p, seed)
-	var buf []int
-	for u := 0; u < p.NumUsers; u++ {
-		buf = g.userItems(buf, u)
-		ui[u] = append(make([]int, 0, len(buf)), buf...)
+	err := StreamUsers(p, seed, func(u int, items []int) error {
+		ui[u] = append(make([]int, 0, len(items)), items...)
+		return nil
+	})
+	if err != nil {
+		panic(err) // callback never fails
 	}
 	// userItems emits sorted, deduplicated, in-range profiles — the Dataset
 	// invariants — so the pairs round-trip through NewDataset is unnecessary.

@@ -175,6 +175,10 @@ func (c Config) Validate() error {
 		return fmt.Errorf("fed: GraphThreshold = %v", c.GraphThreshold)
 	case c.EvalK <= 0:
 		return fmt.Errorf("fed: EvalK = %d", c.EvalK)
+	// The Top Guess Attack guesses one item at a NaN or negative γ and
+	// every item above 1, so Table V's F1 would mean nothing.
+	case !(c.AttackPosFraction > 0 && c.AttackPosFraction <= 1):
+		return fmt.Errorf("fed: AttackPosFraction = %v", c.AttackPosFraction)
 	case c.Faults.DropoutRate < 0 || c.Faults.DropoutRate > 1:
 		return fmt.Errorf("fed: Faults.DropoutRate = %v", c.Faults.DropoutRate)
 	case c.Faults.TruncateRate < 0 || c.Faults.TruncateRate > 1:

@@ -135,7 +135,7 @@ func TestLogitBoundsHold(t *testing.T) {
 	// The underflow case the scaling exists for: the naive norm of the 1e−160
 	// row is 0, the product with the 1e10 row is 4e−150.
 	tiny, big := rows[7], rows[8]
-	if logit := dot(tiny, big); logit == 0 || !(logit <= rowBound(tiny)*rowBound(big)) {
+	if logit := tensor.Dot(tiny, big); logit == 0 || !(logit <= rowBound(tiny)*rowBound(big)) {
 		t.Fatalf("1e-160 · 1e10 rows: logit %g, bound %g", logit, rowBound(tiny)*rowBound(big))
 	}
 }
@@ -150,7 +150,7 @@ func TestRowBoundIsTight(t *testing.T) {
 		for i := range x {
 			x[i] = s.Normal(0, 0.3)
 		}
-		norm := math.Sqrt(dot(x, x))
+		norm := math.Sqrt(tensor.Dot(x, x))
 		if b := rowBound(x); !(b >= norm && b <= norm*(1+1e-9)+2*boundFloor) {
 			t.Fatalf("dim %d: bound %v for norm %v", dim, b, norm)
 		}

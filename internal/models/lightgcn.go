@@ -330,7 +330,7 @@ func (ws *lgcnChunk) seed(m *LightGCN, f *tensor.Matrix, shard []Sample, n int) 
 	ws.df.Reset()
 	for _, smp := range shard {
 		un, vn := smp.User, m.itemNode(smp.Item)
-		pred := nn.Sigmoid(dot(f.Row(un), f.Row(vn)))
+		pred := nn.Sigmoid(tensor.Dot(f.Row(un), f.Row(vn)))
 		ws.lossSum += nn.BCEOne(pred, smp.Label)
 		g := (pred - smp.Label) / float64(n)
 		ws.df.Axpy(int(m.slot[un]), g, f.Row(vn))

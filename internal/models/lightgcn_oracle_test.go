@@ -70,7 +70,7 @@ func (m *denseLightGCN) itemNode(v int) int { return m.cfg.NumUsers + v }
 
 func (m *denseLightGCN) logit(u, v int) float64 {
 	f := m.propagate()
-	return dot(f.Row(u), f.Row(m.itemNode(v)))
+	return tensor.Dot(f.Row(u), f.Row(m.itemNode(v)))
 }
 
 func (m *denseLightGCN) TrainBatch(batch []Sample) float64 {
@@ -114,7 +114,7 @@ func (m *denseLightGCN) accumulateGrad(batch []Sample) float64 {
 		var chunkLoss float64
 		for _, smp := range batch[lo:hi] {
 			un, vn := smp.User, m.itemNode(smp.Item)
-			pred := nn.Sigmoid(dot(f.Row(un), f.Row(vn)))
+			pred := nn.Sigmoid(tensor.Dot(f.Row(un), f.Row(vn)))
 			chunkLoss += nn.BCEOne(pred, smp.Label)
 			g := (pred - smp.Label) / float64(n)
 			df.axpy(un, g, f.Row(vn))

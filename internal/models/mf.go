@@ -50,7 +50,7 @@ func (m *MF) ScoreUsersBlockLogitsInto(dst *tensor.Matrix, users []int, items []
 	for i, u := range users {
 		p, row := m.users.Row(u), dst.Row(i)
 		for j, v := range items {
-			row[j] = dot(p, m.items.Row(v))
+			row[j] = tensor.Dot(p, m.items.Row(v))
 		}
 	}
 }
@@ -106,7 +106,7 @@ func (m *MF) shardGrad(ws *mfChunk, shard []Sample, n int) {
 	for _, smp := range shard {
 		p := m.users.Row(smp.User)
 		q := m.items.Row(smp.Item)
-		pred := nn.Sigmoid(dot(p, q))
+		pred := nn.Sigmoid(tensor.Dot(p, q))
 		ws.lossSum += nn.BCEOne(pred, smp.Label)
 		g := (pred - smp.Label) / float64(n)
 		ws.users.Axpy(smp.User, g, q)
@@ -141,15 +141,4 @@ func (m *MF) accumulateGrad(ws *mfChunk, batch []Sample) float64 {
 		m.ws.Put(sh)
 	}
 	return lossSum / float64(n)
-}
-
-// dot is tensor.Dot without its length check: summed in order from +0, every
-// multiply rounded before its add (the float64 conversion forbids a fused
-// multiply-add), so a scalar score has the bits of the batched GEMM's.
-func dot(a, b []float64) float64 {
-	var s float64
-	for i, v := range a {
-		s += float64(v * b[i])
-	}
-	return s
 }

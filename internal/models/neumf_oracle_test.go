@@ -2,8 +2,9 @@ package models
 
 // The allocating NeuMF forward, backward and TrainBatch the pooled-workspace
 // engine in neumf.go replaced, kept verbatim as its reference (the fields
-// they read, tower and out, are now two slices of NeuMF.layers; the Dense
-// backward form they call is copied here with them), and the tests that pin
+// they read, tower and out, are now two slices of NeuMF.layers; the
+// allocating Dense and ReLU forms they call are copied here with them), and
+// the tests that pin
 // the live engine to it bit for bit.
 
 import (
@@ -35,12 +36,46 @@ func denseBackwardInto(d *nn.Dense, x, dy, wGrad, bGrad *tensor.Matrix) *tensor.
 		panic(fmt.Sprintf("nn: Dense %s backward shapes x=%dx%d dy=%dx%d",
 			d.W.Name, x.Rows, x.Cols, dy.Rows, dy.Cols))
 	}
-	wGrad.AddInPlace(tensor.MatMulATB(x, dy))
+	wGrad.AddInPlace(matMulATB(x, dy))
 	brow := bGrad.Row(0)
 	for i := 0; i < dy.Rows; i++ {
 		tensor.AddVec(dy.Row(i), brow)
 	}
-	return tensor.MatMulABT(dy, d.W.W)
+	return matMulABT(dy, d.W.W)
+}
+
+// denseBackward is the layer's accumulating backward: dW and db are added
+// into the layer's own gradients.
+func denseBackward(d *nn.Dense, x, dy *tensor.Matrix) *tensor.Matrix {
+	return denseBackwardInto(d, x, dy, d.W.Grad, d.B.Grad)
+}
+
+// denseForward is d's forward into a new matrix.
+func denseForward(d *nn.Dense, x *tensor.Matrix) *tensor.Matrix {
+	return d.ForwardInto(tensor.New(x.Rows, d.Out), x)
+}
+
+// relu and reluBackward are the allocating activation forms: each runs the
+// in-place kernel on a new matrix.
+func relu(x *tensor.Matrix) *tensor.Matrix { return nn.ReLUInto(tensor.New(x.Rows, x.Cols), x) }
+
+func reluBackward(x, dy *tensor.Matrix) *tensor.Matrix {
+	dx := dy.Clone()
+	nn.ReLUBackwardInPlace(x, dx)
+	return dx
+}
+
+// matMulATB returns aᵀ·b and matMulABT a·bᵀ as new matrices.
+func matMulATB(a, b *tensor.Matrix) *tensor.Matrix {
+	out := tensor.New(a.Cols, b.Cols)
+	tensor.MatMulATBInto(out, a, b)
+	return out
+}
+
+func matMulABT(a, b *tensor.Matrix) *tensor.Matrix {
+	out := tensor.New(a.Rows, b.Rows)
+	tensor.MatMulABTInto(out, a, b, tensor.New(b.Cols, b.Rows))
+	return out
 }
 
 // forward runs the tower on a batch, returning every intermediate needed by
@@ -55,13 +90,13 @@ func (m *NeuMF) forward(batch []Sample) (x *tensor.Matrix, zs, as []*tensor.Matr
 	}
 	cur := x
 	for _, d := range m.tower() {
-		z := d.Forward(cur)
-		a := nn.ReLU(z)
+		z := denseForward(d, cur)
+		a := relu(z)
 		zs = append(zs, z)
 		as = append(as, a)
 		cur = a
 	}
-	logits := m.out().Forward(cur)
+	logits := denseForward(m.out(), cur)
 	preds = make([]float64, len(batch))
 	for i := range preds {
 		preds[i] = nn.Sigmoid(logits.At(i, 0))
@@ -75,14 +110,14 @@ func (m *NeuMF) forward(batch []Sample) (x *tensor.Matrix, zs, as []*tensor.Matr
 // the optimizer.
 func (m *NeuMF) backward(batch []Sample, x *tensor.Matrix, zs, as []*tensor.Matrix, dlogits []float64) (users, items *emb.RowGrads) {
 	dy := tensor.FromSlice(len(batch), 1, dlogits)
-	grad := m.out().Backward(as[len(as)-1], dy)
+	grad := denseBackward(m.out(), as[len(as)-1], dy)
 	for i := len(m.tower()) - 1; i >= 0; i-- {
-		grad = nn.ReLUBackward(zs[i], grad)
+		grad = reluBackward(zs[i], grad)
 		input := x
 		if i > 0 {
 			input = as[i-1]
 		}
-		grad = m.tower()[i].Backward(input, grad)
+		grad = denseBackward(m.tower()[i], input, grad)
 	}
 	users, items = emb.NewRowGrads(m.cfg.Dim), emb.NewRowGrads(m.cfg.Dim)
 	for i, smp := range batch {
@@ -133,7 +168,7 @@ func (m *NeuMF) trainBatchOracle(batch []Sample) float64 {
 		dy := tensor.FromSlice(len(sub), 1, dlogits)
 		grad := denseBackwardInto(m.out(), as[len(as)-1], dy, ws.wGrads[last], ws.bGrads[last])
 		for i := len(m.tower()) - 1; i >= 0; i-- {
-			grad = nn.ReLUBackward(zs[i], grad)
+			grad = reluBackward(zs[i], grad)
 			input := x
 			if i > 0 {
 				input = as[i-1]

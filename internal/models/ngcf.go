@@ -135,7 +135,7 @@ func (m *NGCF) readoutScale() float64 { return 1 / float64(len(m.outs)) }
 func (m *NGCF) scoreNodes(un, vn int) float64 {
 	var s float64
 	for _, e := range m.outs {
-		s += dot(e.Row(un), e.Row(vn))
+		s += tensor.Dot(e.Row(un), e.Row(vn))
 	}
 	return nn.Sigmoid(s * m.readoutScale())
 }

@@ -27,7 +27,7 @@ const atbChunkRows = 1024
 // calls the serial forms.
 func mulDensePar(a *tensor.CSR, x *tensor.Matrix, _ int) *tensor.Matrix { return a.MulDense(x) }
 func matMulPar(a, b *tensor.Matrix, _ int) *tensor.Matrix               { return tensor.MatMul(a, b) }
-func matMulABTPar(a, b *tensor.Matrix, _ int) *tensor.Matrix            { return tensor.MatMulABT(a, b) }
+func matMulABTPar(a, b *tensor.Matrix, _ int) *tensor.Matrix            { return matMulABT(a, b) }
 
 // matMulATBPar is MatMulATBPar: aᵀ·b reduced over fixed atbChunkRows-row
 // shards of the shared leading dimension, the per-shard partial products
@@ -35,13 +35,13 @@ func matMulABTPar(a, b *tensor.Matrix, _ int) *tensor.Matrix            { return
 func matMulATBPar(a, b *tensor.Matrix, workers int) *tensor.Matrix {
 	nChunks := (a.Rows + atbChunkRows - 1) / atbChunkRows
 	if nChunks <= 1 {
-		return tensor.MatMulATB(a, b)
+		return matMulATB(a, b)
 	}
 	partials := make([]*tensor.Matrix, nChunks)
 	par.For(nChunks, workers, func(c int) {
 		lo := c * atbChunkRows
 		hi := min(lo+atbChunkRows, a.Rows)
-		partials[c] = tensor.MatMulATB(tensor.FromSlice(hi-lo, a.Cols, a.Data[lo*a.Cols:hi*a.Cols]),
+		partials[c] = matMulATB(tensor.FromSlice(hi-lo, a.Cols, a.Data[lo*a.Cols:hi*a.Cols]),
 			tensor.FromSlice(hi-lo, b.Cols, b.Data[lo*b.Cols:hi*b.Cols]))
 	})
 	out := partials[0]

@@ -5,7 +5,10 @@ package models
 // verbatim as the reference the block tests hold it to. NeuMF's is
 // scoreItemsOracle in neumf_oracle_test.go.
 
-import "ptffedrec/internal/nn"
+import (
+	"ptffedrec/internal/nn"
+	"ptffedrec/internal/tensor"
+)
 
 // perItemOracle is every model's reference scorer: σ of each (u, item) pair,
 // one pair at a time.
@@ -18,7 +21,7 @@ func (m *MF) scoreItemsOracle(u int, items []int) []float64 {
 	out := make([]float64, 0, len(items))
 	p := m.users.Row(u)
 	for _, v := range items {
-		out = append(out, nn.Sigmoid(dot(p, m.items.Row(v))))
+		out = append(out, nn.Sigmoid(tensor.Dot(p, m.items.Row(v))))
 	}
 	return out
 }
@@ -30,7 +33,7 @@ func (m *LightGCN) scoreItemsOracle(u int, items []int) []float64 {
 	urow := f.Row(u)
 	out := make([]float64, 0, len(items))
 	for _, v := range items {
-		out = append(out, nn.Sigmoid(dot(urow, f.Row(m.itemNode(v)))))
+		out = append(out, nn.Sigmoid(tensor.Dot(urow, f.Row(m.itemNode(v)))))
 	}
 	return out
 }

@@ -16,13 +16,6 @@ func Sigmoid(x float64) float64 {
 	return e / (1 + e)
 }
 
-// ReLU applies max(0, x) element-wise, returning a new matrix.
-func ReLU(x *tensor.Matrix) *tensor.Matrix {
-	out := tensor.New(x.Rows, x.Cols)
-	ReLUInto(out, x)
-	return out
-}
-
 // ReLUInto computes dst = max(0, x) element-wise, reusing dst's storage: x
 // where x > 0, else +0 (so −0 and NaN give +0).
 func ReLUInto(dst, x *tensor.Matrix) *tensor.Matrix {
@@ -33,16 +26,10 @@ func ReLUInto(dst, x *tensor.Matrix) *tensor.Matrix {
 	return dst
 }
 
-// ReLUBackward masks the upstream gradient dy by the activation pattern of
-// the pre-activation input x: dx = dy ⊙ 1[x > 0].
-func ReLUBackward(x, dy *tensor.Matrix) *tensor.Matrix {
-	out := dy.Clone()
-	ReLUBackwardInPlace(x, out)
-	return out
-}
-
-// ReLUBackwardInPlace is ReLUBackward overwriting dy with dx. A NaN
-// pre-activation keeps its dy; every masked element becomes +0.
+// ReLUBackwardInPlace masks the upstream gradient dy by the activation
+// pattern of the pre-activation input x, overwriting dy with
+// dx = dy ⊙ 1[x > 0]. A NaN pre-activation keeps its dy; every masked element
+// becomes +0.
 func ReLUBackwardInPlace(x, dy *tensor.Matrix) {
 	if dy.Rows != x.Rows || dy.Cols != x.Cols {
 		panic(fmt.Sprintf("nn: ReLUBackwardInPlace dy %dx%d for %dx%d", dy.Rows, dy.Cols, x.Rows, x.Cols))

@@ -39,9 +39,19 @@ func TestSigmoidSymmetry(t *testing.T) {
 	}
 }
 
+// relu and reluBackward are the allocating activation forms: each runs the
+// in-place kernel on a new matrix.
+func relu(x *tensor.Matrix) *tensor.Matrix { return ReLUInto(tensor.New(x.Rows, x.Cols), x) }
+
+func reluBackward(x, dy *tensor.Matrix) *tensor.Matrix {
+	dx := dy.Clone()
+	ReLUBackwardInPlace(x, dx)
+	return dx
+}
+
 func TestReLUForwardBackward(t *testing.T) {
 	x := tensor.FromSlice(1, 4, []float64{-1, 0, 2, -3})
-	y := ReLU(x)
+	y := relu(x)
 	want := []float64{0, 0, 2, 0}
 	for i, w := range want {
 		if y.Data[i] != w {
@@ -49,7 +59,7 @@ func TestReLUForwardBackward(t *testing.T) {
 		}
 	}
 	dy := tensor.FromSlice(1, 4, []float64{1, 1, 1, 1})
-	dx := ReLUBackward(x, dy)
+	dx := reluBackward(x, dy)
 	wantG := []float64{0, 0, 1, 0}
 	for i, w := range wantG {
 		if dx.Data[i] != w {
@@ -81,7 +91,7 @@ func TestReLUNaNAndNegativeZero(t *testing.T) {
 		for i := range x.Data {
 			x.Data[i], dy.Data[i] = c.x, negZero
 		}
-		y := ReLU(x)
+		y := relu(x)
 		ReLUBackwardInPlace(x, dy)
 		wantDy := 0.0
 		if c.keep {
@@ -182,6 +192,26 @@ func numGrad(f func() float64, x []float64, i int) float64 {
 	return (fp - fm) / (2 * h)
 }
 
+// forward is d's forward into a new matrix.
+func forward(d *Dense, x *tensor.Matrix) *tensor.Matrix {
+	return d.ForwardInto(tensor.New(x.Rows, d.Out), x)
+}
+
+// backward is the accumulating backward, built from tensor's products alone:
+// it adds dW = xᵀ·dy and db = Σ dy into d's gradients and returns
+// dx = dy·Wᵀ as a new matrix.
+func backward(d *Dense, x, dy *tensor.Matrix) *tensor.Matrix {
+	wGrad := tensor.New(d.In, d.Out)
+	tensor.MatMulATBInto(wGrad, x, dy)
+	d.W.Grad.AddInPlace(wGrad)
+	for i := 0; i < dy.Rows; i++ {
+		tensor.AddVec(dy.Row(i), d.B.Grad.Row(0))
+	}
+	dx := tensor.New(dy.Rows, d.In)
+	tensor.MatMulABTInto(dx, dy, d.W.W, tensor.New(d.Out, d.In))
+	return dx
+}
+
 func TestDenseGradCheck(t *testing.T) {
 	s := rng.New(42)
 	d := NewDense("t", 3, 2, s)
@@ -189,7 +219,7 @@ func TestDenseGradCheck(t *testing.T) {
 	target := []float64{1, 0, 0.7, 0.2}
 
 	loss := func() float64 {
-		y := d.Forward(x)
+		y := forward(d, x)
 		pred := make([]float64, len(y.Data))
 		for i, v := range y.Data {
 			pred[i] = Sigmoid(v)
@@ -198,14 +228,14 @@ func TestDenseGradCheck(t *testing.T) {
 	}
 
 	// Analytic gradients.
-	y := d.Forward(x)
+	y := forward(d, x)
 	pred := make([]float64, len(y.Data))
 	for i, v := range y.Data {
 		pred[i] = Sigmoid(v)
 	}
 	g := BCELogitGrad(pred, target)
 	dy := tensor.FromSlice(2, 2, g)
-	dx := d.Backward(x, dy)
+	dx := backward(d, x, dy)
 
 	// Check W gradient.
 	for i := range d.W.W.Data {
@@ -232,9 +262,9 @@ func TestDenseGradCheck(t *testing.T) {
 	}
 }
 
-// TestDenseBackwardIntoMatchesBackward pins the workspace form to the
-// allocating one: written into garbage-filled destinations, BackwardInto
-// yields the bits Backward accumulates into zero gradients and returns.
+// TestDenseBackwardIntoMatchesBackward pins BackwardInto to the accumulating
+// form: written into garbage-filled destinations, it yields the bits backward
+// accumulates into zero gradients and returns.
 func TestDenseBackwardIntoMatchesBackward(t *testing.T) {
 	s := rng.New(8)
 	d := NewDense("t", 7, 5, s)
@@ -248,14 +278,14 @@ func TestDenseBackwardIntoMatchesBackward(t *testing.T) {
 	}
 	dx, wGrad, bGrad := dirty(9, 7), dirty(7, 5), dirty(1, 5)
 	d.BackwardInto(dx, x, dy, wGrad, bGrad, dirty(5, 7))
-	want := d.Backward(x, dy)
+	want := backward(d, x, dy)
 	for _, c := range []struct {
 		name      string
 		got, want *tensor.Matrix
 	}{{"dx", dx, want}, {"dW", wGrad, d.W.Grad}, {"db", bGrad, d.B.Grad}} {
 		for i, w := range c.want.Data {
 			if math.Float64bits(c.got.Data[i]) != math.Float64bits(w) {
-				t.Fatalf("%s[%d] = %v, Backward gives %v", c.name, i, c.got.Data[i], w)
+				t.Fatalf("%s[%d] = %v, backward gives %v", c.name, i, c.got.Data[i], w)
 			}
 		}
 	}
@@ -284,8 +314,8 @@ func TestAdamFirstStepMagnitude(t *testing.T) {
 	}
 }
 
-// TestAdamKeepsZeroWeightDecayTerm pins nn.Adam's decayed form at
-// WeightDecay 0: the term 0·w turns a −0 gradient into +0, so a −0 moment
+// TestAdamKeepsZeroWeightDecayTerm pins nn.Adam's decayed form at weight
+// decay 0: the term 0·w turns a −0 gradient into +0, so a −0 moment
 // steps to +0. The embedding tables' form, which never adds the term, would
 // keep it −0.
 func TestAdamKeepsZeroWeightDecayTerm(t *testing.T) {

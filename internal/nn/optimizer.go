@@ -11,7 +11,6 @@ import (
 // paper uses Adam with lr = 1e-3 for every model.
 type Adam struct {
 	LR, Beta1, Beta2, Eps float64
-	WeightDecay           float64
 
 	state map[*Param]*adamState
 }
@@ -49,12 +48,12 @@ func (o *Adam) stateFor(p *Param) *adamState {
 
 // Update returns the update Step applies to a parameter at its t-th step
 // (t counts from 1), for a caller that keeps its own moments and step
-// counter. It is the decayed form even at WeightDecay 0, where the term still
+// counter. It is the decayed form at weight decay 0, where the term 0·w still
 // turns a −0 gradient into +0.
 func (o *Adam) Update(t int) tensor.AdamStep {
 	bc1, bc2 := tensor.AdamBiasCorrections(o.Beta1, o.Beta2, t)
 	return tensor.AdamStep{LR: o.LR, Beta1: o.Beta1, Beta2: o.Beta2, Eps: o.Eps, BC1: bc1, BC2: bc2,
-		Decayed: true, WeightDecay: o.WeightDecay}
+		Decayed: true}
 }
 
 // SnapshotState writes the optimizer's moment estimates for params, in the

@@ -1,8 +1,8 @@
 package tensor
 
 // This file holds the one dense GEMM core every dense product in the
-// repository runs on — MatMul, MatMulATB, MatMulABT and their Into forms, and
-// so every nn.Dense forward and backward and every NGCF layer — and the
+// repository runs on — MatMul, MatMulInto, MatMulATBInto and MatMulABTInto,
+// and so every nn.Dense forward and backward and every NGCF layer — and the
 // gathered scoring products of gemm.go, which pack their rows into panels and
 // run the same tiles.
 //
@@ -138,14 +138,8 @@ func MatMulInto(dst, a, b *Matrix) {
 	gemm(dst.Data, a.Data, a.Cols, 1, b.Data, a.Rows, b.Cols, a.Cols)
 }
 
-// MatMulATB returns aᵀ·b as a new matrix (a is rows×m, b is rows×n, result m×n).
-func MatMulATB(a, b *Matrix) *Matrix {
-	out := New(a.Cols, b.Cols)
-	MatMulATBInto(out, a, b)
-	return out
-}
-
-// MatMulATBInto computes dst = aᵀ·b, reusing dst's storage.
+// MatMulATBInto computes dst = aᵀ·b (a is rows×m, b is rows×n, dst m×n),
+// reusing dst's storage.
 func MatMulATBInto(dst, a, b *Matrix) {
 	if a.Rows != b.Rows || dst.Rows != a.Cols || dst.Cols != b.Cols {
 		panic(fmt.Sprintf("tensor: MatMulATBInto %dx%d = %dx%d ᵀ· %dx%d",
@@ -154,14 +148,8 @@ func MatMulATBInto(dst, a, b *Matrix) {
 	gemm(dst.Data, a.Data, 1, a.Cols, b.Data, a.Cols, b.Cols, a.Rows)
 }
 
-// MatMulABT returns a·bᵀ as a new matrix (a is m×k, b is n×k, result m×n).
-func MatMulABT(a, b *Matrix) *Matrix {
-	out := New(a.Rows, b.Rows)
-	MatMulABTInto(out, a, b, New(b.Cols, b.Rows))
-	return out
-}
-
-// MatMulABTInto computes dst = a·bᵀ, reusing dst's storage. bt is caller
+// MatMulABTInto computes dst = a·bᵀ (a is m×k, b is n×k, dst m×n), reusing
+// dst's storage. bt is caller
 // scratch of bᵀ's shape: b — the small operand in every use, a layer's weight
 // matrix — is transposed into it so the product runs as a·bt through the one
 // core, each element summed in the k order of Dot(a.Row(i), b.Row(j)).

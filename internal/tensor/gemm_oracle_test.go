@@ -197,8 +197,6 @@ func denseGEMMOutputs(seed int64, m, k, n int) (labels []string, oracle, got []*
 	matMulIntoOracle(nn, a, b)
 	atb, abt := matMulATBOracle(at, b), matMulABTOracle(a, bt)
 	add("MatMul", nn, MatMul(a, b))
-	add("MatMulATB", atb, MatMulATB(at, b))
-	add("MatMulABT", abt, MatMulABT(a, bt))
 	into := dirty(m, n)
 	MatMulInto(into, a, b)
 	add("MatMulInto", nn, into)

@@ -73,7 +73,8 @@ func TestMatMulShapePanic(t *testing.T) {
 func TestMatMulATBMatchesExplicitTranspose(t *testing.T) {
 	a := FromSlice(3, 2, []float64{1, 2, 3, 4, 5, 6})
 	b := FromSlice(3, 2, []float64{-1, 0.5, 2, -2, 0, 1})
-	got := MatMulATB(a, b)
+	got := New(a.Cols, b.Cols)
+	MatMulATBInto(got, a, b)
 	want := MatMul(a.Transpose(), b)
 	for i := range want.Data {
 		if !almostEq(got.Data[i], want.Data[i]) {
@@ -85,7 +86,8 @@ func TestMatMulATBMatchesExplicitTranspose(t *testing.T) {
 func TestMatMulABTMatchesExplicitTranspose(t *testing.T) {
 	a := FromSlice(2, 3, []float64{1, 2, 3, 4, 5, 6})
 	b := FromSlice(4, 3, []float64{1, 0, -1, 2, 2, 2, 0, 1, 0, -3, 1, 5})
-	got := MatMulABT(a, b)
+	got := New(a.Rows, b.Rows)
+	MatMulABTInto(got, a, b, New(b.Cols, b.Rows))
 	want := MatMul(a, b.Transpose())
 	for i := range want.Data {
 		if !almostEq(got.Data[i], want.Data[i]) {
@@ -157,7 +159,7 @@ func TestVectorOps(t *testing.T) {
 	if Dot(a, b) != 32 {
 		t.Fatalf("Dot = %v", Dot(a, b))
 	}
-	y := CloneVec(b)
+	y := append([]float64(nil), b...)
 	Axpy(2, a, y)
 	if y[0] != 6 || y[2] != 12 {
 		t.Fatalf("Axpy -> %v", y)

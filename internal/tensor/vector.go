@@ -47,10 +47,3 @@ func AddVec(x, y []float64) {
 		y[j] += v
 	}
 }
-
-// CloneVec returns a copy of x.
-func CloneVec(x []float64) []float64 {
-	c := make([]float64, len(x))
-	copy(c, x)
-	return c
-}
