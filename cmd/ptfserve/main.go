@@ -44,7 +44,7 @@ import (
 // a descriptor for the life of the run. ReadTimeout and WriteTimeout stay
 // unset on purpose: they bound a whole request, and a parked /v1/poll
 // legitimately lives 25 s (coord's pollWait) while an upload body streams for
-// as long as its client trains.
+// as long as its wave of clients trains.
 const (
 	readHeaderTimeout = 10 * time.Second
 	idleTimeout       = 2 * time.Minute

@@ -1,6 +1,7 @@
 package baselines
 
 import (
+	"slices"
 	"testing"
 
 	"ptffedrec/internal/data"
@@ -157,4 +158,69 @@ func TestMetaMFEvaluateRunsGeneratorOncePerUser(t *testing.T) {
 		t.Fatalf("Evaluate allocates %.0f, want at most %.0f (%.0f per generate, %d users)",
 			got, limit, perGenerate, sp.NumUsers)
 	}
+}
+
+// regenerateRound is MetaMF's round as it ran before backprop reused each
+// download's meta-network run: backprop's users run the meta-network again,
+// on the same weights, before backprop reads them.
+func regenerateRound(m *MetaMF, round int) {
+	if m.passes == nil {
+		m.passes = make([]metaPass, m.split.NumUsers)
+	}
+	m.round(round, func(u int) *tensor.Matrix {
+		_, _, _, _, scale, shift := m.generate(u)
+		return m.generatedItems(scale, shift)
+	}, func(idx []int, grads [][]float64) {
+		for _, u := range idx {
+			x, h1, a1, _, scale, _ := m.generate(u)
+			m.passes[u] = metaPass{x: x, h1: h1, a1: a1, scale: scale}
+		}
+		m.backprop(idx, grads)
+	})
+}
+
+// TestMetaMFRoundRunsGeneratorOncePerUser pins that a round runs the
+// meta-network once per cohort user: backprop reuses the run the user's
+// download made. Against rounds that run it again for backprop, every
+// trained parameter stays bitwise the same, and a round allocates at least
+// one generate's worth less per cohort user.
+func TestMetaMFRoundRunsGeneratorOncePerUser(t *testing.T) {
+	sp := tinySplit(t)
+	cfg := fastConfig()
+	cfg.Workers = 1
+	once, err := NewMetaMF(sp, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	twice, err := NewMetaMF(sp, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r := range cfg.Rounds {
+		once.RunRound(r)
+		regenerateRound(twice, r)
+	}
+	rows := func(m *MetaMF) [][]float64 {
+		out := [][]float64{m.base.W.Data}
+		for _, p := range append(m.l1.Params(), m.l2.Params()...) {
+			out = append(out, p.W.Data)
+		}
+		for u := range sp.NumUsers {
+			out = append(out, m.cv.Row(u), m.users[u].w)
+		}
+		return out
+	}
+	if !slices.EqualFunc(rows(once), rows(twice), slices.Equal) {
+		t.Fatal("reusing the download's meta-network run moved the trained parameters")
+	}
+
+	perGenerate := testing.AllocsPerRun(10, func() { once.generate(0) })
+	cohort := max(1, int(cfg.ClientFraction*float64(sp.NumUsers)))
+	onceAllocs := testing.AllocsPerRun(3, func() { once.RunRound(cfg.Rounds) })
+	twiceAllocs := testing.AllocsPerRun(3, func() { regenerateRound(twice, cfg.Rounds) })
+	if saved := twiceAllocs - onceAllocs; saved < perGenerate*float64(cohort) {
+		t.Fatalf("a round allocates %.0f, against %.0f when backprop reruns the meta-network: want at least %.0f (%.0f per generate, %d cohort users) fewer",
+			onceAllocs, twiceAllocs, perGenerate*float64(cohort), perGenerate, cohort)
+	}
+	t.Logf("round allocations: %.0f once, %.0f twice (%.0f per generate, %d cohort users)", onceAllocs, twiceAllocs, perGenerate, cohort)
 }

@@ -37,6 +37,16 @@ type MetaMF struct {
 	// modFresh.
 	mod      *tensor.Matrix
 	modFresh bool
+
+	// passes holds, by user, the meta-network run RunRound's download made
+	// for each cohort user; backprop reads it and clears it.
+	passes []metaPass
+}
+
+// metaPass is what backprop reads of one user's meta-network run.
+type metaPass struct {
+	x, h1, a1 *tensor.Matrix
+	scale     []float64
 }
 
 // NewMetaMF builds the baseline for a split.
@@ -65,7 +75,9 @@ func NewMetaMF(sp *data.Split, cfg Config) (*MetaMF, error) {
 // generate runs the meta-network for user u into new matrices, returning
 // the modulation and the intermediates needed for backprop. RunRound's
 // clients call it concurrently, so it shares no buffer; x aliases cvᵤ, which
-// only cv.Step moves, after backprop's last read of x.
+// only cv.Step moves, after backprop's last read of x. Nothing steps cv, l1
+// or l2 between a round's download and its backprop, so backprop reuses the
+// download's run bitwise.
 func (m *MetaMF) generate(u int) (x, h1, a1, out *tensor.Matrix, scale, shift []float64) {
 	x = tensor.FromSlice(1, cvDim, m.cv.Row(u))
 	h1 = m.l1.ForwardInto(tensor.New(1, metaHidden), x)
@@ -92,14 +104,19 @@ func (m *MetaMF) generatedItems(scale, shift []float64) *tensor.Matrix {
 // RunRound implements FederatedBaseline: each client receives its generated
 // Qᵤ.
 func (m *MetaMF) RunRound(round int) {
+	if m.passes == nil {
+		m.passes = make([]metaPass, m.split.NumUsers)
+	}
 	m.round(round, func(u int) *tensor.Matrix {
-		_, _, _, _, scale, shift := m.generate(u)
+		x, h1, a1, _, scale, shift := m.generate(u)
+		m.passes[u] = metaPass{x: x, h1: h1, a1: a1, scale: scale}
 		return m.generatedItems(scale, shift)
 	}, m.backprop)
 }
 
 // backprop is MetaMF's aggregation: every client's dQᵤ flows back through the
-// generator into Base, the MLP and cvᵤ, then one optimizer step.
+// generator into Base, the MLP and cvᵤ — from the meta-network run the
+// client's download made — then one optimizer step.
 func (m *MetaMF) backprop(idx []int, grads [][]float64) {
 	inv := 1.0 / float64(len(idx))
 	dim := m.cfg.Dim
@@ -115,7 +132,8 @@ func (m *MetaMF) backprop(idx []int, grads [][]float64) {
 	}
 	for slot, u := range idx {
 		dq := grads[slot]
-		x, h1, a1, _, scale, _ := m.generate(u)
+		pass := m.passes[u]
+		m.passes[u] = metaPass{}
 		clear(dout.Data)
 		for v := 0; v < m.split.NumItems; v++ {
 			b := m.base.W.Row(v)
@@ -125,14 +143,14 @@ func (m *MetaMF) backprop(idx []int, grads [][]float64) {
 				if g == 0 {
 					continue
 				}
-				bg[k] += g * (1 + scale[k])
+				bg[k] += g * (1 + pass.scale[k])
 				dscale[k] += g * b[k]
 				dshift[k] += g
 			}
 		}
-		backward(m.l2, da1, a1, dout)
-		nn.ReLUBackwardInPlace(h1, da1)
-		backward(m.l1, dx, x, da1)
+		backward(m.l2, da1, pass.a1, dout)
+		nn.ReLUBackwardInPlace(pass.h1, da1)
+		backward(m.l1, dx, pass.x, da1)
 		m.cvG.Add(u, dx.Row(0))
 	}
 	params := []*nn.Param{m.base}

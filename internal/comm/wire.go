@@ -59,16 +59,18 @@ const (
 	// MsgRoundStart announces a round to a polling participant, listing the
 	// selected users that participant hosts (possibly none).
 	MsgRoundStart
-	// MsgUploadBegin opens one user's upload stream: the declared
-	// prediction count and the client-side metrics that must survive a
+	// MsgUploadBegin opens one user's upload stream — one of the streams an
+	// upload body carries: the round, the user, the declared prediction
+	// count and the client-side metrics that must survive a
 	// transport-truncated payload (they describe the full local upload).
 	MsgUploadBegin
 	// MsgUploadChunk carries an EncodePredictions run of predictions.
 	MsgUploadChunk
-	// MsgUploadEnd marks a complete upload. A stream that ends without it
-	// was cut by the transport: the coordinator keeps the decoded prefix if
-	// at least one chunk arrived (short write), else counts the client as
-	// dropped (connection drop).
+	// MsgUploadEnd marks a complete upload; after a begin frame declaring
+	// no predictions, a dropped client. A stream that ends without it — at
+	// the next begin frame or the body's end — was cut by the transport:
+	// the coordinator keeps the decoded prefix if at least one prediction
+	// arrived (short write), else counts the client as dropped.
 	MsgUploadEnd
 	// MsgDisperse delivers one user's D̃ᵢ.
 	MsgDisperse

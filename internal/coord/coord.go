@@ -15,27 +15,31 @@
 // trainer's own fed.Waves: a round's announcement starts the users who sat
 // out the previous round, and that round's end marker starts the rest.
 //
-// Fault semantics follow real transports: an empty upload body is a
-// connection drop (the client is counted as dropped), an upload stream that
-// ends after at least one prediction without its MsgUploadEnd frame is a
-// short write (the server keeps the received prefix). Anything else a stream
-// gets wrong is a protocol error, answered 400 with a MsgError frame and the
-// slot resolved as dropped: bad framing, a count it does not keep, and any
-// prediction that names another user, an item outside the catalogue or an
-// item the stream already named, or a score outside [0, 1] (NaN included) —
-// so nothing the round engine absorbs breaks fed.RoundEngine.CloseRound's
-// contract. A participant holds each pushed dispersal to the same rule and
-// ends its run on one that breaks it.
-// A round with a configured straggler deadline closes with partial
-// participation — pending clients become dropped — instead of waiting
-// forever.
+// A participant uploads each wave of a round's users through one request:
+// the body is a sequence of per-user streams (begin frame, prediction
+// chunks, end frame), and the coordinator resolves each user's slot the
+// moment its stream ends. Fault semantics follow real transports: a stream
+// whose begin frame declares no predictions and ends is a dropped client,
+// and a stream cut before its end frame — by the next begin frame, the
+// body's end or a severed connection — is a short write (the server keeps
+// the received prefix; with none, the client is dropped). Anything else a
+// body gets wrong is a protocol error (readUploads lists them: bad framing,
+// a user the session does not host or the body already named, a count the
+// stream does not keep, a prediction that would break
+// fed.RoundEngine.CloseRound's contract), answered 400 with a MsgError frame
+// and the offending stream's slot resolved as dropped. A participant holds
+// each pushed dispersal to the same prediction rule and ends its run on one
+// that breaks it. A round with a configured straggler deadline closes with
+// partial participation — pending clients become dropped — instead of
+// waiting forever, even while a body still streams.
 //
-// Every refusal answers a 4xx status with a MsgError frame, never 200: 409 to
-// an upload for an announced round that no longer takes it (a straggler's
-// participant carries on), 400 to everything else — a bad join frame or
-// range, a missing, malformed or unknown token, round, user or cursor (a
-// round never announced included), a user the session does not host, and a
-// malformed upload stream.
+// Every refusal carries a MsgError frame and a 4xx status, never 200: an
+// upload body naming a user whose announced round no longer takes uploads
+// answers 409, one MsgError frame per late user beside the accepted users'
+// MsgAck frames (a straggler's participant carries on); 400 answers
+// everything else — a bad join frame or range, a missing, malformed or
+// unknown token, round or cursor (a round never announced included), and a
+// malformed upload body.
 //
 // A dispersal is relative to its own round: Eq. 9 excludes the items of the
 // upload that produced it (fed.RoundEngine.CloseRound). A dispersal published
@@ -49,6 +53,7 @@
 package coord
 
 import (
+	"bufio"
 	"context"
 	crand "crypto/rand"
 	"encoding/binary"
@@ -661,149 +666,207 @@ func (c *Coordinator) handlePoll(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// handleUpload ingests one user's upload stream for an open round. The body
-// classifies the client exactly as a lossy transport would: empty body →
-// dropped; begin + at least one prediction but no end frame → truncated
-// responder (the decoded prefix counts); end frame → complete responder.
+// handleUpload ingests a participant's uploads for one announced round: a
+// body of per-user streams (readUploads), each resolving its user's slot the
+// moment it ends. Go's HTTP/1.1 server may not let a handler read a body it
+// has started answering, so the reply waits for the body's end: one frame per
+// stream in body order, MsgAck(round) for an accepted user and MsgError for
+// one whose round had closed, under 200 when every user was accepted and 409
+// when any was late. A protocol error answers 400 with a MsgError frame.
 func (c *Coordinator) handleUpload(w http.ResponseWriter, r *http.Request) {
 	s, err := c.sessionFromQuery(r)
 	if err != nil {
 		c.writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	round, err := queryInt(r, "round")
+	q, err := queryInt(r, "round")
 	if err != nil {
 		c.writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	user, err := queryInt(r, "user")
-	if err != nil {
-		c.writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if int(user) < s.lo || int(user) >= s.hi {
-		c.writeError(w, http.StatusBadRequest, "coord: session %d does not host user %d", s.token, user)
-		return
-	}
-	if !c.announced(int(round)) {
+	round := int(q)
+	if !c.announced(round) {
 		c.writeError(w, http.StatusBadRequest, "coord: round %d was never announced", round)
 		return
 	}
 
+	ack := comm.AppendFrame(nil, comm.MsgAck, comm.EncodeRound(round))
+	var reply []byte
+	late := false
 	cr := &countReader{r: r.Body}
-	outcome, perr := c.readUpload(cr, int(round), int(user))
+	// Buffered, one read of the body serves several small frames.
+	perr := c.readUploads(bufio.NewReader(cr), round, s, func(o fed.ClientOutcome) {
+		if c.resolveUpload(round, o.ID, o) {
+			reply = append(reply, ack...)
+			return
+		}
+		// The 409 is what a straggler's participant reads; the text is for people.
+		late = true
+		reply = comm.AppendFrame(reply, comm.MsgError, fmt.Appendf(nil, "coord: round %d closed for user %d", round, o.ID))
+	})
 	c.wireIn.Add(cr.n)
 	if perr != nil {
-		// Malformed streams (bad magic, wrong frame order, codec garbage,
-		// foreign, out-of-range or repeated predictions) are protocol
-		// errors, not transport faults: reject, and resolve the slot as
-		// dropped so the round never hangs on a broken peer.
-		c.resolveUpload(int(round), int(user), fed.ClientOutcome{ID: int(user), Dropped: true})
 		c.writeError(w, http.StatusBadRequest, "%v", perr)
 		return
 	}
-	if !c.resolveUpload(int(round), int(user), outcome) {
-		// The 409 is what a straggler's participant reads; the text is for people.
-		c.writeError(w, http.StatusConflict, "coord: round %d closed for user %d", round, user)
-		return
+	if late {
+		w.WriteHeader(http.StatusConflict)
 	}
-	c.writeFrame(w, comm.MsgAck, comm.EncodeRound(int(round)))
+	n, _ := w.Write(reply)
+	c.wireOut.Add(int64(n))
 }
 
-// readUpload parses an upload body into the outcome the engine absorbs.
-// Transport cuts (clean EOF without MsgUploadEnd, or a frame severed
-// mid-payload) classify as drop/truncation; anything else is an error —
-// including an opening frame whose loss is negative or not finite or whose
-// attack F1 lies outside [0, 1], a stream that outgrows the count its opening
-// frame declared, and a prediction that names another user, an item outside
-// [0, NumItems), an item the stream already named or a score outside [0, 1];
-// each is rejected at the frame that carries it rather than buffered.
-func (c *Coordinator) readUpload(body io.Reader, round, user int) (fed.ClientOutcome, error) {
-	mt, payload, err := comm.ReadFrame(body)
-	if err == io.EOF {
-		return fed.ClientOutcome{ID: user, Dropped: true}, nil // connection drop
-	}
-	if err != nil && err != io.ErrUnexpectedEOF {
-		return fed.ClientOutcome{}, err
-	}
-	if err == io.ErrUnexpectedEOF {
-		return fed.ClientOutcome{ID: user, Dropped: true}, nil // cut inside the opening frame
-	}
-	if mt != comm.MsgUploadBegin {
-		return fed.ClientOutcome{}, fmt.Errorf("coord: upload stream opens with %v, want %v", mt, comm.MsgUploadBegin)
-	}
-	begin, err := comm.DecodeUploadBegin(payload)
-	if err != nil {
-		return fed.ClientOutcome{}, err
-	}
-	if begin.Round != round || begin.User != user {
-		return fed.ClientOutcome{}, fmt.Errorf("coord: upload-begin names round %d user %d, request says round %d user %d",
-			begin.Round, begin.User, round, user)
-	}
-	// Both metrics reach RoundStats as sent. The negated comparisons reject
-	// NaN.
-	if !(begin.Loss >= 0) || math.IsInf(begin.Loss, 1) || !(begin.AttackF1 >= 0 && begin.AttackF1 <= 1) {
-		return fed.ClientOutcome{}, fmt.Errorf("coord: upload-begin reports loss %v and attack F1 %v: want a finite loss ≥ 0 and an F1 in [0, 1]",
-			begin.Loss, begin.AttackF1)
-	}
-	// A client uploads at most one prediction per item. A negative count sent
-	// as its uint32 two's complement lands far above that too.
-	if begin.Count < 0 || begin.Count > c.split.NumItems {
-		return fed.ClientOutcome{}, fmt.Errorf("coord: upload-begin declares %d predictions for a %d-item catalogue",
-			begin.Count, c.split.NumItems)
-	}
+// uploadStream is one user's stream inside an upload body, from its begin
+// frame to its end.
+type uploadStream struct {
+	begin comm.UploadBegin
+	preds []comm.Prediction
+	named *bitset.Set // the items preds name
+}
 
-	preds := make([]comm.Prediction, 0, begin.Count)
-	named := bitset.New(c.split.NumItems)
-	var predBytes int
-	complete := false
-	for !complete {
-		mt, payload, err = comm.ReadFrame(body)
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			break // transport cut after the opening frame
-		}
-		if err != nil {
-			return fed.ClientOutcome{}, err
-		}
-		switch mt {
-		case comm.MsgUploadChunk:
-			chunk, err := comm.DecodePredictions(payload)
-			if err != nil {
-				return fed.ClientOutcome{}, err
-			}
-			if len(preds)+len(chunk) > begin.Count {
-				return fed.ClientOutcome{}, fmt.Errorf("coord: upload stream carries more than the %d predictions it declared", begin.Count)
-			}
-			for _, p := range chunk {
-				if err := checkPrediction(p, user, c.split.NumItems); err != nil {
-					return fed.ClientOutcome{}, fmt.Errorf("coord: user %d uploads %w", user, err)
-				}
-				if named.Contains(p.Item) {
-					return fed.ClientOutcome{}, fmt.Errorf("coord: user %d uploads item %d twice", user, p.Item)
-				}
-				named.Add(p.Item)
-			}
-			preds = append(preds, chunk...)
-			predBytes += len(payload)
-		case comm.MsgUploadEnd:
-			complete = true
-		default:
-			return fed.ClientOutcome{}, fmt.Errorf("coord: unexpected %v frame inside upload stream", mt)
-		}
-	}
-	if complete && len(preds) != begin.Count {
-		return fed.ClientOutcome{}, fmt.Errorf("coord: upload declared %d predictions, carried %d", begin.Count, len(preds))
-	}
-	if len(preds) == 0 {
-		// Begin frame but no predictions survived: nothing to train on —
-		// the client drops.
-		return fed.ClientOutcome{ID: user, Dropped: true}, nil
+// outcome is what the stream delivered: the received predictions, or a drop
+// when none arrived.
+func (st *uploadStream) outcome() fed.ClientOutcome {
+	if len(st.preds) == 0 {
+		return fed.ClientOutcome{ID: st.begin.User, Dropped: true}
 	}
 	return fed.ClientOutcome{
-		ID:          user,
-		Upload:      preds,
-		UploadBytes: predBytes,
-		Loss:        begin.Loss,
-		AttackF1:    begin.AttackF1,
-	}, nil
+		ID:          st.begin.User,
+		Upload:      st.preds,
+		UploadBytes: len(st.preds) * comm.PredictionWireSize,
+		Loss:        st.begin.Loss,
+		AttackF1:    st.begin.AttackF1,
+	}
+}
+
+// readUploads reads an upload body for round from session s: a sequence of
+// per-user streams, each a MsgUploadBegin frame naming the round and a user s
+// hosts that no earlier stream in the body named, then MsgUploadChunk frames,
+// then MsgUploadEnd. resolve gets each stream's outcome the moment the stream
+// ends, before the next frame is read, and classifies the client exactly as a
+// lossy transport would:
+//   - at its end frame, complete;
+//   - at the next begin frame, or where the body ends or is cut, a short
+//     write: the received prefix counts;
+//   - dropped when no prediction arrived — a begin frame declaring none
+//     followed by the end frame is how a participant reports a dropped
+//     client.
+//
+// Anything else is a protocol error, returned at the frame that carries it
+// rather than buffered: bad framing, any other frame outside a stream,
+// a begin frame for another round or for a user s does not host or the body
+// already named, one whose loss is negative or not finite, whose attack F1
+// lies outside [0, 1] or whose count exceeds the catalogue, a stream that
+// outgrows its count or ends short of it, and a prediction that names
+// another user, an item outside [0, NumItems), an item the stream already
+// named or a score outside [0, 1]. The offending stream's user, once its
+// begin frame named one, resolves as dropped first, so the round never waits
+// on a broken peer.
+func (c *Coordinator) readUploads(body io.Reader, round int, s *session, resolve func(fed.ClientOutcome)) error {
+	seen := bitset.New(s.hi - s.lo) // users an earlier stream named, offset by s.lo
+	var st *uploadStream            // the open stream; nil between streams
+	fail := func(err error) error {
+		if st != nil {
+			resolve(fed.ClientOutcome{ID: st.begin.User, Dropped: true})
+		}
+		return err
+	}
+	for {
+		mt, payload, err := comm.ReadFrame(body)
+		if err == io.EOF || err == io.ErrUnexpectedEOF {
+			// The body ends, or a transport cut severs it: the open stream
+			// is a short write.
+			if st != nil {
+				resolve(st.outcome())
+			}
+			return nil
+		}
+		if err != nil {
+			return fail(err)
+		}
+		if st == nil && mt != comm.MsgUploadBegin {
+			return fmt.Errorf("coord: %v frame outside an upload stream", mt)
+		}
+		switch mt {
+		case comm.MsgUploadBegin:
+			if st != nil {
+				resolve(st.outcome())
+				st = nil
+			}
+			b, err := comm.DecodeUploadBegin(payload)
+			if err != nil {
+				return err
+			}
+			if b.User < s.lo || b.User >= s.hi {
+				return fmt.Errorf("coord: session %d does not host user %d", s.token, b.User)
+			}
+			if seen.Contains(b.User - s.lo) {
+				return fmt.Errorf("coord: upload body names user %d twice", b.User)
+			}
+			seen.Add(b.User - s.lo)
+			st = &uploadStream{begin: b}
+			if err := c.checkBegin(b, round); err != nil {
+				return fail(err)
+			}
+			st.preds = make([]comm.Prediction, 0, b.Count)
+			st.named = bitset.New(c.split.NumItems)
+		case comm.MsgUploadChunk:
+			if err := c.addChunk(st, payload); err != nil {
+				return fail(err)
+			}
+		case comm.MsgUploadEnd:
+			if len(st.preds) != st.begin.Count {
+				return fail(fmt.Errorf("coord: user %d declared %d predictions, carried %d", st.begin.User, st.begin.Count, len(st.preds)))
+			}
+			resolve(st.outcome())
+			st = nil
+		default:
+			return fail(fmt.Errorf("coord: unexpected %v frame inside an upload stream", mt))
+		}
+	}
+}
+
+// checkBegin refuses a begin frame for another round, one whose loss is
+// negative or not finite or whose attack F1 lies outside [0, 1] (both reach
+// RoundStats as sent; the negated comparisons reject NaN), and one declaring
+// more predictions than the catalogue has items — a client uploads at most
+// one per item, and a negative count sent as its uint32 two's complement
+// lands far above that too.
+func (c *Coordinator) checkBegin(b comm.UploadBegin, round int) error {
+	if b.Round != round {
+		return fmt.Errorf("coord: upload-begin for user %d names round %d, request says round %d", b.User, b.Round, round)
+	}
+	if !(b.Loss >= 0) || math.IsInf(b.Loss, 1) || !(b.AttackF1 >= 0 && b.AttackF1 <= 1) {
+		return fmt.Errorf("coord: upload-begin reports loss %v and attack F1 %v: want a finite loss ≥ 0 and an F1 in [0, 1]",
+			b.Loss, b.AttackF1)
+	}
+	if b.Count < 0 || b.Count > c.split.NumItems {
+		return fmt.Errorf("coord: upload-begin declares %d predictions for a %d-item catalogue", b.Count, c.split.NumItems)
+	}
+	return nil
+}
+
+// addChunk decodes one chunk into the stream, refusing one that carries the
+// stream past its declared count or a prediction checkPrediction refuses or
+// naming an item the stream already named.
+func (c *Coordinator) addChunk(st *uploadStream, payload []byte) error {
+	chunk, err := comm.DecodePredictions(payload)
+	if err != nil {
+		return err
+	}
+	user := st.begin.User
+	if len(st.preds)+len(chunk) > st.begin.Count {
+		return fmt.Errorf("coord: user %d's upload stream carries more than the %d predictions it declared", user, st.begin.Count)
+	}
+	for _, p := range chunk {
+		if err := checkPrediction(p, user, c.split.NumItems); err != nil {
+			return fmt.Errorf("coord: user %d uploads %w", user, err)
+		}
+		if st.named.Contains(p.Item) {
+			return fmt.Errorf("coord: user %d uploads item %d twice", user, p.Item)
+		}
+		st.named.Add(p.Item)
+	}
+	st.preds = append(st.preds, chunk...)
+	return nil
 }

@@ -86,11 +86,17 @@ func referenceHistory(t *testing.T, cfg fed.Config) *fed.History {
 // one participant per user range, returning the coordinator's history.
 func runNetworked(t *testing.T, cfg fed.Config, opts Options, ranges [][2]int) (*fed.History, *Coordinator) {
 	t.Helper()
+	return runNetworkedVia(t, cfg, opts, ranges, func(h http.Handler) http.Handler { return h })
+}
+
+// runNetworkedVia is runNetworked with the coordinator's handler wrapped.
+func runNetworkedVia(t *testing.T, cfg fed.Config, opts Options, ranges [][2]int, wrap func(http.Handler) http.Handler) (*fed.History, *Coordinator) {
+	t.Helper()
 	c, err := New(testSplit(), cfg, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(c.Handler())
+	srv := httptest.NewServer(wrap(c.Handler()))
 	defer srv.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
@@ -145,8 +151,9 @@ func TestLoopbackBitwise(t *testing.T) {
 }
 
 // TestLoopbackBitwiseFaulted pins the fault routing through the transport: a
-// FaultPlan's dropouts arrive as empty upload bodies and its truncations as
-// upload streams cut before MsgUploadEnd, and the server-side classification
+// FaultPlan's dropouts arrive as upload streams that declare no predictions
+// and its truncations as streams cut before MsgUploadEnd — by the next user's
+// begin frame or the body's end — and the server-side classification
 // reproduces the in-process faulted history bitwise. uploadChunkPreds shrinks
 // so truncated uploads still span several chunk frames on the tiny catalogue.
 func TestLoopbackBitwiseFaulted(t *testing.T) {
@@ -239,6 +246,94 @@ func TestStragglerDeadline(t *testing.T) {
 			}
 		})
 	}
+
+	// The deadline closes a round while an upload body still streams: the
+	// user read before the close is acked, the one after it gets a MsgError
+	// frame under 409, the participant's reply check carries on, and the
+	// round keeps the acked user alone.
+	t.Run("mid-body", func(t *testing.T) {
+		cfg := testConfig(models.KindMF, 1)
+		cfg.Rounds = 1
+		opts := testOptions()
+		opts.Deadline = 300 * time.Millisecond
+		c, err := New(testSplit(), cfg, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv := httptest.NewServer(c.Handler())
+		defer srv.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+		defer cancel()
+		p, err := Join(srv.URL, 0, 40, srv.Client())
+		if err != nil {
+			t.Fatal(err)
+		}
+		ran := make(chan *fed.History, 1)
+		go func() {
+			h, err := c.Run(ctx)
+			if err != nil {
+				t.Error(err)
+			}
+			ran <- h
+		}()
+		if _, err := p.poll(ctx, 0); err != nil { // round 0 is announced
+			t.Fatal(err)
+		}
+		c.mu.Lock()
+		rs := c.rounds[0]
+		c.mu.Unlock()
+
+		pr, pw := io.Pipe()
+		replied := make(chan *http.Response, 1)
+		go func() {
+			resp, err := srv.Client().Post(fmt.Sprintf("%s/v1/upload?token=%d&round=0", srv.URL, p.Token()), "application/octet-stream", pr)
+			if err != nil {
+				t.Error(err)
+			}
+			replied <- resp
+		}()
+		honest := func(u int) []byte {
+			return encodeUpload(0, u, []comm.Prediction{{User: u, Item: 1, Score: 0.9}, {User: u, Item: 2, Score: 0.75}}, 2, true)
+		}
+		pw.Write(honest(3))
+		for resolved := false; !resolved; time.Sleep(5 * time.Millisecond) {
+			c.mu.Lock()
+			_, waiting := rs.awaiting[3]
+			c.mu.Unlock()
+			resolved = !waiting
+		}
+		<-rs.done // the deadline closes the round
+		pw.Write(honest(4))
+		pw.Close()
+		resp := <-replied
+		if resp == nil {
+			t.FailNow()
+		}
+		reply, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []comm.MsgType
+		for body := bytes.NewReader(reply); ; {
+			mt, _, err := comm.ReadFrame(body)
+			if err != nil {
+				break
+			}
+			got = append(got, mt)
+		}
+		if resp.StatusCode != http.StatusConflict || !slices.Equal(got, []comm.MsgType{comm.MsgAck, comm.MsgError}) {
+			t.Fatalf("reply %d %v, want 409 with an ack for user 3 and an error for user 4", resp.StatusCode, got)
+		}
+		resp.Body = io.NopCloser(bytes.NewReader(reply))
+		if err := checkUploadReply(resp, 2); err != nil {
+			t.Fatalf("the participant's reply check on the 409: %v, want it to carry on", err)
+		}
+		h := <-ran
+		if h == nil || h.Rounds[0].Dropped != h.Rounds[0].Participants-1 {
+			t.Fatalf("round 0: %+v, want every user but 3 dropped", h)
+		}
+	})
 }
 
 // TestJoinRejectsForeignUniverse pins the join-ack's shape check: a
@@ -414,8 +509,8 @@ func TestSessionTokensUnguessable(t *testing.T) {
 // upload's alone — an upload for an announced round that is closed or already
 // published (TestUploadRejectsForeignPredictions pins it); everything else a
 // request gets wrong answers 400, an upload for a round never announced
-// included (this coordinator never runs, so it announces none), and none of
-// it registers or drops a session.
+// included (this coordinator never runs; the test announces round 0 alone),
+// and none of it registers or drops a session.
 func TestRefusalsAnswer4xx(t *testing.T) {
 	sp := testSplit()
 	c, err := New(sp, testConfig(models.KindMF, 1), testOptions())
@@ -428,9 +523,13 @@ func TestRefusalsAnswer4xx(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	c.openRound(0, []int{0, 1, 2})
 	tok := p.Token()
 	join := func(lo, hi int) []byte {
 		return comm.AppendFrame(nil, comm.MsgJoin, comm.EncodeJoin(comm.Join{UserLo: lo, UserHi: hi}))
+	}
+	upload := func(round, user int) []byte {
+		return encodeUpload(round, user, []comm.Prediction{{User: user, Item: 1, Score: 0.5}}, 1, true)
 	}
 	for _, tc := range []struct {
 		name, path string
@@ -448,13 +547,14 @@ func TestRefusalsAnswer4xx(t *testing.T) {
 		{"poll: missing after", fmt.Sprintf("/v1/poll?token=%d", tok), nil},
 		{"poll: malformed after", fmt.Sprintf("/v1/poll?token=%d&after=x", tok), nil},
 		{"poll: cursor outside the log", fmt.Sprintf("/v1/poll?token=%d&after=5", tok), nil},
-		{"upload: missing token", "/v1/upload?round=0&user=0", nil},
-		{"upload: missing round", fmt.Sprintf("/v1/upload?token=%d&user=0", tok), nil},
-		{"upload: malformed round", fmt.Sprintf("/v1/upload?token=%d&round=x&user=0", tok), nil},
-		{"upload: missing user", fmt.Sprintf("/v1/upload?token=%d&round=0", tok), nil},
-		{"upload: user not hosted", fmt.Sprintf("/v1/upload?token=%d&round=0&user=25", tok), nil},
-		{"upload: round never announced", fmt.Sprintf("/v1/upload?token=%d&round=0&user=0", tok), encodeUpload(0, 0, []comm.Prediction{{User: 0, Item: 1, Score: 0.5}}, 1, true)},
-		{"upload: negative round", fmt.Sprintf("/v1/upload?token=%d&round=-1&user=0", tok), nil},
+		{"upload: missing token", "/v1/upload?round=0", upload(0, 0)},
+		{"upload: missing round", fmt.Sprintf("/v1/upload?token=%d", tok), upload(0, 0)},
+		{"upload: malformed round", fmt.Sprintf("/v1/upload?token=%d&round=x", tok), upload(0, 0)},
+		{"upload: chunk outside a stream", fmt.Sprintf("/v1/upload?token=%d&round=0", tok), upload(0, 0)[comm.FrameHeaderSize+29:]},
+		{"upload: user not hosted", fmt.Sprintf("/v1/upload?token=%d&round=0", tok), upload(0, 25)},
+		{"upload: user repeated", fmt.Sprintf("/v1/upload?token=%d&round=0", tok), append(upload(0, 1), upload(0, 1)...)},
+		{"upload: round never announced", fmt.Sprintf("/v1/upload?token=%d&round=1", tok), upload(1, 0)},
+		{"upload: negative round", fmt.Sprintf("/v1/upload?token=%d&round=-1", tok), nil},
 	} {
 		resp, err := srv.Client().Post(srv.URL+tc.path, "application/octet-stream", bytes.NewReader(tc.body))
 		if err != nil {
@@ -518,9 +618,20 @@ func (r *repeatReader) Read(p []byte) (int, error) {
 	return len(p), nil
 }
 
+// readBody runs readUploads over body for round 1 from a session hosting
+// users [5, 10), returning the outcomes it resolved in order.
+func readBody(c *Coordinator, body io.Reader) ([]fed.ClientOutcome, error) {
+	var got []fed.ClientOutcome
+	err := c.readUploads(body, 1, &session{token: 1, lo: 5, hi: 10}, func(o fed.ClientOutcome) { got = append(got, o) })
+	return got, err
+}
+
 // TestReadUploadClassification pins the server-side body classification:
-// empty body → drop, missing end frame → truncated prefix, end frame →
-// complete, and protocol violations → errors.
+// each stream resolves as complete at its end frame, as a truncated prefix
+// at the next begin frame or the body's end, as dropped when no prediction
+// arrived (the in-stream drop: a begin frame declaring none and the end
+// frame), and protocol violations are errors that resolve the offending
+// stream's user, when the body names a hosted one, as dropped.
 func TestReadUploadClassification(t *testing.T) {
 	c := &Coordinator{split: testSplit()}
 	preds := []comm.Prediction{
@@ -529,20 +640,25 @@ func TestReadUploadClassification(t *testing.T) {
 		{User: 7, Item: 12, Score: 1},
 		{User: 7, Item: 44, Score: 0.125},
 	}
-
-	o, err := c.readUpload(bytes.NewReader(nil), 1, 7)
-	if err != nil || !o.Dropped {
-		t.Fatalf("empty body: outcome %+v, err %v; want a drop", o, err)
-	}
-
-	o, err = c.readUpload(bytes.NewReader(encodeUpload(1, 7, preds, len(preds), true)), 1, 7)
-	if err != nil || o.Dropped || len(o.Upload) != len(preds) {
-		t.Fatalf("complete body: outcome %+v, err %v; want %d predictions", o, err, len(preds))
-	}
-	for i := range preds {
-		if o.Upload[i] != preds[i] {
-			t.Fatalf("complete body: prediction %d = %+v, want %+v", i, o.Upload[i], preds[i])
+	read := func(body []byte) ([]fed.ClientOutcome, error) { return readBody(c, bytes.NewReader(body)) }
+	// one reads a body that must resolve exactly one stream.
+	one := func(body []byte) (fed.ClientOutcome, error) {
+		t.Helper()
+		got, err := read(body)
+		if len(got) != 1 {
+			t.Fatalf("body resolved %d streams (%+v, err %v), want 1", len(got), got, err)
 		}
+		return got[0], err
+	}
+	dropped := func(o fed.ClientOutcome, user int) bool { return o.Dropped && o.ID == user && len(o.Upload) == 0 }
+
+	if got, err := read(nil); err != nil || len(got) != 0 {
+		t.Fatalf("empty body: outcomes %+v, err %v; want none", got, err)
+	}
+
+	o, err := one(encodeUpload(1, 7, preds, len(preds), true))
+	if err != nil || o.Dropped || o.ID != 7 || !slices.Equal(o.Upload, preds) {
+		t.Fatalf("complete body: outcome %+v, err %v; want user 7's %d predictions", o, err, len(preds))
 	}
 	if o.UploadBytes != len(preds)*comm.PredictionWireSize {
 		t.Fatalf("complete body: UploadBytes = %d, want %d", o.UploadBytes, len(preds)*comm.PredictionWireSize)
@@ -551,42 +667,88 @@ func TestReadUploadClassification(t *testing.T) {
 		t.Fatalf("complete body: metrics %v/%v did not survive the begin frame", o.Loss, o.AttackF1)
 	}
 
-	o, err = c.readUpload(bytes.NewReader(encodeUpload(1, 7, preds, 2, false)), 1, 7)
+	o, err = one(encodeUpload(1, 7, preds, 2, false))
 	if err != nil || o.Dropped || len(o.Upload) != 2 {
 		t.Fatalf("truncated body: outcome %+v, err %v; want the 2-prediction prefix", o, err)
 	}
-
-	o, err = c.readUpload(bytes.NewReader(encodeUpload(1, 7, preds, 0, false)), 1, 7)
-	if err != nil || !o.Dropped {
+	if o, err = one(encodeUpload(1, 7, preds, 0, false)); err != nil || !dropped(o, 7) {
 		t.Fatalf("begin-only body: outcome %+v, err %v; want a drop", o, err)
 	}
+	if o, err = one(encodeUpload(1, 7, nil, 0, true)); err != nil || !dropped(o, 7) {
+		t.Fatalf("in-stream drop: outcome %+v, err %v; want a drop", o, err)
+	}
 
-	if _, err = c.readUpload(bytes.NewReader(encodeUpload(1, 7, preds, 2, true)), 1, 7); err == nil {
-		t.Fatal("count mismatch with end frame must be a protocol error")
+	// Several users in one body, each resolved in body order: a complete
+	// stream, a short write ended by the next begin frame, an in-stream drop,
+	// and a short write ended by the body's end.
+	other := func(u int) []comm.Prediction {
+		return []comm.Prediction{{User: u, Item: 1, Score: 0.5}, {User: u, Item: 2, Score: 0.75}}
 	}
-	if _, err = c.readUpload(bytes.NewReader(encodeUpload(2, 7, preds, 4, true)), 1, 7); err == nil {
-		t.Fatal("round mismatch must be a protocol error")
+	body := slices.Concat(encodeUpload(1, 7, preds, len(preds), true), encodeUpload(1, 5, other(5), 1, false),
+		encodeUpload(1, 9, nil, 0, true), encodeUpload(1, 6, other(6), 1, false))
+	got, err := read(body)
+	if err != nil || len(got) != 4 ||
+		got[0].ID != 7 || len(got[0].Upload) != 4 ||
+		got[1].ID != 5 || got[1].Dropped || !slices.Equal(got[1].Upload, other(5)[:1]) ||
+		!dropped(got[2], 9) ||
+		got[3].ID != 6 || got[3].Dropped || !slices.Equal(got[3].Upload, other(6)[:1]) {
+		t.Fatalf("four-user body: outcomes %+v, err %v", got, err)
 	}
-	if _, err = c.readUpload(bytes.NewReader(withCodecByte(encodeUpload(1, 7, preds, 4, true), 1)), 1, 7); err == nil ||
-		!strings.Contains(err.Error(), "codec 1") {
-		t.Fatalf("a begin frame naming codec 1: err = %v, want the codec refusal", err)
+	// A body cut inside a frame ends its open stream as a short write.
+	if got, err = read(body[:len(body)-3]); err != nil || len(got) != 4 || !got[3].Dropped {
+		t.Fatalf("body cut inside user 6's chunk: outcomes %+v, err %v; want user 6 dropped", got, err)
 	}
-	if _, err = c.readUpload(bytes.NewReader([]byte("not a frame stream")), 1, 7); err == nil {
-		t.Fatal("garbage bytes must be a protocol error")
+
+	// Protocol errors. The offending stream's user resolves as dropped
+	// when the body names a hosted user it has not named before, and only
+	// then.
+	for _, tc := range []struct {
+		name    string
+		body    []byte
+		want    string
+		dropped []int // the users resolved, each as a drop
+	}{
+		{"count mismatch with end frame", encodeUpload(1, 7, preds, 2, true), "declared 4 predictions, carried 2", []int{7}},
+		{"round mismatch", encodeUpload(2, 7, preds, 4, true), "names round 2", []int{7}},
+		{"codec 1", withCodecByte(encodeUpload(1, 7, preds, 4, true), 1), "codec 1", nil},
+		{"garbage", []byte("not a frame stream"), "magic", nil},
+		{"a frame outside any stream", comm.AppendFrame(nil, comm.MsgAck, nil), "ack frame outside an upload stream", nil},
+		{"an end frame outside any stream", comm.AppendFrame(nil, comm.MsgUploadEnd, nil), "outside an upload stream", nil},
+		{"a foreign frame inside a stream", comm.AppendFrame(encodeUpload(1, 7, preds, 2, false), comm.MsgAck, nil), "inside an upload stream", []int{7}},
+		{"user outside the session", encodeUpload(1, 12, nil, 0, true), "does not host user 12", nil},
+	} {
+		got, err := read(tc.body)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%s: err = %v, want %q", tc.name, err, tc.want)
+		}
+		var users []int
+		for _, o := range got {
+			if !o.Dropped {
+				t.Fatalf("%s: resolved %+v, want drops only", tc.name, o)
+			}
+			users = append(users, o.ID)
+		}
+		if !slices.Equal(users, tc.dropped) {
+			t.Fatalf("%s: dropped users %v, want %v", tc.name, users, tc.dropped)
+		}
 	}
-	if _, err = c.readUpload(bytes.NewReader(comm.AppendFrame(nil, comm.MsgAck, nil)), 1, 7); err == nil {
-		t.Fatal("a non-begin opening frame must be a protocol error")
+	// A user repeated in one body is refused at the second begin frame, and
+	// the first stream's outcome stands alone.
+	got, err = read(append(encodeUpload(1, 7, preds, 4, true), encodeUpload(1, 7, preds, 4, true)...))
+	if err == nil || !strings.Contains(err.Error(), "user 7 twice") || len(got) != 1 || got[0].Dropped {
+		t.Fatalf("user 7 twice: outcomes %+v, err %v; want the complete first stream and the refusal", got, err)
 	}
+
 	// An item named twice is refused even when the repeat sits in a later
 	// chunk (encodeUpload sends two predictions per chunk).
 	repeated := append(slices.Clone(preds), comm.Prediction{User: 7, Item: 3, Score: 0.25})
 	for _, sent := range []int{len(repeated), len(repeated) - 1} {
-		_, err = c.readUpload(bytes.NewReader(encodeUpload(1, 7, repeated, sent, sent == len(repeated))), 1, 7)
-		if sent == len(repeated) && (err == nil || !strings.Contains(err.Error(), "item 3 twice")) {
-			t.Fatalf("an upload naming item 3 twice: err = %v, want the repeat refusal", err)
+		got, err = read(encodeUpload(1, 7, repeated, sent, sent == len(repeated)))
+		if sent == len(repeated) && (err == nil || !strings.Contains(err.Error(), "item 3 twice") || !dropped(got[0], 7)) {
+			t.Fatalf("an upload naming item 3 twice: outcomes %+v, err = %v, want the repeat refusal", got, err)
 		}
-		if sent < len(repeated) && err != nil {
-			t.Fatalf("the same upload cut before the repeat: err = %v, want the truncated prefix", err)
+		if sent < len(repeated) && (err != nil || len(got[0].Upload) != sent) {
+			t.Fatalf("the same upload cut before the repeat: outcomes %+v, err = %v, want the truncated prefix", got, err)
 		}
 	}
 
@@ -601,19 +763,19 @@ func TestReadUploadClassification(t *testing.T) {
 	}
 	chunk := comm.AppendFrame(nil, comm.MsgUploadChunk, comm.EncodePredictions(preds[:3]))
 	endless := io.MultiReader(bytes.NewReader(begin(2)), &repeatReader{frame: chunk})
-	if _, err = c.readUpload(endless, 1, 7); err == nil || !strings.Contains(err.Error(), "more than the 2 predictions") {
-		t.Fatalf("overrunning stream: err = %v, want the declared-count rejection", err)
+	if got, err = readBody(c, endless); err == nil || !strings.Contains(err.Error(), "more than the 2 predictions") || !dropped(got[0], 7) {
+		t.Fatalf("overrunning stream: outcomes %+v, err = %v, want the declared-count rejection", got, err)
 	}
 	// Exactly the declared count and then a cut is still a truncated-at-the-
 	// boundary responder, not an error.
-	o, err = c.readUpload(bytes.NewReader(append(begin(3), chunk...)), 1, 7)
+	o, err = one(append(begin(3), chunk...))
 	if err != nil || o.Dropped || len(o.Upload) != 3 {
 		t.Fatalf("stream cut at the declared count: outcome %+v, err %v; want 3 predictions", o, err)
 	}
 	// A count no upload can have is refused before any chunk is read: more
 	// predictions than items, and -1 (4294967295 on the wire).
 	for _, count := range []int{c.split.NumItems + 1, -1} {
-		if _, err = c.readUpload(io.MultiReader(bytes.NewReader(begin(count)), &repeatReader{frame: chunk}), 1, 7); err == nil ||
+		if _, err = readBody(c, io.MultiReader(bytes.NewReader(begin(count)), &repeatReader{frame: chunk})); err == nil ||
 			!strings.Contains(err.Error(), "upload-begin declares") {
 			t.Fatalf("declared count %d: err = %v, want an up-front rejection", count, err)
 		}
@@ -623,8 +785,8 @@ func TestReadUploadClassification(t *testing.T) {
 // TestMalformedUploadOverHTTP drives protocol violations through the HTTP
 // layer — garbage bytes, a well-formed stream that carries more predictions
 // than it declared, and one whose begin frame names codec 1: the server
-// answers 400 with MsgError, resolves the
-// slot as dropped (a second, valid upload for it is refused), and the run
+// answers 400 with MsgError, resolves the overrunning stream's slot as
+// dropped (a second, valid upload for it is answered late), and the run
 // still completes under the deadline.
 func TestMalformedUploadOverHTTP(t *testing.T) {
 	cfg := testConfig(models.KindMF, 1)
@@ -658,10 +820,10 @@ func TestMalformedUploadOverHTTP(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	post := func(user int, body []byte) (int, comm.MsgType, []byte) {
+	post := func(body []byte) (int, comm.MsgType, []byte) {
 		t.Helper()
 		resp, err := srv.Client().Post(
-			fmt.Sprintf("%s/v1/upload?token=%d&round=0&user=%d", srv.URL, p.Token(), user),
+			fmt.Sprintf("%s/v1/upload?token=%d&round=0", srv.URL, p.Token()),
 			"application/octet-stream", bytes.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
@@ -669,7 +831,7 @@ func TestMalformedUploadOverHTTP(t *testing.T) {
 		defer resp.Body.Close()
 		mt, payload, err := comm.ReadFrame(resp.Body)
 		if err != nil {
-			t.Fatalf("user %d upload reply: %v", user, err)
+			t.Fatalf("upload reply: %v", err)
 		}
 		return resp.StatusCode, mt, payload
 	}
@@ -679,21 +841,21 @@ func TestMalformedUploadOverHTTP(t *testing.T) {
 	}))
 	overrun = comm.AppendFrame(overrun, comm.MsgUploadChunk, comm.EncodePredictions(preds))
 	overrun = comm.AppendFrame(overrun, comm.MsgUploadEnd, nil)
-	for user, body := range map[int][]byte{3: []byte(strings.Repeat("garbage", 4)), 4: overrun} {
-		if status, mt, payload := post(user, body); status != http.StatusBadRequest || mt != comm.MsgError {
-			t.Fatalf("user %d malformed upload reply: %d %v %q, want 400 and MsgError", user, status, mt, payload)
+	for name, body := range map[string][]byte{"garbage": []byte(strings.Repeat("garbage", 4)), "overrun": overrun} {
+		if status, mt, payload := post(body); status != http.StatusBadRequest || mt != comm.MsgError {
+			t.Fatalf("%s upload reply: %d %v %q, want 400 and MsgError", name, status, mt, payload)
 		}
 	}
 	// A well-formed stream whose begin frame names codec 1, the retired
 	// quantized codec's id.
 	foreign := withCodecByte(encodeUpload(0, 5, []comm.Prediction{{User: 5, Item: 1, Score: 0.5}}, 1, true), 1)
-	if status, mt, payload := post(5, foreign); status != http.StatusBadRequest || mt != comm.MsgError || !strings.Contains(string(payload), "codec 1") {
+	if status, mt, payload := post(foreign); status != http.StatusBadRequest || mt != comm.MsgError || !strings.Contains(string(payload), "codec 1") {
 		t.Fatalf("upload naming codec 1: %d %v %q, want 400 and the codec refusal", status, mt, payload)
 	}
 	// The overrun resolved user 4's slot as dropped: a well-formed retry finds
 	// the slot gone.
-	if _, mt, payload := post(4, encodeUpload(0, 4, preds, len(preds), true)); mt != comm.MsgError || !strings.Contains(string(payload), "closed") {
-		t.Fatalf("upload after a rejected one: %v %q, want the round-closed refusal", mt, payload)
+	if status, mt, payload := post(encodeUpload(0, 4, preds, len(preds), true)); status != http.StatusConflict || mt != comm.MsgError || !strings.Contains(string(payload), "closed") {
+		t.Fatalf("upload after a rejected one: %d %v %q, want 409 and the round-closed refusal", status, mt, payload)
 	}
 
 	<-done
@@ -753,10 +915,10 @@ func TestUploadRejectsForeignPredictions(t *testing.T) {
 		<-wake
 	}
 
-	post := func(user int, body []byte) (int, comm.MsgType, []byte) {
+	post := func(body []byte) (int, comm.MsgType, []byte) {
 		t.Helper()
 		resp, err := srv.Client().Post(
-			fmt.Sprintf("%s/v1/upload?token=%d&round=0&user=%d", srv.URL, p.Token(), user),
+			fmt.Sprintf("%s/v1/upload?token=%d&round=0", srv.URL, p.Token()),
 			"application/octet-stream", bytes.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
@@ -764,7 +926,7 @@ func TestUploadRejectsForeignPredictions(t *testing.T) {
 		defer resp.Body.Close()
 		mt, payload, err := comm.ReadFrame(resp.Body)
 		if err != nil {
-			t.Fatalf("user %d upload reply: %v", user, err)
+			t.Fatalf("upload reply: %v", err)
 		}
 		return resp.StatusCode, mt, payload
 	}
@@ -788,16 +950,16 @@ func TestUploadRejectsForeignPredictions(t *testing.T) {
 		12: {honest(12), 0.25, 1.5},
 	}
 	for user, up := range hostile {
-		status, mt, payload := post(user, encodeUploadMetrics(0, user, up.preds, len(up.preds), true, up.loss, up.attackF1))
+		status, mt, payload := post(encodeUploadMetrics(0, user, up.preds, len(up.preds), true, up.loss, up.attackF1))
 		if status != http.StatusBadRequest || mt != comm.MsgError {
 			t.Fatalf("user %d hostile upload: reply %d %v %q, want 400 and MsgError", user, status, mt, payload)
 		}
 	}
-	if status, mt, payload := post(6, encodeUpload(0, 6, honest(6), 2, true)); status != http.StatusOK || mt != comm.MsgAck {
+	if status, mt, payload := post(encodeUpload(0, 6, honest(6), 2, true)); status != http.StatusOK || mt != comm.MsgAck {
 		t.Fatalf("honest upload: reply %d %v %q, want 200 and MsgAck", status, mt, payload)
 	}
 	// A refusal resolved its slot: an honest retry finds it gone.
-	if status, _, _ := post(3, encodeUpload(0, 3, honest(3), 2, true)); status != http.StatusConflict {
+	if status, _, _ := post(encodeUpload(0, 3, honest(3), 2, true)); status != http.StatusConflict {
 		t.Fatalf("honest retry after a refusal: status %d, want 409", status)
 	}
 
@@ -892,29 +1054,39 @@ func TestPollCursorBounds(t *testing.T) {
 }
 
 // TestUploadToleratesOnlyConflict pins the straggler contract on the status
-// code, not the refusal's wording: 409 with any text means "the round closed
-// without you, carry on"; a MsgError under any other status is fatal even
-// when its text says "closed".
+// code, not the refusal's wording: a wave's upload answered 409 with any text
+// means "the round closed without you, carry on"; a MsgError under any other
+// status is fatal even when its text says "closed", and so is a 200 that
+// acknowledges fewer users than the body carried.
 func TestUploadToleratesOnlyConflict(t *testing.T) {
+	cfg := testConfig(models.KindMF, 1)
+	host, err := fed.NewClientHost(testSplit(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, tc := range []struct {
 		status int
-		text   string
+		text   string // the MsgError frame's; none when empty
 		fatal  bool
 	}{
 		{http.StatusOK, "coord: round 0 closed for user 3", true},
+		{http.StatusOK, "", true},
 		{http.StatusServiceUnavailable, "coord: closed for maintenance", true},
 		{http.StatusConflict, "coord: round 0 closed for user 3", false},
 		{http.StatusConflict, "reworded: too late", false},
 	} {
 		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			io.Copy(io.Discard, r.Body)
 			w.WriteHeader(tc.status)
-			comm.WriteFrame(w, comm.MsgError, []byte(tc.text))
+			if tc.text != "" {
+				comm.WriteFrame(w, comm.MsgError, []byte(tc.text))
+			}
 		}))
-		p := &Participant{base: srv.URL, hc: srv.Client()}
-		err := p.upload(context.Background(), 0, fed.ClientRoundResult{ID: 3, Dropped: true})
+		p := &Participant{base: srv.URL, hc: srv.Client(), lo: 0, hi: 40, cfg: cfg, host: host}
+		err := p.runUsers(context.Background(), 0, []int{3}, []int{0})
 		srv.Close()
 		if (err != nil) != tc.fatal {
-			t.Fatalf("status %d, text %q: upload returned %v, want fatal=%v", tc.status, tc.text, err, tc.fatal)
+			t.Fatalf("status %d, text %q: the wave's upload returned %v, want fatal=%v", tc.status, tc.text, err, tc.fatal)
 		}
 	}
 }
@@ -962,7 +1134,8 @@ func TestRunRefusesAnnouncementBeforeRoundEnd(t *testing.T) {
 // the catalogue or a score outside [0, 1] (NaN included) would become
 // training data — a graph client's engine panics staging the item, an MF
 // client grows a phantom row, a NaN label turns the model NaN. Run returns
-// the refusal, naming the prediction, instead of delivering it.
+// the refusal, naming the prediction, instead of delivering it, and leaves
+// the session, so the coordinator stops waiting on its users.
 func TestRunRefusesBadDispersal(t *testing.T) {
 	sp := testSplit()
 	const user = 3
@@ -974,6 +1147,7 @@ func TestRunRefusesBadDispersal(t *testing.T) {
 	} {
 		t.Run(name, func(t *testing.T) {
 			preds := []comm.Prediction{{User: user, Item: 1, Score: 0.5}, bad}
+			var left atomic.Int32
 			srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 				switch r.URL.Path {
 				case "/v1/poll":
@@ -981,6 +1155,7 @@ func TestRunRefusesBadDispersal(t *testing.T) {
 						User: user, Payload: comm.EncodePredictions(preds)}))
 					comm.WriteFrame(w, comm.MsgShutdown, nil)
 				case "/v1/leave":
+					left.Add(1)
 					comm.WriteFrame(w, comm.MsgAck, nil)
 				default:
 					http.NotFound(w, r)
@@ -998,6 +1173,9 @@ func TestRunRefusesBadDispersal(t *testing.T) {
 			err = p.Run(ctx)
 			if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("prediction %+v", bad)) {
 				t.Fatalf("Run on a dispersal carrying %+v = %v, want a refusal naming it", bad, err)
+			}
+			if n := left.Load(); n != 1 {
+				t.Fatalf("Run refused the dispersal and left %d times, want once", n)
 			}
 		})
 	}

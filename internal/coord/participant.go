@@ -1,6 +1,7 @@
 package coord
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -8,6 +9,7 @@ import (
 	"io"
 	"net/http"
 	"strings"
+	"sync"
 	"sync/atomic"
 
 	"ptffedrec/internal/comm"
@@ -23,10 +25,11 @@ var uploadChunkPreds = 512
 // Participant runs the client side for a contiguous user range against a
 // coordinator, speaking only the wire protocol: it reconstructs the shared
 // world from the JoinAck (dataset profile + seed + config), runs each
-// announced round through fed.ClientHost, streams uploads, and delivers the
-// pushed dispersals. Under a FaultPlan the host's fault draws surface as
-// real transport behaviour: a dropped client posts an empty body, a
-// truncated one cuts its stream before the end frame.
+// announced round through fed.ClientHost, streams each wave's uploads
+// through one request, and delivers the pushed dispersals. Under a FaultPlan
+// the host's fault draws surface as real transport behaviour: a dropped
+// client's stream declares no predictions, a truncated one is cut before its
+// end frame.
 type Participant struct {
 	base   string
 	hc     *http.Client
@@ -112,12 +115,20 @@ func (p *Participant) Token() uint64 { return p.token }
 // round) and the rest once the previous round's dispersals and end marker
 // have arrived. An announcement while a gated wave still waits — the
 // previous round's end marker missing — or one checkRoundUsers refuses is an
-// error. The event loop only decodes frames and records the waves' errors.
+// error, and so is a wave's refused upload. The event loop only decodes
+// frames and records the waves' errors. Run leaves the session when it
+// returns, after every launched wave has finished.
 func (p *Participant) Run(ctx context.Context) error {
 	after := 0
 	seen := map[int]bool{} // checkRoundUsers' scratch
 	waves := fed.NewWaves()
-	defer waves.Wait()
+	// However the run ends, the session leaves once its waves have finished,
+	// so the coordinator stops waiting on the users of a participant that
+	// is gone.
+	defer func() {
+		waves.Wait()
+		p.leave(ctx)
+	}()
 	var waveErr atomic.Pointer[error] // the first error a wave returned
 	firstErr := func() error {
 		if err := waveErr.Load(); err != nil {
@@ -170,7 +181,6 @@ func (p *Participant) Run(ctx context.Context) error {
 				after++
 			case comm.MsgShutdown:
 				waves.Wait()
-				p.leave(ctx)
 				return firstErr()
 			case comm.MsgAck:
 				// Heartbeat: re-poll with the same cursor.
@@ -255,58 +265,49 @@ func (p *Participant) poll(ctx context.Context, after int) ([]frame, error) {
 	}
 }
 
-// runUsers trains and uploads one wave of a round's hosted users — the given
-// slots of users — on the configured worker pool. Each worker touches only
-// its own user's client, exactly like the in-process trainer's round loop.
+// uploadBufferBytes is the buffer a wave's upload body fills before it
+// reaches the wire; whatever is left goes once more at the wave's end.
+const uploadBufferBytes = 32 << 10
+
+// runUsers trains one wave of a round's hosted users — the given slots of
+// users — on the configured worker pool and streams their uploads through one
+// request. Each worker touches only its own user's client, exactly like the
+// in-process trainer's round loop, and appends the user's upload stream
+// (appendUpload) to the body as the user finishes. The body is an io.Pipe
+// behind a buffered writer, so it reaches the coordinator a buffer at a time
+// while the wave still trains.
 func (p *Participant) runUsers(ctx context.Context, round int, users, slots []int) error {
-	errs := make([]error, len(slots))
+	pr, pw := io.Pipe()
+	replied := make(chan error, 1)
+	go func() {
+		err := p.postUploads(ctx, round, pr, len(slots))
+		if err != nil {
+			pr.CloseWithError(err) // unblock the workers' writes
+		}
+		replied <- err
+	}()
+
+	var mu sync.Mutex
+	bw := bufio.NewWriterSize(pw, uploadBufferBytes)
 	par.For(len(slots), par.Workers(p.cfg.Workers), func(i int) {
 		res := p.host.RunClientRound(round, users[slots[i]])
-		errs[i] = p.upload(ctx, round, res)
+		b := comm.GetFrameBuffer()
+		appendUpload(b, round, res)
+		mu.Lock()
+		// A failed write sticks in bw and skips the rest; the reply says why.
+		_, _ = bw.Write(b.Bytes())
+		mu.Unlock()
+		comm.PutFrameBuffer(b)
 	})
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	pw.CloseWithError(bw.Flush()) // nil ends the body cleanly
+	return <-replied
 }
 
-// upload posts one user's round result as a frame stream. A host-level
-// dropout becomes an empty body (connection drop); a truncation sends the
-// transmitted prefix and omits the end frame (short write).
-func (p *Participant) upload(ctx context.Context, round int, res fed.ClientRoundResult) error {
-	// The body builds into a pooled frame buffer: a participant's steady
-	// state is one of these per client per round, and the pool keeps that
-	// allocation-free once warm. The buffer is returned only after the
-	// response is fully handled — the HTTP client may re-read the request
-	// body for a retry.
-	body := comm.GetFrameBuffer()
-	defer comm.PutFrameBuffer(body)
-	if !res.Dropped {
-		body.Append(comm.MsgUploadBegin, comm.EncodeUploadBegin(comm.UploadBegin{
-			Round:    round,
-			User:     res.ID,
-			Count:    len(res.Preds),
-			Loss:     res.Loss,
-			AttackF1: res.AttackF1,
-		}))
-		payload := res.WirePayload()
-		chunkBytes := uploadChunkPreds * comm.PredictionWireSize
-		for off := 0; off < len(payload); off += chunkBytes {
-			end := off + chunkBytes
-			if end > len(payload) {
-				end = len(payload)
-			}
-			body.Append(comm.MsgUploadChunk, payload[off:end])
-		}
-		if res.SendPreds == len(res.Preds) {
-			body.Append(comm.MsgUploadEnd, nil)
-		}
-	}
+// postUploads sends one round's upload body carrying the given number of
+// user streams and checks the reply.
+func (p *Participant) postUploads(ctx context.Context, round int, body io.Reader, users int) error {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		fmt.Sprintf("%s/v1/upload?token=%d&round=%d&user=%d", p.base, p.token, round, res.ID),
-		bytes.NewReader(body.Bytes()))
+		fmt.Sprintf("%s/v1/upload?token=%d&round=%d", p.base, p.token, round), body)
 	if err != nil {
 		return err
 	}
@@ -316,21 +317,60 @@ func (p *Participant) upload(ctx context.Context, round int, res fed.ClientRound
 		return err
 	}
 	defer resp.Body.Close()
-	mt, payload, err := comm.ReadFrame(resp.Body)
-	if err != nil {
-		return fmt.Errorf("coord: upload reply: %w", err)
+	return checkUploadReply(resp, users)
+}
+
+// appendUpload frames one user's round result as its upload stream: the
+// begin frame, the transmitted prefix in chunks, and the end frame unless a
+// truncation cut the stream short (a short write). A dropped client's result
+// carries no predictions, so it sends a begin frame declaring none and the
+// end frame.
+func appendUpload(b *comm.FrameBuffer, round int, res fed.ClientRoundResult) {
+	b.Append(comm.MsgUploadBegin, comm.EncodeUploadBegin(comm.UploadBegin{
+		Round:    round,
+		User:     res.ID,
+		Count:    len(res.Preds),
+		Loss:     res.Loss,
+		AttackF1: res.AttackF1,
+	}))
+	payload := res.WirePayload()
+	chunkBytes := uploadChunkPreds * comm.PredictionWireSize
+	for off := 0; off < len(payload); off += chunkBytes {
+		b.Append(comm.MsgUploadChunk, payload[off:min(off+chunkBytes, len(payload))])
 	}
+	if res.SendPreds == len(res.Preds) {
+		b.Append(comm.MsgUploadEnd, nil)
+	}
+}
+
+// checkUploadReply reads a wave's reply: 200 with one MsgAck per user is
+// success. 409 means a straggler deadline closed the round while the body
+// streamed: the coordinator counted the late users as dropped and the run
+// continues. Any other reply is fatal, whatever its frames say.
+func checkUploadReply(resp *http.Response, users int) error {
 	if resp.StatusCode == http.StatusConflict {
-		// Straggler: the round's deadline passed while this upload was in
-		// flight. The coordinator counted the client as dropped; the run
-		// continues. Any refusal without this status is fatal, whatever it says.
+		io.Copy(io.Discard, resp.Body)
 		return nil
 	}
-	if mt == comm.MsgError {
-		return fmt.Errorf("coord: upload refused: %s", payload)
+	acks := 0
+	for {
+		mt, payload, err := comm.ReadFrame(resp.Body)
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return fmt.Errorf("coord: upload reply: %w", err)
+		}
+		if mt == comm.MsgError {
+			return fmt.Errorf("coord: upload refused: %s", payload)
+		}
+		if mt != comm.MsgAck {
+			return fmt.Errorf("coord: upload reply is %v, want %v", mt, comm.MsgAck)
+		}
+		acks++
 	}
-	if mt != comm.MsgAck {
-		return fmt.Errorf("coord: upload reply is %v, want %v", mt, comm.MsgAck)
+	if resp.StatusCode != http.StatusOK || acks != users {
+		return fmt.Errorf("coord: upload reply: status %d with %d acks for %d users", resp.StatusCode, acks, users)
 	}
 	return nil
 }

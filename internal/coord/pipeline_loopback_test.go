@@ -3,6 +3,7 @@ package coord
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"slices"
@@ -54,6 +55,50 @@ func TestLoopbackBitwisePartialFraction(t *testing.T) {
 			}
 			requireEqualHistories(t, label, ref, h)
 		}
+	}
+}
+
+// TestUploadOneRequestPerWave pins the wave upload: a participant posts one
+// /v1/upload request per wave, and fed.Waves launches at most two waves a
+// round — the free one and the gated one — and never an empty one, so each
+// session makes at most two upload requests a round; at fraction 1, where
+// round 0 is all free and every later round all gated, exactly one. A
+// counter wrapped around the coordinator's handler counts them, and the
+// history must stay the in-process one bitwise.
+func TestUploadOneRequestPerWave(t *testing.T) {
+	for _, fraction := range []float64{1, 0.4} {
+		t.Run(fmt.Sprint(fraction), func(t *testing.T) {
+			cfg := testConfig(models.KindMF, 2)
+			cfg.Rounds = 4
+			cfg.ClientFraction = fraction
+			var mu sync.Mutex
+			reqs := map[string]int{} // token/round -> upload requests
+			count := func(h http.Handler) http.Handler {
+				return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+					if r.URL.Path == "/v1/upload" {
+						q := r.URL.Query()
+						mu.Lock()
+						reqs[q.Get("token")+"/"+q.Get("round")]++
+						mu.Unlock()
+					}
+					h.ServeHTTP(w, r)
+				})
+			}
+			ranges := [][2]int{{0, 15}, {15, 40}}
+			h, _ := runNetworkedVia(t, cfg, testOptions(), ranges, count)
+			requireEqualHistories(t, fmt.Sprintf("fraction %v", fraction), referenceHistory(t, cfg), h)
+			for key, n := range reqs {
+				if n > 2 || (fraction == 1 && n != 1) {
+					t.Fatalf("session/round %s made %d upload requests", key, n)
+				}
+			}
+			if fraction == 1 && len(reqs) != len(ranges)*cfg.Rounds {
+				t.Fatalf("%d session-rounds uploaded, want %d", len(reqs), len(ranges)*cfg.Rounds)
+			}
+			if len(reqs) == 0 {
+				t.Fatal("no upload request reached the coordinator")
+			}
+		})
 	}
 }
 
@@ -200,6 +245,11 @@ func TestLateJoinReceivesRetainedDispersals(t *testing.T) {
 	// Upload round 0 for all but one user directly (no poll loop), then
 	// leave: the departure resolves the last user as dropped, the round
 	// closes and publishes with no session left to push its dispersals to.
+	// The wave's request opens before its users train, so it waits for
+	// round 0's announcement first, as a participant's poll loop does.
+	if _, err := p.poll(ctx, 0); err != nil {
+		t.Fatal(err)
+	}
 	users := make([]int, 39) // users[i] == i, so the list is its own slots
 	for i := range users {
 		users[i] = i
