@@ -36,6 +36,12 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.Dim = 0 },
 		func(c *Config) { c.NegRatio = 0 },
 		func(c *Config) { c.ClientFraction = 0 },
+		func(c *Config) { c.ClientFraction = 1.5 },
+		func(c *Config) { c.ClientFraction = math.NaN() },
+		func(c *Config) { c.LR = 0 },
+		func(c *Config) { c.LR = -1 },
+		func(c *Config) { c.LR = math.NaN() },
+		func(c *Config) { c.LR = math.Inf(1) },
 		func(c *Config) { c.EvalK = 0 },
 	}
 	for i, mutate := range bad {

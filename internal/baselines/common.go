@@ -81,8 +81,13 @@ func (c Config) Validate() error {
 		return fmt.Errorf("baselines: Dim = %d", c.Dim)
 	case c.NegRatio <= 0:
 		return fmt.Errorf("baselines: NegRatio = %d", c.NegRatio)
-	case c.ClientFraction <= 0 || c.ClientFraction > 1:
+	// The negated comparisons reject NaN: a NaN fraction selects one client
+	// a round, and a learning rate that is not a finite positive number
+	// trains away from the loss or to NaN.
+	case !(c.ClientFraction > 0 && c.ClientFraction <= 1):
 		return fmt.Errorf("baselines: ClientFraction = %v", c.ClientFraction)
+	case !(c.LR > 0 && c.LR <= math.MaxFloat64):
+		return fmt.Errorf("baselines: LR = %v", c.LR)
 	case c.EvalK <= 0:
 		return fmt.Errorf("baselines: EvalK = %d", c.EvalK)
 	}

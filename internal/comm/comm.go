@@ -1,9 +1,12 @@
 // Package comm defines the wire formats exchanged in the federated protocols
-// and the sizes Table IV is computed from. PTF-FedRec's cell counts the bytes
-// of the prediction payloads it actually encodes (fed.History's upload and
-// dispersal totals). The baselines encode nothing: their cells are the payload
-// sizes their protocols would ship — float32 parameter blocks for FCF and
-// MetaMF (Float32BlockSize), packed Paillier ciphertexts for FedMF.
+// and the sizes Table IV is computed from. Only the transport encodes: the
+// round engine keeps predictions as values, their scores rounded to the
+// wire's float32 (RoundScores), and the coordinator and participant frame
+// them where they cross HTTP. PTF-FedRec's cell counts the 12 bytes each
+// shared prediction takes on the wire (fed.History's upload and dispersal
+// totals). The baselines encode nothing: their cells are the payload sizes
+// their protocols would ship — float32 parameter blocks for FCF and MetaMF
+// (Float32BlockSize), packed Paillier ciphertexts for FedMF.
 package comm
 
 import (
@@ -24,15 +27,30 @@ const PredictionWireSize = 12
 
 // EncodePredictions serialises triples to the compact wire format.
 func EncodePredictions(preds []Prediction) []byte {
-	buf := make([]byte, 0, len(preds)*PredictionWireSize)
+	return AppendPredictions(make([]byte, 0, len(preds)*PredictionWireSize), preds)
+}
+
+// AppendPredictions appends the wire encoding of preds to dst and returns
+// the extended slice.
+func AppendPredictions(dst []byte, preds []Prediction) []byte {
 	var scratch [PredictionWireSize]byte
 	for _, p := range preds {
 		binary.LittleEndian.PutUint32(scratch[0:4], uint32(p.User))
 		binary.LittleEndian.PutUint32(scratch[4:8], uint32(p.Item))
 		binary.LittleEndian.PutUint32(scratch[8:12], math.Float32bits(float32(p.Score)))
-		buf = append(buf, scratch[:]...)
+		dst = append(dst, scratch[:]...)
 	}
-	return buf
+	return dst
+}
+
+// RoundScores rounds every score in place to the float32 the wire carries.
+// For ids in [0, 2³²) the result is DecodePredictions(EncodePredictions(preds))
+// bit for bit and encodes to the same bytes, so code that hands predictions
+// on as values calls it where a transport would encode them.
+func RoundScores(preds []Prediction) {
+	for i := range preds {
+		preds[i].Score = float64(float32(preds[i].Score))
+	}
 }
 
 // DecodePredictions parses the wire format back into triples.

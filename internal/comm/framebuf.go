@@ -20,13 +20,16 @@ func (b *FrameBuffer) Append(t MsgType, payload []byte) {
 	b.buf = AppendFrame(b.buf, t, payload)
 }
 
+// AppendPredictions frames preds as one message, encoding them straight into
+// the buffer: the bytes of Append(t, EncodePredictions(preds)).
+func (b *FrameBuffer) AppendPredictions(t MsgType, preds []Prediction) {
+	b.buf = AppendPredictions(appendHeader(b.buf, t, len(preds)*PredictionWireSize), preds)
+}
+
 // Bytes returns the accumulated frames. The slice aliases the buffer: it is
 // valid until the next Append/Reset, and must not be retained after
 // PutFrameBuffer.
 func (b *FrameBuffer) Bytes() []byte { return b.buf }
-
-// Len returns the accumulated byte count.
-func (b *FrameBuffer) Len() int { return len(b.buf) }
 
 var framePool = sync.Pool{New: func() any { return new(FrameBuffer) }}
 

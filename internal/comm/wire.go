@@ -117,13 +117,18 @@ var ErrFrameVersion = errors.New("comm: unsupported wire version")
 
 // AppendFrame appends one framed message to dst and returns it.
 func AppendFrame(dst []byte, t MsgType, payload []byte) []byte {
+	return append(appendHeader(dst, t, len(payload)), payload...)
+}
+
+// appendHeader appends the envelope of a type-t frame whose payload is n
+// bytes long.
+func appendHeader(dst []byte, t MsgType, n int) []byte {
 	var hdr [FrameHeaderSize]byte
 	hdr[0], hdr[1] = frameMagic0, frameMagic1
 	hdr[2] = WireVersion
 	hdr[3] = byte(t)
-	binary.LittleEndian.PutUint32(hdr[4:8], uint32(len(payload)))
-	dst = append(dst, hdr[:]...)
-	return append(dst, payload...)
+	binary.LittleEndian.PutUint32(hdr[4:8], uint32(n))
+	return append(dst, hdr[:]...)
 }
 
 // WriteFrame writes one framed message, returning the bytes put on the wire.
@@ -366,23 +371,20 @@ func DecodeUploadBegin(buf []byte) (UploadBegin, error) {
 
 // Disperse delivers one user's D̃ᵢ.
 type Disperse struct {
-	User    int
-	Payload []byte // EncodePredictions' bytes
+	User  int
+	Preds []Prediction
 }
 
-// EncodeDisperse serialises a Disperse payload.
+// EncodeDisperse serialises a Disperse payload: the user, the codec byte and
+// the predictions' EncodePredictions bytes.
 func EncodeDisperse(d Disperse) []byte {
-	buf := make([]byte, 0, 5+len(d.Payload))
-	var scratch [4]byte
-	binary.LittleEndian.PutUint32(scratch[:], uint32(d.User))
-	buf = append(buf, scratch[:]...)
-	buf = append(buf, predictionCodec)
-	return append(buf, d.Payload...)
+	buf := make([]byte, 5, 5+len(d.Preds)*PredictionWireSize)
+	binary.LittleEndian.PutUint32(buf[0:4], uint32(d.User))
+	buf[4] = predictionCodec
+	return AppendPredictions(buf, d.Preds)
 }
 
-// DecodeDisperse parses a Disperse payload. The prediction payload is
-// validated against the triple stride but left encoded — the caller decodes
-// it with DecodePredictions.
+// DecodeDisperse parses a Disperse payload, decoding its predictions.
 func DecodeDisperse(buf []byte) (Disperse, error) {
 	if len(buf) < 5 {
 		return Disperse{}, fmt.Errorf("comm: disperse payload length %d, want >= 5", len(buf))
@@ -390,14 +392,11 @@ func DecodeDisperse(buf []byte) (Disperse, error) {
 	if buf[4] != predictionCodec {
 		return Disperse{}, fmt.Errorf("comm: disperse names unknown codec %d", buf[4])
 	}
-	d := Disperse{User: int(binary.LittleEndian.Uint32(buf[0:4]))}
-	if rest := buf[5:]; len(rest) > 0 {
-		if len(rest)%PredictionWireSize != 0 {
-			return Disperse{}, fmt.Errorf("comm: disperse payload %d not a multiple of stride %d", len(rest), PredictionWireSize)
-		}
-		d.Payload = append([]byte(nil), rest...)
+	preds, err := DecodePredictions(buf[5:])
+	if err != nil {
+		return Disperse{}, err
 	}
-	return d, nil
+	return Disperse{User: int(binary.LittleEndian.Uint32(buf[0:4])), Preds: preds}, nil
 }
 
 // EncodeRound serialises the round-number payload shared by MsgRoundEnd.

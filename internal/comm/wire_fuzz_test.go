@@ -5,20 +5,37 @@ package comm
 // round-trip exactly. The prediction decoder additionally pins the idempotence
 // the fault-injection path depends on: re-encoding a decoded payload
 // reproduces the payload byte for byte, so a truncated-then-reencoded upload
-// equals the prefix of the original encoding.
+// equals the prefix of the original encoding. It also pins the value form
+// the round engine keeps predictions in: RoundScores gives, bit for bit, what
+// decoding the encoding gives, for any float64 score.
 
 import (
 	"bytes"
 	"io"
+	"math"
+	"slices"
 	"testing"
 )
 
 func FuzzDecodePredictions(f *testing.F) {
-	f.Add([]byte{})
-	f.Add(EncodePredictions([]Prediction{{User: 1, Item: 2, Score: 0.5}}))
-	f.Add(EncodePredictions([]Prediction{{User: 1, Item: 2, Score: 0.5}})[:7]) // truncated
-	f.Add(bytes.Repeat([]byte{0xff}, 36))                                      // NaN scores, huge ids
-	f.Fuzz(func(t *testing.T, buf []byte) {
+	f.Add([]byte{}, 0.5)
+	f.Add(EncodePredictions([]Prediction{{User: 1, Item: 2, Score: 0.5}}), 1.0/3)
+	f.Add(EncodePredictions([]Prediction{{User: 1, Item: 2, Score: 0.5}})[:7], 0.1) // truncated
+	f.Add(bytes.Repeat([]byte{0xff}, 36), math.NaN())                               // NaN scores, huge ids
+	for _, score := range []float64{
+		math.Copysign(0, -1), 0,
+		math.SmallestNonzeroFloat64,               // underflows float32
+		math.SmallestNonzeroFloat32,               // float32's least subnormal
+		1.5 * math.SmallestNonzeroFloat32,         // a tie between two subnormals
+		1 + 0x1p-24, 1 + 3*0x1p-24, 0.5 - 0x1p-26, // float32 rounding ties
+		math.MaxFloat32,
+		math.MaxFloat32 * (1 + 0x1p-26), // above MaxFloat32, rounding to it
+		math.MaxFloat64,                 // overflows float32
+		math.Inf(1), math.Inf(-1), -math.NaN(),
+	} {
+		f.Add(EncodePredictions([]Prediction{{User: 7, Item: 9, Score: 0.25}}), score)
+	}
+	f.Fuzz(func(t *testing.T, buf []byte, score float64) {
 		preds, err := DecodePredictions(buf)
 		if err != nil {
 			if len(buf)%PredictionWireSize == 0 {
@@ -51,6 +68,27 @@ func FuzzDecodePredictions(f *testing.F) {
 		re2 := EncodePredictions(preds2)
 		if !bytes.Equal(re, re2) {
 			t.Fatal("encode(decode(x)) is not idempotent")
+		}
+
+		// The value form: the decoded triples plus one scored by the fuzzed
+		// float64, rounded in place, equal decode(encode(·)) bit for bit
+		// and encode to the same bytes as before rounding.
+		raw := append(slices.Clone(preds), Prediction{User: 7, Item: 9, Score: score})
+		rounded := slices.Clone(raw)
+		RoundScores(rounded)
+		want, err := DecodePredictions(EncodePredictions(raw))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range want {
+			if rounded[i].User != want[i].User || rounded[i].Item != want[i].Item ||
+				math.Float64bits(rounded[i].Score) != math.Float64bits(want[i].Score) {
+				t.Fatalf("triple %d: RoundScores gives %+v (%#x), decode(encode) gives %+v (%#x)", i,
+					rounded[i], math.Float64bits(rounded[i].Score), want[i], math.Float64bits(want[i].Score))
+			}
+		}
+		if !bytes.Equal(EncodePredictions(rounded), EncodePredictions(raw)) {
+			t.Fatal("a rounded score encodes to other bytes than the score it was rounded from")
 		}
 	})
 }

@@ -146,22 +146,24 @@ func TestUploadBeginRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDisperseRoundTrip pins the disperse payload's layout — the user, the
+// codec byte, then EncodePredictions' bytes — and its round trip.
 func TestDisperseRoundTrip(t *testing.T) {
 	preds := []Prediction{{User: 3, Item: 9, Score: 0.5}, {User: 3, Item: 11, Score: 0.25}}
-	d := Disperse{User: 3, Payload: EncodePredictions(preds)}
-	got, err := DecodeDisperse(EncodeDisperse(d))
+	d := Disperse{User: 3, Preds: preds}
+	enc := EncodeDisperse(d)
+	if want := append([]byte{3, 0, 0, 0, predictionCodec}, EncodePredictions(preds)...); !bytes.Equal(enc, want) {
+		t.Fatalf("EncodeDisperse = %x, want %x", enc, want)
+	}
+	got, err := DecodeDisperse(enc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.User != d.User || !bytes.Equal(got.Payload, d.Payload) {
+	if got.User != d.User || !reflect.DeepEqual(got.Preds, preds) {
 		t.Fatalf("got %+v, want %+v", got, d)
 	}
-	back, err := DecodePredictions(got.Payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(back, preds) {
-		t.Fatalf("decoded %+v, want %+v", back, preds)
+	if got, err := DecodeDisperse(EncodeDisperse(Disperse{User: 5})); err != nil || got.User != 5 || len(got.Preds) != 0 {
+		t.Fatalf("empty dispersal decodes as %+v, %v", got, err)
 	}
 	// Byte 4 is the codec byte, as in the upload-begin frame.
 	for _, codec := range []byte{1, 99} {

@@ -41,11 +41,13 @@
 // unknown token, round or cursor (a round never announced included), and a
 // malformed upload body.
 //
+// The round engine hands over dispersals as values; publishing frames each
+// one as its MsgDisperse event, and the coordinator keeps nothing else of it.
 // A dispersal is relative to its own round: Eq. 9 excludes the items of the
 // upload that produced it (fed.RoundEngine.CloseRound). A dispersal published
-// while no session hosts its user is retained, and a session that joins to
-// host the user receives it in its join's first events; it still excludes its
-// round-t upload, whenever it arrives.
+// while no session hosts its user is retained as that framed event, and a
+// session that joins to host the user receives it in its join's first events;
+// it still excludes its round-t upload, whenever it arrives.
 //
 // Each session's event log holds only what its participant has not
 // acknowledged: a poll's cursor acknowledges every event before it, and the
@@ -139,13 +141,6 @@ func (rs *roundState) resolve(u int) {
 	}
 }
 
-// pendingDisp is one user's latest undelivered dispersal, retained because no
-// session hosted the user when its round was published.
-type pendingDisp struct {
-	round   int
-	payload []byte
-}
-
 // Coordinator serves the PTF-FedRec server side over HTTP: participant
 // lifecycle, per-round cohort announcements, upload ingestion, and dispersal
 // delivery, with fed.RoundEngine doing all protocol computation.
@@ -166,10 +161,10 @@ type Coordinator struct {
 	opened   int  // rounds openRound has announced: 0 .. opened-1
 	down     bool // run finished; new joins get an immediate shutdown
 
-	// pending retains each user's latest undelivered dispersal (bounded by
-	// pendingDispersals); pendingQ holds the same users in stash
-	// order, oldest first, for eviction.
-	pending  map[int]pendingDisp
+	// pending retains each user's latest undelivered dispersal as its framed
+	// event (bounded by pendingDispersals); pendingQ holds the same users in
+	// stash order, oldest first, for eviction.
+	pending  map[int][]byte
 	pendingQ []int
 
 	// wireIn/wireOut count every frame byte crossing the HTTP boundary —
@@ -197,7 +192,7 @@ func New(sp *data.Split, cfg fed.Config, opts Options) (*Coordinator, error) {
 		configJSON: cfgJSON,
 		sessions:   make(map[uint64]*session),
 		rounds:     make(map[int]*roundState),
-		pending:    make(map[int]pendingDisp),
+		pending:    make(map[int][]byte),
 	}, nil
 }
 
@@ -264,25 +259,30 @@ func (c *Coordinator) broadcastShutdown() {
 	}
 }
 
-// disperseFrame frames one user's dispersal payload for a session log.
-func (c *Coordinator) disperseFrame(user int, payload []byte) []byte {
-	return comm.AppendFrame(nil, comm.MsgDisperse, comm.EncodeDisperse(comm.Disperse{User: user, Payload: payload}))
+// disperseFrame frames one dispersal as its session-log event.
+func disperseFrame(d fed.Dispersal) []byte {
+	return comm.AppendFrame(nil, comm.MsgDisperse, comm.EncodeDisperse(comm.Disperse{User: d.ID, Preds: d.Preds}))
 }
 
-// publishRound delivers a closed round: each dispersal is appended to its
-// host session's event log (or retained for an absent host), every session
-// gets the round-end marker that releases its dispersal-gated clients, and
-// the round's state is dropped — every dispersal has by now reached a log or
-// the retention store, and a late upload for the round gets the 409 "round
-// closed" reply (an upload for a round never announced gets 400).
+// publishRound delivers a closed round: each dispersal is framed — before
+// the lock is taken — and appended to its host session's event log (or
+// retained for an absent host), every session gets the round-end marker that
+// releases its dispersal-gated clients, and the round's state is dropped —
+// every dispersal has by now reached a log or the retention store, and a late
+// upload for the round gets the 409 "round closed" reply (an upload for a
+// round never announced gets 400).
 func (c *Coordinator) publishRound(round int, dispersals []fed.Dispersal) {
+	frames := make([][]byte, len(dispersals))
+	for i, d := range dispersals {
+		frames[i] = disperseFrame(d)
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for _, d := range dispersals {
-		if i := c.hostLocked(d.ID); i >= 0 {
-			c.announceLocked(c.hosts[i], c.disperseFrame(d.ID, d.Payload))
+	for i, d := range dispersals {
+		if h := c.hostLocked(d.ID); h >= 0 {
+			c.announceLocked(c.hosts[h], frames[i])
 		} else {
-			c.stashPendingLocked(round, d)
+			c.stashPendingLocked(d.ID, frames[i])
 		}
 	}
 	end := comm.AppendFrame(nil, comm.MsgRoundEnd, comm.EncodeRound(round))
@@ -292,20 +292,20 @@ func (c *Coordinator) publishRound(round int, dispersals []fed.Dispersal) {
 	delete(c.rounds, round)
 }
 
-// stashPendingLocked retains a user's undelivered dispersal, newest
+// stashPendingLocked retains user's undelivered dispersal event, newest
 // superseding older, evicting the oldest-stashed user past the budget.
 // c.mu held.
-func (c *Coordinator) stashPendingLocked(round int, d fed.Dispersal) {
-	if _, ok := c.pending[d.ID]; ok {
-		c.pending[d.ID] = pendingDisp{round: round, payload: d.Payload}
+func (c *Coordinator) stashPendingLocked(user int, frame []byte) {
+	if _, ok := c.pending[user]; ok {
+		c.pending[user] = frame
 		return
 	}
 	for len(c.pending) >= pendingDispersals {
 		delete(c.pending, c.pendingQ[0])
 		c.pendingQ = c.pendingQ[1:]
 	}
-	c.pending[d.ID] = pendingDisp{round: round, payload: d.Payload}
-	c.pendingQ = append(c.pendingQ, d.ID)
+	c.pending[user] = frame
+	c.pendingQ = append(c.pendingQ, user)
 }
 
 // flushPendingLocked moves every retained dispersal the joining session hosts
@@ -315,11 +315,11 @@ func (c *Coordinator) stashPendingLocked(round int, d fed.Dispersal) {
 // exactly what late delivery means. c.mu held.
 func (c *Coordinator) flushPendingLocked(s *session) {
 	flushed := false
-	for u, pd := range c.pending {
+	for u, frame := range c.pending {
 		if u < s.lo || u >= s.hi {
 			continue
 		}
-		c.announceLocked(s, c.disperseFrame(u, pd.payload))
+		c.announceLocked(s, frame)
 		delete(c.pending, u)
 		flushed = true
 	}
@@ -731,11 +731,10 @@ func (st *uploadStream) outcome() fed.ClientOutcome {
 		return fed.ClientOutcome{ID: st.begin.User, Dropped: true}
 	}
 	return fed.ClientOutcome{
-		ID:          st.begin.User,
-		Upload:      st.preds,
-		UploadBytes: len(st.preds) * comm.PredictionWireSize,
-		Loss:        st.begin.Loss,
-		AttackF1:    st.begin.AttackF1,
+		ID:       st.begin.User,
+		Upload:   st.preds,
+		Loss:     st.begin.Loss,
+		AttackF1: st.begin.AttackF1,
 	}
 }
 

@@ -660,9 +660,6 @@ func TestReadUploadClassification(t *testing.T) {
 	if err != nil || o.Dropped || o.ID != 7 || !slices.Equal(o.Upload, preds) {
 		t.Fatalf("complete body: outcome %+v, err %v; want user 7's %d predictions", o, err, len(preds))
 	}
-	if o.UploadBytes != len(preds)*comm.PredictionWireSize {
-		t.Fatalf("complete body: UploadBytes = %d, want %d", o.UploadBytes, len(preds)*comm.PredictionWireSize)
-	}
 	if o.Loss != 0.25 || o.AttackF1 != 0.5 {
 		t.Fatalf("complete body: metrics %v/%v did not survive the begin frame", o.Loss, o.AttackF1)
 	}
@@ -1151,8 +1148,7 @@ func TestRunRefusesBadDispersal(t *testing.T) {
 			srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 				switch r.URL.Path {
 				case "/v1/poll":
-					comm.WriteFrame(w, comm.MsgDisperse, comm.EncodeDisperse(comm.Disperse{
-						User: user, Payload: comm.EncodePredictions(preds)}))
+					comm.WriteFrame(w, comm.MsgDisperse, comm.EncodeDisperse(comm.Disperse{User: user, Preds: preds}))
 					comm.WriteFrame(w, comm.MsgShutdown, nil)
 				case "/v1/leave":
 					left.Add(1)

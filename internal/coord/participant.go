@@ -222,16 +222,12 @@ func (p *Participant) deliver(payload []byte) error {
 	if d.User < p.lo || d.User >= p.hi {
 		return fmt.Errorf("coord: dispersal for user %d outside hosted range [%d, %d)", d.User, p.lo, p.hi)
 	}
-	preds, err := comm.DecodePredictions(d.Payload)
-	if err != nil {
-		return err
-	}
-	for _, pr := range preds {
+	for _, pr := range d.Preds {
 		if err := checkPrediction(pr, d.User, p.host.Split().NumItems); err != nil {
 			return fmt.Errorf("coord: dispersal for user %d: %w", d.User, err)
 		}
 	}
-	p.host.Deliver(d.User, preds)
+	p.host.Deliver(d.User, d.Preds)
 	return nil
 }
 
@@ -333,10 +329,9 @@ func appendUpload(b *comm.FrameBuffer, round int, res fed.ClientRoundResult) {
 		Loss:     res.Loss,
 		AttackF1: res.AttackF1,
 	}))
-	payload := res.WirePayload()
-	chunkBytes := uploadChunkPreds * comm.PredictionWireSize
-	for off := 0; off < len(payload); off += chunkBytes {
-		b.Append(comm.MsgUploadChunk, payload[off:min(off+chunkBytes, len(payload))])
+	sent := res.Preds[:res.SendPreds]
+	for off := 0; off < len(sent); off += uploadChunkPreds {
+		b.AppendPredictions(comm.MsgUploadChunk, sent[off:min(off+uploadChunkPreds, len(sent))])
 	}
 	if res.SendPreds == len(res.Preds) {
 		b.Append(comm.MsgUploadEnd, nil)

@@ -133,7 +133,7 @@ func shrinkPendingDispersals(t *testing.T, n int) {
 }
 
 // TestPendingDispersalStore unit-tests the bounded retention store: newest
-// payload supersedes per user, the oldest-stashed user is evicted past the
+// event supersedes per user, the oldest-stashed user is evicted past the
 // budget, and a flush moves a session's hosted range into its event log.
 func TestPendingDispersalStore(t *testing.T) {
 	cfg := testConfig(models.KindMF, 1)
@@ -143,22 +143,22 @@ func TestPendingDispersalStore(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Payloads must be whole 12-byte triples so a flush's MsgDisperse
-	// frames decode.
-	stride := comm.PredictionWireSize
-	pay := func(b byte) []byte { return bytes.Repeat([]byte{b}, stride) }
+	// event frames user's dispersal of one prediction scored score.
+	event := func(user int, score float64) []byte {
+		return disperseFrame(fed.Dispersal{ID: user, Preds: []comm.Prediction{{User: user, Item: 1, Score: score}}})
+	}
 	c.mu.Lock()
-	c.stashPendingLocked(0, fed.Dispersal{ID: 1, Payload: pay(1)})
-	c.stashPendingLocked(0, fed.Dispersal{ID: 2, Payload: pay(2)})
-	c.stashPendingLocked(1, fed.Dispersal{ID: 3, Payload: pay(3)}) // evicts user 1
-	c.stashPendingLocked(2, fed.Dispersal{ID: 2, Payload: pay(9)}) // supersedes in place
+	c.stashPendingLocked(1, event(1, 0.25))
+	c.stashPendingLocked(2, event(2, 0.25))
+	c.stashPendingLocked(3, event(3, 0.25)) // evicts user 1
+	c.stashPendingLocked(2, event(2, 0.75)) // supersedes in place
 	c.mu.Unlock()
 
 	if _, ok := c.pending[1]; ok {
 		t.Fatal("user 1 should have been evicted (oldest stash)")
 	}
-	if got := c.pending[2]; got.round != 2 || !bytes.Equal(got.payload, pay(9)) {
-		t.Fatalf("user 2 retention = round %d payload %v, want the superseding round-2 payload", got.round, got.payload)
+	if got := c.pending[2]; !bytes.Equal(got, event(2, 0.75)) {
+		t.Fatalf("user 2 retention = %x, want the superseding event %x", got, event(2, 0.75))
 	}
 	if len(c.pending) != 2 {
 		t.Fatalf("retention holds %d users, want 2 (budget)", len(c.pending))
@@ -193,21 +193,23 @@ func TestPendingQueueBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pay := bytes.Repeat([]byte{1}, comm.PredictionWireSize)
+	event := func(user int) []byte {
+		return disperseFrame(fed.Dispersal{ID: user, Preds: []comm.Prediction{{User: user, Item: 1, Score: 0.5}}})
+	}
 	host := &session{lo: 3, hi: 4}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.stashPendingLocked(0, fed.Dispersal{ID: 2, Payload: pay})
+	c.stashPendingLocked(2, event(2))
 	for round := 1; round <= 10000; round++ {
-		c.stashPendingLocked(round, fed.Dispersal{ID: 3, Payload: pay})
+		c.stashPendingLocked(3, event(3))
 		c.flushPendingLocked(host)
 		host.events = host.events[:0]
 		if len(c.pendingQ) != len(c.pending) {
 			t.Fatalf("round %d: queue holds %d entries for %d retained users", round, len(c.pendingQ), len(c.pending))
 		}
 	}
-	c.stashPendingLocked(10001, fed.Dispersal{ID: 3, Payload: pay})
-	c.stashPendingLocked(10001, fed.Dispersal{ID: 4, Payload: pay}) // evicts user 2
+	c.stashPendingLocked(3, event(3))
+	c.stashPendingLocked(4, event(4)) // evicts user 2
 	if _, ok := c.pending[2]; ok || len(c.pending) != 2 || !slices.Equal(c.pendingQ, []int{3, 4}) {
 		t.Fatalf("after eviction: retained %v, queue %v; want users 3 and 4, in that order", c.pending, c.pendingQ)
 	}

@@ -1,7 +1,6 @@
 package coord
 
 import (
-	"bytes"
 	"fmt"
 	"testing"
 
@@ -27,7 +26,6 @@ func TestNoRetainedDispersalForHostedUser(t *testing.T) {
 		t.Fatal(err)
 	}
 	numUsers := testSplit().NumUsers
-	pay := bytes.Repeat([]byte{1}, comm.PredictionWireSize)
 	s := rng.New(7)
 	var live []*session
 	stashed := 0
@@ -48,7 +46,7 @@ func TestNoRetainedDispersalForHostedUser(t *testing.T) {
 			c.openRound(step, users)
 			dispersals := make([]fed.Dispersal, len(users))
 			for k, u := range users {
-				dispersals[k] = fed.Dispersal{ID: u, Payload: pay}
+				dispersals[k] = fed.Dispersal{ID: u, Preds: []comm.Prediction{{User: u, Item: 1, Score: 0.5}}}
 			}
 			c.publishRound(step, dispersals)
 		}
@@ -91,7 +89,6 @@ func BenchmarkOpenPublishRound(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			pay := bytes.Repeat([]byte{1}, 20*comm.PredictionWireSize)
 			users := make([]int, n)
 			dispersals := make([]fed.Dispersal, n)
 			for u := range users {
@@ -99,7 +96,11 @@ func BenchmarkOpenPublishRound(b *testing.B) {
 					b.Fatal(err)
 				}
 				users[u] = u
-				dispersals[u] = fed.Dispersal{ID: u, Payload: pay}
+				preds := make([]comm.Prediction, 20)
+				for k := range preds {
+					preds[k] = comm.Prediction{User: u, Item: k, Score: 0.5}
+				}
+				dispersals[u] = fed.Dispersal{ID: u, Preds: preds}
 			}
 			b.ReportAllocs()
 			b.ResetTimer()

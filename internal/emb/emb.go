@@ -113,10 +113,6 @@ func NewLazyTable(s *rng.Stream, dim int, hy AdamHyper) *Table {
 	return &Table{Dim: dim, init: s.Derive("lazytable"), hy: hy}
 }
 
-// Rows returns the number of rows the table holds: every id of a dense
-// table, the touched ones of a lazy table.
-func (t *Table) Rows() int { return len(t.steps) }
-
 // Row returns row i's weights, aliasing the table's storage; only Step and
 // Restore write them. A lazy table adds the row on first touch. Rows never
 // move, so the slice stays the row's for the table's life.

@@ -10,8 +10,8 @@ import (
 
 func TestTableInitNonZero(t *testing.T) {
 	tab := NewTable(rng.New(1), 5, 4, DefaultAdam(0.01))
-	if tab.Rows() != 5 {
-		t.Fatalf("Rows = %d", tab.Rows())
+	if n := len(tab.steps); n != 5 {
+		t.Fatalf("dense table holds %d rows, want 5", n)
 	}
 	var norm float64
 	for _, v := range tab.W.Data {
@@ -89,14 +89,14 @@ func TestTableConvergesToTarget(t *testing.T) {
 
 func TestLazyTableMaterialisesOnDemand(t *testing.T) {
 	tab := NewLazyTable(rng.New(5), 4, DefaultAdam(0.01))
-	if tab.Rows() != 0 {
+	if len(tab.steps) != 0 {
 		t.Fatal("new lazy table not empty")
 	}
 	r := tab.Row(7)
 	if len(r) != 4 {
 		t.Fatalf("row len = %d", len(r))
 	}
-	if tab.Rows() != 1 {
+	if len(tab.steps) != 1 {
 		t.Fatal("row 7 not materialised")
 	}
 	var norm float64

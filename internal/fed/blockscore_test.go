@@ -72,9 +72,9 @@ func TestEvalInvariantBatchedVsScalar(t *testing.T) {
 		}
 		for round := 0; round < cfg.Rounds; round++ {
 			tr.RunRound(round)
-			naive := naiveEval(tr.server.model, sp, cfg.EvalK)
+			naive := naiveEval(tr.Server().model, sp, cfg.EvalK)
 			for _, workers := range []int{1, 2, 8} {
-				batched := tr.splitEvaluator().Rank(tr.server.model, cfg.EvalK, workers)
+				batched := tr.splitEvaluator().Rank(tr.Server().model, cfg.EvalK, workers)
 				if batched != naive {
 					t.Fatalf("%s round %d workers=%d: batched eval %+v != naive %+v", server, round, workers, batched, naive)
 				}

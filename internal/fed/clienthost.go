@@ -10,13 +10,13 @@ import (
 )
 
 // ClientHost runs the client side of the protocol for a set of users: local
-// training, wire encoding, the client-side fault draws, and dispersal
-// delivery. It is the transport-agnostic half the in-process Trainer and the
-// networked Participant share — both drive the exact same per-(round, user)
-// computation, so the networked path reproduces the in-process history
-// bitwise. Everything a host owns derives purely from (config, split), which
-// is what lets a remote participant reconstruct its clients from nothing but
-// the coordinator's join acknowledgement.
+// training, the upload's rounding to the wire's float32, the client-side
+// fault draws, and dispersal delivery. It is the transport-agnostic half the
+// in-process Trainer and the networked Participant share — both drive the
+// exact same per-(round, user) computation, so the networked path reproduces
+// the in-process history bitwise. Everything a host owns derives purely from
+// (config, split), which is what lets a remote participant reconstruct its
+// clients from nothing but the coordinator's join acknowledgement.
 //
 // Concurrency: calls for distinct users touch distinct clients, so a worker
 // pool may run RunClientRound/Deliver for different users concurrently. Two
@@ -82,47 +82,42 @@ func (h *ClientHost) Client(id int) *Client {
 func (h *ClientHost) Split() *data.Split { return h.split }
 
 // ClientRoundResult is one user's full client-side round output, before any
-// transport decides how much of it reaches the server. Preds is the
-// wire-decoded upload (what a faithful receiver reconstructs from Payload);
-// SendPreds/SendBytes bound the prefix that actually goes out — less than the
-// whole upload only under FaultPlan truncation. Loss and AttackF1 are
-// computed on the full upload, mirroring the in-process engine (a truncated
-// client trained and self-scored before its connection died).
+// transport decides how much of it reaches the server. Preds is the whole
+// upload with its scores rounded to the wire's float32 (comm.RoundScores):
+// exactly what a receiver decodes from its encoding. SendPreds bounds the
+// prefix that actually goes out — less than the whole upload only under
+// FaultPlan truncation. Loss and AttackF1 are computed on the full upload,
+// mirroring the in-process engine (a truncated client trained and
+// self-scored before its connection died).
 type ClientRoundResult struct {
 	ID        int
 	Dropped   bool
-	Payload   []byte            // canonical wire encoding of the full upload
-	Preds     []comm.Prediction // Payload decoded
-	SendPreds int               // predictions actually transmitted (≤ len(Preds))
-	SendBytes int               // bytes actually transmitted (= SendPreds × 12)
+	Preds     []comm.Prediction
+	SendPreds int // predictions actually transmitted (≤ len(Preds))
 	Loss      float64
 	AttackF1  float64
 }
 
 // Outcome folds the result into what the server observes: a dropped client
-// contributes nothing, a truncated one only its transmitted prefix. Decoding
-// a payload prefix equals the prefix of the decoded payload (the format is
-// element-wise), so this is exactly what a receiver of WirePayload sees.
+// contributes nothing, a truncated one only its transmitted prefix. The wire
+// format is element-wise, so the prefix is exactly what a receiver of the
+// truncated stream decodes.
 func (r ClientRoundResult) Outcome() ClientOutcome {
 	if r.Dropped {
 		return ClientOutcome{ID: r.ID, Dropped: true}
 	}
 	return ClientOutcome{
-		ID:          r.ID,
-		Upload:      r.Preds[:r.SendPreds],
-		UploadBytes: r.SendBytes,
-		Loss:        r.Loss,
-		AttackF1:    r.AttackF1,
+		ID:       r.ID,
+		Upload:   r.Preds[:r.SendPreds],
+		Loss:     r.Loss,
+		AttackF1: r.AttackF1,
 	}
 }
 
-// WirePayload returns the bytes that actually cross the transport — the
-// canonical encoding truncated to the transmitted prefix.
-func (r ClientRoundResult) WirePayload() []byte { return r.Payload[:r.SendBytes] }
-
 // RunClientRound executes user id's side of one round: the fault dropout
 // draw, local training (negatives drawn from the split by the shared
-// recipe), wire encoding, the attack self-score, and the truncation draw.
+// recipe), the rounding of the upload's scores to the wire's float32, the
+// attack self-score, and the truncation draw.
 // The rng consumption order is the determinism contract: dropout before
 // training, truncation after the attack — identical to the historical
 // in-process round loop.
@@ -137,13 +132,13 @@ func (h *ClientHost) RunClientRound(round, id int) ClientRoundResult {
 			return ClientRoundResult{ID: id, Dropped: true}
 		}
 	}
-	upload, loss := c.localTrain(func(n int) []int {
+	preds, loss := c.localTrain(func(n int) []int {
 		return h.split.SampleNegativesN(c.s.DeriveN("negs", round), c.ID, n)
 	})
-	payload, preds := wireRoundTrip(upload)
+	comm.RoundScores(preds)
 	// The curious-but-honest server's inference attempt, scored against
-	// ground truth for Table V / Fig. 3 — on the wire-decoded upload, since
-	// that is what the server sees.
+	// ground truth for Table V / Fig. 3 — on the rounded upload, since that
+	// is what the server sees.
 	buf := guessBuffers.Get().(*privacy.GuessBuffer)
 	f1 := privacy.AttackF1(preds, privacy.TopGuessAttack(buf, preds, h.cfg.AttackPosFraction), c.isPositive)
 	guessBuffers.Put(buf)
@@ -155,34 +150,15 @@ func (h *ClientHost) RunClientRound(round, id int) ClientRoundResult {
 	}
 	return ClientRoundResult{
 		ID:        id,
-		Payload:   payload,
 		Preds:     preds,
 		SendPreds: send,
-		SendBytes: send * comm.PredictionWireSize,
 		Loss:      loss,
 		AttackF1:  f1,
 	}
 }
 
-// Deliver hands user id the server's dispersed D̃ᵢ (already wire-decoded).
+// Deliver hands user id the server's dispersed D̃ᵢ (scores already rounded
+// to the wire's float32).
 func (h *ClientHost) Deliver(id int, preds []comm.Prediction) {
 	h.Client(id).receiveDispersal(preds)
-}
-
-// wireRoundTrip encodes predictions and decodes them back, returning the
-// canonical payload and what a receiver decodes from it. Training proceeds on
-// the decoded values on both sides of the wire — the float32 round trip — so
-// the in-process engine and the networked path see identical floats.
-// Encoding a decoded payload reproduces it byte for byte (the idempotence
-// FuzzDecodePredictions pins), so the coordinator forwards canonical payloads
-// without re-encoding drift.
-func wireRoundTrip(preds []comm.Prediction) ([]byte, []comm.Prediction) {
-	payload := comm.EncodePredictions(preds)
-	decoded, err := comm.DecodePredictions(payload)
-	if err != nil {
-		// Encoding our own payload cannot fail to decode; a failure here is
-		// a bug in the format.
-		panic(err)
-	}
-	return payload, decoded
 }

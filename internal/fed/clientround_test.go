@@ -102,9 +102,11 @@ func warmClient(h *ClientHost, id int) {
 //     they fill, where a positive draw of under a quarter of Dᵢ takes a map
 //     and a slice instead of a permutation (4 and a fraction); the item
 //     list and the predictions (2), scored through a pooled one-user logit
-//     block (oneUserBlock); Swap's one index list (1);
-//   - the payload and the decoded predictions (2).
-const mfClientRoundAllocs = 15
+//     block (oneUserBlock); Swap's one index list (1).
+//
+// The predictions go out as they are: their scores are rounded in place to
+// the wire's float32, and nothing in the round encodes them.
+const mfClientRoundAllocs = 13
 
 // TestMFClientRoundSteadyStateAllocs pins the allocations of one MF client
 // round whose rows are all materialised, so a map or a scratch slice that

@@ -149,7 +149,11 @@ func (c Config) Validate() error {
 	switch {
 	case c.Rounds <= 0:
 		return fmt.Errorf("fed: Rounds = %d", c.Rounds)
-	case c.ClientFraction <= 0 || c.ClientFraction > 1:
+	// The negated comparisons of the fractions and rates below reject NaN,
+	// which would otherwise pass and fail silently: a NaN fraction selects
+	// one client a round, a NaN µ disperses nothing and a NaN fault rate
+	// never fires.
+	case !(c.ClientFraction > 0 && c.ClientFraction <= 1):
 		return fmt.Errorf("fed: ClientFraction = %v", c.ClientFraction)
 	case c.ClientEpochs <= 0 || c.ServerEpochs <= 0:
 		return fmt.Errorf("fed: epochs %d/%d", c.ClientEpochs, c.ServerEpochs)
@@ -169,7 +173,7 @@ func (c Config) Validate() error {
 		return fmt.Errorf("fed: LR = %v", c.LR)
 	case c.Alpha < 0:
 		return fmt.Errorf("fed: Alpha = %d", c.Alpha)
-	case c.Mu < 0 || c.Mu > 1:
+	case !(c.Mu >= 0 && c.Mu <= 1):
 		return fmt.Errorf("fed: Mu = %v", c.Mu)
 	case !(c.GraphThreshold > 0 && c.GraphThreshold <= 1):
 		return fmt.Errorf("fed: GraphThreshold = %v", c.GraphThreshold)
@@ -179,9 +183,9 @@ func (c Config) Validate() error {
 	// every item above 1, so Table V's F1 would mean nothing.
 	case !(c.AttackPosFraction > 0 && c.AttackPosFraction <= 1):
 		return fmt.Errorf("fed: AttackPosFraction = %v", c.AttackPosFraction)
-	case c.Faults.DropoutRate < 0 || c.Faults.DropoutRate > 1:
+	case !(c.Faults.DropoutRate >= 0 && c.Faults.DropoutRate <= 1):
 		return fmt.Errorf("fed: Faults.DropoutRate = %v", c.Faults.DropoutRate)
-	case c.Faults.TruncateRate < 0 || c.Faults.TruncateRate > 1:
+	case !(c.Faults.TruncateRate >= 0 && c.Faults.TruncateRate <= 1):
 		return fmt.Errorf("fed: Faults.TruncateRate = %v", c.Faults.TruncateRate)
 	case c.QuantizeScores:
 		return fmt.Errorf("fed: QuantizeScores = true: the quantized codec is retired")

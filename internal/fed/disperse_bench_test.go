@@ -46,16 +46,16 @@ func BenchmarkDisperse(b *testing.B) {
 	root := rng.New(1).Derive("bench-disperse")
 	for _, arm := range []DisperseMode{DisperseConfHard, DisperseNoHard, DisperseNoConf, DisperseAllRandom} {
 		b.Run(string(arm), func(b *testing.B) {
-			tr.server.cfg.Disperse = arm
-			plan := tr.server.buildDispersalPlan()
+			tr.Server().cfg.Disperse = arm
+			plan := tr.Server().buildDispersalPlan()
 			stream := func(int) *rng.Stream { return nil }
-			if disperseNeedsStreams(tr.server.cfg) {
+			if disperseNeedsStreams(tr.Server().cfg) {
 				stream = func(id int) *rng.Stream { return root.DeriveN("client", id) }
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for n := 0; n < b.N; n++ {
-				tr.server.disperseUsers(ids, uploads, plan, stream, func(int, []comm.Prediction) {})
+				tr.Server().disperseUsers(ids, uploads, plan, stream, func(int, []comm.Prediction) {})
 			}
 		})
 	}

@@ -13,25 +13,23 @@ import (
 
 // ClientOutcome is what the server observes from one selected client slot
 // after the transport has had its say: the (possibly truncated) upload it
-// received, the bytes that crossed the wire, and the client's self-reported
-// loss and attack score — or Dropped if nothing arrived at all.
+// received and the client's self-reported loss and attack score — or
+// Dropped if nothing arrived at all.
 type ClientOutcome struct {
-	ID          int
-	Upload      []comm.Prediction
-	UploadBytes int
-	Loss        float64
-	AttackF1    float64
-	Dropped     bool
+	ID       int
+	Upload   []comm.Prediction
+	Loss     float64
+	AttackF1 float64
+	Dropped  bool
 }
 
-// Dispersal is one client's D̃ᵢ leaving the server: the canonical wire
-// payload plus its decoded form. Preds is exactly what a faithful receiver
-// decodes from Payload, so in-process delivery and network delivery hand the
-// client identical values.
+// Dispersal is one client's D̃ᵢ leaving the server, its scores rounded to
+// the wire's float32 (comm.RoundScores): exactly what a receiver decodes
+// from its encoding, so in-process delivery and network delivery hand the
+// client identical values. A transport encodes Preds where it sends them.
 type Dispersal struct {
-	ID      int
-	Preds   []comm.Prediction
-	Payload []byte
+	ID    int
+	Preds []comm.Prediction
 }
 
 // RoundEngine is the server side of Algorithm 1's loop body with the
@@ -140,7 +138,10 @@ func (e *RoundEngine) closeRound(round int, outcomes []ClientOutcome, evaluator 
 // CloseRound finishes round `round` from the transport-gathered outcomes
 // (slot order must match Select's cohort order — the determinism contract):
 // absorb the uploads, rebuild the graph, optimise Eq. 5, and build every
-// responder's dispersal. The returned dispersals are in responder slot order.
+// responder's dispersal. The returned dispersals are in responder slot order,
+// their scores rounded to the wire's float32; nothing here encodes. The
+// round's UploadBytes and DispersBytes count comm.PredictionWireSize bytes
+// per responder upload and dispersed prediction.
 //
 // A responder is an outcome that is not Dropped and carries a non-empty
 // upload: an empty upload counts as a drop — no loss or attack F1 in the
@@ -175,7 +176,7 @@ func (e *RoundEngine) CloseRound(round int, outcomes []ClientOutcome, overlap fu
 		uploads = append(uploads, o.Upload)
 		stats.ClientLoss += o.Loss
 		stats.AttackF1 += o.AttackF1
-		stats.UploadBytes += int64(o.UploadBytes)
+		stats.UploadBytes += int64(len(o.Upload) * comm.PredictionWireSize)
 	}
 	if len(ids) > 0 {
 		stats.ClientLoss /= float64(len(ids))
@@ -242,14 +243,14 @@ func (e *RoundEngine) CloseRound(round int, outcomes []ClientOutcome, overlap fu
 		}
 		chunk := (len(ids) + workers - 1) / workers
 		par.ForChunks(len(ids), chunk, workers, func(lo, hi int) {
-			e.server.disperseUsers(ids[lo:hi], uploads[lo:hi], plan, clientStream, func(i int, out []comm.Prediction) {
-				payload, preds := wireRoundTrip(out)
-				dispersals[lo+i] = Dispersal{ID: ids[lo+i], Preds: preds, Payload: payload}
+			e.server.disperseUsers(ids[lo:hi], uploads[lo:hi], plan, clientStream, func(i int, preds []comm.Prediction) {
+				comm.RoundScores(preds)
+				dispersals[lo+i] = Dispersal{ID: ids[lo+i], Preds: preds}
 			})
 		})
 	}
 	for _, d := range dispersals {
-		stats.DispersBytes += int64(len(d.Payload))
+		stats.DispersBytes += int64(len(d.Preds) * comm.PredictionWireSize)
 	}
 	e.phases.Disperse += time.Since(phaseStart).Seconds()
 	if overlapDone != nil {

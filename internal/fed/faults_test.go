@@ -2,6 +2,7 @@ package fed
 
 import (
 	"bytes"
+	"math"
 	"testing"
 
 	"ptffedrec/internal/models"
@@ -114,6 +115,17 @@ func TestFaultConfigValidation(t *testing.T) {
 	cfg.Faults.TruncateRate = -0.1
 	if err := cfg.Validate(); err == nil {
 		t.Fatal("bad truncate rate accepted")
+	}
+	// A NaN rate never fires, so a faulted run would pass as clean.
+	cfg = DefaultConfig(models.KindNeuMF)
+	cfg.Faults.DropoutRate = math.NaN()
+	if err := cfg.Validate(); err == nil {
+		t.Fatal("NaN dropout rate accepted")
+	}
+	cfg = DefaultConfig(models.KindNeuMF)
+	cfg.Faults.TruncateRate = math.NaN()
+	if err := cfg.Validate(); err == nil {
+		t.Fatal("NaN truncate rate accepted")
 	}
 }
 

@@ -1,7 +1,6 @@
 package fed
 
 import (
-	"bytes"
 	"math"
 	"slices"
 	"testing"
@@ -76,6 +75,7 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.Rounds = 0 },
 		func(c *Config) { c.ClientFraction = 0 },
 		func(c *Config) { c.ClientFraction = 1.5 },
+		func(c *Config) { c.ClientFraction = math.NaN() },
 		func(c *Config) { c.ClientEpochs = 0 },
 		func(c *Config) { c.ClientBatch = 0 },
 		func(c *Config) { c.NegRatio = 0 },
@@ -87,6 +87,7 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.LR = math.Inf(1) },
 		func(c *Config) { c.Alpha = -1 },
 		func(c *Config) { c.Mu = 2 },
+		func(c *Config) { c.Mu = math.NaN() },
 		func(c *Config) { c.GraphThreshold = -0.1 },
 		// A zero threshold selects zero-score edges, which the graph engine
 		// cannot take (it stages strictly positive weights only).
@@ -301,7 +302,7 @@ func TestCloseRoundCountsEmptyUploadAsDropped(t *testing.T) {
 		if d.ID == empty {
 			t.Fatalf("user %d, whose upload was empty, received a dispersal", empty)
 		}
-		if d.ID != want[i].ID || !bytes.Equal(d.Payload, want[i].Payload) {
+		if d.ID != want[i].ID || !slices.Equal(d.Preds, want[i].Preds) {
 			t.Fatalf("dispersal %d: user %d with an empty upload in the round, user %d with it dropped", i, d.ID, want[i].ID)
 		}
 	}

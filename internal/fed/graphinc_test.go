@@ -136,8 +136,8 @@ func TestGraphRebuildInvariance(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				oracle := &oracleGraphModel{ref.server.model.(graphServerModel), ref.server, newMapStoreOracle(), nil}
-				ref.server.model = oracle
+				oracle := &oracleGraphModel{ref.Server().model.(graphServerModel), ref.Server(), newMapStoreOracle(), nil}
+				ref.Server().model = oracle
 				var rounds []RoundStats
 				for r := 0; r < cfg.Rounds; r++ {
 					idx := ref.engine.Select(r)

@@ -47,7 +47,7 @@ func multiuserConfig(server models.Kind, mode DisperseMode) Config {
 // per-item scoring.
 func requireDispersalsMatchOracle(t *testing.T, label string, tr *Trainer, record *mapUploadStore) {
 	t.Helper()
-	sv := tr.server
+	sv := tr.Server()
 	if w, ok := sv.model.(models.Warmer); ok {
 		w.WarmScoring()
 	}

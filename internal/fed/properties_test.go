@@ -85,7 +85,7 @@ func (sr *serverReplay) absorb(outcomes []ClientOutcome) {
 func requireServerMatchesReplay(t *testing.T, label string, tr *Trainer, sr *serverReplay) {
 	t.Helper()
 	for v, want := range sr.itemFreq {
-		if got := tr.server.ItemFrequency(v); got != want {
+		if got := tr.Server().ItemFrequency(v); got != want {
 			t.Fatalf("%s: itemFreq[%d] = %d, recount of absorbed uploads says %d", label, v, got, want)
 		}
 	}
@@ -99,7 +99,7 @@ func requireServerMatchesReplay(t *testing.T, label string, tr *Trainer, sr *ser
 // |eligible| for the caller's coverage accounting.
 func requireDispersalProperties(t *testing.T, label string, tr *Trainer, upload []comm.Prediction, d Dispersal) int {
 	t.Helper()
-	cfg, sv, numItems := tr.cfg, tr.server, tr.split.NumItems
+	cfg, sv, numItems := tr.cfg, tr.Server(), tr.split.NumItems
 
 	uploaded := make([]bool, numItems)
 	for _, p := range upload {
@@ -409,8 +409,8 @@ func TestUploadComposition(t *testing.T) {
 // networked coordinator refuses an upload for, so that it can never refuse an
 // honest client: every prediction a client uploads names that client, an
 // item in [0, NumItems) and a score in [0, 1] — under every defense (Laplace
-// noise and the swap included) — as decoded on the server's side of the
-// wire, 12 bytes a triple.
+// noise and the swap included) — with a score the wire's float32 carries
+// unchanged, as the server's side of the wire decodes it.
 func TestUploadPredictionsAreWellFormed(t *testing.T) {
 	sp := tinySplit(t)
 	for _, defense := range []privacy.Defense{
@@ -423,11 +423,9 @@ func TestUploadPredictionsAreWellFormed(t *testing.T) {
 		checked := 0
 		for round := 0; round < cfg.Rounds; round++ {
 			for _, o := range observeRound(tr, round, nil, nil).outcomes {
-				if o.UploadBytes != comm.PredictionWireSize*len(o.Upload) {
-					t.Fatalf("%s round %d: user %d's %d predictions cost %d bytes, want 12 each", defense, round, o.ID, len(o.Upload), o.UploadBytes)
-				}
 				for _, p := range o.Upload {
-					if p.User != o.ID || p.Item < 0 || p.Item >= sp.NumItems || !(p.Score >= 0 && p.Score <= 1) {
+					if p.User != o.ID || p.Item < 0 || p.Item >= sp.NumItems || !(p.Score >= 0 && p.Score <= 1) ||
+						float64(float32(p.Score)) != p.Score {
 						t.Fatalf("%s round %d: user %d uploads %+v", defense, round, o.ID, p)
 					}
 					checked++
@@ -476,7 +474,7 @@ func TestDroppedClientChangesNoServerState(t *testing.T) {
 				func(outcomes []ClientOutcome) {
 					for _, o := range outcomes {
 						if o.Dropped {
-							before[o.ID] = userGraphRow(tr.server, o.ID)
+							before[o.ID] = userGraphRow(tr.Server(), o.ID)
 						}
 					}
 				})
@@ -484,7 +482,7 @@ func TestDroppedClientChangesNoServerState(t *testing.T) {
 				t.Fatalf("%s: %d of %d clients dropped; the round exercises nothing", label, len(before), len(obs.cohort))
 			}
 			for u, was := range before {
-				if got := userGraphRow(tr.server, u); !slices.Equal(got, was) {
+				if got := userGraphRow(tr.Server(), u); !slices.Equal(got, was) {
 					t.Fatalf("%s: dropped user %d's graph row changed: %v -> %v", label, u, was, got)
 				}
 			}

@@ -56,7 +56,7 @@ type PhaseSeconds struct {
 	Absorb      float64 // confidence counters
 	GraphBuild  float64 // adjacency/CSR rebuild (graph server models only)
 	ServerTrain float64 // server-side SGD (Eq. 5)
-	Disperse    float64 // per-client D̃ᵢ construction + encoding
+	Disperse    float64 // per-client D̃ᵢ construction
 }
 
 // Trainer orchestrates PTF-FedRec end to end (Algorithm 1), composing the
@@ -75,10 +75,6 @@ type Trainer struct {
 	// engine, which closes a round beside the next round's free wave.
 	clientTrain float64
 
-	// server aliases into the engine (tests and the in-package benchmarks
-	// reach through it).
-	server *Server
-
 	// evaluator holds the split's evaluated-user list across rounds (nothing
 	// per user: candidates are the complement of Split.Train[u]), built lazily
 	// on the first evaluation. It is read-only after construction, so the server
@@ -96,7 +92,7 @@ func NewTrainer(sp *data.Split, cfg Config) (*Trainer, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Trainer{cfg: cfg, split: sp, host: host, engine: engine, server: engine.server}, nil
+	return &Trainer{cfg: cfg, split: sp, host: host, engine: engine}, nil
 }
 
 // Clients exposes the participant list (tests, examples), materialising any
@@ -109,7 +105,7 @@ func (t *Trainer) Clients() []*Client {
 }
 
 // Server exposes the server (tests, examples).
-func (t *Trainer) Server() *Server { return t.server }
+func (t *Trainer) Server() *Server { return t.engine.server }
 
 // PhaseSeconds returns the cumulative per-phase wall-clock since construction.
 func (t *Trainer) PhaseSeconds() PhaseSeconds {
