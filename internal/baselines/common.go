@@ -110,16 +110,13 @@ func newAdamVec(s *rng.Stream, dim int, lr float64) *adamVec {
 	return a
 }
 
+// step applies one Adam step with gradient g and zeroes g.
 func (a *adamVec) step(g []float64) {
-	const b1, b2, eps = 0.9, 0.999, 1e-8
 	a.t++
-	bc1 := 1 - math.Pow(b1, float64(a.t))
-	bc2 := 1 - math.Pow(b2, float64(a.t))
-	for k, gk := range g {
-		a.m[k] = b1*a.m[k] + (1-b1)*gk
-		a.v[k] = b2*a.v[k] + (1-b2)*gk*gk
-		a.w[k] -= a.lr * (a.m[k] / bc1) / (math.Sqrt(a.v[k]/bc2) + eps)
-	}
+	bc1, bc2 := tensor.AdamBiasCorrections(tensor.AdamBeta1, tensor.AdamBeta2, a.t)
+	tensor.AdamUpdate(a.w, a.m, a.v, g, &tensor.AdamStep{
+		LR: a.lr, Beta1: tensor.AdamBeta1, Beta2: tensor.AdamBeta2, Eps: 1e-8, BC1: bc1, BC2: bc2,
+	})
 }
 
 // localSamples builds user u's round-t training set: hard positives plus

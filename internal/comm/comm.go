@@ -2,11 +2,15 @@
 // and the sizes Table IV is computed from. Only the transport encodes: the
 // round engine keeps predictions as values, their scores rounded to the
 // wire's float32 (RoundScores), and the coordinator and participant frame
-// them where they cross HTTP. PTF-FedRec's cell counts the 12 bytes each
-// shared prediction takes on the wire (fed.History's upload and dispersal
-// totals). The baselines encode nothing: their cells are the payload sizes
-// their protocols would ship — float32 parameter blocks for FCF and MetaMF
-// (Float32BlockSize), packed Paillier ciphertexts for FedMF.
+// them where they cross HTTP, each message through its one appender in
+// wire.go (AppendDisperse, AppendUploadChunk, ...), which sizes the whole
+// frame once and encodes the values straight into the caller's slice.
+// EncodePredictions stays for the tests' payload-first oracles and the Codec
+// shim. PTF-FedRec's cell counts the 12 bytes each shared prediction takes on
+// the wire (fed.History's upload and dispersal totals). The baselines encode
+// nothing: their cells are the payload sizes their protocols would ship —
+// float32 parameter blocks for FCF and MetaMF (Float32BlockSize), packed
+// Paillier ciphertexts for FedMF.
 package comm
 
 import (

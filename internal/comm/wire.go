@@ -5,6 +5,8 @@ package comm
 // streaming upload ingestion, and dispersal delivery. The payload format for
 // prediction triples lives in comm.go; frames wrap them with a typed,
 // versioned envelope so a listener can reject garbage before allocating.
+// Each message has one constructor, AppendX, which appends its whole frame to
+// the caller's slice, sizing it once; AppendFrame frames a raw payload.
 //
 // Hardening contract: every decoder in this file returns an error — never
 // panics — on malformed, truncated, oversized, or version-skewed input. The
@@ -17,6 +19,8 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
+	"sync"
 )
 
 // WireVersion is the protocol generation. A frame with any other version is
@@ -115,30 +119,34 @@ var ErrFrameMagic = errors.New("comm: bad frame magic")
 // ErrFrameVersion reports a version-skewed frame.
 var ErrFrameVersion = errors.New("comm: unsupported wire version")
 
-// AppendFrame appends one framed message to dst and returns it.
+// AppendFrame appends one framed message carrying a raw payload to dst and
+// returns it: MsgError's text, or nothing. Every other message has its own
+// appender, which frames its fields straight into dst.
 func AppendFrame(dst []byte, t MsgType, payload []byte) []byte {
 	return append(appendHeader(dst, t, len(payload)), payload...)
 }
 
-// appendHeader appends the envelope of a type-t frame whose payload is n
-// bytes long.
+// appendHeader grows dst once to hold a whole type-t frame whose payload is n
+// bytes long and appends the envelope; the caller appends exactly n payload
+// bytes.
 func appendHeader(dst []byte, t MsgType, n int) []byte {
-	var hdr [FrameHeaderSize]byte
-	hdr[0], hdr[1] = frameMagic0, frameMagic1
-	hdr[2] = WireVersion
-	hdr[3] = byte(t)
-	binary.LittleEndian.PutUint32(hdr[4:8], uint32(n))
-	return append(dst, hdr[:]...)
+	dst = slices.Grow(dst, FrameHeaderSize+n)
+	dst = append(dst, frameMagic0, frameMagic1, WireVersion, byte(t))
+	return binary.LittleEndian.AppendUint32(dst, uint32(n))
 }
+
+// framePool holds WriteFrame's staging buffers.
+var framePool = sync.Pool{New: func() any { return new([]byte) }}
 
 // WriteFrame writes one framed message, returning the bytes put on the wire.
 // The frame is staged in a pooled buffer so one Write reaches the wire per
-// frame without a per-call allocation.
+// frame without a per-call allocation. It stays because bench/'s probes call
+// it; the coordinator and participant write what the appenders built.
 func WriteFrame(w io.Writer, t MsgType, payload []byte) (int, error) {
-	b := GetFrameBuffer()
-	b.Append(t, payload)
-	n, err := w.Write(b.buf)
-	PutFrameBuffer(b)
+	buf := framePool.Get().(*[]byte)
+	*buf = AppendFrame((*buf)[:0], t, payload)
+	n, err := w.Write(*buf)
+	framePool.Put(buf)
 	return n, err
 }
 
@@ -209,12 +217,11 @@ type Join struct {
 	UserLo, UserHi int
 }
 
-// EncodeJoin serialises a Join payload.
-func EncodeJoin(j Join) []byte {
-	var buf [8]byte
-	binary.LittleEndian.PutUint32(buf[0:4], uint32(j.UserLo))
-	binary.LittleEndian.PutUint32(buf[4:8], uint32(j.UserHi))
-	return buf[:]
+// AppendJoin appends j's MsgJoin frame to dst.
+func AppendJoin(dst []byte, j Join) []byte {
+	dst = appendHeader(dst, MsgJoin, 8)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(j.UserLo))
+	return binary.LittleEndian.AppendUint32(dst, uint32(j.UserHi))
 }
 
 // DecodeJoin parses a Join payload.
@@ -239,33 +246,29 @@ type JoinAck struct {
 	ConfigJSON         []byte // fed.Config as JSON
 }
 
-// EncodeJoinAck serialises a JoinAck payload.
-func EncodeJoinAck(a JoinAck) []byte {
-	buf := make([]byte, 0, 34+len(a.Profile)+len(a.ConfigJSON))
-	var scratch [8]byte
-	binary.LittleEndian.PutUint64(scratch[:], a.Token)
-	buf = append(buf, scratch[:]...)
-	binary.LittleEndian.PutUint32(scratch[:4], uint32(a.NumUsers))
-	buf = append(buf, scratch[:4]...)
-	binary.LittleEndian.PutUint32(scratch[:4], uint32(a.NumItems))
-	buf = append(buf, scratch[:4]...)
-	binary.LittleEndian.PutUint64(scratch[:], a.DataSeed)
-	buf = append(buf, scratch[:]...)
-	binary.LittleEndian.PutUint64(scratch[:], math.Float64bits(a.TestFrac))
-	buf = append(buf, scratch[:]...)
-	binary.LittleEndian.PutUint16(scratch[:2], uint16(len(a.Profile)))
-	buf = append(buf, scratch[:2]...)
-	buf = append(buf, a.Profile...)
-	binary.LittleEndian.PutUint32(scratch[:4], uint32(len(a.ConfigJSON)))
-	buf = append(buf, scratch[:4]...)
-	return append(buf, a.ConfigJSON...)
+// joinAckFixed is a JoinAck payload's size without its profile name and
+// config: token, users, items, seed, fraction, profile length, config length.
+const joinAckFixed = 38
+
+// AppendJoinAck appends a's MsgJoinAck frame to dst.
+func AppendJoinAck(dst []byte, a JoinAck) []byte {
+	le := binary.LittleEndian
+	dst = appendHeader(dst, MsgJoinAck, joinAckFixed+len(a.Profile)+len(a.ConfigJSON))
+	dst = le.AppendUint64(dst, a.Token)
+	dst = le.AppendUint32(dst, uint32(a.NumUsers))
+	dst = le.AppendUint32(dst, uint32(a.NumItems))
+	dst = le.AppendUint64(dst, a.DataSeed)
+	dst = le.AppendUint64(dst, math.Float64bits(a.TestFrac))
+	dst = le.AppendUint16(dst, uint16(len(a.Profile)))
+	dst = append(dst, a.Profile...)
+	dst = le.AppendUint32(dst, uint32(len(a.ConfigJSON)))
+	return append(dst, a.ConfigJSON...)
 }
 
 // DecodeJoinAck parses a JoinAck payload.
 func DecodeJoinAck(buf []byte) (JoinAck, error) {
-	const fixed = 34 // token + users + items + seed + frac + profile len + config len
-	if len(buf) < fixed {
-		return JoinAck{}, fmt.Errorf("comm: join-ack payload length %d, want >= %d", len(buf), fixed)
+	if len(buf) < joinAckFixed {
+		return JoinAck{}, fmt.Errorf("comm: join-ack payload length %d, want >= %d", len(buf), joinAckFixed)
 	}
 	a := JoinAck{
 		Token:    binary.LittleEndian.Uint64(buf[0:8]),
@@ -299,15 +302,15 @@ type RoundStart struct {
 	Users []int
 }
 
-// EncodeRoundStart serialises a RoundStart payload.
-func EncodeRoundStart(rs RoundStart) []byte {
-	buf := make([]byte, 8+4*len(rs.Users))
-	binary.LittleEndian.PutUint32(buf[0:4], uint32(rs.Round))
-	binary.LittleEndian.PutUint32(buf[4:8], uint32(len(rs.Users)))
-	for i, u := range rs.Users {
-		binary.LittleEndian.PutUint32(buf[8+4*i:], uint32(u))
+// AppendRoundStart appends rs's MsgRoundStart frame to dst.
+func AppendRoundStart(dst []byte, rs RoundStart) []byte {
+	dst = appendHeader(dst, MsgRoundStart, 8+4*len(rs.Users))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(rs.Round))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(rs.Users)))
+	for _, u := range rs.Users {
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(u))
 	}
-	return buf
+	return dst
 }
 
 // DecodeRoundStart parses a RoundStart payload.
@@ -340,22 +343,31 @@ type UploadBegin struct {
 	AttackF1    float64
 }
 
-// EncodeUploadBegin serialises an UploadBegin payload.
-func EncodeUploadBegin(b UploadBegin) []byte {
-	buf := make([]byte, 29)
-	binary.LittleEndian.PutUint32(buf[0:4], uint32(b.Round))
-	binary.LittleEndian.PutUint32(buf[4:8], uint32(b.User))
-	buf[8] = predictionCodec
-	binary.LittleEndian.PutUint32(buf[9:13], uint32(b.Count))
-	binary.LittleEndian.PutUint64(buf[13:21], math.Float64bits(b.Loss))
-	binary.LittleEndian.PutUint64(buf[21:29], math.Float64bits(b.AttackF1))
-	return buf
+// uploadBeginSize is an UploadBegin payload's size.
+const uploadBeginSize = 29
+
+// AppendUploadBegin appends b's MsgUploadBegin frame to dst.
+func AppendUploadBegin(dst []byte, b UploadBegin) []byte {
+	le := binary.LittleEndian
+	dst = appendHeader(dst, MsgUploadBegin, uploadBeginSize)
+	dst = le.AppendUint32(dst, uint32(b.Round))
+	dst = le.AppendUint32(dst, uint32(b.User))
+	dst = append(dst, predictionCodec)
+	dst = le.AppendUint32(dst, uint32(b.Count))
+	dst = le.AppendUint64(dst, math.Float64bits(b.Loss))
+	return le.AppendUint64(dst, math.Float64bits(b.AttackF1))
+}
+
+// AppendUploadChunk appends a MsgUploadChunk frame carrying preds to dst,
+// encoding them straight into it.
+func AppendUploadChunk(dst []byte, preds []Prediction) []byte {
+	return AppendPredictions(appendHeader(dst, MsgUploadChunk, len(preds)*PredictionWireSize), preds)
 }
 
 // DecodeUploadBegin parses an UploadBegin payload.
 func DecodeUploadBegin(buf []byte) (UploadBegin, error) {
-	if len(buf) != 29 {
-		return UploadBegin{}, fmt.Errorf("comm: upload-begin payload length %d, want 29", len(buf))
+	if len(buf) != uploadBeginSize {
+		return UploadBegin{}, fmt.Errorf("comm: upload-begin payload length %d, want %d", len(buf), uploadBeginSize)
 	}
 	if buf[8] != predictionCodec {
 		return UploadBegin{}, fmt.Errorf("comm: upload-begin names unknown codec %d", buf[8])
@@ -375,13 +387,12 @@ type Disperse struct {
 	Preds []Prediction
 }
 
-// EncodeDisperse serialises a Disperse payload: the user, the codec byte and
-// the predictions' EncodePredictions bytes.
-func EncodeDisperse(d Disperse) []byte {
-	buf := make([]byte, 5, 5+len(d.Preds)*PredictionWireSize)
-	binary.LittleEndian.PutUint32(buf[0:4], uint32(d.User))
-	buf[4] = predictionCodec
-	return AppendPredictions(buf, d.Preds)
+// AppendDisperse appends d's MsgDisperse frame to dst: the user, the codec
+// byte and the predictions, encoded straight into it.
+func AppendDisperse(dst []byte, d Disperse) []byte {
+	dst = appendHeader(dst, MsgDisperse, 5+len(d.Preds)*PredictionWireSize)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(d.User))
+	return AppendPredictions(append(dst, predictionCodec), d.Preds)
 }
 
 // DecodeDisperse parses a Disperse payload, decoding its predictions.
@@ -399,11 +410,10 @@ func DecodeDisperse(buf []byte) (Disperse, error) {
 	return Disperse{User: int(binary.LittleEndian.Uint32(buf[0:4])), Preds: preds}, nil
 }
 
-// EncodeRound serialises the round-number payload shared by MsgRoundEnd.
-func EncodeRound(round int) []byte {
-	var buf [4]byte
-	binary.LittleEndian.PutUint32(buf[:], uint32(round))
-	return buf[:]
+// AppendRound appends a type-t frame whose payload is the round number to
+// dst: MsgRoundEnd, and the MsgAck that accepts an upload.
+func AppendRound(dst []byte, t MsgType, round int) []byte {
+	return binary.LittleEndian.AppendUint32(appendHeader(dst, t, 4), uint32(round))
 }
 
 // DecodeRound parses a round-number payload.

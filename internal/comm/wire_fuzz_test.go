@@ -94,10 +94,19 @@ func FuzzDecodePredictions(f *testing.F) {
 }
 
 func FuzzReadFrame(f *testing.F) {
-	f.Add(AppendFrame(nil, MsgJoin, EncodeJoin(Join{UserLo: 0, UserHi: 40})))
-	f.Add(AppendFrame(AppendFrame(nil, MsgUploadBegin, EncodeUploadBegin(UploadBegin{Count: 3})), MsgUploadEnd, nil))
+	f.Add(AppendJoin(nil, Join{UserLo: 0, UserHi: 40}))
+	f.Add(AppendFrame(AppendUploadBegin(nil, UploadBegin{Count: 3}), MsgUploadEnd, nil))
 	f.Add([]byte{'P', 'T', WireVersion, byte(MsgAck), 0xff, 0xff, 0xff, 0x7f})
 	f.Add([]byte("garbage that is not a frame at all"))
+	// One frame from each remaining appender.
+	preds := []Prediction{{User: 3, Item: 9, Score: 0.5}, {User: 3, Item: 11, Score: 0.25}}
+	f.Add(AppendJoinAck(nil, JoinAck{Token: 7, NumUsers: 40, NumItems: 60, DataSeed: 1, TestFrac: 0.2,
+		Profile: "tiny", ConfigJSON: []byte(`{"Rounds":3}`)}))
+	f.Add(AppendRoundStart(nil, RoundStart{Round: 2, Users: []int{3, 5}}))
+	f.Add(AppendUploadChunk(nil, preds))
+	f.Add(AppendDisperse(nil, Disperse{User: 3, Preds: preds}))
+	f.Add(AppendRound(nil, MsgRoundEnd, 2))
+	f.Add(AppendRound(nil, MsgAck, 2))
 	f.Fuzz(func(t *testing.T, buf []byte) {
 		r := bytes.NewReader(buf)
 		for {
@@ -138,20 +147,11 @@ func FuzzReadFrame(f *testing.F) {
 // the same sequence then a clean EOF.
 func TestFrameStreamRoundTrip(t *testing.T) {
 	preds := []Prediction{{User: 4, Item: 7, Score: 0.75}, {User: 4, Item: 9, Score: 0.125}}
-	var body bytes.Buffer
-	if _, err := WriteFrame(&body, MsgUploadBegin, EncodeUploadBegin(UploadBegin{
+	body := bytes.NewReader(AppendFrame(AppendUploadChunk(AppendUploadBegin(nil, UploadBegin{
 		Round: 1, User: 4, Count: len(preds), Loss: 0.5, AttackF1: 0.25,
-	})); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := WriteFrame(&body, MsgUploadChunk, EncodePredictions(preds)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := WriteFrame(&body, MsgUploadEnd, nil); err != nil {
-		t.Fatal(err)
-	}
+	}), preds), MsgUploadEnd, nil))
 
-	mt, payload, err := ReadFrame(&body)
+	mt, payload, err := ReadFrame(body)
 	if err != nil || mt != MsgUploadBegin {
 		t.Fatalf("first frame: %v %v", mt, err)
 	}
@@ -159,7 +159,7 @@ func TestFrameStreamRoundTrip(t *testing.T) {
 	if err != nil || begin.User != 4 || begin.Count != 2 {
 		t.Fatalf("begin = %+v, err %v", begin, err)
 	}
-	mt, payload, err = ReadFrame(&body)
+	mt, payload, err = ReadFrame(body)
 	if err != nil || mt != MsgUploadChunk {
 		t.Fatalf("second frame: %v %v", mt, err)
 	}
@@ -172,11 +172,11 @@ func TestFrameStreamRoundTrip(t *testing.T) {
 			t.Fatalf("pred %d = %+v", i, got[i])
 		}
 	}
-	mt, _, err = ReadFrame(&body)
+	mt, _, err = ReadFrame(body)
 	if err != nil || mt != MsgUploadEnd {
 		t.Fatalf("third frame: %v %v", mt, err)
 	}
-	if _, _, err := ReadFrame(&body); err != io.EOF {
+	if _, _, err := ReadFrame(body); err != io.EOF {
 		t.Fatalf("tail: %v", err)
 	}
 }

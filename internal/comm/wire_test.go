@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -62,9 +63,31 @@ func TestReadFrameRejects(t *testing.T) {
 	}
 }
 
+// readOne builds a frame with build, appending to nil and to a non-empty
+// slice, and reads it back through ReadFrame: the frame must carry type want
+// and be the whole input, so a header declaring the wrong payload length
+// fails here. It returns the payload.
+func readOne(t *testing.T, want MsgType, build func([]byte) []byte) []byte {
+	t.Helper()
+	frame := build(nil)
+	prefix := []byte("prefix")
+	if got := build(slices.Clip(prefix)); !bytes.Equal(got, append(prefix, frame...)) {
+		t.Fatalf("%v: appending to a non-empty slice gives %x, want the prefix and then %x", want, got, frame)
+	}
+	r := bytes.NewReader(frame)
+	mt, payload, err := ReadFrame(r)
+	if err != nil || mt != want {
+		t.Fatalf("frame reads as %v, %v; want a %v frame", mt, err, want)
+	}
+	if r.Len() != 0 {
+		t.Fatalf("%v: %d bytes follow the frame its header declares", want, r.Len())
+	}
+	return payload
+}
+
 func TestJoinRoundTrip(t *testing.T) {
 	j := Join{UserLo: 7, UserHi: 4096}
-	got, err := DecodeJoin(EncodeJoin(j))
+	got, err := DecodeJoin(readOne(t, MsgJoin, func(dst []byte) []byte { return AppendJoin(dst, j) }))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,23 +107,19 @@ func TestJoinAckRoundTrip(t *testing.T) {
 		Profile:    "tiny",
 		ConfigJSON: []byte(`{"Rounds":3}`),
 	}
-	got, err := DecodeJoinAck(EncodeJoinAck(a))
-	if err != nil {
-		t.Fatal(err)
+	b := JoinAck{Token: 1, NumUsers: 2, NumItems: 3} // empty optional fields
+	var enc []byte
+	for _, want := range []JoinAck{a, b} {
+		enc = readOne(t, MsgJoinAck, func(dst []byte) []byte { return AppendJoinAck(dst, want) })
+		got, err := DecodeJoinAck(enc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("got %+v, want %+v", got, want)
+		}
 	}
-	if !reflect.DeepEqual(got, a) {
-		t.Fatalf("got %+v, want %+v", got, a)
-	}
-	// Empty optional fields survive too.
-	b := JoinAck{Token: 1, NumUsers: 2, NumItems: 3}
-	got, err = DecodeJoinAck(EncodeJoinAck(b))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, b) {
-		t.Fatalf("got %+v, want %+v", got, b)
-	}
-	enc := EncodeJoinAck(a)
+	enc = readOne(t, MsgJoinAck, func(dst []byte) []byte { return AppendJoinAck(dst, a) })
 	for _, cut := range []int{0, 10, 33, 35, len(enc) - 1} {
 		if _, err := DecodeJoinAck(enc[:cut]); err == nil {
 			t.Fatalf("truncation at %d accepted", cut)
@@ -110,7 +129,7 @@ func TestJoinAckRoundTrip(t *testing.T) {
 
 func TestRoundStartRoundTrip(t *testing.T) {
 	for _, rs := range []RoundStart{{Round: 0}, {Round: 3, Users: []int{1, 5, 9}}} {
-		got, err := DecodeRoundStart(EncodeRoundStart(rs))
+		got, err := DecodeRoundStart(readOne(t, MsgRoundStart, func(dst []byte) []byte { return AppendRoundStart(dst, rs) }))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -125,7 +144,8 @@ func TestRoundStartRoundTrip(t *testing.T) {
 
 func TestUploadBeginRoundTrip(t *testing.T) {
 	b := UploadBegin{Round: 2, User: 17, Count: 40, Loss: 0.25, AttackF1: 0.5}
-	got, err := DecodeUploadBegin(EncodeUploadBegin(b))
+	enc := readOne(t, MsgUploadBegin, func(dst []byte) []byte { return AppendUploadBegin(dst, b) })
+	got, err := DecodeUploadBegin(enc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,13 +155,13 @@ func TestUploadBeginRoundTrip(t *testing.T) {
 	// Byte 8 is the codec byte: 0 is the one prediction format, 1 the
 	// retired quantized codec's id, 99 never named anything.
 	for _, codec := range []byte{1, 99} {
-		bad := EncodeUploadBegin(b)
+		bad := slices.Clone(enc)
 		bad[8] = codec
 		if _, err := DecodeUploadBegin(bad); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("codec %d", codec)) {
 			t.Fatalf("codec byte %d: err = %v, want the unknown-codec refusal", codec, err)
 		}
 	}
-	if _, err := DecodeUploadBegin(EncodeUploadBegin(b)[:10]); err == nil {
+	if _, err := DecodeUploadBegin(enc[:10]); err == nil {
 		t.Fatal("truncated upload-begin accepted")
 	}
 }
@@ -151,9 +171,9 @@ func TestUploadBeginRoundTrip(t *testing.T) {
 func TestDisperseRoundTrip(t *testing.T) {
 	preds := []Prediction{{User: 3, Item: 9, Score: 0.5}, {User: 3, Item: 11, Score: 0.25}}
 	d := Disperse{User: 3, Preds: preds}
-	enc := EncodeDisperse(d)
+	enc := readOne(t, MsgDisperse, func(dst []byte) []byte { return AppendDisperse(dst, d) })
 	if want := append([]byte{3, 0, 0, 0, predictionCodec}, EncodePredictions(preds)...); !bytes.Equal(enc, want) {
-		t.Fatalf("EncodeDisperse = %x, want %x", enc, want)
+		t.Fatalf("disperse payload = %x, want %x", enc, want)
 	}
 	got, err := DecodeDisperse(enc)
 	if err != nil {
@@ -162,12 +182,13 @@ func TestDisperseRoundTrip(t *testing.T) {
 	if got.User != d.User || !reflect.DeepEqual(got.Preds, preds) {
 		t.Fatalf("got %+v, want %+v", got, d)
 	}
-	if got, err := DecodeDisperse(EncodeDisperse(Disperse{User: 5})); err != nil || got.User != 5 || len(got.Preds) != 0 {
+	empty := readOne(t, MsgDisperse, func(dst []byte) []byte { return AppendDisperse(dst, Disperse{User: 5}) })
+	if got, err := DecodeDisperse(empty); err != nil || got.User != 5 || len(got.Preds) != 0 {
 		t.Fatalf("empty dispersal decodes as %+v, %v", got, err)
 	}
 	// Byte 4 is the codec byte, as in the upload-begin frame.
 	for _, codec := range []byte{1, 99} {
-		bad := EncodeDisperse(d)
+		bad := slices.Clone(enc)
 		bad[4] = codec
 		if _, err := DecodeDisperse(bad); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("codec %d", codec)) {
 			t.Fatalf("codec byte %d: err = %v, want the unknown-codec refusal", codec, err)

@@ -17,13 +17,13 @@
 //
 // A participant uploads each wave of a round's users through one request:
 // the body is a sequence of per-user streams (begin frame, prediction
-// chunks, end frame), and the coordinator resolves each user's slot the
-// moment its stream ends. Fault semantics follow real transports: a stream
-// whose begin frame declares no predictions and ends is a dropped client,
-// and a stream cut before its end frame — by the next begin frame, the
-// body's end or a severed connection — is a short write (the server keeps
-// the received prefix; with none, the client is dropped). Anything else a
-// body gets wrong is a protocol error (readUploads lists them: bad framing,
+// chunks, end frame), each framed straight into the wave's buffered body,
+// and the coordinator resolves each user's slot the moment its stream ends.
+// Fault semantics follow real transports: a stream whose begin frame
+// declares no predictions and ends is a dropped client, and a stream cut
+// before its end frame — by the next begin frame, the body's end or a
+// severed connection — is a short write (the server keeps the received
+// prefix; with none, the client is dropped). Anything else a body gets wrong is a protocol error (readUploads lists them: bad framing,
 // a user the session does not host or the body already named, a count the
 // stream does not keep, a prediction that would break
 // fed.RoundEngine.CloseRound's contract), answered 400 with a MsgError frame
@@ -41,8 +41,10 @@
 // unknown token, round or cursor (a round never announced included), and a
 // malformed upload body.
 //
-// The round engine hands over dispersals as values; publishing frames each
-// one as its MsgDisperse event, and the coordinator keeps nothing else of it.
+// Every frame is built by its message's comm appender. The round engine hands
+// over dispersals as values; publishing frames each one as its MsgDisperse
+// event in one allocation (comm.AppendDisperse), and the coordinator keeps
+// nothing else of it.
 // A dispersal is relative to its own round: Eq. 9 excludes the items of the
 // upload that produced it (fed.RoundEngine.CloseRound). A dispersal published
 // while no session hosts its user is retained as that framed event, and a
@@ -99,9 +101,11 @@ type Options struct {
 	DataSeed uint64
 	TestFrac float64
 
-	// Deadline bounds how long a round waits for its pending uploads after
-	// announcement. Zero waits forever. When it expires the round closes
-	// with the stragglers counted as dropped.
+	// Deadline bounds how long a round waits for its pending uploads once
+	// fed.RoundEngine.Run starts collecting it: round 0 at once, a later
+	// round when the round before it has been published, which under the
+	// pipelined schedule is after its announcement. Zero waits forever. When
+	// it expires the round closes with the stragglers counted as dropped.
 	Deadline time.Duration
 }
 
@@ -259,11 +263,6 @@ func (c *Coordinator) broadcastShutdown() {
 	}
 }
 
-// disperseFrame frames one dispersal as its session-log event.
-func disperseFrame(d fed.Dispersal) []byte {
-	return comm.AppendFrame(nil, comm.MsgDisperse, comm.EncodeDisperse(comm.Disperse{User: d.ID, Preds: d.Preds}))
-}
-
 // publishRound delivers a closed round: each dispersal is framed — before
 // the lock is taken — and appended to its host session's event log (or
 // retained for an absent host), every session gets the round-end marker that
@@ -274,7 +273,7 @@ func disperseFrame(d fed.Dispersal) []byte {
 func (c *Coordinator) publishRound(round int, dispersals []fed.Dispersal) {
 	frames := make([][]byte, len(dispersals))
 	for i, d := range dispersals {
-		frames[i] = disperseFrame(d)
+		frames[i] = comm.AppendDisperse(nil, comm.Disperse{User: d.ID, Preds: d.Preds})
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -285,7 +284,7 @@ func (c *Coordinator) publishRound(round int, dispersals []fed.Dispersal) {
 			c.stashPendingLocked(d.ID, frames[i])
 		}
 	}
-	end := comm.AppendFrame(nil, comm.MsgRoundEnd, comm.EncodeRound(round))
+	end := comm.AppendRound(nil, comm.MsgRoundEnd, round)
 	for _, s := range c.hosts {
 		c.announceLocked(s, end)
 	}
@@ -354,8 +353,7 @@ func (c *Coordinator) openRound(round int, users []int) fed.Collect {
 	c.rounds[round] = rs
 	c.opened = round + 1
 	for i, s := range c.hosts {
-		c.announceLocked(s, comm.AppendFrame(nil, comm.MsgRoundStart,
-			comm.EncodeRoundStart(comm.RoundStart{Round: round, Users: hosted[i]})))
+		c.announceLocked(s, comm.AppendRoundStart(nil, comm.RoundStart{Round: round, Users: hosted[i]}))
 	}
 	return func(ctx context.Context) ([]fed.ClientOutcome, error) { return c.waitRound(ctx, rs) }
 }
@@ -466,9 +464,9 @@ func (cr *countReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// writeFrame sends one framed message and meters it.
-func (c *Coordinator) writeFrame(w io.Writer, t comm.MsgType, payload []byte) {
-	n, _ := comm.WriteFrame(w, t, payload)
+// write sends built frames and meters them.
+func (c *Coordinator) write(w io.Writer, frames []byte) {
+	n, _ := w.Write(frames)
 	c.wireOut.Add(int64(n))
 }
 
@@ -476,7 +474,7 @@ func (c *Coordinator) writeFrame(w io.Writer, t comm.MsgType, payload []byte) {
 // text is for people.
 func (c *Coordinator) writeError(w http.ResponseWriter, status int, format string, args ...any) {
 	w.WriteHeader(status)
-	c.writeFrame(w, comm.MsgError, []byte(fmt.Sprintf(format, args...)))
+	c.write(w, comm.AppendFrame(nil, comm.MsgError, fmt.Appendf(nil, format, args...)))
 }
 
 // queryInt parses a required integer query parameter.
@@ -584,7 +582,7 @@ func (c *Coordinator) handleJoin(w http.ResponseWriter, r *http.Request) {
 		c.writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	c.writeFrame(w, comm.MsgJoinAck, comm.EncodeJoinAck(comm.JoinAck{
+	c.write(w, comm.AppendJoinAck(nil, comm.JoinAck{
 		Token:      s.token,
 		NumUsers:   c.split.NumUsers,
 		NumItems:   c.split.NumItems,
@@ -602,7 +600,7 @@ func (c *Coordinator) handleLeave(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	c.unregister(s)
-	c.writeFrame(w, comm.MsgAck, nil)
+	c.write(w, comm.AppendFrame(nil, comm.MsgAck, nil))
 }
 
 // eventsAfter acknowledges the session's events before the cursor — trimming
@@ -649,8 +647,7 @@ func (c *Coordinator) handlePoll(w http.ResponseWriter, r *http.Request) {
 		}
 		if len(events) > 0 {
 			for _, frame := range events {
-				n, _ := w.Write(frame)
-				c.wireOut.Add(int64(n))
+				c.write(w, frame)
 			}
 			return
 		}
@@ -658,7 +655,7 @@ func (c *Coordinator) handlePoll(w http.ResponseWriter, r *http.Request) {
 		case <-wake:
 		case <-deadline.C:
 			// Heartbeat: the participant re-polls with the same cursor.
-			c.writeFrame(w, comm.MsgAck, nil)
+			c.write(w, comm.AppendFrame(nil, comm.MsgAck, nil))
 			return
 		case <-r.Context().Done():
 			return
@@ -690,14 +687,13 @@ func (c *Coordinator) handleUpload(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	ack := comm.AppendFrame(nil, comm.MsgAck, comm.EncodeRound(round))
 	var reply []byte
 	late := false
 	cr := &countReader{r: r.Body}
 	// Buffered, one read of the body serves several small frames.
 	perr := c.readUploads(bufio.NewReader(cr), round, s, func(o fed.ClientOutcome) {
 		if c.resolveUpload(round, o.ID, o) {
-			reply = append(reply, ack...)
+			reply = comm.AppendRound(reply, comm.MsgAck, round)
 			return
 		}
 		// The 409 is what a straggler's participant reads; the text is for people.
@@ -712,8 +708,7 @@ func (c *Coordinator) handleUpload(w http.ResponseWriter, r *http.Request) {
 	if late {
 		w.WriteHeader(http.StatusConflict)
 	}
-	n, _ := w.Write(reply)
-	c.wireOut.Add(int64(n))
+	c.write(w, reply)
 }
 
 // uploadStream is one user's stream inside an upload body, from its begin

@@ -8,6 +8,7 @@ package coord
 import (
 	"bytes"
 	"encoding/binary"
+	"math"
 	"slices"
 	"testing"
 
@@ -16,26 +17,29 @@ import (
 	"ptffedrec/internal/models"
 )
 
-// appendUploadOracle frames one round result as its upload stream from the
-// encoded upload: the begin frame, the transmitted prefix of the encoding cut
-// into uploadChunkPreds-triple chunks, and the end frame unless the stream
-// was cut short.
-func appendUploadOracle(b *comm.FrameBuffer, round int, res fed.ClientRoundResult) {
-	b.Append(comm.MsgUploadBegin, comm.EncodeUploadBegin(comm.UploadBegin{
-		Round:    round,
-		User:     res.ID,
-		Count:    len(res.Preds),
-		Loss:     res.Loss,
-		AttackF1: res.AttackF1,
-	}))
+// appendUploadOracle frames one round result as its upload stream from
+// payloads: the begin payload laid out field by field (round, user, codec
+// byte 0, count, loss, attack F1), the transmitted prefix of the encoded
+// upload cut into uploadChunkPreds-triple chunks, and the end frame unless
+// the stream was cut short.
+func appendUploadOracle(dst []byte, round int, res fed.ClientRoundResult) []byte {
+	le := binary.LittleEndian
+	begin := le.AppendUint32(nil, uint32(round))
+	begin = le.AppendUint32(begin, uint32(res.ID))
+	begin = append(begin, 0)
+	begin = le.AppendUint32(begin, uint32(len(res.Preds)))
+	begin = le.AppendUint64(begin, math.Float64bits(res.Loss))
+	begin = le.AppendUint64(begin, math.Float64bits(res.AttackF1))
+	dst = comm.AppendFrame(dst, comm.MsgUploadBegin, begin)
 	payload := comm.EncodePredictions(res.Preds)[:res.SendPreds*comm.PredictionWireSize]
 	chunkBytes := uploadChunkPreds * comm.PredictionWireSize
 	for off := 0; off < len(payload); off += chunkBytes {
-		b.Append(comm.MsgUploadChunk, payload[off:min(off+chunkBytes, len(payload))])
+		dst = comm.AppendFrame(dst, comm.MsgUploadChunk, payload[off:min(off+chunkBytes, len(payload))])
 	}
 	if res.SendPreds == len(res.Preds) {
-		b.Append(comm.MsgUploadEnd, nil)
+		dst = comm.AppendFrame(dst, comm.MsgUploadEnd, nil)
 	}
+	return dst
 }
 
 // disperseFrameOracle frames a dispersal from its encoded payload: the user,
@@ -49,8 +53,9 @@ func disperseFrameOracle(user int, payload []byte) []byte {
 // TestFramesMatchPayloadOracles runs three faulted rounds through a client
 // host and a round engine and pins every upload stream appendUpload builds —
 // complete, truncated and dropped, at several chunk sizes — and every
-// dispersal event disperseFrame builds to the payload-first oracles, and the
-// dispersal event to decode back to the dispersal's values.
+// dispersal event publishRound builds (comm.AppendDisperse) to the
+// payload-first oracles, and the dispersal event to decode back to the
+// dispersal's values.
 func TestFramesMatchPayloadOracles(t *testing.T) {
 	defer func(old int) { uploadChunkPreds = old }(uploadChunkPreds)
 	sp := testSplit()
@@ -66,9 +71,7 @@ func TestFramesMatchPayloadOracles(t *testing.T) {
 		t.Fatal(err)
 	}
 	var dropped, truncated, complete, dispersals int
-	got, want := comm.GetFrameBuffer(), comm.GetFrameBuffer()
-	defer comm.PutFrameBuffer(got)
-	defer comm.PutFrameBuffer(want)
+	var got, want []byte
 	for round := range cfg.Rounds {
 		users := engine.Select(round)
 		outcomes := make([]fed.ClientOutcome, len(users))
@@ -84,11 +87,9 @@ func TestFramesMatchPayloadOracles(t *testing.T) {
 			}
 			for _, chunk := range []int{1, 3, 512} {
 				uploadChunkPreds = chunk
-				got.Reset()
-				want.Reset()
-				appendUpload(got, round, res)
-				appendUploadOracle(want, round, res)
-				if !bytes.Equal(got.Bytes(), want.Bytes()) {
+				got = appendUpload(got[:0], round, res)
+				want = appendUploadOracle(want[:0], round, res)
+				if !bytes.Equal(got, want) {
 					t.Fatalf("round %d user %d (dropped %v, %d of %d sent), %d-triple chunks: upload stream differs from the payload-first oracle",
 						round, u, res.Dropped, res.SendPreds, len(res.Preds), chunk)
 				}
@@ -97,7 +98,7 @@ func TestFramesMatchPayloadOracles(t *testing.T) {
 		}
 		_, ds := engine.CloseRound(round, outcomes, nil)
 		for _, d := range ds {
-			frame := disperseFrame(d)
+			frame := comm.AppendDisperse(nil, comm.Disperse{User: d.ID, Preds: d.Preds})
 			if want := disperseFrameOracle(d.ID, comm.EncodePredictions(d.Preds)); !bytes.Equal(frame, want) {
 				t.Fatalf("round %d user %d: dispersal event %x, the payload-first oracle frames %x", round, d.ID, frame, want)
 			}

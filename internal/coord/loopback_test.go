@@ -526,7 +526,7 @@ func TestRefusalsAnswer4xx(t *testing.T) {
 	c.openRound(0, []int{0, 1, 2})
 	tok := p.Token()
 	join := func(lo, hi int) []byte {
-		return comm.AppendFrame(nil, comm.MsgJoin, comm.EncodeJoin(comm.Join{UserLo: lo, UserHi: hi}))
+		return comm.AppendJoin(nil, comm.Join{UserLo: lo, UserHi: hi})
 	}
 	upload := func(round, user int) []byte {
 		return encodeUpload(round, user, []comm.Prediction{{User: user, Item: 1, Score: 0.5}}, 1, true)
@@ -579,20 +579,18 @@ func encodeUpload(round, user int, preds []comm.Prediction, sendPreds int, end b
 // encodeUploadMetrics is encodeUpload with the begin frame's loss and attack
 // F1 given.
 func encodeUploadMetrics(round, user int, preds []comm.Prediction, sendPreds int, end bool, loss, attackF1 float64) []byte {
-	var b bytes.Buffer
-	comm.WriteFrame(&b, comm.MsgUploadBegin, comm.EncodeUploadBegin(comm.UploadBegin{
+	b := comm.AppendUploadBegin(nil, comm.UploadBegin{
 		Round: round, User: user, Count: len(preds),
 		Loss: loss, AttackF1: attackF1,
-	}))
-	payload := comm.EncodePredictions(preds)[:sendPreds*comm.PredictionWireSize]
-	for off := 0; off < len(payload); off += 2 * comm.PredictionWireSize {
-		hi := min(off+2*comm.PredictionWireSize, len(payload))
-		comm.WriteFrame(&b, comm.MsgUploadChunk, payload[off:hi])
+	})
+	sent := preds[:sendPreds]
+	for off := 0; off < len(sent); off += 2 {
+		b = comm.AppendUploadChunk(b, sent[off:min(off+2, len(sent))])
 	}
 	if end {
-		comm.WriteFrame(&b, comm.MsgUploadEnd, nil)
+		b = comm.AppendFrame(b, comm.MsgUploadEnd, nil)
 	}
-	return b.Bytes()
+	return b
 }
 
 // withCodecByte returns a copy of an upload body whose opening frame names
@@ -754,11 +752,9 @@ func TestReadUploadClassification(t *testing.T) {
 	// chunk that crosses the count — with no end frame in sight, so before
 	// the bound this read buffered until memory ran out.
 	begin := func(count int) []byte {
-		return comm.AppendFrame(nil, comm.MsgUploadBegin, comm.EncodeUploadBegin(comm.UploadBegin{
-			Round: 1, User: 7, Count: count,
-		}))
+		return comm.AppendUploadBegin(nil, comm.UploadBegin{Round: 1, User: 7, Count: count})
 	}
-	chunk := comm.AppendFrame(nil, comm.MsgUploadChunk, comm.EncodePredictions(preds[:3]))
+	chunk := comm.AppendUploadChunk(nil, preds[:3])
 	endless := io.MultiReader(bytes.NewReader(begin(2)), &repeatReader{frame: chunk})
 	if got, err = readBody(c, endless); err == nil || !strings.Contains(err.Error(), "more than the 2 predictions") || !dropped(got[0], 7) {
 		t.Fatalf("overrunning stream: outcomes %+v, err = %v, want the declared-count rejection", got, err)
@@ -833,10 +829,8 @@ func TestMalformedUploadOverHTTP(t *testing.T) {
 		return resp.StatusCode, mt, payload
 	}
 	preds := []comm.Prediction{{User: 4, Item: 1, Score: 0.5}, {User: 4, Item: 2, Score: 0.25}}
-	overrun := comm.AppendFrame(nil, comm.MsgUploadBegin, comm.EncodeUploadBegin(comm.UploadBegin{
-		Round: 0, User: 4, Count: 1,
-	}))
-	overrun = comm.AppendFrame(overrun, comm.MsgUploadChunk, comm.EncodePredictions(preds))
+	overrun := comm.AppendUploadBegin(nil, comm.UploadBegin{Round: 0, User: 4, Count: 1})
+	overrun = comm.AppendUploadChunk(overrun, preds)
 	overrun = comm.AppendFrame(overrun, comm.MsgUploadEnd, nil)
 	for name, body := range map[string][]byte{"garbage": []byte(strings.Repeat("garbage", 4)), "overrun": overrun} {
 		if status, mt, payload := post(body); status != http.StatusBadRequest || mt != comm.MsgError {
@@ -1099,7 +1093,7 @@ func TestRunRefusesAnnouncementBeforeRoundEnd(t *testing.T) {
 		switch r.URL.Path {
 		case "/v1/poll":
 			for round := 0; round < 3; round++ {
-				comm.WriteFrame(w, comm.MsgRoundStart, comm.EncodeRoundStart(comm.RoundStart{Round: round, Users: []int{3}}))
+				w.Write(comm.AppendRoundStart(nil, comm.RoundStart{Round: round, Users: []int{3}}))
 			}
 		case "/v1/upload":
 			uploads.Add(1)
@@ -1148,7 +1142,7 @@ func TestRunRefusesBadDispersal(t *testing.T) {
 			srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 				switch r.URL.Path {
 				case "/v1/poll":
-					comm.WriteFrame(w, comm.MsgDisperse, comm.EncodeDisperse(comm.Disperse{User: user, Preds: preds}))
+					w.Write(comm.AppendDisperse(nil, comm.Disperse{User: user, Preds: preds}))
 					comm.WriteFrame(w, comm.MsgShutdown, nil)
 				case "/v1/leave":
 					left.Add(1)
@@ -1199,7 +1193,7 @@ func TestRunRefusesBadRoundStart(t *testing.T) {
 			srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 				switch r.URL.Path {
 				case "/v1/poll":
-					comm.WriteFrame(w, comm.MsgRoundStart, comm.EncodeRoundStart(comm.RoundStart{Round: 0, Users: c.users}))
+					w.Write(comm.AppendRoundStart(nil, comm.RoundStart{Round: 0, Users: c.users}))
 					comm.WriteFrame(w, comm.MsgShutdown, nil)
 				case "/v1/upload":
 					uploads.Add(1)

@@ -47,7 +47,7 @@ func Join(base string, lo, hi int, hc *http.Client) (*Participant, error) {
 		hc = http.DefaultClient
 	}
 	base = strings.TrimRight(base, "/")
-	body := comm.AppendFrame(nil, comm.MsgJoin, comm.EncodeJoin(comm.Join{UserLo: lo, UserHi: hi}))
+	body := comm.AppendJoin(nil, comm.Join{UserLo: lo, UserHi: hi})
 	resp, err := hc.Post(base+"/v1/join", "application/octet-stream", bytes.NewReader(body))
 	if err != nil {
 		return nil, err
@@ -287,13 +287,11 @@ func (p *Participant) runUsers(ctx context.Context, round int, users, slots []in
 	bw := bufio.NewWriterSize(pw, uploadBufferBytes)
 	par.For(len(slots), par.Workers(p.cfg.Workers), func(i int) {
 		res := p.host.RunClientRound(round, users[slots[i]])
-		b := comm.GetFrameBuffer()
-		appendUpload(b, round, res)
 		mu.Lock()
-		// A failed write sticks in bw and skips the rest; the reply says why.
-		_, _ = bw.Write(b.Bytes())
+		// The stream is framed straight into bw's free space. A failed write
+		// sticks in bw and skips the rest; the reply says why.
+		_, _ = bw.Write(appendUpload(bw.AvailableBuffer(), round, res))
 		mu.Unlock()
-		comm.PutFrameBuffer(b)
 	})
 	pw.CloseWithError(bw.Flush()) // nil ends the body cleanly
 	return <-replied
@@ -316,26 +314,27 @@ func (p *Participant) postUploads(ctx context.Context, round int, body io.Reader
 	return checkUploadReply(resp, users)
 }
 
-// appendUpload frames one user's round result as its upload stream: the
-// begin frame, the transmitted prefix in chunks, and the end frame unless a
-// truncation cut the stream short (a short write). A dropped client's result
-// carries no predictions, so it sends a begin frame declaring none and the
-// end frame.
-func appendUpload(b *comm.FrameBuffer, round int, res fed.ClientRoundResult) {
-	b.Append(comm.MsgUploadBegin, comm.EncodeUploadBegin(comm.UploadBegin{
+// appendUpload appends one user's round result to dst as its upload stream:
+// the begin frame, the transmitted prefix in chunks, and the end frame unless
+// a truncation cut the stream short (a short write). A dropped client's
+// result carries no predictions, so it sends a begin frame declaring none and
+// the end frame.
+func appendUpload(dst []byte, round int, res fed.ClientRoundResult) []byte {
+	dst = comm.AppendUploadBegin(dst, comm.UploadBegin{
 		Round:    round,
 		User:     res.ID,
 		Count:    len(res.Preds),
 		Loss:     res.Loss,
 		AttackF1: res.AttackF1,
-	}))
+	})
 	sent := res.Preds[:res.SendPreds]
 	for off := 0; off < len(sent); off += uploadChunkPreds {
-		b.AppendPredictions(comm.MsgUploadChunk, sent[off:min(off+uploadChunkPreds, len(sent))])
+		dst = comm.AppendUploadChunk(dst, sent[off:min(off+uploadChunkPreds, len(sent))])
 	}
 	if res.SendPreds == len(res.Preds) {
-		b.Append(comm.MsgUploadEnd, nil)
+		dst = comm.AppendFrame(dst, comm.MsgUploadEnd, nil)
 	}
+	return dst
 }
 
 // checkUploadReply reads a wave's reply: 200 with one MsgAck per user is

@@ -145,7 +145,7 @@ func TestPendingDispersalStore(t *testing.T) {
 
 	// event frames user's dispersal of one prediction scored score.
 	event := func(user int, score float64) []byte {
-		return disperseFrame(fed.Dispersal{ID: user, Preds: []comm.Prediction{{User: user, Item: 1, Score: score}}})
+		return comm.AppendDisperse(nil, comm.Disperse{User: user, Preds: []comm.Prediction{{User: user, Item: 1, Score: score}}})
 	}
 	c.mu.Lock()
 	c.stashPendingLocked(1, event(1, 0.25))
@@ -194,7 +194,7 @@ func TestPendingQueueBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 	event := func(user int) []byte {
-		return disperseFrame(fed.Dispersal{ID: user, Preds: []comm.Prediction{{User: user, Item: 1, Score: 0.5}}})
+		return comm.AppendDisperse(nil, comm.Disperse{User: user, Preds: []comm.Prediction{{User: user, Item: 1, Score: 0.5}}})
 	}
 	host := &session{lo: 3, hi: 4}
 	c.mu.Lock()

@@ -34,28 +34,22 @@ func benchDisperseTrainer(b *testing.B) (*Trainer, [][]comm.Prediction) {
 	return tr, uploads
 }
 
-// BenchmarkDisperse measures one dispersal sweep over every client on a
-// warmed server, serially, through the same Server.disperseUsers loop a
-// CloseRound worker runs — once per Table VII arm, on one trained server
-// (the arm only decides how D̃ᵢ is picked from it). Streams are derived as
-// CloseRound derives them: per client for the arms that draw, none for
-// conf+hard.
+// BenchmarkDisperse measures one dispersal phase over every client on a
+// warmed server, serially, as CloseRound runs it (RoundEngine.disperse: the
+// plan, each client's stream where the arm draws, Server.disperseUsers, and
+// the emit that rounds each D̃ᵢ's scores into the Dispersal slice) — once
+// per Table VII arm, on one trained server (the arm only decides how D̃ᵢ is
+// picked from it).
 func BenchmarkDisperse(b *testing.B) {
 	tr, uploads := benchDisperseTrainer(b)
 	ids := allSlots(tr.split.NumUsers)
-	root := rng.New(1).Derive("bench-disperse")
 	for _, arm := range []DisperseMode{DisperseConfHard, DisperseNoHard, DisperseNoConf, DisperseAllRandom} {
 		b.Run(string(arm), func(b *testing.B) {
 			tr.Server().cfg.Disperse = arm
-			plan := tr.Server().buildDispersalPlan()
-			stream := func(int) *rng.Stream { return nil }
-			if disperseNeedsStreams(tr.Server().cfg) {
-				stream = func(id int) *rng.Stream { return root.DeriveN("client", id) }
-			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for n := 0; n < b.N; n++ {
-				tr.Server().disperseUsers(ids, uploads, plan, stream, func(int, []comm.Prediction) {})
+				tr.engine.disperse(1, ids, uploads, 1)
 			}
 		})
 	}

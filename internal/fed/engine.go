@@ -222,6 +222,22 @@ func (e *RoundEngine) CloseRound(round int, outcomes []ClientOutcome, overlap fu
 			overlap()
 		}()
 	}
+	dispersals := e.disperse(round, ids, uploads, workers)
+	for _, d := range dispersals {
+		stats.DispersBytes += int64(len(d.Preds) * comm.PredictionWireSize)
+	}
+	e.phases.Disperse += time.Since(phaseStart).Seconds()
+	if overlapDone != nil {
+		<-overlapDone
+	}
+	return stats, dispersals
+}
+
+// disperse builds the dispersal of each responder ids[i], whose round upload
+// is uploads[i], on workers goroutines: the responders in slot order, each
+// D̃ᵢ's scores rounded to the wire's float32. It is CloseRound's dispersal
+// phase.
+func (e *RoundEngine) disperse(round int, ids []int, uploads [][]comm.Prediction, workers int) []Dispersal {
 	dispersals := make([]Dispersal, len(ids))
 	if len(ids) > 0 {
 		plan := e.server.buildDispersalPlan()
@@ -249,12 +265,5 @@ func (e *RoundEngine) CloseRound(round int, outcomes []ClientOutcome, overlap fu
 			})
 		})
 	}
-	for _, d := range dispersals {
-		stats.DispersBytes += int64(len(d.Preds) * comm.PredictionWireSize)
-	}
-	e.phases.Disperse += time.Since(phaseStart).Seconds()
-	if overlapDone != nil {
-		<-overlapDone
-	}
-	return stats, dispersals
+	return dispersals
 }
