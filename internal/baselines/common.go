@@ -113,10 +113,8 @@ func newAdamVec(s *rng.Stream, dim int, lr float64) *adamVec {
 // step applies one Adam step with gradient g and zeroes g.
 func (a *adamVec) step(g []float64) {
 	a.t++
-	bc1, bc2 := tensor.AdamBiasCorrections(tensor.AdamBeta1, tensor.AdamBeta2, a.t)
-	tensor.AdamUpdate(a.w, a.m, a.v, g, &tensor.AdamStep{
-		LR: a.lr, Beta1: tensor.AdamBeta1, Beta2: tensor.AdamBeta2, Eps: 1e-8, BC1: bc1, BC2: bc2,
-	})
+	s := tensor.NewAdamStep(a.lr, a.t, false)
+	tensor.AdamUpdate(a.w, a.m, a.v, g, &s)
 }
 
 // localSamples builds user u's round-t training set: hard positives plus

@@ -13,8 +13,7 @@ import (
 // gradients, and the server applies the averaged gradient with Adam.
 type FCF struct {
 	*sharedItems
-	q   *nn.Param // the item matrix as an optimizer parameter
-	opt *nn.Adam
+	q *nn.Param // the item matrix as an optimizer parameter
 }
 
 // NewFCF builds the baseline for a split.
@@ -25,8 +24,8 @@ func NewFCF(sp *data.Split, cfg Config) (*FCF, error) {
 	}
 	f := &FCF{
 		sharedItems: s,
-		q:           &nn.Param{Name: "fcf.Q", W: s.items, Grad: tensor.New(sp.NumItems, cfg.Dim)},
-		opt:         nn.NewAdam(cfg.LR),
+		q: &nn.Param{Name: "fcf.Q", W: s.items, Grad: tensor.New(sp.NumItems, cfg.Dim),
+			M: tensor.New(sp.NumItems, cfg.Dim), V: tensor.New(sp.NumItems, cfg.Dim)},
 	}
 	// The payload is the full float32 item matrix, exactly what the original
 	// FCF ships in each direction.
@@ -44,5 +43,5 @@ func (f *FCF) fedAvg(_ []int, grads [][]float64) {
 			f.q.Grad.Data[j] += v * inv
 		}
 	}
-	f.opt.Step([]*nn.Param{f.q})
+	nn.Adam(f.cfg.LR, []*nn.Param{f.q})
 }

@@ -30,7 +30,6 @@ type MetaMF struct {
 	cvG  *emb.RowGrads // the round's pending cv gradients
 	l1   *nn.Dense     // cvDim -> hidden
 	l2   *nn.Dense     // hidden -> 2d (scale ‖ shift)
-	opt  *nn.Adam
 
 	// mod holds every user's meta-network output (scale ‖ shift) for
 	// scoring while modFresh; backprop, which moves the generator, clears
@@ -58,11 +57,10 @@ func NewMetaMF(sp *data.Split, cfg Config) (*MetaMF, error) {
 	m := &MetaMF{
 		federation: f,
 		base:       nn.NewParam("metamf.base", sp.NumItems, cfg.Dim),
-		cv:         emb.NewTable(f.root.Derive("cv"), sp.NumUsers, cvDim, emb.DefaultAdam(cfg.LR)),
+		cv:         emb.NewTable(f.root.Derive("cv"), sp.NumUsers, cvDim, cfg.LR),
 		cvG:        emb.NewRowGrads(cvDim),
 		l1:         nn.NewDense("metamf.l1", cvDim, metaHidden, f.root.Derive("l1")),
 		l2:         nn.NewDense("metamf.l2", metaHidden, 2*cfg.Dim, f.root.Derive("l2")),
-		opt:        nn.NewAdam(cfg.LR),
 	}
 	nn.Normal(f.root.Derive("base"), m.base.W, 0.1)
 	// Each client downloads its generated embeddings plus the modulation
@@ -156,7 +154,7 @@ func (m *MetaMF) backprop(idx []int, grads [][]float64) {
 	params := []*nn.Param{m.base}
 	params = append(params, m.l1.Params()...)
 	params = append(params, m.l2.Params()...)
-	m.opt.Step(params)
+	nn.Adam(m.cfg.LR, params)
 	m.cv.Step(m.cvG)
 	m.modFresh = false
 }

@@ -37,9 +37,9 @@
 // upload body naming a user whose announced round no longer takes uploads
 // answers 409, one MsgError frame per late user beside the accepted users'
 // MsgAck frames (a straggler's participant carries on); 400 answers
-// everything else — a bad join frame or range, a missing, malformed or
-// unknown token, round or cursor (a round never announced included), and a
-// malformed upload body.
+// everything else — a bad join frame or range, a join body with bytes after
+// its frame, a missing, malformed or unknown token, round or cursor (a round
+// never announced included), and a malformed upload body.
 //
 // Every frame is built by its message's comm appender. The round engine hands
 // over dispersals as values; publishing frames each one as its MsgDisperse
@@ -151,7 +151,6 @@ func (rs *roundState) resolve(u int) {
 type Coordinator struct {
 	engine     *fed.RoundEngine
 	split      *data.Split
-	cfg        fed.Config
 	opts       Options
 	configJSON []byte
 	evaluator  *eval.Evaluator
@@ -191,7 +190,6 @@ func New(sp *data.Split, cfg fed.Config, opts Options) (*Coordinator, error) {
 	return &Coordinator{
 		engine:     engine,
 		split:      sp,
-		cfg:        cfg,
 		opts:       opts,
 		configJSON: cfgJSON,
 		sessions:   make(map[uint64]*session),
@@ -570,6 +568,10 @@ func (c *Coordinator) handleJoin(w http.ResponseWriter, r *http.Request) {
 	j, err := comm.DecodeJoin(payload)
 	if err != nil {
 		c.writeError(w, http.StatusBadRequest, "%v", err)
+		return
+	}
+	if _, err := io.ReadFull(cr, make([]byte, 1)); err != io.EOF {
+		c.writeError(w, http.StatusBadRequest, "coord: join body continues past its frame")
 		return
 	}
 	if j.UserLo < 0 || j.UserHi > c.split.NumUsers || j.UserLo >= j.UserHi {

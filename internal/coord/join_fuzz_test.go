@@ -14,9 +14,10 @@ import (
 
 // FuzzJoin feeds raw request bodies through the coordinator's /v1/join
 // handler while one session hosts users [10, 20). It must never panic, and
-// must answer either 200 with exactly one MsgJoinAck frame — for a new
-// session hosting the requested range, leaving one more session — or 400
-// with exactly one MsgError frame, leaving the sessions as they were.
+// must answer either 200 with exactly one MsgJoinAck frame — only for a body
+// that is exactly one valid join frame, and for a new session hosting the
+// requested range, leaving one more session — or 400 with exactly one
+// MsgError frame, leaving the sessions as they were.
 func FuzzJoin(f *testing.F) {
 	join := func(lo, hi int) []byte { return comm.AppendJoin(nil, comm.Join{UserLo: lo, UserHi: hi}) }
 	f.Add(join(0, 10))
@@ -24,6 +25,7 @@ func FuzzJoin(f *testing.F) {
 	f.Add(join(30, 5))     // inverted range
 	f.Add(join(0, 10)[:5]) // truncated header
 	f.Add(join(15, 25))    // overlaps the live session
+	f.Add(append(join(0, 10), "trailing garbage"...))
 	c, err := New(testSplit(), testConfig(models.KindMF, 1), testOptions())
 	if err != nil {
 		f.Fatal(err)
@@ -63,9 +65,13 @@ func FuzzJoin(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			_, jp, _ := comm.ReadFrame(bytes.NewReader(body))
+			br := bytes.NewReader(body)
+			_, jp, _ := comm.ReadFrame(br)
 			if j, err := comm.DecodeJoin(jp); err != nil || s.lo != j.UserLo || s.hi != j.UserHi {
 				t.Fatalf("accepted session hosts [%d, %d); the body asked for %+v (%v)", s.lo, s.hi, j, err)
+			}
+			if br.Len() != 0 {
+				t.Fatalf("accepted a join body with %d bytes after its frame", br.Len())
 			}
 			c.unregister(s) // the next input meets the one live session again
 		case http.StatusBadRequest:

@@ -540,6 +540,7 @@ func TestRefusalsAnswer4xx(t *testing.T) {
 		{"join: empty range", "/v1/join", join(30, 30)},
 		{"join: range beyond the universe", "/v1/join", join(30, sp.NumUsers+1)},
 		{"join: range overlaps a live session", "/v1/join", join(10, 30)},
+		{"join: bytes after the frame", "/v1/join", append(join(30, 40), "trailing garbage"...)},
 		{"leave: missing token", "/v1/leave", nil},
 		{"leave: malformed token", "/v1/leave?token=x", nil},
 		{"leave: unknown token", fmt.Sprintf("/v1/leave?token=%d", tok^1), nil},

@@ -30,23 +30,6 @@ import (
 	"ptffedrec/internal/tensor"
 )
 
-// AdamHyper carries the Adam hyper-parameters of a table.
-type AdamHyper struct {
-	LR, Beta1, Beta2, Eps float64
-}
-
-// DefaultAdam returns the paper's optimizer settings (lr as given).
-func DefaultAdam(lr float64) AdamHyper {
-	return AdamHyper{LR: lr, Beta1: tensor.AdamBeta1, Beta2: tensor.AdamBeta2, Eps: 1e-8}
-}
-
-// update returns the sparse-Adam update of a row at its step-th step. It is
-// the undecayed form: a table row never adds a weight-decay term.
-func (hy AdamHyper) update(step int) tensor.AdamStep {
-	bc1, bc2 := tensor.AdamBiasCorrections(hy.Beta1, hy.Beta2, step)
-	return tensor.AdamStep{LR: hy.LR, Beta1: hy.Beta1, Beta2: hy.Beta2, Eps: hy.Eps, BC1: bc1, BC2: bc2}
-}
-
 // Table is an embedding table with per-row Adam state. Rows are updated
 // sparsely: only rows with a gradient pay optimizer cost.
 type Table struct {
@@ -67,7 +50,7 @@ type Table struct {
 	ids   []int
 	index index
 	init  *rng.Stream
-	hy    AdamHyper
+	lr    float64 // Adam's step size
 }
 
 // lazyPageShift caps a lazy table's pages at lazyPageRows rows: past the
@@ -91,14 +74,14 @@ func lazyPage(s int) (k, off, rows int) {
 
 // NewTable allocates a dense rows×dim table initialized with N(0, 0.01) — the
 // conventional embedding init for collaborative filtering models.
-func NewTable(s *rng.Stream, rows, dim int, hy AdamHyper) *Table {
+func NewTable(s *rng.Stream, rows, dim int, lr float64) *Table {
 	page := make([]float64, 3*rows*dim)
 	t := &Table{
 		Dim:   dim,
 		W:     tensor.FromSlice(rows, dim, page[:rows*dim]),
 		pages: [][]float64{page},
 		steps: make([]int, rows),
-		hy:    hy,
+		lr:    lr,
 	}
 	for i := range t.W.Data {
 		t.W.Data[i] = s.Normal(0, 0.1)
@@ -109,8 +92,8 @@ func NewTable(s *rng.Stream, rows, dim int, hy AdamHyper) *Table {
 // NewLazyTable returns an empty lazy table; each first-touched row is filled
 // with N(0, 0.01) values drawn from the table's one "lazytable" stream, so a
 // row's init depends on the order rows are first touched.
-func NewLazyTable(s *rng.Stream, dim int, hy AdamHyper) *Table {
-	return &Table{Dim: dim, init: s.Derive("lazytable"), hy: hy}
+func NewLazyTable(s *rng.Stream, dim int, lr float64) *Table {
+	return &Table{Dim: dim, init: s.Derive("lazytable"), lr: lr}
 }
 
 // Row returns row i's weights, aliasing the table's storage; only Step and
@@ -163,14 +146,14 @@ func (t *Table) slot(i int) int {
 }
 
 // Step applies sparse Adam to every row with a gradient in g, then empties
-// g. Each row keeps its own step counter for bias correction, matching the
-// sparse-Adam behaviour of mainstream frameworks. Rows update independently,
-// so g's order cannot change a value.
+// g. Each row keeps its own step counter for bias correction and takes the
+// undecayed form, matching the sparse-Adam behaviour of mainstream
+// frameworks. Rows update independently, so g's order cannot change a value.
 func (t *Table) Step(g *RowGrads) {
 	for k, i := range g.ids {
 		s := t.slot(i)
 		t.steps[s]++
-		up := t.hy.update(t.steps[s])
+		up := tensor.NewAdamStep(t.lr, t.steps[s], false)
 		w, m, v := t.row(s)
 		tensor.AdamUpdate(w, m, v, g.slab[k*g.dim:(k+1)*g.dim], &up)
 	}

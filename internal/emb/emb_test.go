@@ -9,7 +9,7 @@ import (
 )
 
 func TestTableInitNonZero(t *testing.T) {
-	tab := NewTable(rng.New(1), 5, 4, DefaultAdam(0.01))
+	tab := NewTable(rng.New(1), 5, 4, 0.01)
 	if n := len(tab.steps); n != 5 {
 		t.Fatalf("dense table holds %d rows, want 5", n)
 	}
@@ -23,7 +23,7 @@ func TestTableInitNonZero(t *testing.T) {
 }
 
 func TestTableSparseStep(t *testing.T) {
-	tab := NewTable(rng.New(2), 3, 2, DefaultAdam(0.1))
+	tab := NewTable(rng.New(2), 3, 2, 0.1)
 	g := NewRowGrads(2)
 	before0 := append([]float64(nil), tab.Row(0)...)
 	before1 := append([]float64(nil), tab.Row(1)...)
@@ -50,7 +50,7 @@ func TestTableSparseStep(t *testing.T) {
 }
 
 func TestTableAccumulateSums(t *testing.T) {
-	tab := NewTable(rng.New(3), 2, 2, DefaultAdam(0.1))
+	tab := NewTable(rng.New(3), 2, 2, 0.1)
 	g := NewRowGrads(2)
 	g.Add(0, []float64{1, 0})
 	g.Add(0, []float64{1, 0})
@@ -70,7 +70,7 @@ func TestTableAccumulateSums(t *testing.T) {
 
 func TestTableConvergesToTarget(t *testing.T) {
 	// Minimise ||w - target||² for one row.
-	tab := NewTable(rng.New(4), 1, 3, DefaultAdam(0.05))
+	tab := NewTable(rng.New(4), 1, 3, 0.05)
 	g := NewRowGrads(3)
 	target := []float64{0.5, -0.25, 1.0}
 	for i := 0; i < 800; i++ {
@@ -88,7 +88,7 @@ func TestTableConvergesToTarget(t *testing.T) {
 }
 
 func TestLazyTableMaterialisesOnDemand(t *testing.T) {
-	tab := NewLazyTable(rng.New(5), 4, DefaultAdam(0.01))
+	tab := NewLazyTable(rng.New(5), 4, 0.01)
 	if len(tab.steps) != 0 {
 		t.Fatal("new lazy table not empty")
 	}
@@ -111,7 +111,7 @@ func TestLazyTableMaterialisesOnDemand(t *testing.T) {
 // TestLazyTableRowStable also pins that rows never move: a slice Row
 // returned before later first touches added pages still aliases its row.
 func TestLazyTableRowStable(t *testing.T) {
-	tab := NewLazyTable(rng.New(6), 3, DefaultAdam(0.01))
+	tab := NewLazyTable(rng.New(6), 3, 0.01)
 	held := tab.Row(2)
 	a := append([]float64(nil), held...)
 	for i := 10; i < 200; i++ {
@@ -129,7 +129,7 @@ func TestLazyTableRowStable(t *testing.T) {
 }
 
 func TestLazyTableStepOnlyDirty(t *testing.T) {
-	tab := NewLazyTable(rng.New(7), 2, DefaultAdam(0.1))
+	tab := NewLazyTable(rng.New(7), 2, 0.1)
 	g := NewRowGrads(2)
 	w0 := append([]float64(nil), tab.Row(0)...)
 	_ = tab.Row(1) // materialised but never updated
@@ -154,7 +154,7 @@ func TestLazyTableStepOnlyDirty(t *testing.T) {
 // accumulated twice in a batch is stepped once, a materialised row never
 // accumulated is not stepped, and Step leaves the set empty.
 func TestLazyTableStepVisitsEachDirtyRowOnce(t *testing.T) {
-	tab := NewLazyTable(rng.New(9), 2, DefaultAdam(0.1))
+	tab := NewLazyTable(rng.New(9), 2, 0.1)
 	g := NewRowGrads(2)
 	_ = tab.Row(1)
 	for batch := 1; batch <= 3; batch++ {
@@ -177,7 +177,7 @@ func TestLazyTableStepVisitsEachDirtyRowOnce(t *testing.T) {
 }
 
 func TestLazyTableConverges(t *testing.T) {
-	tab := NewLazyTable(rng.New(8), 2, DefaultAdam(0.05))
+	tab := NewLazyTable(rng.New(8), 2, 0.05)
 	g := NewRowGrads(2)
 	target := []float64{-0.3, 0.8}
 	for i := 0; i < 800; i++ {
@@ -231,10 +231,10 @@ func tableStepCases() []tableStepCase {
 	}
 	return []tableStepCase{
 		{"dense", func() (*Table, *RowGrads, func(*Table, *RowGrads)) {
-			return NewTable(rng.New(1), benchRows*4, dim, DefaultAdam(0.01)), NewRowGrads(dim), run(4)
+			return NewTable(rng.New(1), benchRows*4, dim, 0.01), NewRowGrads(dim), run(4)
 		}},
 		{"lazy", func() (*Table, *RowGrads, func(*Table, *RowGrads)) {
-			return NewLazyTable(rng.New(1), dim, DefaultAdam(0.01)), NewRowGrads(dim), run(idStride)
+			return NewLazyTable(rng.New(1), dim, 0.01), NewRowGrads(dim), run(idStride)
 		}},
 	}
 }

@@ -30,12 +30,12 @@ type tableOracle struct {
 	grad map[int][]float64
 	m, v *tensor.Matrix
 	step map[int]int
-	hy   AdamHyper
+	lr   float64
 }
 
 // newTableOracle allocates a rows×dim table initialized with N(0, 0.01) — the
 // conventional embedding init for collaborative filtering models.
-func newTableOracle(s *rng.Stream, rows, dim int, hy AdamHyper) *tableOracle {
+func newTableOracle(s *rng.Stream, rows, dim int, lr float64) *tableOracle {
 	t := &tableOracle{
 		Dim:  dim,
 		W:    tensor.New(rows, dim),
@@ -43,7 +43,7 @@ func newTableOracle(s *rng.Stream, rows, dim int, hy AdamHyper) *tableOracle {
 		m:    tensor.New(rows, dim),
 		v:    tensor.New(rows, dim),
 		step: map[int]int{},
-		hy:   hy,
+		lr:   lr,
 	}
 	for i := range t.W.Data {
 		t.W.Data[i] = s.Normal(0, 0.1)
@@ -70,7 +70,7 @@ func (t *tableOracle) Accumulate(i int, g []float64) {
 func (t *tableOracle) Step() {
 	for i, g := range t.grad {
 		t.step[i]++
-		s := t.hy.update(t.step[i])
+		s := tensor.NewAdamStep(t.lr, t.step[i], false)
 		tensor.AdamUpdate(t.W.Row(i), t.m.Row(i), t.v.Row(i), g, &s)
 		delete(t.grad, i)
 	}
@@ -145,7 +145,7 @@ type lazyTableOracle struct {
 	// turned dirty: all Step visits.
 	dirty []*lazyRow
 	init  func(out []float64)
-	hy    AdamHyper
+	lr    float64
 }
 
 type lazyRow struct {
@@ -157,12 +157,12 @@ type lazyRow struct {
 // newLazyTableOracle returns an empty table; each first-touched row is filled with
 // N(0, 0.01) values drawn from the table's one "lazytable" stream, so a row's
 // init depends on the order rows are first touched.
-func newLazyTableOracle(s *rng.Stream, dim int, hy AdamHyper) *lazyTableOracle {
+func newLazyTableOracle(s *rng.Stream, dim int, lr float64) *lazyTableOracle {
 	base := s.Derive("lazytable")
 	return &lazyTableOracle{
 		Dim:  dim,
 		rows: map[int]*lazyRow{},
-		hy:   hy,
+		lr:   lr,
 		init: func(out []float64) {
 			for i := range out {
 				out[i] = base.Normal(0, 0.1)
@@ -297,7 +297,7 @@ func (t *lazyTableOracle) RestoreMoments(r io.Reader) error {
 func (t *lazyTableOracle) Step() {
 	for _, r := range t.dirty {
 		r.step++
-		s := t.hy.update(r.step)
+		s := tensor.NewAdamStep(t.lr, r.step, false)
 		tensor.AdamUpdate(r.w, r.m, r.v, r.grad, &s)
 		r.dirty = false
 	}
@@ -333,12 +333,12 @@ const (
 )
 
 func newTablePairs() []*tablePair {
-	hy := DefaultAdam(0.05)
+	const lr = 0.05
 	dense := func() (*Table, oracleTable) {
-		return NewTable(rng.New(3), fuzzRows, fuzzDim, hy), newTableOracle(rng.New(3), fuzzRows, fuzzDim, hy)
+		return NewTable(rng.New(3), fuzzRows, fuzzDim, lr), newTableOracle(rng.New(3), fuzzRows, fuzzDim, lr)
 	}
 	lazy := func() (*Table, oracleTable) {
-		return NewLazyTable(rng.New(4), fuzzDim, hy), newLazyTableOracle(rng.New(4), fuzzDim, hy)
+		return NewLazyTable(rng.New(4), fuzzDim, lr), newLazyTableOracle(rng.New(4), fuzzDim, lr)
 	}
 	var pairs []*tablePair
 	for _, p := range []struct {
@@ -509,8 +509,7 @@ func FuzzTableMatchesOracle(f *testing.F) {
 // row), the slack of the two growing lists, the last page's spare rows and
 // the table's init stream. The oracle's figure is logged beside it.
 func TestLazyTableRetainedBytesPerRow(t *testing.T) {
-	const tables, rows, dim, every = 200, 400, 16, 32
-	hy := DefaultAdam(0.01)
+	const tables, rows, dim, every, lr = 200, 400, 16, 32, 0.01
 	grad := make([]float64, dim)
 	for k := range grad {
 		grad[k] = 0.01 * float64(k+1)
@@ -531,7 +530,7 @@ func TestLazyTableRetainedBytesPerRow(t *testing.T) {
 	}
 	g := NewRowGrads(dim)
 	live := measure(func(s *rng.Stream) any {
-		tab := NewLazyTable(s, dim, hy)
+		tab := NewLazyTable(s, dim, lr)
 		for i := 0; i < rows; i++ {
 			tab.Row(i * idStride)
 			g.Add(i*idStride, grad)
@@ -543,7 +542,7 @@ func TestLazyTableRetainedBytesPerRow(t *testing.T) {
 		return tab
 	})
 	oracle := measure(func(s *rng.Stream) any {
-		tab := newLazyTableOracle(s, dim, hy)
+		tab := newLazyTableOracle(s, dim, lr)
 		for i := 0; i < rows; i++ {
 			tab.Accumulate(i*idStride, grad)
 			if (i+1)%every == 0 {

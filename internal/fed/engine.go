@@ -241,10 +241,12 @@ func (e *RoundEngine) disperse(round int, ids []int, uploads [][]comm.Prediction
 	dispersals := make([]Dispersal, len(ids))
 	if len(ids) > 0 {
 		plan := e.server.buildDispersalPlan()
-		// Per-client streams are only consumed by the random ablation arms,
-		// and deriving one costs a full generator seeding — so the
-		// deterministic conf+hard arm skips them entirely, and the random
-		// arms derive the round-level parent once. Both are bitwise-neutral:
+		// Per-client streams are only consumed by the random ablation arms.
+		// Deriving one seeds nothing until its 608th draw, but still costs a
+		// name hash and three small allocations (the stream, its lazy source
+		// and its rand.Rand) per responder — so the deterministic conf+hard
+		// arm skips them entirely, and the random arms derive the
+		// round-level parent once. Both are bitwise-neutral:
 		// derivation is a pure function of the parent's immutable seed (safe
 		// to share across workers), and an unused stream influences nothing.
 		var roundStream *rng.Stream

@@ -46,8 +46,7 @@ type LightGCN struct {
 	cfg     Config
 	workers int
 	e0      *tensor.Matrix  // (U+V)×d, by node
-	opt     *nn.Adam        // hyper-parameters; the moments are mom and vel
-	steps   int             // Adam steps taken: one counter for every row, as nn.Adam keeps
+	steps   int             // Adam steps taken: one counter for every row, as an nn.Param keeps
 	step    tensor.AdamStep // the step TrainBatch is applying
 
 	adj  *tensor.CSR // Â, rows by node, columns by slot
@@ -76,7 +75,6 @@ func NewLightGCN(cfg Config, s *rng.Stream) *LightGCN {
 		cfg:       cfg,
 		workers:   resolveTrainWorkers(cfg),
 		e0:        tensor.New(n, cfg.Dim),
-		opt:       nn.NewAdam(cfg.LR),
 		live:      make([]int, cfg.NumItems),
 		slot:      make([]int32, n),
 		dirty:     true,
@@ -230,7 +228,7 @@ func (m *LightGCN) TrainBatch(batch []Sample) float64 {
 	}
 	loss := m.accumulateGrad(batch)
 	m.steps++
-	m.step = m.opt.Update(m.steps)
+	m.step = tensor.NewAdamStep(m.cfg.LR, m.steps, true)
 	m.overLive(adamStep, nil, nil)
 	m.dirty = true
 	return loss

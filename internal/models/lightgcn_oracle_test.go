@@ -18,13 +18,12 @@ import (
 // denseLightGCN is the reference the live-row LightGCN is held to: the dense
 // implementation that shipped before it, kept verbatim — a full SpMM per
 // layer into freshly cloned matrices, a map-of-rows gradient accumulator per
-// chunk, and nn.Adam.Step over every row of E⁰. It pays for the whole
-// population on every call, which is what makes it a trustworthy oracle and
-// unusable in production.
+// chunk, and nn.Adam over every row of E⁰. It pays for the whole population
+// on every call, which is what makes it a trustworthy oracle and unusable in
+// production.
 type denseLightGCN struct {
 	cfg Config
 	e0  *nn.Param
-	opt *nn.Adam
 
 	adj   *tensor.CSR
 	final *tensor.Matrix
@@ -35,7 +34,6 @@ func newDenseLightGCN(cfg Config, s *rng.Stream) *denseLightGCN {
 	m := &denseLightGCN{
 		cfg:   cfg,
 		e0:    nn.NewParam("lightgcn.E0", cfg.NumUsers+cfg.NumItems, cfg.Dim),
-		opt:   nn.NewAdam(cfg.LR),
 		dirty: true,
 	}
 	nn.Normal(s.Derive("e0"), m.e0.W, 0.1)
@@ -78,7 +76,7 @@ func (m *denseLightGCN) TrainBatch(batch []Sample) float64 {
 		return 0
 	}
 	loss := m.accumulateGrad(batch)
-	m.opt.Step([]*nn.Param{m.e0})
+	nn.Adam(m.cfg.LR, []*nn.Param{m.e0})
 	m.dirty = true
 	return loss
 }
@@ -147,7 +145,7 @@ func (m *denseLightGCN) Snapshot(w io.Writer) error {
 	if err := persist.WriteFloat64s(w, m.e0.W.Data); err != nil {
 		return err
 	}
-	return m.opt.SnapshotState(w, []*nn.Param{m.e0})
+	return nn.SnapshotMoments(w, []*nn.Param{m.e0})
 }
 
 // sameBits reports whether two float slices are equal bit for bit (so a -0

@@ -151,9 +151,8 @@ func New(kind Kind, cfg Config) (Recommender, error) {
 // newTables builds a model's user and item embedding tables: lazy for a
 // client model, dense over the whole universe otherwise.
 func newTables(cfg Config, s *rng.Stream) (users, items *emb.Table) {
-	hy := emb.DefaultAdam(cfg.LR)
 	if cfg.Lazy {
-		return emb.NewLazyTable(s.Derive("u"), cfg.Dim, hy), emb.NewLazyTable(s.Derive("v"), cfg.Dim, hy)
+		return emb.NewLazyTable(s.Derive("u"), cfg.Dim, cfg.LR), emb.NewLazyTable(s.Derive("v"), cfg.Dim, cfg.LR)
 	}
-	return emb.NewTable(s.Derive("u"), cfg.NumUsers, cfg.Dim, hy), emb.NewTable(s.Derive("v"), cfg.NumItems, cfg.Dim, hy)
+	return emb.NewTable(s.Derive("u"), cfg.NumUsers, cfg.Dim, cfg.LR), emb.NewTable(s.Derive("v"), cfg.NumItems, cfg.Dim, cfg.LR)
 }

@@ -58,13 +58,11 @@ func batchBCE(m Recommender, batch []Sample, invalidate func()) float64 {
 	if invalidate != nil {
 		invalidate()
 	}
-	preds := make([]float64, len(batch))
-	targets := make([]float64, len(batch))
-	for i, s := range batch {
-		preds[i] = score(m, s.User, s.Item)
-		targets[i] = s.Label
+	var sum float64
+	for _, s := range batch {
+		sum += nn.BCEOne(score(m, s.User, s.Item), s.Label)
 	}
-	return nn.BCE(preds, targets)
+	return sum / float64(len(batch))
 }
 
 func fd(loss func() float64, x []float64, i int) float64 {
@@ -184,13 +182,14 @@ func TestMFGradCheck(t *testing.T) {
 func TestNeuMFGradCheck(t *testing.T) {
 	m := NewNeuMF(smallConfig(), rng.New(5))
 	batch := smallBatch()
-	targets := make([]float64, len(batch))
-	for i, s := range batch {
-		targets[i] = s.Label
-	}
+	n := float64(len(batch))
 	loss := func() float64 {
 		_, _, _, preds := m.forward(batch)
-		return nn.BCE(preds, targets)
+		var sum float64
+		for i, p := range preds {
+			sum += nn.BCEOne(p, batch[i].Label)
+		}
+		return sum / n
 	}
 	// Tower and output parameters.
 	checkParams := func(engine string) {
@@ -205,7 +204,10 @@ func TestNeuMFGradCheck(t *testing.T) {
 		}
 	}
 	x, zs, as, preds := m.forward(batch)
-	users, _ := m.backward(batch, x, zs, as, nn.BCELogitGrad(preds, targets))
+	for i, s := range batch {
+		preds[i] = (preds[i] - s.Label) / n // dL/dlogit
+	}
+	users, _ := m.backward(batch, x, zs, as, preds)
 	checkParams("oracle")
 	// Embedding rows.
 	for _, smp := range batch {

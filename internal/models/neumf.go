@@ -18,7 +18,6 @@ type NeuMF struct {
 	users   *emb.Table
 	items   *emb.Table
 	layers  []*nn.Dense // the hidden tower, then the output head hᵀ + bias
-	opt     *nn.Adam
 	params  []*nn.Param
 
 	// wGrads and bGrads are the layers' own gradient matrices, in layer
@@ -37,7 +36,7 @@ func neumfSizes(dim int) []int { return []int{2 * dim, 64, 32, 16, 1} }
 
 // NewNeuMF builds the MLP recommender with the paper's layer sizes.
 func NewNeuMF(cfg Config, s *rng.Stream) *NeuMF {
-	m := &NeuMF{cfg: cfg, workers: resolveTrainWorkers(cfg), opt: nn.NewAdam(cfg.LR), ws: shapePool(&neumfPools, cfg.Dim, newNeuMFWS)}
+	m := &NeuMF{cfg: cfg, workers: resolveTrainWorkers(cfg), ws: shapePool(&neumfPools, cfg.Dim, newNeuMFWS)}
 	m.users, m.items = newTables(cfg, s)
 	sizes := neumfSizes(cfg.Dim)
 	last := len(sizes) - 2
@@ -211,7 +210,7 @@ func (m *NeuMF) TrainBatch(batch []Sample) float64 {
 			}
 		}
 	}
-	m.opt.Step(m.params)
+	nn.Adam(m.cfg.LR, m.params)
 	m.users.Step(ws.users)
 	m.items.Step(ws.items)
 	m.ws.Put(ws)

@@ -194,7 +194,7 @@ func (m *NeuMF) trainBatchOracle(batch []Sample) float64 {
 		ws.users.AddTo(users)
 		ws.items.AddTo(items)
 	}
-	m.opt.Step(m.params)
+	nn.Adam(m.cfg.LR, m.params)
 	m.users.Step(users)
 	m.items.Step(items)
 	return lossSum / float64(n)

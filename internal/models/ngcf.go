@@ -33,7 +33,6 @@ type NGCF struct {
 	w1      []*nn.Param // per layer, d×d
 	w2      []*nn.Param
 	params  []*nn.Param // E⁰, every W1, every W2: what Adam steps
-	opt     *nn.Adam
 
 	adj, adjSelf *tensor.CSR
 	nodes        []int // 0 … U+V−1: the row lists a chunk's SpMMs take
@@ -63,7 +62,6 @@ func NewNGCF(cfg Config, s *rng.Stream) *NGCF {
 		cfg:     cfg,
 		workers: resolveTrainWorkers(cfg),
 		e0:      nn.NewParam("ngcf.E0", n, cfg.Dim),
-		opt:     nn.NewAdam(cfg.LR),
 		nodes:   make([]int, n),
 		dirty:   true,
 		ws:      shapePool(&ngcfPools, ngcfShape{n, cfg.Dim, cfg.Layers}, newNGCFWS),
@@ -167,7 +165,7 @@ func (m *NGCF) TrainBatch(batch []Sample) float64 {
 		return 0
 	}
 	loss := m.accumulateGrad(batch)
-	m.opt.Step(m.params)
+	nn.Adam(m.cfg.LR, m.params)
 	m.dirty = true
 	return loss
 }

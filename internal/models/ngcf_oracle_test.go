@@ -119,7 +119,7 @@ func (m *NGCF) trainBatchOracle(batch []Sample) float64 {
 	params := []*nn.Param{m.e0}
 	params = append(params, m.w1...)
 	params = append(params, m.w2...)
-	m.opt.Step(params)
+	nn.Adam(m.cfg.LR, params)
 	m.dirty = true
 	return loss
 }

@@ -107,7 +107,7 @@ func (m *NeuMF) Snapshot(w io.Writer) error {
 	if err := m.items.SnapshotMoments(w); err != nil {
 		return err
 	}
-	return m.opt.SnapshotState(w, m.params)
+	return nn.SnapshotMoments(w, m.params)
 }
 
 // Restore implements Snapshotter.
@@ -132,12 +132,12 @@ func (m *NeuMF) Restore(r io.Reader) error {
 	if err := m.items.RestoreMoments(r); err != nil {
 		return err
 	}
-	return m.opt.RestoreState(r, m.params)
+	return nn.RestoreMoments(r, m.params)
 }
 
-// Snapshot implements Snapshotter. The moments go out in nn.Adam's dense
-// layout, zero rows for the rows that are not live, so the bytes are those
-// of a model that steps every row.
+// Snapshot implements Snapshotter. The moments go out in
+// nn.SnapshotMoments' layout for E⁰ as one parameter, zero rows for the rows
+// that are not live, so the bytes are those of a model that steps every row.
 func (m *LightGCN) Snapshot(w io.Writer) error {
 	if err := writeHeader(w, KindLightGCN); err != nil {
 		return err
@@ -220,7 +220,7 @@ func (m *NGCF) Snapshot(w io.Writer) error {
 			return err
 		}
 	}
-	return m.opt.SnapshotState(w, m.paramList())
+	return nn.SnapshotMoments(w, m.paramList())
 }
 
 // Restore implements Snapshotter.
@@ -240,5 +240,5 @@ func (m *NGCF) Restore(r io.Reader) error {
 		}
 	}
 	m.dirty = true
-	return m.opt.RestoreState(r, m.paramList())
+	return nn.RestoreMoments(r, m.paramList())
 }

@@ -2,6 +2,8 @@ package models
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"math"
 	"strings"
 	"testing"
@@ -204,6 +206,47 @@ func TestCheckpointResumeExactLazy(t *testing.T) {
 	for _, smp := range smallBatch() {
 		if score(a, smp.User, smp.Item) != score(b, smp.User, smp.Item) {
 			t.Fatal("lazy checkpoint-resume diverged")
+		}
+	}
+}
+
+// TestSnapshotDigestPinned pins the Snapshot bytes of seeded NeuMF (dense
+// and lazy tables) and NGCF models, untrained and after three TrainBatch
+// calls, to fixed SHA-256 digests, so a change to the weights Adam moves, to
+// the moment layout or to the zero state a parameter that never stepped
+// writes fails here.
+func TestSnapshotDigestPinned(t *testing.T) {
+	for _, c := range []struct {
+		kind    Kind
+		lazy    bool
+		batches int
+		want    string
+	}{
+		{KindNeuMF, false, 0, "bc394c57cfe3f2cee8fa698869b5aa799dad480f42fb8b706ff53359fb984ed6"},
+		{KindNeuMF, false, 3, "0550bff0b0e0b332902988ff977347ae79b0d97a7016fa27d70109fe993130e7"},
+		{KindNeuMF, true, 0, "c4e45ea933c7a2d0d567f4c532b9d03f612e43b7db49e32953af2b8341ac645d"},
+		{KindNeuMF, true, 3, "3110f616645d0470d50203ef176a8407b3d044f453d1fd80dd33aff571b50f35"},
+		{KindNGCF, false, 0, "99553591ac9b16825f397a6787c3f0a8e5cb18ab3e1f374826adeabfa977e30a"},
+		{KindNGCF, false, 3, "ef558ef98dfde3d51fb1b93aa7b1ac49bdd24c5b51b968dbf8deb8b19deef83b"},
+	} {
+		cfg := smallConfig()
+		cfg.Lazy = c.lazy
+		m, err := New(c.kind, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if gm, ok := m.(GraphRecommender); ok {
+			gm.SetGraph(smallGraph(cfg))
+		}
+		for range c.batches {
+			m.TrainBatch(smallBatch())
+		}
+		h := sha256.New()
+		if err := m.(Snapshotter).Snapshot(h); err != nil {
+			t.Fatal(err)
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != c.want {
+			t.Errorf("%s lazy=%v after %d batches: snapshot digest %s, want %s", c.kind, c.lazy, c.batches, got, c.want)
 		}
 	}
 }

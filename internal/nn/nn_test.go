@@ -126,14 +126,11 @@ func TestLeakyReLU(t *testing.T) {
 
 func TestBCEKnownValues(t *testing.T) {
 	// Perfect prediction -> ~0 loss; 0.5 prediction -> ln 2.
-	if got := BCE([]float64{0.5}, []float64{1}); math.Abs(got-math.Ln2) > 1e-9 {
-		t.Fatalf("BCE(0.5,1) = %v, want ln2", got)
+	if got := BCEOne(0.5, 1); math.Abs(got-math.Ln2) > 1e-9 {
+		t.Fatalf("BCEOne(0.5,1) = %v, want ln2", got)
 	}
-	if got := BCE([]float64{1 - 1e-9}, []float64{1}); got > 1e-5 {
-		t.Fatalf("BCE(≈1,1) = %v, want ≈0", got)
-	}
-	if got := BCE(nil, nil); got != 0 {
-		t.Fatalf("BCE(empty) = %v", got)
+	if got := BCEOne(1-1e-9, 1); got > 1e-5 {
+		t.Fatalf("BCEOne(≈1,1) = %v, want ≈0", got)
 	}
 }
 
@@ -165,16 +162,17 @@ func TestBCEOneMatchesTwoLogForm(t *testing.T) {
 }
 
 func TestBCEClampsExtremes(t *testing.T) {
-	got := BCE([]float64{0, 1}, []float64{1, 0})
-	if math.IsInf(got, 0) || math.IsNaN(got) {
-		t.Fatalf("BCE at extremes not finite: %v", got)
+	for _, c := range [][2]float64{{0, 1}, {1, 0}} {
+		if got := BCEOne(c[0], c[1]); math.IsInf(got, 0) || math.IsNaN(got) {
+			t.Fatalf("BCEOne(%v, %v) not finite: %v", c[0], c[1], got)
+		}
 	}
 }
 
 func TestBCESoftLabels(t *testing.T) {
 	// With soft target t, loss is minimised at p = t.
-	at := BCE([]float64{0.3}, []float64{0.3})
-	off := BCE([]float64{0.5}, []float64{0.3})
+	at := BCEOne(0.3, 0.3)
+	off := BCEOne(0.5, 0.3)
 	if at >= off {
 		t.Fatalf("soft-label BCE not minimised at target: %v vs %v", at, off)
 	}
@@ -218,23 +216,20 @@ func TestDenseGradCheck(t *testing.T) {
 	x := tensor.FromSlice(2, 3, []float64{0.1, -0.2, 0.3, 0.5, 0.4, -0.1})
 	target := []float64{1, 0, 0.7, 0.2}
 
+	n := float64(len(target))
 	loss := func() float64 {
-		y := forward(d, x)
-		pred := make([]float64, len(y.Data))
-		for i, v := range y.Data {
-			pred[i] = Sigmoid(v)
+		var sum float64
+		for i, v := range forward(d, x).Data {
+			sum += BCEOne(Sigmoid(v), target[i])
 		}
-		return BCE(pred, target)
+		return sum / n
 	}
 
-	// Analytic gradients.
-	y := forward(d, x)
-	pred := make([]float64, len(y.Data))
-	for i, v := range y.Data {
-		pred[i] = Sigmoid(v)
+	// Analytic gradients: dL/dlogit = (σ(logit) − target) / n.
+	dy := forward(d, x)
+	for i, v := range dy.Data {
+		dy.Data[i] = (Sigmoid(v) - target[i]) / n
 	}
-	g := BCELogitGrad(pred, target)
-	dy := tensor.FromSlice(2, 2, g)
 	dx := backward(d, x, dy)
 
 	// Check W gradient.
@@ -294,10 +289,9 @@ func TestDenseBackwardIntoMatchesBackward(t *testing.T) {
 func TestAdamConvergesOnQuadratic(t *testing.T) {
 	// Minimise (w-3)² — Adam should land close to 3.
 	p := NewParam("w", 1, 1)
-	opt := NewAdam(0.1)
 	for i := 0; i < 500; i++ {
 		p.Grad.Data[0] = 2 * (p.W.Data[0] - 3)
-		opt.Step([]*Param{p})
+		Adam(0.1, []*Param{p})
 	}
 	if math.Abs(p.W.Data[0]-3) > 1e-3 {
 		t.Fatalf("Adam converged to %v, want 3", p.W.Data[0])
@@ -308,57 +302,56 @@ func TestAdamFirstStepMagnitude(t *testing.T) {
 	// Bias correction makes the first step ≈ lr regardless of gradient scale.
 	p := NewParam("w", 1, 1)
 	p.Grad.Data[0] = 1e-4
-	NewAdam(0.01).Step([]*Param{p})
+	Adam(0.01, []*Param{p})
 	if math.Abs(math.Abs(p.W.Data[0])-0.01) > 1e-4 {
 		t.Fatalf("first Adam step = %v, want ≈0.01", p.W.Data[0])
 	}
 }
 
-// TestAdamKeepsZeroWeightDecayTerm pins nn.Adam's decayed form at weight
-// decay 0: the term 0·w turns a −0 gradient into +0, so a −0 moment
-// steps to +0. The embedding tables' form, which never adds the term, would
-// keep it −0.
+// TestAdamKeepsZeroWeightDecayTerm pins Adam's decayed form at weight decay
+// 0: the term 0·w turns a −0 gradient into +0, so a −0 moment steps to +0.
+// The embedding tables' form, which never adds the term, would keep it −0.
 func TestAdamKeepsZeroWeightDecayTerm(t *testing.T) {
 	negZero := math.Copysign(0, -1)
 	p := NewParam("w", 1, 6)
-	opt := NewAdam(0.01)
-	st := opt.stateFor(p)
 	for i := range p.W.Data {
 		p.W.Data[i], p.Grad.Data[i] = 1, negZero
-		st.m.Data[i], st.v.Data[i] = negZero, negZero
+		p.M.Data[i], p.V.Data[i] = negZero, negZero
 	}
-	opt.Step([]*Param{p})
+	Adam(0.01, []*Param{p})
 	for i := range p.W.Data {
-		if math.Signbit(st.m.Data[i]) || math.Signbit(st.v.Data[i]) || st.m.Data[i] != 0 || st.v.Data[i] != 0 {
-			t.Fatalf("element %d: moments (%v, %v) after a −0 gradient, want (+0, +0)", i, st.m.Data[i], st.v.Data[i])
+		if m, v := p.M.Data[i], p.V.Data[i]; math.Signbit(m) || math.Signbit(v) || m != 0 || v != 0 {
+			t.Fatalf("element %d: moments (%v, %v) after a −0 gradient, want (+0, +0)", i, m, v)
 		}
 	}
 }
 
-// TestAdamUpdateMatchesStep pins Update's contract: a caller that keeps its
-// own moments and step counter and applies Update(t) through
-// tensor.AdamUpdate moves the weights and both moments exactly as Step does.
+// TestAdamUpdateMatchesStep pins Adam to the kernel it runs: a caller that
+// keeps its own weights, moments and step counter and applies
+// tensor.NewAdamStep(lr, t, true) through tensor.AdamUpdate moves them
+// exactly as Adam moves the parameter's W, M, V and T.
 func TestAdamUpdateMatchesStep(t *testing.T) {
 	const rows, cols = 9, 4
 	p := NewParam("p", rows, cols)
 	Normal(rng.New(3), p.W, 0.1)
 	w := p.W.Clone()
 	m, v, g := tensor.New(rows, cols), tensor.New(rows, cols), tensor.New(rows, cols)
-	opt := NewAdam(0.01)
 	gs := rng.New(5)
 	for step := 1; step <= 6; step++ {
 		for i := range g.Data {
 			x := gs.Normal(0, 1)
 			g.Data[i], p.Grad.Data[i] = x, x
 		}
-		opt.Step([]*Param{p})
-		u := opt.Update(step)
+		Adam(0.01, []*Param{p})
+		u := tensor.NewAdamStep(0.01, step, true)
 		tensor.AdamUpdate(w.Data, m.Data, v.Data, g.Data, &u)
-		st := opt.stateFor(p)
-		for _, pair := range [][2]*tensor.Matrix{{w, p.W}, {m, st.m}, {v, st.v}} {
+		if p.T != step {
+			t.Fatalf("step %d: T = %d", step, p.T)
+		}
+		for _, pair := range [][2]*tensor.Matrix{{w, p.W}, {m, p.M}, {v, p.V}} {
 			for i, x := range pair[0].Data {
 				if math.Float64bits(x) != math.Float64bits(pair[1].Data[i]) {
-					t.Fatalf("step %d: element %d is %v under Update, %v under Step", step, i, x, pair[1].Data[i])
+					t.Fatalf("step %d: element %d is %v under AdamUpdate, %v under Adam", step, i, x, pair[1].Data[i])
 				}
 			}
 		}

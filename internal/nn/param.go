@@ -1,6 +1,6 @@
 // Package nn implements the neural-network substrate for the recommenders:
 // trainable parameters, layers with hand-derived backpropagation, losses and
-// optimizers. There is no autodiff — every model in internal/models derives
+// Adam. There is no autodiff — every model in internal/models derives
 // its gradients analytically and the tests verify them against finite
 // differences.
 package nn
@@ -12,19 +12,25 @@ import (
 	"ptffedrec/internal/tensor"
 )
 
-// Param is a trainable matrix with an accumulated gradient.
+// Param is a trainable matrix with an accumulated gradient and its Adam
+// state: the moments M and V, and T, the steps taken.
 type Param struct {
 	Name string
 	W    *tensor.Matrix
 	Grad *tensor.Matrix
+	M, V *tensor.Matrix
+	T    int
 }
 
-// NewParam allocates a rows×cols parameter with zero values and gradient.
+// NewParam allocates a rows×cols parameter with zero values, gradient and
+// moments.
 func NewParam(name string, rows, cols int) *Param {
 	return &Param{
 		Name: name,
 		W:    tensor.New(rows, cols),
 		Grad: tensor.New(rows, cols),
+		M:    tensor.New(rows, cols),
+		V:    tensor.New(rows, cols),
 	}
 }
 

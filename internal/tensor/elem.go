@@ -40,11 +40,13 @@ var (
 	spmmKernel func(dst, x *float64, ld, xrows int, rowPtr, rows *int, n, mrows int, col *int, val *float64, nnz, cols int) int
 )
 
-// AdamBeta1 and AdamBeta2 are the standard moment decay rates (Kingma & Ba
-// 2014) every optimizer in the repository uses.
+// AdamBeta1, AdamBeta2 and AdamEps are Adam's standard constants (Kingma &
+// Ba 2014): the moment decay rates and the denominator's guard. Every step
+// in the repository uses them; the paper sets only the step size.
 const (
 	AdamBeta1 = 0.9
 	AdamBeta2 = 0.999
+	AdamEps   = 1e-8
 )
 
 // adamBiasTable holds (1 − β₁ᵗ, 1 − β₂ᵗ) at the standard β pair for
@@ -72,15 +74,24 @@ func AdamBiasCorrections(beta1, beta2 float64, t int) (bc1, bc2 float64) {
 // AdamStep is the constant part of one Adam update: the hyper-parameters and
 // the step's bias corrections BC1 = 1 − β₁ᵗ, BC2 = 1 − β₂ᵗ.
 //
-// Decayed selects nn.Adam's L2 form, which adds WeightDecay·w to the gradient
-// before the moments update — even when WeightDecay is 0, where the term still
-// turns a −0 gradient into +0. The embedding tables' sparse Adam never adds
-// it, and the two forms are kept apart for that bit.
+// Decayed selects the L2 form nn.Adam and LightGCN step, which adds
+// WeightDecay·w to the gradient before the moments update — even when
+// WeightDecay is 0, where the term still turns a −0 gradient into +0. The
+// embedding tables' sparse Adam never adds it, and the two forms are kept
+// apart for that bit.
 type AdamStep struct {
 	LR, Beta1, Beta2, Eps float64
 	BC1, BC2              float64
 	Decayed               bool
 	WeightDecay           float64
+}
+
+// NewAdamStep returns the t-th step (t counts from 1) at step size lr and the
+// standard constants, in the decayed form at weight decay 0 or the undecayed
+// one.
+func NewAdamStep(lr float64, t int, decayed bool) AdamStep {
+	bc1, bc2 := AdamBiasCorrections(AdamBeta1, AdamBeta2, t)
+	return AdamStep{LR: lr, Beta1: AdamBeta1, Beta2: AdamBeta2, Eps: AdamEps, BC1: bc1, BC2: bc2, Decayed: decayed}
 }
 
 // adamConsts is one AdamUpdate call's constants. The assembly body takes it

@@ -335,6 +335,51 @@ func TestAdamBiasCorrectionsMatchPow(t *testing.T) {
 	}
 }
 
+// TestNewAdamStepMatchesFrontEnds pins NewAdamStep, field for field and bit
+// for bit, to the three front ends it replaced, kept here verbatim at the
+// constants every caller gave them: nn.Adam.Update (the decayed form), and
+// emb.AdamHyper.update and baselines' adamVec.step (the undecayed one). The
+// steps straddle the bias-correction table's end and reach far past it.
+func TestNewAdamStepMatchesFrontEnds(t *testing.T) {
+	nnAdamUpdate := func(lr float64, t int) AdamStep {
+		o := adamOracleHyper{LR: lr, Beta1: AdamBeta1, Beta2: AdamBeta2, Eps: 1e-8}
+		bc1, bc2 := AdamBiasCorrections(o.Beta1, o.Beta2, t)
+		return AdamStep{LR: o.LR, Beta1: o.Beta1, Beta2: o.Beta2, Eps: o.Eps, BC1: bc1, BC2: bc2,
+			Decayed: true}
+	}
+	embUpdate := func(lr float64, step int) AdamStep {
+		hy := adamOracleHyper{LR: lr, Beta1: AdamBeta1, Beta2: AdamBeta2, Eps: 1e-8}
+		bc1, bc2 := AdamBiasCorrections(hy.Beta1, hy.Beta2, step)
+		return AdamStep{LR: hy.LR, Beta1: hy.Beta1, Beta2: hy.Beta2, Eps: hy.Eps, BC1: bc1, BC2: bc2}
+	}
+	adamVecStep := func(lr float64, t int) AdamStep {
+		bc1, bc2 := AdamBiasCorrections(AdamBeta1, AdamBeta2, t)
+		return AdamStep{LR: lr, Beta1: AdamBeta1, Beta2: AdamBeta2, Eps: 1e-8, BC1: bc1, BC2: bc2}
+	}
+	fields := func(s AdamStep) []float64 {
+		decayed := 0.0
+		if s.Decayed {
+			decayed = 1
+		}
+		return []float64{s.LR, s.Beta1, s.Beta2, s.Eps, s.BC1, s.BC2, decayed, s.WeightDecay}
+	}
+	for _, lr := range []float64{1e-3, 0.01} {
+		for _, st := range []int{1, 4095, 4096, 4097, 1_000_000} {
+			for _, c := range []struct {
+				name    string
+				decayed bool
+				want    AdamStep
+			}{
+				{"nn.Adam.Update", true, nnAdamUpdate(lr, st)},
+				{"emb.AdamHyper.update", false, embUpdate(lr, st)},
+				{"adamVec.step", false, adamVecStep(lr, st)},
+			} {
+				requireSameFloats(t, fmt.Sprintf("%s lr=%v t=%d", c.name, lr, st), fields(c.want), fields(NewAdamStep(lr, st, c.decayed)))
+			}
+		}
+	}
+}
+
 func FuzzAdamUpdate(f *testing.F) {
 	f.Add(int64(1), uint8(16), true, uint16(1))
 	f.Add(int64(2), uint8(67), false, uint16(4095))
