@@ -86,6 +86,9 @@ func main() {
 		os.Exit(2)
 	}
 	p, err := data.ProfileByName(*profile)
+	if err == nil {
+		err = checkFrac(*frac)
+	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "ptfserve: %v\n", err)
 		os.Exit(2)
@@ -149,6 +152,15 @@ func main() {
 	in, out := c.WireBytes()
 	fmt.Printf("final: recall@k=%.4f ndcg@k=%.4f meanAttackF1=%.3f wire: in=%d out=%d bytes\n",
 		h.Final.Recall, h.Final.NDCG, h.MeanAttackF1, in, out)
+}
+
+// checkFrac refuses a test fraction outside [0, 1], NaN included: every
+// participant would refuse the join-ack, and the run wait for them forever.
+func checkFrac(frac float64) error {
+	if !(frac >= 0 && frac <= 1) {
+		return fmt.Errorf("-frac %v: want a fraction in [0, 1]", frac)
+	}
+	return nil
 }
 
 // selftestConfig is the smoke run's shape: small enough to finish in

@@ -1,9 +1,14 @@
 package main
 
 import (
+	"context"
+	"errors"
 	"io"
 	"net"
 	"net/http"
+	"os"
+	"os/exec"
+	"strings"
 	"testing"
 	"time"
 )
@@ -40,5 +45,34 @@ func TestServerCutsStalledRequestHeader(t *testing.T) {
 	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
 	if _, err := io.Copy(io.Discard, conn); err != nil {
 		t.Fatalf("server kept a stalled connection open: %v", err)
+	}
+}
+
+// TestFracOutOfRangeExitsAtFlags: a -frac outside [0, 1], NaN included, is
+// refused at flag parsing with exit code 2 — a coordinator built with it
+// would wait forever for participants that all refuse its join-ack — and
+// the range's ends are accepted. The refused values run main in a child
+// process (this test binary, re-executed).
+func TestFracOutOfRangeExitsAtFlags(t *testing.T) {
+	if args := os.Getenv("PTFSERVE_TEST_ARGS"); args != "" {
+		os.Args = append([]string{"ptfserve"}, strings.Fields(args)...)
+		main()
+		os.Exit(0) // main returned: the value was not refused
+	}
+	for _, frac := range []string{"-0.1", "1.5", "NaN"} {
+		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+		cmd := exec.CommandContext(ctx, os.Args[0], "-test.run=^TestFracOutOfRangeExitsAtFlags$")
+		cmd.Env = append(os.Environ(), "PTFSERVE_TEST_ARGS=-addr 127.0.0.1:0 -profile tiny -frac "+frac)
+		err := cmd.Run()
+		cancel()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Errorf("-frac %s: %v, want exit status 2", frac, err)
+		}
+	}
+	for _, frac := range []float64{0, 0.2, 1} {
+		if err := checkFrac(frac); err != nil {
+			t.Errorf("-frac %v refused: %v", frac, err)
+		}
 	}
 }

@@ -36,7 +36,7 @@ func main() {
 		log.Fatal(err)
 	}
 	cTrainer.Run()
-	cRes := cTrainer.Evaluate(20)
+	cRes := cTrainer.Evaluate()
 	fmt.Printf("\ncentralized NGCF:        Recall@20=%.4f NDCG@20=%.4f (raw data leaves devices)\n",
 		cRes.Recall, cRes.NDCG)
 

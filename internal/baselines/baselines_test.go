@@ -34,7 +34,6 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.Rounds = 0 },
 		func(c *Config) { c.LocalEpochs = 0 },
 		func(c *Config) { c.Dim = 0 },
-		func(c *Config) { c.NegRatio = 0 },
 		func(c *Config) { c.ClientFraction = 0 },
 		func(c *Config) { c.ClientFraction = 1.5 },
 		func(c *Config) { c.ClientFraction = math.NaN() },
@@ -42,7 +41,6 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.LR = -1 },
 		func(c *Config) { c.LR = math.NaN() },
 		func(c *Config) { c.LR = math.Inf(1) },
-		func(c *Config) { c.EvalK = 0 },
 	}
 	for i, mutate := range bad {
 		c := DefaultConfig()
@@ -70,7 +68,7 @@ func TestAdamVecConverges(t *testing.T) {
 func TestLocalSamplesShape(t *testing.T) {
 	sp := tinySplit(t)
 	s := rng.New(2)
-	samples := localSamples(sp, s, 0, 4)
+	samples := localSamples(sp, s, 0)
 	nPos := len(sp.Train[0])
 	if len(samples) != nPos*5 {
 		t.Fatalf("samples = %d, want %d", len(samples), nPos*5)

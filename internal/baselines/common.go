@@ -31,15 +31,14 @@ import (
 
 // Config carries the shared baseline hyper-parameters (§IV-D: the baselines
 // are "reproduced based on their papers" with the common dim-32 / Adam-1e-3
-// setting; local epochs match the PTF clients).
+// setting; local epochs match the PTF clients). Every client samples
+// data.NegRatio negatives per positive, and Evaluate ranks at eval.K.
 type Config struct {
 	Rounds         int
 	LocalEpochs    int
 	Dim            int
 	LR             float64
-	NegRatio       int
 	ClientFraction float64
-	EvalK          int
 	Workers        int
 	Seed           uint64
 }
@@ -63,9 +62,7 @@ func DefaultConfig() Config {
 		LocalEpochs:    5,
 		Dim:            32,
 		LR:             1e-3,
-		NegRatio:       4,
 		ClientFraction: 1.0,
-		EvalK:          20,
 		Seed:           1,
 	}
 }
@@ -79,8 +76,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("baselines: LocalEpochs = %d", c.LocalEpochs)
 	case c.Dim <= 0:
 		return fmt.Errorf("baselines: Dim = %d", c.Dim)
-	case c.NegRatio <= 0:
-		return fmt.Errorf("baselines: NegRatio = %d", c.NegRatio)
 	// The negated comparisons reject NaN: a NaN fraction selects one client
 	// a round, and a learning rate that is not a finite positive number
 	// trains away from the loss or to NaN.
@@ -88,8 +83,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("baselines: ClientFraction = %v", c.ClientFraction)
 	case !(c.LR > 0 && c.LR <= math.MaxFloat64):
 		return fmt.Errorf("baselines: LR = %v", c.LR)
-	case c.EvalK <= 0:
-		return fmt.Errorf("baselines: EvalK = %d", c.EvalK)
 	}
 	return nil
 }
@@ -118,13 +111,13 @@ func (a *adamVec) step(g []float64) {
 }
 
 // localSamples builds user u's round-t training set: hard positives plus
-// freshly sampled negatives at the configured ratio.
-func localSamples(sp *data.Split, s *rng.Stream, u, negRatio int) []models.Sample {
-	out := make([]models.Sample, 0, len(sp.Train[u])*(1+negRatio))
+// freshly sampled negatives at the paper's ratio.
+func localSamples(sp *data.Split, s *rng.Stream, u int) []models.Sample {
+	out := make([]models.Sample, 0, len(sp.Train[u])*(1+data.NegRatio))
 	for _, v := range sp.Train[u] {
 		out = append(out, models.Sample{User: u, Item: v, Label: 1})
 	}
-	for _, v := range sp.SampleNegativesN(s, u, len(sp.Train[u])*negRatio) {
+	for _, v := range sp.SampleNegativesN(s, u, len(sp.Train[u])*data.NegRatio) {
 		out = append(out, models.Sample{User: u, Item: v, Label: 0})
 	}
 	return out
@@ -209,7 +202,7 @@ func (f *federation) clientUpdate(u, round int, q *tensor.Matrix) []float64 {
 	p := f.users[u]
 	du := make([]float64, dim)
 	for e := 0; e < f.cfg.LocalEpochs; e++ {
-		samples := localSamples(f.split, s, u, f.cfg.NegRatio)
+		samples := localSamples(f.split, s, u)
 		s.Shuffle(len(samples), func(i, j int) { samples[i], samples[j] = samples[j], samples[i] })
 		for _, smp := range samples {
 			qv := q.Row(smp.Item)
@@ -228,7 +221,7 @@ func (f *federation) clientUpdate(u, round int, q *tensor.Matrix) []float64 {
 // rank evaluates a scorer on the split's held-out items over the configured
 // workers.
 func (f *federation) rank(scorer models.MultiBlockScorer) eval.Result {
-	return eval.LazyEvaluator(&f.evaluator, f.split).Rank(scorer, f.cfg.EvalK, f.cfg.Workers)
+	return eval.LazyEvaluator(&f.evaluator, f.split).Rank(scorer, eval.K, f.cfg.Workers)
 }
 
 // sharedItems is the federation FCF and FedMF both are: the server owns one

@@ -121,7 +121,7 @@ func TestEvaluateMatchesNaive(t *testing.T) {
 				}
 			}
 		}
-		want := naiveEval(sp, cfg.EvalK, c.probs)
+		want := naiveEval(sp, eval.K, c.probs)
 		if want.Users == 0 || want.Recall == 0 {
 			t.Fatalf("%s: naive evaluation %+v has nothing to compare", c.name, want)
 		}

@@ -13,15 +13,14 @@ import (
 	"ptffedrec/internal/rng"
 )
 
-// Config controls centralized training. Defaults mirror §IV-D.
+// Config controls centralized training. Defaults mirror §IV-D; the graph
+// depth (models.Layers) and the negative ratio (data.NegRatio) are fixed.
 type Config struct {
 	Model     models.Kind
 	Dim       int
 	LR        float64
-	Layers    int
 	Epochs    int
 	BatchSize int
-	NegRatio  int
 	Seed      uint64
 }
 
@@ -31,10 +30,8 @@ func DefaultConfig(kind models.Kind) Config {
 		Model:     kind,
 		Dim:       32,
 		LR:        1e-3,
-		Layers:    3,
 		Epochs:    30,
 		BatchSize: 1024,
-		NegRatio:  4,
 		Seed:      1,
 	}
 }
@@ -59,7 +56,7 @@ func NewTrainer(sp *data.Split, cfg Config) (*Trainer, error) {
 		NumItems: sp.NumItems,
 		Dim:      cfg.Dim,
 		LR:       cfg.LR,
-		Layers:   cfg.Layers,
+		Layers:   models.Layers,
 		Seed:     cfg.Seed,
 	}
 	m, err := models.New(cfg.Model, mcfg)
@@ -93,7 +90,7 @@ func (t *Trainer) TrainEpoch() float64 {
 		for _, v := range items {
 			samples = append(samples, models.Sample{User: u, Item: v, Label: 1})
 		}
-		for _, v := range t.split.SampleNegatives(t.s, u, t.cfg.NegRatio) {
+		for _, v := range t.split.SampleNegativesN(t.s, u, len(items)*data.NegRatio) {
 			samples = append(samples, models.Sample{User: u, Item: v, Label: 0})
 		}
 	}
@@ -110,8 +107,8 @@ func (t *Trainer) Run() float64 {
 	return loss
 }
 
-// Evaluate computes Recall@k and NDCG@k on the held-out items, reusing the
-// trainer's cached candidate sets across calls.
-func (t *Trainer) Evaluate(k int) eval.Result {
-	return eval.LazyEvaluator(&t.evaluator, t.split).Rank(t.model, k, 0)
+// Evaluate computes Recall@eval.K and NDCG@eval.K on the held-out items,
+// reusing the trainer's evaluated-user list across calls.
+func (t *Trainer) Evaluate() eval.Result {
+	return eval.LazyEvaluator(&t.evaluator, t.split).Rank(t.model, eval.K, 0)
 }

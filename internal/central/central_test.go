@@ -38,7 +38,7 @@ func TestCentralizedTrainingAllModels(t *testing.T) {
 		if last >= first {
 			t.Fatalf("%s: loss did not decrease (%v -> %v)", kind, first, last)
 		}
-		res := tr.Evaluate(20)
+		res := tr.Evaluate()
 		if res.Users == 0 {
 			t.Fatalf("%s: no users evaluated", kind)
 		}
@@ -56,7 +56,7 @@ func TestCentralizedBeatsRandomRanking(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr.Run()
-	trained := tr.Evaluate(20)
+	trained := tr.Evaluate()
 
 	// Random baseline: expected recall@20 ≈ 20 / numItems candidates.
 	if trained.Recall < 20.0/float64(sp.NumItems) {

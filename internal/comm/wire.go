@@ -242,7 +242,7 @@ type JoinAck struct {
 	NumUsers, NumItems int
 	DataSeed           uint64
 	TestFrac           float64
-	Profile            string // dataset profile name ("" = caller supplies the split)
+	Profile            string // dataset profile name, resolved by data.ProfileByName (which refuses "")
 	ConfigJSON         []byte // fed.Config as JSON
 }
 

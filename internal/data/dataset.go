@@ -179,16 +179,11 @@ func (sp *Split) InTest(u, v int) bool {
 	return i < len(items) && items[i] == v
 }
 
-// SampleNegatives draws ratio×len(positives) items the user has not
-// interacted with (neither train nor test), without replacement when
-// possible. This implements the paper's 1:4 negative sampling.
-func (sp *Split) SampleNegatives(s *rng.Stream, u int, ratio int) []int {
-	want := len(sp.Train[u]) * ratio
-	return sp.SampleNegativesN(s, u, want)
-}
+// NegRatio is the paper's 1:4 negative sampling: negatives per positive.
+const NegRatio = 4
 
-// SampleNegativesN draws exactly n non-interacted items for user u (or every
-// non-interacted item if fewer exist).
+// SampleNegativesN draws n distinct items user u has not interacted with, in
+// train or test (every such item if fewer exist).
 func (sp *Split) SampleNegativesN(s *rng.Stream, u, n int) []int {
 	if n <= 0 {
 		return nil

@@ -122,7 +122,7 @@ func TestSplitMembership(t *testing.T) {
 func TestSampleNegativesExcludesInteracted(t *testing.T) {
 	d, _ := NewDataset("t", 1, 50, [][2]int{{0, 0}, {0, 1}, {0, 2}, {0, 3}, {0, 4}})
 	sp := d.Split(rng.New(4), 0.2)
-	negs := sp.SampleNegatives(rng.New(5), 0, 4)
+	negs := sp.SampleNegativesN(rng.New(5), 0, len(sp.Train[0])*NegRatio)
 	if len(negs) != len(sp.Train[0])*4 {
 		t.Fatalf("neg count = %d", len(negs))
 	}

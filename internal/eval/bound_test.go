@@ -78,7 +78,7 @@ func trainedMF(tb testing.TB, sp *data.Split, dim, epochs int) models.Recommende
 			for _, v := range sp.Train[u] {
 				batch = append(batch, models.Sample{User: u, Item: v, Label: 1})
 			}
-			for _, v := range sp.SampleNegatives(s, u, 4) {
+			for _, v := range sp.SampleNegativesN(s, u, len(sp.Train[u])*data.NegRatio) {
 				batch = append(batch, models.Sample{User: u, Item: v})
 			}
 		}

@@ -51,6 +51,9 @@ import (
 	"ptffedrec/internal/par"
 )
 
+// K is the paper's ranking cutoff: every reported Recall and NDCG is @K.
+const K = 20
+
 // evalUsersBatch is how many users the batched engine counts together: each
 // window is one kernel call over the batch's users still counting, which
 // packs each item strip once for all of them, so a wide batch keeps that

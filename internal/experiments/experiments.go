@@ -66,9 +66,6 @@ func (o Options) Profiles() []data.Profile {
 	return []data.Profile{data.ML100KSmall, data.SteamSmall, data.GowallaSmall}
 }
 
-// evalK is the ranking cutoff of every reported Recall/NDCG.
-const evalK = 20
-
 // logf writes progress output if a writer is configured.
 func (o Options) logf(format string, args ...any) {
 	if o.Out != nil {

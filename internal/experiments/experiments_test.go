@@ -260,13 +260,7 @@ const gridsTestdata = "testdata/grids.json"
 func TestGridCellsMatchTestdata(t *testing.T) {
 	want := map[string][]Row{}
 	if !*update {
-		blob, err := os.ReadFile(gridsTestdata)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := json.Unmarshal(blob, &want); err != nil {
-			t.Fatal(err)
-		}
+		want = recordedGrids(t)
 	}
 	got := map[string][]Row{}
 	for _, e := range registry {
@@ -314,6 +308,64 @@ func TestGridCellsMatchTestdata(t *testing.T) {
 		}
 		if err := os.WriteFile(gridsTestdata, append(blob, '\n'), 0o644); err != nil {
 			t.Fatal(err)
+		}
+	}
+}
+
+// recordedGrids reads testdata/grids.json: each grid experiment's rows.
+func recordedGrids(t *testing.T) map[string][]Row {
+	t.Helper()
+	blob, err := os.ReadFile(gridsTestdata)
+	if err != nil {
+		t.Fatal(err)
+	}
+	grids := map[string][]Row{}
+	if err := json.Unmarshal(blob, &grids); err != nil {
+		t.Fatal(err)
+	}
+	return grids
+}
+
+// TestPaperClaimsInTestdata computes the paper's headline claims from the
+// recorded tiny + Quick cells in testdata/grids.json and pins each to the
+// value it has there, true or false: at this size some do not hold, and
+// what is pinned is that none flips unnoticed. A -update that flips one fails
+// here until its want changes, with a CHANGES.md line saying why. It reads
+// the file only, so it trains nothing.
+func TestPaperClaimsInTestdata(t *testing.T) {
+	grids := recordedGrids(t)
+	cell := func(id, label string) Cell {
+		return cellOf(t, &Grid{ID: id, Rows: grids[id]}, label)
+	}
+	ndcg := func(id, label string) float64 { return cell(id, label).NDCG }
+	ptf := ndcg("table3", "PTF-FedRec(lightgcn)")
+	ptfBytes := cell("table4", "PTF-FedRec").Bytes
+	confHard := ndcg("table7", "conf+hard")
+	for _, c := range []struct {
+		claim       string
+		holds, want bool
+	}{
+		// Table III: the LightGCN-server PTF-FedRec ranks above every
+		// parameter-transmission baseline, and LightGCN is the best server.
+		{"PTF-FedRec(lightgcn) NDCG above FCF's", ptf > ndcg("table3", "FCF"), false},
+		{"PTF-FedRec(lightgcn) NDCG above FedMF's", ptf > ndcg("table3", "FedMF"), false},
+		{"PTF-FedRec(lightgcn) NDCG above MetaMF's", ptf > ndcg("table3", "MetaMF"), false},
+		{"LightGCN the best PTF-FedRec server", ptf > ndcg("table3", "PTF-FedRec(neumf)") &&
+			ptf > ndcg("table3", "PTF-FedRec(ngcf)"), true},
+		// Table IV: an order of magnitude less traffic than any baseline.
+		{"PTF-FedRec bytes 10x below FCF's", 10*ptfBytes <= cell("table4", "FCF").Bytes, true},
+		{"PTF-FedRec bytes 10x below FedMF's", 10*ptfBytes <= cell("table4", "FedMF").Bytes, true},
+		{"PTF-FedRec bytes 10x below MetaMF's", 10*ptfBytes <= cell("table4", "MetaMF").Bytes, true},
+		// Table V: sampling+swap defeats the Top Guess Attack.
+		{"sampling+swap attack F1 below no defense's",
+			cell("table5", "sampling+swap").F1 < cell("table5", "none").F1, true},
+		// Table VII: the paper's D̃ᵢ beats each ablation.
+		{"conf+hard NDCG above -hard's", confHard > ndcg("table7", "-hard"), true},
+		{"conf+hard NDCG above -confidence's", confHard > ndcg("table7", "-confidence"), true},
+		{"conf+hard NDCG above -confidence-hard's", confHard > ndcg("table7", "-confidence-hard"), true},
+	} {
+		if c.holds != c.want {
+			t.Errorf("%s: %v in %s, pinned %v", c.claim, c.holds, gridsTestdata, c.want)
 		}
 	}
 }

@@ -257,7 +257,7 @@ func centralArm(kind models.Kind) arm {
 			return Cell{}, err
 		}
 		tr.Run()
-		r := tr.Evaluate(evalK)
+		r := tr.Evaluate()
 		return Cell{Recall: r.Recall, NDCG: r.NDCG}, nil
 	}}
 }

@@ -33,6 +33,10 @@ type ClientHost struct {
 // from the runtime's pool list for a collection after its last use.
 var guessBuffers = sync.Pool{New: func() any { return new(privacy.GuessBuffer) }}
 
+// attackPosFraction is the Top Guess Attack's γ: the positive share of an
+// upload at the platform's 1:NegRatio sampling default (paper: 0.2).
+const attackPosFraction = 1.0 / (1 + data.NegRatio)
+
 // NewClientHost wires up the client side for every user in the split. Each
 // client materialises on its first participation (Client); only client 0 is
 // built here, so an invalid client-model kind still fails at construction
@@ -140,7 +144,7 @@ func (h *ClientHost) RunClientRound(round, id int) ClientRoundResult {
 	// ground truth for Table V / Fig. 3 — on the rounded upload, since that
 	// is what the server sees.
 	buf := guessBuffers.Get().(*privacy.GuessBuffer)
-	f1 := privacy.AttackF1(preds, privacy.TopGuessAttack(buf, preds, h.cfg.AttackPosFraction), c.isPositive)
+	f1 := privacy.AttackF1(preds, privacy.TopGuessAttack(buf, preds, attackPosFraction), c.isPositive)
 	guessBuffers.Put(buf)
 	send := len(preds)
 	if fs != nil && fs.Bernoulli(h.cfg.Faults.TruncateRate) && len(preds) > 1 {

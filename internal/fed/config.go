@@ -20,6 +20,8 @@ import (
 	"fmt"
 	"math"
 
+	"ptffedrec/internal/data"
+	"ptffedrec/internal/eval"
 	"ptffedrec/internal/models"
 	"ptffedrec/internal/privacy"
 )
@@ -54,11 +56,11 @@ type Config struct {
 	ServerEpochs   int     // server epochs (paper: 2)
 	ClientBatch    int     // client batch size (paper: 64)
 	ServerBatch    int     // server batch size (paper: 1024)
-	NegRatio       int     // negative sampling ratio (paper: 1:4)
+	NegRatio       int     // negatives per positive (paper: data.NegRatio)
 
 	Dim    int     // embedding dimension (paper: 32)
 	LR     float64 // Adam learning rate (paper: 1e-3)
-	Layers int     // GNN propagation layers (paper: 3)
+	Layers int     // GNN propagation layers (paper: models.Layers)
 
 	ClientModel models.Kind // paper default: NeuMF on every client
 	ServerModel models.Kind // the provider's hidden model
@@ -76,11 +78,7 @@ type Config struct {
 	// construction open (swept by the ablation-servergraph experiment).
 	GraphThreshold float64
 
-	// AttackPosFraction is the γ the curious server assumes in the Top
-	// Guess Attack (paper: 0.2, from the 1:4 platform default).
-	AttackPosFraction float64
-
-	// EvalK is the ranking cutoff (paper: 20).
+	// EvalK is the ranking cutoff (paper: eval.K).
 	EvalK int
 
 	// EvalEvery computes server metrics every n rounds (0 = only at end).
@@ -115,26 +113,25 @@ type Config struct {
 // server model and NeuMF clients.
 func DefaultConfig(serverModel models.Kind) Config {
 	return Config{
-		Rounds:            20,
-		ClientFraction:    1.0,
-		ClientEpochs:      5,
-		ServerEpochs:      2,
-		ClientBatch:       64,
-		ServerBatch:       1024,
-		NegRatio:          4,
-		Dim:               32,
-		LR:                1e-3,
-		Layers:            3,
-		ClientModel:       models.KindNeuMF,
-		ServerModel:       serverModel,
-		Alpha:             30,
-		Mu:                0.5,
-		Disperse:          DisperseConfHard,
-		Privacy:           privacy.DefaultConfig(),
-		GraphThreshold:    0.5,
-		AttackPosFraction: 0.2,
-		EvalK:             20,
-		Seed:              1,
+		Rounds:         20,
+		ClientFraction: 1.0,
+		ClientEpochs:   5,
+		ServerEpochs:   2,
+		ClientBatch:    64,
+		ServerBatch:    1024,
+		NegRatio:       data.NegRatio,
+		Dim:            32,
+		LR:             1e-3,
+		Layers:         models.Layers,
+		ClientModel:    models.KindNeuMF,
+		ServerModel:    serverModel,
+		Alpha:          30,
+		Mu:             0.5,
+		Disperse:       DisperseConfHard,
+		Privacy:        privacy.DefaultConfig(),
+		GraphThreshold: 0.5,
+		EvalK:          eval.K,
+		Seed:           1,
 	}
 }
 
@@ -179,10 +176,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("fed: GraphThreshold = %v", c.GraphThreshold)
 	case c.EvalK <= 0:
 		return fmt.Errorf("fed: EvalK = %d", c.EvalK)
-	// The Top Guess Attack guesses one item at a NaN or negative γ and
-	// every item above 1, so Table V's F1 would mean nothing.
-	case !(c.AttackPosFraction > 0 && c.AttackPosFraction <= 1):
-		return fmt.Errorf("fed: AttackPosFraction = %v", c.AttackPosFraction)
 	case !(c.Faults.DropoutRate >= 0 && c.Faults.DropoutRate <= 1):
 		return fmt.Errorf("fed: Faults.DropoutRate = %v", c.Faults.DropoutRate)
 	case !(c.Faults.TruncateRate >= 0 && c.Faults.TruncateRate <= 1):

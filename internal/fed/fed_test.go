@@ -113,12 +113,6 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.Privacy.Lambda = math.NaN() },
 		func(c *Config) { c.Privacy.LaplaceScale = -1 },
 		func(c *Config) { c.Privacy.LaplaceScale = math.NaN() },
-		// The attack's γ arrives in a participant's join-ack; outside
-		// (0, 1] the Top Guess Attack guesses one item or every item.
-		func(c *Config) { c.AttackPosFraction = 0 },
-		func(c *Config) { c.AttackPosFraction = -0.2 },
-		func(c *Config) { c.AttackPosFraction = 1.5 },
-		func(c *Config) { c.AttackPosFraction = math.NaN() },
 	}
 	for i, mutate := range bad {
 		c := DefaultConfig(models.KindNGCF)
@@ -135,7 +129,6 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.Privacy.BetaMin, c.Privacy.BetaMax = 1, 1 },
 		func(c *Config) { c.Privacy.Lambda, c.Privacy.LaplaceScale = 1, 0 },
 		func(c *Config) { c.Layers = 0 },
-		func(c *Config) { c.AttackPosFraction = 1 },
 	}
 	for i, mutate := range edges {
 		c := DefaultConfig(models.KindNGCF)

@@ -95,13 +95,16 @@ func ParseKind(s string) (Kind, error) {
 	return "", fmt.Errorf("models: unknown kind %q", s)
 }
 
+// Layers is the paper's propagation depth L of the graph models (§IV-D).
+const Layers = 3
+
 // Config carries the hyper-parameters shared by all models. The defaults
 // mirror §IV-D of the paper.
 type Config struct {
 	NumUsers, NumItems int
 	Dim                int     // embedding dimension (paper: 32)
 	LR                 float64 // Adam learning rate (paper: 1e-3)
-	Layers             int     // propagation layers for GNNs / MLP depth marker (paper: 3)
+	Layers             int     // propagation layers of the graph models (paper: Layers)
 	Lazy               bool    // lazy embedding tables (client-side models)
 
 	// TrainWorkers bounds TrainBatch's intra-batch parallelism: the batch is
@@ -120,7 +123,7 @@ func DefaultConfig(numUsers, numItems int) Config {
 		NumItems: numItems,
 		Dim:      32,
 		LR:       1e-3,
-		Layers:   3,
+		Layers:   Layers,
 		Seed:     1,
 	}
 }

@@ -319,14 +319,26 @@ func TestMFClientTrainBatchSteadyStateAllocs(t *testing.T) {
 }
 
 // BenchmarkNeuMFClientTrainBatch is one 64-sample client step (forward,
-// backward, Adam) at the paper's widths.
+// backward, Adam) at the paper's widths. Stepping one batch over and over
+// drives the tower's Adam state subnormal past about 10 000 steps, where
+// every step slows down, so every neumfBenchRestart steps continue on a
+// fresh model in the same starting state: all of them are built, and warmed
+// by one step, before the timer starts, and switching allocates nothing.
 func BenchmarkNeuMFClientTrainBatch(b *testing.B) {
 	cfg := clientNeuMFConfig()
-	m := NewNeuMF(cfg, rng.New(cfg.Seed))
 	batch := neumfBatch(rng.New(5), cfg, 64)
-	m.TrainBatch(batch)
+	ms := make([]*NeuMF, (b.N+neumfBenchRestart-1)/neumfBenchRestart)
+	for i := range ms {
+		ms[i] = NewNeuMF(cfg, rng.New(cfg.Seed))
+		ms[i].TrainBatch(batch)
+	}
 	b.ReportAllocs()
-	for b.Loop() {
-		m.TrainBatch(batch)
+	b.ResetTimer()
+	for i := range b.N {
+		ms[i/neumfBenchRestart].TrainBatch(batch)
 	}
 }
+
+// neumfBenchRestart is how many steps BenchmarkNeuMFClientTrainBatch takes
+// on one model.
+const neumfBenchRestart = 4096

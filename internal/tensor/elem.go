@@ -49,9 +49,9 @@ const (
 	AdamEps   = 1e-8
 )
 
-// adamBiasTable holds (1 − β₁ᵗ, 1 − β₂ᵗ) at the standard β pair for
-// t < len(adamBiasTable). It is built once, with the math.Pow calls
-// AdamBiasCorrections makes past its end, and only read after that.
+// adamBiasTable holds (1 − β₁ᵗ, 1 − β₂ᵗ) for t < len(adamBiasTable). It is
+// built once, with the math.Pow calls AdamBiasCorrections makes past its end,
+// and only read after that.
 var adamBiasTable = func() [][2]float64 {
 	tab := make([][2]float64, 4096)
 	for t := range tab {
@@ -61,37 +61,33 @@ var adamBiasTable = func() [][2]float64 {
 }()
 
 // AdamBiasCorrections returns step t's bias corrections 1 − β₁ᵗ and 1 − β₂ᵗ:
-// from a shared table at the standard β pair, else from math.Pow — the same
-// values either way.
-func AdamBiasCorrections(beta1, beta2 float64, t int) (bc1, bc2 float64) {
-	if beta1 == AdamBeta1 && beta2 == AdamBeta2 && t >= 0 && t < len(adamBiasTable) {
+// from a shared table, else from math.Pow — the same values either way.
+func AdamBiasCorrections(t int) (bc1, bc2 float64) {
+	if t >= 0 && t < len(adamBiasTable) {
 		bc := adamBiasTable[t]
 		return bc[0], bc[1]
 	}
-	return 1 - math.Pow(beta1, float64(t)), 1 - math.Pow(beta2, float64(t))
+	return 1 - math.Pow(AdamBeta1, float64(t)), 1 - math.Pow(AdamBeta2, float64(t))
 }
 
-// AdamStep is the constant part of one Adam update: the hyper-parameters and
-// the step's bias corrections BC1 = 1 − β₁ᵗ, BC2 = 1 − β₂ᵗ.
+// AdamStep is the variable part of one Adam update: the step size and the
+// step's bias corrections BC1 = 1 − β₁ᵗ, BC2 = 1 − β₂ᵗ.
 //
-// Decayed selects the L2 form nn.Adam and LightGCN step, which adds
-// WeightDecay·w to the gradient before the moments update — even when
-// WeightDecay is 0, where the term still turns a −0 gradient into +0. The
-// embedding tables' sparse Adam never adds it, and the two forms are kept
-// apart for that bit.
+// Decayed selects the form nn.Adam and LightGCN step, L2 decay at weight 0:
+// it adds 0·w to the gradient before the moments update, which still turns a
+// −0 gradient into +0. The embedding tables' sparse Adam never adds it, and
+// the two forms are kept apart for that bit.
 type AdamStep struct {
-	LR, Beta1, Beta2, Eps float64
-	BC1, BC2              float64
-	Decayed               bool
-	WeightDecay           float64
+	LR       float64
+	BC1, BC2 float64
+	Decayed  bool
 }
 
-// NewAdamStep returns the t-th step (t counts from 1) at step size lr and the
-// standard constants, in the decayed form at weight decay 0 or the undecayed
-// one.
+// NewAdamStep returns the t-th step (t counts from 1) at step size lr, in the
+// decayed form or the undecayed one.
 func NewAdamStep(lr float64, t int, decayed bool) AdamStep {
-	bc1, bc2 := AdamBiasCorrections(AdamBeta1, AdamBeta2, t)
-	return AdamStep{LR: lr, Beta1: AdamBeta1, Beta2: AdamBeta2, Eps: AdamEps, BC1: bc1, BC2: bc2, Decayed: decayed}
+	bc1, bc2 := AdamBiasCorrections(t)
+	return AdamStep{LR: lr, BC1: bc1, BC2: bc2, Decayed: decayed}
 }
 
 // adamConsts is one AdamUpdate call's constants. The assembly body takes it
@@ -100,13 +96,13 @@ type adamConsts struct {
 	beta1, oneMinusBeta1 float64
 	beta2, oneMinusBeta2 float64
 	bc1, bc2             float64
-	lr, eps, decay       float64
+	lr, eps              float64
 }
 
 // AdamUpdate applies one Adam step to the weights w with moments m, v and
 // gradient g, all of one length, and zeroes g. Per element, in order:
 //
-//	g += decay·w                      (Decayed only)
+//	g += 0·w                          (Decayed only)
 //	m  = β₁·m + (1−β₁)·g
 //	v  = β₂·v + ((1−β₂)·g)·g
 //	w -= (lr·(m/bc1)) / (√(v/bc2) + ε)
@@ -115,11 +111,14 @@ func AdamUpdate(w, m, v, g []float64, s *AdamStep) {
 	if len(w) != n || len(m) != n || len(v) != n {
 		panic(fmt.Sprintf("tensor: AdamUpdate lengths w=%d m=%d v=%d g=%d", len(w), len(m), len(v), n))
 	}
+	// 1 − β is taken from the float64 β, as a run-time subtraction would: the
+	// untyped 1 − AdamBeta1 folds to the float64 nearest 0.1, two units in the
+	// last place off (1 − AdamBeta2 four), and would move every step.
 	c := adamConsts{
-		beta1: s.Beta1, oneMinusBeta1: 1 - s.Beta1,
-		beta2: s.Beta2, oneMinusBeta2: 1 - s.Beta2,
+		beta1: AdamBeta1, oneMinusBeta1: 1 - float64(AdamBeta1),
+		beta2: AdamBeta2, oneMinusBeta2: 1 - float64(AdamBeta2),
 		bc1: s.BC1, bc2: s.BC2,
-		lr: s.LR, eps: s.Eps, decay: s.WeightDecay,
+		lr: s.LR, eps: AdamEps,
 	}
 	i := 0
 	if adamKernel != nil && n >= 4 {
@@ -135,7 +134,7 @@ func adamGo(w, m, v, g []float64, c *adamConsts, decayed bool) {
 	w, m, v = w[:len(g)], m[:len(g)], v[:len(g)]
 	for i, gi := range g {
 		if decayed {
-			gi += float64(c.decay * w[i])
+			gi += float64(0 * w[i])
 		}
 		m[i] = float64(c.beta1*m[i]) + float64(c.oneMinusBeta1*gi)
 		v[i] = float64(c.beta2*v[i]) + float64(float64(c.oneMinusBeta2*gi)*gi)

@@ -7,13 +7,13 @@
 // offset into every slice, CX the end offset.
 
 // func adamAVX2(w, m, v, grad *float64, n int, c adamConsts, decayed bool)
-TEXT ·adamAVX2(SB), NOSPLIT, $0-113
+TEXT ·adamAVX2(SB), NOSPLIT, $0-105
 	MOVQ    w+0(FP), DI
 	MOVQ    m+8(FP), SI
 	MOVQ    v+16(FP), DX
 	MOVQ    grad+24(FP), R8
 	MOVQ    n+32(FP), CX
-	MOVBLZX decayed+112(FP), BX
+	MOVBLZX decayed+104(FP), BX
 	VBROADCASTSD c_beta1+40(FP), Y8
 	VBROADCASTSD c_oneMinusBeta1+48(FP), Y9
 	VBROADCASTSD c_beta2+56(FP), Y10
@@ -22,7 +22,6 @@ TEXT ·adamAVX2(SB), NOSPLIT, $0-113
 	VBROADCASTSD c_bc2+80(FP), Y13
 	VBROADCASTSD c_lr+88(FP), Y14
 	VBROADCASTSD c_eps+96(FP), Y15
-	VBROADCASTSD c_decay+104(FP), Y7
 	VXORPD  Y6, Y6, Y6
 	SHLQ    $3, CX
 	XORQ    AX, AX
@@ -34,8 +33,8 @@ adamLoop:
 	VMOVUPD (DI)(AX*1), Y1      // w
 	TESTQ   BX, BX
 	JEQ     adamMoments
-	VMULPD  Y1, Y7, Y2          // decay·w
-	VADDPD  Y2, Y0, Y0          // g + decay·w
+	VMULPD  Y1, Y6, Y2          // 0·w
+	VADDPD  Y2, Y0, Y0          // g + 0·w
 
 adamMoments:
 	VMULPD  (SI)(AX*1), Y8, Y2  // β₁·m

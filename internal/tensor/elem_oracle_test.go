@@ -20,6 +20,13 @@ type adamOracleHyper struct {
 	WeightDecay           float64
 }
 
+// standardAdamOracle is the loops' setting at step size lr: the β pair, ε
+// and zero weight decay every caller gave them. The fields are variables, so
+// the loops compute 1 − β at run time, as they always did.
+func standardAdamOracle(lr float64) adamOracleHyper {
+	return adamOracleHyper{LR: lr, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8}
+}
+
 // adamStepRangeOracle is nn.Adam.stepRange's loop.
 func adamStepRangeOracle(o *adamOracleHyper, grad, w, m, v []float64, bc1, bc2 float64) {
 	for i, g := range grad {
@@ -183,10 +190,10 @@ func requireKernelMatchesOracle(t *testing.T, label string, run func(kernel bool
 	}
 }
 
-// adamCase is one AdamUpdate input: the hyper-parameters, the step whose bias
-// corrections apply, and the four vectors.
+// adamCase is one AdamUpdate input: the step size, the form, the step whose
+// bias corrections apply, and the four vectors.
 type adamCase struct {
-	hy         adamOracleHyper
+	lr         float64
 	decayed    bool
 	st         int
 	w, m, v, g []float64
@@ -194,32 +201,33 @@ type adamCase struct {
 
 func (c adamCase) run(kernel bool) [][]float64 {
 	w, m, v, g := slices.Clone(c.w), slices.Clone(c.m), slices.Clone(c.v), slices.Clone(c.g)
-	bc1, bc2 := adamBiasOracle(c.hy.Beta1, c.hy.Beta2, c.st)
+	hy := standardAdamOracle(c.lr)
+	bc1, bc2 := adamBiasOracle(hy.Beta1, hy.Beta2, c.st)
 	switch {
 	case kernel:
-		AdamUpdate(w, m, v, g, &AdamStep{LR: c.hy.LR, Beta1: c.hy.Beta1, Beta2: c.hy.Beta2, Eps: c.hy.Eps,
-			BC1: bc1, BC2: bc2, Decayed: c.decayed, WeightDecay: c.hy.WeightDecay})
+		AdamUpdate(w, m, v, g, &AdamStep{LR: c.lr, BC1: bc1, BC2: bc2, Decayed: c.decayed})
 	case c.decayed:
-		adamStepRangeOracle(&c.hy, g, w, m, v, bc1, bc2)
+		adamStepRangeOracle(&hy, g, w, m, v, bc1, bc2)
 	default:
-		lazyTableStepOracle(c.hy, &lazyRowOracle{w: w, m: m, v: v, grad: g}, bc1, bc2)
+		lazyTableStepOracle(hy, &lazyRowOracle{w: w, m: m, v: v, grad: g}, bc1, bc2)
 	}
 	return [][]float64{w, m, v, g}
 }
 
-// adamHypers are the forms and settings the Adam pin sweeps: nn.Adam's
-// decayed form at zero and non-zero decay, the tables' form, and a
-// non-standard β pair at a step past the bias-correction table.
+// adamHypers are the forms and steps the Adam pin sweeps: nn.Adam's decayed
+// form and the tables' form, at steps inside the bias-correction table and
+// past its end.
 var adamHypers = []struct {
-	hy      adamOracleHyper
+	lr      float64
 	decayed bool
 	st      int
 }{
-	{adamOracleHyper{LR: 1e-3, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8}, true, 1},
-	{adamOracleHyper{LR: 1e-3, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8}, false, 1},
-	{adamOracleHyper{LR: 0.01, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8, WeightDecay: 1e-4}, true, 37},
-	{adamOracleHyper{LR: 0.01, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8}, false, 250},
-	{adamOracleHyper{LR: 0.05, Beta1: 0.8, Beta2: 0.99, Eps: 1e-6}, false, 5000},
+	{1e-3, true, 1},
+	{1e-3, false, 1},
+	{0.01, true, 37},
+	{0.01, false, 250},
+	{0.05, true, 5000},
+	{0.05, false, 5000},
 }
 
 // TestElemKernelsMatchOracle sweeps every kernel over lengths 0–67, so the
@@ -228,7 +236,7 @@ func TestElemKernelsMatchOracle(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	for n := 0; n <= 67; n++ {
 		for hi, h := range adamHypers {
-			c := adamCase{hy: h.hy, decayed: h.decayed, st: h.st,
+			c := adamCase{lr: h.lr, decayed: h.decayed, st: h.st,
 				w: elemOperand(r, n), m: elemOperand(r, n), v: elemOperand(r, n), g: elemOperand(r, n)}
 			requireKernelMatchesOracle(t, fmt.Sprintf("Adam n=%d hyper %d", n, hi), c.run)
 			// Zero moments and a −0 gradient, where the two forms part: the
@@ -323,45 +331,43 @@ func TestFirstAboveMatchesOracle(t *testing.T) {
 }
 
 // TestAdamBiasCorrectionsMatchPow pins the memoised corrections to the
-// math.Pow expression they replaced, across the table's end and off the
-// standard β pair.
+// math.Pow expression they replaced, across the table's end.
 func TestAdamBiasCorrectionsMatchPow(t *testing.T) {
-	for _, betas := range [][2]float64{{AdamBeta1, AdamBeta2}, {0.8, 0.99}} {
-		for st := 0; st <= len(adamBiasTable)+3; st++ {
-			w1, w2 := adamBiasOracle(betas[0], betas[1], st)
-			g1, g2 := AdamBiasCorrections(betas[0], betas[1], st)
-			requireSameFloats(t, fmt.Sprintf("β=%v t=%d", betas, st), []float64{w1, w2}, []float64{g1, g2})
-		}
+	for st := 0; st <= len(adamBiasTable)+3; st++ {
+		w1, w2 := adamBiasOracle(0.9, 0.999, st)
+		g1, g2 := AdamBiasCorrections(st)
+		requireSameFloats(t, fmt.Sprintf("t=%d", st), []float64{w1, w2}, []float64{g1, g2})
 	}
 }
 
 // TestNewAdamStepMatchesFrontEnds pins NewAdamStep, field for field and bit
-// for bit, to the three front ends it replaced, kept here verbatim at the
-// constants every caller gave them: nn.Adam.Update (the decayed form), and
-// emb.AdamHyper.update and baselines' adamVec.step (the undecayed one). The
-// steps straddle the bias-correction table's end and reach far past it.
+// for bit, to the three front ends it replaced, kept here at the constants
+// every caller gave them (which AdamUpdate now fixes, pinned by the oracle
+// sweep): nn.Adam.Update (the decayed form), and emb.AdamHyper.update and
+// baselines' adamVec.step (the undecayed one), each taking its corrections
+// from math.Pow. The steps straddle the bias-correction table's end and reach
+// far past it.
 func TestNewAdamStepMatchesFrontEnds(t *testing.T) {
 	nnAdamUpdate := func(lr float64, t int) AdamStep {
-		o := adamOracleHyper{LR: lr, Beta1: AdamBeta1, Beta2: AdamBeta2, Eps: 1e-8}
-		bc1, bc2 := AdamBiasCorrections(o.Beta1, o.Beta2, t)
-		return AdamStep{LR: o.LR, Beta1: o.Beta1, Beta2: o.Beta2, Eps: o.Eps, BC1: bc1, BC2: bc2,
-			Decayed: true}
+		o := standardAdamOracle(lr)
+		bc1, bc2 := adamBiasOracle(o.Beta1, o.Beta2, t)
+		return AdamStep{LR: o.LR, BC1: bc1, BC2: bc2, Decayed: true}
 	}
 	embUpdate := func(lr float64, step int) AdamStep {
-		hy := adamOracleHyper{LR: lr, Beta1: AdamBeta1, Beta2: AdamBeta2, Eps: 1e-8}
-		bc1, bc2 := AdamBiasCorrections(hy.Beta1, hy.Beta2, step)
-		return AdamStep{LR: hy.LR, Beta1: hy.Beta1, Beta2: hy.Beta2, Eps: hy.Eps, BC1: bc1, BC2: bc2}
+		hy := standardAdamOracle(lr)
+		bc1, bc2 := adamBiasOracle(hy.Beta1, hy.Beta2, step)
+		return AdamStep{LR: hy.LR, BC1: bc1, BC2: bc2}
 	}
 	adamVecStep := func(lr float64, t int) AdamStep {
-		bc1, bc2 := AdamBiasCorrections(AdamBeta1, AdamBeta2, t)
-		return AdamStep{LR: lr, Beta1: AdamBeta1, Beta2: AdamBeta2, Eps: 1e-8, BC1: bc1, BC2: bc2}
+		bc1, bc2 := adamBiasOracle(0.9, 0.999, t)
+		return AdamStep{LR: lr, BC1: bc1, BC2: bc2}
 	}
 	fields := func(s AdamStep) []float64 {
 		decayed := 0.0
 		if s.Decayed {
 			decayed = 1
 		}
-		return []float64{s.LR, s.Beta1, s.Beta2, s.Eps, s.BC1, s.BC2, decayed, s.WeightDecay}
+		return []float64{s.LR, s.BC1, s.BC2, decayed}
 	}
 	for _, lr := range []float64{1e-3, 0.01} {
 		for _, st := range []int{1, 4095, 4096, 4097, 1_000_000} {
@@ -386,11 +392,13 @@ func FuzzAdamUpdate(f *testing.F) {
 	f.Add(int64(3), uint8(3), true, uint16(9000))
 	f.Fuzz(func(t *testing.T, seed int64, n uint8, decayed bool, st uint16) {
 		r := rand.New(rand.NewSource(seed))
-		hy := adamOracleHyper{LR: math.Abs(elemOperand(r, 1)[0]), Beta1: r.Float64(), Beta2: r.Float64(), Eps: 1e-8}
-		if decayed {
-			hy.WeightDecay = elemOperand(r, 1)[0]
+		// A NaN step size stays defaultNaN: math.Abs would flip its sign and
+		// make it a second NaN pattern (see defaultNaN).
+		lr := elemOperand(r, 1)[0]
+		if !math.IsNaN(lr) {
+			lr = math.Abs(lr)
 		}
-		c := adamCase{hy: hy, decayed: decayed, st: int(st),
+		c := adamCase{lr: lr, decayed: decayed, st: int(st),
 			w: elemOperand(r, int(n)), m: elemOperand(r, int(n)), v: elemOperand(r, int(n)), g: elemOperand(r, int(n))}
 		requireKernelMatchesOracle(t, fmt.Sprintf("Adam n=%d", n), c.run)
 	})
@@ -417,7 +425,7 @@ func benchmarkElementwise(b *testing.B) {
 	}
 	for _, n := range []int{16, 2048} {
 		w, m, v, g := normal(n), make([]float64, n), make([]float64, n), make([]float64, n)
-		s := &AdamStep{LR: 1e-3, Beta1: AdamBeta1, Beta2: AdamBeta2, Eps: 1e-8, BC1: 0.1, BC2: 0.001, Decayed: true}
+		s := &AdamStep{LR: 1e-3, BC1: 0.1, BC2: 0.001, Decayed: true}
 		b.Run(fmt.Sprintf("Adam/%d", n), func(b *testing.B) {
 			for b.Loop() {
 				AdamUpdate(w, m, v, g, s)

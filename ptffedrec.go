@@ -48,8 +48,8 @@ import (
 
 // Core protocol types.
 type (
-	// Config is the full PTF-FedRec hyper-parameter set (§IV-D defaults via
-	// DefaultConfig).
+	// Config is the PTF-FedRec hyper-parameter set (§IV-D defaults via
+	// DefaultConfig; the Top Guess Attack's γ is fixed at the paper's 0.2).
 	Config = fed.Config
 	// Trainer orchestrates the protocol (Algorithm 1).
 	Trainer = fed.Trainer
@@ -150,7 +150,8 @@ func LoadCSV(path, name string) (*Dataset, error) { return data.LoadCSV(path, na
 
 // Centralized training (the paper's upper-bound comparison).
 type (
-	// CentralConfig configures centralized training.
+	// CentralConfig configures centralized training at the paper's fixed
+	// L = 3 graph layers, 1:4 negative sampling and Recall/NDCG@20.
 	CentralConfig = central.Config
 	// CentralTrainer trains a recommender on pooled data.
 	CentralTrainer = central.Trainer
@@ -166,7 +167,8 @@ func NewCentralTrainer(sp *Split, cfg CentralConfig) (*CentralTrainer, error) {
 
 // Parameter-transmission baselines (Tables III and IV).
 type (
-	// BaselineConfig configures FCF/FedMF/MetaMF.
+	// BaselineConfig configures FCF/FedMF/MetaMF at the paper's fixed 1:4
+	// negative sampling and Recall/NDCG@20.
 	BaselineConfig = baselines.Config
 	// FCF is federated collaborative filtering.
 	FCF = baselines.FCF

@@ -58,7 +58,7 @@ func TestFacadeCentralAndBaselines(t *testing.T) {
 		t.Fatal(err)
 	}
 	ct.Run()
-	if ct.Evaluate(20).Users == 0 {
+	if ct.Evaluate().Users == 0 {
 		t.Fatal("central evaluation empty")
 	}
 
