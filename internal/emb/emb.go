@@ -20,12 +20,9 @@
 package emb
 
 import (
-	"fmt"
-	"io"
 	"math/bits"
 	"slices"
 
-	"ptffedrec/internal/persist"
 	"ptffedrec/internal/rng"
 	"ptffedrec/internal/tensor"
 )
@@ -96,9 +93,9 @@ func NewLazyTable(s *rng.Stream, dim int, lr float64) *Table {
 	return &Table{Dim: dim, init: s.Derive("lazytable"), lr: lr}
 }
 
-// Row returns row i's weights, aliasing the table's storage; only Step and
-// Restore write them. A lazy table adds the row on first touch. Rows never
-// move, so the slice stays the row's for the table's life.
+// Row returns row i's weights, aliasing the table's storage; only Step
+// writes them. A lazy table adds the row on first touch. Rows never move, so
+// the slice stays the row's for the table's life.
 func (t *Table) Row(i int) []float64 {
 	w, _, _ := t.row(t.slot(i))
 	return w
@@ -117,12 +114,6 @@ func (t *Table) row(s int) (w, m, v []float64) {
 	k, off, _ := lazyPage(s)
 	r := t.pages[k][3*d*off : 3*d*(off+1)]
 	return r[:d], r[d : 2*d], r[2*d:]
-}
-
-// denseMoments returns a dense table's two moment blocks.
-func (t *Table) denseMoments() (m, v []float64) {
-	n := len(t.W.Data)
-	return t.pages[0][n : 2*n], t.pages[0][2*n:]
 }
 
 // slot returns row i's slot, adding the row to a lazy table on first touch.
@@ -158,133 +149,6 @@ func (t *Table) Step(g *RowGrads) {
 		tensor.AdamUpdate(w, m, v, g.slab[k*g.dim:(k+1)*g.dim], &up)
 	}
 	g.Reset()
-}
-
-// sortedIDs returns a lazy table's row ids in ascending order.
-func (t *Table) sortedIDs() []int { return slices.Sorted(slices.Values(t.ids)) }
-
-// Snapshot writes the table's weights (not optimizer state) to w: a dense
-// table's as one block, a lazy table's as its ids, ascending, then each row.
-func (t *Table) Snapshot(w io.Writer) error {
-	if !t.lazy() {
-		return persist.WriteFloat64s(w, t.W.Data)
-	}
-	ids := t.sortedIDs()
-	if err := persist.WriteInts(w, ids); err != nil {
-		return err
-	}
-	for _, id := range ids {
-		if err := persist.WriteFloat64s(w, t.Row(id)); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Restore reads weights previously written by Snapshot into the table, adding
-// a lazy table's rows as needed. A dense table's shape must match; optimizer
-// state is untouched (pair with RestoreMoments for exact checkpoint-resume).
-func (t *Table) Restore(r io.Reader) error {
-	if !t.lazy() {
-		return persist.ReadFloat64sInto(r, t.W.Data)
-	}
-	ids, err := persist.ReadInts(r)
-	if err != nil {
-		return err
-	}
-	for _, id := range ids {
-		if err := persist.ReadFloat64sInto(r, t.Row(id)); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// SnapshotMoments writes the table's sparse-Adam state — ids, their step
-// counters and both moments — so a restored table resumes training exactly
-// where the snapshot left off. A dense table lists the rows that have
-// stepped and writes each moment as one block; a lazy table lists every row,
-// ascending, and writes each row's two moments in turn.
-func (t *Table) SnapshotMoments(w io.Writer) error {
-	var ids []int
-	if !t.lazy() {
-		for i, n := range t.steps {
-			if n > 0 {
-				ids = append(ids, i)
-			}
-		}
-	} else {
-		ids = t.sortedIDs()
-	}
-	steps := make([]int, len(ids))
-	for k, id := range ids {
-		steps[k] = t.steps[t.slot(id)]
-	}
-	if err := persist.WriteInts(w, ids); err != nil {
-		return err
-	}
-	if err := persist.WriteInts(w, steps); err != nil {
-		return err
-	}
-	if !t.lazy() {
-		m, v := t.denseMoments()
-		if err := persist.WriteFloat64s(w, m); err != nil {
-			return err
-		}
-		return persist.WriteFloat64s(w, v)
-	}
-	for _, id := range ids {
-		_, m, v := t.row(t.slot(id))
-		if err := persist.WriteFloat64s(w, m); err != nil {
-			return err
-		}
-		if err := persist.WriteFloat64s(w, v); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// RestoreMoments reads optimizer state previously written by
-// SnapshotMoments, adding a lazy table's rows as needed.
-func (t *Table) RestoreMoments(r io.Reader) error {
-	ids, err := persist.ReadInts(r)
-	if err != nil {
-		return err
-	}
-	steps, err := persist.ReadInts(r)
-	if err != nil {
-		return err
-	}
-	if len(ids) != len(steps) {
-		return fmt.Errorf("emb: moment snapshot has %d ids, %d steps", len(ids), len(steps))
-	}
-	if !t.lazy() {
-		clear(t.steps)
-		for k, id := range ids {
-			if id < 0 || id >= len(t.steps) {
-				return fmt.Errorf("emb: moment snapshot names row %d of a %d-row table", id, len(t.steps))
-			}
-			t.steps[id] = steps[k]
-		}
-		m, v := t.denseMoments()
-		if err := persist.ReadFloat64sInto(r, m); err != nil {
-			return err
-		}
-		return persist.ReadFloat64sInto(r, v)
-	}
-	for k, id := range ids {
-		s := t.slot(id)
-		t.steps[s] = steps[k]
-		_, m, v := t.row(s)
-		if err := persist.ReadFloat64sInto(r, m); err != nil {
-			return err
-		}
-		if err := persist.ReadFloat64sInto(r, v); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // RowGrads collects sparse per-row gradient vectors: one training shard's,

@@ -88,9 +88,9 @@ type Config struct {
 	// training, the graph engine's commit, the server model's intra-batch
 	// SGD (fixed-size gradient chunks merged in chunk order), the dispersal
 	// loop and evaluation all fan out over this many workers.
-	// Seeded runs produce bitwise-identical Histories, metrics and server
-	// snapshots for every worker count. Client models always train serially
-	// — they already run on this pool.
+	// Seeded runs produce bitwise-identical Histories, metrics and final
+	// server models for every worker count. Client models always train
+	// serially — they already run on this pool.
 	Workers int
 
 	// LazyClients is ignored: a ClientHost always builds each client on its

@@ -2,6 +2,7 @@ package fed
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"ptffedrec/internal/models"
@@ -130,6 +131,30 @@ func TestServerSnapshotRoundTrip(t *testing.T) {
 	}
 	if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
 		t.Fatal("snapshot -> restore -> snapshot is not the identity")
+	}
+}
+
+// TestServerSnapshotRefusesNGCF pins that only a
+// LightGCN server checkpoints: Snapshot and Restore on an NGCF server return
+// an error that names the kind, and neither panics nor writes or reads a byte.
+func TestServerSnapshotRefusesNGCF(t *testing.T) {
+	tr, err := NewTrainer(tinySplit(t), fastConfig(models.KindNGCF))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := tr.Server().Snapshot(&buf); err == nil || !strings.Contains(err.Error(), string(models.KindNGCF)) {
+		t.Fatalf("Snapshot of an NGCF server: error %v, want one naming %q", err, models.KindNGCF)
+	}
+	if buf.Len() != 0 {
+		t.Fatalf("Snapshot of an NGCF server wrote %d bytes", buf.Len())
+	}
+	r := bytes.NewReader([]byte("PTFREC"))
+	if err := tr.Server().Restore(r); err == nil || !strings.Contains(err.Error(), string(models.KindNGCF)) {
+		t.Fatalf("Restore into an NGCF server: error %v, want one naming %q", err, models.KindNGCF)
+	}
+	if r.Len() != 6 {
+		t.Fatalf("Restore into an NGCF server read %d bytes", 6-r.Len())
 	}
 }
 

@@ -1,12 +1,13 @@
 package fed
 
 import (
-	"bytes"
+	"math"
 	"testing"
 
 	"ptffedrec/internal/comm"
 	"ptffedrec/internal/models"
 	"ptffedrec/internal/par"
+	"ptffedrec/internal/tensor"
 )
 
 // runHistory executes a full training run and returns its trace.
@@ -99,9 +100,9 @@ func TestHistoryInvariantWithFaults(t *testing.T) {
 	requireEqualHistories(t, "faults", serial, runHistory(t, cfg))
 }
 
-// runHistoryWithSnapshot executes a full run and also captures the hidden
-// server model's final parameters.
-func runHistoryWithSnapshot(t *testing.T, cfg Config) (*History, []byte) {
+// runHistoryWithLogits executes a full run and also scores the hidden server
+// model's whole users × items logit block.
+func runHistoryWithLogits(t *testing.T, cfg Config) (*History, *tensor.Matrix) {
 	t.Helper()
 	tr, err := NewTrainer(tinySplit(t), cfg)
 	if err != nil {
@@ -111,18 +112,24 @@ func runHistoryWithSnapshot(t *testing.T, cfg Config) (*History, []byte) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := tr.Server().Snapshot(&buf); err != nil {
-		t.Fatal(err)
+	sv := tr.Server()
+	users, items := make([]int, sv.numUsers), make([]int, sv.numItems)
+	for u := range users {
+		users[u] = u
 	}
-	return h, buf.Bytes()
+	for v := range items {
+		items[v] = v
+	}
+	block := tensor.New(len(users), len(items))
+	sv.Model().ScoreUsersBlockLogitsInto(block, users, items)
+	return h, block
 }
 
 // TestHistoryInvariantAcrossTrainWorkers pins the gradient workspace engine's
 // guarantee end to end, for every server model kind: the entire History AND
-// the hidden model's final parameters are bitwise-identical whether the
-// server model trains on 1, 2 or 8 workers (models.Config.TrainWorkers, which
-// the server sets from Config.Workers).
+// the hidden model's final logit for every user and item are
+// bitwise-identical whether the server model trains on 1, 2 or 8 workers
+// (models.Config.TrainWorkers, which the server sets from Config.Workers).
 func TestHistoryInvariantAcrossTrainWorkers(t *testing.T) {
 	kinds := []models.Kind{models.KindMF, models.KindNeuMF, models.KindNGCF, models.KindLightGCN}
 	if testing.Short() {
@@ -137,13 +144,16 @@ func TestHistoryInvariantAcrossTrainWorkers(t *testing.T) {
 		cfg.ServerBatch = 512
 
 		cfg.Workers = 1
-		serial, serialSnap := runHistoryWithSnapshot(t, cfg)
+		serial, serialLogits := runHistoryWithLogits(t, cfg)
 		for _, workers := range []int{2, 8} {
 			cfg.Workers = workers
-			h, snap := runHistoryWithSnapshot(t, cfg)
+			h, logits := runHistoryWithLogits(t, cfg)
 			requireEqualHistories(t, string(server), serial, h)
-			if !bytes.Equal(serialSnap, snap) {
-				t.Fatalf("%s: Workers=%d server snapshot differs from Workers=1", server, workers)
+			for i, want := range serialLogits.Data {
+				if got := logits.Data[i]; math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%s: Workers=%d logit (%d, %d) = %v, Workers=1 %v",
+						server, workers, i/logits.Cols, i%logits.Cols, got, want)
+				}
 			}
 		}
 	}

@@ -89,15 +89,36 @@ func (sv *Server) Model() models.Recommender { return sv.model }
 // provider's actual asset. The snapshot never travels through the protocol;
 // it exists so the provider can checkpoint and serve the model out-of-band.
 // Because the Adam moments travel with the weights, a restored server resumes
-// a long run bit-for-bit where the checkpoint left off.
+// a long run bit-for-bit where the checkpoint left off. Only a LightGCN
+// server checkpoints (models.Snapshotter); for any other kind Snapshot
+// returns an error naming it.
 func (sv *Server) Snapshot(w io.Writer) error {
-	return sv.model.(models.Snapshotter).Snapshot(w)
+	s, err := sv.snapshotter()
+	if err != nil {
+		return err
+	}
+	return s.Snapshot(w)
 }
 
 // Restore loads a snapshot previously written by Snapshot into the hidden
-// model (same Config required).
+// model (same Config required). Like Snapshot, it returns an error naming
+// the kind of a model that does not checkpoint.
 func (sv *Server) Restore(r io.Reader) error {
-	return sv.model.(models.Snapshotter).Restore(r)
+	s, err := sv.snapshotter()
+	if err != nil {
+		return err
+	}
+	return s.Restore(r)
+}
+
+// snapshotter returns the hidden model as a Snapshotter, or an error naming
+// its kind when it does not checkpoint.
+func (sv *Server) snapshotter() (models.Snapshotter, error) {
+	s, ok := sv.model.(models.Snapshotter)
+	if !ok {
+		return nil, fmt.Errorf("fed: a %s server model does not checkpoint", sv.model.Name())
+	}
+	return s, nil
 }
 
 // ItemFrequency returns the confidence counter for item v.

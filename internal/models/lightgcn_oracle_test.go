@@ -145,7 +145,13 @@ func (m *denseLightGCN) Snapshot(w io.Writer) error {
 	if err := persist.WriteFloat64s(w, m.e0.W.Data); err != nil {
 		return err
 	}
-	return nn.SnapshotMoments(w, []*nn.Param{m.e0})
+	if err := persist.WriteUint64(w, uint64(m.e0.T)); err != nil {
+		return err
+	}
+	if err := persist.WriteFloat64s(w, m.e0.M.Data); err != nil {
+		return err
+	}
+	return persist.WriteFloat64s(w, m.e0.V.Data)
 }
 
 // sameBits reports whether two float slices are equal bit for bit (so a -0

@@ -8,7 +8,6 @@ package models
 // the live engine to it bit for bit.
 
 import (
-	"bytes"
 	"fmt"
 	"math"
 	"testing"
@@ -233,9 +232,9 @@ func neumfBatch(s *rng.Stream, cfg Config, n int) []Sample {
 
 // TestNeuMFTrainBatchMatchesOracle trains twin models, one through the live
 // TrainBatch and one through the oracle, on the same batches: every loss and —
-// through the V2 snapshot, which carries every W, B, materialised embedding
-// row and both Adam moments with their step counts — the whole model state
-// must agree bit for bit after every step. The client shape runs one shard
+// through stateDigest, which covers every W, B, materialised embedding row
+// and both Adam moments with their step counts — the whole model state must
+// agree bit for bit after every step. The client shape runs one shard
 // per batch (gradients written straight into the zero Grad matrices); the
 // server shape at batch 1024 runs four shards and the chunk-order merge.
 func TestNeuMFTrainBatchMatchesOracle(t *testing.T) {
@@ -265,7 +264,7 @@ func TestNeuMFTrainBatchMatchesOracle(t *testing.T) {
 				if math.Float64bits(got) != math.Float64bits(want) {
 					t.Fatalf("step %d: loss %v, oracle %v", step, got, want)
 				}
-				if !bytes.Equal(snapshotBytes(t, live), snapshotBytes(t, oracle)) {
+				if stateDigest(t, live) != stateDigest(t, oracle) {
 					t.Fatalf("step %d: model state differs from the oracle's", step)
 				}
 			}

@@ -7,7 +7,6 @@ package models
 // bit for bit.
 
 import (
-	"bytes"
 	"fmt"
 	"math"
 	"testing"
@@ -211,9 +210,9 @@ func ngcfTestBatch(s *rng.Stream, cfg Config, n int) []Sample {
 }
 
 // TestNGCFTrainBatchMatchesOracle trains one NGCF through TrainBatch and one
-// through the oracle on the same batches and graphs: every loss, the
-// snapshot (E⁰, every W and both Adam moments) after every step, and every
-// layer of the readout must agree bit for bit. The graph has 2200 nodes, so
+// through the oracle on the same batches and graphs: every loss, the model
+// state (stateDigest: E⁰, every W and both Adam moments) after every step,
+// and every layer of the readout must agree bit for bit. The graph has 2200 nodes, so
 // every pass over the nodes runs in three chunks and the weight gradients
 // reduce over three shards; the batch sizes rise and fall across gradient
 // shard counts, and the graph changes midway.
@@ -235,7 +234,7 @@ func TestNGCFTrainBatchMatchesOracle(t *testing.T) {
 				if math.Float64bits(got) != math.Float64bits(want) {
 					t.Fatalf("step %d: loss %v, oracle %v", step, got, want)
 				}
-				if !bytes.Equal(snapshotBytes(t, live), snapshotBytes(t, oracle)) {
+				if stateDigest(t, live) != stateDigest(t, oracle) {
 					t.Fatalf("step %d: model state differs from the oracle's", step)
 				}
 				live.WarmScoring()

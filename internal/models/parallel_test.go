@@ -1,7 +1,6 @@
 package models
 
 import (
-	"bytes"
 	"testing"
 
 	"ptffedrec/internal/graph"
@@ -34,24 +33,16 @@ func denseGraph(cfg Config, s *rng.Stream) *graph.Incremental {
 	return g.engine(cfg.NumItems)
 }
 
-func snapshotBytes(t *testing.T, m Recommender) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := m.(Snapshotter).Snapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
 // TestTrainBatchWorkerInvariance pins the gradient-workspace contract for all
 // four model kinds: several multi-chunk TrainBatch steps produce bitwise
-// identical losses and parameter snapshots for every TrainWorkers value.
+// identical losses and model states (stateDigest) for every TrainWorkers
+// value.
 func TestTrainBatchWorkerInvariance(t *testing.T) {
 	cfg := Config{NumUsers: 40, NumItems: 60, Dim: 8, LR: 1e-2, Layers: 2, Seed: 5}
 	batch := bigBatch(cfg, 3*trainChunkSize+37)
 	for _, kind := range []Kind{KindMF, KindNeuMF, KindNGCF, KindLightGCN} {
 		var refLosses []float64
-		var refSnap []byte
+		var refState string
 		for _, workers := range []int{1, 2, 8} {
 			wcfg := cfg
 			wcfg.TrainWorkers = workers
@@ -66,9 +57,9 @@ func TestTrainBatchWorkerInvariance(t *testing.T) {
 			for i := range losses {
 				losses[i] = m.TrainBatch(batch)
 			}
-			snap := snapshotBytes(t, m)
+			state := stateDigest(t, m)
 			if workers == 1 {
-				refLosses, refSnap = losses, snap
+				refLosses, refState = losses, state
 				continue
 			}
 			for i := range losses {
@@ -77,8 +68,8 @@ func TestTrainBatchWorkerInvariance(t *testing.T) {
 						kind, workers, i, losses[i], refLosses[i])
 				}
 			}
-			if !bytes.Equal(snap, refSnap) {
-				t.Fatalf("%s: workers=%d snapshot differs from workers=1", kind, workers)
+			if state != refState {
+				t.Fatalf("%s: workers=%d model state differs from workers=1", kind, workers)
 			}
 		}
 	}

@@ -3,12 +3,19 @@ package models
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
+	"hash"
 	"math"
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
+	"ptffedrec/internal/emb"
+	"ptffedrec/internal/nn"
 	"ptffedrec/internal/persist"
+	"ptffedrec/internal/rng"
 )
 
 // trainedModel builds a model of the given kind, trains it briefly, and
@@ -30,43 +37,35 @@ func trainedModel(t *testing.T, kind Kind, seed uint64) Recommender {
 	return m
 }
 
+// TestSnapshotRestoreAllModels round-trips the one model that checkpoints,
+// LightGCN: restored into a model built from another seed, it scores every
+// pair as the source does.
 func TestSnapshotRestoreAllModels(t *testing.T) {
-	for _, kind := range []Kind{KindMF, KindNeuMF, KindNGCF, KindLightGCN} {
-		src := trainedModel(t, kind, 1)
-		var buf bytes.Buffer
-		if err := src.(Snapshotter).Snapshot(&buf); err != nil {
-			t.Fatalf("%s snapshot: %v", kind, err)
-		}
-
-		// Restore into a model built from a different seed: all scores must
-		// match the source exactly afterwards.
-		dst := trainedModel(t, kind, 99)
-		if gm, ok := dst.(GraphRecommender); ok {
-			gm.SetGraph(smallGraph(smallConfig()))
-		}
-		if err := dst.(Snapshotter).Restore(&buf); err != nil {
-			t.Fatalf("%s restore: %v", kind, err)
-		}
-		for u := 0; u < 4; u++ {
-			for v := 0; v < 6; v++ {
-				a, b := score(src, u, v), score(dst, u, v)
-				if math.Abs(a-b) > 1e-12 {
-					t.Fatalf("%s: score(%d,%d) %v != %v after restore", kind, u, v, a, b)
-				}
+	src := trainedModel(t, KindLightGCN, 1)
+	dst := trainedModel(t, KindLightGCN, 99)
+	if err := dst.(Snapshotter).Restore(bytes.NewReader(snapshotBytes(t, src))); err != nil {
+		t.Fatal(err)
+	}
+	for u := 0; u < 4; u++ {
+		for v := 0; v < 6; v++ {
+			a, b := score(src, u, v), score(dst, u, v)
+			if math.Abs(a-b) > 1e-12 {
+				t.Fatalf("score(%d,%d) %v != %v after restore", u, v, a, b)
 			}
 		}
 	}
 }
 
+// TestRestoreRejectsWrongKind restores a snapshot header whose kind tag
+// names another model into a LightGCN: the header is refused.
 func TestRestoreRejectsWrongKind(t *testing.T) {
-	src := trainedModel(t, KindMF, 1)
 	var buf bytes.Buffer
-	if err := src.(Snapshotter).Snapshot(&buf); err != nil {
+	if err := writeHeader(&buf, KindNGCF); err != nil {
 		t.Fatal(err)
 	}
-	dst := trainedModel(t, KindNeuMF, 2)
-	if err := dst.(Snapshotter).Restore(&buf); err == nil {
-		t.Fatal("NeuMF restored an MF snapshot")
+	err := trainedModel(t, KindLightGCN, 2).(Snapshotter).Restore(&buf)
+	if err == nil || !strings.Contains(err.Error(), "kind mismatch") {
+		t.Fatalf("LightGCN restored a snapshot tagged %s: error %v", KindNGCF, err)
 	}
 }
 
@@ -78,44 +77,34 @@ func TestRestoreRejectsGarbage(t *testing.T) {
 }
 
 func TestRestoreRejectsTruncated(t *testing.T) {
-	src := trainedModel(t, KindNGCF, 4)
-	var buf bytes.Buffer
-	if err := src.(Snapshotter).Snapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	trunc := bytes.NewReader(buf.Bytes()[:buf.Len()/2])
-	dst := trainedModel(t, KindNGCF, 5)
-	if err := dst.(Snapshotter).Restore(trunc); err == nil {
-		t.Fatal("truncated snapshot accepted")
+	snap := snapshotBytes(t, trainedModel(t, KindLightGCN, 4))
+	for _, n := range []int{len(snap) / 2, len(snap) - 1} {
+		dst := trainedModel(t, KindLightGCN, 5)
+		if err := dst.(Snapshotter).Restore(bytes.NewReader(snap[:n])); err == nil {
+			t.Fatalf("snapshot truncated to %d of %d bytes accepted", n, len(snap))
+		}
 	}
 }
 
-func TestLazySnapshotRoundTrip(t *testing.T) {
-	cfg := smallConfig()
-	cfg.Lazy = true
-	a, err := New(KindNeuMF, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 10; i++ {
-		a.TrainBatch(smallBatch())
-	}
+// TestRestoreRefusesHugeTagPrefix feeds Restore a header whose magic claims
+// 2³⁰ bytes: the length prefix is refused before anything it sizes is
+// allocated, so the call errors having allocated under 1 MiB.
+func TestRestoreRefusesHugeTagPrefix(t *testing.T) {
 	var buf bytes.Buffer
-	if err := a.(Snapshotter).Snapshot(&buf); err != nil {
+	if err := persist.WriteUint64(&buf, 1<<30); err != nil {
 		t.Fatal(err)
 	}
-	cfg.Seed = 77
-	b, err := New(KindNeuMF, cfg)
-	if err != nil {
-		t.Fatal(err)
+	buf.WriteString(snapshotMagic)
+	dst := trainedModel(t, KindLightGCN, 6).(Snapshotter)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err := dst.Restore(&buf)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("a 2³⁰-byte magic prefix accepted")
 	}
-	if err := b.(Snapshotter).Restore(&buf); err != nil {
-		t.Fatal(err)
-	}
-	for _, smp := range smallBatch() {
-		if math.Abs(score(a, smp.User, smp.Item)-score(b, smp.User, smp.Item)) > 1e-12 {
-			t.Fatal("lazy snapshot round trip changed scores")
-		}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Fatalf("refusing a 2³⁰-byte magic prefix allocated %d bytes, want < 1 MiB", got)
 	}
 }
 
@@ -123,98 +112,36 @@ func TestLazySnapshotRoundTrip(t *testing.T) {
 // more batches after a restore must be bitwise-identical to never having
 // checkpointed, because the Adam moment state travels with the weights.
 func TestCheckpointResumeExact(t *testing.T) {
-	for _, kind := range []Kind{KindMF, KindNeuMF, KindNGCF, KindLightGCN} {
-		cfg := smallConfig()
-		a, err := New(kind, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if gm, ok := a.(GraphRecommender); ok {
-			gm.SetGraph(smallGraph(cfg))
-		}
-		for i := 0; i < 7; i++ {
-			a.TrainBatch(smallBatch())
-		}
-		var buf bytes.Buffer
-		if err := a.(Snapshotter).Snapshot(&buf); err != nil {
-			t.Fatalf("%s snapshot: %v", kind, err)
-		}
-
-		b, err := New(kind, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if gm, ok := b.(GraphRecommender); ok {
-			gm.SetGraph(smallGraph(cfg))
-		}
-		if err := b.(Snapshotter).Restore(&buf); err != nil {
-			t.Fatalf("%s restore: %v", kind, err)
-		}
-
-		for i := 0; i < 7; i++ {
-			la := a.TrainBatch(smallBatch())
-			lb := b.TrainBatch(smallBatch())
-			if la != lb {
-				t.Fatalf("%s: post-resume batch %d loss %v != %v", kind, i, la, lb)
-			}
-		}
-		for u := 0; u < smallConfig().NumUsers; u++ {
-			for v := 0; v < smallConfig().NumItems; v++ {
-				if sa, sb := score(a, u, v), score(b, u, v); sa != sb {
-					t.Fatalf("%s: score(%d,%d) diverged after resume: %v != %v", kind, u, v, sa, sb)
-				}
-			}
-		}
-	}
-}
-
-// TestCheckpointResumeExactLazy is TestCheckpointResumeExact for lazy
-// embedding tables (the client-side configuration): per-row moments and step
-// counters must survive the round trip, and rows materialised after the
-// resume must draw the same init values as the uninterrupted run.
-func TestCheckpointResumeExactLazy(t *testing.T) {
 	cfg := smallConfig()
-	cfg.Lazy = true
-	a, err := New(KindNeuMF, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Train on a subset of items so some rows stay unmaterialised at the
-	// checkpoint and first materialise after the resume.
-	pre := smallBatch()[:3]
+	a := NewLightGCN(cfg, rng.New(cfg.Seed))
+	a.SetGraph(smallGraph(cfg))
 	for i := 0; i < 7; i++ {
-		a.TrainBatch(pre)
+		a.TrainBatch(smallBatch())
 	}
-	var buf bytes.Buffer
-	if err := a.(Snapshotter).Snapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	b, err := New(KindNeuMF, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := b.(Snapshotter).Restore(&buf); err != nil {
+	b := NewLightGCN(cfg, rng.New(cfg.Seed+1))
+	b.SetGraph(smallGraph(cfg))
+	if err := b.Restore(bytes.NewReader(snapshotBytes(t, a))); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 7; i++ {
-		la := a.TrainBatch(smallBatch())
-		lb := b.TrainBatch(smallBatch())
-		if la != lb {
-			t.Fatalf("lazy post-resume batch %d loss %v != %v", i, la, lb)
+		if la, lb := a.TrainBatch(smallBatch()), b.TrainBatch(smallBatch()); la != lb {
+			t.Fatalf("post-resume batch %d loss %v != %v", i, la, lb)
 		}
 	}
-	for _, smp := range smallBatch() {
-		if score(a, smp.User, smp.Item) != score(b, smp.User, smp.Item) {
-			t.Fatal("lazy checkpoint-resume diverged")
+	for u := 0; u < cfg.NumUsers; u++ {
+		for v := 0; v < cfg.NumItems; v++ {
+			if sa, sb := score(a, u, v), score(b, u, v); sa != sb {
+				t.Fatalf("score(%d,%d) diverged after resume: %v != %v", u, v, sa, sb)
+			}
 		}
 	}
 }
 
-// TestSnapshotDigestPinned pins the Snapshot bytes of seeded NeuMF (dense
-// and lazy tables) and NGCF models, untrained and after three TrainBatch
-// calls, to fixed SHA-256 digests, so a change to the weights Adam moves, to
-// the moment layout or to the zero state a parameter that never stepped
-// writes fails here.
+// TestSnapshotDigestPinned pins the state of seeded NeuMF (dense and lazy
+// tables), NGCF and LightGCN models, untrained and after three TrainBatch
+// calls, to fixed SHA-256 digests (stateDigest: LightGCN's is of its Snapshot
+// bytes), so a change to the weights Adam moves, to the moments or step
+// counts, or to LightGCN's snapshot layout fails here.
 func TestSnapshotDigestPinned(t *testing.T) {
 	for _, c := range []struct {
 		kind    Kind
@@ -222,12 +149,14 @@ func TestSnapshotDigestPinned(t *testing.T) {
 		batches int
 		want    string
 	}{
-		{KindNeuMF, false, 0, "bc394c57cfe3f2cee8fa698869b5aa799dad480f42fb8b706ff53359fb984ed6"},
-		{KindNeuMF, false, 3, "0550bff0b0e0b332902988ff977347ae79b0d97a7016fa27d70109fe993130e7"},
-		{KindNeuMF, true, 0, "c4e45ea933c7a2d0d567f4c532b9d03f612e43b7db49e32953af2b8341ac645d"},
-		{KindNeuMF, true, 3, "3110f616645d0470d50203ef176a8407b3d044f453d1fd80dd33aff571b50f35"},
-		{KindNGCF, false, 0, "99553591ac9b16825f397a6787c3f0a8e5cb18ab3e1f374826adeabfa977e30a"},
-		{KindNGCF, false, 3, "ef558ef98dfde3d51fb1b93aa7b1ac49bdd24c5b51b968dbf8deb8b19deef83b"},
+		{KindNeuMF, false, 0, "46931c94b63998039ac879c1ce1b077012f0ec1aa4c5de1e8566bc0b51ae98db"},
+		{KindNeuMF, false, 3, "049720246c4804a429fc0fc90ea503b2c5bd1437cd4fb1425f760d35f13ba93d"},
+		{KindNeuMF, true, 0, "fd7d60be596dfcb4d5dd9fe0cd5d4151e553a9da2840e9caa67fcda6b442e0ec"},
+		{KindNeuMF, true, 3, "9c6c798af0b822176ebbeb85540c7be34cada91f2290ace28d34a86d0e1475d7"},
+		{KindNGCF, false, 0, "b471245521504f7927eb92a7299f8af8deec4fb03ea04d7f7df8a456fd40564b"},
+		{KindNGCF, false, 3, "8bd65df4fdb1db3a3dd085b2ada8af0045f63b1f9a7f9e0673667afa522500f8"},
+		{KindLightGCN, false, 0, "9068bf5dc1847456e2884dd361711a181ab7f32de81b9f18c49301a38948515e"},
+		{KindLightGCN, false, 3, "d657ba1ef230bbfcf0f53ff3d446e744d64e4e407662201b0780948470e69ca3"},
 	} {
 		cfg := smallConfig()
 		cfg.Lazy = c.lazy
@@ -241,12 +170,8 @@ func TestSnapshotDigestPinned(t *testing.T) {
 		for range c.batches {
 			m.TrainBatch(smallBatch())
 		}
-		h := sha256.New()
-		if err := m.(Snapshotter).Snapshot(h); err != nil {
-			t.Fatal(err)
-		}
-		if got := hex.EncodeToString(h.Sum(nil)); got != c.want {
-			t.Errorf("%s lazy=%v after %d batches: snapshot digest %s, want %s", c.kind, c.lazy, c.batches, got, c.want)
+		if got := stateDigest(t, m); got != c.want {
+			t.Errorf("%s lazy=%v after %d batches: state digest %s, want %s", c.kind, c.lazy, c.batches, got, c.want)
 		}
 	}
 }
@@ -259,23 +184,80 @@ func TestRestoreRejectsV1Snapshots(t *testing.T) {
 	if err := persist.WriteString(&buf, "PTFREC-MODEL-V1"); err != nil {
 		t.Fatal(err)
 	}
-	if err := persist.WriteString(&buf, string(KindMF)); err != nil {
+	if err := persist.WriteString(&buf, string(KindLightGCN)); err != nil {
 		t.Fatal(err)
 	}
-	err := trainedModel(t, KindMF, 1).(Snapshotter).Restore(&buf)
+	err := trainedModel(t, KindLightGCN, 1).(Snapshotter).Restore(&buf)
 	if err == nil || !strings.Contains(err.Error(), snapshotMagic) {
 		t.Fatalf("V1 restore: got error %v, want one naming %q", err, snapshotMagic)
 	}
 }
 
-func TestAllModelsImplementSnapshotter(t *testing.T) {
-	for _, kind := range []Kind{KindMF, KindNeuMF, KindNGCF, KindLightGCN} {
-		m, err := New(kind, smallConfig())
-		if err != nil {
+// snapshotBytes returns a Snapshotter's snapshot.
+func snapshotBytes(t *testing.T, m Recommender) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := m.(Snapshotter).Snapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// stateDigest returns the SHA-256 of everything a model carries from one
+// batch to the next. MF, NeuMF and NGCF hash their embedding tables and
+// dense parameters; LightGCN, the one Snapshotter, hashes its Snapshot bytes.
+func stateDigest(t *testing.T, m Recommender) string {
+	t.Helper()
+	h := sha256.New()
+	switch m := m.(type) {
+	case *MF:
+		hashTable(h, m.users)
+		hashTable(h, m.items)
+	case *NeuMF:
+		hashTable(h, m.users)
+		hashTable(h, m.items)
+		hashParams(h, m.params)
+	case *NGCF:
+		hashParams(h, m.params)
+	case Snapshotter:
+		if err := m.Snapshot(h); err != nil {
 			t.Fatal(err)
 		}
-		if _, ok := m.(Snapshotter); !ok {
-			t.Fatalf("%s does not implement Snapshotter", kind)
-		}
+	default:
+		t.Fatalf("no state digest for %T", m)
 	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// hashTable writes a table's whole state: each page (the weights and both
+// Adam moments, by slot), each slot's step count and a lazy table's ids.
+// emb keeps them unexported, so they are read through reflection.
+func hashTable(h hash.Hash, tab *emb.Table) {
+	v := reflect.ValueOf(tab).Elem()
+	pages := v.FieldByName("pages")
+	for k := range pages.Len() {
+		hashSlice(h, pages.Index(k), func(x reflect.Value) uint64 { return math.Float64bits(x.Float()) })
+	}
+	for _, f := range []string{"steps", "ids"} {
+		hashSlice(h, v.FieldByName(f), func(x reflect.Value) uint64 { return uint64(x.Int()) })
+	}
+}
+
+// hashParams writes each parameter's weights, both moments and step count.
+func hashParams(h hash.Hash, params []*nn.Param) {
+	for _, p := range params {
+		for _, xs := range [][]float64{p.W.Data, p.M.Data, p.V.Data} {
+			hashSlice(h, reflect.ValueOf(xs), func(x reflect.Value) uint64 { return math.Float64bits(x.Float()) })
+		}
+		h.Write(binary.LittleEndian.AppendUint64(nil, uint64(p.T)))
+	}
+}
+
+// hashSlice writes s's length, then bits(e) for each element e.
+func hashSlice(h hash.Hash, s reflect.Value, bits func(reflect.Value) uint64) {
+	buf := binary.LittleEndian.AppendUint64(nil, uint64(s.Len()))
+	for i := range s.Len() {
+		buf = binary.LittleEndian.AppendUint64(buf, bits(s.Index(i)))
+	}
+	h.Write(buf)
 }

@@ -1,7 +1,8 @@
-// Package persist implements the little-endian binary primitives used to
-// checkpoint model parameters (internal/models' Snapshot/Restore). The
-// format is length-prefixed and versioned by the callers; this package only
-// moves typed values.
+// Package persist implements the little-endian binary primitives of the one
+// model checkpoint, LightGCN's (internal/models' Snapshot/Restore). The
+// format is length-prefixed and versioned by its caller; this package only
+// moves typed values, and every reader checks a length prefix against the
+// length it expects before it allocates or reads anything sized by it.
 package persist
 
 import (
@@ -10,10 +11,6 @@ import (
 	"io"
 	"math"
 )
-
-// maxLen bounds length prefixes so corrupt input can't trigger giant
-// allocations.
-const maxLen = 1 << 30
 
 // WriteUint64 writes one uint64.
 func WriteUint64(w io.Writer, v uint64) error {
@@ -39,22 +36,6 @@ func WriteString(w io.Writer, s string) error {
 	}
 	_, err := io.WriteString(w, s)
 	return err
-}
-
-// ReadString reads a length-prefixed string.
-func ReadString(r io.Reader) (string, error) {
-	n, err := ReadUint64(r)
-	if err != nil {
-		return "", err
-	}
-	if n > maxLen {
-		return "", fmt.Errorf("persist: string length %d too large", n)
-	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return "", err
-	}
-	return string(buf), nil
 }
 
 // WriteFloat64s writes a length-prefixed float64 slice.
@@ -132,26 +113,6 @@ func ReadFloat64Rows(r io.Reader, rows, cols int, fn func(i int, row []float64))
 	return nil
 }
 
-// ReadFloat64s reads a length-prefixed float64 slice.
-func ReadFloat64s(r io.Reader) ([]float64, error) {
-	n, err := ReadUint64(r)
-	if err != nil {
-		return nil, err
-	}
-	if n > maxLen/8 {
-		return nil, fmt.Errorf("persist: slice length %d too large", n)
-	}
-	buf := make([]byte, 8*n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return nil, err
-	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[i*8:]))
-	}
-	return out, nil
-}
-
 // ReadFloat64sInto fills dst from a length-prefixed slice of exactly len(dst)
 // values. A prefix that disagrees is refused before anything is allocated; the
 // values decode straight into dst through a fixed buffer, as WriteFloat64s writes.
@@ -177,46 +138,22 @@ func ReadFloat64sInto(r io.Reader, dst []float64) error {
 	return nil
 }
 
-// WriteInts writes a length-prefixed int slice (as int64s).
-func WriteInts(w io.Writer, xs []int) error {
-	if err := WriteUint64(w, uint64(len(xs))); err != nil {
-		return err
-	}
-	for _, v := range xs {
-		if err := WriteUint64(w, uint64(int64(v))); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// ReadInts reads a length-prefixed int slice.
-func ReadInts(r io.Reader) ([]int, error) {
+// ExpectString reads a length-prefixed string and verifies it equals want
+// (magic and kind tags). A length prefix other than len(want) is refused
+// before anything sized by it is allocated.
+func ExpectString(r io.Reader, want string) error {
 	n, err := ReadUint64(r)
 	if err != nil {
-		return nil, err
-	}
-	if n > maxLen/8 {
-		return nil, fmt.Errorf("persist: slice length %d too large", n)
-	}
-	out := make([]int, n)
-	for i := range out {
-		v, err := ReadUint64(r)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = int(int64(v))
-	}
-	return out, nil
-}
-
-// ExpectString reads a string and verifies it equals want (magic/kind tags).
-func ExpectString(r io.Reader, want string) error {
-	got, err := ReadString(r)
-	if err != nil {
 		return err
 	}
-	if got != want {
+	if n != uint64(len(want)) {
+		return fmt.Errorf("persist: expected %q, got a %d-byte string", want, n)
+	}
+	got := make([]byte, n)
+	if _, err := io.ReadFull(r, got); err != nil {
+		return err
+	}
+	if string(got) != want {
 		return fmt.Errorf("persist: expected %q, got %q", want, got)
 	}
 	return nil

@@ -16,8 +16,8 @@ func TestFloat64sRoundTrip(t *testing.T) {
 		if err := WriteFloat64s(&buf, xs); err != nil {
 			return false
 		}
-		back, err := ReadFloat64s(&buf)
-		if err != nil || len(back) != len(xs) {
+		back := make([]float64, len(xs))
+		if err := ReadFloat64sInto(&buf, back); err != nil || buf.Len() != 0 {
 			return false
 		}
 		for i := range xs {
@@ -38,26 +38,8 @@ func TestStringRoundTrip(t *testing.T) {
 	if err := WriteString(&buf, "hello κόσμε"); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadString(&buf)
-	if err != nil || got != "hello κόσμε" {
-		t.Fatalf("ReadString = %q, %v", got, err)
-	}
-}
-
-func TestIntsRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	in := []int{0, -5, 42, 1 << 40}
-	if err := WriteInts(&buf, in); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadInts(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range in {
-		if got[i] != in[i] {
-			t.Fatalf("ints[%d] = %d", i, got[i])
-		}
+	if err := ExpectString(&buf, "hello κόσμε"); err != nil || buf.Len() != 0 {
+		t.Fatalf("ExpectString: %v, %d bytes left", err, buf.Len())
 	}
 }
 
@@ -123,8 +105,15 @@ func TestTruncatedInputErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	trunc := bytes.NewReader(buf.Bytes()[:buf.Len()-4])
-	if _, err := ReadFloat64s(trunc); err == nil {
+	if err := ReadFloat64sInto(trunc, make([]float64, 3)); err == nil {
 		t.Fatal("truncated input accepted")
+	}
+	buf.Reset()
+	if err := WriteString(&buf, "MAGIC"); err != nil {
+		t.Fatal(err)
+	}
+	if err := ExpectString(bytes.NewReader(buf.Bytes()[:buf.Len()-1]), "MAGIC"); err == nil {
+		t.Fatal("truncated string accepted")
 	}
 	if _, err := ReadUint64(bytes.NewReader(nil)); err == nil {
 		t.Fatal("empty input accepted")
@@ -136,14 +125,14 @@ func TestHugeLengthRejected(t *testing.T) {
 	if err := WriteUint64(&buf, 1<<62); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadFloat64s(&buf); err == nil {
+	if err := ReadFloat64sInto(&buf, make([]float64, 4)); err == nil {
 		t.Fatal("giant length accepted")
 	}
 	buf.Reset()
 	if err := WriteUint64(&buf, 1<<62); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadString(&buf); err == nil {
+	if err := ExpectString(&buf, "MAGIC"); err == nil {
 		t.Fatal("giant string length accepted")
 	}
 }

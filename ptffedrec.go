@@ -145,9 +145,6 @@ func LoadMovieLens100K(path string, minRating float64) (*Dataset, error) {
 	return data.LoadMovieLens100K(path, minRating)
 }
 
-// LoadCSV parses a generic "user,item[,rating]" interaction file.
-func LoadCSV(path, name string) (*Dataset, error) { return data.LoadCSV(path, name) }
-
 // Centralized training (the paper's upper-bound comparison).
 type (
 	// CentralConfig configures centralized training at the paper's fixed
@@ -207,21 +204,6 @@ func DefaultExperimentOptions() ExperimentOptions { return experiments.DefaultOp
 // RunExperiment executes one experiment by id, printing paper-style rows.
 func RunExperiment(id string, o ExperimentOptions, w io.Writer) error {
 	return experiments.Run(id, o, w)
-}
-
-// Ranking evaluates a scorer on a split at cutoff k, fanning the user loop
-// out over GOMAXPROCS workers. Metrics are bitwise-identical for any worker
-// count. Users are ranked through the scorer's multi-user logit blocks, and
-// each held-out item's rank is the count of candidates that beat it.
-// Candidates are the complement of the user's sorted train list, walked as
-// the scores stream past, so a call retains nothing and costs one scan of the
-// split's test lists beyond ranking.
-func Ranking(s Scorer, sp *Split, k int) Result { return eval.RankingWorkers(s, sp, k, 0) }
-
-// RankingWorkers is Ranking with an explicit worker count (<= 0 means
-// GOMAXPROCS).
-func RankingWorkers(s Scorer, sp *Split, k, workers int) Result {
-	return eval.RankingWorkers(s, sp, k, workers)
 }
 
 // FormatBytes renders byte counts the way Table IV does.
