@@ -8,7 +8,7 @@ GO ?= go
 # CI, fails above it. A change that shrinks the code lowers it to the size it
 # reaches; one that has to grow the code raises it in the same diff, where a
 # reviewer sees the price.
-LOC_BUDGET = 12499
+LOC_BUDGET = 12829
 
 # The packages whose concurrent paths CI runs in full (not -short) under the
 # race detector; ci.yml says why each is there (fed.Waves' client waves
@@ -81,13 +81,16 @@ fuzz-wire:
 # the server's rebuild over it (absorb, stageUploads, Commit) at fuzzed worker
 # counts against the oracle's fresh engine, then the Adam update every
 # trained weight takes, assembly and Go body against the scalar loops it
-# replaced, and last the embedding table every MF and NeuMF client steps,
+# replaced, then the embedding table every MF and NeuMF client steps,
 # dense and lazy, against the two table types it replaced, comparing every
 # row's weights, moments and step count after each read, accumulate and
-# step (~95 s together).
-# Each GEMM input is compared across every tile
-# body the host has (AVX-512 8×8, AVX2 4×8, pure Go); TestGEMMDispatch logs
-# which those are first, so the log says whether the 8×8 tile ran.
+# step, and last the NeuMF tower's sparse path — ReLU and mask compression,
+# the SpMM row kernel's ZMM blocks and the transposed SpMM — against the
+# dense core on ReLU-sparse operands (~105 s together).
+# Each GEMM and sparse input is compared across every body the host has
+# (AVX-512: the 8×8 tile and the ZMM sparse kernels; AVX2; pure Go);
+# TestGEMMDispatch logs which those are first, so the log says whether the
+# AVX-512 bodies ran.
 fuzz-kernels:
 	$(GO) test ./internal/tensor -run '^TestGEMMDispatch$$' -v
 	$(GO) test ./internal/tensor -run '^$$' -fuzz '^FuzzDenseGEMM$$' -fuzztime 10s
@@ -99,6 +102,7 @@ fuzz-kernels:
 	$(GO) test ./internal/fed -run '^$$' -fuzz '^FuzzGraphRebuild$$' -fuzztime 10s
 	$(GO) test ./internal/tensor -run '^$$' -fuzz '^FuzzAdamUpdate$$' -fuzztime 10s
 	$(GO) test ./internal/emb -run '^$$' -fuzz '^FuzzTableMatchesOracle$$' -fuzztime 10s
+	$(GO) test ./internal/tensor -run '^$$' -fuzz '^FuzzReLUSparseMatchesDense$$' -fuzztime 10s
 
 # selftest is the loopback e2e smoke: coordinator + two participants over real
 # HTTP must reproduce the serial in-process round loop bitwise.
@@ -145,10 +149,13 @@ bench-module:
 # BenchmarkElementwise (Adam, ReLU and the vector adds, assembly and pure Go
 # bodies side by side), BenchmarkFirstAbove (the selector's bulk reject scan,
 # both bodies), BenchmarkSpMMRows (one LightGCN propagation layer at the
-# sparse-250k shape, d = 16 over Zipf-skewed rows: the SpMM row kernel's
-# assembly and Go bodies and the per-entry loop it replaced, 0 allocs/op; the
-# pin is FuzzSpMMRowsMatchOracle), BenchmarkNeuMFClientTrainBatch (0 allocs/op; the pin is
-# TestNeuMFClientTrainBatchSteadyStateAllocs) and BenchmarkTableStep (ns per
+# sparse-250k shape over Zipf-skewed rows, at d = 16, 32 and 64: the SpMM row
+# kernel as dispatched, without its ZMM blocks, on the Go body, and the
+# per-entry loop it replaced, 0 allocs/op; the pin is
+# FuzzSpMMRowsMatchOracle), BenchmarkNeuMFClientTrainBatch (one client step
+# of the tower whose post-ReLU products run on the nonzeros, 0 allocs/op; the
+# pins are TestNeuMFClientTrainBatchSteadyStateAllocs and
+# FuzzReLUSparseMatchesDense) and BenchmarkTableStep (ns per
 # stepped row on the dense and the lazy layout, 0 allocs/op; the pin is
 # TestTableStepSteadyStateAllocs); internal/models' BenchmarkLightGCNTrainBatch
 # times the server SGD step at the sparse-250k shape and reports B/live-row,

@@ -46,17 +46,37 @@ func (m *denseLightGCN) SetGraph(g *graph.Bipartite) {
 	m.dirty = true
 }
 
+// scale and addScaled are the tensor.Matrix methods the oracle was written
+// against, their loop bodies verbatim: m *= a and m += a·b, element-wise, in
+// place, each returning m.
+func scale(m *tensor.Matrix, a float64) *tensor.Matrix {
+	for i := range m.Data {
+		m.Data[i] *= a
+	}
+	return m
+}
+
+func addScaled(m *tensor.Matrix, a float64, b *tensor.Matrix) *tensor.Matrix {
+	if m.Rows != b.Rows || m.Cols != b.Cols {
+		panic(fmt.Sprintf("tensor: AddScaled shape mismatch %dx%d vs %dx%d", m.Rows, m.Cols, b.Rows, b.Cols))
+	}
+	for i, v := range b.Data {
+		m.Data[i] += a * v
+	}
+	return m
+}
+
 func (m *denseLightGCN) propagate() *tensor.Matrix {
 	if !m.dirty && m.final != nil {
 		return m.final
 	}
 	c := 1.0 / float64(m.cfg.Layers+1)
-	final := m.e0.W.Clone().Scale(c)
+	final := scale(m.e0.W.Clone(), c)
 	cur := m.e0.W
 	buf := tensor.New(cur.Rows, cur.Cols)
 	for l := 0; l < m.cfg.Layers; l++ {
 		m.adj.MulDenseInto(buf, cur)
-		final.AddScaled(c, buf)
+		addScaled(final, c, buf)
 		cur = buf.Clone()
 	}
 	m.final = final
@@ -128,11 +148,11 @@ func (m *denseLightGCN) accumulateGrad(batch []Sample) float64 {
 	}
 
 	c := 1.0 / float64(m.cfg.Layers+1)
-	g := dF.Clone().Scale(c)
+	g := scale(dF.Clone(), c)
 	buf := tensor.New(dF.Rows, dF.Cols)
 	for l := m.cfg.Layers; l >= 1; l-- {
 		m.adj.MulDenseInto(buf, g)
-		g = dF.Clone().Scale(c).AddInPlace(buf)
+		g = scale(dF.Clone(), c).AddInPlace(buf)
 	}
 	m.e0.Grad.AddInPlace(g)
 	return lossSum / float64(n)

@@ -59,14 +59,25 @@ func (m *NeuMF) Name() string { return string(KindNeuMF) }
 // training share, and what the backward pass adds to them. Borrowed from the
 // model's pool for the duration of one chunk (scoring) or one TrainBatch
 // (training) and overwritten by each use, so it carries nothing between them.
+//
+// Every hidden activation is held only as a CSR of its nonzeros, and every
+// product whose left operand is a ReLU output or a ReLU-masked gradient runs
+// on that operand's nonzeros: more than half of each hidden layer's
+// activations are exactly zero in training. For finite weights and inputs
+// the sums are the dense core's bit for bit (densegemm.go).
 type neumfWS struct {
 	x      *tensor.Matrix   // the chunk's inputs [pᵤ, qᵥ]
-	zs, as []*tensor.Matrix // per hidden layer: pre-activation, activation
+	zs     []*tensor.Matrix // per hidden layer: the pre-activation
+	acts   []*tensor.CSR    // and the nonzeros of its ReLU
 	logits *tensor.Matrix   // the head's output; training turns it into dL/dlogit in place
 
 	// Per layer, head included: dL/d(the layer's input) — masked in place
 	// into dL/d(the previous layer's pre-activation) — and scratch for Wᵀ.
 	dxs, wts []*tensor.Matrix
+	// grad holds the masked gradient's nonzeros for the layer being
+	// backpropagated, and w0t the first layer's weight gradient transposed.
+	grad *tensor.CSR
+	w0t  *tensor.Matrix
 	// The embedding-row gradients of the chunk's samples; a one-shard
 	// batch's are the pending set the tables step on.
 	users, items *emb.RowGrads
@@ -75,7 +86,7 @@ type neumfWS struct {
 	lossSum        float64
 	wGrads, bGrads []*tensor.Matrix
 
-	perRow []*tensor.Matrix // x, zs, as, logits, dxs: what setRows resizes
+	perRow []*tensor.Matrix // x, zs, logits, dxs: what setRows resizes
 }
 
 // setRows makes every per-row matrix of the workspace an n-row window on its
@@ -96,6 +107,8 @@ func newNeuMFWS(dim int) *neumfWS {
 	ws := &neumfWS{
 		x:      tensor.New(trainChunkSize, sizes[0]),
 		logits: tensor.New(trainChunkSize, 1),
+		grad:   &tensor.CSR{},
+		w0t:    tensor.New(sizes[1], sizes[0]),
 		users:  emb.NewRowGrads(dim),
 		items:  emb.NewRowGrads(dim),
 	}
@@ -103,29 +116,34 @@ func newNeuMFWS(dim int) *neumfWS {
 		in, out := sizes[i], sizes[i+1]
 		if i+2 < len(sizes) { // a hidden layer
 			ws.zs = append(ws.zs, tensor.New(trainChunkSize, out))
-			ws.as = append(ws.as, tensor.New(trainChunkSize, out))
+			ws.acts = append(ws.acts, &tensor.CSR{})
 		}
 		ws.dxs = append(ws.dxs, tensor.New(trainChunkSize, in))
 		ws.wts = append(ws.wts, tensor.New(out, in))
 		ws.wGrads = append(ws.wGrads, tensor.New(in, out))
 		ws.bGrads = append(ws.bGrads, tensor.New(1, out))
 	}
-	ws.perRow = append(append(append([]*tensor.Matrix{ws.x, ws.logits}, ws.zs...), ws.as...), ws.dxs...)
+	ws.perRow = append(append([]*tensor.Matrix{ws.x, ws.logits}, ws.zs...), ws.dxs...)
 	return ws
 }
 
 // forwardWS runs the input chunk assembled in ws.x through the tower over the
-// workspace and returns the head's raw logit per row (ws.logits). The
-// sigmoid, when a caller wants probabilities, is applied at its call
-// boundary — σ is element-wise, so deferring it past the chunk loop cannot
-// change a value.
+// workspace and returns the head's raw logit per row (ws.logits). The first
+// layer's input is dense; every later layer's is the previous ReLU's
+// nonzeros. The sigmoid, when a caller wants probabilities, is applied at
+// its call boundary — σ is element-wise, so deferring it past the chunk loop
+// cannot change a value.
 func (m *NeuMF) forwardWS(ws *neumfWS) *tensor.Matrix {
-	last := len(m.layers) - 1
-	cur := ws.x
-	for li, l := range m.layers[:last] {
-		cur = nn.ReLUInto(ws.as[li], l.ForwardInto(ws.zs[li], cur))
+	cur := m.layers[0].ForwardInto(ws.zs[0], ws.x)
+	for li, l := range m.layers[1:] {
+		tensor.ReLUCSRInto(ws.acts[li], cur)
+		dst := ws.logits
+		if li+1 < len(ws.zs) {
+			dst = ws.zs[li+1]
+		}
+		cur = l.ForwardCSRInto(dst, ws.acts[li])
 	}
-	return m.layers[last].ForwardInto(ws.logits, cur)
+	return cur
 }
 
 // shardGrad runs one gradient shard — sub, out of a batch of n samples —
@@ -134,6 +152,12 @@ func (m *NeuMF) forwardWS(ws *neumfWS) *tensor.Matrix {
 // dL/d(input row) is left in ws.dxs[0] and its user and item halves are
 // collected per embedding row in ws.users and ws.items. The shared weights
 // are only read.
+//
+// Each layer's backward is nn.Dense.BackwardInto's three products on the
+// nonzeros of the ReLU outputs and masked gradients: dW = aᵀ·dz as one
+// scattering pass over a's nonzeros (the first layer's as (dzᵀ·x)ᵀ) and
+// dx = dz·Wᵀ over dz's; only the head's dx, whose left operand is the
+// per-sample dL/dlogit, stays on the dense core.
 func (m *NeuMF) shardGrad(ws *neumfWS, sub []Sample, n int, wGrads, bGrads []*tensor.Matrix) float64 {
 	d := m.cfg.Dim
 	ws.setRows(len(sub))
@@ -149,16 +173,22 @@ func (m *NeuMF) shardGrad(ws *neumfWS, sub []Sample, n int, wGrads, bGrads []*te
 		lossSum += nn.BCEOne(pred, smp.Label)
 		dy.Data[i] = (pred - smp.Label) / float64(n)
 	}
-	for li := len(m.layers) - 1; li >= 0; li-- {
-		input := ws.x
+	last := len(m.layers) - 1
+	ws.acts[last-1].MulTDenseInto(wGrads[last], dy)
+	tensor.SumRowsInto(bGrads[last].Row(0), dy)
+	tensor.MatMulABTInto(ws.dxs[last], dy, m.layers[last].W.W, ws.wts[last])
+	for li := last - 1; li >= 0; li-- {
+		dz := ws.dxs[li+1]
+		tensor.ReLUMaskCSRInto(ws.grad, ws.zs[li], dz)
+		tensor.SumRowsInto(bGrads[li].Row(0), dz)
 		if li > 0 {
-			input = ws.as[li-1]
+			ws.acts[li-1].MulTDenseInto(wGrads[li], dz)
+		} else {
+			ws.grad.MulTDenseInto(ws.w0t, ws.x)
+			ws.w0t.TransposeInto(wGrads[0])
 		}
-		m.layers[li].BackwardInto(ws.dxs[li], input, dy, wGrads[li], bGrads[li], ws.wts[li])
-		dy = ws.dxs[li]
-		if li > 0 {
-			nn.ReLUBackwardInPlace(ws.zs[li-1], dy)
-		}
+		m.layers[li].W.W.TransposeInto(ws.wts[li])
+		ws.grad.MulDenseInto(ws.dxs[li], ws.wts[li])
 	}
 	ws.users.Reset()
 	ws.items.Reset()

@@ -38,9 +38,23 @@ func (d *Dense) ForwardInto(dst, x *tensor.Matrix) *tensor.Matrix {
 		panic(fmt.Sprintf("nn: Dense %s ForwardInto dst %dx%d for batch %d", d.W.Name, dst.Rows, dst.Cols, x.Rows))
 	}
 	tensor.MatMulInto(dst, x, d.W.W)
-	for i := 0; i < dst.Rows; i++ {
-		tensor.AddVec(d.B.W.Row(0), dst.Row(i))
+	tensor.AddToRows(dst, d.B.W.Row(0))
+	return dst
+}
+
+// ForwardCSRInto is ForwardInto for a batch held as CSR — a ReLU output's
+// nonzeros (tensor.ReLUCSRInto) — so each sum runs over a row's stored
+// entries alone: dst = a·W + b. For finite W it gives ForwardInto's bits on
+// a's dense form, whose zeros contribute only ±0 to a sum from +0.
+func (d *Dense) ForwardCSRInto(dst *tensor.Matrix, a *tensor.CSR) *tensor.Matrix {
+	if a.Cols != d.In {
+		panic(fmt.Sprintf("nn: Dense %s forward with %d inputs, want %d", d.W.Name, a.Cols, d.In))
 	}
+	if dst.Rows != a.Rows || dst.Cols != d.Out {
+		panic(fmt.Sprintf("nn: Dense %s ForwardCSRInto dst %dx%d for batch %d", d.W.Name, dst.Rows, dst.Cols, a.Rows))
+	}
+	a.MulDenseInto(dst, d.W.W)
+	tensor.AddToRows(dst, d.B.W.Row(0))
 	return dst
 }
 
@@ -57,11 +71,7 @@ func (d *Dense) BackwardInto(dx, x, dy, wGrad, bGrad, wt *tensor.Matrix) {
 			d.W.Name, x.Rows, x.Cols, dy.Rows, dy.Cols))
 	}
 	tensor.MatMulATBInto(wGrad, x, dy)
-	brow := bGrad.Row(0)
-	clear(brow)
-	for i := 0; i < dy.Rows; i++ {
-		tensor.AddVec(dy.Row(i), brow)
-	}
+	tensor.SumRowsInto(bGrad.Row(0), dy)
 	tensor.MatMulABTInto(dx, dy, d.W.W, wt)
 }
 

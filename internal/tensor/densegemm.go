@@ -24,6 +24,15 @@ package tensor
 // 0 × NaN contributed nothing; the core multiplies it out and yields NaN.
 // Finite inputs are bit-identical — a sum that starts at +0 is never −0, so
 // adding the skipped ±0 product cannot change it.
+//
+// Zero-skipping now happens on the sparse path instead: the NeuMF tower runs
+// every product whose left operand is a ReLU output or a ReLU-masked
+// gradient as CSR × dense over that operand's nonzeros (sparse.go's
+// ReLUCSRInto and ReLUMaskCSRInto build the CSR; spmmRows and MulTDenseInto
+// multiply). The sums keep this contract's order and rounding, so for finite
+// weights they equal the core's bit for bit, by the argument above. A
+// non-finite weight (or input row) facing a skipped zero contributes nothing
+// on the sparse path, as in the naive loops, where the core yields NaN.
 
 import "fmt"
 

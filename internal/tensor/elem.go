@@ -7,9 +7,9 @@ package tensor
 // logit selector runs over score runs. Each has a pure Go body below and, on
 // amd64 CPUs with AVX2, an assembly body in elem_amd64.s chosen once at init
 // (avx2_amd64.go) that runs four lanes at a time over the longest prefix
-// whose length is a multiple of four; the Go body finishes the tail. The SpMM
-// row kernel (sparse.go's spmmRows, pinned by sparse_oracle_test.go) is
-// dispatched the same way and keeps the same contract.
+// whose length is a multiple of four; the Go body finishes the tail. The
+// sparse kernels (sparse.go, pinned by sparse_oracle_test.go) are dispatched
+// the same way and keep the same contract.
 //
 // Determinism contract: both bodies compute every element with the same
 // sequence of separately rounded IEEE operations — multiply and add never
@@ -34,10 +34,6 @@ var (
 	// firstAboveKernel returns FirstAbove's answer within the first n
 	// elements, or n when there is none.
 	firstAboveKernel func(x *float64, n int, t float64) int
-	// spmmKernel computes the first cols columns of spmmRows's rows and
-	// returns n, or the position of the first row whose index, entry range
-	// or a column index is out of range.
-	spmmKernel func(dst, x *float64, ld, xrows int, rowPtr, rows *int, n, mrows int, col *int, val *float64, nnz, cols int) int
 )
 
 // AdamBeta1, AdamBeta2 and AdamEps are Adam's standard constants (Kingma &

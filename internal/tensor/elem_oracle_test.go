@@ -154,14 +154,28 @@ func requireSameFloats(t *testing.T, label string, want, got []float64) {
 	}
 }
 
-// withGoBodies runs f with every elementwise kernel and the SpMM row kernel
+// withGoBodies runs f with every elementwise kernel and every sparse kernel
 // forced to their pure Go bodies, the way gemm_oracle_test.go forces the Go
 // tile.
 func withGoBodies(f func()) {
-	adam, relu, mask, add, axpy, above, spmm := adamKernel, reluKernel, reluMaskKernel, addVecKernel, axpyKernel, firstAboveKernel, spmmKernel
-	adamKernel, reluKernel, reluMaskKernel, addVecKernel, axpyKernel, firstAboveKernel, spmmKernel = nil, nil, nil, nil, nil, nil, nil
+	adam, relu, mask, add, axpy, above := adamKernel, reluKernel, reluMaskKernel, addVecKernel, axpyKernel, firstAboveKernel
+	spmm, spmmT, reluCSR, maskCSR, transpose := spmmKernel, spmmTKernel, reluCSRKernel, reluMaskCSRKernel, transposeKernel
+	adamKernel, reluKernel, reluMaskKernel, addVecKernel, axpyKernel, firstAboveKernel = nil, nil, nil, nil, nil, nil
+	spmmKernel, spmmTKernel, reluCSRKernel, reluMaskCSRKernel, transposeKernel = nil, nil, nil, nil, nil
 	defer func() {
-		adamKernel, reluKernel, reluMaskKernel, addVecKernel, axpyKernel, firstAboveKernel, spmmKernel = adam, relu, mask, add, axpy, above, spmm
+		adamKernel, reluKernel, reluMaskKernel, addVecKernel, axpyKernel, firstAboveKernel = adam, relu, mask, add, axpy, above
+		spmmKernel, spmmTKernel, reluCSRKernel, reluMaskCSRKernel, transposeKernel = spmm, spmmT, reluCSR, maskCSR, transpose
+	}()
+	withoutZMM(f)
+}
+
+// withoutZMM runs f with the AVX-512 sparse kernels uninstalled, so the
+// sparse entry points run their AVX2 bodies.
+func withoutZMM(f func()) {
+	wide, wideT, relu, mask := spmmWideKernel, spmmTWideKernel, reluCSRWideKernel, reluMaskCSRWideKernel
+	spmmWideKernel, spmmTWideKernel, reluCSRWideKernel, reluMaskCSRWideKernel = nil, nil, nil, nil
+	defer func() {
+		spmmWideKernel, spmmTWideKernel, reluCSRWideKernel, reluMaskCSRWideKernel = wide, wideT, relu, mask
 	}()
 	f()
 }
@@ -474,4 +488,40 @@ func BenchmarkFirstAbove(b *testing.B) {
 	}
 	b.Run("dispatch/256", run)
 	b.Run("go/256", func(b *testing.B) { withGoBodies(func() { run(b) }) })
+}
+
+// TestRowVecOpsMatchAddVec pins AddToRows and SumRowsInto to the per-row
+// AddVec loops they replaced (the Dense bias add and bias gradient), as
+// dispatched and on the pure Go bodies, at every width 0–13 and 64 over
+// 0–9 rows.
+func TestRowVecOpsMatchAddVec(t *testing.T) {
+	r := rand.New(rand.NewSource(8))
+	for _, w := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 64} {
+		for rows := 0; rows <= 9; rows++ {
+			m, b := FromSlice(rows, w, elemOperand(r, rows*w)), elemOperand(r, w)
+			want, wantSum := m.Clone(), elemOperand(r, w)
+			for i := 0; i < rows; i++ {
+				AddVec(b, want.Row(i))
+			}
+			clear(wantSum)
+			for i := 0; i < rows; i++ {
+				AddVec(m.Row(i), wantSum)
+			}
+			for _, body := range []string{"dispatch", "go"} {
+				got, sum := m.Clone(), elemOperand(r, w)
+				run := func() {
+					AddToRows(got, b)
+					SumRowsInto(sum, m)
+				}
+				if body == "go" {
+					withGoBodies(run)
+				} else {
+					run()
+				}
+				label := fmt.Sprintf("%dx%d (%s)", rows, w, body)
+				requireSameFloats(t, label+" AddToRows", want.Data, got.Data)
+				requireSameFloats(t, label+" SumRowsInto", wantSum, sum)
+			}
+		}
+	}
 }

@@ -27,7 +27,9 @@ type gemmBody struct {
 
 // gemmBodies lists the dispatches this host can run, the installed one
 // first: both assembly tiles ("avx512"), the 4×8 tile alone ("avx2") and the
-// pure Go tile ("go"). Call it with the installed tiles in place.
+// pure Go tile ("go"). Call it with the installed tiles in place. The
+// sparse kernels follow the tiles: "avx2" uninstalls their ZMM bodies and
+// "go" every assembly body.
 func gemmBodies() []gemmBody {
 	var bodies []gemmBody
 	if tile8x8 != nil {
@@ -40,35 +42,48 @@ func gemmBodies() []gemmBody {
 }
 
 // with runs f with gemmBlock dispatching to the body's tiles; the "go" body
-// forces the elementwise kernels to their Go bodies too (withGoBodies).
+// forces the elementwise and sparse kernels to their Go bodies too
+// (withGoBodies), and the "avx2" body the sparse kernels to their AVX2 ones
+// (withoutZMM).
 func (g gemmBody) with(f func()) {
 	s8, s4 := tile8x8, tile4x8
 	tile8x8, tile4x8 = g.tile8x8, g.tile4x8
 	defer func() { tile8x8, tile4x8 = s8, s4 }()
-	if g.tile4x8 == nil {
+	switch {
+	case g.tile4x8 == nil:
 		withGoBodies(f)
-		return
+	case g.tile8x8 == nil:
+		withoutZMM(f)
+	default:
+		f()
 	}
-	f()
 }
 
-// TestGEMMDispatch logs the tiles the core installed at init, so a test log
-// says which bodies the oracle tests below compared, and pins the one rule
-// the dispatch keeps: the 8×8 tile is installed only beside the 4×8 tile.
+// TestGEMMDispatch logs the tiles the core installed at init and the SpMM
+// bodies beside them, so a test log says which bodies the oracle tests below
+// compared, and pins the rules the dispatch keeps: the 8×8 tile is installed
+// only beside the 4×8 tile, and each SpMM row body with the tile of its
+// instruction set.
 func TestGEMMDispatch(t *testing.T) {
-	name := func(f tileFunc) string {
-		if f == nil {
-			return "none (pure Go tile)"
+	name := func(f any) string {
+		if v := reflect.ValueOf(f); !v.IsNil() {
+			return runtime.FuncForPC(v.Pointer()).Name()
 		}
-		return runtime.FuncForPC(reflect.ValueOf(f).Pointer()).Name()
+		return "none (pure Go body)"
 	}
 	var bodies []string
 	for _, body := range gemmBodies() {
 		bodies = append(bodies, body.name)
 	}
 	t.Logf("8×8 tile: %s; 4×8 tile: %s; bodies compared: %v", name(tile8x8), name(tile4x8), bodies)
+	t.Logf("SpMM rows: %s, then %s; transposed SpMM: %s, then %s; ReLU compress: %s or %s; mask compress: %s or %s",
+		name(spmmWideKernel), name(spmmKernel), name(spmmTWideKernel), name(spmmTKernel),
+		name(reluCSRWideKernel), name(reluCSRKernel), name(reluMaskCSRWideKernel), name(reluMaskCSRKernel))
 	if tile8x8 != nil && tile4x8 == nil {
 		t.Fatal("an 8×8 tile is installed without a 4×8 tile for the 4-row bands")
+	}
+	if (spmmWideKernel != nil) != (tile8x8 != nil) || (spmmKernel != nil) != (tile4x8 != nil) {
+		t.Fatal("the SpMM bodies are not installed with the GEMM tiles of their instruction set")
 	}
 }
 

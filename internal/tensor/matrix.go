@@ -62,28 +62,11 @@ func (m *Matrix) Clone() *Matrix {
 	return c
 }
 
-// Scale multiplies every element by a in place and returns m.
-func (m *Matrix) Scale(a float64) *Matrix {
-	for i := range m.Data {
-		m.Data[i] *= a
-	}
-	return m
-}
-
 // AddInPlace adds b element-wise into m and returns m.
 func (m *Matrix) AddInPlace(b *Matrix) *Matrix {
 	m.sameShape(b, "AddInPlace")
 	for i, v := range b.Data {
 		m.Data[i] += v
-	}
-	return m
-}
-
-// AddScaled adds a*b element-wise into m and returns m.
-func (m *Matrix) AddScaled(a float64, b *Matrix) *Matrix {
-	m.sameShape(b, "AddScaled")
-	for i, v := range b.Data {
-		m.Data[i] += a * v
 	}
 	return m
 }
@@ -104,10 +87,20 @@ func (m *Matrix) Transpose() *Matrix {
 	return out
 }
 
-// TransposeInto writes mᵀ into dst, reusing dst's storage.
+// transposeKernel, when non-nil, is TransposeInto's AVX2 body for shapes
+// whose sides are multiples of four (avx2_amd64.go).
+var transposeKernel func(dst, src *float64, rows, cols int)
+
+// TransposeInto writes mᵀ into dst, reusing dst's storage: on amd64 CPUs with
+// AVX2 4×4 blocks at a time in registers when both sides are multiples of
+// four (sparse_amd64.s), else element by element.
 func (m *Matrix) TransposeInto(dst *Matrix) {
 	if dst.Rows != m.Cols || dst.Cols != m.Rows {
 		panic(fmt.Sprintf("tensor: TransposeInto %dx%d = %dx%d ᵀ", dst.Rows, dst.Cols, m.Rows, m.Cols))
+	}
+	if n := m.Rows * m.Cols; transposeKernel != nil && m.Rows%4 == 0 && m.Cols%4 == 0 && n > 0 {
+		transposeKernel(&dst.Data[:n][0], &m.Data[:n][0], m.Rows, m.Cols)
+		return
 	}
 	for j := 0; j < m.Cols; j++ {
 		drow := dst.Row(j)

