@@ -8,7 +8,7 @@ GO ?= go
 # CI, fails above it. A change that shrinks the code lowers it to the size it
 # reaches; one that has to grow the code raises it in the same diff, where a
 # reviewer sees the price.
-LOC_BUDGET = 12829
+LOC_BUDGET = 12907
 
 # The packages whose concurrent paths CI runs in full (not -short) under the
 # race detector; ci.yml says why each is there (fed.Waves' client waves
@@ -80,17 +80,18 @@ fuzz-wire:
 # from: rounds of staged users against the from-scratch Bipartite build, and
 # the server's rebuild over it (absorb, stageUploads, Commit) at fuzzed worker
 # counts against the oracle's fresh engine, then the Adam update every
-# trained weight takes, assembly and Go body against the scalar loops it
-# replaced, then the embedding table every MF and NeuMF client steps,
+# trained weight takes, its AVX-512, AVX2 and Go bodies against the scalar
+# loops it replaced on blocks of live, subnormal, zero and non-finite
+# moments, then the embedding table every MF and NeuMF client steps,
 # dense and lazy, against the two table types it replaced, comparing every
 # row's weights, moments and step count after each read, accumulate and
 # step, and last the NeuMF tower's sparse path — ReLU and mask compression,
 # the SpMM row kernel's ZMM blocks and the transposed SpMM — against the
 # dense core on ReLU-sparse operands (~105 s together).
-# Each GEMM and sparse input is compared across every body the host has
-# (AVX-512: the 8×8 tile and the ZMM sparse kernels; AVX2; pure Go);
-# TestGEMMDispatch logs which those are first, so the log says whether the
-# AVX-512 bodies ran.
+# Each GEMM, sparse and Adam input is compared across every body the host
+# has (AVX-512: the 8×8 tile, the ZMM sparse kernels and the Adam body;
+# AVX2; pure Go); TestGEMMDispatch logs which those are first, so the log
+# says whether the AVX-512 bodies ran.
 fuzz-kernels:
 	$(GO) test ./internal/tensor -run '^TestGEMMDispatch$$' -v
 	$(GO) test ./internal/tensor -run '^$$' -fuzz '^FuzzDenseGEMM$$' -fuzztime 10s

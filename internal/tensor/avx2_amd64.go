@@ -22,6 +22,16 @@ func gemmTile8x8AVX512(c *float64, ldc int, a *float64, sai, sak int, b *float64
 //go:noescape
 func adamAVX2(w, m, v, grad *float64, n int, c adamConsts, decayed bool)
 
+// adamAVX512 is AdamUpdate's AVX-512 body over n ≥ 1 elements, eight lanes
+// at a time, the last n mod 8 under an opmask; adamProofAVX512 is its
+// quotient proof over the eight lanes at a and q (elem_amd64.s).
+
+//go:noescape
+func adamAVX512(w, m, v, grad *float64, n int, s *AdamStep)
+
+//go:noescape
+func adamProofAVX512(a, q *[8]float64, b, bh float64) uint64
+
 //go:noescape
 func reluAVX2(dst, x *float64, n int)
 
@@ -91,9 +101,10 @@ func cpuFeatures() (avx2, avx512 bool)
 // init installs the assembly bodies the CPU can run, once. The dense core's
 // tiles are chosen from the platform alone: the 8×8 AVX-512 tile only beside
 // the 4×8 AVX2 tile, which computes the 4-row band below the last 8-row one.
-// The ZMM sparse bodies are installed with the 8×8 tile: each SpMM runs the
-// columns past its ZMM blocks on its AVX2 body, and the ReLU compressions
-// run their ZMM bodies in place of the AVX2 ones.
+// The ZMM sparse bodies and the AVX-512 Adam body are installed with the
+// 8×8 tile: each SpMM runs the columns past its ZMM blocks on its AVX2 body,
+// and the ReLU compressions and Adam run their ZMM bodies in place of the
+// AVX2 ones.
 func init() {
 	if avx2, avx512 := cpuFeatures(); avx2 {
 		tile4x8 = gemmTile4x8AVX2
@@ -103,6 +114,7 @@ func init() {
 			spmmTWideKernel = spmmTAVX512
 			reluCSRWideKernel = reluCSRAVX512
 			reluMaskCSRWideKernel = reluMaskCSRAVX512
+			adamWide = true
 		}
 		adamKernel = adamAVX2
 		reluKernel = reluAVX2

@@ -7,14 +7,19 @@ package tensor
 // logit selector runs over score runs. Each has a pure Go body below and, on
 // amd64 CPUs with AVX2, an assembly body in elem_amd64.s chosen once at init
 // (avx2_amd64.go) that runs four lanes at a time over the longest prefix
-// whose length is a multiple of four; the Go body finishes the tail. The
-// sparse kernels (sparse.go, pinned by sparse_oracle_test.go) are dispatched
-// the same way and keep the same contract.
+// whose length is a multiple of four; the Go body finishes the tail. Where
+// the 8×8 AVX-512 tile is installed, Adam runs an AVX-512 body instead, eight
+// lanes at a time over every element. The sparse kernels (sparse.go, pinned
+// by sparse_oracle_test.go) are dispatched the same way and keep the same
+// contract.
 //
-// Determinism contract: both bodies compute every element with the same
+// Determinism contract: every body computes every element with the same
 // sequence of separately rounded IEEE operations — multiply and add never
 // fused, and division and square root correctly rounded on every target — so
-// results are bitwise-identical with and without the assembly. The references
+// results are bitwise-identical with and without the assembly. The one value
+// computed another way, the AVX-512 Adam body's two bias-corrected moments,
+// is proved equal to the correctly rounded quotient lane by lane, and a
+// vector with a lane it cannot prove divides (AdamUpdate). The references
 // are the scalar loops the kernels replaced (elem_oracle_test.go).
 
 import (
@@ -36,6 +41,12 @@ var (
 	firstAboveKernel func(x *float64, n int, t float64) int
 )
 
+// adamWide is set by the same init, with the 8×8 tile, when AdamUpdate runs
+// adamAVX512, the AVX-512 body, over every element (the last n mod 8 under
+// an opmask). It is a flag and a direct call, not a kernel variable, so the
+// step AdamUpdate is handed stays on its caller's stack.
+var adamWide bool
+
 // AdamBeta1, AdamBeta2 and AdamEps are Adam's standard constants (Kingma &
 // Ba 2014): the moment decay rates and the denominator's guard. Every step
 // in the repository uses them; the paper sets only the step size.
@@ -45,49 +56,82 @@ const (
 	AdamEps   = 1e-8
 )
 
-// adamBiasTable holds (1 − β₁ᵗ, 1 − β₂ᵗ) for t < len(adamBiasTable). It is
-// built once, with the math.Pow calls AdamBiasCorrections makes past its end,
-// and only read after that.
-var adamBiasTable = func() [][2]float64 {
-	tab := make([][2]float64, 4096)
+// adamFixed holds the constants every Adam step shares; AdamUpdate adds a
+// step's own, and the AVX-512 body reads them from here. 1 − β is taken from
+// the float64 β, as a run-time subtraction would: the untyped 1 − AdamBeta1
+// folds to the float64 nearest 0.1, two units in the last place off
+// (1 − AdamBeta2 four), and would move every step.
+var adamFixed = adamConsts{
+	beta1: AdamBeta1, oneMinusBeta1: 1 - float64(AdamBeta1),
+	beta2: AdamBeta2, oneMinusBeta2: 1 - float64(AdamBeta2),
+	eps: AdamEps,
+}
+
+// adamBias is step t's bias corrections bc1 = 1 − β₁ᵗ, bc2 = 1 − β₂ᵗ and,
+// for each, the two constants the AVX-512 body divides by it with: its
+// rounded reciprocal y = RN(1/bc) and bh = proofScale(bc).
+type adamBias struct {
+	bc1, bc2 float64
+	y1, y2   float64
+	bh1, bh2 float64
+}
+
+func newAdamBias(t int) adamBias {
+	bc1, bc2 := 1-math.Pow(AdamBeta1, float64(t)), 1-math.Pow(AdamBeta2, float64(t))
+	return adamBias{bc1: bc1, bc2: bc2, y1: 1 / bc1, y2: 1 / bc2, bh1: proofScale(bc1), bh2: proofScale(bc2)}
+}
+
+// proofScale returns bc·2⁻⁵³, exact, for a divisor in [2⁻⁶⁰, 1], the AVX-512
+// Adam body's proof domain, which every bias correction at t ≥ 1 lies in.
+// Elsewhere (bc ≤ 0 at t ≤ 0) it returns 0, and the body proves no lane —
+// not even a ±0 one, as 0/0 is NaN — so every quotient takes the divider.
+func proofScale(bc float64) float64 {
+	if bc >= 0x1p-60 && bc <= 1 {
+		return bc * 0x1p-53
+	}
+	return 0
+}
+
+// adamBiasTable holds newAdamBias(t) for t < len(adamBiasTable). It is built
+// once, and only read after that; NewAdamStep computes a later step's the
+// same way.
+var adamBiasTable = func() []adamBias {
+	tab := make([]adamBias, 4096)
 	for t := range tab {
-		tab[t] = [2]float64{1 - math.Pow(AdamBeta1, float64(t)), 1 - math.Pow(AdamBeta2, float64(t))}
+		tab[t] = newAdamBias(t)
 	}
 	return tab
 }()
 
-// AdamBiasCorrections returns step t's bias corrections 1 − β₁ᵗ and 1 − β₂ᵗ:
-// from a shared table, else from math.Pow — the same values either way.
-func AdamBiasCorrections(t int) (bc1, bc2 float64) {
-	if t >= 0 && t < len(adamBiasTable) {
-		bc := adamBiasTable[t]
-		return bc[0], bc[1]
-	}
-	return 1 - math.Pow(AdamBeta1, float64(t)), 1 - math.Pow(AdamBeta2, float64(t))
-}
-
-// AdamStep is the variable part of one Adam update: the step size and the
-// step's bias corrections BC1 = 1 − β₁ᵗ, BC2 = 1 − β₂ᵗ.
+// AdamStep is the variable part of one Adam update: the step size, the form
+// and the step's bias corrections. Only NewAdamStep builds one, so its
+// corrections and their quotient constants always belong together.
 //
-// Decayed selects the form nn.Adam and LightGCN step, L2 decay at weight 0:
-// it adds 0·w to the gradient before the moments update, which still turns a
-// −0 gradient into +0. The embedding tables' sparse Adam never adds it, and
-// the two forms are kept apart for that bit.
+// The decayed form is the one nn.Adam and LightGCN step, L2 decay at weight
+// 0: it adds 0·w to the gradient before the moments update, which still
+// turns a −0 gradient into +0. The embedding tables' sparse Adam never adds
+// it, and the two forms are kept apart for that bit.
 type AdamStep struct {
-	LR       float64
-	BC1, BC2 float64
-	Decayed  bool
+	lr      float64
+	decayed bool
+	bias    adamBias
 }
 
 // NewAdamStep returns the t-th step (t counts from 1) at step size lr, in the
 // decayed form or the undecayed one.
 func NewAdamStep(lr float64, t int, decayed bool) AdamStep {
-	bc1, bc2 := AdamBiasCorrections(t)
-	return AdamStep{LR: lr, BC1: bc1, BC2: bc2, Decayed: decayed}
+	s := AdamStep{lr: lr, decayed: decayed}
+	if t >= 0 && t < len(adamBiasTable) {
+		s.bias = adamBiasTable[t]
+	} else {
+		s.bias = newAdamBias(t)
+	}
+	return s
 }
 
-// adamConsts is one AdamUpdate call's constants. The assembly body takes it
-// by value, so the constants never leave the caller's stack.
+// adamConsts is the constants of one AdamUpdate call on the AVX2 or the Go
+// body. The AVX2 body takes it by value, so the constants never leave the
+// caller's stack.
 type adamConsts struct {
 	beta1, oneMinusBeta1 float64
 	beta2, oneMinusBeta2 float64
@@ -98,30 +142,43 @@ type adamConsts struct {
 // AdamUpdate applies one Adam step to the weights w with moments m, v and
 // gradient g, all of one length, and zeroes g. Per element, in order:
 //
-//	g += 0·w                          (Decayed only)
+//	g += 0·w                          (decayed form only)
 //	m  = β₁·m + (1−β₁)·g
 //	v  = β₂·v + ((1−β₂)·g)·g
 //	w -= (lr·(m/bc1)) / (√(v/bc2) + ε)
+//
+// Every body gives the same bits. The AVX2 body runs the scalar sequence
+// four lanes at a time, and the Go body the tail. The AVX-512 body runs
+// every element, eight lanes at a time, and computes the two quotients by a
+// per-step constant, a = m or v over b = bc1 or bc2, off the divider: from
+// y = RN(1/b) it takes q₀ = RN(a·y), r = RN(a − b·q₀) and q = RN(q₀ + r·y),
+// the last two by FMA. For b in [2⁻⁶⁰, 1] (proofScale), a lane is proved to
+// hold RN(a/b) when a = ±0 (the lane then takes a itself: for a = −0, q is
+// +0), or when |q| > 2⁻⁹⁰⁰ and |RN(a − b·q)| < T = E·bh, with
+// E = 2^⌊log₂ pred(|q|)⌋ read from the exponent bits of |q|'s pattern minus
+// one and bh = b·2⁻⁵³. T is exact and RN monotone, so |a/b − q| < E·2⁻⁵³,
+// at most half the gap from q to either neighbour (E is a binade lower at a
+// power of two, where the gap below halves): q is the quotient the divider
+// returns. NaN, ±Inf, and the subnormal or tiny values fail an ordered
+// compare. A vector with any unproved lane computes both quotients on the
+// divider; the per-element (lr·m̂)/(√v̂ + ε) and the square root always do.
 func AdamUpdate(w, m, v, g []float64, s *AdamStep) {
 	n := len(g)
 	if len(w) != n || len(m) != n || len(v) != n {
 		panic(fmt.Sprintf("tensor: AdamUpdate lengths w=%d m=%d v=%d g=%d", len(w), len(m), len(v), n))
 	}
-	// 1 − β is taken from the float64 β, as a run-time subtraction would: the
-	// untyped 1 − AdamBeta1 folds to the float64 nearest 0.1, two units in the
-	// last place off (1 − AdamBeta2 four), and would move every step.
-	c := adamConsts{
-		beta1: AdamBeta1, oneMinusBeta1: 1 - float64(AdamBeta1),
-		beta2: AdamBeta2, oneMinusBeta2: 1 - float64(AdamBeta2),
-		bc1: s.BC1, bc2: s.BC2,
-		lr: s.LR, eps: AdamEps,
+	if adamWide && n > 0 {
+		adamAVX512(&w[0], &m[0], &v[0], &g[0], n, s)
+		return
 	}
+	c := adamFixed
+	c.bc1, c.bc2, c.lr = s.bias.bc1, s.bias.bc2, s.lr
 	i := 0
 	if adamKernel != nil && n >= 4 {
 		i = n &^ 3
-		adamKernel(&w[0], &m[0], &v[0], &g[0], i, c, s.Decayed)
+		adamKernel(&w[0], &m[0], &v[0], &g[0], i, c, s.decayed)
 	}
-	adamGo(w[i:], m[i:], v[i:], g[i:], &c, s.Decayed)
+	adamGo(w[i:], m[i:], v[i:], g[i:], &c, s.decayed)
 }
 
 // adamGo is AdamUpdate's pure Go body. The float64 conversions forbid the

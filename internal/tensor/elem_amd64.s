@@ -1,4 +1,5 @@
 #include "textflag.h"
+#include "go_asm.h"
 
 // The AVX2 bodies of elem.go's kernels. Each walks its first n elements (n a
 // multiple of four) four lanes per instruction, with the separately rounded
@@ -60,6 +61,201 @@ adamMoments:
 	JLT     adamLoop
 
 adamDone:
+	VZEROUPPER
+	RET
+
+// The AVX-512 Adam body (elem.go's AdamUpdate), eight lanes per instruction,
+// and the routine that exposes its quotient proof to the tests. Besides the
+// AVX2 body's instructions it uses VFMADD231PD and VFNMADD231PD, only inside
+// a quotient it then proves correctly rounded, and opmask instructions —
+// all AVX512F, the one extension cpuFeatures checks. Z15 holds zero, and
+// ADAM_PROOF_CONSTS loads the proof's constants into Z28–Z31.
+
+// adamProof is |x|'s mask, the integer 1, 2⁻⁹⁰⁰ and the exponent field.
+DATA adamProof<>+0(SB)/8, $0x7fffffffffffffff
+DATA adamProof<>+8(SB)/8, $1
+DATA adamProof<>+16(SB)/8, $0x07b0000000000000
+DATA adamProof<>+24(SB)/8, $0x7ff0000000000000
+GLOBL adamProof<>(SB), RODATA|NOPTR, $32
+
+#define ADAM_PROOF_CONSTS \
+	VPBROADCASTQ adamProof<>+0(SB), Z28;  \
+	VPBROADCASTQ adamProof<>+8(SB), Z29;  \
+	VBROADCASTSD adamProof<>+16(SB), Z30; \
+	VPBROADCASTQ adamProof<>+24(SB), Z31; \
+	VPXORQ       Z15, Z15, Z15
+
+// ADAM_QUOTIENT sets q to a/b off the divider, from y = RN(1/b):
+// q₀ = RN(a·y), r = RN(a − b·q₀), q = RN(q₀ + r·y). r is scratch.
+#define ADAM_QUOTIENT(a, b, y, q, r) \
+	VMULPD       y, a, q; \
+	VMOVAPD      a, r;    \
+	VFNMADD231PD q, b, r; \
+	VFMADD231PD  r, y, q
+
+// ADAM_DOMAIN sets kd to every lane when bh > 0, that is when the divisor
+// lies in the proof's domain [2⁻⁶⁰, 1] (elem.go's proofScale), else to none.
+#define ADAM_DOMAIN(bh, kd) \
+	VCMPPD $0x1e, Z15, bh, kd
+
+// ADAM_PROOF sets k to the lanes where q is proved to be RN(a/b), with
+// bh = proofScale(b) and kd from ADAM_DOMAIN, and sets q to a where a = ±0
+// in the domain. A lane is proved when a = ±0 and b is in the domain (kz),
+// or when |q| > 2⁻⁹⁰⁰ and |RN(a − b·q)| < T = E·bh, E the exponent field of
+// |q|'s pattern minus one, 2^⌊log₂ pred(|q|)⌋ (outside the domain bh = 0,
+// and no lane passes). |q| > 2⁻⁹⁰⁰ is E ≥ 2⁻⁹⁰⁰, tested on q, whose pattern
+// minus one would wrap at zero. t and u are scratch.
+#define ADAM_PROOF(a, b, bh, kd, q, k, kz, t, u) \
+	VPANDQ       Z28, q, t;       \
+	VCMPPD       $0x1e, Z30, t, k; \
+	VPSUBQ       Z29, t, t;       \
+	VPANDQ       Z31, t, t;       \
+	VMULPD       bh, t, t;        \
+	VMOVAPD      a, u;            \
+	VFNMADD231PD q, b, u;         \
+	VPANDQ       Z28, u, u;       \
+	VCMPPD       $0x11, t, u, k, k; \
+	VCMPPD       $0x00, Z15, a, kd, kz; \
+	VMOVAPD      a, kz, q;        \
+	KORW         kz, k, k
+
+// ZERO_Z16_Z31 clears the registers VZEROUPPER leaves alone.
+#define ZERO_Z16_Z31 \
+	VPXORQ Z16, Z16, Z16; \
+	VPXORQ Z17, Z17, Z17; \
+	VPXORQ Z18, Z18, Z18; \
+	VPXORQ Z19, Z19, Z19; \
+	VPXORQ Z20, Z20, Z20; \
+	VPXORQ Z21, Z21, Z21; \
+	VPXORQ Z22, Z22, Z22; \
+	VPXORQ Z23, Z23, Z23; \
+	VPXORQ Z24, Z24, Z24; \
+	VPXORQ Z25, Z25, Z25; \
+	VPXORQ Z26, Z26, Z26; \
+	VPXORQ Z27, Z27, Z27; \
+	VPXORQ Z28, Z28, Z28; \
+	VPXORQ Z29, Z29, Z29; \
+	VPXORQ Z30, Z30, Z30; \
+	VPXORQ Z31, Z31, Z31
+
+// func adamAVX512(w, m, v, grad *float64, n int, s *AdamStep)
+//
+// adamAVX2's sequence over eight lanes, n ≥ 1 elements: whole blocks, then
+// the n mod 8 left under the opmask K7 (loaded as zero, stored masked). m/bc1
+// and v/bc2 come from ADAM_QUOTIENT; a block with a lane ADAM_PROOF leaves
+// unproved divides both (adamZDivide). AX is the byte offset, R11 the end of
+// the whole blocks, R10 the last block's lane mask.
+TEXT ·adamAVX512(SB), NOSPLIT, $0-48
+	MOVQ    w+0(FP), DI
+	MOVQ    m+8(FP), SI
+	MOVQ    v+16(FP), DX
+	MOVQ    grad+24(FP), R8
+	MOVQ    n+32(FP), CX
+	MOVQ    s+40(FP), R9
+	MOVBLZX AdamStep_decayed(R9), BX
+	VBROADCASTSD ·adamFixed+adamConsts_beta1(SB), Z16
+	VBROADCASTSD ·adamFixed+adamConsts_oneMinusBeta1(SB), Z17
+	VBROADCASTSD ·adamFixed+adamConsts_beta2(SB), Z18
+	VBROADCASTSD ·adamFixed+adamConsts_oneMinusBeta2(SB), Z19
+	VBROADCASTSD ·adamFixed+adamConsts_eps(SB), Z27
+	VBROADCASTSD AdamStep_lr(R9), Z26
+	VBROADCASTSD (AdamStep_bias+adamBias_bc1)(R9), Z20
+	VBROADCASTSD (AdamStep_bias+adamBias_bc2)(R9), Z21
+	VBROADCASTSD (AdamStep_bias+adamBias_y1)(R9), Z22
+	VBROADCASTSD (AdamStep_bias+adamBias_y2)(R9), Z23
+	VBROADCASTSD (AdamStep_bias+adamBias_bh1)(R9), Z24
+	VBROADCASTSD (AdamStep_bias+adamBias_bh2)(R9), Z25
+	ADAM_PROOF_CONSTS
+	ADAM_DOMAIN(Z24, K5)
+	ADAM_DOMAIN(Z25, K6)
+	MOVQ    CX, R11
+	ANDQ    $-8, R11
+	SHLQ    $3, R11
+	ANDL    $7, CX
+	MOVL    $1, R10
+	SHLL    CX, R10
+	DECL    R10
+	MOVL    $0xff, R12
+	KMOVW   R12, K7
+	XORQ    AX, AX
+
+adamZBlock:
+	CMPQ  AX, R11
+	JLT   adamZBody
+	TESTL R10, R10
+	JEQ   adamZDone
+	KMOVW R10, K7
+	XORL  R10, R10
+
+adamZBody:
+	VMOVUPD.Z (R8)(AX*1), K7, Z0 // g
+	VMOVUPD.Z (DI)(AX*1), K7, Z1 // w
+	TESTQ     BX, BX
+	JEQ       adamZMoments
+	VMULPD    Z1, Z15, Z2        // 0·w
+	VADDPD    Z2, Z0, Z0         // g + 0·w
+
+adamZMoments:
+	VMOVUPD.Z (SI)(AX*1), K7, Z2
+	VMULPD    Z2, Z16, Z2        // β₁·m
+	VMULPD    Z0, Z17, Z3        // (1 − β₁)·g
+	VADDPD    Z3, Z2, Z2         // m
+	VMOVUPD   Z2, K7, (SI)(AX*1)
+	VMOVUPD.Z (DX)(AX*1), K7, Z3
+	VMULPD    Z3, Z18, Z3        // β₂·v
+	VMULPD    Z0, Z19, Z4        // (1 − β₂)·g
+	VMULPD    Z0, Z4, Z4         // ((1 − β₂)·g)·g
+	VADDPD    Z4, Z3, Z3         // v
+	VMOVUPD   Z3, K7, (DX)(AX*1)
+	ADAM_QUOTIENT(Z2, Z20, Z22, Z4, Z6)
+	ADAM_QUOTIENT(Z3, Z21, Z23, Z5, Z7)
+	ADAM_PROOF(Z2, Z20, Z24, K5, Z4, K1, K3, Z6, Z8)
+	ADAM_PROOF(Z3, Z21, Z25, K6, Z5, K2, K4, Z7, Z9)
+	KANDW     K2, K1, K1
+	KMOVW     K1, R12
+	CMPL      R12, $0xff
+	JNE       adamZDivide
+
+adamZStep:
+	VMULPD  Z4, Z26, Z4          // lr·(m / bc1)
+	VSQRTPD Z5, Z5               // √(v / bc2)
+	VADDPD  Z27, Z5, Z5          // + ε
+	VDIVPD  Z5, Z4, Z4
+	VSUBPD  Z4, Z1, Z1           // w − …
+	VMOVUPD Z1, K7, (DI)(AX*1)
+	VMOVUPD Z15, K7, (R8)(AX*1)  // g = 0
+	ADDQ    $64, AX
+	JMP     adamZBlock
+
+adamZDivide:
+	VDIVPD Z20, Z2, Z4           // m / bc1
+	VDIVPD Z21, Z3, Z5           // v / bc2
+	JMP    adamZStep
+
+adamZDone:
+	ZERO_Z16_Z31
+	VZEROUPPER
+	RET
+
+// func adamProofAVX512(a, q *[8]float64, b, bh float64) uint64
+//
+// ADAM_PROOF over the eight lanes at a and q, for the divisor b with
+// bh = proofScale(b): it returns the proved lanes' mask and stores at q what
+// adamAVX512 would keep, q or, for a proved ±0 dividend, a itself.
+TEXT ·adamProofAVX512(SB), NOSPLIT, $0-40
+	MOVQ         a+0(FP), SI
+	MOVQ         q+8(FP), DI
+	VBROADCASTSD b+16(FP), Z20
+	VBROADCASTSD bh+24(FP), Z24
+	ADAM_PROOF_CONSTS
+	ADAM_DOMAIN(Z24, K5)
+	VMOVUPD      (SI), Z2
+	VMOVUPD      (DI), Z4
+	ADAM_PROOF(Z2, Z20, Z24, K5, Z4, K1, K3, Z6, Z8)
+	VMOVUPD      Z4, (DI)
+	KMOVW        K1, AX
+	MOVQ         AX, ret+32(FP)
+	ZERO_Z16_Z31
 	VZEROUPPER
 	RET
 

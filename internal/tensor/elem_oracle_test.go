@@ -169,23 +169,24 @@ func withGoBodies(f func()) {
 	withoutZMM(f)
 }
 
-// withoutZMM runs f with the AVX-512 sparse kernels uninstalled, so the
-// sparse entry points run their AVX2 bodies.
+// withoutZMM runs f with the AVX-512 sparse kernels and Adam body
+// uninstalled, so those entry points run their AVX2 bodies.
 func withoutZMM(f func()) {
-	wide, wideT, relu, mask := spmmWideKernel, spmmTWideKernel, reluCSRWideKernel, reluMaskCSRWideKernel
-	spmmWideKernel, spmmTWideKernel, reluCSRWideKernel, reluMaskCSRWideKernel = nil, nil, nil, nil
+	wide, wideT, relu, mask, adam := spmmWideKernel, spmmTWideKernel, reluCSRWideKernel, reluMaskCSRWideKernel, adamWide
+	spmmWideKernel, spmmTWideKernel, reluCSRWideKernel, reluMaskCSRWideKernel, adamWide = nil, nil, nil, nil, false
 	defer func() {
-		spmmWideKernel, spmmTWideKernel, reluCSRWideKernel, reluMaskCSRWideKernel = wide, wideT, relu, mask
+		spmmWideKernel, spmmTWideKernel, reluCSRWideKernel, reluMaskCSRWideKernel, adamWide = wide, wideT, relu, mask, adam
 	}()
 	f()
 }
 
 // requireKernelMatchesOracle runs one kernel case: run(false) computes the
 // outputs through the verbatim scalar loop, run(true) through the kernel
-// entry point — once as dispatched and, where assembly is installed, once
-// more on the pure Go bodies. Every output must carry the oracle's bits. On
-// a target whose compiler fuses the oracle's own multiply-adds only the
-// assembly-against-Go half runs.
+// entry point — once as dispatched and once more on every other body the
+// host has: the AVX2 bodies (withoutZMM) where AVX-512 ones are installed,
+// and the pure Go bodies where assembly is. Every output must carry the
+// oracle's bits. On a target whose compiler fuses the oracle's own
+// multiply-adds only the comparisons against the dispatched body run.
 func requireKernelMatchesOracle(t *testing.T, label string, run func(kernel bool) [][]float64) {
 	t.Helper()
 	got := run(true)
@@ -194,13 +195,23 @@ func requireKernelMatchesOracle(t *testing.T, label string, run func(kernel bool
 			requireSameFloats(t, fmt.Sprintf("%s output %d", label, i), want, got[i])
 		}
 	}
-	if adamKernel == nil {
-		return
+	type body struct {
+		name string
+		with func(func())
 	}
-	var goBody [][]float64
-	withGoBodies(func() { goBody = run(true) })
-	for i, want := range got {
-		requireSameFloats(t, fmt.Sprintf("%s output %d (Go body vs assembly)", label, i), want, goBody[i])
+	var others []body
+	if adamWide {
+		others = append(others, body{"AVX2", withoutZMM})
+	}
+	if adamKernel != nil {
+		others = append(others, body{"Go", withGoBodies})
+	}
+	for _, b := range others {
+		var out [][]float64
+		b.with(func() { out = run(true) })
+		for i, want := range got {
+			requireSameFloats(t, fmt.Sprintf("%s output %d (%s body vs dispatched)", label, i, b.name), want, out[i])
+		}
 	}
 }
 
@@ -219,7 +230,8 @@ func (c adamCase) run(kernel bool) [][]float64 {
 	bc1, bc2 := adamBiasOracle(hy.Beta1, hy.Beta2, c.st)
 	switch {
 	case kernel:
-		AdamUpdate(w, m, v, g, &AdamStep{LR: c.lr, BC1: bc1, BC2: bc2, Decayed: c.decayed})
+		s := NewAdamStep(c.lr, c.st, c.decayed)
+		AdamUpdate(w, m, v, g, &s)
 	case c.decayed:
 		adamStepRangeOracle(&hy, g, w, m, v, bc1, bc2)
 	default:
@@ -229,13 +241,16 @@ func (c adamCase) run(kernel bool) [][]float64 {
 }
 
 // adamHypers are the forms and steps the Adam pin sweeps: nn.Adam's decayed
-// form and the tables' form, at steps inside the bias-correction table and
-// past its end.
+// form and the tables' form, at step 0 (bias corrections 0, outside the
+// AVX-512 body's proof domain), at steps inside the bias-correction table
+// and past its end.
 var adamHypers = []struct {
 	lr      float64
 	decayed bool
 	st      int
 }{
+	{1e-3, true, 0},
+	{1e-3, false, 0},
 	{1e-3, true, 1},
 	{1e-3, false, 1},
 	{0.01, true, 37},
@@ -244,8 +259,63 @@ var adamHypers = []struct {
 	{0.05, false, 5000},
 }
 
+// adamRegimes are the states an eight-lane block of Adam operands is drawn
+// in, each returning one lane's (w, m, v, g): live moments (every operand
+// finite and normal, where the AVX-512 body proves its quotients), the mixed
+// operands of elemOperand, subnormal moments under ±0 or subnormal
+// gradients (the state idle rows decay into over a long run), ±0 moments
+// and gradients, lanes of that state and live ones mixed, and moments that
+// are ±Inf or NaN.
+var adamRegimes = []func(r *rand.Rand) (w, m, v, g float64){
+	adamLive,
+	func(r *rand.Rand) (w, m, v, g float64) {
+		x := elemOperand(r, 4)
+		return x[0], x[1], x[2], x[3]
+	},
+	func(r *rand.Rand) (w, m, v, g float64) {
+		sub := func() float64 { return float64(1+r.Int63n(1<<52-1)) * 0x1p-1074 }
+		g = math.Copysign(0, r.NormFloat64())
+		if r.Intn(2) == 0 {
+			g = math.Copysign(sub(), g)
+		}
+		return r.NormFloat64(), math.Copysign(sub(), r.NormFloat64()), sub(), g
+	},
+	adamZero,
+	func(r *rand.Rand) (w, m, v, g float64) {
+		if r.Intn(2) == 0 {
+			return adamZero(r)
+		}
+		return adamLive(r)
+	},
+	func(r *rand.Rand) (w, m, v, g float64) {
+		special := []float64{math.Inf(1), math.Inf(-1), defaultNaN(), r.NormFloat64()}
+		return r.NormFloat64(), special[r.Intn(4)], special[r.Intn(4)], r.NormFloat64()
+	},
+}
+
+func adamLive(r *rand.Rand) (w, m, v, g float64) {
+	s := math.Pow(10, float64(r.Intn(9)-6))
+	return r.NormFloat64(), r.NormFloat64() * s, math.Abs(r.NormFloat64()) * s * s, r.NormFloat64() * s
+}
+
+func adamZero(r *rand.Rand) (w, m, v, g float64) {
+	zero := func() float64 { return math.Copysign(0, r.NormFloat64()) }
+	return r.NormFloat64(), zero(), zero(), zero()
+}
+
+// adamOperands draws n lanes of Adam operands, eight-lane block i in regime
+// (i + rot) mod len(adamRegimes), so any n ≥ 48 meets every regime.
+func adamOperands(r *rand.Rand, n, rot int) (w, m, v, g []float64) {
+	w, m, v, g = make([]float64, n), make([]float64, n), make([]float64, n), make([]float64, n)
+	for i := range n {
+		w[i], m[i], v[i], g[i] = adamRegimes[(i/8+rot)%len(adamRegimes)](r)
+	}
+	return w, m, v, g
+}
+
 // TestElemKernelsMatchOracle sweeps every kernel over lengths 0–67, so the
-// four-lane body and every tail length run, on adversarial operands.
+// four- and eight-lane bodies and every tail length run, on adversarial
+// operands, and Adam also on blocks of every regime in adamRegimes.
 func TestElemKernelsMatchOracle(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	for n := 0; n <= 67; n++ {
@@ -253,6 +323,9 @@ func TestElemKernelsMatchOracle(t *testing.T) {
 			c := adamCase{lr: h.lr, decayed: h.decayed, st: h.st,
 				w: elemOperand(r, n), m: elemOperand(r, n), v: elemOperand(r, n), g: elemOperand(r, n)}
 			requireKernelMatchesOracle(t, fmt.Sprintf("Adam n=%d hyper %d", n, hi), c.run)
+			regimes := c
+			regimes.w, regimes.m, regimes.v, regimes.g = adamOperands(r, n, hi)
+			requireKernelMatchesOracle(t, fmt.Sprintf("Adam n=%d hyper %d, regime blocks", n, hi), regimes.run)
 			// Zero moments and a −0 gradient, where the two forms part: the
 			// decay term turns the −0 into +0, and a −0 moment plus a +0 term
 			// is +0 where plus a −0 one it stays −0.
@@ -344,13 +417,20 @@ func TestFirstAboveMatchesOracle(t *testing.T) {
 	}
 }
 
-// TestAdamBiasCorrectionsMatchPow pins the memoised corrections to the
-// math.Pow expression they replaced, across the table's end.
+// TestAdamBiasCorrectionsMatchPow pins a step's memoised corrections to the
+// math.Pow expression they replaced, across the table's end, and the
+// quotient constants beside them to their definitions: y = RN(1/bc), and
+// bh = bc·2⁻⁵³, exact from step 1 on.
 func TestAdamBiasCorrectionsMatchPow(t *testing.T) {
 	for st := 0; st <= len(adamBiasTable)+3; st++ {
 		w1, w2 := adamBiasOracle(0.9, 0.999, st)
-		g1, g2 := AdamBiasCorrections(st)
-		requireSameFloats(t, fmt.Sprintf("t=%d", st), []float64{w1, w2}, []float64{g1, g2})
+		b := NewAdamStep(1, st, false).bias
+		requireSameFloats(t, fmt.Sprintf("t=%d", st),
+			[]float64{w1, w2, 1 / w1, 1 / w2, w1 * 0x1p-53, w2 * 0x1p-53},
+			[]float64{b.bc1, b.bc2, b.y1, b.y2, b.bh1, b.bh2})
+		if st > 0 && (b.bh1*0x1p53 != b.bc1 || b.bh2*0x1p53 != b.bc2) {
+			t.Fatalf("t=%d: bh = (%v, %v) is not bc·2⁻⁵³ exactly", st, b.bh1, b.bh2)
+		}
 	}
 }
 
@@ -362,48 +442,59 @@ func TestAdamBiasCorrectionsMatchPow(t *testing.T) {
 // from math.Pow. The steps straddle the bias-correction table's end and reach
 // far past it.
 func TestNewAdamStepMatchesFrontEnds(t *testing.T) {
-	nnAdamUpdate := func(lr float64, t int) AdamStep {
+	// Each front end's step as (lr, bc1, bc2, decayed).
+	nnAdamUpdate := func(lr float64, t int) []float64 {
 		o := standardAdamOracle(lr)
 		bc1, bc2 := adamBiasOracle(o.Beta1, o.Beta2, t)
-		return AdamStep{LR: o.LR, BC1: bc1, BC2: bc2, Decayed: true}
+		return []float64{o.LR, bc1, bc2, 1}
 	}
-	embUpdate := func(lr float64, step int) AdamStep {
+	embUpdate := func(lr float64, step int) []float64 {
 		hy := standardAdamOracle(lr)
 		bc1, bc2 := adamBiasOracle(hy.Beta1, hy.Beta2, step)
-		return AdamStep{LR: hy.LR, BC1: bc1, BC2: bc2}
+		return []float64{hy.LR, bc1, bc2, 0}
 	}
-	adamVecStep := func(lr float64, t int) AdamStep {
+	adamVecStep := func(lr float64, t int) []float64 {
 		bc1, bc2 := adamBiasOracle(0.9, 0.999, t)
-		return AdamStep{LR: lr, BC1: bc1, BC2: bc2}
+		return []float64{lr, bc1, bc2, 0}
 	}
 	fields := func(s AdamStep) []float64 {
 		decayed := 0.0
-		if s.Decayed {
+		if s.decayed {
 			decayed = 1
 		}
-		return []float64{s.LR, s.BC1, s.BC2, decayed}
+		return []float64{s.lr, s.bias.bc1, s.bias.bc2, decayed}
 	}
 	for _, lr := range []float64{1e-3, 0.01} {
 		for _, st := range []int{1, 4095, 4096, 4097, 1_000_000} {
 			for _, c := range []struct {
 				name    string
 				decayed bool
-				want    AdamStep
+				want    []float64
 			}{
 				{"nn.Adam.Update", true, nnAdamUpdate(lr, st)},
 				{"emb.AdamHyper.update", false, embUpdate(lr, st)},
 				{"adamVec.step", false, adamVecStep(lr, st)},
 			} {
-				requireSameFloats(t, fmt.Sprintf("%s lr=%v t=%d", c.name, lr, st), fields(c.want), fields(NewAdamStep(lr, st, c.decayed)))
+				requireSameFloats(t, fmt.Sprintf("%s lr=%v t=%d", c.name, lr, st), c.want, fields(NewAdamStep(lr, st, c.decayed)))
 			}
 		}
 	}
 }
 
+// FuzzAdamUpdate pins every Adam body the host has to the scalar loops on
+// operands whose eight-lane blocks rotate through adamRegimes from the
+// seed's place. The seeds from 4 on each meet every regime (n ≥ 48), at
+// t = 0 (bias corrections 0, outside the AVX-512 body's proof domain),
+// inside the bias-correction table and past its end.
 func FuzzAdamUpdate(f *testing.F) {
 	f.Add(int64(1), uint8(16), true, uint16(1))
 	f.Add(int64(2), uint8(67), false, uint16(4095))
 	f.Add(int64(3), uint8(3), true, uint16(9000))
+	f.Add(int64(4), uint8(48), false, uint16(0))
+	f.Add(int64(5), uint8(55), true, uint16(0))
+	f.Add(int64(8), uint8(49), true, uint16(2000))
+	f.Add(int64(6), uint8(255), true, uint16(4096))
+	f.Add(int64(7), uint8(64), false, uint16(65535))
 	f.Fuzz(func(t *testing.T, seed int64, n uint8, decayed bool, st uint16) {
 		r := rand.New(rand.NewSource(seed))
 		// A NaN step size stays defaultNaN: math.Abs would flip its sign and
@@ -412,19 +503,24 @@ func FuzzAdamUpdate(f *testing.F) {
 		if !math.IsNaN(lr) {
 			lr = math.Abs(lr)
 		}
-		c := adamCase{lr: lr, decayed: decayed, st: int(st),
-			w: elemOperand(r, int(n)), m: elemOperand(r, int(n)), v: elemOperand(r, int(n)), g: elemOperand(r, int(n))}
+		c := adamCase{lr: lr, decayed: decayed, st: int(st)}
+		c.w, c.m, c.v, c.g = adamOperands(r, int(n), int(uint64(seed)%uint64(len(adamRegimes))))
 		requireKernelMatchesOracle(t, fmt.Sprintf("Adam n=%d", n), c.run)
 	})
 }
 
 // BenchmarkElementwise times each kernel at the NeuMF client step's shapes: a
 // 64-sample batch through the 64-wide hidden layer (ReLU forward and mask),
-// the 64×32 weight matrix and one 16-wide embedding row (Adam), and a
-// bias-row add — as dispatched, and again on the pure Go bodies. The
+// one 16-wide embedding row, the 64×32 weight matrix and the tower's
+// 64×64 first layer (Adam), and a bias-row add — as dispatched, on the AVX2
+// bodies (the AVX-512 ones uninstalled) and on the pure Go bodies. The
 // operands are normal draws: subnormal ones would time the CPU's slow path.
+// Adam starts from nonzero moments and reloads its gradient from fixed
+// normal draws before every step, so each step divides live moments, as
+// training does, not zeros (the divider's fast path).
 func BenchmarkElementwise(b *testing.B) {
 	b.Run("dispatch", benchmarkElementwise)
+	b.Run("avx2", func(b *testing.B) { withoutZMM(func() { benchmarkElementwise(b) }) })
 	b.Run("go", func(b *testing.B) { withGoBodies(func() { benchmarkElementwise(b) }) })
 }
 
@@ -437,12 +533,17 @@ func benchmarkElementwise(b *testing.B) {
 		}
 		return out
 	}
-	for _, n := range []int{16, 2048} {
-		w, m, v, g := normal(n), make([]float64, n), make([]float64, n), make([]float64, n)
-		s := &AdamStep{LR: 1e-3, BC1: 0.1, BC2: 0.001, Decayed: true}
+	for _, n := range []int{16, 2048, 4096} {
+		w, m, v, g, grads := normal(n), normal(n), normal(n), make([]float64, n), normal(n)
+		for i := range m {
+			m[i] *= 0.1
+			v[i] *= v[i] * 0.01
+		}
+		s := NewAdamStep(1e-3, 1, true)
 		b.Run(fmt.Sprintf("Adam/%d", n), func(b *testing.B) {
 			for b.Loop() {
-				AdamUpdate(w, m, v, g, s)
+				copy(g, grads)
+				AdamUpdate(w, m, v, g, &s)
 			}
 		})
 	}

@@ -60,10 +60,10 @@ func (g gemmBody) with(f func()) {
 }
 
 // TestGEMMDispatch logs the tiles the core installed at init and the SpMM
-// bodies beside them, so a test log says which bodies the oracle tests below
-// compared, and pins the rules the dispatch keeps: the 8×8 tile is installed
-// only beside the 4×8 tile, and each SpMM row body with the tile of its
-// instruction set.
+// and Adam bodies beside them, so a test log says which bodies the oracle
+// tests below compared, and pins the rules the dispatch keeps: the 8×8 tile
+// is installed only beside the 4×8 tile, and each SpMM row body and Adam
+// body with the tile of its instruction set.
 func TestGEMMDispatch(t *testing.T) {
 	name := func(f any) string {
 		if v := reflect.ValueOf(f); !v.IsNil() {
@@ -79,11 +79,19 @@ func TestGEMMDispatch(t *testing.T) {
 	t.Logf("SpMM rows: %s, then %s; transposed SpMM: %s, then %s; ReLU compress: %s or %s; mask compress: %s or %s",
 		name(spmmWideKernel), name(spmmKernel), name(spmmTWideKernel), name(spmmTKernel),
 		name(reluCSRWideKernel), name(reluCSRKernel), name(reluMaskCSRWideKernel), name(reluMaskCSRKernel))
+	adam := name(adamKernel)
+	if adamWide {
+		adam = name(adamAVX512)
+	}
+	t.Logf("Adam: %s", adam)
 	if tile8x8 != nil && tile4x8 == nil {
 		t.Fatal("an 8×8 tile is installed without a 4×8 tile for the 4-row bands")
 	}
 	if (spmmWideKernel != nil) != (tile8x8 != nil) || (spmmKernel != nil) != (tile4x8 != nil) {
 		t.Fatal("the SpMM bodies are not installed with the GEMM tiles of their instruction set")
+	}
+	if adamWide != (tile8x8 != nil) || (adamKernel != nil) != (tile4x8 != nil) {
+		t.Fatal("the Adam bodies are not installed with the GEMM tiles of their instruction set")
 	}
 }
 
