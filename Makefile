@@ -1,6 +1,7 @@
-# Local targets mirror .github/workflows/ci.yml step for step, so `make ci`
+# .github/workflows/ci.yml runs these targets step for step, so `make ci`
 # reproduces the pipeline (its bench step additionally regenerates the
-# committed BENCH_scalability.json, huge-1m line included).
+# committed BENCH_scalability.json, huge-1m line included). The comment on
+# each target is the one place that says what it covers and why.
 
 GO ?= go
 
@@ -8,18 +9,25 @@ GO ?= go
 # CI, fails above it. A change that shrinks the code lowers it to the size it
 # reaches; one that has to grow the code raises it in the same diff, where a
 # reviewer sees the price.
-LOC_BUDGET = 12907
+LOC_BUDGET = 12838
 
 # The packages whose concurrent paths CI runs in full (not -short) under the
-# race detector; ci.yml says why each is there (fed.Waves' client waves
-# running beside the server phases, the participant's event loop and
-# evaluation overlapping dispersal in RoundEngine.Run among them).
+# race detector, so an unsynchronised read or write fails: eval, fed, graph,
+# candset, models and metrics for evaluation overlapping dispersal in
+# RoundEngine.Run (the trainer's and the coordinator's), the batched scoring
+# and selection engines every worker shares, fed.Waves' client waves training
+# beside the server phases, the graph engine's chunked Commit and assembly
+# and the graph models' per-layer chunk passes; comm for WriteFrame's pooled
+# write path; coord for the HTTP coordinator's participant pools, long polls,
+# concurrent uploads and the participant's event loop; tensor for the sparse
+# kernels those chunk passes run; nn for the Adam update every model steps
+# with; rng for the lazily seeded streams each worker derives.
 RACE_FULL = ./internal/eval/... ./internal/fed/... ./internal/graph/... \
 	./internal/candset/... ./internal/models/... ./internal/metrics/... \
 	./internal/comm/... ./internal/coord/... ./internal/rng/... \
 	./internal/tensor/... ./internal/nn/...
 
-.PHONY: build cross test race experiments race-full fuzz-wire fuzz-kernels selftest examples bench-module bench benchmark loc traffic test-names fmt fmt-check vet ci
+.PHONY: build cross test race experiments race-full fuzz-wire fuzz-kernels selftest examples bench-module bench-smoke bench benchmark loc traffic test-names fmt fmt-check vet ci
 
 build:
 	$(GO) build ./...
@@ -91,7 +99,8 @@ fuzz-wire:
 # Each GEMM, sparse and Adam input is compared across every body the host
 # has (AVX-512: the 8×8 tile, the ZMM sparse kernels and the Adam body;
 # AVX2; pure Go); TestGEMMDispatch logs which those are first, so the log
-# says whether the AVX-512 bodies ran.
+# says whether the AVX-512 bodies ran. A host without AVX-512 fuzzes only
+# the AVX2 and Go bodies, and its test runs skip TestAdamQuotientCheck.
 fuzz-kernels:
 	$(GO) test ./internal/tensor -run '^TestGEMMDispatch$$' -v
 	$(GO) test ./internal/tensor -run '^$$' -fuzz '^FuzzDenseGEMM$$' -fuzztime 10s
@@ -126,20 +135,12 @@ bench-module:
 	cd bench && $(GO) vet . && $(GO) test .
 	bash bench/run.sh -smoke
 
-# bench runs the smoke benchmarks and regenerates the committed perf
-# trajectory record (the same sweep CI uploads as an artifact per commit).
+# bench-smoke runs every benchmark of the packages below once.
 # -benchmem makes allocation regressions visible next to the timings — the
 # fed absorb and graph-staging benchmarks (BenchmarkAbsorb, and
 # BenchmarkCollectEdges timing stageUploads on a LightGCN server) must report
 # 0 allocs/op in steady state (the pins are TestAbsorbSteadyStateAllocs and
 # TestCollectEdgesSteadyStateAllocs).
-# The second ptfbench run appends the huge-1m memory-profile record — 10
-# rounds, so the graph's population dwarfs the ~5k participants a round
-# actually changes; CI runs only the quick sweep. Run it at GOMAXPROCS >= 2:
-# TestCommittedBenchRecordParses rejects a single-core record, whose
-# worker-scaling columns describe the host rather than the code. The JSON
-# lands in a temp file first so a failed run never truncates the committed
-# record.
 # -timeout 30m: the root-package table benchmarks take ~10 min on one core,
 # right at go test's default 10m kill threshold.
 # internal/tensor, internal/models and internal/emb carry the client wave's
@@ -147,7 +148,7 @@ bench-module:
 # BenchmarkGatherMulMat (the scoring GEMM at the dispersal's 16 × 1024
 # window), each on every tile body the host has side by side (avx512: the
 # 8×8 tile, the 4×8 on the bands left; avx2: the 4×8 tile alone; go),
-# BenchmarkElementwise (Adam, ReLU and the vector adds, assembly and pure Go
+# BenchmarkElementwise (Adam and the vector adds, assembly and pure Go
 # bodies side by side), BenchmarkFirstAbove (the selector's bulk reject scan,
 # both bodies), BenchmarkSpMMRows (one LightGCN propagation layer at the
 # sparse-250k shape over Zipf-skewed rows, at d = 16, 32 and 64: the SpMM row
@@ -187,14 +188,25 @@ bench-module:
 # BenchmarkOpenPublishRound times the coordinator's per-round fan-out
 # (announcing a round and publishing its dispersals) at 1, 100 and 2000
 # one-user sessions with the whole population as the cohort, the cross-device
-# shape, where a round looks up one host per cohort member. The first command
-# is ci.yml's bench smoke, package for package. The cross-round schedule has
+# shape, where a round looks up one host per cohort member. The cross-round schedule has
 # no benchmark of its own: fed.Waves' waves run the client rounds
 # BenchmarkMFClientRound times, RoundEngine.Run's server side runs the
 # CloseRound phases the scalability sweep times, and the schedule's cost
 # shows in the workloads' round_s.
-bench:
+bench-smoke:
 	$(GO) test -bench=. -benchmem -benchtime=1x -run='^$$' -timeout 30m . ./internal/fed/ ./internal/tensor/ ./internal/models/ ./internal/emb/ ./internal/rng/ ./internal/metrics/ ./internal/eval/ ./internal/coord/
+
+# bench runs bench-smoke, then regenerates the committed perf trajectory
+# record (the quick sweep CI uploads as an artifact per commit, plus the
+# huge-1m line).
+# The second ptfbench run appends the huge-1m memory-profile record — 10
+# rounds, so the graph's population dwarfs the ~5k participants a round
+# actually changes; CI runs only the quick sweep. Run it at GOMAXPROCS >= 2:
+# TestCommittedBenchRecordParses rejects a single-core record, whose
+# worker-scaling columns describe the host rather than the code. The JSON
+# lands in a temp file first so a failed run never truncates the committed
+# record.
+bench: bench-smoke
 	$(GO) run ./cmd/ptfbench -exp scalability -quick -json > BENCH_scalability.json.tmp
 	$(GO) run ./cmd/ptfbench -exp scalability -profile huge-1m -rounds 10 -json >> BENCH_scalability.json.tmp
 	mv BENCH_scalability.json.tmp BENCH_scalability.json
@@ -268,6 +280,7 @@ fmt-check:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
 
+# vet runs asmdecl over the .s files too, the AVX-512 bodies included.
 vet:
 	$(GO) vet ./...
 

@@ -65,7 +65,7 @@ func main() {
 		rounds       = flag.Int("rounds", 0, "override Config.Rounds (0 = model default)")
 		workers      = flag.Int("workers", 0, "server worker pool (0 = GOMAXPROCS)")
 		wait         = flag.Int("wait", 1, "participants to wait for before starting rounds")
-		deadline     = flag.Duration("deadline", 0, "per-round straggler deadline (0 = wait forever)")
+		deadline     = flag.Duration("deadline", 0, "per-round straggler deadline (0 = wait forever; negative is refused)")
 		selftest     = flag.Bool("selftest", false, "run the loopback bitwise verification and exit")
 		participants = flag.Int("participants", 2, "participant processes in -selftest mode")
 	)
@@ -88,6 +88,9 @@ func main() {
 	p, err := data.ProfileByName(*profile)
 	if err == nil {
 		err = checkFrac(*frac)
+	}
+	if err == nil {
+		err = checkDeadline(*deadline)
 	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "ptfserve: %v\n", err)
@@ -159,6 +162,16 @@ func main() {
 func checkFrac(frac float64) error {
 	if !(frac >= 0 && frac <= 1) {
 		return fmt.Errorf("-frac %v: want a fraction in [0, 1]", frac)
+	}
+	return nil
+}
+
+// checkDeadline refuses a negative straggler deadline: the coordinator arms
+// its round timer only for a positive one, so a negative value would mean
+// no deadline, and one straggler would hold the run forever.
+func checkDeadline(d time.Duration) error {
+	if d < 0 {
+		return fmt.Errorf("-deadline %v: want 0 (wait forever) or a positive duration", d)
 	}
 	return nil
 }

@@ -2,11 +2,15 @@ package baselines
 
 import (
 	crand "crypto/rand"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"math"
 	"math/big"
 	"testing"
 
 	"ptffedrec/internal/data"
+	"ptffedrec/internal/nn"
 	"ptffedrec/internal/rng"
 )
 
@@ -244,5 +248,45 @@ func TestClientFraction(t *testing.T) {
 	f.RunRound(0)
 	if f.AvgBytesPerClientPerRound() <= 0 {
 		t.Fatal("no traffic at all")
+	}
+}
+
+// TestMetaMFStateDigestPinned pins MetaMF's whole state after five rounds of
+// fastConfig on tinySplit to a fixed SHA-256: base, l1 and l2 (weights, both
+// Adam moments and the step count), every collaborative-vector row, every
+// user vector and the final Recall and NDCG, as float bits. The grid cells
+// alone miss a one-ulp move in a meta-network gradient; this does not.
+func TestMetaMFStateDigestPinned(t *testing.T) {
+	const want = "4a00a57fa95bf61d94956cb405cf44290abe45c76ac2420ff6a80dc65f96335d"
+	sp := tinySplit(t)
+	cfg := fastConfig()
+	cfg.Rounds = 5
+	m, err := NewMetaMF(sp, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	Run(m)
+	res := m.Evaluate()
+	h := sha256.New()
+	put := func(xs ...float64) {
+		for _, x := range xs {
+			binary.Write(h, binary.LittleEndian, math.Float64bits(x))
+		}
+	}
+	for _, p := range []*nn.Param{m.base, m.l1.W, m.l1.B, m.l2.W, m.l2.B} {
+		put(p.W.Data...)
+		put(p.M.Data...)
+		put(p.V.Data...)
+		binary.Write(h, binary.LittleEndian, int64(p.T))
+	}
+	for u := range sp.NumUsers {
+		put(m.cv.Row(u)...)
+	}
+	for _, a := range m.users {
+		put(a.w...)
+	}
+	put(res.Recall, res.NDCG)
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Errorf("MetaMF state digest %s, want %s", got, want)
 	}
 }

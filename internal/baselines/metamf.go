@@ -44,8 +44,9 @@ type MetaMF struct {
 
 // metaPass is what backprop reads of one user's meta-network run.
 type metaPass struct {
-	x, h1, a1 *tensor.Matrix
-	scale     []float64
+	x, h1 *tensor.Matrix
+	a1    *tensor.CSR
+	scale []float64
 }
 
 // NewMetaMF builds the baseline for a split.
@@ -70,17 +71,18 @@ func NewMetaMF(sp *data.Split, cfg Config) (*MetaMF, error) {
 	return m, nil
 }
 
-// generate runs the meta-network for user u into new matrices, returning
-// the modulation and the intermediates needed for backprop. RunRound's
-// clients call it concurrently, so it shares no buffer; x aliases cvᵤ, which
-// only cv.Step moves, after backprop's last read of x. Nothing steps cv, l1
-// or l2 between a round's download and its backprop, so backprop reuses the
-// download's run bitwise.
-func (m *MetaMF) generate(u int) (x, h1, a1, out *tensor.Matrix, scale, shift []float64) {
+// generate runs the meta-network for user u into new matrices — the hidden
+// ReLU's output as its nonzeros, which l2 runs on — and returns the
+// modulation and backprop's intermediates. RunRound's clients call it
+// concurrently, so it shares no buffer; x aliases cvᵤ, which only cv.Step
+// moves, after backprop's last read of x. Nothing steps cv, l1 or l2 between
+// a round's download and its backprop, so backprop reuses it bitwise.
+func (m *MetaMF) generate(u int) (x, h1 *tensor.Matrix, a1 *tensor.CSR, out *tensor.Matrix, scale, shift []float64) {
 	x = tensor.FromSlice(1, cvDim, m.cv.Row(u))
 	h1 = m.l1.ForwardInto(tensor.New(1, metaHidden), x)
-	a1 = nn.ReLUInto(tensor.New(1, metaHidden), h1)
-	out = m.l2.ForwardInto(tensor.New(1, 2*m.cfg.Dim), a1)
+	a1 = new(tensor.CSR)
+	tensor.ReLUCSRInto(a1, h1)
+	out = m.l2.ForwardCSRInto(tensor.New(1, 2*m.cfg.Dim), a1)
 	scale = out.Row(0)[:m.cfg.Dim]
 	shift = out.Row(0)[m.cfg.Dim:]
 	return x, h1, a1, out, scale, shift
@@ -114,20 +116,17 @@ func (m *MetaMF) RunRound(round int) {
 
 // backprop is MetaMF's aggregation: every client's dQᵤ flows back through the
 // generator into Base, the MLP and cvᵤ — from the meta-network run the
-// client's download made — then one optimizer step.
+// client's download made, l2's dW on the ReLU's nonzeros — then one
+// optimizer step.
 func (m *MetaMF) backprop(idx []int, grads [][]float64) {
 	inv := 1.0 / float64(len(idx))
 	dim := m.cfg.Dim
 	dout := tensor.New(1, 2*dim)
 	dscale, dshift := dout.Row(0)[:dim], dout.Row(0)[dim:]
 	da1, dx := tensor.New(1, metaHidden), tensor.New(1, cvDim)
-	// backward writes dx and adds one user's dW and db into d's Grad.
-	backward := func(d *nn.Dense, dx, x, dy *tensor.Matrix) {
-		wGrad, bGrad := tensor.New(d.In, d.Out), tensor.New(1, d.Out)
-		d.BackwardInto(dx, x, dy, wGrad, bGrad, tensor.New(d.Out, d.In))
-		d.W.Grad.AddInPlace(wGrad)
-		d.B.Grad.AddInPlace(bGrad)
-	}
+	mask := new(tensor.CSR)
+	w1G, b1G, w1T := tensor.New(cvDim, metaHidden), tensor.New(1, metaHidden), tensor.New(metaHidden, cvDim)
+	w2G, b2G, w2T := tensor.New(metaHidden, 2*dim), tensor.New(1, 2*dim), tensor.New(2*dim, metaHidden)
 	for slot, u := range idx {
 		dq := grads[slot]
 		pass := m.passes[u]
@@ -146,9 +145,17 @@ func (m *MetaMF) backprop(idx []int, grads [][]float64) {
 				dshift[k] += g
 			}
 		}
-		backward(m.l2, da1, pass.a1, dout)
-		nn.ReLUBackwardInPlace(pass.h1, da1)
-		backward(m.l1, dx, pass.x, da1)
+		pass.a1.MulTDenseInto(w2G, dout)
+		tensor.SumRowsInto(b2G.Row(0), dout)
+		tensor.MatMulABTInto(da1, dout, m.l2.W.W, w2T)
+		tensor.ReLUMaskCSRInto(mask, pass.h1, da1)
+		tensor.MatMulATBInto(w1G, pass.x, da1)
+		tensor.SumRowsInto(b1G.Row(0), da1)
+		tensor.MatMulABTInto(dx, da1, m.l1.W.W, w1T)
+		m.l2.W.Grad.AddInPlace(w2G)
+		m.l2.B.Grad.AddInPlace(b2G)
+		m.l1.W.Grad.AddInPlace(w1G)
+		m.l1.B.Grad.AddInPlace(b1G)
 		m.cvG.Add(u, dx.Row(0))
 	}
 	params := []*nn.Param{m.base}

@@ -168,9 +168,8 @@ func hitMetrics(ranks []int, relevant, k int) (recall, ndcg float64) {
 
 // RankingWorkers evaluates the scorer on a split at cutoff k with the given
 // worker count (<= 0 means GOMAXPROCS): a throwaway Evaluator ranked once.
-// For each user with held-out items, every non-train item is scored. Nothing
-// outside tests and the root facade calls the one-shot form; per-round
-// callers hold one.
+// For each user with held-out items, every non-train item is scored. Only
+// tests call the one-shot form; per-round callers hold one.
 func RankingWorkers(s models.MultiBlockScorer, sp *data.Split, k, workers int) Result {
 	return NewEvaluator(sp).Rank(s, k, workers)
 }

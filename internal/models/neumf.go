@@ -153,11 +153,11 @@ func (m *NeuMF) forwardWS(ws *neumfWS) *tensor.Matrix {
 // collected per embedding row in ws.users and ws.items. The shared weights
 // are only read.
 //
-// Each layer's backward is nn.Dense.BackwardInto's three products on the
-// nonzeros of the ReLU outputs and masked gradients: dW = aᵀ·dz as one
-// scattering pass over a's nonzeros (the first layer's as (dzᵀ·x)ᵀ) and
-// dx = dz·Wᵀ over dz's; only the head's dx, whose left operand is the
-// per-sample dL/dlogit, stays on the dense core.
+// Each layer's backward is a dense layer's three products — dW = aᵀ·dz,
+// db = Σ dz and dx = dz·Wᵀ — on the nonzeros of the ReLU outputs and masked
+// gradients: dW = aᵀ·dz as one scattering pass over a's nonzeros (the first
+// layer's as (dzᵀ·x)ᵀ) and dx = dz·Wᵀ over dz's; only the head's dx, whose
+// left operand is the per-sample dL/dlogit, stays on the dense core.
 func (m *NeuMF) shardGrad(ws *neumfWS, sub []Sample, n int, wGrads, bGrads []*tensor.Matrix) float64 {
 	d := m.cfg.Dim
 	ws.setRows(len(sub))

@@ -27,7 +27,7 @@ func (m *NeuMF) denseLayers() []*nn.Dense {
 	return append(append([]*nn.Dense(nil), m.tower()...), m.out())
 }
 
-// denseBackwardInto is the accumulating nn.Dense.BackwardInto the oracle was
+// denseBackwardInto is the accumulating layer backward the oracle was
 // written against: dW and db are added into caller-provided accumulators and
 // dx is returned as a new matrix.
 func denseBackwardInto(d *nn.Dense, x, dy, wGrad, bGrad *tensor.Matrix) *tensor.Matrix {
@@ -54,13 +54,26 @@ func denseForward(d *nn.Dense, x *tensor.Matrix) *tensor.Matrix {
 	return d.ForwardInto(tensor.New(x.Rows, d.Out), x)
 }
 
-// relu and reluBackward are the allocating activation forms: each runs the
-// in-place kernel on a new matrix.
-func relu(x *tensor.Matrix) *tensor.Matrix { return nn.ReLUInto(tensor.New(x.Rows, x.Cols), x) }
+// relu and reluBackward are the allocating activation forms, as plain loops:
+// relu is max(0, x), x where x > 0, else +0 (−0 and NaN included), and
+// reluBackward masks dy to +0 where x ≤ 0, keeping it where x is NaN.
+func relu(x *tensor.Matrix) *tensor.Matrix {
+	out := tensor.New(x.Rows, x.Cols)
+	for i, v := range x.Data {
+		if v > 0 {
+			out.Data[i] = v
+		}
+	}
+	return out
+}
 
 func reluBackward(x, dy *tensor.Matrix) *tensor.Matrix {
 	dx := dy.Clone()
-	nn.ReLUBackwardInPlace(x, dx)
+	for i, v := range x.Data {
+		if v <= 0 {
+			dx.Data[i] = 0
+		}
+	}
 	return dx
 }
 

@@ -58,22 +58,5 @@ func (d *Dense) ForwardCSRInto(dst *tensor.Matrix, a *tensor.CSR) *tensor.Matrix
 	return dst
 }
 
-// BackwardInto is the layer's backward. It writes — not accumulates —
-// dW = xᵀ·dy into wGrad (In×Out), db = Σ dy into bGrad (1×Out) and
-// dx = dy·Wᵀ into dx (batch×In). wGrad and bGrad may be a batch shard's
-// private matrices or, when the shard is the whole batch and the layer's
-// gradients are zero (as every optimizer step leaves them), the layer's own
-// Grad: a sum that starts at +0 is never −0, so adding it to zero would
-// reproduce it bit for bit. wt is Out×In scratch for Wᵀ.
-func (d *Dense) BackwardInto(dx, x, dy, wGrad, bGrad, wt *tensor.Matrix) {
-	if dy.Cols != d.Out || x.Rows != dy.Rows {
-		panic(fmt.Sprintf("nn: Dense %s backward shapes x=%dx%d dy=%dx%d",
-			d.W.Name, x.Rows, x.Cols, dy.Rows, dy.Cols))
-	}
-	tensor.MatMulATBInto(wGrad, x, dy)
-	tensor.SumRowsInto(bGrad.Row(0), dy)
-	tensor.MatMulABTInto(dx, dy, d.W.W, wt)
-}
-
 // Params returns the layer's trainable parameters.
 func (d *Dense) Params() []*Param { return []*Param{d.W, d.B} }

@@ -39,75 +39,6 @@ func TestSigmoidSymmetry(t *testing.T) {
 	}
 }
 
-// relu and reluBackward are the allocating activation forms: each runs the
-// in-place kernel on a new matrix.
-func relu(x *tensor.Matrix) *tensor.Matrix { return ReLUInto(tensor.New(x.Rows, x.Cols), x) }
-
-func reluBackward(x, dy *tensor.Matrix) *tensor.Matrix {
-	dx := dy.Clone()
-	ReLUBackwardInPlace(x, dx)
-	return dx
-}
-
-func TestReLUForwardBackward(t *testing.T) {
-	x := tensor.FromSlice(1, 4, []float64{-1, 0, 2, -3})
-	y := relu(x)
-	want := []float64{0, 0, 2, 0}
-	for i, w := range want {
-		if y.Data[i] != w {
-			t.Fatalf("ReLU[%d] = %v", i, y.Data[i])
-		}
-	}
-	dy := tensor.FromSlice(1, 4, []float64{1, 1, 1, 1})
-	dx := reluBackward(x, dy)
-	wantG := []float64{0, 0, 1, 0}
-	for i, w := range wantG {
-		if dx.Data[i] != w {
-			t.Fatalf("ReLUBackward[%d] = %v", i, dx.Data[i])
-		}
-	}
-}
-
-// TestReLUNaNAndNegativeZero pins ReLU's edge semantics bit for bit: forward
-// gives +0 for −0 and NaN, backward zeroes dy to +0 where x ≤ 0 (−0
-// included) and keeps it where x is NaN. Each case fills a 5×5 matrix, so
-// every element goes through the four-lane body and the scalar tail alike.
-func TestReLUNaNAndNegativeZero(t *testing.T) {
-	negZero := math.Copysign(0, -1)
-	for _, c := range []struct {
-		x, fwd float64
-		keep   bool
-	}{
-		{math.NaN(), 0, true},
-		{negZero, 0, false},
-		{0, 0, false},
-		{-2, 0, false},
-		{math.Inf(-1), 0, false},
-		{3, 3, true},
-		{math.Inf(1), math.Inf(1), true},
-	} {
-		x := tensor.New(5, 5)
-		dy := tensor.New(5, 5)
-		for i := range x.Data {
-			x.Data[i], dy.Data[i] = c.x, negZero
-		}
-		y := relu(x)
-		ReLUBackwardInPlace(x, dy)
-		wantDy := 0.0
-		if c.keep {
-			wantDy = negZero
-		}
-		for i := range x.Data {
-			if math.Float64bits(y.Data[i]) != math.Float64bits(c.fwd) {
-				t.Fatalf("ReLU(%v)[%d] = %v (%#x), want %v", c.x, i, y.Data[i], math.Float64bits(y.Data[i]), c.fwd)
-			}
-			if math.Float64bits(dy.Data[i]) != math.Float64bits(wantDy) {
-				t.Fatalf("ReLUBackward at x=%v [%d] = %v (%#x), want %v", c.x, i, dy.Data[i], math.Float64bits(dy.Data[i]), wantDy)
-			}
-		}
-	}
-}
-
 func TestLeakyReLU(t *testing.T) {
 	x := tensor.FromSlice(1, 2, []float64{-2, 3})
 	y := LeakyReLUInto(tensor.New(1, 2), x, 0.2)
@@ -253,35 +184,6 @@ func TestDenseGradCheck(t *testing.T) {
 		want := numGrad(loss, x.Data, i)
 		if math.Abs(dx.Data[i]-want) > 1e-6 {
 			t.Fatalf("dx[%d] = %v, want %v", i, dx.Data[i], want)
-		}
-	}
-}
-
-// TestDenseBackwardIntoMatchesBackward pins BackwardInto to the accumulating
-// form: written into garbage-filled destinations, it yields the bits backward
-// accumulates into zero gradients and returns.
-func TestDenseBackwardIntoMatchesBackward(t *testing.T) {
-	s := rng.New(8)
-	d := NewDense("t", 7, 5, s)
-	x, dy := tensor.New(9, 7), tensor.New(9, 5)
-	Normal(s, x, 1)
-	Normal(s, dy, 1)
-	dirty := func(rows, cols int) *tensor.Matrix {
-		m := tensor.New(rows, cols)
-		Normal(s, m, 1)
-		return m
-	}
-	dx, wGrad, bGrad := dirty(9, 7), dirty(7, 5), dirty(1, 5)
-	d.BackwardInto(dx, x, dy, wGrad, bGrad, dirty(5, 7))
-	want := backward(d, x, dy)
-	for _, c := range []struct {
-		name      string
-		got, want *tensor.Matrix
-	}{{"dx", dx, want}, {"dW", wGrad, d.W.Grad}, {"db", bGrad, d.B.Grad}} {
-		for i, w := range c.want.Data {
-			if math.Float64bits(c.got.Data[i]) != math.Float64bits(w) {
-				t.Fatalf("%s[%d] = %v, backward gives %v", c.name, i, c.got.Data[i], w)
-			}
 		}
 	}
 }

@@ -33,12 +33,6 @@ func adamAVX512(w, m, v, grad *float64, n int, s *AdamStep)
 func adamProofAVX512(a, q *[8]float64, b, bh float64) uint64
 
 //go:noescape
-func reluAVX2(dst, x *float64, n int)
-
-//go:noescape
-func reluMaskAVX2(x, dy *float64, n int)
-
-//go:noescape
 func addVecAVX2(x, y *float64, n int)
 
 //go:noescape
@@ -117,8 +111,6 @@ func init() {
 			adamWide = true
 		}
 		adamKernel = adamAVX2
-		reluKernel = reluAVX2
-		reluMaskKernel = reluMaskAVX2
 		addVecKernel = addVecAVX2
 		axpyKernel = axpyAVX2
 		firstAboveKernel = firstAboveAVX2

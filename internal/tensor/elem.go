@@ -2,16 +2,17 @@ package tensor
 
 // This file holds the elementwise kernels the training step runs around the
 // GEMM core: the Adam update every optimizer in the repository applies
-// (nn.Adam and both embedding tables), ReLU forward and its backward mask,
-// and the vector adds (vector.go) — plus FirstAbove, the bulk reject scan the
-// logit selector runs over score runs. Each has a pure Go body below and, on
-// amd64 CPUs with AVX2, an assembly body in elem_amd64.s chosen once at init
-// (avx2_amd64.go) that runs four lanes at a time over the longest prefix
-// whose length is a multiple of four; the Go body finishes the tail. Where
-// the 8×8 AVX-512 tile is installed, Adam runs an AVX-512 body instead, eight
-// lanes at a time over every element. The sparse kernels (sparse.go, pinned
-// by sparse_oracle_test.go) are dispatched the same way and keep the same
-// contract.
+// (nn.Adam and both embedding tables) and the vector adds (vector.go) — plus
+// FirstAbove, the bulk reject scan the logit selector runs over score runs.
+// Each has a pure Go body below and, on amd64 CPUs with AVX2, an assembly
+// body in elem_amd64.s chosen once at init (avx2_amd64.go) that runs four
+// lanes at a time over the longest prefix whose length is a multiple of
+// four; the Go body finishes the tail. Where the 8×8 AVX-512 tile is
+// installed, Adam runs an AVX-512 body instead, eight lanes at a time over
+// every element. The sparse kernels (sparse.go, pinned by
+// sparse_oracle_test.go) are dispatched the same way and keep the same
+// contract; among them are ReLU's forward and backward mask, which have no
+// dense form and write their results as CSR (ReLUCSRInto, ReLUMaskCSRInto).
 //
 // Determinism contract: every body computes every element with the same
 // sequence of separately rounded IEEE operations — multiply and add never
@@ -31,11 +32,9 @@ import (
 // Each processes the first n elements, n a multiple of four, without bounds
 // checks.
 var (
-	adamKernel     func(w, m, v, g *float64, n int, c adamConsts, decayed bool)
-	reluKernel     func(dst, x *float64, n int)
-	reluMaskKernel func(x, dy *float64, n int)
-	addVecKernel   func(x, y *float64, n int)
-	axpyKernel     func(a float64, x, y *float64, n int)
+	adamKernel   func(w, m, v, g *float64, n int, c adamConsts, decayed bool)
+	addVecKernel func(x, y *float64, n int)
+	axpyKernel   func(a float64, x, y *float64, n int)
 	// firstAboveKernel returns FirstAbove's answer within the first n
 	// elements, or n when there is none.
 	firstAboveKernel func(x *float64, n int, t float64) int
@@ -193,48 +192,6 @@ func adamGo(w, m, v, g []float64, c *adamConsts, decayed bool) {
 		v[i] = float64(c.beta2*v[i]) + float64(float64(c.oneMinusBeta2*gi)*gi)
 		w[i] -= c.lr * (m[i] / c.bc1) / (math.Sqrt(v[i]/c.bc2) + c.eps)
 		g[i] = 0
-	}
-}
-
-// ReLUVec computes dst = max(0, x) element-wise: x where x > 0, else +0 — so
-// −0 and NaN give +0. The slices must have equal length.
-func ReLUVec(dst, x []float64) {
-	if len(dst) != len(x) {
-		panic(fmt.Sprintf("tensor: ReLUVec lengths dst=%d x=%d", len(dst), len(x)))
-	}
-	i := 0
-	if reluKernel != nil && len(x) >= 4 {
-		i = len(x) &^ 3
-		reluKernel(&dst[0], &x[0], i)
-	}
-	dst = dst[i:len(x)]
-	for j, v := range x[i:] {
-		if v > 0 {
-			dst[j] = v
-		} else {
-			dst[j] = 0
-		}
-	}
-}
-
-// ReLUBackwardVec masks the upstream gradient dy in place by the activation
-// pattern of the pre-activation x: dy becomes +0 where x ≤ 0 and is kept
-// elsewhere — a NaN pre-activation keeps it. The slices must have equal
-// length.
-func ReLUBackwardVec(x, dy []float64) {
-	if len(dy) != len(x) {
-		panic(fmt.Sprintf("tensor: ReLUBackwardVec lengths x=%d dy=%d", len(x), len(dy)))
-	}
-	i := 0
-	if reluMaskKernel != nil && len(x) >= 4 {
-		i = len(x) &^ 3
-		reluMaskKernel(&x[0], &dy[0], i)
-	}
-	dy = dy[i:len(x)]
-	for j, v := range x[i:] {
-		if v <= 0 {
-			dy[j] = 0
-		}
 	}
 }
 

@@ -259,60 +259,6 @@ TEXT ·adamProofAVX512(SB), NOSPLIT, $0-40
 	VZEROUPPER
 	RET
 
-// func reluAVX2(dst, x *float64, n int)
-//
-// dst = x AND (x > 0, ordered): the mask is all ones where x > 0 and zero
-// elsewhere, NaN included, so −0 and NaN become +0.
-TEXT ·reluAVX2(SB), NOSPLIT, $0-24
-	MOVQ   dst+0(FP), DI
-	MOVQ   x+8(FP), SI
-	MOVQ   n+16(FP), CX
-	VXORPD Y15, Y15, Y15
-	SHLQ   $3, CX
-	XORQ   AX, AX
-	TESTQ  CX, CX
-	JEQ    reluDone
-
-reluLoop:
-	VMOVUPD (SI)(AX*1), Y0
-	VCMPPD  $0x1e, Y15, Y0, Y1  // GT_OQ: x > 0
-	VANDPD  Y0, Y1, Y1
-	VMOVUPD Y1, (DI)(AX*1)
-	ADDQ    $32, AX
-	CMPQ    AX, CX
-	JLT     reluLoop
-
-reluDone:
-	VZEROUPPER
-	RET
-
-// func reluMaskAVX2(x, dy *float64, n int)
-//
-// dy = dy AND !(x <= 0, unordered): the mask is all ones where x > 0 or x is
-// NaN, so a NaN pre-activation keeps dy, as the scalar `if x <= 0` does.
-TEXT ·reluMaskAVX2(SB), NOSPLIT, $0-24
-	MOVQ   x+0(FP), SI
-	MOVQ   dy+8(FP), DI
-	MOVQ   n+16(FP), CX
-	VXORPD Y15, Y15, Y15
-	SHLQ   $3, CX
-	XORQ   AX, AX
-	TESTQ  CX, CX
-	JEQ    maskDone
-
-maskLoop:
-	VMOVUPD (SI)(AX*1), Y0
-	VCMPPD  $0x16, Y15, Y0, Y1  // NLE_UQ: !(x <= 0)
-	VANDPD  (DI)(AX*1), Y1, Y1
-	VMOVUPD Y1, (DI)(AX*1)
-	ADDQ    $32, AX
-	CMPQ    AX, CX
-	JLT     maskLoop
-
-maskDone:
-	VZEROUPPER
-	RET
-
 // func addVecAVX2(x, y *float64, n int)
 TEXT ·addVecAVX2(SB), NOSPLIT, $0-24
 	MOVQ  x+0(FP), SI

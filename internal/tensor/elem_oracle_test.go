@@ -2,9 +2,10 @@ package tensor
 
 // The scalar loops the elementwise kernels (elem.go) replaced, kept verbatim
 // as their references — nn.Adam's step, the embedding tables' sparse Adam
-// step, nn's ReLU forward and backward, and the vector adds — and the tests
-// that pin every kernel, with its assembly body and with the pure Go one, to
-// them bit for bit.
+// step and the vector adds — and the tests that pin every kernel, with its
+// assembly body and with the pure Go one, to them bit for bit. The dense
+// ReLU forward and backward loops are kept too, as the reference of
+// sparse.go's ReLU compressions (sparse_oracle_test.go).
 
 import (
 	"fmt"
@@ -60,7 +61,8 @@ func adamBiasOracle(beta1, beta2 float64, st int) (bc1, bc2 float64) {
 	return 1 - math.Pow(beta1, float64(st)), 1 - math.Pow(beta2, float64(st))
 }
 
-// reluIntoOracle is nn.ReLUInto's loop.
+// reluIntoOracle is the dense ReLU forward: max(0, x), x where x > 0, else
+// +0 (−0 and NaN included).
 func reluIntoOracle(dst, x []float64) {
 	for i, v := range x {
 		if v > 0 {
@@ -71,7 +73,8 @@ func reluIntoOracle(dst, x []float64) {
 	}
 }
 
-// reluBackwardOracle is nn.ReLUBackwardInPlace's loop.
+// reluBackwardOracle is the dense ReLU backward: dy becomes +0 where x ≤ 0
+// and is kept elsewhere, a NaN x included.
 func reluBackwardOracle(x, dy []float64) {
 	for i, v := range x {
 		if v <= 0 {
@@ -158,12 +161,12 @@ func requireSameFloats(t *testing.T, label string, want, got []float64) {
 // forced to their pure Go bodies, the way gemm_oracle_test.go forces the Go
 // tile.
 func withGoBodies(f func()) {
-	adam, relu, mask, add, axpy, above := adamKernel, reluKernel, reluMaskKernel, addVecKernel, axpyKernel, firstAboveKernel
+	adam, add, axpy, above := adamKernel, addVecKernel, axpyKernel, firstAboveKernel
 	spmm, spmmT, reluCSR, maskCSR, transpose := spmmKernel, spmmTKernel, reluCSRKernel, reluMaskCSRKernel, transposeKernel
-	adamKernel, reluKernel, reluMaskKernel, addVecKernel, axpyKernel, firstAboveKernel = nil, nil, nil, nil, nil, nil
+	adamKernel, addVecKernel, axpyKernel, firstAboveKernel = nil, nil, nil, nil
 	spmmKernel, spmmTKernel, reluCSRKernel, reluMaskCSRKernel, transposeKernel = nil, nil, nil, nil, nil
 	defer func() {
-		adamKernel, reluKernel, reluMaskKernel, addVecKernel, axpyKernel, firstAboveKernel = adam, relu, mask, add, axpy, above
+		adamKernel, addVecKernel, axpyKernel, firstAboveKernel = adam, add, axpy, above
 		spmmKernel, spmmTKernel, reluCSRKernel, reluMaskCSRKernel, transposeKernel = spmm, spmmT, reluCSR, maskCSR, transpose
 	}()
 	withoutZMM(f)
@@ -336,24 +339,6 @@ func TestElemKernelsMatchOracle(t *testing.T) {
 			}
 		}
 		x, y, a := elemOperand(r, n), elemOperand(r, n), elemOperand(r, 1)[0]
-		requireKernelMatchesOracle(t, fmt.Sprintf("ReLU n=%d", n), func(kernel bool) [][]float64 {
-			dst := slices.Repeat([]float64{defaultNaN()}, n)
-			if kernel {
-				ReLUVec(dst, x)
-			} else {
-				reluIntoOracle(dst, x)
-			}
-			return [][]float64{dst}
-		})
-		requireKernelMatchesOracle(t, fmt.Sprintf("ReLU backward n=%d", n), func(kernel bool) [][]float64 {
-			dy := slices.Clone(y)
-			if kernel {
-				ReLUBackwardVec(x, dy)
-			} else {
-				reluBackwardOracle(x, dy)
-			}
-			return [][]float64{dy}
-		})
 		requireKernelMatchesOracle(t, fmt.Sprintf("AddVec n=%d", n), func(kernel bool) [][]float64 {
 			dst := slices.Clone(y)
 			if kernel {
@@ -509,8 +494,7 @@ func FuzzAdamUpdate(f *testing.F) {
 	})
 }
 
-// BenchmarkElementwise times each kernel at the NeuMF client step's shapes: a
-// 64-sample batch through the 64-wide hidden layer (ReLU forward and mask),
+// BenchmarkElementwise times each kernel at the NeuMF client step's shapes:
 // one 16-wide embedding row, the 64×32 weight matrix and the tower's
 // 64×64 first layer (Adam), and a bias-row add — as dispatched, on the AVX2
 // bodies (the AVX-512 ones uninstalled) and on the pure Go bodies. The
@@ -547,17 +531,6 @@ func benchmarkElementwise(b *testing.B) {
 			}
 		})
 	}
-	x, dst := normal(64*64), make([]float64, 64*64)
-	b.Run("ReLU/64x64", func(b *testing.B) {
-		for b.Loop() {
-			ReLUVec(dst, x)
-		}
-	})
-	b.Run("ReLUBackward/64x64", func(b *testing.B) {
-		for b.Loop() {
-			ReLUBackwardVec(x, dst)
-		}
-	})
 	bias, row := normal(64), make([]float64, 64)
 	b.Run("AddVec/64", func(b *testing.B) {
 		for b.Loop() {

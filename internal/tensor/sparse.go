@@ -336,15 +336,15 @@ func (m *CSR) spmmTRowGo(dst []float64, x *Matrix, k, j int) {
 }
 
 // ReLUCSRInto writes max(0, z) into dst as a CSR matrix of z's shape holding
-// only the elements with z > 0, each row's in column order: the nonzeros of
-// ReLUVec's output, every other element of which is +0 (−0, negatives and NaN
-// included). It is the activation a ReLU layer hands the next layer's
-// product, which then runs on the nonzeros alone. On amd64 CPUs each row is
-// compressed under the z > 0 mask eight elements at a time with AVX-512, or
-// four at a time with AVX2 (sparse_amd64.s); the pure Go body writes every
-// element and moves past it only when it is kept. dst's arrays are reused
-// once they hold z.Rows·z.Cols + 3 entries, the kernels' room to store a
-// whole block.
+// only the elements with z > 0, each row's in column order: every other
+// element of max(0, z) is +0 (−0, negatives and NaN included), so the CSR's
+// dense form is max(0, z) bit for bit. It is the activation a ReLU layer
+// hands the next layer's product, which then runs on the nonzeros alone. On
+// amd64 CPUs each row is compressed under the z > 0 mask eight elements at a
+// time with AVX-512, or four at a time with AVX2 (sparse_amd64.s); the pure
+// Go body writes every element and moves past it only when it is kept. dst's
+// arrays are reused once they hold z.Rows·z.Cols + 3 entries, the kernels'
+// room to store a whole block.
 func ReLUCSRInto(dst *CSR, z *Matrix) {
 	rows, cols := z.Rows, z.Cols
 	zd := z.Data[:rows*cols]
@@ -372,10 +372,11 @@ func ReLUCSRInto(dst *CSR, z *Matrix) {
 	dst.sizeNNZ(dst.RowPtr[rows])
 }
 
-// ReLUMaskCSRInto is ReLUBackwardVec(z.Data, dy.Data) — dy becomes +0 where
-// z ≤ 0 and is kept elsewhere, a NaN pre-activation included — that also
-// writes the result into dst as a CSR matrix of dy's shape holding the kept
-// elements, dy's values (±0 included), each row's in column order. On amd64
+// ReLUMaskCSRInto is ReLU's backward: it masks dy in place by the !(z ≤ 0)
+// pattern of the pre-activation z — dy becomes +0 where z ≤ 0 and is kept
+// elsewhere, a NaN pre-activation included — and also writes the result
+// into dst as a CSR matrix of dy's shape holding the kept elements, dy's
+// values (±0 included), each row's in column order. On amd64
 // CPUs each row is masked and compressed under !(z ≤ 0) as ReLUCSRInto
 // compresses, and dst's arrays are reused the same way.
 func ReLUMaskCSRInto(dst *CSR, z, dy *Matrix) {

@@ -551,7 +551,7 @@ rDone:
 
 // func reluMaskCSRAVX512(val *float64, col, rowPtr *int, z, dy *float64, rows, cols int)
 //
-// reluMaskAVX2 that also writes its output as a CSR: dy = dy where
+// ReLU's backward mask, written back into dy and as a CSR: dy = dy where
 // !(z <= 0) (NLE_UQ, so a NaN pre-activation keeps dy) and +0 elsewhere, and
 // the kept lanes, dy's values ±0 included, are compressed into val with
 // their column indices into col, as reluCSRAVX512 does. Registers are

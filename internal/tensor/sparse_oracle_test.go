@@ -237,9 +237,10 @@ func requireReLUCSR(t *testing.T, label string, m *CSR, z, want *Matrix, keep fu
 // core it runs in place of, on every body the host has (gemmBodies), at rows
 // 0–70 and widths 1–70, over ReLU-sparse operands with empty, all-zero and
 // all-dense rows, ±0, subnormals and NaN pre-activations:
-//   - ReLUCSRInto(z) holds exactly the nonzeros of ReLUVec(z), and
-//     ReLUMaskCSRInto(z, dy) masks dy to ReLUBackwardVec's bits and holds
-//     exactly its !(z ≤ 0) elements;
+//   - ReLUCSRInto(z) holds exactly the nonzeros of the dense ReLU loop's
+//     output (reluIntoOracle), and ReLUMaskCSRInto(z, dy) masks dy to the
+//     dense backward loop's bits (reluBackwardOracle) and holds exactly its
+//     !(z ≤ 0) elements;
 //   - each compressed A times finite operands equals the dense core on A's
 //     dense form bit for bit: A·W through spmmRows against MatMulInto, and
 //     Aᵀ·X through MulTDenseInto against MatMulATBInto.
@@ -256,8 +257,8 @@ func FuzzReLUSparseMatchesDense(f *testing.F) {
 		z, dy := reluOperand(r, rows, cols, true), finiteOperand(r, rows, cols)
 		w, x := finiteOperand(r, cols, d), finiteOperand(r, rows, d)
 		act, masked := New(rows, cols), dy.Clone()
-		ReLUVec(act.Data, z.Data)
-		ReLUBackwardVec(z.Data, masked.Data)
+		reluIntoOracle(act.Data, z.Data)
+		reluBackwardOracle(z.Data, masked.Data)
 		want := make([]*Matrix, 4)
 		for k, a := range []*Matrix{act, masked} {
 			want[2*k], want[2*k+1] = New(rows, d), New(cols, d)
@@ -284,6 +285,47 @@ func FuzzReLUSparseMatchesDense(f *testing.F) {
 			})
 		}
 	})
+}
+
+// TestReLUCSRNaNAndNegativeZero pins the ReLU compressions' edge semantics
+// bit for bit on every body the host has: the forward's dense form is +0 for
+// NaN, ±0, negatives and −Inf, and the mask zeroes dy to +0 where z ≤ 0 (−0
+// included) and keeps it where z is NaN. Each case fills a 5×5 matrix, so
+// every row runs a whole block and a tail.
+func TestReLUCSRNaNAndNegativeZero(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	for _, c := range []struct {
+		z, fwd float64
+		keep   bool
+	}{
+		{math.NaN(), 0, true},
+		{negZero, 0, false},
+		{0, 0, false},
+		{-2, 0, false},
+		{math.Inf(-1), 0, false},
+		{3, 3, true},
+		{math.Inf(1), math.Inf(1), true},
+	} {
+		z, dy, act, masked := New(5, 5), New(5, 5), New(5, 5), New(5, 5)
+		for i := range z.Data {
+			z.Data[i], dy.Data[i], act.Data[i] = c.z, negZero, c.fwd
+			if c.keep {
+				masked.Data[i] = negZero
+			}
+		}
+		for _, body := range gemmBodies() {
+			body.with(func() {
+				label := fmt.Sprintf("z=%v (%s)", c.z, body.name)
+				var a, g CSR
+				ReLUCSRInto(&a, z)
+				requireReLUCSR(t, label+" ReLUCSRInto", &a, z, act, func(v float64) bool { return v > 0 })
+				got := dy.Clone()
+				ReLUMaskCSRInto(&g, z, got)
+				requireSameFloats(t, label+" ReLUMaskCSRInto output", masked.Data, got.Data)
+				requireReLUCSR(t, label+" ReLUMaskCSRInto", &g, z, masked, func(v float64) bool { return !(v <= 0) })
+			})
+		}
+	}
 }
 
 // sentinel returns a rows×cols matrix holding 12345.5 everywhere, so an
