@@ -9,7 +9,7 @@ GO ?= go
 # CI, fails above it. A change that shrinks the code lowers it to the size it
 # reaches; one that has to grow the code raises it in the same diff, where a
 # reviewer sees the price.
-LOC_BUDGET = 12838
+LOC_BUDGET = 12915
 
 # The packages whose concurrent paths CI runs in full (not -short) under the
 # race detector, so an unsynchronised read or write fails: eval, fed, graph,
@@ -27,7 +27,7 @@ RACE_FULL = ./internal/eval/... ./internal/fed/... ./internal/graph/... \
 	./internal/comm/... ./internal/coord/... ./internal/rng/... \
 	./internal/tensor/... ./internal/nn/...
 
-.PHONY: build cross test race experiments race-full fuzz-wire fuzz-kernels selftest examples bench-module bench-smoke bench benchmark loc traffic test-names fmt fmt-check vet ci
+.PHONY: build cross test race experiments race-full fuzz-wire fuzz-kernels selftest examples bench-module bench-smoke bench benchmark equiv equiv-report loc traffic test-names fmt fmt-check vet ci
 
 build:
 	$(GO) build ./...
@@ -216,6 +216,45 @@ bench: bench-smoke
 # nothing above reaches it.
 benchmark:
 	bash bench/run.sh -seed 1
+
+# equiv is the gate for a change that moves numbers on purpose, so that a
+# History digest changes: it checks BASE (the parent commit by default;
+# BASE=HEAD for an uncommitted change) out in a git worktree under a temp
+# dir, runs ten measured sets of every workload on each side, set i on seed
+# 1+i (bench/run.sh -repeat 10 -vary-seed), and then prints, per workload,
+# each end-to-end metric against its bound in BENCHMARK.json (bench/run.sh
+# -compare: the timings must stay within theirs) and whether the change's
+# final_ndcg and attack_f1 medians lie inside the parent's [q1, q3]. It fails
+# on a timing beyond its bound or a quality median outside the quartiles.
+# The parent's sets are kept as bench/out/equiv-base.json beside the
+# change's bench/out/repeat10-seed1.json.
+# ~15-30 min on two cores; not part of `make ci`, and nothing under bench/ is
+# touched but its git-ignored out/.
+BASE ?= HEAD~1
+EQUIV_SETS = 10
+EQUIV_OUT = bench/out/repeat$(EQUIV_SETS)-seed1.json
+EQUIV_QUALITY = ($$c[0].summary | map({key: "\(.workload) \(.metric)", value: .median}) | from_entries) as $$med | $$p[0].summary[] | select(.metric == "final_ndcg" or .metric == "attack_f1") | $$med["\(.workload) \(.metric)"] as $$m | "\(.workload) \(.metric): change median \($$m), parent [\(.q1), \(.q3)] \(if $$m >= .q1 and $$m <= .q3 then "inside" else "OUTSIDE" end)"
+equiv:
+	@tmp="$$(mktemp -d)"; \
+	trap 'git worktree remove --force "$$tmp/base" >/dev/null 2>&1; git worktree prune; rm -rf "$$tmp"' EXIT; \
+	git worktree add --detach "$$tmp/base" "$(BASE)" >/dev/null || exit 1; \
+	echo "== parent: $$(git rev-parse --short "$(BASE)")"; \
+	(cd "$$tmp/base" && bash bench/run.sh -repeat $(EQUIV_SETS) -vary-seed) || exit 1; \
+	mkdir -p bench/out && cp "$$tmp/base/$(EQUIV_OUT)" bench/out/equiv-base.json || exit 1; \
+	echo "== change: this checkout"; \
+	bash bench/run.sh -repeat $(EQUIV_SETS) -vary-seed || exit 1; \
+	$(MAKE) --no-print-directory equiv-report
+
+# equiv-report is equiv's verdict on the two result files it leaves, so a
+# verdict can be re-read without re-running the sets.
+equiv-report:
+	@echo "== every end-to-end metric against its bound, parent -> change"; \
+	bash bench/run.sh -compare bench/out/equiv-base.json $(EQUIV_OUT); timing=$$?; \
+	echo "== the change's quality medians against the parent's [q1, q3]"; \
+	quality="$$(jq -rn --slurpfile p bench/out/equiv-base.json --slurpfile c $(EQUIV_OUT) '$(EQUIV_QUALITY)')" || exit 1; \
+	echo "$$quality"; \
+	if echo "$$quality" | grep -q OUTSIDE || [ "$$timing" -ne 0 ]; then echo "equiv: FAIL"; exit 1; fi; \
+	echo "equiv: pass"
 
 # loc prints the two sizes simplification work is judged by — lines of non-test
 # Go and of all Go, outside bench/ (a module of its own, frozen by

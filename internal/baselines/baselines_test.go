@@ -198,14 +198,34 @@ func TestMetaMFPersonalization(t *testing.T) {
 		t.Fatal(err)
 	}
 	Run(m)
-	_, _, _, _, s0, _ := m.generate(0)
-	_, _, _, _, s1, _ := m.generate(1)
+	s0, _ := m.generate(m.newMetaPass(), 0)
+	s1, _ := m.generate(m.newMetaPass(), 1)
 	diff := 0.0
 	for k := range s0 {
 		diff += math.Abs(s0[k] - s1[k])
 	}
 	if diff == 0 {
 		t.Fatal("meta-network generates identical modulation for all users")
+	}
+}
+
+// TestMetaMFWarmScoringAllocatesNothing pins that a WarmScoring after the
+// first runs every user's meta-network over the one pass it keeps: 0
+// allocations.
+func TestMetaMFWarmScoringAllocatesNothing(t *testing.T) {
+	sp := tinySplit(t)
+	m, err := NewMetaMF(sp, fastConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.RunRound(0)
+	m.WarmScoring()
+	warm := func() {
+		m.modFresh = false
+		m.WarmScoring()
+	}
+	if allocs := testing.AllocsPerRun(10, warm); allocs != 0 {
+		t.Fatalf("a WarmScoring after the first allocates %v times, want 0", allocs)
 	}
 }
 
@@ -280,7 +300,7 @@ func TestMetaMFStateDigestPinned(t *testing.T) {
 		binary.Write(h, binary.LittleEndian, int64(p.T))
 	}
 	for u := range sp.NumUsers {
-		put(m.cv.Row(u)...)
+		put(m.cv.W.Row(u)...)
 	}
 	for _, a := range m.users {
 		put(a.w...)

@@ -57,7 +57,7 @@ func sharedItemsProbs(s *sharedItems) func(u int, items []int) []float64 {
 // against the item embedding the meta-network generates for them.
 func metaMFProbs(m *MetaMF) func(u int, items []int) []float64 {
 	return func(u int, items []int) []float64 {
-		_, _, _, _, scale, shift := m.generate(u)
+		scale, shift := m.generate(m.newMetaPass(), u)
 		out := make([]float64, len(items))
 		p := m.users[u].w
 		for i, v := range items {
@@ -134,11 +134,13 @@ func TestEvaluateMatchesNaive(t *testing.T) {
 	}
 }
 
-// TestMetaMFEvaluateRunsGeneratorOncePerUser bounds one Evaluate after the
-// generator moved: the meta-network runs once per user, not once per block
-// the rank counter scores a user in (the held-out items, then each item
-// window), so Evaluate allocates at most one generate's worth per user plus
-// the evaluator's own few.
+// TestMetaMFEvaluateRunsGeneratorOncePerUser pins that Evaluate runs the
+// meta-network once per user, not once per block the rank counter scores a
+// user in (the held-out items, then each item window). While the modulation
+// is fresh, moving l2's bias — every user's scale and shift — must leave
+// Evaluate and every block's logits as they were; once it is stale, one
+// Evaluate must leave every user's modulation equal to a run of the moved
+// generator, and the logits must move.
 func TestMetaMFEvaluateRunsGeneratorOncePerUser(t *testing.T) {
 	sp := tinySplit(t)
 	cfg := fastConfig()
@@ -149,14 +151,46 @@ func TestMetaMFEvaluateRunsGeneratorOncePerUser(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.RunRound(0)
-	perGenerate := testing.AllocsPerRun(10, func() { m.generate(0) })
-	got := testing.AllocsPerRun(5, func() {
-		m.modFresh = false
-		m.Evaluate()
-	})
-	if limit := perGenerate*float64(sp.NumUsers) + 32; got > limit {
-		t.Fatalf("Evaluate allocates %.0f, want at most %.0f (%.0f per generate, %d users)",
-			got, limit, perGenerate, sp.NumUsers)
+	want := m.Evaluate()
+	users := make([]int, sp.NumUsers)
+	for u := range users {
+		users[u] = u
+	}
+	// logits scores every user in windows of 7 items, a block per window.
+	logits := func() []float64 {
+		var out []float64
+		for lo := 0; lo < sp.NumItems; lo += 7 {
+			items := make([]int, 0, 7)
+			for v := lo; v < min(lo+7, sp.NumItems); v++ {
+				items = append(items, v)
+			}
+			block := tensor.New(len(users), len(items))
+			m.ScoreUsersBlockLogitsInto(block, users, items)
+			out = append(out, block.Data...)
+		}
+		return out
+	}
+	before := logits()
+	for i := range m.l2.B.W.Data {
+		m.l2.B.W.Data[i] += 0.25
+	}
+	if got := m.Evaluate(); got != want {
+		t.Fatalf("Evaluate on a fresh modulation after the generator moved: %+v, want %+v", got, want)
+	}
+	if !slices.Equal(logits(), before) {
+		t.Fatal("a scoring block ran the meta-network while the modulation was fresh")
+	}
+	m.modFresh = false
+	m.Evaluate()
+	dim := cfg.Dim
+	for u := range sp.NumUsers {
+		scale, shift := m.generate(m.newMetaPass(), u)
+		if got := m.mod.Row(u); !slices.Equal(got[:dim], scale) || !slices.Equal(got[dim:], shift) {
+			t.Fatalf("Evaluate left user %d's modulation stale", u)
+		}
+	}
+	if slices.Equal(logits(), before) {
+		t.Fatal("moving l2's bias left every logit as it was; the check above shows nothing")
 	}
 }
 
@@ -165,15 +199,14 @@ func TestMetaMFEvaluateRunsGeneratorOncePerUser(t *testing.T) {
 // on the same weights, before backprop reads them.
 func regenerateRound(m *MetaMF, round int) {
 	if m.passes == nil {
-		m.passes = make([]metaPass, m.split.NumUsers)
+		m.passes = make([]*metaPass, m.split.NumUsers)
 	}
 	m.round(round, func(u int) *tensor.Matrix {
-		_, _, _, _, scale, shift := m.generate(u)
-		return m.generatedItems(scale, shift)
+		return m.generatedItems(m.generate(m.newMetaPass(), u))
 	}, func(idx []int, grads [][]float64) {
 		for _, u := range idx {
-			x, h1, a1, _, scale, _ := m.generate(u)
-			m.passes[u] = metaPass{x: x, h1: h1, a1: a1, scale: scale}
+			m.passes[u] = m.newMetaPass()
+			m.generate(m.passes[u], u)
 		}
 		m.backprop(idx, grads)
 	})
@@ -206,7 +239,7 @@ func TestMetaMFRoundRunsGeneratorOncePerUser(t *testing.T) {
 			out = append(out, p.W.Data)
 		}
 		for u := range sp.NumUsers {
-			out = append(out, m.cv.Row(u), m.users[u].w)
+			out = append(out, m.cv.W.Row(u), m.users[u].w)
 		}
 		return out
 	}
@@ -214,7 +247,7 @@ func TestMetaMFRoundRunsGeneratorOncePerUser(t *testing.T) {
 		t.Fatal("reusing the download's meta-network run moved the trained parameters")
 	}
 
-	perGenerate := testing.AllocsPerRun(10, func() { once.generate(0) })
+	perGenerate := testing.AllocsPerRun(10, func() { once.generate(once.newMetaPass(), 0) })
 	cohort := max(1, int(cfg.ClientFraction*float64(sp.NumUsers)))
 	onceAllocs := testing.AllocsPerRun(3, func() { once.RunRound(cfg.Rounds) })
 	twiceAllocs := testing.AllocsPerRun(3, func() { regenerateRound(twice, cfg.Rounds) })

@@ -38,15 +38,28 @@ type MetaMF struct {
 	modFresh bool
 
 	// passes holds, by user, the meta-network run RunRound's download made
-	// for each cohort user; backprop reads it and clears it.
-	passes []metaPass
+	// for each cohort user; backprop reads it and clears it. warm is the one
+	// run WarmScoring reuses for every user.
+	passes []*metaPass
+	warm   *metaPass
 }
 
-// metaPass is what backprop reads of one user's meta-network run.
+// metaPass is one user's meta-network run: the input x (cvᵤ), the hidden
+// pre-activation h1 and its ReLU's nonzeros a1, and the output
+// (scale ‖ shift). backprop reads x, h1, a1 and the scale.
 type metaPass struct {
 	x, h1 *tensor.Matrix
 	a1    *tensor.CSR
-	scale []float64
+	out   *tensor.Matrix
+}
+
+func (m *MetaMF) newMetaPass() *metaPass {
+	return &metaPass{
+		x:   &tensor.Matrix{Rows: 1, Cols: cvDim},
+		h1:  tensor.New(1, metaHidden),
+		a1:  new(tensor.CSR),
+		out: tensor.New(1, 2*m.cfg.Dim),
+	}
 }
 
 // NewMetaMF builds the baseline for a split.
@@ -71,21 +84,18 @@ func NewMetaMF(sp *data.Split, cfg Config) (*MetaMF, error) {
 	return m, nil
 }
 
-// generate runs the meta-network for user u into new matrices — the hidden
-// ReLU's output as its nonzeros, which l2 runs on — and returns the
-// modulation and backprop's intermediates. RunRound's clients call it
-// concurrently, so it shares no buffer; x aliases cvᵤ, which only cv.Step
-// moves, after backprop's last read of x. Nothing steps cv, l1 or l2 between
-// a round's download and its backprop, so backprop reuses it bitwise.
-func (m *MetaMF) generate(u int) (x, h1 *tensor.Matrix, a1 *tensor.CSR, out *tensor.Matrix, scale, shift []float64) {
-	x = tensor.FromSlice(1, cvDim, m.cv.Row(u))
-	h1 = m.l1.ForwardInto(tensor.New(1, metaHidden), x)
-	a1 = new(tensor.CSR)
-	tensor.ReLUCSRInto(a1, h1)
-	out = m.l2.ForwardCSRInto(tensor.New(1, 2*m.cfg.Dim), a1)
-	scale = out.Row(0)[:m.cfg.Dim]
-	shift = out.Row(0)[m.cfg.Dim:]
-	return x, h1, a1, out, scale, shift
+// generate runs the meta-network for user u into p — the hidden ReLU's
+// output as its nonzeros, which l2 runs on — and returns the modulation.
+// RunRound's clients call it concurrently, each with a pass of its own; x
+// aliases cvᵤ, which only cv.Step moves, after backprop's last read of x.
+// Nothing steps cv, l1 or l2 between a round's download and its backprop, so
+// backprop reuses the pass bitwise.
+func (m *MetaMF) generate(p *metaPass, u int) (scale, shift []float64) {
+	p.x.Data = m.cv.W.Row(u)
+	m.l1.ForwardInto(p.h1, p.x)
+	tensor.ReLUCSRInto(p.a1, p.h1)
+	out := m.l2.ForwardCSRInto(p.out, p.a1).Row(0)
+	return out[:m.cfg.Dim], out[m.cfg.Dim:]
 }
 
 // generatedItems materialises Qᵤ — the payload the server ships to client u.
@@ -105,11 +115,12 @@ func (m *MetaMF) generatedItems(scale, shift []float64) *tensor.Matrix {
 // Qᵤ.
 func (m *MetaMF) RunRound(round int) {
 	if m.passes == nil {
-		m.passes = make([]metaPass, m.split.NumUsers)
+		m.passes = make([]*metaPass, m.split.NumUsers)
 	}
 	m.round(round, func(u int) *tensor.Matrix {
-		x, h1, a1, _, scale, shift := m.generate(u)
-		m.passes[u] = metaPass{x: x, h1: h1, a1: a1, scale: scale}
+		p := m.newMetaPass()
+		scale, shift := m.generate(p, u)
+		m.passes[u] = p
 		return m.generatedItems(scale, shift)
 	}, m.backprop)
 }
@@ -130,7 +141,8 @@ func (m *MetaMF) backprop(idx []int, grads [][]float64) {
 	for slot, u := range idx {
 		dq := grads[slot]
 		pass := m.passes[u]
-		m.passes[u] = metaPass{}
+		m.passes[u] = nil
+		scale := pass.out.Row(0)[:dim]
 		clear(dout.Data)
 		for v := 0; v < m.split.NumItems; v++ {
 			b := m.base.W.Row(v)
@@ -140,7 +152,7 @@ func (m *MetaMF) backprop(idx []int, grads [][]float64) {
 				if g == 0 {
 					continue
 				}
-				bg[k] += g * (1 + pass.scale[k])
+				bg[k] += g * (1 + scale[k])
 				dscale[k] += g * b[k]
 				dshift[k] += g
 			}
@@ -170,19 +182,21 @@ func (m *MetaMF) backprop(idx []int, grads [][]float64) {
 func (m *MetaMF) Evaluate() eval.Result { return m.rank(m) }
 
 // WarmScoring implements models.Warmer: it runs the meta-network once per
-// user into mod unless mod is fresh. The rank counter scores every user in
-// several blocks (the held-out items, then each item window), and each
-// block reads the modulation from mod.
+// user into mod unless mod is fresh, every user's run over the one pass it
+// reuses, so only the first call allocates. The rank counter scores every
+// user in several blocks (the held-out items, then each item window), and
+// each block reads the modulation from mod.
 func (m *MetaMF) WarmScoring() {
 	if m.modFresh {
 		return
 	}
 	if m.mod == nil {
 		m.mod = tensor.New(m.split.NumUsers, 2*m.cfg.Dim)
+		m.warm = m.newMetaPass()
 	}
 	for u := range m.split.NumUsers {
-		_, _, _, out, _, _ := m.generate(u)
-		copy(m.mod.Row(u), out.Row(0))
+		m.generate(m.warm, u)
+		copy(m.mod.Row(u), m.warm.out.Row(0))
 	}
 	m.modFresh = true
 }

@@ -8,15 +8,23 @@
 // proportional to the user's profile instead of the item catalogue.
 //
 // Either way the weights, both Adam moments and the step counters live in
-// slot-addressed slabs with no per-row pointers: one page for a dense table,
+// slot-addressed slabs with no per-row pointers: one slab for a dense table,
 // whose slot is the row id, and pages that double up to a fixed size for a
-// lazy table, whose slot is the order rows were first touched. A dense page
+// lazy table, whose slot is the order rows were first touched. A dense slab
 // keeps the weights as one block, the matrix W the batched kernels read; a
 // lazy page keeps each row whole, weights then both moments, so one row's
 // Adam step reads one run of memory. A lazy table finds a row's slot, and a
 // RowGrads a row's gradient, through an open-addressed index over its
 // first-touch list of ids instead of a Go map. Gradients are collected
 // outside the table, in a RowGrads the caller owns, which Step consumes.
+//
+// A dense table is float64 throughout. A lazy table, the one every client
+// model trains on its device, keeps its rows as float32 at rest, 12·Dim bytes
+// a row, and computes in float64: a read widens a row exactly, and a value is
+// rounded to nearest in exactly two places, when a first touch stores the
+// init draw and when Step stores the weights and moments AdamUpdate computed
+// from the widened row. So a stepped lazy row holds exactly
+// float32(AdamUpdate(float64(row))).
 package emb
 
 import (
@@ -28,17 +36,21 @@ import (
 )
 
 // Table is an embedding table with per-row Adam state. Rows are updated
-// sparsely: only rows with a gradient pay optimizer cost.
+// sparsely: only rows with a gradient pay optimizer cost. A dense table's
+// rows are float64 and can be aliased; a lazy table's rest as float32 and
+// are read by widening into a caller's buffer.
 type Table struct {
 	Dim int
 	// W is a dense table's weights, row i at W.Row(i); nil for a lazy table.
 	W *tensor.Matrix
-	// pages hold the rows by slot. A dense table is one page of three
-	// rows·Dim blocks: W, then the first Adam moments, then the second. A
-	// lazy table's pages double from one row up to lazyPageRows, so a row
-	// never moves, and each holds its rows whole, 3·Dim floats apiece: the
-	// weights, then the first moment, then the second.
-	pages [][]float64
+	// dense is a dense table's one slab of three rows·Dim blocks: W, then
+	// the first Adam moments, then the second; nil for a lazy table.
+	dense []float64
+	// pages hold a lazy table's rows by slot. They double from one row up to
+	// lazyPageRows, so a row never moves, and each holds its rows whole,
+	// 3·Dim float32 values apiece: the weights, then the first moment, then
+	// the second.
+	pages [][]float32
 	// steps is each slot's Adam step count.
 	steps []int
 	// ids lists a lazy table's row ids by slot, and index finds an id's slot
@@ -72,11 +84,11 @@ func lazyPage(s int) (k, off, rows int) {
 // NewTable allocates a dense rows×dim table initialized with N(0, 0.01) — the
 // conventional embedding init for collaborative filtering models.
 func NewTable(s *rng.Stream, rows, dim int, lr float64) *Table {
-	page := make([]float64, 3*rows*dim)
+	slab := make([]float64, 3*rows*dim)
 	t := &Table{
 		Dim:   dim,
-		W:     tensor.FromSlice(rows, dim, page[:rows*dim]),
-		pages: [][]float64{page},
+		W:     tensor.FromSlice(rows, dim, slab[:rows*dim]),
+		dense: slab,
 		steps: make([]int, rows),
 		lr:    lr,
 	}
@@ -87,33 +99,42 @@ func NewTable(s *rng.Stream, rows, dim int, lr float64) *Table {
 }
 
 // NewLazyTable returns an empty lazy table; each first-touched row is filled
-// with N(0, 0.01) values drawn from the table's one "lazytable" stream, so a
-// row's init depends on the order rows are first touched.
+// with N(0, 0.01) values drawn from the table's one "lazytable" stream and
+// rounded to float32, so a row's init depends on the order rows are first
+// touched.
 func NewLazyTable(s *rng.Stream, dim int, lr float64) *Table {
 	return &Table{Dim: dim, init: s.Derive("lazytable"), lr: lr}
 }
 
-// Row returns row i's weights, aliasing the table's storage; only Step
-// writes them. A lazy table adds the row on first touch. Rows never move, so
-// the slice stays the row's for the table's life.
-func (t *Table) Row(i int) []float64 {
-	w, _, _ := t.row(t.slot(i))
-	return w
+// ReadRow writes row i's weights into dst, which must hold Dim values: a
+// dense table's copied, a lazy table's widened exactly. It is the one way to
+// read a row of either layout, since a lazy table's float32 row cannot be
+// aliased; a dense table's batched kernels read W directly. A lazy table
+// adds the row on first touch.
+func (t *Table) ReadRow(dst []float64, i int) {
+	if !t.lazy() {
+		copy(dst[:t.Dim], t.W.Row(i))
+		return
+	}
+	widen(dst[:t.Dim], t.lazyRow(t.slot(i))[:t.Dim])
 }
 
 // lazy reports whether the table adds rows on first touch.
 func (t *Table) lazy() bool { return t.W == nil }
 
-// row returns the weights and both Adam moments of the row in slot s.
-func (t *Table) row(s int) (w, m, v []float64) {
-	d := t.Dim
-	if !t.lazy() {
-		p, n, o := t.pages[0], len(t.W.Data), s*d
-		return p[o : o+d], p[n+o : n+o+d], p[2*n+o : 2*n+o+d]
-	}
+// denseRow returns the weights and both Adam moments of a dense table's row
+// s.
+func (t *Table) denseRow(s int) (w, m, v []float64) {
+	d, n := t.Dim, len(t.W.Data)
+	o := s * d
+	return t.dense[o : o+d], t.dense[n+o : n+o+d], t.dense[2*n+o : 2*n+o+d]
+}
+
+// lazyRow returns a lazy table's row in slot s whole: its weights, then both
+// Adam moments, Dim float32 values each.
+func (t *Table) lazyRow(s int) []float32 {
 	k, off, _ := lazyPage(s)
-	r := t.pages[k][3*d*off : 3*d*(off+1)]
-	return r[:d], r[d : 2*d], r[2*d:]
+	return t.pages[k][3*t.Dim*off : 3*t.Dim*(off+1)]
 }
 
 // slot returns row i's slot, adding the row to a lazy table on first touch.
@@ -126,11 +147,11 @@ func (t *Table) slot(i int) int {
 		t.ids = append(t.ids, i)
 		t.steps = append(t.steps, 0)
 		if _, off, n := lazyPage(s); off == 0 {
-			t.pages = append(t.pages, make([]float64, 3*n*t.Dim))
+			t.pages = append(t.pages, make([]float32, 3*n*t.Dim))
 		}
-		w, _, _ := t.row(s)
+		w := t.lazyRow(s)[:t.Dim]
 		for k := range w {
-			w[k] = t.init.Normal(0, 0.1)
+			w[k] = float32(t.init.Normal(0, 0.1))
 		}
 	}
 	return s
@@ -140,15 +161,41 @@ func (t *Table) slot(i int) int {
 // g. Each row keeps its own step counter for bias correction and takes the
 // undecayed form, matching the sparse-Adam behaviour of mainstream
 // frameworks. Rows update independently, so g's order cannot change a value.
+// A lazy row is widened into g's scratch, stepped there, and rounded back.
 func (t *Table) Step(g *RowGrads) {
+	d := t.Dim
 	for k, i := range g.ids {
 		s := t.slot(i)
 		t.steps[s]++
 		up := tensor.NewAdamStep(t.lr, t.steps[s], false)
-		w, m, v := t.row(s)
-		tensor.AdamUpdate(w, m, v, g.slab[k*g.dim:(k+1)*g.dim], &up)
+		grad := g.slab[k*d : (k+1)*d]
+		if !t.lazy() {
+			w, m, v := t.denseRow(s)
+			tensor.AdamUpdate(w, m, v, grad, &up)
+			continue
+		}
+		row, x := t.lazyRow(s), g.wide[:3*d]
+		widen(x, row)
+		tensor.AdamUpdate(x[:d], x[d:2*d], x[2*d:], grad, &up)
+		narrow(row, x)
 	}
 	g.Reset()
+}
+
+// widen sets dst to src's values, exactly.
+func widen(dst []float64, src []float32) {
+	dst = dst[:len(src)]
+	for k, x := range src {
+		dst[k] = float64(x)
+	}
+}
+
+// narrow sets dst to src's values rounded to nearest float32.
+func narrow(dst []float32, src []float64) {
+	dst = dst[:len(src)]
+	for k, x := range src {
+		dst[k] = float32(x)
+	}
 }
 
 // RowGrads collects sparse per-row gradient vectors: one training shard's,
@@ -162,11 +209,14 @@ type RowGrads struct {
 	ids   []int // touched rows, first-touch order
 	index index // row → position in ids (and in slab, ×dim)
 	slab  []float64
+	// wide is the 3·dim float64 scratch a lazy table's Step widens each row
+	// into, so the per-client tables carry none.
+	wide []float64
 }
 
 // NewRowGrads returns an empty set of dim-wide gradient rows.
 func NewRowGrads(dim int) *RowGrads {
-	return &RowGrads{dim: dim}
+	return &RowGrads{dim: dim, wide: make([]float64, 3*dim)}
 }
 
 // Reset forgets every row, keeping the storage. It costs the rows touched,

@@ -3,7 +3,9 @@ package emb
 // The two table types the slab-backed Table replaced, kept as its reference
 // (renamed tableOracle and lazyTableOracle so they sit beside it): a dense
 // table whose pending gradients and step counters lived in maps, and a lazy
-// table holding each materialised row as four slices behind a map entry.
+// table holding each materialised row as four slices behind a map entry,
+// its weights and moments as float32 at rest as the live lazy layout keeps
+// them.
 // Each reports a row's weights, moments and step count through state.
 // FuzzTableMatchesOracle drives both layouts through the same random
 // sequences on the live type and on these, and
@@ -86,20 +88,23 @@ func (t *tableOracle) state(id int) (w, m, v []float64, step int, ok bool) {
 func (t *tableOracle) size() int { return t.W.Rows }
 
 // lazyTableOracle is an embedding table that materialises rows on demand.
+// Its rows rest as float32: a first touch rounds the init draw, and Step
+// widens a row, runs AdamUpdate in float64 and rounds the three results.
 type lazyTableOracle struct {
 	Dim  int
 	rows map[int]*lazyRow
 	// dirty lists the rows with a pending gradient, in the order they
 	// turned dirty: all Step visits.
 	dirty []*lazyRow
-	init  func(out []float64)
+	init  func(out []float32)
 	lr    float64
 }
 
 type lazyRow struct {
-	w, m, v, grad []float64
-	step          int
-	dirty         bool
+	w, m, v []float32
+	grad    []float64
+	step    int
+	dirty   bool
 }
 
 // newLazyTableOracle returns an empty table; each first-touched row is filled with
@@ -111,24 +116,24 @@ func newLazyTableOracle(s *rng.Stream, dim int, lr float64) *lazyTableOracle {
 		Dim:  dim,
 		rows: map[int]*lazyRow{},
 		lr:   lr,
-		init: func(out []float64) {
+		init: func(out []float32) {
 			for i := range out {
-				out[i] = base.Normal(0, 0.1)
+				out[i] = float32(base.Normal(0, 0.1))
 			}
 		},
 	}
 }
 
-// Row returns row i, materialising it on first use.
-func (t *lazyTableOracle) Row(i int) []float64 { return t.row(i).w }
+// Row returns row i widened, materialising it on first use.
+func (t *lazyTableOracle) Row(i int) []float64 { return wide(t.row(i).w) }
 
 func (t *lazyTableOracle) row(i int) *lazyRow {
 	r, ok := t.rows[i]
 	if !ok {
 		r = &lazyRow{
-			w:    make([]float64, t.Dim),
-			m:    make([]float64, t.Dim),
-			v:    make([]float64, t.Dim),
+			w:    make([]float32, t.Dim),
+			m:    make([]float32, t.Dim),
+			v:    make([]float32, t.Dim),
 			grad: make([]float64, t.Dim),
 		}
 		t.init(r.w)
@@ -154,24 +159,37 @@ func (t *lazyTableOracle) Step() {
 	for _, r := range t.dirty {
 		r.step++
 		s := tensor.NewAdamStep(t.lr, r.step, false)
-		tensor.AdamUpdate(r.w, r.m, r.v, r.grad, &s)
+		w, m, v := wide(r.w), wide(r.m), wide(r.v)
+		tensor.AdamUpdate(w, m, v, r.grad, &s)
+		for k := range w {
+			r.w[k], r.m[k], r.v[k] = float32(w[k]), float32(m[k]), float32(v[k])
+		}
 		r.dirty = false
 	}
 	t.dirty = t.dirty[:0]
 }
 
-// state returns row id's weights, both moments and step count, and whether
-// the row has been materialised.
+// state returns row id's weights and both moments widened, its step count,
+// and whether the row has been materialised.
 func (t *lazyTableOracle) state(id int) (w, m, v []float64, step int, ok bool) {
 	r, ok := t.rows[id]
 	if !ok {
 		return nil, nil, nil, 0, false
 	}
-	return r.w, r.m, r.v, r.step, true
+	return wide(r.w), wide(r.m), wide(r.v), r.step, true
 }
 
 // size returns the number of rows the table has materialised.
 func (t *lazyTableOracle) size() int { return len(t.rows) }
+
+// wide returns xs widened to float64.
+func wide(xs []float32) []float64 {
+	out := make([]float64, len(xs))
+	for k, x := range xs {
+		out[k] = float64(x)
+	}
+	return out
+}
 
 // oracleTable is the surface both oracle types share.
 type oracleTable interface {
@@ -256,7 +274,7 @@ func sameBits(a, b []float64) bool {
 // rows each holds, and every row's weights, moments and step count.
 func (p *tablePair) check(t *testing.T, what string, i int) {
 	t.Helper()
-	if got, want := p.live.Row(i), p.oracle.Row(i); !sameBits(got, want) {
+	if got, want := rowOf(p.live, i), p.oracle.Row(i); !sameBits(got, want) {
 		t.Fatalf("%s: row %d = %v, oracle %v", what, i, got, want)
 	}
 	if n, want := len(p.live.steps), p.oracle.size(); n != want {
@@ -267,7 +285,7 @@ func (p *tablePair) check(t *testing.T, what string, i int) {
 		if p.live.lazy() {
 			id = p.live.ids[s]
 		}
-		w, m, v := p.live.row(s)
+		w, m, v := liveState(p.live, s)
 		ow, om, ov, ostep, ok := p.oracle.state(id)
 		switch {
 		case !ok:
@@ -280,6 +298,16 @@ func (p *tablePair) check(t *testing.T, what string, i int) {
 			t.Fatalf("%s: row %d's moments (%v, %v) differ from the oracle's (%v, %v)", what, id, m, v, om, ov)
 		}
 	}
+}
+
+// liveState returns the weights and both moments of tab's row in slot s,
+// a lazy row's widened.
+func liveState(tab *Table, s int) (w, m, v []float64) {
+	if !tab.lazy() {
+		return tab.denseRow(s)
+	}
+	r, d := wide(tab.lazyRow(s)), tab.Dim
+	return r[:d], r[d : 2*d], r[2*d:]
 }
 
 // FuzzTableMatchesOracle runs a random sequence of Row, Accumulate and Step
@@ -319,7 +347,7 @@ func FuzzTableMatchesOracle(f *testing.F) {
 						end = len(data)
 					}
 					g := fuzzGrad(data[pc+2 : end])
-					p.live.Row(i)
+					rowOf(p.live, i)
 					p.oracle.Row(i)
 					p.grads.Add(i, g)
 					p.oracle.Accumulate(i, g)
@@ -335,12 +363,13 @@ func FuzzTableMatchesOracle(f *testing.F) {
 
 // TestLazyTableRetainedBytesPerRow pins the heap a lazy table keeps per row:
 // 200 tables of 400 rows at d = 16, each row read, accumulated and stepped
-// every 32 rows, must hold at most 480 B a row after GC (474 B measured). The
-// weights and both moments, whole in their page, are 384 B of that. The rest
-// is the slot's id (8 B) and step counter (8 B), the open-addressed index's
-// cells (4 B each, at most half full, so 1024 for 400 rows: about 10 B a
-// row), the slack of the two growing lists, the last page's spare rows and
-// the table's init stream. The oracle's figure is logged beside it.
+// every 32 rows, must hold at most 266 B a row after GC (260 B measured). The
+// weights and both moments, whole in their page as float32, are 192 B of
+// that. The rest is the slot's id (8 B) and step counter (8 B), the
+// open-addressed index's cells (4 B each, at most half full, so 1024 for 400
+// rows: about 10 B a row), the slack of the two growing lists, the last
+// page's spare rows and the table's init stream. The oracle's figure is
+// logged beside it.
 func TestLazyTableRetainedBytesPerRow(t *testing.T) {
 	const tables, rows, dim, every, lr = 200, 400, 16, 32, 0.01
 	grad := make([]float64, dim)
@@ -361,11 +390,11 @@ func TestLazyTableRetainedBytesPerRow(t *testing.T) {
 		runtime.KeepAlive(kept)
 		return float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / (tables * rows)
 	}
-	g := NewRowGrads(dim)
+	g, buf := NewRowGrads(dim), make([]float64, dim)
 	live := measure(func(s *rng.Stream) any {
 		tab := NewLazyTable(s, dim, lr)
 		for i := 0; i < rows; i++ {
-			tab.Row(i * idStride)
+			tab.ReadRow(buf, i*idStride)
 			g.Add(i*idStride, grad)
 			if (i+1)%every == 0 {
 				tab.Step(g)
@@ -386,7 +415,7 @@ func TestLazyTableRetainedBytesPerRow(t *testing.T) {
 		return tab
 	})
 	t.Logf("retained per row at d = %d: %.0f B (the map-of-rows oracle: %.0f B)", dim, live, oracle)
-	if live > 480 {
-		t.Fatalf("a lazy table retains %.0f B per row at d = %d, want ≤ 480", live, dim)
+	if live > 266 {
+		t.Fatalf("a lazy table retains %.0f B per row at d = %d, want ≤ 266", live, dim)
 	}
 }

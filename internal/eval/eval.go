@@ -165,11 +165,3 @@ func hitMetrics(ranks []int, relevant, k int) (recall, ndcg float64) {
 	slices.Sort(ranks)
 	return metrics.HitMetrics(ranks, relevant, k)
 }
-
-// RankingWorkers evaluates the scorer on a split at cutoff k with the given
-// worker count (<= 0 means GOMAXPROCS): a throwaway Evaluator ranked once.
-// For each user with held-out items, every non-train item is scored. Only
-// tests call the one-shot form; per-round callers hold one.
-func RankingWorkers(s models.MultiBlockScorer, sp *data.Split, k, workers int) Result {
-	return NewEvaluator(sp).Rank(s, k, workers)
-}

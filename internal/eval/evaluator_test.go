@@ -121,6 +121,14 @@ func TestEvaluatorCandidatesExcludeTrain(t *testing.T) {
 	}
 }
 
+// RankingWorkers evaluates the scorer on a split at cutoff k with the given
+// worker count (<= 0 means GOMAXPROCS): a throwaway Evaluator ranked once.
+// For each user with held-out items, every non-train item is scored.
+// Per-round callers hold an Evaluator instead.
+func RankingWorkers(s models.MultiBlockScorer, sp *data.Split, k, workers int) Result {
+	return NewEvaluator(sp).Rank(s, k, workers)
+}
+
 // logitFunc is a multi-user scorer whose logit for (user, item) is f(u, v).
 type logitFunc func(u, v int) float64
 

@@ -152,16 +152,15 @@ func BenchmarkMFClientRound(b *testing.B) {
 // each run one round, and the heap they retain after GC must stay within
 // what their rows need. A client's MF model keeps its user row and one row
 // per item it trained or scored (21.4 rows a client here) in lazy-table
-// pages of 1, 2, 4, 8, … rows, 384 B of weights and moments a row: 28.4 rows
-// of pages a client, 10.9 KB. The rest is at most 2.5 KB: each row's id and
-// step count with their slices' slack (about 32 B a row), both tables'
-// indexes and headers, the client and model structs, three streams at 88 B
-// each (the client's own and the two tables' init streams), and the 5 % of
-// item-table init streams that draw a row past the lazy source's 607 values
-// and seed a 5.4 KB state. Seeding that state at every stream's first draw
-// costs a client 28 KB; one more seeded stream per client fails the bound.
-// ROADMAP item 12 asks for 12 KB, which the page slack (seven spare rows a
-// client, 2.7 KB) still stands between.
+// pages of 1, 2, 4, 8, … rows, 192 B of float32 weights and moments a row:
+// 28.4 rows of pages a client, 5.5 KB. The rest is at most 2.5 KB: each
+// row's id and step count with their slices' slack (about 32 B a row), both
+// tables' indexes and headers, the client and model structs, three streams
+// at 88 B each (the client's own and the two tables' init streams), and the
+// 5 % of item-table init streams that draw a row past the lazy source's 607
+// values and seed a 5.4 KB state. Seeding that state at every stream's first
+// draw costs a client 28 KB; one more seeded stream per client fails the
+// bound. The bound, 8013 B, meets ROADMAP item 12's 8 KB (7.4 KB measured).
 func TestClientRetainedBytes(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation perturbs heap sizes")
@@ -193,7 +192,7 @@ func TestClientRetainedBytes(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	runtime.KeepAlive(h)
 	perClient := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / clients
-	const bound = 28.4*384 + 2560
+	const bound = 28.4*192 + 2560
 	t.Logf("retained per materialised client: %.0f B (bound %.0f B)", perClient, bound)
 	if perClient > bound {
 		t.Fatalf("a materialised MF client retains %.0f B after one round, want ≤ %.0f", perClient, bound)

@@ -40,17 +40,22 @@ func (m *MF) Name() string { return string(KindMF) }
 // one double-gathered GEMM against the dense embedding tables produces the
 // whole user batch's raw dot products. Lazy tables have no dense matrix to
 // multiply against, so they keep the per-pair dot loop (which materialises
-// rows and is therefore single-goroutine anyway).
+// rows and is therefore single-goroutine anyway) over rows widened into a
+// pooled workspace, each user's once.
 func (m *MF) ScoreUsersBlockLogitsInto(dst *tensor.Matrix, users []int, items []int) {
 	checkUsersBlock(dst, users, items)
 	if !m.cfg.Lazy {
 		tensor.GatherMulMatInto(dst, m.users.W, users, 0, m.items.W, items, 0)
 		return
 	}
+	ws := m.ws.Get().(*mfChunk)
+	defer m.ws.Put(ws)
 	for i, u := range users {
-		p, row := m.users.Row(u), dst.Row(i)
+		m.users.ReadRow(ws.p, u)
+		row := dst.Row(i)
 		for j, v := range items {
-			row[j] = tensor.Dot(p, m.items.Row(v))
+			m.items.ReadRow(ws.q, v)
+			row[j] = tensor.Dot(ws.p, ws.q)
 		}
 	}
 }
@@ -86,15 +91,18 @@ func (m *MF) TrainBatch(batch []Sample) float64 {
 	return loss
 }
 
-// mfChunk is one gradient shard's workspace: its loss sum and the embedding
-// rows it touched.
+// mfChunk is one gradient shard's workspace: its loss sum, the embedding
+// rows it touched, and the user and item row each read copies or widens
+// into.
 type mfChunk struct {
 	lossSum      float64
 	users, items *emb.RowGrads
+	p, q         []float64
 }
 
 func newMFChunk(dim int) *mfChunk {
-	return &mfChunk{users: emb.NewRowGrads(dim), items: emb.NewRowGrads(dim)}
+	return &mfChunk{users: emb.NewRowGrads(dim), items: emb.NewRowGrads(dim),
+		p: make([]float64, dim), q: make([]float64, dim)}
 }
 
 // shardGrad computes one shard's loss sum and embedding-row gradients into
@@ -103,9 +111,14 @@ func (m *MF) shardGrad(ws *mfChunk, shard []Sample, n int) {
 	ws.lossSum = 0
 	ws.users.Reset()
 	ws.items.Reset()
+	u, p, q := -1, ws.p, ws.q
 	for _, smp := range shard {
-		p := m.users.Row(smp.User)
-		q := m.items.Row(smp.Item)
+		if smp.User != u {
+			// A client batch has one user, whose row is read once.
+			u = smp.User
+			m.users.ReadRow(p, u)
+		}
+		m.items.ReadRow(q, smp.Item)
 		pred := nn.Sigmoid(tensor.Dot(p, q))
 		ws.lossSum += nn.BCEOne(pred, smp.Label)
 		g := (pred - smp.Label) / float64(n)

@@ -161,7 +161,7 @@ func TestMFGradCheck(t *testing.T) {
 	}
 	for _, smp := range batch {
 		g := ws.users.Row(smp.User)
-		row := m.users.Row(smp.User)
+		row := m.users.W.Row(smp.User)
 		for k := range row {
 			want := fd(loss, row, k)
 			if math.Abs(g[k]-want) > 1e-5 {
@@ -169,7 +169,7 @@ func TestMFGradCheck(t *testing.T) {
 			}
 		}
 		gi := ws.items.Row(smp.Item)
-		irow := m.items.Row(smp.Item)
+		irow := m.items.W.Row(smp.Item)
 		for k := range irow {
 			want := fd(loss, irow, k)
 			if math.Abs(gi[k]-want) > 1e-5 {
@@ -212,7 +212,7 @@ func TestNeuMFGradCheck(t *testing.T) {
 	// Embedding rows.
 	for _, smp := range batch {
 		g := users.Row(smp.User)
-		row := m.users.Row(smp.User)
+		row := m.users.W.Row(smp.User)
 		for k := range row {
 			want := fd(loss, row, k)
 			if math.Abs(g[k]-want) > 1e-5 {
@@ -233,7 +233,7 @@ func TestNeuMFGradCheck(t *testing.T) {
 	d := m.cfg.Dim
 	for i, smp := range batch {
 		g := ws.dxs[0].Row(i)
-		irow := m.items.Row(smp.Item)
+		irow := m.items.W.Row(smp.Item)
 		for k := range irow {
 			want := fd(loss, irow, k)
 			if math.Abs(g[d+k]-want) > 1e-5 {

@@ -163,8 +163,13 @@ func (m *NeuMF) shardGrad(ws *neumfWS, sub []Sample, n int, wGrads, bGrads []*te
 	ws.setRows(len(sub))
 	for i, smp := range sub {
 		row := ws.x.Row(i)
-		copy(row[:d], m.users.Row(smp.User))
-		copy(row[d:], m.items.Row(smp.Item))
+		if i > 0 && smp.User == sub[i-1].User {
+			// A client batch has one user, whose row is read once.
+			copy(row[:d], ws.x.Row(i-1))
+		} else {
+			m.users.ReadRow(row[:d], smp.User)
+		}
+		m.items.ReadRow(row[d:], smp.Item)
 	}
 	dy := m.forwardWS(ws)
 	var lossSum float64
@@ -278,7 +283,6 @@ func (m *NeuMF) ScoreUsersBlockLogitsInto(dst *tensor.Matrix, users []int, items
 // scorer: one user's candidate list streams through the tower in
 // scoreChunkSize chunks over the caller's workspace.
 func (m *NeuMF) scoreBlockLogitsWS(ws *neumfWS, dst []float64, u int, items []int) {
-	urow := m.users.Row(u)
 	d := m.cfg.Dim
 	for off := 0; off < len(items); off += scoreChunkSize {
 		end := off + scoreChunkSize
@@ -288,8 +292,12 @@ func (m *NeuMF) scoreBlockLogitsWS(ws *neumfWS, dst []float64, u int, items []in
 		ws.setRows(end - off)
 		for i, v := range items[off:end] {
 			row := ws.x.Row(i)
-			copy(row[:d], urow)
-			copy(row[d:], m.items.Row(v))
+			if i == 0 {
+				m.users.ReadRow(row[:d], u)
+			} else {
+				copy(row[:d], ws.x.Row(0))
+			}
+			m.items.ReadRow(row[d:], v)
 		}
 		copy(dst[off:end], m.forwardWS(ws).Data)
 	}

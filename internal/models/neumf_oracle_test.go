@@ -97,8 +97,8 @@ func (m *NeuMF) forward(batch []Sample) (x *tensor.Matrix, zs, as []*tensor.Matr
 	x = tensor.New(len(batch), 2*m.cfg.Dim)
 	for i, smp := range batch {
 		row := x.Row(i)
-		copy(row[:m.cfg.Dim], m.users.Row(smp.User))
-		copy(row[m.cfg.Dim:], m.items.Row(smp.Item))
+		m.users.ReadRow(row[:m.cfg.Dim], smp.User)
+		m.items.ReadRow(row[m.cfg.Dim:], smp.Item)
 	}
 	cur := x
 	for _, d := range m.tower() {

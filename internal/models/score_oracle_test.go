@@ -19,9 +19,11 @@ type perItemOracle interface {
 // scoreItemsOracle is MF's per-item loop.
 func (m *MF) scoreItemsOracle(u int, items []int) []float64 {
 	out := make([]float64, 0, len(items))
-	p := m.users.Row(u)
+	p, q := make([]float64, m.cfg.Dim), make([]float64, m.cfg.Dim)
+	m.users.ReadRow(p, u)
 	for _, v := range items {
-		out = append(out, nn.Sigmoid(tensor.Dot(p, m.items.Row(v))))
+		m.items.ReadRow(q, v)
+		out = append(out, nn.Sigmoid(tensor.Dot(p, q)))
 	}
 	return out
 }

@@ -152,7 +152,7 @@ func TestSnapshotDigestPinned(t *testing.T) {
 		{KindNeuMF, false, 0, "46931c94b63998039ac879c1ce1b077012f0ec1aa4c5de1e8566bc0b51ae98db"},
 		{KindNeuMF, false, 3, "049720246c4804a429fc0fc90ea503b2c5bd1437cd4fb1425f760d35f13ba93d"},
 		{KindNeuMF, true, 0, "fd7d60be596dfcb4d5dd9fe0cd5d4151e553a9da2840e9caa67fcda6b442e0ec"},
-		{KindNeuMF, true, 3, "9c6c798af0b822176ebbeb85540c7be34cada91f2290ace28d34a86d0e1475d7"},
+		{KindNeuMF, true, 3, "64ff2bf0d84a0788a9a6d3cc4048e2e9a62fd8948a0d42c2552ab3e6afd60cc2"},
 		{KindNGCF, false, 0, "b471245521504f7927eb92a7299f8af8deec4fb03ea04d7f7df8a456fd40564b"},
 		{KindNGCF, false, 3, "8bd65df4fdb1db3a3dd085b2ada8af0045f63b1f9a7f9e0673667afa522500f8"},
 		{KindLightGCN, false, 0, "9068bf5dc1847456e2884dd361711a181ab7f32de81b9f18c49301a38948515e"},
@@ -229,14 +229,18 @@ func stateDigest(t *testing.T, m Recommender) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// hashTable writes a table's whole state: each page (the weights and both
-// Adam moments, by slot), each slot's step count and a lazy table's ids.
-// emb keeps them unexported, so they are read through reflection.
+// hashTable writes a table's whole state: a dense table's slab (its weights
+// and both Adam moments) or a lazy table's float32 pages, by slot, then each
+// slot's step count and a lazy table's ids. emb keeps them unexported, so
+// they are read through reflection.
 func hashTable(h hash.Hash, tab *emb.Table) {
 	v := reflect.ValueOf(tab).Elem()
+	if dense := v.FieldByName("dense"); !dense.IsNil() {
+		hashSlice(h, dense, func(x reflect.Value) uint64 { return math.Float64bits(x.Float()) })
+	}
 	pages := v.FieldByName("pages")
 	for k := range pages.Len() {
-		hashSlice(h, pages.Index(k), func(x reflect.Value) uint64 { return math.Float64bits(x.Float()) })
+		hashSlice(h, pages.Index(k), func(x reflect.Value) uint64 { return uint64(math.Float32bits(float32(x.Float()))) })
 	}
 	for _, f := range []string{"steps", "ids"} {
 		hashSlice(h, v.FieldByName(f), func(x reflect.Value) uint64 { return uint64(x.Int()) })
